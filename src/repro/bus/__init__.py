@@ -38,7 +38,6 @@ __all__ = [
     "JsonlRecorder",
     "Recording",
     "RecordingError",
-    "ReplayMismatchError",
     "ReplayResult",
     "Replayer",
     "TailDashboard",
@@ -64,7 +63,6 @@ __all__ = [
 #: the scenario builder, which imports the core modules that publish
 #: onto this package — an eager import here would be a cycle.
 _REPLAY_EXPORTS = (
-    "ReplayMismatchError",
     "ReplayResult",
     "Replayer",
     "drive_standard_run",

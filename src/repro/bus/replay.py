@@ -13,9 +13,9 @@ healthy-pair sets.  Every ``round.summary`` record triggers the same
 flush + localize the live hunter ran, so the replayed verdict stream
 is comparable element by element with the recorded one.
 
-:func:`verify_replay_equivalence` is the hard gate (in the style of
-:func:`repro.perf.verify_equivalence` and the shard-equivalence gate):
-any verdict or event drift raises :class:`ReplayMismatchError`.
+:func:`verify_replay_equivalence` is the hard gate, one of the five
+callers of :func:`repro.equivalence.compare`: any verdict or event
+drift raises :class:`~repro.equivalence.EquivalenceError`.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ from repro.bus.recorder import (
     config_fingerprint,
     load_recording,
 )
+from repro.equivalence import compare, divergences
 
 __all__ = [
-    "ReplayMismatchError",
     "ReplayResult",
     "Replayer",
     "drive_standard_run",
@@ -48,10 +48,6 @@ __all__ = [
     "standard_run_config",
     "verify_replay_equivalence",
 ]
-
-
-class ReplayMismatchError(AssertionError):
-    """A replayed run diverged from its recording."""
 
 
 def standard_run_config(
@@ -198,39 +194,22 @@ class ReplayResult:
     probes_ingested: int = 0
     faults_applied: int = 0
 
+    def streams(self) -> Tuple[Dict[str, list], Dict[str, list]]:
+        """``(recorded, replayed)`` as named row streams."""
+        return (
+            {"verdicts": self.recorded_verdicts,
+             "events": self.recorded_events},
+            {"verdicts": self.replayed_verdicts,
+             "events": self.replayed_events},
+        )
+
     def divergences(self) -> List[str]:
         """Human-readable drift, empty when the replay is bit-exact."""
-        problems: List[str] = []
-        problems.extend(self._compare(
-            "verdict", self.recorded_verdicts, self.replayed_verdicts
-        ))
-        problems.extend(self._compare(
-            "event", self.recorded_events, self.replayed_events
-        ))
-        return problems
+        return divergences(*self.streams())
 
     @property
     def equivalent(self) -> bool:
         return not self.divergences()
-
-    @staticmethod
-    def _compare(
-        label: str, recorded: List[Any], replayed: List[Any]
-    ) -> List[str]:
-        problems = []
-        if len(recorded) != len(replayed):
-            problems.append(
-                f"{label} count drifted: recorded {len(recorded)}, "
-                f"replayed {len(replayed)}"
-            )
-        for index, (a, b) in enumerate(zip(recorded, replayed)):
-            if a != b:
-                problems.append(
-                    f"{label}[{index}] drifted:\n"
-                    f"  recorded: {a!r}\n"
-                    f"  replayed: {b!r}"
-                )
-        return problems
 
 
 class Replayer:
@@ -331,14 +310,11 @@ class Replayer:
                 report = localizer.localize(
                     open_events, healthy_pairs=healthy, now=at
                 )
+                diagnoses, unexplained = report.verdict_row()
                 result.replayed_verdicts.append(_norm({
                     "at": at,
-                    "diagnoses": [
-                        [d.component, d.component_class.value,
-                         d.layer, round(d.confidence, 9)]
-                        for d in report.diagnoses
-                    ],
-                    "unexplained": len(report.unexplained),
+                    "diagnoses": diagnoses,
+                    "unexplained": unexplained,
                 }))
                 for event in fresh:
                     localized.add(event.key)
@@ -392,20 +368,12 @@ class Replayer:
 def verify_replay_equivalence(
     recording: Union[Recording, str],
 ) -> ReplayResult:
-    """The replay gate: raise on any verdict or event drift.
+    """The replay gate: raise on any verdict or event drift, or on a
+    recording with no verdicts or events to compare.
 
     Returns the :class:`ReplayResult` on success so callers can report
     how much was compared.
     """
     result = Replayer(recording).replay()
-    problems = result.divergences()
-    if problems:
-        raise ReplayMismatchError(
-            "replay diverged from recording:\n" + "\n".join(problems)
-        )
-    if not result.recorded_verdicts:
-        raise ReplayMismatchError(
-            "recording contains no verdicts to compare — the gate "
-            "would pass vacuously; record a run that detects something"
-        )
+    compare("replay", *result.streams())
     return result

@@ -254,7 +254,7 @@ def run_chaos_benchmark(
 
 
 def format_report(report: Dict[str, object]) -> str:
-    """Render the gate report for terminals (cf. ``repro bench``)."""
+    """Render the gate report for terminals."""
     lines = ["chaos degradation gate: clean vs standard monitor chaos"]
     lines.append(
         f"  {'issue':<28} {'clean':>12} {'chaos':>12} "

@@ -15,7 +15,8 @@ numbers:
 
 * **backend equivalence** — the spraying leg is re-run on the legacy
   per-pair analyzer backend and must open bit-identical failure events
-  (same pairs, symptoms, and detection times);
+  (same pairs, symptoms, and detection times) and reach the same
+  verdicts, through :func:`repro.equivalence.compare`;
 * **shard equivalence** — a spraying gray scenario runs on the sharded
   plane at several shard counts and both analyzer backends via
   :func:`repro.shard.equivalence.verify_shard_equivalence`, so the
@@ -45,6 +46,7 @@ from repro.cluster.identifiers import LinkId
 from repro.core.analyzer import Analyzer, LoadConditionedAdmission
 from repro.core.evaluation import CampaignScorer
 from repro.core.localization import healthy_pairs_for
+from repro.equivalence import compare
 from repro.network.faults import gray_injection_overrides
 from repro.network.issues import GrayIssueType
 from repro.network.load import LinkLoadModel
@@ -55,7 +57,6 @@ from repro.workloads.scenarios import build_scenario
 __all__ = [
     "GRAY_FAMILIES",
     "GrayBounds",
-    "GrayEquivalenceError",
     "format_report",
     "gray_fault_target",
     "gray_shard_spec",
@@ -70,10 +71,6 @@ GRAY_FAMILIES: Tuple[GrayIssueType, ...] = tuple(GrayIssueType)
 WARM_S = 200.0
 FAULT_S = 120.0
 COOL_S = 40.0
-
-
-class GrayEquivalenceError(AssertionError):
-    """A spraying run diverged across analyzer backends."""
 
 
 @dataclass(frozen=True)
@@ -187,16 +184,23 @@ def gray_fault_target(scenario, load_model: LinkLoadModel):
     )
 
 
-def _event_signature(scenario) -> Tuple[Tuple[object, ...], ...]:
-    """The run's opened events in a backend-comparable form."""
-    return tuple(
-        (
-            str(event.pair.src), str(event.pair.dst),
-            event.symptom.value,
-            round(event.first_detected_at, 9),
-        )
-        for event in scenario.hunter.events
-    )
+def _backend_streams(scenario) -> Dict[str, List[tuple]]:
+    """The run's opened events and verdicts in a backend-comparable
+    form."""
+    return {
+        "events": [
+            (
+                str(event.pair.src), str(event.pair.dst),
+                event.symptom.value,
+                round(event.first_detected_at, 9),
+            )
+            for event in scenario.hunter.events
+        ],
+        "verdicts": [
+            (at, *report.verdict_row())
+            for at, report in scenario.hunter.reports
+        ],
+    }
 
 
 def _run_leg(
@@ -322,8 +326,9 @@ def run_gray_benchmark(
 
     Returns the JSON-ready report; ``report["summary"]["passed"]``
     tells callers whether every :class:`GrayBounds` held.  Raises
-    :class:`GrayEquivalenceError` if the legacy analyzer backend or the
-    shard plane ever disagrees with the columnar single-process run.
+    :class:`~repro.equivalence.EquivalenceError` if the legacy analyzer
+    backend or the shard plane ever disagrees with the columnar
+    single-process run.
     """
     bounds = bounds if bounds is not None else GrayBounds()
     seeds = (seed,) if quick else (seed, seed + 1)
@@ -333,15 +338,11 @@ def run_gray_benchmark(
             static = _run_leg(issue, s, "static")
             spray = _run_leg(issue, s, "spray")
             legacy = _run_leg(issue, s, "spray", backend="legacy")
-            spray_signature = _event_signature(spray["scenario"])
-            legacy_signature = _event_signature(legacy["scenario"])
-            if spray_signature != legacy_signature:
-                raise GrayEquivalenceError(
-                    f"{issue.name} seed {s}: legacy analyzer backend "
-                    f"opened different events than columnar "
-                    f"(columnar {len(spray_signature)}, legacy "
-                    f"{len(legacy_signature)})"
-                )
+            compare(
+                f"{issue.name} seed {s}: columnar analyzer under spray",
+                _backend_streams(legacy["scenario"]),
+                _backend_streams(spray["scenario"]),
+            )
             naive = _run_leg(
                 issue, s, "spray", distribution_aware=False
             )

@@ -10,15 +10,13 @@ Usage::
     python -m repro trace [--faults N] [--out FILE] [--explain]
     python -m repro export-metrics [--faults N]
     python -m repro verify [--issue NAME] [--lint | --flow [paths...]]
-    python -m repro bench [--quick] [--out FILE]
+    python -m repro equivalence
     python -m repro chaos [--quick] [--out FILE]
     python -m repro gray [--quick] [--out FILE]
     python -m repro run [--shards N] [--backend inproc|mp] [--faults N]
     python -m repro shard-status [--shards N] [--kill SHARD]
-    python -m repro bench-shard [--quick] [--out FILE]
     python -m repro fleet run [--jobs N] [--workers N]
     python -m repro fleet status [--jobs N] [--workers N] [--kill W]
-    python -m repro fleet bench [--quick] [--out FILE]
     python -m repro record [--out FILE] [--seed S] [--issue NAME]
     python -m repro replay RECORDING [--no-verify]
     python -m repro tail [--shards N] [--plain]
@@ -45,13 +43,12 @@ clock, unseeded RNG, process identity, unordered iteration) never
 reaches monitor-plane state and that every stochastic value in
 ``network``/``chaos``/``workloads`` derives from the keyed-draw API.
 
-``bench`` measures the probing fast path (batched vs sequential rounds,
-columnar vs per-pair-object detector windows), verifies both fast paths
-are result-identical to their references (probe streams bit-equal;
-detector verdicts equal with scores within 1e-10), and fails if
-batching is ever slower, the columnar detector drops under the 2x
-smoke floor, or its scores drift.  ``--quick`` is the CI smoke
-configuration.
+``equivalence`` runs the five gates behind the repo's contract —
+batch≡sequential probing, columnar≡legacy detection (scores within
+1e-10), shard≡single, fleet≡single and replay≡live — through the one
+row-diff helper in :mod:`repro.equivalence`, prints how much each
+compared, and fails on the first divergence.  It takes no flags and
+times nothing; ``python bench/run.py`` is the timing instrument.
 
 ``chaos`` runs the monitor-plane degradation gate: the fault campaign
 twice — perfect monitor vs standard chaos weather (telemetry + report
@@ -66,21 +63,17 @@ both analyzer backends and the shard plane; distribution-aware
 tomography voting is compared with naive voting and the Flock-style
 probabilistic baseline is scored side by side (``BENCH_gray.json``).
 
-The last three commands drive the sharded monitoring plane
+``run`` and ``shard-status`` drive the sharded monitoring plane
 (:mod:`repro.shard`): ``run`` executes a faulted scenario across N
 shard workers and prints the merged events, verdicts, and per-shard
 summary; ``shard-status`` runs a short plane (optionally killing a
-shard mid-run) and renders the coordinator's heartbeat/failover view;
-``bench-shard`` runs the shard-equivalence gate plus the scaling sweep
-behind ``BENCH_shard.json``.
+shard mid-run) and renders the coordinator's heartbeat/failover view.
 
 ``fleet`` drives the multi-tenant plane (:mod:`repro.fleet`): ``fleet
 run`` executes many concurrent churning jobs on one shared fabric
 under a global probe budget and prints the merged per-tenant
 diagnosis and coverage; ``fleet status`` renders the coordinator's
-placement, worker failover, and budget view; ``fleet bench`` runs the
-fleet-equivalence gate plus the jobs x endpoints scaling sweep behind
-``BENCH_fleet.json``.
+placement, worker failover, and budget view.
 
 The last three commands drive the telemetry bus (:mod:`repro.bus`):
 ``record`` runs the standard chaos campaign leg and persists every bus
@@ -192,19 +185,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add_verify_arguments(verify)
 
-    bench = commands.add_parser(
-        "bench", help="measure the probing fast path (batched vs "
-        "sequential) and detector window cost"
+    commands.add_parser(
+        "equivalence", help="run the five equivalence gates (batch, "
+        "columnar, shard, fleet, replay) and print what each compared"
     )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="small sizes and single rounds (the CI smoke mode)",
-    )
-    bench.add_argument(
-        "--out", default="BENCH_probing.json",
-        help="write the JSON report here (default: BENCH_probing.json)",
-    )
-    bench.add_argument("--seed", type=int, default=0)
 
     chaos = commands.add_parser(
         "chaos", help="run the monitor-plane degradation gate "
@@ -280,20 +264,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: shard 1 when running multiple shards; -1 disables)",
     )
 
-    bench_shard = commands.add_parser(
-        "bench-shard", help="run the shard-equivalence gate and the "
-        "shard-scaling benchmark"
-    )
-    bench_shard.add_argument(
-        "--quick", action="store_true",
-        help="small sizes (the CI smoke mode; no speedup gate)",
-    )
-    bench_shard.add_argument(
-        "--out", default="BENCH_shard.json",
-        help="write the JSON report here (default: BENCH_shard.json)",
-    )
-    bench_shard.add_argument("--seed", type=int, default=0)
-
     fleet = commands.add_parser(
         "fleet", help="drive the multi-tenant fleet plane: many "
         "concurrent jobs on one shared fabric under a global probe "
@@ -335,21 +305,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: worker 0 when running multiple workers; "
         "-1 disables)",
     )
-
-    fleet_bench = fleet_commands.add_parser(
-        "bench", help="run the fleet-equivalence gate and the "
-        "jobs x endpoints scaling sweep behind BENCH_fleet.json"
-    )
-    fleet_bench.add_argument(
-        "--quick", action="store_true",
-        help="small fabric and job grid (the CI smoke mode; "
-        "no speedup gate)",
-    )
-    fleet_bench.add_argument(
-        "--out", default="BENCH_fleet.json",
-        help="write the JSON report here (default: BENCH_fleet.json)",
-    )
-    fleet_bench.add_argument("--seed", type=int, default=0)
 
     def add_record_args(command) -> None:
         command.add_argument("--seed", type=int, default=0)
@@ -602,48 +557,75 @@ def _run_export_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_bench(args: argparse.Namespace) -> int:
-    from repro.perf import format_report, run_benchmark
+def _run_equivalence(_: argparse.Namespace) -> int:
+    """Run the five gates in turn; stop at the first that fails."""
+    import os
+    import tempfile
 
-    try:
-        report = run_benchmark(
-            quick=args.quick, seed=args.seed, out=args.out
+    from repro.bus.replay import (
+        record_standard_run,
+        verify_replay_equivalence,
+    )
+    from repro.equivalence import (
+        EquivalenceError,
+        verify_detector_equivalence,
+        verify_equivalence,
+    )
+    from repro.fleet.equivalence import verify_fleet_equivalence
+    from repro.shard.equivalence import verify_shard_equivalence
+
+    def batch() -> str:
+        return f"{verify_equivalence()} probe results"
+
+    def columnar() -> str:
+        counts = verify_detector_equivalence()
+        return (
+            f"{counts['anomalies_compared']} anomalies, "
+            f"{counts['events_compared']} events "
+            f"(score drift {counts['score_drift']:.1e})"
         )
-    except AssertionError as error:
-        print(f"fast-path equivalence check failed: {error}",
-              file=sys.stderr)
-        return 1
-    print(format_report(report))
-    print(f"wrote {args.out}")
-    slow = [
-        row for row in report["probing"] if row["speedup"] < 1.0
-    ]
-    if slow:
-        sizes = ", ".join(str(row["endpoints"]) for row in slow)
-        print(f"REGRESSION: batched rounds slower than sequential at "
-              f"{sizes} endpoints", file=sys.stderr)
-        return 1
-    # Detector gates: the smoke floor is deliberately below the full
-    # benchmark's ≥10x target — CI runners are noisy at 128 pairs, but
-    # anything under 2x means the columnar path stopped batching.
-    slow_detector = [
-        row for row in report["detector"] if row["speedup"] < 2.0
-    ]
-    if slow_detector:
-        sizes = ", ".join(
-            str(row["pairs"]) for row in slow_detector
+
+    def shard() -> str:
+        summary = verify_shard_equivalence()
+        return (
+            f"{summary['baseline_events']} events, "
+            f"{summary['baseline_verdicts']} verdicts x "
+            f"{len(summary['compared'])} configurations"
         )
-        print(f"REGRESSION: columnar detector under 2x legacy at "
-              f"{sizes} pairs", file=sys.stderr)
-        return 1
-    drifted = [
-        row for row in report["detector"]
-        if row["score_drift"] > 1e-10
-    ]
-    if drifted:
-        print("REGRESSION: columnar detector scores drifted beyond "
-              "1e-10 from the legacy reference", file=sys.stderr)
-        return 1
+
+    def fleet() -> str:
+        baseline = verify_fleet_equivalence()
+        return (
+            f"{len(baseline.event_summary)} events, "
+            f"{len(baseline.verdict_summary)} verdicts, "
+            f"{len(baseline.rollups)} rollups at 2 and 4 workers "
+            f"and after a failover"
+        )
+
+    def replay() -> str:
+        with tempfile.TemporaryDirectory() as scratch:
+            path = os.path.join(scratch, "standard.jsonl")
+            record_standard_run(path)
+            result = verify_replay_equivalence(path)
+        return (
+            f"{len(result.recorded_events)} events, "
+            f"{len(result.recorded_verdicts)} verdicts from "
+            f"{result.probes_ingested} recorded probes"
+        )
+
+    gates = (
+        ("batch == sequential", batch),
+        ("columnar == legacy", columnar),
+        ("shard == single", shard),
+        ("fleet == single", fleet),
+        ("replay == live", replay),
+    )
+    for name, gate in gates:
+        try:
+            print(f"{name:<20} ok: {gate()}")
+        except EquivalenceError as error:
+            print(f"{name}: FAILED\n{error}", file=sys.stderr)
+            return 1
     return 0
 
 
@@ -830,41 +812,13 @@ def _run_shard_status(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_bench_shard(args: argparse.Namespace) -> int:
-    from repro.shard.bench import format_report, run_shard_benchmark
-
-    try:
-        report = run_shard_benchmark(
-            quick=args.quick, seed=args.seed, out=args.out
-        )
-    except AssertionError as error:
-        print(f"shard equivalence gate failed: {error}",
-              file=sys.stderr)
-        return 1
-    print(format_report(report))
-    print(f"wrote {args.out}")
-    if not args.quick:
-        slow = [
-            row for row in report["scaling"]
-            if row["shards"] == 4 and row["backend"] == "inproc"
-            and row["speedup"] < 2.0
-        ]
-        if slow:
-            print(
-                "REGRESSION: 4-shard probe rounds are less than 2x "
-                "the single-shard throughput", file=sys.stderr,
-            )
-            return 1
-    return 0
-
-
 def _fleet_spec(args: argparse.Namespace):
     """A churning multi-tenant spec for the CLI's size arguments, on
     the smoke fabric."""
-    from repro.fleet.bench import QUICK_FABRIC, fleet_bench_spec
+    from repro.fleet.spec import fleet_bench_spec
 
     return fleet_bench_spec(
-        args.jobs, QUICK_FABRIC,
+        args.jobs,
         containers_per_job=args.containers,
         gpus_per_container=args.gpus,
         total_rounds=args.rounds,
@@ -981,48 +935,10 @@ def _run_fleet_status(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_fleet_bench(args: argparse.Namespace) -> int:
-    from repro.fleet.bench import format_report, run_fleet_benchmark
-
-    try:
-        report = run_fleet_benchmark(
-            quick=args.quick, seed=args.seed, out=args.out
-        )
-    except AssertionError as error:
-        print(f"fleet equivalence gate failed: {error}",
-              file=sys.stderr)
-        return 1
-    print(format_report(report))
-    print(f"wrote {args.out}")
-    below = [
-        row for row in report["coverage"] if not row["floor_ok"]
-    ]
-    if below:
-        names = ", ".join(str(row["tenant"]) for row in below)
-        print(f"REGRESSION: coverage floor violated for {names}",
-              file=sys.stderr)
-        return 1
-    if not args.quick:
-        slow = [
-            row for row in report["scaling"]
-            if row["jobs"] == 16 and row["workers"] == 8
-            and row["speedup"] < 2.0
-        ]
-        if slow:
-            print(
-                "REGRESSION: 8-worker fleet rounds are less than 2x "
-                "the single-worker critical path", file=sys.stderr,
-            )
-            return 1
-    return 0
-
-
 def _run_fleet(args: argparse.Namespace) -> int:
     if args.fleet_command == "run":
         return _run_fleet_run(args)
-    if args.fleet_command == "status":
-        return _run_fleet_status(args)
-    return _run_fleet_bench(args)
+    return _run_fleet_status(args)
 
 
 def _record_config(args: argparse.Namespace) -> dict:
@@ -1080,9 +996,9 @@ def _run_replay(args: argparse.Namespace) -> int:
           f"{len(result.replayed_events)} replayed")
     problems = result.divergences()
     if problems:
-        for problem in problems[:5]:
+        for problem in problems:
             print(problem, file=sys.stderr)
-        print(f"replay diverged: {len(problems)} difference(s)",
+        print(f"replay diverged in {len(problems)} stream(s)",
               file=sys.stderr)
         return 0 if args.no_verify else 1
     if not result.recorded_verdicts and not args.no_verify:
@@ -1101,11 +1017,11 @@ def _run_tail(args: argparse.Namespace) -> int:
     ansi = False if args.plain else None
     with TailDashboard(bus, ansi=ansi) as dashboard:
         if args.fleet > 0:
-            from repro.fleet.bench import QUICK_FABRIC, fleet_bench_spec
             from repro.fleet.equivalence import run_fleet
+            from repro.fleet.spec import fleet_bench_spec
 
             spec = fleet_bench_spec(
-                args.fleet, QUICK_FABRIC,
+                args.fleet,
                 containers_per_job=args.containers,
                 total_rounds=args.rounds, seed=args.seed,
             )
@@ -1152,8 +1068,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.flow:
             return run_flow(args)
         return run_lint(args) if args.lint else run_verify(args)
-    if args.command == "bench":
-        return _run_bench(args)
+    if args.command == "equivalence":
+        return _run_equivalence(args)
     if args.command == "chaos":
         return _run_chaos(args)
     if args.command == "gray":
@@ -1162,8 +1078,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_sharded(args)
     if args.command == "shard-status":
         return _run_shard_status(args)
-    if args.command == "bench-shard":
-        return _run_bench_shard(args)
     if args.command == "fleet":
         return _run_fleet(args)
     if args.command == "record":

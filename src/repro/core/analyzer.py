@@ -177,7 +177,7 @@ class Analyzer:
     * ``"legacy"`` — the original per-pair ``PairMonitor`` /
       ``ShortTermDetector`` / ``LongTermDetector`` objects, scored
       eagerly as each window closes.  Kept as the reference
-      implementation; ``repro bench --verify`` pins the columnar
+      implementation; ``repro equivalence`` pins the columnar
       backend to it verdict-for-verdict.
 
     Both backends produce identical ``anomalies`` / ``events`` state

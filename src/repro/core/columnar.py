@@ -5,7 +5,7 @@ The legacy detection path holds one ``PairMonitor`` / ``IncrementalLOF``
 30-second window costs a seven-number summary, an O(k·n) LOF score, a
 median check, and a baseline append — each a handful of small numpy
 calls whose interpreter overhead dominates at thousands of pairs (the
-analyzer owns round wall-clock at 2048 pairs, BENCH_probing.json).
+analyzer owned round wall-clock at 2048 pairs when PR 8 measured it).
 
 This module replaces the object soup with a *columnar* store indexed by
 a pair→row table:
@@ -31,7 +31,7 @@ runs before every row's wave-w window has been scored and (if healthy)
 admitted to the baseline.
 
 Equivalence with the legacy path is a hard gate
-(:func:`repro.perf.verify_detector_equivalence`, plus the hypothesis
+(:func:`repro.equivalence.verify_detector_equivalence`, plus the hypothesis
 property suite): verdicts match anomaly-for-anomaly and scores agree
 within the documented 1e-10 drift — batched reductions reassociate
 float sums (numpy pairwise vs. Python sequential), which moves results

@@ -109,6 +109,23 @@ class LocalizationReport:
 
         return explain_report(self, recorder)
 
+    def verdict_row(
+        self,
+    ) -> Tuple[Tuple[Tuple[str, str, str, float], ...], int]:
+        """The report as bus records and equivalence gates carry it:
+        ``(component, class, layer, confidence)`` per diagnosis in rank
+        order (confidence rounded to 9 places, so float noise below
+        that never reads as a verdict change), plus the
+        unexplained-event count."""
+        return (
+            tuple(
+                (d.component, d.component_class.value, d.layer,
+                 round(d.confidence, 9))
+                for d in self.diagnoses
+            ),
+            len(self.unexplained),
+        )
+
 
 class Localizer:
     """Runs Algorithm 1 over batches of failure events."""

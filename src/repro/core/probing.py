@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.pinglist import PingList, ProbePair
 from repro.core.resilience import BreakerState, CircuitBreaker, RetryPolicy
@@ -28,7 +28,6 @@ __all__ = [
     "ResilientProber",
     "coarse_pairs",
     "estimate_round_duration",
-    "estimate_sharded_round_duration",
     "probes_per_round",
 ]
 
@@ -74,30 +73,6 @@ def estimate_round_duration(
     if busiest == 0:
         return 0.0
     return cost.round_overhead_s + busiest * cost.per_probe_s
-
-
-def estimate_sharded_round_duration(
-    shard_pair_sets: Sequence[Iterable[ProbePair]],
-    cost: Optional[ProbeCostModel] = None,
-) -> float:
-    """Round duration when pairs are split across parallel shards.
-
-    Each shard's agents pace independently, so the plane's round
-    finishes when the busiest agent of the busiest shard does — the
-    quantity ``repro shard-status`` and the scaling benchmark report
-    next to measured throughput.
-    """
-    cost = cost if cost is not None else ProbeCostModel()
-    worst = 0.0
-    for pairs in shard_pair_sets:
-        shard_list = PingList(pairs=set(pairs), phase="shard")
-        busiest = _max_targets_per_source(shard_list)
-        if busiest == 0:
-            continue
-        worst = max(
-            worst, cost.round_overhead_s + busiest * cost.per_probe_s
-        )
-    return worst
 
 
 def coarse_pairs(pairs: Sequence[ProbePair]) -> List[ProbePair]:

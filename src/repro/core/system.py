@@ -297,16 +297,13 @@ class SkeletonHunter:
         if self.bus is not None:
             from repro.bus.core import Topic
 
+            diagnoses, unexplained = report.verdict_row()
             self.bus.publish(
                 Topic.VERDICTS,
                 sim_time=now,
                 at=now,
-                diagnoses=[
-                    [d.component, d.component_class.value, d.layer,
-                     round(d.confidence, 9)]
-                    for d in report.diagnoses
-                ],
-                unexplained=len(report.unexplained),
+                diagnoses=[list(row) for row in diagnoses],
+                unexplained=unexplained,
             )
         for event in fresh:
             self._localized_events.add(event.key)

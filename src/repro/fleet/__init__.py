@@ -27,7 +27,6 @@ from repro.fleet.lifecycle import (
     plan_lifecycle,
 )
 from repro.fleet.runtime import (
-    FleetFaultRunner,
     FleetReplica,
     build_fleet_chaos,
     build_fleet_replica,
@@ -44,7 +43,6 @@ __all__ = [
     "FleetBudgetError",
     "FleetChunkResult",
     "FleetController",
-    "FleetFaultRunner",
     "FleetLifecyclePlan",
     "FleetReplica",
     "FleetSpec",

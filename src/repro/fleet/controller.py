@@ -54,7 +54,6 @@ from repro.fleet.lifecycle import (
     plan_lifecycle,
 )
 from repro.fleet.runtime import (
-    FleetFaultRunner,
     FleetReplica,
     build_fleet_chaos,
     build_fleet_replica,
@@ -62,6 +61,7 @@ from repro.fleet.runtime import (
 from repro.fleet.spec import FleetSpec, tenant_pairs
 from repro.cluster.topology import UnderlayPath
 from repro.shard.monitor import EventRecord
+from repro.shard.spec import FaultScheduleRunner
 
 __all__ = [
     "FleetChunkResult",
@@ -189,7 +189,9 @@ class FleetController:
 
     def _build(self) -> None:
         self.replica: FleetReplica = build_fleet_replica(self.spec)
-        self.faults = FleetFaultRunner(self.replica)
+        self.faults = FaultScheduleRunner(
+            self.replica.injector, self.spec, self.replica.container_of
+        )
         self.chaos = build_fleet_chaos(self.spec)
         self._retry = (
             RetryPolicy(seed=self.spec.seed)
@@ -419,18 +421,7 @@ class FleetController:
                 events, healthy, now=at, paths=paths
             )
             runtime.handler.handle(at, report)
-            row: VerdictRow = (
-                runtime.name,
-                at,
-                tuple(
-                    (
-                        d.component, d.component_class.value,
-                        d.layer, round(d.confidence, 9),
-                    )
-                    for d in report.diagnoses
-                ),
-                len(report.unexplained),
-            )
+            row: VerdictRow = (runtime.name, at, *report.verdict_row())
             runtime.verdicts.append(row)
             self._chunk_verdicts.append(row)
 

@@ -105,16 +105,17 @@ class FleetRunResult:
     #: Wall-clock seconds spent in failover replays (not steady state).
     replay_seconds: float
 
-    def comparable(self) -> Tuple:
-        """Everything that must match across worker counts/failover."""
-        return (
-            self.event_summary,
-            self.verdict_summary,
-            self.blacklist_summary,
-            self.coverage_summary,
-            self.rollups,
-            self.rejections,
-        )
+    def comparable(self) -> Dict[str, tuple]:
+        """Everything that must match across worker counts/failover,
+        as named row streams."""
+        return {
+            "events": self.event_summary,
+            "verdicts": self.verdict_summary,
+            "blacklists": self.blacklist_summary,
+            "coverage": self.coverage_summary,
+            "rollups": self.rollups,
+            "rejections": self.rejections,
+        }
 
 
 class FleetCoordinator:
@@ -139,6 +140,13 @@ class FleetCoordinator:
         #: ``{chunk_index: worker_id}`` — kill the worker just before
         #: that chunk runs (chunks are 0-based).
         self.kill_schedule = dict(kill_schedule or {})
+        for chunk in sorted(self.kill_schedule):
+            worker_id = self.kill_schedule[chunk]
+            if not 0 <= worker_id < num_workers:
+                raise ValueError(
+                    f"kill_schedule worker {worker_id} (chunk {chunk}) "
+                    f"out of range for {num_workers} workers"
+                )
         self.recorder = recorder
         self.bus = bus
         self.demands: Dict[str, TenantDemand] = demand_table(spec)
@@ -206,11 +214,7 @@ class FleetCoordinator:
 
     def _run_chunk(self, chunk: int, start: int, end: int) -> None:
         victim = self.kill_schedule.get(chunk)
-        if (
-            victim is not None
-            and victim in self.statuses
-            and self.statuses[victim].alive
-        ):
+        if victim is not None and self.statuses[victim].alive:
             self._kill(victim, chunk, start)
         chunk_max = 0.0
         for worker_id in self._live_workers():

@@ -7,90 +7,22 @@ monitors a tenant, never what the tenant's diagnosis pipeline sees.
 run the same :class:`~repro.fleet.spec.FleetSpec` single-worker, at
 several worker counts, and once with a mid-run worker kill, then
 require every comparable surface — per-tenant events, verdicts,
-blacklists, coverage, and per-round rollups — to match exactly.
+blacklists, coverage, and per-round rollups — to match exactly
+(:func:`repro.equivalence.compare`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
+from repro.equivalence import EquivalenceError, compare
 from repro.fleet.coordinator import FleetCoordinator, FleetRunResult
-from repro.fleet.spec import FleetSpec, TenantSpec
-from repro.shard.spec import FaultSpec, MonitorFaultSpec
+from repro.fleet.spec import FleetSpec, fleet_bench_spec
 
 __all__ = [
-    "FleetEquivalenceError",
-    "default_fleet_spec",
     "run_fleet",
     "verify_fleet_equivalence",
 ]
-
-
-class FleetEquivalenceError(AssertionError):
-    """Two fleet runs that must match did not."""
-
-
-def default_fleet_spec(
-    seed: int = 0,
-    total_rounds: int = 12,
-    with_chaos: bool = True,
-) -> FleetSpec:
-    """The smoke-scale fleet: 4 tenants on a 512-endpoint fabric.
-
-    Exercises every lifecycle edge the gate cares about: a long-lived
-    churning tenant, a mid-run arrival, a mid-run departure, and a
-    tenant with a demanding coverage floor, plus one network fault and
-    (optionally) a monitor-plane fault window.
-    """
-    tenants = (
-        TenantSpec(
-            name="anchor", num_containers=8, gpus_per_container=4,
-            churn_rate=0.25,
-        ),
-        TenantSpec(
-            name="burst", num_containers=8, gpus_per_container=4,
-            arrival_round=3, departure_round=10,
-        ),
-        TenantSpec(
-            name="late", num_containers=8, gpus_per_container=4,
-            arrival_round=5, coverage_floor=0.5,
-        ),
-        TenantSpec(
-            name="steady", num_containers=8, gpus_per_container=4,
-            weight=2.0,
-        ),
-    )
-    from repro.cluster.identifiers import ContainerId, TaskId
-
-    monitor_faults: Tuple[MonitorFaultSpec, ...] = ()
-    if with_chaos:
-        monitor_faults = (
-            MonitorFaultSpec(
-                issue="PROBE_REPORT_LOSS",
-                start_round=4,
-                end_round=9,
-                rate=0.25,
-            ),
-        )
-    return FleetSpec(
-        seed=seed,
-        total_rounds=total_rounds,
-        num_segments=16,            # 128 hosts x 4 rails = 512 endpoints
-        hosts_per_segment=8,
-        rails_per_host=4,
-        probe_budget_per_round=120,  # binding: peak demand is 160
-        chunk_rounds=4,
-        tenants=tenants,
-        faults=(
-            FaultSpec(
-                issue="CONTAINER_CRASH",
-                target=ContainerId(TaskId(0), 2),
-                start_round=4,
-                end_round=9,
-            ),
-        ),
-        monitor_faults=monitor_faults,
-    )
 
 
 def run_fleet(
@@ -113,27 +45,6 @@ def run_fleet(
     return coordinator.run()
 
 
-def _compare(
-    label: str, baseline: FleetRunResult, candidate: FleetRunResult
-) -> None:
-    names = (
-        "events", "verdicts", "blacklists", "coverage", "rollups",
-        "rejections",
-    )
-    for name, base, cand in zip(
-        names, baseline.comparable(), candidate.comparable()
-    ):
-        if base == cand:
-            continue
-        base_set, cand_set = set(base), set(cand)
-        missing = sorted(base_set - cand_set, key=repr)[:3]
-        extra = sorted(cand_set - base_set, key=repr)[:3]
-        raise FleetEquivalenceError(
-            f"{label}: {name} diverged from the single-worker "
-            f"baseline (missing={missing!r}, extra={extra!r})"
-        )
-
-
 def verify_fleet_equivalence(
     spec: Optional[FleetSpec] = None,
     worker_counts: Sequence[int] = (2, 4),
@@ -144,25 +55,31 @@ def verify_fleet_equivalence(
     Checks, in order: every worker count in ``worker_counts`` produces
     byte-identical comparable results; and (with ``failover``) killing
     worker 0 before the second chunk — forcing tenant reassignment and
-    a full replay-adoption — changes nothing either.  Returns the
+    a full replay-adoption — changes nothing either.  The default spec
+    is four churning tenants (staggered arrivals, one departure, a
+    crash and a report-loss window) over 12 rounds.  Returns the
     baseline result for further assertions.
     """
-    spec = spec or default_fleet_spec()
+    spec = spec or fleet_bench_spec(4, total_rounds=12)
     baseline = run_fleet(spec, num_workers=1)
     for count in worker_counts:
         candidate = run_fleet(spec, num_workers=count)
-        _compare(f"{count} workers", baseline, candidate)
+        compare(
+            f"{count} workers",
+            baseline.comparable(), candidate.comparable(),
+        )
     if failover:
         count = max(worker_counts) if worker_counts else 2
         candidate = run_fleet(
             spec, num_workers=count, kill_schedule={1: 0}
         )
         if not candidate.reassignments:
-            raise FleetEquivalenceError(
+            raise EquivalenceError(
                 "failover run produced no tenant reassignments — the "
                 "kill schedule did not exercise adoption"
             )
-        _compare(
-            f"{count} workers + failover", baseline, candidate
+        compare(
+            f"{count} workers + failover",
+            baseline.comparable(), candidate.comparable(),
         )
     return baseline

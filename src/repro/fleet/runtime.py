@@ -16,8 +16,8 @@ not on which worker sends the probe or how tenants are sharded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.chaos.faults import MonitorFaultInjector
 from repro.cluster.container import Container
@@ -36,13 +36,12 @@ from repro.fleet.lifecycle import (
 )
 from repro.fleet.spec import FleetSpec
 from repro.network.fabric import DataPlaneFabric
-from repro.network.faults import Fault, FaultInjector
+from repro.network.faults import FaultInjector
 from repro.shard.spec import build_monitor_chaos
 from repro.sim.engine import SimulationEngine
 from repro.sim.rng import RngRegistry
 
 __all__ = [
-    "FleetFaultRunner",
     "FleetReplica",
     "build_fleet_chaos",
     "build_fleet_replica",
@@ -162,57 +161,3 @@ def build_fleet_chaos(
     is what keeps chaos draws byte-identical across rebuilt replicas.
     """
     return build_monitor_chaos(spec)
-
-
-@dataclass
-class FleetFaultRunner:
-    """Replays the spec's network-fault schedule against one replica.
-
-    The fleet twin of :class:`repro.shard.spec.FaultScheduleRunner`:
-    container targets resolve through the *orchestrator* (the fleet has
-    many tasks, and a target's tenant may not be admitted yet — in
-    which case the injection is skipped, identically in every replica).
-    """
-
-    replica: FleetReplica
-    _active: Dict[int, Fault] = field(default_factory=dict)
-    _next_round: int = 1
-
-    def advance_to(self, round_index: int) -> None:
-        """Apply fault transitions up to just before ``round_index``."""
-        spec = self.replica.spec
-        for r in range(self._next_round, round_index + 1):
-            at = spec.round_time(r)
-            for idx, fault_spec in enumerate(spec.faults):
-                if fault_spec.end_round == r and idx in self._active:
-                    self.replica.injector.clear(
-                        self._active.pop(idx), at
-                    )
-                if fault_spec.start_round == r:
-                    if (
-                        fault_spec.end_round is not None
-                        and fault_spec.end_round <= fault_spec.start_round
-                    ):
-                        continue
-                    fault = self._inject(fault_spec, at)
-                    if fault is not None:
-                        self._active[idx] = fault
-        self._next_round = max(self._next_round, round_index + 1)
-
-    def active_faults(self) -> List[Fault]:
-        """Currently injected faults, in spec order."""
-        return [self._active[i] for i in sorted(self._active)]
-
-    def _inject(self, fault_spec, at: float) -> Optional[Fault]:
-        target = fault_spec.target
-        if isinstance(target, ContainerId):
-            container = self.replica.container_of(target)
-            if container is None:
-                return None
-            target = container
-        return self.replica.injector.inject_issue(
-            fault_spec.issue_type(),
-            target,
-            start=at,
-            **dict(fault_spec.overrides),
-        )

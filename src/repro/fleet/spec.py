@@ -27,14 +27,21 @@ from typing import List, Optional, Tuple
 from repro.cluster.identifiers import ContainerId, EndpointId, TaskId
 from repro.core.detection import DetectorConfig
 from repro.core.pinglist import ProbePair
+from repro.fleet.budget import TenantDemand
 from repro.shard.spec import FaultSpec, MonitorFaultSpec, ring_chord_pairs
 
 __all__ = [
+    "QUICK_FABRIC",
     "FleetSpec",
     "TenantSpec",
+    "fleet_bench_spec",
     "tenant_endpoints",
     "tenant_pairs",
 ]
+
+#: (num_segments, hosts_per_segment, rails_per_host): the 128-host,
+#: 512-endpoint fabric behind ``repro fleet`` and the fleet gate.
+QUICK_FABRIC = (16, 8, 4)
 
 
 @dataclass(frozen=True)
@@ -253,3 +260,78 @@ def tenant_pairs(
     measured against.
     """
     return ring_chord_pairs(tenant_endpoints(tenant, task_id))
+
+
+def fleet_bench_spec(
+    jobs: int,
+    containers_per_job: int = 8,
+    gpus_per_container: int = 4,
+    total_rounds: int = 8,
+    seed: int = 0,
+) -> FleetSpec:
+    """A heterogeneous ``jobs``-tenant fleet on :data:`QUICK_FABRIC`.
+
+    Arrivals are staggered over the first four rounds, every fourth
+    tenant departs one round before the end (in runs long enough for
+    it to have arrived first), a third of the tenants
+    churn containers, and weights/floors vary — so the budget
+    scheduler, the lifecycle replay, and the balancer all do real work.
+    The probe budget is 60% of the aggregate demand (floor-sum
+    permitting), making the allocation binding.  A container crash
+    inside job-00 and a monitor-plane report-loss window give the
+    equivalence gate non-empty event/verdict/blacklist streams and the
+    chaos-hardened probe path.
+    """
+    num_segments, hosts_per_segment, rails = QUICK_FABRIC
+    tenants = tuple(
+        TenantSpec(
+            name=f"job-{index:02d}",
+            num_containers=containers_per_job,
+            gpus_per_container=gpus_per_container,
+            arrival_round=1 + (index % 4),
+            departure_round=(
+                total_rounds - 1
+                if index % 4 == 2 and total_rounds > 4 else None
+            ),
+            churn_rate=0.2 if index % 3 == 0 else 0.0,
+            coverage_floor=0.5 if index % 4 == 3 else 0.25,
+            weight=2.0 if index % 2 else 1.0,
+        )
+        for index in range(jobs)
+    )
+    demands = [
+        TenantDemand(
+            tenant.name,
+            len(tenant_pairs(tenant, TaskId(index))),
+            tenant.coverage_floor,
+        )
+        for index, tenant in enumerate(tenants)
+    ]
+    return FleetSpec(
+        seed=seed,
+        total_rounds=total_rounds,
+        num_segments=num_segments,
+        hosts_per_segment=hosts_per_segment,
+        rails_per_host=rails,
+        probe_budget_per_round=max(
+            sum(d.floor for d in demands),
+            int(sum(d.demand for d in demands) * 0.6),
+        ),
+        chunk_rounds=4,
+        tenants=tenants,
+        faults=(
+            FaultSpec(
+                issue="CONTAINER_CRASH",
+                target=ContainerId(TaskId(0), 1),
+                start_round=2,
+            ),
+        ),
+        monitor_faults=(
+            MonitorFaultSpec(
+                issue="PROBE_REPORT_LOSS",
+                start_round=4,
+                end_round=7,
+                rate=0.2,
+            ),
+        ),
+    )

@@ -422,7 +422,7 @@ class DataPlaneFabric:
         input order.  Each probe consumes a fixed five-uniform block of
         the fabric stream; the block for the whole round is drawn once
         and transformed with vectorized numpy math, which is where the
-        batched path earns its throughput (see ``repro bench``).
+        batched path earns its throughput (see ``bench/README.md``).
 
         Resolution still happens per probe *in order*, so side effects
         (first-use flow installs, mid-batch cache invalidation by a

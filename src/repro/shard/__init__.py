@@ -24,7 +24,6 @@ from repro.shard.coordinator import (
     ShardStatus,
 )
 from repro.shard.equivalence import (
-    ShardEquivalenceError,
     default_equivalence_spec,
     run_plane,
     verify_shard_equivalence,
@@ -58,7 +57,6 @@ __all__ = [
     "Reassignment",
     "ShardCoordinator",
     "ShardDeadError",
-    "ShardEquivalenceError",
     "ShardMonitor",
     "ShardPlaneError",
     "ShardRunResult",

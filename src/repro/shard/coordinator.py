@@ -211,17 +211,22 @@ class ShardRunResult:
         """Comparable verdicts: per localization batch, its time, the
         ordered (component, class, layer, confidence) diagnoses, and
         the unexplained-event count."""
-        summary = []
-        for at, report in self.verdicts:
-            diagnoses = tuple(
-                (
-                    d.component, d.component_class.value,
-                    d.layer, round(d.confidence, 9),
-                )
-                for d in report.diagnoses
-            )
-            summary.append((at, diagnoses, len(report.unexplained)))
-        return summary
+        return [
+            (at, *report.verdict_row()) for at, report in self.verdicts
+        ]
+
+    def comparable(self) -> Dict[str, List[tuple]]:
+        """Everything that must match across shard counts, backends
+        and failover histories, as named row streams."""
+        return {
+            "events": self.event_summary(),
+            "verdicts": self.verdict_summary(),
+            "votes": [
+                (group, link, count)
+                for group in MergedVoteTable.GROUPS
+                for link, count in self.vote_table.votes(group).items()
+            ],
+        }
 
 
 class ShardCoordinator:
@@ -269,7 +274,8 @@ class ShardCoordinator:
         # chunk via the same replayable fault schedule the shards use.
         self.reference = build_replica(spec)
         self._reference_schedule = FaultScheduleRunner(
-            self.reference, spec
+            self.reference.injector, spec,
+            self.reference.task.containers.get,
         )
         self.all_pairs = pair_universe(spec, self.reference)
         # Warm the reference overlay exactly as probing would: resolve
@@ -623,16 +629,13 @@ class ShardCoordinator:
             if self.bus is not None:
                 from repro.bus.core import Topic
 
+                diagnoses, unexplained = report.verdict_row()
                 self.bus.publish(
                     Topic.VERDICTS,
                     sim_time=at,
                     at=at,
-                    diagnoses=[
-                        [d.component, d.component_class.value, d.layer,
-                         round(d.confidence, 9)]
-                        for d in report.diagnoses
-                    ],
-                    unexplained=len(report.unexplained),
+                    diagnoses=[list(row) for row in diagnoses],
+                    unexplained=unexplained,
                 )
             self.metrics.increment(
                 "diagnoses.made", len(report.diagnoses)

@@ -4,12 +4,10 @@ The sharded plane's non-negotiable invariant: for a fixed run seed, the
 set of opened failure events and the localization verdicts are
 identical for every shard count, every backend, and any failover
 history.  This module runs the same spec under several configurations
-and raises :class:`ShardEquivalenceError` on the first divergence —
-the same style of hard gate as :func:`repro.perf.verify_equivalence`
-for the probing fast path.  Tests and the CI smoke job call
-:func:`verify_shard_equivalence`; ``repro bench-shard`` runs it before
-timing anything, so a published speedup can never come from changed
-results.
+and hands each run's streams to :func:`repro.equivalence.compare`,
+which raises :class:`~repro.equivalence.EquivalenceError` on the first
+divergence.  Tests and ``repro equivalence`` (the CI job) call
+:func:`verify_shard_equivalence`.
 """
 
 from __future__ import annotations
@@ -18,21 +16,17 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.identifiers import LinkId
+from repro.equivalence import EquivalenceError, compare
 from repro.network.issues import IssueType
 from repro.shard.backend import backend_named
 from repro.shard.coordinator import ShardCoordinator, ShardRunResult
 from repro.shard.spec import FaultSpec, ShardScenarioSpec, build_replica
 
 __all__ = [
-    "ShardEquivalenceError",
     "default_equivalence_spec",
     "run_plane",
     "verify_shard_equivalence",
 ]
-
-
-class ShardEquivalenceError(AssertionError):
-    """A sharded run diverged from the single-shard baseline."""
 
 
 def run_plane(
@@ -105,35 +99,6 @@ def default_equivalence_spec(
     )
 
 
-def _compare(
-    baseline: ShardRunResult, candidate: ShardRunResult, label: str
-) -> None:
-    if baseline.event_summary() != candidate.event_summary():
-        base_keys = baseline.event_keys()
-        cand_keys = candidate.event_keys()
-        raise ShardEquivalenceError(
-            f"{label}: opened events diverge from the single-shard "
-            f"baseline (baseline-only: "
-            f"{sorted(map(str, base_keys - cand_keys))[:5]}, "
-            f"candidate-only: "
-            f"{sorted(map(str, cand_keys - base_keys))[:5]})"
-        )
-    if baseline.verdict_summary() != candidate.verdict_summary():
-        raise ShardEquivalenceError(
-            f"{label}: localization verdicts diverge from the "
-            f"single-shard baseline:\n"
-            f"  baseline:  {baseline.verdict_summary()}\n"
-            f"  candidate: {candidate.verdict_summary()}"
-        )
-    if (
-        baseline.vote_table.as_dict()
-        != candidate.vote_table.as_dict()
-    ):
-        raise ShardEquivalenceError(
-            f"{label}: merged tomography vote tables diverge"
-        )
-
-
 def verify_shard_equivalence(
     spec: Optional[ShardScenarioSpec] = None,
     shard_counts: Tuple[int, ...] = (2, 4),
@@ -142,7 +107,7 @@ def verify_shard_equivalence(
     with_failover: bool = True,
     chunk_rounds: int = 5,
 ) -> Dict[str, object]:
-    """Run the gate; raises :class:`ShardEquivalenceError` on any diff.
+    """Run the gate; raises :class:`EquivalenceError` on any diff.
 
     Compares a ``--shards 1`` in-process baseline against every
     (shard count, backend) combination, plus — with ``with_failover``
@@ -154,7 +119,9 @@ def verify_shard_equivalence(
     tables.  Returns a summary of what was compared.
     """
     spec = spec if spec is not None else default_equivalence_spec()
-    baseline = run_plane(spec, 1, "inproc", chunk_rounds=chunk_rounds)
+    baseline = run_plane(
+        spec, 1, "inproc", chunk_rounds=chunk_rounds
+    ).comparable()
     compared: List[str] = []
     for backend in backends:
         for num_shards in shard_counts:
@@ -162,7 +129,7 @@ def verify_shard_equivalence(
             candidate = run_plane(
                 spec, num_shards, backend, chunk_rounds=chunk_rounds
             )
-            _compare(baseline, candidate, label)
+            compare(label, baseline, candidate.comparable())
             compared.append(label)
     for analyzer_backend in analyzer_backends:
         if analyzer_backend == spec.analyzer_backend:
@@ -176,7 +143,7 @@ def verify_shard_equivalence(
                 variant, num_shards, "inproc",
                 chunk_rounds=chunk_rounds,
             )
-            _compare(baseline, candidate, label)
+            compare(label, baseline, candidate.comparable())
             compared.append(label)
     if with_failover:
         for backend in backends:
@@ -187,14 +154,14 @@ def verify_shard_equivalence(
                 kill_schedule={1: 2},
             )
             if not candidate.reassignments:
-                raise ShardEquivalenceError(
+                raise EquivalenceError(
                     f"{label}: the scripted kill produced no "
                     f"reassignments — failover never ran"
                 )
-            _compare(baseline, candidate, label)
+            compare(label, baseline, candidate.comparable())
             compared.append(label)
     return {
-        "baseline_events": len(baseline.events),
-        "baseline_verdicts": len(baseline.verdicts),
+        "baseline_events": len(baseline["events"]),
+        "baseline_verdicts": len(baseline["verdicts"]),
         "compared": compared,
     }

@@ -132,7 +132,10 @@ class ShardMonitor:
 
     def _build(self) -> None:
         self.scenario = build_replica(self.spec)
-        self.schedule = FaultScheduleRunner(self.scenario, self.spec)
+        self.schedule = FaultScheduleRunner(
+            self.scenario.injector, self.spec,
+            self.scenario.task.containers.get,
+        )
         self.ping_list = PingList(pairs=set(self.pairs), phase="shard")
         for container_id in self.scenario.task.containers:
             self.ping_list.register(container_id)

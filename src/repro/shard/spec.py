@@ -21,13 +21,14 @@ every replica regardless of which pairs it monitors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.chaos.faults import MonitorFaultInjector, MonitorIssue
+from repro.cluster.container import Container
 from repro.cluster.identifiers import ContainerId
 from repro.core.detection import DetectorConfig
 from repro.core.pinglist import PingList, ProbePair
-from repro.network.faults import Fault
+from repro.network.faults import Fault, FaultInjector
 from repro.network.issues import lookup_issue
 from repro.workloads.scenarios import MonitoredScenario, build_scenario
 
@@ -208,8 +209,8 @@ def pair_universe(
 
 def ring_chord_pairs(endpoints) -> List[ProbePair]:
     """A ring plus long chords over the sorted endpoints — the O(n)
-    skeleton-like pair list (cf. :func:`repro.perf._round_pairs`), with
-    same-container neighbours dropped as ping lists always do."""
+    skeleton-like pair list, with same-container neighbours dropped as
+    ping lists always do."""
     n = len(endpoints)
     stride = n // 3 + 1
     pairs = set()
@@ -228,11 +229,16 @@ class FaultScheduleRunner:
     :meth:`advance_to` applies every injection/clear scheduled for the
     rounds since the last call, in spec order — so any replica, built
     at any time, reaches the same data-plane state before probing a
-    given round.
+    given round.  ``spec`` is anything with ``faults`` and
+    ``round_time`` (a shard or a fleet spec); ``resolve_container``
+    maps a :class:`ContainerId` target to the replica's live container,
+    or ``None`` when it does not exist (a fleet tenant not admitted
+    yet) — the injection is then skipped, identically in every replica.
     """
 
-    scenario: MonitoredScenario
-    spec: ShardScenarioSpec
+    injector: FaultInjector
+    spec: Any
+    resolve_container: Callable[[ContainerId], Optional[Container]]
     _active: dict = field(default_factory=dict)
     _next_round: int = 1
 
@@ -243,9 +249,7 @@ class FaultScheduleRunner:
             at = self.spec.round_time(r)
             for idx, fault_spec in enumerate(self.spec.faults):
                 if fault_spec.end_round == r and idx in self._active:
-                    self.scenario.injector.clear(
-                        self._active.pop(idx), at
-                    )
+                    self.injector.clear(self._active.pop(idx), at)
                 if fault_spec.start_round == r:
                     if (
                         fault_spec.end_round is not None
@@ -255,18 +259,24 @@ class FaultScheduleRunner:
                         # injecting here would leave the fault active
                         # forever, since its clear round already passed.
                         continue
-                    self._active[idx] = self._inject(fault_spec, at)
+                    fault = self._inject(fault_spec, at)
+                    if fault is not None:
+                        self._active[idx] = fault
         self._next_round = max(self._next_round, round_index + 1)
 
     def active_faults(self) -> List[Fault]:
         """Currently injected faults, in spec order."""
         return [self._active[i] for i in sorted(self._active)]
 
-    def _inject(self, fault_spec: FaultSpec, at: float) -> Fault:
+    def _inject(
+        self, fault_spec: FaultSpec, at: float
+    ) -> Optional[Fault]:
         target = fault_spec.target
         if isinstance(target, ContainerId):
-            target = self.scenario.task.containers[target]
-        return self.scenario.injector.inject_issue(
+            target = self.resolve_container(target)
+            if target is None:
+                return None
+        return self.injector.inject_issue(
             fault_spec.issue_type(),
             target,
             start=at,

@@ -9,12 +9,12 @@ import pytest
 from repro.bus.core import Topic
 from repro.bus.recorder import RecordingError, load_recording
 from repro.bus.replay import (
-    ReplayMismatchError,
     Replayer,
     record_standard_run,
     standard_run_config,
     verify_replay_equivalence,
 )
+from repro.equivalence import EquivalenceError
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +111,7 @@ class TestDamagedRecordings:
             return line
 
         bad = self._tamper(path, tmp_path / "tampered.jsonl", corrupt)
-        with pytest.raises(ReplayMismatchError, match="diverged"):
+        with pytest.raises(EquivalenceError, match="verdicts diverged"):
             verify_replay_equivalence(bad)
 
     def test_truncated_recording_is_refused(

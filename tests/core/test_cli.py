@@ -143,3 +143,35 @@ class TestFleet:
     def test_fleet_requires_a_subcommand(self):
         with pytest.raises(SystemExit):
             main(["fleet"])
+
+
+class TestEquivalence:
+    def test_all_five_gates_pass_with_nonzero_counts(self, capsys):
+        import re
+
+        code = main(["equivalence"])
+        output = capsys.readouterr().out
+        assert code == 0
+        lines = output.strip().splitlines()
+        assert [line.split(" ok: ")[0].strip() for line in lines] == [
+            "batch == sequential", "columnar == legacy",
+            "shard == single", "fleet == single", "replay == live",
+        ]
+        for line in lines:
+            counts = re.findall(
+                r"(\d+) (?:probe results|anomalies|events|verdicts)",
+                line,
+            )
+            assert counts and all(int(n) > 0 for n in counts), line
+        # 2 and 4 shards, the legacy analyzer at 1/2/4 shards, and the
+        # mid-run kill: what `bench-shard --quick` used to assert.
+        assert "x 6 configurations" in lines[2]
+
+    def test_equivalence_takes_no_flags(self):
+        with pytest.raises(SystemExit):
+            main(["equivalence", "--quick"])
+
+    def test_retired_bench_commands_are_gone(self):
+        for argv in (["bench"], ["bench-shard"], ["fleet", "bench"]):
+            with pytest.raises(SystemExit):
+                main(argv)

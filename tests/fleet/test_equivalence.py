@@ -13,12 +13,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.fleet.equivalence import (
-    FleetEquivalenceError,
-    default_fleet_spec,
-    run_fleet,
-    verify_fleet_equivalence,
-)
+from repro.equivalence import EquivalenceError, compare
+from repro.fleet.coordinator import FleetCoordinator
+from repro.fleet.equivalence import run_fleet, verify_fleet_equivalence
 from repro.fleet.spec import FleetSpec, TenantSpec
 
 from tests.fleet.conftest import small_fleet_spec
@@ -27,7 +24,7 @@ from tests.fleet.conftest import small_fleet_spec
 class TestGate:
     def test_gate_passes_with_chaos_and_failover(self):
         baseline = verify_fleet_equivalence(
-            default_fleet_spec(), worker_counts=(2,), failover=True
+            worker_counts=(2,), failover=True
         )
         assert baseline.event_summary
         assert baseline.verdict_summary
@@ -45,19 +42,38 @@ class TestGate:
             ),
             num_workers=1,
         )
-        from repro.fleet.equivalence import _compare
+        with pytest.raises(EquivalenceError, match="rollups diverged"):
+            compare(
+                "mutated budget",
+                baseline.comparable(), other.comparable(),
+            )
 
-        with pytest.raises(FleetEquivalenceError):
-            _compare("mutated budget", baseline, other)
+    def test_fault_free_spec_fails_as_vacuous(self):
+        with pytest.raises(EquivalenceError, match="vacuous"):
+            verify_fleet_equivalence(
+                small_fleet_spec(with_fault=False), worker_counts=(2,)
+            )
 
     def test_failover_without_reassignment_is_flagged(self):
         """A kill schedule naming a worker that owns nothing must not
         pass as a failover exercise."""
         spec = small_fleet_spec()
         result = run_fleet(
-            spec, num_workers=2, kill_schedule={1: 9}
+            spec, num_workers=6, kill_schedule={1: 5}  # > tenant count
         )
         assert not result.reassignments
+
+    def test_gate_rejects_a_failover_leg_that_never_reassigned(self):
+        # One chunk only: the kill scheduled before chunk 1 never fires.
+        spec = small_fleet_spec(total_rounds=4)
+        with pytest.raises(EquivalenceError, match="reassignments"):
+            verify_fleet_equivalence(spec, worker_counts=())
+
+    def test_kill_schedule_rejects_unknown_worker(self):
+        with pytest.raises(ValueError, match="out of range"):
+            FleetCoordinator(
+                small_fleet_spec(), num_workers=2, kill_schedule={1: 9}
+            )
 
 
 class TestWorkerCountInvariance:

@@ -5,6 +5,7 @@ import pytest
 from repro.fleet.spec import (
     FleetSpec,
     TenantSpec,
+    fleet_bench_spec,
     tenant_endpoints,
     tenant_pairs,
 )
@@ -97,3 +98,27 @@ class TestPairUniverse:
         pairs_b = tenant_pairs(spec.tenant("b"), spec.task_id_of("b"))
         assert len(pairs_a) == len(pairs_b)
         assert not set(pairs_a) & set(pairs_b)
+
+
+class TestFleetBenchSpec:
+    def test_gate_shape_covers_every_lifecycle_edge(self):
+        spec = fleet_bench_spec(4, total_rounds=12)
+        assert spec.endpoint_capacity == 512
+        assert {t.arrival_round for t in spec.tenants} == {1, 2, 3, 4}
+        assert [t.departure_round for t in spec.tenants] == [
+            None, None, 11, None,
+        ]
+        assert any(t.churn_rate for t in spec.tenants)
+        assert spec.faults and spec.monitor_faults
+
+    def test_budget_binds_but_covers_every_floor(self):
+        spec = fleet_bench_spec(4)
+        demand = sum(
+            len(tenant_pairs(t, spec.task_id_of(t.name)))
+            for t in spec.tenants
+        )
+        assert spec.probe_budget_per_round == int(demand * 0.6)
+
+    def test_short_runs_have_no_departure(self):
+        spec = fleet_bench_spec(4, total_rounds=4)
+        assert all(t.departure_round is None for t in spec.tenants)

@@ -1,9 +1,5 @@
 """CLI smoke tests for the sharded-plane commands."""
 
-import json
-
-import pytest
-
 from repro.cli import main
 
 _SMALL = [
@@ -62,17 +58,3 @@ class TestShardStatus:
         assert code == 0
         assert "dead" not in output
         assert "reassignments: 0" in output
-
-
-@pytest.mark.slow
-class TestBenchShard:
-    def test_quick_bench_writes_report(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_shard.json"
-        code = main(["bench-shard", "--quick", "--out", str(out)])
-        output = capsys.readouterr().out
-        assert code == 0
-        assert "equivalence: 6 configurations" in output
-        report = json.loads(out.read_text())
-        assert report["benchmark"] == "shard-scaling"
-        assert report["quick"] is True
-        assert len(report["scaling"]) == 3

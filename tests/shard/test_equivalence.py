@@ -3,11 +3,8 @@ independent of shard count, backend, and failover history."""
 
 import pytest
 
-from repro.shard import (
-    ShardEquivalenceError,
-    run_plane,
-    verify_shard_equivalence,
-)
+from repro.equivalence import EquivalenceError, compare
+from repro.shard import run_plane, verify_shard_equivalence
 
 from tests.shard.conftest import small_spec
 
@@ -107,7 +104,14 @@ class TestVerifyHelper:
         healthy = run_plane(
             small_spec(with_faults=False), 1, chunk_rounds=3
         )
-        with pytest.raises(ShardEquivalenceError):
-            from repro.shard import equivalence
+        with pytest.raises(EquivalenceError, match="events diverged"):
+            compare(
+                "tampered", baseline.comparable(), healthy.comparable()
+            )
 
-            equivalence._compare(baseline, healthy, "tampered")
+    def test_fault_free_spec_fails_as_vacuous(self):
+        with pytest.raises(EquivalenceError, match="vacuous"):
+            verify_shard_equivalence(
+                spec=small_spec(with_faults=False),
+                shard_counts=(2,), chunk_rounds=3,
+            )

@@ -9,6 +9,13 @@ from repro.shard import (
 )
 
 
+def runner_for(spec):
+    replica = build_replica(spec)
+    return FaultScheduleRunner(
+        replica.injector, spec, replica.task.containers.get
+    )
+
+
 def spec_with_interval(start_round, end_round):
     base = ShardScenarioSpec(
         num_containers=8, gpus_per_container=2, total_rounds=12,
@@ -29,7 +36,7 @@ def spec_with_interval(start_round, end_round):
 class TestFaultScheduleRunner:
     def test_half_open_interval_clears_at_end_round(self):
         spec = spec_with_interval(2, 5)
-        runner = FaultScheduleRunner(build_replica(spec), spec)
+        runner = runner_for(spec)
         runner.advance_to(1)
         assert runner.active_faults() == []
         runner.advance_to(4)
@@ -41,19 +48,35 @@ class TestFaultScheduleRunner:
         # [start, start) is empty: the fault must never become active,
         # not get injected and stay active forever.
         spec = spec_with_interval(3, 3)
-        runner = FaultScheduleRunner(build_replica(spec), spec)
+        runner = runner_for(spec)
         for round_index in range(1, spec.total_rounds + 1):
             runner.advance_to(round_index)
             assert runner.active_faults() == []
 
     def test_inverted_interval_never_injects(self):
         spec = spec_with_interval(5, 2)
-        runner = FaultScheduleRunner(build_replica(spec), spec)
+        runner = runner_for(spec)
         runner.advance_to(spec.total_rounds)
         assert runner.active_faults() == []
 
     def test_open_ended_interval_stays_active(self):
         spec = spec_with_interval(2, None)
-        runner = FaultScheduleRunner(build_replica(spec), spec)
+        runner = runner_for(spec)
         runner.advance_to(spec.total_rounds)
         assert len(runner.active_faults()) == 1
+
+    def test_unresolved_container_target_is_skipped(self):
+        from repro.cluster.identifiers import ContainerId, TaskId
+
+        spec = ShardScenarioSpec(
+            num_containers=8, gpus_per_container=2, total_rounds=4,
+            faults=(
+                FaultSpec(
+                    issue=IssueType.CONTAINER_CRASH.name,
+                    target=ContainerId(TaskId(99), 0), start_round=2,
+                ),
+            ),
+        )
+        runner = runner_for(spec)
+        runner.advance_to(spec.total_rounds)
+        assert runner.active_faults() == []
