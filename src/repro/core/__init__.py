@@ -32,7 +32,6 @@ from repro.core.localization import (
 from repro.core.pinglist import PingList, PingListPhase, ProbePair
 from repro.core.probing import (
     ProbeCostModel,
-    ProbeRoundExecutor,
     estimate_round_duration,
     probes_per_round,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "PingListPhase",
     "ProbeCostModel",
     "ProbePair",
-    "ProbeRoundExecutor",
     "RnicFinding",
     "RnicValidator",
     "ShortTermDetector",

@@ -98,18 +98,9 @@ class OverlayAgent:
         self.probes_sent = 0
         self.rounds_skipped = 0
 
-    @property
-    def endpoints(self) -> List[EndpointId]:
-        """The endpoints this agent probes from."""
-        return self.container.endpoints()
-
     def my_pairs(self) -> List[ProbePair]:
         """Active pairs whose canonical source belongs to this container."""
-        mine = set(self.endpoints)
-        return [
-            pair for pair in self.ping_list.active_pairs()
-            if pair.src in mine
-        ]
+        return self.ping_list.active_pairs_from(self.container.id)
 
     def register(self) -> None:
         """Announce this container so peers activate it as a target."""
@@ -128,8 +119,7 @@ class OverlayAgent:
         """
         if self.prober is None:
             results = fabric.send_probe_batch(self.my_pairs(), now, salt)
-            self.probes_sent += len(results)
-            self._publish(results, now)
+            self.record_round(results, now)
             return results
         state = self.prober.chaos.agent_state(str(self.container.id), now)
         if state in ("crashed", "hung"):
@@ -143,11 +133,12 @@ class OverlayAgent:
         if state == "slow":
             pairs = coarse_pairs(pairs)
         results = self.prober.execute(fabric, pairs, now, salt)
-        self.probes_sent += len(results)
-        self._publish(results, now)
+        self.record_round(results, now)
         return results
 
-    def _publish(self, results: List[ProbeResult], now: float) -> None:
+    def record_round(self, results: List[ProbeResult], now: float) -> None:
+        """Account for one round's delivered reports and publish them."""
+        self.probes_sent += len(results)
         if self.bus is None or not results:
             return
         from repro.bus.codec import encode_probe_rows

@@ -18,7 +18,7 @@ SkeletonHunter builds its probing matrix in three phases:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Set
+from typing import AbstractSet, Callable, Dict, FrozenSet, Iterable, List, Set
 
 from repro.cluster.identifiers import ContainerId, EndpointId
 
@@ -67,11 +67,24 @@ class PingListPhase:
 
 @dataclass
 class PingList:
-    """A set of probe pairs plus data-plane activation state."""
+    """A set of probe pairs plus data-plane activation state.
 
-    pairs: Set[ProbePair] = field(default_factory=set)
+    ``pairs`` is frozen at construction (a different pair set is a new
+    list), so the by-source index cannot go stale; only the activation
+    state changes in place.
+    """
+
+    pairs: AbstractSet[ProbePair] = frozenset()
     phase: str = PingListPhase.BASIC
     _registered: Set[ContainerId] = field(default_factory=set)
+    #: Source container -> its canonical-source pairs, sorted; built on
+    #: the first by-source query, so a list nobody probes from is free.
+    _by_source: Dict[ContainerId, List[ProbePair]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self.pairs = frozenset(self.pairs)
 
     # ------------------------------------------------------------------
     # Construction
@@ -130,12 +143,6 @@ class PingList:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def targets_of(self, src: EndpointId) -> List[EndpointId]:
-        """All peers ``src`` should ping (activation-agnostic)."""
-        return sorted(
-            pair.other(src) for pair in self.pairs if pair.involves(src)
-        )
-
     def restrict_to(
         self, edges: Iterable[FrozenSet[EndpointId]]
     ) -> "PingList":
@@ -143,11 +150,10 @@ class PingList:
         wanted = {
             ProbePair.canonical(*sorted(edge)) for edge in edges
         }
-        restricted = PingList(
-            pairs=self.pairs & wanted, phase=PingListPhase.SKELETON
+        return PingList(
+            pairs=self.pairs & wanted, phase=PingListPhase.SKELETON,
+            _registered=set(self._registered),
         )
-        restricted._registered = set(self._registered)
-        return restricted
 
     # ------------------------------------------------------------------
     # Incremental activation (initialization phase)
@@ -176,8 +182,23 @@ class PingList:
         """All pairs whose endpoints have both registered, sorted."""
         return sorted(p for p in self.pairs if self.is_active(p))
 
+    def active_pairs_from(self, container: ContainerId) -> List[ProbePair]:
+        """:meth:`active_pairs` narrowed to one source container, same
+        order, at the cost of that container's pairs, not the list's."""
+        if container not in self._registered:
+            return []
+        if not self._by_source:
+            for pair in sorted(self.pairs):
+                self._by_source.setdefault(
+                    pair.src.container, []
+                ).append(pair)
+        return [
+            pair for pair in self._by_source.get(container, ())
+            if pair.dst.container in self._registered
+        ]
+
     def activation_ratio(self) -> float:
         """Fraction of pairs currently active."""
         if not self.pairs:
             return 0.0
-        return len(self.active_pairs()) / len(self.pairs)
+        return sum(map(self.is_active, self.pairs)) / len(self.pairs)

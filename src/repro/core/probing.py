@@ -2,9 +2,9 @@
 
 Agents probe their active targets once per round.  Two views exist:
 
-* :class:`ProbeRoundExecutor` actually sends the probes through the
-  simulated fabric and feeds the analyzer (used by the live monitoring
-  loop);
+* :func:`run_probe_round` actually sends every agent's probes through
+  the simulated fabric and feeds the analyzer (the one round loop, used
+  by the live system and the shard monitors);
 * :func:`estimate_round_duration` computes how long a probing round would
   take on real hardware, where each sidecar agent paces its probes
   serially while agents run in parallel — the quantity Figure 16 of the
@@ -15,20 +15,23 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from repro.core.pinglist import PingList, ProbePair
 from repro.core.resilience import BreakerState, CircuitBreaker, RetryPolicy
 from repro.network.fabric import DataPlaneFabric
 from repro.network.packet import ProbeResult
 
+if TYPE_CHECKING:  # agent.py imports this module
+    from repro.core.agent import OverlayAgent
+
 __all__ = [
     "ProbeCostModel",
-    "ProbeRoundExecutor",
     "ResilientProber",
     "coarse_pairs",
     "estimate_round_duration",
     "probes_per_round",
+    "run_probe_round",
 ]
 
 
@@ -235,41 +238,37 @@ class ResilientProber:
             self.recorder.count(name)
 
 
-class ProbeRoundExecutor:
-    """Sends one probe per active pair through the fabric each round."""
+def run_probe_round(
+    agents: Sequence["OverlayAgent"],
+    fabric: DataPlaneFabric,
+    now: float,
+    salt: int,
+    on_result: Callable[[ProbeResult], None],
+) -> None:
+    """One probing round of ``agents``, in agent order.
 
-    def __init__(
-        self,
-        fabric: DataPlaneFabric,
-        on_result: Optional[Callable[[ProbeResult], None]] = None,
-        prober: Optional[ResilientProber] = None,
-    ) -> None:
-        self.fabric = fabric
-        self.on_result = on_result
-        self.prober = prober
-        self.rounds_executed = 0
-        self.probes_issued = 0
-
-    def execute_round(
-        self, ping_list: PingList, now: float, salt: int = 0
-    ) -> List[ProbeResult]:
-        """Probe every *active* pair of ``ping_list`` at time ``now``.
-
-        The round goes through the fabric's batched fast path;
-        ``on_result`` still fires once per result, in pair order.  With
-        a :class:`ResilientProber` attached, the round is hardened
-        (report retry + breaker gating) and lost reports are absent
-        from the returned results.
-        """
-        pairs = ping_list.active_pairs()
-        if self.prober is None:
-            results = self.fabric.send_probe_batch(pairs, now, salt)
-        else:
-            pairs, _ = self.prober.plan_round(pairs, now)
-            results = self.prober.execute(self.fabric, pairs, now, salt)
-        if self.on_result is not None:
-            for result in results:
-                self.on_result(result)
-        self.rounds_executed += 1
-        self.probes_issued += len(results)
-        return results
+    Each agent's delivered reports are accounted and published, then
+    handed to ``on_result``, agent by agent — the order the analyzer and
+    a bus recording see.  With no hardened agent the round is *one*
+    fabric batch sliced back per agent: the batch answers every pair in
+    input order from a row-major uniform block that is the concatenation
+    of the per-agent blocks, so results equal one batch per agent.  A
+    hardened agent's retries draw from the fabric stream between
+    batches, so a round with any of them goes agent by agent.
+    """
+    if any(agent.prober is not None for agent in agents):
+        for agent in agents:
+            for result in agent.execute_round(fabric, now, salt):
+                on_result(result)
+        return
+    shares = [agent.my_pairs() for agent in agents]
+    results = fabric.send_probe_batch(
+        [pair for share in shares for pair in share], now, salt
+    )
+    start = 0
+    for agent, share in zip(agents, shares):
+        mine = results[start:start + len(share)]
+        start += len(share)
+        agent.record_round(mine, now)
+        for result in mine:
+            on_result(result)

@@ -15,7 +15,6 @@ Wires every component onto one simulation clock:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -33,6 +32,7 @@ from repro.core.localization import (
     healthy_pairs_for,
 )
 from repro.core.pinglist import ProbePair
+from repro.core.probing import run_probe_round
 from repro.core.skeleton import (
     InferredSkeleton,
     SkeletonInference,
@@ -237,12 +237,14 @@ class SkeletonHunter:
         lost0 = self.fabric.probes_lost
         anomalies0 = len(self.analyzer.anomalies)
         opened0 = len(self.analyzer.events)
-        for task_id in self.controller.monitored_tasks():
-            for agent in self.controller.agents_of(task_id):
-                for result in agent.execute_round(
-                    self.fabric, now, self._round_salt
-                ):
-                    self.analyzer.ingest(result)
+        run_probe_round(
+            [
+                agent
+                for task_id in self.controller.monitored_tasks()
+                for agent in self.controller.agents_of(task_id)
+            ],
+            self.fabric, now, self._round_salt, self.analyzer.ingest,
+        )
         self.analyzer.flush(now)
         self._localize_new_events(now)
         sent = self.fabric.probes_sent - sent0

@@ -2,10 +2,11 @@
 
 A :class:`ShardMonitor` owns one replica of the cluster (built from the
 picklable spec), the shard's slice of the probe-pair universe, and its
-own analyzer.  It executes probe rounds through the *unmodified* agent
-path — each :class:`~repro.core.agent.OverlayAgent` scans its (now
-shard-local) ping list and probes via the fabric's batched fast path —
-so a shard is literally the existing monitoring loop over fewer pairs.
+own analyzer.  It executes probe rounds through the round driver of the
+single-process system (:func:`~repro.core.probing.run_probe_round`), so
+a shard is literally the existing monitoring loop over fewer pairs — at
+O(pairs) a round either way: in-process shards on one core buy ~1x, and
+only the ``mp`` backend is a scaling claim.
 
 Because probe draws are pairwise-keyed by the run seed and the fault
 schedule replays by round number, two monitors covering the same pair
@@ -28,7 +29,7 @@ from repro.cluster.identifiers import EndpointId
 from repro.core.agent import OverlayAgent
 from repro.core.analyzer import Analyzer, FailureEvent
 from repro.core.pinglist import PingList, ProbePair
-from repro.core.probing import ResilientProber
+from repro.core.probing import ResilientProber, run_probe_round
 from repro.core.resilience import CircuitBreaker, RetryPolicy
 from repro.network.issues import Symptom
 from repro.shard.spec import (
@@ -136,7 +137,7 @@ class ShardMonitor:
             self.scenario.injector, self.spec,
             self.scenario.task.containers.get,
         )
-        self.ping_list = PingList(pairs=set(self.pairs), phase="shard")
+        self.ping_list = PingList(pairs=frozenset(self.pairs), phase="shard")
         for container_id in self.scenario.task.containers:
             self.ping_list.register(container_id)
         self.analyzer = Analyzer(
@@ -204,9 +205,9 @@ class ShardMonitor:
         for round_index in range(start_round, end_round + 1):
             self.schedule.advance_to(round_index)
             now = self.spec.round_time(round_index)
-            for agent in self.agents:
-                for result in agent.execute_round(fabric, now, salt=0):
-                    self.analyzer.ingest(result)
+            run_probe_round(
+                self.agents, fabric, now, 0, self.analyzer.ingest
+            )
             self.analyzer.flush(now)
             self.rounds_completed = round_index
         return ChunkResult(

@@ -4,13 +4,14 @@ The partitioner groups probe pairs by their *source host*, with group
 keys ordered segment-major.  Two properties follow:
 
 * Every container's pairs land on exactly one shard, so each container
-  runs exactly one overlay agent plane-wide.  This is where the
-  sharded plane's speedup comes from: an agent's per-round cost is
-  dominated by scanning its ping list (``OverlayAgent.my_pairs``), and
-  a host split across K shards would pay that scan K times.  (An
-  earlier per-rail grouping did exactly that — a host's eight rails
-  land on eight different ToRs in a rail-optimized Clos, which
-  scattered each container over most shards and erased the speedup.)
+  runs exactly one overlay agent plane-wide: one sidecar, one circuit
+  breaker and one monitor-fault trajectory per container, as in a
+  single-process run.  (An earlier per-rail grouping broke that — a
+  host's eight rails land on eight different ToRs in a rail-optimized
+  Clos, which scattered each container over most shards and duplicated
+  its agent in each.)  This is not a speed-up: a round costs O(pairs)
+  however the pairs are grouped, because each agent looks its own
+  pairs up by source container (``PingList.active_pairs_from``).
 * Hosts are cut into *contiguous* ranges in (segment, host) order, so
   whole segments tend to stay on one shard.  A host's access links and
   its segment's ToR uplinks are then mostly shard-local, minimizing

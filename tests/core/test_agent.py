@@ -39,7 +39,7 @@ class TestOverlayAgent:
         agent, ping_list = make_agent(running_task)
         for container in running_task.all_containers():
             ping_list.register(container.id)
-        mine = set(agent.endpoints)
+        mine = set(agent.container.endpoints())
         for pair in agent.my_pairs():
             assert pair.src in mine
         results = agent.execute_round(fabric, now=0.0)

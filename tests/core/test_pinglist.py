@@ -1,5 +1,7 @@
 """Tests for phased ping-list generation and activation."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster.identifiers import ContainerId, EndpointId, TaskId
@@ -133,8 +135,75 @@ class TestActivation:
     def test_empty_list_ratio_zero(self):
         assert PingList().activation_ratio() == 0.0
 
-    def test_targets_of(self):
-        endpoints = make_endpoints(3, 1)
+    def test_crashed_but_registered_destination_stays_a_target(self):
+        """Only a graceful exit deregisters; the list knows no other
+        container state, so a crashed peer keeps being probed."""
+        basic = PingList.basic(make_endpoints(3, 1), rail_of)
+        for rank in range(3):
+            basic.register(ContainerId(TaskId(0), rank))
+        source = ContainerId(TaskId(0), 0)
+        assert [p.dst for p in basic.active_pairs_from(source)] == [
+            ep(1), ep(2),
+        ]
+        basic.deregister(ContainerId(TaskId(0), 2))
+        assert [p.dst for p in basic.active_pairs_from(source)] == [ep(1)]
+        basic.deregister(source)
+        assert basic.active_pairs_from(source) == []
+
+
+def by_source(ping_list, ranks):
+    return [
+        pair
+        for rank in range(ranks)
+        for pair in ping_list.active_pairs_from(ContainerId(TaskId(0), rank))
+    ]
+
+
+class TestFrozenPairs:
+    """``pairs`` cannot change under the by-source index: every way of
+    getting a different pair set builds a new list."""
+
+    def test_pairs_cannot_be_mutated_in_place(self):
+        basic = PingList.basic(make_endpoints(2, 1), rail_of)
+        given_a_set = PingList(pairs={ProbePair(ep(0), ep(1))})
+        for ping_list in (basic, given_a_set):
+            assert isinstance(ping_list.pairs, frozenset)
+            with pytest.raises(AttributeError):
+                ping_list.pairs.add(ProbePair(ep(0), ep(2)))
+
+    def test_every_construction_answers_both_queries_alike(self):
+        endpoints = make_endpoints(4, 2)
         basic = PingList.basic(endpoints, rail_of)
-        targets = basic.targets_of(ep(0, 0))
-        assert targets == [ep(1, 0), ep(2, 0)]
+        for rank in range(3):  # rank 3 never registers
+            basic.register(ContainerId(TaskId(0), rank))
+        by_source(basic, 4)  # index built *before* the derived lists
+        kept = sorted(basic.pairs)[::2]
+        edges = [frozenset((p.src, p.dst)) for p in kept]
+        built = {
+            "basic": basic,
+            "full_mesh": PingList.full_mesh(endpoints),
+            "from_edges": PingList.from_edges(edges),
+            "restrict_to": basic.restrict_to(edges),
+            "replace": replace(basic, pairs=kept),
+            "constructor": PingList(pairs=kept),
+        }
+        for name in ("full_mesh", "from_edges", "constructor"):
+            for rank in range(3):
+                built[name].register(ContainerId(TaskId(0), rank))
+        for name, ping_list in built.items():
+            assert ping_list.active_pairs(), name
+            assert by_source(ping_list, 4) == ping_list.active_pairs(), name
+        for name in ("from_edges", "restrict_to", "replace",
+                     "constructor"):
+            assert built[name].pairs == frozenset(kept), name
+            assert built[name].active_pairs() == [
+                p for p in kept if basic.is_active(p)
+            ], name
+
+    def test_restrict_to_copies_the_registrations(self):
+        basic = PingList.basic(make_endpoints(2, 1), rail_of)
+        basic.register(ContainerId(TaskId(0), 0))
+        edges = [frozenset((p.src, p.dst)) for p in basic.pairs]
+        derived = basic.restrict_to(edges)
+        derived.register(ContainerId(TaskId(0), 1))
+        assert derived.active_pairs() and not basic.active_pairs()

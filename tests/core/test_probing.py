@@ -1,14 +1,13 @@
 """Tests for probe round execution and round-time estimation."""
 
-import pytest
-
 from repro.cluster.identifiers import ContainerId, EndpointId, TaskId
-from repro.core.pinglist import PingList
+from repro.core.agent import OverlayAgent
+from repro.core.pinglist import PingList, ProbePair
 from repro.core.probing import (
     ProbeCostModel,
-    ProbeRoundExecutor,
     estimate_round_duration,
     probes_per_round,
+    run_probe_round,
 )
 from repro.network.fabric import DataPlaneFabric
 from repro.network.faults import FaultInjector
@@ -31,8 +30,8 @@ class TestRoundEstimation:
         mesh = PingList.full_mesh(eps)
         cost = ProbeCostModel(per_probe_s=1.0, round_overhead_s=4.0)
         duration = estimate_round_duration(mesh, cost)
-        # The busiest source pings 7 x 4 peers... targets_of counts only
-        # canonical-source pairs, so the first endpoint is busiest.
+        # Only canonical-source pairs count, so the first endpoint —
+        # source of all its 7 x 4 pairs — is busiest.
         assert duration > 4.0
         assert duration == 4.0 + max(
             len([p for p in mesh.pairs if p.src == e]) for e in eps
@@ -53,33 +52,46 @@ class TestRoundEstimation:
         )
 
 
+def basic_list_and_agents(task):
+    ping_list = PingList.basic(
+        task.endpoints(),
+        lambda e: task.containers[e.container].rail_of(e),
+    )
+    agents = [
+        OverlayAgent(container, ping_list, started_at=0.0)
+        for container in task.all_containers()
+    ]
+    return ping_list, agents
+
+
 class TestRoundExecutor:
     def test_executes_only_active_pairs(
         self, cluster, running_task, rng
     ):
         fabric = DataPlaneFabric(cluster, FaultInjector(cluster), rng)
-        ping_list = PingList.basic(
-            running_task.endpoints(),
-            lambda e: running_task.containers[e.container].rail_of(e),
-        )
-        executor = ProbeRoundExecutor(fabric)
-        assert executor.execute_round(ping_list, now=0.0) == []
-        for container in running_task.all_containers():
-            ping_list.register(container.id)
-        results = executor.execute_round(ping_list, now=1.0)
-        assert len(results) == len(ping_list)
-        assert executor.rounds_executed == 2
-        assert executor.probes_issued == len(ping_list)
+        ping_list, agents = basic_list_and_agents(running_task)
+        seen = []
+        run_probe_round(agents, fabric, 0.0, 0, seen.append)
+        assert seen == []
+        assert fabric.probes_sent == 0
+        for agent in agents:
+            agent.register()
+        run_probe_round(agents, fabric, 1.0, 0, seen.append)
+        assert len(seen) == len(ping_list)
+        assert fabric.probes_sent == len(ping_list)
+        assert sum(a.probes_sent for a in agents) == len(ping_list)
 
     def test_on_result_callback_invoked(self, cluster, running_task, rng):
+        """Once per result, agent by agent, each agent's in pair order."""
         fabric = DataPlaneFabric(cluster, FaultInjector(cluster), rng)
+        ping_list, agents = basic_list_and_agents(running_task)
+        for agent in agents:
+            agent.register()
         seen = []
-        ping_list = PingList.basic(
-            running_task.endpoints(),
-            lambda e: running_task.containers[e.container].rail_of(e),
-        )
-        for container in running_task.all_containers():
-            ping_list.register(container.id)
-        executor = ProbeRoundExecutor(fabric, on_result=seen.append)
-        executor.execute_round(ping_list, now=0.0)
-        assert len(seen) == len(ping_list)
+        run_probe_round(agents, fabric, 0.0, 0, seen.append)
+        probed = [ProbePair(r.src, r.dst) for r in seen]
+        assert probed == [
+            pair for agent in agents for pair in agent.my_pairs()
+        ]
+        # Agents come sorted by container, so that is the global order.
+        assert probed == ping_list.active_pairs()

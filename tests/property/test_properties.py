@@ -196,6 +196,50 @@ def test_activation_monotone_under_registration(containers):
 
 
 # ----------------------------------------------------------------------
+# Ping lists: the by-source query is active_pairs() cut per container.
+# ----------------------------------------------------------------------
+
+_RANKS = 5
+_endpoint = st.builds(
+    lambda rank, slot: EndpointId(ContainerId(TaskId(0), rank), slot),
+    st.integers(0, _RANKS - 1), st.integers(0, 2),
+)
+_pair = st.tuples(_endpoint, _endpoint).filter(
+    lambda ends: ends[0].container != ends[1].container
+).map(lambda ends: ProbePair.canonical(*ends))
+
+
+@given(
+    st.frozensets(_pair, max_size=40),
+    st.lists(st.tuples(st.booleans(), st.integers(0, _RANKS - 1)),
+             max_size=20),
+)
+@settings(max_examples=200, deadline=None)
+def test_by_source_query_is_active_pairs_cut_per_container(pairs, steps):
+    """After every register/deregister, concatenating the by-source
+    query over sorted containers is ``active_pairs()``, element for
+    element.  Containers start unregistered, so early steps cover an
+    unregistered source; nothing here looks at container state, so a
+    crashed container that never deregistered stays a live target."""
+    ping_list = PingList(pairs=pairs)
+    containers = [ContainerId(TaskId(0), rank) for rank in range(_RANKS)]
+    for register, rank in [(True, 0)] + steps:
+        if register:
+            ping_list.register(containers[rank])
+        else:
+            ping_list.deregister(containers[rank])
+        active = ping_list.active_pairs()
+        by_source = [
+            ping_list.active_pairs_from(c) for c in containers
+        ]
+        assert [p for share in by_source for p in share] == active
+        for container, share in zip(containers, by_source):
+            assert share == [
+                p for p in active if p.src.container == container
+            ]
+
+
+# ----------------------------------------------------------------------
 # Effects: merge is commutative, monotone, and keeps loss in [0, 1].
 # ----------------------------------------------------------------------
 

@@ -1,5 +1,7 @@
 """Tests for the overlay-reachability and skeleton-coverage passes."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster.flowtable import FlowKey
@@ -21,6 +23,15 @@ def scenario(small_scenario):
 
 def context(scenario):
     return VerificationContext.from_scenario(scenario)
+
+
+def swap_ping_list(scenario, change):
+    """Hand the controller a list over ``change(pairs)``: ``pairs`` is
+    frozen, so a bad list arrives the way a good one does — whole."""
+    state = scenario.hunter.controller._state(scenario.task.id)
+    state.ping_list = replace(
+        state.ping_list, pairs=change(state.ping_list.pairs)
+    )
 
 
 class TestEndpointChainPass:
@@ -124,7 +135,9 @@ class TestProbeTargetPass:
         ping_list = hunter.controller.ping_list_of(task_id)
         ghost = EndpointId(ContainerId(task_id, 999), 0)
         real = sorted(ping_list.pairs)[0].src
-        ping_list.pairs.add(ProbePair.canonical(ghost, real))
+        swap_ping_list(
+            scenario, lambda pairs: pairs | {ProbePair.canonical(ghost, real)}
+        )
         result = ProbeTargetPass().run(context(scenario))
         assert any(
             f.component == str(ghost)
@@ -138,7 +151,10 @@ class TestProbeTargetPass:
         ping_list = hunter.controller.ping_list_of(task_id)
         real = sorted(ping_list.pairs)[0]
         bogus = EndpointId(real.src.container, 99)
-        ping_list.pairs.add(ProbePair.canonical(bogus, real.dst))
+        swap_ping_list(
+            scenario,
+            lambda pairs: pairs | {ProbePair.canonical(bogus, real.dst)},
+        )
         result = ProbeTargetPass().run(context(scenario))
         assert any(
             "slot 99 exceeds" in f.explanation
@@ -162,13 +178,12 @@ class TestSkeletonCoveragePass:
     def test_dropped_pair_is_uncovered_traffic_edge(self, scenario):
         from repro.training.collectives import traffic_edges
 
-        hunter = scenario.hunter
-        task_id = scenario.task.id
-        ping_list = hunter.controller.ping_list_of(task_id)
         edges = traffic_edges(scenario.workload)
         victim = sorted(edges, key=sorted)[0]
         a, b = sorted(victim)
-        ping_list.pairs.discard(ProbePair.canonical(a, b))
+        swap_ping_list(
+            scenario, lambda pairs: pairs - {ProbePair.canonical(a, b)}
+        )
         result = SkeletonCoveragePass().run(context(scenario))
         errors = [
             f for f in result.findings if f.severity is Severity.ERROR
