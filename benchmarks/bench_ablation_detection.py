@@ -12,31 +12,15 @@ import numpy as np
 
 from conftest import print_table, run_once
 from repro.analysis.stats import fit_lognormal, z_test
-from repro.core.detection import DetectorConfig, ShortTermDetector
-from repro.core.detection import WindowSummary
-from repro.core.pinglist import ProbePair
+from repro.core.analyzer import Analyzer
 from repro.cluster.identifiers import ContainerId, EndpointId, TaskId
-from repro.sim.metrics import TimeSeries
-
-
-def _pair():
-    return ProbePair.canonical(
-        EndpointId(ContainerId(TaskId(0), 0), 0),
-        EndpointId(ContainerId(TaskId(0), 1), 0),
-    )
-
-
-def _window(pair, start, latencies):
-    return WindowSummary(
-        pair=pair, window_start=start, window_end=start + 30.0,
-        sent=len(latencies), lost=0,
-        stats=TimeSeries.describe(latencies),
-    )
+from repro.network.packet import ProbeResult
 
 
 def test_ablation_gradual_degradation_detection(benchmark):
     rng = np.random.default_rng(55)
-    pair = _pair()
+    src = EndpointId(ContainerId(TaskId(0), 0), 0)
+    dst = EndpointId(ContainerId(TaskId(0), 1), 0)
     base_mu = np.log(16.0)
 
     def latencies(drift, n=15):
@@ -46,21 +30,24 @@ def test_ablation_gradual_degradation_detection(benchmark):
         # 60 short windows (30 minutes) drifting from 1.0x to 1.5x —
         # under +0.9% per window, invisible window-to-window.
         drifts = np.linspace(1.0, 1.5, 60)
-        short = ShortTermDetector(DetectorConfig())
-        short_alarms = 0
+        analyzer = Analyzer()
         threshold_alarms = 0
         fixed_threshold_us = 40.0  # a "2.5x healthy" style static rule
         all_samples = []
         for index, drift in enumerate(drifts):
             window_samples = latencies(drift)
             all_samples.append((index, window_samples))
-            anomaly = short.observe(
-                _window(pair, index * 30.0, window_samples)
-            )
-            if anomaly is not None:
-                short_alarms += 1
+            for j, latency in enumerate(window_samples):
+                analyzer.ingest(ProbeResult(
+                    src=src, dst=dst, sent_at=index * 30.0 + j * 2.0,
+                    lost=False, latency_us=float(latency),
+                ))
             if np.mean(window_samples) > fixed_threshold_us:
                 threshold_alarms += 1
+        analyzer.flush(len(drifts) * 30.0)
+        short_alarms = sum(
+            a.detector == "short_term_lof" for a in analyzer.anomalies
+        )
 
         # Long-term detector: reference fit on the first 30-min block,
         # Z-test on the last one.

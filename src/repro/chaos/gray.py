@@ -13,12 +13,8 @@ baseline's.
 The same sweep also enforces the plumbing invariants behind the
 numbers:
 
-* **backend equivalence** — the spraying leg is re-run on the legacy
-  per-pair analyzer backend and must open bit-identical failure events
-  (same pairs, symptoms, and detection times) and reach the same
-  verdicts, through :func:`repro.equivalence.compare`;
 * **shard equivalence** — a spraying gray scenario runs on the sharded
-  plane at several shard counts and both analyzer backends via
+  plane at several shard counts via
   :func:`repro.shard.equivalence.verify_shard_equivalence`, so the
   published report could not depend on how the plane was partitioned;
 * **voting comparison** — the spraying leg is re-run with
@@ -43,10 +39,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.baselines import FlockLocalizer
 from repro.cluster.identifiers import LinkId
-from repro.core.analyzer import Analyzer, LoadConditionedAdmission
+from repro.core.analyzer import LoadConditionedAdmission
 from repro.core.evaluation import CampaignScorer
 from repro.core.localization import healthy_pairs_for
-from repro.equivalence import compare
 from repro.network.faults import gray_injection_overrides
 from repro.network.issues import GrayIssueType
 from repro.network.load import LinkLoadModel
@@ -113,7 +108,6 @@ def _build_leg(
     issue: GrayIssueType,
     seed: int,
     ecmp_mode: str,
-    backend: str = "columnar",
     distribution_aware: bool = True,
 ):
     """One campaign scenario with the full gray pipeline installed.
@@ -128,11 +122,6 @@ def _build_leg(
         seed=seed * 100 + issue.value, hosts_per_segment=2,
         ecmp_mode=ecmp_mode,
     )
-    if backend != "columnar":
-        # Swap before the first probe round: the hunter reads
-        # ``self.analyzer`` per round, so a pre-run replacement is
-        # equivalent to constructing with this backend.
-        scenario.hunter.analyzer = Analyzer(backend=backend)
     load_model = LinkLoadModel.from_workload(
         scenario.workload, scenario.cluster
     )
@@ -184,35 +173,15 @@ def gray_fault_target(scenario, load_model: LinkLoadModel):
     )
 
 
-def _backend_streams(scenario) -> Dict[str, List[tuple]]:
-    """The run's opened events and verdicts in a backend-comparable
-    form."""
-    return {
-        "events": [
-            (
-                str(event.pair.src), str(event.pair.dst),
-                event.symptom.value,
-                round(event.first_detected_at, 9),
-            )
-            for event in scenario.hunter.events
-        ],
-        "verdicts": [
-            (at, *report.verdict_row())
-            for at, report in scenario.hunter.reports
-        ],
-    }
-
-
 def _run_leg(
     issue: GrayIssueType,
     seed: int,
     ecmp_mode: str,
-    backend: str = "columnar",
     distribution_aware: bool = True,
 ) -> Dict[str, object]:
     """One campaign leg; returns the outcome plus the live scenario."""
     scenario, load_model = _build_leg(
-        issue, seed, ecmp_mode, backend, distribution_aware
+        issue, seed, ecmp_mode, distribution_aware
     )
     scenario.run_for(WARM_S)
     scenario.apply_skeleton()
@@ -326,9 +295,8 @@ def run_gray_benchmark(
 
     Returns the JSON-ready report; ``report["summary"]["passed"]``
     tells callers whether every :class:`GrayBounds` held.  Raises
-    :class:`~repro.equivalence.EquivalenceError` if the legacy analyzer
-    backend or the shard plane ever disagrees with the columnar
-    single-process run.
+    :class:`~repro.equivalence.EquivalenceError` if the shard plane
+    ever disagrees with the single-process run.
     """
     bounds = bounds if bounds is not None else GrayBounds()
     seeds = (seed,) if quick else (seed, seed + 1)
@@ -337,12 +305,6 @@ def run_gray_benchmark(
         for s in seeds:
             static = _run_leg(issue, s, "static")
             spray = _run_leg(issue, s, "spray")
-            legacy = _run_leg(issue, s, "spray", backend="legacy")
-            compare(
-                f"{issue.name} seed {s}: columnar analyzer under spray",
-                _backend_streams(legacy["scenario"]),
-                _backend_streams(spray["scenario"]),
-            )
             naive = _run_leg(
                 issue, s, "spray", distribution_aware=False
             )
@@ -354,7 +316,6 @@ def run_gray_benchmark(
                 "spray": _strip(spray),
                 "spray_naive": _strip(naive),
                 "flock": flock,
-                "backend_events_equal": True,
             })
 
     def count(leg: str, key: str) -> int:
@@ -368,7 +329,6 @@ def run_gray_benchmark(
         spec=gray_shard_spec(seed=seed),
         shard_counts=(2,) if quick else (2, 4),
         backends=("inproc",),
-        analyzer_backends=("columnar", "legacy"),
         with_failover=False,
     )
     summary: Dict[str, object] = {

@@ -43,12 +43,12 @@ clock, unseeded RNG, process identity, unordered iteration) never
 reaches monitor-plane state and that every stochastic value in
 ``network``/``chaos``/``workloads`` derives from the keyed-draw API.
 
-``equivalence`` runs the five gates behind the repo's contract —
-batch≡sequential probing, columnar≡legacy detection (scores within
-1e-10), shard≡single, fleet≡single and replay≡live — through the one
-row-diff helper in :mod:`repro.equivalence`, prints how much each
-compared, and fails on the first divergence.  It takes no flags and
-times nothing; ``python bench/run.py`` is the timing instrument.
+``equivalence`` runs the four gates behind the repo's contract —
+batch≡sequential probing, shard≡single, fleet≡single and replay≡live
+— through the one row-diff helper in :mod:`repro.equivalence`, prints
+how much each compared, and fails on the first divergence.  It takes
+no flags and times nothing; ``python bench/run.py`` is the timing
+instrument.
 
 ``chaos`` runs the monitor-plane degradation gate: the fault campaign
 twice — perfect monitor vs standard chaos weather (telemetry + report
@@ -58,8 +58,8 @@ localization rate stay within the committed bounds
 
 ``gray`` runs the gray-failure degradation gate: each gray family (PFC
 storm, congestion collapse, partial link degradation) is injected under
-spraying ECMP and scored against the clean static-ECMP baseline, through
-both analyzer backends and the shard plane; distribution-aware
+spraying ECMP and scored against the clean static-ECMP baseline, and
+re-run on the shard plane; distribution-aware
 tomography voting is compared with naive voting and the Flock-style
 probabilistic baseline is scored side by side (``BENCH_gray.json``).
 
@@ -186,8 +186,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_verify_arguments(verify)
 
     commands.add_parser(
-        "equivalence", help="run the five equivalence gates (batch, "
-        "columnar, shard, fleet, replay) and print what each compared"
+        "equivalence", help="run the four equivalence gates (batch, "
+        "shard, fleet, replay) and print what each compared"
     )
 
     chaos = commands.add_parser(
@@ -558,7 +558,7 @@ def _run_export_metrics(args: argparse.Namespace) -> int:
 
 
 def _run_equivalence(_: argparse.Namespace) -> int:
-    """Run the five gates in turn; stop at the first that fails."""
+    """Run the four gates in turn; stop at the first that fails."""
     import os
     import tempfile
 
@@ -566,24 +566,12 @@ def _run_equivalence(_: argparse.Namespace) -> int:
         record_standard_run,
         verify_replay_equivalence,
     )
-    from repro.equivalence import (
-        EquivalenceError,
-        verify_detector_equivalence,
-        verify_equivalence,
-    )
+    from repro.equivalence import EquivalenceError, verify_equivalence
     from repro.fleet.equivalence import verify_fleet_equivalence
     from repro.shard.equivalence import verify_shard_equivalence
 
     def batch() -> str:
         return f"{verify_equivalence()} probe results"
-
-    def columnar() -> str:
-        counts = verify_detector_equivalence()
-        return (
-            f"{counts['anomalies_compared']} anomalies, "
-            f"{counts['events_compared']} events "
-            f"(score drift {counts['score_drift']:.1e})"
-        )
 
     def shard() -> str:
         summary = verify_shard_equivalence()
@@ -615,7 +603,6 @@ def _run_equivalence(_: argparse.Namespace) -> int:
 
     gates = (
         ("batch == sequential", batch),
-        ("columnar == legacy", columnar),
         ("shard == single", shard),
         ("fleet == single", fleet),
         ("replay == live", replay),

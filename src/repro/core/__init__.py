@@ -3,14 +3,7 @@
 from repro.core.agent import AgentResourceModel, OverlayAgent, UnderlayAgent
 from repro.core.analyzer import Analyzer, FailureEvent
 from repro.core.controller import Controller, ControllerError
-from repro.core.detection import (
-    DetectedAnomaly,
-    DetectorConfig,
-    LongTermDetector,
-    PairMonitor,
-    ShortTermDetector,
-    WindowSummary,
-)
+from repro.core.detection import DetectedAnomaly, DetectorConfig
 from repro.core.evaluation import (
     CampaignScore,
     CampaignScorer,
@@ -70,10 +63,8 @@ __all__ = [
     "IntersectionResult",
     "LocalizationReport",
     "Localizer",
-    "LongTermDetector",
     "MigrationAction",
     "OverlayAgent",
-    "PairMonitor",
     "PhysicalIntersection",
     "RecoveryManager",
     "ReleaseChannel",
@@ -83,11 +74,9 @@ __all__ = [
     "ProbePair",
     "RnicFinding",
     "RnicValidator",
-    "ShortTermDetector",
     "SkeletonHunter",
     "SkeletonInference",
     "UnderlayAgent",
-    "WindowSummary",
     "estimate_round_duration",
     "fault_affects_pair",
     "probes_per_round",

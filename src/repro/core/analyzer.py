@@ -1,10 +1,11 @@
 """The analyzer: aggregates probing results and emits failure events.
 
 Plays the role of the paper's log-service + real-time-computing analyzer
-(§6): agents report probe results here; per-pair monitors close 30-second
-and 30-minute windows; the detector stack scores them; and consecutive
-anomalies on one pair are folded into a single :class:`FailureEvent` so a
-persistent fault raises one incident, not one alarm per window.
+(§6): agents report probe results here; the detection engine closes each
+pair's 30-second and 30-minute windows and scores them in batches; and
+consecutive anomalies on one pair are folded into a single
+:class:`FailureEvent` so a persistent fault raises one incident, not one
+alarm per window.
 """
 
 from __future__ import annotations
@@ -13,28 +14,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.columnar import ColumnarDetectionEngine, ScoredWindow
-from repro.core.detection import (
-    DetectedAnomaly,
-    DetectorConfig,
-    LongTermDetector,
-    PairMonitor,
-    ShortTermDetector,
-    WindowSummary,
-)
+from repro.core.detection import DetectedAnomaly, DetectorConfig
 from repro.core.pinglist import ProbePair
 from repro.network.issues import Symptom
 from repro.network.packet import ProbeResult
 
-__all__ = [
-    "Analyzer",
-    "FailureEvent",
-    "LoadConditionedAdmission",
-    "VALID_BACKENDS",
-]
-
-#: Analyzer backends accepted by :class:`Analyzer`; an unknown name
-#: raises immediately (naming these) instead of failing mid-run.
-VALID_BACKENDS: Tuple[str, ...] = ("columnar", "legacy")
+__all__ = ["Analyzer", "FailureEvent", "LoadConditionedAdmission"]
 
 
 class LoadConditionedAdmission:
@@ -52,10 +37,10 @@ class LoadConditionedAdmission:
     a failure signal regardless of load.
 
     The decision is pure arithmetic over the anomaly and the (static)
-    load model, so it is identical across analyzer backends and shard
-    counts.  Pair utilizations are cached per fabric routing epoch:
-    toggling the ECMP mode changes path distributions, so cached
-    utilizations from the previous mode are discarded.
+    load model, so it is identical across shard counts.  Pair
+    utilizations are cached per fabric routing epoch: toggling the ECMP
+    mode changes path distributions, so cached utilizations from the
+    previous mode are discarded.
     """
 
     def __init__(
@@ -164,25 +149,13 @@ class FailureEvent:
 
 
 class Analyzer:
-    """Routes probe results through monitors and detectors.
+    """Routes probe results through the detection engine into incidents.
 
-    Two interchangeable backends sit behind the same incident
-    bookkeeping:
-
-    * ``"columnar"`` (default) — all pairs' windows live in one
-      :class:`~repro.core.columnar.ColumnarDetectionEngine`; window
-      scoring is *deferred* to :meth:`flush` (or an incident-ordering
-      drain on the fast-unconnectivity path) and runs batched across
-      pairs.  ``ingest`` therefore returns only fast-path anomalies.
-    * ``"legacy"`` — the original per-pair ``PairMonitor`` /
-      ``ShortTermDetector`` / ``LongTermDetector`` objects, scored
-      eagerly as each window closes.  Kept as the reference
-      implementation; ``repro equivalence`` pins the columnar
-      backend to it verdict-for-verdict.
-
-    Both backends produce identical ``anomalies`` / ``events`` state
-    after any ``flush`` (scores equal within 1e-10; see
-    docs/PERFORMANCE.md).
+    All pairs' windows live in one
+    :class:`~repro.core.columnar.ColumnarDetectionEngine`; window
+    scoring is *deferred* to :meth:`flush` (or an incident-ordering
+    drain on the fast-unconnectivity path) and runs batched across
+    pairs.  ``ingest`` therefore returns only fast-path anomalies.
     """
 
     def __init__(
@@ -190,41 +163,24 @@ class Analyzer:
         config: Optional[DetectorConfig] = None,
         resolve_after_s: float = 90.0,
         recorder=None,
-        backend: str = "columnar",
         load_filter: Optional[LoadConditionedAdmission] = None,
     ) -> None:
         # Constructed per instance: a shared default instance would leak
         # one analyzer's tuning into every other (see repro.verify.lint,
         # rule "shared-instance-default").
         config = config if config is not None else DetectorConfig()
-        if backend not in VALID_BACKENDS:
-            valid = ", ".join(repr(name) for name in VALID_BACKENDS)
-            raise ValueError(
-                f"unknown analyzer backend: {backend!r} "
-                f"(valid backends: {valid})"
-            )
         self.config = config
-        self.backend = backend
         self.resolve_after_s = resolve_after_s
         self.recorder = recorder
         # Optional load conditioning: anomalies are run through the
-        # filter before entering the incident bookkeeping.  Applied at
-        # admission (not inside a backend's scorer) so both backends
-        # make identical decisions.  May also be assigned after
-        # construction, before the first probe is ingested.
+        # filter before entering the incident bookkeeping.  May also be
+        # assigned after construction, before the first probe is
+        # ingested.
         self.load_filter = load_filter
-        # Detector-config flags are hoisted out of the per-probe path:
-        # `_fast_unconnectivity` runs on every probe and must not
-        # re-derive them each time.
+        # Detector-config flags are hoisted out of the per-probe path.
         self._fast_enabled = config.fast_unconnectivity_probes > 0
         self._fast_threshold = config.fast_unconnectivity_probes
-        self._engine: Optional[ColumnarDetectionEngine] = (
-            ColumnarDetectionEngine(config)
-            if backend == "columnar" else None
-        )
-        self._monitors: Dict[ProbePair, PairMonitor] = {}
-        self._short = ShortTermDetector(config, recorder=recorder)
-        self._long = LongTermDetector(config, recorder=recorder)
+        self._engine = ColumnarDetectionEngine(config)
         self._open_events: Dict[ProbePair, FailureEvent] = {}
         self.events: List[FailureEvent] = []
         self.anomalies: List[DetectedAnomaly] = []
@@ -236,31 +192,13 @@ class Analyzer:
     def ingest(self, result: ProbeResult) -> List[DetectedAnomaly]:
         """Feed one probe result; returns anomalies detected *now*.
 
-        On the legacy backend that includes anomalies from windows this
-        probe closed; the columnar backend defers window scoring to
-        :meth:`flush` and only surfaces fast-unconnectivity here.
+        Window scoring is deferred to :meth:`flush`; only a
+        fast-unconnectivity alarm — a run of consecutive losses that
+        looks like a dead path, raised without waiting for the
+        30-second window to close — surfaces here.
         """
         pair = ProbePair.canonical(result.src, result.dst)
-        if self._engine is not None:
-            return self._ingest_columnar(pair, result)
-        monitor = self._monitors.get(pair)
-        if monitor is None:
-            monitor = PairMonitor(pair, self.config)
-            self._monitors[pair] = monitor
-        new: List[DetectedAnomaly] = []
-        for summary in monitor.ingest(result):
-            new.extend(self._score(summary))
-        fast = self._fast_unconnectivity(pair, monitor, result)
-        if fast is not None:
-            new.append(fast)
-        new.extend(self._maybe_long_window(pair, monitor, result.sent_at))
-        return new
-
-    def _ingest_columnar(
-        self, pair: ProbePair, result: ProbeResult
-    ) -> List[DetectedAnomaly]:
         engine = self._engine
-        assert engine is not None
         row = engine.ingest(pair, result)
         new: List[DetectedAnomaly] = []
         if (
@@ -269,8 +207,8 @@ class Analyzer:
             and engine.consecutive_losses(row) == self._fast_threshold
         ):
             # Score this pair's queued windows *before* recording the
-            # fast anomaly, so the incident's first_detected_at matches
-            # the eagerly-scored legacy ordering.
+            # fast anomaly, so the incident's first_detected_at is the
+            # earliest evidence in probe order.
             new.extend(self._process_verdicts(engine.collect_rows(
                 [row], full=self.recorder is not None,
                 watch=self._open_events,
@@ -286,58 +224,27 @@ class Analyzer:
         engine.queue_elapsed_longs(row, result.sent_at)
         return new
 
-    def _fast_unconnectivity(
-        self, pair: ProbePair, monitor: PairMonitor, result: ProbeResult
-    ) -> Optional[DetectedAnomaly]:
-        """Alarm the moment a run of consecutive losses looks like a
-        dead path, without waiting for the 30-second window to close."""
-        if not self._fast_enabled or not result.lost:
-            return None
-        if monitor.consecutive_losses != self._fast_threshold:
-            return None
-        anomaly = DetectedAnomaly(
-            pair=pair, detected_at=result.sent_at,
-            symptom=Symptom.UNCONNECTIVITY, detector="fast_loss",
-            score=float(self._fast_threshold), window_start=result.sent_at,
-        )
-        self._record(anomaly)
-        return anomaly
-
     def flush(self, now: float) -> List[DetectedAnomaly]:
         """Close all elapsed windows across every monitored pair."""
         if self.recorder is None:
             return self._flush(now)
         with self.recorder.span("analyzer.flush", sim_time=now) as span:
             new = self._flush(now)
-            span.set(pairs=self._num_pairs(), anomalies=len(new))
+            span.set(pairs=self._engine.num_pairs, anomalies=len(new))
         return new
-
-    def _num_pairs(self) -> int:
-        if self._engine is not None:
-            return self._engine.num_pairs
-        return len(self._monitors)
 
     def _flush(self, now: float) -> List[DetectedAnomaly]:
-        if self._engine is not None:
-            self._engine.close_elapsed(now)
-            return self._process_verdicts(self._engine.collect(
-                full=self.recorder is not None, watch=self._open_events,
-            ))
-        new: List[DetectedAnomaly] = []
-        for pair, monitor in self._monitors.items():
-            for summary in monitor.flush(now):
-                new.extend(self._score(summary))
-            new.extend(self._maybe_long_window(pair, monitor, now))
-        return new
+        self._engine.close_elapsed(now)
+        return self._process_verdicts(self._engine.collect(
+            full=self.recorder is not None, watch=self._open_events,
+        ))
 
     def _process_verdicts(
         self, verdicts: Sequence[ScoredWindow]
     ) -> List[DetectedAnomaly]:
-        """Fold batched engine verdicts into the incident bookkeeping.
-
-        Mirrors the legacy per-window flow: recorder events for scored
-        windows, ``_record`` for anomalies, resolution checks for
-        healthy short windows.
+        """Fold batched engine verdicts into the incident bookkeeping:
+        recorder events for scored windows, ``_record`` for anomalies,
+        resolution checks for healthy short windows.
         """
         new: List[DetectedAnomaly] = []
         recorder = self.recorder
@@ -345,8 +252,11 @@ class Analyzer:
         for v in verdicts:
             if v.kind == "short":
                 if v.sent == 0:
-                    # Missing round: no evidence either way (see
-                    # _score) — never feeds detectors or resolution.
+                    # A window with no probes is a *missing* round
+                    # (crashed agent, lost reports, pair dropped from
+                    # the list), not a healthy one: it must neither
+                    # feed the detectors nor resolve an open event as
+                    # "recovered".
                     if recorder is not None:
                         recorder.count("windows.skipped_empty")
                     continue
@@ -381,38 +291,6 @@ class Analyzer:
     # ------------------------------------------------------------------
     # Scoring and incident management
     # ------------------------------------------------------------------
-
-    def _score(self, summary: WindowSummary) -> List[DetectedAnomaly]:
-        if summary.sent == 0:
-            # A window with no probes is a *missing* round (crashed
-            # agent, lost reports, pair dropped from the list) — not a
-            # healthy one.  It carries no evidence either way, so it
-            # must neither feed the detectors nor resolve an open event
-            # as "recovered".
-            if self.recorder is not None:
-                self.recorder.count("windows.skipped_empty")
-            return []
-        found: List[DetectedAnomaly] = []
-        anomaly = self._short.observe(summary)
-        if anomaly is not None and self._admit(anomaly):
-            found.append(anomaly)
-            self._record(anomaly)
-        else:
-            self._maybe_resolve(summary.pair, summary.window_end)
-        return found
-
-    def _maybe_long_window(
-        self, pair: ProbePair, monitor: PairMonitor, now: float
-    ) -> List[DetectedAnomaly]:
-        found: List[DetectedAnomaly] = []
-        while monitor.long_window_ready(now):
-            window_end = monitor._long_start + self.config.long_window_s
-            latencies = monitor.pop_long_window(now)
-            anomaly = self._long.observe(pair, window_end, latencies)
-            if anomaly is not None and self._admit(anomaly):
-                found.append(anomaly)
-                self._record(anomaly)
-        return found
 
     def _admit(self, anomaly: DetectedAnomaly) -> bool:
         """Run the anomaly through load conditioning, if configured.
@@ -485,16 +363,23 @@ class Analyzer:
         if event is None or not event.open:
             return
         if window_end - event.last_seen_at >= self.resolve_after_s:
-            event.resolved_at = window_end
-            del self._open_events[pair]
-            if self.recorder is not None:
-                self.recorder.count("events.resolved")
-                self.recorder.event(
-                    "detect.event_resolved",
-                    sim_time=window_end,
-                    pair=f"{event.pair.src}<->{event.pair.dst}",
-                    duration_s=window_end - event.first_detected_at,
-                )
+            self._resolve(event, window_end)
+
+    def _resolve(self, event: FailureEvent, at: float, **why) -> None:
+        """Close an open incident — the one place that counts and
+        traces it (``why`` joins the trace event), so opened − resolved
+        is always the open count."""
+        event.resolved_at = at
+        del self._open_events[event.pair]
+        if self.recorder is not None:
+            self.recorder.count("events.resolved")
+            self.recorder.event(
+                "detect.event_resolved",
+                sim_time=at,
+                pair=f"{event.pair.src}<->{event.pair.dst}",
+                duration_s=at - event.first_detected_at,
+                **why,
+            )
 
     # ------------------------------------------------------------------
     # Queries
@@ -515,37 +400,24 @@ class Analyzer:
         open incident are discarded and rebuilt from fresh probes.
         """
         targets = set(endpoints)
-        if self._engine is not None:
-            affected = [
-                pair for pair in self._engine.pairs()
-                if pair.src in targets or pair.dst in targets
-            ]
-            # Score what already closed before discarding: the legacy
-            # path scored those windows eagerly at ingest, so dropping
-            # them here would silently lose verdicts.
-            rows = [self._engine.row_of(pair) for pair in affected]
-            self._process_verdicts(self._engine.collect_rows(
-                [r for r in rows if r is not None],
-                full=self.recorder is not None,
-                watch=self._open_events,
-            ))
-            for pair in affected:
-                self._engine.drop(pair)
-                event = self._open_events.pop(pair, None)
-                if event is not None and event.open:
-                    event.resolved_at = now
-            return affected
+        engine = self._engine
         affected = [
-            pair for pair in self._monitors
+            pair for pair in engine.pairs()
             if pair.src in targets or pair.dst in targets
         ]
+        # Score what already closed before discarding: dropping the
+        # pending windows here would silently lose their verdicts.
+        rows = [engine.row_of(pair) for pair in affected]
+        self._process_verdicts(engine.collect_rows(
+            [row for row in rows if row is not None],
+            full=self.recorder is not None,
+            watch=self._open_events,
+        ))
         for pair in affected:
-            del self._monitors[pair]
-            self._short.reset(pair)
-            self._long.reset(pair)
-            event = self._open_events.pop(pair, None)
-            if event is not None and event.open:
-                event.resolved_at = now
+            engine.drop(pair)
+            event = self._open_events.get(pair)
+            if event is not None:
+                self._resolve(event, now, reason="path_changed")
         return affected
 
     def events_between(
@@ -558,6 +430,4 @@ class Analyzer:
 
     def monitored_pairs(self) -> List[ProbePair]:
         """Every pair that has reported at least one probe."""
-        if self._engine is not None:
-            return sorted(self._engine.pairs())
-        return sorted(self._monitors)
+        return sorted(self._engine.pairs())

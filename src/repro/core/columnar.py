@@ -1,14 +1,11 @@
-"""Columnar storage + batched scoring for the detection hot path.
+"""The detection engine: columnar storage + batched scoring.
 
-The legacy detection path holds one ``PairMonitor`` / ``IncrementalLOF``
-/ ``LognormalFit`` object per pair and walks them in Python: closing a
-30-second window costs a seven-number summary, an O(k·n) LOF score, a
-median check, and a baseline append — each a handful of small numpy
-calls whose interpreter overhead dominates at thousands of pairs (the
-analyzer owned round wall-clock at 2048 pairs when PR 8 measured it).
-
-This module replaces the object soup with a *columnar* store indexed by
-a pair→row table:
+Closing a 30-second window costs a seven-number summary, an LOF score,
+a median check, and a baseline append.  Done per pair in Python, each
+is a handful of small numpy calls whose interpreter overhead dominates
+at thousands of pairs (docs/PERFORMANCE.md has the measurements).  Here
+every pair's state lives in one *columnar* store indexed by a pair→row
+table:
 
 * **Open-window columns** — one ``(pairs × samples)`` latency matrix
   plus sent/lost/consecutive-loss counters per row; ``ingest`` appends
@@ -30,13 +27,17 @@ thing detector state depends on — is preserved because wave w+1 never
 runs before every row's wave-w window has been scored and (if healthy)
 admitted to the baseline.
 
-Equivalence with the legacy path is a hard gate
-(:func:`repro.equivalence.verify_detector_equivalence`, plus the hypothesis
-property suite): verdicts match anomaly-for-anomaly and scores agree
-within the documented 1e-10 drift — batched reductions reassociate
-float sums (numpy pairwise vs. Python sequential), which moves results
-by ~1e-15 relative but never past a detection threshold for
-continuously distributed latencies.
+What pins the semantics: the batched kernels are tested against the
+scalar definitions (:func:`~repro.analysis.lof.lof_score_of_new_point`,
+:func:`~repro.analysis.stats.fit_lognormal`,
+:func:`~repro.analysis.stats.z_test`) — directly and, window by window
+over random probe streams, through this engine
+(``tests/property/test_columnar_equivalence.py``) — and the whole
+analyzer is pinned to a committed recording of reference verdicts
+(``tests/golden/detector_reference.json``, scores within 1e-10:
+batched reductions reassociate float sums, which moves results by
+~1e-15 relative but never past a detection threshold for continuously
+distributed latencies).
 """
 
 from __future__ import annotations
@@ -92,10 +93,11 @@ class ColumnarDetectionEngine:
     Analyzer`, which consumes the ordered :class:`ScoredWindow` stream.
     Windows close *lazily*: ``ingest`` queues them (so no probe ever
     pollutes an elapsed window) and ``collect`` scores every queued
-    window across all pairs at once — per-pair verdicts are identical
-    to the eager legacy path, they just materialize at the next
-    ``Analyzer.flush`` (or immediately, via :meth:`collect_rows`, when
-    the fast-unconnectivity path needs in-order draining).
+    window across all pairs at once — per-pair verdicts are what
+    scoring each window as it closed would give, they just materialize
+    at the next ``Analyzer.flush`` (or immediately, via
+    :meth:`collect_rows`, when the fast-unconnectivity path needs
+    in-order draining).
     """
 
     #: Initial open-window latency capacity (columns); grows by
@@ -137,8 +139,8 @@ class ColumnarDetectionEngine:
         self._hist_n = np.zeros(0, dtype=np.int64)
         self._hist_head = np.zeros(0, dtype=np.int64)
 
-        # Per-row pending windows awaiting a scoring pass, in exactly
-        # the order the legacy path would have processed them.
+        # Per-row pending windows awaiting a scoring pass, in the order
+        # they closed.
         self._pending: List[List[tuple]] = []
 
     # ------------------------------------------------------------------
@@ -151,7 +153,7 @@ class ColumnarDetectionEngine:
         return len(self._rows)
 
     def pairs(self) -> List[ProbePair]:
-        """Monitored pairs in first-probe order (legacy dict order)."""
+        """Monitored pairs in first-probe order."""
         return list(self._rows)
 
     def row_of(self, pair: ProbePair) -> Optional[int]:
@@ -162,10 +164,13 @@ class ColumnarDetectionEngine:
         """Current run of consecutive losses on ``row``."""
         return self._consec[row]
 
-    def history_len(self, pair: ProbePair) -> int:
-        """How many baseline windows the pair's LOF ring holds."""
+    def history(self, pair: ProbePair) -> np.ndarray:
+        """The pair's LOF baseline: the valid ``(n, 7)`` slots of its
+        ring, in slot order (a view — copy to keep it past a collect)."""
         row = self._rows.get(pair)
-        return int(self._hist_n[row]) if row is not None else 0
+        if row is None:
+            return np.empty((0, _FEATURES))
+        return self._hist[row, :self._hist_n[row]]
 
     def _grow_rows(self, need: int) -> None:
         old = self._lat.shape[0]
@@ -296,8 +301,8 @@ class ColumnarDetectionEngine:
         """Queue one already-closed short window directly.
 
         Bypasses per-probe ingestion for callers that produce whole
-        windows — the detector benchmark and window-level tests — so
-        they measure/exercise exactly the batched scoring path.
+        windows (the window-level tests), so they exercise exactly the
+        batched scoring path.
         """
         row = self._rows.get(pair)
         if row is None:
@@ -616,12 +621,19 @@ class ColumnarDetectionEngine:
         to_test: List[Tuple[int, float, list]] = []
         for row, entry in entries:
             _, end, vals = entry
-            if len(vals) < cfg.min_long_samples or len(vals) < 2:
-                continue
-            if self._fit_mu[row] is None:
-                to_fit.append((row, vals))
-            else:
+            enough = len(vals) >= max(cfg.min_long_samples, 2)
+            if enough and self._fit_mu[row] is not None:
                 to_test.append((row, end, vals))
+                continue
+            if enough:
+                to_fit.append((row, vals))
+            if full:
+                # Not Z-tested: too few samples, or it became the fit.
+                out[row].append(ScoredWindow(
+                    self._row_pair[row], "long",
+                    end - cfg.long_window_s, end, 0, 0,
+                    None, None, None, len(vals),
+                ))
         if to_fit:
             padded, counts = self._pad_values([v for _, v in to_fit])
             mus, sigmas = fit_lognormal_rows(padded, counts)

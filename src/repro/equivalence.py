@@ -1,20 +1,20 @@
-"""The equivalence contract: one row-diff helper under five gates.
+"""The equivalence contract: one row-diff helper under four gates.
 
 Every fast or distributed path in this repo claims to change nothing
-but the clock — batch≡sequential probing, columnar≡legacy detection,
-shard≡single, fleet≡single, replay≡live.  Each claim is a *gate*: run
-the reference and the candidate on the same seed and require their
-outputs to match row for row.  :func:`compare` is the one routine all
-five gates call, over named row streams (events, verdicts, votes,
-blacklists, rollups, ...); :class:`EquivalenceError` is the one error
-they raise.
+but the clock — batch≡sequential probing, shard≡single, fleet≡single,
+replay≡live.  Each claim is a *gate*: run the reference and the
+candidate on the same seed and require their outputs to match row for
+row.  :func:`compare` is the one routine all four gates call, over
+named row streams (events, verdicts, votes, blacklists, rollups, ...);
+:class:`EquivalenceError` is the one error they raise.  The tier-1
+detector golden (``tests/golden/detector_reference.json``) is checked
+through :func:`compare` too.
 
-The two gates with no plane of their own live here
-(:func:`verify_equivalence`, :func:`verify_detector_equivalence`); the
-others stay with their planes (:mod:`repro.shard.equivalence`,
-:mod:`repro.fleet.equivalence`, :mod:`repro.bus.replay`).
-``python -m repro equivalence`` runs all five.  Timing is not measured
-here — ``python bench/run.py`` does that.
+The gate with no plane of its own lives here
+(:func:`verify_equivalence`); the others stay with their planes
+(:mod:`repro.shard.equivalence`, :mod:`repro.fleet.equivalence`,
+:mod:`repro.bus.replay`).  ``python -m repro equivalence`` runs all
+four.  Timing is not measured here — ``python bench/run.py`` does that.
 """
 
 from __future__ import annotations
@@ -22,17 +22,13 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, Dict, List, Mapping, Sequence
 
-from repro.core.analyzer import Analyzer
-from repro.core.detection import DetectorConfig
 from repro.network.packet import ProbeResult
-from repro.sim.rng import RngRegistry
 from repro.workloads.scenarios import build_scenario
 
 __all__ = [
     "EquivalenceError",
     "compare",
     "divergences",
-    "verify_detector_equivalence",
     "verify_equivalence",
 ]
 
@@ -43,9 +39,6 @@ Streams = Mapping[str, Sequence[Any]]
 _NON_VACUOUS = ("events", "verdicts")
 #: Diverging rows quoted per side in an error message.
 _SHOWN = 3
-#: Largest columnar-vs-legacy anomaly score difference tolerated (the
-#: batched LOF sums distances in another order than the per-pair one).
-SCORE_TOLERANCE = 1e-10
 
 
 class EquivalenceError(AssertionError):
@@ -157,97 +150,3 @@ def verify_equivalence() -> int:
                 ]
         streams.append({"results": results})
     return compare("batched probing", *streams)["results"]
-
-
-def verify_detector_equivalence() -> Dict[str, float]:
-    """The columnar≡legacy gate for the analyzer backends.
-
-    Feeds an identical probe stream — healthy latency noise, one pair
-    with a mid-run loss burst, one with a latency shift, plus a
-    mid-stream ``reset_pairs_involving`` churn — through
-    ``Analyzer(backend="legacy")`` and ``Analyzer(backend="columnar")``
-    and requires identical anomaly and event histories, with anomaly
-    scores within :data:`SCORE_TOLERANCE`.  Returns the compared counts
-    and the largest score drift.
-    """
-    num_pairs, rounds, interval_s = 48, 240, 5.0
-    rng = RngRegistry(7).stream("verify.detector")
-    pair_ids = [
-        (f"vd-{2 * i}", f"vd-{2 * i + 1}") for i in range(num_pairs)
-    ]
-    lossy = pair_ids[num_pairs // 3]
-    shifted = pair_ids[2 * num_pairs // 3]
-    loss_draws = rng.random((rounds, num_pairs))
-    lat_draws = rng.random((rounds, num_pairs))
-
-    def run(backend: str) -> Analyzer:
-        analyzer = Analyzer(
-            config=DetectorConfig(
-                long_window_s=300.0, min_long_samples=20
-            ),
-            backend=backend,
-        )
-        for r in range(rounds):
-            at = r * interval_s
-            for i, pair in enumerate(pair_ids):
-                burst = pair == lossy and 400 <= at < 700
-                slow = pair == shifted and at >= 600
-                lost = bool(
-                    loss_draws[r, i] < (0.9 if burst else 0.002)
-                )
-                latency = (
-                    None if lost
-                    else (18.0 + 2.0 * lat_draws[r, i])
-                    * (2.5 if slow else 1.0)
-                )
-                analyzer.ingest(ProbeResult(
-                    src=pair[0], dst=pair[1], sent_at=at,
-                    lost=lost, latency_us=latency,
-                ))
-            if r == rounds // 2:
-                analyzer.reset_pairs_involving([shifted[0]], at)
-            analyzer.flush(at)
-        analyzer.flush(rounds * interval_s)
-        return analyzer
-
-    def streams(analyzer: Analyzer) -> Dict[str, List[tuple]]:
-        return {
-            "anomalies": sorted(
-                (a.pair, a.detected_at, a.symptom.value, a.detector,
-                 a.window_start)
-                for a in analyzer.anomalies
-            ),
-            "events": sorted(
-                (e.pair, e.first_detected_at, e.symptom.value,
-                 e.resolved_at, len(e.anomalies))
-                for e in analyzer.events
-            ),
-        }
-
-    legacy = run("legacy")
-    columnar = run("columnar")
-    counts = compare(
-        "columnar analyzer", streams(legacy), streams(columnar)
-    )
-    reference = {
-        (a.pair, a.detected_at, a.detector): a.score
-        for a in legacy.anomalies
-    }
-    drift = max(
-        (
-            abs(reference[(a.pair, a.detected_at, a.detector)] - a.score)
-            for a in columnar.anomalies
-        ),
-        default=0.0,
-    )
-    if drift > SCORE_TOLERANCE:
-        raise EquivalenceError(
-            f"columnar analyzer: anomaly scores drifted {drift:.1e} "
-            f"from the legacy reference (tolerance "
-            f"{SCORE_TOLERANCE:.0e})"
-        )
-    return {
-        "anomalies_compared": counts["anomalies"],
-        "events_compared": counts["events"],
-        "score_drift": drift,
-    }

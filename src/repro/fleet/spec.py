@@ -148,7 +148,6 @@ class FleetSpec:
     #: Global probes-per-round budget shared by every admitted tenant.
     probe_budget_per_round: int = 256
     chunk_rounds: int = 5
-    analyzer_backend: str = "columnar"
     detector: Optional[DetectorConfig] = None
     tenants: Tuple[TenantSpec, ...] = ()
     #: Network fault schedule (round-numbered, replayable); targets are

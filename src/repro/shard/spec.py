@@ -112,15 +112,11 @@ class ShardScenarioSpec:
     #: and keeps every shard on the original, unhardened probe path.
     monitor_faults: Tuple[MonitorFaultSpec, ...] = ()
     detector: Optional[DetectorConfig] = None
-    #: Which analyzer backend every shard builds ("columnar" or
-    #: "legacy").  Part of the spec so a failover replica — or a
-    #: cross-backend equivalence run — rebuilds the exact analyzer the
-    #: original shard used.
-    analyzer_backend: str = "columnar"
     #: ECMP mode every replica's fabric runs in ("static" or "spray").
-    #: Part of the spec for the same reason as the backend: a spraying
-    #: run's probe outcomes draw a sixth per-probe column, so a replica
-    #: rebuilt in the wrong mode would diverge bit-wise.
+    #: Part of the spec so a failover replica rebuilds the fabric the
+    #: original shard used: a spraying run's probe outcomes draw a
+    #: sixth per-probe column, so a replica rebuilt in the wrong mode
+    #: would diverge bit-wise.
     ecmp_mode: str = "static"
 
     def round_time(self, round_index: int) -> float:

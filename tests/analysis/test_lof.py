@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.analysis.lof import local_outlier_factor, lof_score_of_new_point
+from repro.analysis.lof import (
+    local_outlier_factor,
+    lof_score_of_new_point,
+    lof_scores_fixed_batch,
+)
 
 
 @pytest.fixture
@@ -69,3 +73,39 @@ class TestOnlineLof:
         ])
         slow = healthy[0] + 110.0
         assert lof_score_of_new_point(healthy, slow, k=4) > 10.0
+
+
+class TestFixedBatch:
+    """The batched kernel the detection engine calls, row by row
+    against the scalar definition."""
+
+    @pytest.mark.parametrize(
+        "n,k", [(2, 4), (3, 1), (7, 3), (10, 4), (12, 8), (25, 2)],
+    )
+    def test_matches_scalar_per_row(self, n, k):
+        rng = np.random.default_rng(3)
+        batch, dim = 6, 7
+        histories = 18.0 + rng.random((batch, n, dim))
+        candidates = 18.0 + rng.random((batch, dim))
+        # One far outlier, and one candidate sitting on a history point.
+        candidates[0] += 40.0
+        candidates[1] = histories[1, 0]
+        scores = lof_scores_fixed_batch(histories, candidates, k=k)
+        for b in range(batch):
+            assert scores[b] == pytest.approx(
+                lof_score_of_new_point(histories[b], candidates[b], k=k),
+                rel=1e-12,
+            )
+
+    def test_small_histories_score_neutral(self):
+        rng = np.random.default_rng(4)
+        hist = rng.random((3, 1, 2))
+        scores = lof_scores_fixed_batch(hist, rng.random((3, 2)), k=2)
+        assert scores.tolist() == [1.0, 1.0, 1.0]
+        assert lof_scores_fixed_batch(
+            np.empty((0, 5, 2)), np.empty((0, 2))
+        ).size == 0
+
+    def test_shape_validation(self):
+        with pytest.raises(ValueError):
+            lof_scores_fixed_batch(np.ones((2, 3)), np.ones((2, 3)))

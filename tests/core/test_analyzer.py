@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from repro.cluster.identifiers import ContainerId, EndpointId, TaskId
-from repro.core.analyzer import VALID_BACKENDS, Analyzer
+from repro.core.analyzer import Analyzer
 from repro.core.detection import DetectorConfig
 from repro.core.pinglist import ProbePair
 from repro.network.issues import Symptom
 from repro.network.packet import ProbeResult
+from repro.obs.trace import TraceRecorder
 
 
 def make_pair(rank_b=1):
@@ -159,17 +160,31 @@ class TestPathChangeReset:
         # 10 us baseline; after it they simply become the new normal.
         assert analyzer.open_events() == []
 
+    def test_reset_counts_and_traces_the_resolution(self):
+        # A migrated pair's incident must not dangle in the trace:
+        # opened - resolved is the open count, across the reset too.
+        recorder = TraceRecorder()
+        analyzer = Analyzer(recorder=recorder)
+        moved, other = make_pair(1), make_pair(2)
+        feed_lost(analyzer, moved, 0.0, 40.0)
+        feed_lost(analyzer, other, 0.0, 40.0)
+        analyzer.reset_pairs_involving([moved.dst], now=50.0)
+        counters = recorder.metrics.counters()
+        assert counters["events.opened"] == 2
+        assert counters["events.resolved"] == 1
+        assert len(analyzer.open_events()) == 1
+        [resolved] = recorder.events("detect.event_resolved")
+        assert resolved.fields["reason"] == "path_changed"
+        assert resolved.fields["duration_s"] == 50.0 - 6.0
+        assert resolved.sim_time == 50.0
 
-class TestBackendSelection:
-    @pytest.mark.parametrize("backend", VALID_BACKENDS)
-    def test_valid_backends_construct(self, backend):
-        analyzer = Analyzer(DetectorConfig(), backend=backend)
-        assert analyzer.backend == backend
-
-    def test_unknown_backend_raises_with_valid_names(self):
-        with pytest.raises(ValueError) as excinfo:
-            Analyzer(DetectorConfig(), backend="pandas")
-        message = str(excinfo.value)
-        assert "pandas" in message
-        for backend in VALID_BACKENDS:
-            assert backend in message
+    def test_recovery_resolution_carries_no_reason(self):
+        recorder = TraceRecorder()
+        analyzer = Analyzer(resolve_after_s=60.0, recorder=recorder)
+        pair = make_pair()
+        feed_lost(analyzer, pair, 0.0, 30.0)
+        feed_healthy(analyzer, pair, 30.0, 200.0)
+        analyzer.flush(200.0)
+        [resolved] = recorder.events("detect.event_resolved")
+        assert "reason" not in resolved.fields
+        assert recorder.metrics.counters()["events.resolved"] == 1

@@ -1,4 +1,4 @@
-"""Unit tests for the columnar detection engine and its analyzer wiring."""
+"""Unit tests for the detection engine and its analyzer wiring."""
 
 import numpy as np
 import pytest
@@ -112,13 +112,13 @@ class TestShortWindowClassification:
                 20.0 + rng.random(8),
             )
         engine.collect()
-        before = engine.history_len(pair)
+        before = len(engine.history(pair))
         engine.enqueue_window(
             pair, 150.0, 180.0, 8, 0, 300.0 + rng.random(8)
         )
         [verdict] = engine.collect()
         assert verdict.anomaly is not None
-        assert engine.history_len(pair) == before
+        assert len(engine.history(pair)) == before
 
     def test_history_ring_caps_at_lookback(self):
         config = DetectorConfig(lookback_windows=5)
@@ -131,7 +131,7 @@ class TestShortWindowClassification:
                 20.0 + rng.random(8),
             )
         engine.collect()
-        assert engine.history_len(pair) == 5
+        assert len(engine.history(pair)) == 5
 
 
 class TestLeanVerdictEmission:
@@ -180,11 +180,12 @@ class TestLongWindows:
         longs = [
             v for v in engine.collect(full=True) if v.kind == "long"
         ]
-        # First long window becomes the fit (no verdict); the second is
-        # Z-tested and emitted in full mode.
-        assert len(longs) == 1
-        assert longs[0].samples == 12
-        assert longs[0].anomaly is None
+        # First long window becomes the fit (reported unscored in full
+        # mode); the second is Z-tested.
+        fit, tested = longs
+        assert fit.score is None and fit.samples == 12
+        assert tested.score is not None and tested.samples == 12
+        assert tested.anomaly is None
 
     def test_shifted_long_window_alarms(self):
         config = DetectorConfig(
@@ -233,18 +234,11 @@ class TestRowLifecycle:
         engine.collect()
         engine.drop(pair)
         engine.ingest(pair, probe(pair, 1000.0))
-        assert engine.history_len(pair) == 0
+        assert len(engine.history(pair)) == 0
         assert engine.consecutive_losses(engine.row_of(pair)) == 0
 
 
 class TestAnalyzerColumnarWiring:
-    def test_default_backend_is_columnar(self):
-        assert Analyzer().backend == "columnar"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            Analyzer(backend="sideways")
-
     def test_window_anomalies_surface_at_flush(self):
         analyzer = Analyzer()
         pair = pair_of()
@@ -253,8 +247,8 @@ class TestAnalyzerColumnarWiring:
             returned.extend(analyzer.ingest(probe(
                 pair, float(i), lost=True
             )))
-        # Three losses stay below the fast threshold (4): nothing is
-        # scored at ingest on the columnar backend...
+        # Three losses stay below the fast threshold (4), and windows
+        # are never scored at ingest...
         assert [a.detector for a in returned] == ["fast_loss"]
         flushed = analyzer.flush(35.0)
         assert [a.detector for a in flushed] == ["loss_rule"]

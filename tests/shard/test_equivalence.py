@@ -95,10 +95,11 @@ class TestVerifyHelper:
         )
         assert summary["baseline_events"] > 0
         assert summary["baseline_verdicts"] > 0
-        # 1 shard-count comparison + the legacy-analyzer pin at one and
-        # two shards + the failover kill run.
-        assert len(summary["compared"]) == 4
-        assert "shards=2 analyzer=legacy" in summary["compared"]
+        # 1 shard-count comparison + the failover kill run.
+        assert summary["compared"] == [
+            "shards=2 backend=inproc",
+            "shards=4 backend=inproc kill=1@chunk2",
+        ]
 
     def test_gate_reports_divergence(self, baseline):
         healthy = run_plane(

@@ -1,18 +1,23 @@
-"""The equivalence helper and the two gates that live beside it."""
+"""The equivalence helper, the batch gate beside it, and the detector
+golden that replaced the second analyzer engine."""
 
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.core.analyzer import Analyzer
+from repro.core.detection import DetectorConfig
 from repro.equivalence import (
     EquivalenceError,
     compare,
     divergences,
-    verify_detector_equivalence,
     verify_equivalence,
 )
 from repro.network.fabric import DataPlaneFabric
+from repro.network.packet import ProbeResult
+from repro.sim.rng import RngRegistry
 
 BASELINE = {
     "events": [("a", "b", 4.0), ("c", "d", 6.0)],
@@ -85,23 +90,128 @@ class TestBatchGate:
             verify_equivalence()
 
 
+GOLDEN = Path(__file__).parent / "golden" / "detector_reference.json"
+#: Largest anomaly score difference tolerated against the golden (the
+#: batched kernels sum in another order than the per-pair engine did).
+SCORE_TOLERANCE = 1e-10
+#: The gate stream's slow pair is the one ``reset_pairs_involving``
+#: hits as its latency shifts, so the shift becomes the new baseline
+#: and only loss anomalies fire; pair 5 is never reset and alarms LOF
+#: and Z-test.
+RESET_PAIR, UNRESET_PAIR = 32, 5
+
+
+def detector_reference(analyzer, slow_index):
+    """Drive the detector-gate probe stream through ``analyzer`` and
+    return its anomaly rows (score last) and event rows, sorted.
+
+    48 pairs x 240 rounds at 5 s: healthy latency noise, pair 16 with
+    a loss burst over [400, 700), pair ``slow_index`` 2.5x slower from
+    600 s on, and a ``reset_pairs_involving`` on pair 32 at round 120.
+    """
+    num_pairs, rounds, interval_s = 48, 240, 5.0
+    rng = RngRegistry(7).stream("verify.detector")
+    pair_ids = [
+        (f"vd-{2 * i}", f"vd-{2 * i + 1}") for i in range(num_pairs)
+    ]
+    lossy = pair_ids[num_pairs // 3]
+    shifted = pair_ids[slow_index]
+    loss_draws = rng.random((rounds, num_pairs))
+    lat_draws = rng.random((rounds, num_pairs))
+    for r in range(rounds):
+        at = r * interval_s
+        for i, pair in enumerate(pair_ids):
+            burst = pair == lossy and 400 <= at < 700
+            slow = pair == shifted and at >= 600
+            lost = bool(loss_draws[r, i] < (0.9 if burst else 0.002))
+            latency = (
+                None if lost
+                else (18.0 + 2.0 * lat_draws[r, i])
+                * (2.5 if slow else 1.0)
+            )
+            analyzer.ingest(ProbeResult(
+                src=pair[0], dst=pair[1], sent_at=at,
+                lost=lost, latency_us=latency,
+            ))
+        if r == rounds // 2:
+            analyzer.reset_pairs_involving([pair_ids[RESET_PAIR][0]], at)
+        analyzer.flush(at)
+    analyzer.flush(rounds * interval_s)
+    return {
+        "anomalies": sorted(
+            [a.pair.src, a.pair.dst, a.detected_at, a.symptom.value,
+             a.detector, a.window_start, a.score]
+            for a in analyzer.anomalies
+        ),
+        "events": sorted(
+            [e.pair.src, e.pair.dst, e.first_detected_at,
+             e.symptom.value, e.resolved_at, len(e.anomalies)]
+            for e in analyzer.events
+        ),
+    }
+
+
+def golden_streams(make_analyzer):
+    """What ``tests/golden/detector_reference.json`` holds below its
+    header: the gate stream, then the same stream with the shift on a
+    pair that keeps its baseline."""
+    gate = detector_reference(make_analyzer(), RESET_PAIR)
+    kept = detector_reference(make_analyzer(), UNRESET_PAIR)
+    return {
+        "anomalies": gate["anomalies"],
+        "events": gate["events"],
+        "anomalies_unreset_shift": kept["anomalies"],
+        "events_unreset_shift": kept["events"],
+    }
+
+
+def check_against_golden(config):
+    """Pin ``Analyzer(config)`` to the golden: rows through
+    :func:`compare`, scores within :data:`SCORE_TOLERANCE`."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    del golden["header"]
+    got = golden_streams(lambda: Analyzer(config=config))
+
+    def without_scores(streams):
+        return {
+            name: [row[:-1] for row in rows]
+            if name.startswith("anomalies") else rows
+            for name, rows in streams.items()
+        }
+
+    counts = compare(
+        "analyzer vs detector golden",
+        without_scores(golden), without_scores(got),
+    )
+    drift = max(
+        abs(mine[-1] - theirs[-1])
+        for name in ("anomalies", "anomalies_unreset_shift")
+        for mine, theirs in zip(got[name], golden[name])
+    )
+    if drift > SCORE_TOLERANCE:
+        raise EquivalenceError(
+            f"anomaly scores drifted {drift:.1e} from the golden"
+        )
+    return counts
+
+
 class TestDetectorGate:
+    CONFIG = DetectorConfig(long_window_s=300.0, min_long_samples=20)
+
+    def test_golden_names_its_origin(self):
+        header = json.loads(GOLDEN.read_text(encoding="utf-8"))["header"]
+        assert 'backend="legacy"' in header["generated_by"]
+        assert header["parent_sha"].startswith("3cb5c9d")
+
     def test_passes_on_defaults(self):
-        counts = verify_detector_equivalence()
-        assert counts["anomalies_compared"] > 0
-        assert counts["events_compared"] > 0
-        assert counts["score_drift"] <= 1e-10
+        counts = check_against_golden(self.CONFIG)
+        assert counts["anomalies"] >= 38
+        assert counts["events"] >= 22
 
-    def test_reports_a_seeded_divergence(self, monkeypatch):
-        ingest = Analyzer.ingest
-
-        def deaf_columnar(self, result):
-            if self.backend == "columnar" and result.src == "vd-32":
-                result = dataclasses.replace(
-                    result, lost=False, latency_us=19.0
-                )
-            return ingest(self, result)
-
-        monkeypatch.setattr(Analyzer, "ingest", deaf_columnar)
-        with pytest.raises(EquivalenceError, match="anomalies diverged"):
-            verify_detector_equivalence()
+    def test_reports_a_seeded_divergence(self):
+        # The lowest golden LOF score is 86.80: one verdict flips.
+        nudged = dataclasses.replace(self.CONFIG, lof_threshold=87.0)
+        with pytest.raises(
+            EquivalenceError, match="anomalies_unreset_shift diverged"
+        ):
+            check_against_golden(nudged)
