@@ -502,6 +502,9 @@ def _run_status(args: argparse.Namespace) -> int:
     print("counters:")
     for name, value in sorted(obs.metrics.counters().items()):
         print(f"  {name:<24} {value:.0f}")
+    cache = scenario.fabric.resolution_cache
+    print(f"flow cache: {cache.hits} hits, {cache.misses} misses "
+          f"(hit ratio {cache.hit_ratio:.3f})")
     print(f"monitored pairs: {len(hunter.monitored_pairs())}")
     open_events = hunter.analyzer.open_events()
     print(f"open incidents: {len(open_events)}")
@@ -890,14 +893,16 @@ def _run_fleet_status(args: argparse.Namespace) -> int:
         f"seed {args.seed})"
     )
     print(f"  {'worker':>6} {'tenants':>7} {'chunks':>6} "
-          f"{'round':>5} {'adopted':>7} state")
+          f"{'round':>5} {'adopted':>7} {'cache hit':>9} state")
     for worker_id in sorted(coordinator.statuses):
         status = coordinator.statuses[worker_id]
+        fabric = coordinator.workers[worker_id].replica.fabric
         print(
             f"  {status.worker_id:>6} {len(status.tenants):>7} "
             f"{status.chunks_completed:>6} "
             f"{status.rounds_completed:>5} "
             f"{status.adopted_tenants:>7} "
+            f"{fabric.resolution_cache.hit_ratio:>9.3f} "
             f"{'alive' if status.alive else 'dead'}"
         )
     print(f"reassignments: {len(result.reassignments)}")

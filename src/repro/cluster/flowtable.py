@@ -86,11 +86,15 @@ class FlowTable:
 
     Every *forwarding-relevant* mutation (a rule appearing, being
     replaced, or disappearing) increments :attr:`version` and fires the
-    optional :attr:`on_mutate` callback.  The overlay uses this to fold
-    table churn into its resolution epoch so cached probe resolutions
-    are invalidated the moment any table they walked through changes.
-    Hit-counter updates (:meth:`FlowRule.hit`) deliberately do *not*
-    count: they never change where a packet goes.
+    optional :attr:`on_mutate` callback.  :attr:`version` is the unit of
+    cache validity: a probe resolution that walked this table is valid
+    only while the table is still at the version it was walked at, so a
+    mutation invalidates exactly the resolutions that consulted this
+    table and no other host's or tenant's (see
+    :class:`~repro.network.fabric.FlowResolutionCache`).  The overlay
+    additionally folds table churn into its whole-overlay epoch via
+    :attr:`on_mutate`.  Hit-counter updates (:meth:`FlowRule.hit`)
+    deliberately do *not* count: they never change where a packet goes.
     """
 
     def __init__(self, name: str = "ovs"):
@@ -102,7 +106,13 @@ class FlowTable:
     def __len__(self) -> int:
         return len(self._rules)
 
-    def _mutated(self) -> None:
+    def touch(self) -> None:
+        """Advance :attr:`version` without changing a rule.
+
+        For state a walk through this table reads but the table does
+        not hold — an endpoint attaching to or leaving this host — so
+        resolutions that walked it are re-walked.
+        """
         self.version += 1
         if self.on_mutate is not None:
             self.on_mutate()
@@ -128,14 +138,14 @@ class FlowTable:
             return existing
         rule = FlowRule(key=key, action=action)
         self._rules[key] = rule
-        self._mutated()
+        self.touch()
         return rule
 
     def remove(self, key: FlowKey) -> bool:
         """Delete the rule for ``key``; returns whether it existed."""
         existed = self._rules.pop(key, None) is not None
         if existed:
-            self._mutated()
+            self.touch()
         return existed
 
     def lookup(self, key: FlowKey) -> Optional[FlowRule]:
@@ -154,7 +164,7 @@ class FlowTable:
         """Drop every rule."""
         if self._rules:
             self._rules.clear()
-            self._mutated()
+            self.touch()
 
 
 class RnicOffloadTable(FlowTable):

@@ -40,6 +40,8 @@ class Cluster:
         bandwidth_gbps: float = 200.0,
     ) -> None:
         self.topology = topology
+        #: Keyed in ascending id order and never mutated, so a scan of
+        #: ``hosts.values()`` meets the lowest eligible host first.
         self.hosts: Dict[HostId, Host] = {
             host_id: Host.build(
                 host_id,
@@ -47,7 +49,7 @@ class Cluster:
                 num_vfs_per_rnic=num_vfs_per_rnic,
                 bandwidth_gbps=bandwidth_gbps,
             )
-            for host_id in topology.hosts
+            for host_id in sorted(topology.hosts)
         }
         self.overlay = OverlayNetwork()
 
@@ -269,9 +271,7 @@ class Orchestrator:
         needed = len(container.allocation.gpu_indices)
         target = next(
             (
-                h.id for h in sorted(
-                    self.cluster.hosts.values(), key=lambda h: h.id
-                )
+                h.id for h in self.cluster.hosts.values()
                 if h.id not in excluded
                 and len(h.free_gpus()) >= needed
                 and self._schedulable(h.id)

@@ -101,8 +101,11 @@ class OverlayTrace:
     ``rules`` collects the flow rules whose lookup the walk hit, in hop
     order; the fabric's resolution cache replays ``rule.hit()`` on them
     for cache-served probes so packet counters advance exactly as if
-    every probe had re-walked the chain.  It is bookkeeping, not an
-    observation, so it is excluded from equality and repr.
+    every probe had re-walked the chain.  ``tables`` collects the flow
+    tables the walk consulted — the OVS table of every visited host and
+    the offload table of every traversed RNIC — which is what a cached
+    resolution's validity is scoped to.  Both are bookkeeping, not
+    observations, so they are excluded from equality and repr.
     """
 
     hops: List[OverlayHop] = field(default_factory=list)
@@ -112,6 +115,9 @@ class OverlayTrace:
     src_rnic: Optional[RnicId] = None
     dst_rnic: Optional[RnicId] = None
     rules: List[FlowRule] = field(
+        default_factory=list, repr=False, compare=False
+    )
+    tables: List[FlowTable] = field(
         default_factory=list, repr=False, compare=False
     )
 
@@ -166,6 +172,7 @@ class OverlayNetwork:
         self._health: Dict[str, ComponentHealth] = {}
         self._underlay_ip_of_rnic: Dict[RnicId, str] = {}
         self._epoch = 0
+        self._health_epoch = 0
 
     # ------------------------------------------------------------------
     # Change tracking (drives FlowResolutionCache invalidation)
@@ -173,16 +180,33 @@ class OverlayNetwork:
 
     @property
     def epoch(self) -> int:
-        """Monotone counter of forwarding-relevant overlay changes.
+        """Monotone counter of *every* forwarding-relevant overlay change.
 
         Bumped by endpoint attach/detach, any OVS or RNIC-offload table
-        mutation, and any component-health flag change.  A probe
-        resolution cached at epoch *e* is valid exactly while
-        ``epoch == e``.
+        mutation, and any component-health flag change, anywhere.  Only
+        *unreached* resolutions (table miss, loop, unknown encap target,
+        unattached endpoint) are keyed on it: what would make them
+        reachable is in no table their walk consulted.  A reached
+        resolution is scoped to the :attr:`FlowTable.version` of the
+        tables in its :attr:`OverlayTrace.tables` plus
+        :attr:`health_epoch`.
         """
         return self._epoch
 
+    @property
+    def health_epoch(self) -> int:
+        """Monotone counter of component-health flag changes.
+
+        Health flags are rare, fault-driven, and read all along a walk,
+        so they stay one coarse counter instead of being scoped.
+        """
+        return self._health_epoch
+
     def _bump_epoch(self) -> None:
+        self._epoch += 1
+
+    def _health_changed(self) -> None:
+        self._health_epoch += 1
         self._epoch += 1
 
     # ------------------------------------------------------------------
@@ -240,19 +264,24 @@ class OverlayNetwork:
             action = FlowAction(ActionKind.DELIVER, local_vf=vf)
             self._install_with_offload(table, key, action, rnic)
             self._registered.add(endpoint)
-        self._bump_epoch()
+            self._offload_table(rnic).touch()
+        table.touch()
 
     def detach_container(self, container: Container) -> None:
         """Remove all state for a terminated container.
 
-        Always bumps :attr:`epoch` — even when the container held no
+        Always touches the tables of the container's host and RNICs (and
+        so bumps :attr:`epoch`) — even when the container held no
         attached endpoints — so probes can never resolve through a
-        detached endpoint's cached trace (see
+        detached endpoint's cached trace, and a source that migrates
+        away never keeps resolving through the ENCAP rules it left on
+        its old host (see
         :class:`~repro.network.fabric.FlowResolutionCache`).
         """
         vni = self.vni_of(container.id.task)
         table = self._ovs_table(container.host)
         for endpoint in container.endpoints():
+            self._offload_table(container.vf_of(endpoint).rnic).touch()
             record = self._endpoints.pop(endpoint, None)
             self._registered.discard(endpoint)
             if record is None:
@@ -260,7 +289,7 @@ class OverlayNetwork:
             key = FlowKey(vni, record.overlay_ip)
             table.remove(key)
             self._offload_table(record.vf.rnic).remove(key)
-        self._bump_epoch()
+        table.touch()
 
     def is_registered(self, endpoint: EndpointId) -> bool:
         """Whether ``endpoint`` has been attached (probe-able)."""
@@ -338,14 +367,14 @@ class OverlayNetwork:
         """Mutable health flags for a named overlay component."""
         if component not in self._health:
             self._health[component] = ComponentHealth(
-                _on_change=self._bump_epoch
+                _on_change=self._health_changed
             )
         return self._health[component]
 
     def clear_health(self, component: str) -> None:
         """Reset a component to healthy."""
         if self._health.pop(component, None) is not None:
-            self._bump_epoch()
+            self._health_changed()
 
     # ------------------------------------------------------------------
     # Forwarding
@@ -458,7 +487,11 @@ class OverlayNetwork:
                     ovs, "ovs", ok=False, note="virtual switch down"
                 ))
                 return trace
-            rule = self._ovs_table(current_host).lookup(key)
+            table = self._ovs_table(current_host)
+            # Either branch below asks current_rnic's hardware cache
+            # whether the packet rides the software path.
+            trace.tables += (table, self._offload_table(current_rnic))
+            rule = table.lookup(key)
             if rule is None:
                 trace.hops.append(OverlayHop(
                     ovs, "ovs", ok=False, note="flow table miss"

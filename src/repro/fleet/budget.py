@@ -208,8 +208,10 @@ class ProbeBudgetScheduler:
     ) -> List[ProbePair]:
         """The tenant's probe pairs for this round, sorted.
 
-        A rotating window of width ``quota`` over the sorted pair
-        universe, advanced by ``quota`` each round (with wraparound).
+        ``pairs`` is the tenant's pair universe **already sorted** (as
+        :func:`~repro.fleet.spec.tenant_pairs` builds it, once per
+        tenant runtime).  A rotating window of width ``quota`` over it,
+        advanced by ``quota`` each round (with wraparound).
         A tenant granted ``q`` of its ``n`` pairs therefore covers all
         ``n`` every ``ceil(n / q)`` rounds; with the floor >= 1
         guarantee no pair ever starves.  Pure in ``(pairs, quota,
@@ -217,17 +219,17 @@ class ProbeBudgetScheduler:
         """
         if round_index < 1:
             raise ValueError(f"rounds are 1-based, got {round_index}")
-        universe = sorted(pairs)
-        n = len(universe)
+        n = len(pairs)
         if quota >= n or n == 0:
-            return universe
+            return list(pairs)
         if quota <= 0:
             return []
         start = ((round_index - 1) * quota) % n
-        window = [
-            universe[(start + offset) % n] for offset in range(quota)
-        ]
-        return sorted(window)
+        end = start + quota
+        if end <= n:
+            return list(pairs[start:end])
+        # Wrapped: the head of the universe sorts before its tail.
+        return list(pairs[:end - n]) + list(pairs[start:])
 
     # ------------------------------------------------------------------
     # Reporting helpers

@@ -82,6 +82,9 @@ class TenantRuntime:
     """One monitored tenant's private diagnosis pipeline."""
 
     name: str
+    #: The pair universe: canonical pairs in sorted order, as
+    #: ``tenant_pairs`` returns them — ``select_pairs`` and
+    #: ``probed_pairs`` take both as given.
     pairs: Tuple[ProbePair, ...]
     analyzer: Analyzer
     localizer: Localizer
@@ -349,10 +352,7 @@ class FleetController:
             runtime.analyzer.ingest(result)
         runtime.analyzer.flush(at)
         runtime.probes_sent += len(selected)
-        runtime.probed_pairs.update(
-            ProbePair.canonical(pair.src, pair.dst)
-            for pair in selected
-        )
+        runtime.probed_pairs.update(selected)
         delivered_ok = sum(1 for r in results if not r.lost)
         lost = len(selected) - delivered_ok
         runtime.probes_lost += lost

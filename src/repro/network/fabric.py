@@ -21,9 +21,10 @@ simulator's per-probe cost has to follow suit):
 
 * a :class:`FlowResolutionCache` memoizes the *deterministic* half of a
   probe — the overlay trace, the ECMP path pick, the faults that could
-  touch the resolution, and the overlay component-health effects — with
-  epoch-based invalidation driven by fault inject/clear, overlay
-  attach/detach, flow-table mutations, and health-flag changes;
+  touch the resolution, and the overlay component-health effects —
+  valid while the flow tables its walk consulted are unchanged (so one
+  host's churn never stales another tenant's resolutions) and no fault
+  inject/clear, health-flag change or ECMP-mode switch happened;
 * :meth:`DataPlaneFabric.send_probe_batch` samples loss and RTT for a
   whole probing round with vectorized numpy draws.  Every probe consumes
   a fixed block of five uniforms, so the batched draw is bit-identical
@@ -39,6 +40,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.cluster.flowtable import FlowTable
 from repro.cluster.identifiers import EndpointId, RnicId
 from repro.cluster.orchestrator import Cluster
 from repro.cluster.overlay import OverlayTrace, ovs_name, veth_name, vtep_name
@@ -79,7 +81,6 @@ class _SprayChoice:
 class _Resolution:
     """The deterministic (RNG-free, time-free) half of one probe."""
 
-    epoch: Tuple[int, int, int]  # (overlay, injector, routing) epochs
     trace: OverlayTrace
     fhash: int
     reached: bool
@@ -94,20 +95,44 @@ class _Resolution:
     #: candidate with its own relevant-fault tuple, pre-resolved so the
     #: per-probe pick costs one uniform and one tuple index.
     spray: Tuple[_SprayChoice, ...] = ()
+    #: Validity, set by :meth:`FlowResolutionCache.resolve` from
+    #: :meth:`~FlowResolutionCache._stamp`: the whole-overlay stamp this
+    #: entry was last found valid under; and, for a reached entry, its
+    #: coarse epochs alone and with ``trace.tables``' versions added.
+    seen: int = 0
+    coarse: int = 0
+    stamp: int = 0
 
 
 class FlowResolutionCache:
     """Memoizes per-(src, dst, salt) probe resolutions.
 
-    A resolution is valid exactly while the *(overlay epoch, injector
-    epoch)* pair it was computed under is current: fault registrations
-    and clears, container attach/detach, OVS/offload flow-table
-    mutations, and component-health flag changes each bump an epoch, so
-    Figure-18-style cache-invalidation faults (a table mutating under a
-    warm cache) still surface — the next probe re-walks the chain.
+    Validity is scoped to what the resolution's overlay walk read.  A
+    *reached* resolution is valid while every flow table the walk
+    consulted (:attr:`OverlayTrace.tables`: the OVS table of each
+    visited host, the offload table of each traversed RNIC) is at the
+    :attr:`FlowTable.version` it was walked at — container attach and
+    detach touch the tables of the container's host and RNICs — **and**
+    the coarse epochs are unchanged: component-health flags
+    (:attr:`OverlayNetwork.health_epoch`), fault inject/clear
+    (:attr:`FaultInjector.epoch`) and the ECMP mode.  Those stay coarse
+    because they are rare, fault-driven, and not confined to a table.
+    So a first-use flow install or a migration on one host re-walks
+    only the pairs through that host, while Figure-18-style faults (a
+    table mutating under a warm cache) still surface on the next probe.
+    An *unreached* resolution (table miss, loop, unknown encap target,
+    unattached endpoint) is keyed on the whole-overlay
+    :attr:`OverlayNetwork.epoch` instead: what would make it reachable
+    is in no table its walk consulted.
 
     Invalidation is lazy: stale entries are detected (and replaced) at
-    lookup time rather than eagerly swept, so an epoch bump costs O(1).
+    lookup time rather than eagerly swept, so a change costs O(1).
+    A lookup first compares the whole-overlay stamp the entry was last
+    found valid under — while nothing anywhere has changed it is the
+    only check, as cheap as the global epoch it replaces — and only
+    after a change re-validates a reached entry against its own tables.
+    Every recompute is counted by cause on :attr:`metrics`
+    (``cache.miss.cold`` / ``.table_changed`` / ``.epoch_changed``).
     """
 
     def __init__(
@@ -121,6 +146,9 @@ class FlowResolutionCache:
         self.enabled = enabled
         self.hits = 0
         self.misses = 0
+        #: Where miss causes are counted; the fabric points this at its
+        #: own registry.
+        self.metrics = MetricRegistry()
         #: ECMP mode resolutions are computed under ("static"/"spray");
         #: owned by the fabric via :meth:`set_mode`.
         self.ecmp_mode = "static"
@@ -151,17 +179,30 @@ class FlowResolutionCache:
         """Monotone counter of ECMP-mode switches."""
         return self._routing_epoch
 
-    def current_epoch(self) -> Tuple[int, int, int]:
-        """The (overlay, injector, routing) epochs entries are valid
-        under."""
-        return (
-            self._cluster.overlay.epoch,
-            self._injector.epoch,
-            self._routing_epoch,
+    @property
+    def hit_ratio(self) -> float:
+        """Fraction of lookups served from the cache (0 before any)."""
+        return self.hits / max(self.hits + self.misses, 1)
+
+    def _stamp(self, reached: bool, tables: Iterable[FlowTable]) -> int:
+        """What a resolution walked through ``tables`` is valid under.
+
+        The coarse epochs (``tables`` empty) plus the tables' versions,
+        folded into one int: every term only ever grows, so the sum is
+        unchanged exactly when every term is.  ``_stamp(False, ())`` is
+        the whole-overlay stamp: unchanged means nothing changed.
+        """
+        overlay = self._cluster.overlay
+        stamp = (
+            (overlay.health_epoch if reached else overlay.epoch)
+            + self._injector.epoch + self._routing_epoch
         )
+        for table in tables:
+            stamp += table.version
+        return stamp
 
     def invalidate(self) -> None:
-        """Drop every cached resolution (epochs make this optional)."""
+        """Drop every cached resolution (stamps make this optional)."""
         self._entries.clear()
 
     def resolve(
@@ -174,16 +215,37 @@ class FlowResolutionCache:
         exactly as if the chain had been re-walked.
         """
         key = (src, dst, salt)
-        if self.enabled:
-            cached = self._entries.get(key)
-            if cached is not None and cached.epoch == self.current_epoch():
+        cached = self._entries.get(key) if self.enabled else None
+        if cached is None:
+            cause = "cold"
+        else:
+            whole = self._stamp(False, ())
+            if cached.seen != whole and cached.reached and (
+                cached.stamp == self._stamp(True, cached.trace.tables)
+            ):
+                cached.seen = whole  # changes elsewhere: still valid
+            if cached.seen == whole:
                 self.hits += 1
                 for rule in cached.trace.rules:
                     rule.hit()
                 return cached
+            if cached.reached and cached.coarse == self._stamp(True, ()):
+                cause = "table_changed"
+            else:
+                cause = "epoch_changed"
         self.misses += 1
+        self.metrics.increment(f"cache.miss.{cause}")
         resolution = self._compute(src, dst, salt)
         if self.enabled:
+            # Stamped *after* the walk's side effects: it may have
+            # installed flow rules (mutating tables it consulted), and
+            # the entry must be valid from this state onward.
+            resolution.seen = self._stamp(False, ())
+            if resolution.reached:
+                resolution.coarse = self._stamp(True, ())
+                resolution.stamp = self._stamp(
+                    True, resolution.trace.tables
+                )
             self._entries[key] = resolution
         return resolution
 
@@ -203,8 +265,8 @@ class FlowResolutionCache:
                 f"overlay unreachable at {trace.failure_component}"
             )
             return _Resolution(
-                epoch=self.current_epoch(), trace=trace, fhash=fhash,
-                reached=False, overlay_reason=reason,
+                trace=trace, fhash=fhash, reached=False,
+                overlay_reason=reason,
             )
 
         src_rnic = trace.src_rnic
@@ -227,11 +289,8 @@ class FlowResolutionCache:
                     src_rnic, dst_rnic
                 )
             )
-        # Snapshot the epoch *after* side effects: the walk itself may
-        # have installed flow rules (bumping the overlay epoch), and the
-        # entry must be valid from this state onward.
         return _Resolution(
-            epoch=self.current_epoch(), trace=trace, fhash=fhash,
+            trace=trace, fhash=fhash,
             reached=True, path=path, faults=faults, overlay_fx=overlay_fx,
             hops=path.hops, switches=len(path.switches()), spray=spray,
         )
@@ -315,6 +374,7 @@ class DataPlaneFabric:
         self.resolution_cache = FlowResolutionCache(
             cluster, injector, enabled=cache_enabled
         )
+        self.resolution_cache.metrics = self.metrics
 
     def use_pairwise_draws(self, seed: int) -> None:
         """Switch probe randomness to partition-independent keyed draws.
@@ -381,6 +441,7 @@ class DataPlaneFabric:
             return
         metrics.merge_from(self.metrics)
         self.metrics = metrics
+        self.resolution_cache.metrics = metrics
 
     @property
     def probes_sent(self) -> int:

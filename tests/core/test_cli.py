@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
+from repro.network.issues import all_issue_types
 
 
 class TestDemo:
@@ -49,12 +52,12 @@ class TestParser:
 
 
 class TestCampaign:
-    @pytest.mark.slow
     def test_campaign_sweeps_all_issue_types(self, capsys):
         code = main(["campaign", "--seed", "1"])
         output = capsys.readouterr().out
         assert code == 0
-        assert "detected 19/19" in output
+        total = len(all_issue_types())
+        assert f"detected {total}/{total}" in output
 
 
 _SCENARIO_ARGS = ["--containers", "4", "--gpus", "4",
@@ -69,6 +72,11 @@ class TestStatus:
         assert "counters:" in output
         assert "probes.sent" in output
         assert "anomalies.detected" in output
+        assert "cache.miss.cold" in output
+        assert re.search(
+            r"flow cache: \d+ hits, \d+ misses \(hit ratio 0\.\d{3}\)",
+            output,
+        )
         assert "pipeline timings" in output
         assert "probe_round" in output
 
@@ -138,6 +146,7 @@ class TestFleet:
         output = capsys.readouterr().out
         assert code == 0
         assert "worker" in output
+        assert "cache hit" in output
         assert "reassign" in output
 
     def test_fleet_requires_a_subcommand(self):

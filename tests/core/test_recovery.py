@@ -82,6 +82,25 @@ class TestMigration:
         )
         assert target == HostId(7)
 
+    def test_target_is_the_lowest_eligible_host(
+        self, orchestrator, engine, cluster
+    ):
+        # The scan takes the first eligible host of ``cluster.hosts``,
+        # which is the lowest because the dict is built in id order.
+        assert list(cluster.hosts) == sorted(cluster.hosts)
+        task = orchestrator.submit_task(3, 4, instant_startup=True)
+        engine.run_until(0)
+        assert [c.host for c in task.all_containers()] == [
+            HostId(0), HostId(1), HostId(2),
+        ]
+        assert orchestrator.migrate_container(
+            task.container(0), exclude_hosts=[HostId(3)]
+        ) == HostId(4)
+        # Host 0 is free again and the lowest.
+        assert orchestrator.migrate_container(
+            task.container(2)
+        ) == HostId(0)
+
     def test_no_healthy_host_raises(self, orchestrator, engine):
         task = orchestrator.submit_task(2, 4, instant_startup=True)
         engine.run_until(0)

@@ -121,13 +121,15 @@ class TestDeterminism:
         assert first == second
 
     def test_selection_is_a_pure_function_of_round(self):
-        pairs = pair_universe(20)
+        pairs = pair_universe(20)  # sorted, as select_pairs expects
+        assert pairs == sorted(pairs)
         first = ProbeBudgetScheduler.select_pairs(pairs, 7, 3)
-        second = ProbeBudgetScheduler.select_pairs(
-            list(reversed(pairs)), 7, 3
-        )
-        assert first == second
+        second = ProbeBudgetScheduler.select_pairs(tuple(pairs), 7, 3)
+        assert first == second == sorted(first)
         assert first != ProbeBudgetScheduler.select_pairs(pairs, 7, 4)
+        # Round 3 of quota 7 over 20 wraps (14..20 -> 14..19 + 0): the
+        # selection comes back sorted without being re-sorted.
+        assert first == sorted(pairs[14:] + pairs[:1])
 
 
 class TestStarvation:

@@ -10,6 +10,7 @@ subset's streams.
 import pytest
 
 from repro.fleet.controller import FleetController
+from repro.fleet.spec import fleet_bench_spec
 
 from tests.fleet.conftest import small_fleet_spec
 
@@ -136,3 +137,20 @@ class TestAdoption:
         assert (
             adopter.coverage_summary() == native.coverage_summary()
         )
+
+
+class TestFlowCacheUnderChurn:
+    def test_churning_fleet_keeps_the_flow_cache_warm(self):
+        # Counting guard: a third of these tenants migrate containers
+        # and tenants arrive and leave, so flow tables change somewhere
+        # nearly every round.  Validity scoped to the tables a
+        # resolution walked keeps the other tenants' entries (the same
+        # run under one global epoch: 0.11).
+        spec = fleet_bench_spec(8, total_rounds=64)
+        controller = FleetController(spec)
+        controller.run_rounds(1, spec.total_rounds)
+        fabric = controller.replica.fabric
+        assert fabric.resolution_cache.hit_ratio >= 0.75
+        assert sum(
+            fabric.metrics.counters("cache.miss.").values()
+        ) == fabric.resolution_cache.misses

@@ -1,9 +1,10 @@
-"""Tests for the flow-resolution cache and its epoch invalidation.
+"""Tests for the flow-resolution cache and its scoped invalidation.
 
 The cache memoizes the deterministic half of a probe; every state change
 that could alter where a packet goes (fault inject/clear, flow-table
-mutation, health flags, container attach/detach) must invalidate it —
-a stale hit here is exactly the Figure-18 failure mode.
+mutation, health flags, container attach/detach) must invalidate the
+resolutions it can affect — a stale hit here is exactly the Figure-18
+failure mode — and only those: another host's churn must not.
 """
 
 import pytest
@@ -173,17 +174,189 @@ class TestEpochInvalidation:
         assert result.reason.startswith("overlay unreachable")
 
     def test_detach_always_bumps_epoch(self, cluster, running_task, fabric):
-        before = fabric.resolution_cache.current_epoch()
-        cluster.overlay.detach_container(running_task.container(2))
-        assert fabric.resolution_cache.current_epoch() != before
+        # Unconditionally — also for a container no probe ever touched:
+        # the whole-overlay epoch (unreached resolutions) and the
+        # versions of the host's and RNICs' tables (reached ones).
+        container = running_task.container(2)
+        overlay = cluster.overlay
+        tables = [overlay.ovs_table(container.host)] + [
+            overlay.offload_table(container.vf_of(endpoint).rnic)
+            for endpoint in container.endpoints()
+        ]
+        before = overlay.epoch, [table.version for table in tables]
+        overlay.detach_container(container)
+        assert overlay.epoch > before[0]
+        assert all(
+            table.version > was for table, was in zip(tables, before[1])
+        )
+        again = overlay.epoch, [table.version for table in tables]
+        overlay.detach_container(container)  # nothing left to remove
+        assert overlay.epoch > again[0]
+        assert all(
+            table.version > was for table, was in zip(tables, again[1])
+        )
 
     def test_attach_bumps_epoch(
         self, cluster, orchestrator, engine, fabric
     ):
-        before = fabric.resolution_cache.current_epoch()
-        orchestrator.submit_task(1, 4, instant_startup=True)
+        before = cluster.overlay.epoch
+        task = orchestrator.submit_task(1, 4, instant_startup=True)
         engine.run_until(engine.now)
-        assert fabric.resolution_cache.current_epoch() != before
+        assert cluster.overlay.epoch > before
+        container = task.container(0)
+        table = cluster.overlay.ovs_table(container.host)
+        version = table.version
+        # Re-attaching installs nothing new (idempotent rules) and must
+        # still invalidate what walked this host.
+        cluster.overlay.attach_container(
+            container, cluster.underlay_ips_of(container.host)
+        )
+        assert table.version > version
+
+
+def _pairs_between(task):
+    return [
+        (a, b)
+        for src in task.all_containers()
+        for dst in task.all_containers() if src is not dst
+        for a in src.endpoints() for b in dst.endpoints()
+    ]
+
+
+class TestScopedValidity:
+    """A table change re-walks the resolutions that walked that table
+    and no others; unreached ones still hear of every change."""
+
+    @pytest.fixture
+    def tenants(self, orchestrator, engine):
+        """Two 2-container tenants on four full hosts, four hosts free."""
+        tasks = [
+            orchestrator.submit_task(2, 4, instant_startup=True)
+            for _ in range(2)
+        ]
+        engine.run_until(engine.now)
+        return tasks
+
+    def _misses(self, fabric):
+        return fabric.metrics.counters("cache.miss.")
+
+    def _first_pair(self, task):
+        return task.container(0).endpoint(0), task.container(1).endpoint(0)
+
+    def test_other_tenants_migration_costs_no_miss(
+        self, fabric, orchestrator, tenants
+    ):
+        # Counting guard: the churn of tenant A must leave tenant B's
+        # warm entries warm.
+        tenant_a, tenant_b = tenants
+        pairs_a, pairs_b = _pairs_between(tenant_a), _pairs_between(tenant_b)
+        for at in (0.0, 1.0, 2.0):  # installs settle within two rounds
+            fabric.send_probe_batch(pairs_a + pairs_b, at)
+        cache = fabric.resolution_cache
+        hits, misses = cache.hits, cache.misses
+
+        orchestrator.migrate_container(tenant_a.container(0))
+
+        results = fabric.send_probe_batch(pairs_b, 3.0)
+        assert all(result.ok for result in results)
+        assert cache.misses == misses
+        assert cache.hits == hits + len(pairs_b)
+        fabric.send_probe_batch(pairs_a, 4.0)
+        assert cache.misses == misses + len(pairs_a)
+
+    def test_migrated_source_does_not_resolve_through_its_old_host(
+        self, fabric, orchestrator, cluster, tenants
+    ):
+        # The ENCAP rule the source installed on its old host survives
+        # the migration; a warm entry that walked it must not.
+        src, dst = self._first_pair(tenants[0])
+        overlay = cluster.overlay
+        fabric.send_probe(src, dst, at=0.0)
+        fabric.send_probe(src, dst, at=1.0)
+        old_host = overlay.rnic_of(src).host
+        old_rule = fabric.send_probe(src, dst, at=2.0).overlay_trace.rules[0]
+        before = self._misses(fabric)
+
+        new_host = orchestrator.migrate_container(tenants[0].container(0))
+
+        assert new_host != old_host
+        assert overlay.ovs_table(old_host).lookup(old_rule.key) is old_rule
+        result = fabric.send_probe(src, dst, at=3.0)
+        assert result.ok and result.src_rnic.host == new_host
+        assert old_rule not in result.overlay_trace.rules
+        after = self._misses(fabric)
+        assert after["cache.miss.table_changed"] == (
+            before.get("cache.miss.table_changed", 0) + 1
+        )
+
+    def test_unreached_destination_is_rewalked_once_it_attaches(
+        self, fabric, cluster, tenants
+    ):
+        # The miss that made the pair unreachable sits in the source
+        # host's table; the attach that cures it touches only the
+        # destination's — hence the whole-overlay epoch for unreached.
+        src, dst = self._first_pair(tenants[0])
+        overlay = cluster.overlay
+        fabric.send_probe(src, dst, at=0.0)
+        late = tenants[0].container(1)
+        overlay.detach_container(late)
+        src_table = overlay.ovs_table(overlay.rnic_of(src).host)
+        for key in src_table.keys():
+            if src_table.lookup(key).action.remote_underlay_ip:
+                src_table.remove(key)
+        lost = fabric.send_probe(src, dst, at=1.0)
+        assert lost.lost and lost.reason.startswith("overlay unreachable")
+        walked = lost.overlay_trace.tables
+        assert walked == [
+            src_table, overlay.offload_table(overlay.rnic_of(src))
+        ]
+        hits = fabric.resolution_cache.hits
+        assert fabric.send_probe(src, dst, at=2.0).lost
+        assert fabric.resolution_cache.hits == hits + 1
+        versions = [table.version for table in walked]
+
+        overlay.attach_container(late, cluster.underlay_ips_of(late.host))
+
+        assert [table.version for table in walked] == versions
+        before = self._misses(fabric)
+        assert fabric.send_probe(src, dst, at=3.0).ok
+        after = self._misses(fabric)
+        assert after["cache.miss.epoch_changed"] == (
+            before.get("cache.miss.epoch_changed", 0) + 1
+        )
+
+    def test_mid_batch_table_mutation_rewalks_the_rest_of_the_batch(
+        self, fabric, tenants
+    ):
+        # A cold pair's first-use install lands between two probes of a
+        # warm pair from the same host: the first is served, the second
+        # re-walks, exactly as three sequential probes would.
+        warm = self._first_pair(tenants[0])
+        cold = (
+            tenants[0].container(0).endpoint(1),
+            tenants[0].container(1).endpoint(1),
+        )
+        for at in (0.0, 1.0):
+            fabric.send_probe(*warm, at=at)
+        cache = fabric.resolution_cache
+        hits, before = cache.hits, self._misses(fabric)
+
+        results = fabric.send_probe_batch([warm, cold, warm], 2.0)
+
+        assert all(result.ok for result in results)
+        assert cache.hits == hits + 1
+        after = self._misses(fabric)
+        assert after["cache.miss.cold"] == before["cache.miss.cold"] + 1
+        assert after["cache.miss.table_changed"] == (
+            before.get("cache.miss.table_changed", 0) + 1
+        )
+        assert sum(after.values()) == cache.misses
+
+    def test_hit_ratio(self, fabric, endpoints):
+        assert fabric.resolution_cache.hit_ratio == 0.0
+        for at in (0.0, 1.0, 2.0, 3.0):
+            fabric.send_probe(*endpoints, at=at)
+        assert fabric.resolution_cache.hit_ratio == 0.75
 
 
 class TestEcmpModeSwitch:
