@@ -14,12 +14,15 @@ subject to
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import pdist
+
+from repro.obs.span import open_span
 
 __all__ = ["ClusteringError", "GroupingResult", "constrained_position_groups"]
 
@@ -74,38 +77,11 @@ def _mean_within_distance(
     return total / count
 
 
-def _mean_nearest_separation(
-    features: np.ndarray, labels: np.ndarray, k: int
-) -> float:
-    """Mean distance from each group centroid to its nearest neighbour.
-
-    Separation distinguishes a genuine cut from an over-split one: when a
-    true group is split, the two halves' centroids nearly coincide and
-    separation collapses towards zero.
-    """
-    if k < 2:
-        return 0.0
-    centroids = np.vstack([
-        features[np.flatnonzero(labels == g)].mean(axis=0)
-        for g in range(k)
-    ])
-    diff = centroids[:, None, :] - centroids[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    np.fill_diagonal(dist, np.inf)
-    return float(dist.min(axis=1).mean())
-
-
 def _violates_host_constraint(
-    labels: np.ndarray, hosts: Sequence[Hashable], k: int
+    occupancy: Dict[Tuple[int, Hashable], int]
 ) -> bool:
     """Eq. 3: any group holding two RNICs of one host?"""
-    seen: Dict[tuple, int] = {}
-    for index, label in enumerate(labels):
-        key = (int(label), hosts[index])
-        seen[key] = seen.get(key, 0) + 1
-        if seen[key] > 1:
-            return True
-    return False
+    return any(count > 1 for count in occupancy.values())
 
 
 def _repair_host_constraint(
@@ -113,53 +89,46 @@ def _repair_host_constraint(
     labels: np.ndarray,
     hosts: Sequence[Hashable],
     k: int,
+    occupancy: Dict[Tuple[int, Hashable], int],
     max_passes: int = 8,
 ) -> np.ndarray:
-    """Greedy swaps moving duplicate-host members to their best other group."""
+    """Greedy moves of duplicate-host members to the nearest-centroid
+    group that does not hold their host yet.
+
+    ``occupancy`` ((group, host) -> RNIC count) is kept in step with the
+    returned labels.  A centroid is recomputed only when a move touched
+    its group, as the same mean over the group's rows (so the same bits).
+    """
     labels = labels.copy()
+    centroids = [features[labels == g].mean(axis=0) for g in range(k)]
     for _ in range(max_passes):
         moved = False
         for g in range(k):
-            members = np.flatnonzero(labels == g)
             by_host: Dict[Hashable, List[int]] = {}
-            for m in members:
+            for m in np.flatnonzero(labels == g):
                 by_host.setdefault(hosts[m], []).append(m)
             for host, dup in by_host.items():
                 for extra in dup[1:]:
-                    target = _best_group_without_host(
-                        features, labels, hosts, extra, k
-                    )
-                    if target is not None:
-                        labels[extra] = target
+                    best, best_distance = None, np.inf
+                    for other in range(k):
+                        if other == g or occupancy.get((other, host)):
+                            continue
+                        distance = float(np.linalg.norm(
+                            features[extra] - centroids[other]
+                        ))
+                        if distance < best_distance:
+                            best, best_distance = other, distance
+                    if best is not None:
+                        labels[extra] = best
+                        occupancy[g, host] -= 1
+                        occupancy[best, host] = 1
+                        centroids[best] = features[labels == best].mean(axis=0)
                         moved = True
+            # Nobody asks for g's centroid while its own extras leave.
+            centroids[g] = features[labels == g].mean(axis=0)
         if not moved:
             break
     return labels
-
-
-def _best_group_without_host(
-    features: np.ndarray,
-    labels: np.ndarray,
-    hosts: Sequence[Hashable],
-    index: int,
-    k: int,
-) -> Optional[int]:
-    """The nearest-centroid group that does not contain ``index``'s host."""
-    best, best_distance = None, np.inf
-    for g in range(k):
-        if g == labels[index]:
-            continue
-        members = np.flatnonzero(labels == g)
-        if any(hosts[m] == hosts[index] for m in members):
-            continue
-        if len(members) == 0:
-            distance = 0.0
-        else:
-            centroid = features[members].mean(axis=0)
-            distance = float(np.linalg.norm(features[index] - centroid))
-        if distance < best_distance:
-            best, best_distance = g, distance
-    return best
 
 
 def constrained_position_groups(
@@ -167,6 +136,7 @@ def constrained_position_groups(
     hosts: Sequence[Hashable],
     candidate_group_counts: Optional[Sequence[int]] = None,
     cohesion_weight: float = 1.0,
+    recorder=None,
 ) -> GroupingResult:
     """Group RNICs by pipeline position under Equations 1-3.
 
@@ -182,6 +152,9 @@ def constrained_position_groups(
     cohesion_weight:
         Weight of within-group dispersion in the selection score
         (balances Eq. 1 against clustering quality).
+    recorder:
+        Optional trace recorder; each Eq. 3 repair is timed as a
+        ``skeleton.repair`` span.
     """
     pts = np.asarray(features, dtype=np.float64)
     if pts.ndim != 2:
@@ -215,30 +188,39 @@ def constrained_position_groups(
             return 0.0
         return float(heights[n - k + 1] - heights[n - k])
 
-    best: Optional[GroupingResult] = None
+    # Pigeonhole: fewer groups than the widest host has RNICs cannot
+    # satisfy Eq. 3, whatever the repair does.
+    widest = max(Counter(hosts).values())
+    best: Optional[Tuple[int, np.ndarray, float]] = None
     best_score = -np.inf
     for k in candidates:
+        if k < widest:
+            continue
         labels = fcluster(tree, t=k, criterion="maxclust") - 1
         if labels.max() + 1 != k:
             continue  # the tree cannot produce k clusters at this cut
-        if _violates_host_constraint(labels, hosts, k):
-            labels = _repair_host_constraint(pts, labels, hosts, k)
-            if _violates_host_constraint(labels, hosts, k):
+        occupancy = Counter(zip(labels.tolist(), hosts))
+        if _violates_host_constraint(occupancy):
+            with open_span(recorder, "skeleton.repair", groups=k):
+                labels = _repair_host_constraint(
+                    pts, labels, hosts, k, occupancy
+                )
+            if _violates_host_constraint(occupancy):
                 continue
         variance = _size_variance(labels, k)
-        cohesion = _mean_within_distance(pts, labels, k)
         score = height_gap(k) - cohesion_weight * variance
         if score > best_score:
             best_score = score
-            best = GroupingResult(
-                labels=labels,
-                num_groups=k,
-                group_size=n // k,
-                size_variance=variance,
-                cohesion=cohesion,
-            )
+            best = (k, labels, variance)
     if best is None:
         raise ClusteringError(
             "no candidate group count satisfied the host constraint"
         )
-    return best
+    k, labels, variance = best
+    return GroupingResult(
+        labels=labels,
+        num_groups=k,
+        group_size=n // k,
+        size_variance=variance,
+        cohesion=_mean_within_distance(pts, labels, k),
+    )

@@ -42,14 +42,15 @@ class StftConfig:
             raise ValueError("noverlap must be in [0, nperseg)")
 
 
-def _spectrogram(series: np.ndarray, config: StftConfig) -> np.ndarray:
-    """|STFT| magnitude, shape (freq_bins, time_frames)."""
-    data = np.asarray(series, dtype=np.float64)
-    if data.ndim != 1:
+def _spectrogram(rows: Sequence[np.ndarray], config: StftConfig) -> np.ndarray:
+    """|STFT| magnitude of equally-long series in one transform,
+    shape (series, freq_bins, time_frames)."""
+    data = np.asarray(rows, dtype=np.float64)
+    if data.ndim != 2:
         raise ValueError("series must be one-dimensional")
-    if len(data) < config.nperseg:
+    if data.shape[1] < config.nperseg:
         raise ValueError(
-            f"series of {len(data)} samples is shorter than one STFT "
+            f"series of {data.shape[1]} samples is shorter than one STFT "
             f"window ({config.nperseg})"
         )
     _, _, zxx = sp_signal.stft(
@@ -59,8 +60,25 @@ def _spectrogram(series: np.ndarray, config: StftConfig) -> np.ndarray:
         noverlap=config.noverlap,
         padded=False,
         boundary=None,
+        axis=-1,
     )
     return np.abs(zxx)
+
+
+def _unit_features(
+    rows: Sequence[np.ndarray], config: Optional[StftConfig]
+) -> np.ndarray:
+    """One unit-norm feature row per (equally long) series."""
+    config = config if config is not None else StftConfig()
+    # Drop the DC row: absolute traffic volume is not a grouping signal.
+    mag = _spectrogram(rows, config)[:, 1:, :]
+    if config.log_compress:
+        mag = np.log1p(mag)
+    flat = mag.reshape(len(mag), -1)
+    # Row by row: the axis form of the norm sums in another order.
+    norms = np.array([np.linalg.norm(row) for row in flat])
+    norms[norms == 0] = 1.0
+    return flat / norms[:, None]
 
 
 def stft_feature(
@@ -72,17 +90,7 @@ def stft_feature(
     frequency content and its placement in time, then L2-normalizes so
     distances compare burst *shape* rather than absolute volume.
     """
-    config = config if config is not None else StftConfig()
-    mag = _spectrogram(series, config)
-    # Drop the DC row: absolute traffic volume is not a grouping signal.
-    mag = mag[1:, :]
-    if config.log_compress:
-        mag = np.log1p(mag)
-    flat = mag.ravel()
-    norm = np.linalg.norm(flat)
-    if norm == 0:
-        return flat
-    return flat / norm
+    return _unit_features([series], config)[0]
 
 
 def feature_matrix(
@@ -91,6 +99,9 @@ def feature_matrix(
     """Stack features of equally-long series into an (n, d) matrix."""
     if not series_list:
         raise ValueError("need at least one series")
+    if len({np.shape(series) for series in series_list}) == 1:
+        return _unit_features(series_list, config)
+    # Ragged lengths: legal as long as the features still line up.
     features = [stft_feature(s, config) for s in series_list]
     dims = {f.shape[0] for f in features}
     if len(dims) != 1:
@@ -103,7 +114,7 @@ def dominant_frequency(
 ) -> float:
     """The strongest non-DC frequency (Hz) in a series' average spectrum."""
     config = config if config is not None else StftConfig()
-    mag = _spectrogram(series, config)
+    mag = _spectrogram([series], config)[0]
     mean_spectrum = mag.mean(axis=1)
     freqs = np.fft.rfftfreq(config.nperseg, d=1.0 / config.sample_rate_hz)
     # Ignore DC and the near-DC bin where the iteration envelope dominates.

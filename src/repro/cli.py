@@ -473,6 +473,7 @@ def _observed_run(args: argparse.Namespace):
         pp=2, seed=args.seed, observe=True,
     )
     scenario.run_for(200)
+    scenario.apply_skeleton()
     issues = [IssueType.RNIC_PORT_DOWN,
               IssueType.HUGEPAGE_MISCONFIGURATION,
               IssueType.OFFLOADING_FAILURE,
@@ -513,12 +514,11 @@ def _run_status(args: argparse.Namespace) -> int:
               f"({event.symptom.value} since "
               f"{event.first_detected_at:.0f}s)")
     print("pipeline timings (wall clock):")
-    for name in ("probe_round", "analyzer.flush", "localize.run"):
-        spans = [s for s in obs.spans(name) if s.closed]
-        if not spans:
-            continue
+    closed = [span for span in obs.spans() if span.closed]
+    for name in dict.fromkeys(span.name for span in closed):
+        spans = [span for span in closed if span.name == name]
         total_ms = sum(s.wall_duration_s for s in spans) * 1e3
-        print(f"  {name:<16} {len(spans):>5} spans, "
+        print(f"  {name:<26} {len(spans):>5} spans, "
               f"total {total_ms:.1f} ms, "
               f"mean {total_ms / len(spans):.3f} ms")
     return 0

@@ -25,6 +25,7 @@ from repro.core.pinglist import PingList
 from repro.core.probing import ResilientProber
 from repro.core.resilience import CircuitBreaker, RetryPolicy
 from repro.core.skeleton import InferredSkeleton
+from repro.obs.span import open_span
 
 __all__ = ["Controller", "ControllerError"]
 
@@ -84,13 +85,14 @@ class Controller:
         if task.id in self._tasks:
             raise ControllerError(f"{task.id} already preloaded")
         endpoints = task.endpoints()
-        ping_list = PingList.basic(endpoints, self._rail_of(task))
+        with open_span(self.recorder, "controller.preload"):
+            ping_list = PingList.basic(endpoints, self._rail_of(task))
         self._tasks[task.id] = _TaskState(task=task, ping_list=ping_list)
         if self.recorder is not None:
             self.recorder.count("tasks.preloaded")
             self.recorder.event(
                 "controller.preload", task=str(task.id),
-                endpoints=len(endpoints), pairs=len(ping_list.pairs),
+                endpoints=len(endpoints), pairs=len(ping_list),
             )
         return ping_list
 
@@ -198,15 +200,17 @@ class Controller:
         RNIC is no reason to stop probing it.
         """
         state = self._state(task_id)
-        before = len(state.ping_list.pairs)
-        edges = skeleton.edges
-        if skeleton.quarantined:
-            unplaced = set(skeleton.quarantined)
-            edges = set(skeleton.edges)
-            for pair in state.ping_list.pairs:
-                if pair.src in unplaced or pair.dst in unplaced:
-                    edges.add(frozenset((pair.src, pair.dst)))
-        optimized = state.ping_list.restrict_to(edges)
+        before = len(state.ping_list)
+        with open_span(self.recorder, "controller.apply_skeleton"):
+            edges = skeleton.edges
+            if skeleton.quarantined:
+                edges = edges | {
+                    frozenset((pair.src, pair.dst))
+                    for pair in state.ping_list.pairs_touching(
+                        skeleton.quarantined
+                    )
+                }
+            optimized = state.ping_list.restrict_to(edges)
         state.ping_list = optimized
         state.skeleton = skeleton
         for agent in state.agents.values():
@@ -215,7 +219,7 @@ class Controller:
             self.recorder.count("skeletons.applied")
             self.recorder.event(
                 "controller.skeleton_applied", task=str(task_id),
-                pairs_before=before, pairs_after=len(optimized.pairs),
+                pairs_before=before, pairs_after=len(optimized),
             )
         return optimized
 

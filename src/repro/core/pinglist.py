@@ -17,7 +17,9 @@ SkeletonHunter builds its probing matrix in three phases:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from math import comb
 from typing import AbstractSet, Callable, Dict, FrozenSet, Iterable, List, Set
 
 from repro.cluster.identifiers import ContainerId, EndpointId
@@ -83,8 +85,15 @@ class PingList:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def __post_init__(self) -> None:
-        self.pairs = frozenset(self.pairs)
+    #: The preload list is kept as its rails (rail -> endpoints and
+    #: container -> {endpoint: rail}, in endpoint order), answers from
+    #: them, and builds ``pairs`` only for a reader of the whole set.
+    _rails: Dict[int, List[EndpointId]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _rail_of: Dict[ContainerId, Dict[EndpointId, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # Construction
@@ -109,18 +118,15 @@ class PingList:
         rail_of: Callable[[EndpointId], int],
     ) -> "PingList":
         """The preload list: cross-container pairs on the same rail."""
-        by_rail: Dict[int, List[EndpointId]] = {}
-        for endpoint in sorted(endpoints):
-            by_rail.setdefault(rail_of(endpoint), []).append(endpoint)
-        pairs: Set[ProbePair] = set()
-        for rail_endpoints in by_rail.values():
-            n = len(rail_endpoints)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    a, b = rail_endpoints[i], rail_endpoints[j]
-                    if a.container != b.container:
-                        pairs.add(ProbePair(a, b))
-        return cls(pairs=pairs, phase=PingListPhase.BASIC)
+        ping_list = cls(phase=PingListPhase.BASIC)
+        for endpoint in sorted(set(endpoints)):
+            rail = rail_of(endpoint)
+            ping_list._rails.setdefault(rail, []).append(endpoint)
+            ping_list._rail_of.setdefault(
+                endpoint.container, {}
+            )[endpoint] = rail
+        del ping_list.__dict__["pairs"]  # built from the rails if read
+        return ping_list
 
     @classmethod
     def from_edges(
@@ -140,8 +146,46 @@ class PingList:
     # Queries
     # ------------------------------------------------------------------
 
+    def _peers(self, endpoint: EndpointId) -> List[EndpointId]:
+        """Whom the rails pair ``endpoint`` with, sorted."""
+        rail = self._rail_of.get(endpoint.container, {}).get(endpoint)
+        return [] if rail is None else [
+            peer for peer in self._rails[rail]
+            if peer.container != endpoint.container
+        ]
+
+    def _row(self, container: ContainerId) -> List[ProbePair]:
+        """The rails' pairs with a source in ``container``, sorted."""
+        return [
+            ProbePair(src, dst)
+            for src in self._rail_of.get(container, ())
+            for dst in self._peers(src) if src < dst
+        ]
+
     def __len__(self) -> int:
-        return len(self.pairs)
+        if not self._rails:
+            return len(self.pairs)
+        # Per rail: every endpoint pair, less those inside one container.
+        return sum(
+            comb(len(rail), 2) - sum(
+                comb(count, 2)
+                for count in Counter(e.container for e in rail).values()
+            )
+            for rail in self._rails.values()
+        )
+
+    def __contains__(self, pair: ProbePair) -> bool:
+        if not self._rails:
+            return pair in self.pairs
+        slots = self._rail_of.get(pair.src.container, {})
+        return (
+            pair.src in slots
+            and pair.src < pair.dst
+            and pair.src.container != pair.dst.container
+            and slots[pair.src] == self._rail_of.get(
+                pair.dst.container, {}
+            ).get(pair.dst)
+        )
 
     def restrict_to(
         self, edges: Iterable[FrozenSet[EndpointId]]
@@ -151,9 +195,26 @@ class PingList:
             ProbePair.canonical(*sorted(edge)) for edge in edges
         }
         return PingList(
-            pairs=self.pairs & wanted, phase=PingListPhase.SKELETON,
+            pairs={pair for pair in wanted if pair in self},
+            phase=PingListPhase.SKELETON,
             _registered=set(self._registered),
         )
+
+    def pairs_touching(
+        self, endpoints: Iterable[EndpointId]
+    ) -> Set[ProbePair]:
+        """Every pair with a side in ``endpoints``; the preload list
+        walks only those endpoints' rails."""
+        wanted = set(endpoints)
+        if not self._rails:
+            return {
+                pair for pair in self.pairs
+                if pair.src in wanted or pair.dst in wanted
+            }
+        return {
+            ProbePair.canonical(endpoint, peer)
+            for endpoint in wanted for peer in self._peers(endpoint)
+        }
 
     # ------------------------------------------------------------------
     # Incremental activation (initialization phase)
@@ -187,7 +248,9 @@ class PingList:
         order, at the cost of that container's pairs, not the list's."""
         if container not in self._registered:
             return []
-        if not self._by_source:
+        if self._rails and container not in self._by_source:
+            self._by_source[container] = self._row(container)
+        elif not self._by_source:
             for pair in sorted(self.pairs):
                 self._by_source.setdefault(
                     pair.src.container, []
@@ -202,3 +265,20 @@ class PingList:
         if not self.pairs:
             return 0.0
         return sum(map(self.is_active, self.pairs)) / len(self.pairs)
+
+
+def _read_pairs(self: PingList) -> FrozenSet[ProbePair]:
+    if "pairs" not in self.__dict__:
+        self.pairs = {p for c in self._rail_of for p in self._row(c)}
+    return self.__dict__["pairs"]
+
+
+def _freeze_pairs(self: PingList, pairs: AbstractSet[ProbePair]) -> None:
+    self.__dict__["pairs"] = frozenset(pairs)
+
+
+# A property under the dataclass field: ``pairs`` stays a constructor
+# argument, compared by ``==`` and carried by ``dataclasses.replace``.
+PingList.pairs = property(  # type: ignore[assignment]
+    _read_pairs, _freeze_pairs
+)

@@ -32,6 +32,7 @@ from repro.analysis.clustering import (
 )
 from repro.analysis.stft import StftConfig, feature_matrix
 from repro.cluster.identifiers import EndpointId
+from repro.obs.span import open_span
 
 __all__ = [
     "InferredSkeleton",
@@ -155,7 +156,8 @@ class SkeletonInference:
         (a :class:`ValueError`) when fewer than two usable endpoints
         remain — never a crash deeper in the pipeline.
         """
-        usable, quarantined = self._sanitize_series(series_by_endpoint)
+        with open_span(self.recorder, "skeleton.sanitize"):
+            usable, quarantined = self._sanitize_series(series_by_endpoint)
         if quarantined and self.recorder is not None:
             self.recorder.count(
                 "skeleton.quarantined", amount=float(len(quarantined))
@@ -171,22 +173,30 @@ class SkeletonInference:
                 f"({len(quarantined)} quarantined as incomplete)"
             )
         series = [usable[e] for e in endpoints]
-        features = feature_matrix(series, self.stft_config)
+        with open_span(self.recorder, "skeleton.features"):
+            features = feature_matrix(series, self.stft_config)
         hosts = [host_of(e) for e in endpoints]
 
-        grouping = constrained_position_groups(features, hosts)
+        with open_span(self.recorder, "skeleton.cluster") as span:
+            grouping = constrained_position_groups(
+                features, hosts, recorder=self.recorder
+            )
+            span.set(groups=grouping.num_groups)
         groups = self._materialize_groups(endpoints, grouping)
-        profiles = [
-            self._folded_profile(group, usable)
-            for group in groups
-        ]
-        stage_of_group = self._partition_stages(
-            [self._onset_bin(profile) for profile in profiles]
-        )
-        topology = self.group_topology
-        if topology == "auto":
-            topology = self._detect_group_topology(profiles)
-        edges = self._build_edges(groups, stage_of_group, topology)
+        with open_span(self.recorder, "skeleton.stages"):
+            profiles = [
+                self._folded_profile(group, usable)
+                for group in groups
+            ]
+            stage_of_group = self._partition_stages(
+                [self._onset_bin(profile) for profile in profiles]
+            )
+            topology = self.group_topology
+            if topology == "auto":
+                topology = self._detect_group_topology(profiles)
+        with open_span(self.recorder, "skeleton.edges") as span:
+            edges = self._build_edges(groups, stage_of_group, topology)
+            span.set(edges=len(edges))
         return InferredSkeleton(
             endpoints=endpoints,
             groups=groups,

@@ -11,10 +11,11 @@ inside a probe-round span knows its parent.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, ContextManager, Dict, Optional
 
-__all__ = ["NULL_SPAN", "NullSpan", "Span"]
+__all__ = ["NULL_SPAN", "NullSpan", "Span", "open_span"]
 
 
 @dataclass
@@ -93,3 +94,11 @@ class NullSpan:
 
 
 NULL_SPAN = NullSpan()
+
+
+def open_span(recorder, name: str, **attrs: Any) -> ContextManager[Any]:
+    """``recorder.span(name, **attrs)``, or the null span when the
+    component has no recorder."""
+    if recorder is None:
+        return nullcontext(NULL_SPAN)
+    return recorder.span(name, **attrs)

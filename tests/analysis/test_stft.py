@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import signal as sp_signal
 
 from repro.analysis.stft import (
     StftConfig,
@@ -63,6 +64,85 @@ class TestFeatureMatrix:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             feature_matrix([])
+
+
+def one_series_at_a_time(series, config):
+    """``stft_feature`` as it was before the batched transform (commit
+    87213bb): one ``scipy.signal.stft`` call and one norm per series."""
+    _, _, zxx = sp_signal.stft(
+        np.asarray(series, dtype=np.float64),
+        fs=config.sample_rate_hz,
+        nperseg=config.nperseg,
+        noverlap=config.noverlap,
+        padded=False,
+        boundary=None,
+    )
+    mag = np.abs(zxx)[1:, :]
+    if config.log_compress:
+        mag = np.log1p(mag)
+    flat = mag.ravel()
+    norm = np.linalg.norm(flat)
+    if norm == 0:
+        return flat
+    return flat / norm
+
+
+class TestBatchedFeatureMatrix:
+    """One STFT over the (rnics, samples) matrix gives, bit for bit, the
+    rows the per-series loop gave."""
+
+    @staticmethod
+    def series(n=600, rows=12):
+        rng = np.random.default_rng(5)
+        return [
+            tone(0.05 + 0.03 * i, n=n) + rng.normal(0.0, 0.3, n)
+            for i in range(rows)
+        ]
+
+    @pytest.mark.parametrize("log_compress", [True, False])
+    def test_equals_stacked_single_features(self, log_compress):
+        config = StftConfig(log_compress=log_compress)
+        series = self.series()
+        series[3] = np.zeros(600)  # zero norm: the row stays all-zero
+        matrix = feature_matrix(series, config)
+        stacked = np.vstack([stft_feature(s, config) for s in series])
+        assert np.array_equal(matrix, stacked)
+        assert np.array_equal(matrix, np.vstack([
+            one_series_at_a_time(s, config) for s in series
+        ]))
+        assert not matrix[3].any()
+        assert np.allclose(
+            np.linalg.norm(np.delete(matrix, 3, axis=0), axis=1), 1.0
+        )
+
+    def test_default_config_and_lists_of_floats(self):
+        series = [list(s) for s in self.series(rows=3)]
+        assert np.array_equal(
+            feature_matrix(series),
+            np.vstack([stft_feature(s) for s in series]),
+        )
+
+    def test_ragged_lengths_with_equal_feature_size_fall_back(self):
+        # 600 and 605 samples both cut into 17 frames of 64/32.
+        series = self.series(rows=4) + self.series(n=605, rows=2)
+        matrix = feature_matrix(series)
+        assert matrix.shape[0] == 6
+        assert np.array_equal(
+            matrix, np.vstack([stft_feature(s) for s in series])
+        )
+
+    def test_too_short_series_raise_the_single_series_error(self):
+        short = [np.ones(10), np.ones(10)]
+        with pytest.raises(ValueError) as single:
+            stft_feature(short[0])
+        with pytest.raises(ValueError) as batched:
+            feature_matrix(short)
+        assert str(batched.value) == str(single.value)
+        assert "shorter than one STFT window (64)" in str(batched.value)
+
+    def test_two_dimensional_rows_rejected(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            feature_matrix([np.ones((2, 600)), np.ones((2, 600))])
 
 
 class TestDominantFrequency:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.fidelity import FidelityChecker
-from repro.core.pinglist import PingListPhase
+from repro.core.pinglist import PingList, PingListPhase, ProbePair
 from repro.workloads.scenarios import build_scenario
 
 
@@ -146,3 +146,46 @@ class TestPeriodicity:
     def test_short_series_scores_zero(self):
         checker = FidelityChecker()
         assert checker._periodicity(np.ones(30)) == 0.0
+
+    def test_round_after_demotion_probes_what_the_pair_set_did(
+        self, scenario
+    ):
+        """The demoted list is rails, not pairs; one round over it must
+        hand the fabric the batch the materialised list handed it —
+        same pairs, same order — without building the whole set."""
+        scenario.apply_skeleton()
+        controller = scenario.hunter.controller
+        task = scenario.task
+        FidelityChecker().enforce(
+            controller, task.id, flat_series(scenario)
+        )
+        demoted = controller.ping_list_of(task.id)
+
+        def rail(endpoint):
+            return task.containers[endpoint.container].rail_of(endpoint)
+
+        endpoints = task.endpoints()
+        before_rails = PingList(pairs={
+            ProbePair(a, b)
+            for a in endpoints for b in endpoints
+            if a < b and a.container != b.container and rail(a) == rail(b)
+        })
+        for container in task.running_containers():
+            before_rails.register(container.id)
+        want = [
+            pair
+            for agent in controller.agents_of(task.id)
+            for pair in before_rails.active_pairs_from(agent.container.id)
+        ]
+        batches = []
+        send = scenario.fabric.send_probe_batch
+
+        def tapped(pairs, at, salt=0):
+            batches.append(list(pairs))
+            return send(pairs, at, salt)
+
+        scenario.fabric.send_probe_batch = tapped
+        scenario.run_for(scenario.hunter.probe_interval_s)
+        assert batches and all(batch == want for batch in batches)
+        assert len(want) == len(demoted) == len(before_rails)
+        assert "pairs" not in vars(demoted)

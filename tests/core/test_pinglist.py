@@ -207,3 +207,133 @@ class TestFrozenPairs:
         derived = basic.restrict_to(edges)
         derived.register(ContainerId(TaskId(0), 1))
         assert derived.active_pairs() and not basic.active_pairs()
+
+
+def slot_mod_rail(endpoint):
+    return endpoint.slot % 2  # two slots of a container share a rail
+
+
+def twin_lists(num_containers=4, slots=4, rail=rail_of):
+    """The preload list as its rails, and the same pairs handed to the
+    constructor (answers come from the set, as before the rails)."""
+    structural = PingList.basic(make_endpoints(num_containers, slots), rail)
+    materialised = PingList(
+        pairs=PingList.basic(
+            make_endpoints(num_containers, slots), rail
+        ).pairs,
+        phase=PingListPhase.BASIC,
+    )
+    return structural, materialised
+
+
+class TestRailStructure:
+    """``PingList.basic`` keeps rails, not pairs; every answer must be
+    the one the materialised pair set gives."""
+
+    @pytest.mark.parametrize("rail", [rail_of, slot_mod_rail])
+    def test_agrees_with_the_materialised_list(self, rail):
+        structural, materialised = twin_lists(rail=rail)
+        assert "pairs" not in vars(structural)  # nothing built yet
+        brute = {
+            ProbePair(a, b)
+            for a in make_endpoints(4, 4) for b in make_endpoints(4, 4)
+            if a < b and a.container != b.container and rail(a) == rail(b)
+        }
+        assert len(structural) == len(materialised) == len(brute)
+        probes = brute | {
+            ProbePair(ep(0, 0), ep(1, 1)),   # cross-rail
+            ProbePair(ep(1, 0), ep(0, 0)),   # not canonical
+            ProbePair(ep(0, 0), ep(0, 2)),   # same container
+            ProbePair(ep(0, 0), ep(9, 0)),   # unknown endpoint
+            ProbePair(ep(9, 0), ep(9, 1)),
+        }
+        for pair in probes:
+            assert (pair in structural) == (pair in materialised) == (
+                pair in brute
+            ), pair
+        edges = [frozenset((p.src, p.dst)) for p in sorted(probes)[::3]]
+        touched = [ep(0, 1), ep(2, 0), ep(9, 0)]
+        containers = [ContainerId(TaskId(0), rank) for rank in range(5)]
+        steps = [("register", c) for c in containers[:3]] + [
+            ("deregister", containers[1]), ("register", containers[3]),
+        ]
+        for action, container in [("none", None)] + steps:
+            for ping_list in (structural, materialised):
+                if action != "none":
+                    getattr(ping_list, action)(container)
+            assert structural.restrict_to(edges) == (
+                materialised.restrict_to(edges)
+            )
+            for source in containers:
+                assert structural.active_pairs_from(source) == (
+                    materialised.active_pairs_from(source)
+                ), (action, source)
+            assert structural.pairs_touching(touched) == (
+                materialised.pairs_touching(touched)
+            )
+            assert "pairs" not in vars(structural)
+            # The whole-set readers build the pairs once, and agree.
+            twin = PingList.basic(make_endpoints(4, 4), rail)
+            for c in sorted(structural._registered):
+                twin.register(c)
+            assert twin.activation_ratio() == (
+                materialised.activation_ratio()
+            )
+            assert twin.active_pairs() == materialised.active_pairs()
+            assert twin == materialised
+        assert structural.pairs == materialised.pairs == brute
+        assert structural == materialised
+        assert len(structural) == len(brute)
+
+    def test_pairs_touching_is_the_scan_it_replaces(self):
+        structural, materialised = twin_lists(5, 3)
+        for touched in ([], [ep(4, 2)], [ep(0, 0), ep(1, 0), ep(1, 1)]):
+            want = {
+                pair for pair in materialised.pairs
+                if pair.src in touched or pair.dst in touched
+            }
+            assert structural.pairs_touching(touched) == want
+            assert materialised.pairs_touching(iter(touched)) == want
+
+    def test_duplicate_endpoints_count_once(self):
+        endpoints = make_endpoints(3, 2)
+        once = PingList.basic(endpoints, rail_of)
+        twice = PingList.basic(endpoints + endpoints[::2], rail_of)
+        assert len(twice) == len(once) == len(once.pairs)
+        assert twice.pairs == once.pairs
+
+    def test_survives_dataclasses_replace(self):
+        structural, materialised = twin_lists()
+        structural.register(ContainerId(TaskId(0), 0))
+        structural.register(ContainerId(TaskId(0), 2))
+        relabelled = replace(structural, phase="shard")
+        assert relabelled.pairs == materialised.pairs
+        assert relabelled.phase == "shard"
+        kept = sorted(materialised.pairs)[::2]
+        narrowed = replace(structural, pairs=kept)
+        assert narrowed.pairs == frozenset(kept)
+        assert len(narrowed) == len(kept)
+        assert kept[1] in narrowed and sorted(
+            materialised.pairs
+        )[1] not in narrowed
+        assert by_source(narrowed, 4) == narrowed.active_pairs()
+
+    def test_rows_are_built_per_container_not_per_list(self, monkeypatch):
+        built = []
+        init = ProbePair.__init__
+
+        def counted(self, src, dst):
+            built.append(src.container)
+            init(self, src, dst)
+
+        monkeypatch.setattr(ProbePair, "__init__", counted)
+        structural, _ = twin_lists(6, 2)
+        built.clear()
+        for rank in range(6):
+            structural.register(ContainerId(TaskId(0), rank))
+        source = ContainerId(TaskId(0), 4)
+        row = structural.active_pairs_from(source)
+        assert len(row) == 2 and len(built) == 2
+        assert set(built) == {source}
+        assert structural.active_pairs_from(source) == row
+        assert len(built) == 2  # the row is kept, not rebuilt
