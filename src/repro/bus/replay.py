@@ -13,8 +13,8 @@ healthy-pair sets.  Every ``round.summary`` record triggers the same
 flush + localize the live hunter ran, so the replayed verdict stream
 is comparable element by element with the recorded one.
 
-:func:`verify_replay_equivalence` is the hard gate, one of the five
-callers of :func:`repro.equivalence.compare`: any verdict or event
+:func:`verify_replay_equivalence` is the hard gate, one of the four
+gates built on :func:`repro.equivalence.compare`: any verdict or event
 drift raises :class:`~repro.equivalence.EquivalenceError`.
 """
 

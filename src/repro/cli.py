@@ -27,8 +27,9 @@ catalogued issue — the 19 Table-1 types plus the gray-failure families.
 ``stats`` prints the production-statistics summaries behind the paper's
 motivation figures.
 
-The last four commands run a monitored scenario with observability
-enabled and surface the run from the operator's side (§6 dashboards):
+``report``, ``status``, ``trace`` and ``export-metrics`` run a
+monitored scenario with observability enabled and surface the run from
+the operator's side (§6 dashboards):
 ``report`` prints the incident timeline, ``status`` the run-wide
 counters and pipeline timings, ``trace`` the JSONL event/span trace
 (``--explain`` renders the evidence chain behind every diagnosis), and
@@ -696,6 +697,18 @@ def _shard_spec(args: argparse.Namespace, num_faults: int):
     )
 
 
+def _print_reassignments(moves, worker: str, describe) -> None:
+    """The failover list both status commands print; ``describe``
+    words a move's units."""
+    print(f"reassignments: {len(moves)}")
+    for move in moves:
+        print(
+            f"  chunk {move.chunk} (after round {move.round_index}): "
+            f"{worker} {move.from_worker} -> {worker} {move.to_worker}, "
+            f"{describe(move.units)}"
+        )
+
+
 def _render_shard_table(result) -> List[str]:
     """The per-shard status rows shared by ``run`` and
     ``shard-status``."""
@@ -707,10 +720,10 @@ def _render_shard_table(result) -> List[str]:
     for shard_id in sorted(result.statuses):
         status = result.statuses[shard_id]
         lines.append(
-            f"  {status.shard_id:>5} {status.token:>8} "
-            f"{status.pair_count:>6} {status.agent_count:>6} "
+            f"  {status.worker_id:>5} {status.token:>8} "
+            f"{len(status.units):>6} {status.agent_count:>6} "
             f"{status.chunks_completed:>6} {status.last_round:>5} "
-            f"{status.last_sim_time:>9.1f}s {status.adopted_pairs:>7} "
+            f"{status.last_sim_time:>9.1f}s {status.adopted:>7} "
             f"{'alive' if status.alive else 'dead'}"
         )
     return lines
@@ -776,13 +789,10 @@ def _run_shard_status(args: argparse.Namespace) -> int:
     )
     for line in _render_shard_table(result):
         print(line)
-    print(f"reassignments: {len(result.reassignments)}")
-    for move in result.reassignments:
-        print(
-            f"  chunk {move.chunk} (round {move.round_index}): "
-            f"shard {move.from_shard} -> shard {move.to_shard}, "
-            f"{move.pair_count} pairs"
-        )
+    _print_reassignments(
+        result.reassignments, "shard",
+        lambda pairs: f"{len(pairs)} pairs",
+    )
     print("plane counters:")
     counters = result.metrics.counters()
     for name in ("shard.heartbeats", "shard.deaths",
@@ -880,7 +890,7 @@ def _run_fleet_status(args: argparse.Namespace) -> int:
     if kill is None:
         kill = 0 if args.workers > 1 else -1
     kill_schedule = (
-        {1: kill} if 0 <= kill < args.workers else None
+        {kill: 2} if 0 <= kill < args.workers else None
     )
     spec = _fleet_spec(args)
     coordinator = FleetCoordinator(
@@ -898,21 +908,16 @@ def _run_fleet_status(args: argparse.Namespace) -> int:
         status = coordinator.statuses[worker_id]
         fabric = coordinator.workers[worker_id].replica.fabric
         print(
-            f"  {status.worker_id:>6} {len(status.tenants):>7} "
-            f"{status.chunks_completed:>6} "
-            f"{status.rounds_completed:>5} "
-            f"{status.adopted_tenants:>7} "
+            f"  {status.worker_id:>6} {len(status.units):>7} "
+            f"{status.chunks_completed:>6} {status.last_round:>5} "
+            f"{status.adopted:>7} "
             f"{fabric.resolution_cache.hit_ratio:>9.3f} "
             f"{'alive' if status.alive else 'dead'}"
         )
-    print(f"reassignments: {len(result.reassignments)}")
-    for move in result.reassignments:
-        print(
-            f"  chunk {move.chunk} (after round {move.round_index}): "
-            f"worker {move.from_worker} -> worker {move.to_worker}, "
-            f"{len(move.tenants)} tenant(s): "
-            f"{', '.join(move.tenants)}"
-        )
+    _print_reassignments(
+        result.reassignments, "worker",
+        lambda names: f"{len(names)} tenant(s): {', '.join(names)}",
+    )
     if result.rollups:
         last = result.rollups[-1]
         print(

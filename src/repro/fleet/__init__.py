@@ -26,11 +26,7 @@ from repro.fleet.lifecycle import (
     demand_table,
     plan_lifecycle,
 )
-from repro.fleet.runtime import (
-    FleetReplica,
-    build_fleet_chaos,
-    build_fleet_replica,
-)
+from repro.fleet.runtime import FleetReplica, build_fleet_replica
 from repro.fleet.spec import (
     FleetSpec,
     TenantSpec,
@@ -52,7 +48,6 @@ __all__ = [
     "TenantDemand",
     "TenantRuntime",
     "TenantSpec",
-    "build_fleet_chaos",
     "build_fleet_replica",
     "demand_table",
     "plan_lifecycle",

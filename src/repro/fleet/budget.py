@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.pinglist import ProbePair
 
@@ -85,13 +85,6 @@ class BudgetAllocation:
     def total_granted(self) -> int:
         """Sum of all quotas (never exceeds ``budget``)."""
         return sum(quota for _, _, _, quota in self.grants)
-
-    def coverage_of(self, name: str) -> float:
-        """Granted fraction of the tenant's demand (1.0 if demandless)."""
-        for grant_name, demand, _, quota in self.grants:
-            if grant_name == name:
-                return 1.0 if demand == 0 else quota / demand
-        raise KeyError(f"tenant {name!r} has no grant this round")
 
 
 class ProbeBudgetScheduler:
@@ -230,24 +223,3 @@ class ProbeBudgetScheduler:
             return list(pairs[start:end])
         # Wrapped: the head of the universe sorts before its tail.
         return list(pairs[:end - n]) + list(pairs[start:])
-
-    # ------------------------------------------------------------------
-    # Reporting helpers
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def utilization(allocation: BudgetAllocation) -> float:
-        """Granted fraction of the round budget."""
-        if allocation.budget <= 0:
-            return 0.0
-        return allocation.total_granted / allocation.budget
-
-    @staticmethod
-    def coverage_table(
-        allocation: BudgetAllocation,
-    ) -> Mapping[str, float]:
-        """Per-tenant granted coverage fraction, name-sorted."""
-        return {
-            name: (1.0 if demand == 0 else quota / demand)
-            for name, demand, _, quota in allocation.grants
-        }

@@ -39,7 +39,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.analyzer import Analyzer
 from repro.core.handling import Blacklist, FailureHandler
-from repro.core.localization import Localizer, healthy_pairs_for
+from repro.core.localization import Localizer
 from repro.core.pinglist import ProbePair
 from repro.core.probing import ResilientProber
 from repro.core.resilience import CircuitBreaker, RetryPolicy
@@ -53,15 +53,14 @@ from repro.fleet.lifecycle import (
     demand_table,
     plan_lifecycle,
 )
-from repro.fleet.runtime import (
-    FleetReplica,
-    build_fleet_chaos,
-    build_fleet_replica,
-)
+from repro.fleet.runtime import FleetReplica, build_fleet_replica
 from repro.fleet.spec import FleetSpec, tenant_pairs
-from repro.cluster.topology import UnderlayPath
-from repro.shard.monitor import EventRecord
-from repro.shard.spec import FaultScheduleRunner
+from repro.shard.monitor import (
+    EventRecord,
+    collect_fresh_records,
+    localize_records,
+)
+from repro.shard.spec import FaultScheduleRunner, build_monitor_chaos
 
 __all__ = [
     "FleetChunkResult",
@@ -140,8 +139,6 @@ class FleetChunkResult:
     end_round: int
     sim_time: float
     tenant_names: Tuple[str, ...]
-    probes_sent: int
-    probes_lost: int
     #: Fresh failure events this chunk: ``(tenant, record)`` rows.
     events: Tuple[Tuple[str, EventRecord], ...]
     #: Fresh verdict batches this chunk.
@@ -158,13 +155,9 @@ class FleetController:
         spec: FleetSpec,
         monitor_tenants: Optional[Iterable[str]] = None,
         worker_id: int = 0,
-        recorder=None,
-        bus=None,
     ) -> None:
         self.spec = spec
         self.worker_id = worker_id
-        self.recorder = recorder
-        self.bus = bus
         self.plan: FleetLifecyclePlan = plan_lifecycle(spec)
         self.demands: Dict[str, TenantDemand] = demand_table(spec)
         self.scheduler = ProbeBudgetScheduler(
@@ -195,7 +188,11 @@ class FleetController:
         self.faults = FaultScheduleRunner(
             self.replica.injector, self.spec, self.replica.container_of
         )
-        self.chaos = build_fleet_chaos(self.spec)
+        # A FleetSpec carries the seed / monitor_faults / round_time
+        # surface the shard plane's pinned-id builder reads; pinning
+        # each fault id to its spec index keeps chaos draws
+        # byte-identical across rebuilt replicas.
+        self.chaos = build_monitor_chaos(self.spec)
         self._retry = (
             RetryPolicy(seed=self.spec.seed)
             if self.chaos is not None else None
@@ -250,8 +247,6 @@ class FleetController:
                 f"fleet worker {self.worker_id} is at round "
                 f"{self.rounds_completed}, cannot start at {start_round}"
             )
-        sent0 = sum(rt.probes_sent for rt in self.tenants.values())
-        lost0 = sum(rt.probes_lost for rt in self.tenants.values())
         for round_index in range(start_round, end_round + 1):
             self._run_round(round_index)
         result = FleetChunkResult(
@@ -260,12 +255,6 @@ class FleetController:
             end_round=end_round,
             sim_time=self.spec.round_time(end_round),
             tenant_names=tuple(self.monitor_tenants),
-            probes_sent=sum(
-                rt.probes_sent for rt in self.tenants.values()
-            ) - sent0,
-            probes_lost=sum(
-                rt.probes_lost for rt in self.tenants.values()
-            ) - lost0,
             events=tuple(self._chunk_events),
             verdicts=tuple(self._chunk_verdicts),
             rollups=tuple(self._chunk_rollups),
@@ -307,8 +296,7 @@ class FleetController:
                     runtime.min_coverage, quota / demand
                 )
             lost = self._probe_tenant(runtime, quota, round_index, at)
-            fresh = self._collect_events(runtime)
-            self._localize(runtime, fresh)
+            self._diagnose(runtime)
             tenant_rows.append((
                 name, demand, floor, quota, lost,
                 len(runtime.analyzer.open_events()),
@@ -324,7 +312,6 @@ class FleetController:
         )
         self.rollups.append(rollup)
         self._chunk_rollups.append(rollup)
-        self._publish(rollup)
         self.rounds_completed = round_index
 
     def _probe_tenant(
@@ -358,108 +345,27 @@ class FleetController:
         runtime.probes_lost += lost
         return lost
 
-    def _collect_events(
-        self, runtime: TenantRuntime
-    ) -> List[EventRecord]:
-        fresh = sorted(
-            (
-                event for event in runtime.analyzer.events
-                if event.key not in runtime._reported
-            ),
-            key=lambda event: (event.first_detected_at, event.pair),
-        )
-        records: List[EventRecord] = []
-        for event in fresh:
-            runtime._reported.add(event.key)
-            path = self.replica.fabric.traceroute(
-                event.pair.src, event.pair.dst
-            )
-            record = EventRecord(
-                src=event.pair.src,
-                dst=event.pair.dst,
-                first_detected_at=event.first_detected_at,
-                symptom=event.symptom.name,
-                path_devices=(
-                    path.devices if path is not None else None
-                ),
-            )
-            records.append(record)
-            runtime.events.append((runtime.name, record))
-            self._chunk_events.append((runtime.name, record))
-        return records
-
-    def _localize(
-        self, runtime: TenantRuntime, fresh: List[EventRecord]
-    ) -> None:
-        """Diagnose the tenant's fresh events, batch per detection time.
+    def _diagnose(self, runtime: TenantRuntime) -> None:
+        """Report the tenant's fresh events and localize them.
 
         Only tenant-local inputs feed the localizer — its own events,
         its own healthy pairs — so the verdict stream is identical no
         matter which worker computes it, and one tenant's incidents
         can never enter another tenant's vote tables.
         """
-        if not fresh:
-            return
-        groups: Dict[float, List[EventRecord]] = {}
+        fresh = collect_fresh_records(
+            runtime.analyzer, runtime._reported, self.replica.fabric
+        )
         for record in fresh:
-            groups.setdefault(record.first_detected_at, []).append(
-                record
-            )
-        for at in sorted(groups):
-            records = sorted(groups[at], key=lambda r: r.pair)
-            events = [r.to_failure_event() for r in records]
-            paths = {
-                record.pair: UnderlayPath.through(record.path_devices)
-                for record in records
-                if record.path_devices is not None
-            }
-            healthy = healthy_pairs_for(events, runtime.pairs)
-            report = runtime.localizer.localize(
-                events, healthy, now=at, paths=paths
-            )
+            runtime.events.append((runtime.name, record))
+            self._chunk_events.append((runtime.name, record))
+        for at, _, report in localize_records(
+            runtime.localizer, fresh, runtime.pairs
+        ):
             runtime.handler.handle(at, report)
             row: VerdictRow = (runtime.name, at, *report.verdict_row())
             runtime.verdicts.append(row)
             self._chunk_verdicts.append(row)
-
-    def _publish(self, rollup: RoundRollup) -> None:
-        if self.recorder is not None:
-            self.recorder.event(
-                "fleet.round",
-                sim_time=rollup.sim_time,
-                round=rollup.round_index,
-                admitted=len(rollup.admitted),
-                granted=rollup.granted,
-                budget=rollup.budget,
-            )
-            self.recorder.metrics.increment("fleet.rounds")
-            self.recorder.metrics.increment(
-                "fleet.probes_granted", rollup.granted
-            )
-        if self.bus is not None:
-            from repro.bus.core import Topic
-
-            self.bus.publish(
-                Topic.FLEET,
-                sim_time=rollup.sim_time,
-                round=rollup.round_index,
-                admitted=list(rollup.admitted),
-                budget=rollup.budget,
-                granted=rollup.granted,
-                utilization=round(rollup.utilization, 6),
-                tenants=[
-                    {
-                        "name": row[0],
-                        "demand": row[1],
-                        "floor": row[2],
-                        "quota": row[3],
-                        "lost": row[4],
-                        "open_events": row[5],
-                        "blacklisted": row[6],
-                    }
-                    for row in rollup.tenant_rows
-                ],
-            )
 
     # ------------------------------------------------------------------
     # Failover adoption

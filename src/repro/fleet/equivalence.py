@@ -7,8 +7,8 @@ monitors a tenant, never what the tenant's diagnosis pipeline sees.
 run the same :class:`~repro.fleet.spec.FleetSpec` single-worker, at
 several worker counts, and once with a mid-run worker kill, then
 require every comparable surface — per-tenant events, verdicts,
-blacklists, coverage, and per-round rollups — to match exactly
-(:func:`repro.equivalence.compare`).
+blacklists, coverage, per-round rollups and probe counts — to match
+exactly (:func:`repro.equivalence.compare`).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
 def run_fleet(
     spec: FleetSpec,
     num_workers: int = 1,
-    chunk_rounds: Optional[int] = None,
     kill_schedule: Optional[Dict[int, int]] = None,
     recorder=None,
     bus=None,
@@ -37,7 +36,6 @@ def run_fleet(
     coordinator = FleetCoordinator(
         spec,
         num_workers=num_workers,
-        chunk_rounds=chunk_rounds,
         kill_schedule=kill_schedule,
         recorder=recorder,
         bus=bus,
@@ -54,7 +52,7 @@ def verify_fleet_equivalence(
 
     Checks, in order: every worker count in ``worker_counts`` produces
     byte-identical comparable results; and (with ``failover``) killing
-    worker 0 before the second chunk — forcing tenant reassignment and
+    worker 0 at the start of the second chunk — forcing tenant reassignment and
     a full replay-adoption — changes nothing either.  The default spec
     is four churning tenants (staggered arrivals, one departure, a
     crash and a report-loss window) over 12 rounds.  Returns the
@@ -71,7 +69,7 @@ def verify_fleet_equivalence(
     if failover:
         count = max(worker_counts) if worker_counts else 2
         candidate = run_fleet(
-            spec, num_workers=count, kill_schedule={1: 0}
+            spec, num_workers=count, kill_schedule={0: 2}
         )
         if not candidate.reassignments:
             raise EquivalenceError(

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.chaos.faults import MonitorFaultInjector
 from repro.cluster.container import Container
 from repro.cluster.identifiers import ContainerId
 from repro.cluster.orchestrator import (
@@ -37,15 +36,10 @@ from repro.fleet.lifecycle import (
 from repro.fleet.spec import FleetSpec
 from repro.network.fabric import DataPlaneFabric
 from repro.network.faults import FaultInjector
-from repro.shard.spec import build_monitor_chaos
 from repro.sim.engine import SimulationEngine
 from repro.sim.rng import RngRegistry
 
-__all__ = [
-    "FleetReplica",
-    "build_fleet_chaos",
-    "build_fleet_replica",
-]
+__all__ = ["FleetReplica", "build_fleet_replica"]
 
 
 @dataclass
@@ -149,15 +143,3 @@ def build_fleet_replica(spec: FleetSpec) -> FleetReplica:
         fabric=fabric,
     )
 
-
-def build_fleet_chaos(
-    spec: FleetSpec,
-) -> Optional[MonitorFaultInjector]:
-    """The fleet's monitor-plane injector; ``None`` = perfect monitor.
-
-    Delegates to the shard plane's pinned-id builder — a
-    :class:`FleetSpec` carries the same ``seed`` / ``monitor_faults`` /
-    ``round_time`` surface, and pinning each fault id to its spec index
-    is what keeps chaos draws byte-identical across rebuilt replicas.
-    """
-    return build_monitor_chaos(spec)

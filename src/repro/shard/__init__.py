@@ -17,9 +17,7 @@ from repro.shard.backend import (
 )
 from repro.shard.coordinator import (
     MergedVoteTable,
-    Reassignment,
     ShardCoordinator,
-    ShardPlaneError,
     ShardRunResult,
     ShardStatus,
 )
@@ -35,7 +33,12 @@ from repro.shard.partition import (
     TopologyPartitioner,
     cross_shard_links,
     place_tenants,
-    rebalance_tenants,
+)
+from repro.shard.plane import (
+    PlaneDriver,
+    PlaneError,
+    Reassignment,
+    WorkerStatus,
 )
 from repro.shard.spec import (
     FaultScheduleRunner,
@@ -54,23 +57,24 @@ __all__ = [
     "MergedVoteTable",
     "MultiprocessingBackend",
     "PartitionPlan",
+    "PlaneDriver",
+    "PlaneError",
     "Reassignment",
     "ShardCoordinator",
     "ShardDeadError",
     "ShardMonitor",
-    "ShardPlaneError",
     "ShardRunResult",
     "ShardScenarioSpec",
     "ShardStatus",
     "TenantPlacement",
     "TopologyPartitioner",
+    "WorkerStatus",
     "backend_named",
     "build_replica",
     "cross_shard_links",
     "default_equivalence_spec",
     "pair_universe",
     "place_tenants",
-    "rebalance_tenants",
     "run_plane",
     "verify_shard_equivalence",
 ]

@@ -4,7 +4,9 @@ Two interchangeable backends run a :class:`ShardMonitor`:
 
 * :class:`InProcessBackend` keeps every monitor in the coordinator's
   process — zero IPC, ideal for tests and for hosts where the python
-  interpreter is the bottleneck anyway; and
+  interpreter is the bottleneck anyway (:class:`InProcessHandle` wraps
+  any worker with ``run_rounds`` / ``adopt``, which is how the fleet
+  plane's controllers run under the same driver); and
 * :class:`MultiprocessingBackend` forks one worker process per shard
   and speaks a tiny command protocol over a pipe, isolating each
   shard's replica (a crash or kill of one worker never takes down the
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import traceback
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.core.pinglist import ProbePair
 from repro.shard.monitor import ChunkResult, ShardMonitor
@@ -53,13 +55,6 @@ class ShardHandle:
     def finish_chunk(self) -> ChunkResult:
         raise NotImplementedError
 
-    def run_chunk(
-        self, start_round: int, end_round: int
-    ) -> ChunkResult:
-        """Convenience: dispatch and collect in one call."""
-        self.begin_chunk(start_round, end_round)
-        return self.finish_chunk()
-
     def rebuild(
         self, pairs: Sequence[ProbePair], upto_round: int
     ) -> Optional[ChunkResult]:
@@ -80,16 +75,13 @@ class ShardHandle:
 
 
 class InProcessHandle(ShardHandle):
-    """A shard monitor living in the coordinator's process."""
+    """A worker living in the coordinator's process: a
+    :class:`ShardMonitor`, or anything else with ``run_rounds`` and
+    ``adopt``."""
 
-    def __init__(
-        self,
-        shard_id: int,
-        spec: ShardScenarioSpec,
-        pairs: Sequence[ProbePair],
-    ) -> None:
+    def __init__(self, shard_id: int, worker) -> None:
         super().__init__(shard_id)
-        self._monitor = ShardMonitor(shard_id, spec, pairs)
+        self._worker = worker
         self._pending: Optional[Tuple[int, int]] = None
 
     def begin_chunk(self, start_round: int, end_round: int) -> None:
@@ -104,14 +96,14 @@ class InProcessHandle(ShardHandle):
             raise RuntimeError("finish_chunk without begin_chunk")
         start_round, end_round = self._pending
         self._pending = None
-        return self._monitor.run_rounds(start_round, end_round)
+        return self._worker.run_rounds(start_round, end_round)
 
     def rebuild(
         self, pairs: Sequence[ProbePair], upto_round: int
     ) -> Optional[ChunkResult]:
         if not self.alive:
             raise ShardDeadError(f"shard {self.shard_id} is dead")
-        return self._monitor.adopt(pairs, upto_round)
+        return self._worker.adopt(pairs, upto_round)
 
     def kill(self) -> None:
         self.alive = False
@@ -131,7 +123,9 @@ class InProcessBackend:
         spec: ShardScenarioSpec,
         pairs: Sequence[ProbePair],
     ) -> ShardHandle:
-        return InProcessHandle(shard_id, spec, pairs)
+        return InProcessHandle(
+            shard_id, ShardMonitor(shard_id, spec, pairs)
+        )
 
 
 # ----------------------------------------------------------------------
@@ -263,14 +257,10 @@ class MultiprocessingBackend:
 
     name = "mp"
 
-    def __init__(self, start_method: Optional[str] = None) -> None:
-        if start_method is None:
-            start_method = (
-                "fork"
-                if "fork" in mp.get_all_start_methods()
-                else "spawn"
-            )
-        self._context = mp.get_context(start_method)
+    def __init__(self) -> None:
+        self._context = mp.get_context(
+            "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+        )
 
     def spawn(
         self,
@@ -290,8 +280,3 @@ def backend_named(name: str):
     if name == "mp":
         return MultiprocessingBackend()
     raise ValueError(f"unknown shard backend {name!r}")
-
-
-def available_backends() -> List[str]:
-    """Names accepted by :func:`backend_named`."""
-    return ["inproc", "mp"]

@@ -23,11 +23,26 @@ shard's identity token reported in heartbeats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.cluster.identifiers import EndpointId
+from repro.cluster.topology import UnderlayPath
 from repro.core.agent import OverlayAgent
 from repro.core.analyzer import Analyzer, FailureEvent
+from repro.core.localization import (
+    LocalizationReport,
+    Localizer,
+    healthy_pairs_for,
+)
 from repro.core.pinglist import PingList, ProbePair
 from repro.core.probing import ResilientProber, run_probe_round
 from repro.core.resilience import CircuitBreaker, RetryPolicy
@@ -40,7 +55,13 @@ from repro.shard.spec import (
 )
 from repro.sim.rng import RngRegistry, derive_seed
 
-__all__ = ["ChunkResult", "EventRecord", "ShardMonitor"]
+__all__ = [
+    "ChunkResult",
+    "EventRecord",
+    "ShardMonitor",
+    "collect_fresh_records",
+    "localize_records",
+]
 
 
 @dataclass(frozen=True)
@@ -80,6 +101,67 @@ class EventRecord:
         )
 
 
+def collect_fresh_records(
+    analyzer: Analyzer, reported: Set[Tuple[ProbePair, float]], fabric
+) -> List[EventRecord]:
+    """The analyzer's events not yet in ``reported``, as records with
+    the pair's traced underlay path, in (detection time, pair) order.
+    Marks them reported."""
+    fresh = sorted(
+        (
+            event for event in analyzer.events
+            if event.key not in reported
+        ),
+        key=lambda event: (event.first_detected_at, event.pair),
+    )
+    records = []
+    for event in fresh:
+        reported.add(event.key)
+        path = fabric.traceroute(event.pair.src, event.pair.dst)
+        records.append(EventRecord(
+            src=event.pair.src,
+            dst=event.pair.dst,
+            first_detected_at=event.first_detected_at,
+            symptom=event.symptom.name,
+            path_devices=path.devices if path is not None else None,
+        ))
+    return records
+
+
+def localize_records(
+    localizer: Localizer,
+    records: Iterable[EventRecord],
+    universe: Sequence[ProbePair],
+) -> Iterator[Tuple[float, List[EventRecord], LocalizationReport]]:
+    """Algorithm 1 over fresh records, one batch per detection time.
+
+    Yields ``(at, batch, report)`` in time order, each batch in pair
+    order, localized with the records' reported paths and every pair of
+    ``universe`` the batch does not implicate as healthy evidence —
+    what the single-process hunter feeds its localizer.  Lazy: the
+    caller acts on one report before the next batch is localized.
+    """
+    groups: Dict[float, List[EventRecord]] = {}
+    for record in sorted(
+        records, key=lambda r: (r.first_detected_at, r.pair)
+    ):
+        groups.setdefault(record.first_detected_at, []).append(record)
+    for at, batch in groups.items():
+        events = [record.to_failure_event() for record in batch]
+        paths = {
+            record.pair: UnderlayPath.through(record.path_devices)
+            for record in batch
+            if record.path_devices is not None
+        }
+        report = localizer.localize(
+            events,
+            healthy_pairs=healthy_pairs_for(events, universe),
+            now=at,
+            paths=paths,
+        )
+        yield at, batch, report
+
+
 @dataclass(frozen=True)
 class ChunkResult:
     """One shard's report for a chunk of rounds (its heartbeat)."""
@@ -89,7 +171,6 @@ class ChunkResult:
     start_round: int
     end_round: int
     sim_time: float
-    pair_count: int
     agent_count: int
     probes_sent: int
     probes_lost: int
@@ -213,37 +294,15 @@ class ShardMonitor:
             start_round=start_round,
             end_round=end_round,
             sim_time=now,
-            pair_count=len(self.pairs),
             agent_count=len(self.agents),
             probes_sent=fabric.probes_sent - sent0,
             probes_lost=fabric.probes_lost - lost0,
-            events=self._collect_fresh_events(),
+            events=tuple(collect_fresh_records(
+                self.analyzer, self._reported, fabric
+            )),
             replayed=replayed,
             breaker_states=self.breaker_snapshots(),
         )
-
-    def _collect_fresh_events(self) -> Tuple[EventRecord, ...]:
-        fresh = sorted(
-            (
-                event for event in self.analyzer.events
-                if event.key not in self._reported
-            ),
-            key=lambda event: (event.first_detected_at, event.pair),
-        )
-        records = []
-        for event in fresh:
-            self._reported.add(event.key)
-            path = self.scenario.fabric.traceroute(
-                event.pair.src, event.pair.dst
-            )
-            records.append(EventRecord(
-                src=event.pair.src,
-                dst=event.pair.dst,
-                first_detected_at=event.first_detected_at,
-                symptom=event.symptom.name,
-                path_devices=path.devices if path is not None else None,
-            ))
-        return tuple(records)
 
     # ------------------------------------------------------------------
     # Failover adoption

@@ -40,7 +40,6 @@ __all__ = [
     "TopologyPartitioner",
     "cross_shard_links",
     "place_tenants",
-    "rebalance_tenants",
 ]
 
 
@@ -203,46 +202,6 @@ def place_tenants(
         num_shards=num_shards,
         assignments=tuple(
             tuple(sorted(names)) for names in shard_names
-        ),
-        weights=tuple(sorted(weights.items())),
-    )
-
-
-def rebalance_tenants(
-    placement: TenantPlacement, weights: Dict[str, int]
-) -> TenantPlacement:
-    """Minimal-move rebalance after job churn.
-
-    Surviving tenants keep their shard (moving one means rebuilding a
-    replica and replaying every round so far — correct, but never free),
-    departed tenants simply vanish, and new tenants are placed greedily
-    against the surviving load.  Deterministic for a fixed input.
-    """
-    surviving: List[List[str]] = [
-        [name for name in names if name in weights]
-        for names in placement.assignments
-    ]
-    loads = [
-        sum(weights[name] for name in names) for names in surviving
-    ]
-    placed = {name for names in surviving for name in names}
-    arriving = sorted(
-        (
-            (name, weight) for name, weight in weights.items()
-            if name not in placed
-        ),
-        key=lambda item: (-item[1], item[0]),
-    )
-    for name, weight in arriving:
-        target = min(
-            range(placement.num_shards), key=lambda i: (loads[i], i)
-        )
-        surviving[target].append(name)
-        loads[target] += weight
-    return TenantPlacement(
-        num_shards=placement.num_shards,
-        assignments=tuple(
-            tuple(sorted(names)) for names in surviving
         ),
         weights=tuple(sorted(weights.items())),
     )

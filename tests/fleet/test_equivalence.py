@@ -59,12 +59,12 @@ class TestGate:
         pass as a failover exercise."""
         spec = small_fleet_spec()
         result = run_fleet(
-            spec, num_workers=6, kill_schedule={1: 5}  # > tenant count
+            spec, num_workers=6, kill_schedule={5: 2}  # > tenant count
         )
         assert not result.reassignments
 
     def test_gate_rejects_a_failover_leg_that_never_reassigned(self):
-        # One chunk only: the kill scheduled before chunk 1 never fires.
+        # One chunk only: the kill scheduled for chunk 2 never fires.
         spec = small_fleet_spec(total_rounds=4)
         with pytest.raises(EquivalenceError, match="reassignments"):
             verify_fleet_equivalence(spec, worker_counts=())
@@ -72,7 +72,7 @@ class TestGate:
     def test_kill_schedule_rejects_unknown_worker(self):
         with pytest.raises(ValueError, match="out of range"):
             FleetCoordinator(
-                small_fleet_spec(), num_workers=2, kill_schedule={1: 9}
+                small_fleet_spec(), num_workers=2, kill_schedule={9: 2}
             )
 
 
@@ -89,7 +89,7 @@ class TestWorkerCountInvariance:
         spec = small_fleet_spec(churn_rate=0.3)
         baseline = run_fleet(spec, num_workers=1)
         candidate = run_fleet(
-            spec, num_workers=2, kill_schedule={1: 0}
+            spec, num_workers=2, kill_schedule={0: 2}
         )
         assert candidate.reassignments
         assert candidate.comparable() == baseline.comparable()
@@ -140,15 +140,19 @@ class TestChurnProperty:
     @given(
         spec=churning_fleets(),
         num_workers=st.sampled_from([2, 3]),
+        victim=st.integers(min_value=0, max_value=2),
+        at_chunk=st.sampled_from([1, 2]),
     )
     def test_churny_fleet_is_bit_identical_across_shards_and_failover(
-        self, spec: FleetSpec, num_workers: int
+        self, spec: FleetSpec, num_workers: int, victim: int,
+        at_chunk: int,
     ):
         baseline = run_fleet(spec, num_workers=1)
         sharded = run_fleet(spec, num_workers=num_workers)
         assert sharded.comparable() == baseline.comparable()
         failed_over = run_fleet(
-            spec, num_workers=num_workers, kill_schedule={1: 0}
+            spec, num_workers=num_workers,
+            kill_schedule={victim % num_workers: at_chunk},
         )
         assert failed_over.reassignments
         assert failed_over.comparable() == baseline.comparable()

@@ -25,26 +25,43 @@ def _baseline(seed):
     return _BASELINES[seed]
 
 
+@st.composite
+def planes(draw):
+    """A shard count, a chunking, and a kill schedule: any subset of
+    the shards that leaves one survivor, each at any chunk."""
+    num_shards = draw(st.integers(min_value=2, max_value=4))
+    chunk_rounds = draw(st.integers(min_value=2, max_value=6))
+    chunks = -(-small_spec().total_rounds // chunk_rounds)
+    victims = draw(st.sets(
+        st.integers(min_value=0, max_value=num_shards - 1),
+        max_size=num_shards - 1,
+    ))
+    kill_schedule = {
+        shard_id: draw(st.integers(min_value=1, max_value=chunks))
+        for shard_id in sorted(victims)
+    }
+    return num_shards, chunk_rounds, kill_schedule
+
+
 @settings(max_examples=12, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2),
-    num_shards=st.integers(min_value=2, max_value=4),
-    chunk_rounds=st.integers(min_value=2, max_value=6),
-    killed=st.booleans(),
-)
-def test_merged_votes_equal_single_shard_table(
-    seed, num_shards, chunk_rounds, killed
-):
+@given(seed=st.integers(min_value=0, max_value=2), plane=planes())
+def test_merged_votes_equal_single_shard_table(seed, plane):
+    num_shards, chunk_rounds, kill_schedule = plane
     baseline = _baseline(seed)
-    kill_schedule = {num_shards - 1: 2} if killed else None
     candidate = run_plane(
         small_spec(seed=seed),
         num_shards,
         chunk_rounds=chunk_rounds,
         kill_schedule=kill_schedule,
     )
-    if killed:
-        assert candidate.reassignments
+    assert {
+        shard_id for shard_id, status in candidate.statuses.items()
+        if not status.alive
+    } == set(kill_schedule)
+    assert {m.from_worker for m in candidate.reassignments} == {
+        shard_id for shard_id in kill_schedule
+        if candidate.statuses[shard_id].units
+    }
     assert candidate.event_summary() == baseline.event_summary()
     assert (
         candidate.vote_table.as_dict()

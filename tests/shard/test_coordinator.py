@@ -7,8 +7,8 @@ from repro.shard import (
     InProcessBackend,
     MergedVoteTable,
     ShardCoordinator,
+    PlaneError,
     ShardDeadError,
-    ShardPlaneError,
     run_plane,
 )
 from repro.shard.backend import MultiprocessingBackend, backend_named
@@ -51,7 +51,7 @@ class TestHeartbeats:
             assert len(status.token) == 8
             int(status.token, 16)  # a hex identity token
         assert (
-            sum(s.pair_count for s in result.statuses.values())
+            sum(len(s.units) for s in result.statuses.values())
             == sum(result.plan.pair_counts())
         )
 
@@ -87,11 +87,11 @@ class TestFailover:
         assert not result.statuses[1].alive
         assert result.statuses[1].last_round < spec.total_rounds
         moves = result.reassignments
-        assert moves and all(m.from_shard == 1 for m in moves)
-        assert {m.to_shard for m in moves} <= {0, 2}
-        orphaned = sum(m.pair_count for m in moves)
+        assert moves and all(m.from_worker == 1 for m in moves)
+        assert {m.to_worker for m in moves} <= {0, 2}
+        orphaned = sum(len(m.units) for m in moves)
         adopted = sum(
-            s.adopted_pairs for s in result.statuses.values()
+            s.adopted for s in result.statuses.values()
         )
         assert orphaned == adopted > 0
         counters = result.metrics.counters()
@@ -101,14 +101,14 @@ class TestFailover:
     def test_survivors_cover_the_whole_universe(self, spec):
         result = run_plane(spec, 3, chunk_rounds=3, kill_schedule={0: 2})
         live_pairs = sum(
-            s.pair_count
+            len(s.units)
             for s in result.statuses.values()
             if s.alive
         )
         assert live_pairs == sum(result.plan.pair_counts())
 
     def test_killing_every_shard_raises(self, spec):
-        with pytest.raises(ShardPlaneError):
+        with pytest.raises(PlaneError):
             run_plane(spec, 2, chunk_rounds=3,
                       kill_schedule={0: 2, 1: 2})
 
@@ -124,10 +124,10 @@ class TestFailover:
         assert not result.statuses[0].alive
         assert not result.statuses[1].alive
         assert result.statuses[2].alive
-        assert result.statuses[2].pair_count == sum(
+        assert len(result.statuses[2].units) == sum(
             result.plan.pair_counts()
         )
-        assert {m.from_shard for m in result.reassignments} == {0, 1}
+        assert {m.from_worker for m in result.reassignments} == {0, 1}
 
     def test_dead_adopter_keeps_baseline_equivalence(self, spec):
         # The coverage guarantee: even with a mid-failover adopter
@@ -147,7 +147,7 @@ class TestFailover:
             spec, 2, backend=DyingAdopterBackend(1),
             chunk_rounds=3, kill_schedule={0: 2},
         )
-        with pytest.raises(ShardPlaneError):
+        with pytest.raises(PlaneError):
             coordinator.run()
 
     def test_failover_events_recorded(self, spec):

@@ -70,7 +70,7 @@ class TestFailoverInvariance:
             small_spec(), 4, chunk_rounds=3,
             kill_schedule={0: 2, 3: 3},
         )
-        assert len({m.from_shard for m in candidate.reassignments}) == 2
+        assert len({m.from_worker for m in candidate.reassignments}) == 2
         assert_equivalent(baseline, candidate)
 
 

@@ -8,7 +8,6 @@ from repro.shard import (
     cross_shard_links,
     pair_universe,
     place_tenants,
-    rebalance_tenants,
 )
 
 from tests.shard.conftest import small_spec
@@ -134,34 +133,3 @@ class TestTenantPlacement:
         assert placement.num_shards == 4
         assert sum(1 for names in placement.assignments if names) == 2
 
-
-class TestTenantRebalance:
-    def test_survivors_keep_their_shard(self):
-        weights = {"a": 7, "b": 6, "c": 5, "d": 4}
-        placement = place_tenants(weights, 2)
-        churned = {
-            name: weight for name, weight in weights.items()
-            if name != "b"
-        }
-        churned["e"] = 6
-        rebalanced = rebalance_tenants(placement, churned)
-        for name in ("a", "c", "d"):
-            assert rebalanced.shard_of(name) == placement.shard_of(
-                name
-            )
-        with pytest.raises(KeyError):
-            rebalanced.shard_of("b")
-
-    def test_arrivals_land_on_the_lightest_surviving_load(self):
-        placement = place_tenants({"a": 10, "b": 1}, 2)
-        light = placement.shard_of("b")
-        rebalanced = rebalance_tenants(
-            placement, {"a": 10, "b": 1, "c": 4}
-        )
-        assert rebalanced.shard_of("c") == light
-
-    def test_rebalance_preserves_shard_count(self):
-        placement = place_tenants({"a": 1, "b": 2, "c": 3}, 3)
-        rebalanced = rebalance_tenants(placement, {"a": 1})
-        assert rebalanced.num_shards == 3
-        assert rebalanced.all_tenants() == ["a"]
