@@ -34,7 +34,7 @@ from repro.cluster.orchestrator import Cluster
 from repro.core.analyzer import FailureEvent
 from repro.core.localization import Diagnosis, LocalizationReport
 from repro.core.pinglist import ProbePair
-from repro.core.tomography import PhysicalIntersection
+from repro.core.tomography import PhysicalIntersection, crossing_mass
 from repro.network.fabric import DataPlaneFabric
 from repro.network.issues import ComponentClass
 
@@ -72,19 +72,11 @@ class FlockLocalizer:
     # Inference
     # ------------------------------------------------------------------
 
-    def _crossing_mass(
-        self, pair: ProbePair
-    ) -> Dict[LinkId, float]:
+    def _crossing_mass(self, pair: ProbePair) -> Dict[LinkId, float]:
         """P(the pair's probe crosses each link), from its distribution."""
-        paths = self.fabric.path_distribution(pair.src, pair.dst)
-        if not paths:
-            return {}
-        share = 1.0 / len(paths)
-        mass: Dict[LinkId, float] = {}
-        for path in paths:
-            for link in path.links:
-                mass[link] = mass.get(link, 0.0) + share
-        return mass
+        return crossing_mass(
+            self.fabric.path_distribution(pair.src, pair.dst)
+        )
 
     def link_posteriors(
         self,

@@ -237,10 +237,7 @@ class Replayer:
     def replay(self) -> ReplayResult:
         """Apply every record; returns the comparison-ready result."""
         from repro.core.analyzer import Analyzer
-        from repro.core.localization import (
-            Localizer,
-            healthy_pairs_for,
-        )
+        from repro.core.localization import Localizer, localize_open_events
         from repro.core.pinglist import ProbePair
         from repro.network.issues import lookup_issue
 
@@ -296,20 +293,12 @@ class Replayer:
             elif topic == Topic.ROUND:
                 result.rounds += 1
                 analyzer.flush(at)
-                open_events = analyzer.open_events()
-                fresh = [
-                    event for event in open_events
-                    if event.key not in localized
-                ]
-                if not fresh:
-                    continue
-                # Mirror the live hunter: the whole open set is the
-                # localization batch (still-open incidents corroborate
-                # the vote), fresh events only gate whether to run.
-                healthy = healthy_pairs_for(open_events, active_pairs)
-                report = localizer.localize(
-                    open_events, healthy_pairs=healthy, now=at
+                fresh, report = localize_open_events(
+                    localizer, analyzer.open_events(), localized,
+                    lambda fresh: active_pairs, at,
                 )
+                if report is None:
+                    continue
                 diagnoses, unexplained = report.verdict_row()
                 result.replayed_verdicts.append(_norm({
                     "at": at,
@@ -317,7 +306,6 @@ class Replayer:
                     "unexplained": unexplained,
                 }))
                 for event in fresh:
-                    localized.add(event.key)
                     result.replayed_events.append(_norm({
                         "src": str(event.pair.src),
                         "dst": str(event.pair.dst),

@@ -359,10 +359,6 @@ class OverlayNetwork:
         """Copy of the RNIC -> underlay-IP mapping (VTEP addresses)."""
         return dict(self._underlay_ip_of_rnic)
 
-    def task_vnis(self) -> Dict[TaskId, int]:
-        """Copy of the task -> VNI assignment."""
-        return dict(self._task_vni)
-
     def health(self, component: str) -> ComponentHealth:
         """Mutable health flags for a named overlay component."""
         if component not in self._health:

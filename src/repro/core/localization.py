@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.identifiers import EndpointId, HostId, RnicId
 from repro.cluster.orchestrator import Cluster
@@ -43,6 +43,7 @@ __all__ = [
     "LocalizationReport",
     "Localizer",
     "healthy_pairs_for",
+    "localize_open_events",
 ]
 
 
@@ -60,6 +61,31 @@ def healthy_pairs_for(
     healthy evidence for the same failure set."""
     failing = {event.pair for event in events}
     return [pair for pair in all_pairs if pair not in failing]
+
+
+def localize_open_events(
+    localizer: "Localizer",
+    open_events: Sequence[FailureEvent],
+    localized: Set[Tuple[ProbePair, float]],
+    universe: Callable[[List[FailureEvent]], Sequence[ProbePair]],
+    now: float,
+) -> Tuple[List[FailureEvent], Optional["LocalizationReport"]]:
+    """One round's localization step, run by the live hunter and the
+    bus replayer alike.  Fresh events (keys not in ``localized``) only
+    gate whether to run; the batch is *every* open event: gray faults
+    trickle events in across rounds, a single-pair batch gives
+    tomography nothing to intersect, and still-open incidents are live
+    evidence that must not count as healthy exoneration mass.
+    ``universe(fresh)``, every monitored pair, is asked for only when
+    something is fresh, before the vote.  Returns ``(fresh, report)``
+    with ``fresh`` marked localized, or ``([], None)``."""
+    fresh = [e for e in open_events if e.key not in localized]
+    if not fresh:
+        return [], None
+    healthy = healthy_pairs_for(open_events, universe(fresh))
+    report = localizer.localize(open_events, healthy_pairs=healthy, now=now)
+    localized.update(event.key for event in fresh)
+    return fresh, report
 
 
 @dataclass(frozen=True)
@@ -134,14 +160,12 @@ class Localizer:
         self,
         cluster: Cluster,
         fabric: DataPlaneFabric,
-        intersection: Optional[PhysicalIntersection] = None,
         recorder=None,
         chaos=None,
-        distribution_aware: bool = True,
     ) -> None:
         self.cluster = cluster
         self.fabric = fabric
-        self.intersection = intersection or PhysicalIntersection()
+        self.intersection = PhysicalIntersection()
         self.validator = RnicValidator(
             cluster, chaos=chaos, recorder=recorder
         )
@@ -150,7 +174,7 @@ class Localizer:
         #: (mass-weighted) instead of pinned traceroutes.  Disable to
         #: measure how naive single-path tomography degrades under
         #: spraying (the bench's "naive" comparator).
-        self.distribution_aware = distribution_aware
+        self.distribution_aware = True
         self._now = 0.0     # sim time of the localize() call in flight
 
     # ------------------------------------------------------------------
@@ -363,106 +387,55 @@ class Localizer:
     ) -> List[FailureEvent]:
         if not events:
             return []
-        sprayed = self.distribution_aware and getattr(
-            self.fabric, "spraying", False
-        )
+        # Pinned traceroutes are meaningless under per-packet spraying
+        # (known_paths included — a shard's reported pick is one sample,
+        # not the flow's route): vote by mass over the full path
+        # distribution of every pair instead.
+        sprayed = self.distribution_aware and self.fabric.spraying
+
+        def routes(pair: ProbePair) -> List[UnderlayPath]:
+            if sprayed:
+                return self.fabric.path_distribution(pair.src, pair.dst)
+            path = known_paths.get(pair) if known_paths else None
+            path = path or self.fabric.traceroute(pair.src, pair.dst)
+            return [path] if path is not None else []
+
         hard = [e for e in events if e.symptom == Symptom.UNCONNECTIVITY]
         soft = [e for e in events if e.symptom != Symptom.UNCONNECTIVITY]
         explained: Set[ProbePair] = set()
-
-        if sprayed:
-            # Pinned traceroutes are meaningless under per-packet
-            # spraying (known_paths included — a shard's reported pick
-            # is one sample, not the flow's route): vote over the full
-            # path distribution of every pair instead.
-            healthy_dists = [
-                d for d in (
-                    self.fabric.path_distribution(pair.src, pair.dst)
-                    for pair in healthy_pairs
-                ) if d
-            ]
-        else:
-            healthy_paths = [
-                p for p in (
-                    self.fabric.traceroute(pair.src, pair.dst)
-                    for pair in healthy_pairs
-                ) if p is not None
-            ]
+        healthy = [d for d in map(routes, healthy_pairs) if d]
 
         for group, exonerate in ((hard, True), (soft, False)):
-            if sprayed:
-                dists: Dict[ProbePair, List[UnderlayPath]] = {}
-                for event in group:
-                    dist = self.fabric.path_distribution(
-                        event.pair.src, event.pair.dst
-                    )
-                    if dist:
-                        dists[event.pair] = dist
-                if len(dists) < 2:
-                    continue
-                result = self.intersection.vote_distributions(
-                    list(dists.values()), healthy_dists
+            dists = {
+                pair: dist for pair, dist in (
+                    (event.pair, routes(event.pair)) for event in group
+                ) if dist
+            }
+            if len(dists) < 2:
+                continue
+            result = self.intersection.vote(
+                list(dists.values()), healthy,
+                exonerate=exonerate, weighted=sprayed,
+            )
+            # Blame the pairs that can cross a suspect link or, on a
+            # device-level verdict, transit the promoted switch.
+            blamed_pairs = tuple(sorted(
+                pair for pair, dist in dists.items()
+                if any(
+                    any(link in result.suspects for link in path.links)
+                    if result.suspects
+                    else result.promoted_component in path.switches()
+                    for path in dist
                 )
-                if result.suspects:
-                    blamed_pairs = tuple(sorted(
-                        pair for pair, dist in dists.items()
-                        if any(
-                            link in result.suspects
-                            for path in dist for link in path.links
-                        )
-                    ))
-                else:
-                    # Device-level verdict: blame the pairs whose
-                    # distribution can transit the promoted switch.
-                    blamed_pairs = tuple(sorted(
-                        pair for pair, dist in dists.items()
-                        if any(
-                            result.promoted_component in path.switches()
-                            for path in dist
-                        )
-                    )) if result.promoted_component else ()
-                failing_count = len(dists)
-            else:
-                paths: Dict[ProbePair, UnderlayPath] = {}
-                for event in group:
-                    path = None
-                    if known_paths is not None:
-                        path = known_paths.get(event.pair)
-                    if path is None:
-                        path = self.fabric.traceroute(
-                            event.pair.src, event.pair.dst
-                        )
-                    if path is not None:
-                        paths[event.pair] = path
-                if len(paths) < 2:
-                    continue
-                result = self.intersection.vote(
-                    list(paths.values()), healthy_paths,
-                    exonerate=exonerate,
-                )
-                if result.suspects:
-                    blamed_pairs = tuple(sorted(
-                        pair for pair, path in paths.items()
-                        if any(
-                            link in result.suspects for link in path.links
-                        )
-                    ))
-                else:
-                    blamed_pairs = tuple(sorted(
-                        pair for pair, path in paths.items()
-                        if result.promoted_component in path.switches()
-                    )) if result.promoted_component else ()
-                failing_count = len(paths)
+            ))
             if self.recorder is not None:
                 self.recorder.event(
                     "localize.tomography", sim_time=self._now,
                     group="hard" if exonerate else "soft",
                     exonerate=exonerate and not sprayed,
                     sprayed=sprayed,
-                    failing_paths=failing_count,
-                    healthy_paths=len(
-                        healthy_dists if sprayed else healthy_paths
-                    ),
+                    failing_paths=len(dists),
+                    healthy_paths=len(healthy),
                     components=result.blamed_components(),
                     blamed_pairs=[_pair_label(p) for p in blamed_pairs],
                     **result.as_fields(),

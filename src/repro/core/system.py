@@ -29,7 +29,7 @@ from repro.core.detection import DetectorConfig
 from repro.core.localization import (
     LocalizationReport,
     Localizer,
-    healthy_pairs_for,
+    localize_open_events,
 )
 from repro.core.pinglist import ProbePair
 from repro.core.probing import run_probe_round
@@ -276,25 +276,13 @@ class SkeletonHunter:
         return (sent, lost, anomalies, opened)
 
     def _localize_new_events(self, now: float) -> None:
-        open_events = self.analyzer.open_events()
-        fresh = [
-            event for event in open_events
-            if event.key not in self._localized_events
-        ]
-        if not fresh:
-            return
-        all_pairs = self._all_active_pairs()
-        if self.bus is not None:
-            self._publish_localization_inputs(now, fresh, all_pairs)
-        # Localize over *every* open event, not just the fresh ones:
-        # gray (probabilistic) faults trickle events in across rounds,
-        # and a single-pair batch gives tomography nothing to intersect.
-        # Still-open incidents are live evidence — they corroborate the
-        # vote and must not count as healthy exoneration mass.
-        healthy = healthy_pairs_for(open_events, all_pairs)
-        report = self.localizer.localize(
-            open_events, healthy_pairs=healthy, now=now
+        _, report = localize_open_events(
+            self.localizer, self.analyzer.open_events(),
+            self._localized_events,
+            lambda fresh: self._localization_inputs(now, fresh), now,
         )
+        if report is None:
+            return
         self.reports.append((now, report))
         if self.bus is not None:
             from repro.bus.core import Topic
@@ -307,8 +295,6 @@ class SkeletonHunter:
                 diagnoses=[list(row) for row in diagnoses],
                 unexplained=unexplained,
             )
-        for event in fresh:
-            self._localized_events.add(event.key)
         if self.handler is not None:
             self.handler.handle(now, report)
         if self.recovery is not None:
@@ -323,19 +309,24 @@ class SkeletonHunter:
                         container.endpoints(), now
                     )
 
-    def _publish_localization_inputs(
-        self,
-        now: float,
-        fresh: List[FailureEvent],
-        all_pairs: List[ProbePair],
-    ) -> None:
-        """Publish what this localization will consume, before it runs.
+    def _localization_inputs(
+        self, now: float, fresh: List[FailureEvent]
+    ) -> List[ProbePair]:
+        """Every active pair; on a bus, published with the fresh events
+        before the localization that consumes them runs.
 
         The ping-list snapshot (published only when the active set
         changed) and the fresh events precede the verdict on the bus,
         so a replayer reading records in sequence order has both in
         hand when it re-localizes.
         """
+        all_pairs: List[ProbePair] = []
+        for task_id in self.controller.monitored_tasks():
+            all_pairs.extend(
+                self.controller.ping_list_of(task_id).active_pairs()
+            )
+        if self.bus is None:
+            return all_pairs
         from repro.bus.codec import encode_pairs
         from repro.bus.core import Topic
 
@@ -355,20 +346,13 @@ class SkeletonHunter:
                 first_detected_at=event.first_detected_at,
                 symptom=event.symptom.value,
             )
+        return all_pairs
 
     def _find_container(self, container_id):
         task = self.orchestrator.tasks.get(container_id.task)
         if task is None:
             return None
         return task.containers.get(container_id)
-
-    def _all_active_pairs(self) -> List[ProbePair]:
-        pairs: List[ProbePair] = []
-        for task_id in self.controller.monitored_tasks():
-            pairs.extend(
-                self.controller.ping_list_of(task_id).active_pairs()
-            )
-        return pairs
 
     # ------------------------------------------------------------------
     # Skeleton optimization

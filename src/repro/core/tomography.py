@@ -8,6 +8,14 @@ strictly above one, per Algorithm 1 — are the suspects.  Healthy-path
 exoneration (as in 007/NetBouncer) can additionally strike links that
 concurrently carried successful probes, which is sound for hard failures.
 
+One tally serves every fabric: a pair's evidence is its path
+*distribution* — each ECMP candidate at equal probability, a pinned
+traceroute being the one-path case — and the pair adds ``P(component is
+on the taken path)`` of mass to every component its distribution
+crosses.  Under static ECMP those masses are Algorithm 1's whole votes;
+under per-packet spraying they are fractions, and a mass rule
+(SprayCheck's per-path observation model) replaces the count rule.
+
 A promotion step interprets the raw link votes: several top links meeting
 at one switch implicate the switch (e.g. switch offline); several leaf
 links of one host implicate the host (board/config trouble); a single
@@ -16,14 +24,26 @@ leaf link implicates its RNIC.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.cluster.identifiers import LinkId
 from repro.cluster.topology import UnderlayPath
 
-__all__ = ["IntersectionResult", "PhysicalIntersection"]
+__all__ = ["IntersectionResult", "PhysicalIntersection", "crossing_mass"]
+
+#: Per component a failing pair can cross: its failing mass, its total
+#: (failing + healthy) mass, and the number of failing pairs behind it.
+_Tally = Dict[Any, List[float]]
 
 
 def _is_rnic_device(name: str) -> bool:
@@ -73,250 +93,162 @@ class IntersectionResult:
         }
 
 
-class PhysicalIntersection:
-    """Counts link votes across failing paths and promotes suspects.
+def _links(path: UnderlayPath) -> Iterable[Any]:
+    return path.links
 
-    Two voting modes share the promotion logic: :meth:`vote` is the
-    paper's integer intersection over pinned paths, and
-    :meth:`vote_distributions` is its spraying-ECMP generalization —
-    votes weighted by path probability mass, with healthy mass
+
+def _switches(path: UnderlayPath) -> Iterable[Any]:
+    return dict.fromkeys(path.switches())
+
+
+def crossing_mass(
+    paths: Sequence[UnderlayPath],
+    keys_of: Callable[[UnderlayPath], Iterable[Any]] = _links,
+) -> Dict[Any, float]:
+    """P(the pair's probe crosses each component), from its distribution.
+
+    ``paths`` is one pair's path distribution, every path at mass
+    ``1/len(paths)``; ``keys_of`` names what a path crosses (its links
+    by default).  Accumulates in input order over dicts, never over a
+    set, so the float sums are bit-deterministic.
+    """
+    mass: Dict[Any, float] = {}
+    if paths:
+        share = 1.0 / len(paths)
+        for path in paths:
+            for key in keys_of(path):
+                mass[key] = mass.get(key, 0.0) + share
+    return mass
+
+
+class PhysicalIntersection:
+    """Tallies crossing mass across failing pairs and promotes suspects.
+
+    Two rules read the one tally: the paper's integer *count* rule for
+    pinned routes, and its spraying-ECMP generalization, the *mass*
+    rule — votes weighted by path probability, with healthy mass
     discounting instead of hard exoneration (a healthy pair crossing a
     gray link 1/k of the time proves little, but *all* of a link's
     crossers failing proves a lot).
     """
 
-    def __init__(
-        self,
-        min_votes: int = 2,
-        tie_tolerance: int = 0,
-        min_mass: float = 0.5,
-        ratio_floor: float = 0.5,
-        tie_fraction: float = 0.75,
-    ) -> None:
-        if min_votes < 2:
-            raise ValueError(
-                "Algorithm 1 requires more than one vote per suspect link"
-            )
-        self.min_votes = min_votes
-        self.tie_tolerance = tie_tolerance
-        # Distribution-vote tunables: a suspect needs at least
-        # ``min_mass`` expected failing crossings, at least
-        # ``ratio_floor`` of its total crossing mass failing, and a
-        # score within ``tie_fraction`` of the leader to stay a
-        # suspect.  ``min_mass`` stays below 1.0 on purpose: a fabric
-        # link sprayed by k equal-cost paths collects only 1/k mass
-        # per failing pair, so two corroborating pairs on a 4-way
-        # fabric reach exactly 0.5 — demanding a full unit would make
-        # uplink faults invisible until k pairs fail at once.
-        self.min_mass = min_mass
-        self.ratio_floor = ratio_floor
-        self.tie_fraction = tie_fraction
+    #: Algorithm 1 requires more than one vote per suspect.
+    MIN_VOTES = 2
+    # Mass-rule constants: a suspect needs at least ``MIN_MASS``
+    # expected failing crossings, at least ``RATIO_FLOOR`` of its total
+    # crossing mass failing, and a score within ``TIE_FRACTION`` of the
+    # leader to stay a suspect.  ``MIN_MASS`` stays below 1.0 on
+    # purpose: a fabric link sprayed by k equal-cost paths collects
+    # only 1/k mass per failing pair, so two corroborating pairs on a
+    # 4-way fabric reach exactly 0.5 — demanding a full unit would make
+    # uplink faults invisible until k pairs fail at once.
+    MIN_MASS = 0.5
+    RATIO_FLOOR = 0.5
+    TIE_FRACTION = 0.75
 
     def vote(
         self,
-        failing_paths: Sequence[UnderlayPath],
-        healthy_paths: Sequence[UnderlayPath] = (),
+        failing: Sequence[Sequence[UnderlayPath]],
+        healthy: Sequence[Sequence[UnderlayPath]] = (),
         exonerate: bool = False,
+        weighted: bool = False,
     ) -> IntersectionResult:
-        """Intersect failing paths; optionally exonerate healthy links.
+        """Intersect the failing pairs' path distributions.
 
-        ``exonerate=True`` is only sound for hard failures (a down link
-        cannot carry a successful probe); lossy or slow links may pass
-        some probes, so loss/latency votes must not exonerate.
+        Each element of ``failing``/``healthy`` is one pair's
+        distribution (a pinned traceroute is ``[path]``; empty ones are
+        skipped).  ``weighted`` reads the tally by the mass rule, for
+        sprayed distributions; otherwise the count rule reads it as
+        whole votes, for pinned ones, and ``exonerate`` strikes what a
+        healthy path crossed — only sound for hard failures (a down
+        link cannot carry a successful probe; lossy or slow links may
+        pass some, so loss/latency votes must not exonerate).
+
+        The rule runs over links first.  When no link is conclusive it
+        runs over transit switches: a PFC storm centred on a spine
+        perturbs every uplink the spine serves, each failing pair
+        crosses a *different* victim link, and only the storm-centre
+        switch collects their votes.  A device verdict stands only when
+        one switch wins outright (an ambiguous device vote explains
+        nothing).  Deterministic: accumulation follows the input order
+        and ties sort by id.
         """
-        counter: Counter = Counter()
-        for path in failing_paths:
-            for link in path.links:
-                counter[link] += 1
-
-        cleared: Set[LinkId] = set()
-        if exonerate:
-            for path in healthy_paths:
-                cleared.update(path.links)
-
-        eligible = {
-            link: count
-            for link, count in counter.items()
-            if count >= self.min_votes and link not in cleared
-        }
-        if not eligible:
-            return self._device_vote(
-                failing_paths, healthy_paths, exonerate, dict(counter)
-            )
-        top = max(eligible.values())
-        suspects = tuple(sorted(
-            link for link, count in eligible.items()
-            if count >= top - self.tie_tolerance
-        ))
+        if not (weighted or exonerate):
+            healthy = ()    # the count rule reads it only to exonerate
+        rule = self._mass_rule if weighted else self._count_rule
+        pairs = sum(1 for paths in failing if paths)
+        links = self._tally(failing, healthy, _links)
+        suspects = tuple(rule(links, pairs))
         component, kind = self._promote(suspects)
+        if not suspects:
+            devices = rule(self._tally(failing, healthy, _switches), pairs)
+            if len(devices) == 1:
+                component, kind = devices[0], "switch"
         return IntersectionResult(
-            votes=dict(counter), suspects=suspects,
+            votes={
+                link: mass if weighted else int(mass)
+                for link, (mass, _, _) in links.items()
+            },
+            suspects=suspects,
             promoted_component=component, promoted_kind=kind,
         )
 
-    def vote_distributions(
-        self,
+    @staticmethod
+    def _tally(
         failing: Sequence[Sequence[UnderlayPath]],
-        healthy: Sequence[Sequence[UnderlayPath]] = (),
-    ) -> IntersectionResult:
-        """Mass-weighted intersection over per-pair path distributions.
+        healthy: Sequence[Sequence[UnderlayPath]],
+        keys_of: Callable[[UnderlayPath], Iterable[Any]],
+    ) -> _Tally:
+        tally: _Tally = {}
+        for paths in failing:
+            for key, mass in crossing_mass(paths, keys_of).items():
+                row = tally.setdefault(key, [0.0, 0.0, 0])
+                row[0] += mass
+                row[1] += mass
+                row[2] += 1
 
-        Each element of ``failing``/``healthy`` is one pair's path
-        distribution (every ECMP candidate, equal probability).  A pair
-        contributes ``P(link on taken path)`` of vote mass to each link
-        its distribution crosses; a link's score is its failing mass
-        discounted by the fraction of total crossing mass that stayed
-        healthy, so equally-sprayed sibling links separate whenever
-        healthy pairs cross them.  Deterministic: accumulation order
-        follows the input order and ties sort by link id.
-        """
-        fail_mass: Dict[LinkId, float] = {}
-        total_mass: Dict[LinkId, float] = {}
-        support: Dict[LinkId, int] = {}
-        for dist, bucket in ((failing, True), (healthy, False)):
-            for paths in dist:
-                if not paths:
-                    continue
-                share = 1.0 / len(paths)
-                seen: Dict[LinkId, float] = {}
-                for path in paths:
-                    for link in path.links:
-                        seen[link] = seen.get(link, 0.0) + share
-                for link, mass in seen.items():
-                    total_mass[link] = total_mass.get(link, 0.0) + mass
-                    if bucket:
-                        fail_mass[link] = fail_mass.get(link, 0.0) + mass
-                        support[link] = support.get(link, 0) + 1
+        # Healthy mass is only ever read where a failing pair crosses.
+        def tallied_keys_of(path: UnderlayPath) -> Iterable[Any]:
+            return filter(tally.__contains__, keys_of(path))
 
+        for paths in healthy:
+            for key, mass in crossing_mass(paths, tallied_keys_of).items():
+                tally[key][1] += mass
+        return tally
+
+    @staticmethod
+    def _leaders(scores: Dict[Any, float], fraction: float) -> List[Any]:
+        """The keys scoring within ``fraction`` of the best, sorted."""
+        cut = max(scores.values(), default=0.0) * fraction
+        return sorted(key for key, score in scores.items() if score >= cut)
+
+    def _count_rule(self, tally: _Tally, pairs: int) -> List[Any]:
+        """Algorithm 1: more than one vote, no healthy crossing among
+        the healthy paths tallied, and the maximum count."""
+        return self._leaders({
+            key: votes for key, (votes, total, _) in tally.items()
+            if votes >= self.MIN_VOTES and total == votes
+        }, 1.0)
+
+    def _mass_rule(self, tally: _Tally, pairs: int) -> List[Any]:
+        """Failing mass discounted by the share of crossing mass that
+        stayed healthy, so equally-sprayed sibling links separate
+        whenever healthy pairs cross them."""
         # A suspect needs corroboration from more than one failing pair
         # whenever more than one is available: a link crossed by a
         # single sprayed pair (its access links, with mass 1.0) must
         # not outvote a fabric link two independent pairs implicate at
         # 1/k mass each.
-        needed = min(2, sum(1 for paths in failing if paths))
-        scores: Dict[LinkId, float] = {}
-        for link, mass in fail_mass.items():
-            if mass < self.min_mass or support[link] < needed:
-                continue
-            ratio = mass / total_mass[link]
-            if ratio < self.ratio_floor:
-                continue
-            scores[link] = mass * ratio
-        if not scores:
-            return self._device_vote_distributions(
-                failing, healthy, dict(fail_mass)
-            )
-        top = max(scores.values())
-        suspects = tuple(sorted(
-            link for link, score in scores.items()
-            if score >= top * self.tie_fraction
-        ))
-        component, kind = self._promote(suspects)
-        return IntersectionResult(
-            votes=dict(fail_mass), suspects=suspects,
-            promoted_component=component, promoted_kind=kind,
-        )
-
-    def _device_vote(
-        self,
-        failing_paths: Sequence[UnderlayPath],
-        healthy_paths: Sequence[UnderlayPath],
-        exonerate: bool,
-        link_votes: Dict[LinkId, float],
-    ) -> IntersectionResult:
-        """Switch-level intersection when no single link is conclusive.
-
-        A PFC storm centred on a spine perturbs every uplink the spine
-        serves: each failing pair crosses a *different* victim link, so
-        no link reaches ``min_votes`` — but every failing path crosses
-        the storm-centre switch itself.  Counting votes per transit
-        switch recovers the device; the verdict stands only when one
-        switch wins outright (an ambiguous device vote explains
-        nothing).
-        """
-        counter: Counter = Counter()
-        for path in failing_paths:
-            for device in dict.fromkeys(path.switches()):
-                counter[device] += 1
-        cleared: Set[str] = set()
-        if exonerate:
-            for path in healthy_paths:
-                cleared.update(path.switches())
-        eligible = {
-            device: count
-            for device, count in counter.items()
-            if count >= self.min_votes and device not in cleared
-        }
-        if eligible:
-            top = max(eligible.values())
-            leaders = sorted(
-                device for device, count in eligible.items()
-                if count >= top - self.tie_tolerance
-            )
-            if len(leaders) == 1:
-                return IntersectionResult(
-                    votes=link_votes, suspects=(),
-                    promoted_component=leaders[0],
-                    promoted_kind="switch",
-                )
-        return IntersectionResult(
-            votes=link_votes, suspects=(),
-            promoted_component=None, promoted_kind=None,
-        )
-
-    def _device_vote_distributions(
-        self,
-        failing: Sequence[Sequence[UnderlayPath]],
-        healthy: Sequence[Sequence[UnderlayPath]],
-        link_votes: Dict[LinkId, float],
-    ) -> IntersectionResult:
-        """Mass-weighted device intersection (spraying counterpart)."""
-        fail_mass: Dict[str, float] = {}
-        total_mass: Dict[str, float] = {}
-        support: Dict[str, int] = {}
-        for dist, bucket in ((failing, True), (healthy, False)):
-            for paths in dist:
-                if not paths:
-                    continue
-                share = 1.0 / len(paths)
-                seen: Dict[str, float] = {}
-                for path in paths:
-                    # Ordered dedupe: a float accumulation must not
-                    # iterate an unordered set (bit-determinism).
-                    for device in dict.fromkeys(path.switches()):
-                        seen[device] = seen.get(device, 0.0) + share
-                for device, mass in seen.items():
-                    total_mass[device] = total_mass.get(device, 0.0) + mass
-                    if bucket:
-                        fail_mass[device] = (
-                            fail_mass.get(device, 0.0) + mass
-                        )
-                        support[device] = support.get(device, 0) + 1
-        needed = min(2, sum(1 for paths in failing if paths))
-        scores: Dict[str, float] = {}
-        for device, mass in fail_mass.items():
-            if mass < self.min_mass or support[device] < needed:
-                continue
-            ratio = mass / total_mass[device]
-            if ratio < self.ratio_floor:
-                continue
-            scores[device] = mass * ratio
-        if scores:
-            top = max(scores.values())
-            leaders = sorted(
-                device for device, score in scores.items()
-                if score >= top * self.tie_fraction
-            )
-            if len(leaders) == 1:
-                return IntersectionResult(
-                    votes=link_votes, suspects=(),
-                    promoted_component=leaders[0],
-                    promoted_kind="switch",
-                )
-        return IntersectionResult(
-            votes=link_votes, suspects=(),
-            promoted_component=None, promoted_kind=None,
-        )
+        needed = min(2, pairs)
+        scores: Dict[Any, float] = {}
+        for key, (mass, total, support) in tally.items():
+            ratio = mass / total
+            if (
+                mass >= self.MIN_MASS and support >= needed
+                and ratio >= self.RATIO_FLOOR
+            ):
+                scores[key] = mass * ratio
+        return self._leaders(scores, self.TIE_FRACTION)
 
     @staticmethod
     def _promote(

@@ -330,14 +330,6 @@ class FaultInjector:
                 combined = combined.merge(fault.effects(t, fhash))
         return combined
 
-    def host_effects(self, host: HostId, t: float, fhash: int = 0) -> Effects:
-        """Combined effects of host-level (board/config) faults."""
-        combined = Effects()
-        for fault in self._faults.values():
-            if isinstance(fault.target, HostId) and fault.target == host:
-                combined = combined.merge(fault.effects(t, fhash))
-        return combined
-
     def relevant_faults(
         self, path: UnderlayPath, src_rnic: RnicId, dst_rnic: RnicId
     ) -> Tuple[Fault, ...]:

@@ -67,10 +67,6 @@ class FunctionInfo:
     node: ast.AST
     class_name: Optional[str] = None   # canonical "pkg.module.Class"
 
-    @property
-    def is_method(self) -> bool:
-        return self.class_name is not None
-
     def label(self) -> str:
         """The display form used in evidence chains."""
         return f"{self.module}.{self.qualname}"

@@ -287,10 +287,6 @@ class FabricVerifier:
             )
         return report
 
-    def verify_cluster(self, cluster: Cluster) -> VerifierReport:
-        """Convenience: verify a bare cluster (no hunter/workload)."""
-        return self.verify(VerificationContext(cluster=cluster))
-
     def _record(self, result: PassResult) -> None:
         if self.recorder is None:
             return

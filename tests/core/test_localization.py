@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.cluster.topology import UnderlayPath
 from repro.core.analyzer import FailureEvent
-from repro.core.localization import Localizer
+from repro.core.localization import Localizer, localize_open_events
 from repro.core.pinglist import ProbePair
 from repro.network.fabric import DataPlaneFabric
 from repro.network.faults import FaultInjector
@@ -109,6 +110,27 @@ class TestUnderlayLayer:
         # The shared ToR must not be blamed: healthy pairs crossed it.
         tor = str(cluster.topology.tor_of(rnic))
         assert all(d.component != tor for d in report.diagnoses)
+
+    def test_device_verdict_blames_only_pairs_transiting_it(self, stack):
+        cluster, task, injector, fabric, localizer = stack
+        pairs = [pair_of(task, 0, 1, slot=slot) for slot in range(4)]
+        warm_flows(fabric, task, pairs)
+        # The PFC-storm shape, as reported routes: three pairs cross
+        # different links of spine-0, a fourth goes through spine-1.
+        routes = {
+            pair: UnderlayPath.through([
+                f"host-0/rnic-{i}", f"tor-{i}",
+                "spine-1" if i == 3 else "spine-0",
+                f"tor-{i + 4}", f"host-1/rnic-{i}",
+            ])
+            for i, pair in enumerate(pairs)
+        }
+        report = localizer.localize(
+            [event(p, Symptom.HIGH_LATENCY) for p in pairs], paths=routes
+        )
+        underlay = [d for d in report.diagnoses if d.layer == "underlay"]
+        assert [d.component for d in underlay] == ["spine-0"]
+        assert underlay[0].pairs == tuple(sorted(pairs[:3]))
 
 
 class TestRnicValidationLayer:
@@ -232,3 +254,133 @@ class TestCongestionSwitchPromotion:
         assert any(
             d.component in fault.culprits for d in report.diagnoses
         )
+
+
+class TestRouteSelection:
+    """Which routes the one underlay arm hands to the vote."""
+
+    @pytest.fixture
+    def voted(self, stack, monkeypatch):
+        """Every ``vote`` call's (failing, healthy, keywords)."""
+        localizer = stack[-1]
+        calls = []
+        real = localizer.intersection.vote
+
+        def spy(failing, healthy=(), **keywords):
+            calls.append((failing, list(healthy), keywords))
+            return real(failing, healthy, **keywords)
+
+        monkeypatch.setattr(localizer.intersection, "vote", spy)
+        return calls
+
+    @staticmethod
+    def cross_rail(fabric, task):
+        # Slot 0 -> slot 1 changes rail, so the route crosses a spine
+        # and spraying has two candidates to spread over.
+        failing = [
+            ProbePair.canonical(
+                task.container(src).endpoint(0),
+                task.container(1).endpoint(1),
+            )
+            for src in (0, 2)
+        ]
+        healthy = ProbePair.canonical(
+            task.container(3).endpoint(0), task.container(1).endpoint(1)
+        )
+        warm_flows(fabric, task, failing + [healthy])
+        return failing, healthy
+
+    def test_spraying_fabric_votes_by_mass_over_distributions(
+        self, stack, voted
+    ):
+        cluster, task, injector, fabric, localizer = stack
+        failing, healthy = self.cross_rail(fabric, task)
+        fabric.set_ecmp_mode("spray")
+        bogus = fabric.traceroute(healthy.src, healthy.dst)
+        localizer.localize(
+            [event(p, Symptom.PACKET_LOSS) for p in failing],
+            healthy_pairs=[healthy],
+            # A reported pick is one sample of a sprayed flow, not its
+            # route: it must not replace the distribution.
+            paths={failing[0]: bogus},
+        )
+        (dists, healthy_dists, keywords), = voted
+        assert keywords["weighted"] is True
+        assert dists == [
+            fabric.path_distribution(p.src, p.dst) for p in failing
+        ]
+        assert [len(d) for d in dists + healthy_dists] == [2, 2, 2]
+
+    def test_naive_comparator_votes_on_traceroute_picks(
+        self, stack, voted
+    ):
+        cluster, task, injector, fabric, localizer = stack
+        failing, healthy = self.cross_rail(fabric, task)
+        fabric.set_ecmp_mode("spray")
+        localizer.distribution_aware = False
+        localizer.localize(
+            [event(p, Symptom.PACKET_LOSS) for p in failing],
+            healthy_pairs=[healthy],
+        )
+        (dists, healthy_dists, keywords), = voted
+        assert keywords == {"exonerate": False, "weighted": False}
+        assert dists == [
+            [fabric.traceroute(p.src, p.dst)] for p in failing
+        ]
+        assert healthy_dists == [
+            [fabric.traceroute(healthy.src, healthy.dst)]
+        ]
+
+    def test_pinned_fabric_prefers_a_reported_path(self, stack, voted):
+        cluster, task, injector, fabric, localizer = stack
+        failing, healthy = self.cross_rail(fabric, task)
+        reported = fabric.traceroute(healthy.src, healthy.dst)
+        localizer.localize(
+            [event(p) for p in failing], paths={failing[0]: reported},
+        )
+        (dists, _, keywords), = voted
+        assert keywords == {"exonerate": True, "weighted": False}
+        assert dists == [
+            [reported],
+            [fabric.traceroute(failing[1].src, failing[1].dst)],
+        ]
+
+
+class TestRoundStep:
+    """``localize_open_events``: the step the hunter and replayer share."""
+
+    class Recording:
+        def __init__(self):
+            self.calls = []
+
+        def localize(self, events, healthy_pairs=(), now=0.0):
+            self.calls.append((list(events), list(healthy_pairs), now))
+            return "report"
+
+    def test_fresh_gates_the_run_but_every_open_event_votes(
+        self, running_task
+    ):
+        old, new, idle = (pair_of(running_task, 0, r) for r in (1, 2, 3))
+        open_events = [event(old, at=90.0), event(new, at=100.0)]
+        localized = {open_events[0].key}
+        asked = []
+
+        def universe(fresh):
+            asked.append(list(fresh))
+            return [old, new, idle]
+
+        localizer = self.Recording()
+        fresh, report = localize_open_events(
+            localizer, open_events, localized, universe, 100.0
+        )
+        assert (fresh, report) == ([open_events[1]], "report")
+        assert asked == [[open_events[1]]]
+        # The still-open old incident votes, and is not healthy mass.
+        assert localizer.calls == [(open_events, [idle], 100.0)]
+        assert localized == {e.key for e in open_events}
+
+        # Nothing fresh: no universe built, no vote.
+        assert localize_open_events(
+            localizer, open_events, localized, universe, 102.0
+        ) == ([], None)
+        assert len(asked) == len(localizer.calls) == 1

@@ -1,7 +1,5 @@
 """Tests for underlay physical-intersection (tomography) voting."""
 
-import pytest
-
 from repro.cluster.topology import UnderlayPath
 from repro.core.tomography import PhysicalIntersection
 
@@ -10,16 +8,21 @@ def path(*devices):
     return UnderlayPath.through(devices)
 
 
+def pinned(*devices):
+    """A pinned traceroute: the one-path distribution."""
+    return [path(*devices)]
+
+
 class TestVoting:
     def test_shared_link_wins(self):
         tomography = PhysicalIntersection()
         failing = [
-            path("host-0/rnic-0", "tor-0", "spine-0", "tor-1",
-                 "host-4/rnic-0"),
-            path("host-1/rnic-0", "tor-0", "spine-0", "tor-1",
-                 "host-5/rnic-0"),
-            path("host-2/rnic-0", "tor-0", "spine-0", "tor-2",
-                 "host-8/rnic-0"),
+            pinned("host-0/rnic-0", "tor-0", "spine-0", "tor-1",
+                   "host-4/rnic-0"),
+            pinned("host-1/rnic-0", "tor-0", "spine-0", "tor-1",
+                   "host-5/rnic-0"),
+            pinned("host-2/rnic-0", "tor-0", "spine-0", "tor-2",
+                   "host-8/rnic-0"),
         ]
         result = tomography.vote(failing)
         suspects = {str(s) for s in result.suspects}
@@ -29,27 +32,23 @@ class TestVoting:
         # Algorithm 1: every counter <= 1 means no underlay failure.
         tomography = PhysicalIntersection()
         result = tomography.vote([
-            path("host-0/rnic-0", "tor-0", "host-1/rnic-0")
+            pinned("host-0/rnic-0", "tor-0", "host-1/rnic-0")
         ])
         assert not result.found
-
-    def test_min_votes_enforced(self):
-        with pytest.raises(ValueError):
-            PhysicalIntersection(min_votes=1)
 
     def test_exoneration_clears_healthy_links(self):
         tomography = PhysicalIntersection()
         failing = [
-            path("host-0/rnic-0", "tor-0", "spine-0", "tor-1",
-                 "host-4/rnic-0"),
-            path("host-1/rnic-0", "tor-0", "spine-0", "tor-1",
-                 "host-5/rnic-0"),
+            pinned("host-0/rnic-0", "tor-0", "spine-0", "tor-1",
+                   "host-4/rnic-0"),
+            pinned("host-1/rnic-0", "tor-0", "spine-0", "tor-1",
+                   "host-5/rnic-0"),
         ]
         # A healthy probe crossed tor-0<->spine-0, so the real culprit
         # must be spine-0<->tor-1.
         healthy = [
-            path("host-2/rnic-0", "tor-0", "spine-0", "tor-2",
-                 "host-8/rnic-0"),
+            pinned("host-2/rnic-0", "tor-0", "spine-0", "tor-2",
+                   "host-8/rnic-0"),
         ]
         result = tomography.vote(failing, healthy, exonerate=True)
         suspects = {str(s) for s in result.suspects}
@@ -59,34 +58,49 @@ class TestVoting:
     def test_no_exoneration_for_soft_failures(self):
         tomography = PhysicalIntersection()
         failing = [
-            path("host-0/rnic-0", "tor-0", "host-1/rnic-0"),
-            path("host-2/rnic-0", "tor-0", "host-1/rnic-0"),
+            pinned("host-0/rnic-0", "tor-0", "host-1/rnic-0"),
+            pinned("host-2/rnic-0", "tor-0", "host-1/rnic-0"),
         ]
-        healthy = [path("host-3/rnic-0", "tor-0", "host-1/rnic-0")]
+        healthy = [pinned("host-3/rnic-0", "tor-0", "host-1/rnic-0")]
         result = tomography.vote(failing, healthy, exonerate=False)
         assert result.found  # lossy links may still pass some probes
+
+    def test_only_the_maximum_count_leads(self):
+        tomography = PhysicalIntersection()
+        # host-0's access link collects 4 votes, host-1's 3: Algorithm
+        # 1's MaxCount keeps the leader alone (the mass rule's tie
+        # fraction, 3 >= 0.75 * 4, does not apply to counts).
+        failing = [
+            pinned("host-0/rnic-0", "tor-0", f"host-{dst}/rnic-0")
+            for dst in (1, 1, 1, 2)
+        ]
+        result = tomography.vote(failing)
+        assert [str(s) for s in result.suspects] == [
+            "host-0/rnic-0<->tor-0"
+        ]
 
     def test_votes_recorded_per_link(self):
         tomography = PhysicalIntersection()
         failing = [
-            path("host-0/rnic-0", "tor-0", "host-1/rnic-0"),
-            path("host-0/rnic-0", "tor-0", "host-2/rnic-0"),
+            pinned("host-0/rnic-0", "tor-0", "host-1/rnic-0"),
+            pinned("host-0/rnic-0", "tor-0", "host-2/rnic-0"),
         ]
         result = tomography.vote(failing)
         from repro.cluster.identifiers import LinkId
 
-        assert result.votes[
-            LinkId.between("host-0/rnic-0", "tor-0")
-        ] == 2
+        votes = result.votes[LinkId.between("host-0/rnic-0", "tor-0")]
+        # Whole votes under the count rule: traces and evidence strings
+        # print "2 failing paths", not "2.0".
+        assert (votes, type(votes)) == (2, int)
 
 
 class TestPromotion:
     def test_switch_promotion_when_links_meet(self):
         tomography = PhysicalIntersection()
         failing = [
-            path("host-0/rnic-0", "tor-0", "host-1/rnic-0"),
-            path("host-0/rnic-0", "tor-0", "host-2/rnic-0"),
-            path("host-1/rnic-0", "tor-0", "host-2/rnic-0"),
+            pinned("host-0/rnic-0", "tor-0", "host-1/rnic-0"),
+            pinned("host-0/rnic-0", "tor-0", "host-2/rnic-0"),
+            pinned("host-1/rnic-0", "tor-0", "host-2/rnic-0"),
         ]
         result = tomography.vote(failing)
         assert result.promoted_kind == "switch"
@@ -95,20 +109,20 @@ class TestPromotion:
     def test_rnic_promotion_for_leaf_link(self):
         tomography = PhysicalIntersection()
         failing = [
-            path("host-1/rnic-0", "tor-0", "host-0/rnic-0"),
-            path("host-1/rnic-0", "tor-0", "host-2/rnic-0"),
+            pinned("host-1/rnic-0", "tor-0", "host-0/rnic-0"),
+            pinned("host-1/rnic-0", "tor-0", "host-2/rnic-0"),
         ]
         result = tomography.vote(failing)
         assert result.promoted_kind == "rnic"
         assert result.promoted_component == "host-1/rnic-0"
 
     def test_host_promotion_when_leaf_links_share_host(self):
-        tomography = PhysicalIntersection(tie_tolerance=0)
+        tomography = PhysicalIntersection()
         failing = [
-            path("host-1/rnic-0", "tor-0", "host-0/rnic-0"),
-            path("host-1/rnic-0", "tor-0", "host-2/rnic-0"),
-            path("host-1/rnic-1", "tor-1", "host-0/rnic-1"),
-            path("host-1/rnic-1", "tor-1", "host-2/rnic-1"),
+            pinned("host-1/rnic-0", "tor-0", "host-0/rnic-0"),
+            pinned("host-1/rnic-0", "tor-0", "host-2/rnic-0"),
+            pinned("host-1/rnic-1", "tor-1", "host-0/rnic-1"),
+            pinned("host-1/rnic-1", "tor-1", "host-2/rnic-1"),
         ]
         result = tomography.vote(failing)
         assert result.promoted_kind == "host"
@@ -117,8 +131,8 @@ class TestPromotion:
     def test_blamed_components_promotion_first(self):
         tomography = PhysicalIntersection()
         failing = [
-            path("host-1/rnic-0", "tor-0", "host-0/rnic-0"),
-            path("host-1/rnic-0", "tor-0", "host-2/rnic-0"),
+            pinned("host-1/rnic-0", "tor-0", "host-0/rnic-0"),
+            pinned("host-1/rnic-0", "tor-0", "host-2/rnic-0"),
         ]
         result = tomography.vote(failing)
         names = result.blamed_components()
@@ -135,12 +149,12 @@ class TestDeviceVote:
         # pause storm radiating from the spine), so every link counter
         # stays at 1 — but all three paths transit spine-0 itself.
         failing = [
-            path("host-0/rnic-0", "tor-0", "spine-0", "tor-4",
-                 "host-8/rnic-0"),
-            path("host-1/rnic-1", "tor-1", "spine-0", "tor-5",
-                 "host-9/rnic-1"),
-            path("host-2/rnic-2", "tor-2", "spine-0", "tor-6",
-                 "host-10/rnic-2"),
+            pinned("host-0/rnic-0", "tor-0", "spine-0", "tor-4",
+                   "host-8/rnic-0"),
+            pinned("host-1/rnic-1", "tor-1", "spine-0", "tor-5",
+                   "host-9/rnic-1"),
+            pinned("host-2/rnic-2", "tor-2", "spine-0", "tor-6",
+                   "host-10/rnic-2"),
         ]
         result = tomography.vote(failing)
         assert result.found
@@ -153,14 +167,14 @@ class TestDeviceVote:
         # Two corridors through two different spines, two paths each:
         # spine-0 and spine-1 tie, which explains nothing.
         failing = [
-            path("host-0/rnic-0", "tor-0", "spine-0", "tor-4",
-                 "host-8/rnic-0"),
-            path("host-1/rnic-1", "tor-1", "spine-0", "tor-5",
-                 "host-9/rnic-1"),
-            path("host-2/rnic-2", "tor-2", "spine-1", "tor-6",
-                 "host-10/rnic-2"),
-            path("host-3/rnic-3", "tor-3", "spine-1", "tor-7",
-                 "host-11/rnic-3"),
+            pinned("host-0/rnic-0", "tor-0", "spine-0", "tor-4",
+                   "host-8/rnic-0"),
+            pinned("host-1/rnic-1", "tor-1", "spine-0", "tor-5",
+                   "host-9/rnic-1"),
+            pinned("host-2/rnic-2", "tor-2", "spine-1", "tor-6",
+                   "host-10/rnic-2"),
+            pinned("host-3/rnic-3", "tor-3", "spine-1", "tor-7",
+                   "host-11/rnic-3"),
         ]
         result = tomography.vote(failing)
         assert not result.found
@@ -168,14 +182,14 @@ class TestDeviceVote:
     def test_healthy_paths_exonerate_devices_too(self):
         tomography = PhysicalIntersection()
         failing = [
-            path("host-0/rnic-0", "tor-0", "spine-0", "tor-4",
-                 "host-8/rnic-0"),
-            path("host-1/rnic-1", "tor-1", "spine-0", "tor-5",
-                 "host-9/rnic-1"),
+            pinned("host-0/rnic-0", "tor-0", "spine-0", "tor-4",
+                   "host-8/rnic-0"),
+            pinned("host-1/rnic-1", "tor-1", "spine-0", "tor-5",
+                   "host-9/rnic-1"),
         ]
         healthy = [
-            path("host-2/rnic-2", "tor-2", "spine-0", "tor-6",
-                 "host-10/rnic-2"),
+            pinned("host-2/rnic-2", "tor-2", "spine-0", "tor-6",
+                   "host-10/rnic-2"),
         ]
         result = tomography.vote(failing, healthy, exonerate=True)
         assert not result.found
@@ -199,8 +213,20 @@ class TestDistributionVote:
             self._corridor("host-0", "host-8"),
             self._corridor("host-1", "host-9"),
         ]
-        result = tomography.vote_distributions(failing)
+        result = tomography.vote(failing, weighted=True)
         assert result.found
+
+    def test_eight_way_spray_stays_below_the_mass_floor(self):
+        tomography = PhysicalIntersection()
+        # The same two pairs over eight spines put only 2/8 on each
+        # fabric link: under MIN_MASS, so no link is a suspect, and the
+        # two ToRs tie in the device fallback.
+        failing = [
+            self._corridor("host-0", "host-8", spines=8),
+            self._corridor("host-1", "host-9", spines=8),
+        ]
+        result = tomography.vote(failing, weighted=True)
+        assert not result.found
 
     def test_single_pair_access_link_needs_corroboration(self):
         tomography = PhysicalIntersection()
@@ -211,7 +237,7 @@ class TestDistributionVote:
             self._corridor("host-0", "host-8"),
             self._corridor("host-1", "host-9"),
         ]
-        result = tomography.vote_distributions(failing)
+        result = tomography.vote(failing, weighted=True)
         access = [
             str(link) for link in result.suspects
             if "/rnic-" in link.a or "/rnic-" in link.b
@@ -233,12 +259,12 @@ class TestDistributionVote:
             self._corridor("host-3", "host-11"),
             self._corridor("host-4", "host-12"),
         ]
-        result = tomography.vote_distributions(failing, healthy)
+        result = tomography.vote(failing, healthy, weighted=True)
         assert not result.found
 
     def test_empty_distributions_are_skipped(self):
         tomography = PhysicalIntersection()
-        result = tomography.vote_distributions([[], []])
+        result = tomography.vote([[], []], weighted=True)
         assert not result.found
 
     def test_votes_carry_failing_mass(self):
@@ -246,7 +272,7 @@ class TestDistributionVote:
 
         tomography = PhysicalIntersection()
         failing = [self._corridor("host-0", "host-8", spines=2)]
-        result = tomography.vote_distributions(failing)
+        result = tomography.vote(failing, weighted=True)
         assert result.votes[
             LinkId.between("host-0/rnic-0", "tor-0")
         ] == 1.0
@@ -266,6 +292,6 @@ class TestDistributionVote:
             [path("host-2/rnic-2", "tor-2", "spine-0", "tor-6",
                   "host-10/rnic-2")],
         ]
-        result = tomography.vote_distributions(failing)
+        result = tomography.vote(failing, weighted=True)
         assert result.promoted_component == "spine-0"
         assert result.promoted_kind == "switch"
