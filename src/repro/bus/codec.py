@@ -2,9 +2,11 @@
 
 Everything a recording needs to rebuild detection and localization —
 probe results, endpoint pairs, and fault ground truth — round-trips
-through the helpers here.  Encodings are deliberately flat (lists and
-small dicts keyed by ``kind``) so the JSONL stream stays greppable and
-stable across schema versions.
+through the helpers here, and what a run concluded (opened events,
+localization verdicts) is encoded here too, so every plane that
+publishes them puts the same bytes on the bus.  Encodings are
+deliberately flat (lists and small dicts keyed by ``kind``) so the
+JSONL stream stays greppable and stable across schema versions.
 """
 
 from __future__ import annotations
@@ -22,14 +24,17 @@ from repro.cluster.identifiers import (
     SwitchId,
     TaskId,
 )
+from repro.network.issues import Symptom
 from repro.network.packet import ProbeResult
 
 __all__ = [
     "decode_probe_rows",
+    "encode_event",
     "encode_fault",
     "encode_pairs",
     "encode_probe_rows",
     "encode_target",
+    "encode_verdict",
     "fault_overrides",
     "parse_endpoint",
     "resolve_target",
@@ -180,3 +185,32 @@ def encode_pairs(
 ) -> List[Tuple[str, str]]:
     """Encode probe pairs as ``[src, dst]`` string rows."""
     return [(str(p.src), str(p.dst)) for p in pairs]
+
+
+# ----------------------------------------------------------------------
+# Events and verdicts
+# ----------------------------------------------------------------------
+
+
+def encode_event(
+    pair: Any, first_detected_at: float, symptom: Symptom
+) -> Dict[str, Any]:
+    """The ``detect.events`` payload of one opened failure event; the
+    symptom travels as the catalogue value (``"unconnectivity"``)."""
+    return {
+        "src": str(pair.src),
+        "dst": str(pair.dst),
+        "first_detected_at": first_detected_at,
+        "symptom": symptom.value,
+    }
+
+
+def encode_verdict(at: float, report: Any) -> Dict[str, Any]:
+    """The ``localize.verdicts`` payload of one
+    :class:`~repro.core.localization.LocalizationReport`."""
+    diagnoses, unexplained = report.verdict_row()
+    return {
+        "at": at,
+        "diagnoses": [list(row) for row in diagnoses],
+        "unexplained": unexplained,
+    }

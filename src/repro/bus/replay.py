@@ -26,6 +26,8 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.bus.codec import (
     decode_probe_rows,
+    encode_event,
+    encode_verdict,
     fault_overrides,
     parse_endpoint,
     resolve_target,
@@ -299,19 +301,13 @@ class Replayer:
                 )
                 if report is None:
                     continue
-                diagnoses, unexplained = report.verdict_row()
-                result.replayed_verdicts.append(_norm({
-                    "at": at,
-                    "diagnoses": diagnoses,
-                    "unexplained": unexplained,
-                }))
+                result.replayed_verdicts.append(
+                    _norm(encode_verdict(at, report))
+                )
                 for event in fresh:
-                    result.replayed_events.append(_norm({
-                        "src": str(event.pair.src),
-                        "dst": str(event.pair.dst),
-                        "first_detected_at": event.first_detected_at,
-                        "symptom": event.symptom.value,
-                    }))
+                    result.replayed_events.append(_norm(encode_event(
+                        event.pair, event.first_detected_at, event.symptom
+                    )))
             elif topic == Topic.VERDICTS:
                 result.recorded_verdicts.append(_norm({
                     "at": data["at"],

@@ -139,9 +139,8 @@ class MonitorFaultInjector:
     what misbehaves), so replicas can re-inject the schedule freely.
     """
 
-    def __init__(self, seed: int = 0, recorder=None) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
-        self._recorder = recorder
         self._faults: Dict[int, MonitorFault] = {}
         self._next_fault_id = 0
         self._bus = None
@@ -201,8 +200,6 @@ class MonitorFaultInjector:
         if not fault.culprits:
             fault.culprits = {_culprit(fault)}
         self._faults[fault.fault_id] = fault
-        if self._recorder is not None:
-            self._recorder.count("chaos.injected")
         self._publish(fault)
         return fault
 
@@ -381,8 +378,6 @@ class MonitorFaultInjector:
                 else:
                     corrupted[hit] = np.nan
             out[endpoint] = data if corrupted is None else corrupted
-            if corrupted is not None and self._recorder is not None:
-                self._recorder.count("chaos.telemetry_corrupted_series")
         return out
 
     def flow_table_read_fails(

@@ -649,51 +649,12 @@ def _run_gray(args: argparse.Namespace) -> int:
 
 
 def _shard_spec(args: argparse.Namespace, num_faults: int):
-    """A :class:`ShardScenarioSpec` for the CLI's size/seed arguments,
-    carrying up to three faults from the standard schedule (an RNIC
-    port failure, a switch access-link failure, a container crash)."""
-    from repro.cluster.identifiers import LinkId
-    from repro.shard import FaultSpec, ShardScenarioSpec, build_replica
+    """The standard sharded scenario (the shard gate's three-fault
+    schedule) at the CLI's size/seed arguments."""
+    from repro.shard import default_equivalence_spec
 
-    base = ShardScenarioSpec(
-        num_containers=args.containers,
-        gpus_per_container=args.gpus,
-        seed=args.seed,
-        total_rounds=args.rounds,
-    )
-    if num_faults <= 0:
-        return base
-    probe = build_replica(base)
-    endpoints = args.containers * args.gpus
-    horizon = max(args.rounds, 1)
-
-    def at(fraction: float) -> int:
-        return max(1, round(horizon * fraction))
-
-    rnic = probe.rnic_of_rank(3 % endpoints)
-    other = probe.rnic_of_rank(8 % endpoints)
-    victim = sorted(probe.task.containers)[5 % args.containers]
-    schedule = (
-        FaultSpec(
-            issue=IssueType.RNIC_PORT_DOWN.name, target=rnic,
-            start_round=at(0.13), end_round=at(0.6),
-        ),
-        FaultSpec(
-            issue=IssueType.SWITCH_PORT_DOWN.name,
-            target=LinkId.between(other, probe.topology.tor_of(other)),
-            start_round=at(0.26),
-        ),
-        FaultSpec(
-            issue=IssueType.CONTAINER_CRASH.name, target=victim,
-            start_round=at(0.36), end_round=at(0.73),
-        ),
-    )
-    return ShardScenarioSpec(
-        num_containers=args.containers,
-        gpus_per_container=args.gpus,
-        seed=args.seed,
-        total_rounds=args.rounds,
-        faults=schedule[:num_faults],
+    return default_equivalence_spec(
+        args.containers, args.gpus, args.seed, args.rounds, num_faults
     )
 
 

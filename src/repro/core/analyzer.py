@@ -18,6 +18,7 @@ from repro.core.detection import DetectedAnomaly, DetectorConfig
 from repro.core.pinglist import ProbePair
 from repro.network.issues import Symptom
 from repro.network.packet import ProbeResult
+from repro.obs.span import open_span
 
 __all__ = ["Analyzer", "FailureEvent", "LoadConditionedAdmission"]
 
@@ -226,18 +227,13 @@ class Analyzer:
 
     def flush(self, now: float) -> List[DetectedAnomaly]:
         """Close all elapsed windows across every monitored pair."""
-        if self.recorder is None:
-            return self._flush(now)
-        with self.recorder.span("analyzer.flush", sim_time=now) as span:
-            new = self._flush(now)
+        with open_span(self.recorder, "analyzer.flush", sim_time=now) as span:
+            self._engine.close_elapsed(now)
+            new = self._process_verdicts(self._engine.collect(
+                full=self.recorder is not None, watch=self._open_events,
+            ))
             span.set(pairs=self._engine.num_pairs, anomalies=len(new))
         return new
-
-    def _flush(self, now: float) -> List[DetectedAnomaly]:
-        self._engine.close_elapsed(now)
-        return self._process_verdicts(self._engine.collect(
-            full=self.recorder is not None, watch=self._open_events,
-        ))
 
     def _process_verdicts(
         self, verdicts: Sequence[ScoredWindow]

@@ -37,6 +37,7 @@ from repro.core.rnic_validation import RnicValidator
 from repro.core.tomography import IntersectionResult, PhysicalIntersection
 from repro.network.fabric import DataPlaneFabric
 from repro.network.issues import ComponentClass, Symptom
+from repro.obs.span import open_span
 
 __all__ = [
     "Diagnosis",
@@ -195,10 +196,8 @@ class Localizer:
         from it fall back to a live traceroute.
         """
         self._now = now
-        if self.recorder is None:
-            return self._localize(events, healthy_pairs, paths)
-        with self.recorder.span(
-            "localize.run", sim_time=now, events=len(events)
+        with open_span(
+            self.recorder, "localize.run", sim_time=now, events=len(events)
         ) as span:
             report = self._localize(events, healthy_pairs, paths)
             span.set(

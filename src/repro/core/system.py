@@ -285,15 +285,12 @@ class SkeletonHunter:
             return
         self.reports.append((now, report))
         if self.bus is not None:
+            from repro.bus.codec import encode_verdict
             from repro.bus.core import Topic
 
-            diagnoses, unexplained = report.verdict_row()
             self.bus.publish(
-                Topic.VERDICTS,
-                sim_time=now,
-                at=now,
-                diagnoses=[list(row) for row in diagnoses],
-                unexplained=unexplained,
+                Topic.VERDICTS, sim_time=now,
+                **encode_verdict(now, report),
             )
         if self.handler is not None:
             self.handler.handle(now, report)
@@ -327,7 +324,7 @@ class SkeletonHunter:
             )
         if self.bus is None:
             return all_pairs
-        from repro.bus.codec import encode_pairs
+        from repro.bus.codec import encode_event, encode_pairs
         from repro.bus.core import Topic
 
         if self._published_pairs != all_pairs:
@@ -339,12 +336,10 @@ class SkeletonHunter:
             )
         for event in fresh:
             self.bus.publish(
-                Topic.EVENTS,
-                sim_time=now,
-                src=str(event.pair.src),
-                dst=str(event.pair.dst),
-                first_detected_at=event.first_detected_at,
-                symptom=event.symptom.value,
+                Topic.EVENTS, sim_time=now,
+                **encode_event(
+                    event.pair, event.first_detected_at, event.symptom
+                ),
             )
         return all_pairs
 

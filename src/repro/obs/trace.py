@@ -22,7 +22,7 @@ from typing import Any, Dict, Iterator, List, Optional
 from repro.obs.span import NULL_SPAN, Span
 from repro.sim.metrics import MetricRegistry
 
-__all__ = ["ScopedRecorder", "TraceEvent", "TraceRecorder"]
+__all__ = ["TraceEvent", "TraceRecorder"]
 
 
 @dataclass(frozen=True)
@@ -197,60 +197,3 @@ class TraceRecorder:
         self._events.clear()
         self._spans.clear()
         self._stack.clear()
-
-    def scoped(self, prefix: str) -> "ScopedRecorder":
-        """A view of this recorder that name-prefixes everything.
-
-        The shard coordinator hands each shard a
-        ``recorder.scoped(f"shard.{i}.")`` so per-shard spans, events,
-        and counters land in the run's single recorder/registry under a
-        distinguishable namespace, while merged (plane-wide) metrics
-        keep their unprefixed names.
-        """
-        return ScopedRecorder(self, prefix)
-
-
-class ScopedRecorder:
-    """A name-prefixing facade over a shared :class:`TraceRecorder`.
-
-    Implements the recorder surface components rely on (``event``,
-    ``span``, ``count``, ``sample``, ``enabled``, ``metrics``); every
-    event kind, span name, counter, and series name gains the scope
-    prefix.  Queries go to the underlying recorder.
-    """
-
-    def __init__(self, recorder: TraceRecorder, prefix: str) -> None:
-        self.recorder = recorder
-        self.prefix = prefix
-
-    @property
-    def enabled(self) -> bool:
-        """Mirrors the underlying recorder's enablement."""
-        return self.recorder.enabled
-
-    @property
-    def metrics(self) -> MetricRegistry:
-        """The shared registry (counter names carry the prefix)."""
-        return self.recorder.metrics
-
-    def event(
-        self, kind: str, sim_time: float = 0.0, **fields: Any
-    ) -> Optional[TraceEvent]:
-        """Record an event under the scope's namespace."""
-        return self.recorder.event(
-            self.prefix + kind, sim_time=sim_time, **fields
-        )
-
-    def span(self, name: str, sim_time: float = 0.0, **attrs: Any):
-        """Open a span under the scope's namespace."""
-        return self.recorder.span(
-            self.prefix + name, sim_time=sim_time, **attrs
-        )
-
-    def count(self, name: str, amount: float = 1.0) -> None:
-        """Increment a prefixed counter on the shared registry."""
-        self.recorder.count(self.prefix + name, amount)
-
-    def sample(self, name: str, sim_time: float, value: float) -> None:
-        """Append to a prefixed series on the shared registry."""
-        self.recorder.sample(self.prefix + name, sim_time, value)

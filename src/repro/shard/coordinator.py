@@ -388,24 +388,20 @@ class ShardCoordinator(PlaneDriver[ShardStatus]):
         ):
             self.verdicts.append((at, report))
             if self.bus is not None:
+                from repro.bus.codec import encode_event, encode_verdict
                 from repro.bus.core import Topic
 
                 for record in records:
                     self.bus.publish(
-                        Topic.EVENTS,
-                        sim_time=at,
-                        src=str(record.src),
-                        dst=str(record.dst),
-                        first_detected_at=record.first_detected_at,
-                        symptom=record.symptom,
+                        Topic.EVENTS, sim_time=at,
+                        **encode_event(
+                            record.pair, record.first_detected_at,
+                            record.symptom_type,
+                        ),
                     )
-                diagnoses, unexplained = report.verdict_row()
                 self.bus.publish(
-                    Topic.VERDICTS,
-                    sim_time=at,
-                    at=at,
-                    diagnoses=[list(row) for row in diagnoses],
-                    unexplained=unexplained,
+                    Topic.VERDICTS, sim_time=at,
+                    **encode_verdict(at, report),
                 )
             self.metrics.increment(
                 "diagnoses.made", len(report.diagnoses)

@@ -12,6 +12,7 @@ divergence.  Tests and ``repro equivalence`` (the CI job) call
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.identifiers import LinkId
@@ -51,51 +52,54 @@ def run_plane(
 
 
 def default_equivalence_spec(
-    seed: int = 0, total_rounds: int = 30
+    num_containers: int = 16,
+    gpus_per_container: int = 4,
+    seed: int = 0,
+    total_rounds: int = 30,
+    num_faults: int = 3,
 ) -> ShardScenarioSpec:
-    """The smoke scenario the gate runs: a 64-endpoint task with one
-    hard fault on a switch link, one RNIC port failure, and a container
-    crash — enough symptom diversity to exercise overlay, tomography,
-    and fast-loss paths without slowing CI down."""
+    """The standard sharded scenario: one task carrying the first
+    ``num_faults`` of an RNIC port failure, a switch access-link
+    failure and a container crash — enough symptom diversity to
+    exercise overlay, tomography, and fast-loss paths without slowing
+    CI down.  The gate runs the defaults (64 endpoints; faults over
+    rounds 4-18, 8 on, and 11-22 of 30); ``repro run``,
+    ``shard-status`` and ``tail --shards`` run it at the CLI's sizes,
+    the schedule scaled to the round count."""
     base = ShardScenarioSpec(
-        num_containers=16,
-        gpus_per_container=4,
+        num_containers=num_containers,
+        gpus_per_container=gpus_per_container,
         seed=seed,
         total_rounds=total_rounds,
     )
+    if num_faults <= 0:
+        return base
     probe = build_replica(base)
-    rnic = probe.rnic_of_rank(3)
-    other_rnic = probe.rnic_of_rank(8)
-    tor_link = LinkId.between(
-        other_rnic, probe.topology.tor_of(other_rnic)
-    )
-    victim = sorted(probe.task.containers)[5]
-    faults = (
+    endpoints = num_containers * gpus_per_container
+    horizon = max(total_rounds, 1)
+
+    def at(fraction: float) -> int:
+        return max(1, round(horizon * fraction))
+
+    rnic = probe.rnic_of_rank(3 % endpoints)
+    other = probe.rnic_of_rank(8 % endpoints)
+    victim = sorted(probe.task.containers)[5 % num_containers]
+    schedule = (
         FaultSpec(
-            issue=IssueType.RNIC_PORT_DOWN.name,
-            target=rnic,
-            start_round=4,
-            end_round=18,
+            issue=IssueType.RNIC_PORT_DOWN.name, target=rnic,
+            start_round=at(0.13), end_round=at(0.6),
         ),
         FaultSpec(
             issue=IssueType.SWITCH_PORT_DOWN.name,
-            target=tor_link,
-            start_round=8,
+            target=LinkId.between(other, probe.topology.tor_of(other)),
+            start_round=at(0.26),
         ),
         FaultSpec(
-            issue=IssueType.CONTAINER_CRASH.name,
-            target=victim,
-            start_round=11,
-            end_round=22,
+            issue=IssueType.CONTAINER_CRASH.name, target=victim,
+            start_round=at(0.36), end_round=at(0.73),
         ),
     )
-    return ShardScenarioSpec(
-        num_containers=base.num_containers,
-        gpus_per_container=base.gpus_per_container,
-        seed=seed,
-        total_rounds=total_rounds,
-        faults=faults,
-    )
+    return replace(base, faults=schedule[:num_faults])
 
 
 def verify_shard_equivalence(

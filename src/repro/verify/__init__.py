@@ -27,7 +27,6 @@ from repro.verify.framework import (
     VerifierReport,
     default_passes,
 )
-from repro.verify.baseline import FlowBaseline
 from repro.verify.callgraph import CallGraph, CallGraphBuilder
 from repro.verify.contract import ContractChecker, ContractConfig
 from repro.verify.flow import FlowAnalysis, FlowAnalyzer, analyze_package
@@ -43,7 +42,6 @@ __all__ = [
     "DeterminismLinter",
     "FlowAnalysis",
     "FlowAnalyzer",
-    "FlowBaseline",
     "ImportTable",
     "Taint",
     "TaintAnalyzer",

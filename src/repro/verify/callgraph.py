@@ -36,7 +36,12 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.verify.resolver import ImportTable, dotted_name
+from repro.verify.resolver import (
+    DISPATCH_METHODS,
+    ImportTable,
+    dotted_name,
+    python_files,
+)
 
 __all__ = [
     "CallEdge",
@@ -46,12 +51,6 @@ __all__ = [
     "FunctionInfo",
     "ModuleInfo",
 ]
-
-#: Pool-style dispatch methods whose first argument escapes as a worker.
-_DISPATCH_METHODS = (
-    "map", "map_async", "imap", "imap_unordered",
-    "starmap", "starmap_async", "apply", "apply_async", "submit",
-)
 
 
 @dataclass
@@ -202,22 +201,16 @@ class CallGraphBuilder:
         """
         root = os.path.abspath(root)
         package = package or os.path.basename(root.rstrip(os.sep))
-        count = 0
-        for directory, dirs, names in os.walk(root):
-            dirs.sort()     # os.walk order is filesystem-dependent
-            for name in sorted(names):
-                if not name.endswith(".py"):
-                    continue
-                path = os.path.join(directory, name)
-                relative = os.path.relpath(path, root)
-                parts = relative[:-3].replace(os.sep, "/").split("/")
-                if parts[-1] == "__init__":
-                    parts = parts[:-1]
-                module = ".".join([package] + [p for p in parts if p])
-                with open(path, "r", encoding="utf-8") as handle:
-                    self.add_source(module, handle.read(), path)
-                count += 1
-        return count
+        paths = python_files(root)
+        for path in paths:
+            relative = os.path.relpath(path, root)
+            parts = relative[:-3].replace(os.sep, "/").split("/")
+            if parts[-1] == "__init__":
+                parts = parts[:-1]
+            module = ".".join([package] + [p for p in parts if p])
+            with open(path, "r", encoding="utf-8") as handle:
+                self.add_source(module, handle.read(), path)
+        return len(paths)
 
     # -- build ----------------------------------------------------------
 
@@ -474,7 +467,7 @@ class _CallCollector:
         elif last == "partial":
             if node.args:
                 candidates.append(node.args[0])
-        elif last in _DISPATCH_METHODS and spelled and "." in spelled:
+        elif last in DISPATCH_METHODS and spelled and "." in spelled:
             if node.args:
                 candidates.append(node.args[0])
         else:

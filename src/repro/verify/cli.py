@@ -14,9 +14,8 @@
 ``python -m repro.verify --flow [root]``
     Run the interprocedural determinism analyzer (call-graph taint,
     keyed-draw contract) over the ``repro`` package (or ``root``).
-    ``--baseline``/``--write-baseline`` manage the accepted-findings
-    file; ``--json-out`` writes the machine-readable report.  Exit
-    status 1 iff any non-baselined finding.
+    ``--json-out`` writes the machine-readable report.  Exit status 1
+    iff any finding.
 
 The top-level ``repro verify`` subcommand delegates here.
 """
@@ -59,16 +58,6 @@ def add_verify_arguments(parser: argparse.ArgumentParser) -> None:
         "paths", nargs="*",
         help="files/directories to analyze (default: the repro "
         "package); ignored without --lint/--flow",
-    )
-    parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="flow baseline file (default: the committed "
-        "src/repro/verify/flow_baseline.json); only with --flow",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="accept every current flow finding into the baseline "
-        "file and exit; only with --flow",
     )
     parser.add_argument(
         "--json-out", default=None, metavar="FILE",

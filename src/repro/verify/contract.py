@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.verify.callgraph import CallGraph
 from repro.verify.framework import Finding, PassResult, Severity
+from repro.verify.resolver import names
 from repro.verify.taint import (
     FunctionSummary,
     Taint,
@@ -74,7 +75,7 @@ class ContractConfig:
 
     def sink_label(self, module: str) -> Optional[str]:
         for suffix, label in self.sinks.items():
-            if module == suffix or module.endswith("." + suffix):
+            if names(module, (suffix,)):
                 return label
         return None
 

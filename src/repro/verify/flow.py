@@ -3,39 +3,35 @@
 Ties the pieces together: build a call graph over a package
 (:mod:`~repro.verify.callgraph`), run the taint fixpoint
 (:mod:`~repro.verify.taint`), check the keyed-draw contract and sink
-protection (:mod:`~repro.verify.contract`), apply the committed
-baseline (:mod:`~repro.verify.baseline`), and fold everything into the
-same :class:`~repro.verify.framework.VerifierReport` the fabric passes
-use — one report surface, one evidence-chain style.
+protection (:mod:`~repro.verify.contract`), and fold everything into
+the same :class:`~repro.verify.framework.VerifierReport` the fabric
+passes use — one report surface, one evidence-chain style.
 
 Entry points::
 
     PYTHONPATH=src python -m repro.verify --flow
     PYTHONPATH=src python -m repro verify --flow
-    PYTHONPATH=src python -m repro.verify --flow --write-baseline
 
-Exit status is 1 iff any non-baselined finding survives.
+Exit status is 1 iff there is any finding.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from repro.verify.baseline import FlowBaseline
 from repro.verify.callgraph import CallGraph, CallGraphBuilder
 from repro.verify.contract import ContractChecker, ContractConfig
 from repro.verify.framework import PassResult, VerifierReport
+from repro.verify.resolver import package_root
 from repro.verify.taint import TaintAnalyzer, TaintConfig
 
 __all__ = [
     "FlowAnalysis",
     "FlowAnalyzer",
     "analyze_package",
-    "default_flow_root",
     "report_to_json",
     "run_flow",
 ]
@@ -48,7 +44,6 @@ class FlowAnalysis:
     graph: CallGraph
     taint: TaintAnalyzer
     report: VerifierReport
-    baseline_stats: Optional[Dict[str, int]] = None
 
     @property
     def ok(self) -> bool:
@@ -108,22 +103,8 @@ def analyze_package(
 ) -> FlowAnalysis:
     """Module-level convenience with the default configuration."""
     return FlowAnalyzer().analyze_package(
-        root if root is not None else default_flow_root(),
+        root if root is not None else package_root(),
         package=package,
-    )
-
-
-def default_flow_root() -> str:
-    """The installed ``repro`` package directory (what CI analyzes)."""
-    import repro
-
-    return os.path.dirname(os.path.abspath(repro.__file__))
-
-
-def default_baseline_path() -> str:
-    """The committed baseline next to this module."""
-    return os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "flow_baseline.json"
     )
 
 
@@ -153,7 +134,6 @@ def report_to_json(analysis: FlowAnalysis) -> Dict:
             }
             for f in report.findings
         ],
-        "baseline": analysis.baseline_stats,
     }
 
 
@@ -166,36 +146,7 @@ def run_flow(args: argparse.Namespace) -> int:
         print(f"flow analysis failed: {error}")
         return 2
 
-    baseline_path = getattr(args, "baseline", None) or \
-        default_baseline_path()
-    if getattr(args, "write_baseline", False):
-        baseline = FlowBaseline.from_report(analysis.report)
-        baseline.save(baseline_path)
-        print(
-            f"wrote {len(baseline.entries)} baseline entr"
-            f"{'y' if len(baseline.entries) == 1 else 'ies'} to "
-            f"{baseline_path}"
-        )
-        return 0
-
-    baseline = FlowBaseline.load(baseline_path)
-    stale: List[str] = []
-    if baseline.entries:
-        stale = [
-            f"{e.check}: {e.component} ({e.source})"
-            for e in baseline.stale_entries(analysis.report)
-        ]
-        analysis.baseline_stats = baseline.apply(analysis.report)
-
     print(analysis.report.render())
-    if analysis.baseline_stats:
-        stats = analysis.baseline_stats
-        print(
-            f"baseline: {stats['accepted']} accepted, "
-            f"{stats['new']} new, {stats['stale']} stale"
-        )
-    for entry in stale:
-        print(f"stale baseline entry (fixed? delete it): {entry}")
 
     json_out = getattr(args, "json_out", None)
     if json_out:

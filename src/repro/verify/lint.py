@@ -60,42 +60,51 @@ verification exists to surface.  This linter walks the AST of
     Functions handed to ``multiprocessing`` as worker entry points
     (the ``target=`` of a ``Process(...)`` call, or the function
     argument of a pool ``map``/``starmap``/``apply``/``apply_async``/
-    ``imap``) must not call ``time.perf_counter``/``time.monotonic``,
-    ``os.getpid``, ``os.urandom``, or ``uuid.uuid4``.  In single-
-    process code monotonic timers are harmless observability; inside a
-    forked worker any of these is a covert per-process input that makes
-    shard results depend on which process ran them.
+    ``imap``) must not call a monotonic timer (``time.perf_counter``,
+    ``time.monotonic``) or read process identity (``os.getpid``,
+    ``os.urandom``, ``uuid.uuid4``, ``socket.gethostname`` and kin).
+    In single-process code monotonic timers are harmless
+    observability; inside a forked worker any of these is a covert
+    per-process input that makes shard results depend on which process
+    ran them.
 
 Spelled names are canonicalized through the shared
 :class:`~repro.verify.resolver.ImportTable` before any rule matches,
 so ``from time import time``, ``import numpy.random as npr``, and
 ``from datetime import datetime as dt`` are caught the same as their
 fully-spelled forms — the alias gray zone the PR-2 lint left open.
+What the call rules forbid is the catalogue in
+:mod:`repro.verify.resolver`, which the taint sources also default to.
 
-A trailing ``# lint: allow(<rule>[, <rule>...])`` comment suppresses
-one line; naming a rule the linter doesn't know is itself a violation
-(``unknown-suppression``), so a typo can't silently disable a check.
-The shipped tree carries zero suppressions, and the pytest in
-``tests/verify/test_lint.py`` keeps it that way.  Run standalone with
-``python -m repro.verify --lint [paths...]``.
+There is no suppression syntax: the shipped tree has zero violations
+(``tests/verify/test_lint.py`` keeps it that way), and an exception is
+an edit to the catalogue or to the exempt-file constants below.  Run
+standalone with ``python -m repro.verify --lint [paths...]``.
 """
 
 from __future__ import annotations
 
 import ast
-import io
 import os
-import re
-import tokenize
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.verify.resolver import ImportTable, dotted_name as _dotted_name
+from repro.verify.resolver import (
+    DISPATCH_METHODS,
+    GLOBAL_RNG_PREFIXES,
+    MONOTONIC_TIMERS,
+    PROCESS_IDENTITY,
+    WALL_CLOCK,
+    ImportTable,
+    dotted_name as _dotted_name,
+    names,
+    package_root,
+    python_files,
+)
 
 __all__ = [
     "DeterminismLinter",
     "LintViolation",
-    "default_lint_root",
     "lint_paths",
 ]
 
@@ -107,32 +116,6 @@ _SHARED_DEFAULT = "shared-instance-default"
 _WORKER_DETERMINISM = "worker-determinism"
 _RETRY_NO_BACKOFF = "retry-without-backoff"
 _TELEMETRY_WRITE = "telemetry-write"
-_UNKNOWN_SUPPRESSION = "unknown-suppression"
-
-#: Every rule a suppression comment may legally name.
-_KNOWN_RULES = frozenset({
-    _WALL_CLOCK,
-    _UNSEEDED,
-    _BROAD_EXCEPT,
-    _MUTABLE_DEFAULT,
-    _SHARED_DEFAULT,
-    _WORKER_DETERMINISM,
-    _RETRY_NO_BACKOFF,
-    _TELEMETRY_WRITE,
-})
-
-#: Dotted-call suffixes that read the wall clock.
-_WALL_CLOCK_CALLS = (
-    "time.time",
-    "time.time_ns",
-    "datetime.now",
-    "datetime.utcnow",
-    "datetime.today",
-    "date.today",
-)
-
-#: Module-level numpy randomness roots (``np.random.rand`` etc.).
-_NP_RANDOM_ROOTS = ("np.random.", "numpy.random.")
 
 #: Files (relative, ``/``-separated suffixes) allowed to touch the
 #: global numpy RNG machinery: the seeded-stream registry itself.
@@ -142,18 +125,6 @@ _RNG_EXEMPT_SUFFIXES = ("sim/rng.py",)
 _BROAD_EXCEPT_SCOPE = ("core",)
 
 _MUTABLE_CALLS = ("list", "dict", "set", "bytearray")
-
-#: Dotted-call suffixes that are per-process inputs: harmless in
-#: single-process code, nondeterministic inside a forked worker.
-_WORKER_FORBIDDEN_CALLS = (
-    "time.perf_counter",
-    "time.perf_counter_ns",
-    "time.monotonic",
-    "time.monotonic_ns",
-    "os.getpid",
-    "os.urandom",
-    "uuid.uuid4",
-)
 
 #: Directories (path fragments) whose write-mode ``open()`` calls are
 #: telemetry writes by construction.
@@ -168,12 +139,6 @@ _RETRY_NAME_FRAGMENTS = ("attempt", "retry", "retries")
 
 #: Call-name fragments that count as spacing the attempts out.
 _BACKOFF_NAME_FRAGMENTS = ("backoff", "sleep", "delay", "wait")
-
-#: Pool methods whose first argument is a worker entry point.
-_POOL_DISPATCH_METHODS = (
-    "map", "map_async", "imap", "imap_unordered",
-    "starmap", "starmap_async", "apply", "apply_async", "submit",
-)
 
 
 @dataclass(frozen=True)
@@ -258,7 +223,6 @@ class _Visitor(ast.NodeVisitor):
         path: str,
         rng_exempt: bool,
         broad_except_scoped: bool,
-        allowed: Dict[int, set],
         telemetry_scoped: bool = False,
         telemetry_exempt: bool = False,
         imports: Optional[ImportTable] = None,
@@ -268,7 +232,6 @@ class _Visitor(ast.NodeVisitor):
         self.broad_except_scoped = broad_except_scoped
         self.telemetry_scoped = telemetry_scoped
         self.telemetry_exempt = telemetry_exempt
-        self.allowed = allowed
         self.imports = imports if imports is not None else ImportTable()
         self.violations: List[LintViolation] = []
         #: Simple names handed to multiprocessing as entry points.
@@ -281,12 +244,9 @@ class _Visitor(ast.NodeVisitor):
     def _emit(
         self, node: ast.AST, rule: str, message: str
     ) -> None:
-        line = getattr(node, "lineno", 0)
-        if rule in self.allowed.get(line, set()):
-            return
         self.violations.append(LintViolation(
             path=self.path,
-            line=line,
+            line=getattr(node, "lineno", 0),
             col=getattr(node, "col_offset", 0),
             rule=rule,
             message=message,
@@ -344,7 +304,7 @@ class _Visitor(ast.NodeVisitor):
                     keyword.value, ast.Name
                 ):
                     self.worker_names.add(keyword.value.id)
-        elif last in _POOL_DISPATCH_METHODS and "." in dotted:
+        elif last in DISPATCH_METHODS and "." in dotted:
             if node.args and isinstance(node.args[0], ast.Name):
                 self.worker_names.add(node.args[0].id)
 
@@ -352,31 +312,28 @@ class _Visitor(ast.NodeVisitor):
         self, node: ast.Call, dotted: str, spelled: str
     ) -> None:
         label = self._spell(spelled, dotted)
-        for forbidden in _WALL_CLOCK_CALLS:
-            if dotted == forbidden or dotted.endswith("." + forbidden):
-                self._emit(
-                    node, _WALL_CLOCK,
-                    f"call to {label}() reads the wall clock; sim "
-                    "code must take time from the simulation engine",
-                )
-                return
-        if dotted.startswith("random.") or dotted == "random.random":
+        if names(dotted, WALL_CLOCK):
+            self._emit(
+                node, _WALL_CLOCK,
+                f"call to {label}() reads the wall clock; sim "
+                "code must take time from the simulation engine",
+            )
+            return
+        if not dotted.startswith(GLOBAL_RNG_PREFIXES):
+            return
+        if not dotted.startswith("numpy."):
             self._emit(
                 node, _UNSEEDED,
                 f"call to {label}() uses the global stdlib RNG; "
                 "draw from a named RngRegistry stream instead",
             )
-            return
-        if not self.rng_exempt:
-            for root in _NP_RANDOM_ROOTS:
-                if dotted.startswith(root):
-                    self._emit(
-                        node, _UNSEEDED,
-                        f"call to {label}() touches numpy's global "
-                        "RNG machinery outside sim/rng.py; draw from "
-                        "a named RngRegistry stream instead",
-                    )
-                    return
+        elif not self.rng_exempt:
+            self._emit(
+                node, _UNSEEDED,
+                f"call to {label}() touches numpy's global "
+                "RNG machinery outside sim/rng.py; draw from "
+                "a named RngRegistry stream instead",
+            )
 
     # -- stdlib random imports -----------------------------------------
 
@@ -416,12 +373,12 @@ class _Visitor(ast.NodeVisitor):
     def _broad_name(node: Optional[ast.AST]) -> Optional[str]:
         if node is None:
             return "bare 'except:'"
-        names: Iterable[ast.AST]
+        caught: Iterable[ast.AST]
         if isinstance(node, ast.Tuple):
-            names = node.elts
+            caught = node.elts
         else:
-            names = (node,)
-        for element in names:
+            caught = (node,)
+        for element in caught:
             dotted = _dotted_name(element)
             if dotted in ("Exception", "BaseException"):
                 return f"'except {dotted}'"
@@ -467,31 +424,31 @@ class _Visitor(ast.NodeVisitor):
     # -- retry loops without backoff -----------------------------------
 
     def visit_For(self, node: ast.For) -> None:
-        names = {
+        targets = {
             n.id.lower()
             for n in ast.walk(node.target)
             if isinstance(n, ast.Name)
         }
-        if self._names_look_like_retry(names):
+        if self._names_look_like_retry(targets):
             self._check_retry_loop(node)
         self.generic_visit(node)
 
     def visit_While(self, node: ast.While) -> None:
-        names = set()
+        tested = set()
         for sub in ast.walk(node.test):
             if isinstance(sub, ast.Name):
-                names.add(sub.id.lower())
+                tested.add(sub.id.lower())
             elif isinstance(sub, ast.Attribute):
-                names.add(sub.attr.lower())
-        if self._names_look_like_retry(names):
+                tested.add(sub.attr.lower())
+        if self._names_look_like_retry(tested):
             self._check_retry_loop(node)
         self.generic_visit(node)
 
     @staticmethod
-    def _names_look_like_retry(names: Iterable[str]) -> bool:
+    def _names_look_like_retry(candidates: Iterable[str]) -> bool:
         return any(
             fragment in name
-            for name in names
+            for name in candidates
             for fragment in _RETRY_NAME_FRAGMENTS
         )
 
@@ -524,7 +481,10 @@ class _Visitor(ast.NodeVisitor):
         inputs.  Runs after the main visit, once all ``Process(...)``
         dispatch sites and function definitions have been collected.
         The check is direct (the entry point's own body), not
-        transitive through its callees."""
+        transitive through its callees.  Forbidden there: process
+        identity, plus the timers that are only harmless while there
+        is one process."""
+        forbidden = MONOTONIC_TIMERS + PROCESS_IDENTITY
         for name in sorted(self.worker_names):
             for definition in self.function_defs.get(name, []):
                 for sub in ast.walk(definition):
@@ -534,88 +494,18 @@ class _Visitor(ast.NodeVisitor):
                     if spelled is None:
                         continue
                     dotted = self.imports.resolve(spelled)
-                    for forbidden in _WORKER_FORBIDDEN_CALLS:
-                        if dotted == forbidden or dotted.endswith(
-                            "." + forbidden
-                        ):
-                            self._emit(
-                                sub, _WORKER_DETERMINISM,
-                                f"worker entry point '{name}' calls "
-                                f"{self._spell(spelled, dotted)}(); "
-                                "per-process inputs make shard "
-                                "results depend on which process "
-                                "ran them",
-                            )
-
-
-def _allowed_lines(
-    source: str,
-) -> Tuple[Dict[int, Set[str]], List[Tuple[int, str]]]:
-    """Per-line rule suppressions from ``# lint: allow(rule, ...)``.
-
-    Returns ``(allowed, unknown)``: the per-line sets of *known* rule
-    names, and every ``(line, name)`` pair naming a rule the linter
-    does not have.  Unknown names never suppress anything — a typo'd
-    ``allow(wallclock)`` would otherwise silently disable nothing
-    while its author believes the line is covered.
-    """
-    allowed: Dict[int, Set[str]] = {}
-    unknown: List[Tuple[int, str]] = []
-    for number, text in _comment_tokens(source):
-        match = re.match(r"#\s*lint:\s*allow\((?P<rules>[^)]*)\)", text)
-        if match is None:
-            if re.match(r"#\s*lint:\s*allow\b", text):
-                unknown.append((number, "<unclosed>"))
-            continue
-        rules = {
-            r.strip()
-            for r in match.group("rules").split(",")
-            if r.strip()
-        }
-        for rule in sorted(rules - _KNOWN_RULES):
-            unknown.append((number, rule))
-        known = rules & _KNOWN_RULES
-        if known:
-            allowed[number] = known
-    return allowed, unknown
-
-
-def _comment_tokens(source: str) -> List[Tuple[int, str]]:
-    """Every ``(line, text)`` comment in ``source``.
-
-    Tokenizing (rather than scanning lines) keeps docstrings and
-    string literals that merely *mention* the suppression marker from
-    being parsed as suppressions.
-    """
-    comments: List[Tuple[int, str]] = []
-    reader = io.StringIO(source).readline
-    try:
-        for token in tokenize.generate_tokens(reader):
-            if token.type == tokenize.COMMENT:
-                comments.append((token.start[0], token.string))
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        # Unparseable tail: the AST pass reports the syntax error.
-        pass
-    return comments
+                    if names(dotted, forbidden):
+                        self._emit(
+                            sub, _WORKER_DETERMINISM,
+                            f"worker entry point '{name}' calls "
+                            f"{self._spell(spelled, dotted)}(); "
+                            "per-process inputs make shard results "
+                            "depend on which process ran them",
+                        )
 
 
 class DeterminismLinter:
     """Walks python sources and applies the determinism rules."""
-
-    def __init__(
-        self,
-        rng_exempt_suffixes: Sequence[str] = _RNG_EXEMPT_SUFFIXES,
-        broad_except_scope: Sequence[str] = _BROAD_EXCEPT_SCOPE,
-        telemetry_scope: Sequence[str] = _TELEMETRY_SCOPE,
-        telemetry_exempt_suffixes: Sequence[str] =
-        _TELEMETRY_EXEMPT_SUFFIXES,
-    ) -> None:
-        self.rng_exempt_suffixes = tuple(rng_exempt_suffixes)
-        self.broad_except_scope = tuple(broad_except_scope)
-        self.telemetry_scope = tuple(telemetry_scope)
-        self.telemetry_exempt_suffixes = tuple(telemetry_exempt_suffixes)
-
-    # -- entry points --------------------------------------------------
 
     def lint_source(self, source: str, path: str) -> List[LintViolation]:
         """Lint one module's source text."""
@@ -628,38 +518,24 @@ class DeterminismLinter:
                 message=str(error.msg),
             )]
         normalized = path.replace(os.sep, "/")
-        allowed, unknown = _allowed_lines(source)
         visitor = _Visitor(
             path=path,
-            rng_exempt=any(
-                normalized.endswith(suffix)
-                for suffix in self.rng_exempt_suffixes
-            ),
+            rng_exempt=normalized.endswith(_RNG_EXEMPT_SUFFIXES),
             broad_except_scoped=any(
                 f"/{scope}/" in normalized
-                for scope in self.broad_except_scope
+                for scope in _BROAD_EXCEPT_SCOPE
             ),
             telemetry_scoped=any(
                 f"/{scope}/" in normalized
-                for scope in self.telemetry_scope
+                for scope in _TELEMETRY_SCOPE
             ),
-            telemetry_exempt=any(
-                normalized.endswith(suffix)
-                for suffix in self.telemetry_exempt_suffixes
+            telemetry_exempt=normalized.endswith(
+                _TELEMETRY_EXEMPT_SUFFIXES
             ),
-            allowed=allowed,
             imports=ImportTable.from_tree(tree),
         )
         visitor.visit(tree)
         visitor.check_workers()
-        for line, rule in unknown:
-            visitor.violations.append(LintViolation(
-                path=path, line=line, col=0,
-                rule=_UNKNOWN_SUPPRESSION,
-                message=f"allow({rule}) names no known lint rule; "
-                        "known rules: "
-                        + ", ".join(sorted(_KNOWN_RULES)),
-            ))
         return sorted(
             visitor.violations, key=lambda v: (v.line, v.col, v.rule)
         )
@@ -677,30 +553,11 @@ class DeterminismLinter:
         violations: List[LintViolation] = []
         count = 0
         for path in paths:
-            if os.path.isdir(path):
-                for name in sorted(self._python_files(path)):
-                    violations.extend(self.lint_file(name))
-                    count += 1
-            else:
-                violations.extend(self.lint_file(path))
-                count += 1
+            files = python_files(path) if os.path.isdir(path) else [path]
+            for name in files:
+                violations.extend(self.lint_file(name))
+            count += len(files)
         return violations, count
-
-    @staticmethod
-    def _python_files(root: str) -> List[str]:
-        found: List[str] = []
-        for directory, _, names in os.walk(root):
-            for name in names:
-                if name.endswith(".py"):
-                    found.append(os.path.join(directory, name))
-        return found
-
-
-def default_lint_root() -> str:
-    """The installed ``repro`` package directory (what CI lints)."""
-    import repro
-
-    return os.path.dirname(os.path.abspath(repro.__file__))
 
 
 def lint_paths(
@@ -708,5 +565,4 @@ def lint_paths(
 ) -> Tuple[List[LintViolation], int]:
     """Module-level convenience: lint ``paths`` (default: the package)."""
     linter = DeterminismLinter()
-    return linter.lint_paths(list(paths) if paths else
-                             [default_lint_root()])
+    return linter.lint_paths(list(paths) if paths else [package_root()])

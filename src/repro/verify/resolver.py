@@ -1,4 +1,4 @@
-"""Import/alias resolution shared by the lint and the flow analyzer.
+"""What the lint and the flow analyzer share: names, policy, files.
 
 Both static passes need the same primitive: given the dotted name a
 call site *spells* (``dt.now``, ``npr.rand``, ``time``), recover the
@@ -14,14 +14,93 @@ The table is deliberately syntactic: it resolves what the import
 statements of one module declare, without executing anything.  Names
 bound by assignment (``t = time.time``) are the flow analyzer's job
 (it tracks values); names bound by imports are this module's.
+
+*Which* resolved names are out-of-band inputs is one policy too, so it
+is written once, here: the lint's rules and the taint sources
+(:class:`~repro.verify.taint.TaintConfig` defaults) read the catalogue
+below, match against it through :func:`names`, and find their sources
+through :func:`python_files` (under :func:`package_root` by default).
+An exception to the policy is an edit to this file, reviewed as code.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Optional
+import os
+from typing import Dict, Iterable, List, Optional, Sequence
 
-__all__ = ["ImportTable", "dotted_name"]
+__all__ = [
+    "DISPATCH_METHODS",
+    "GLOBAL_RNG_PREFIXES",
+    "ImportTable",
+    "MONOTONIC_TIMERS",
+    "PROCESS_IDENTITY",
+    "WALL_CLOCK",
+    "dotted_name",
+    "names",
+    "package_root",
+    "python_files",
+]
+
+#: Calls that read the wall clock.
+WALL_CLOCK = (
+    "time.time", "time.time_ns",
+    "datetime.now", "datetime.utcnow", "datetime.today", "date.today",
+)
+
+#: Prefixes (every member counts) of the process-global generators:
+#: stdlib ``random`` and numpy's module-level functions.
+GLOBAL_RNG_PREFIXES = ("random.", "numpy.random.")
+
+#: Calls whose value depends on which process (or host) ran them.
+PROCESS_IDENTITY = (
+    "os.getpid", "os.getppid", "os.urandom",
+    "uuid.uuid1", "uuid.uuid4", "socket.gethostname",
+)
+
+#: Monotonic timers: harmless in single-process code (``repro.obs``
+#: measures wall *durations* with them, which never feed back into
+#: simulated behaviour), a covert per-process input in a forked worker.
+MONOTONIC_TIMERS = (
+    "time.perf_counter", "time.perf_counter_ns",
+    "time.monotonic", "time.monotonic_ns",
+)
+
+#: Pool methods whose first argument escapes as a worker entry point.
+DISPATCH_METHODS = (
+    "map", "map_async", "imap", "imap_unordered",
+    "starmap", "starmap_async", "apply", "apply_async", "submit",
+)
+
+
+def names(target: str, catalogue: Sequence[str]) -> bool:
+    """Whether the *resolved* dotted name ``target`` is, or ends in, an
+    entry of ``catalogue`` — so ``datetime.now`` covers
+    ``datetime.datetime.now`` and ``sim.rng`` covers ``repro.sim.rng``
+    and a fixture's ``pkg.sim.rng``."""
+    return any(
+        target == name or target.endswith("." + name)
+        for name in catalogue
+    )
+
+
+def python_files(root: str) -> List[str]:
+    """Every ``.py`` file under ``root``, sorted (``os.walk`` order is
+    filesystem-dependent; reports and module order must not be)."""
+    return sorted(
+        os.path.join(directory, name)
+        for directory, _, filenames in os.walk(root)
+        for name in filenames
+        if name.endswith(".py")
+    )
+
+
+def package_root() -> str:
+    """The installed ``repro`` package directory: what the lint and the
+    flow analyzer read when given no path, and what CI runs them on."""
+    import repro
+
+    return os.path.dirname(os.path.abspath(repro.__file__))
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:

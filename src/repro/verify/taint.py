@@ -42,7 +42,13 @@ from repro.verify.callgraph import (
     ModuleInfo,
     _infer_local_types,
 )
-from repro.verify.resolver import dotted_name
+from repro.verify.resolver import (
+    GLOBAL_RNG_PREFIXES,
+    PROCESS_IDENTITY,
+    WALL_CLOCK,
+    dotted_name,
+    names,
+)
 
 __all__ = [
     "FunctionSummary",
@@ -122,23 +128,15 @@ class TaintConfig:
     """Source, sanitizer, and keyed-draw catalogs.
 
     Names are *canonical* (post :class:`~repro.verify.resolver.
-    ImportTable` resolution).  Keyed draws and exempt modules match by
-    dotted suffix so the same config covers ``repro.sim.rng`` and a
-    test fixture's ``pkg.sim.rng``.
+    ImportTable` resolution) and match by :func:`~repro.verify.
+    resolver.names`, so one config covers ``repro.sim.rng`` and a test
+    fixture's ``pkg.sim.rng``.  The source families the lint also
+    polices default to the catalogue in :mod:`repro.verify.resolver`.
     """
 
-    wall_clock: Tuple[str, ...] = (
-        "time.time", "time.time_ns",
-        "datetime.datetime.now", "datetime.datetime.utcnow",
-        "datetime.datetime.today", "datetime.date.today",
-        "datetime.now", "datetime.utcnow", "datetime.today",
-        "date.today",
-    )
-    rng_prefixes: Tuple[str, ...] = ("random.", "numpy.random.")
-    process_identity: Tuple[str, ...] = (
-        "os.getpid", "os.getppid", "os.urandom",
-        "uuid.uuid1", "uuid.uuid4", "socket.gethostname",
-    )
+    wall_clock: Tuple[str, ...] = WALL_CLOCK
+    rng_prefixes: Tuple[str, ...] = GLOBAL_RNG_PREFIXES
+    process_identity: Tuple[str, ...] = PROCESS_IDENTITY
     env_reads: Tuple[str, ...] = ("os.getenv", "os.environ.get")
     env_objects: Tuple[str, ...] = ("os.environ",)
     #: Dotted suffixes whose call results are keyed-deterministic.
@@ -167,29 +165,21 @@ class TaintConfig:
 
     def source_kind(self, target: str) -> Optional[str]:
         """The source family of a canonical call target, if any."""
-        if target in self.wall_clock or any(
-            target.endswith("." + name) for name in self.wall_clock
-        ):
+        if names(target, self.wall_clock):
             return "wall-clock"
         if any(target.startswith(p) for p in self.rng_prefixes):
             return "unseeded-random"
-        if target in self.process_identity:
+        if names(target, self.process_identity):
             return "process-identity"
         if target in self.env_reads:
             return "env-read"
         return None
 
     def is_keyed(self, target: str) -> bool:
-        return any(
-            target == s or target.endswith("." + s)
-            for s in self.keyed_suffixes
-        )
+        return names(target, self.keyed_suffixes)
 
     def module_is_keyed(self, module: str) -> bool:
-        return any(
-            module == s or module.endswith("." + s)
-            for s in self.keyed_module_suffixes
-        )
+        return names(module, self.keyed_module_suffixes)
 
 
 @dataclass

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.bus.core import Topic
+from repro.bus.core import TelemetryBus, Topic
 from repro.bus.recorder import RecordingError, load_recording
 from repro.bus.replay import (
     Replayer,
@@ -15,6 +15,8 @@ from repro.bus.replay import (
     verify_replay_equivalence,
 )
 from repro.equivalence import EquivalenceError
+from repro.network.issues import Symptom
+from repro.shard import default_equivalence_spec, run_plane
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +88,35 @@ class TestReplayEquivalence:
         assert isinstance(component, str)
         assert layer in ("overlay", "underlay", "rnic", "host")
         assert 0.0 < confidence <= 1.0
+
+
+class TestOneEventEncoding:
+    def test_hunter_and_sharded_planes_publish_symptom_values(
+        self, recording_path
+    ):
+        """``detect.events`` has one wire form (``bus.codec``): the
+        sharded coordinator used to publish the enum *name*
+        (``"UNCONNECTIVITY"``) where the hunter publishes its value."""
+        path, _ = recording_path
+        hunter = [
+            record["data"]["symptom"]
+            for record in load_recording(path).by_topic(Topic.EVENTS)
+        ]
+        bus = TelemetryBus()
+        run_plane(
+            default_equivalence_spec(
+                num_containers=8, gpus_per_container=2,
+                total_rounds=12, num_faults=1,
+            ),
+            2, bus=bus,
+        )
+        sharded = [
+            record["data"]["symptom"]
+            for record in bus.history(Topic.EVENTS)
+        ]
+        assert hunter and sharded
+        for value in hunter + sharded:
+            assert Symptom(value).value == value
 
 
 class TestDamagedRecordings:

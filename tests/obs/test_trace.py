@@ -170,6 +170,27 @@ class TestFullRunAccuracy:
         sent = sum(s.attrs["probes_sent"] for s in rounds)
         assert sent == observed_run.fabric.probes_sent
 
+    def test_flush_and_localize_spans_carry_their_results(
+        self, observed_run
+    ):
+        """The traced and untraced paths are one arm (``open_span``):
+        the span wraps the same call and is stamped with its result."""
+        obs = observed_run.observability
+        analyzer = observed_run.hunter.analyzer
+        flushes = obs.spans("analyzer.flush")
+        assert flushes
+        assert {s.attrs["pairs"] for s in flushes} == {
+            len(analyzer.monitored_pairs())
+        }
+        flushed = sum(s.attrs["anomalies"] for s in flushes)
+        assert 0 < flushed <= len(analyzer.anomalies)
+        runs = obs.spans("localize.run")
+        reports = [report for _, report in observed_run.hunter.reports]
+        assert [
+            (s.attrs["diagnoses"], s.attrs["unexplained"]) for s in runs
+        ] == [(len(r.diagnoses), len(r.unexplained)) for r in reports]
+        assert all(s.attrs["events"] > 0 for s in runs)
+
     def test_per_round_series_sums_to_lifetime(self, observed_run):
         series = observed_run.observability.metrics.series(
             "probes.sent_in_round"

@@ -4,7 +4,11 @@ independent of shard count, backend, and failover history."""
 import pytest
 
 from repro.equivalence import EquivalenceError, compare
-from repro.shard import run_plane, verify_shard_equivalence
+from repro.shard import (
+    default_equivalence_spec,
+    run_plane,
+    verify_shard_equivalence,
+)
 
 from tests.shard.conftest import small_spec
 
@@ -116,3 +120,32 @@ class TestVerifyHelper:
                 spec=small_spec(with_faults=False),
                 shard_counts=(2,), chunk_rounds=3,
             )
+
+
+class TestStandardSchedule:
+    """``default_equivalence_spec`` is the one three-fault schedule the
+    gate and the CLI share (it used to be written twice)."""
+
+    def test_defaults_are_the_gates_rounds(self):
+        spec = default_equivalence_spec()
+        assert (spec.num_containers, spec.gpus_per_container,
+                spec.seed, spec.total_rounds) == (16, 4, 0, 30)
+        assert [
+            (f.issue, f.start_round, f.end_round) for f in spec.faults
+        ] == [
+            ("RNIC_PORT_DOWN", 4, 18),
+            ("SWITCH_PORT_DOWN", 8, None),
+            ("CONTAINER_CRASH", 11, 22),
+        ]
+
+    def test_cli_sizes_scale_and_truncate_the_schedule(self):
+        spec = default_equivalence_spec(
+            num_containers=4, gpus_per_container=2, seed=3,
+            total_rounds=10, num_faults=2,
+        )
+        assert (spec.num_containers, spec.gpus_per_container,
+                spec.seed, spec.total_rounds) == (4, 2, 3, 10)
+        assert [
+            (f.issue, f.start_round, f.end_round) for f in spec.faults
+        ] == [("RNIC_PORT_DOWN", 1, 6), ("SWITCH_PORT_DOWN", 3, None)]
+        assert default_equivalence_spec(num_faults=0).faults == ()

@@ -95,23 +95,6 @@ class TestFlowCli:
         assert "numpy.random.normal" in out
         assert "keyed-draw-contract" in out
 
-    def test_write_baseline_then_rerun_passes(self, dirty_package,
-                                              tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        code = verify_main([
-            "--flow", str(dirty_package),
-            "--baseline", str(baseline), "--write-baseline",
-        ])
-        assert code == 0
-        assert baseline.exists()
-
-        code = verify_main([
-            "--flow", str(dirty_package), "--baseline", str(baseline),
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "baseline: 1 accepted, 0 new, 0 stale" in out
-
     def test_json_out_writes_the_report(self, dirty_package, tmp_path):
         out_path = tmp_path / "flow.json"
         code = verify_main([

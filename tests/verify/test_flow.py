@@ -8,16 +8,12 @@ keyed-draw contract scope.
 
 import textwrap
 
-from repro.verify.baseline import BaselineEntry, FlowBaseline
 from repro.verify.flow import (
     FlowAnalyzer,
     analyze_package,
-    default_baseline_path,
     report_to_json,
 )
 from repro.verify.taint import Taint
-
-import pytest
 
 
 def analyze(**sources):
@@ -192,67 +188,6 @@ class TestKeyedDrawContract:
         assert findings(analysis) == []
 
 
-class TestBaseline:
-    def _noisy(self):
-        return analyze(
-            pkg__network__noise="""
-                import numpy.random as npr
-                def jitter():
-                    return npr.normal()
-            """,
-        )
-
-    def test_roundtrip_and_demotion(self, tmp_path):
-        analysis = self._noisy()
-        baseline = FlowBaseline.from_report(analysis.report)
-        assert len(baseline.entries) == 1
-        path = tmp_path / "baseline.json"
-        baseline.save(str(path))
-
-        loaded = FlowBaseline.load(str(path))
-        fresh = self._noisy()
-        stats = loaded.apply(fresh.report)
-        assert stats == {"new": 0, "accepted": 1, "stale": 0}
-        assert fresh.report.errors() == []
-        warning = fresh.report.warnings()[0]
-        assert warning.explanation.startswith("[baseline:")
-
-    def test_new_findings_stay_errors(self):
-        analysis = self._noisy()
-        empty = FlowBaseline()
-        stats = empty.apply(analysis.report)
-        assert stats["new"] == 1
-        assert analysis.report.errors()
-
-    def test_stale_entries_are_reported(self):
-        analysis = analyze(
-            pkg__network__clean="""
-                def fate(x):
-                    return x + 1
-            """,
-        )
-        baseline = FlowBaseline(entries=[BaselineEntry(
-            check="flow.keyed-draw-contract",
-            component="pkg.network.clean.fate",
-            source="calls numpy.random.normal() [unseeded-random]",
-            justification="fixed long ago",
-        )])
-        stats = baseline.apply(analysis.report)
-        assert stats["stale"] == 1
-        stale = baseline.stale_entries(analysis.report)
-        assert [e.component for e in stale] == ["pkg.network.clean.fate"]
-
-    def test_missing_file_is_an_empty_baseline(self, tmp_path):
-        loaded = FlowBaseline.load(str(tmp_path / "absent.json"))
-        assert loaded.entries == []
-
-    def test_version_mismatch_is_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"version": 99, "findings": []}\n')
-        with pytest.raises(ValueError, match="version"):
-            FlowBaseline.load(str(path))
-
-
 class TestReportJson:
     def test_structure(self):
         analysis = analyze(
@@ -279,13 +214,9 @@ class TestReportJson:
 
 class TestRealTree:
     def test_repro_package_is_flow_clean(self):
-        """The acceptance gate: zero findings on the shipped tree,
-        with no baseline entries hiding any."""
+        """The acceptance gate: zero findings on the shipped tree
+        (nothing but a fix can accept one)."""
         analysis = analyze_package()
         assert analysis.report.findings == []
         assert len(analysis.graph.functions) > 500
         assert len(analysis.graph.modules) > 50
-
-    def test_committed_baseline_is_empty(self):
-        baseline = FlowBaseline.load(default_baseline_path())
-        assert baseline.entries == []

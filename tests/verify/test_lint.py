@@ -1,14 +1,9 @@
 """Tests for the determinism lint — and the gate that keeps
 ``src/repro`` itself clean."""
 
-import os
 import textwrap
 
-from repro.verify.lint import (
-    DeterminismLinter,
-    default_lint_root,
-    lint_paths,
-)
+from repro.verify.lint import DeterminismLinter, lint_paths
 
 
 def lint(source, path="pkg/module.py"):
@@ -333,66 +328,9 @@ class TestWorkerDeterminism:
 
 
 class TestSuppressionsAndErrors:
-    def test_allow_comment_suppresses_one_line(self):
-        violations = lint("""
-            import time
-            a = time.time()  # lint: allow(wall-clock)
-            b = time.time()
-        """)
-        assert len(violations) == 1
-        assert violations[0].line == 4
-
-    def test_comma_separated_rule_list(self):
-        violations = lint(
-            "import time\n"
-            "a = time.time()"
-            "  # lint: allow(wall-clock, unseeded-random)\n"
-        )
-        assert violations == []
-
-    def test_unknown_rule_name_is_a_violation_and_never_suppresses(self):
-        violations = lint("""
-            import time
-            a = time.time()  # lint: allow(wallclock)
-        """)
-        assert sorted(v.rule for v in violations) == [
-            "unknown-suppression", "wall-clock",
-        ]
-        unknown = [v for v in violations
-                   if v.rule == "unknown-suppression"][0]
-        assert "wallclock" in unknown.message
-        assert "wall-clock" in unknown.message  # lists the known rules
-
-    def test_mixed_known_and_unknown_rules(self):
-        violations = lint("""
-            import time
-            a = time.time()  # lint: allow(wall-clock, wallclock)
-        """)
-        # The known rule still suppresses; the typo is still flagged.
-        assert [v.rule for v in violations] == ["unknown-suppression"]
-
-    def test_unclosed_allow_is_flagged(self):
-        violations = lint("""
-            import time
-            a = time.time()  # lint: allow(wall-clock
-        """)
-        assert sorted(v.rule for v in violations) == [
-            "unknown-suppression", "wall-clock",
-        ]
-
-    def test_marker_inside_string_literal_is_ignored(self):
-        violations = lint(
-            'MARKER = "# lint: allow(fake-rule)"\n'
-        )
-        assert violations == []
-
-    def test_marker_inside_docstring_is_ignored(self):
-        violations = lint('''
-            def f():
-                """Suppress with ``# lint: allow(fake-rule)``."""
-                return 1
-        ''')
-        assert violations == []
+    """Errors and output format.  (The suppression cases went with the
+    ``# lint: allow`` syntax; the class keeps its name so the two
+    remaining test ids stay stable.)"""
 
     def test_syntax_error_is_reported_not_raised(self):
         violations = lint("def broken(:\n")
@@ -552,19 +490,8 @@ class TestLintPaths:
         assert violations[0].path == str(dirty)
 
     def test_repro_package_is_lint_clean(self):
-        """The acceptance gate: zero violations, zero suppressions."""
-        root = default_lint_root()
-        violations, count = lint_paths([root])
+        """The acceptance gate: zero violations (there is no
+        suppression syntax to hide one behind)."""
+        violations, count = lint_paths()
         assert count > 50  # the whole package was walked
         assert violations == []
-        for directory, _, names in os.walk(root):
-            for name in names:
-                if not name.endswith(".py"):
-                    continue
-                path = os.path.join(directory, name)
-                if path.endswith(os.path.join("verify", "lint.py")):
-                    continue  # defines the marker itself
-                with open(path) as handle:
-                    assert "# lint: allow(" not in handle.read(), (
-                        f"suppression found in {name}"
-                    )
