@@ -146,9 +146,10 @@ def encode_fault(fault: Any) -> Dict[str, Any]:
     """Encode a network-plane :class:`repro.network.faults.Fault`.
 
     Captures every injection parameter the replayer needs to re-apply
-    the fault against an identically built replica, including the
-    pinned ``fault_id`` (live ids come from a process-global counter,
-    so replay must override rather than re-allocate).
+    the fault against an identically built replica, including its
+    ``fault_id`` (run-local — the injector numbers a run's faults from
+    0, so same-seed recordings agree byte for byte — and pinned on
+    replay rather than re-allocated).
     """
     return {
         "issue": fault.issue.name,

@@ -39,6 +39,7 @@ from typing import Dict, List, Optional, Set
 
 import numpy as np
 
+from repro.bus.core import Topic
 from repro.cluster.identifiers import EndpointId, RnicId
 from repro.network.draws import keyed_uniform, keyed_uniforms
 
@@ -166,8 +167,6 @@ class MonitorFaultInjector:
     def _publish(self, fault: MonitorFault) -> None:
         if self._bus is None:
             return
-        from repro.bus.core import Topic
-
         self._bus.publish(
             Topic.GROUND_TRUTH,
             sim_time=fault.start,

@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.bus.codec import encode_probe_rows
+from repro.bus.core import Topic
 from repro.cluster.container import Container
 from repro.cluster.identifiers import EndpointId, HostId
 from repro.core.pinglist import PingList, ProbePair
@@ -141,9 +143,6 @@ class OverlayAgent:
         self.probes_sent += len(results)
         if self.bus is None or not results:
             return
-        from repro.bus.codec import encode_probe_rows
-        from repro.bus.core import Topic
-
         self.bus.publish(
             Topic.PROBE_REPORTS,
             sim_time=now,

@@ -64,10 +64,7 @@ class LoadConditionedAdmission:
 
     def pair_utilization(self, pair: ProbePair) -> float:
         """Mean bottleneck utilization over the pair's path distribution."""
-        epoch = getattr(
-            getattr(self.fabric, "resolution_cache", None),
-            "routing_epoch", None,
-        )
+        epoch = self.fabric.resolution_cache.routing_epoch
         if epoch != self._cache_epoch:
             self._cache.clear()
             self._cache_epoch = epoch

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.bus.core import Topic
 from repro.cluster.container import Container, TrainingTask
 from repro.cluster.identifiers import ContainerId, EndpointId, TaskId
 from repro.cluster.orchestrator import Cluster
@@ -159,8 +160,6 @@ class Controller:
         bus = self.bus
 
         def on_transition(now, old_state, new_state, breaker) -> None:
-            from repro.bus.core import Topic
-
             bus.publish(
                 Topic.BREAKERS,
                 sim_time=now,

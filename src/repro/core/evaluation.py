@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.cluster.container import Container
-from repro.cluster.identifiers import HostId, LinkId, RnicId, SwitchId
 from repro.cluster.orchestrator import Cluster
 from repro.cluster.overlay import OverlayError
 from repro.core.analyzer import FailureEvent
@@ -39,12 +38,13 @@ def fault_affects_pair(
 ) -> bool:
     """Whether ``fault`` can perturb the pair's data path.
 
-    Link/switch targets are checked against every path the pair may
-    take (under static ECMP that is the single pinned pick; under
-    spraying, the full distribution — a sprayed pair *is* affected by a
-    gray link it crosses only some of the time).  A fault's victim
-    links count too: PFC pause propagation genuinely perturbs pairs
-    that never touch the congested port itself.
+    A fault meets a pair at its endpoints — its RNICs, their hosts, its
+    containers — or along any path the pair may take
+    (:meth:`Fault.face_on`: under static ECMP that is the single pinned
+    pick; under spraying, the full distribution — a sprayed pair *is*
+    affected by a gray link it crosses only some of the time).  A
+    victim-link face counts too: PFC pause propagation genuinely
+    perturbs pairs that never touch the congested port itself.
     """
     target = fault.target
     overlay = cluster.overlay
@@ -54,27 +54,14 @@ def fault_affects_pair(
     except (OverlayError, KeyError):
         return False
 
-    if isinstance(target, RnicId):
-        return target in (src_rnic, dst_rnic)
-    if isinstance(target, HostId):
-        return target in (src_rnic.host, dst_rnic.host)
     if isinstance(target, Container):
         return target.id in (pair.src.container, pair.dst.container)
-    paths = fabric.path_distribution(pair.src, pair.dst)
-    if not paths:
-        return False
-    if isinstance(target, LinkId):
-        for path in paths:
-            if target in path.links:
-                return True
-            if fault.victim_links and not (
-                fault.victim_links.isdisjoint(path.links)
-            ):
-                return True
-        return False
-    if isinstance(target, SwitchId):
-        return any(str(target) in path.switches() for path in paths)
-    return False
+    if target in (src_rnic, dst_rnic, src_rnic.host, dst_rnic.host):
+        return True
+    return any(
+        fault.face_on(path) is not None
+        for path in fabric.path_distribution(pair.src, pair.dst)
+    )
 
 
 @dataclass

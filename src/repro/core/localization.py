@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.identifiers import EndpointId, HostId, RnicId
 from repro.cluster.orchestrator import Cluster
@@ -187,19 +187,13 @@ class Localizer:
         events: Sequence[FailureEvent],
         healthy_pairs: Sequence[ProbePair] = (),
         now: float = 0.0,
-        paths: Optional[Dict[ProbePair, UnderlayPath]] = None,
     ) -> LocalizationReport:
-        """Run the full disentanglement over a batch of events.
-
-        ``paths`` optionally supplies already-traced underlay routes for
-        failing pairs (e.g. reported by shard workers); pairs missing
-        from it fall back to a live traceroute.
-        """
+        """Run the full disentanglement over a batch of events."""
         self._now = now
         with open_span(
             self.recorder, "localize.run", sim_time=now, events=len(events)
         ) as span:
-            report = self._localize(events, healthy_pairs, paths)
+            report = self._localize(events, healthy_pairs)
             span.set(
                 diagnoses=len(report.diagnoses),
                 unexplained=len(report.unexplained),
@@ -210,7 +204,6 @@ class Localizer:
         self,
         events: Sequence[FailureEvent],
         healthy_pairs: Sequence[ProbePair],
-        known_paths: Optional[Dict[ProbePair, UnderlayPath]] = None,
     ) -> LocalizationReport:
         report = LocalizationReport()
         remaining: List[FailureEvent] = []
@@ -223,7 +216,7 @@ class Localizer:
                 remaining.append(event)
 
         remaining = self._physical_intersection(
-            remaining, healthy_pairs, report, known_paths
+            remaining, healthy_pairs, report
         )
         remaining = self._validate_rnics(remaining, report)
         remaining = self._host_concentration(remaining, report)
@@ -382,21 +375,19 @@ class Localizer:
         events: List[FailureEvent],
         healthy_pairs: Sequence[ProbePair],
         report: LocalizationReport,
-        known_paths: Optional[Dict[ProbePair, UnderlayPath]] = None,
     ) -> List[FailureEvent]:
         if not events:
             return []
-        # Pinned traceroutes are meaningless under per-packet spraying
-        # (known_paths included — a shard's reported pick is one sample,
-        # not the flow's route): vote by mass over the full path
-        # distribution of every pair instead.
+        # Routes are asked of the fabric, never carried in.  A pinned
+        # traceroute is meaningless under per-packet spraying (one
+        # sample, not the flow's route): vote by mass over the full
+        # path distribution of every pair instead.
         sprayed = self.distribution_aware and self.fabric.spraying
 
         def routes(pair: ProbePair) -> List[UnderlayPath]:
             if sprayed:
                 return self.fabric.path_distribution(pair.src, pair.dst)
-            path = known_paths.get(pair) if known_paths else None
-            path = path or self.fabric.traceroute(pair.src, pair.dst)
+            path = self.fabric.traceroute(pair.src, pair.dst)
             return [path] if path is not None else []
 
         hard = [e for e in events if e.symptom == Symptom.UNCONNECTIVITY]

@@ -240,8 +240,14 @@ class PingList:
         )
 
     def active_pairs(self) -> List[ProbePair]:
-        """All pairs whose endpoints have both registered, sorted."""
-        return sorted(p for p in self.pairs if self.is_active(p))
+        """All pairs whose endpoints have both registered, sorted: the
+        registered containers' by-source rows, in container order —
+        never the whole pair set, which a preload list has not built."""
+        return [
+            pair
+            for container in sorted(self._registered)
+            for pair in self.active_pairs_from(container)
+        ]
 
     def active_pairs_from(self, container: ContainerId) -> List[ProbePair]:
         """:meth:`active_pairs` narrowed to one source container, same
@@ -262,9 +268,8 @@ class PingList:
 
     def activation_ratio(self) -> float:
         """Fraction of pairs currently active."""
-        if not self.pairs:
-            return 0.0
-        return sum(map(self.is_active, self.pairs)) / len(self.pairs)
+        total = len(self)
+        return len(self.active_pairs()) / total if total else 0.0
 
 
 def _read_pairs(self: PingList) -> FrozenSet[ProbePair]:

@@ -17,6 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
+from repro.bus.core import Topic
 from repro.core.pinglist import PingList, ProbePair
 from repro.core.resilience import BreakerState, CircuitBreaker, RetryPolicy
 from repro.network.fabric import DataPlaneFabric
@@ -184,8 +185,6 @@ class ResilientProber:
                 self.breaker.record_success(now)
         retried = self.retries - retries_before
         if self.bus is not None and (failed or retried):
-            from repro.bus.core import Topic
-
             self.bus.publish(
                 Topic.MONITOR,
                 sim_time=now,

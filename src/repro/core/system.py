@@ -19,6 +19,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.bus.codec import encode_event, encode_pairs, encode_verdict
+from repro.bus.core import Topic
 from repro.cluster.container import Container, TrainingTask
 from repro.cluster.identifiers import EndpointId, TaskId
 from repro.cluster.orchestrator import Cluster, Orchestrator
@@ -259,8 +261,6 @@ class SkeletonHunter:
         anomalies = len(self.analyzer.anomalies) - anomalies0
         opened = len(self.analyzer.events) - opened0
         if self.bus is not None:
-            from repro.bus.core import Topic
-
             # Published last within the round: the replayer flushes its
             # analyzer and localizes on this record, after every probe
             # batch, snapshot, and verdict of the round precedes it.
@@ -285,9 +285,6 @@ class SkeletonHunter:
             return
         self.reports.append((now, report))
         if self.bus is not None:
-            from repro.bus.codec import encode_verdict
-            from repro.bus.core import Topic
-
             self.bus.publish(
                 Topic.VERDICTS, sim_time=now,
                 **encode_verdict(now, report),
@@ -324,9 +321,6 @@ class SkeletonHunter:
             )
         if self.bus is None:
             return all_pairs
-        from repro.bus.codec import encode_event, encode_pairs
-        from repro.bus.core import Topic
-
         if self._published_pairs != all_pairs:
             self._published_pairs = list(all_pairs)
             self.bus.publish(
@@ -379,8 +373,6 @@ class SkeletonHunter:
                 series_by_endpoint, at=observed_at
             )
         if self.bus is not None:
-            from repro.bus.core import Topic
-
             self.bus.publish(
                 Topic.RNIC_SERIES,
                 sim_time=observed_at,
@@ -403,8 +395,6 @@ class SkeletonHunter:
                     "skeleton.inference_failed", reason=str(error)
                 )
             if self.bus is not None:
-                from repro.bus.core import Topic
-
                 self.bus.publish(
                     Topic.SKELETON,
                     sim_time=observed_at,
@@ -415,8 +405,6 @@ class SkeletonHunter:
             return None
         self.controller.apply_skeleton(task_id, skeleton)
         if self.bus is not None:
-            from repro.bus.core import Topic
-
             self.bus.publish(
                 Topic.SKELETON,
                 sim_time=observed_at,

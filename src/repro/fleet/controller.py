@@ -353,9 +353,7 @@ class FleetController:
         matter which worker computes it, and one tenant's incidents
         can never enter another tenant's vote tables.
         """
-        fresh = collect_fresh_records(
-            runtime.analyzer, runtime._reported, self.replica.fabric
-        )
+        fresh = collect_fresh_records(runtime.analyzer, runtime._reported)
         for record in fresh:
             runtime.events.append((runtime.name, record))
             self._chunk_events.append((runtime.name, record))

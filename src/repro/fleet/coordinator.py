@@ -30,6 +30,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.bus.core import Topic
 from repro.fleet.budget import ProbeBudgetScheduler, TenantDemand
 from repro.fleet.controller import (
     FleetChunkResult,
@@ -205,8 +206,6 @@ class FleetCoordinator(PlaneDriver[WorkerStatus]):
         self.metrics.increment("fleet.chunks")
         if self.bus is None:
             return
-        from repro.bus.core import Topic
-
         for rollup in self._merged_rollups():
             if rollup.round_index <= self._published_rounds:
                 continue

@@ -46,7 +46,7 @@ from repro.cluster.orchestrator import Cluster
 from repro.cluster.overlay import OverlayTrace, ovs_name, veth_name, vtep_name
 from repro.cluster.topology import UnderlayPath
 from repro.network.draws import PairwiseDrawSource
-from repro.network.faults import Effects, Fault, FaultInjector
+from repro.network.faults import Effects, FaultInjector
 from repro.network.latency import LatencyModel, TransientCongestion
 from repro.network.packet import ProbeResult, flow_hash
 from repro.sim.metrics import MetricRegistry
@@ -68,13 +68,27 @@ _DRAWS_PER_PROBE_SPRAY = 6
 
 
 @dataclass(frozen=True)
-class _SprayChoice:
-    """One equal-probability path a sprayed probe may take."""
+class _Route:
+    """One underlay path a probe may take, with what it meets there:
+    the path's relevant-fault tuple, pre-resolved so a per-packet pick
+    costs one uniform and one tuple index."""
 
     path: UnderlayPath
     faults: Tuple[object, ...]
     hops: int
     switches: int
+
+
+def _candidate_paths(
+    topology, src_rnic: RnicId, dst_rnic: RnicId, fhash: int,
+    spraying: bool,
+) -> List[UnderlayPath]:
+    """Every path a probe between two RNICs may take — where a pair's
+    route is decided.  Static ECMP pins the flow to its hash's pick;
+    spraying sends each packet down any equal-cost candidate."""
+    if spraying:
+        return topology.ecmp_paths(src_rnic, dst_rnic)
+    return [topology.pick_path(src_rnic, dst_rnic, fhash)]
 
 
 @dataclass
@@ -85,16 +99,12 @@ class _Resolution:
     fhash: int
     reached: bool
     overlay_reason: str = ""
-    path: Optional[UnderlayPath] = None
-    faults: Tuple[Fault, ...] = ()
+    #: The path *distribution* of a reached probe, equal mass each: the
+    #: one pinned pick under static ECMP, every candidate under
+    #: spraying.
+    routes: Tuple[_Route, ...] = ()
     # Merged component-health effects along the overlay chain.
     overlay_fx: Effects = field(default_factory=Effects)
-    hops: int = 0
-    switches: int = 0
-    #: Spraying mode: the per-packet path *distribution* — every ECMP
-    #: candidate with its own relevant-fault tuple, pre-resolved so the
-    #: per-probe pick costs one uniform and one tuple index.
-    spray: Tuple[_SprayChoice, ...] = ()
     #: Validity, set by :meth:`FlowResolutionCache.resolve` from
     #: :meth:`~FlowResolutionCache._stamp`: the whole-overlay stamp this
     #: entry was last found valid under; and, for a reached entry, its
@@ -271,28 +281,25 @@ class FlowResolutionCache:
 
         src_rnic = trace.src_rnic
         dst_rnic = trace.dst_rnic
-        path = self._cluster.topology.pick_path(src_rnic, dst_rnic, fhash)
-        faults = self._injector.relevant_faults(path, src_rnic, dst_rnic)
-        overlay_fx = self._component_effects(src, dst, src_rnic, dst_rnic)
-        spray: Tuple[_SprayChoice, ...] = ()
-        if self.ecmp_mode == "spray":
-            spray = tuple(
-                _SprayChoice(
-                    path=candidate,
-                    faults=self._injector.relevant_faults(
-                        candidate, src_rnic, dst_rnic
-                    ),
-                    hops=candidate.hops,
-                    switches=len(candidate.switches()),
-                )
-                for candidate in self._cluster.topology.ecmp_paths(
-                    src_rnic, dst_rnic
-                )
+        routes = tuple(
+            _Route(
+                path=path,
+                faults=self._injector.relevant_faults(
+                    path, src_rnic, dst_rnic
+                ),
+                hops=path.hops,
+                switches=len(path.switches()),
             )
+            for path in _candidate_paths(
+                self._cluster.topology, src_rnic, dst_rnic, fhash,
+                self.ecmp_mode == "spray",
+            )
+        )
         return _Resolution(
-            trace=trace, fhash=fhash,
-            reached=True, path=path, faults=faults, overlay_fx=overlay_fx,
-            hops=path.hops, switches=len(path.switches()), spray=spray,
+            trace=trace, fhash=fhash, reached=True, routes=routes,
+            overlay_fx=self._component_effects(
+                src, dst, src_rnic, dst_rnic
+            ),
         )
 
     def _component_effects(
@@ -338,13 +345,6 @@ def _merge_fault_effects(
         ):
             combined = combined.merge(contribution)
     return combined.merge(overlay_fx)
-
-
-def _effects_at(resolution: _Resolution, at: float) -> Effects:
-    """Total effects on one probe at time ``at`` (flow = its fhash)."""
-    return _merge_fault_effects(
-        resolution.faults, resolution.overlay_fx, at, resolution.fhash
-    )
 
 
 class DataPlaneFabric:
@@ -500,7 +500,6 @@ class DataPlaneFabric:
             draws = self._rng.random((n, self._draw_width()))
         else:
             draws = self._draw_source.uniforms(endpoints, at, salt)
-        spraying = self.spraying
 
         cache = self.resolution_cache
         results: List[Optional[ProbeResult]] = [None] * n
@@ -508,7 +507,7 @@ class DataPlaneFabric:
         # Delivered probes accumulate here for one vectorized RTT pass.
         delivered: List[int] = []
         delivered_res: List[_Resolution] = []
-        delivered_path: List[Optional[UnderlayPath]] = []
+        delivered_path: List[UnderlayPath] = []
         hops: List[int] = []
         switches: List[int] = []
         extra_us: List[float] = []
@@ -526,27 +525,23 @@ class DataPlaneFabric:
                     overlay_trace=trace,
                 )
                 continue
-            if spraying and res.spray:
-                # Per-packet path pick: the trailing uniform indexes the
-                # equal-probability ECMP candidate set.
-                k = len(res.spray)
-                choice = res.spray[min(int(draws[i, 5] * k), k - 1)]
-                effects = _merge_fault_effects(
-                    choice.faults, res.overlay_fx, at, res.fhash
-                )
-                taken_path = choice.path
-                taken_hops, taken_switches = choice.hops, choice.switches
-            else:
-                effects = _effects_at(res, at)
-                taken_path = res.path
-                taken_hops, taken_switches = res.hops, res.switches
+            # Per-packet path pick: the trailing uniform (drawn only
+            # under spraying, read only when there is a choice) indexes
+            # the equal-probability candidate set.
+            routes = res.routes
+            route = routes[0] if len(routes) == 1 else routes[
+                min(int(draws[i, 5] * len(routes)), len(routes) - 1)
+            ]
+            effects = _merge_fault_effects(
+                route.faults, res.overlay_fx, at, res.fhash
+            )
             if effects.down:
                 lost += 1
                 results[i] = ProbeResult(
                     src=src, dst=dst, sent_at=at, lost=True,
                     reason="component down on path",
                     src_rnic=trace.src_rnic, dst_rnic=trace.dst_rnic,
-                    underlay_path=taken_path, overlay_trace=trace,
+                    underlay_path=route.path, overlay_trace=trace,
                 )
                 continue
             if effects.loss_rate > 0 and float(
@@ -557,14 +552,14 @@ class DataPlaneFabric:
                     src=src, dst=dst, sent_at=at, lost=True,
                     reason="packet dropped on path",
                     src_rnic=trace.src_rnic, dst_rnic=trace.dst_rnic,
-                    underlay_path=taken_path, overlay_trace=trace,
+                    underlay_path=route.path, overlay_trace=trace,
                 )
                 continue
             delivered.append(i)
             delivered_res.append(res)
-            delivered_path.append(taken_path)
-            hops.append(taken_hops)
-            switches.append(taken_switches)
+            delivered_path.append(route.path)
+            hops.append(route.hops)
+            switches.append(route.switches)
             extra_us.append(effects.extra_latency_us)
             software.append(
                 trace.software_path or effects.force_software_path
@@ -607,6 +602,19 @@ class DataPlaneFabric:
     # Host-agent capabilities (used by the localizer)
     # ------------------------------------------------------------------
 
+    def _paths(
+        self, src: EndpointId, dst: EndpointId, salt: int, spraying: bool
+    ) -> List[UnderlayPath]:
+        """Every path a (src, dst) probe may take under the given ECMP
+        mode; none unless both endpoints are attached to the overlay."""
+        overlay = self.cluster.overlay
+        if not overlay.is_registered(src) or not overlay.is_registered(dst):
+            return []
+        return _candidate_paths(
+            self.cluster.topology, overlay.rnic_of(src), overlay.rnic_of(dst),
+            flow_hash(src, dst, salt), spraying,
+        )
+
     def traceroute(
         self, src: EndpointId, dst: EndpointId, salt: int = 0
     ) -> Optional[UnderlayPath]:
@@ -616,13 +624,7 @@ class DataPlaneFabric:
         ECMP choice so tomography can intersect failing paths.  Returns
         ``None`` when either endpoint is not attached to the overlay.
         """
-        overlay = self.cluster.overlay
-        if not overlay.is_registered(src) or not overlay.is_registered(dst):
-            return None
-        src_rnic = overlay.rnic_of(src)
-        dst_rnic = overlay.rnic_of(dst)
-        fhash = flow_hash(src, dst, salt)
-        return self.cluster.topology.pick_path(src_rnic, dst_rnic, fhash)
+        return next(iter(self._paths(src, dst, salt, spraying=False)), None)
 
     def path_distribution(
         self, src: EndpointId, dst: EndpointId, salt: int = 0
@@ -635,17 +637,7 @@ class DataPlaneFabric:
         votes by this mass instead of assuming one deterministic path.
         Empty when either endpoint is not attached to the overlay.
         """
-        overlay = self.cluster.overlay
-        if not overlay.is_registered(src) or not overlay.is_registered(dst):
-            return []
-        src_rnic = overlay.rnic_of(src)
-        dst_rnic = overlay.rnic_of(dst)
-        if self.spraying:
-            return list(
-                self.cluster.topology.ecmp_paths(src_rnic, dst_rnic)
-            )
-        fhash = flow_hash(src, dst, salt)
-        return [self.cluster.topology.pick_path(src_rnic, dst_rnic, fhash)]
+        return self._paths(src, dst, salt, self.spraying)
 
     @property
     def loss_fraction(self) -> float:

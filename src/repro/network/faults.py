@@ -13,7 +13,7 @@ the paper's manual verification did.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.cluster.container import Container
 from repro.cluster.identifiers import (
@@ -28,7 +28,6 @@ from repro.cluster.overlay import ovs_name, veth_name, vtep_name
 from repro.cluster.topology import UnderlayPath
 from repro.network.draws import keyed_uniform
 from repro.network.issues import (
-    ISSUE_CATALOG,
     ComponentClass,
     GrayIssueType,
     IssueType,
@@ -117,11 +116,6 @@ class Fault:
         """The catalogue symptom of this fault's issue type."""
         return spec_of(self.issue).symptom
 
-    @property
-    def component_class(self) -> ComponentClass:
-        """The catalogue component class of this fault's issue type."""
-        return spec_of(self.issue).component
-
     def active_at(self, t: float) -> bool:
         """Whether the fault exists at time ``t``."""
         return t >= self.start and (self.end is None or t < self.end)
@@ -168,6 +162,28 @@ class Fault:
     _victim_view: Optional["_VictimView"] = field(
         default=None, repr=False, compare=False
     )
+
+    def face_on(self, path: UnderlayPath) -> Optional[object]:
+        """How this fault meets an underlay route — the one place a
+        fault and a path are compared.
+
+        The fault itself when its link or switch target is on ``path``;
+        its :meth:`victim_view` when the path misses the target but
+        crosses a victim link; ``None`` when the path never touches it
+        (always, for RNIC, host and container targets: those meet a
+        probe at its endpoints, not along its route).
+        """
+        target = self.target
+        if isinstance(target, LinkId):
+            if target in path.links:
+                return self
+            if not self.victim_links.isdisjoint(path.links):
+                return self.victim_view()
+        elif isinstance(target, SwitchId) and (
+            str(target) in path.switches()
+        ):
+            return self
+        return None
 
 
 class _VictimView:
@@ -268,7 +284,7 @@ class FaultInjector:
         return names
 
     # ------------------------------------------------------------------
-    # Factories: one per Table-1 issue type
+    # Catalogue injection
     # ------------------------------------------------------------------
 
     def inject_issue(
@@ -278,104 +294,56 @@ class FaultInjector:
         start: float,
         **overrides,
     ) -> Fault:
-        """Inject ``issue`` against ``target`` with canonical parameters."""
-        factory = _FACTORIES.get(issue)
-        if factory is None:
-            raise ValueError(f"no factory registered for {issue}")
-        fault = factory(self._cluster, target, start)
-        if isinstance(target, RnicId):
-            # Path evidence cannot distinguish a dead RNIC from its
-            # access link; blaming either is a correct localization.
-            tor = self._cluster.topology.tor_of(target)
-            fault.culprits.add(str(LinkId.between(target, tor)))
+        """Inject ``issue`` against ``target`` with canonical parameters.
+
+        The catalogue's ``target_kind`` says which species ``target``
+        must be, :data:`_PARAMS` how the issue perturbs the data plane,
+        :func:`_culprits` whom a localizer may blame for it.
+        """
+        expected = _TARGET_TYPES[spec_of(issue).target_kind]
+        if not isinstance(target, expected):
+            raise TypeError(
+                f"{issue} targets a {expected.__name__}, "
+                f"got {type(target)}"
+            )
+        params = _PARAMS[issue]
+        if callable(params):
+            params = params(self._cluster, target)
+        fault = Fault(
+            issue=issue, target=target, start=start,
+            culprits=_culprits(issue, target, self._cluster.topology),
+            **params,
+        )
         for key, value in overrides.items():
             setattr(fault, key, value)
         return self.inject(fault)
 
     # ------------------------------------------------------------------
-    # Fabric-facing effect queries
+    # Fabric-facing effect query
     # ------------------------------------------------------------------
-
-    def path_effects(
-        self, path: UnderlayPath, t: float, fhash: int = 0
-    ) -> Effects:
-        """Combined underlay effects along ``path`` at ``t``."""
-        combined = Effects()
-        link_set = set(path.links)
-        switch_set = set(path.switches())
-        for fault in self._faults.values():
-            if not fault.misbehaving_at(t):
-                continue
-            target = fault.target
-            hit = False
-            if isinstance(target, LinkId) and target in link_set:
-                hit = True
-            elif isinstance(target, SwitchId) and str(target) in switch_set:
-                hit = True
-            if hit:
-                combined = combined.merge(fault.effects(t, fhash))
-            elif fault.victim_links and not fault.victim_links.isdisjoint(
-                link_set
-            ):
-                combined = combined.merge(
-                    fault.victim_view().effects(t, fhash)
-                )
-        return combined
-
-    def rnic_effects(self, rnic: RnicId, t: float, fhash: int = 0) -> Effects:
-        """Combined effects of faults targeting a physical RNIC."""
-        combined = Effects()
-        for fault in self._faults.values():
-            if isinstance(fault.target, RnicId) and fault.target == rnic:
-                combined = combined.merge(fault.effects(t, fhash))
-        return combined
 
     def relevant_faults(
         self, path: UnderlayPath, src_rnic: RnicId, dst_rnic: RnicId
-    ) -> Tuple[Fault, ...]:
+    ) -> Tuple[object, ...]:
         """Every fault whose target could perturb this probe resolution.
 
-        The *time-independent* half of the effect queries: which faults
-        sit on the underlay path, on either endpoint RNIC, or on either
-        endpoint host.  The fabric caches this tuple per resolution (it
-        only changes when :attr:`epoch` does) and evaluates the cheap
-        time/flow-dependent :meth:`Fault.effects` per probe.  Ordered
-        like the one-by-one queries: path, src RNIC, dst RNIC, src host,
-        dst host.
+        The *time-independent* half of a probe's fate: which faults
+        show a face on the underlay path (:meth:`Fault.face_on`), then
+        which sit on the source RNIC, the destination RNIC, the source
+        host, the destination host — in that order, a fault once per
+        place it is met (a same-host pair meets a host fault twice).
+        The fabric caches this tuple per resolution (it only changes
+        when :attr:`epoch` does) and evaluates the cheap
+        time/flow-dependent ``effects(t, fhash)`` per probe.
         """
-        link_set = set(path.links)
-        switch_set = set(path.switches())
-        on_path: List[object] = []
-        on_src_rnic: List[Fault] = []
-        on_dst_rnic: List[Fault] = []
-        on_src_host: List[Fault] = []
-        on_dst_host: List[Fault] = []
-        for fault in self._faults.values():
-            target = fault.target
-            if isinstance(target, LinkId):
-                if target in link_set:
-                    on_path.append(fault)
-                elif fault.victim_links and not (
-                    fault.victim_links.isdisjoint(link_set)
-                ):
-                    # Victim-only hit: cache the secondary-effect view.
-                    on_path.append(fault.victim_view())
-            elif isinstance(target, SwitchId):
-                if str(target) in switch_set:
-                    on_path.append(fault)
-            elif isinstance(target, RnicId):
-                if target == src_rnic:
-                    on_src_rnic.append(fault)
-                if target == dst_rnic:
-                    on_dst_rnic.append(fault)
-            elif isinstance(target, HostId):
-                if target == src_rnic.host:
-                    on_src_host.append(fault)
-                if target == dst_rnic.host:
-                    on_dst_host.append(fault)
-        return tuple(
-            on_path + on_src_rnic + on_dst_rnic + on_src_host + on_dst_host
-        )
+        faults = self._faults.values()
+        met = [
+            face for face in (fault.face_on(path) for fault in faults)
+            if face is not None
+        ]
+        for place in (src_rnic, dst_rnic, src_rnic.host, dst_rnic.host):
+            met += [fault for fault in faults if fault.target == place]
+        return tuple(met)
 
     # ------------------------------------------------------------------
     # Side effects on overlay / tables
@@ -383,11 +351,10 @@ class FaultInjector:
 
     def _apply_side_effects(self, fault: Fault) -> None:
         overlay = self._cluster.overlay
-        issue, target = fault.issue, fault.target
+        issue = fault.issue
+        target: Any = fault.target  # its species: inject_issue's check
 
-        if issue == IssueType.OFFLOADING_FAILURE and isinstance(
-            target, RnicId
-        ):
+        if issue == IssueType.OFFLOADING_FAILURE:
             health = overlay.health(vtep_name(target))
             health.force_software_path = True
             fault._undo.append(
@@ -413,9 +380,7 @@ class FaultInjector:
 
             fault._undo.append(_restore_offload)
 
-        elif issue == IssueType.RNIC_GID_CHANGE and isinstance(
-            target, RnicId
-        ):
+        elif issue == IssueType.RNIC_GID_CHANGE:
             # The OS restarted its network service: every DELIVER rule for
             # endpoints behind this RNIC now points at a stale GID.  Model:
             # drop the deliver rules from the host OVS table.
@@ -446,9 +411,7 @@ class FaultInjector:
 
             fault._undo.append(_restore)
 
-        elif issue == IssueType.NOT_USING_RDMA and isinstance(
-            target, HostId
-        ):
+        elif issue == IssueType.NOT_USING_RDMA:
             # Flows leave via TCP through the kernel: mark rules
             # non-offloaded and purge the hardware caches on this host.
             table = overlay.ovs_table(target)
@@ -478,9 +441,7 @@ class FaultInjector:
 
             fault._undo.append(_restore_rdma)
 
-        elif issue == IssueType.REPETITIVE_FLOW_OFFLOADING and isinstance(
-            target, RnicId
-        ):
+        elif issue == IssueType.REPETITIVE_FLOW_OFFLOADING:
             # The RNIC keeps invalidating offloaded flows while OVS still
             # believes they are in hardware (the Figure-18 inconsistency).
             hw = overlay.offload_table(target)
@@ -500,9 +461,7 @@ class FaultInjector:
                 lambda: setattr(health, "force_software_path", False)
             )
 
-        elif issue == IssueType.CONTAINER_CRASH and isinstance(
-            target, Container
-        ):
+        elif issue == IssueType.CONTAINER_CRASH:
             for endpoint in target.endpoints():
                 h = overlay.health(veth_name(endpoint))
                 h.down = True
@@ -510,70 +469,7 @@ class FaultInjector:
 
 
 # ----------------------------------------------------------------------
-# Canonical fault parameters per issue type
-# ----------------------------------------------------------------------
-
-
-def _link_fault(issue: IssueType, **params) -> Callable:
-    def factory(cluster: Cluster, target: LinkId, start: float) -> Fault:
-        if not isinstance(target, LinkId):
-            raise TypeError(f"{issue} targets a LinkId, got {type(target)}")
-        return Fault(issue=issue, target=target, start=start,
-                     culprits={str(target)}, **params)
-
-    return factory
-
-
-def _switch_fault(issue: IssueType, **params) -> Callable:
-    def factory(cluster: Cluster, target: SwitchId, start: float) -> Fault:
-        if not isinstance(target, SwitchId):
-            raise TypeError(f"{issue} targets a SwitchId, got {type(target)}")
-        return Fault(issue=issue, target=target, start=start,
-                     culprits={str(target)}, **params)
-
-    return factory
-
-
-def _rnic_fault(issue: IssueType, extra_culprits=(), **params) -> Callable:
-    def factory(cluster: Cluster, target: RnicId, start: float) -> Fault:
-        if not isinstance(target, RnicId):
-            raise TypeError(f"{issue} targets an RnicId, got {type(target)}")
-        culprits = {str(target), vtep_name(target)}
-        for extra in extra_culprits:
-            culprits.add(extra(target))
-        return Fault(issue=issue, target=target, start=start,
-                     culprits=culprits, **params)
-
-    return factory
-
-
-def _host_fault(issue: IssueType, **params) -> Callable:
-    def factory(cluster: Cluster, target: HostId, start: float) -> Fault:
-        if not isinstance(target, HostId):
-            raise TypeError(f"{issue} targets a HostId, got {type(target)}")
-        culprits = {host_component(target)}
-        if ISSUE_CATALOG[issue].component == ComponentClass.VIRTUAL_SWITCH:
-            culprits.add(ovs_name(target))
-        return Fault(issue=issue, target=target, start=start,
-                     culprits=culprits, **params)
-
-    return factory
-
-
-def _container_fault(issue: IssueType, **params) -> Callable:
-    def factory(cluster: Cluster, target: Container, start: float) -> Fault:
-        if not isinstance(target, Container):
-            raise TypeError(
-                f"{issue} targets a Container, got {type(target)}"
-            )
-        return Fault(issue=issue, target=target, start=start,
-                     culprits={container_component(target.id)}, **params)
-
-    return factory
-
-
-# ----------------------------------------------------------------------
-# Gray-failure families (load-dependent; SHIFT §4 / SprayCheck §2)
+# Canonical fault parameters: one row per catalogue issue
 # ----------------------------------------------------------------------
 
 
@@ -591,62 +487,106 @@ def storm_center(link: LinkId) -> str:
     return link.a
 
 
-def _pfc_storm_factory(
-    cluster: Cluster, target: LinkId, start: float
-) -> Fault:
-    if not isinstance(target, LinkId):
-        raise TypeError(
-            f"{GrayIssueType.PFC_STORM} targets a LinkId, got {type(target)}"
-        )
+def _pfc_storm_params(cluster: Cluster, target: LinkId) -> dict:
+    """PFC storm: the one family whose parameters read the topology —
+    every other link of the storm centre is a pause-propagation
+    victim."""
     center = storm_center(target)
-    victims = frozenset(
-        link for link in cluster.topology.links()
-        if link.touches(center) and link != target
-    )
-    return Fault(
-        issue=GrayIssueType.PFC_STORM, target=target, start=start,
+    return dict(
         loss_rate=0.06, extra_latency_us=350.0,
-        victim_links=victims,
+        victim_links=frozenset(
+            link for link in cluster.topology.links()
+            if link.touches(center) and link != target
+        ),
         victim_loss_rate=0.02, victim_extra_latency_us=220.0,
-        # Pause propagation makes the whole storm centre blameworthy:
-        # an accurate localizer may pin the congested link or the
-        # switch whose ports it paused.
-        culprits={str(target), center},
     )
 
 
-def _congestion_collapse_factory(
-    cluster: Cluster, target: LinkId, start: float
-) -> Fault:
-    if not isinstance(target, LinkId):
-        raise TypeError(
-            f"{GrayIssueType.CONGESTION_COLLAPSE} targets a LinkId, "
-            f"got {type(target)}"
-        )
+#: The identifier type behind each ``IssueSpec.target_kind``.
+_TARGET_TYPES: Dict[str, type] = {
+    "link": LinkId,
+    "switch": SwitchId,
+    "rnic": RnicId,
+    "host": HostId,
+    "container": Container,
+}
+
+#: How each catalogue issue perturbs the data plane: the :class:`Fault`
+#: fields it sets (or a ``(cluster, target) -> fields`` function).  With
+#: the issue's ``IssueSpec`` row this is all an issue is — adding one is
+#: a catalogue row plus a row here.  Issues with no fields act through
+#: :meth:`FaultInjector._apply_side_effects` alone.
+_PARAMS: Dict[object, Any] = {
+    IssueType.CRC_ERROR: dict(loss_rate=0.10),
+    IssueType.SWITCH_PORT_DOWN: dict(down=True),
+    IssueType.SWITCH_PORT_FLAPPING: dict(
+        down=True, flap_period_s=20.0, flap_duty=0.35
+    ),
+    IssueType.SWITCH_OFFLINE: dict(down=True),
+    IssueType.RNIC_HARDWARE_FAILURE: dict(down=True),
+    IssueType.RNIC_FIRMWARE_NOT_RESPONDING: dict(
+        extra_latency_us=150.0, flow_selector=2
+    ),
+    IssueType.RNIC_PORT_DOWN: dict(down=True),
+    IssueType.RNIC_PORT_FLAPPING: dict(
+        down=True, flap_period_s=30.0, flap_duty=0.4
+    ),
+    IssueType.OFFLOADING_FAILURE: {},
+    IssueType.BOND_ERROR: dict(down=True),
+    IssueType.RNIC_GID_CHANGE: {},
+    IssueType.PCIE_NIC_ERROR: dict(extra_latency_us=90.0),
+    IssueType.GPU_DIRECT_RDMA_ERROR: dict(extra_latency_us=70.0),
+    IssueType.NOT_USING_RDMA: {},
+    IssueType.REPETITIVE_FLOW_OFFLOADING: dict(loss_rate=0.0005),
+    IssueType.SUBOPTIMAL_FLOW_OFFLOADING: dict(
+        extra_latency_us=60.0, flow_selector=2
+    ),
+    IssueType.CONTAINER_CRASH: {},
+    IssueType.HUGEPAGE_MISCONFIGURATION: dict(extra_latency_us=45.0),
+    IssueType.CONGESTION_CONTROL_ISSUE: dict(extra_latency_us=55.0),
+    GrayIssueType.PFC_STORM: _pfc_storm_params,
     # Canonical severity assumes a warm link; injection sites that know
     # the workload pass utilization-coupled overrides instead (see
     # :func:`gray_injection_overrides`).
-    return Fault(
-        issue=GrayIssueType.CONGESTION_COLLAPSE, target=target, start=start,
+    GrayIssueType.CONGESTION_COLLAPSE: dict(
         loss_rate=collapse_loss_rate(0.75),
         extra_latency_us=collapse_latency_us(0.75),
-        culprits={str(target)},
-    )
+    ),
+    GrayIssueType.PARTIAL_LINK_DEGRADATION: dict(
+        loss_rate=0.08, extra_latency_us=30.0
+    ),
+}
 
 
-def _partial_degradation_factory(
-    cluster: Cluster, target: LinkId, start: float
-) -> Fault:
-    if not isinstance(target, LinkId):
-        raise TypeError(
-            f"{GrayIssueType.PARTIAL_LINK_DEGRADATION} targets a LinkId, "
-            f"got {type(target)}"
-        )
-    return Fault(
-        issue=GrayIssueType.PARTIAL_LINK_DEGRADATION, target=target,
-        start=start, loss_rate=0.08, extra_latency_us=30.0,
-        culprits={str(target)},
-    )
+def _culprits(issue: Any, target: Any, topology) -> Set[str]:
+    """The component names an accurate localizer may blame for
+    ``issue`` on ``target`` — the fault's ground truth."""
+    spec = spec_of(issue)
+    if spec.target_kind == "container":
+        return {container_component(target.id)}
+    if spec.target_kind == "host":
+        culprits = {host_component(target)}
+        if spec.component == ComponentClass.VIRTUAL_SWITCH:
+            culprits.add(ovs_name(target))
+        return culprits
+    culprits = {str(target)}
+    if spec.target_kind == "rnic":
+        # Path evidence cannot distinguish a dead RNIC from its access
+        # link; blaming either is a correct localization.
+        culprits |= {
+            vtep_name(target),
+            str(LinkId.between(target, topology.tor_of(target))),
+        }
+        if spec.component == ComponentClass.KERNEL:
+            # A kernel-level cause (the OS restarting its network
+            # service) is the host's, whichever RNIC shows it.
+            culprits.add(host_component(target.host))
+    elif issue is GrayIssueType.PFC_STORM:
+        # Pause propagation makes the whole storm centre blameworthy:
+        # an accurate localizer may pin the congested link or the
+        # switch whose ports it paused.
+        culprits.add(storm_center(target))
+    return culprits
 
 
 def gray_injection_overrides(
@@ -664,8 +604,8 @@ def gray_injection_overrides(
     collapse couples severity to the link's utilization under the
     workload's traffic matrix when a :class:`LinkLoadModel` is given
     (cool links collapse mildly, hot links catastrophically).  PFC
-    storms need no overrides: the factory derives the victim set from
-    the topology itself.
+    storms need no overrides: the parameter row derives the victim set
+    from the topology itself.
     """
     if issue is GrayIssueType.PARTIAL_LINK_DEGRADATION:
         severity = keyed_uniform(seed, f"gray:partial:{target}", salt)
@@ -680,72 +620,3 @@ def gray_injection_overrides(
             "extra_latency_us": collapse_latency_us(utilization),
         }
     return {}
-
-
-_FACTORIES: Dict[object, Callable] = {
-    GrayIssueType.PFC_STORM: _pfc_storm_factory,
-    GrayIssueType.CONGESTION_COLLAPSE: _congestion_collapse_factory,
-    GrayIssueType.PARTIAL_LINK_DEGRADATION: _partial_degradation_factory,
-    IssueType.CRC_ERROR: _link_fault(
-        IssueType.CRC_ERROR, loss_rate=0.10
-    ),
-    IssueType.SWITCH_PORT_DOWN: _link_fault(
-        IssueType.SWITCH_PORT_DOWN, down=True
-    ),
-    IssueType.SWITCH_PORT_FLAPPING: _link_fault(
-        IssueType.SWITCH_PORT_FLAPPING,
-        down=True, flap_period_s=20.0, flap_duty=0.35,
-    ),
-    IssueType.SWITCH_OFFLINE: _switch_fault(
-        IssueType.SWITCH_OFFLINE, down=True
-    ),
-    IssueType.RNIC_HARDWARE_FAILURE: _rnic_fault(
-        IssueType.RNIC_HARDWARE_FAILURE, down=True
-    ),
-    IssueType.RNIC_FIRMWARE_NOT_RESPONDING: _rnic_fault(
-        IssueType.RNIC_FIRMWARE_NOT_RESPONDING,
-        extra_latency_us=150.0, flow_selector=2,
-    ),
-    IssueType.RNIC_PORT_DOWN: _rnic_fault(
-        IssueType.RNIC_PORT_DOWN, down=True
-    ),
-    IssueType.RNIC_PORT_FLAPPING: _rnic_fault(
-        IssueType.RNIC_PORT_FLAPPING,
-        down=True, flap_period_s=30.0, flap_duty=0.4,
-    ),
-    IssueType.OFFLOADING_FAILURE: _rnic_fault(
-        IssueType.OFFLOADING_FAILURE
-    ),
-    IssueType.BOND_ERROR: _rnic_fault(
-        IssueType.BOND_ERROR, down=True
-    ),
-    IssueType.RNIC_GID_CHANGE: _rnic_fault(
-        IssueType.RNIC_GID_CHANGE,
-        extra_culprits=(lambda r: host_component(r.host),),
-    ),
-    IssueType.PCIE_NIC_ERROR: _host_fault(
-        IssueType.PCIE_NIC_ERROR, extra_latency_us=90.0
-    ),
-    IssueType.GPU_DIRECT_RDMA_ERROR: _host_fault(
-        IssueType.GPU_DIRECT_RDMA_ERROR, extra_latency_us=70.0
-    ),
-    IssueType.NOT_USING_RDMA: _host_fault(
-        IssueType.NOT_USING_RDMA
-    ),
-    IssueType.REPETITIVE_FLOW_OFFLOADING: _rnic_fault(
-        IssueType.REPETITIVE_FLOW_OFFLOADING, loss_rate=0.0005
-    ),
-    IssueType.SUBOPTIMAL_FLOW_OFFLOADING: _host_fault(
-        IssueType.SUBOPTIMAL_FLOW_OFFLOADING,
-        extra_latency_us=60.0, flow_selector=2,
-    ),
-    IssueType.CONTAINER_CRASH: _container_fault(
-        IssueType.CONTAINER_CRASH
-    ),
-    IssueType.HUGEPAGE_MISCONFIGURATION: _host_fault(
-        IssueType.HUGEPAGE_MISCONFIGURATION, extra_latency_us=45.0
-    ),
-    IssueType.CONGESTION_CONTROL_ISSUE: _switch_fault(
-        IssueType.CONGESTION_CONTROL_ISSUE, extra_latency_us=55.0
-    ),
-}

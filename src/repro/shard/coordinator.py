@@ -15,9 +15,11 @@ coordinator adds what is particular to splitting *one job's pairs*:
   failing paths, which sharding scatters.  The coordinator collects
   each chunk's newly opened events, dedups them by key, groups them by
   detection time, and runs Algorithm 1 on its own reference replica —
-  with worker-reported paths and the global healthy-pair set — exactly
-  as the single-process hunter would.  The merged vote table
-  (:class:`MergedVoteTable`) accumulates per-link votes across shards.
+  which traces every failing pair's route itself (the same route the
+  reporting worker's replica would: placement and flow hash are
+  seed-determined) — against the global healthy-pair set.  The merged
+  vote table (:class:`MergedVoteTable`) accumulates per-link votes
+  across shards.
 
 The equivalence gate (:mod:`repro.shard.equivalence`) holds the whole
 construction to its invariant: same seed, same events, same verdicts —
@@ -30,6 +32,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.bus.codec import encode_event, encode_verdict
+from repro.bus.core import Topic
 from repro.cluster.topology import UnderlayPath
 from repro.core.localization import LocalizationReport, Localizer
 from repro.core.pinglist import ProbePair
@@ -78,7 +82,7 @@ class MergedVoteTable:
     """The plane-wide tomography vote table.
 
     Each unique failure event contributes one vote per physical link on
-    its reported path, into the symptom group the localizer's
+    its pair's route, into the symptom group the localizer's
     tomography stage uses ("hard" for unconnectivity — where healthy
     paths also exonerate — "soft" for everything else).  Votes are
     deduplicated by event key, so replayed events after a failover
@@ -93,19 +97,21 @@ class MergedVoteTable:
         }
         self._counted: Set[Tuple[ProbePair, float]] = set()
 
-    def add_event(self, record: EventRecord) -> bool:
-        """Count one event's path links; ``False`` if already counted."""
+    def add_event(
+        self, record: EventRecord, path: Optional[UnderlayPath]
+    ) -> bool:
+        """Count the links of ``path`` — the event pair's traced route,
+        ``None`` when it has none; ``False`` if already counted."""
         if record.key in self._counted:
             return False
         self._counted.add(record.key)
-        if record.path_devices is None:
+        if path is None:
             return True
         group = (
             "hard"
             if record.symptom_type == Symptom.UNCONNECTIVITY
             else "soft"
         )
-        path = UnderlayPath.through(record.path_devices)
         for link in path.links:
             self._votes[group][link] += 1
         return True
@@ -292,9 +298,10 @@ class ShardCoordinator(PlaneDriver[ShardStatus]):
     def _merge_chunk(
         self, chunk: int, start: int, end: int, results: list
     ) -> None:
+        # Step the reference to where the workers stand, then merge.
+        self._reference_schedule.advance_to(end)
         fresh = self._merge_results(results)
         self._publish_chunk(chunk, end)
-        self._reference_schedule.advance_to(end)
         self._localize(fresh)
 
     def _merge_results(
@@ -325,7 +332,10 @@ class ShardCoordinator(PlaneDriver[ShardStatus]):
             self.metrics.increment("probes.sent", result.probes_sent)
             self.metrics.increment("probes.lost", result.probes_lost)
             for record in result.events:
-                if self.vote_table.add_event(record):
+                route = self.reference.fabric.traceroute(
+                    record.src, record.dst
+                )
+                if self.vote_table.add_event(record, route):
                     self.metrics.increment("events.opened")
                 if record.key in self._seen_events:
                     continue
@@ -338,8 +348,6 @@ class ShardCoordinator(PlaneDriver[ShardStatus]):
         """Publish the post-merge shard-health and breaker views."""
         if self.bus is None:
             return
-        from repro.bus.core import Topic
-
         at = self.spec.round_time(end_round)
         self.bus.publish(
             Topic.SHARD_HEALTH,
@@ -388,9 +396,6 @@ class ShardCoordinator(PlaneDriver[ShardStatus]):
         ):
             self.verdicts.append((at, report))
             if self.bus is not None:
-                from repro.bus.codec import encode_event, encode_verdict
-                from repro.bus.core import Topic
-
                 for record in records:
                     self.bus.publish(
                         Topic.EVENTS, sim_time=at,

@@ -35,7 +35,6 @@ from typing import (
 )
 
 from repro.cluster.identifiers import EndpointId
-from repro.cluster.topology import UnderlayPath
 from repro.core.agent import OverlayAgent
 from repro.core.analyzer import Analyzer, FailureEvent
 from repro.core.localization import (
@@ -72,10 +71,6 @@ class EventRecord:
     dst: EndpointId
     first_detected_at: float
     symptom: str
-    #: The pair's pinned underlay route (device names, source to
-    #: destination), reported by the shard's underlay traceroute so the
-    #: coordinator can vote on links without re-tracing.
-    path_devices: Optional[Tuple[str, ...]]
 
     @property
     def pair(self) -> ProbePair:
@@ -102,11 +97,14 @@ class EventRecord:
 
 
 def collect_fresh_records(
-    analyzer: Analyzer, reported: Set[Tuple[ProbePair, float]], fabric
+    analyzer: Analyzer, reported: Set[Tuple[ProbePair, float]]
 ) -> List[EventRecord]:
-    """The analyzer's events not yet in ``reported``, as records with
-    the pair's traced underlay path, in (detection time, pair) order.
-    Marks them reported."""
+    """The analyzer's events not yet in ``reported``, as records in
+    (detection time, pair) order.  Marks them reported.
+
+    A record carries no route: placement and the flow hash are
+    seed-determined, so whoever localizes it traces the same one on its
+    own replica."""
     fresh = sorted(
         (
             event for event in analyzer.events
@@ -114,18 +112,16 @@ def collect_fresh_records(
         ),
         key=lambda event: (event.first_detected_at, event.pair),
     )
-    records = []
-    for event in fresh:
-        reported.add(event.key)
-        path = fabric.traceroute(event.pair.src, event.pair.dst)
-        records.append(EventRecord(
+    reported.update(event.key for event in fresh)
+    return [
+        EventRecord(
             src=event.pair.src,
             dst=event.pair.dst,
             first_detected_at=event.first_detected_at,
             symptom=event.symptom.name,
-            path_devices=path.devices if path is not None else None,
-        ))
-    return records
+        )
+        for event in fresh
+    ]
 
 
 def localize_records(
@@ -136,9 +132,12 @@ def localize_records(
     """Algorithm 1 over fresh records, one batch per detection time.
 
     Yields ``(at, batch, report)`` in time order, each batch in pair
-    order, localized with the records' reported paths and every pair of
-    ``universe`` the batch does not implicate as healthy evidence —
-    what the single-process hunter feeds its localizer.  Lazy: the
+    order, localized with every pair of ``universe`` the batch does not
+    implicate as healthy evidence.  Both planes batch this way — the
+    *fresh* events of one detection time — whereas the single-process
+    hunter and the replayer batch *every open* event each time
+    something is fresh
+    (:func:`repro.core.localization.localize_open_events`).  Lazy: the
     caller acts on one report before the next batch is localized.
     """
     groups: Dict[float, List[EventRecord]] = {}
@@ -148,16 +147,10 @@ def localize_records(
         groups.setdefault(record.first_detected_at, []).append(record)
     for at, batch in groups.items():
         events = [record.to_failure_event() for record in batch]
-        paths = {
-            record.pair: UnderlayPath.through(record.path_devices)
-            for record in batch
-            if record.path_devices is not None
-        }
         report = localizer.localize(
             events,
             healthy_pairs=healthy_pairs_for(events, universe),
             now=at,
-            paths=paths,
         )
         yield at, batch, report
 
@@ -298,7 +291,7 @@ class ShardMonitor:
             probes_sent=fabric.probes_sent - sent0,
             probes_lost=fabric.probes_lost - lost0,
             events=tuple(collect_fresh_records(
-                self.analyzer, self._reported, fabric
+                self.analyzer, self._reported
             )),
             replayed=replayed,
             breaker_states=self.breaker_snapshots(),

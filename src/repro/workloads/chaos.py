@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 
 from repro.cluster.identifiers import ContainerId
 from repro.network.faults import Fault
-from repro.network.issues import ISSUE_CATALOG, ComponentClass, IssueType
+from repro.network.issues import IssueType, spec_of
 from repro.workloads.scenarios import MonitoredScenario
 
 __all__ = ["ChaosSchedule", "PlannedFault"]
@@ -110,42 +110,29 @@ class ChaosSchedule:
         return plan
 
     def _pick_target(self, issue: IssueType):
+        """A live component of the species the catalogue says ``issue``
+        targets (``target_kind``).  The rank is drawn first whatever
+        the species: recorded plans depend on the draw order."""
         scenario = self.scenario
-        task = scenario.task
-        ranks = scenario.workload.num_ranks
-        rank = int(self._rng.integers(0, ranks))
+        rank = int(self._rng.integers(0, scenario.workload.num_ranks))
         rnic = scenario.rnic_of_rank(rank)
-        component = ISSUE_CATALOG[issue].component
-        if issue in (IssueType.CRC_ERROR, IssueType.SWITCH_PORT_DOWN,
-                     IssueType.SWITCH_PORT_FLAPPING):
+        kind = spec_of(issue).target_kind
+        if kind == "link":
             # A link on a monitored pair's pinned path.
-            pairs = scenario.hunter.monitored_pairs() or [
-                None
-            ]
-            if pairs[0] is None:
+            pairs = scenario.hunter.monitored_pairs()
+            if not pairs:
                 return scenario.topology.links()[0]
             pair = pairs[int(self._rng.integers(0, len(pairs)))]
-            path = scenario.fabric.traceroute(pair.src, pair.dst)
-            links = list(path.links)
+            links = scenario.fabric.traceroute(pair.src, pair.dst).links
             return links[int(self._rng.integers(0, len(links)))]
-        if issue in (IssueType.SWITCH_OFFLINE,
-                     IssueType.CONGESTION_CONTROL_ISSUE):
+        if kind == "switch":
             return scenario.topology.tor_of(rnic)
-        if issue == IssueType.CONTAINER_CRASH:
-            # Never crash rank 0's container twice in a row — pick any.
-            rank_container = int(
-                self._rng.integers(0, task.num_containers)
-            )
-            return task.containers[
-                ContainerId(task.id, rank_container)
-            ]
-        host_level = (ComponentClass.HOST_BOARD,
-                      ComponentClass.VIRTUAL_SWITCH,
-                      ComponentClass.CONFIGURATION)
-        if component in host_level and \
-                issue is not IssueType.REPETITIVE_FLOW_OFFLOADING:
-            return rnic.host
-        return rnic
+        if kind == "container":
+            task = scenario.task
+            return task.containers[ContainerId(
+                task.id, int(self._rng.integers(0, task.num_containers))
+            )]
+        return rnic.host if kind == "host" else rnic
 
     # ------------------------------------------------------------------
     # Execution

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro.bus.codec import encode_fault
+from repro.bus.core import Topic
 from repro.cluster.container import TrainingTask
 from repro.cluster.identifiers import ContainerId, EndpointId
 from repro.cluster.orchestrator import Cluster, Orchestrator, StartupModel
@@ -261,27 +263,17 @@ def build_scenario(
 def _ground_truth_publisher(bus):
     """A fault-injector observer publishing network ground truth.
 
-    Published fault ids are renumbered per run (the injector's ids come
-    from a process-global counter, which would make two same-seed
-    recordings in one process differ byte-wise); inject/clear records
-    for one fault share the run-local id.
+    Inject/clear records for one fault share its id, which the injector
+    allocates run-locally: two same-seed recordings agree byte-wise.
     """
-    local_ids: dict = {}
 
     def publish(action: str, fault: Fault, at: float) -> None:
-        from repro.bus.codec import encode_fault
-        from repro.bus.core import Topic
-
-        data = encode_fault(fault)
-        data["fault_id"] = local_ids.setdefault(
-            data["fault_id"], len(local_ids)
-        )
         bus.publish(
             Topic.GROUND_TRUTH,
             sim_time=at,
             plane="network",
             action=action,
-            fault=data,
+            fault=encode_fault(fault),
         )
 
     return publish

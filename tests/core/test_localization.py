@@ -111,22 +111,27 @@ class TestUnderlayLayer:
         tor = str(cluster.topology.tor_of(rnic))
         assert all(d.component != tor for d in report.diagnoses)
 
-    def test_device_verdict_blames_only_pairs_transiting_it(self, stack):
+    def test_device_verdict_blames_only_pairs_transiting_it(
+        self, stack, monkeypatch
+    ):
         cluster, task, injector, fabric, localizer = stack
         pairs = [pair_of(task, 0, 1, slot=slot) for slot in range(4)]
         warm_flows(fabric, task, pairs)
-        # The PFC-storm shape, as reported routes: three pairs cross
+        # The PFC-storm shape, as traced routes: three pairs cross
         # different links of spine-0, a fourth goes through spine-1.
         routes = {
-            pair: UnderlayPath.through([
+            (pair.src, pair.dst): UnderlayPath.through([
                 f"host-0/rnic-{i}", f"tor-{i}",
                 "spine-1" if i == 3 else "spine-0",
                 f"tor-{i + 4}", f"host-1/rnic-{i}",
             ])
             for i, pair in enumerate(pairs)
         }
+        monkeypatch.setattr(
+            fabric, "traceroute", lambda src, dst: routes[src, dst]
+        )
         report = localizer.localize(
-            [event(p, Symptom.HIGH_LATENCY) for p in pairs], paths=routes
+            [event(p, Symptom.HIGH_LATENCY) for p in pairs]
         )
         underlay = [d for d in report.diagnoses if d.layer == "underlay"]
         assert [d.component for d in underlay] == ["spine-0"]
@@ -296,13 +301,9 @@ class TestRouteSelection:
         cluster, task, injector, fabric, localizer = stack
         failing, healthy = self.cross_rail(fabric, task)
         fabric.set_ecmp_mode("spray")
-        bogus = fabric.traceroute(healthy.src, healthy.dst)
         localizer.localize(
             [event(p, Symptom.PACKET_LOSS) for p in failing],
             healthy_pairs=[healthy],
-            # A reported pick is one sample of a sprayed flow, not its
-            # route: it must not replace the distribution.
-            paths={failing[0]: bogus},
         )
         (dists, healthy_dists, keywords), = voted
         assert keywords["weighted"] is True
@@ -329,20 +330,6 @@ class TestRouteSelection:
         ]
         assert healthy_dists == [
             [fabric.traceroute(healthy.src, healthy.dst)]
-        ]
-
-    def test_pinned_fabric_prefers_a_reported_path(self, stack, voted):
-        cluster, task, injector, fabric, localizer = stack
-        failing, healthy = self.cross_rail(fabric, task)
-        reported = fabric.traceroute(healthy.src, healthy.dst)
-        localizer.localize(
-            [event(p) for p in failing], paths={failing[0]: reported},
-        )
-        (dists, _, keywords), = voted
-        assert keywords == {"exonerate": True, "weighted": False}
-        assert dists == [
-            [reported],
-            [fabric.traceroute(failing[1].src, failing[1].dst)],
         ]
 
 

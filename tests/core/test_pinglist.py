@@ -151,6 +151,12 @@ class TestActivation:
         assert basic.active_pairs_from(source) == []
 
 
+def active_pairs_oracle(ping_list):
+    """``active_pairs()`` as it was defined before it read the
+    by-source rows: filter the whole pair set, sort it."""
+    return sorted(p for p in ping_list.pairs if ping_list.is_active(p))
+
+
 def by_source(ping_list, ranks):
     return [
         pair
@@ -337,3 +343,40 @@ class TestRailStructure:
         assert set(built) == {source}
         assert structural.active_pairs_from(source) == row
         assert len(built) == 2  # the row is kept, not rebuilt
+
+    def test_active_pairs_reads_the_rows_not_the_pair_set(
+        self, monkeypatch
+    ):
+        """The 64 x 8 preload list: ``active_pairs()`` is the by-source
+        rows (what the hunter asks for on every round that opens an
+        event), so a second call builds no pair and nobody builds the
+        16,128-pair set."""
+        structural, _ = twin_lists(64, 8)
+        containers = [ContainerId(TaskId(0), rank) for rank in range(64)]
+        for container in containers[::-1]:      # not in sorted order
+            structural.register(container)
+        built = []
+        init = ProbePair.__init__
+
+        def counted(self, src, dst):
+            built.append(src.container)
+            init(self, src, dst)
+
+        monkeypatch.setattr(ProbePair, "__init__", counted)
+        first = structural.active_pairs()
+        assert len(built) == len(first) == len(structural) == 16128
+        assert structural.active_pairs() == first
+        assert structural.activation_ratio() == 1.0
+        assert len(built) == 16128          # zero built the second time
+        assert "pairs" not in vars(structural)
+        monkeypatch.undo()
+        assert first == active_pairs_oracle(structural)
+        structural.deregister(containers[5])
+        assert structural.active_pairs() == active_pairs_oracle(structural)
+        assert structural.activation_ratio() == pytest.approx(
+            len(active_pairs_oracle(structural)) / 16128
+        )
+
+    def test_activation_ratio_of_an_empty_list_is_zero(self):
+        assert PingList().activation_ratio() == 0.0
+        assert PingList.basic([], rail_of).activation_ratio() == 0.0

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.cluster.identifiers import LinkId, RnicId, SwitchId
+from repro.cluster.identifiers import HostId, LinkId, RnicId, SwitchId
 from repro.cluster.overlay import vtep_name
+from repro.cluster.topology import UnderlayPath
 from repro.network.faults import Effects, Fault, FaultInjector
 from repro.network.issues import IssueType, Symptom
 
@@ -85,13 +86,13 @@ class TestInjection:
         injector.inject_issue(IssueType.SWITCH_PORT_DOWN, link, start=0.0)
         rnic_name, tor_name = sorted((link.a, link.b))
         # Build a path containing the link and one avoiding it.
-        from repro.cluster.topology import UnderlayPath
-
         on_path = UnderlayPath(devices=(link.a, link.b),
                                links=(link,))
-        assert injector.path_effects(on_path, 1.0).down
+        elsewhere = RnicId(HostId(7), 3)    # no fault sits on it
+        (met,) = injector.relevant_faults(on_path, elsewhere, elsewhere)
+        assert met.effects(1.0).down
         off_path = UnderlayPath.through(["x", "y"])
-        assert not injector.path_effects(off_path, 1.0).down
+        assert injector.relevant_faults(off_path, elsewhere, elsewhere) == ()
 
     def test_rnic_culprits_include_access_link(self, injector, rnic, topology):
         fault = injector.inject_issue(
@@ -105,9 +106,13 @@ class TestInjection:
         fault = injector.inject_issue(
             IssueType.RNIC_PORT_DOWN, rnic, start=0.0
         )
-        assert injector.rnic_effects(rnic, 5.0).down
+        nowhere = UnderlayPath.through(["x", "y"])
+        elsewhere = RnicId(HostId(7), 3)
+        assert injector.relevant_faults(nowhere, rnic, elsewhere) == (fault,)
+        assert injector.relevant_faults(nowhere, elsewhere, rnic) == (fault,)
+        assert fault.effects(5.0).down
         injector.clear(fault, at=10.0)
-        assert not injector.rnic_effects(rnic, 10.0).down
+        assert not fault.effects(10.0).down
 
     def test_ground_truth_union(self, injector, rnic, topology):
         injector.inject_issue(IssueType.RNIC_PORT_DOWN, rnic, start=0.0)

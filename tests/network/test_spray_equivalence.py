@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from repro.cluster.identifiers import LinkId
 from repro.network.faults import gray_injection_overrides
 from repro.network.issues import GrayIssueType
+from repro.network.packet import flow_hash
+from repro.sim.rng import RngRegistry
 from repro.workloads.scenarios import build_scenario
 
 
@@ -131,3 +133,56 @@ def test_spray_batch_equals_sequential_with_midstream_invalidation(
     assert bat.fabric.send_probe_batch(pairs_bat, 3.0) == (
         _sequential_round(seq, pairs_seq, 3.0)
     )
+
+
+def _candidates(scenario, src, dst):
+    overlay = scenario.cluster.overlay
+    return scenario.topology.ecmp_paths(
+        overlay.rnic_of(src), overlay.rnic_of(dst)
+    )
+
+
+def test_the_sixth_uniform_picks_the_route():
+    """What batch == sequential cannot see: both sides would agree on
+    always taking the first candidate.  Replay the fabric's stream and
+    hold every probe to the route its own sixth uniform indexes."""
+    scenario = _build(11)
+    pairs = _pairs(scenario)
+    draws = RngRegistry(11).stream("fabric").random((len(pairs), 6))
+    results = scenario.fabric.send_probe_batch(pairs, 0.0)
+    for row, result in zip(draws, results):
+        # The RNICs the overlay walk used: a same-host pair is
+        # delivered locally, without leaving the source RNIC.
+        candidates = scenario.topology.ecmp_paths(
+            result.src_rnic, result.dst_rnic
+        )
+        k = len(candidates)
+        assert result.underlay_path == candidates[
+            min(int(row[5] * k), k - 1)
+        ]
+    spines = {
+        result.underlay_path.devices[2] for result in results
+        if result.underlay_path.hops == 4
+    }
+    assert spines == {str(spine) for spine in scenario.topology.spines}
+
+
+def test_traceroute_stays_the_hash_pick_under_spraying():
+    scenario = _build(11)
+    fabric, overlay = scenario.fabric, scenario.cluster.overlay
+    off_first = 0
+    for src, dst in _pairs(scenario):
+        pinned = scenario.topology.pick_path(
+            overlay.rnic_of(src), overlay.rnic_of(dst), flow_hash(src, dst)
+        )
+        assert fabric.traceroute(src, dst) == pinned
+        assert fabric.path_distribution(src, dst) == _candidates(
+            scenario, src, dst
+        )
+        off_first += pinned != fabric.path_distribution(src, dst)[0]
+    assert off_first > 0    # the pick is not just "the first candidate"
+    fabric.set_ecmp_mode("static")
+    for src, dst in _pairs(scenario):
+        assert fabric.path_distribution(src, dst) == [
+            fabric.traceroute(src, dst)
+        ]

@@ -228,7 +228,13 @@ def test_by_source_query_is_active_pairs_cut_per_container(pairs, steps):
             ping_list.register(containers[rank])
         else:
             ping_list.deregister(containers[rank])
-        active = ping_list.active_pairs()
+        # ``active_pairs()`` is now *defined* as the concatenated rows;
+        # the set-filtering definition it replaced is the oracle.
+        active = sorted(p for p in pairs if ping_list.is_active(p))
+        assert ping_list.active_pairs() == active
+        assert ping_list.activation_ratio() == (
+            len(active) / len(pairs) if pairs else 0.0
+        )
         by_source = [
             ping_list.active_pairs_from(c) for c in containers
         ]

@@ -9,9 +9,16 @@ from repro.shard import (
     ShardCoordinator,
     PlaneError,
     ShardDeadError,
+    build_replica,
     run_plane,
 )
-from repro.shard.backend import MultiprocessingBackend, backend_named
+from repro.shard.backend import (
+    InProcessHandle,
+    MultiprocessingBackend,
+    backend_named,
+)
+from repro.shard.equivalence import default_equivalence_spec
+from repro.shard.monitor import ShardMonitor
 
 
 class DyingAdopterBackend:
@@ -191,12 +198,91 @@ class TestMerging:
 class TestVoteTable:
     def test_duplicate_events_count_once(self, spec):
         result = run_plane(spec, 1, chunk_rounds=6)
+        trace = build_replica(spec).fabric.traceroute
         table = MergedVoteTable()
         for record in result.events:
-            assert table.add_event(record)
+            assert table.add_event(record, trace(record.src, record.dst))
         for record in result.events:
-            assert not table.add_event(record)
+            assert not table.add_event(
+                record, trace(record.src, record.dst)
+            )
         assert table.as_dict() == result.vote_table.as_dict()
+        assert any(table.as_dict().values())
+
+    def test_an_event_without_a_route_counts_but_casts_no_vote(self, spec):
+        result = run_plane(spec, 1, chunk_rounds=6)
+        table = MergedVoteTable()
+        assert table.add_event(result.events[0], None)
+        assert table.event_count() == 1
+        assert table.as_dict() == {"hard": {}, "soft": {}}
+
+
+class TracingBackend(InProcessBackend):
+    """In-process workers that also note, per fresh event, the route
+    their own replica traces at the chunk's end — what a heartbeat used
+    to carry as ``EventRecord.path_devices``."""
+
+    def __init__(self):
+        self.traced = {}
+
+    def spawn(self, shard_id, spec, pairs):
+        monitor = ShardMonitor(shard_id, spec, pairs)
+        run_rounds = monitor.run_rounds
+
+        def run_and_trace(start_round, end_round, replayed=False):
+            result = run_rounds(start_round, end_round, replayed)
+            for record in result.events:
+                self.traced.setdefault(
+                    record.key,
+                    monitor.scenario.fabric.traceroute(
+                        record.src, record.dst
+                    ),
+                )
+            return result
+
+        monitor.run_rounds = run_and_trace
+        return InProcessHandle(shard_id, monitor)
+
+
+class TestRoutesAreAskedNotCarried:
+    """Why a heartbeat carries no route: for every event, the reference
+    replica traces exactly what the reporting worker's replica does."""
+
+    @pytest.mark.parametrize("num_shards", [1, 2, 4])
+    def test_reference_traces_what_the_worker_would_have_shipped(
+        self, num_shards
+    ):
+        backend = TracingBackend()
+        coordinator = ShardCoordinator(
+            default_equivalence_spec(), num_shards, backend=backend
+        )
+        asked = {}
+        add_event = coordinator.vote_table.add_event
+
+        def spy(record, path):
+            asked.setdefault(record.key, path)
+            return add_event(record, path)
+
+        coordinator.vote_table.add_event = spy
+        result = coordinator.run()
+        assert len(result.events) == 16
+        assert set(asked) == result.event_keys() == set(backend.traced)
+        assert None not in asked.values()
+        assert asked == backend.traced
+
+    def test_a_failover_replay_traces_them_again_identically(self):
+        backend = TracingBackend()
+        coordinator = ShardCoordinator(
+            default_equivalence_spec(), 4, backend=backend,
+            kill_schedule={1: 3},
+        )
+        result = coordinator.run()
+        reference = coordinator.reference.fabric
+        assert result.reassignments
+        assert backend.traced == {
+            record.key: reference.traceroute(record.src, record.dst)
+            for record in result.events
+        }
 
 
 class TestConstruction:

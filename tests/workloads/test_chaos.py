@@ -1,10 +1,55 @@
-"""Tests for randomized chaos schedules."""
+"""Tests for randomized chaos schedules.
+
+``tests/golden/chaos_plans.json`` pins target selection: the plans a
+schedule over all 19 Table-1 issues draws on six seeds, generated at
+commit d1b7e5c *before* ``_pick_target`` started dispatching on the
+catalogue's ``target_kind``::
+
+    git archive d1b7e5c | tar -x -C /root/scratch/parent
+    PYTHONPATH=/root/scratch/parent/src \
+        python tests/workloads/test_chaos.py \
+        > tests/golden/chaos_plans.json
+"""
+
+import json
+import pathlib
 
 import pytest
 
+from repro.cluster.container import Container
 from repro.network.issues import IssueType
 from repro.workloads.chaos import ChaosSchedule
 from repro.workloads.scenarios import build_scenario
+
+
+GOLDEN = (
+    pathlib.Path(__file__).resolve().parent.parent
+    / "golden" / "chaos_plans.json"
+)
+
+
+def plan_rows():
+    """``{seed: [[at, duration, issue, target], ...]}`` over the whole
+    Table-1 catalogue — every RNG draw of planning shows in a row."""
+    plans = {}
+    for seed in range(6):
+        scenario = build_scenario(
+            num_containers=4, gpus_per_container=4, pp=2, seed=seed,
+            hosts_per_segment=4,
+        )
+        scenario.run_for(10)    # agents registered: pairs to pick from
+        chaos = ChaosSchedule(
+            scenario, mean_interarrival_s=60.0, issue_mix=tuple(IssueType)
+        )
+        plans[str(seed)] = [
+            [
+                p.at, p.duration_s, p.issue.name,
+                str(p.target.id if isinstance(p.target, Container)
+                    else p.target),
+            ]
+            for p in chaos.generate(0.0, 20000.0)
+        ]
+    return plans
 
 
 @pytest.fixture
@@ -54,8 +99,15 @@ class TestPlanning:
         with pytest.raises(ValueError):
             ChaosSchedule(scenario, mean_interarrival_s=0.0)
 
+    def test_plans_equal_the_parents_draw_for_draw(self):
+        golden = json.loads(GOLDEN.read_text())
+        plans = plan_rows()
+        assert plans == golden
+        planned = [row for rows in golden.values() for row in rows]
+        assert len(planned) > 300
+        assert {row[2] for row in planned} == {i.name for i in IssueType}
+
     def test_targets_match_issue_kinds(self, scenario):
-        from repro.cluster.container import Container
         from repro.cluster.identifiers import (
             HostId, LinkId, RnicId, SwitchId,
         )
@@ -104,3 +156,12 @@ class TestExecution:
         assert score.precision >= 0.9
         localized = [o for o in detected if o.localized]
         assert len(localized) >= len(detected) - 1
+
+
+if __name__ == "__main__":
+    # One planned fault per line.
+    print("{\n" + ",\n".join(
+        f'"{seed}": [\n'
+        + ",\n".join(json.dumps(row) for row in rows) + "\n]"
+        for seed, rows in plan_rows().items()
+    ) + "\n}")

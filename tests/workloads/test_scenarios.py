@@ -120,3 +120,30 @@ class TestScenarioOptions:
             num_containers=4, gpus_per_container=4, pp=2, ep=2, seed=3,
         )
         assert scenario.workload.config.ep == 2
+
+
+class TestGroundTruthPublisher:
+    def test_published_fault_ids_are_the_injectors_own(self):
+        """Ids are run-local at the source, so the publisher passes
+        them through: inject and clear of one fault share its id, and
+        a pinned id is published as pinned."""
+        from repro.bus import TelemetryBus, Topic
+        from repro.network.issues import IssueType
+
+        bus = TelemetryBus()
+        scenario = build_scenario(
+            num_containers=2, gpus_per_container=4, pp=1, seed=1, bus=bus
+        )
+        rnic = scenario.rnic_of_rank(0)
+        first = scenario.inject(IssueType.RNIC_PORT_DOWN, rnic)
+        pinned = scenario.inject(
+            IssueType.PCIE_NIC_ERROR, rnic.host, fault_id=7
+        )
+        scenario.clear(first)
+        assert (first.fault_id, pinned.fault_id) == (0, 7)
+        network = [
+            (record["data"]["action"], record["data"]["fault"]["fault_id"])
+            for record in bus.history(Topic.GROUND_TRUTH)
+            if record["data"]["plane"] == "network"
+        ]
+        assert network == [("inject", 0), ("inject", 7), ("clear", 0)]
