@@ -10,23 +10,20 @@ subset keeps CI fast; the committed artifact covers all 22 issues
 """
 
 from conftest import print_table, run_once
-from repro.chaos.gate import DegradationBounds, run_chaos_benchmark
+from repro.chaos.gate import Bounds, ChaosGate, leg_mark
 
 
 def test_chaos_degradation_gate(benchmark):
     def experiment():
-        return run_chaos_benchmark(quick=True, seed=0)
+        return ChaosGate().run(quick=True, seed=0)
 
     report = run_once(benchmark, experiment)
-
-    def leg(case):
-        mark = "det" if case["detected"] else "MISS"
-        return mark + ("+loc" if case["localized"] else "")
 
     print_table(
         "Degradation gate: clean vs standard monitor chaos",
         ["issue", "clean", "chaos", "retries", "skipped rounds"],
-        [[row["issue"].lower(), leg(row["clean"]), leg(row["chaos"]),
+        [[row["issue"].lower(),
+          leg_mark(row["clean"]), leg_mark(row["chaos"]),
           row["chaos"]["retries"], row["chaos"]["rounds_skipped"]]
          for row in report["rows"]],
     )
@@ -36,7 +33,7 @@ def test_chaos_degradation_gate(benchmark):
                 "breaker_recoveries"):
         benchmark.extra_info[key] = summary[key]
 
-    bounds = DegradationBounds()
+    bounds = Bounds()
     assert summary["recall_ratio"] >= bounds.min_recall_ratio
     assert (
         summary["localization_ratio"] >= bounds.min_localization_ratio

@@ -6,46 +6,19 @@ the component it localized to, and whether that matches ground truth.
 """
 
 from conftest import print_table, run_once
-from repro.cluster.identifiers import ContainerId
-from repro.network.issues import ISSUE_CATALOG, ComponentClass, IssueType
+from repro.network.issues import ISSUE_CATALOG, IssueType
 from repro.workloads.scenarios import build_scenario
 
 
-def _target_for(scenario, issue):
-    rnic = scenario.rnic_of_rank(scenario.workload.gpus_per_container)
-    if issue in (IssueType.CRC_ERROR, IssueType.SWITCH_PORT_DOWN,
-                 IssueType.SWITCH_PORT_FLAPPING):
-        pairs = scenario.hunter.monitored_pairs()
-        return scenario.fabric.traceroute(
-            pairs[0].src, pairs[0].dst
-        ).links[1]
-    if issue in (IssueType.SWITCH_OFFLINE,
-                 IssueType.CONGESTION_CONTROL_ISSUE):
-        return scenario.topology.tor_of(rnic)
-    if issue == IssueType.CONTAINER_CRASH:
-        return scenario.task.containers[
-            ContainerId(scenario.task.id, 1)
-        ]
-    if ISSUE_CATALOG[issue].component in (
-        ComponentClass.HOST_BOARD, ComponentClass.VIRTUAL_SWITCH,
-        ComponentClass.CONFIGURATION,
-    ) and issue is not IssueType.REPETITIVE_FLOW_OFFLOADING:
-        return rnic.host
-    return rnic
-
-
 def _run_issue(issue):
+    """One issue on the basic ping list (no skeleton step), injected at
+    the scenario's ``standard_fault_target``."""
     scenario = build_scenario(
         num_containers=4, gpus_per_container=4, pp=2,
         seed=1000 + issue.value, hosts_per_segment=4,
     )
     scenario.run_for(200)
-    fault = scenario.inject(issue, _target_for(scenario, issue))
-    scenario.run_for(120)
-    scenario.clear(fault)
-    scenario.run_for(40)
-    score, outcomes = scenario.score()
-    outcome = outcomes[0]
+    outcome = scenario.run_fault(issue)
     return {
         "issue": issue,
         "detected": outcome.detected,

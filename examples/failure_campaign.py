@@ -9,30 +9,7 @@ Run:  python examples/failure_campaign.py
 """
 
 from repro import IssueType, build_scenario
-from repro.cluster.identifiers import ContainerId
-from repro.network.issues import ISSUE_CATALOG, ComponentClass
-
-
-def target_for(scenario, issue):
-    """Pick a realistic injection target per issue type."""
-    rnic = scenario.rnic_of_rank(scenario.workload.gpus_per_container)
-    if issue in (IssueType.CRC_ERROR, IssueType.SWITCH_PORT_DOWN,
-                 IssueType.SWITCH_PORT_FLAPPING):
-        pair = scenario.hunter.monitored_pairs()[0]
-        return scenario.fabric.traceroute(pair.src, pair.dst).links[1]
-    if issue in (IssueType.SWITCH_OFFLINE,
-                 IssueType.CONGESTION_CONTROL_ISSUE):
-        return scenario.topology.tor_of(rnic)
-    if issue == IssueType.CONTAINER_CRASH:
-        return scenario.task.containers[
-            ContainerId(scenario.task.id, 1)
-        ]
-    host_level = (ComponentClass.HOST_BOARD, ComponentClass.VIRTUAL_SWITCH,
-                  ComponentClass.CONFIGURATION)
-    if ISSUE_CATALOG[issue].component in host_level and \
-            issue is not IssueType.REPETITIVE_FLOW_OFFLOADING:
-        return rnic.host
-    return rnic
+from repro.network.issues import ISSUE_CATALOG
 
 
 def main() -> None:
@@ -49,13 +26,9 @@ def main() -> None:
             seed=7000 + issue.value, hosts_per_segment=4, observe=True,
         )
         scenario.run_for(200)
-        fault = scenario.inject(issue, target_for(scenario, issue))
-        scenario.run_for(120)
-        scenario.clear(fault)
-        scenario.run_for(40)
-
-        _, outcomes = scenario.score()
-        outcome = outcomes[0]
+        # Inject at the catalogue's standard target for this kind of
+        # issue, hold it 120 s, clear it, cool down 40 s, score it.
+        outcome = scenario.run_fault(issue)
         detected += outcome.detected
         localized += outcome.localized
         spec = ISSUE_CATALOG[issue]

@@ -31,11 +31,8 @@ Quickstart::
     scenario = build_scenario(num_containers=8, gpus_per_container=8)
     scenario.run_for(120)                       # warm detection baselines
     scenario.apply_skeleton()                   # infer + shrink ping list
-    fault = scenario.inject(IssueType.RNIC_PORT_DOWN,
-                            scenario.rnic_of_rank(8))
-    scenario.run_for(60)
-    score, outcomes = scenario.score()
-    print(score.precision, score.recall, score.localization_accuracy)
+    outcome = scenario.run_fault(IssueType.RNIC_PORT_DOWN)
+    print(outcome.detected, outcome.localized_component)
 """
 
 from repro.cluster import (

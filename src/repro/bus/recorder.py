@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from typing import Any, Dict, List, Optional
 
 from repro.bus.core import TelemetryBus
@@ -74,6 +75,9 @@ class JsonlRecorder:
         self.path = str(path)
         self.config = dict(config or {})
         self.records_written = 0
+        #: Records written per topic.  The bus's own ``history`` is a
+        #: bounded ring, so this is the only complete count of a run.
+        self.topic_counts: Counter = Counter()
         # The one sanctioned telemetry write path (the determinism
         # lint's telemetry-write rule exempts this module by name).
         self._file = open(self.path, "w", encoding="utf-8")
@@ -93,6 +97,7 @@ class JsonlRecorder:
         row.update(record)
         self._file.write(_dump(row) + "\n")
         self.records_written += 1
+        self.topic_counts[record["topic"]] += 1
 
     def close(self) -> None:
         """Write the footer, detach from the bus, and close the file."""

@@ -98,21 +98,16 @@ def _build_replica(config: Dict[str, Any], bus=None, chaos=None,
     """
     # Imported lazily: repro.bus must stay importable from the core
     # modules that publish onto it.
-    from repro.core.resilience import RetryPolicy
     from repro.workloads.scenarios import build_scenario
 
-    seed = int(config["seed"])
     return build_scenario(
         num_containers=int(config["num_containers"]),
         gpus_per_container=int(config["gpus_per_container"]),
         pp=int(config["pp"]),
-        seed=seed,
+        seed=int(config["seed"]),
         probe_interval_s=float(config["probe_interval_s"]),
         hosts_per_segment=int(config["hosts_per_segment"]),
         chaos=chaos,
-        retry_policy=(
-            RetryPolicy(seed=seed) if chaos is not None else None
-        ),
         bus=bus,
         watch=watch,
         start_monitoring=watch,
@@ -132,22 +127,20 @@ def _build_chaos(config: Dict[str, Any]):
 
 def drive_standard_run(bus: TelemetryBus, config: Dict[str, Any]):
     """Run the standard chaos campaign leg live, publishing onto
-    ``bus``: warm up, apply the skeleton, inject the configured issue,
-    clear it, cool down.  Returns the scenario (fully run)."""
+    ``bus``: warm up, apply the skeleton, then the configured issue's
+    :meth:`~repro.workloads.scenarios.MonitoredScenario.run_fault`.
+    Returns the scenario (fully run)."""
     from repro.network.issues import lookup_issue
-    from repro.workloads.scenarios import standard_fault_target
 
-    issue = lookup_issue(config["issue"])
-    chaos = _build_chaos(config)
-    scenario = _build_replica(config, bus=bus, chaos=chaos, watch=True)
+    scenario = _build_replica(
+        config, bus=bus, chaos=_build_chaos(config), watch=True
+    )
     scenario.run_for(config["warm_s"])
     scenario.apply_skeleton()
-    fault = scenario.inject(
-        issue, standard_fault_target(scenario, issue)
+    scenario.run_fault(
+        lookup_issue(config["issue"]),
+        fault_s=config["fault_s"], cool_s=config["cool_s"],
     )
-    scenario.run_for(config["fault_s"])
-    scenario.clear(fault)
-    scenario.run_for(config["cool_s"])
     return scenario
 
 
@@ -166,12 +159,13 @@ def record_standard_run(
         bus, path, config=config, seed=config["seed"]
     ) as recorder:
         drive_standard_run(bus, config)
+    written = recorder.topic_counts
     return {
         "path": recorder.path,
         "records": recorder.records_written,
-        "verdicts": len(bus.history(Topic.VERDICTS)),
-        "events": len(bus.history(Topic.EVENTS)),
-        "breaker_transitions": len(bus.history(Topic.BREAKERS)),
+        "verdicts": written[Topic.VERDICTS],
+        "events": written[Topic.EVENTS],
+        "breaker_transitions": written[Topic.BREAKERS],
         "fingerprint": config_fingerprint(config),
     }
 

@@ -1,39 +1,50 @@
-"""The degradation gate: bounded accuracy loss under monitor chaos.
+"""The degradation-gate engine, and the monitor-chaos gate built on it.
 
-Hardening is only worth shipping if it provably keeps the pipeline
-useful while the monitor itself is failing.  This module runs the same
-fault campaign twice — once with a perfect monitor, once under the
-*standard chaos weather* (telemetry loss + probe-report loss at a
-configurable rate, plus one sidecar-agent crash window) — and compares
-detection recall and localization rate.  The committed artifact
-(``BENCH_chaos.json``) and the ``repro chaos`` CLI both assert the
-:class:`DegradationBounds`: chaos may cost a bounded fraction of recall,
-never the pipeline.
+A degradation gate answers one question: how much detection and
+localization does the pipeline keep when its world gets harder?  The
+:class:`Gate` engine asks it the same way every time — each case (an
+issue and a seed) runs through the gate's named *arms*, each arm
+wiring the campaign leg's world differently (or re-scoring an earlier
+arm's run), and the *treatment* arm's detected / localized counts must
+stay within :class:`Bounds` of the *baseline* arm's.  One report
+builder, one JSON dump, one terminal table.
+
+:class:`ChaosGate` (``repro chaos``, ``BENCH_chaos.json``) is the
+monitor-plane instance: a perfect monitor against the *standard chaos
+weather* — telemetry loss + probe-report loss at a configurable rate,
+plus one sidecar-agent crash window.  ``repro.chaos.gray`` holds the
+spraying-ECMP instance, and ``repro campaign`` prints the
+:func:`campaign_leg` of every catalogued issue on the basic ping list.
 
 Everything is seeded: the campaign scenarios, the chaos schedule (fault
 ids are pinned so repeated runs in one process draw identical fates),
-and the retry jitter — so the gate's numbers are reproducible bit for
+and the retry jitter — so a gate's numbers are reproducible bit for
 bit.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.chaos.faults import MonitorFaultInjector, MonitorIssue
-from repro.core.resilience import RetryPolicy
+from repro.core.evaluation import FaultOutcome
 from repro.network.issues import GrayIssueType, IssueType, all_issue_types
-from repro.workloads.scenarios import build_scenario, standard_fault_target
+from repro.workloads.scenarios import MonitoredScenario, build_scenario
 
 __all__ = [
-    "DegradationBounds",
+    "Bounds",
+    "ChaosGate",
     "FULL_ISSUES",
+    "Gate",
     "QUICK_ISSUES",
-    "format_report",
-    "run_chaos_benchmark",
+    "build_case",
+    "campaign_leg",
+    "leg_mark",
+    "outcome_leg",
     "standard_chaos",
+    "sweep",
 ]
 
 #: The full gate sweeps every catalogued issue — Table 1 plus the gray
@@ -48,6 +59,9 @@ QUICK_ISSUES: Tuple[object, ...] = (
     GrayIssueType.PARTIAL_LINK_DEGRADATION,
 )
 
+#: Fault-free warm-up every campaign leg runs before its fault.
+WARM_S = 200.0
+
 #: The sidecar agent crashed during the chaos run (container id string;
 #: chosen away from the standard fault targets so the crash degrades
 #: coverage rather than blinding the campaign's victim pairs).
@@ -58,31 +72,233 @@ CRASH_SCOPE = "task-0/node-3"
 CRASH_START_S = 210.0
 CRASH_END_S = 270.0
 
+#: ``arm(issue, seed, live) -> leg dict``.  ``live`` is the case's
+#: scratch dict: an arm may leave live objects there (its scenario, its
+#: outcome) for a later arm of the same case to re-score.
+Arm = Callable[[object, int, Dict[str, object]], Dict[str, object]]
+
+
+# ----------------------------------------------------------------------
+# The campaign leg's pieces, shared by every arm of every gate
+# ----------------------------------------------------------------------
+
+
+def build_case(issue, seed: int, **world) -> MonitoredScenario:
+    """The 16-GPU world of one (issue, seed) case, built but not run.
+
+    Every case gets its own scenario seed, so no two issues of a sweep
+    share placement or noise.
+    """
+    return build_scenario(
+        num_containers=4, gpus_per_container=4, pp=2,
+        seed=seed * 100 + issue.value, **world,
+    )
+
+
+def campaign_leg(
+    issue, seed: int, skeleton: bool = True, chaos=None
+) -> Tuple[MonitoredScenario, FaultOutcome]:
+    """One Table-1 campaign leg: warm up, run the fault, score it.
+
+    ``skeleton=False`` keeps the basic (rail-pruned) ping list live —
+    what ``repro campaign`` measures; the gates probe the inferred
+    skeleton, as production does.
+    """
+    scenario = build_case(issue, seed, hosts_per_segment=4, chaos=chaos)
+    scenario.run_for(WARM_S)
+    if skeleton:
+        scenario.apply_skeleton()
+    return scenario, scenario.run_fault(issue)
+
+
+def outcome_leg(
+    outcome: FaultOutcome, *fields: str, **extras
+) -> Dict[str, object]:
+    """The JSON slice of a scored fault: the two verdict flags, the
+    named :class:`FaultOutcome` fields, and the arm's own ``extras``."""
+    leg = {
+        "detected": bool(outcome.detected),
+        "localized": bool(outcome.localized),
+    }
+    leg.update((name, getattr(outcome, name)) for name in fields)
+    leg.update(extras)
+    return leg
+
+
+def leg_mark(leg: Dict[str, object]) -> str:
+    """How every gate table renders a leg: MISS, det or det+loc."""
+    if not leg["detected"]:
+        return "MISS"
+    return "det+loc" if leg["localized"] else "det"
+
+
+# ----------------------------------------------------------------------
+# The engine
+# ----------------------------------------------------------------------
+
 
 @dataclass(frozen=True)
-class DegradationBounds:
-    """What the hardened pipeline must retain under standard chaos."""
+class Bounds:
+    """What a gate's treatment arm must retain of its baseline arm."""
 
-    #: Chaos-run detection recall as a fraction of the clean run's.
+    #: Treatment-arm detected count as a fraction of the baseline's.
     min_recall_ratio: float = 0.9
-    #: Chaos-run localization rate as a fraction of the clean run's.
+    #: Treatment-arm localized count as a fraction of the baseline's.
     min_localization_ratio: float = 0.75
 
-    def check(self, summary: Dict[str, float]) -> List[str]:
+    def check(self, summary: Dict[str, object]) -> List[str]:
         """Violated bounds, as human-readable strings (empty = pass)."""
-        failures = []
-        if summary["recall_ratio"] < self.min_recall_ratio:
-            failures.append(
-                f"recall ratio {summary['recall_ratio']:.3f} < "
-                f"{self.min_recall_ratio}"
+        return [
+            f"{name} ratio {summary[key]:.3f} < {floor}"
+            for name, key, floor in (
+                ("recall", "recall_ratio", self.min_recall_ratio),
+                ("localization", "localization_ratio",
+                 self.min_localization_ratio),
             )
-        if summary["localization_ratio"] < self.min_localization_ratio:
-            failures.append(
-                f"localization ratio "
-                f"{summary['localization_ratio']:.3f} < "
-                f"{self.min_localization_ratio}"
+            if summary[key] < floor
+        ]
+
+
+#: What a gate compares between two arms: (name, leg flag counted,
+#: summary key of the treatment / baseline ratio).
+_COMPARED = (
+    ("recall", "detected", "recall_ratio"),
+    ("localization", "localized", "localization_ratio"),
+)
+
+
+def sweep(
+    arms: Dict[str, Arm], cases: Iterable[Tuple[object, int]]
+) -> Iterator[Dict[str, object]]:
+    """cases x arms -> rows, one row per case as it finishes."""
+    for issue, seed in cases:
+        live: Dict[str, object] = {}
+        row: Dict[str, object] = {"issue": issue.name, "seed": seed}
+        for name, arm in arms.items():
+            row[name] = arm(issue, seed, live)
+        yield row
+
+
+class Gate:
+    """cases x arms -> rows -> counts -> ratios -> bounds -> report.
+
+    A gate definition names its ``arms`` (run in order for every case),
+    says which is the ``baseline`` and which the ``treatment``, lists
+    its ``cases``, and may add its own summary numbers (``extras``),
+    its own violations (``check``) and its own report lines
+    (``footer``).  The engine owns everything else.
+    """
+
+    title: str
+    arms: Dict[str, Arm]
+    baseline: str
+    treatment: str
+
+    def cases(self, quick: bool, seed: int) -> List[Tuple[object, int]]:
+        """The (issue, seed) cases of a quick or a full run."""
+        raise NotImplementedError
+
+    def config(self, quick: bool, seed: int) -> Dict[str, object]:
+        """Gate-specific entries of the report's ``config``."""
+        return {}
+
+    def extras(
+        self, rows: List[Dict[str, object]], quick: bool, seed: int
+    ) -> Dict[str, object]:
+        """Gate-specific summary numbers, computed from the rows."""
+        return {}
+
+    def check(self, summary: Dict[str, object]) -> List[str]:
+        """Gate-specific violations, beyond the two :class:`Bounds`."""
+        return []
+
+    def footer(self, summary: Dict[str, object]) -> List[str]:
+        """Gate-specific report lines, printed above the verdict."""
+        return []
+
+    def run(
+        self,
+        quick: bool = False,
+        seed: int = 0,
+        out: Optional[str] = None,
+        bounds: Optional[Bounds] = None,
+    ) -> Dict[str, object]:
+        """Run every case through every arm and evaluate the bounds.
+
+        Returns the JSON-ready report (written to ``out`` when given);
+        ``report["summary"]["passed"]`` tells callers whether every
+        bound held.  An empty case list is refused: it would pass
+        vacuously.
+        """
+        bounds = bounds if bounds is not None else Bounds()
+        rows = list(sweep(self.arms, self.cases(quick, seed)))
+        if not rows:
+            raise ValueError(f"{self.title}: no cases to compare")
+        summary: Dict[str, object] = {"cases": len(rows)}
+        for arm in self.arms:
+            for key in ("detected", "localized"):
+                summary[f"{arm}_{key}"] = sum(
+                    1 for row in rows if row[arm][key]
+                )
+        for _, key, ratio in _COMPARED:
+            base = summary[f"{self.baseline}_{key}"]
+            summary[ratio] = (
+                summary[f"{self.treatment}_{key}"] / base if base else 1.0
             )
-        return failures
+        summary.update(self.extras(rows, quick, seed))
+        violations = bounds.check(summary) + self.check(summary)
+        summary["passed"] = not violations
+        summary["violations"] = violations
+        report = {
+            "config": {
+                "quick": quick, "seed": seed,
+                **self.config(quick, seed), "bounds": asdict(bounds),
+            },
+            "rows": rows,
+            "summary": summary,
+        }
+        if out is not None:
+            with open(out, "w", encoding="utf-8") as handle:
+                json.dump(report, handle, indent=2, sort_keys=True)
+                handle.write("\n")
+        return report
+
+    def format_report(self, report: Dict[str, object]) -> str:
+        """Render a :meth:`run` report for terminals."""
+        lines = [self.title]
+        lines.append(
+            f"  {'issue':<28} {'seed':>4}"
+            + "".join(f" {arm:>11}" for arm in self.arms)
+        )
+        for row in report["rows"]:
+            lines.append(
+                f"  {row['issue'].lower():<28} {row['seed']:>4}"
+                + "".join(
+                    f" {leg_mark(row[arm]):>11}" for arm in self.arms
+                )
+            )
+        summary = report["summary"]
+        cases = summary["cases"]
+        for name, key, ratio in _COMPARED:
+            lines.append(
+                f"{name}: {self.baseline} "
+                f"{summary[f'{self.baseline}_{key}']}/{cases} -> "
+                f"{self.treatment} "
+                f"{summary[f'{self.treatment}_{key}']}/{cases} "
+                f"(ratio {summary[ratio]:.3f})"
+            )
+        lines.extend(self.footer(summary))
+        if summary["passed"]:
+            lines.append("bounds: PASS")
+        else:
+            for violation in summary["violations"]:
+                lines.append(f"bounds: FAIL - {violation}")
+        return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# The monitor-chaos gate
+# ----------------------------------------------------------------------
 
 
 def standard_chaos(
@@ -112,38 +328,7 @@ def standard_chaos(
     return injector
 
 
-def _run_case(
-    issue,
-    seed: int,
-    chaos: Optional[MonitorFaultInjector],
-) -> Dict[str, object]:
-    """One campaign leg (clean or chaotic) for one issue."""
-    scenario = build_scenario(
-        num_containers=4, gpus_per_container=4, pp=2,
-        seed=seed * 100 + issue.value, hosts_per_segment=4,
-        chaos=chaos,
-        retry_policy=RetryPolicy(seed=seed) if chaos is not None else None,
-    )
-    scenario.run_for(200)
-    scenario.apply_skeleton()
-    fault = scenario.inject(
-        issue, standard_fault_target(scenario, issue)
-    )
-    scenario.run_for(120)
-    scenario.clear(fault)
-    scenario.run_for(40)
-    _, outcomes = scenario.score()
-    outcome = outcomes[0]
-    monitor = _monitor_stats(scenario)
-    return {
-        "detected": bool(outcome.detected),
-        "localized": bool(outcome.localized),
-        "detection_delay_s": outcome.detection_delay_s,
-        **monitor,
-    }
-
-
-def _monitor_stats(scenario) -> Dict[str, int]:
+def _monitor_stats(scenario: MonitoredScenario) -> Dict[str, int]:
     """Aggregate hardened-prober counters across the task's agents."""
     stats = {
         "retries": 0, "retry_successes": 0, "reports_lost": 0,
@@ -167,134 +352,67 @@ def _monitor_stats(scenario) -> Dict[str, int]:
     return stats
 
 
-def run_chaos_benchmark(
-    quick: bool = False,
-    seed: int = 0,
-    out: Optional[str] = None,
-    telemetry_loss: float = 0.10,
-    bounds: Optional[DegradationBounds] = None,
-) -> Dict[str, object]:
-    """Run the clean-vs-chaos campaign and evaluate the bounds.
+class ChaosGate(Gate):
+    """Clean monitor vs the standard chaos weather, skeleton list live.
 
-    Returns the JSON-ready report; ``report["summary"]["passed"]``
-    tells callers whether every :class:`DegradationBounds` held.
+    Hardening is only worth shipping if it provably keeps the pipeline
+    useful while the monitor itself is failing: chaos may cost a
+    bounded fraction of recall, never the pipeline.
     """
-    bounds = bounds if bounds is not None else DegradationBounds()
-    issues = QUICK_ISSUES if quick else FULL_ISSUES
-    rows = []
-    for issue in issues:
-        clean = _run_case(issue, seed, chaos=None)
-        chaotic = _run_case(
-            issue, seed, chaos=standard_chaos(seed, telemetry_loss)
+
+    title = "chaos degradation gate: clean vs standard monitor chaos"
+    baseline = "clean"
+    treatment = "chaos"
+
+    def __init__(self, telemetry_loss: float = 0.10) -> None:
+        self.telemetry_loss = telemetry_loss
+        self.arms = {"clean": self._clean, "chaos": self._chaos}
+
+    def _clean(self, issue, seed: int, live) -> Dict[str, object]:
+        return self._leg(issue, seed, None)
+
+    def _chaos(self, issue, seed: int, live) -> Dict[str, object]:
+        return self._leg(
+            issue, seed, standard_chaos(seed, self.telemetry_loss)
         )
-        rows.append({
-            "issue": issue.name,
-            "clean": clean,
-            "chaos": chaotic,
-        })
 
-    def rate(leg: str, key: str) -> float:
-        return sum(1 for r in rows if r[leg][key]) / len(rows)
+    @staticmethod
+    def _leg(issue, seed: int, chaos) -> Dict[str, object]:
+        scenario, outcome = campaign_leg(issue, seed, chaos=chaos)
+        return outcome_leg(
+            outcome, "detection_delay_s", **_monitor_stats(scenario)
+        )
 
-    clean_recall = rate("clean", "detected")
-    chaos_recall = rate("chaos", "detected")
-    clean_loc = rate("clean", "localized")
-    chaos_loc = rate("chaos", "localized")
-    summary = {
-        "issues": len(rows),
-        "telemetry_loss": telemetry_loss,
-        "clean_recall": clean_recall,
-        "chaos_recall": chaos_recall,
-        "recall_ratio": (
-            chaos_recall / clean_recall if clean_recall else 1.0
-        ),
-        "clean_localization": clean_loc,
-        "chaos_localization": chaos_loc,
-        "localization_ratio": (
-            chaos_loc / clean_loc if clean_loc else 1.0
-        ),
-        "retries": sum(r["chaos"]["retries"] for r in rows),
-        "retry_successes": sum(
-            r["chaos"]["retry_successes"] for r in rows
-        ),
-        "monitor_failures": sum(
-            r["chaos"]["monitor_failures"] for r in rows
-        ),
-        "rounds_skipped": sum(
-            r["chaos"]["rounds_skipped"] for r in rows
-        ),
-        "breaker_trips": sum(r["chaos"]["breaker_trips"] for r in rows),
-        "breaker_recoveries": sum(
-            r["chaos"]["breaker_recoveries"] for r in rows
-        ),
-    }
-    violations = bounds.check(summary)
-    summary["passed"] = not violations
-    summary["violations"] = violations
-    report = {
-        "config": {
-            "quick": quick,
-            "seed": seed,
-            "telemetry_loss": telemetry_loss,
+    def cases(self, quick: bool, seed: int) -> List[Tuple[object, int]]:
+        issues = QUICK_ISSUES if quick else FULL_ISSUES
+        return [(issue, seed) for issue in issues]
+
+    def config(self, quick: bool, seed: int) -> Dict[str, object]:
+        return {
+            "telemetry_loss": self.telemetry_loss,
             "crash_scope": CRASH_SCOPE,
             "crash_window_s": [CRASH_START_S, CRASH_END_S],
-            "bounds": {
-                "min_recall_ratio": bounds.min_recall_ratio,
-                "min_localization_ratio": bounds.min_localization_ratio,
-            },
-        },
-        "rows": rows,
-        "summary": summary,
-    }
-    if out is not None:
-        with open(out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return report
+        }
 
+    def extras(
+        self, rows: List[Dict[str, object]], quick: bool, seed: int
+    ) -> Dict[str, object]:
+        summary: Dict[str, object] = {
+            "telemetry_loss": self.telemetry_loss
+        }
+        for counter in (
+            "retries", "retry_successes", "monitor_failures",
+            "rounds_skipped", "breaker_trips", "breaker_recoveries",
+        ):
+            summary[counter] = sum(row["chaos"][counter] for row in rows)
+        return summary
 
-def format_report(report: Dict[str, object]) -> str:
-    """Render the gate report for terminals."""
-    lines = ["chaos degradation gate: clean vs standard monitor chaos"]
-    lines.append(
-        f"  {'issue':<28} {'clean':>12} {'chaos':>12} "
-        f"{'retries':>8} {'skipped':>8}"
-    )
-
-    def leg(case: Dict[str, object]) -> str:
-        mark = "det" if case["detected"] else "MISS"
-        mark += "+loc" if case["localized"] else ""
-        return mark
-
-    for row in report["rows"]:
-        lines.append(
-            f"  {row['issue'].lower():<28} {leg(row['clean']):>12} "
-            f"{leg(row['chaos']):>12} "
-            f"{row['chaos']['retries']:>8} "
-            f"{row['chaos']['rounds_skipped']:>8}"
-        )
-    summary = report["summary"]
-    lines.append(
-        f"recall: clean {summary['clean_recall']:.3f} -> chaos "
-        f"{summary['chaos_recall']:.3f} "
-        f"(ratio {summary['recall_ratio']:.3f})"
-    )
-    lines.append(
-        f"localization: clean {summary['clean_localization']:.3f} -> "
-        f"chaos {summary['chaos_localization']:.3f} "
-        f"(ratio {summary['localization_ratio']:.3f})"
-    )
-    lines.append(
-        f"monitor: {summary['retries']} retries "
-        f"({summary['retry_successes']} recovered), "
-        f"{summary['monitor_failures']} reports abandoned, "
-        f"{summary['rounds_skipped']} agent rounds skipped, "
-        f"{summary['breaker_trips']} breaker trips / "
-        f"{summary['breaker_recoveries']} recoveries"
-    )
-    if summary["passed"]:
-        lines.append("bounds: PASS")
-    else:
-        for violation in summary["violations"]:
-            lines.append(f"bounds: FAIL - {violation}")
-    return "\n".join(lines)
+    def footer(self, summary: Dict[str, object]) -> List[str]:
+        return [
+            f"monitor: {summary['retries']} retries "
+            f"({summary['retry_successes']} recovered), "
+            f"{summary['monitor_failures']} reports abandoned, "
+            f"{summary['rounds_skipped']} agent rounds skipped, "
+            f"{summary['breaker_trips']} breaker trips / "
+            f"{summary['breaker_recoveries']} recoveries"
+        ]

@@ -101,7 +101,7 @@ from repro.network.issues import (
     spec_of,
 )
 from repro.workloads.production import ProductionStatistics
-from repro.workloads.scenarios import build_scenario, standard_fault_target
+from repro.workloads.scenarios import build_scenario
 
 __all__ = ["main"]
 
@@ -385,11 +385,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The shared target resolution lives with the scenario builder so the
-# chaos degradation gate injects exactly what the CLI campaigns inject.
-_target_for = standard_fault_target
-
-
 def _run_demo(args: argparse.Namespace) -> int:
     issue = lookup_issue(args.issue)
     scenario = build_scenario(
@@ -402,14 +397,10 @@ def _run_demo(args: argparse.Namespace) -> int:
     skeleton = scenario.apply_skeleton()
     print(f"skeleton: DP={skeleton.dp}, stages={skeleton.num_stages}, "
           f"{len(skeleton.edges)} probe pairs")
-    fault = scenario.inject(issue, _target_for(scenario, issue))
     print(f"injected {issue.name} "
           f"({spec_of(issue).symptom.value})")
-    scenario.run_for(120)
-    scenario.clear(fault)
-    scenario.run_for(40)
-    score, outcomes = scenario.score()
-    outcome = outcomes[0]
+    outcome = scenario.run_fault(issue)
+    score, _ = scenario.score()
     print(f"detected: {outcome.detected} "
           f"(delay {outcome.detection_delay_s}s)")
     print(f"localized: {outcome.localized} "
@@ -419,24 +410,21 @@ def _run_demo(args: argparse.Namespace) -> int:
 
 
 def _run_campaign(args: argparse.Namespace) -> int:
+    """The gate engine's basic-list arm over the whole catalogue."""
+    from repro.chaos.gate import campaign_leg, outcome_leg, sweep
+
+    def basic(issue, seed, live):
+        return outcome_leg(campaign_leg(issue, seed, skeleton=False)[1])
+
     detected = localized = 0
     issues = all_issue_types()
-    for issue in issues:
-        scenario = build_scenario(
-            num_containers=4, gpus_per_container=4, pp=2,
-            seed=args.seed * 100 + issue.value, hosts_per_segment=4,
-        )
-        scenario.run_for(200)
-        fault = scenario.inject(issue, _target_for(scenario, issue))
-        scenario.run_for(120)
-        scenario.clear(fault)
-        scenario.run_for(40)
-        _, outcomes = scenario.score()
-        outcome = outcomes[0]
-        detected += outcome.detected
-        localized += outcome.localized
-        status = "ok" if outcome.localized else (
-            "DETECTED-ONLY" if outcome.detected else "MISSED"
+    rows = sweep({"basic": basic}, [(i, args.seed) for i in issues])
+    for issue, row in zip(issues, rows):
+        leg = row["basic"]
+        detected += leg["detected"]
+        localized += leg["localized"]
+        status = "ok" if leg["localized"] else (
+            "DETECTED-ONLY" if leg["detected"] else "MISSED"
         )
         print(f"{issue.value:>3} {issue.name.lower():<30} {status}")
     total = len(issues)
@@ -480,11 +468,9 @@ def _observed_run(args: argparse.Namespace):
               IssueType.OFFLOADING_FAILURE,
               IssueType.CONTAINER_CRASH]
     for index in range(max(0, args.faults)):
-        issue = issues[index % len(issues)]
-        fault = scenario.inject(issue, _target_for(scenario, issue))
-        scenario.run_for(80)
-        scenario.clear(fault)
-        scenario.run_for(140)
+        scenario.run_fault(
+            issues[index % len(issues)], fault_s=80, cool_s=140
+        )
     return scenario
 
 
@@ -620,30 +606,23 @@ def _run_equivalence(_: argparse.Namespace) -> int:
     return 0
 
 
-def _run_chaos(args: argparse.Namespace) -> int:
-    from repro.chaos.gate import format_report, run_chaos_benchmark
+def _run_gate(args: argparse.Namespace) -> int:
+    """``chaos`` and ``gray``: one engine, two gate definitions."""
+    from repro.chaos.gate import ChaosGate
+    from repro.chaos.gray import GrayGate
+    from repro.equivalence import EquivalenceError
 
-    report = run_chaos_benchmark(
-        quick=args.quick, seed=args.seed, out=args.out,
-        telemetry_loss=args.telemetry_loss,
+    gate = (
+        ChaosGate(args.telemetry_loss) if args.command == "chaos"
+        else GrayGate()
     )
-    print(format_report(report))
-    print(f"wrote {args.out}")
-    return 0 if report["summary"]["passed"] else 1
-
-
-def _run_gray(args: argparse.Namespace) -> int:
-    from repro.chaos.gray import format_report, run_gray_benchmark
-
     try:
-        report = run_gray_benchmark(
-            quick=args.quick, seed=args.seed, out=args.out
-        )
-    except AssertionError as error:
-        print(f"gray equivalence gate failed: {error}",
+        report = gate.run(quick=args.quick, seed=args.seed, out=args.out)
+    except EquivalenceError as error:
+        print(f"{args.command} equivalence gate failed: {error}",
               file=sys.stderr)
         return 1
-    print(format_report(report))
+    print(gate.format_report(report))
     print(f"wrote {args.out}")
     return 0 if report["summary"]["passed"] else 1
 
@@ -1028,10 +1007,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return run_lint(args) if args.lint else run_verify(args)
     if args.command == "equivalence":
         return _run_equivalence(args)
-    if args.command == "chaos":
-        return _run_chaos(args)
-    if args.command == "gray":
-        return _run_gray(args)
+    if args.command in ("chaos", "gray"):
+        return _run_gate(args)
     if args.command == "run":
         return _run_sharded(args)
     if args.command == "shard-status":

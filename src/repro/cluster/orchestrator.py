@@ -102,13 +102,12 @@ class Orchestrator:
         cluster: Cluster,
         engine: SimulationEngine,
         rng: RngRegistry,
-        startup_model: Optional[StartupModel] = None,
         placement_filter: Optional[Callable[[HostId], bool]] = None,
     ) -> None:
         self.cluster = cluster
         self.engine = engine
         self._rng = rng.stream("orchestrator")
-        self.startup_model = startup_model or StartupModel()
+        self.startup_model = StartupModel()
         # Hosts failing this predicate are excluded from scheduling —
         # the hook SkeletonHunter's blacklist plugs into (§8).
         self.placement_filter = placement_filter

@@ -78,7 +78,6 @@ class OverlayAgent:
         container: Container,
         ping_list: PingList,
         started_at: float,
-        resources: Optional[AgentResourceModel] = None,
         version: str = "v1.0.0",
         prober: Optional[ResilientProber] = None,
         bus=None,
@@ -86,10 +85,7 @@ class OverlayAgent:
         self.container = container
         self.ping_list = ping_list
         self.started_at = started_at
-        # Per-instance default (lint rule "shared-instance-default").
-        self.resources = (
-            resources if resources is not None else AgentResourceModel()
-        )
+        self.resources = AgentResourceModel()
         self.version = version  # sidecar release the agent launched with
         # Monitor-plane hardening; None keeps the original direct path
         # (and its probe outcomes) bit-identical.

@@ -21,10 +21,10 @@ from repro.bus.core import Topic
 from repro.cluster.container import Container, TrainingTask
 from repro.cluster.identifiers import ContainerId, EndpointId, TaskId
 from repro.cluster.orchestrator import Cluster
-from repro.core.agent import AgentResourceModel, OverlayAgent
+from repro.core.agent import OverlayAgent
 from repro.core.pinglist import PingList
 from repro.core.probing import ResilientProber
-from repro.core.resilience import CircuitBreaker, RetryPolicy
+from repro.core.resilience import CircuitBreaker
 from repro.core.skeleton import InferredSkeleton
 from repro.obs.span import open_span
 
@@ -49,19 +49,12 @@ class Controller:
     def __init__(
         self,
         cluster: Cluster,
-        resources: Optional[AgentResourceModel] = None,
         release_manager=None,
         recorder=None,
         chaos=None,
-        retry_policy: Optional[RetryPolicy] = None,
         bus=None,
     ) -> None:
         self.cluster = cluster
-        # Constructed per instance, not shared via a default argument
-        # evaluated once at import (lint rule "shared-instance-default").
-        self.resources = (
-            resources if resources is not None else AgentResourceModel()
-        )
         # Optional AgentReleaseManager: new sidecars launch on the
         # latest published version (§8, agent evolution).
         self.release_manager = release_manager
@@ -71,7 +64,6 @@ class Controller:
         # with a ResilientProber (retry/backoff + circuit breaker); when
         # None, agents run the original direct path bit-identically.
         self.chaos = chaos
-        self.retry_policy = retry_policy
         # Optional TelemetryBus: agents publish probe-report batches
         # and breakers publish their state transitions onto it.
         self.bus = bus
@@ -125,7 +117,6 @@ class Controller:
         if self.chaos is not None:
             prober = ResilientProber(
                 self.chaos,
-                retry=self.retry_policy,
                 breaker=CircuitBreaker(
                     recorder=self.recorder,
                     listener=self._breaker_listener(container.id),
@@ -137,7 +128,6 @@ class Controller:
             container=container,
             ping_list=state.ping_list,
             started_at=now,
-            resources=self.resources,
             version=version,
             prober=prober,
             bus=self.bus,

@@ -123,15 +123,12 @@ class ResilientProber:
     def __init__(
         self,
         chaos,
-        retry: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
         recorder=None,
         bus=None,
     ) -> None:
         self.chaos = chaos
-        self.retry = (
-            retry if retry is not None else RetryPolicy(seed=chaos.seed)
-        )
+        self.retry = RetryPolicy(seed=chaos.seed)
         self.breaker = breaker
         self.recorder = recorder
         # Telemetry bus: degraded rounds (lost/late reports, retries)

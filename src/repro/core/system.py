@@ -24,7 +24,6 @@ from repro.bus.core import Topic
 from repro.cluster.container import Container, TrainingTask
 from repro.cluster.identifiers import EndpointId, TaskId
 from repro.cluster.orchestrator import Cluster, Orchestrator
-from repro.core.agent import AgentResourceModel
 from repro.core.analyzer import Analyzer, FailureEvent
 from repro.core.controller import Controller
 from repro.core.detection import DetectorConfig
@@ -59,15 +58,9 @@ class SkeletonHunter:
         orchestrator: Orchestrator,
         detector_config: Optional[DetectorConfig] = None,
         probe_interval_s: float = 2.0,
-        resources: Optional[AgentResourceModel] = None,
-        inference: Optional[SkeletonInference] = None,
-        handler=None,
-        recovery=None,
-        release_manager=None,
         observability: Optional[TraceRecorder] = None,
         verify_on_start: bool = False,
         chaos=None,
-        retry_policy=None,
         bus=None,
     ) -> None:
         self.cluster = cluster
@@ -94,9 +87,7 @@ class SkeletonHunter:
         # recorder persists and the replayer reconstructs runs from.
         self.bus = bus
         self.controller = Controller(
-            cluster, resources, release_manager=release_manager,
-            recorder=observability, chaos=chaos, retry_policy=retry_policy,
-            bus=bus,
+            cluster, recorder=observability, chaos=chaos, bus=bus,
         )
         self.analyzer = Analyzer(
             detector_config, recorder=observability
@@ -104,13 +95,12 @@ class SkeletonHunter:
         self.localizer = Localizer(
             cluster, fabric, recorder=observability, chaos=chaos
         )
-        self.inference = inference or SkeletonInference(
-            recorder=observability
-        )
-        # Optional operational integrations (§8): alerting/blacklisting
-        # and migration-based recovery react to each new report.
-        self.handler = handler
-        self.recovery = recovery
+        self.inference = SkeletonInference(recorder=observability)
+        # Optional operational integrations (§8), assigned by the
+        # operator after construction: alerting/blacklisting and
+        # migration-based recovery react to each new report.
+        self.handler = None
+        self.recovery = None
         self.reports: List[Tuple[float, LocalizationReport]] = []
         self._watched: Set[TaskId] = set()
         self._localized_events: Set[Tuple[ProbePair, float]] = set()

@@ -42,7 +42,7 @@ from repro.core.handling import Blacklist, FailureHandler
 from repro.core.localization import Localizer
 from repro.core.pinglist import ProbePair
 from repro.core.probing import ResilientProber
-from repro.core.resilience import CircuitBreaker, RetryPolicy
+from repro.core.resilience import CircuitBreaker
 from repro.fleet.budget import (
     BudgetAllocation,
     ProbeBudgetScheduler,
@@ -193,10 +193,6 @@ class FleetController:
         # each fault id to its spec index keeps chaos draws
         # byte-identical across rebuilt replicas.
         self.chaos = build_monitor_chaos(self.spec)
-        self._retry = (
-            RetryPolicy(seed=self.spec.seed)
-            if self.chaos is not None else None
-        )
         self.tenants: Dict[str, TenantRuntime] = {}
         self.allocations: List[BudgetAllocation] = []
         self.rollups: List[RoundRollup] = []
@@ -225,9 +221,7 @@ class FleetController:
             handler=FailureHandler(blacklist=blacklist),
             prober=(
                 None if self.chaos is None else ResilientProber(
-                    self.chaos,
-                    retry=self._retry,
-                    breaker=CircuitBreaker(),
+                    self.chaos, breaker=CircuitBreaker()
                 )
             ),
         )

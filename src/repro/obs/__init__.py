@@ -16,7 +16,7 @@ Enable it by building a recorder and handing it to the system::
 
     from repro import TraceRecorder, build_scenario
 
-    scenario = build_scenario(observe=True)       # or observability=...
+    scenario = build_scenario(observe=True)
     scenario.run_for(300)
     obs = scenario.observability
     print(obs.metrics.counter("probes.sent"))

@@ -31,7 +31,6 @@ from repro.shard.partition import (
     PartitionPlan,
     TenantPlacement,
     TopologyPartitioner,
-    cross_shard_links,
     place_tenants,
 )
 from repro.shard.plane import (
@@ -71,7 +70,6 @@ __all__ = [
     "WorkerStatus",
     "backend_named",
     "build_replica",
-    "cross_shard_links",
     "default_equivalence_spec",
     "pair_universe",
     "place_tenants",

@@ -44,7 +44,7 @@ from repro.core.localization import (
 )
 from repro.core.pinglist import PingList, ProbePair
 from repro.core.probing import ResilientProber, run_probe_round
-from repro.core.resilience import CircuitBreaker, RetryPolicy
+from repro.core.resilience import CircuitBreaker
 from repro.network.issues import Symptom
 from repro.shard.spec import (
     FaultScheduleRunner,
@@ -221,10 +221,6 @@ class ShardMonitor:
         # hardened trajectory of a monitor that owned these pairs from
         # round one.
         self.chaos = build_monitor_chaos(self.spec)
-        retry = (
-            RetryPolicy(seed=self.spec.seed)
-            if self.chaos is not None else None
-        )
         containers = sorted(
             {pair.src.container for pair in self.pairs}
         )
@@ -235,7 +231,7 @@ class ShardMonitor:
                 started_at=0.0,
                 prober=(
                     None if self.chaos is None else ResilientProber(
-                        self.chaos, retry=retry, breaker=CircuitBreaker()
+                        self.chaos, breaker=CircuitBreaker()
                     )
                 ),
             )

@@ -27,18 +27,15 @@ pass that advances to the next shard once its balanced share
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.cluster.identifiers import LinkId
 from repro.cluster.orchestrator import Cluster
 from repro.core.pinglist import ProbePair
-from repro.network.fabric import DataPlaneFabric
 
 __all__ = [
     "PartitionPlan",
     "TenantPlacement",
     "TopologyPartitioner",
-    "cross_shard_links",
     "place_tenants",
 ]
 
@@ -205,25 +202,3 @@ def place_tenants(
         ),
         weights=tuple(sorted(weights.items())),
     )
-
-
-def cross_shard_links(
-    plan: PartitionPlan, fabric: DataPlaneFabric
-) -> Set[LinkId]:
-    """Physical links whose tomography evidence spans multiple shards.
-
-    These are the links for which no single shard sees every failing
-    path — exactly the evidence the coordinator's merged vote table
-    reunites.  The partitioner's job is to keep this set small.
-    """
-    owners: Dict[LinkId, Set[int]] = {}
-    for shard_id, pairs in enumerate(plan.assignments):
-        for pair in pairs:
-            path = fabric.traceroute(pair.src, pair.dst)
-            if path is None:
-                continue
-            for link in path.links:
-                owners.setdefault(link, set()).add(shard_id)
-    return {
-        link for link, shards in owners.items() if len(shards) > 1
-    }

@@ -17,11 +17,11 @@ from repro.bus.codec import encode_fault
 from repro.bus.core import Topic
 from repro.cluster.container import TrainingTask
 from repro.cluster.identifiers import ContainerId, EndpointId
-from repro.cluster.orchestrator import Cluster, Orchestrator, StartupModel
+from repro.cluster.orchestrator import Cluster, Orchestrator
 from repro.cluster.topology import RailOptimizedTopology
 from repro.core.detection import DetectorConfig
 from repro.core.evaluation import CampaignScore, CampaignScorer, FaultOutcome
-from repro.core.skeleton import InferredSkeleton, SkeletonInference
+from repro.core.skeleton import InferredSkeleton
 from repro.core.system import SkeletonHunter
 from repro.network.fabric import DataPlaneFabric
 from repro.network.faults import Fault, FaultInjector
@@ -82,6 +82,31 @@ class MonitoredScenario:
         """End a fault now and revert its side effects."""
         self.injector.clear(fault, self.engine.now)
 
+    def run_fault(
+        self,
+        issue: IssueType,
+        target=None,
+        fault_s: float = 120.0,
+        cool_s: float = 40.0,
+        **overrides,
+    ) -> FaultOutcome:
+        """The campaign leg: inject, run, clear, cool down, score it.
+
+        ``issue`` lands on ``target`` (default: the scenario's
+        :func:`standard_fault_target`) with the catalogue's parameters
+        under ``overrides``, stays active for ``fault_s`` simulated
+        seconds and is followed by ``cool_s`` fault-free ones; the
+        returned outcome scores that one fault, whatever else the
+        scenario has injected.
+        """
+        if target is None:
+            target = standard_fault_target(self, issue)
+        fault = self.inject(issue, target, **overrides)
+        self.run_for(fault_s)
+        self.clear(fault)
+        self.run_for(cool_s)
+        return self.score([fault])[1][0]
+
     def apply_skeleton(
         self, observation_s: float = 600.0
     ) -> Optional[InferredSkeleton]:
@@ -121,9 +146,10 @@ class MonitoredScenario:
 def standard_fault_target(scenario: MonitoredScenario, issue):
     """The canonical injection target for ``issue`` in this scenario.
 
-    One shared resolution — used by the CLI demo/campaign commands and
-    the chaos degradation gate — so "inject issue X" always hits the
-    same kind of component for the same scenario and seed.  Dispatch is
+    One shared resolution — :meth:`MonitoredScenario.run_fault`'s
+    default, hence what every CLI verb, gate and Table-1 campaign
+    injects at — so "inject issue X" always hits the same kind of
+    component for the same scenario and seed.  Dispatch is
     catalog-driven via :func:`~repro.network.issues.spec_of`'s
     ``target_kind``, so new families (including the gray catalog) get a
     target without per-issue branches here.
@@ -154,23 +180,17 @@ def build_scenario(
     probe_interval_s: float = 2.0,
     num_spines: int = 4,
     hosts_per_segment: int = 8,
-    topology=None,
     ecmp_mode: str = "static",
     detector_config: Optional[DetectorConfig] = None,
     congestion: Optional[TransientCongestion] = None,
     latency_model: Optional[LatencyModel] = None,
-    traffic_model: Optional[TrafficModel] = None,
-    inference: Optional[SkeletonInference] = None,
-    startup_model: Optional[StartupModel] = None,
     instant_startup: bool = True,
     start_monitoring: bool = True,
     watch: bool = True,
     iteration_period_s: float = 30.0,
     observe: bool = False,
-    observability: Optional[TraceRecorder] = None,
     verify_on_start: bool = False,
     chaos=None,
-    retry_policy=None,
     bus=None,
 ) -> MonitoredScenario:
     """Build a monitored training task end to end.
@@ -189,27 +209,22 @@ def build_scenario(
     dp = total_gpus // (tp * pp)
     config = ParallelismConfig(tp=tp, pp=pp, dp=dp, ep=ep)
 
-    if topology is None:
-        num_segments = max(
-            2, math.ceil(num_containers / hosts_per_segment)
-        )
-        topology = RailOptimizedTopology(
-            num_segments=num_segments,
-            hosts_per_segment=hosts_per_segment,
-            rails_per_host=gpus_per_container,
-            num_spines=num_spines,
-        )
+    topology = RailOptimizedTopology(
+        num_segments=max(2, math.ceil(num_containers / hosts_per_segment)),
+        hosts_per_segment=hosts_per_segment,
+        rails_per_host=gpus_per_container,
+        num_spines=num_spines,
+    )
     cluster = Cluster(topology)
     engine = SimulationEngine()
     rng = RngRegistry(seed)
-    orchestrator = Orchestrator(cluster, engine, rng, startup_model)
+    orchestrator = Orchestrator(cluster, engine, rng)
     injector = FaultInjector(cluster)
     if bus is not None:
         injector.add_observer(_ground_truth_publisher(bus))
         if chaos is not None and hasattr(chaos, "attach_bus"):
             chaos.attach_bus(bus)
-    if observability is None and observe:
-        observability = TraceRecorder()
+    observability = TraceRecorder() if observe else None
     fabric = DataPlaneFabric(
         cluster, injector, rng,
         latency_model=latency_model, congestion=congestion,
@@ -221,11 +236,9 @@ def build_scenario(
         cluster, engine, fabric, orchestrator,
         detector_config=detector_config,
         probe_interval_s=probe_interval_s,
-        inference=inference,
         observability=observability,
         verify_on_start=verify_on_start,
         chaos=chaos,
-        retry_policy=retry_policy,
         bus=bus,
     )
 
@@ -247,9 +260,7 @@ def build_scenario(
     )
     generator = TrafficGenerator(
         workload,
-        model=traffic_model or TrafficModel(
-            iteration_period_s=iteration_period_s
-        ),
+        model=TrafficModel(iteration_period_s=iteration_period_s),
         rng=rng,
     )
     return MonitoredScenario(

@@ -48,6 +48,20 @@ class TestRecorder:
         bus.publish(Topic.ROUND)  # after detach: not recorded
         assert load_recording(str(path)).records[-1]["seq"] == 1
 
+    def test_topic_counts_outlive_the_bus_ring(self, tmp_path):
+        """The bus retains ``history`` records per topic; the recorder
+        sees every one, so its per-topic counts are the run's."""
+        bus = TelemetryBus(history=4)
+        with JsonlRecorder(bus, str(tmp_path / "run.jsonl")) as recorder:
+            for n in range(10):
+                bus.publish(Topic.VERDICTS, sim_time=float(n))
+            bus.publish(Topic.EVENTS)
+        assert len(bus.history(Topic.VERDICTS)) == 4
+        assert recorder.topic_counts == {
+            Topic.VERDICTS: 10, Topic.EVENTS: 1,
+        }
+        assert recorder.records_written == 11
+
     def test_loaded_recording_round_trips(self, tmp_path):
         path = tmp_path / "run.jsonl"
         record_run(path, config={"k": [1, 2]}, publishes=3)

@@ -38,6 +38,29 @@ class TestRecordedRun:
         # activity inside the recorded window.
         assert summary["breaker_transitions"] > 0
 
+    def test_summary_counts_the_file_not_the_bus_ring(
+        self, tmp_path, monkeypatch
+    ):
+        """``record_standard_run`` used to report ``len(bus.history(
+        topic))`` — capped at the ring size (512 by default, so a long
+        lossy run read "512 breaker transitions" for 1,747 written).
+        With a 4-record ring the summary must still equal the file."""
+        from repro.bus import replay
+
+        monkeypatch.setattr(
+            replay, "TelemetryBus", lambda: TelemetryBus(history=4)
+        )
+        path = str(tmp_path / "tiny-ring.jsonl")
+        summary = record_standard_run(path, seed=0)
+        recording = load_recording(path)
+        for key, topic in (
+            ("verdicts", Topic.VERDICTS),
+            ("events", Topic.EVENTS),
+            ("breaker_transitions", Topic.BREAKERS),
+        ):
+            assert summary[key] == len(recording.by_topic(topic)), key
+        assert summary["breaker_transitions"] > 4
+
     def test_recording_is_loadable_and_complete(self, recording_path):
         path, summary = recording_path
         recording = load_recording(path)

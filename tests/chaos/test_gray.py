@@ -3,9 +3,10 @@
 import pytest
 
 from repro.chaos.gate import FULL_ISSUES, QUICK_ISSUES
+from repro.chaos.gate import Bounds
 from repro.chaos.gray import (
     GRAY_FAMILIES,
-    GrayBounds,
+    GrayGate,
     _run_leg,
     gray_fault_target,
     gray_shard_spec,
@@ -38,6 +39,13 @@ class TestCatalog:
 
 
 class TestBounds:
+    """The gray gate's violations: the engine's two bounds plus its own
+    naive-must-not-win check, in the order a report lists them."""
+
+    @staticmethod
+    def _violations(summary):
+        return Bounds().check(summary) + GrayGate().check(summary)
+
     def _summary(self, **overrides):
         summary = {
             "recall_ratio": 1.0,
@@ -49,28 +57,84 @@ class TestBounds:
         return summary
 
     def test_clean_summary_passes(self):
-        assert GrayBounds().check(self._summary()) == []
+        assert self._violations(self._summary()) == []
 
     def test_recall_violation_reported(self):
-        failures = GrayBounds().check(self._summary(recall_ratio=0.5))
+        failures = self._violations(self._summary(recall_ratio=0.5))
         assert len(failures) == 1
         assert "recall" in failures[0]
 
     def test_localization_violation_reported(self):
-        failures = GrayBounds().check(
+        failures = self._violations(
             self._summary(localization_ratio=0.5)
         )
         assert len(failures) == 1
         assert "localization" in failures[0]
 
     def test_naive_voting_must_not_win(self):
-        failures = GrayBounds().check(
+        failures = self._violations(
             self._summary(
                 distribution_aware_localized=0, naive_localized=2
             )
         )
         assert len(failures) == 1
         assert "distribution-aware" in failures[0]
+
+
+class TestArms:
+    def test_arm_wiring_and_the_flock_arm_rescoring_the_spray_run(
+        self, monkeypatch
+    ):
+        """No simulation: the legs are stubs, so this pins only which
+        world each arm asks for and whose run the Flock arm re-scores
+        (on the committed artifact Flock's flags equal the spray arm's
+        in all six rows, so the full gate cannot see a Flock arm that
+        merely copies them)."""
+        from types import SimpleNamespace
+
+        from repro.chaos import gray
+        from repro.chaos.gate import sweep
+
+        asked, rescored = [], []
+
+        def run_leg(issue, seed, ecmp_mode, distribution_aware=True):
+            asked.append((ecmp_mode, distribution_aware))
+            world = f"{ecmp_mode}-{distribution_aware}"
+            return (
+                SimpleNamespace(hunter=SimpleNamespace(events=[world])),
+                SimpleNamespace(
+                    fault=f"fault-{world}", detected=True, localized=False,
+                    localized_component=None, detection_delay_s=8.0,
+                ),
+            )
+
+        def score_flock(scenario, fault):
+            rescored.append((scenario.hunter.events, fault))
+            return SimpleNamespace(
+                detected=False, localized=True,
+                localized_component="by-flock",
+            )
+
+        monkeypatch.setattr(gray, "_run_leg", run_leg)
+        monkeypatch.setattr(gray, "_score_flock", score_flock)
+        issue = GrayIssueType.PFC_STORM
+        (row,) = sweep(GrayGate().arms, [(issue, 0)])
+        assert asked == [
+            ("static", True), ("spray", True), ("spray", False),
+        ]
+        assert rescored == [(["spray-True"], "fault-spray-True")]
+        assert row["flock"] == {
+            "detected": False, "localized": True,
+            "localized_component": "by-flock",
+        }
+        assert row["spray_naive"] == {
+            "detected": True, "localized": False,
+            "localized_component": None, "detection_delay_s": 8.0,
+            "events": 1,
+        }
+        assert list(row) == [
+            "issue", "seed", "static", "spray", "spray_naive", "flock",
+        ]
 
 
 class TestFaultTarget:
@@ -146,17 +210,17 @@ class TestShardSpec:
 @pytest.mark.slow
 class TestEndToEnd:
     def test_static_leg_detects_and_flags_partial_degradation(self):
-        leg = _run_leg(
+        scenario, outcome = _run_leg(
             GrayIssueType.PARTIAL_LINK_DEGRADATION, seed=0,
             ecmp_mode="static",
         )
-        assert leg["detected"]
-        assert leg["events"] >= 1
+        assert outcome.detected
+        assert len(scenario.hunter.events) >= 1
 
     def test_spray_leg_detects_and_localizes_collapse(self):
-        leg = _run_leg(
+        _, outcome = _run_leg(
             GrayIssueType.CONGESTION_COLLAPSE, seed=0,
             ecmp_mode="spray",
         )
-        assert leg["detected"]
-        assert leg["localized"]
+        assert outcome.detected
+        assert outcome.localized

@@ -9,7 +9,7 @@ circuit breaker demonstrably trips and half-open-recovers.
 import pytest
 
 from repro.chaos.faults import MonitorFaultInjector, MonitorIssue
-from repro.core.resilience import BreakerState, RetryPolicy
+from repro.core.resilience import BreakerState
 from repro.network.issues import IssueType
 from repro.workloads.scenarios import build_scenario
 
@@ -18,7 +18,6 @@ def chaotic_scenario(injector, seed=11):
     return build_scenario(
         num_containers=4, gpus_per_container=4, pp=2, seed=seed,
         hosts_per_segment=4, chaos=injector,
-        retry_policy=RetryPolicy(seed=seed) if injector else None,
     )
 
 

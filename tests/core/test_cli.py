@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import re
 
 import pytest
@@ -57,7 +58,39 @@ class TestCampaign:
         output = capsys.readouterr().out
         assert code == 0
         total = len(all_issue_types())
-        assert f"detected {total}/{total}" in output
+        # The basic ping list stays live (no skeleton step), where every
+        # issue localizes; on the skeleton list two would not
+        # (tests/chaos/test_gate.py::TestCampaignLeg).
+        assert output.endswith(
+            f"detected {total}/{total}, localized {total}/{total}\n"
+        )
+
+
+class TestGates:
+    @pytest.mark.parametrize("verb", ["chaos", "gray"])
+    def test_both_gate_verbs_run_write_and_pass(
+        self, verb, tmp_path, capsys, monkeypatch
+    ):
+        """``chaos`` and ``gray`` share one runner; one case each keeps
+        this a test of the CLI path, not a second run of the gates."""
+        from repro.chaos.gate import ChaosGate
+        from repro.chaos.gray import GrayGate
+        from repro.network.issues import GrayIssueType
+
+        for gate in (ChaosGate, GrayGate):
+            monkeypatch.setattr(gate, "cases", lambda self, quick, seed: [
+                (GrayIssueType.CONGESTION_COLLAPSE, seed)
+            ])
+        out = tmp_path / f"{verb}.json"
+        code = main([verb, "--quick", "--out", str(out)])
+        output = capsys.readouterr().out
+        assert code == 0
+        assert "congestion_collapse" in output
+        assert "bounds: PASS" in output
+        assert output.endswith(f"wrote {out}\n")
+        report = json.loads(out.read_text())
+        assert report["summary"]["cases"] == 1
+        assert report["summary"]["passed"]
 
 
 _SCENARIO_ARGS = ["--containers", "4", "--gpus", "4",
@@ -69,6 +102,8 @@ class TestStatus:
         code = main(["status"] + _SCENARIO_ARGS)
         output = capsys.readouterr().out
         assert code == 0
+        # 200 s warm-up, then one fault held 80 s and cooled 140 s.
+        assert output.startswith("status @ 420s simulated\n")
         assert "counters:" in output
         assert "probes.sent" in output
         assert "anomalies.detected" in output

@@ -14,7 +14,6 @@ from repro.bus.recorder import JsonlRecorder
 from repro.chaos.faults import MonitorFaultInjector, MonitorIssue
 from repro.core.pinglist import PingList
 from repro.core.probing import run_probe_round
-from repro.core.resilience import RetryPolicy
 from repro.network.fabric import DataPlaneFabric
 from repro.network.issues import IssueType
 from repro.workloads.scenarios import build_scenario
@@ -64,7 +63,6 @@ def run_with(driver, chaos, path, monkeypatch):
         scenario = build_scenario(
             num_containers=4, gpus_per_container=4, pp=2, seed=SEED,
             hosts_per_segment=4, bus=bus, chaos=chaos,
-            retry_policy=RetryPolicy(seed=SEED) if chaos else None,
         )
         scenario.run_for(60)
         fault = scenario.inject(

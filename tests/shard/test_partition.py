@@ -5,7 +5,6 @@ import pytest
 from repro.shard import (
     TopologyPartitioner,
     build_replica,
-    cross_shard_links,
     pair_universe,
     place_tenants,
 )
@@ -85,11 +84,6 @@ class TestPlanQueries:
         missing = sorted(set(pairs) - set(plan.all_pairs()))[0]
         with pytest.raises(KeyError):
             plan.shard_of(missing)
-
-    def test_single_shard_has_no_cross_shard_links(self, universe):
-        scenario, pairs = universe
-        plan = TopologyPartitioner(scenario.cluster).partition(pairs, 1)
-        assert cross_shard_links(plan, scenario.fabric) == set()
 
     def test_invalid_shard_count_rejected(self, universe):
         scenario, pairs = universe
