@@ -7,12 +7,18 @@ localization verdicts) is encoded here too, so every plane that
 publishes them puts the same bytes on the bus.  Encodings are
 deliberately flat (lists and small dicts keyed by ``kind``) so the
 JSONL stream stays greppable and stable across schema versions.
+Probe reports travel as :class:`~repro.network.packet.ProbeBatch`
+columns in both directions: rows are written from, and read back into,
+the arrays the analyzer scatters, never one object per probe.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from repro.cluster.container import Container
 from repro.cluster.identifiers import (
@@ -25,7 +31,7 @@ from repro.cluster.identifiers import (
     TaskId,
 )
 from repro.network.issues import Symptom
-from repro.network.packet import ProbeResult
+from repro.network.packet import ProbeBatch, endpoints_of
 
 __all__ = [
     "decode_probe_rows",
@@ -43,8 +49,10 @@ __all__ = [
 _ENDPOINT_RE = re.compile(r"^task-(\d+)/node-(\d+)/ep-(\d+)$")
 
 
+@lru_cache(maxsize=1 << 16)
 def parse_endpoint(text: str) -> EndpointId:
-    """Parse ``task-T/node-R/ep-S`` back into an :class:`EndpointId`."""
+    """Parse ``task-T/node-R/ep-S`` back into an :class:`EndpointId`
+    (interned by text: a recording names each endpoint once per probe)."""
     match = _ENDPOINT_RE.match(text)
     if match is None:
         raise ValueError(f"not an endpoint id: {text!r}")
@@ -57,7 +65,7 @@ def parse_endpoint(text: str) -> EndpointId:
 # ----------------------------------------------------------------------
 
 
-def encode_probe_rows(results: Iterable[ProbeResult]) -> List[List[Any]]:
+def encode_probe_rows(batch: ProbeBatch) -> List[List[Any]]:
     """Encode delivered probe reports as compact rows.
 
     Each row is ``[src, dst, sent_at, latency_us]`` with ``latency_us``
@@ -65,25 +73,31 @@ def encode_probe_rows(results: Iterable[ProbeResult]) -> List[List[Any]]:
     replayed detection pipeline sees bit-identical input.
     """
     return [
-        [str(r.src), str(r.dst), r.sent_at, r.latency_us]
-        for r in results
+        [str(src), str(dst), sent_at, None if lost else latency_us]
+        for (src, dst), sent_at, lost, latency_us in zip(
+            map(endpoints_of, batch.pairs), batch.sent_at.tolist(),
+            batch.lost.tolist(), batch.latency_us.tolist(),
+        )
     ]
 
 
-def decode_probe_rows(rows: Iterable[List[Any]]) -> List[ProbeResult]:
-    """Rebuild :class:`ProbeResult` objects from recorded rows."""
-    results = []
-    for src, dst, sent_at, latency_us in rows:
-        results.append(ProbeResult(
-            src=parse_endpoint(src),
-            dst=parse_endpoint(dst),
-            sent_at=float(sent_at),
-            lost=latency_us is None,
-            latency_us=(
-                None if latency_us is None else float(latency_us)
-            ),
-        ))
-    return results
+def decode_probe_rows(rows: Iterable[List[Any]]) -> ProbeBatch:
+    """Rebuild the :class:`ProbeBatch` recorded rows were encoded
+    from (the columns :func:`encode_probe_rows` kept)."""
+    rows = list(rows)
+    latency_us = np.array(
+        [np.nan if row[3] is None else row[3] for row in rows],
+        dtype=np.float64,
+    )
+    return ProbeBatch(
+        pairs=[
+            (parse_endpoint(src), parse_endpoint(dst))
+            for src, dst, _, _ in rows
+        ],
+        sent_at=np.array([row[2] for row in rows], dtype=np.float64),
+        lost=np.isnan(latency_us),
+        latency_us=latency_us,
+    )
 
 
 # ----------------------------------------------------------------------

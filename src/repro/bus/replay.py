@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Tuple, Union
 
 from repro.bus.codec import (
     decode_probe_rows,
@@ -256,9 +256,9 @@ class Replayer:
             data = record["data"]
             at = record["sim_time"]
             if topic == Topic.PROBE_REPORTS:
-                for probe in decode_probe_rows(data["results"]):
-                    analyzer.ingest(probe)
-                    result.probes_ingested += 1
+                batch = decode_probe_rows(data["results"])
+                analyzer.ingest_batch(batch)
+                result.probes_ingested += len(batch)
             elif topic == Topic.PINGLIST:
                 active_pairs = [
                     ProbePair(parse_endpoint(src), parse_endpoint(dst))

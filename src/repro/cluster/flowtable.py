@@ -16,7 +16,7 @@ the inconsistency by dumping and diffing the two tables (§5.3).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.cluster.identifiers import VfId

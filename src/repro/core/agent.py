@@ -28,7 +28,7 @@ from repro.core.pinglist import PingList, ProbePair
 from repro.core.probing import ResilientProber, coarse_pairs
 from repro.core.rnic_validation import RnicFinding, RnicValidator
 from repro.network.fabric import DataPlaneFabric
-from repro.network.packet import ProbeResult
+from repro.network.packet import ProbeBatch
 
 __all__ = ["AgentResourceModel", "OverlayAgent", "UnderlayAgent"]
 
@@ -106,7 +106,7 @@ class OverlayAgent:
 
     def execute_round(
         self, fabric: DataPlaneFabric, now: float, salt: int = 0
-    ) -> List[ProbeResult]:
+    ) -> ProbeBatch:
         """Probe this agent's share of the active pairs (one batch).
 
         Without a prober this is the original direct path.  With one,
@@ -126,7 +126,7 @@ class OverlayAgent:
                 self.prober.recorder.count("agent.rounds_skipped")
             if self.prober.breaker is not None:
                 self.prober.breaker.record_failure(now)
-            return []
+            return ProbeBatch.of(())
         pairs, _ = self.prober.plan_round(self.my_pairs(), now)
         if state == "slow":
             pairs = coarse_pairs(pairs)
@@ -134,16 +134,25 @@ class OverlayAgent:
         self.record_round(results, now)
         return results
 
-    def record_round(self, results: List[ProbeResult], now: float) -> None:
-        """Account for one round's delivered reports and publish them."""
-        self.probes_sent += len(results)
-        if self.bus is None or not results:
+    def record_round(
+        self,
+        results: ProbeBatch,
+        now: float,
+        start: int = 0,
+        stop: Optional[int] = None,
+    ) -> None:
+        """Account for one round's delivered reports — rows
+        ``start:stop`` of ``results``, by default all — and publish
+        them (the rows are cut out only for a bus to encode)."""
+        stop = len(results) if stop is None else stop
+        self.probes_sent += stop - start
+        if self.bus is None or stop == start:
             return
         self.bus.publish(
             Topic.PROBE_REPORTS,
             sim_time=now,
             container=str(self.container.id),
-            results=encode_probe_rows(results),
+            results=encode_probe_rows(results[start:stop]),
         )
 
     def cpu_percent(self, now: float) -> float:

@@ -13,11 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.columnar import ColumnarDetectionEngine, ScoredWindow
 from repro.core.detection import DetectedAnomaly, DetectorConfig
 from repro.core.pinglist import ProbePair
 from repro.network.issues import Symptom
-from repro.network.packet import ProbeResult
+from repro.network.packet import ProbeBatch, ProbeResult
 from repro.obs.span import open_span
 
 __all__ = ["Analyzer", "FailureEvent", "LoadConditionedAdmission"]
@@ -188,38 +190,60 @@ class Analyzer:
     # ------------------------------------------------------------------
 
     def ingest(self, result: ProbeResult) -> List[DetectedAnomaly]:
-        """Feed one probe result; returns anomalies detected *now*.
+        """Feed one probe result; returns anomalies detected *now* —
+        :meth:`ingest_batch` over a single row."""
+        return self.ingest_batch(ProbeBatch.of((result,)))
+
+    def ingest_batch(self, batch: ProbeBatch) -> List[DetectedAnomaly]:
+        """Feed a batch of probe results; returns anomalies detected
+        *now*.
 
         Window scoring is deferred to :meth:`flush`; only a
         fast-unconnectivity alarm — a run of consecutive losses that
         looks like a dead path, raised without waiting for the
-        30-second window to close — surfaces here.
+        30-second window to close — surfaces here.  The batch is
+        scattered into the engine's columns first and the alarms of the
+        rows whose run just reached the threshold follow in input
+        order: what an alarm drains and records depends on its own
+        row alone, so the verdict stream is the one probe-by-probe
+        ingestion gives.
         """
-        pair = ProbePair.canonical(result.src, result.dst)
         engine = self._engine
-        row = engine.ingest(pair, result)
+        rows = engine.ingest_batch(
+            batch.pairs, batch.sent_at, batch.lost, batch.latency_us
+        )
         new: List[DetectedAnomaly] = []
-        if (
-            self._fast_enabled
-            and result.lost
-            and engine.consecutive_losses(row) == self._fast_threshold
-        ):
-            # Score this pair's queued windows *before* recording the
-            # fast anomaly, so the incident's first_detected_at is the
-            # earliest evidence in probe order.
-            new.extend(self._process_verdicts(engine.collect_rows(
-                [row], full=self.recorder is not None,
-                watch=self._open_events,
-            )))
-            anomaly = DetectedAnomaly(
-                pair=pair, detected_at=result.sent_at,
-                symptom=Symptom.UNCONNECTIVITY, detector="fast_loss",
-                score=float(self._fast_threshold),
-                window_start=result.sent_at,
-            )
-            self._record(anomaly)
-            new.append(anomaly)
-        engine.queue_elapsed_longs(row, result.sent_at)
+        if rows is None:  # a pair repeats: its probes go one by one
+            for i in range(len(batch)):
+                new.extend(self.ingest_batch(batch[i:i + 1]))
+            return new
+        if self._fast_enabled:
+            alarmed = np.flatnonzero(batch.lost & (
+                engine.consecutive_losses(rows) == self._fast_threshold
+            ))
+            for i in alarmed.tolist():
+                new.extend(self._fast_alarm(
+                    int(rows[i]), float(batch.sent_at[i])
+                ))
+        engine.queue_elapsed_longs(rows, batch.sent_at)
+        return new
+
+    def _fast_alarm(self, row: int, at: float) -> List[DetectedAnomaly]:
+        # Score this pair's queued windows *before* recording the
+        # fast anomaly, so the incident's first_detected_at is the
+        # earliest evidence in probe order.
+        new = self._process_verdicts(self._engine.collect_rows(
+            [row], full=self.recorder is not None,
+            watch=self._open_events,
+        ))
+        anomaly = DetectedAnomaly(
+            pair=self._engine.pair_of(row), detected_at=at,
+            symptom=Symptom.UNCONNECTIVITY, detector="fast_loss",
+            score=float(self._fast_threshold),
+            window_start=at,
+        )
+        self._record(anomaly)
+        new.append(anomaly)
         return new
 
     def flush(self, now: float) -> List[DetectedAnomaly]:

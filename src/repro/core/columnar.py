@@ -8,14 +8,17 @@ every pair's state lives in one *columnar* store indexed by a pair→row
 table:
 
 * **Open-window columns** — one ``(pairs × samples)`` latency matrix
-  plus sent/lost/consecutive-loss counters per row; ``ingest`` appends
-  into the row, closing elapsed windows into a per-row pending queue.
+  plus window-start/sent/lost/consecutive-loss arrays; a round's
+  probes are scattered into their rows in a few numpy calls
+  (:meth:`ColumnarDetectionEngine.ingest_batch`; one probe is a batch of
+  one row), elapsed windows — found by a mask — closing into a per-row
+  pending queue.
 * **Ring-buffered LOF history** — a ``(pairs × lookback × 7)`` feature
   matrix with per-row fill counts and eviction heads; the short-term
   baseline for *every* pair lives in one array.
-* **Long-term aggregates** — per-row latency buffers consumed into
-  30-minute windows, with the log-normal fits stored as ``mu``/``sigma``
-  columns.
+* **Long-term aggregates** — delivered times and latencies in
+  fixed-size float64 blocks (``[sample, row]``) consumed into 30-minute
+  windows, with the log-normal fits stored as ``mu``/``sigma`` columns.
 
 Scoring is deferred to :meth:`ColumnarDetectionEngine.collect`, which
 drains the pending queues in *waves* (the i-th pending window of every
@@ -42,7 +45,6 @@ distributed latencies).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,7 +54,7 @@ from repro.analysis.stats import fit_lognormal_rows, z_test_rows
 from repro.core.detection import DetectedAnomaly, DetectorConfig
 from repro.core.pinglist import ProbePair
 from repro.network.issues import Symptom
-from repro.network.packet import ProbeResult
+from repro.network.packet import ProbeResult, endpoints_of
 
 __all__ = ["ColumnarDetectionEngine", "ScoredWindow"]
 
@@ -104,6 +106,18 @@ class ColumnarDetectionEngine:
     #: doubling when a window outgrows it.
     _INITIAL_SAMPLES = 32
 
+    #: Per-row scalar columns and what an unused row holds in each.
+    _COLUMNS = (
+        ("_ws", np.nan), ("_sent", 0), ("_lost", 0), ("_consec", 0),
+        ("_lat_n", 0), ("_long_start", np.nan), ("_long_n", 0),
+        ("_long_last", np.nan), ("_hist_n", 0), ("_hist_head", 0),
+    )
+    #: Samples per long-window block.
+    _LONG_BLOCK = 64
+    #: Per-row sample matrices (never read past a row's count, so new
+    #: capacity is left unwritten — and unpaged).
+    _MATRICES = ("_lat", "_hist")
+
     def __init__(self, config: Optional[DetectorConfig] = None) -> None:
         # Per-instance default (lint rule "shared-instance-default").
         self.config = config if config is not None else DetectorConfig()
@@ -115,29 +129,42 @@ class ColumnarDetectionEngine:
         self._rows: Dict[ProbePair, int] = {}
         self._row_pair: List[Optional[ProbePair]] = []
         self._free: List[int] = []
+        #: Bumped whenever a row is added, dropped or recycled; the row
+        #: vector of the last batch's pair sequence, ``(layout, pairs,
+        #: canonical pairs, rows, distinct)``, is good for one layout.
+        self._layout = 0
+        self._located: Optional[tuple] = None
 
-        # Open-window per-row state (Python lists: the ingest hot path
-        # touches one scalar per probe and list indexing beats numpy
-        # scalar boxing there).
-        self._ws: List[Optional[float]] = []
-        self._sent: List[int] = []
-        self._lost: List[int] = []
-        self._consec: List[int] = []
-        self._lat_n: List[int] = []
+        # Open-window columns: window start (NaN before the first
+        # probe), counters, and the window's delivered latencies.
+        self._ws = np.empty(0)
+        self._sent = np.empty(0, dtype=np.int64)
+        self._lost = np.empty(0, dtype=np.int64)
+        self._consec = np.empty(0, dtype=np.int64)
+        self._lat_n = np.empty(0, dtype=np.int64)
         self._lat = np.empty((0, self._INITIAL_SAMPLES))
 
-        # Long-window buffers (consumed once per 30 minutes per pair).
-        self._long_start: List[Optional[float]] = []
-        self._long_times: List[List[float]] = []
-        self._long_vals: List[List[float]] = []
+        # Long-window buffers (consumed once per 30 minutes per pair):
+        # the times and latencies of the row's delivered probes since
+        # its last consumed aggregate.  Sample *k* of a row lives in
+        # block ``k // _LONG_BLOCK``, a float64 ``[time | latency,
+        # sample, row]`` array: a round appends one contiguous stripe
+        # per plane, a full block is followed by a new one, and nothing
+        # is ever copied to make room — so memory is the samples held
+        # (8 bytes each, against a list slot plus a boxed float), with
+        # no doubling slack and no grow-time peak.
+        self._long_start = np.empty(0)
+        self._long_n = np.empty(0, dtype=np.int64)
+        self._long_last = np.empty(0)  # time of the newest sample held
+        self._long_blocks: List[np.ndarray] = []
         self._fit_mu: List[Optional[float]] = []
         self._fit_sigma: List[Optional[float]] = []
 
         # Ring-buffered LOF baseline: first ``hist_n`` slots are valid;
         # once full, ``hist_head`` is the next eviction (overwrite) slot.
         self._hist = np.empty((0, self._lookback, _FEATURES))
-        self._hist_n = np.zeros(0, dtype=np.int64)
-        self._hist_head = np.zeros(0, dtype=np.int64)
+        self._hist_n = np.empty(0, dtype=np.int64)
+        self._hist_head = np.empty(0, dtype=np.int64)
 
         # Per-row pending windows awaiting a scoring pass, in the order
         # they closed.
@@ -160,9 +187,14 @@ class ColumnarDetectionEngine:
         """The pair's row index, or ``None`` when unmonitored."""
         return self._rows.get(pair)
 
-    def consecutive_losses(self, row: int) -> int:
-        """Current run of consecutive losses on ``row``."""
-        return self._consec[row]
+    def pair_of(self, row: int) -> Optional[ProbePair]:
+        """The pair that owns ``row`` (``None`` for a free row)."""
+        return self._row_pair[row]
+
+    def consecutive_losses(self, rows):
+        """Current run of consecutive losses on a row, or on each row
+        of an array."""
+        return self._consec[rows]
 
     def history(self, pair: ProbePair) -> np.ndarray:
         """The pair's LOF baseline: the valid ``(n, 7)`` slots of its
@@ -173,18 +205,27 @@ class ColumnarDetectionEngine:
         return self._hist[row, :self._hist_n[row]]
 
     def _grow_rows(self, need: int) -> None:
-        old = self._lat.shape[0]
-        new = max(need, old * 2, 16)
-        lat = np.empty((new, self._lat.shape[1]))
-        lat[:old] = self._lat
-        self._lat = lat
-        hist = np.empty((new, self._lookback, _FEATURES))
-        hist[:old] = self._hist
-        self._hist = hist
-        for name in ("_hist_n", "_hist_head"):
-            arr = np.zeros(new, dtype=np.int64)
-            arr[:old] = getattr(self, name)
-            setattr(self, name, arr)
+        old = len(self._row_pair) - 1  # rows in use before this one
+        new = max(need, self._lat.shape[0] * 2, 16)
+        for name, unused in self._COLUMNS:
+            column = getattr(self, name)
+            grown = np.full(new, unused, dtype=column.dtype)
+            grown[:old] = column[:old]
+            setattr(self, name, grown)
+        for name in self._MATRICES:
+            self._regrow(name, new, getattr(self, name).shape[1])
+        for i, block in enumerate(self._long_blocks):
+            self._long_blocks[i] = np.empty(block.shape[:2] + (new,))
+            self._long_blocks[i][:, :, :old] = block[:, :, :old]
+
+    def _regrow(self, name: str, rows: int, samples: int) -> None:
+        """Move a sample matrix into one of ``rows`` x ``samples``,
+        copying only the rows in use."""
+        matrix = getattr(self, name)
+        used = min(len(self._row_pair), matrix.shape[0])
+        grown = np.empty((rows, samples) + matrix.shape[2:])
+        grown[:used, :matrix.shape[1]] = matrix[:used]
+        setattr(self, name, grown)
 
     def _add_pair(self, pair: ProbePair) -> int:
         if self._free:
@@ -193,20 +234,13 @@ class ColumnarDetectionEngine:
         else:
             row = len(self._row_pair)
             self._row_pair.append(pair)
-            self._ws.append(None)
-            self._sent.append(0)
-            self._lost.append(0)
-            self._consec.append(0)
-            self._lat_n.append(0)
-            self._long_start.append(None)
-            self._long_times.append([])
-            self._long_vals.append([])
             self._fit_mu.append(None)
             self._fit_sigma.append(None)
             self._pending.append([])
             if row >= self._lat.shape[0]:
                 self._grow_rows(row + 1)
         self._rows[pair] = row
+        self._layout += 1
         return row
 
     def drop(self, pair: ProbePair) -> None:
@@ -215,79 +249,164 @@ class ColumnarDetectionEngine:
         if row is None:
             return
         self._row_pair[row] = None
-        self._ws[row] = None
-        self._sent[row] = 0
-        self._lost[row] = 0
-        self._consec[row] = 0
-        self._lat_n[row] = 0
-        self._long_start[row] = None
-        self._long_times[row] = []
-        self._long_vals[row] = []
+        for name, unused in self._COLUMNS:
+            getattr(self, name)[row] = unused
         self._fit_mu[row] = None
         self._fit_sigma[row] = None
         self._pending[row] = []
-        self._hist_n[row] = 0
-        self._hist_head[row] = 0
         self._free.append(row)
+        self._layout += 1
+
+    def _locate(self, pairs: List[object]) -> tuple:
+        """``(canonical pairs, rows, distinct)`` of a pair sequence:
+        each pair's row (-1 while unmonitored) and whether no pair
+        repeats.  Kept for the next batch over the same sequence, which
+        then costs one list comparison instead of a canonical sort and a
+        hash per probe."""
+        located = self._located
+        if (
+            located is not None and located[0] == self._layout
+            and located[1] == pairs
+        ):
+            return located[2:]
+        canonical = [
+            ProbePair.canonical(*endpoints_of(pair)) for pair in pairs
+        ]
+        rows = [self._rows.get(pair, -1) for pair in canonical]
+        distinct = len({
+            pair if row < 0 else row
+            for pair, row in zip(canonical, rows)
+        }) == len(rows)
+        self._located = (
+            self._layout, list(pairs), canonical,
+            np.array(rows, dtype=np.int64), distinct,
+        )
+        return self._located[2:]
 
     # ------------------------------------------------------------------
-    # Ingestion (per-probe hot path)
+    # Ingestion
     # ------------------------------------------------------------------
 
     def ingest(self, pair: ProbePair, result: ProbeResult) -> int:
-        """Append one probe into the pair's columns; returns the row.
+        """Append one probe into the pair's columns; returns the row —
+        :meth:`ingest_batch` over a single row."""
+        return int(self.ingest_batch(
+            [pair],
+            np.array([result.sent_at], dtype=np.float64),
+            np.array([result.lost], dtype=bool),
+            np.array(
+                [np.nan if result.lost else result.latency_us],
+                dtype=np.float64,
+            ),
+        )[0])
 
-        Elapsed 30-second windows are closed into the pending queue
-        (never scored here) so a late probe can't leak into a window
-        that already ended.
+    def ingest_batch(
+        self,
+        pairs: Sequence[object],
+        sent_at: np.ndarray,
+        lost: np.ndarray,
+        latency_us: np.ndarray,
+    ) -> Optional[np.ndarray]:
+        """Append one probe per pair into the columns; returns each
+        probe's row.
+
+        The rows of a batch are independent — a probe touches its own
+        row only — so they are checked together (a delivered probe
+        older than its row's last raises before anything is written)
+        and then written together.  Elapsed 30-second windows are
+        closed into the pending queue (never scored here) so a late
+        probe can't leak into a window that already ended.  A batch in
+        which a pair repeats is refused — ``None``, nothing touched —
+        because its second probe depends on its first: the caller feeds
+        such a batch row by row.
         """
-        row = self._rows.get(pair)
-        if row is None:
-            row = self._add_pair(pair)
-        t = result.sent_at
-        ws = self._ws[row]
-        if ws is None:
-            self._ws[row] = ws = t
-            self._long_start[row] = t
-        if t >= ws + self._short_s:
-            while t >= self._ws[row] + self._short_s:  # type: ignore
-                self._close_short(row)
-        self._sent[row] += 1
-        if result.lost:
-            self._lost[row] += 1
-            self._consec[row] += 1
-        else:
-            self._consec[row] = 0
-            times = self._long_times[row]
-            if times and t < times[-1]:
-                raise ValueError(
-                    f"pair {pair} probes must arrive in time order: "
-                    f"{t} < {times[-1]}"
-                )
-            n = self._lat_n[row]
-            if n >= self._lat.shape[1]:
-                grown = np.empty((self._lat.shape[0],
-                                  2 * self._lat.shape[1]))
-                grown[:, :self._lat.shape[1]] = self._lat
-                self._lat = grown
-            self._lat[row, n] = result.latency_us
-            self._lat_n[row] = n + 1
-            times.append(t)
-            self._long_vals[row].append(float(result.latency_us))
-        return row
+        if not isinstance(pairs, list):
+            pairs = list(pairs)
+        canonical, rows, distinct = self._locate(pairs)
+        if not distinct:
+            return None
+        delivered = ~lost
+        known = rows >= 0
+        # A row holding no sample has NaN for its newest: never late.
+        probed = np.flatnonzero(delivered & known)
+        late = sent_at[probed] < self._long_last[rows[probed]]
+        if late.any():
+            i = int(probed[np.argmax(late)])
+            raise ValueError(
+                f"pair {canonical[i]} probes must arrive in time order: "
+                f"{float(sent_at[i])} < {float(self._long_last[rows[i]])}"
+            )
+        if not known.all():
+            rows = rows.copy()
+            for i in np.flatnonzero(~known).tolist():
+                rows[i] = self._add_pair(canonical[i])
 
-    def _close_short(self, row: int) -> None:
-        ws = self._ws[row]
-        we = ws + self._short_s  # type: ignore[operator]
-        n = self._lat_n[row]
-        lats = self._lat[row, :n].copy() if n else None
-        self._pending[row].append(
-            (_SHORT, ws, we, self._sent[row], self._lost[row], lats)
-        )
-        self._ws[row] = we
-        self._sent[row] = 0
-        self._lost[row] = 0
-        self._lat_n[row] = 0
+        ws = self._ws[rows]
+        fresh = np.isnan(ws)
+        if fresh.any():
+            self._ws[rows[fresh]] = sent_at[fresh]
+            self._long_start[rows[fresh]] = sent_at[fresh]
+            ws = self._ws[rows]
+        due = sent_at >= ws + self._short_s
+        if due.any():
+            self._close_shorts(rows[due], sent_at[due])
+        self._sent[rows] += 1
+        if not delivered.all():
+            gone = rows[lost]
+            self._lost[gone] += 1
+            self._consec[gone] += 1
+            rows_d = rows[delivered]
+            sent_at = sent_at[delivered]
+            latency_us = latency_us[delivered]
+        else:
+            rows_d = rows
+        if rows_d.size:
+            self._consec[rows_d] = 0
+            n = self._lat_n[rows_d]
+            if n.max() >= self._lat.shape[1]:
+                self._regrow(
+                    "_lat", self._lat.shape[0], 2 * self._lat.shape[1]
+                )
+            self._lat[rows_d, n] = latency_us
+            self._lat_n[rows_d] = n + 1
+            n = self._long_n[rows_d]
+            index, slot = np.divmod(n, self._LONG_BLOCK)
+            for b in range(int(index.min()), int(index.max()) + 1):
+                if b == len(self._long_blocks):
+                    self._long_blocks.append(np.empty(
+                        (2, self._LONG_BLOCK, self._lat.shape[0])
+                    ))
+                here = index == b
+                block = self._long_blocks[b]
+                block[0, slot[here], rows_d[here]] = sent_at[here]
+                block[1, slot[here], rows_d[here]] = latency_us[here]
+            self._long_n[rows_d] = n + 1
+            self._long_last[rows_d] = sent_at
+        return rows
+
+    def _close_shorts(self, rows: np.ndarray, until: np.ndarray) -> None:
+        """Close, into the pending queues, every window of ``rows`` that
+        ended by the row's ``until`` (the first with what the row
+        collected, any further ones empty)."""
+        short_s = self._short_s
+        starts = []
+        for row, ws, sent, lost, n, t in zip(
+            rows.tolist(), self._ws[rows].tolist(),
+            self._sent[rows].tolist(), self._lost[rows].tolist(),
+            self._lat_n[rows].tolist(), until.tolist(),
+        ):
+            lats = self._lat[row, :n].copy() if n else None
+            pending = self._pending[row]
+            while t >= ws + short_s:
+                pending.append(
+                    (_SHORT, ws, ws + short_s, sent, lost, lats)
+                )
+                ws, sent, lost, lats = ws + short_s, 0, 0, None
+            starts.append(ws)
+        self._ws[rows] = starts
+        self._sent[rows] = 0
+        self._lost[rows] = 0
+        self._lat_n[rows] = 0
 
     def enqueue_window(
         self,
@@ -312,30 +431,51 @@ class ColumnarDetectionEngine:
         )
         return row
 
-    def queue_elapsed_longs(self, row: int, now: float) -> None:
-        """Move elapsed 30-minute aggregates into the pending queue."""
-        start = self._long_start[row]
-        if start is None:
+    def queue_elapsed_longs(self, rows, now) -> None:
+        """Move the 30-minute aggregates of ``rows`` (one row or an
+        array) that elapsed by ``now`` (one time, or one per row) into
+        the pending queues."""
+        rows = np.atleast_1d(rows)
+        now = np.broadcast_to(now, rows.shape)
+        long_s = self._long_s
+        due = now >= self._long_start[rows] + long_s
+        if not due.any():
             return
-        while now >= start + self._long_s:
-            end = start + self._long_s
-            times = self._long_times[row]
-            vals = self._long_vals[row]
-            hi = bisect_left(times, end)
-            self._pending[row].append((_LONG, end, vals[:hi]))
-            del times[:hi]
-            del vals[:hi]
-            start = end
-        self._long_start[row] = start
+        size = self._LONG_BLOCK
+        for row, t in zip(rows[due].tolist(), now[due].tolist()):
+            start = float(self._long_start[row])
+            n = int(self._long_n[row])
+            held = np.concatenate([
+                block[:, :, row]
+                for block in self._long_blocks[:-(-n // size)]
+            ] or [np.empty((2, 0))], axis=1)[:, :n]
+            lo = 0
+            while t >= start + long_s:
+                end = start + long_s
+                hi = lo + int(
+                    np.searchsorted(held[0, lo:], end, side="left")
+                )
+                self._pending[row].append((_LONG, end, held[1, lo:hi]))
+                lo, start = hi, end
+            # What is left moves down to the row's first samples.
+            for b in range(-(-(n - lo) // size)):
+                part = held[:, lo + b * size:lo + (b + 1) * size]
+                self._long_blocks[b][:, :part.shape[1], row] = part
+            self._long_n[row] = n - lo
+            if lo == n:
+                self._long_last[row] = np.nan
+            self._long_start[row] = start
+        del self._long_blocks[-(-int(self._long_n.max()) // size):]
 
     def close_elapsed(self, now: float) -> None:
-        """Close every elapsed short and long window across all rows."""
-        short_s = self._short_s
-        for row in self._rows.values():
-            if self._ws[row] is not None:
-                while now >= self._ws[row] + short_s:  # type: ignore
-                    self._close_short(row)
-            self.queue_elapsed_longs(row, now)
+        """Close every elapsed short and long window across all rows
+        (an unused row's start is NaN, which is never elapsed)."""
+        due = np.flatnonzero(now >= self._ws + self._short_s)
+        if due.size:
+            self._close_shorts(due, np.full(due.size, now))
+        self.queue_elapsed_longs(
+            np.flatnonzero(now >= self._long_start + self._long_s), now
+        )
 
     def has_pending(self) -> bool:
         """Whether any row holds unscored windows."""

@@ -85,6 +85,12 @@ class PingList:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
+    #: Source container -> its *active* row, as :meth:`active_pairs_from`
+    #: last answered it; emptied whenever the registered set changes.
+    _active: Dict[ContainerId, List[ProbePair]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
     #: The preload list is kept as its rails (rail -> endpoints and
     #: container -> {endpoint: rail}, in endpoint order), answers from
     #: them, and builds ``pairs`` only for a reader of the whole set.
@@ -223,6 +229,7 @@ class PingList:
     def register(self, container: ContainerId) -> None:
         """Mark a container as RUNNING and probe-able."""
         self._registered.add(container)
+        self._active.clear()
 
     def deregister(self, container: ContainerId) -> None:
         """Remove a container (terminated or crashed *gracefully*).
@@ -231,6 +238,7 @@ class PingList:
         probing it and correctly observe unconnectivity.
         """
         self._registered.discard(container)
+        self._active.clear()
 
     def is_active(self, pair: ProbePair) -> bool:
         """Whether both sides of ``pair`` have registered."""
@@ -251,7 +259,20 @@ class PingList:
 
     def active_pairs_from(self, container: ContainerId) -> List[ProbePair]:
         """:meth:`active_pairs` narrowed to one source container, same
-        order, at the cost of that container's pairs, not the list's."""
+        order, at the cost of that container's pairs, not the list's.
+
+        The answer is kept until a container registers or deregisters,
+        so a steady round reads every agent's share without filtering
+        it again — and gets the *same* list each round (treat it as
+        read-only), which is what lets the fabric and the analyzer
+        recognise a round's pair sequence by the identity of its pairs.
+        """
+        active = self._active.get(container)
+        if active is None:
+            active = self._active[container] = self._filter_row(container)
+        return active
+
+    def _filter_row(self, container: ContainerId) -> List[ProbePair]:
         if container not in self._registered:
             return []
         if self._rails and container not in self._by_source:

@@ -4,7 +4,9 @@ Agents probe their active targets once per round.  Two views exist:
 
 * :func:`run_probe_round` actually sends every agent's probes through
   the simulated fabric and feeds the analyzer (the one round loop, used
-  by the live system and the shard monitors);
+  by the live system and the shard monitors) — as one
+  :class:`~repro.network.packet.ProbeBatch` from the fabric to the
+  analyzer, cut per agent only for a bus to record;
 * :func:`estimate_round_duration` computes how long a probing round would
   take on real hardware, where each sidecar agent paces its probes
   serially while agents run in parallel — the quantity Figure 16 of the
@@ -15,13 +17,21 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.bus.core import Topic
 from repro.core.pinglist import PingList, ProbePair
 from repro.core.resilience import BreakerState, CircuitBreaker, RetryPolicy
 from repro.network.fabric import DataPlaneFabric
-from repro.network.packet import ProbeResult
+from repro.network.packet import ProbeBatch, ProbeResult
 
 if TYPE_CHECKING:  # agent.py imports this module
     from repro.core.agent import OverlayAgent
@@ -163,18 +173,20 @@ class ResilientProber:
         pairs: Sequence[ProbePair],
         now: float,
         salt: int = 0,
-    ) -> List[ProbeResult]:
-        """One hardened round over ``pairs``; returns delivered results."""
-        results = fabric.send_probe_batch(pairs, now, salt)
-        delivered: List[ProbeResult] = []
-        failed = 0
+    ) -> ProbeBatch:
+        """One hardened round over ``pairs``; returns delivered results
+        — the fabric's batch itself when every first report arrived."""
+        batch = fabric.send_probe_batch(pairs, now, salt)
         retries_before = self.retries
-        for pair, result in zip(pairs, results):
-            final = self._deliver(fabric, pair, result, now, salt)
-            if final is None:
-                failed += 1
-            else:
-                delivered.append(final)
+        fates = [
+            self._deliver(fabric, pair, now, salt) for pair in pairs
+        ]
+        failed = fates.count(None)
+        if any(fate is not True for fate in fates):
+            batch = ProbeBatch.of(
+                batch[i] if fate is True else fate
+                for i, fate in enumerate(fates) if fate is not None
+            )
         if self.breaker is not None:
             if failed:
                 self.breaker.record_failure(now)
@@ -185,24 +197,25 @@ class ResilientProber:
             self.bus.publish(
                 Topic.MONITOR,
                 sim_time=now,
-                delivered=len(delivered),
+                delivered=len(batch),
                 failed=failed,
                 retries=retried,
             )
-        return delivered
+        return batch
 
     def _deliver(
         self,
         fabric: DataPlaneFabric,
         pair: ProbePair,
-        result: ProbeResult,
         now: float,
         salt: int,
-    ) -> Optional[ProbeResult]:
-        """Resolve one probe's report, retrying monitor-plane losses."""
+    ) -> Union[bool, ProbeResult, None]:
+        """Resolve one probe's report, retrying monitor-plane losses:
+        ``True`` when the first report arrived, else the result of the
+        retry whose report did, or ``None`` when none did."""
         at = now
         attempt = 0
-        current = result
+        current: Union[bool, ProbeResult] = True
         while True:
             fate = self.chaos.probe_report(pair.src, pair.dst, at, attempt)
             if fate == "ok":
@@ -239,32 +252,30 @@ def run_probe_round(
     fabric: DataPlaneFabric,
     now: float,
     salt: int,
-    on_result: Callable[[ProbeResult], None],
+    on_batch: Callable[[ProbeBatch], None],
 ) -> None:
     """One probing round of ``agents``, in agent order.
 
-    Each agent's delivered reports are accounted and published, then
-    handed to ``on_result``, agent by agent — the order the analyzer and
-    a bus recording see.  With no hardened agent the round is *one*
-    fabric batch sliced back per agent: the batch answers every pair in
-    input order from a row-major uniform block that is the concatenation
-    of the per-agent blocks, so results equal one batch per agent.  A
-    hardened agent's retries draw from the fabric stream between
-    batches, so a round with any of them goes agent by agent.
+    Each agent's delivered reports are accounted and published, agent
+    by agent, and handed to ``on_batch`` in that order — the order the
+    analyzer and a bus recording see.  With no hardened agent the round
+    is *one* fabric batch: the batch answers every pair in input order
+    from a row-major uniform block that is the concatenation of the
+    per-agent blocks, so its slices equal one batch per agent, and the
+    analyzer takes it whole.  A hardened agent's retries draw from the
+    fabric stream between batches, so a round with any of them goes
+    agent by agent.
     """
     if any(agent.prober is not None for agent in agents):
         for agent in agents:
-            for result in agent.execute_round(fabric, now, salt):
-                on_result(result)
+            on_batch(agent.execute_round(fabric, now, salt))
         return
     shares = [agent.my_pairs() for agent in agents]
-    results = fabric.send_probe_batch(
+    batch = fabric.send_probe_batch(
         [pair for share in shares for pair in share], now, salt
     )
     start = 0
     for agent, share in zip(agents, shares):
-        mine = results[start:start + len(share)]
+        agent.record_round(batch, now, start, start + len(share))
         start += len(share)
-        agent.record_round(mine, now)
-        for result in mine:
-            on_result(result)
+    on_batch(batch)

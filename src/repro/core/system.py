@@ -235,7 +235,8 @@ class SkeletonHunter:
                 for task_id in self.controller.monitored_tasks()
                 for agent in self.controller.agents_of(task_id)
             ],
-            self.fabric, now, self._round_salt, self.analyzer.ingest,
+            self.fabric, now, self._round_salt,
+            self.analyzer.ingest_batch,
         )
         self.analyzer.flush(now)
         self._localize_new_events(now)

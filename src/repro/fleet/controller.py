@@ -37,6 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.core.analyzer import Analyzer
 from repro.core.handling import Blacklist, FailureHandler
 from repro.core.localization import Localizer
@@ -329,13 +331,11 @@ class FleetController:
             results = runtime.prober.execute(
                 self.replica.fabric, selected, at, 0
             )
-        for result in results:
-            runtime.analyzer.ingest(result)
+        runtime.analyzer.ingest_batch(results)
         runtime.analyzer.flush(at)
         runtime.probes_sent += len(selected)
         runtime.probed_pairs.update(selected)
-        delivered_ok = sum(1 for r in results if not r.lost)
-        lost = len(selected) - delivered_ok
+        lost = len(selected) - int(np.count_nonzero(~results.lost))
         runtime.probes_lost += lost
         return lost
 

@@ -112,6 +112,17 @@ class PairwiseDrawSource:
             self._pair_keys[(src, dst)] = key
         return key
 
+    def keys_of(
+        self, endpoints: Sequence[Tuple[EndpointId, EndpointId]]
+    ) -> np.ndarray:
+        """The per-pair key column of ``endpoints`` — a pure function of
+        the pairs (not of the seed, the time or the block width), so a
+        caller that probes the same pairs again may keep it."""
+        keys = np.empty(len(endpoints), dtype=_U64)
+        for i, (src, dst) in enumerate(endpoints):
+            keys[i] = self._pair_key(src, dst)
+        return keys
+
     def uniforms(
         self,
         endpoints: Sequence[Tuple[EndpointId, EndpointId]],
@@ -123,11 +134,12 @@ class PairwiseDrawSource:
         Row *i* is the block for probe ``endpoints[i]`` at time ``at``
         — the same row the probe would get in any other batch.
         """
-        n = len(endpoints)
-        columns = self.draws_per_probe
-        keys = np.empty(n, dtype=_U64)
-        for i, (src, dst) in enumerate(endpoints):
-            keys[i] = self._pair_key(src, dst)
+        return self.uniforms_of(self.keys_of(endpoints), at, salt)
+
+    def uniforms_of(
+        self, keys: np.ndarray, at: float, salt: int
+    ) -> np.ndarray:
+        """:meth:`uniforms` for pairs given by their :meth:`keys_of`."""
         # Fold time and salt into the per-pair key.  float64 bit views
         # are exact, so any representable probe time keys cleanly.
         time_bits = int(np.float64(at).view(_U64))
@@ -136,7 +148,7 @@ class PairwiseDrawSource:
         )
         base = _mix64(keys ^ _U64(round_key))
         blocks: List[np.ndarray] = []
-        for column in range(columns):
+        for column in range(self.draws_per_probe):
             offset = (column * 0x9E3779B97F4A7C15) & _MASK64
             bits = _mix64(base + _U64(offset))
             blocks.append((bits >> _U64(11)).astype(np.float64))

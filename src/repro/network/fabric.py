@@ -25,12 +25,19 @@ simulator's per-probe cost has to follow suit):
   valid while the flow tables its walk consulted are unchanged (so one
   host's churn never stales another tenant's resolutions) and no fault
   inject/clear, health-flag change or ECMP-mode switch happened;
-* :meth:`DataPlaneFabric.send_probe_batch` samples loss and RTT for a
-  whole probing round with vectorized numpy draws.  Every probe consumes
-  a fixed block of five uniforms, so the batched draw is bit-identical
-  to one-at-a-time sampling and ``send_probe_batch`` returns exactly the
-  :class:`~repro.network.packet.ProbeResult` stream the sequential
-  :meth:`DataPlaneFabric.send_probe` loop would under the same seed.
+* :meth:`DataPlaneFabric.send_probe_batch` answers a whole probing
+  round as one :class:`~repro.network.packet.ProbeBatch` — columns, not
+  one :class:`~repro.network.packet.ProbeResult` per probe.  Every probe
+  consumes a fixed block of five uniforms, so the round's draw is
+  bit-identical to one-at-a-time sampling and the batch's rows are
+  exactly the stream the sequential :meth:`DataPlaneFabric.send_probe`
+  loop would give under the same seed (``send_probe`` is a batch of
+  one).  The batch first resolves
+  (:meth:`FlowResolutionCache.resolve_all`), then decides every fate
+  from the uniforms: a round whose pair sequence and whole-overlay stamp
+  are the ones the last round resolved under is all hits by
+  construction and costs no per-probe lookup; anything else resolves
+  probe by probe, in order, as ever.
 """
 
 from __future__ import annotations
@@ -48,7 +55,12 @@ from repro.cluster.topology import UnderlayPath
 from repro.network.draws import PairwiseDrawSource
 from repro.network.faults import Effects, FaultInjector
 from repro.network.latency import LatencyModel, TransientCongestion
-from repro.network.packet import ProbeResult, flow_hash
+from repro.network.packet import (
+    ProbeBatch,
+    ProbeResult,
+    endpoints_of,
+    flow_hash,
+)
 from repro.sim.metrics import MetricRegistry
 from repro.sim.rng import RngRegistry
 
@@ -105,6 +117,10 @@ class _Resolution:
     routes: Tuple[_Route, ...] = ()
     # Merged component-health effects along the overlay chain.
     overlay_fx: Effects = field(default_factory=Effects)
+    #: Reached, healthy overlay components, no fault on any candidate
+    #: route: the probe is delivered with nothing added, so its fate
+    #: needs no :class:`Effects` evaluated.
+    plain: bool = False
     #: Validity, set by :meth:`FlowResolutionCache.resolve` from
     #: :meth:`~FlowResolutionCache._stamp`: the whole-overlay stamp this
     #: entry was last found valid under; and, for a reached entry, its
@@ -112,6 +128,71 @@ class _Resolution:
     seen: int = 0
     coarse: int = 0
     stamp: int = 0
+
+
+@dataclass
+class _RoundVector:
+    """One batch's pair sequence with what it resolved to, row by row.
+
+    Every batch is answered from one of these; the cache keeps the last,
+    so the same sequence probed again while nothing anywhere changed
+    (``seen`` is still the whole-overlay stamp) needs no per-probe
+    lookup.  Routes are ragged: row *i*'s candidates are
+    ``flat_hops[offsets[i]:offsets[i] + nroutes[i]]``.
+    """
+
+    pairs: List[object]
+    salt: int
+    endpoints: List[Tuple[EndpointId, EndpointId]]
+    resolutions: List[_Resolution]
+    #: The whole-overlay stamp every row was found valid under; ``None``
+    #: when the stamp moved while the rows were being resolved (a walk
+    #: installed a rule) or nothing is cached.
+    seen: Optional[int]
+    nroutes: np.ndarray
+    offsets: np.ndarray
+    flat_hops: np.ndarray
+    flat_switches: np.ndarray
+    software: np.ndarray
+    #: Rows whose fate is not "delivered, nothing added": unreached, or
+    #: with a fault on a candidate route, or with unhealthy overlay
+    #: components.  Only these evaluate :class:`Effects`.
+    special: List[int]
+    #: Built by the first bulk answer: each flow rule the rows' walks
+    #: traversed with its crossing count, and the keyed-draw key column.
+    rule_hits: Optional[List[Tuple[object, int]]] = None
+    keys: Optional[np.ndarray] = None
+
+
+def _round_vector(
+    pairs: List[object],
+    salt: int,
+    endpoints: List[Tuple[EndpointId, EndpointId]],
+    resolutions: List[_Resolution],
+    seen: Optional[int],
+) -> _RoundVector:
+    nroutes = np.fromiter(
+        (len(res.routes) for res in resolutions), np.int64, len(pairs)
+    )
+    routes = [route for res in resolutions for route in res.routes]
+    return _RoundVector(
+        pairs=pairs, salt=salt, endpoints=endpoints,
+        resolutions=resolutions, seen=seen, nroutes=nroutes,
+        offsets=np.cumsum(nroutes) - nroutes,
+        flat_hops=np.fromiter(
+            (route.hops for route in routes), np.int64, len(routes)
+        ),
+        flat_switches=np.fromiter(
+            (route.switches for route in routes), np.int64, len(routes)
+        ),
+        software=np.fromiter(
+            (res.trace.software_path for res in resolutions), bool,
+            len(pairs),
+        ),
+        special=[
+            i for i, res in enumerate(resolutions) if not res.plain
+        ],
+    )
 
 
 class FlowResolutionCache:
@@ -166,6 +247,8 @@ class FlowResolutionCache:
         self._entries: Dict[
             Tuple[EndpointId, EndpointId, int], _Resolution
         ] = {}
+        #: What the last batch resolved to (:meth:`resolve_all`).
+        self._vector: Optional[_RoundVector] = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -214,6 +297,7 @@ class FlowResolutionCache:
     def invalidate(self) -> None:
         """Drop every cached resolution (stamps make this optional)."""
         self._entries.clear()
+        self._vector = None
 
     def resolve(
         self, src: EndpointId, dst: EndpointId, salt: int
@@ -259,6 +343,53 @@ class FlowResolutionCache:
             self._entries[key] = resolution
         return resolution
 
+    def resolve_all(self, pairs: List[object], salt: int) -> _RoundVector:
+        """The resolutions of a whole batch, as :meth:`resolve` would
+        give them one pair after another in input order.
+
+        When ``pairs`` is the sequence the last batch resolved and the
+        whole-overlay stamp is the one every row of that batch was found
+        valid under, every lookup would be a hit and a hit has no side
+        effect but ``rule.hit()`` — so the stamp cannot move inside the
+        batch either, and the rows are answered together: ``hits``
+        advances by the batch, each traversed rule's packet counter by
+        its crossings.  Otherwise (cold, something changed, another
+        sequence) the rows resolve one by one, in order, so a walk's
+        flow installs and a table mutation land where they would
+        sequentially.
+        """
+        last = self._vector
+        repeat = (
+            last is not None and last.salt == salt and last.pairs == pairs
+        )
+        if (
+            repeat and self.enabled
+            and last.seen == self._stamp(False, ())
+        ):
+            self.hits += len(pairs)
+            if last.rule_hits is None:
+                crossings: Dict[int, List] = {}
+                for res in last.resolutions:
+                    for rule in res.trace.rules:
+                        crossings.setdefault(id(rule), [rule, 0])[1] += 1
+                last.rule_hits = [tuple(c) for c in crossings.values()]
+            for rule, count in last.rule_hits:
+                rule.packets += count
+            return last
+        endpoints = last.endpoints if repeat else [
+            endpoints_of(pair) for pair in pairs
+        ]
+        before = self._stamp(False, ())
+        resolutions = [
+            self.resolve(src, dst, salt) for src, dst in endpoints
+        ]
+        settled = self.enabled and before == self._stamp(False, ())
+        self._vector = _round_vector(
+            list(pairs), salt, endpoints, resolutions,
+            before if settled else None,
+        )
+        return self._vector
+
     def _compute(
         self, src: EndpointId, dst: EndpointId, salt: int
     ) -> _Resolution:
@@ -295,10 +426,12 @@ class FlowResolutionCache:
                 self.ecmp_mode == "spray",
             )
         )
+        overlay_fx = self._component_effects(src, dst, src_rnic, dst_rnic)
         return _Resolution(
             trace=trace, fhash=fhash, reached=True, routes=routes,
-            overlay_fx=self._component_effects(
-                src, dst, src_rnic, dst_rnic
+            overlay_fx=overlay_fx,
+            plain=overlay_fx == Effects() and not any(
+                route.faults for route in routes
             ),
         )
 
@@ -311,13 +444,18 @@ class FlowResolutionCache:
     ) -> Effects:
         """Latency/loss contributed by overlay component health flags."""
         overlay = self._cluster.overlay
-        combined = Effects()
-        components = (
+        healths = [overlay.health(name) for name in (
             veth_name(src), ovs_name(src_rnic.host), vtep_name(src_rnic),
             vtep_name(dst_rnic), ovs_name(dst_rnic.host), veth_name(dst),
-        )
-        for name in components:
-            health = overlay.health(name)
+        )]
+        combined = Effects()
+        if not any(
+            health.down or health.loss_rate or health.extra_latency_us
+            or health.force_software_path
+            for health in healths
+        ):
+            return combined  # what merging six benign components gives
+        for health in healths:
             combined = combined.merge(Effects(
                 down=health.down,
                 loss_rate=health.loss_rate,
@@ -467,136 +605,110 @@ class DataPlaneFabric:
         probed in one batch consume the same generator stream and yield
         the same results.
         """
-        return self.send_probe_batch(((src, dst),), at, salt)[0]
+        return self.send_probe_batch([(src, dst)], at, salt)[0]
 
     def send_probe_batch(
         self,
         pairs: Iterable[object],
         at: float,
         salt: int = 0,
-    ) -> List[ProbeResult]:
+    ) -> ProbeBatch:
         """Send one probe per pair at simulated time ``at``.
 
         ``pairs`` may hold ``(src, dst)`` tuples or any objects with
         ``src``/``dst`` attributes (e.g.
-        :class:`~repro.core.pinglist.ProbePair`).  Results come back in
+        :class:`~repro.core.pinglist.ProbePair`).  The answer is one
+        :class:`~repro.network.packet.ProbeBatch` over the pairs, in
         input order.  Each probe consumes a fixed five-uniform block of
         the fabric stream; the block for the whole round is drawn once
-        and transformed with vectorized numpy math, which is where the
-        batched path earns its throughput (see ``bench/README.md``).
+        and every probe's fate and RTT come out of it as columns.
 
-        Resolution still happens per probe *in order*, so side effects
-        (first-use flow installs, mid-batch cache invalidation by a
-        fault's table mutation) land exactly as they would sequentially.
+        Resolution happens first, for the whole batch
+        (:meth:`FlowResolutionCache.resolve_all`: per probe *in order*
+        unless every probe is known to be a hit, so first-use flow
+        installs and a fault's table mutation land exactly as they
+        would sequentially); it reads no uniform and evaluating a fault
+        has no side effect, so the fates can follow together.  Only
+        rows a fault or an unhealthy component can touch evaluate
+        their :class:`Effects` one by one.
         """
-        endpoints: List[Tuple[EndpointId, EndpointId]] = [
-            (pair.src, pair.dst) if hasattr(pair, "src") else tuple(pair)
-            for pair in pairs
-        ]
-        n = len(endpoints)
+        if not isinstance(pairs, list):
+            pairs = list(pairs)
+        n = len(pairs)
         if n == 0:
-            return []
+            return ProbeBatch.of(())
+        vec = self.resolution_cache.resolve_all(pairs, salt)
         if self._draw_source is None:
             draws = self._rng.random((n, self._draw_width()))
         else:
-            draws = self._draw_source.uniforms(endpoints, at, salt)
+            if vec.keys is None:
+                vec.keys = self._draw_source.keys_of(vec.endpoints)
+            draws = self._draw_source.uniforms_of(vec.keys, at, salt)
 
-        cache = self.resolution_cache
-        results: List[Optional[ProbeResult]] = [None] * n
-        lost = 0
-        # Delivered probes accumulate here for one vectorized RTT pass.
-        delivered: List[int] = []
-        delivered_res: List[_Resolution] = []
-        delivered_path: List[UnderlayPath] = []
-        hops: List[int] = []
-        switches: List[int] = []
-        extra_us: List[float] = []
-        software: List[bool] = []
-
-        for i, (src, dst) in enumerate(endpoints):
-            res = cache.resolve(src, dst, salt)
-            trace = res.trace
+        # Per-packet path pick: the trailing uniform (drawn only under
+        # spraying) indexes the equal-probability candidate set; -1 on
+        # a probe that never reached the underlay.
+        if self.spraying:
+            route = np.minimum(
+                (draws[:, 5] * vec.nroutes).astype(np.int64),
+                vec.nroutes - 1,
+            )
+        else:
+            route = vec.nroutes - 1
+        lost = np.zeros(n, dtype=bool)
+        extra_us = np.zeros(n)
+        software = vec.software.copy()
+        reasons = [""] * n
+        for i in vec.special:
+            res = vec.resolutions[i]
             if not res.reached:
-                lost += 1
-                results[i] = ProbeResult(
-                    src=src, dst=dst, sent_at=at, lost=True,
-                    reason=res.overlay_reason,
-                    src_rnic=trace.src_rnic, dst_rnic=trace.dst_rnic,
-                    overlay_trace=trace,
+                reasons[i] = res.overlay_reason
+            else:
+                effects = _merge_fault_effects(
+                    res.routes[route[i]].faults, res.overlay_fx, at,
+                    res.fhash,
                 )
-                continue
-            # Per-packet path pick: the trailing uniform (drawn only
-            # under spraying, read only when there is a choice) indexes
-            # the equal-probability candidate set.
-            routes = res.routes
-            route = routes[0] if len(routes) == 1 else routes[
-                min(int(draws[i, 5] * len(routes)), len(routes) - 1)
-            ]
-            effects = _merge_fault_effects(
-                route.faults, res.overlay_fx, at, res.fhash
-            )
-            if effects.down:
-                lost += 1
-                results[i] = ProbeResult(
-                    src=src, dst=dst, sent_at=at, lost=True,
-                    reason="component down on path",
-                    src_rnic=trace.src_rnic, dst_rnic=trace.dst_rnic,
-                    underlay_path=route.path, overlay_trace=trace,
-                )
-                continue
-            if effects.loss_rate > 0 and float(
-                draws[i, 0]
-            ) < effects.loss_rate:
-                lost += 1
-                results[i] = ProbeResult(
-                    src=src, dst=dst, sent_at=at, lost=True,
-                    reason="packet dropped on path",
-                    src_rnic=trace.src_rnic, dst_rnic=trace.dst_rnic,
-                    underlay_path=route.path, overlay_trace=trace,
-                )
-                continue
-            delivered.append(i)
-            delivered_res.append(res)
-            delivered_path.append(route.path)
-            hops.append(route.hops)
-            switches.append(route.switches)
-            extra_us.append(effects.extra_latency_us)
-            software.append(
-                trace.software_path or effects.force_software_path
-            )
+                if effects.down:
+                    reasons[i] = "component down on path"
+                elif effects.loss_rate > 0 and float(
+                    draws[i, 0]
+                ) < effects.loss_rate:
+                    reasons[i] = "packet dropped on path"
+                else:
+                    extra_us[i] = effects.extra_latency_us
+                    software[i] |= effects.force_software_path
+                    continue
+            lost[i] = True
+            software[i] = False
 
-        if delivered:
-            rows = np.asarray(delivered)
+        # One vectorized RTT pass over the delivered probes.
+        rows = np.flatnonzero(~lost)
+        latency_us = np.full(n, np.nan)
+        if rows.size:
+            taken = (vec.offsets + route)[rows]
             latencies = self.latency_model.rtt_from_uniforms(
                 draws[rows, 1], draws[rows, 2],
-                num_links=np.asarray(hops),
-                num_switches=np.asarray(switches),
-                extra_us=np.asarray(extra_us),
-                software_path=np.asarray(software),
+                num_links=vec.flat_hops[taken],
+                num_switches=vec.flat_switches[taken],
+                extra_us=extra_us[rows],
+                software_path=software[rows],
             )
-            latencies = latencies + self.congestion.spikes_from_uniforms(
-                draws[rows, 3], draws[rows, 4]
-            )
-            for j, i in enumerate(delivered):
-                src, dst = endpoints[i]
-                res = delivered_res[j]
-                results[i] = ProbeResult(
-                    src=src, dst=dst, sent_at=at, lost=False,
-                    latency_us=float(latencies[j]),
-                    software_path=bool(software[j]),
-                    src_rnic=res.trace.src_rnic,
-                    dst_rnic=res.trace.dst_rnic,
-                    underlay_path=delivered_path[j],
-                    overlay_trace=res.trace,
+            latency_us[rows] = (
+                latencies + self.congestion.spikes_from_uniforms(
+                    draws[rows, 3], draws[rows, 4]
                 )
+            )
 
         self.metrics.increment("probes.sent", n)
-        if lost:
-            self.metrics.increment("probes.lost", lost)
-        soft_count = sum(software)
+        if rows.size < n:
+            self.metrics.increment("probes.lost", n - rows.size)
+        soft_count = int(np.count_nonzero(software))
         if soft_count:
             self.metrics.increment("probes.software_path", soft_count)
-        return [result for result in results if result is not None]
+        return ProbeBatch(
+            vec.pairs, np.full(n, at, dtype=np.float64), lost, latency_us,
+            software, vec.resolutions, route, reasons,
+        )
 
     # ------------------------------------------------------------------
     # Host-agent capabilities (used by the localizer)

@@ -22,6 +22,7 @@ real crash or a scripted :meth:`kill` from a chaos test.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing as mp
 import traceback
 from typing import Optional, Sequence, Tuple
@@ -142,6 +143,11 @@ def _shard_worker_main(conn, shard_id, spec, pairs) -> None:
     ``("err", traceback)`` reply and ends the worker; the coordinator
     treats it like a death and fails the shard over.
     """
+    # What the fork inherited — the coordinator's reference replica and
+    # plan — is never this worker's garbage: keep the cycle collector
+    # off it, or every full collection walks (and, writing its marks,
+    # copies page by page) the coordinator's whole heap.
+    gc.freeze()
     monitor = ShardMonitor(shard_id, spec, pairs)
     while True:
         try:

@@ -23,7 +23,7 @@ The top-level ``repro verify`` subcommand delegates here.
 from __future__ import annotations
 
 import argparse
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.verify.framework import (
     FabricVerifier,

@@ -6,8 +6,6 @@ a crashed agent skips rounds (never feeding the detectors) while its
 circuit breaker demonstrably trips and half-open-recovers.
 """
 
-import pytest
-
 from repro.chaos.faults import MonitorFaultInjector, MonitorIssue
 from repro.core.resilience import BreakerState
 from repro.network.issues import IssueType

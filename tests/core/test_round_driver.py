@@ -4,6 +4,7 @@ from one fabric batch and no ping-list scan.
 Counts and equalities only — nothing here reads a clock.
 """
 
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -12,20 +13,20 @@ import repro.core.system as system
 from repro.bus.core import TelemetryBus
 from repro.bus.recorder import JsonlRecorder
 from repro.chaos.faults import MonitorFaultInjector, MonitorIssue
-from repro.core.pinglist import PingList
+from repro.core.pinglist import PingList, ProbePair
 from repro.core.probing import run_probe_round
-from repro.network.fabric import DataPlaneFabric
+from repro.network.fabric import DataPlaneFabric, FlowResolutionCache
 from repro.network.issues import IssueType
+from repro.network.packet import ProbeResult
 from repro.workloads.scenarios import build_scenario
 
 SEED = 11
 
 
-def per_agent_loop(agents, fabric, now, salt, on_result):
+def per_agent_loop(agents, fabric, now, salt, on_batch):
     """The loop the driver replaced: one ``execute_round`` per agent."""
     for agent in agents:
-        for result in agent.execute_round(fabric, now, salt):
-            on_result(result)
+        on_batch(agent.execute_round(fabric, now, salt))
 
 
 def lossy_monitor():
@@ -50,10 +51,10 @@ def run_with(driver, chaos, path, monkeypatch):
     round driven by ``driver``; returns what the round produced."""
     seen = []
 
-    def tapped(agents, fabric, now, salt, on_result):
-        def tap(result):
-            seen.append(result)
-            on_result(result)
+    def tapped(agents, fabric, now, salt, on_batch):
+        def tap(batch):
+            seen.extend(batch)
+            on_batch(batch)
 
         driver(agents, fabric, now, salt, tap)
 
@@ -120,7 +121,9 @@ def test_mixed_round_goes_agent_by_agent(small_scenario, monkeypatch):
             agent, "execute_round",
             lambda fabric, now, salt, agent=agent: calls.append(agent) or [],
         )
-    run_probe_round(agents, small_scenario.fabric, 0.0, 0, None)
+    run_probe_round(
+        agents, small_scenario.fabric, 0.0, 0, lambda batch: None
+    )
     assert calls == agents
 
 
@@ -132,8 +135,11 @@ def counting(owner, name):
 
 
 def test_fault_free_round_is_one_batch_and_no_list_scan():
-    """The guard on the quadratic: however many agents a round has, it
-    scans the whole ping list zero times and batches the fabric once."""
+    """The guard on the quadratic and on the per-probe object: however
+    many agents a round has, a warm fault-free round scans the whole
+    ping list zero times, batches the fabric once, and builds no
+    ``ProbeResult``, sorts no pair and looks up no resolution — while
+    every flow rule still counts each packet that crossed it."""
     scenario = build_scenario(
         num_containers=8, gpus_per_container=4, pp=2, seed=SEED,
         hosts_per_segment=4,
@@ -142,16 +148,36 @@ def test_fault_free_round_is_one_batch_and_no_list_scan():
     scenario.run_for(10)  # warm: flows installed, first rounds done
     agents = agents_of(scenario)
     assert len(agents) == 8
-    pairs = len(
-        scenario.hunter.controller.ping_list_of(scenario.task.id)
-    )
+    ping_list = scenario.hunter.controller.ping_list_of(scenario.task.id)
+    pairs = len(ping_list)
+    # How often one round crosses each flow rule, from the resolutions.
+    crossings = Counter()
+    rules = {}
+    for pair in ping_list.active_pairs():
+        resolution = scenario.fabric.resolution_cache._entries[
+            (pair.src, pair.dst, 0)
+        ]
+        for rule in resolution.trace.rules:
+            crossings[id(rule)] += 1
+            rules[id(rule)] = rule
+    before = {key: rule.packets for key, rule in rules.items()}
     sent0 = scenario.fabric.probes_sent
+    hits0 = scenario.fabric.resolution_cache.hits
     rounds = 5
     with counting(PingList, "active_pairs") as scans, counting(
         DataPlaneFabric, "send_probe_batch"
-    ) as batches:
+    ) as batches, counting(ProbeResult, "__init__") as results, counting(
+        ProbePair, "canonical"
+    ) as sorts, counting(FlowResolutionCache, "resolve") as lookups:
         scenario.run_for(rounds * scenario.hunter.probe_interval_s)
     assert scenario.hunter.events == []
     assert scenario.fabric.probes_sent - sent0 == rounds * pairs
     assert scans.call_count == 0
     assert batches.call_count == rounds
+    assert results.call_count == 0
+    assert sorts.call_count == 0
+    assert lookups.call_count == 0
+    assert scenario.fabric.resolution_cache.hits - hits0 == rounds * pairs
+    assert max(crossings.values()) > 1  # rules shared between pairs
+    for key, rule in rules.items():
+        assert rule.packets - before[key] == rounds * crossings[key]

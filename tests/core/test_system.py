@@ -1,7 +1,5 @@
 """Tests for the SkeletonHunter facade."""
 
-import pytest
-
 from repro.core.pinglist import PingListPhase
 from repro.network.issues import IssueType
 

@@ -1,7 +1,5 @@
 """Tests for metric recording and window statistics."""
 
-import math
-
 import pytest
 
 from repro.sim.metrics import MetricRegistry, TimeSeries

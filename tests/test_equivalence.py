@@ -78,7 +78,7 @@ class TestBatchGate:
         batch = DataPlaneFabric.send_probe_batch
 
         def skewed(self, pairs, at, salt=0):
-            results = batch(self, pairs, at, salt)
+            results = list(batch(self, pairs, at, salt))
             if len(results) > 1 and at == 1.0:
                 results[5] = dataclasses.replace(
                     results[5], latency_us=-1.0

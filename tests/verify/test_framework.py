@@ -1,7 +1,5 @@
 """Tests for the pass framework: findings, reports, verifier plumbing."""
 
-import pytest
-
 from repro.obs.trace import TraceRecorder
 from repro.verify.framework import (
     FabricVerificationError,
