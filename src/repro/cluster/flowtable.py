@@ -84,36 +84,49 @@ class FlowRule:
 class FlowTable:
     """A keyed table of flow rules (the OVS software table).
 
-    Every *forwarding-relevant* mutation (a rule appearing, being
-    replaced, or disappearing) increments :attr:`version` and fires the
-    optional :attr:`on_mutate` callback.  :attr:`version` is the unit of
-    cache validity: a probe resolution that walked this table is valid
-    only while the table is still at the version it was walked at, so a
-    mutation invalidates exactly the resolutions that consulted this
-    table and no other host's or tenant's (see
-    :class:`~repro.network.fabric.FlowResolutionCache`).  The overlay
-    additionally folds table churn into its whole-overlay epoch via
-    :attr:`on_mutate`.  Hit-counter updates (:meth:`FlowRule.hit`)
-    deliberately do *not* count: they never change where a packet goes.
+    The table is an exact-match dict, so installing key K2 cannot change
+    what a lookup of K1 returned — and that is the grain of cache
+    validity (see :class:`~repro.network.fabric.FlowResolutionCache`):
+    :meth:`version_of` a key moves when *that key's* rule appears, is
+    replaced or disappears (a monotone per-key version, never reset by a
+    removal), or when :attr:`generation` does — :meth:`touch` and
+    :meth:`clear`, for state a walk reads that no single key holds.  A
+    probe resolution that looked ``key`` up here is valid while
+    ``version_of(key)`` is what it was, whatever else the table's other
+    tenants install.  Every such mutation also fires the optional
+    :attr:`on_mutate` callback, through which the overlay folds table
+    churn into its whole-overlay epoch.  Hit-counter updates
+    (:meth:`FlowRule.hit`) deliberately do *not* count: they never
+    change where a packet goes.
     """
 
     def __init__(self, name: str = "ovs"):
         self.name = name
-        self.version = 0
+        self.generation = 0
         self.on_mutate: Optional[Callable[[], None]] = None
         self._rules: Dict[FlowKey, FlowRule] = {}
+        self._key_versions: Dict[FlowKey, int] = {}
 
     def __len__(self) -> int:
         return len(self._rules)
 
+    def version_of(self, key: FlowKey) -> int:
+        """What a lookup of ``key`` is valid under (only ever grows)."""
+        return self.generation + self._key_versions.get(key, 0)
+
     def touch(self) -> None:
-        """Advance :attr:`version` without changing a rule.
+        """Advance :attr:`generation` without changing a rule.
 
         For state a walk through this table reads but the table does
         not hold — an endpoint attaching to or leaving this host — so
-        resolutions that walked it are re-walked.
+        every resolution that walked it, whatever its key, is re-walked.
         """
-        self.version += 1
+        self.generation += 1
+        if self.on_mutate is not None:
+            self.on_mutate()
+
+    def _key_changed(self, key: FlowKey) -> None:
+        self._key_versions[key] = self._key_versions.get(key, 0) + 1
         if self.on_mutate is not None:
             self.on_mutate()
 
@@ -138,14 +151,14 @@ class FlowTable:
             return existing
         rule = FlowRule(key=key, action=action)
         self._rules[key] = rule
-        self.touch()
+        self._key_changed(key)
         return rule
 
     def remove(self, key: FlowKey) -> bool:
         """Delete the rule for ``key``; returns whether it existed."""
         existed = self._rules.pop(key, None) is not None
         if existed:
-            self.touch()
+            self._key_changed(key)
         return existed
 
     def lookup(self, key: FlowKey) -> Optional[FlowRule]:
@@ -161,7 +174,7 @@ class FlowTable:
         return sorted(self._rules)
 
     def clear(self) -> None:
-        """Drop every rule."""
+        """Drop every rule (one :attr:`generation` step covers them)."""
         if self._rules:
             self._rules.clear()
             self.touch()

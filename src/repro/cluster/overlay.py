@@ -53,23 +53,31 @@ class OverlayError(RuntimeError):
 class ComponentHealth:
     """Mutable health flags a fault can set on an overlay component.
 
-    Every flag assignment notifies the owning overlay (when attached via
-    ``_on_change``) so cached probe resolutions that consulted this
-    component are invalidated — faults *and* direct test mutations alike.
+    Every flag assignment advances this component's own :attr:`version`
+    — a cached probe resolution that read the component is valid while
+    the version is what it read, so a flip re-walks the pairs through
+    this component and no others — and notifies the owning overlay
+    (when attached via ``_on_change``), faults *and* direct test
+    mutations alike.  :meth:`OverlayNetwork.clear_health` advances the
+    version of the object it discards, for the resolutions holding it.
     """
 
     down: bool = False
     extra_latency_us: float = 0.0
     loss_rate: float = 0.0
     force_software_path: bool = False
+    version: int = field(default=0, repr=False, compare=False)
     _on_change: Optional[Callable[[], None]] = field(
         default=None, repr=False, compare=False
     )
 
     def __setattr__(self, name: str, value: object) -> None:
         object.__setattr__(self, name, value)
+        if name in ("version", "_on_change"):
+            return
+        object.__setattr__(self, "version", self.version + 1)
         notify = getattr(self, "_on_change", None)
-        if notify is not None and name != "_on_change":
+        if notify is not None:
             notify()
 
     @property
@@ -103,9 +111,11 @@ class OverlayTrace:
     for cache-served probes so packet counters advance exactly as if
     every probe had re-walked the chain.  ``tables`` collects the flow
     tables the walk consulted — the OVS table of every visited host and
-    the offload table of every traversed RNIC — which is what a cached
-    resolution's validity is scoped to.  Both are bookkeeping, not
-    observations, so they are excluded from equality and repr.
+    the offload table of every traversed RNIC — and ``key`` is the one
+    match key it looked up in each of them: a cached resolution's
+    validity is scoped to that key in those tables.  All three are
+    bookkeeping, not observations, so they are excluded from equality
+    and repr.
     """
 
     hops: List[OverlayHop] = field(default_factory=list)
@@ -120,6 +130,7 @@ class OverlayTrace:
     tables: List[FlowTable] = field(
         default_factory=list, repr=False, compare=False
     )
+    key: Optional[FlowKey] = field(default=None, repr=False, compare=False)
 
     @property
     def failure_component(self) -> Optional[str]:
@@ -172,7 +183,6 @@ class OverlayNetwork:
         self._health: Dict[str, ComponentHealth] = {}
         self._underlay_ip_of_rnic: Dict[RnicId, str] = {}
         self._epoch = 0
-        self._health_epoch = 0
 
     # ------------------------------------------------------------------
     # Change tracking (drives FlowResolutionCache invalidation)
@@ -187,26 +197,15 @@ class OverlayNetwork:
         *unreached* resolutions (table miss, loop, unknown encap target,
         unattached endpoint) are keyed on it: what would make them
         reachable is in no table their walk consulted.  A reached
-        resolution is scoped to the :attr:`FlowTable.version` of the
-        tables in its :attr:`OverlayTrace.tables` plus
-        :attr:`health_epoch`.
+        resolution is scoped to what it read: :meth:`FlowTable.version_of`
+        its :attr:`OverlayTrace.key` in its :attr:`OverlayTrace.tables`,
+        and the :attr:`ComponentHealth.version` of the components along
+        its chain.  The epoch is still the O(1) "nothing anywhere
+        changed" test that comes before either.
         """
         return self._epoch
 
-    @property
-    def health_epoch(self) -> int:
-        """Monotone counter of component-health flag changes.
-
-        Health flags are rare, fault-driven, and read all along a walk,
-        so they stay one coarse counter instead of being scoped.
-        """
-        return self._health_epoch
-
     def _bump_epoch(self) -> None:
-        self._epoch += 1
-
-    def _health_changed(self) -> None:
-        self._health_epoch += 1
         self._epoch += 1
 
     # ------------------------------------------------------------------
@@ -363,14 +362,16 @@ class OverlayNetwork:
         """Mutable health flags for a named overlay component."""
         if component not in self._health:
             self._health[component] = ComponentHealth(
-                _on_change=self._health_changed
+                _on_change=self._bump_epoch
             )
         return self._health[component]
 
     def clear_health(self, component: str) -> None:
         """Reset a component to healthy."""
-        if self._health.pop(component, None) is not None:
-            self._health_changed()
+        dropped = self._health.pop(component, None)
+        if dropped is not None:
+            dropped.version += 1  # for the resolutions still holding it
+            self._bump_epoch()
 
     # ------------------------------------------------------------------
     # Forwarding
@@ -461,7 +462,7 @@ class OverlayNetwork:
             self.ensure_flow(src, dst)
 
         dst_ip = self.overlay_ip(dst)
-        key = FlowKey(vni, dst_ip)
+        key = trace.key = FlowKey(vni, dst_ip)
         current_host = src_rec.host
         current_rnic = src_rec.vf.rnic
         trace.src_rnic = current_rnic

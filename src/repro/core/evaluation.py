@@ -38,13 +38,13 @@ def fault_affects_pair(
 ) -> bool:
     """Whether ``fault`` can perturb the pair's data path.
 
-    A fault meets a pair at its endpoints — its RNICs, their hosts, its
-    containers — or along any path the pair may take
-    (:meth:`Fault.face_on`: under static ECMP that is the single pinned
-    pick; under spraying, the full distribution — a sprayed pair *is*
-    affected by a gray link it crosses only some of the time).  A
-    victim-link face counts too: PFC pause propagation genuinely
-    perturbs pairs that never touch the congested port itself.
+    A fault meets a pair at its containers, or as it meets the pair's
+    resolution (:meth:`Fault.meets`): at its RNICs or their hosts, or
+    along any path the pair may take (under static ECMP that is the
+    single pinned pick; under spraying, the full distribution — a
+    sprayed pair *is* affected by a gray link it crosses only some of
+    the time).  A victim-link face counts too: PFC pause propagation
+    genuinely perturbs pairs that never touch the congested port itself.
     """
     target = fault.target
     overlay = cluster.overlay
@@ -56,11 +56,8 @@ def fault_affects_pair(
 
     if isinstance(target, Container):
         return target.id in (pair.src.container, pair.dst.container)
-    if target in (src_rnic, dst_rnic, src_rnic.host, dst_rnic.host):
-        return True
-    return any(
-        fault.face_on(path) is not None
-        for path in fabric.path_distribution(pair.src, pair.dst)
+    return fault.meets(
+        fabric.path_distribution(pair.src, pair.dst), src_rnic, dst_rnic
     )
 
 

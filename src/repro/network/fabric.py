@@ -22,9 +22,10 @@ simulator's per-probe cost has to follow suit):
 * a :class:`FlowResolutionCache` memoizes the *deterministic* half of a
   probe — the overlay trace, the ECMP path pick, the faults that could
   touch the resolution, and the overlay component-health effects —
-  valid while the flow tables its walk consulted are unchanged (so one
-  host's churn never stales another tenant's resolutions) and no fault
-  inject/clear, health-flag change or ECMP-mode switch happened;
+  valid while what it read is unchanged: its own match key in the flow
+  tables its walk consulted (a neighbour's first-use install on the
+  same host stales nothing), the health of the components along its
+  chain, the ECMP mode, and no fault that meets it came or went;
 * :meth:`DataPlaneFabric.send_probe_batch` answers a whole probing
   round as one :class:`~repro.network.packet.ProbeBatch` — columns, not
   one :class:`~repro.network.packet.ProbeResult` per probe.  Every probe
@@ -47,13 +48,19 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.cluster.flowtable import FlowTable
+from repro.cluster.flowtable import FlowKey, FlowTable
 from repro.cluster.identifiers import EndpointId, RnicId
 from repro.cluster.orchestrator import Cluster
-from repro.cluster.overlay import OverlayTrace, ovs_name, veth_name, vtep_name
+from repro.cluster.overlay import (
+    ComponentHealth,
+    OverlayTrace,
+    ovs_name,
+    veth_name,
+    vtep_name,
+)
 from repro.cluster.topology import UnderlayPath
 from repro.network.draws import PairwiseDrawSource
-from repro.network.faults import Effects, FaultInjector
+from repro.network.faults import Effects, Fault, FaultInjector
 from repro.network.latency import LatencyModel, TransientCongestion
 from repro.network.packet import (
     ProbeBatch,
@@ -121,13 +128,19 @@ class _Resolution:
     #: route: the probe is delivered with nothing added, so its fate
     #: needs no :class:`Effects` evaluated.
     plain: bool = False
-    #: Validity, set by :meth:`FlowResolutionCache.resolve` from
-    #: :meth:`~FlowResolutionCache._stamp`: the whole-overlay stamp this
-    #: entry was last found valid under; and, for a reached entry, its
-    #: coarse epochs alone and with ``trace.tables``' versions added.
+    #: What a reached walk read and installed: each flow table with the
+    #: match key looked up in it, and the health objects of the
+    #: components along the chain.
+    reads: Tuple[Tuple[FlowTable, FlowKey], ...] = ()
+    healths: Tuple[ComponentHealth, ...] = ()
+    #: Validity, set by :meth:`FlowResolutionCache.resolve`: the
+    #: whole-overlay stamp this entry was last found valid under; and
+    #: the :meth:`~FlowResolutionCache._read_stamp` of a reached entry.
+    #: ``None``: valid under ``seen`` alone — an unreached entry, or a
+    #: reached one marked stale by a fault that meets it (the fault
+    #: moved the whole-overlay stamp, so ``seen`` is already behind).
     seen: int = 0
-    coarse: int = 0
-    stamp: int = 0
+    stamp: Optional[Tuple[int, int]] = None
 
 
 @dataclass
@@ -198,32 +211,37 @@ def _round_vector(
 class FlowResolutionCache:
     """Memoizes per-(src, dst, salt) probe resolutions.
 
-    Validity is scoped to what the resolution's overlay walk read.  A
-    *reached* resolution is valid while every flow table the walk
-    consulted (:attr:`OverlayTrace.tables`: the OVS table of each
-    visited host, the offload table of each traversed RNIC) is at the
-    :attr:`FlowTable.version` it was walked at — container attach and
-    detach touch the tables of the container's host and RNICs — **and**
-    the coarse epochs are unchanged: component-health flags
-    (:attr:`OverlayNetwork.health_epoch`), fault inject/clear
-    (:attr:`FaultInjector.epoch`) and the ECMP mode.  Those stay coarse
-    because they are rare, fault-driven, and not confined to a table.
-    So a first-use flow install or a migration on one host re-walks
-    only the pairs through that host, while Figure-18-style faults (a
-    table mutating under a warm cache) still surface on the next probe.
-    An *unreached* resolution (table miss, loop, unknown encap target,
-    unattached endpoint) is keyed on the whole-overlay
-    :attr:`OverlayNetwork.epoch` instead: what would make it reachable
-    is in no table its walk consulted.
+    A resolution is valid while what it read is unchanged.  For a
+    *reached* resolution that is: (1) :meth:`FlowTable.version_of` its
+    own match keys — the forward :attr:`OverlayTrace.key` in every
+    table of :attr:`OverlayTrace.tables` (the OVS table of each visited
+    host, the offload table of each traversed RNIC) and the reverse
+    key its echo reply installs in the destination host's OVS and
+    offload tables; a flow table is an exact-match dict, so another
+    flow's first-use install on the same host changes none of them,
+    while container attach and detach, which touch the whole table,
+    change all; (2) the :attr:`ComponentHealth.version` of every
+    component along its chain; (3) the ECMP mode (one coarse routing
+    epoch: a switch changes what every resolution *is*); and (4) no
+    fault that :meth:`Fault.meets` it was injected or cleared — the
+    cache observes the injector and marks exactly those entries stale.
+    So a fault landing costs the pairs it touches, and Figure-18-style
+    faults (a table mutating under a warm cache) still surface on the
+    next probe.  An *unreached* resolution (table miss, loop, unknown
+    encap target, unattached endpoint) is valid under the whole-overlay
+    stamp alone: what would make it reachable is in no table its walk
+    consulted.
 
-    Invalidation is lazy: stale entries are detected (and replaced) at
-    lookup time rather than eagerly swept, so a change costs O(1).
     A lookup first compares the whole-overlay stamp the entry was last
-    found valid under — while nothing anywhere has changed it is the
-    only check, as cheap as the global epoch it replaces — and only
-    after a change re-validates a reached entry against its own tables.
-    Every recompute is counted by cause on :attr:`metrics`
-    (``cache.miss.cold`` / ``.table_changed`` / ``.epoch_changed``).
+    found valid under (:attr:`OverlayNetwork.epoch`,
+    :attr:`FaultInjector.epoch` and the routing epoch) — while nothing
+    anywhere has changed it is the only check, one int compare — and
+    only after a change re-validates a reached entry against what it
+    read.  Every recompute is counted by cause on :attr:`metrics`:
+    ``cache.miss.cold`` (no entry yet), ``.table_changed`` (a key or
+    table the walk read) or ``.epoch_changed`` (component health, ECMP
+    mode, a fault that meets the entry, or anything at all for an
+    unreached one).
     """
 
     def __init__(
@@ -249,6 +267,7 @@ class FlowResolutionCache:
         ] = {}
         #: What the last batch resolved to (:meth:`resolve_all`).
         self._vector: Optional[_RoundVector] = None
+        injector.add_observer(self._on_fault)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -277,22 +296,38 @@ class FlowResolutionCache:
         """Fraction of lookups served from the cache (0 before any)."""
         return self.hits / max(self.hits + self.misses, 1)
 
-    def _stamp(self, reached: bool, tables: Iterable[FlowTable]) -> int:
-        """What a resolution walked through ``tables`` is valid under.
-
-        The coarse epochs (``tables`` empty) plus the tables' versions,
-        folded into one int: every term only ever grows, so the sum is
-        unchanged exactly when every term is.  ``_stamp(False, ())`` is
-        the whole-overlay stamp: unchanged means nothing changed.
-        """
-        overlay = self._cluster.overlay
-        stamp = (
-            (overlay.health_epoch if reached else overlay.epoch)
-            + self._injector.epoch + self._routing_epoch
+    def _whole_stamp(self) -> int:
+        """Unchanged means nothing anywhere changed: every overlay
+        mutation, fault inject/clear and ECMP-mode switch moves a term,
+        and every term only ever grows."""
+        return (
+            self._cluster.overlay.epoch + self._injector.epoch
+            + self._routing_epoch
         )
-        for table in tables:
-            stamp += table.version
-        return stamp
+
+    def _read_stamp(self, resolution: _Resolution) -> Tuple[int, int]:
+        """What a reached resolution is valid under: the versions of
+        the keys and tables it read, and of the component healths plus
+        the routing epoch — two sums of terms that only ever grow, so
+        each is unchanged exactly when every term is."""
+        tables = 0
+        for table, key in resolution.reads:
+            tables += table.version_of(key)
+        epochs = self._routing_epoch
+        for health in resolution.healths:
+            epochs += health.version
+        return tables, epochs
+
+    def _on_fault(self, action: str, fault: Fault, at: float) -> None:
+        """A fault came or went: mark stale the reached entries it
+        meets (their relevant-fault tuples change); every other entry
+        keeps its stamp."""
+        for entry in self._entries.values():
+            if entry.stamp is not None and fault.meets(
+                (route.path for route in entry.routes),
+                entry.trace.src_rnic, entry.trace.dst_rnic,
+            ):
+                entry.stamp = None
 
     def invalidate(self) -> None:
         """Drop every cached resolution (stamps make this optional)."""
@@ -313,20 +348,19 @@ class FlowResolutionCache:
         if cached is None:
             cause = "cold"
         else:
-            whole = self._stamp(False, ())
-            if cached.seen != whole and cached.reached and (
-                cached.stamp == self._stamp(True, cached.trace.tables)
-            ):
-                cached.seen = whole  # changes elsewhere: still valid
+            whole = self._whole_stamp()
+            cause = "epoch_changed"
+            if cached.seen != whole and cached.stamp is not None:
+                now = self._read_stamp(cached)
+                if now == cached.stamp:
+                    cached.seen = whole  # changes elsewhere: still valid
+                elif now[1] == cached.stamp[1]:
+                    cause = "table_changed"
             if cached.seen == whole:
                 self.hits += 1
                 for rule in cached.trace.rules:
                     rule.hit()
                 return cached
-            if cached.reached and cached.coarse == self._stamp(True, ()):
-                cause = "table_changed"
-            else:
-                cause = "epoch_changed"
         self.misses += 1
         self.metrics.increment(f"cache.miss.{cause}")
         resolution = self._compute(src, dst, salt)
@@ -334,12 +368,9 @@ class FlowResolutionCache:
             # Stamped *after* the walk's side effects: it may have
             # installed flow rules (mutating tables it consulted), and
             # the entry must be valid from this state onward.
-            resolution.seen = self._stamp(False, ())
+            resolution.seen = self._whole_stamp()
             if resolution.reached:
-                resolution.coarse = self._stamp(True, ())
-                resolution.stamp = self._stamp(
-                    True, resolution.trace.tables
-                )
+                resolution.stamp = self._read_stamp(resolution)
             self._entries[key] = resolution
         return resolution
 
@@ -364,7 +395,7 @@ class FlowResolutionCache:
         )
         if (
             repeat and self.enabled
-            and last.seen == self._stamp(False, ())
+            and last.seen == self._whole_stamp()
         ):
             self.hits += len(pairs)
             if last.rule_hits is None:
@@ -379,11 +410,11 @@ class FlowResolutionCache:
         endpoints = last.endpoints if repeat else [
             endpoints_of(pair) for pair in pairs
         ]
-        before = self._stamp(False, ())
+        before = self._whole_stamp()
         resolutions = [
             self.resolve(src, dst, salt) for src, dst in endpoints
         ]
-        settled = self.enabled and before == self._stamp(False, ())
+        settled = self.enabled and before == self._whole_stamp()
         self._vector = _round_vector(
             list(pairs), salt, endpoints, resolutions,
             before if settled else None,
@@ -395,10 +426,11 @@ class FlowResolutionCache:
     ) -> _Resolution:
         overlay = self._cluster.overlay
         trace = overlay.trace(src, dst, install_missing=True)
+        reverse = None
         if overlay.is_registered(src) and overlay.is_registered(dst):
             # The echo response travels the reverse flow, whose rule the
             # destination's first reply packet installs.
-            overlay.ensure_flow(dst, src)
+            reverse = overlay.ensure_flow(dst, src)
         fhash = flow_hash(src, dst, salt)
 
         if not trace.reached:
@@ -426,28 +458,37 @@ class FlowResolutionCache:
                 self.ecmp_mode == "spray",
             )
         )
-        overlay_fx = self._component_effects(src, dst, src_rnic, dst_rnic)
+        # What the walk read: the six components whose flags merge
+        # into its effects (plus any a longer chain crossed), the
+        # forward key in each table it consulted, and the reverse key
+        # its echo reply installed at the destination.
+        chain = (
+            veth_name(src), ovs_name(src_rnic.host), vtep_name(src_rnic),
+            vtep_name(dst_rnic), ovs_name(dst_rnic.host), veth_name(dst),
+        )
+        healths = [overlay.health(name) for name in chain + tuple(
+            name for name in trace.components() if name not in chain
+        )]
+        reads = [(table, trace.key) for table in trace.tables]
+        if reverse is not None:
+            replier = overlay.record_of(dst)
+            reads += [
+                (overlay.ovs_table(replier.host), reverse),
+                (overlay.offload_table(replier.vf.rnic), reverse),
+            ]
+        overlay_fx = self._component_effects(healths[:len(chain)])
         return _Resolution(
             trace=trace, fhash=fhash, reached=True, routes=routes,
             overlay_fx=overlay_fx,
             plain=overlay_fx == Effects() and not any(
                 route.faults for route in routes
             ),
+            reads=tuple(reads), healths=tuple(healths),
         )
 
-    def _component_effects(
-        self,
-        src: EndpointId,
-        dst: EndpointId,
-        src_rnic: RnicId,
-        dst_rnic: RnicId,
-    ) -> Effects:
+    @staticmethod
+    def _component_effects(healths: List[ComponentHealth]) -> Effects:
         """Latency/loss contributed by overlay component health flags."""
-        overlay = self._cluster.overlay
-        healths = [overlay.health(name) for name in (
-            veth_name(src), ovs_name(src_rnic.host), vtep_name(src_rnic),
-            vtep_name(dst_rnic), ovs_name(dst_rnic.host), veth_name(dst),
-        )]
         combined = Effects()
         if not any(
             health.down or health.loss_rate or health.extra_latency_us

@@ -13,7 +13,17 @@ the paper's manual verification did.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.cluster.container import Container
 from repro.cluster.identifiers import (
@@ -185,6 +195,18 @@ class Fault:
             return self
         return None
 
+    def meets(
+        self, paths: Iterable[UnderlayPath], src_rnic: RnicId,
+        dst_rnic: RnicId,
+    ) -> bool:
+        """Whether this fault could perturb a probe between two RNICs
+        that may ride any of ``paths`` — the one place a fault and a
+        resolution are compared: it sits on an endpoint RNIC or its
+        host, or shows a face (:meth:`face_on`) on a candidate route."""
+        return self.target in (
+            src_rnic, dst_rnic, src_rnic.host, dst_rnic.host
+        ) or any(self.face_on(path) is not None for path in paths)
+
 
 class _VictimView:
     """A fault's secondary (pause-propagation) face on a victim link."""
@@ -210,11 +232,15 @@ class FaultInjector:
     def __init__(self, cluster: Cluster) -> None:
         self._cluster = cluster
         self._faults: Dict[int, Fault] = {}
+        #: The faults :meth:`clear` has not ended, in injection order.
+        self._live: Dict[int, Fault] = {}
         self._next_fault_id = 0
         self._epoch = 0
         # Observers fire as ``observer(action, fault, at)`` with action
         # "inject" or "clear" — the telemetry bus records ground truth
-        # through this hook so replays can re-apply the exact schedule.
+        # through this hook so replays can re-apply the exact schedule,
+        # and the fabric's resolution cache re-walks the pairs the
+        # fault meets.
         self._observers: List[Callable[[str, Fault, float], None]] = []
 
     def add_observer(
@@ -231,10 +257,14 @@ class FaultInjector:
     def epoch(self) -> int:
         """Monotone counter of fault registrations and clears.
 
-        A probe resolution that cached its relevant-fault list at epoch
-        *e* is valid exactly while ``epoch == e``; every :meth:`inject`
-        and :meth:`clear` (which also cover the overlay/table side
-        effects they apply or revert) bumps it.
+        A term of the fabric's whole-overlay stamp — unchanged means no
+        fault came or went anywhere, the O(1) test a lookup makes first
+        — and of an *unreached* resolution's validity.  A reached
+        resolution does not read it: an inject or clear marks stale
+        exactly the cached resolutions the fault :meth:`Fault.meets`
+        (observers are told), and the overlay/table side effects it
+        applies or reverts carry their own per-key and per-component
+        versions.
         """
         return self._epoch
 
@@ -253,7 +283,7 @@ class FaultInjector:
                 self._next_fault_id += 1
             fault.fault_id = self._next_fault_id
             self._next_fault_id += 1
-        self._faults[fault.fault_id] = fault
+        self._faults[fault.fault_id] = self._live[fault.fault_id] = fault
         self._apply_side_effects(fault)
         self._epoch += 1
         self._notify("inject", fault, fault.start)
@@ -262,6 +292,7 @@ class FaultInjector:
     def clear(self, fault: Fault, at: float) -> None:
         """End a fault at time ``at`` and revert its side effects."""
         fault.end = at
+        self._live.pop(fault.fault_id, None)
         for undo in reversed(fault._undo):
             undo()
         fault._undo.clear()
@@ -325,7 +356,8 @@ class FaultInjector:
     def relevant_faults(
         self, path: UnderlayPath, src_rnic: RnicId, dst_rnic: RnicId
     ) -> Tuple[object, ...]:
-        """Every fault whose target could perturb this probe resolution.
+        """Every live fault whose target could perturb this probe
+        resolution (:meth:`Fault.meets`).
 
         The *time-independent* half of a probe's fate: which faults
         show a face on the underlay path (:meth:`Fault.face_on`), then
@@ -333,10 +365,18 @@ class FaultInjector:
         host, the destination host — in that order, a fault once per
         place it is met (a same-host pair meets a host fault twice).
         The fabric caches this tuple per resolution (it only changes
-        when :attr:`epoch` does) and evaluates the cheap
-        time/flow-dependent ``effects(t, fhash)`` per probe.
+        when a fault that meets the resolution is injected or cleared)
+        and evaluates the cheap time/flow-dependent ``effects(t,
+        fhash)`` per probe.  A fault :meth:`clear` has ended is left
+        out: the injector's clock only moves forward, so it contributes
+        nothing at any time a probe is still to be sent.
         """
-        faults = self._faults.values()
+        faults = [
+            fault for fault in self._live.values()
+            if fault.meets((path,), src_rnic, dst_rnic)
+        ]
+        if not faults:
+            return ()
         met = [
             face for face in (fault.face_on(path) for fault in faults)
             if face is not None

@@ -9,6 +9,7 @@ failure mode — and only those: another host's churn must not.
 
 import pytest
 
+from repro.cluster.flowtable import FlowKey
 from repro.cluster.overlay import ovs_name, veth_name
 from repro.network.fabric import DataPlaneFabric
 from repro.network.faults import FaultInjector
@@ -120,20 +121,88 @@ class TestEpochInvalidation:
     def test_flow_table_mutation_invalidates(
         self, fabric, endpoints, cluster
     ):
+        # Removing the key the walk read is one miss, and the re-walk
+        # reinstalls it.
         self._warm(fabric, endpoints)
         src, _ = endpoints
         table = cluster.overlay.ovs_table(
             cluster.overlay.rnic_of(src).host
         )
-        misses = fabric.resolution_cache.misses
-        assert table.keys()
-        table.remove(table.keys()[0])
+        cache = fabric.resolution_cache
+        key = fabric.send_probe(*endpoints, at=0.7).overlay_trace.key
+        misses = cache.misses
+        assert table.remove(key)
 
         result = fabric.send_probe(*endpoints, at=1.0)
-        assert fabric.resolution_cache.misses == misses + 1
+        assert cache.misses == misses + 1
         # The re-walk reinstalls the missing rule (slow path), so the
-        # probe still completes.
-        assert result.ok
+        # probe still completes — and the entry is warm again.
+        assert result.ok and table.lookup(key) is not None
+        fabric.send_probe(*endpoints, at=1.5)
+        assert cache.misses == misses + 1
+
+    def test_neighbours_key_removal_is_a_hit(
+        self, fabric, endpoints, running_task, cluster
+    ):
+        # A flow table is an exact-match dict: removing the key another
+        # flow from the same host reads changes nothing this pair read.
+        # The neighbour's own next probe re-walks and reinstalls it.
+        neighbour = (
+            running_task.container(0).endpoint(1),
+            running_task.container(1).endpoint(1),
+        )
+        self._warm(fabric, endpoints)
+        self._warm(fabric, neighbour)
+        src, _ = endpoints
+        table = cluster.overlay.ovs_table(
+            cluster.overlay.rnic_of(src).host
+        )
+        cache = fabric.resolution_cache
+        key = fabric.send_probe(*neighbour, at=0.7).overlay_trace.key
+        assert key != fabric.send_probe(*endpoints, at=0.7).overlay_trace.key
+        hits, misses = cache.hits, cache.misses
+        assert table.remove(key)
+
+        assert fabric.send_probe(*endpoints, at=1.0).ok
+        assert (cache.hits, cache.misses) == (hits + 1, misses)
+        assert fabric.send_probe(*neighbour, at=1.0).ok
+        assert (cache.hits, cache.misses) == (hits + 1, misses + 1)
+        assert table.lookup(key) is not None
+
+    def test_reverse_rule_removal_rewalks_and_reinstalls(
+        self, fabric, endpoints, cluster
+    ):
+        # The echo reply rides a rule the resolution installed at the
+        # destination host but never looked up; without a cache every
+        # probe would put it back, so its removal is a miss too.
+        self._warm(fabric, endpoints)
+        src, dst = endpoints
+        overlay = cluster.overlay
+        table = overlay.ovs_table(overlay.rnic_of(dst).host)
+        reverse = FlowKey(
+            overlay.vni_of(src.container.task), overlay.overlay_ip(src)
+        )
+        assert reverse != fabric.send_probe(
+            *endpoints, at=0.7
+        ).overlay_trace.key
+        misses = fabric.resolution_cache.misses
+        assert table.remove(reverse)
+
+        assert fabric.send_probe(*endpoints, at=1.0).ok
+        assert fabric.resolution_cache.misses == misses + 1
+        assert table.lookup(reverse) is not None
+
+    def test_clearing_a_walked_table_invalidates(
+        self, fabric, endpoints, cluster
+    ):
+        # clear() drops every rule in one generation step, whatever
+        # their keys: the warm pair's offloaded rule is gone with them.
+        self._warm(fabric, endpoints)
+        src, _ = endpoints
+        assert not fabric.send_probe(*endpoints, at=0.7).software_path
+        cluster.overlay.offload_table(cluster.overlay.rnic_of(src)).clear()
+
+        assert fabric.send_probe(*endpoints, at=1.0).software_path
 
     def test_health_flag_change_invalidates(
         self, fabric, endpoints, cluster
@@ -176,24 +245,24 @@ class TestEpochInvalidation:
     def test_detach_always_bumps_epoch(self, cluster, running_task, fabric):
         # Unconditionally — also for a container no probe ever touched:
         # the whole-overlay epoch (unreached resolutions) and the
-        # versions of the host's and RNICs' tables (reached ones).
+        # generations of the host's and RNICs' tables (reached ones).
         container = running_task.container(2)
         overlay = cluster.overlay
         tables = [overlay.ovs_table(container.host)] + [
             overlay.offload_table(container.vf_of(endpoint).rnic)
             for endpoint in container.endpoints()
         ]
-        before = overlay.epoch, [table.version for table in tables]
+        before = overlay.epoch, [table.generation for table in tables]
         overlay.detach_container(container)
         assert overlay.epoch > before[0]
         assert all(
-            table.version > was for table, was in zip(tables, before[1])
+            table.generation > was for table, was in zip(tables, before[1])
         )
-        again = overlay.epoch, [table.version for table in tables]
+        again = overlay.epoch, [table.generation for table in tables]
         overlay.detach_container(container)  # nothing left to remove
         assert overlay.epoch > again[0]
         assert all(
-            table.version > was for table, was in zip(tables, again[1])
+            table.generation > was for table, was in zip(tables, again[1])
         )
 
     def test_attach_bumps_epoch(
@@ -205,13 +274,13 @@ class TestEpochInvalidation:
         assert cluster.overlay.epoch > before
         container = task.container(0)
         table = cluster.overlay.ovs_table(container.host)
-        version = table.version
+        generation = table.generation
         # Re-attaching installs nothing new (idempotent rules) and must
         # still invalidate what walked this host.
         cluster.overlay.attach_container(
             container, cluster.underlay_ips_of(container.host)
         )
-        assert table.version > version
+        assert table.generation > generation
 
 
 def _pairs_between(task):
@@ -250,7 +319,7 @@ class TestScopedValidity:
         # warm entries warm.
         tenant_a, tenant_b = tenants
         pairs_a, pairs_b = _pairs_between(tenant_a), _pairs_between(tenant_b)
-        for at in (0.0, 1.0, 2.0):  # installs settle within two rounds
+        for at in (0.0, 1.0):
             fabric.send_probe_batch(pairs_a + pairs_b, at)
         cache = fabric.resolution_cache
         hits, misses = cache.hits, cache.misses
@@ -313,11 +382,11 @@ class TestScopedValidity:
         hits = fabric.resolution_cache.hits
         assert fabric.send_probe(src, dst, at=2.0).lost
         assert fabric.resolution_cache.hits == hits + 1
-        versions = [table.version for table in walked]
+        generations = [table.generation for table in walked]
 
         overlay.attach_container(late, cluster.underlay_ips_of(late.host))
 
-        assert [table.version for table in walked] == versions
+        assert [table.generation for table in walked] == generations
         before = self._misses(fabric)
         assert fabric.send_probe(src, dst, at=3.0).ok
         after = self._misses(fabric)
@@ -326,10 +395,13 @@ class TestScopedValidity:
         )
 
     def test_mid_batch_table_mutation_rewalks_the_rest_of_the_batch(
-        self, fabric, tenants
+        self, fabric, cluster, tenants, monkeypatch
     ):
-        # A cold pair's first-use install lands between two probes of a
-        # warm pair from the same host: the first is served, the second
+        # A mutation lands between rows, in order.  A cold pair from
+        # the same host sits between two probes of a warm pair; its
+        # first-use install alone costs the warm pair nothing (another
+        # key), so the key the warm pair read is removed while the cold
+        # row resolves: the first warm probe is served, the second
         # re-walks, exactly as three sequential probes would.
         warm = self._first_pair(tenants[0])
         cold = (
@@ -337,8 +409,18 @@ class TestScopedValidity:
             tenants[0].container(1).endpoint(1),
         )
         for at in (0.0, 1.0):
-            fabric.send_probe(*warm, at=at)
+            key = fabric.send_probe(*warm, at=at).overlay_trace.key
+        overlay = cluster.overlay
+        table = overlay.ovs_table(overlay.rnic_of(warm[0]).host)
         cache = fabric.resolution_cache
+        compute = cache._compute
+
+        def compute_under_churn(src, dst, salt):
+            if (src, dst) == cold:
+                assert table.remove(key)
+            return compute(src, dst, salt)
+
+        monkeypatch.setattr(cache, "_compute", compute_under_churn)
         hits, before = cache.hits, self._misses(fabric)
 
         results = fabric.send_probe_batch([warm, cold, warm], 2.0)
