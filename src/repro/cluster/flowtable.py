@@ -19,7 +19,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.cluster.identifiers import VfId
+from repro.cluster.identifiers import VfId, carries_hash
 
 __all__ = [
     "ActionKind",
@@ -32,13 +32,25 @@ __all__ = [
     "diff_tables",
 ]
 
+_set = object.__setattr__
 
-@dataclass(frozen=True, order=True)
+
+@carries_hash
 class FlowKey:
-    """Match fields: the VXLAN network identifier and overlay dst IP."""
+    """Match fields: the VXLAN network identifier and overlay dst IP.
 
+    Carries its hash: every lookup, install and validity read of a walk
+    hashes its key.
+    """
+
+    __slots__ = ("vni", "dst_ip", "_hash")
     vni: int
     dst_ip: str
+
+    def __init__(self, vni: int, dst_ip: str) -> None:
+        _set(self, "vni", vni)
+        _set(self, "dst_ip", dst_ip)
+        _set(self, "_hash", hash((vni, dst_ip)))
 
     def __str__(self) -> str:
         return f"vni={self.vni},dst={self.dst_ip}"
@@ -100,8 +112,12 @@ class FlowTable:
     change where a packet goes.
     """
 
-    def __init__(self, name: str = "ovs"):
+    def __init__(self, name: str = "ovs", component: Optional[str] = None):
         self.name = name
+        #: The overlay component a walk through this table crosses — the
+        #: name its health flags are kept under (``ovs:host-3``,
+        #: ``vtep:host-3/rnic-0``); the table's own name unless given.
+        self.component = name if component is None else component
         self.generation = 0
         self.on_mutate: Optional[Callable[[], None]] = None
         self._rules: Dict[FlowKey, FlowRule] = {}
@@ -183,8 +199,16 @@ class FlowTable:
 class RnicOffloadTable(FlowTable):
     """The RNIC hardware flow cache, mirroring offloaded OVS rules."""
 
-    def __init__(self, name: str = "rnic-offload"):
-        super().__init__(name)
+    def __init__(
+        self,
+        name: str = "rnic-offload",
+        component: Optional[str] = None,
+        device: Optional[str] = None,
+    ):
+        super().__init__(name, component)
+        #: The RNIC holding this cache: what a rule offloaded into it
+        #: records as :attr:`FlowRule.offloaded_to`.
+        self.device = device
         self.invalidations = 0
 
     def invalidate(self, key: FlowKey) -> bool:

@@ -167,6 +167,10 @@ class _EndpointRecord:
     vf: VfId
     host: HostId
     underlay_ip: str
+    #: The endpoint's veth component name and its DELIVER match key,
+    #: built once at attach: every walk to or from it reads them.
+    veth: str
+    key: FlowKey
 
 
 class OverlayNetwork:
@@ -251,19 +255,22 @@ class OverlayNetwork:
             underlay_ip = rnic_underlay_ips[rnic]
             self._by_underlay_ip[underlay_ip] = rnic
             self._underlay_ip_of_rnic[rnic] = underlay_ip
+            overlay_ip = self.overlay_ip(endpoint)
             record = _EndpointRecord(
                 endpoint=endpoint,
-                overlay_ip=self.overlay_ip(endpoint),
+                overlay_ip=overlay_ip,
                 vf=vf,
                 host=host,
                 underlay_ip=underlay_ip,
+                veth=veth_name(endpoint),
+                key=FlowKey(vni, overlay_ip),
             )
             self._endpoints[endpoint] = record
-            key = FlowKey(vni, record.overlay_ip)
             action = FlowAction(ActionKind.DELIVER, local_vf=vf)
-            self._install_with_offload(table, key, action, rnic)
+            offload = self._offload_table(rnic)
+            self._install_with_offload(table, record.key, action, offload)
             self._registered.add(endpoint)
-            self._offload_table(rnic).touch()
+            offload.touch()
         table.touch()
 
     def detach_container(self, container: Container) -> None:
@@ -277,7 +284,7 @@ class OverlayNetwork:
         its old host (see
         :class:`~repro.network.fabric.FlowResolutionCache`).
         """
-        vni = self.vni_of(container.id.task)
+        self.vni_of(container.id.task)  # raises for a task never attached
         table = self._ovs_table(container.host)
         for endpoint in container.endpoints():
             self._offload_table(container.vf_of(endpoint).rnic).touch()
@@ -285,9 +292,8 @@ class OverlayNetwork:
             self._registered.discard(endpoint)
             if record is None:
                 continue
-            key = FlowKey(vni, record.overlay_ip)
-            table.remove(key)
-            self._offload_table(record.vf.rnic).remove(key)
+            table.remove(record.key)
+            self._offload_table(record.vf.rnic).remove(record.key)
         table.touch()
 
     def is_registered(self, endpoint: EndpointId) -> bool:
@@ -309,18 +315,22 @@ class OverlayNetwork:
     # ------------------------------------------------------------------
 
     def _ovs_table(self, host: HostId) -> FlowTable:
-        if host not in self._ovs:
-            table = FlowTable(name=f"ovs:{host}")
+        table = self._ovs.get(host)
+        if table is None:
+            table = self._ovs[host] = FlowTable(name=ovs_name(host))
             table.on_mutate = self._bump_epoch
-            self._ovs[host] = table
-        return self._ovs[host]
+        return table
 
     def _offload_table(self, rnic: RnicId) -> RnicOffloadTable:
-        if rnic not in self._offload:
-            table = RnicOffloadTable(name=f"offload:{rnic}")
+        table = self._offload.get(rnic)
+        if table is None:
+            device = str(rnic)
+            table = self._offload[rnic] = RnicOffloadTable(
+                name=f"offload:{device}", component=vtep_name(rnic),
+                device=device,
+            )
             table.on_mutate = self._bump_epoch
-            self._offload[rnic] = table
-        return self._offload[rnic]
+        return table
 
     def ovs_table(self, host: HostId) -> FlowTable:
         """The OVS software flow table of ``host``."""
@@ -360,11 +370,12 @@ class OverlayNetwork:
 
     def health(self, component: str) -> ComponentHealth:
         """Mutable health flags for a named overlay component."""
-        if component not in self._health:
-            self._health[component] = ComponentHealth(
+        health = self._health.get(component)
+        if health is None:
+            health = self._health[component] = ComponentHealth(
                 _on_change=self._bump_epoch
             )
-        return self._health[component]
+        return health
 
     def clear_health(self, component: str) -> None:
         """Reset a component to healthy."""
@@ -392,12 +403,11 @@ class OverlayNetwork:
                 f"{src} and {dst} belong to different tasks; "
                 "cross-tenant flows are never installed"
             )
-        if dst not in self._endpoints or src not in self._endpoints:
+        dst_rec = self._endpoints.get(dst)
+        src_rec = self._endpoints.get(src)
+        if dst_rec is None or src_rec is None:
             return None
-        vni = self.vni_of(src.container.task)
-        src_rec = self._endpoints[src]
-        dst_rec = self._endpoints[dst]
-        key = FlowKey(vni, dst_rec.overlay_ip)
+        key = dst_rec.key  # same task, so the source's VNI
         table = self._ovs_table(src_rec.host)
         existing = table.lookup(key)
         if existing is None or (
@@ -407,11 +417,17 @@ class OverlayNetwork:
             action = FlowAction(
                 ActionKind.ENCAP, remote_underlay_ip=dst_rec.underlay_ip
             )
-            self._install_with_offload(table, key, action, src_rec.vf.rnic)
+            self._install_with_offload(
+                table, key, action, self._offload_table(src_rec.vf.rnic)
+            )
         return key
 
     def _install_with_offload(
-        self, table: FlowTable, key: FlowKey, action: FlowAction, rnic: RnicId
+        self,
+        table: FlowTable,
+        key: FlowKey,
+        action: FlowAction,
+        offload: RnicOffloadTable,
     ) -> None:
         """Install an OVS rule and mirror it into the RNIC hardware cache.
 
@@ -420,13 +436,13 @@ class OverlayNetwork:
         what a flow-table dump will later reveal.
         """
         rule = table.install(key, action)
-        if self.health(vtep_name(rnic)).force_software_path:
+        if self.health(offload.component).force_software_path:
             rule.offloaded = False
             rule.offloaded_to = None
             return
         rule.offloaded = True
-        rule.offloaded_to = str(rnic)
-        self._offload_table(rnic).install(key, action)
+        rule.offloaded_to = offload.device
+        offload.install(key, action)
 
     def trace(
         self,
@@ -442,15 +458,15 @@ class OverlayNetwork:
         read-only reachability analysis of Algorithm 1.
         """
         trace = OverlayTrace()
-        if src not in self._endpoints:
+        src_rec = self._endpoints.get(src)
+        if src_rec is None:
             trace.hops.append(OverlayHop(
                 veth_name(src), "veth", ok=False, note="source not attached"
             ))
             return trace
-        src_rec = self._endpoints[src]
-        vni = self.vni_of(src.container.task)
+        vni = src_rec.key.vni
 
-        src_veth = veth_name(src)
+        src_veth = src_rec.veth
         if self.health(src_veth).down:
             trace.hops.append(OverlayHop(
                 src_veth, "veth", ok=False, note="source veth down"
@@ -461,8 +477,13 @@ class OverlayNetwork:
         if install_missing:
             self.ensure_flow(src, dst)
 
-        dst_ip = self.overlay_ip(dst)
-        key = trace.key = FlowKey(vni, dst_ip)
+        dst_rec = self._endpoints.get(dst)
+        if dst_rec is not None and dst_rec.key.vni == vni:
+            key = dst_rec.key
+        else:
+            key = FlowKey(vni, self.overlay_ip(dst))
+        trace.key = key
+        dst_veth = veth_name(dst) if dst_rec is None else dst_rec.veth
         current_host = src_rec.host
         current_rnic = src_rec.vf.rnic
         trace.src_rnic = current_rnic
@@ -478,16 +499,17 @@ class OverlayNetwork:
                 return trace
             visited_hosts.add(current_host)
 
-            ovs = ovs_name(current_host)
+            table = self._ovs_table(current_host)
+            ovs = table.component
             if self.health(ovs).down:
                 trace.hops.append(OverlayHop(
                     ovs, "ovs", ok=False, note="virtual switch down"
                 ))
                 return trace
-            table = self._ovs_table(current_host)
             # Either branch below asks current_rnic's hardware cache
             # whether the packet rides the software path.
-            trace.tables += (table, self._offload_table(current_rnic))
+            offload = self._offload_table(current_rnic)
+            trace.tables += (table, offload)
             rule = table.lookup(key)
             if rule is None:
                 trace.hops.append(OverlayHop(
@@ -497,19 +519,14 @@ class OverlayNetwork:
             rule.hit()
             trace.rules.append(rule)
             trace.hops.append(OverlayHop(ovs, "ovs", ok=True))
+            vtep = offload.component
 
             if rule.action.kind == ActionKind.DELIVER:
-                ok = rule.action.local_vf == self._endpoints.get(
-                    dst, _MISSING
-                ).vf if dst in self._endpoints else False
-                vtep = vtep_name(current_rnic)
+                ok = dst_rec is not None and rule.action.local_vf == dst_rec.vf
                 trace.hops.append(OverlayHop(
                     vtep, "vtep", ok=True,
-                    software_path=self._takes_software_path(
-                        current_rnic, key
-                    ),
+                    software_path=self._takes_software_path(offload, key),
                 ))
-                dst_veth = veth_name(dst)
                 if self.health(dst_veth).down:
                     trace.hops.append(OverlayHop(
                         dst_veth, "veth", ok=False,
@@ -531,13 +548,12 @@ class OverlayNetwork:
                 return trace
 
             # ENCAP: leave through the local VTEP towards a remote RNIC.
-            vtep = vtep_name(current_rnic)
             if self.health(vtep).down:
                 trace.hops.append(OverlayHop(
                     vtep, "vtep", ok=False, note="VTEP down"
                 ))
                 return trace
-            software = self._takes_software_path(current_rnic, key)
+            software = self._takes_software_path(offload, key)
             trace.hops.append(OverlayHop(
                 vtep, "vtep", ok=True, software_path=software
             ))
@@ -560,23 +576,16 @@ class OverlayNetwork:
         ))
         return trace
 
-    def _takes_software_path(self, rnic: RnicId, key: FlowKey) -> bool:
+    def _takes_software_path(
+        self, offload: RnicOffloadTable, key: FlowKey
+    ) -> bool:
         """Whether a packet for ``key`` misses the RNIC hardware table."""
-        if self.health(vtep_name(rnic)).force_software_path:
+        if self.health(offload.component).force_software_path:
             return True
-        return self._offload_table(rnic).lookup(key) is None
+        return offload.lookup(key) is None
 
     def underlay_ip_of(self, rnic: RnicId) -> str:
         """Underlay IP of a physical RNIC (after any endpoint attached)."""
         if rnic not in self._underlay_ip_of_rnic:
             raise OverlayError(f"{rnic} has no attached endpoints")
         return self._underlay_ip_of_rnic[rnic]
-
-
-class _Missing:
-    """Sentinel with a ``vf`` attribute that never equals a real VF."""
-
-    vf = None
-
-
-_MISSING = _Missing()

@@ -18,7 +18,7 @@ property SkeletonHunter's preload pruning relies on (§5.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import networkx as nx
 
@@ -75,16 +75,31 @@ class UnderlayPath:
         return self.devices[1:-1]
 
 
+class _Tor(NamedTuple):
+    """A ToR as a path uses it: its name and its uplink to each spine."""
+
+    switch: SwitchId
+    name: str
+    uplinks: Tuple[LinkId, ...]
+
+
+class _Port(NamedTuple):
+    """An RNIC as a path uses it: its name, access link and ToR."""
+
+    name: str
+    access: LinkId
+    tor: _Tor
+
+
 class _ClosTopology:
     """Shared surface of the two-tier Clos fabrics.
 
     Subclass constructors validate their parameters, set the structural
     attributes (``hosts``, ``spines``, ``num_segments``,
-    ``hosts_per_segment``, ``rails_per_host``, ``num_spines``), wire the
-    fabric, and call :meth:`_finish_wiring`; everything else — path
-    computation, ECMP memoization, graph export, structure queries — is
-    identical across wirings because it only depends on
-    :meth:`tor_of`.
+    ``hosts_per_segment``, ``rails_per_host``, ``num_spines``) and call
+    :meth:`_wire` with their ToRs and which ToR each RNIC attaches to;
+    everything else — path composition, graph export, structure
+    queries — is identical across wirings.
     """
 
     #: Whether the wiring satisfies the rail invariants the preload
@@ -99,26 +114,50 @@ class _ClosTopology:
     rails_per_host: int
     num_spines: int
 
-    def _finish_wiring(self, links: List[LinkId]) -> None:
-        self._links: List[LinkId] = links
-        self._link_set = frozenset(links)
-        #: Memoized ECMP path lists per (src, dst) RNIC pair.  The
-        #: wiring is fixed after construction, so entries never go stale
-        #: by themselves; ``invalidate_path_cache`` exists for callers
-        #: that monkey-patch the fabric (tests) or want cold-path
-        #: measurements (the probing benchmark).
-        self.path_cache_enabled = True
-        self._path_cache: Dict[
-            Tuple[RnicId, RnicId], List[UnderlayPath]
-        ] = {}
+    def _wire(
+        self, tors: List[SwitchId], rows: Sequence[Sequence[int]]
+    ) -> None:
+        """Attach RNIC ``rail`` of each host in segment ``seg`` to
+        ``tors[rows[seg][rail]]``, and every ToR to every spine.
+
+        Every device is named and every link built once, here: a path
+        is composed from these pieces (:meth:`_path`), not formatted.
+        """
+        self._spine_names = tuple(str(spine) for spine in self.spines)
+        self._tor_records: List[_Tor] = []
+        for tor in tors:
+            name = str(tor)
+            self._tor_records.append(_Tor(tor, name, tuple(
+                LinkId.between(name, spine) for spine in self._spine_names
+            )))
+        self._ports: List[_Port] = []
+        for host in self.hosts:
+            prefix = f"{host}/rnic-"  # str(RnicId(host, rail)), per rail
+            for rail, index in enumerate(rows[self.segment_of(host)]):
+                name = f"{prefix}{rail}"
+                tor = self._tor_records[index]
+                self._ports.append(
+                    _Port(name, LinkId.between(name, tor.name), tor)
+                )
+        self._links: List[LinkId] = [port.access for port in self._ports]
+        for tor in self._tor_records:
+            self._links += tor.uplinks
+        self._link_set = frozenset(self._links)
+
+    def _port(self, rnic: RnicId) -> _Port:
+        if not 0 <= rnic.rail < self.rails_per_host:
+            raise TopologyError(f"rail {rnic.rail} out of range for {rnic}")
+        if not 0 <= rnic.host.index < len(self.hosts):
+            raise TopologyError(f"unknown host {rnic.host}")
+        return self._ports[rnic.host.index * self.rails_per_host + rnic.rail]
 
     def tor_of(self, rnic: RnicId) -> SwitchId:
         """The ToR switch an RNIC attaches to."""
-        raise NotImplementedError
+        return self._port(rnic).tor.switch
 
     def tors(self) -> List[SwitchId]:
         """All ToR switches, sorted by index."""
-        raise NotImplementedError
+        return [tor.switch for tor in self._tor_records]
 
     # ------------------------------------------------------------------
     # Structure queries
@@ -159,9 +198,9 @@ class _ClosTopology:
 
     def device_names(self) -> List[str]:
         """Names of every device: RNICs, ToRs, and spines."""
-        names = [str(r) for r in self.all_rnics()]
-        names += [str(t) for t in self.tors()]
-        names += [str(s) for s in self.spines]
+        names = [port.name for port in self._ports]
+        names += [tor.name for tor in self._tor_records]
+        names += self._spine_names
         return names
 
     # ------------------------------------------------------------------
@@ -173,49 +212,38 @@ class _ClosTopology:
 
         * Same RNIC: zero-hop path.
         * Same ToR (same segment + rail): one path via that ToR.
-        * Different ToRs: one path per spine switch (ECMP fan-out).
-
-        Results are memoized per (src, dst) pair; the returned list is a
-        fresh copy each call, so callers may reorder it freely.
+        * Different ToRs: one path per spine switch (ECMP fan-out), in
+          spine order.
         """
-        return list(self._ecmp_paths_cached(src, dst))
-
-    def _ecmp_paths_cached(
-        self, src: RnicId, dst: RnicId
-    ) -> List[UnderlayPath]:
-        if not self.path_cache_enabled:
-            return self._compute_ecmp_paths(src, dst)
-        key = (src, dst)
-        paths = self._path_cache.get(key)
-        if paths is None:
-            paths = self._compute_ecmp_paths(src, dst)
-            self._path_cache[key] = paths
-        return paths
-
-    def _compute_ecmp_paths(
-        self, src: RnicId, dst: RnicId
-    ) -> List[UnderlayPath]:
-        if src == dst:
-            return [UnderlayPath.through([src])]
-        src_tor = self.tor_of(src)
-        dst_tor = self.tor_of(dst)
-        if src_tor == dst_tor:
-            return [UnderlayPath.through([src, src_tor, dst])]
-        return [
-            UnderlayPath.through([src, src_tor, spine, dst_tor, dst])
-            for spine in self.spines
-        ]
-
-    def invalidate_path_cache(self) -> None:
-        """Drop every memoized ECMP path list."""
-        self._path_cache.clear()
+        a, b = self._port(src), self._port(dst)
+        return [self._path(a, b, i) for i in range(self._width(a, b))]
 
     def pick_path(
         self, src: RnicId, dst: RnicId, flow_hash: int = 0
     ) -> UnderlayPath:
-        """Deterministic ECMP path selection by flow hash."""
-        paths = self._ecmp_paths_cached(src, dst)
-        return paths[flow_hash % len(paths)]
+        """Deterministic ECMP path selection by flow hash: the candidate
+        ``ecmp_paths(src, dst)[flow_hash % len(...)]``, built alone."""
+        a, b = self._port(src), self._port(dst)
+        return self._path(a, b, flow_hash % self._width(a, b))
+
+    def _width(self, a: _Port, b: _Port) -> int:
+        return 1 if a.tor is b.tor else self.num_spines
+
+    def _path(self, a: _Port, b: _Port, spine: int) -> UnderlayPath:
+        """The ``spine``-th candidate from ``a`` to ``b``, composed
+        from the names and links :meth:`_wire` built."""
+        if a is b:
+            return UnderlayPath((a.name,), ())
+        if a.tor is b.tor:
+            return UnderlayPath(
+                (a.name, a.tor.name, b.name), (a.access, b.access)
+            )
+        return UnderlayPath(
+            (a.name, a.tor.name, self._spine_names[spine], b.tor.name,
+             b.name),
+            (a.access, a.tor.uplinks[spine], b.tor.uplinks[spine],
+             b.access),
+        )
 
     def graph(self) -> nx.Graph:
         """The fabric as an undirected networkx graph (for tomography)."""
@@ -283,30 +311,10 @@ class RailOptimizedTopology(_ClosTopology):
                 self._tors[(seg, rail)] = SwitchId(
                     "tor", seg * rails_per_host + rail
                 )
-
-        links: List[LinkId] = []
-        for host in self.hosts:
-            seg = self.segment_of(host)
-            for rail in range(rails_per_host):
-                rnic = RnicId(host, rail)
-                links.append(
-                    LinkId.between(rnic, self._tors[(seg, rail)])
-                )
-        for tor in self._tors.values():
-            for spine in self.spines:
-                links.append(LinkId.between(tor, spine))
-        self._finish_wiring(links)
-
-    def tor_of(self, rnic: RnicId) -> SwitchId:
-        """The ToR switch an RNIC attaches to."""
-        if not 0 <= rnic.rail < self.rails_per_host:
-            raise TopologyError(f"rail {rnic.rail} out of range for {rnic}")
-        seg = self.segment_of(rnic.host)
-        return self._tors[(seg, rnic.rail)]
-
-    def tors(self) -> List[SwitchId]:
-        """All ToR switches, sorted by index."""
-        return sorted(self._tors.values())
+        self._wire(list(self._tors.values()), [
+            range(seg * rails_per_host, (seg + 1) * rails_per_host)
+            for seg in range(num_segments)
+        ])
 
 
 class FatTreeTopology(_ClosTopology):
@@ -353,26 +361,7 @@ class FatTreeTopology(_ClosTopology):
         self.spines = [
             SwitchId("spine", s) for s in range(num_spines)
         ]
-        self._leaves: List[SwitchId] = [
-            SwitchId("tor", seg) for seg in range(num_segments)
-        ]
-
-        links: List[LinkId] = []
-        for host in self.hosts:
-            leaf = self._leaves[self.segment_of(host)]
-            for rail in range(rnics_per_host):
-                links.append(LinkId.between(RnicId(host, rail), leaf))
-        for leaf in self._leaves:
-            for spine in self.spines:
-                links.append(LinkId.between(leaf, spine))
-        self._finish_wiring(links)
-
-    def tor_of(self, rnic: RnicId) -> SwitchId:
-        """The segment leaf switch; every rail of a host shares it."""
-        if not 0 <= rnic.rail < self.rails_per_host:
-            raise TopologyError(f"rail {rnic.rail} out of range for {rnic}")
-        return self._leaves[self.segment_of(rnic.host)]
-
-    def tors(self) -> List[SwitchId]:
-        """All leaf switches, sorted by index."""
-        return list(self._leaves)
+        self._wire(
+            [SwitchId("tor", seg) for seg in range(num_segments)],
+            [[seg] * rnics_per_host for seg in range(num_segments)],
+        )

@@ -23,6 +23,7 @@ only after an explicit
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -30,7 +31,12 @@ import numpy as np
 from repro.cluster.identifiers import EndpointId
 from repro.sim.rng import _stable_hash
 
-__all__ = ["PairwiseDrawSource", "keyed_uniform", "keyed_uniforms"]
+__all__ = [
+    "PairwiseDrawSource",
+    "endpoint_text",
+    "keyed_uniform",
+    "keyed_uniforms",
+]
 
 _U64 = np.uint64
 _MASK64 = 0xFFFF_FFFF_FFFF_FFFF
@@ -39,6 +45,19 @@ _MIX1 = _U64(0xBF58476D1CE4E5B9)
 _MIX2 = _U64(0x94D049BB133111EB)
 #: 2**-53: maps the top 53 bits of a uint64 onto [0, 1).
 _TO_UNIT = float(2.0 ** -53)
+
+
+@lru_cache(maxsize=1 << 16)
+def endpoint_text(endpoint: EndpointId) -> Tuple[str, int]:
+    """An endpoint's name, and the FNV-1a state after hashing it.
+
+    Every keyed string over a probe pair (the ECMP flow hash, the
+    pairwise draw key) starts with the source's name, so hashing a pair
+    continues from the source's state over the rest of the string
+    alone.  Pure, so memoised per endpoint.
+    """
+    name = str(endpoint)
+    return name, _stable_hash(name)
 
 
 def _scalar_mix64(value: int) -> int:
@@ -108,7 +127,9 @@ class PairwiseDrawSource:
     def _pair_key(self, src: EndpointId, dst: EndpointId) -> _U64:
         key = self._pair_keys.get((src, dst))
         if key is None:
-            key = _U64(_stable_hash(f"{src}->{dst}"))
+            key = _U64(_stable_hash(
+                f"->{endpoint_text(dst)[0]}", endpoint_text(src)[1]
+            ))
             self._pair_keys[(src, dst)] = key
         return key
 

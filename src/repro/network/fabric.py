@@ -51,13 +51,7 @@ import numpy as np
 from repro.cluster.flowtable import FlowKey, FlowTable
 from repro.cluster.identifiers import EndpointId, RnicId
 from repro.cluster.orchestrator import Cluster
-from repro.cluster.overlay import (
-    ComponentHealth,
-    OverlayTrace,
-    ovs_name,
-    veth_name,
-    vtep_name,
-)
+from repro.cluster.overlay import ComponentHealth, OverlayTrace
 from repro.cluster.topology import UnderlayPath
 from repro.network.draws import PairwiseDrawSource
 from repro.network.faults import Effects, Fault, FaultInjector
@@ -461,15 +455,19 @@ class FlowResolutionCache:
         # What the walk read: the six components whose flags merge
         # into its effects (plus any a longer chain crossed), the
         # forward key in each table it consulted, and the reverse key
-        # its echo reply installed at the destination.
+        # its echo reply installed at the destination.  A reached walk
+        # starts at the source veth, OVS and RNIC and ends at the
+        # destination's, so the chain is read off it, not formatted.
+        tables = trace.tables
         chain = (
-            veth_name(src), ovs_name(src_rnic.host), vtep_name(src_rnic),
-            vtep_name(dst_rnic), ovs_name(dst_rnic.host), veth_name(dst),
+            trace.hops[0].component, tables[0].component,
+            tables[1].component, tables[-1].component,
+            tables[-2].component, trace.hops[-1].component,
         )
         healths = [overlay.health(name) for name in chain + tuple(
             name for name in trace.components() if name not in chain
         )]
-        reads = [(table, trace.key) for table in trace.tables]
+        reads = [(table, trace.key) for table in tables]
         if reverse is not None:
             replier = overlay.record_of(dst)
             reads += [

@@ -25,6 +25,8 @@ import numpy as np
 from repro.cluster.identifiers import EndpointId, LinkId, RnicId
 from repro.cluster.overlay import OverlayTrace
 from repro.cluster.topology import UnderlayPath
+from repro.network.draws import endpoint_text
+from repro.sim.rng import _stable_hash
 
 __all__ = ["ProbeBatch", "ProbeResult", "endpoints_of", "flow_hash"]
 
@@ -35,15 +37,14 @@ def flow_hash(src: EndpointId, dst: EndpointId, salt: int = 0) -> int:
 
     RDMA connections pin to one ECMP path for their lifetime, so the hash
     depends only on the endpoint pair (plus an optional salt for flows
-    that are deliberately re-established).  Pure, so memoised: every
-    re-resolution of a pair (a fault inject or clear re-resolves them
-    all) asks for the same hash again.
+    that are deliberately re-established): FNV-1a over
+    ``f"{src}|{dst}|{salt}"``, continued from the source's precomputed
+    state (:func:`~repro.network.draws.endpoint_text`).  Pure, so
+    memoised: every traceroute of a pair asks for the same hash again.
     """
-    acc = 0xCBF29CE484222325
-    for byte in f"{src}|{dst}|{salt}".encode("utf-8"):
-        acc ^= byte
-        acc = (acc * 0x100000001B3) & 0xFFFF_FFFF_FFFF_FFFF
-    return acc
+    return _stable_hash(
+        f"|{endpoint_text(dst)[0]}|{salt}", endpoint_text(src)[1]
+    )
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,14 @@ def derive_seed(root_seed: int, name: str) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0] & 0x7FFF_FFFF_FFFF_FFFF)
 
 
-def _stable_hash(name: str) -> int:
-    """A platform-stable string hash (FNV-1a, 64 bit)."""
-    acc = 0xCBF29CE484222325
+def _stable_hash(name: str, acc: int = 0xCBF29CE484222325) -> int:
+    """A platform-stable string hash (FNV-1a, 64 bit).
+
+    ``acc`` is the state to continue from (the offset basis by default),
+    so ``_stable_hash(b, _stable_hash(a)) == _stable_hash(a + b)``.
+    """
     for byte in name.encode("utf-8"):
-        acc ^= byte
-        acc = (acc * 0x100000001B3) & 0xFFFF_FFFF_FFFF_FFFF
+        acc = ((acc ^ byte) * 0x100000001B3) & 0xFFFF_FFFF_FFFF_FFFF
     return acc
 
 

@@ -125,31 +125,48 @@ class TestPaths:
 
 
 class TestEcmpMemoization:
-    def test_repeat_query_served_from_cache(self, topo):
+    """What a memo used to promise, now that every path is composed
+    from the wiring on demand: repeat answers are equal, lists are the
+    caller's own, and a pick builds only the pinned path."""
+
+    def test_repeat_query_returns_equal_paths(self, topo):
         src = RnicId(HostId(0), 0)
         dst = RnicId(HostId(5), 0)
         first = topo.ecmp_paths(src, dst)
-        assert (src, dst) in topo._path_cache
         assert topo.ecmp_paths(src, dst) == first
+        assert topo.pick_path(src, dst, 7) == topo.pick_path(src, dst, 7)
 
     def test_returned_list_is_a_fresh_copy(self, topo):
         src = RnicId(HostId(0), 0)
         dst = RnicId(HostId(5), 0)
         paths = topo.ecmp_paths(src, dst)
         paths.reverse()
-        # Caller-side reordering must not leak into the memo (pick_path
-        # depends on the canonical spine order).
+        # Caller-side reordering must not leak into a later answer
+        # (pick_path depends on the canonical spine order).
         assert topo.ecmp_paths(src, dst) != paths
 
-    def test_invalidate_drops_entries(self, topo):
-        topo.ecmp_paths(RnicId(HostId(0), 0), RnicId(HostId(5), 0))
-        topo.invalidate_path_cache()
-        assert not topo._path_cache
+    def test_pick_path_builds_only_the_pinned_path(self, topo, monkeypatch):
+        built = []
+        post_init = UnderlayPath.__post_init__
 
-    def test_disabled_cache_stores_nothing(self, topo):
-        topo.path_cache_enabled = False
-        topo.ecmp_paths(RnicId(HostId(0), 0), RnicId(HostId(5), 0))
-        assert not topo._path_cache
+        def counting(path):
+            built.append(path)
+            post_init(path)
+
+        monkeypatch.setattr(UnderlayPath, "__post_init__", counting)
+        src = RnicId(HostId(0), 1)
+        dst = RnicId(HostId(6), 1)
+        pinned = topo.pick_path(src, dst, 3)
+        assert built == [pinned]
+        assert len(topo.ecmp_paths(src, dst)) == topo.num_spines
+        assert len(built) == 1 + topo.num_spines
+
+    def test_single_candidate_picks_ignore_the_hash(self, topo):
+        same_tor = (RnicId(HostId(0), 1), RnicId(HostId(1), 1))
+        same_rnic = (RnicId(HostId(2), 3), RnicId(HostId(2), 3))
+        for src, dst in (same_tor, same_rnic):
+            (only,) = topo.ecmp_paths(src, dst)
+            assert {topo.pick_path(src, dst, h) for h in range(5)} == {only}
 
     def test_pick_path_agrees_with_enumeration(self, topo):
         src = RnicId(HostId(0), 1)

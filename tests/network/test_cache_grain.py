@@ -11,6 +11,7 @@ oracle: re-walking too much is slow, not wrong).
 import pytest
 
 from repro.cluster.overlay import vtep_name
+from repro.cluster.topology import UnderlayPath
 from repro.network.fabric import DataPlaneFabric
 from repro.network.faults import FaultInjector
 from repro.network.issues import GrayIssueType, IssueType
@@ -199,3 +200,39 @@ def test_another_tenants_first_use_install_costs_a_warm_pair_nothing(
     hits, misses = cache.hits, cache.misses
     assert all(result.ok for result in fabric.send_probe_batch(pairs_a, 3.0))
     assert (cache.hits, cache.misses) == (hits + len(pairs_a), misses)
+
+
+@pytest.mark.parametrize("ecmp_mode", ["static", "spray"])
+def test_a_cold_resolution_builds_only_the_routes_it_holds(
+    ecmp_mode, monkeypatch
+):
+    # A pinned pick is composed alone: building every spine's candidate
+    # to index one of them was most of a first contact's route cost.
+    scenario = build_scenario(
+        num_containers=16, gpus_per_container=8, pp=2, ecmp_mode=ecmp_mode,
+        start_monitoring=False,
+    )
+    topology, overlay = scenario.topology, scenario.cluster.overlay
+    cache = scenario.fabric.resolution_cache
+    src, dst = next(
+        (a, b) for a in scenario.task.endpoints()
+        for b in scenario.task.endpoints()
+        if a.container != b.container
+        and topology.tor_of(overlay.rnic_of(a))
+        != topology.tor_of(overlay.rnic_of(b))
+    )
+    built = []
+    post_init = UnderlayPath.__post_init__
+
+    def counting(path):
+        built.append(path)
+        post_init(path)
+
+    monkeypatch.setattr(UnderlayPath, "__post_init__", counting)
+    misses = cache.misses
+    resolution = cache.resolve(src, dst, 0)
+    assert cache.misses == misses + 1
+    assert [route.path for route in resolution.routes] == built
+    assert len(built) == (
+        1 if ecmp_mode == "static" else topology.num_spines
+    ) > 0

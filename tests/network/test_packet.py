@@ -3,7 +3,9 @@
 import pytest
 
 from repro.cluster.identifiers import ContainerId, EndpointId, TaskId
+from repro.network.draws import PairwiseDrawSource, endpoint_text
 from repro.network.packet import ProbeResult, flow_hash
+from repro.sim.rng import _stable_hash
 
 
 def ep(rank=0, slot=0):
@@ -50,3 +52,47 @@ class TestFlowHash:
         # versions, or pinned ECMP paths (and tests) silently shift.
         assert flow_hash(ep(0), ep(1)) == flow_hash(ep(0), ep(1))
         assert isinstance(flow_hash(ep(0), ep(1)), int)
+
+
+def endpoint(task, rank, slot):
+    return EndpointId(ContainerId(TaskId(task), rank), slot)
+
+
+#: (src, dst) -> flow_hash at salt 0, at salt 1, and the pairwise draw
+#: key: FNV-1a over "src|dst|salt" and "src->dst", generated before the
+#: hashes continued from a memoised per-endpoint prefix state.  Every
+#: pinned ECMP route and every keyed probe draw hangs off these values.
+GOLDEN = [
+    ((0, 0, 0), (0, 1, 0),
+     11785581320376618008, 11785582419888246219, 13234973469051377327),
+    ((0, 1, 0), (0, 0, 0),
+     15987059236184866030, 15987060335696494241, 16458504478536127951),
+    ((0, 3, 7), (0, 200, 7),
+     12454117718378253648, 12454118817889881859, 5812507341865426039),
+    ((2, 17, 1), (2, 1023, 5),
+     13636549726677047593, 13636548627165419382, 12794014958573506754),
+    ((11, 255, 3), (11, 256, 3),
+     17563786598695979200, 17563787698207607411, 16457547591889354963),
+]
+
+
+class TestKeyedStringGoldens:
+    @pytest.mark.parametrize("src, dst, salt0, salt1, draw_key", GOLDEN)
+    def test_flow_hash(self, src, dst, salt0, salt1, draw_key):
+        src, dst = endpoint(*src), endpoint(*dst)
+        assert flow_hash(src, dst) == salt0
+        assert flow_hash(src, dst, salt=1) == salt1
+        assert flow_hash.__wrapped__(src, dst, 1) == salt1  # not the memo
+
+    @pytest.mark.parametrize("src, dst, salt0, salt1, draw_key", GOLDEN)
+    def test_pairwise_draw_key(self, src, dst, salt0, salt1, draw_key):
+        src, dst = endpoint(*src), endpoint(*dst)
+        assert int(PairwiseDrawSource(seed=0)._pair_key(src, dst)) == draw_key
+        assert int(PairwiseDrawSource(seed=9)._pair_key(src, dst)) == draw_key
+
+    def test_a_hash_continues_from_a_prefix_state(self):
+        src = endpoint(2, 17, 1)
+        name, state = endpoint_text(src)
+        assert name == str(src) == "task-2/node-17/ep-1"
+        assert state == _stable_hash(name)
+        assert _stable_hash("|x|0", state) == _stable_hash(f"{name}|x|0")
