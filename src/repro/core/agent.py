@@ -25,7 +25,7 @@ from repro.bus.core import Topic
 from repro.cluster.container import Container
 from repro.cluster.identifiers import EndpointId, HostId
 from repro.core.pinglist import PingList, ProbePair
-from repro.core.probing import ResilientProber, coarse_pairs
+from repro.core.probing import ResilientProber, coarse_pairs, run_probe_round
 from repro.core.rnic_validation import RnicFinding, RnicValidator
 from repro.network.fabric import DataPlaneFabric
 from repro.network.packet import ProbeBatch
@@ -87,8 +87,7 @@ class OverlayAgent:
         self.started_at = started_at
         self.resources = AgentResourceModel()
         self.version = version  # sidecar release the agent launched with
-        # Monitor-plane hardening; None keeps the original direct path
-        # (and its probe outcomes) bit-identical.
+        # Monitor-plane hardening; None probes every active pair.
         self.prober = prober
         # Telemetry bus: delivered report batches are published per
         # round so a recording carries exactly what the analyzer saw.
@@ -104,35 +103,31 @@ class OverlayAgent:
         """Announce this container so peers activate it as a target."""
         self.ping_list.register(self.container.id)
 
-    def execute_round(
-        self, fabric: DataPlaneFabric, now: float, salt: int = 0
-    ) -> ProbeBatch:
-        """Probe this agent's share of the active pairs (one batch).
-
-        Without a prober this is the original direct path.  With one,
-        the round is monitor-plane hardened: a crashed or hung agent
-        probes nothing (and feeds its circuit breaker), a slow-starting
-        agent and an open breaker fall back to coarse coverage, and
-        lost/late probe reports are retried with keyed backoff.
-        """
+    def plan_round(self, now: float) -> Optional[List[ProbePair]]:
+        """The pairs this agent probes this round: its share of the
+        active pairs, or with a prober, ``None`` while the agent is
+        crashed or hung and coarse coverage while it starts slowly or
+        its breaker is open."""
         if self.prober is None:
-            results = fabric.send_probe_batch(self.my_pairs(), now, salt)
-            self.record_round(results, now)
-            return results
+            return self.my_pairs()
         state = self.prober.chaos.agent_state(str(self.container.id), now)
         if state in ("crashed", "hung"):
             self.rounds_skipped += 1
             if self.prober.recorder is not None:
                 self.prober.recorder.count("agent.rounds_skipped")
-            if self.prober.breaker is not None:
-                self.prober.breaker.record_failure(now)
-            return ProbeBatch.of(())
-        pairs, _ = self.prober.plan_round(self.my_pairs(), now)
-        if state == "slow":
-            pairs = coarse_pairs(pairs)
-        results = self.prober.execute(fabric, pairs, now, salt)
-        self.record_round(results, now)
-        return results
+            return None
+        pairs = self.prober.plan_round(self.my_pairs(), now)
+        return coarse_pairs(pairs) if state == "slow" else pairs
+
+    def execute_round(
+        self, fabric: DataPlaneFabric, now: float, salt: int = 0
+    ) -> ProbeBatch:
+        """Probe this agent's share alone: a one-agent
+        :func:`~repro.core.probing.run_probe_round`, whose batch it
+        returns."""
+        batches: List[ProbeBatch] = []
+        run_probe_round([self], fabric, now, salt, batches.append)
+        return batches[0]
 
     def record_round(
         self,

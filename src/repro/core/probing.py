@@ -6,7 +6,8 @@ Agents probe their active targets once per round.  Two views exist:
   the simulated fabric and feeds the analyzer (the one round loop, used
   by the live system and the shard monitors) — as one
   :class:`~repro.network.packet.ProbeBatch` from the fabric to the
-  analyzer, cut per agent only for a bus to record;
+  analyzer, hardened agents included, cut per agent only for a bus to
+  record;
 * :func:`estimate_round_duration` computes how long a probing round would
   take on real hardware, where each sidecar agent paces its probes
   serially while agents run in parallel — the quantity Figure 16 of the
@@ -17,15 +18,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import (
-    TYPE_CHECKING,
-    Callable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
 )
+
+import numpy as np
 
 from repro.bus.core import Topic
 from repro.core.pinglist import PingList, ProbePair
@@ -43,6 +41,7 @@ __all__ = [
     "estimate_round_duration",
     "probes_per_round",
     "run_probe_round",
+    "send_round",
 ]
 
 
@@ -152,99 +151,138 @@ class ResilientProber:
 
     def plan_round(
         self, pairs: Sequence[ProbePair], now: float
-    ) -> Tuple[List[ProbePair], str]:
+    ) -> List[ProbePair]:
         """The pairs to probe this round, given the breaker state.
 
         ``CLOSED`` probes everything; ``OPEN`` probes the coarse subset;
         ``HALF_OPEN`` probes everything as the trial round (success
         closes the breaker, failure re-opens it).
         """
-        pairs = list(pairs)
-        if self.breaker is None:
-            return pairs, "full"
-        state = self.breaker.state_at(now)
-        if state is BreakerState.OPEN:
-            return coarse_pairs(pairs), "coarse"
-        return pairs, "full" if state is BreakerState.CLOSED else "trial"
+        if self.breaker is not None and (
+            self.breaker.peek(now) is BreakerState.OPEN
+        ):
+            return coarse_pairs(pairs)
+        return list(pairs)
 
-    def execute(
-        self,
-        fabric: DataPlaneFabric,
-        pairs: Sequence[ProbePair],
-        now: float,
-        salt: int = 0,
-    ) -> ProbeBatch:
-        """One hardened round over ``pairs``; returns delivered results
-        — the fabric's batch itself when every first report arrived."""
-        batch = fabric.send_probe_batch(pairs, now, salt)
-        retries_before = self.retries
-        fates = [
-            self._deliver(fabric, pair, now, salt) for pair in pairs
-        ]
-        failed = fates.count(None)
-        if any(fate is not True for fate in fates):
-            batch = ProbeBatch.of(
-                batch[i] if fate is True else fate
-                for i, fate in enumerate(fates) if fate is not None
-            )
-        if self.breaker is not None:
-            if failed:
-                self.breaker.record_failure(now)
-            else:
-                self.breaker.record_success(now)
-        retried = self.retries - retries_before
-        if self.bus is not None and (failed or retried):
-            self.bus.publish(
-                Topic.MONITOR,
-                sim_time=now,
-                delivered=len(batch),
-                failed=failed,
-                retries=retried,
-            )
-        return batch
-
-    def _deliver(
-        self,
-        fabric: DataPlaneFabric,
-        pair: ProbePair,
-        now: float,
-        salt: int,
-    ) -> Union[bool, ProbeResult, None]:
-        """Resolve one probe's report, retrying monitor-plane losses:
-        ``True`` when the first report arrived, else the result of the
-        retry whose report did, or ``None`` when none did."""
+    def report_fate(
+        self, pair: ProbePair, now: float
+    ) -> Tuple[List[float], bool]:
+        """One probe's report fate, retries included: the send times of
+        the retries it takes, and whether a report arrived at last.  A
+        fate is a keyed draw over the probe and its attempt, never a
+        function of the probe's result, so it is known before any retry
+        is sent."""
         at = now
-        attempt = 0
-        current: Union[bool, ProbeResult] = True
+        retries: List[float] = []
         while True:
-            fate = self.chaos.probe_report(pair.src, pair.dst, at, attempt)
+            fate = self.chaos.probe_report(
+                pair.src, pair.dst, at, len(retries)
+            )
             if fate == "ok":
-                if attempt > 0:
+                if retries:
                     self.retry_successes += 1
                     self._count("probe.retry_success")
-                return current
+                return retries, True
             if fate == "late":
                 self.reports_late += 1
                 self._count("probe.reports_late")
             else:
                 self.reports_lost += 1
                 self._count("probe.reports_lost")
-            if attempt >= self.retry.max_retries:
+            if len(retries) >= self.retry.max_retries:
                 self.monitor_failures += 1
                 self._count("probe.monitor_failures")
-                return None
-            attempt += 1
+                return retries, False
             self.retries += 1
             self._count("probe.retries")
             delay = self.retry.backoff_s(
-                attempt, key=f"{pair.src}->{pair.dst}@{now!r}"
+                len(retries) + 1, key=f"{pair.src}->{pair.dst}@{now!r}"
             )
             at = at + self.retry.timeout_s + delay
-            current = fabric.send_probe(pair.src, pair.dst, at, salt)
+            retries.append(at)
+
+    def settle(
+        self, now: float, delivered: int, failed: int, retried: int,
+        probed: bool = True,
+    ) -> None:
+        """Close one round: feed the breaker (a round that probed
+        nothing — a crashed or hung agent — is a failure) and publish
+        a degraded round."""
+        if self.breaker is not None:
+            if failed or not probed:
+                self.breaker.record_failure(now)
+            else:
+                self.breaker.record_success(now)
+        if self.bus is not None and (failed or retried):
+            self.bus.publish(
+                Topic.MONITOR, sim_time=now, delivered=delivered,
+                failed=failed, retries=retried,
+            )
 
     def _count(self, name: str) -> None:
         if self.recorder is not None:
             self.recorder.count(name)
+
+
+def send_round(
+    fabric: DataPlaneFabric,
+    shares: Sequence[Optional[Sequence[ProbePair]]],
+    probers: Sequence[Optional[ResilientProber]],
+    now: float,
+    salt: int,
+) -> Tuple[ProbeBatch, List[Tuple[int, int]]]:
+    """Send every share's pairs (``None``: none) as one fabric batch and
+    deliver their reports: the delivered rows in share order, and each
+    share's ``(failed, retried)`` report counts.
+
+    A share with a prober resolves its report fates on its slice
+    (:meth:`ResilientProber.report_fate`); the retries then go out as
+    one batch per attempt over the rows still retrying, each at its own
+    send time, and a row whose report arrived on a retry is that
+    retry's result.  Probe draws are keyed by the probe, so no row
+    depends on what else a batch held.
+    """
+    pairs = [pair for share in shares if share for pair in share]
+    batch = fabric.send_probe_batch(pairs, now, salt)
+    counts = [(0, 0)] * len(shares)
+    hardened = [i for i, prober in enumerate(probers) if prober is not None]
+    if not hardened:
+        return batch, counts
+    starts = list(accumulate(
+        (len(share or ()) for share in shares), initial=0
+    ))
+    arrived = np.ones(len(pairs), dtype=bool)
+    retrying: List[Tuple[int, List[float]]] = []
+    for i in hardened:
+        fates = [
+            probers[i].report_fate(pair, now) for pair in shares[i] or ()
+        ]
+        counts[i] = (
+            sum(not ok for _, ok in fates), sum(len(t) for t, _ in fates)
+        )
+        for row, (times, ok) in enumerate(fates, starts[i]):
+            arrived[row] = ok
+            if times:
+                retrying.append((row, times))
+    # Wave k sends every row's (k + 1)-th retry at its send time, which
+    # already carries the keyed backoff.
+    answered: Dict[int, ProbeResult] = {}
+    for k in range(max((len(t) for _, t in retrying), default=0)):
+        wave = [(row, t) for row, t in retrying if len(t) > k]
+        sent = fabric.send_probe_batch(
+            [pairs[row] for row, _ in wave],
+            np.array([t[k] for _, t in wave]), salt,
+        )
+        answered.update(
+            (row, result) for result, (row, t) in zip(sent, wave)
+            if len(t) == k + 1
+        )
+    if answered or not arrived.all():
+        batch = ProbeBatch.of(
+            answered.get(row) or batch[row]
+            for row in np.flatnonzero(arrived).tolist()
+        )
+    return batch, counts
 
 
 def run_probe_round(
@@ -254,28 +292,26 @@ def run_probe_round(
     salt: int,
     on_batch: Callable[[ProbeBatch], None],
 ) -> None:
-    """One probing round of ``agents``, in agent order.
+    """One probing round of ``agents``: one fabric batch whatever its
+    agents (:func:`send_round`), plus one per retry attempt when a
+    hardened agent's reports go missing.
 
-    Each agent's delivered reports are accounted and published, agent
-    by agent, and handed to ``on_batch`` in that order — the order the
-    analyzer and a bus recording see.  With no hardened agent the round
-    is *one* fabric batch: the batch answers every pair in input order
-    from a row-major uniform block that is the concatenation of the
-    per-agent blocks, so its slices equal one batch per agent, and the
-    analyzer takes it whole.  A hardened agent's retries draw from the
-    fabric stream between batches, so a round with any of them goes
-    agent by agent.
+    Each agent plans its share (a hardened agent may skip the round or
+    probe coarsely), then — in agent order, the order a bus recording
+    sees — settles its prober and accounts and publishes its delivered
+    rows; the analyzer takes the round's batch whole.
     """
-    if any(agent.prober is not None for agent in agents):
-        for agent in agents:
-            on_batch(agent.execute_round(fabric, now, salt))
-        return
-    shares = [agent.my_pairs() for agent in agents]
-    batch = fabric.send_probe_batch(
-        [pair for share in shares for pair in share], now, salt
+    shares = [agent.plan_round(now) for agent in agents]
+    batch, counts = send_round(
+        fabric, shares, [agent.prober for agent in agents], now, salt
     )
     start = 0
-    for agent, share in zip(agents, shares):
-        agent.record_round(batch, now, start, start + len(share))
-        start += len(share)
+    for agent, share, (failed, retried) in zip(agents, shares, counts):
+        delivered = len(share or ()) - failed
+        if agent.prober is not None:
+            agent.prober.settle(
+                now, delivered, failed, retried, probed=share is not None
+            )
+        agent.record_round(batch, now, start, start + delivered)
+        start += delivered
     on_batch(batch)

@@ -131,17 +131,26 @@ class CircuitBreaker:
         self.trips = 0
         self.recoveries = 0
 
-    def state_at(self, now: float) -> BreakerState:
-        """The breaker state at simulated time ``now`` (advances
-        ``OPEN`` → ``HALF_OPEN`` once the open window has elapsed)."""
+    def peek(self, now: float) -> BreakerState:
+        """The breaker state at simulated time ``now``, without
+        recording (or announcing) the end of an open window — what an
+        agent plans its round by; the round's outcome records it."""
         if (
             self._state is BreakerState.OPEN
             and self._opened_at is not None
             and now - self._opened_at >= self.open_duration_s
         ):
-            self._state = BreakerState.HALF_OPEN
-            self._notify(now, BreakerState.OPEN, BreakerState.HALF_OPEN)
+            return BreakerState.HALF_OPEN
         return self._state
+
+    def state_at(self, now: float) -> BreakerState:
+        """The breaker state at simulated time ``now`` (advances
+        ``OPEN`` → ``HALF_OPEN`` once the open window has elapsed)."""
+        state = self.peek(now)
+        if state is not self._state:
+            self._state = state
+            self._notify(now, BreakerState.OPEN, state)
+        return state
 
     def _notify(
         self, now: float, old: BreakerState, new: BreakerState

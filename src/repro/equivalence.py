@@ -22,7 +22,10 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, Dict, List, Mapping, Sequence
 
+from repro.cluster.identifiers import LinkId
+from repro.network.issues import IssueType
 from repro.network.packet import ProbeResult
+from repro.sim.rng import RngRegistry
 from repro.workloads.scenarios import build_scenario
 
 __all__ = [
@@ -117,14 +120,14 @@ def compare(
 
 
 def verify_equivalence() -> int:
-    """The batch≡sequential gate for the probing fast path.
+    """The batch≡sequential gate: a probe's outcome is its own.
 
-    Runs the same two rounds of a skeleton-like pair list on two
-    identically seeded 64-endpoint scenarios — one probe at a time on
-    the first, one
+    Runs two rounds of a skeleton-like pair list on two identically
+    seeded 64-endpoint scenarios with one lossy link — one probe at a
+    time in a seeded permutation of the pairs on the first, one
     :meth:`~repro.network.fabric.DataPlaneFabric.send_probe_batch` per
-    round on the second — and requires identical :class:`ProbeResult`
-    streams.  Returns the results compared.
+    round on the second — and requires the same :class:`ProbeResult`
+    for every pair, lost rows among them.  Returns the results compared.
     """
     streams = []
     for batched in (False, True):
@@ -139,14 +142,25 @@ def verify_equivalence() -> int:
             for i, src in enumerate(endpoints)
             for step in (1, len(endpoints) // 3 + 1)
         ]
+        # A lossy spine uplink that 16 of the 128 pairs cross.
+        topology = scenario.topology
+        scenario.injector.inject_issue(
+            IssueType.CRC_ERROR,
+            LinkId.between(topology.tors()[2], topology.spines[0]),
+            start=0.0, loss_rate=0.5,
+        )
+        order = RngRegistry(7).stream("order").permutation(len(pairs))
         results: List[ProbeResult] = []
         for at in (0.0, 1.0):
             if batched:
                 results += scenario.fabric.send_probe_batch(pairs, at)
-            else:
-                results += [
-                    scenario.fabric.send_probe(src, dst, at)
-                    for src, dst in pairs
-                ]
+                continue
+            by_pair = {
+                i: scenario.fabric.send_probe(*pairs[i], at)
+                for i in order.tolist()
+            }
+            results += [by_pair[i] for i in range(len(pairs))]
         streams.append({"results": results})
+    if not any(result.lost for result in streams[0]["results"]):
+        raise EquivalenceError("batched probing: no probe was lost")
     return compare("batched probing", *streams)["results"]

@@ -43,7 +43,7 @@ from repro.core.analyzer import Analyzer
 from repro.core.handling import Blacklist, FailureHandler
 from repro.core.localization import Localizer
 from repro.core.pinglist import ProbePair
-from repro.core.probing import ResilientProber
+from repro.core.probing import ResilientProber, send_round
 from repro.core.resilience import CircuitBreaker
 from repro.fleet.budget import (
     BudgetAllocation,
@@ -323,14 +323,11 @@ class FleetController:
         )
         if not selected:
             return 0
-        if runtime.prober is None:
-            results = self.replica.fabric.send_probe_batch(
-                selected, at, 0
-            )
-        else:
-            results = runtime.prober.execute(
-                self.replica.fabric, selected, at, 0
-            )
+        results, [(failed, retried)] = send_round(
+            self.replica.fabric, [selected], [runtime.prober], at, 0
+        )
+        if runtime.prober is not None:
+            runtime.prober.settle(at, len(results), failed, retried)
         runtime.analyzer.ingest_batch(results)
         runtime.analyzer.flush(at)
         runtime.probes_sent += len(selected)

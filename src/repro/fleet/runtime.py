@@ -115,9 +115,8 @@ class FleetReplica:
 def build_fleet_replica(spec: FleetSpec) -> FleetReplica:
     """Build an empty fleet replica from the spec.
 
-    The fabric is switched to pairwise (placement-independent) draws
-    immediately, before any task exists, so no probe ever samples the
-    legacy order-dependent stream.
+    Probe draws are keyed by the spec seed (the replica's registry
+    seed), so outcomes are independent of placement and worker.
     """
     topology = RailOptimizedTopology(
         num_segments=spec.segments,
@@ -130,8 +129,6 @@ def build_fleet_replica(spec: FleetSpec) -> FleetReplica:
     rng = RngRegistry(spec.seed)
     orchestrator = Orchestrator(cluster, engine, rng)
     injector = FaultInjector(cluster)
-    fabric = DataPlaneFabric(cluster, injector, rng)
-    fabric.use_pairwise_draws(spec.seed)
     return FleetReplica(
         spec=spec,
         topology=topology,
@@ -140,6 +137,6 @@ def build_fleet_replica(spec: FleetSpec) -> FleetReplica:
         rng=rng,
         orchestrator=orchestrator,
         injector=injector,
-        fabric=fabric,
+        fabric=DataPlaneFabric(cluster, injector, rng),
     )
 

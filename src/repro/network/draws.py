@@ -1,30 +1,24 @@
-"""Counter-based probe randomness for partition-independent rounds.
+"""Counter-based probe randomness: a probe's draws are its own.
 
-The fabric's default sampling draws each round's uniforms from one
-sequential generator stream, so a probe's noise depends on *how many
-probes were drawn before it* — fine for a single monitoring loop,
-fatal for a sharded one, where the same pair may be probed by
-different shards (or replayed after a failover) in a different global
-order.
+In the paper every sidecar agent probes its own targets on its own
+schedule, so a probe's outcome must not depend on how many probes some
+other agent sent first.  :class:`PairwiseDrawSource` is the fabric's
+only source of probe uniforms: the block of one probe is a pure
+function of ``(seed, src, dst, send time, salt, draw index)``, computed
+with a splitmix64-style hash (vectorized over the batch).  Probe
+outcomes therefore depend only on the probe itself, never on batch
+composition, agent order, shard assignment, or execution order — the
+invariant every equivalence gate rests on (see ``docs/SCALING.md``).
 
-:class:`PairwiseDrawSource` replaces the stream with a *counter-based*
-generator: the five uniforms of one probe are a pure function of
-``(seed, src, dst, round time, salt, draw index)``, computed with a
-splitmix64-style hash (vectorized over the batch).  Probe outcomes
-then depend only on the probe itself, never on batch composition,
-shard assignment, or execution order — which is exactly the invariant
-the sharded monitoring plane's equivalence gate rests on (see
-``docs/SCALING.md``).
-
-The default sequential path is untouched: a fabric uses this source
-only after an explicit
-:meth:`~repro.network.fabric.DataPlaneFabric.use_pairwise_draws`.
+:func:`keyed_uniform` / :func:`keyed_uniforms` are the scalar and
+string-keyed siblings the monitor plane uses (report fates, backoff
+jitter, telemetry loss, fleet churn).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -45,6 +39,8 @@ _MIX1 = _U64(0xBF58476D1CE4E5B9)
 _MIX2 = _U64(0x94D049BB133111EB)
 #: 2**-53: maps the top 53 bits of a uint64 onto [0, 1).
 _TO_UNIT = float(2.0 ** -53)
+#: (c + 1) * golden for block column c (uint64 wraparound).
+_COLUMNS = np.arange(1, 9, dtype=_U64) * _GOLDEN
 
 
 @lru_cache(maxsize=1 << 16)
@@ -71,10 +67,20 @@ def _scalar_mix64(value: int) -> int:
 
 def _mix64(state: np.ndarray) -> np.ndarray:
     """The splitmix64 finalizer, elementwise over a uint64 array."""
-    z = (state + _GOLDEN).astype(_U64, copy=False)
-    z = (z ^ (z >> _U64(30))) * _MIX1
-    z = (z ^ (z >> _U64(27))) * _MIX2
-    return z ^ (z >> _U64(31))
+    return _finish64(state + _GOLDEN)
+
+
+def _finish64(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer after its ``+ golden`` step, in place
+    over the uint64 array ``z``, which it returns."""
+    scratch = np.empty_like(z)
+    for shift, multiplier in ((_U64(30), _MIX1), (_U64(27), _MIX2)):
+        np.right_shift(z, shift, out=scratch)
+        z ^= scratch
+        z *= multiplier
+    np.right_shift(z, _U64(31), out=scratch)
+    z ^= scratch
+    return z
 
 
 def keyed_uniform(seed: int, key: str, salt: int = 0) -> float:
@@ -110,17 +116,18 @@ def keyed_uniforms(
 
 
 class PairwiseDrawSource:
-    """Keyed uniform draws: one five-uniform block per (pair, time).
+    """Keyed uniform draws: one block of uniforms per (pair, time).
 
     Stateless by construction — two sources with the same seed return
     bit-identical blocks for the same probes regardless of call order,
-    batch grouping, or which process they live in.  The per-pair key
-    hash is memoized (pure cache, no behavioral state).
+    batch grouping, or which process they live in.  Column *c* of a
+    block does not depend on which other columns are drawn, so a caller
+    draws only the columns it reads.  The per-pair key hash is memoized
+    (pure cache, no behavioral state).
     """
 
-    def __init__(self, seed: int, draws_per_probe: int = 5) -> None:
+    def __init__(self, seed: int) -> None:
         self.seed = int(seed)
-        self.draws_per_probe = int(draws_per_probe)
         self._seed_key = _stable_hash(f"pairwise-draws:{self.seed}")
         self._pair_keys: Dict[Tuple[EndpointId, EndpointId], _U64] = {}
 
@@ -146,31 +153,33 @@ class PairwiseDrawSource:
 
     def uniforms(
         self,
-        endpoints: Sequence[Tuple[EndpointId, EndpointId]],
-        at: float,
+        keys: np.ndarray,
+        at: Union[float, np.ndarray],
         salt: int,
+        columns: Sequence[int] = range(5),
     ) -> np.ndarray:
-        """The ``(len(endpoints), draws_per_probe)`` uniform block.
+        """The ``(len(keys), len(columns))`` uniforms of the pairs whose
+        :meth:`keys_of` are ``keys``, sent at ``at`` (one time, or one
+        per row).
 
-        Row *i* is the block for probe ``endpoints[i]`` at time ``at``
-        — the same row the probe would get in any other batch.
+        Row *i* is probe *i*'s block — the same row the probe would get
+        in any other batch — and column *j* is block column
+        ``columns[j]``, whichever other columns are drawn.
         """
-        return self.uniforms_of(self.keys_of(endpoints), at, salt)
-
-    def uniforms_of(
-        self, keys: np.ndarray, at: float, salt: int
-    ) -> np.ndarray:
-        """:meth:`uniforms` for pairs given by their :meth:`keys_of`."""
         # Fold time and salt into the per-pair key.  float64 bit views
         # are exact, so any representable probe time keys cleanly.
-        time_bits = int(np.float64(at).view(_U64))
-        round_key = _scalar_mix64(
-            self._seed_key ^ time_bits ^ _scalar_mix64(salt & _MASK64)
+        times = np.array(at, np.float64, ndmin=1).view(_U64)
+        round_key = _mix64(
+            times ^ _U64(self._seed_key ^ _scalar_mix64(salt & _MASK64))
         )
-        base = _mix64(keys ^ _U64(round_key))
-        blocks: List[np.ndarray] = []
-        for column in range(self.draws_per_probe):
-            offset = (column * 0x9E3779B97F4A7C15) & _MASK64
-            bits = _mix64(base + _U64(offset))
-            blocks.append((bits >> _U64(11)).astype(np.float64))
-        return np.stack(blocks, axis=1) * _TO_UNIT
+        # Column c is splitmix64(base + c * golden): the finalizer's own
+        # "+ golden" folds into the column offset, and the rest of it
+        # runs in place over the whole block, laid out column by column
+        # (a column is contiguous; the answer is its transposed view).
+        bits = _finish64(
+            _COLUMNS[list(columns), None] + _mix64(keys ^ round_key)
+        )
+        bits >>= _U64(11)
+        uniforms = bits.astype(np.float64)
+        uniforms *= _TO_UNIT
+        return uniforms.T

@@ -28,23 +28,22 @@ simulator's per-probe cost has to follow suit):
   chain, the ECMP mode, and no fault that meets it came or went;
 * :meth:`DataPlaneFabric.send_probe_batch` answers a whole probing
   round as one :class:`~repro.network.packet.ProbeBatch` — columns, not
-  one :class:`~repro.network.packet.ProbeResult` per probe.  Every probe
-  consumes a fixed block of five uniforms, so the round's draw is
-  bit-identical to one-at-a-time sampling and the batch's rows are
-  exactly the stream the sequential :meth:`DataPlaneFabric.send_probe`
-  loop would give under the same seed (``send_probe`` is a batch of
-  one).  The batch first resolves
-  (:meth:`FlowResolutionCache.resolve_all`), then decides every fate
-  from the uniforms: a round whose pair sequence and whole-overlay stamp
-  are the ones the last round resolved under is all hits by
-  construction and costs no per-probe lookup; anything else resolves
-  probe by probe, in order, as ever.
+  one :class:`~repro.network.packet.ProbeResult` per probe.  Every
+  probe's uniforms are keyed by the probe itself
+  (:class:`~repro.network.draws.PairwiseDrawSource` over the registry
+  seed), so a probe's row is the same in any batch, in any order, and
+  :meth:`DataPlaneFabric.send_probe` is a batch of one.  The batch
+  first resolves (:meth:`FlowResolutionCache.resolve_all`), then
+  decides every fate from the uniforms: a round whose pair sequence and
+  whole-overlay stamp are the ones the last round resolved under is all
+  hits by construction and costs no per-probe lookup; anything else
+  resolves probe by probe, in order, as ever.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -67,17 +66,12 @@ from repro.sim.rng import RngRegistry
 
 __all__ = ["DataPlaneFabric", "FlowResolutionCache"]
 
-#: Uniforms one probe consumes, in order: loss gate, base-RTT noise,
-#: software-path noise, congestion gate, congestion magnitude.  Fixed
-#: whether or not the probe is lost, so batched pre-draws stay aligned
-#: with sequential draws.
-_DRAWS_PER_PROBE = 5
-
-#: Spraying ECMP consumes one extra trailing uniform — the per-packet
-#: path pick — so columns 0–4 keep their static-mode meaning and the
-#: block stays fixed-width (batched draws remain bit-identical to
-#: sequential under either mode).
-_DRAWS_PER_PROBE_SPRAY = 6
+#: The columns of a probe's keyed uniform block: loss gate, base-RTT
+#: noise, software-path noise, congestion gate, congestion magnitude,
+#: and the per-packet path pick under spraying ECMP.  A column does not
+#: depend on which others are drawn, so a batch draws only those it
+#: reads.
+_LOSS, _RTT, _SOFTWARE, _SPIKE_GATE, _SPIKE_SIZE, _PICK = range(6)
 
 
 @dataclass(frozen=True)
@@ -541,32 +535,15 @@ class DataPlaneFabric:
         self.injector = injector
         self.latency_model = latency_model or LatencyModel()
         self.congestion = congestion or TransientCongestion(rate=0.0)
-        self._rng = rng.stream("fabric")
-        # Optional counter-based draw source (sharded monitoring): when
-        # set, probe uniforms are keyed by (pair, time, salt) instead of
-        # consumed from the sequential stream.
-        self._draw_source: Optional[PairwiseDrawSource] = None
-        self._pairwise_seed: Optional[int] = None
+        # Every probe's uniforms are a pure function of (registry seed,
+        # src, dst, send time, salt): independent of batch composition
+        # and draw order.
+        self._draws = PairwiseDrawSource(rng.seed)
         self.metrics = metrics if metrics is not None else MetricRegistry()
         self.resolution_cache = FlowResolutionCache(
             cluster, injector, enabled=cache_enabled
         )
         self.resolution_cache.metrics = self.metrics
-
-    def use_pairwise_draws(self, seed: int) -> None:
-        """Switch probe randomness to partition-independent keyed draws.
-
-        After this call every probe's uniform block is a pure function
-        of ``(seed, src, dst, at, salt)`` — independent of batch
-        composition and draw order — which is the invariant the sharded
-        monitoring plane's cross-shard equivalence gate relies on.  The
-        default sequential-stream behaviour (bit-compatible with the
-        pre-shard fast path) applies until this is called.
-        """
-        self._pairwise_seed = seed
-        self._draw_source = PairwiseDrawSource(
-            seed, draws_per_probe=self._draw_width()
-        )
 
     # ------------------------------------------------------------------
     # ECMP mode
@@ -586,27 +563,12 @@ class DataPlaneFabric:
     def set_ecmp_mode(self, mode: str) -> None:
         """Switch between static per-flow ECMP and per-packet spraying.
 
-        Bumps the resolution cache's routing epoch (stale pinned picks
-        are never replayed under the wrong mode) and re-keys the
-        pairwise draw source, if one is active, to the mode's draw
-        width — spraying consumes a sixth per-probe uniform for the
-        path pick.
+        Bumps the resolution cache's routing epoch, so stale pinned
+        picks are never replayed under the wrong mode.
         """
         if mode not in ("static", "spray"):
             raise ValueError(f"unknown ECMP mode {mode!r}")
-        if mode == self.ecmp_mode:
-            return
         self.resolution_cache.set_mode(mode)
-        if self._pairwise_seed is not None:
-            self._draw_source = PairwiseDrawSource(
-                self._pairwise_seed, draws_per_probe=self._draw_width()
-            )
-
-    def _draw_width(self) -> int:
-        """Per-probe uniform-block width under the active ECMP mode."""
-        if self.spraying:
-            return _DRAWS_PER_PROBE_SPRAY
-        return _DRAWS_PER_PROBE
 
     def attach_metrics(self, metrics: MetricRegistry) -> None:
         """Adopt a shared registry, folding in any counts so far.
@@ -637,30 +599,28 @@ class DataPlaneFabric:
     def send_probe(
         self, src: EndpointId, dst: EndpointId, at: float, salt: int = 0
     ) -> ProbeResult:
-        """Send one probe at simulated time ``at`` and observe its fate.
-
-        Exactly equivalent to a one-element :meth:`send_probe_batch`
-        (it *is* one): a round probed pair-by-pair and the same round
-        probed in one batch consume the same generator stream and yield
-        the same results.
-        """
+        """Send one probe at simulated time ``at`` and observe its fate:
+        a one-element :meth:`send_probe_batch`, so the same probe in any
+        batch gets the same result."""
         return self.send_probe_batch([(src, dst)], at, salt)[0]
 
     def send_probe_batch(
         self,
         pairs: Iterable[object],
-        at: float,
+        at: Union[float, np.ndarray],
         salt: int = 0,
     ) -> ProbeBatch:
-        """Send one probe per pair at simulated time ``at``.
+        """Send one probe per pair at simulated time ``at`` — one time
+        for the batch, or one per pair (a retry's send times).
 
         ``pairs`` may hold ``(src, dst)`` tuples or any objects with
         ``src``/``dst`` attributes (e.g.
         :class:`~repro.core.pinglist.ProbePair`).  The answer is one
         :class:`~repro.network.packet.ProbeBatch` over the pairs, in
-        input order.  Each probe consumes a fixed five-uniform block of
-        the fabric stream; the block for the whole round is drawn once
-        and every probe's fate and RTT come out of it as columns.
+        input order.  Each probe's uniform block is keyed by the probe
+        (pair, send time, salt), so its row does not depend on what
+        else the batch holds; the blocks are drawn at once and every
+        probe's fate and RTT come out of them as columns.
 
         Resolution happens first, for the whole batch
         (:meth:`FlowResolutionCache.resolve_all`: per probe *in order*
@@ -676,20 +636,31 @@ class DataPlaneFabric:
         n = len(pairs)
         if n == 0:
             return ProbeBatch.of(())
+        sent_at = np.empty(n, dtype=np.float64)
+        sent_at[:] = at
         vec = self.resolution_cache.resolve_all(pairs, salt)
-        if self._draw_source is None:
-            draws = self._rng.random((n, self._draw_width()))
-        else:
-            if vec.keys is None:
-                vec.keys = self._draw_source.keys_of(vec.endpoints)
-            draws = self._draw_source.uniforms_of(vec.keys, at, salt)
+        if vec.keys is None:
+            vec.keys = self._draws.keys_of(vec.endpoints)
+        # The columns this batch reads: RTT noise always, the loss gate
+        # when a row meets a fault or an unhealthy component, the
+        # congestion pair when congestion is on, the pick under spraying.
+        columns = [_RTT, _SOFTWARE]
+        if vec.special:
+            columns.append(_LOSS)
+        if self.congestion.rate > 0:
+            columns += [_SPIKE_GATE, _SPIKE_SIZE]
+        if self.spraying:
+            columns.append(_PICK)
+        draws = dict(zip(columns, self._draws.uniforms(
+            vec.keys, at, salt, columns
+        ).T))
 
-        # Per-packet path pick: the trailing uniform (drawn only under
-        # spraying) indexes the equal-probability candidate set; -1 on
-        # a probe that never reached the underlay.
+        # Per-packet path pick: the pick uniform indexes the
+        # equal-probability candidate set; -1 on a probe that never
+        # reached the underlay.
         if self.spraying:
             route = np.minimum(
-                (draws[:, 5] * vec.nroutes).astype(np.int64),
+                (draws[_PICK] * vec.nroutes).astype(np.int64),
                 vec.nroutes - 1,
             )
         else:
@@ -704,13 +675,13 @@ class DataPlaneFabric:
                 reasons[i] = res.overlay_reason
             else:
                 effects = _merge_fault_effects(
-                    res.routes[route[i]].faults, res.overlay_fx, at,
-                    res.fhash,
+                    res.routes[route[i]].faults, res.overlay_fx,
+                    float(sent_at[i]), res.fhash,
                 )
                 if effects.down:
                     reasons[i] = "component down on path"
                 elif effects.loss_rate > 0 and float(
-                    draws[i, 0]
+                    draws[_LOSS][i]
                 ) < effects.loss_rate:
                     reasons[i] = "packet dropped on path"
                 else:
@@ -725,18 +696,17 @@ class DataPlaneFabric:
         latency_us = np.full(n, np.nan)
         if rows.size:
             taken = (vec.offsets + route)[rows]
-            latencies = self.latency_model.rtt_from_uniforms(
-                draws[rows, 1], draws[rows, 2],
+            latency_us[rows] = self.latency_model.rtt_from_uniforms(
+                draws[_RTT][rows], draws[_SOFTWARE][rows],
                 num_links=vec.flat_hops[taken],
                 num_switches=vec.flat_switches[taken],
                 extra_us=extra_us[rows],
                 software_path=software[rows],
             )
-            latency_us[rows] = (
-                latencies + self.congestion.spikes_from_uniforms(
-                    draws[rows, 3], draws[rows, 4]
+            if self.congestion.rate > 0:
+                latency_us[rows] += self.congestion.spikes_from_uniforms(
+                    draws[_SPIKE_GATE][rows], draws[_SPIKE_SIZE][rows]
                 )
-            )
 
         self.metrics.increment("probes.sent", n)
         if rows.size < n:
@@ -745,8 +715,8 @@ class DataPlaneFabric:
         if soft_count:
             self.metrics.increment("probes.software_path", soft_count)
         return ProbeBatch(
-            vec.pairs, np.full(n, at, dtype=np.float64), lost, latency_us,
-            software, vec.resolutions, route, reasons,
+            vec.pairs, sent_at, lost, latency_us, software,
+            vec.resolutions, route, reasons,
         )
 
     # ------------------------------------------------------------------

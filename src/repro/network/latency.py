@@ -34,10 +34,10 @@ def _lognormal_from_uniform(
     """Log-normal samples via the inverse normal CDF.
 
     Sampling through plain uniforms (instead of
-    ``Generator.lognormal``'s ziggurat normals) gives every probe a
-    *fixed* RNG budget: batch code can draw one uniform block for a
-    whole round and transform it vectorized, while consuming exactly
-    the same generator stream as one-at-a-time sampling.
+    ``Generator.lognormal``'s ziggurat normals) lets every probe's noise
+    be a column of its keyed uniform block
+    (:class:`~repro.network.draws.PairwiseDrawSource`), transformed for
+    a whole round at once.
     """
     clipped = np.clip(u, _U_EPS, _U_CAP)
     return np.exp(mu + sigma * ndtri(clipped))
@@ -66,29 +66,6 @@ class LatencyModel:
             + num_switches * self.per_switch_us
         )
         return 2.0 * one_way
-
-    def sample_rtt_us(
-        self,
-        rng: np.random.Generator,
-        num_links: int,
-        num_switches: int,
-        extra_us: float = 0.0,
-        software_path: bool = False,
-    ) -> float:
-        """One RTT sample: log-normal noise around the base, plus extras.
-
-        Always consumes exactly two uniforms (base noise + software-path
-        penalty noise) whether or not the slow path is taken, so the
-        draw count per probe is fixed — the property that lets
-        :meth:`rtt_from_uniforms` vectorize whole probing rounds on the
-        identical generator stream.
-        """
-        u = rng.random(2)
-        return float(self.rtt_from_uniforms(
-            u[0:1], u[1:2],
-            num_links=num_links, num_switches=num_switches,
-            extra_us=extra_us, software_path=software_path,
-        )[0])
 
     def rtt_from_uniforms(
         self,
@@ -139,16 +116,6 @@ class TransientCongestion:
     rate: float = 0.002
     mean_spike_us: float = 12.0
 
-    def sample_us(self, rng: np.random.Generator) -> float:
-        """Extra latency (0 for the vast majority of probes).
-
-        Like :meth:`LatencyModel.sample_rtt_us`, the draw budget is
-        fixed: one gate uniform plus one magnitude uniform per call,
-        spike or not, so batched rounds can pre-draw the whole block.
-        """
-        u = rng.random(2)
-        return float(self.spikes_from_uniforms(u[0:1], u[1:2])[0])
-
     def spikes_from_uniforms(
         self, u_gate: np.ndarray, u_mag: np.ndarray
     ) -> np.ndarray:
@@ -158,8 +125,6 @@ class TransientCongestion:
         magnitude comes from the inverse exponential CDF of the second
         uniform.
         """
-        if self.rate <= 0:
-            return np.zeros_like(np.asarray(u_gate, dtype=np.float64))
         clipped = np.clip(u_mag, 0.0, _U_CAP)
         magnitude = -self.mean_spike_us * np.log1p(-clipped)
         return np.where(u_gate < self.rate, magnitude, 0.0)

@@ -132,11 +132,11 @@ def build_replica(spec: ShardScenarioSpec) -> MonitoredScenario:
 
     ``watch=False`` skips the hunter's basic ping-list preload — shard
     monitors carry their own pair subset, and at production scale the
-    unused preload list would dominate replica memory.  The replica's
-    fabric is switched to pairwise (partition-independent) draws keyed
-    by the *run* seed, so probe outcomes match every other replica.
+    unused preload list would dominate replica memory.  Probe draws are
+    keyed by the *run* seed (the replica's registry seed), so probe
+    outcomes match every other replica.
     """
-    scenario = build_scenario(
+    return build_scenario(
         num_containers=spec.num_containers,
         gpus_per_container=spec.gpus_per_container,
         pp=spec.pp,
@@ -150,8 +150,6 @@ def build_replica(spec: ShardScenarioSpec) -> MonitoredScenario:
         start_monitoring=False,
         watch=False,
     )
-    scenario.fabric.use_pairwise_draws(spec.seed)
-    return scenario
 
 
 def build_monitor_chaos(

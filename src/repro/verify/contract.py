@@ -11,10 +11,10 @@ The repo's reproducibility guarantees name two code invariants:
 
 2. **The keyed-draw contract** — every stochastic value consumed in
    ``network/``, ``chaos/``, and ``workloads/`` must be derivable from
-   ``keyed_uniform``/``keyed_uniforms``/``PairwiseDrawSource`` or the
-   seeded ``sim.rng`` streams.  Any other randomness in those layers
-   makes probe outcomes depend on call order, shard assignment, or the
-   process they ran in.
+   ``keyed_uniform``/``keyed_uniforms``/``PairwiseDrawSource`` (the
+   fabric's only source of probe uniforms) or the seeded ``sim.rng``
+   streams.  Any other randomness in those layers makes probe outcomes
+   depend on call order, shard assignment, or the process they ran in.
 
 Both checks consume the :class:`~repro.verify.taint.TaintAnalyzer`'s
 summaries and report :class:`~repro.verify.framework.Finding`\\ s whose

@@ -14,7 +14,8 @@ from repro.bus.core import TelemetryBus
 from repro.bus.recorder import JsonlRecorder
 from repro.chaos.faults import MonitorFaultInjector, MonitorIssue
 from repro.core.pinglist import PingList, ProbePair
-from repro.core.probing import run_probe_round
+from repro.core.probing import ResilientProber, run_probe_round, send_round
+from repro.core.resilience import RetryPolicy
 from repro.network.fabric import DataPlaneFabric, FlowResolutionCache
 from repro.network.issues import IssueType
 from repro.network.packet import ProbeResult
@@ -29,10 +30,10 @@ def per_agent_loop(agents, fabric, now, salt, on_batch):
         on_batch(agent.execute_round(fabric, now, salt))
 
 
-def lossy_monitor():
+def lossy_monitor(rate=0.2):
     chaos = MonitorFaultInjector(seed=SEED)
     chaos.inject_issue(
-        MonitorIssue.PROBE_REPORT_LOSS, start=0.0, rate=0.2, fault_id=0
+        MonitorIssue.PROBE_REPORT_LOSS, start=0.0, rate=rate, fault_id=0
     )
     return chaos
 
@@ -110,28 +111,82 @@ def test_driver_equals_the_per_agent_loop(
         assert driven[key] == looped[key], key
 
 
-def test_mixed_round_goes_agent_by_agent(small_scenario, monkeypatch):
-    """One hardened agent is enough: its retries draw from the fabric
-    stream between batches, so nobody's batch may move past them."""
-    agents = agents_of(small_scenario)
-    agents[1].prober = object()  # never reached: execute_round is stubbed
-    calls = []
-    for agent in agents:
-        monkeypatch.setattr(
-            agent, "execute_round",
-            lambda fabric, now, salt, agent=agent: calls.append(agent) or [],
-        )
-    run_probe_round(
-        agents, small_scenario.fabric, 0.0, 0, lambda batch: None
-    )
-    assert calls == agents
-
-
 def counting(owner, name):
     """``owner.name`` patched with a call-counting pass-through."""
     return mock.patch.object(
         owner, name, autospec=True, side_effect=getattr(owner, name)
     )
+
+
+def test_a_hardened_round_is_one_batch_per_attempt():
+    """A probe's draws are its own, so hardened agents share the round's
+    batch: however many agents lose reports, a round is one batch plus
+    one per retry attempt, and nothing is sent probe by probe."""
+    scenario = build_scenario(
+        num_containers=4, gpus_per_container=4, pp=2, seed=SEED,
+        hosts_per_segment=4, chaos=lossy_monitor(0.5),
+    )
+    scenario.run_for(10)
+    agents = agents_of(scenario)
+    before = [agent.prober.retries for agent in agents]
+    delivered = []
+    with counting(DataPlaneFabric, "send_probe_batch") as batches, \
+            counting(DataPlaneFabric, "send_probe") as singles:
+        run_probe_round(
+            agents, scenario.fabric, scenario.engine.now + 1.0, 0,
+            delivered.append,
+        )
+    retried = [
+        agent.prober.retries - count
+        for agent, count in zip(agents, before)
+    ]
+    assert sum(1 for count in retried if count) >= 2
+    assert batches.call_count == 1 + RetryPolicy().max_retries
+    assert singles.call_count == 0
+    assert len(delivered) == 1 and delivered[0]
+
+
+def test_each_delivered_row_is_the_send_its_report_arrived_with():
+    """The oracle the per-agent loop cannot be (it runs the same waves):
+    every delivered row equals the same probe sent alone, in a twin
+    world, at the send time its report arrived with — the first send or
+    its last retry — and a row whose reports never arrive is dropped."""
+    worlds = [
+        build_scenario(
+            num_containers=4, gpus_per_container=4, seed=SEED,
+            hosts_per_segment=2, start_monitoring=False,
+        )
+        for _ in range(2)
+    ]
+    for world in worlds:
+        world.injector.inject_issue(
+            IssueType.RNIC_PORT_DOWN, world.rnic_of_rank(3), start=0.0
+        )
+    probers = [ResilientProber(lossy_monitor(0.5)) for _ in worlds]
+    endpoints = worlds[0].task.endpoints()
+    pairs = [
+        ProbePair(src, dst) for src in endpoints for dst in endpoints
+        if src != dst
+    ]
+    half = len(pairs) // 2
+    delivered, counts = send_round(
+        worlds[0].fabric, [pairs[:half], None, pairs[half:]],
+        [probers[0], None, probers[0]], 10.0, 0,
+    )
+    expected, retried = [], 0
+    for pair in pairs:
+        times, arrived = probers[1].report_fate(pair, 10.0)
+        retried += len(times)
+        sent = [worlds[1].fabric.send_probe(pair.src, pair.dst, at, 0)
+                for at in [10.0] + times]
+        if arrived:
+            expected.append(sent[-1])
+    assert delivered == expected
+    assert retried and len(expected) < len(pairs)  # not vacuous
+    assert any(row.lost for row in delivered)
+    assert sum(count[1] for count in counts) == retried
+    assert counts[1] == (0, 0)
+    assert sum(count[0] for count in counts) == len(pairs) - len(expected)
 
 
 def test_fault_free_round_is_one_batch_and_no_list_scan():

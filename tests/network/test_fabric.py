@@ -98,8 +98,11 @@ class TestFaultyProbes:
         fabric.injector.inject_issue(
             IssueType.CRC_ERROR, link, start=0.0, loss_rate=0.5
         )
+        # A probe's draws are keyed by its send time: the same probe at
+        # one instant is one outcome, so sample 300 instants.
         lost = sum(
-            fabric.send_probe(*endpoints, at=1.0).lost for _ in range(300)
+            fabric.send_probe(*endpoints, at=1.0 + i).lost
+            for i in range(300)
         )
         assert 90 < lost < 210
 

@@ -12,14 +12,22 @@ def rng():
     return np.random.default_rng(99)
 
 
+def rtts(model, rng, n, num_links=2, num_switches=1, **extras):
+    """``n`` RTT samples from fresh uniforms."""
+    return model.rtt_from_uniforms(
+        rng.random(n), rng.random(n), num_links, num_switches, **extras
+    )
+
+
+def spikes(congestion, rng, n):
+    """``n`` congestion spikes from fresh uniforms."""
+    return congestion.spikes_from_uniforms(rng.random(n), rng.random(n))
+
+
 class TestLatencyModel:
     def test_healthy_intra_segment_rtt_under_20us(self, rng):
         model = LatencyModel()
-        samples = [
-            model.sample_rtt_us(rng, num_links=2, num_switches=1)
-            for _ in range(500)
-        ]
-        assert max(samples) < 20.0
+        assert rtts(model, rng, 500).max() < 20.0
 
     def test_cross_segment_rtt_larger_but_bounded(self, rng):
         model = LatencyModel()
@@ -29,21 +37,19 @@ class TestLatencyModel:
 
     def test_software_path_penalty_dominates(self, rng):
         model = LatencyModel()
-        slow = model.sample_rtt_us(rng, 2, 1, software_path=True)
-        fast = model.sample_rtt_us(rng, 2, 1, software_path=False)
+        slow = rtts(model, rng, 1, software_path=True)[0]
+        fast = rtts(model, rng, 1, software_path=False)[0]
         assert slow > fast + 80.0
 
     def test_extra_latency_added(self, rng):
         model = LatencyModel()
         base = model.base_rtt_us(2, 1)
-        sample = model.sample_rtt_us(rng, 2, 1, extra_us=100.0)
+        sample = rtts(model, rng, 1, extra_us=100.0)[0]
         assert sample > base + 90.0
 
     def test_samples_are_lognormal(self, rng):
         model = LatencyModel()
-        samples = [
-            model.sample_rtt_us(rng, 2, 1) for _ in range(2000)
-        ]
+        samples = rtts(model, rng, 2000).tolist()
         # KS p-value high => consistent with log-normal (the paper's
         # long-term modelling assumption).
         assert lognormal_goodness(samples) > 0.01
@@ -64,19 +70,15 @@ class TestLatencyModel:
 class TestTransientCongestion:
     def test_disabled_congestion_adds_nothing(self, rng):
         congestion = TransientCongestion(rate=0.0)
-        assert all(
-            congestion.sample_us(rng) == 0.0 for _ in range(100)
-        )
+        assert (spikes(congestion, rng, 100) == 0.0).all()
 
     def test_spike_rate_approximate(self, rng):
         congestion = TransientCongestion(rate=0.1, mean_spike_us=10.0)
-        spikes = sum(
-            1 for _ in range(5000) if congestion.sample_us(rng) > 0
-        )
-        assert 300 < spikes < 700
+        hits = int((spikes(congestion, rng, 5000) > 0).sum())
+        assert 300 < hits < 700
 
     def test_spike_magnitude_positive(self, rng):
         congestion = TransientCongestion(rate=1.0, mean_spike_us=25.0)
-        samples = [congestion.sample_us(rng) for _ in range(500)]
-        assert all(s > 0 for s in samples)
+        samples = spikes(congestion, rng, 500)
+        assert (samples > 0).all()
         assert 15.0 < np.mean(samples) < 35.0

@@ -1,5 +1,9 @@
-"""Tests for probe results and flow hashing."""
+"""Tests for probe results, flow hashing and keyed probe draws."""
 
+import json
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from repro.cluster.identifiers import ContainerId, EndpointId, TaskId
@@ -96,3 +100,52 @@ class TestKeyedStringGoldens:
         assert name == str(src) == "task-2/node-17/ep-1"
         assert state == _stable_hash(name)
         assert _stable_hash("|x|0", state) == _stable_hash(f"{name}|x|0")
+
+
+#: Keyed uniform blocks of 4 pairs at widths 5 and 6, two send times and
+#: salts 0/1, generated at 30e2f2d by the per-column loop the one-pass
+#: block replaced.  Every probe's fate and RTT hang off these bits.
+BLOCKS = json.loads(
+    (Path(__file__).parents[1] / "golden" / "pairwise_draw_blocks.json")
+    .read_text()
+)
+
+
+class TestKeyedBlockGoldens:
+    @pytest.fixture(scope="class")
+    def source_and_keys(self):
+        source = PairwiseDrawSource(BLOCKS["seed"])
+        return source, source.keys_of([
+            (endpoint(*src), endpoint(*dst))
+            for src, dst in BLOCKS["pairs"]
+        ])
+
+    @pytest.mark.parametrize(
+        "golden", BLOCKS["blocks"],
+        ids=lambda b: f"w{b['width']}-t{b['at']}-s{b['salt']}",
+    )
+    def test_block_bits(self, source_and_keys, golden):
+        source, keys = source_and_keys
+        columns = range(golden["width"])
+        at, salt = golden["at"], golden["salt"]
+        assert source.uniforms(keys, at, salt, columns).tolist() == (
+            golden["block"]
+        )
+        # One send time per row keys each row as the scalar time does.
+        per_row = source.uniforms(keys, np.full(len(keys), at), salt, columns)
+        assert per_row.tolist() == golden["block"]
+
+    def test_a_column_does_not_depend_on_the_others(self, source_and_keys):
+        source, keys = source_and_keys
+        wide = source.uniforms(keys, 2.0, 0, range(6))
+        for columns in ([5], [1, 2], [0, 3, 4], [2, 5, 0]):
+            assert (source.uniforms(keys, 2.0, 0, columns)
+                    == wide[:, columns]).all()
+
+    def test_rows_carry_their_own_send_times(self, source_and_keys):
+        source, keys = source_and_keys
+        times = np.array([2.0, 1234.5625, 2.0, 1234.5625])
+        mixed = source.uniforms(keys, times, 1, range(6))
+        for row, at in enumerate(times):
+            alone = source.uniforms(keys[row:row + 1], float(at), 1, range(6))
+            assert (mixed[row] == alone[0]).all()

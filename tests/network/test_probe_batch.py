@@ -25,7 +25,9 @@ from repro.workloads.scenarios import build_scenario
 
 
 def parent_loop(fabric, pairs, at, salt=0):
-    """``DataPlaneFabric.send_probe_batch`` as of 34a2c6b."""
+    """``DataPlaneFabric.send_probe_batch`` as of 34a2c6b, drawing from
+    the keyed source (the fabric's only one since the sequential stream
+    was deleted)."""
     endpoints = [
         (pair.src, pair.dst) if hasattr(pair, "src") else tuple(pair)
         for pair in pairs
@@ -33,10 +35,10 @@ def parent_loop(fabric, pairs, at, salt=0):
     n = len(endpoints)
     if n == 0:
         return []
-    if fabric._draw_source is None:
-        draws = fabric._rng.random((n, fabric._draw_width()))
-    else:
-        draws = fabric._draw_source.uniforms(endpoints, at, salt)
+    draws = fabric._draws.uniforms(
+        fabric._draws.keys_of(endpoints), at, salt,
+        range(6 if fabric.spraying else 5),
+    )
     cache = fabric.resolution_cache
     results = [None] * n
     lost = 0
@@ -118,15 +120,12 @@ def parent_loop(fabric, pairs, at, salt=0):
     return results
 
 
-def build(seed, spray, keyed):
-    scenario = build_scenario(
+def build(seed, spray=False):
+    return build_scenario(
         num_containers=4, gpus_per_container=4, seed=seed,
         hosts_per_segment=2, start_monitoring=False,
         ecmp_mode="spray" if spray else "static",
     )
-    if keyed:
-        scenario.fabric.use_pairwise_draws(seed)
-    return scenario
 
 
 def pairs_of(scenario):
@@ -214,10 +213,9 @@ FIELDS = [field.name for field in dataclasses.fields(ProbeResult)]
 assert len(FIELDS) == 11
 
 
-@pytest.mark.parametrize("keyed", [False, True], ids=["stream", "keyed"])
 @pytest.mark.parametrize("spray", [False, True], ids=["static", "spray"])
-def test_every_row_equals_the_parent_loop(spray, keyed):
-    ref, new = build(7, spray, keyed), build(7, spray, keyed)
+def test_every_row_equals_the_parent_loop(spray):
+    ref, new = build(7, spray), build(7, spray)
     pairs_ref, pairs_new = pairs_of(ref), pairs_of(new)
     ref_state, new_state = {}, {}
     bulk_rounds = 0
@@ -259,7 +257,7 @@ def test_every_row_equals_the_parent_loop(spray, keyed):
 def test_bulk_batch_counts_like_the_same_pairs_sent_one_by_one():
     """``rule.packets``, ``hits`` / ``misses`` and every miss cause,
     all-hit bulk batches against ``send_probe`` pair by pair."""
-    one, bulk = build(3, False, True), build(3, False, True)
+    one, bulk = build(3), build(3)
     pairs_one, pairs_bulk = pairs_of(one), pairs_of(bulk)
     for round_index in range(6):
         at = float(round_index)
@@ -284,7 +282,7 @@ def test_bulk_batch_counts_like_the_same_pairs_sent_one_by_one():
 def test_another_salt_is_another_flow():
     """The salt is part of what a batch resolved: the same pairs under
     another salt hash to other ECMP picks and resolve afresh."""
-    one, bulk = build(3, False, True), build(3, False, True)
+    one, bulk = build(3), build(3)
     pairs_one, pairs_bulk = pairs_of(one), pairs_of(bulk)
     for round_index in range(3):
         bulk.fabric.send_probe_batch(pairs_bulk, float(round_index))
@@ -305,7 +303,7 @@ def test_another_salt_is_another_flow():
 def test_the_vector_is_dropped_with_the_cache():
     """``invalidate()`` forgets the last batch too: the next round is
     cold misses, exactly as for one probe at a time."""
-    scenario = build(5, False, False)
+    scenario = build(5)
     pairs = pairs_of(scenario)
     cache = scenario.fabric.resolution_cache
     for round_index in range(3):
@@ -319,12 +317,12 @@ def test_the_vector_is_dropped_with_the_cache():
 class TestProbeBatchIsASequenceOfResults:
     @pytest.fixture(scope="class")
     def batch_and_rows(self):
-        scenario = build(9, False, False)
+        scenario = build(9)
         scenario.cluster.overlay.detach_container(
             scenario.task.container(2)
         )
         pairs = pairs_of(scenario)
-        twin = build(9, False, False)
+        twin = build(9)
         twin.cluster.overlay.detach_container(twin.task.container(2))
         return (
             scenario.fabric.send_probe_batch(pairs, 1.5),

@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.identifiers import LinkId
+from repro.network.draws import PairwiseDrawSource
 from repro.network.faults import gray_injection_overrides
 from repro.network.issues import GrayIssueType
 from repro.network.packet import flow_hash
-from repro.sim.rng import RngRegistry
 from repro.workloads.scenarios import build_scenario
 
 
@@ -144,11 +144,12 @@ def _candidates(scenario, src, dst):
 
 def test_the_sixth_uniform_picks_the_route():
     """What batch == sequential cannot see: both sides would agree on
-    always taking the first candidate.  Replay the fabric's stream and
-    hold every probe to the route its own sixth uniform indexes."""
+    always taking the first candidate.  Recompute every probe's keyed
+    block and hold it to the route its own sixth uniform indexes."""
     scenario = _build(11)
     pairs = _pairs(scenario)
-    draws = RngRegistry(11).stream("fabric").random((len(pairs), 6))
+    source = PairwiseDrawSource(11)
+    draws = source.uniforms(source.keys_of(pairs), 0.0, 0, range(6))
     results = scenario.fabric.send_probe_batch(pairs, 0.0)
     for row, result in zip(draws, results):
         # The RNICs the overlay walk used: a same-host pair is

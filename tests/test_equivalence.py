@@ -5,6 +5,7 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.analyzer import Analyzer
@@ -15,7 +16,9 @@ from repro.equivalence import (
     divergences,
     verify_equivalence,
 )
+from repro.network.draws import PairwiseDrawSource
 from repro.network.fabric import DataPlaneFabric
+from repro.network.faults import FaultInjector
 from repro.network.packet import ProbeResult
 from repro.sim.rng import RngRegistry
 
@@ -80,13 +83,34 @@ class TestBatchGate:
         def skewed(self, pairs, at, salt=0):
             results = list(batch(self, pairs, at, salt))
             if len(results) > 1 and at == 1.0:
-                results[5] = dataclasses.replace(
-                    results[5], latency_us=-1.0
+                row = next(i for i, r in enumerate(results) if r.ok)
+                results[row] = dataclasses.replace(
+                    results[row], latency_us=-1.0
                 )
             return results
 
         monkeypatch.setattr(DataPlaneFabric, "send_probe_batch", skewed)
         with pytest.raises(EquivalenceError, match="results diverged"):
+            verify_equivalence()
+
+    def test_an_order_dependent_draw_diverges(self, monkeypatch):
+        """What the gate guards: uniforms from one sequential stream
+        give the permuted one-at-a-time arm other rows than the batch."""
+        def stream_draws(self, keys, at, salt, columns):
+            stream = vars(self).setdefault(
+                "_stream", np.random.default_rng(0)
+            )
+            return stream.random((len(keys), len(columns)))
+
+        monkeypatch.setattr(PairwiseDrawSource, "uniforms", stream_draws)
+        with pytest.raises(EquivalenceError, match="results diverged"):
+            verify_equivalence()
+
+    def test_a_run_without_lost_rows_is_vacuous(self, monkeypatch):
+        monkeypatch.setattr(
+            FaultInjector, "inject_issue", lambda *args, **kwargs: None
+        )
+        with pytest.raises(EquivalenceError, match="no probe was lost"):
             verify_equivalence()
 
 
