@@ -4,9 +4,9 @@ Regenerates ``BENCH_chaos.json``'s numbers: the Table-1 fault campaign
 is run twice — once with a perfect monitor, once under the standard
 chaos weather (10% telemetry + probe-report loss, one 60 s sidecar
 crash) — and the hardened pipeline must keep detection recall within
-10% and the localization rate within 25% of the clean run.  The quick
-subset keeps CI fast; the committed artifact covers all 22 issues
-(Table 1 plus the gray-failure families).
+10% and the localization rate within 25% of the clean run, over all 22
+issues (Table 1 plus the gray-failure families), as the committed
+artifact does.
 """
 
 from conftest import print_table, run_once
@@ -15,7 +15,7 @@ from repro.chaos.gate import Bounds, ChaosGate, leg_mark
 
 def test_chaos_degradation_gate(benchmark):
     def experiment():
-        return ChaosGate().run(quick=True, seed=0)
+        return ChaosGate().run(seed=0)
 
     report = run_once(benchmark, experiment)
 

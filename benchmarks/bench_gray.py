@@ -7,8 +7,8 @@ per-packet spraying, and the spraying leg's detection recall and
 localization rate must stay within the gate's ``Bounds`` of the
 baseline's.  The sweep also pins shard-plane equivalence, the
 distribution-aware-vs-naive voting comparison, and the Flock
-probabilistic baseline.  The quick subset keeps CI fast; the committed
-artifact covers both seeds and shard counts (2, 4).
+probabilistic baseline, over both seeds and shard counts (2, 4), as the
+committed artifact does.
 """
 
 from conftest import print_table, run_once
@@ -18,7 +18,7 @@ from repro.chaos.gray import GrayGate
 
 def test_gray_degradation_gate(benchmark):
     def experiment():
-        return GrayGate().run(quick=True, seed=0)
+        return GrayGate().run(seed=0)
 
     report = run_once(benchmark, experiment)
 

@@ -82,7 +82,7 @@ class PingmeshBaseline:
         return activated
 
     def execute_round(
-        self, fabric: DataPlaneFabric, now: float, salt: int = 0
+        self, fabric: DataPlaneFabric, now: float
     ) -> List[ProbeResult]:
         """Probe every pair the (possibly stale) central view activated."""
         if (
@@ -90,9 +90,7 @@ class PingmeshBaseline:
             or now - self._last_refresh >= self.activation_refresh_s
         ):
             self.refresh_activation(now)
-        return fabric.send_probe_batch(
-            self.ping_list.active_pairs(), now, salt
-        )
+        return fabric.send_probe_batch(self.ping_list.active_pairs(), now)
 
     def startup_false_probes(self, now: float) -> List[ProbePair]:
         """Pairs currently activated whose endpoints are not RUNNING."""

@@ -71,12 +71,10 @@ class RPingmeshBaseline:
         return len(self.ping_list)
 
     def execute_round(
-        self, fabric: DataPlaneFabric, now: float, salt: int = 0
+        self, fabric: DataPlaneFabric, now: float
     ) -> List[ProbeResult]:
         """Probe every active representative pair in one batch."""
-        return fabric.send_probe_batch(
-            self.ping_list.active_pairs(), now, salt
-        )
+        return fabric.send_probe_batch(self.ping_list.active_pairs(), now)
 
     def round_duration_s(self) -> float:
         """Estimated wall-clock time of one probing round."""

@@ -340,7 +340,7 @@ class Replayer:
                     pair_type(parse_endpoint(src), parse_endpoint(dst))
                 )
         if pairs:
-            scenario.fabric.send_probe_batch(sorted(pairs), 0.0, 0)
+            scenario.fabric.send_probe_batch(sorted(pairs), 0.0)
 
 
 def verify_replay_equivalence(

@@ -30,7 +30,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.chaos.faults import MonitorFaultInjector, MonitorIssue
 from repro.core.evaluation import FaultOutcome
-from repro.network.issues import GrayIssueType, IssueType, all_issue_types
+from repro.network.issues import all_issue_types
 from repro.workloads.scenarios import MonitoredScenario, build_scenario
 
 __all__ = [
@@ -38,8 +38,8 @@ __all__ = [
     "ChaosGate",
     "FULL_ISSUES",
     "Gate",
-    "QUICK_ISSUES",
     "build_case",
+    "campaign",
     "campaign_leg",
     "leg_mark",
     "outcome_leg",
@@ -47,17 +47,10 @@ __all__ = [
     "sweep",
 ]
 
-#: The full gate sweeps every catalogued issue — Table 1 plus the gray
+#: The gate sweeps every catalogued issue — Table 1 plus the gray
 #: families — exactly like ``repro campaign``; adding a family to the
-#: catalog extends the sweep with no edits here.  The quick (CI smoke)
-#: subset keeps one issue per layer plus one gray family.
+#: catalog extends the sweep with no edits here.
 FULL_ISSUES: Tuple[object, ...] = all_issue_types()
-QUICK_ISSUES: Tuple[object, ...] = (
-    IssueType.RNIC_PORT_DOWN,
-    IssueType.SWITCH_PORT_DOWN,
-    IssueType.CONTAINER_CRASH,
-    GrayIssueType.PARTIAL_LINK_DEGRADATION,
-)
 
 #: Fault-free warm-up every campaign leg runs before its fault.
 WARM_S = 200.0
@@ -109,6 +102,21 @@ def campaign_leg(
     if skeleton:
         scenario.apply_skeleton()
     return scenario, scenario.run_fault(issue)
+
+
+def campaign(seed: int = 0) -> Dict[str, object]:
+    """``repro campaign``: every catalogued issue's leg on the basic
+    ping list — how many were detected and localized, and each issue's
+    ``[detected, localized]`` by name, in catalogue order."""
+
+    def basic(issue, seed, live):
+        return outcome_leg(campaign_leg(issue, seed, skeleton=False)[1])
+
+    rows = sweep({"basic": basic}, [(i, seed) for i in FULL_ISSUES])
+    issues = {row["issue"]: [row["basic"]["detected"],
+                             row["basic"]["localized"]] for row in rows}
+    detected, localized = map(sum, zip(*issues.values()))
+    return {"detected": detected, "localized": localized, "issues": issues}
 
 
 def outcome_leg(
@@ -194,16 +202,16 @@ class Gate:
     baseline: str
     treatment: str
 
-    def cases(self, quick: bool, seed: int) -> List[Tuple[object, int]]:
-        """The (issue, seed) cases of a quick or a full run."""
+    def cases(self, seed: int) -> List[Tuple[object, int]]:
+        """The (issue, seed) cases of a run."""
         raise NotImplementedError
 
-    def config(self, quick: bool, seed: int) -> Dict[str, object]:
+    def config(self, seed: int) -> Dict[str, object]:
         """Gate-specific entries of the report's ``config``."""
         return {}
 
     def extras(
-        self, rows: List[Dict[str, object]], quick: bool, seed: int
+        self, rows: List[Dict[str, object]], seed: int
     ) -> Dict[str, object]:
         """Gate-specific summary numbers, computed from the rows."""
         return {}
@@ -218,7 +226,6 @@ class Gate:
 
     def run(
         self,
-        quick: bool = False,
         seed: int = 0,
         out: Optional[str] = None,
         bounds: Optional[Bounds] = None,
@@ -231,7 +238,7 @@ class Gate:
         vacuously.
         """
         bounds = bounds if bounds is not None else Bounds()
-        rows = list(sweep(self.arms, self.cases(quick, seed)))
+        rows = list(sweep(self.arms, self.cases(seed)))
         if not rows:
             raise ValueError(f"{self.title}: no cases to compare")
         summary: Dict[str, object] = {"cases": len(rows)}
@@ -245,14 +252,13 @@ class Gate:
             summary[ratio] = (
                 summary[f"{self.treatment}_{key}"] / base if base else 1.0
             )
-        summary.update(self.extras(rows, quick, seed))
+        summary.update(self.extras(rows, seed))
         violations = bounds.check(summary) + self.check(summary)
         summary["passed"] = not violations
         summary["violations"] = violations
         report = {
             "config": {
-                "quick": quick, "seed": seed,
-                **self.config(quick, seed), "bounds": asdict(bounds),
+                "seed": seed, **self.config(seed), "bounds": asdict(bounds),
             },
             "rows": rows,
             "summary": summary,
@@ -383,11 +389,10 @@ class ChaosGate(Gate):
             outcome, "detection_delay_s", **_monitor_stats(scenario)
         )
 
-    def cases(self, quick: bool, seed: int) -> List[Tuple[object, int]]:
-        issues = QUICK_ISSUES if quick else FULL_ISSUES
-        return [(issue, seed) for issue in issues]
+    def cases(self, seed: int) -> List[Tuple[object, int]]:
+        return [(issue, seed) for issue in FULL_ISSUES]
 
-    def config(self, quick: bool, seed: int) -> Dict[str, object]:
+    def config(self, seed: int) -> Dict[str, object]:
         return {
             "telemetry_loss": self.telemetry_loss,
             "crash_scope": CRASH_SCOPE,
@@ -395,7 +400,7 @@ class ChaosGate(Gate):
         }
 
     def extras(
-        self, rows: List[Dict[str, object]], quick: bool, seed: int
+        self, rows: List[Dict[str, object]], seed: int
     ) -> Dict[str, object]:
         summary: Dict[str, object] = {
             "telemetry_loss": self.telemetry_loss

@@ -249,25 +249,19 @@ class GrayGate(Gate):
             _score_flock(scenario, outcome.fault), "localized_component"
         )
 
-    @staticmethod
-    def _seeds(quick: bool, seed: int) -> Tuple[int, ...]:
-        return (seed,) if quick else (seed, seed + 1)
-
-    def cases(self, quick: bool, seed: int) -> List[Tuple[object, int]]:
+    def cases(self, seed: int) -> List[Tuple[object, int]]:
         return [
-            (issue, s)
-            for issue in GRAY_FAMILIES
-            for s in self._seeds(quick, seed)
+            (issue, s) for issue in GRAY_FAMILIES for s in (seed, seed + 1)
         ]
 
-    def config(self, quick: bool, seed: int) -> Dict[str, object]:
+    def config(self, seed: int) -> Dict[str, object]:
         return {
-            "seeds": list(self._seeds(quick, seed)),
+            "seeds": [seed, seed + 1],
             "families": [issue.name for issue in GRAY_FAMILIES],
         }
 
     def extras(
-        self, rows: List[Dict[str, object]], quick: bool, seed: int
+        self, rows: List[Dict[str, object]], seed: int
     ) -> Dict[str, object]:
         def localized(arm: str) -> int:
             return sum(1 for row in rows if row[arm]["localized"])
@@ -277,7 +271,7 @@ class GrayGate(Gate):
             "naive_localized": localized("spray_naive"),
             "shard_equivalence": verify_shard_equivalence(
                 spec=gray_shard_spec(seed=seed),
-                shard_counts=(2,) if quick else (2, 4),
+                shard_counts=(2, 4),
                 backends=("inproc",),
                 with_failover=False,
             ),

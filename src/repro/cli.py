@@ -1,89 +1,28 @@
-"""Command-line interface: run demos and campaigns from a shell.
+"""Command-line interface: run demos, gates and the planes from a shell.
 
-Usage::
+Usage (``python -m repro COMMAND --help`` lists a command's options;
+``docs/`` explains what each one measures)::
 
-    python -m repro demo [--containers N] [--gpus N] [--seed S]
-    python -m repro campaign [--seed S]
-    python -m repro stats
-    python -m repro report [--faults N]
-    python -m repro status [--faults N]
-    python -m repro trace [--faults N] [--out FILE] [--explain]
-    python -m repro export-metrics [--faults N]
-    python -m repro verify [--issue NAME] [--lint | --flow [paths...]]
-    python -m repro equivalence
-    python -m repro chaos [--quick] [--out FILE]
-    python -m repro gray [--quick] [--out FILE]
-    python -m repro run [--shards N] [--backend inproc|mp] [--faults N]
-    python -m repro shard-status [--shards N] [--kill SHARD]
-    python -m repro fleet run [--jobs N] [--workers N]
-    python -m repro fleet status [--jobs N] [--workers N] [--kill W]
-    python -m repro record [--out FILE] [--seed S] [--issue NAME]
-    python -m repro replay RECORDING [--no-verify]
-    python -m repro tail [--shards N] [--plain]
-
-``demo`` monitors one training task, applies skeleton inference, injects
-an RNIC failure, and reports the diagnosis.  ``campaign`` sweeps every
-catalogued issue — the 19 Table-1 types plus the gray-failure families.
-``stats`` prints the production-statistics summaries behind the paper's
-motivation figures.
-
-``report``, ``status``, ``trace`` and ``export-metrics`` run a
-monitored scenario with observability enabled and surface the run from
-the operator's side (§6 dashboards):
-``report`` prints the incident timeline, ``status`` the run-wide
-counters and pipeline timings, ``trace`` the JSONL event/span trace
-(``--explain`` renders the evidence chain behind every diagnosis), and
-``export-metrics`` the registry in Prometheus text format.
-
-``verify`` runs the static fabric-verification passes (zero findings on
-a healthy default cluster; injected inconsistencies are named by
-component) or, with ``--lint``, the determinism lint over the source.
-With ``--flow`` it runs the interprocedural determinism analyzer
-instead: a call-graph taint analysis proving nondeterminism (wall
-clock, unseeded RNG, process identity, unordered iteration) never
-reaches monitor-plane state and that every stochastic value in
-``network``/``chaos``/``workloads`` derives from the keyed-draw API.
-
-``equivalence`` runs the four gates behind the repo's contract —
-batch≡sequential probing, shard≡single, fleet≡single and replay≡live
-— through the one row-diff helper in :mod:`repro.equivalence`, prints
-how much each compared, and fails on the first divergence.  It takes
-no flags and times nothing; ``python bench/run.py`` is the timing
-instrument.
-
-``chaos`` runs the monitor-plane degradation gate: the fault campaign
-twice — perfect monitor vs standard chaos weather (telemetry + report
-loss, one agent crash) — and fails unless detection recall and the
-localization rate stay within the committed bounds
-(``BENCH_chaos.json``).
-
-``gray`` runs the gray-failure degradation gate: each gray family (PFC
-storm, congestion collapse, partial link degradation) is injected under
-spraying ECMP and scored against the clean static-ECMP baseline, and
-re-run on the shard plane; distribution-aware
-tomography voting is compared with naive voting and the Flock-style
-probabilistic baseline is scored side by side (``BENCH_gray.json``).
-
-``run`` and ``shard-status`` drive the sharded monitoring plane
-(:mod:`repro.shard`): ``run`` executes a faulted scenario across N
-shard workers and prints the merged events, verdicts, and per-shard
-summary; ``shard-status`` runs a short plane (optionally killing a
-shard mid-run) and renders the coordinator's heartbeat/failover view.
-
-``fleet`` drives the multi-tenant plane (:mod:`repro.fleet`): ``fleet
-run`` executes many concurrent churning jobs on one shared fabric
-under a global probe budget and prints the merged per-tenant
-diagnosis and coverage; ``fleet status`` renders the coordinator's
-placement, worker failover, and budget view.
-
-The last three commands drive the telemetry bus (:mod:`repro.bus`):
-``record`` runs the standard chaos campaign leg and persists every bus
-topic to a versioned JSONL recording; ``replay`` reconstructs
-detection + localization from a recording without re-simulating the
-fabric and (by default) fails on any verdict or event drift; ``tail``
-runs a live scenario with a terminal dashboard of rounds, verdicts,
-breaker states, quarantine events, and — with ``--shards`` — shard
-health.
+    python -m repro demo            # one task, one RNIC fault, the diagnosis
+    python -m repro campaign        # every catalogued issue, basic ping list
+    python -m repro stats           # the paper's production-statistics figures
+    python -m repro report          # operator views of an observed run (§6):
+    python -m repro status          #   incident timeline, counters and timings,
+    python -m repro trace           #   JSONL trace (--explain: evidence chains),
+    python -m repro export-metrics  #   Prometheus text
+    python -m repro verify          # fabric passes; --lint / --flow: the
+                                    #   determinism lint / flow analyzer
+    python -m repro equivalence     # the contract: every committed golden,
+                                    #   one table (repro.equivalence.CHECKS)
+    python -m repro chaos           # monitor-chaos gate -> BENCH_chaos.json
+    python -m repro gray            # gray-failure gate -> BENCH_gray.json
+    python -m repro run             # the sharded plane (repro.shard),
+    python -m repro shard-status    #   and its heartbeat/failover view
+    python -m repro fleet run       # the multi-tenant plane (repro.fleet),
+    python -m repro fleet status    #   and its placement/failover/budget view
+    python -m repro record          # the standard chaos leg to a JSONL bus
+    python -m repro replay FILE     #   recording, replayed bit for bit,
+    python -m repro tail            #   or watched live (repro.bus)
 """
 
 from __future__ import annotations
@@ -94,12 +33,14 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.equivalence import EquivalenceError, contract
 from repro.network.issues import (
     IssueType,
     all_issue_types,
     lookup_issue,
     spec_of,
 )
+from repro.verify.cli import add_verify_arguments, run as run_verify
 from repro.workloads.production import ProductionStatistics
 from repro.workloads.scenarios import build_scenario
 
@@ -182,23 +123,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify", help="statically verify a constructed fabric "
         "(or run the determinism lint with --lint)"
     )
-    from repro.verify.cli import add_verify_arguments
-
     add_verify_arguments(verify)
 
     commands.add_parser(
-        "equivalence", help="run the four equivalence gates (batch, "
-        "shard, fleet, replay) and print what each compared"
+        "equivalence", help="check every committed golden in one "
+        "table (the contract); exits 1 if any row fails"
     )
 
     chaos = commands.add_parser(
         "chaos", help="run the monitor-plane degradation gate "
         "(clean vs chaotic monitoring, bounded accuracy loss)"
-    )
-    chaos.add_argument(
-        "--quick", action="store_true",
-        help="one issue per layer instead of the full Table-1 sweep "
-        "(the CI smoke mode)",
     )
     chaos.add_argument(
         "--out", default="BENCH_chaos.json",
@@ -213,11 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gray = commands.add_parser(
         "gray", help="run the gray-failure degradation gate "
         "(clean static-ECMP vs gray faults under spraying ECMP)"
-    )
-    gray.add_argument(
-        "--quick", action="store_true",
-        help="one seed and the reduced family sweep (the CI smoke "
-        "mode)",
     )
     gray.add_argument(
         "--out", default="BENCH_gray.json",
@@ -411,25 +340,18 @@ def _run_demo(args: argparse.Namespace) -> int:
 
 def _run_campaign(args: argparse.Namespace) -> int:
     """The gate engine's basic-list arm over the whole catalogue."""
-    from repro.chaos.gate import campaign_leg, outcome_leg, sweep
+    from repro.chaos.gate import campaign
 
-    def basic(issue, seed, live):
-        return outcome_leg(campaign_leg(issue, seed, skeleton=False)[1])
-
-    detected = localized = 0
-    issues = all_issue_types()
-    rows = sweep({"basic": basic}, [(i, args.seed) for i in issues])
-    for issue, row in zip(issues, rows):
-        leg = row["basic"]
-        detected += leg["detected"]
-        localized += leg["localized"]
-        status = "ok" if leg["localized"] else (
-            "DETECTED-ONLY" if leg["detected"] else "MISSED"
+    result = campaign(args.seed)
+    for name, (detected, localized) in result["issues"].items():
+        status = "ok" if localized else (
+            "DETECTED-ONLY" if detected else "MISSED"
         )
-        print(f"{issue.value:>3} {issue.name.lower():<30} {status}")
-    total = len(issues)
-    print(f"\ndetected {detected}/{total}, localized {localized}/{total}")
-    return 0 if detected == total else 1
+        print(f"{lookup_issue(name).value:>3} {name.lower():<30} {status}")
+    total = len(result["issues"])
+    print(f"\ndetected {result['detected']}/{total}, "
+          f"localized {result['localized']}/{total}")
+    return 0 if result["detected"] == total else 1
 
 
 def _run_stats(_: argparse.Namespace) -> int:
@@ -547,77 +469,17 @@ def _run_export_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_equivalence(_: argparse.Namespace) -> int:
-    """Run the four gates in turn; stop at the first that fails."""
-    import os
-    import tempfile
-
-    from repro.bus.replay import (
-        record_standard_run,
-        verify_replay_equivalence,
-    )
-    from repro.equivalence import EquivalenceError, verify_equivalence
-    from repro.fleet.equivalence import verify_fleet_equivalence
-    from repro.shard.equivalence import verify_shard_equivalence
-
-    def batch() -> str:
-        return f"{verify_equivalence()} probe results"
-
-    def shard() -> str:
-        summary = verify_shard_equivalence()
-        return (
-            f"{summary['baseline_events']} events, "
-            f"{summary['baseline_verdicts']} verdicts x "
-            f"{len(summary['compared'])} configurations"
-        )
-
-    def fleet() -> str:
-        baseline = verify_fleet_equivalence()
-        return (
-            f"{len(baseline.event_summary)} events, "
-            f"{len(baseline.verdict_summary)} verdicts, "
-            f"{len(baseline.rollups)} rollups at 2 and 4 workers "
-            f"and after a failover"
-        )
-
-    def replay() -> str:
-        with tempfile.TemporaryDirectory() as scratch:
-            path = os.path.join(scratch, "standard.jsonl")
-            record_standard_run(path)
-            result = verify_replay_equivalence(path)
-        return (
-            f"{len(result.recorded_events)} events, "
-            f"{len(result.recorded_verdicts)} verdicts from "
-            f"{result.probes_ingested} recorded probes"
-        )
-
-    gates = (
-        ("batch == sequential", batch),
-        ("shard == single", shard),
-        ("fleet == single", fleet),
-        ("replay == live", replay),
-    )
-    for name, gate in gates:
-        try:
-            print(f"{name:<20} ok: {gate()}")
-        except EquivalenceError as error:
-            print(f"{name}: FAILED\n{error}", file=sys.stderr)
-            return 1
-    return 0
-
-
 def _run_gate(args: argparse.Namespace) -> int:
     """``chaos`` and ``gray``: one engine, two gate definitions."""
     from repro.chaos.gate import ChaosGate
     from repro.chaos.gray import GrayGate
-    from repro.equivalence import EquivalenceError
 
     gate = (
         ChaosGate(args.telemetry_loss) if args.command == "chaos"
         else GrayGate()
     )
     try:
-        report = gate.run(quick=args.quick, seed=args.seed, out=args.out)
+        report = gate.run(seed=args.seed, out=args.out)
     except EquivalenceError as error:
         print(f"{args.command} equivalence gate failed: {error}",
               file=sys.stderr)
@@ -752,13 +614,13 @@ def _run_shard_status(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fleet_spec(args: argparse.Namespace):
-    """A churning multi-tenant spec for the CLI's size arguments, on
+def _fleet_spec(args: argparse.Namespace, jobs: int):
+    """A churning ``jobs``-tenant spec for the CLI's size arguments, on
     the smoke fabric."""
     from repro.fleet.spec import fleet_bench_spec
 
     return fleet_bench_spec(
-        args.jobs,
+        jobs,
         containers_per_job=args.containers,
         gpus_per_container=args.gpus,
         total_rounds=args.rounds,
@@ -784,7 +646,7 @@ def _render_fleet_coverage(spec, result) -> List[str]:
 def _run_fleet_run(args: argparse.Namespace) -> int:
     from repro.fleet.equivalence import run_fleet
 
-    spec = _fleet_spec(args)
+    spec = _fleet_spec(args, args.jobs)
     result = run_fleet(spec, num_workers=args.workers)
     peak = max((len(r.admitted) for r in result.rollups), default=0)
     print(
@@ -832,7 +694,7 @@ def _run_fleet_status(args: argparse.Namespace) -> int:
     kill_schedule = (
         {kill: 2} if 0 <= kill < args.workers else None
     )
-    spec = _fleet_spec(args)
+    spec = _fleet_spec(args, args.jobs)
     coordinator = FleetCoordinator(
         spec, num_workers=args.workers, kill_schedule=kill_schedule,
     )
@@ -870,12 +732,6 @@ def _run_fleet_status(args: argparse.Namespace) -> int:
     for line in _render_fleet_coverage(spec, result):
         print(line)
     return 0
-
-
-def _run_fleet(args: argparse.Namespace) -> int:
-    if args.fleet_command == "run":
-        return _run_fleet_run(args)
-    return _run_fleet_status(args)
 
 
 def _record_config(args: argparse.Namespace) -> dict:
@@ -955,14 +811,8 @@ def _run_tail(args: argparse.Namespace) -> int:
     with TailDashboard(bus, ansi=ansi) as dashboard:
         if args.fleet > 0:
             from repro.fleet.equivalence import run_fleet
-            from repro.fleet.spec import fleet_bench_spec
 
-            spec = fleet_bench_spec(
-                args.fleet,
-                containers_per_job=args.containers,
-                total_rounds=args.rounds, seed=args.seed,
-            )
-            run_fleet(spec, num_workers=args.workers, bus=bus)
+            run_fleet(_fleet_spec(args, args.fleet), args.workers, bus=bus)
         elif args.shards > 0:
             from repro.shard import run_plane
 
@@ -982,46 +832,23 @@ def _run_tail(args: argparse.Namespace) -> int:
     return 0
 
 
+_COMMANDS = {
+    "demo": _run_demo, "campaign": _run_campaign, "stats": _run_stats,
+    "report": _run_report, "status": _run_status, "trace": _run_trace,
+    "export-metrics": _run_export_metrics, "verify": run_verify,
+    "equivalence": lambda args: contract(), "chaos": _run_gate,
+    "gray": _run_gate, "run": _run_sharded, "shard-status": _run_shard_status,
+    "fleet": lambda args: (
+        _run_fleet_run if args.fleet_command == "run" else _run_fleet_status
+    )(args),
+    "record": _run_record, "replay": _run_replay, "tail": _run_tail,
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     args = _build_parser().parse_args(argv)
-    if args.command == "demo":
-        return _run_demo(args)
-    if args.command == "campaign":
-        return _run_campaign(args)
-    if args.command == "stats":
-        return _run_stats(args)
-    if args.command == "report":
-        return _run_report(args)
-    if args.command == "status":
-        return _run_status(args)
-    if args.command == "trace":
-        return _run_trace(args)
-    if args.command == "export-metrics":
-        return _run_export_metrics(args)
-    if args.command == "verify":
-        from repro.verify.cli import run_flow, run_lint, run_verify
-
-        if args.flow:
-            return run_flow(args)
-        return run_lint(args) if args.lint else run_verify(args)
-    if args.command == "equivalence":
-        return _run_equivalence(args)
-    if args.command in ("chaos", "gray"):
-        return _run_gate(args)
-    if args.command == "run":
-        return _run_sharded(args)
-    if args.command == "shard-status":
-        return _run_shard_status(args)
-    if args.command == "fleet":
-        return _run_fleet(args)
-    if args.command == "record":
-        return _run_record(args)
-    if args.command == "replay":
-        return _run_replay(args)
-    if args.command == "tail":
-        return _run_tail(args)
-    return 2  # unreachable: argparse enforces the choices
+    return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

@@ -119,14 +119,12 @@ class OverlayAgent:
         pairs = self.prober.plan_round(self.my_pairs(), now)
         return coarse_pairs(pairs) if state == "slow" else pairs
 
-    def execute_round(
-        self, fabric: DataPlaneFabric, now: float, salt: int = 0
-    ) -> ProbeBatch:
+    def execute_round(self, fabric: DataPlaneFabric, now: float) -> ProbeBatch:
         """Probe this agent's share alone: a one-agent
         :func:`~repro.core.probing.run_probe_round`, whose batch it
         returns."""
         batches: List[ProbeBatch] = []
-        run_probe_round([self], fabric, now, salt, batches.append)
+        run_probe_round([self], fabric, now, batches.append)
         return batches[0]
 
     def record_round(

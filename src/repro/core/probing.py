@@ -229,7 +229,6 @@ def send_round(
     shares: Sequence[Optional[Sequence[ProbePair]]],
     probers: Sequence[Optional[ResilientProber]],
     now: float,
-    salt: int,
 ) -> Tuple[ProbeBatch, List[Tuple[int, int]]]:
     """Send every share's pairs (``None``: none) as one fabric batch and
     deliver their reports: the delivered rows in share order, and each
@@ -243,7 +242,7 @@ def send_round(
     depends on what else a batch held.
     """
     pairs = [pair for share in shares if share for pair in share]
-    batch = fabric.send_probe_batch(pairs, now, salt)
+    batch = fabric.send_probe_batch(pairs, now)
     counts = [(0, 0)] * len(shares)
     hardened = [i for i, prober in enumerate(probers) if prober is not None]
     if not hardened:
@@ -271,7 +270,7 @@ def send_round(
         wave = [(row, t) for row, t in retrying if len(t) > k]
         sent = fabric.send_probe_batch(
             [pairs[row] for row, _ in wave],
-            np.array([t[k] for _, t in wave]), salt,
+            np.array([t[k] for _, t in wave]),
         )
         answered.update(
             (row, result) for result, (row, t) in zip(sent, wave)
@@ -289,7 +288,6 @@ def run_probe_round(
     agents: Sequence["OverlayAgent"],
     fabric: DataPlaneFabric,
     now: float,
-    salt: int,
     on_batch: Callable[[ProbeBatch], None],
 ) -> None:
     """One probing round of ``agents``: one fabric batch whatever its
@@ -303,7 +301,7 @@ def run_probe_round(
     """
     shares = [agent.plan_round(now) for agent in agents]
     batch, counts = send_round(
-        fabric, shares, [agent.prober for agent in agents], now, salt
+        fabric, shares, [agent.prober for agent in agents], now
     )
     start = 0
     for agent, share, (failed, retried) in zip(agents, shares, counts):

@@ -105,7 +105,6 @@ class SkeletonHunter:
         self._watched: Set[TaskId] = set()
         self._localized_events: Set[Tuple[ProbePair, float]] = set()
         self._published_pairs: Optional[List[ProbePair]] = None
-        self._round_salt = 0
         self._probe_task: Optional[PeriodicTask] = None
         self.verify_on_start = verify_on_start
         self.last_verification = None  # most recent VerifierReport
@@ -235,8 +234,7 @@ class SkeletonHunter:
                 for task_id in self.controller.monitored_tasks()
                 for agent in self.controller.agents_of(task_id)
             ],
-            self.fabric, now, self._round_salt,
-            self.analyzer.ingest_batch,
+            self.fabric, now, self.analyzer.ingest_batch,
         )
         self.analyzer.flush(now)
         self._localize_new_events(now)

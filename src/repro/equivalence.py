@@ -1,4 +1,4 @@
-"""The equivalence contract: one row-diff helper under four gates.
+"""The equivalence contract: one row-diff helper, one table of goldens.
 
 Every fast or distributed path in this repo claims to change nothing
 but the clock — batch≡sequential probing, shard≡single, fleet≡single,
@@ -13,14 +13,28 @@ through :func:`compare` too.
 The gate with no plane of its own lives here
 (:func:`verify_equivalence`); the others stay with their planes
 (:mod:`repro.shard.equivalence`, :mod:`repro.fleet.equivalence`,
-:mod:`repro.bus.replay`).  ``python -m repro equivalence`` runs all
-four.  Timing is not measured here — ``python bench/run.py`` does that.
+:mod:`repro.bus.replay`).  :data:`CHECKS` holds them, and every other
+committed golden, to what the CLI verbs measure: ``python -m repro
+equivalence`` (:func:`contract`) prints the one table.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import operator
+import os
+import sys
+import tempfile
+import time
+import traceback
 from collections import Counter
-from typing import Any, Dict, List, Mapping, Sequence
+from functools import reduce
+from pathlib import Path
+from typing import (
+    Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence,
+    Tuple,
+)
 
 from repro.cluster.identifiers import LinkId
 from repro.network.issues import IssueType
@@ -29,9 +43,13 @@ from repro.sim.rng import RngRegistry
 from repro.workloads.scenarios import build_scenario
 
 __all__ = [
+    "CHECKS",
+    "Check",
     "EquivalenceError",
     "compare",
+    "contract",
     "divergences",
+    "regenerate",
     "verify_equivalence",
 ]
 
@@ -119,7 +137,7 @@ def compare(
     return {name: len(rows) for name, rows in baseline.items()}
 
 
-def verify_equivalence() -> int:
+def verify_equivalence() -> Dict[str, int]:
     """The batch≡sequential gate: a probe's outcome is its own.
 
     Runs two rounds of a skeleton-like pair list on two identically
@@ -127,7 +145,8 @@ def verify_equivalence() -> int:
     time in a seeded permutation of the pairs on the first, one
     :meth:`~repro.network.fabric.DataPlaneFabric.send_probe_batch` per
     round on the second — and requires the same :class:`ProbeResult`
-    for every pair, lost rows among them.  Returns the results compared.
+    for every pair, lost rows among them.  Returns how many results were
+    compared and how many of them were lost.
     """
     streams = []
     for batched in (False, True):
@@ -161,6 +180,238 @@ def verify_equivalence() -> int:
             }
             results += [by_pair[i] for i in range(len(pairs))]
         streams.append({"results": results})
-    if not any(result.lost for result in streams[0]["results"]):
+    lost = sum(result.lost for result in streams[0]["results"])
+    if not lost:
         raise EquivalenceError("batched probing: no probe was lost")
-    return compare("batched probing", *streams)["results"]
+    return {"results": compare("batched probing", *streams)["results"],
+            "lost": lost}
+
+
+# ----------------------------------------------------------------------
+# The contract: every committed golden, one table
+# ----------------------------------------------------------------------
+
+#: The repository root; every golden path is relative to it.
+ROOT = Path(__file__).resolve().parents[2]
+CONTRACT = "tests/golden/contract.json"
+RECORDS = "tests/golden/record_fixtures.json"
+
+
+class Check(NamedTuple):
+    """One row: ``measure(scratch directory)`` must equal the value at
+    ``keys`` in the JSON ``golden`` — or, with no ``keys``, the
+    :func:`_report` of the golden, a report its own CLI verb writes."""
+
+    name: str
+    measure: Callable[[str], Dict[str, Any]]
+    golden: str = CONTRACT
+    keys: Tuple[str, ...] = ()
+
+    def expected(self, root: Path) -> Dict[str, Any]:
+        data = (root / self.golden).read_bytes()
+        if not self.keys:
+            return _report(data)
+        return reduce(operator.getitem, self.keys, json.loads(data))
+
+
+def _fingerprint(data: bytes) -> Dict[str, Any]:
+    """A committed file's identity: its size and sha256."""
+    return {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+
+
+def _report(data: bytes) -> Dict[str, Any]:
+    """A gate report's fingerprint and the bounds it violated."""
+    violations = json.loads(data)["summary"]["violations"]
+    return {**_fingerprint(data), "violations": violations}
+
+
+def _recording(scratch: str, fixture: str = "default") -> str:
+    """``fixture``'s ``repro record`` file, recorded on first use."""
+    path = os.path.join(scratch, f"{fixture}.jsonl")
+    if not os.path.exists(path):
+        from repro.bus.replay import record_standard_run
+
+        issue = {} if fixture == "default" else {"issue": fixture}
+        record_standard_run(path, **issue)
+    return path
+
+
+def _record(fixture: str) -> Callable[[str], Dict[str, Any]]:
+    def measure(scratch: str) -> Dict[str, Any]:
+        data = Path(_recording(scratch, fixture)).read_bytes()
+        args = [] if fixture == "default" else ["--issue", fixture]
+        return {"args": args, **_fingerprint(data)}
+
+    return measure
+
+
+def _shard(scratch: str) -> Dict[str, Any]:
+    from repro.shard.equivalence import verify_shard_equivalence
+
+    run = verify_shard_equivalence(backends=("inproc", "mp"))
+    return {"events": run["baseline_events"],
+            "verdicts": run["baseline_verdicts"],
+            "configurations": len(run["compared"])}
+
+
+def _fleet(scratch: str) -> Dict[str, Any]:
+    from repro.fleet.equivalence import verify_fleet_equivalence
+
+    run = verify_fleet_equivalence()
+    return {"events": len(run.event_summary),
+            "verdicts": len(run.verdict_summary), "rollups": len(run.rollups)}
+
+
+def _replay(scratch: str) -> Dict[str, Any]:
+    from repro.bus.replay import verify_replay_equivalence
+
+    run = verify_replay_equivalence(_recording(scratch))
+    return {"events": len(run.recorded_events),
+            "verdicts": len(run.recorded_verdicts),
+            "probes": run.probes_ingested}
+
+
+def _gate(verb: str) -> Callable[[str], Dict[str, Any]]:
+    def measure(scratch: str) -> Dict[str, Any]:
+        from repro.chaos.gate import ChaosGate
+        from repro.chaos.gray import GrayGate
+
+        out = os.path.join(scratch, f"{verb}.json")
+        (ChaosGate() if verb == "chaos" else GrayGate()).run(out=out)
+        return _report(Path(out).read_bytes())
+
+    return measure
+
+
+def _campaign(scratch: str) -> Dict[str, Any]:
+    from repro.chaos.gate import campaign
+
+    return campaign()
+
+
+def _lint(scratch: str) -> Dict[str, Any]:
+    from repro.verify.lint import lint_paths
+
+    return {"findings": [v.format() for v in lint_paths(None)[0]]}
+
+
+def _named(findings) -> List[str]:
+    return [f"{finding.check}: {finding.component}" for finding in findings]
+
+
+def _flow(scratch: str) -> Dict[str, Any]:
+    from repro.verify.flow import analyze_package
+
+    return {"findings": _named(analyze_package().report.findings)}
+
+
+def _verifier(scratch: str) -> Dict[str, Any]:
+    from repro.verify.cli import build_default_report
+
+    issue = "REPETITIVE_FLOW_OFFLOADING"  # one injected flow-table fault
+    return {"healthy": _named(build_default_report().errors()),
+            issue: _named(build_default_report(issue=issue).errors())}
+
+
+#: The contract, in the order ``repro equivalence`` prints it.
+CHECKS: Tuple[Check, ...] = (
+    Check("batch == sequential", lambda scratch: verify_equivalence(),
+          keys=("batch == sequential",)),
+    Check("shard == single", _shard, keys=("shard == single",)),
+    Check("fleet == single", _fleet, keys=("fleet == single",)),
+    *(Check(f"record {fixture}", _record(fixture), RECORDS,
+            ("fixtures", fixture))
+      for fixture in ("default", "PFC_STORM", "CRC_ERROR")),
+    Check("replay == live", _replay, keys=("replay == live",)),
+    Check("chaos", _gate("chaos"), "BENCH_chaos.json"),
+    Check("gray", _gate("gray"), "BENCH_gray.json"),
+    Check("campaign", _campaign, keys=("campaign",)),
+    Check("lint", _lint, keys=("lint",)),
+    Check("flow", _flow, keys=("flow",)),
+    Check("fabric verifier", _verifier, keys=("fabric verifier",)),
+)
+
+
+def _cell(value: Optional[Dict[str, Any]]) -> str:
+    """A value as a table cell: counts, list and dict sizes, hashes cut
+    to 12 digits; ``-`` for one that could not be read or measured."""
+    return "-" if value is None else ", ".join(
+        f"{name} {entry[:12]}" if isinstance(entry, str) else
+        f"{len(entry) if isinstance(entry, (list, dict)) else entry} {name}"
+        for name, entry in value.items()
+    )
+
+
+def _differences(want: Any, got: Any, where: str = "") -> List[str]:
+    """Where two values differ, key path by key path."""
+    if not (isinstance(want, dict) and isinstance(got, dict)):
+        return [f"{where}expected {want!r}, got {got!r}"]
+    return [line for key in {**want, **got} if want.get(key) != got.get(key)
+            for line in _differences(want.get(key), got.get(key),
+                                     f"{where}{key}: ")]
+
+
+def _run(check: Check, scratch: str) -> Tuple[str, str, str, str]:
+    """One row's expected and got cells, seconds and problem.  An
+    unreadable golden or a raising measurement fails the row, never the
+    rows after it."""
+    want = got = None
+    problems = []
+    try:
+        want = check.expected(ROOT)
+    except (OSError, LookupError, ValueError) as error:
+        problems.append(f"golden {check.golden} unreadable: {error!r}")
+    start = time.perf_counter()
+    try:
+        got = check.measure(scratch)
+    except Exception:  # the row's failure, reported with its traceback
+        problems.append(traceback.format_exc().rstrip())
+    seconds = f"{time.perf_counter() - start:.2f}"
+    if not problems and want != got:
+        problems = _differences(want, got)
+    return _cell(want), _cell(got), seconds, "\n".join(problems)
+
+
+def contract() -> int:
+    """``repro equivalence``: every row in one table, then each failed
+    row's problem and the command that regenerates its golden; returns
+    the exit code."""
+    with tempfile.TemporaryDirectory() as scratch:
+        rows = [(check, *_run(check, scratch)) for check in CHECKS]
+    table = [("check", "expected", "got", "seconds", "ok")] + [
+        (check.name, want, got, seconds, "FAILED" if problem else "ok")
+        for check, want, got, seconds, problem in rows]
+    widths = [max(len(line[i]) for line in table) for i in range(4)]
+    for *cells, ok in table:
+        cells[3] = cells[3].rjust(widths[3])
+        print("  ".join([c.ljust(w) for c, w in zip(cells, widths)] + [ok]))
+    failed = [(check, problem) for check, *_, problem in rows if problem]
+    for check, problem in failed:
+        command = (f"repro.equivalence {check.golden}" if check.keys
+                   else f"repro {check.name}")
+        print(f"\n{check.name} FAILED: {problem}\n  regenerate "
+              f"{check.golden}: PYTHONPATH=src python -m {command}",
+              file=sys.stderr)
+    print(f"\ncontract: {len(rows) - len(failed)} of {len(rows)} rows ok")
+    return 1 if failed else 0
+
+
+def regenerate(golden: str) -> None:
+    """Rewrite the JSON golden ``golden`` from a fresh run of the rows
+    that read it; a measurement that raises leaves it untouched."""
+    document: Dict[str, Any] = {}
+    with tempfile.TemporaryDirectory() as scratch:
+        for check in CHECKS:
+            if check.golden == golden and check.keys:
+                *path, last = check.keys
+                node = reduce(lambda d, k: d.setdefault(k, {}), path, document)
+                node[last] = check.measure(scratch)
+    if not document:
+        raise SystemExit(f"no contract row reads {golden!r} as JSON")
+    (ROOT / golden).write_text(json.dumps(document, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: python -m repro.equivalence GOLDEN")
+    regenerate(sys.argv[1])

@@ -324,7 +324,7 @@ class FleetController:
         if not selected:
             return 0
         results, [(failed, retried)] = send_round(
-            self.replica.fabric, [selected], [runtime.prober], at, 0
+            self.replica.fabric, [selected], [runtime.prober], at
         )
         if runtime.prober is not None:
             runtime.prober.settle(at, len(results), failed, retried)

@@ -10,7 +10,7 @@ fleet worker, every failover rebuild) walks through the identical
 sequence of placements and arrives at the identical fabric state.
 
 Probe randomness uses the fabric's pairwise draw source keyed by the
-run seed, so probe outcomes depend only on (seed, pair, time, salt) —
+run seed, so probe outcomes depend only on (seed, pair, time) —
 not on which worker sends the probe or how tenants are sharded.
 """
 

@@ -4,7 +4,7 @@ In the paper every sidecar agent probes its own targets on its own
 schedule, so a probe's outcome must not depend on how many probes some
 other agent sent first.  :class:`PairwiseDrawSource` is the fabric's
 only source of probe uniforms: the block of one probe is a pure
-function of ``(seed, src, dst, send time, salt, draw index)``, computed
+function of ``(seed, src, dst, send time, draw index)``, computed
 with a splitmix64-style hash (vectorized over the batch).  Probe
 outcomes therefore depend only on the probe itself, never on batch
 composition, agent order, shard assignment, or execution order — the
@@ -128,7 +128,10 @@ class PairwiseDrawSource:
 
     def __init__(self, seed: int) -> None:
         self.seed = int(seed)
-        self._seed_key = _stable_hash(f"pairwise-draws:{self.seed}")
+        # ``_scalar_mix64(0)`` is part of the key: it pins every block.
+        self._seed_key = _U64(
+            _stable_hash(f"pairwise-draws:{self.seed}") ^ _scalar_mix64(0)
+        )
         self._pair_keys: Dict[Tuple[EndpointId, EndpointId], _U64] = {}
 
     def _pair_key(self, src: EndpointId, dst: EndpointId) -> _U64:
@@ -155,7 +158,6 @@ class PairwiseDrawSource:
         self,
         keys: np.ndarray,
         at: Union[float, np.ndarray],
-        salt: int,
         columns: Sequence[int] = range(5),
     ) -> np.ndarray:
         """The ``(len(keys), len(columns))`` uniforms of the pairs whose
@@ -166,12 +168,10 @@ class PairwiseDrawSource:
         in any other batch — and column *j* is block column
         ``columns[j]``, whichever other columns are drawn.
         """
-        # Fold time and salt into the per-pair key.  float64 bit views
-        # are exact, so any representable probe time keys cleanly.
+        # Fold time into the per-pair key.  float64 bit views are
+        # exact, so any representable probe time keys cleanly.
         times = np.array(at, np.float64, ndmin=1).view(_U64)
-        round_key = _mix64(
-            times ^ _U64(self._seed_key ^ _scalar_mix64(salt & _MASK64))
-        )
+        round_key = _mix64(times ^ self._seed_key)
         # Column c is splitmix64(base + c * golden): the finalizer's own
         # "+ golden" folds into the column offset, and the rest of it
         # runs in place over the whole block, laid out column by column

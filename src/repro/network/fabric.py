@@ -143,7 +143,6 @@ class _RoundVector:
     """
 
     pairs: List[object]
-    salt: int
     endpoints: List[Tuple[EndpointId, EndpointId]]
     resolutions: List[_Resolution]
     #: The whole-overlay stamp every row was found valid under; ``None``
@@ -167,7 +166,6 @@ class _RoundVector:
 
 def _round_vector(
     pairs: List[object],
-    salt: int,
     endpoints: List[Tuple[EndpointId, EndpointId]],
     resolutions: List[_Resolution],
     seen: Optional[int],
@@ -177,7 +175,7 @@ def _round_vector(
     )
     routes = [route for res in resolutions for route in res.routes]
     return _RoundVector(
-        pairs=pairs, salt=salt, endpoints=endpoints,
+        pairs=pairs, endpoints=endpoints,
         resolutions=resolutions, seen=seen, nroutes=nroutes,
         offsets=np.cumsum(nroutes) - nroutes,
         flat_hops=np.fromiter(
@@ -197,7 +195,7 @@ def _round_vector(
 
 
 class FlowResolutionCache:
-    """Memoizes per-(src, dst, salt) probe resolutions.
+    """Memoizes per-(src, dst) probe resolutions.
 
     A resolution is valid while what it read is unchanged.  For a
     *reached* resolution that is: (1) :meth:`FlowTable.version_of` its
@@ -251,7 +249,7 @@ class FlowResolutionCache:
         self.ecmp_mode = "static"
         self._routing_epoch = 0
         self._entries: Dict[
-            Tuple[EndpointId, EndpointId, int], _Resolution
+            Tuple[EndpointId, EndpointId], _Resolution
         ] = {}
         #: What the last batch resolved to (:meth:`resolve_all`).
         self._vector: Optional[_RoundVector] = None
@@ -322,16 +320,14 @@ class FlowResolutionCache:
         self._entries.clear()
         self._vector = None
 
-    def resolve(
-        self, src: EndpointId, dst: EndpointId, salt: int
-    ) -> _Resolution:
+    def resolve(self, src: EndpointId, dst: EndpointId) -> _Resolution:
         """The resolution for one probe, cached when possible.
 
         Cache-served resolutions replay ``rule.hit()`` on the flow rules
         the original walk traversed, so per-rule packet counters advance
         exactly as if the chain had been re-walked.
         """
-        key = (src, dst, salt)
+        key = (src, dst)
         cached = self._entries.get(key) if self.enabled else None
         if cached is None:
             cause = "cold"
@@ -351,7 +347,7 @@ class FlowResolutionCache:
                 return cached
         self.misses += 1
         self.metrics.increment(f"cache.miss.{cause}")
-        resolution = self._compute(src, dst, salt)
+        resolution = self._compute(src, dst)
         if self.enabled:
             # Stamped *after* the walk's side effects: it may have
             # installed flow rules (mutating tables it consulted), and
@@ -362,7 +358,7 @@ class FlowResolutionCache:
             self._entries[key] = resolution
         return resolution
 
-    def resolve_all(self, pairs: List[object], salt: int) -> _RoundVector:
+    def resolve_all(self, pairs: List[object]) -> _RoundVector:
         """The resolutions of a whole batch, as :meth:`resolve` would
         give them one pair after another in input order.
 
@@ -378,9 +374,7 @@ class FlowResolutionCache:
         sequentially.
         """
         last = self._vector
-        repeat = (
-            last is not None and last.salt == salt and last.pairs == pairs
-        )
+        repeat = last is not None and last.pairs == pairs
         if (
             repeat and self.enabled
             and last.seen == self._whole_stamp()
@@ -399,19 +393,15 @@ class FlowResolutionCache:
             endpoints_of(pair) for pair in pairs
         ]
         before = self._whole_stamp()
-        resolutions = [
-            self.resolve(src, dst, salt) for src, dst in endpoints
-        ]
+        resolutions = [self.resolve(src, dst) for src, dst in endpoints]
         settled = self.enabled and before == self._whole_stamp()
         self._vector = _round_vector(
-            list(pairs), salt, endpoints, resolutions,
+            list(pairs), endpoints, resolutions,
             before if settled else None,
         )
         return self._vector
 
-    def _compute(
-        self, src: EndpointId, dst: EndpointId, salt: int
-    ) -> _Resolution:
+    def _compute(self, src: EndpointId, dst: EndpointId) -> _Resolution:
         overlay = self._cluster.overlay
         trace = overlay.trace(src, dst, install_missing=True)
         reverse = None
@@ -419,7 +409,7 @@ class FlowResolutionCache:
             # The echo response travels the reverse flow, whose rule the
             # destination's first reply packet installs.
             reverse = overlay.ensure_flow(dst, src)
-        fhash = flow_hash(src, dst, salt)
+        fhash = flow_hash(src, dst)
 
         if not trace.reached:
             reason = "overlay forwarding loop" if trace.loop else (
@@ -536,7 +526,7 @@ class DataPlaneFabric:
         self.latency_model = latency_model or LatencyModel()
         self.congestion = congestion or TransientCongestion(rate=0.0)
         # Every probe's uniforms are a pure function of (registry seed,
-        # src, dst, send time, salt): independent of batch composition
+        # src, dst, send time): independent of batch composition
         # and draw order.
         self._draws = PairwiseDrawSource(rng.seed)
         self.metrics = metrics if metrics is not None else MetricRegistry()
@@ -597,18 +587,17 @@ class DataPlaneFabric:
     # ------------------------------------------------------------------
 
     def send_probe(
-        self, src: EndpointId, dst: EndpointId, at: float, salt: int = 0
+        self, src: EndpointId, dst: EndpointId, at: float
     ) -> ProbeResult:
         """Send one probe at simulated time ``at`` and observe its fate:
         a one-element :meth:`send_probe_batch`, so the same probe in any
         batch gets the same result."""
-        return self.send_probe_batch([(src, dst)], at, salt)[0]
+        return self.send_probe_batch([(src, dst)], at)[0]
 
     def send_probe_batch(
         self,
         pairs: Iterable[object],
         at: Union[float, np.ndarray],
-        salt: int = 0,
     ) -> ProbeBatch:
         """Send one probe per pair at simulated time ``at`` — one time
         for the batch, or one per pair (a retry's send times).
@@ -618,7 +607,7 @@ class DataPlaneFabric:
         :class:`~repro.core.pinglist.ProbePair`).  The answer is one
         :class:`~repro.network.packet.ProbeBatch` over the pairs, in
         input order.  Each probe's uniform block is keyed by the probe
-        (pair, send time, salt), so its row does not depend on what
+        (pair, send time), so its row does not depend on what
         else the batch holds; the blocks are drawn at once and every
         probe's fate and RTT come out of them as columns.
 
@@ -638,7 +627,7 @@ class DataPlaneFabric:
             return ProbeBatch.of(())
         sent_at = np.empty(n, dtype=np.float64)
         sent_at[:] = at
-        vec = self.resolution_cache.resolve_all(pairs, salt)
+        vec = self.resolution_cache.resolve_all(pairs)
         if vec.keys is None:
             vec.keys = self._draws.keys_of(vec.endpoints)
         # The columns this batch reads: RTT noise always, the loss gate
@@ -652,7 +641,7 @@ class DataPlaneFabric:
         if self.spraying:
             columns.append(_PICK)
         draws = dict(zip(columns, self._draws.uniforms(
-            vec.keys, at, salt, columns
+            vec.keys, at, columns
         ).T))
 
         # Per-packet path pick: the pick uniform indexes the
@@ -724,7 +713,7 @@ class DataPlaneFabric:
     # ------------------------------------------------------------------
 
     def _paths(
-        self, src: EndpointId, dst: EndpointId, salt: int, spraying: bool
+        self, src: EndpointId, dst: EndpointId, spraying: bool
     ) -> List[UnderlayPath]:
         """Every path a (src, dst) probe may take under the given ECMP
         mode; none unless both endpoints are attached to the overlay."""
@@ -733,11 +722,11 @@ class DataPlaneFabric:
             return []
         return _candidate_paths(
             self.cluster.topology, overlay.rnic_of(src), overlay.rnic_of(dst),
-            flow_hash(src, dst, salt), spraying,
+            flow_hash(src, dst), spraying,
         )
 
     def traceroute(
-        self, src: EndpointId, dst: EndpointId, salt: int = 0
+        self, src: EndpointId, dst: EndpointId
     ) -> Optional[UnderlayPath]:
         """The underlay path the (src, dst) flow is pinned to, if known.
 
@@ -745,10 +734,10 @@ class DataPlaneFabric:
         ECMP choice so tomography can intersect failing paths.  Returns
         ``None`` when either endpoint is not attached to the overlay.
         """
-        return next(iter(self._paths(src, dst, salt, spraying=False)), None)
+        return next(iter(self._paths(src, dst, spraying=False)), None)
 
     def path_distribution(
-        self, src: EndpointId, dst: EndpointId, salt: int = 0
+        self, src: EndpointId, dst: EndpointId
     ) -> List[UnderlayPath]:
         """Every underlay path a probe between ``src``/``dst`` may take.
 
@@ -758,7 +747,7 @@ class DataPlaneFabric:
         votes by this mass instead of assuming one deterministic path.
         Empty when either endpoint is not attached to the overlay.
         """
-        return self._paths(src, dst, salt, self.spraying)
+        return self._paths(src, dst, self.spraying)
 
     @property
     def loss_fraction(self) -> float:

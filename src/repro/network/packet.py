@@ -32,19 +32,16 @@ __all__ = ["ProbeBatch", "ProbeResult", "endpoints_of", "flow_hash"]
 
 
 @lru_cache(maxsize=1 << 16)
-def flow_hash(src: EndpointId, dst: EndpointId, salt: int = 0) -> int:
+def flow_hash(src: EndpointId, dst: EndpointId) -> int:
     """A stable 64-bit flow hash used for ECMP path selection.
 
     RDMA connections pin to one ECMP path for their lifetime, so the hash
-    depends only on the endpoint pair (plus an optional salt for flows
-    that are deliberately re-established): FNV-1a over
-    ``f"{src}|{dst}|{salt}"``, continued from the source's precomputed
-    state (:func:`~repro.network.draws.endpoint_text`).  Pure, so
-    memoised: every traceroute of a pair asks for the same hash again.
+    depends only on the endpoint pair: FNV-1a over ``f"{src}|{dst}|0"``,
+    continued from the source's precomputed state
+    (:func:`~repro.network.draws.endpoint_text`).  Pure, so memoised:
+    every traceroute of a pair asks for the same hash again.
     """
-    return _stable_hash(
-        f"|{endpoint_text(dst)[0]}|{salt}", endpoint_text(src)[1]
-    )
+    return _stable_hash(f"|{endpoint_text(dst)[0]}|0", endpoint_text(src)[1])
 
 
 @dataclass(frozen=True)

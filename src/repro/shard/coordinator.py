@@ -243,7 +243,7 @@ class ShardCoordinator(PlaneDriver[ShardStatus]):
         self.all_pairs = pair_universe(spec, self.reference)
         # Warm the reference overlay exactly as probing would: resolve
         # every pair's flow once, before any scheduled fault applies.
-        self.reference.fabric.send_probe_batch(self.all_pairs, 0.0, 0)
+        self.reference.fabric.send_probe_batch(self.all_pairs, 0.0)
         self.localizer = Localizer(
             self.reference.cluster,
             self.reference.fabric,

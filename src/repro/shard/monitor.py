@@ -273,7 +273,7 @@ class ShardMonitor:
             self.schedule.advance_to(round_index)
             now = self.spec.round_time(round_index)
             run_probe_round(
-                self.agents, fabric, now, 0, self.analyzer.ingest_batch
+                self.agents, fabric, now, self.analyzer.ingest_batch
             )
             self.analyzer.flush(now)
             self.rounds_completed = round_index

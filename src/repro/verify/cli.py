@@ -1,23 +1,12 @@
 """Command-line entry points for static verification and the lint.
 
-``python -m repro.verify``
-    Build the default monitored scenario (same defaults as the demo),
-    run every fabric-verification pass against it, and print the
-    report.  Exit status 1 iff any ERROR finding.  ``--issue NAME``
-    injects one Table-1 issue against rank 0's RNIC first, so the
-    passes have something to catch.
-
-``python -m repro.verify --lint [paths...]``
-    Run the determinism lint over ``src/repro`` (or the given paths).
-    Exit status 1 iff any violation.
-
-``python -m repro.verify --flow [root]``
-    Run the interprocedural determinism analyzer (call-graph taint,
-    keyed-draw contract) over the ``repro`` package (or ``root``).
-    ``--json-out`` writes the machine-readable report.  Exit status 1
-    iff any finding.
-
-The top-level ``repro verify`` subcommand delegates here.
+``python -m repro.verify`` (or ``python -m repro verify``) runs every
+fabric-verification pass on the default monitored scenario — with
+``--issue NAME``, after injecting that issue at rank 0's RNIC — and
+exits 1 iff any ERROR finding.  ``--lint [paths...]`` runs the
+determinism lint and ``--flow [root]`` the interprocedural determinism
+analyzer instead, each over the ``repro`` package by default and
+exiting 1 iff any finding.
 """
 
 from __future__ import annotations
@@ -37,6 +26,7 @@ __all__ = [
     "add_verify_arguments",
     "build_default_report",
     "main",
+    "run",
     "run_flow",
     "run_lint",
     "run_verify",
@@ -58,11 +48,6 @@ def add_verify_arguments(parser: argparse.ArgumentParser) -> None:
         "paths", nargs="*",
         help="files/directories to analyze (default: the repro "
         "package); ignored without --lint/--flow",
-    )
-    parser.add_argument(
-        "--json-out", default=None, metavar="FILE",
-        help="write the machine-readable flow report here; "
-        "only with --flow",
     )
     parser.add_argument(
         "--issue", default=None, metavar="NAME",
@@ -157,8 +142,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(list(argv) if argv is not None else None)
     if args.lint and args.flow:
         parser.error("--lint and --flow are mutually exclusive")
+    return run(args)
+
+
+def run(args: argparse.Namespace) -> int:
+    """Run the mode parsed ``verify`` arguments select; returns the
+    process exit code."""
     if args.flow:
         return run_flow(args)
-    if args.lint:
-        return run_lint(args)
-    return run_verify(args)
+    return run_lint(args) if args.lint else run_verify(args)

@@ -18,7 +18,6 @@ Exit status is 1 iff there is any finding.
 from __future__ import annotations
 
 import argparse
-import json
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -32,7 +31,6 @@ __all__ = [
     "FlowAnalysis",
     "FlowAnalyzer",
     "analyze_package",
-    "report_to_json",
     "run_flow",
 ]
 
@@ -44,10 +42,6 @@ class FlowAnalysis:
     graph: CallGraph
     taint: TaintAnalyzer
     report: VerifierReport
-
-    @property
-    def ok(self) -> bool:
-        return not self.report.errors()
 
 
 class FlowAnalyzer:
@@ -108,35 +102,6 @@ def analyze_package(
     )
 
 
-def report_to_json(analysis: FlowAnalysis) -> Dict:
-    """The machine-readable report CI uploads as an artifact."""
-    report = analysis.report
-    return {
-        "version": 1,
-        "functions": len(analysis.graph.functions),
-        "modules": len(analysis.graph.modules),
-        "edges": len(analysis.graph.edges),
-        "passes": [
-            {
-                "name": result.name,
-                "checked": result.checked,
-                "findings": len(result.findings),
-            }
-            for result in report.results
-        ],
-        "findings": [
-            {
-                "check": f.check,
-                "severity": f.severity.value,
-                "component": f.component,
-                "explanation": f.explanation,
-                "evidence": list(f.details),
-            }
-            for f in report.findings
-        ],
-    }
-
-
 def run_flow(args: argparse.Namespace) -> int:
     """The ``--flow`` CLI mode; returns the process exit code."""
     root = args.paths[0] if getattr(args, "paths", None) else None
@@ -147,13 +112,6 @@ def run_flow(args: argparse.Namespace) -> int:
         return 2
 
     print(analysis.report.render())
-
-    json_out = getattr(args, "json_out", None)
-    if json_out:
-        with open(json_out, "w", encoding="utf-8") as handle:
-            json.dump(report_to_json(analysis), handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {json_out}")
 
     errors = analysis.report.errors()
     if getattr(args, "warnings_as_errors", False):

@@ -87,6 +87,32 @@ class TestTail:
         assert "shard 1: alive" in output
         assert "verdict @" in output
 
+    def test_fleet_tail_builds_the_fleet_at_the_given_sizes(
+        self, capsys, monkeypatch
+    ):
+        from repro.fleet import equivalence
+
+        specs = []
+        run_fleet = equivalence.run_fleet
+
+        def spied(spec, *args, **kwargs):
+            specs.append(spec)
+            return run_fleet(spec, *args, **kwargs)
+
+        monkeypatch.setattr(equivalence, "run_fleet", spied)
+        code = main([
+            "tail", "--plain", "--fleet", "2", "--containers", "4",
+            "--gpus", "2", "--rounds", "6", "--seed", "3",
+        ])
+        assert code == 0
+        assert "run complete:" in capsys.readouterr().out
+        (spec,) = specs
+        assert [
+            (tenant.num_containers, tenant.gpus_per_container)
+            for tenant in spec.tenants
+        ] == [(4, 2), (4, 2)]
+        assert (spec.total_rounds, spec.seed) == (6, 3)
+
 
 class TestRecordedFileShape:
     def test_recording_is_valid_jsonl_with_header_and_footer(

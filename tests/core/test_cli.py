@@ -78,11 +78,11 @@ class TestGates:
         from repro.network.issues import GrayIssueType
 
         for gate in (ChaosGate, GrayGate):
-            monkeypatch.setattr(gate, "cases", lambda self, quick, seed: [
+            monkeypatch.setattr(gate, "cases", lambda self, seed: [
                 (GrayIssueType.CONGESTION_COLLAPSE, seed)
             ])
         out = tmp_path / f"{verb}.json"
-        code = main([verb, "--quick", "--out", str(out)])
+        code = main([verb, "--out", str(out)])
         output = capsys.readouterr().out
         assert code == 0
         assert "congestion_collapse" in output
@@ -190,25 +190,55 @@ class TestFleet:
 
 
 class TestEquivalence:
-    def test_every_gate_passes_with_nonzero_counts(self, capsys):
-        import re
+    #: Rows CI's ``contract`` job runs in full (~15 s); stubbed here to
+    #: what their goldens hold.
+    HEAVY = (
+        "record PFC_STORM", "record CRC_ERROR", "chaos", "gray",
+        "campaign", "lint", "flow", "fabric verifier",
+    )
 
+    def test_every_gate_passes_with_nonzero_counts(
+        self, capsys, monkeypatch
+    ):
+        """The contract table through the CLI.  The four equivalence
+        gates run for real, and the replay gate replays the default
+        fixture its record row recorded — once."""
+        from repro import equivalence
+        from repro.bus import replay
+
+        checks = equivalence.CHECKS
+        monkeypatch.setattr(equivalence, "CHECKS", tuple(
+            check._replace(measure=lambda scratch,
+                           value=check.expected(equivalence.ROOT): value)
+            if check.name in self.HEAVY else check
+            for check in checks
+        ))
+        recorded = []
+        record = replay.record_standard_run
+
+        def counted(path, **overrides):
+            recorded.append(overrides)
+            return record(path, **overrides)
+
+        monkeypatch.setattr(replay, "record_standard_run", counted)
         code = main(["equivalence"])
         output = capsys.readouterr().out
         assert code == 0
         lines = output.strip().splitlines()
-        assert [line.split(" ok: ")[0].strip() for line in lines] == [
-            "batch == sequential", "shard == single",
-            "fleet == single", "replay == live",
+        assert lines[0].split() == [
+            "check", "expected", "got", "seconds", "ok"
         ]
-        for line in lines:
-            counts = re.findall(
-                r"(\d+) (?:probe results|events|verdicts)",
-                line,
-            )
-            assert counts and all(int(n) > 0 for n in counts), line
-        # 2 and 4 shards and the mid-run kill.
-        assert "x 3 configurations" in lines[1]
+        rows = dict(zip([check.name for check in checks], lines[1:]))
+        for name, line in rows.items():
+            assert line.startswith(name + " ") and line.endswith("  ok")
+        for name in ("batch == sequential", "shard == single",
+                     "fleet == single", "replay == live"):
+            counts = re.findall(r"(\d+) [a-z]", rows[name])
+            assert counts and all(int(n) > 0 for n in counts), name
+        # 2 and 4 shards and the mid-run kill, on inproc and on mp.
+        assert "6 configurations" in rows["shard == single"]
+        assert recorded == [{}]
+        assert lines[-1] == f"contract: {len(checks)} of {len(checks)} rows ok"
 
     def test_equivalence_takes_no_flags(self):
         with pytest.raises(SystemExit):

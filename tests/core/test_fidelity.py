@@ -180,9 +180,9 @@ class TestPeriodicity:
         batches = []
         send = scenario.fabric.send_probe_batch
 
-        def tapped(pairs, at, salt=0):
+        def tapped(pairs, at):
             batches.append(list(pairs))
-            return send(pairs, at, salt)
+            return send(pairs, at)
 
         scenario.fabric.send_probe_batch = tapped
         scenario.run_for(scenario.hunter.probe_interval_s)

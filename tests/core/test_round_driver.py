@@ -24,10 +24,10 @@ from repro.workloads.scenarios import build_scenario
 SEED = 11
 
 
-def per_agent_loop(agents, fabric, now, salt, on_batch):
+def per_agent_loop(agents, fabric, now, on_batch):
     """The loop the driver replaced: one ``execute_round`` per agent."""
     for agent in agents:
-        on_batch(agent.execute_round(fabric, now, salt))
+        on_batch(agent.execute_round(fabric, now))
 
 
 def lossy_monitor(rate=0.2):
@@ -52,12 +52,12 @@ def run_with(driver, chaos, path, monkeypatch):
     round driven by ``driver``; returns what the round produced."""
     seen = []
 
-    def tapped(agents, fabric, now, salt, on_batch):
+    def tapped(agents, fabric, now, on_batch):
         def tap(batch):
             seen.extend(batch)
             on_batch(batch)
 
-        driver(agents, fabric, now, salt, tap)
+        driver(agents, fabric, now, tap)
 
     monkeypatch.setattr(system, "run_probe_round", tapped)
     bus = TelemetryBus()
@@ -133,7 +133,7 @@ def test_a_hardened_round_is_one_batch_per_attempt():
     with counting(DataPlaneFabric, "send_probe_batch") as batches, \
             counting(DataPlaneFabric, "send_probe") as singles:
         run_probe_round(
-            agents, scenario.fabric, scenario.engine.now + 1.0, 0,
+            agents, scenario.fabric, scenario.engine.now + 1.0,
             delivered.append,
         )
     retried = [
@@ -171,13 +171,13 @@ def test_each_delivered_row_is_the_send_its_report_arrived_with():
     half = len(pairs) // 2
     delivered, counts = send_round(
         worlds[0].fabric, [pairs[:half], None, pairs[half:]],
-        [probers[0], None, probers[0]], 10.0, 0,
+        [probers[0], None, probers[0]], 10.0,
     )
     expected, retried = [], 0
     for pair in pairs:
         times, arrived = probers[1].report_fate(pair, 10.0)
         retried += len(times)
-        sent = [worlds[1].fabric.send_probe(pair.src, pair.dst, at, 0)
+        sent = [worlds[1].fabric.send_probe(pair.src, pair.dst, at)
                 for at in [10.0] + times]
         if arrived:
             expected.append(sent[-1])
@@ -210,7 +210,7 @@ def test_fault_free_round_is_one_batch_and_no_list_scan():
     rules = {}
     for pair in ping_list.active_pairs():
         resolution = scenario.fabric.resolution_cache._entries[
-            (pair.src, pair.dst, 0)
+            (pair.src, pair.dst)
         ]
         for rule in resolution.trace.rules:
             crossings[id(rule)] += 1

@@ -230,7 +230,7 @@ def test_a_cold_resolution_builds_only_the_routes_it_holds(
 
     monkeypatch.setattr(UnderlayPath, "__post_init__", counting)
     misses = cache.misses
-    resolution = cache.resolve(src, dst, 0)
+    resolution = cache.resolve(src, dst)
     assert cache.misses == misses + 1
     assert [route.path for route in resolution.routes] == built
     assert len(built) == (

@@ -171,7 +171,6 @@ class TestTraceroute:
     def test_flow_hash_is_stable(self, endpoints):
         src, dst = endpoints
         assert flow_hash(src, dst) == flow_hash(src, dst)
-        assert flow_hash(src, dst, salt=1) != flow_hash(src, dst, salt=2)
 
 
 class TestFlowSelectiveFaults:

@@ -43,13 +43,6 @@ class TestCacheBasics:
         assert cache.misses == first_misses
         assert cache.hits == 2
 
-    def test_salt_is_part_of_the_key(self, fabric, endpoints):
-        cache = fabric.resolution_cache
-        fabric.send_probe(*endpoints, at=0.0, salt=0)
-        fabric.send_probe(*endpoints, at=0.0, salt=1)
-        assert cache.hits == 0
-        assert len(cache) == 2
-
     def test_disabled_cache_stores_nothing(self, cluster, injector, rng):
         fabric = DataPlaneFabric(
             cluster, injector, rng, cache_enabled=False
@@ -415,10 +408,10 @@ class TestScopedValidity:
         cache = fabric.resolution_cache
         compute = cache._compute
 
-        def compute_under_churn(src, dst, salt):
+        def compute_under_churn(src, dst):
             if (src, dst) == cold:
                 assert table.remove(key)
-            return compute(src, dst, salt)
+            return compute(src, dst)
 
         monkeypatch.setattr(cache, "_compute", compute_under_churn)
         hits, before = cache.hits, self._misses(fabric)

@@ -24,7 +24,7 @@ from repro.network.packet import ProbeBatch, ProbeResult
 from repro.workloads.scenarios import build_scenario
 
 
-def parent_loop(fabric, pairs, at, salt=0):
+def parent_loop(fabric, pairs, at):
     """``DataPlaneFabric.send_probe_batch`` as of 34a2c6b, drawing from
     the keyed source (the fabric's only one since the sequential stream
     was deleted)."""
@@ -36,7 +36,7 @@ def parent_loop(fabric, pairs, at, salt=0):
     if n == 0:
         return []
     draws = fabric._draws.uniforms(
-        fabric._draws.keys_of(endpoints), at, salt,
+        fabric._draws.keys_of(endpoints), at,
         range(6 if fabric.spraying else 5),
     )
     cache = fabric.resolution_cache
@@ -45,7 +45,7 @@ def parent_loop(fabric, pairs, at, salt=0):
     delivered, delivered_res, delivered_path = [], [], []
     hops, switches, extra_us, software = [], [], [], []
     for i, (src, dst) in enumerate(endpoints):
-        res = cache.resolve(src, dst, salt)
+        res = cache.resolve(src, dst)
         trace = res.trace
         if not res.reached:
             lost += 1
@@ -277,27 +277,6 @@ def test_bulk_batch_counts_like_the_same_pairs_sent_one_by_one():
         for key, count in packets_of(bulk).items() if count != before[key]
     }
     assert crossed and set(crossed.values()) <= {8, 16, 24, 32, 40, 48}
-
-
-def test_another_salt_is_another_flow():
-    """The salt is part of what a batch resolved: the same pairs under
-    another salt hash to other ECMP picks and resolve afresh."""
-    one, bulk = build(3), build(3)
-    pairs_one, pairs_bulk = pairs_of(one), pairs_of(bulk)
-    for round_index in range(3):
-        bulk.fabric.send_probe_batch(pairs_bulk, float(round_index))
-        for src, dst in pairs_one:
-            one.fabric.send_probe(src, dst, float(round_index))
-    salted = bulk.fabric.send_probe_batch(pairs_bulk, 3.0, salt=1)
-    assert salted == [
-        one.fabric.send_probe(src, dst, 3.0, salt=1)
-        for src, dst in pairs_one
-    ]
-    assert counters_of(bulk) == counters_of(one)
-    plain = bulk.fabric.send_probe_batch(pairs_bulk, 4.0)
-    assert any(
-        a.underlay_path != b.underlay_path for a, b in zip(salted, plain)
-    )
 
 
 def test_the_vector_is_dropped_with_the_cache():

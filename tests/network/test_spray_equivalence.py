@@ -149,7 +149,7 @@ def test_the_sixth_uniform_picks_the_route():
     scenario = _build(11)
     pairs = _pairs(scenario)
     source = PairwiseDrawSource(11)
-    draws = source.uniforms(source.keys_of(pairs), 0.0, 0, range(6))
+    draws = source.uniforms(source.keys_of(pairs), 0.0, range(6))
     results = scenario.fabric.send_probe_batch(pairs, 0.0)
     for row, result in zip(draws, results):
         # The RNICs the overlay walk used: a same-host pair is

@@ -104,10 +104,10 @@ class World:
 
     # -- operations (selected by index, so both worlds do the same) ----
 
-    def probe(self, picks, salt):
+    def probe(self, picks):
         self.now += 1.0
         batch = [self.pairs[i % len(self.pairs)] for i in picks]
-        return self.fabric.send_probe_batch(batch, self.now, salt)
+        return self.fabric.send_probe_batch(batch, self.now)
 
     def migrate(self, index):
         container = self.containers[index % len(self.containers)]
@@ -255,9 +255,7 @@ class World:
 
 _index = st.integers(min_value=0, max_value=63)
 _probe = st.tuples(
-    st.just("probe"),
-    st.lists(_index, min_size=1, max_size=8),
-    st.integers(min_value=0, max_value=1),
+    st.just("probe"), st.lists(_index, min_size=1, max_size=8)
 )
 _operation = st.one_of(
     _probe,
@@ -297,7 +295,7 @@ def run_twins(operations):
 
 def _warm_then(operations):
     # Warm every pair first, so mutations land under a warm cache.
-    everything = [("probe", list(range(48)), 0)]
+    everything = [("probe", list(range(48)))]
     run_twins(everything + operations + everything)
 
 
@@ -320,16 +318,16 @@ def test_a_partial_round_after_a_reverse_rule_removal():
     """What the final full round of the property heals before the
     tables are compared: a pair probed *alone* after its reply rule was
     removed must put it back, as the uncached walk does."""
-    everything = ("probe", list(range(48)), 0)
-    run_twins([everything, ("reverse_remove", 9), ("probe", [9], 0)])
-    run_twins([everything, ("reverse_replace", 9, 3), ("probe", [9], 0)])
-    run_twins([everything, ("offload_clear", 2), ("probe", [9, 2, 40], 0)])
+    everything = ("probe", list(range(48)))
+    run_twins([everything, ("reverse_remove", 9), ("probe", [9])])
+    run_twins([everything, ("reverse_replace", 9, 3), ("probe", [9])])
+    run_twins([everything, ("offload_clear", 2), ("probe", [9, 2, 40])])
 
 
 def test_property_is_not_vacuous():
     """A fixed interleaving that serves hits and recomputes for every
     cause — so the comparison above is not comparing two cold walks."""
-    everything = ("probe", list(range(48)), 0)
+    everything = ("probe", list(range(48)))
     mutations = [
         ("migrate", 0), ("offload_invalidate", 2, 0),
         ("ovs_replace", 1, 0, 5), ("reverse_remove", 9),

@@ -27,9 +27,9 @@ class TestDrawSource:
     def test_one_batch_equals_many_batches(self):
         endpoints = _endpoints(small_spec(with_faults=False))
         source = PairwiseDrawSource(seed=0)
-        whole = source.uniforms(source.keys_of(endpoints), at=4.0, salt=0)
+        whole = source.uniforms(source.keys_of(endpoints), at=4.0)
         rebuilt = np.vstack([
-            source.uniforms(source.keys_of([pair]), at=4.0, salt=0)
+            source.uniforms(source.keys_of([pair]), at=4.0)
             for pair in endpoints
         ])
         np.testing.assert_array_equal(whole, rebuilt)
@@ -38,25 +38,24 @@ class TestDrawSource:
         endpoints = _endpoints(small_spec(with_faults=False))
         source = PairwiseDrawSource(seed=3)
         keys = source.keys_of(endpoints)
-        forward = source.uniforms(keys, at=2.0, salt=1)
-        backward = source.uniforms(keys[::-1], at=2.0, salt=1)
+        forward = source.uniforms(keys, at=2.0)
+        backward = source.uniforms(keys[::-1], at=2.0)
         np.testing.assert_array_equal(forward, backward[::-1])
 
-    def test_time_seed_and_salt_all_matter(self):
+    def test_time_and_seed_both_matter(self):
         endpoints = _endpoints(small_spec(with_faults=False))[:4]
         keys = PairwiseDrawSource(seed=0).keys_of(endpoints)
-        base = PairwiseDrawSource(seed=0).uniforms(keys, 2.0, 0)
+        base = PairwiseDrawSource(seed=0).uniforms(keys, 2.0)
         for other in (
-            PairwiseDrawSource(seed=1).uniforms(keys, 2.0, 0),
-            PairwiseDrawSource(seed=0).uniforms(keys, 4.0, 0),
-            PairwiseDrawSource(seed=0).uniforms(keys, 2.0, 1),
+            PairwiseDrawSource(seed=1).uniforms(keys, 2.0),
+            PairwiseDrawSource(seed=0).uniforms(keys, 4.0),
         ):
             assert not np.array_equal(base, other)
 
     def test_draws_are_unit_interval(self):
         endpoints = _endpoints(small_spec(with_faults=False))
         source = PairwiseDrawSource(seed=0)
-        block = source.uniforms(source.keys_of(endpoints), 6.0, 0)
+        block = source.uniforms(source.keys_of(endpoints), 6.0)
         assert block.shape == (len(endpoints), 5)
         assert np.all(block >= 0.0) and np.all(block < 1.0)
 
@@ -72,10 +71,10 @@ class TestFabricInvariance:
         pairs = pair_universe(spec, whole_scenario)
         cut = len(pairs) // 2
 
-        whole = whole_scenario.fabric.send_probe_batch(pairs, 2.0, 0)
+        whole = whole_scenario.fabric.send_probe_batch(pairs, 2.0)
         split = (
-            split_scenario.fabric.send_probe_batch(pairs[:cut], 2.0, 0)
-            + split_scenario.fabric.send_probe_batch(pairs[cut:], 2.0, 0)
+            split_scenario.fabric.send_probe_batch(pairs[:cut], 2.0)
+            + split_scenario.fabric.send_probe_batch(pairs[cut:], 2.0)
         )
         assert len(whole) == len(split) == len(pairs)
         for left, right in zip(whole, split):

@@ -1,7 +1,5 @@
 """Tests for the verify CLI and the SkeletonHunter wiring."""
 
-import json
-
 import pytest
 
 from repro.cli import main as repro_main
@@ -94,18 +92,6 @@ class TestFlowCli:
         assert code == 1
         assert "numpy.random.normal" in out
         assert "keyed-draw-contract" in out
-
-    def test_json_out_writes_the_report(self, dirty_package, tmp_path):
-        out_path = tmp_path / "flow.json"
-        code = verify_main([
-            "--flow", str(dirty_package), "--json-out", str(out_path),
-        ])
-        assert code == 1
-        payload = json.loads(out_path.read_text())
-        assert payload["version"] == 1
-        assert payload["findings"]
-        assert payload["findings"][0]["check"] == \
-            "flow.keyed-draw-contract"
 
     def test_missing_root_exits_2(self, tmp_path, capsys):
         empty = tmp_path / "nothing"

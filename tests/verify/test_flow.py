@@ -11,7 +11,6 @@ import textwrap
 from repro.verify.flow import (
     FlowAnalyzer,
     analyze_package,
-    report_to_json,
 )
 from repro.verify.taint import Taint
 
@@ -186,30 +185,6 @@ class TestKeyedDrawContract:
         )
         # obs/ is neither a sink nor contract scope; nothing fires.
         assert findings(analysis) == []
-
-
-class TestReportJson:
-    def test_structure(self):
-        analysis = analyze(
-            pkg__network__noise="""
-                import numpy.random as npr
-                def jitter():
-                    return npr.normal()
-            """,
-        )
-        payload = report_to_json(analysis)
-        assert payload["version"] == 1
-        assert payload["modules"] == 1
-        assert [p["name"] for p in payload["passes"]] == [
-            "flow.callgraph",
-            "flow.taint-to-sink",
-            "flow.keyed-draw-contract",
-        ]
-        assert len(payload["findings"]) == 1
-        finding = payload["findings"][0]
-        assert finding["check"] == "flow.keyed-draw-contract"
-        assert finding["severity"] == "error"
-        assert any("numpy.random" in line for line in finding["evidence"])
 
 
 class TestRealTree:
