@@ -7,9 +7,11 @@ schedule of :class:`MonitorFault` instances — the monitor-plane
 catalogue below — and answers *pure, keyed* queries from the hardened
 pipeline: every decision ("was this report lost?", "is this agent
 hung?") is a deterministic function of ``(seed, fault, subject, time,
-attempt)`` via :func:`repro.network.draws.keyed_uniform`, never of call
-order.  That keeps chaos runs reproducible and lets shard replicas
-replay identical monitor-plane weather after a failover.
+attempt)`` — a probe report's by a keyed column over a batch's rows
+(:meth:`MonitorFaultInjector.report_fates`), the rest by
+:func:`repro.network.draws.keyed_uniform` — never of call order.  That
+keeps chaos runs reproducible and lets shard replicas replay identical
+monitor-plane weather after a failover.
 
 Catalogue (the monitor-plane dual of Table 1):
 
@@ -41,12 +43,18 @@ import numpy as np
 
 from repro.bus.core import Topic
 from repro.cluster.identifiers import EndpointId, RnicId
-from repro.network.draws import keyed_uniform, keyed_uniforms
+from repro.network.draws import (
+    FATE_COLUMN, PairwiseDrawSource, keyed_uniform, keyed_uniforms,
+)
+from repro.network.packet import ProbeBatch, endpoints_of
 
 __all__ = [
     "MonitorFault",
     "MonitorFaultInjector",
     "MonitorIssue",
+    "REPORT_LATE",
+    "REPORT_LOST",
+    "REPORT_OK",
 ]
 
 
@@ -81,6 +89,15 @@ _DEFAULT_DELAY: Dict[MonitorIssue, float] = {
     MonitorIssue.PROBE_LATE_REPLY: 0.8,
     MonitorIssue.AGENT_SLOW_START: 30.0,
 }
+
+#: A probe report's fate (:meth:`MonitorFaultInjector.report_fates`).
+REPORT_OK, REPORT_LOST, REPORT_LATE = 0, 1, 2
+#: The fate each report-fault issue deals the rows it hits.
+_REPORT_FATES: Dict[MonitorIssue, int] = {
+    MonitorIssue.PROBE_REPORT_LOSS: REPORT_LOST,
+    MonitorIssue.PROBE_LATE_REPLY: REPORT_LATE,
+}
+
 
 @dataclass
 class MonitorFault:
@@ -142,6 +159,8 @@ class MonitorFaultInjector:
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
+        #: Per-probe draws (report fates, retry backoff), keyed by seed.
+        self.draws = PairwiseDrawSource(self.seed)
         self._faults: Dict[int, MonitorFault] = {}
         self._next_fault_id = 0
         self._bus = None
@@ -251,44 +270,35 @@ class MonitorFaultInjector:
     # Pipeline-facing queries (all pure keyed draws)
     # ------------------------------------------------------------------
 
-    def probe_report(
-        self,
-        src: EndpointId,
-        dst: EndpointId,
-        at: float,
-        attempt: int = 0,
-    ) -> str:
-        """Fate of one probe's *report*: ``"ok"``, ``"lost"``, ``"late"``.
+    def report_fates(self, batch: ProbeBatch, attempt: int) -> np.ndarray:
+        """Each row's report fate at ``attempt`` (0: the first send):
+        :data:`REPORT_OK`, :data:`REPORT_LOST` or :data:`REPORT_LATE`.
 
-        Retries pass increasing ``attempt`` so each gets a fresh draw —
-        a report lost on attempt 0 may well arrive on attempt 1, which
-        is exactly what bounded retry exploits.
+        A fault decides the rows it covers at their own send times by
+        one keyed column over (pair, send time, attempt, fault id), the
+        first in injection order to hit a row deciding it; a fresh
+        attempt is a fresh draw, and rows no fault covers draw nothing.
         """
-        key = f"{src}->{dst}"
-        for fault in self._report_faults(at):
-            if not fault.matches(key):
+        fates = np.zeros(len(batch), dtype=np.int8)
+        at = batch.sent_at
+        for fault in self.all_faults():
+            if fault.issue not in _REPORT_FATES:
                 continue
-            u = keyed_uniform(
-                self.seed,
-                f"report:{fault.fault_id}:{key}@{at!r}",
-                salt=attempt,
-            )
-            if u < fault.rate:
-                if fault.issue is MonitorIssue.PROBE_REPORT_LOSS:
-                    return "lost"
-                return "late"
-        return "ok"
-
-    def _report_faults(self, at: float) -> List[MonitorFault]:
-        return [
-            f
-            for f in self.active_faults(at)
-            if f.issue
-            in (
-                MonitorIssue.PROBE_REPORT_LOSS,
-                MonitorIssue.PROBE_LATE_REPLY,
-            )
-        ]
+            covered = (fates == REPORT_OK) & (at >= fault.start)
+            if fault.end is not None:
+                covered &= at < fault.end
+            if fault.scope is not None:  # a prefix of ``src->dst``
+                covered &= np.fromiter((fault.matches(
+                    "->".join(map(str, endpoints_of(pair)))
+                ) for pair in batch.pairs), bool, len(batch))
+            rows = np.flatnonzero(covered)
+            if rows.size:
+                u = self.draws.column(
+                    batch.keys[rows], at[rows], FATE_COLUMN,
+                    attempt, fault.fault_id,
+                )
+                fates[rows[u < fault.rate]] = _REPORT_FATES[fault.issue]
+        return fates
 
     def agent_state(self, agent_key: str, at: float) -> str:
         """Agent health at ``at``: ``"ok"``/``"crashed"``/``"hung"``/``"slow"``.

@@ -26,6 +26,7 @@ from repro.cluster.container import Container
 from repro.cluster.identifiers import EndpointId, HostId
 from repro.core.pinglist import PingList, ProbePair
 from repro.core.probing import ResilientProber, coarse_pairs, run_probe_round
+from repro.core.resilience import BreakerState
 from repro.core.rnic_validation import RnicFinding, RnicValidator
 from repro.network.fabric import DataPlaneFabric
 from repro.network.packet import ProbeBatch
@@ -116,15 +117,21 @@ class OverlayAgent:
             if self.prober.recorder is not None:
                 self.prober.recorder.count("agent.rounds_skipped")
             return None
-        pairs = self.prober.plan_round(self.my_pairs(), now)
-        return coarse_pairs(pairs) if state == "slow" else pairs
+        breaker = self.prober.breaker
+        if state == "slow" or (
+            breaker is not None and breaker.peek(now) is BreakerState.OPEN
+        ):
+            return coarse_pairs(self.my_pairs())
+        return self.my_pairs()
 
-    def execute_round(self, fabric: DataPlaneFabric, now: float) -> ProbeBatch:
+    def execute_round(
+        self, fabric: DataPlaneFabric, now: float, next_round: float
+    ) -> ProbeBatch:
         """Probe this agent's share alone: a one-agent
         :func:`~repro.core.probing.run_probe_round`, whose batch it
         returns."""
         batches: List[ProbeBatch] = []
-        run_probe_round([self], fabric, now, batches.append)
+        run_probe_round([self], fabric, now, next_round, batches.append)
         return batches[0]
 
     def record_round(

@@ -192,7 +192,11 @@ class Analyzer:
     def ingest(self, result: ProbeResult) -> List[DetectedAnomaly]:
         """Feed one probe result; returns anomalies detected *now* —
         :meth:`ingest_batch` over a single row."""
-        return self.ingest_batch(ProbeBatch.of((result,)))
+        return self.ingest_batch(ProbeBatch(
+            [(result.src, result.dst)], np.array([result.sent_at]),
+            np.array([result.lost]),
+            np.array([np.nan if result.lost else result.latency_us]),
+        ))
 
     def ingest_batch(self, batch: ProbeBatch) -> List[DetectedAnomaly]:
         """Feed a batch of probe results; returns anomalies detected

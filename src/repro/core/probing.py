@@ -18,18 +18,21 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import (
-    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
+    TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple,
 )
 
 import numpy as np
 
 from repro.bus.core import Topic
+from repro.chaos.faults import REPORT_LATE, REPORT_LOST, REPORT_OK
 from repro.core.pinglist import PingList, ProbePair
-from repro.core.resilience import BreakerState, CircuitBreaker, RetryPolicy
+from repro.core.resilience import (
+    MAX_RETRIES, RETRY_TIMEOUT_S, CircuitBreaker, backoff_s,
+)
+from repro.network.draws import BACKOFF_COLUMN
 from repro.network.fabric import DataPlaneFabric
-from repro.network.packet import ProbeBatch, ProbeResult
+from repro.network.packet import ProbeBatch
 
 if TYPE_CHECKING:  # agent.py imports this module
     from repro.core.agent import OverlayAgent
@@ -112,21 +115,13 @@ def coarse_pairs(pairs: Sequence[ProbePair]) -> List[ProbePair]:
 class ResilientProber:
     """Monitor-plane hardening around a probe round.
 
-    Wraps the fabric's batched round with the three defenses of
-    ``docs/ROBUSTNESS.md``:
-
-    * **report fate** — each probe's *report* may be lost or late
-      (:meth:`MonitorFaultInjector.probe_report`); a probe the network
-      genuinely dropped is NOT retried, so real unconnectivity is never
-      masked;
-    * **bounded retry** — lost/late reports are retried up to
-      ``retry.max_retries`` times at ``now + timeout + backoff`` with
-      keyed jitter, keeping per-pair timestamps monotone and runs
-      reproducible;
-    * **circuit breaker** — rounds that still lose reports after
-      retries count as failures; consecutive failures trip the breaker
-      and the agent falls back to :func:`coarse_pairs` until half-open
-      recovery.
+    One agent's side of the defenses of ``docs/ROBUSTNESS.md``, which
+    :func:`send_round` applies to a round's rows as columns: a *report*
+    lost or late by the monitor (never a probe the network dropped) is
+    retried with keyed backoff while the retry lands before the pair's
+    next round; a round that still loses reports is a failure, and
+    consecutive failures trip the breaker, which falls the agent back
+    to :func:`coarse_pairs` until half-open recovery.
     """
 
     def __init__(
@@ -137,7 +132,6 @@ class ResilientProber:
         bus=None,
     ) -> None:
         self.chaos = chaos
-        self.retry = RetryPolicy(seed=chaos.seed)
         self.breaker = breaker
         self.recorder = recorder
         # Telemetry bus: degraded rounds (lost/late reports, retries)
@@ -149,57 +143,14 @@ class ResilientProber:
         self.reports_late = 0
         self.monitor_failures = 0
 
-    def plan_round(
-        self, pairs: Sequence[ProbePair], now: float
-    ) -> List[ProbePair]:
-        """The pairs to probe this round, given the breaker state.
-
-        ``CLOSED`` probes everything; ``OPEN`` probes the coarse subset;
-        ``HALF_OPEN`` probes everything as the trial round (success
-        closes the breaker, failure re-opens it).
-        """
-        if self.breaker is not None and (
-            self.breaker.peek(now) is BreakerState.OPEN
-        ):
-            return coarse_pairs(pairs)
-        return list(pairs)
-
-    def report_fate(
-        self, pair: ProbePair, now: float
-    ) -> Tuple[List[float], bool]:
-        """One probe's report fate, retries included: the send times of
-        the retries it takes, and whether a report arrived at last.  A
-        fate is a keyed draw over the probe and its attempt, never a
-        function of the probe's result, so it is known before any retry
-        is sent."""
-        at = now
-        retries: List[float] = []
-        while True:
-            fate = self.chaos.probe_report(
-                pair.src, pair.dst, at, len(retries)
-            )
-            if fate == "ok":
-                if retries:
-                    self.retry_successes += 1
-                    self._count("probe.retry_success")
-                return retries, True
-            if fate == "late":
-                self.reports_late += 1
-                self._count("probe.reports_late")
-            else:
-                self.reports_lost += 1
-                self._count("probe.reports_lost")
-            if len(retries) >= self.retry.max_retries:
-                self.monitor_failures += 1
-                self._count("probe.monitor_failures")
-                return retries, False
-            self.retries += 1
-            self._count("probe.retries")
-            delay = self.retry.backoff_s(
-                len(retries) + 1, key=f"{pair.src}->{pair.dst}@{now!r}"
-            )
-            at = at + self.retry.timeout_s + delay
-            retries.append(at)
+    def tally(self, counts: Sequence[int]) -> None:
+        """Add one round's report counts, in :data:`_TALLIES` order, to
+        this prober's counters and the recorder's ``probe.<name>``."""
+        for name, amount in zip(_TALLIES, counts):
+            if amount:
+                setattr(self, name, getattr(self, name) + int(amount))
+                if self.recorder is not None:
+                    self.recorder.count(f"probe.{name}", float(amount))
 
     def settle(
         self, now: float, delivered: int, failed: int, retried: int,
@@ -219,9 +170,11 @@ class ResilientProber:
                 failed=failed, retries=retried,
             )
 
-    def _count(self, name: str) -> None:
-        if self.recorder is not None:
-            self.recorder.count(name)
+
+#: A prober's report counters.
+_TALLIES = ("reports_lost", "reports_late", "retries", "retry_successes",
+            "monitor_failures")
+_LOST, _LATE, _RETRIES, _SUCCESSES, _FAILURES = range(len(_TALLIES))
 
 
 def send_round(
@@ -229,58 +182,72 @@ def send_round(
     shares: Sequence[Optional[Sequence[ProbePair]]],
     probers: Sequence[Optional[ResilientProber]],
     now: float,
+    next_round: float,
 ) -> Tuple[ProbeBatch, List[Tuple[int, int]]]:
     """Send every share's pairs (``None``: none) as one fabric batch and
     deliver their reports: the delivered rows in share order, and each
     share's ``(failed, retried)`` report counts.
 
-    A share with a prober resolves its report fates on its slice
-    (:meth:`ResilientProber.report_fate`); the retries then go out as
-    one batch per attempt over the rows still retrying, each at its own
-    send time, and a row whose report arrived on a retry is that
-    retry's result.  Probe draws are keyed by the probe, so no row
-    depends on what else a batch held.
+    The rows of the shares with a prober (all with one monitor-fault
+    injector) draw their report fates as one keyed column per attempt
+    (:meth:`MonitorFaultInjector.report_fates`); the missing ones are
+    retried as one batch per attempt, each at its send time + timeout +
+    keyed backoff if that lands before ``next_round`` (else a monitor
+    failure).  The delivered rows are selected from the first batch and
+    the retry waves, each the send its report arrived with.  Draws are
+    keyed by the probe, so no row depends on what else a batch held.
     """
     pairs = [pair for share in shares if share for pair in share]
     batch = fabric.send_probe_batch(pairs, now)
-    counts = [(0, 0)] * len(shares)
     hardened = [i for i, prober in enumerate(probers) if prober is not None]
     if not hardened:
-        return batch, counts
-    starts = list(accumulate(
-        (len(share or ()) for share in shares), initial=0
-    ))
+        return batch, [(0, 0)] * len(shares)
+    chaos = probers[hardened[0]].chaos
+    owner = np.repeat(
+        np.arange(len(shares)), [len(share or ()) for share in shares]
+    )
+    tally = np.zeros((len(_TALLIES), len(shares)), dtype=np.int64)
+
+    def count(kind: int, rows: np.ndarray) -> None:
+        tally[kind] += np.bincount(owner[rows], minlength=len(shares))
+
+    rows = np.flatnonzero(np.isin(owner, hardened))
+    wave = ProbeBatch.take([batch], rows)
+    waves = [batch]
+    # Each row's answer, as a row of the waves laid end to end.
+    answer = np.arange(len(pairs))
     arrived = np.ones(len(pairs), dtype=bool)
-    retrying: List[Tuple[int, List[float]]] = []
+    for attempt in range(MAX_RETRIES + 1):
+        fates = chaos.report_fates(wave, attempt)
+        count(_LOST, rows[fates == REPORT_LOST])
+        count(_LATE, rows[fates == REPORT_LATE])
+        missed = np.flatnonzero(fates != REPORT_OK)
+        if attempt == MAX_RETRIES or not missed.size:
+            arrived[rows[missed]] = False
+            break
+        sent_at = wave.sent_at[missed]
+        u = chaos.draws.column(
+            wave.keys[missed], sent_at, BACKOFF_COLUMN, attempt + 1
+        )
+        at = sent_at + RETRY_TIMEOUT_S + backoff_s(attempt + 1, u)
+        in_time = at < next_round
+        arrived[rows[missed[~in_time]]] = False
+        rows, at = rows[missed[in_time]], at[in_time]
+        if not rows.size:
+            break
+        wave = fabric.send_probe_batch(
+            list(map(pairs.__getitem__, rows.tolist())), at
+        )
+        count(_RETRIES, rows)
+        answer[rows] = sum(map(len, waves)) + np.arange(rows.size)
+        waves.append(wave)
+    count(_SUCCESSES, np.flatnonzero(arrived & (answer >= len(pairs))))
+    count(_FAILURES, np.flatnonzero(~arrived))
     for i in hardened:
-        fates = [
-            probers[i].report_fate(pair, now) for pair in shares[i] or ()
-        ]
-        counts[i] = (
-            sum(not ok for _, ok in fates), sum(len(t) for t, _ in fates)
-        )
-        for row, (times, ok) in enumerate(fates, starts[i]):
-            arrived[row] = ok
-            if times:
-                retrying.append((row, times))
-    # Wave k sends every row's (k + 1)-th retry at its send time, which
-    # already carries the keyed backoff.
-    answered: Dict[int, ProbeResult] = {}
-    for k in range(max((len(t) for _, t in retrying), default=0)):
-        wave = [(row, t) for row, t in retrying if len(t) > k]
-        sent = fabric.send_probe_batch(
-            [pairs[row] for row, _ in wave],
-            np.array([t[k] for _, t in wave]),
-        )
-        answered.update(
-            (row, result) for result, (row, t) in zip(sent, wave)
-            if len(t) == k + 1
-        )
-    if answered or not arrived.all():
-        batch = ProbeBatch.of(
-            answered.get(row) or batch[row]
-            for row in np.flatnonzero(arrived).tolist()
-        )
+        probers[i].tally(tally[:, i])
+    counts = list(zip(tally[_FAILURES].tolist(), tally[_RETRIES].tolist()))
+    if len(waves) > 1 or not arrived.all():
+        batch = ProbeBatch.take(waves, answer[arrived])
     return batch, counts
 
 
@@ -288,11 +255,13 @@ def run_probe_round(
     agents: Sequence["OverlayAgent"],
     fabric: DataPlaneFabric,
     now: float,
+    next_round: float,
     on_batch: Callable[[ProbeBatch], None],
 ) -> None:
-    """One probing round of ``agents``: one fabric batch whatever its
-    agents (:func:`send_round`), plus one per retry attempt when a
-    hardened agent's reports go missing.
+    """One probing round of ``agents`` at ``now``, the next at
+    ``next_round``: one fabric batch whatever its agents
+    (:func:`send_round`), plus one per retry attempt when a hardened
+    agent's reports go missing.
 
     Each agent plans its share (a hardened agent may skip the round or
     probe coarsely), then — in agent order, the order a bus recording
@@ -301,7 +270,8 @@ def run_probe_round(
     """
     shares = [agent.plan_round(now) for agent in agents]
     batch, counts = send_round(
-        fabric, shares, [agent.prober for agent in agents], now
+        fabric, shares, [agent.prober for agent in agents], now,
+        next_round,
     )
     start = 0
     for agent, share, (failed, retried) in zip(agents, shares, counts):

@@ -13,10 +13,11 @@ Two rules keep the hardening honest:
   *report* was lost by the monitoring plane is retried; a probe the
   network genuinely dropped is not — retrying it would hide the very
   unconnectivity the detectors exist to find.
-* **All jitter is keyed.**  Backoff jitter comes from
-  :func:`repro.network.draws.keyed_uniform`, a pure function of
-  ``(seed, key, attempt)`` — so retry timing is reproducible in any
-  process and the sharded plane's bit-equivalence gate keeps holding.
+* **All jitter is keyed.**  :func:`backoff_s` takes its uniform from
+  the caller, drawn from what is retried (a probe's keyed block, a
+  flow-table dump's :func:`repro.network.draws.keyed_uniform`) — so
+  retry timing is reproducible in any process and the sharded plane's
+  bit-equivalence gate keeps holding.
 
 The :class:`CircuitBreaker` follows the classic three-state machine:
 
@@ -24,8 +25,8 @@ The :class:`CircuitBreaker` follows the classic three-state machine:
     normal operation; consecutive failures are counted.
 ``OPEN``
     tripped after ``failure_threshold`` consecutive failures; the agent
-    falls back to coarse ping-list coverage until ``open_duration_s``
-    of simulated time has passed.
+    falls back to coarse ping-list coverage until
+    :data:`BREAKER_OPEN_S` of simulated time has passed.
 ``HALF_OPEN``
     after the open window, one trial round is allowed through; success
     closes the breaker (recovery), failure re-opens it.
@@ -34,64 +35,50 @@ The :class:`CircuitBreaker` follows the classic three-state machine:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
-from repro.network.draws import keyed_uniform
+import numpy as np
 
 __all__ = [
+    "BACKOFF_BASE_S",
+    "BACKOFF_FACTOR",
+    "BACKOFF_JITTER",
+    "BACKOFF_MAX_S",
+    "BREAKER_OPEN_S",
     "BreakerState",
     "CircuitBreaker",
-    "RetryPolicy",
+    "MAX_RETRIES",
+    "RETRY_TIMEOUT_S",
+    "backoff_s",
 ]
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry with deterministic exponential backoff.
+#: Simulated seconds before an outstanding probe reply counts as a
+#: monitor-plane timeout (a *late* reply, retried like a lost one).
+RETRY_TIMEOUT_S = 0.5
+#: Retries after the initial attempt.
+MAX_RETRIES = 2
+BACKOFF_BASE_S = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX_S = 0.4
+#: Fraction of the deterministic delay replaced by keyed jitter.
+BACKOFF_JITTER = 0.5
+#: Simulated seconds a tripped breaker stays open.
+BREAKER_OPEN_S = 10.0
 
-    Delays are small relative to the 2 s probe interval so a retried
-    probe's timestamp (``now + delay``) still lands before the next
-    round — per-pair time series stay monotone.
-    """
 
-    #: Simulated seconds before an outstanding probe reply counts as a
-    #: monitor-plane timeout (a *late* reply, retried like a lost one).
-    timeout_s: float = 0.5
-    #: Retries after the initial attempt; 0 disables retrying.
-    max_retries: int = 2
-    backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 0.4
-    #: Fraction of the deterministic delay replaced by keyed jitter.
-    jitter: float = 0.5
-    #: Seed for the keyed jitter draws (usually the scenario seed).
-    seed: int = 0
-
-    def backoff_s(self, attempt: int, key: str) -> float:
-        """Delay before retry ``attempt`` (1-based) of ``key``.
-
-        ``key`` must identify the probe uniquely (pair + time), so the
-        jitter is a pure function of the probe, never of call order.
-        """
-        if attempt < 1:
-            raise ValueError(f"attempts are 1-based, got {attempt}")
-        base = self.backoff_base_s * self.backoff_factor ** (attempt - 1)
-        base = min(base, self.backoff_max_s)
-        if self.jitter <= 0.0:
-            return base
-        u = keyed_uniform(self.seed, f"backoff:{key}", salt=attempt)
-        return base * (1.0 - self.jitter + self.jitter * u)
-
-    def total_delay_bound_s(self) -> float:
-        """Upper bound on cumulative retry delay (for schedule checks)."""
-        return sum(
-            min(
-                self.backoff_base_s * self.backoff_factor ** (a - 1),
-                self.backoff_max_s,
-            )
-            for a in range(1, self.max_retries + 1)
-        ) + self.timeout_s * (self.max_retries + 1)
+def backoff_s(
+    attempt: int, u: Union[float, np.ndarray]
+) -> Union[float, np.ndarray]:
+    """Delay before retry ``attempt`` (1-based): exponential, capped,
+    with :data:`BACKOFF_JITTER` of it replaced by the keyed uniform
+    ``u`` — a scalar, or a column of one per row.  The caller draws
+    ``u`` from the probe (or dump) it retries, so the delay is a pure
+    function of it, never of call order."""
+    if attempt < 1:
+        raise ValueError(f"attempts are 1-based, got {attempt}")
+    base = min(BACKOFF_BASE_S * BACKOFF_FACTOR ** (attempt - 1), BACKOFF_MAX_S)
+    return base * (1.0 - BACKOFF_JITTER + BACKOFF_JITTER * u)
 
 
 class BreakerState(enum.Enum):
@@ -111,14 +98,12 @@ class CircuitBreaker:
     def __init__(
         self,
         failure_threshold: int = 3,
-        open_duration_s: float = 10.0,
         recorder=None,
         listener=None,
     ) -> None:
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
         self.failure_threshold = int(failure_threshold)
-        self.open_duration_s = float(open_duration_s)
         self._recorder = recorder
         # Called as ``listener(now, old_state, new_state, breaker)`` on
         # every transition (state values, not enum members).  The
@@ -138,7 +123,7 @@ class CircuitBreaker:
         if (
             self._state is BreakerState.OPEN
             and self._opened_at is not None
-            and now - self._opened_at >= self.open_duration_s
+            and now - self._opened_at >= BREAKER_OPEN_S
         ):
             return BreakerState.HALF_OPEN
         return self._state

@@ -19,12 +19,13 @@ degrade the data plane, so the localizer only reaches for it last.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from repro.cluster.flowtable import FlowInconsistency, diff_tables
 from repro.cluster.identifiers import RnicId
 from repro.cluster.orchestrator import Cluster
-from repro.core.resilience import RetryPolicy
+from repro.core.resilience import MAX_RETRIES, backoff_s
+from repro.network.draws import keyed_uniform
 
 __all__ = ["RnicFinding", "RnicValidator"]
 
@@ -90,20 +91,12 @@ class RnicValidator:
         self,
         cluster: Cluster,
         chaos=None,
-        retry: Optional[RetryPolicy] = None,
         recorder=None,
     ) -> None:
         self._cluster = cluster
         self.chaos = chaos
-        self.retry = (
-            retry
-            if retry is not None
-            else RetryPolicy(seed=chaos.seed if chaos is not None else 0)
-        )
         self._recorder = recorder
         self.dumps_performed = 0
-        self.read_errors = 0
-        self.read_retries = 0
 
     def validate(self, rnic: RnicId, at: float = 0.0) -> RnicFinding:
         """Diff one RNIC's hardware cache against its host's OVS table."""
@@ -127,19 +120,19 @@ class RnicValidator:
 
     def _read_succeeds(self, rnic: RnicId, at: float) -> bool:
         """Attempt the dump with bounded keyed-backoff retries."""
-        key = f"flowread:{rnic}@{at!r}"
+        key = f"backoff:flowread:{rnic}@{at!r}"
         attempt = 0
         while self.chaos.flow_table_read_fails(rnic, at, attempt):
-            if attempt >= self.retry.max_retries:
-                self.read_errors += 1
+            if attempt >= MAX_RETRIES:
                 if self._recorder is not None:
                     self._recorder.count("validation.read_errors")
                 return False
             attempt += 1
-            self.read_retries += 1
             if self._recorder is not None:
                 self._recorder.count("validation.read_retries")
-            at = at + self.retry.backoff_s(attempt, key=key)
+            at = at + backoff_s(
+                attempt, keyed_uniform(self.chaos.seed, key, salt=attempt)
+            )
         return True
 
     def validate_many(

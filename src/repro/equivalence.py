@@ -49,7 +49,7 @@ __all__ = [
     "compare",
     "contract",
     "divergences",
-    "regenerate",
+    "rebaseline",
     "verify_equivalence",
 ]
 
@@ -200,7 +200,8 @@ RECORDS = "tests/golden/record_fixtures.json"
 class Check(NamedTuple):
     """One row: ``measure(scratch directory)`` must equal the value at
     ``keys`` in the JSON ``golden`` — or, with no ``keys``, the
-    :func:`_report` of the golden, a report its own CLI verb writes."""
+    :func:`_report` of the golden, the report its CLI verb ``name``
+    writes, which ``measure`` writes to ``<scratch>/<name>.json``."""
 
     name: str
     measure: Callable[[str], Dict[str, Any]]
@@ -351,10 +352,10 @@ def _differences(want: Any, got: Any, where: str = "") -> List[str]:
                                      f"{where}{key}: ")]
 
 
-def _run(check: Check, scratch: str) -> Tuple[str, str, str, str]:
-    """One row's expected and got cells, seconds and problem.  An
-    unreadable golden or a raising measurement fails the row, never the
-    rows after it."""
+def _run(check: Check, scratch: str) -> Tuple[Any, Any, str, str]:
+    """One row's expected and got values (``None``: unreadable, or
+    raised), seconds and problem.  An unreadable golden or a raising
+    measurement fails the row, never the rows after it."""
     want = got = None
     problems = []
     try:
@@ -369,7 +370,7 @@ def _run(check: Check, scratch: str) -> Tuple[str, str, str, str]:
     seconds = f"{time.perf_counter() - start:.2f}"
     if not problems and want != got:
         problems = _differences(want, got)
-    return _cell(want), _cell(got), seconds, "\n".join(problems)
+    return want, got, seconds, "\n".join(problems)
 
 
 def contract() -> int:
@@ -379,7 +380,8 @@ def contract() -> int:
     with tempfile.TemporaryDirectory() as scratch:
         rows = [(check, *_run(check, scratch)) for check in CHECKS]
     table = [("check", "expected", "got", "seconds", "ok")] + [
-        (check.name, want, got, seconds, "FAILED" if problem else "ok")
+        (check.name, _cell(want), _cell(got), seconds,
+         "FAILED" if problem else "ok")
         for check, want, got, seconds, problem in rows]
     widths = [max(len(line[i]) for line in table) for i in range(4)]
     for *cells, ok in table:
@@ -387,31 +389,50 @@ def contract() -> int:
         print("  ".join([c.ljust(w) for c, w in zip(cells, widths)] + [ok]))
     failed = [(check, problem) for check, *_, problem in rows if problem]
     for check, problem in failed:
-        command = (f"repro.equivalence {check.golden}" if check.keys
-                   else f"repro {check.name}")
         print(f"\n{check.name} FAILED: {problem}\n  regenerate "
-              f"{check.golden}: PYTHONPATH=src python -m {command}",
-              file=sys.stderr)
+              f"{check.golden}: {REBASELINE}", file=sys.stderr)
     print(f"\ncontract: {len(rows) - len(failed)} of {len(rows)} rows ok")
     return 1 if failed else 0
 
 
-def regenerate(golden: str) -> None:
-    """Rewrite the JSON golden ``golden`` from a fresh run of the rows
-    that read it; a measurement that raises leaves it untouched."""
-    document: Dict[str, Any] = {}
+#: The one command that rewrites every golden the contract reads.
+REBASELINE = "PYTHONPATH=src python -m repro.equivalence"
+
+
+def rebaseline() -> int:
+    """Rewrite every golden :data:`CHECKS` reads from one fresh run —
+    the JSON goldens row by row, each report as its verb wrote it — and
+    print every key path that moved; returns how many moved.  A row
+    that raises, or a report that breaks its bounds, leaves every
+    golden untouched."""
+    documents: Dict[str, Dict[str, Any]] = {}
+    reports: Dict[str, bytes] = {}
+    moved: List[str] = []
     with tempfile.TemporaryDirectory() as scratch:
         for check in CHECKS:
-            if check.golden == golden and check.keys:
-                *path, last = check.keys
-                node = reduce(lambda d, k: d.setdefault(k, {}), path, document)
-                node[last] = check.measure(scratch)
-    if not document:
-        raise SystemExit(f"no contract row reads {golden!r} as JSON")
-    (ROOT / golden).write_text(json.dumps(document, indent=2) + "\n")
+            _, got, _, problem = _run(check, scratch)
+            if got is None or not check.keys and got["violations"]:
+                raise SystemExit(f"{check.name} not rebaselined: " + (
+                    problem if got is None else f"{got['violations']}"))
+            where = "".join(f"{key}: " for key in (check.golden, *check.keys))
+            moved += [where + line for line in problem.splitlines()]
+            if not check.keys:
+                reports[check.golden] = Path(
+                    scratch, f"{check.name}.json").read_bytes()
+                continue
+            *path, last = check.keys
+            reduce(lambda d, k: d.setdefault(k, {}), path,
+                   documents.setdefault(check.golden, {}))[last] = got
+    for golden, document in documents.items():
+        (ROOT / golden).write_text(json.dumps(document, indent=2) + "\n")
+    for golden, data in reports.items():
+        (ROOT / golden).write_bytes(data)
+    print("\n".join(moved + [f"rebaselined {len(documents) + len(reports)}"
+                             f" goldens: {len(moved)} key paths moved"]))
+    return len(moved)
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit("usage: python -m repro.equivalence GOLDEN")
-    regenerate(sys.argv[1])
+    if len(sys.argv) != 1:
+        sys.exit(f"usage: {REBASELINE}  (rewrites every golden)")
+    rebaseline()

@@ -324,7 +324,8 @@ class FleetController:
         if not selected:
             return 0
         results, [(failed, retried)] = send_round(
-            self.replica.fabric, [selected], [runtime.prober], at
+            self.replica.fabric, [selected], [runtime.prober], at,
+            self.spec.round_time(round_index + 1),
         )
         if runtime.prober is not None:
             runtime.prober.settle(at, len(results), failed, retried)

@@ -2,17 +2,19 @@
 
 In the paper every sidecar agent probes its own targets on its own
 schedule, so a probe's outcome must not depend on how many probes some
-other agent sent first.  :class:`PairwiseDrawSource` is the fabric's
-only source of probe uniforms: the block of one probe is a pure
-function of ``(seed, src, dst, send time, draw index)``, computed
-with a splitmix64-style hash (vectorized over the batch).  Probe
-outcomes therefore depend only on the probe itself, never on batch
+other agent sent first.  :class:`PairwiseDrawSource` is the only source
+of per-probe uniforms: the block of one probe is a pure function of
+``(seed, src, dst, send time, draw index)``, computed with a
+splitmix64-style hash (vectorized over the batch).  The fabric reads
+columns 0–5; the monitor plane reads a report's fate and its retry's
+jitter (:meth:`PairwiseDrawSource.column`).  Probe outcomes and report
+fates therefore depend only on the probe itself, never on batch
 composition, agent order, shard assignment, or execution order — the
 invariant every equivalence gate rests on (see ``docs/SCALING.md``).
 
 :func:`keyed_uniform` / :func:`keyed_uniforms` are the scalar and
-string-keyed siblings the monitor plane uses (report fates, backoff
-jitter, telemetry loss, fleet churn).
+string-keyed siblings for draws that are not per probe (telemetry loss,
+flow-table read errors, fleet churn).
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from repro.cluster.identifiers import EndpointId
 from repro.sim.rng import _stable_hash
 
 __all__ = [
+    "BACKOFF_COLUMN",
+    "FATE_COLUMN",
     "PairwiseDrawSource",
     "endpoint_text",
     "keyed_uniform",
@@ -41,6 +45,8 @@ _MIX2 = _U64(0x94D049BB133111EB)
 _TO_UNIT = float(2.0 ** -53)
 #: (c + 1) * golden for block column c (uint64 wraparound).
 _COLUMNS = np.arange(1, 9, dtype=_U64) * _GOLDEN
+#: The monitor plane's block columns, past the fabric's six.
+FATE_COLUMN, BACKOFF_COLUMN = 6, 7
 
 
 @lru_cache(maxsize=1 << 16)
@@ -83,36 +89,26 @@ def _finish64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def keyed_uniform(seed: int, key: str, salt: int = 0) -> float:
-    """One uniform in [0, 1) as a pure function of ``(seed, key, salt)``.
-
-    The scalar sibling of :meth:`PairwiseDrawSource.uniforms`: the same
-    inputs return the same draw in any process, at any call order.  The
-    chaos injector and the retry/backoff jitter use it so that monitor-
-    plane decisions never depend on execution order — the same property
-    the probing plane gets from :class:`PairwiseDrawSource`.
-    """
-    state = _stable_hash(f"keyed:{seed}:{key}") ^ _scalar_mix64(
-        salt & _MASK64
-    )
-    return (_scalar_mix64(state) >> 11) * _TO_UNIT
-
-
 def keyed_uniforms(
     seed: int, key: str, count: int, salt: int = 0
 ) -> np.ndarray:
-    """``count`` keyed uniforms, vectorized (see :func:`keyed_uniform`).
-
-    Draw *i* equals ``keyed_uniform(seed, key, salt + i)`` in spirit but
-    is computed in one numpy pass; the block is a pure function of the
-    arguments, independent of batch size elsewhere.
-    """
+    """``count`` uniforms in [0, 1) as a pure function of ``(seed, key,
+    salt)``, in one numpy pass: the same inputs return the same draws in
+    any process, at any call order."""
     base = _U64(
         _stable_hash(f"keyed:{seed}:{key}") ^ _scalar_mix64(salt & _MASK64)
     )
     offsets = (np.arange(count, dtype=np.uint64) * _GOLDEN).astype(_U64)
     bits = _mix64(base + offsets)
     return (bits >> _U64(11)).astype(np.float64) * _TO_UNIT
+
+
+def keyed_uniform(seed: int, key: str, salt: int = 0) -> float:
+    """Draw 0 of :func:`keyed_uniforms`, in scalar arithmetic."""
+    state = _stable_hash(f"keyed:{seed}:{key}") ^ _scalar_mix64(
+        salt & _MASK64
+    )
+    return (_scalar_mix64(state) >> 11) * _TO_UNIT
 
 
 class PairwiseDrawSource:
@@ -183,3 +179,15 @@ class PairwiseDrawSource:
         uniforms = bits.astype(np.float64)
         uniforms *= _TO_UNIT
         return uniforms.T
+
+    def column(
+        self, keys: np.ndarray, at, column: int, *salt: int
+    ) -> np.ndarray:
+        """Block column ``column`` of :meth:`uniforms`, with the integers
+        ``salt`` (an attempt, a fault id) folded into every key in
+        order: one uniform per row, its own in any batch, and a fresh
+        one for every salt."""
+        folded = 0
+        for value in salt:
+            folded = _scalar_mix64(folded ^ (value & _MASK64))
+        return self.uniforms(keys ^ _U64(folded), at, (column,))[:, 0]

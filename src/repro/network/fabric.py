@@ -624,7 +624,7 @@ class DataPlaneFabric:
             pairs = list(pairs)
         n = len(pairs)
         if n == 0:
-            return ProbeBatch.of(())
+            return ProbeBatch([], np.empty(0), np.empty(0, bool), np.empty(0))
         sent_at = np.empty(n, dtype=np.float64)
         sent_at[:] = at
         vec = self.resolution_cache.resolve_all(pairs)
@@ -705,7 +705,7 @@ class DataPlaneFabric:
             self.metrics.increment("probes.software_path", soft_count)
         return ProbeBatch(
             vec.pairs, sent_at, lost, latency_us, software,
-            vec.resolutions, route, reasons,
+            vec.resolutions, route, reasons, vec.keys,
         )
 
     # ------------------------------------------------------------------

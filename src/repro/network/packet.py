@@ -18,7 +18,8 @@ from __future__ import annotations
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from itertools import chain
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -97,19 +98,22 @@ class ProbeBatch(SequenceABC):
     ``software_path`` (bool, False where lost).  A batch the fabric
     produced also carries, per row, the resolution the probe was
     answered from, the index of the route it took among the
-    resolution's ``routes`` (-1 when it never reached the underlay) and
-    the reason it was lost; a batch decoded from a recording carries
-    only what the analyzer reads.
+    resolution's ``routes`` (-1 when it never reached the underlay),
+    the reason it was lost and the pair's draw key
+    (:meth:`~repro.network.draws.PairwiseDrawSource.keys_of`, which
+    keys the monitor plane's draws over the batch); a batch decoded
+    from a recording carries only what the analyzer reads.
 
     It is a ``Sequence[ProbeResult]``: ``len``, iteration, indexing and
     ``==`` against any sequence of results behave as the list of
     :class:`ProbeResult` would, each row built on demand; a slice is a
-    batch over views of the same columns.
+    batch over views of the same columns, and :meth:`take` selects rows
+    of several batches.
     """
 
     __slots__ = (
         "pairs", "sent_at", "lost", "latency_us", "software_path",
-        "resolutions", "route", "reasons", "_results",
+        "resolutions", "route", "reasons", "keys",
     )
 
     def __init__(
@@ -122,6 +126,7 @@ class ProbeBatch(SequenceABC):
         resolutions: Optional[Sequence[object]] = None,
         route: Optional[np.ndarray] = None,
         reasons: Optional[Sequence[str]] = None,
+        keys: Optional[np.ndarray] = None,
     ) -> None:
         self.pairs = pairs
         self.sent_at = sent_at
@@ -131,25 +136,7 @@ class ProbeBatch(SequenceABC):
         self.resolutions = resolutions
         self.route = route
         self.reasons = reasons
-        #: The rows themselves, when the batch was assembled from them.
-        self._results: Optional[List[ProbeResult]] = None
-
-    @classmethod
-    def of(cls, results: Iterable[ProbeResult]) -> "ProbeBatch":
-        """The batch whose rows are the given, already built, results
-        (a hardened round's delivered reports; one probe fed alone)."""
-        rows = list(results)
-        batch = cls(
-            pairs=[(r.src, r.dst) for r in rows],
-            sent_at=np.array([r.sent_at for r in rows], dtype=np.float64),
-            lost=np.array([r.lost for r in rows], dtype=bool),
-            latency_us=np.array(
-                [np.nan if r.lost else r.latency_us for r in rows],
-                dtype=np.float64,
-            ),
-        )
-        batch._results = rows
-        return batch
+        self.keys = keys
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -157,10 +144,11 @@ class ProbeBatch(SequenceABC):
     def __getitem__(
         self, index: Union[int, slice]
     ) -> Union[ProbeResult, "ProbeBatch"]:
-        if isinstance(index, slice):
-            return self._slice(index)
-        if self._results is not None:
-            return self._results[index]
+        if isinstance(index, slice):  # views of the same columns
+            return ProbeBatch(*(
+                None if column is None else column[index]
+                for column in map(self.__getattribute__, self.__slots__)
+            ))
         index = range(len(self.pairs))[index]  # negative / out of range
         src, dst = endpoints_of(self.pairs[index])
         lost = bool(self.lost[index])
@@ -182,17 +170,27 @@ class ProbeBatch(SequenceABC):
             **how,
         )
 
-    def _slice(self, index: slice) -> "ProbeBatch":
-        def cut(column):
-            return None if column is None else column[index]
+    @staticmethod
+    def take(
+        batches: Sequence["ProbeBatch"], rows: np.ndarray
+    ) -> "ProbeBatch":
+        """The batch whose row *i* is row ``rows[i]`` of ``batches`` laid
+        end to end: every column selected, none rebuilt row by row (a
+        column some batch lacks is left out)."""
+        rows = np.asarray(rows, dtype=np.intp)
 
-        batch = ProbeBatch(
-            self.pairs[index], self.sent_at[index], self.lost[index],
-            self.latency_us[index], cut(self.software_path),
-            cut(self.resolutions), cut(self.route), cut(self.reasons),
-        )
-        batch._results = cut(self._results)
-        return batch
+        def pick(name):
+            columns = [getattr(batch, name) for batch in batches]
+            if any(column is None for column in columns):
+                return None
+            if name not in ("pairs", "resolutions", "reasons"):  # arrays
+                return np.concatenate(columns)[rows]
+            joined = list(chain.from_iterable(columns))
+            return list(map(joined.__getitem__, rows.tolist()))
+
+        return ProbeBatch(**{
+            name: pick(name) for name in ProbeBatch.__slots__
+        })
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SequenceABC) or isinstance(other, str):

@@ -41,9 +41,9 @@ verification exists to surface.  This linter walks the AST of
     names an ``attempt``/``retry`` counter) must space its attempts:
     somewhere in the body a call whose name mentions ``backoff``,
     ``sleep``, ``delay``, or ``wait`` must appear (e.g.
-    ``RetryPolicy.backoff_s``).  A bare retry loop hammers the failing
-    dependency and, in sim code, collapses every attempt onto one
-    timestamp.
+    ``repro.core.resilience.backoff_s``).  A bare retry loop hammers
+    the failing dependency and, in sim code, collapses every attempt
+    onto one timestamp.
 
 ``telemetry-write``
     Telemetry must flow through the bus recorder, not ad-hoc files: a
@@ -471,7 +471,7 @@ class _Visitor(ast.NodeVisitor):
             node, _RETRY_NO_BACKOFF,
             "retry loop without backoff hammers the failing "
             "dependency; space attempts with a backoff/sleep/delay "
-            "call (e.g. RetryPolicy.backoff_s)",
+            "call (e.g. resilience.backoff_s)",
         )
 
     # -- worker determinism (post-pass) --------------------------------

@@ -3,22 +3,43 @@
 import numpy as np
 
 from repro.chaos.faults import (
+    REPORT_LATE,
+    REPORT_LOST,
+    REPORT_OK,
     MonitorFault,
     MonitorFaultInjector,
     MonitorIssue,
 )
 from repro.cluster.identifiers import ContainerId, EndpointId, TaskId
+from repro.network.draws import PairwiseDrawSource
+from repro.network.packet import ProbeBatch
+
+FATE_NAMES = {REPORT_OK: "ok", REPORT_LOST: "lost", REPORT_LATE: "late"}
 
 
 def endpoint(container_index, gpu=0):
     return EndpointId(ContainerId(TaskId(0), container_index), gpu)
 
 
-def report_fates(injector, n=200, at=50.0, attempt=0):
-    src, dst = endpoint(0), endpoint(1)
+def fates_of(injector, src, dst, times, attempt=0):
+    """The report fates of ``src -> dst`` probes sent at ``times``, drawn
+    as one column over a batch keyed the way the fabric keys it."""
+    times = np.asarray(times, dtype=np.float64)
+    pairs = [(src, dst)] * times.size
+    batch = ProbeBatch(
+        pairs, times, np.zeros(times.size, dtype=bool),
+        np.zeros(times.size), keys=PairwiseDrawSource(0).keys_of(pairs),
+    )
     return [
-        injector.probe_report(src, dst, at + i, attempt) for i in range(n)
+        FATE_NAMES[fate]
+        for fate in injector.report_fates(batch, attempt).tolist()
     ]
+
+
+def report_fates(injector, n=200, at=50.0, attempt=0):
+    return fates_of(
+        injector, endpoint(0), endpoint(1), at + np.arange(n), attempt
+    )
 
 
 class TestScheduling:
@@ -179,10 +200,9 @@ class TestProbeReport:
         injector.inject_issue(
             MonitorIssue.PROBE_REPORT_LOSS, start=0.0, rate=0.5
         )
-        src, dst = endpoint(0), endpoint(1)
         fates = {
-            injector.probe_report(src, dst, 10.0, attempt)
-            for attempt in range(8)
+            fate for attempt in range(8)
+            for fate in report_fates(injector, n=1, at=10.0, attempt=attempt)
         }
         assert fates == {"ok", "lost"}  # not stuck on one outcome
 
@@ -193,14 +213,10 @@ class TestProbeReport:
             fault_id=0,
         )
         src, dst = endpoint(0), endpoint(1)
-        forward = [
-            injector.probe_report(src, dst, float(t)) for t in range(50)
-        ]
-        backward = [
-            injector.probe_report(src, dst, float(t))
-            for t in reversed(range(50))
-        ]
-        assert forward == list(reversed(backward))
+        forward = fates_of(injector, src, dst, range(50))
+        backward = fates_of(injector, src, dst, range(49, -1, -1))
+        alone = [fates_of(injector, src, dst, [t])[0] for t in range(50)]
+        assert forward == list(reversed(backward)) == alone
 
 
 class TestAgentState:

@@ -19,6 +19,8 @@ from repro.chaos.gate import (
 )
 from repro.network.issues import GrayIssueType, IssueType
 
+from tests.chaos.test_faults import fates_of
+
 
 class TestStandardChaos:
     def test_composition_and_pinned_fault_ids(self):
@@ -47,11 +49,7 @@ class TestStandardChaos:
         dst = EndpointId(ContainerId(TaskId(0), 1), 0)
 
         def fates():
-            injector = standard_chaos(seed=3)
-            return [
-                injector.probe_report(src, dst, float(t))
-                for t in range(100)
-            ]
+            return fates_of(standard_chaos(seed=3), src, dst, range(100))
 
         assert fates() == fates()
 

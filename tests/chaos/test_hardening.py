@@ -6,7 +6,10 @@ a crashed agent skips rounds (never feeding the detectors) while its
 circuit breaker demonstrably trips and half-open-recovers.
 """
 
+import pytest
+
 from repro.chaos.faults import MonitorFaultInjector, MonitorIssue
+from repro.chaos.gate import standard_chaos
 from repro.core.resilience import BreakerState
 from repro.network.issues import IssueType
 from repro.workloads.scenarios import build_scenario
@@ -91,6 +94,24 @@ class TestReportLossRetry:
         scenario = chaotic_scenario(injector)
         scenario.run_for(160)
         assert scenario.hunter.events == []
+
+    @pytest.mark.parametrize("interval", [1.0, 0.5])
+    def test_no_retry_lands_after_the_next_round(self, interval):
+        """Regression: two retries can land up to 1.15 s after their
+        round, so at a 1 s or 0.5 s probe interval a retried report
+        used to arrive after the next round's probe of its pair, and
+        the analyzer refused the round ("probes must arrive in time
+        order").  A retry that cannot land before the next round is
+        not sent, and its report counts as a monitor failure."""
+        scenario = build_scenario(
+            num_containers=4, gpus_per_container=4, hosts_per_segment=4,
+            seed=0, probe_interval_s=interval, chaos=standard_chaos(0, 0.5),
+        )
+        scenario.run_for(120)
+        probers = [agent.prober for agent in agents(scenario)]
+        assert sum(prober.monitor_failures for prober in probers) > 0
+        if interval == 1.0:  # a first retry still fits in the round
+            assert sum(prober.retry_successes for prober in probers) > 0
 
 
 class TestAgentCrash:

@@ -42,7 +42,7 @@ class TestOverlayAgent:
         mine = set(agent.container.endpoints())
         for pair in agent.my_pairs():
             assert pair.src in mine
-        results = agent.execute_round(fabric, now=0.0)
+        results = agent.execute_round(fabric, now=0.0, next_round=2.0)
         assert len(results) == len(agent.my_pairs())
         assert agent.probes_sent == len(results)
 

@@ -71,12 +71,12 @@ class TestRoundExecutor:
         fabric = DataPlaneFabric(cluster, FaultInjector(cluster), rng)
         ping_list, agents = basic_list_and_agents(running_task)
         seen = []
-        run_probe_round(agents, fabric, 0.0, seen.extend)
+        run_probe_round(agents, fabric, 0.0, 2.0, seen.extend)
         assert seen == []
         assert fabric.probes_sent == 0
         for agent in agents:
             agent.register()
-        run_probe_round(agents, fabric, 1.0, seen.extend)
+        run_probe_round(agents, fabric, 1.0, 3.0, seen.extend)
         assert len(seen) == len(ping_list)
         assert fabric.probes_sent == len(ping_list)
         assert sum(a.probes_sent for a in agents) == len(ping_list)
@@ -88,7 +88,7 @@ class TestRoundExecutor:
         for agent in agents:
             agent.register()
         seen = []
-        run_probe_round(agents, fabric, 0.0, seen.extend)
+        run_probe_round(agents, fabric, 0.0, 2.0, seen.extend)
         probed = [ProbePair(r.src, r.dst) for r in seen]
         assert probed == [
             pair for agent in agents for pair in agent.my_pairs()

@@ -1,65 +1,80 @@
 """Tests for retry/backoff policy and the circuit breaker."""
 
+import numpy as np
 import pytest
 
 from repro.core.resilience import (
+    BACKOFF_JITTER,
+    MAX_RETRIES,
+    RETRY_TIMEOUT_S,
     BreakerState,
     CircuitBreaker,
-    RetryPolicy,
+    backoff_s,
 )
+from repro.network.draws import BACKOFF_COLUMN, PairwiseDrawSource
+
+#: Two probe keys, as the fabric keys its pairs.
+KEYS = np.array([0x1234, 0xABCD], dtype=np.uint64)
+
+
+def jitter_uniform(seed, keys, attempt, at=1.0):
+    return PairwiseDrawSource(seed).column(keys, at, BACKOFF_COLUMN, attempt)
 
 
 class TestRetryPolicy:
     def test_backoff_is_deterministic(self):
-        a = RetryPolicy(seed=5)
-        b = RetryPolicy(seed=5)
         for attempt in (1, 2, 3):
-            assert a.backoff_s(attempt, "p@1.0") == b.backoff_s(
-                attempt, "p@1.0"
-            )
+            a = backoff_s(attempt, jitter_uniform(5, KEYS, attempt))
+            b = backoff_s(attempt, jitter_uniform(5, KEYS, attempt))
+            assert (a == b).all()
 
     def test_backoff_depends_on_key_and_attempt(self):
-        policy = RetryPolicy(seed=0)
-        assert policy.backoff_s(1, "x") != policy.backoff_s(1, "y")
-        assert policy.backoff_s(1, "x") != policy.backoff_s(2, "x")
+        first, second = jitter_uniform(0, KEYS, 1)
+        assert first != second
+        assert (jitter_uniform(0, KEYS, 1) != jitter_uniform(0, KEYS, 2)).all()
 
     def test_backoff_grows_and_caps(self):
-        policy = RetryPolicy(seed=0, jitter=0.0)
-        delays = [policy.backoff_s(a, "k") for a in range(1, 6)]
+        # u = 1 leaves no jitter: the deterministic delay.
+        delays = [backoff_s(a, 1.0) for a in range(1, 6)]
         assert delays[0] == 0.05
         assert delays[1] == 0.10
         assert delays[2] == 0.20
         assert delays[3] == 0.40
-        assert delays[4] == 0.40  # capped at backoff_max_s
+        assert delays[4] == 0.40  # capped at BACKOFF_MAX_S
 
     def test_jitter_stays_inside_the_band(self):
-        policy = RetryPolicy(seed=0, jitter=0.5)
+        keys = np.arange(64, dtype=np.uint64)
         for attempt in (1, 2, 3):
-            base = min(
-                policy.backoff_base_s
-                * policy.backoff_factor ** (attempt - 1),
-                policy.backoff_max_s,
-            )
-            for key in ("a", "b", "c", "d"):
-                delay = policy.backoff_s(attempt, key)
-                assert base * 0.5 <= delay <= base
+            base = backoff_s(attempt, 1.0)
+            delay = backoff_s(attempt, jitter_uniform(0, keys, attempt))
+            assert ((base * (1 - BACKOFF_JITTER) <= delay)
+                    & (delay <= base)).all()
+            assert np.unique(delay).size == keys.size
 
     def test_attempts_are_one_based(self):
         with pytest.raises(ValueError):
-            RetryPolicy().backoff_s(0, "k")
+            backoff_s(0, 0.5)
 
     def test_total_delay_bound_covers_any_actual_schedule(self):
-        policy = RetryPolicy(seed=1)
         worst = sum(
-            policy.timeout_s + policy.backoff_s(a, "k")
-            for a in range(1, policy.max_retries + 1)
-        ) + policy.timeout_s
-        assert policy.total_delay_bound_s() >= worst
+            RETRY_TIMEOUT_S + backoff_s(a, 1.0)
+            for a in range(1, MAX_RETRIES + 1)
+        )
+        actual = sum(
+            RETRY_TIMEOUT_S + backoff_s(a, jitter_uniform(1, KEYS, a))
+            for a in range(1, MAX_RETRIES + 1)
+        )
+        assert worst == pytest.approx(1.15)
+        assert (actual <= worst).all()
 
     def test_bounded_under_probe_interval(self):
-        # A fully retried probe must still land before the next 2 s
-        # round so per-pair series stay monotone.
-        assert RetryPolicy().total_delay_bound_s() < 2.0
+        # At the 2 s probe interval every retry lands before the next
+        # round, so none is dropped for lateness.
+        worst = sum(
+            RETRY_TIMEOUT_S + backoff_s(a, 1.0)
+            for a in range(1, MAX_RETRIES + 1)
+        )
+        assert worst < 2.0
 
 
 class TestCircuitBreaker:
@@ -82,26 +97,20 @@ class TestCircuitBreaker:
         assert breaker.state_at(5.0) is BreakerState.CLOSED
 
     def test_half_open_after_the_open_window(self):
-        breaker = CircuitBreaker(
-            failure_threshold=1, open_duration_s=10.0
-        )
+        breaker = CircuitBreaker(failure_threshold=1)
         breaker.record_failure(0.0)
         assert breaker.state_at(9.9) is BreakerState.OPEN
         assert breaker.state_at(10.0) is BreakerState.HALF_OPEN
 
     def test_half_open_success_recovers(self):
-        breaker = CircuitBreaker(
-            failure_threshold=1, open_duration_s=10.0
-        )
+        breaker = CircuitBreaker(failure_threshold=1)
         breaker.record_failure(0.0)
         breaker.record_success(12.0)
         assert breaker.state_at(12.0) is BreakerState.CLOSED
         assert breaker.recoveries == 1
 
     def test_half_open_failure_retrips(self):
-        breaker = CircuitBreaker(
-            failure_threshold=3, open_duration_s=10.0
-        )
+        breaker = CircuitBreaker(failure_threshold=3)
         for t in (0.0, 1.0, 2.0):
             breaker.record_failure(t)
         breaker.record_failure(15.0)  # the trial round fails

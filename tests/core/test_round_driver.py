@@ -7,27 +7,31 @@ Counts and equalities only — nothing here reads a clock.
 from collections import Counter
 from unittest import mock
 
+import numpy as np
 import pytest
 
 import repro.core.system as system
 from repro.bus.core import TelemetryBus
 from repro.bus.recorder import JsonlRecorder
-from repro.chaos.faults import MonitorFaultInjector, MonitorIssue
+from repro.chaos.faults import (
+    REPORT_LATE, REPORT_LOST, REPORT_OK, MonitorFaultInjector, MonitorIssue,
+)
 from repro.core.pinglist import PingList, ProbePair
 from repro.core.probing import ResilientProber, run_probe_round, send_round
-from repro.core.resilience import RetryPolicy
+from repro.core.resilience import MAX_RETRIES, RETRY_TIMEOUT_S, backoff_s
+from repro.network.draws import BACKOFF_COLUMN, PairwiseDrawSource
 from repro.network.fabric import DataPlaneFabric, FlowResolutionCache
 from repro.network.issues import IssueType
-from repro.network.packet import ProbeResult
+from repro.network.packet import ProbeBatch, ProbeResult
 from repro.workloads.scenarios import build_scenario
 
 SEED = 11
 
 
-def per_agent_loop(agents, fabric, now, on_batch):
+def per_agent_loop(agents, fabric, now, next_round, on_batch):
     """The loop the driver replaced: one ``execute_round`` per agent."""
     for agent in agents:
-        on_batch(agent.execute_round(fabric, now))
+        on_batch(agent.execute_round(fabric, now, next_round))
 
 
 def lossy_monitor(rate=0.2):
@@ -52,12 +56,12 @@ def run_with(driver, chaos, path, monkeypatch):
     round driven by ``driver``; returns what the round produced."""
     seen = []
 
-    def tapped(agents, fabric, now, on_batch):
+    def tapped(agents, fabric, now, next_round, on_batch):
         def tap(batch):
             seen.extend(batch)
             on_batch(batch)
 
-        driver(agents, fabric, now, tap)
+        driver(agents, fabric, now, next_round, tap)
 
     monkeypatch.setattr(system, "run_probe_round", tapped)
     bus = TelemetryBus()
@@ -130,27 +134,45 @@ def test_a_hardened_round_is_one_batch_per_attempt():
     agents = agents_of(scenario)
     before = [agent.prober.retries for agent in agents]
     delivered = []
+    now = scenario.engine.now + 1.0
     with counting(DataPlaneFabric, "send_probe_batch") as batches, \
-            counting(DataPlaneFabric, "send_probe") as singles:
+            counting(DataPlaneFabric, "send_probe") as singles, \
+            counting(ProbeResult, "__init__") as results:
         run_probe_round(
-            agents, scenario.fabric, scenario.engine.now + 1.0,
-            delivered.append,
+            agents, scenario.fabric, now, now + 2.0, delivered.append,
         )
     retried = [
         agent.prober.retries - count
         for agent, count in zip(agents, before)
     ]
     assert sum(1 for count in retried if count) >= 2
-    assert batches.call_count == 1 + RetryPolicy().max_retries
+    assert batches.call_count == 1 + MAX_RETRIES
     assert singles.call_count == 0
+    assert results.call_count == 0  # assembled from columns
     assert len(delivered) == 1 and delivered[0]
 
 
-def test_each_delivered_row_is_the_send_its_report_arrived_with():
-    """The oracle the per-agent loop cannot be (it runs the same waves):
-    every delivered row equals the same probe sent alone, in a twin
-    world, at the send time its report arrived with — the first send or
-    its last retry — and a row whose reports never arrive is dropped."""
+def walk_alone(chaos, fabric, pair, now, next_round):
+    """One probe's report walked alone, attempt by attempt, every send a
+    one-probe batch: the sends it took, and whether a report arrived."""
+    sent = [fabric.send_probe_batch([pair], now)]
+    for attempt in range(MAX_RETRIES + 1):
+        last = sent[-1]
+        if chaos.report_fates(last, attempt)[0] == REPORT_OK:
+            return sent, True
+        if attempt == MAX_RETRIES:
+            break
+        u = chaos.draws.column(
+            last.keys, last.sent_at, BACKOFF_COLUMN, attempt + 1
+        )[0]
+        at = last.sent_at[0] + RETRY_TIMEOUT_S + backoff_s(attempt + 1, u)
+        if at >= next_round:
+            break
+        sent.append(fabric.send_probe_batch([pair], at))
+    return sent, False
+
+
+def twin_worlds():
     worlds = [
         build_scenario(
             num_containers=4, gpus_per_container=4, seed=SEED,
@@ -162,31 +184,144 @@ def test_each_delivered_row_is_the_send_its_report_arrived_with():
         world.injector.inject_issue(
             IssueType.RNIC_PORT_DOWN, world.rnic_of_rank(3), start=0.0
         )
-    probers = [ResilientProber(lossy_monitor(0.5)) for _ in worlds]
     endpoints = worlds[0].task.endpoints()
     pairs = [
         ProbePair(src, dst) for src in endpoints for dst in endpoints
         if src != dst
     ]
+    return worlds, pairs
+
+
+def check_rows_against_walked_alone(interval):
+    """Every delivered row of a round with the next one `interval` seconds
+    later equals the same probe walked alone, in a twin world, to the send
+    its report arrived with; returns how many retries the round sent."""
+    worlds, pairs = twin_worlds()
+    probers = [ResilientProber(lossy_monitor(0.5)) for _ in worlds]
     half = len(pairs) // 2
     delivered, counts = send_round(
         worlds[0].fabric, [pairs[:half], None, pairs[half:]],
-        [probers[0], None, probers[0]], 10.0,
+        [probers[0], None, probers[0]], 10.0, 10.0 + interval,
     )
     expected, retried = [], 0
     for pair in pairs:
-        times, arrived = probers[1].report_fate(pair, 10.0)
-        retried += len(times)
-        sent = [worlds[1].fabric.send_probe(pair.src, pair.dst, at)
-                for at in [10.0] + times]
+        sent, arrived = walk_alone(
+            probers[1].chaos, worlds[1].fabric, pair, 10.0, 10.0 + interval
+        )
+        retried += len(sent) - 1
         if arrived:
-            expected.append(sent[-1])
+            expected.append(sent[-1][0])
     assert delivered == expected
-    assert retried and len(expected) < len(pairs)  # not vacuous
+    assert len(expected) < len(pairs)  # not vacuous
     assert any(row.lost for row in delivered)
+    assert max(row.sent_at for row in delivered) < 10.0 + interval
     assert sum(count[1] for count in counts) == retried
     assert counts[1] == (0, 0)
     assert sum(count[0] for count in counts) == len(pairs) - len(expected)
+    return retried, len(pairs)
+
+
+def test_each_delivered_row_is_the_send_its_report_arrived_with():
+    """The oracle the per-agent loop cannot be (it runs the same waves):
+    every delivered row equals the same probe walked alone, in a twin
+    world, to the send its report arrived with — the first send or its
+    last retry — and a row whose reports never arrive is dropped."""
+    retried, num_pairs = check_rows_against_walked_alone(2.0)
+    assert retried > num_pairs // 2  # every retry lands in time
+
+
+@pytest.mark.parametrize("interval", [1.0, 0.5])
+def test_a_retry_after_the_next_round_is_dropped(interval):
+    """With the next round close, a row whose retry would land after it
+    is dropped, and every other row is still the send its report arrived
+    with."""
+    check_rows_against_walked_alone(interval)
+
+
+def test_a_rows_fate_and_backoff_are_its_own():
+    """The twin-world oracle of the monitor draws: a row's report fate
+    (attempts 0-2) and its backoff uniform are the same drawn alone and
+    drawn inside a shuffled batch — under a scoped fault, and a fault
+    whose window ends between two attempts."""
+    chaos = MonitorFaultInjector(seed=SEED)
+    scope = "task-0/node-1"
+    chaos.inject_issue(
+        MonitorIssue.PROBE_REPORT_LOSS, start=0.0, rate=0.5,
+        scope=scope, fault_id=3,
+    )
+    chaos.inject_issue(
+        MonitorIssue.PROBE_LATE_REPLY, start=0.0, end=10.6, rate=0.5,
+        fault_id=5,
+    )
+    scenario = build_scenario(
+        num_containers=4, gpus_per_container=4, seed=SEED,
+        hosts_per_segment=2, start_monitoring=False,
+    )
+    endpoints = scenario.task.endpoints()
+    pairs = [(src, dst) for src in endpoints for dst in endpoints
+             if src != dst]
+    # Send times on both sides of the late fault's end.
+    sent_at = 10.0 + 0.3 * (np.arange(len(pairs)) % 4)
+    batch = scenario.fabric.send_probe_batch(pairs, sent_at)
+    order = np.random.default_rng(SEED).permutation(len(pairs))
+    shuffled = ProbeBatch.take([batch], order)
+    in_scope = np.array([str(src).startswith(scope) for src, _ in pairs])
+    by_attempt = []
+    for attempt in range(MAX_RETRIES + 1):
+        fates = chaos.report_fates(batch, attempt)
+        by_attempt.append(fates)
+        assert (chaos.report_fates(shuffled, attempt) == fates[order]).all()
+        for row in range(0, len(pairs), 7):
+            alone = ProbeBatch.take([batch], [row])
+            assert chaos.report_fates(alone, attempt)[0] == fates[row]
+        assert not (fates[~in_scope] == REPORT_LOST).any()
+        assert (fates[in_scope] == REPORT_LOST).any()
+        assert not (fates[sent_at >= 10.6] == REPORT_LATE).any()
+        assert (fates[sent_at < 10.6] == REPORT_LATE).any()
+    assert not (by_attempt[0] == by_attempt[1]).all()
+    uniforms = []
+    for attempt in range(1, MAX_RETRIES + 1):
+        u = chaos.draws.column(batch.keys, sent_at, BACKOFF_COLUMN, attempt)
+        uniforms.append(u)
+        assert (chaos.draws.column(
+            shuffled.keys, shuffled.sent_at, BACKOFF_COLUMN, attempt
+        ) == u[order]).all()
+        assert chaos.draws.column(
+            batch.keys[:1], sent_at[0], BACKOFF_COLUMN, attempt
+        )[0] == u[0]
+    assert not (uniforms[0] == uniforms[1]).any()
+
+
+def test_a_round_no_report_fault_covers_draws_no_fate():
+    """The count guard: report faults before and after the round, none
+    at its send time — a hardened round draws no monitor column and
+    sends exactly one fabric batch."""
+    chaos = MonitorFaultInjector(seed=SEED)
+    chaos.inject_issue(
+        MonitorIssue.PROBE_REPORT_LOSS, start=0.0, end=5.0, rate=1.0
+    )
+    chaos.inject_issue(
+        MonitorIssue.PROBE_LATE_REPLY, start=100.0, rate=1.0
+    )
+    scenario = build_scenario(
+        num_containers=4, gpus_per_container=4, pp=2, seed=SEED,
+        hosts_per_segment=4, chaos=chaos,
+    )
+    scenario.run_for(10)
+    agents = agents_of(scenario)
+    assert agents and all(agent.prober for agent in agents)
+    delivered = []
+    now = scenario.engine.now + 1.0
+    with counting(PairwiseDrawSource, "column") as columns, \
+            counting(DataPlaneFabric, "send_probe_batch") as batches:
+        run_probe_round(
+            agents, scenario.fabric, now, now + 2.0, delivered.append,
+        )
+    assert columns.call_count == 0
+    assert batches.call_count == 1
+    assert len(delivered[0]) == sum(
+        len(agent.my_pairs()) for agent in agents
+    )
 
 
 def test_fault_free_round_is_one_batch_and_no_list_scan():

@@ -346,9 +346,15 @@ class TestProbeBatchIsASequenceOfResults:
         assert batch.sent_at.tolist() == [1.5] * len(rows)
         assert (batch.route[batch.lost] == -1).all()  # never reached
 
-    def test_a_batch_of_built_results(self, batch_and_rows):
-        _, rows = batch_and_rows
-        batch = ProbeBatch.of(rows)
-        assert batch == rows and batch[2] is rows[2]
-        assert batch.lost.tolist() == [row.lost for row in rows]
-        assert ProbeBatch.of(()) == [] and len(ProbeBatch.of(())) == 0
+    def test_take_selects_rows_of_several_batches(self, batch_and_rows):
+        batch, rows = batch_and_rows
+        n = len(rows)
+        taken = ProbeBatch.take([batch, batch[2:5]], [n, 4, 0, n + 2])
+        assert taken == [rows[2], rows[4], rows[0], rows[4]]
+        assert taken.keys.tolist() == batch.keys[[2, 4, 0, 4]].tolist()
+        assert ProbeBatch.take([batch], []) == []
+        bare = ProbeBatch(batch.pairs, batch.sent_at, batch.lost,
+                          batch.latency_us)
+        mixed = ProbeBatch.take([batch, bare], [n + 1, 1])
+        assert mixed.resolutions is None and mixed.keys is None
+        assert mixed.lost.tolist() == [rows[1].lost] * 2

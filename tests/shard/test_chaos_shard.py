@@ -13,6 +13,7 @@ from repro.shard.spec import (
     pair_universe,
 )
 
+from tests.chaos.test_faults import fates_of
 from tests.shard.conftest import small_spec
 
 
@@ -71,11 +72,9 @@ class TestMonitorFaultSpec:
         pair = pairs[0]
 
         def fates():
-            injector = build_monitor_chaos(spec)
-            return [
-                injector.probe_report(pair.src, pair.dst, float(t))
-                for t in range(60)
-            ]
+            return fates_of(
+                build_monitor_chaos(spec), pair.src, pair.dst, range(60)
+            )
 
         assert fates() == fates()
 

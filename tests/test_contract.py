@@ -18,8 +18,25 @@ from repro.equivalence import (
     ROOT,
     EquivalenceError,
     contract,
-    regenerate,
+    rebaseline,
 )
+
+#: The hint every failed row prints.
+HINT = "PYTHONPATH=src python -m repro.equivalence"
+
+
+def as_committed(check):
+    """A stand-in for the row's measurement that measures what its
+    committed golden holds (a report row also writes the committed
+    report where its verb would)."""
+    value = check.expected(ROOT)
+
+    def measure(scratch):
+        if not check.keys:
+            shutil.copy(ROOT / check.golden, f"{scratch}/{check.name}.json")
+        return value
+
+    return measure
 
 
 @pytest.fixture
@@ -31,10 +48,7 @@ def root(tmp_path, monkeypatch):
         shutil.copy(ROOT / golden, tmp_path / golden)
     monkeypatch.setattr(equivalence, "ROOT", tmp_path)
     monkeypatch.setattr(equivalence, "CHECKS", tuple(
-        check._replace(
-            measure=lambda scratch, value=check.expected(ROOT): value
-        )
-        for check in CHECKS
+        check._replace(measure=as_committed(check)) for check in CHECKS
     ))
     return tmp_path
 
@@ -72,15 +86,13 @@ def _grow_pfc_fixture(document):
     document["fixtures"]["PFC_STORM"]["bytes"] += 1
 
 
-@pytest.mark.parametrize("golden, tamper, row, command", [
-    (CONTRACT, _flip_crc_localization, "campaign",
-     "python -m repro.equivalence tests/golden/contract.json"),
-    (RECORDS, _grow_pfc_fixture, "record PFC_STORM",
-     "python -m repro.equivalence tests/golden/record_fixtures.json"),
-    ("BENCH_gray.json", None, "gray", "python -m repro gray"),
+@pytest.mark.parametrize("golden, tamper, row", [
+    (CONTRACT, _flip_crc_localization, "campaign"),
+    (RECORDS, _grow_pfc_fixture, "record PFC_STORM"),
+    ("BENCH_gray.json", None, "gray"),
 ], ids=["contract", "records", "report"])
 def test_a_tampered_golden_fails_exactly_its_row(
-    root, capsys, golden, tamper, row, command
+    root, capsys, golden, tamper, row
 ):
     path = root / golden
     if tamper is None:
@@ -94,7 +106,7 @@ def test_a_tampered_golden_fails_exactly_its_row(
         for check in CHECKS
     }
     assert f"{row} FAILED: " in err
-    assert f"  regenerate {golden}: PYTHONPATH=src {command}" in err
+    assert f"  regenerate {golden}: {HINT}" in err
 
 
 def test_the_failure_says_what_differs(root, capsys):
@@ -139,12 +151,55 @@ def test_every_row_runs_after_a_row_raises(root, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("golden", [CONTRACT, RECORDS])
-def test_regenerating_rewrites_the_golden_byte_for_byte(root, golden):
+def test_regenerating_rewrites_the_golden_byte_for_byte(
+    root, capsys, golden
+):
     (root / golden).unlink()
-    regenerate(golden)
+    moved = rebaseline()
     assert (root / golden).read_bytes() == (ROOT / golden).read_bytes()
+    out = capsys.readouterr().out
+    assert moved == out.count(f"{golden}: ") > 0  # each moved path named
+    assert out.endswith(f"{moved} key paths moved\n")
 
 
-def test_a_report_is_regenerated_by_its_own_verb(root):
-    with pytest.raises(SystemExit, match="BENCH_chaos.json"):
-        regenerate("BENCH_chaos.json")
+def test_a_report_is_regenerated_by_its_own_verb(root, capsys):
+    """A report golden is the file its verb wrote, byte for byte; an
+    unchanged run moves nothing, and one edited golden moves only its
+    own key paths."""
+    chaos = root / "BENCH_chaos.json"
+    chaos.write_text(chaos.read_text() + " ")
+    edit_json(root / CONTRACT, _flip_crc_localization)
+    assert rebaseline() == 3
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "rebaselined 4 goldens: 3 key paths moved"
+    assert [line.split(": ")[:2] for line in out[:2]] == [
+        ["BENCH_chaos.json", "bytes"], ["BENCH_chaos.json", "sha256"]]
+    assert out[2] == (f"{CONTRACT}: campaign: issues: CRC_ERROR: expected "
+                      f"[True, False], got [True, True]")
+    for golden in {check.golden for check in CHECKS}:
+        assert (root / golden).read_bytes() == (ROOT / golden).read_bytes()
+    assert rebaseline() == 0
+
+
+def test_a_report_that_breaks_its_bounds_is_not_written(
+    root, monkeypatch
+):
+    broken = {"bytes": 1, "sha256": "0", "violations": ["recall < 0.9"]}
+    monkeypatch.setattr(equivalence, "CHECKS", tuple(
+        check._replace(measure=lambda scratch: broken)
+        if check.name == "gray" else check
+        for check in equivalence.CHECKS
+    ))
+    (root / RECORDS).unlink()
+    with pytest.raises(SystemExit, match=r"gray not rebaselined: \['recall"):
+        rebaseline()
+    assert not (root / RECORDS).exists()
+
+
+@pytest.mark.filterwarnings("ignore:'repro.equivalence' found in sys.modules")
+def test_the_module_takes_no_argument(monkeypatch):
+    import runpy
+
+    monkeypatch.setattr("sys.argv", ["equivalence", CONTRACT])
+    with pytest.raises(SystemExit, match="usage"):
+        runpy.run_module("repro.equivalence", run_name="__main__")
