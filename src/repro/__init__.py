@@ -97,7 +97,6 @@ from repro.obs import (
 )
 from repro.sim import MetricRegistry, RngRegistry, SimulationEngine, TimeSeries
 from repro.verify import (
-    FabricVerificationError,
     FabricVerifier,
     Finding,
     VerificationContext,
@@ -131,7 +130,6 @@ __all__ = [
     "DetectorConfig",
     "Diagnosis",
     "EndpointId",
-    "FabricVerificationError",
     "FabricVerifier",
     "FailureEvent",
     "Fault",

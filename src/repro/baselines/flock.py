@@ -9,19 +9,20 @@ simulator — including spraying ECMP, where a pair crosses a candidate
 link only with probability ``w`` (its mass in the pair's path
 distribution) and the likelihood mixes the crossed/not-crossed cases.
 
-Per link ``L`` with prior failure probability ``p``:
+Per link ``L`` with prior failure probability ``p`` (:data:`PRIOR`):
 
 * ``P(pair fails | L bad)  = w*q + (1-w)*f0`` — crossing a bad link
-  fails the pair with probability ``q``; otherwise the baseline
-  false-alarm rate ``f0`` applies;
+  fails the pair with probability ``q`` (:data:`HIT_RATE`); otherwise
+  the baseline false-alarm rate ``f0`` (:data:`FALSE_RATE`) applies;
 * ``P(pair fails | L good) = f0``;
 * healthy pairs contribute the complementary likelihoods.
 
 Log-odds accumulate over all failing and healthy observations; links
-whose posterior clears ``posterior_floor`` are suspects, ranked by
-posterior.  Promotion to a shared switch/host/RNIC reuses the same rule
-the tomography voter applies, so the two localizers are scored on equal
-footing in ``benchmarks/bench_gray.py``.
+whose posterior clears :data:`POSTERIOR_FLOOR` are suspects, ranked by
+posterior (at most :data:`MAX_SUSPECTS`).  Promotion to a shared
+switch/host/RNIC reuses the same rule the tomography voter applies, so
+the two localizers are scored on equal footing in
+``benchmarks/bench_gray.py``.
 """
 
 from __future__ import annotations
@@ -40,33 +41,21 @@ from repro.network.issues import ComponentClass
 
 __all__ = ["FlockLocalizer"]
 
+PRIOR = 0.02
+HIT_RATE = 0.85
+FALSE_RATE = 0.02
+POSTERIOR_FLOOR = 0.5
+MAX_SUSPECTS = 4
+
 
 class FlockLocalizer:
     """Bayesian per-link failure inference over probe observations."""
 
     name = "flock"
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        fabric: DataPlaneFabric,
-        prior: float = 0.02,
-        hit_rate: float = 0.85,
-        false_rate: float = 0.02,
-        posterior_floor: float = 0.5,
-        max_suspects: int = 4,
-    ) -> None:
-        if not 0.0 < prior < 1.0:
-            raise ValueError("prior must be a probability in (0, 1)")
-        if not 0.0 < false_rate < hit_rate <= 1.0:
-            raise ValueError("need 0 < false_rate < hit_rate <= 1")
+    def __init__(self, cluster: Cluster, fabric: DataPlaneFabric) -> None:
         self.cluster = cluster
         self.fabric = fabric
-        self.prior = prior
-        self.hit_rate = hit_rate
-        self.false_rate = false_rate
-        self.posterior_floor = posterior_floor
-        self.max_suspects = max_suspects
 
     # ------------------------------------------------------------------
     # Inference
@@ -88,9 +77,9 @@ class FlockLocalizer:
         Candidates are the links failing pairs can cross; healthy pairs
         only ever push a candidate's posterior down.
         """
-        q, f0 = self.hit_rate, self.false_rate
+        q, f0 = HIT_RATE, FALSE_RATE
         log_odds: Dict[LinkId, float] = {}
-        prior_odds = math.log(self.prior / (1.0 - self.prior))
+        prior_odds = math.log(PRIOR / (1.0 - PRIOR))
         for pair in failing_pairs:
             for link, w in self._crossing_mass(pair).items():
                 fail_given_bad = w * q + (1.0 - w) * f0
@@ -133,10 +122,10 @@ class FlockLocalizer:
             (
                 (link, posterior)
                 for link, posterior in posteriors.items()
-                if posterior >= self.posterior_floor
+                if posterior >= POSTERIOR_FLOOR
             ),
             key=lambda item: (-item[1], str(item[0])),
-        )[: self.max_suspects]
+        )[:MAX_SUSPECTS]
         report = LocalizationReport()
         if not ranked:
             report.unexplained = list(events)

@@ -11,7 +11,8 @@ Usage (``python -m repro COMMAND --help`` lists a command's options;
     python -m repro trace           #   JSONL trace (--explain: evidence chains),
     python -m repro export-metrics  #   Prometheus text
     python -m repro verify          # fabric passes; --lint / --flow: the
-                                    #   determinism lint / flow analyzer
+                                    #   determinism lint / flow analyzer;
+                                    #   --reach: what only tests run
     python -m repro equivalence     # the contract: every committed golden,
                                     #   one table (repro.equivalence.CHECKS)
     python -m repro chaos           # monitor-chaos gate -> BENCH_chaos.json

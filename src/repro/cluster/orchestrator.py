@@ -102,15 +102,15 @@ class Orchestrator:
         cluster: Cluster,
         engine: SimulationEngine,
         rng: RngRegistry,
-        placement_filter: Optional[Callable[[HostId], bool]] = None,
     ) -> None:
         self.cluster = cluster
         self.engine = engine
         self._rng = rng.stream("orchestrator")
         self.startup_model = StartupModel()
         # Hosts failing this predicate are excluded from scheduling —
-        # the hook SkeletonHunter's blacklist plugs into (§8).
-        self.placement_filter = placement_filter
+        # the hook SkeletonHunter's blacklist plugs into (§8), assigned
+        # by the operator.
+        self.placement_filter: Optional[Callable[[HostId], bool]] = None
         self.tasks: Dict[TaskId, TrainingTask] = {}
         self._next_task_index = 0
         self._on_running: List[Callable[[Container], None]] = []

@@ -1,6 +1,6 @@
 """SkeletonHunter core: ping lists, inference, detection, localization."""
 
-from repro.core.agent import AgentResourceModel, OverlayAgent, UnderlayAgent
+from repro.core.agent import AgentResourceModel, OverlayAgent
 from repro.core.analyzer import Analyzer, FailureEvent
 from repro.core.controller import Controller, ControllerError
 from repro.core.detection import DetectedAnomaly, DetectorConfig
@@ -76,7 +76,6 @@ __all__ = [
     "RnicValidator",
     "SkeletonHunter",
     "SkeletonInference",
-    "UnderlayAgent",
     "estimate_round_duration",
     "fault_affects_pair",
     "probes_per_round",

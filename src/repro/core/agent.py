@@ -1,17 +1,16 @@
-"""SkeletonHunter agents (§6 of the paper).
+"""SkeletonHunter's overlay agent (§6 of the paper).
 
-Two kinds of agent run in production:
+The **overlay agent** rides a sidecar container beside each training
+node, sharing its network namespace.  It pulls the ping list from the
+controller, registers its container so peers activate the matching
+targets, and paces RDMA probes to its active targets.  Its resource
+footprint is tiny and converges (Figure 17) because the skeletonized
+ping list leaves each agent only a handful of targets.
 
-* The **overlay agent** rides a sidecar container beside each training
-  node, sharing its network namespace.  It pulls the ping list from the
-  controller, registers its container so peers activate the matching
-  targets, and paces RDMA probes to its active targets.  Its resource
-  footprint is tiny and converges (Figure 17) because the skeletonized
-  ping list leaves each agent only a handful of targets.
-* The **underlay agent** is one standalone container per host with host
-  privileges: it traceroutes underlay paths for tomography and dumps
-  RNIC flow tables when the localizer asks (both capabilities are
-  exposed here via the fabric and validator).
+The paper's per-host **underlay agent** (traceroutes and flow-table
+dumps) has no object here: the localizer calls the fabric's
+``traceroute`` and the :class:`~repro.core.rnic_validation.RnicValidator`
+directly.
 """
 
 from __future__ import annotations
@@ -23,15 +22,13 @@ from typing import List, Optional
 from repro.bus.codec import encode_probe_rows
 from repro.bus.core import Topic
 from repro.cluster.container import Container
-from repro.cluster.identifiers import EndpointId, HostId
 from repro.core.pinglist import PingList, ProbePair
 from repro.core.probing import ResilientProber, coarse_pairs, run_probe_round
 from repro.core.resilience import BreakerState
-from repro.core.rnic_validation import RnicFinding, RnicValidator
 from repro.network.fabric import DataPlaneFabric
 from repro.network.packet import ProbeBatch
 
-__all__ = ["AgentResourceModel", "OverlayAgent", "UnderlayAgent"]
+__all__ = ["AgentResourceModel", "OverlayAgent"]
 
 
 @dataclass(frozen=True)
@@ -164,26 +161,3 @@ class OverlayAgent:
     def memory_mb(self, now: float) -> float:
         """Modelled memory usage at simulated time ``now``."""
         return self.resources.memory_mb(now - self.started_at)
-
-
-class UnderlayAgent:
-    """The per-host agent used for traceroute and flow-table dumps."""
-
-    def __init__(
-        self, host: HostId, fabric: DataPlaneFabric, validator: RnicValidator
-    ) -> None:
-        self.host = host
-        self._fabric = fabric
-        self._validator = validator
-
-    def traceroute(self, src: EndpointId, dst: EndpointId):
-        """The pinned underlay path of a flow originating on this host."""
-        return self._fabric.traceroute(src, dst)
-
-    def dump_flow_tables(self) -> List[RnicFinding]:
-        """Dump and diff every RNIC flow table on this host."""
-        cluster = self._validator._cluster
-        host = cluster.host(self.host)
-        return [
-            self._validator.validate(rnic.id) for rnic in host.rnics
-        ]

@@ -24,6 +24,18 @@ from repro.obs.span import open_span
 
 __all__ = ["Analyzer", "FailureEvent", "LoadConditionedAdmission"]
 
+#: Simulated seconds without an anomaly after which an open incident
+#: resolves.
+RESOLVE_AFTER_S = 90.0
+#: Bottleneck utilization from which a pair's path runs hot.
+HOT_UTILIZATION = 0.7
+#: How far, scaled by hotness, a hot pair's latency anomaly must beat
+#: its detector's base threshold.
+HEADROOM = 1.5
+#: The z-test scores |z| but thresholds on alpha; 3.9 is the two-sided
+#: critical value at the default alpha=1e-4.
+ZTEST_BASE = 3.9
+
 
 class LoadConditionedAdmission:
     """Raises latency thresholds on pairs whose paths run hot.
@@ -34,10 +46,10 @@ class LoadConditionedAdmission:
     This filter conditions admission on a
     :class:`~repro.network.load.LinkLoadModel`: a ``HIGH_LATENCY``
     anomaly whose pair's path distribution averages at least
-    ``hot_utilization`` bottleneck utilization must beat its detector's
-    base threshold by a load-scaled ``headroom`` factor.  Loss and
-    unconnectivity anomalies are never suppressed — packets dropping is
-    a failure signal regardless of load.
+    :data:`HOT_UTILIZATION` bottleneck utilization must beat its
+    detector's base threshold by a load-scaled :data:`HEADROOM` factor.
+    Loss and unconnectivity anomalies are never suppressed — packets
+    dropping is a failure signal regardless of load.
 
     The decision is pure arithmetic over the anomaly and the (static)
     load model, so it is identical across shard counts.  Pair
@@ -46,21 +58,9 @@ class LoadConditionedAdmission:
     previous mode are discarded.
     """
 
-    def __init__(
-        self,
-        load_model,
-        fabric,
-        hot_utilization: float = 0.7,
-        headroom: float = 1.5,
-        ztest_base: float = 3.9,
-    ) -> None:
+    def __init__(self, load_model, fabric) -> None:
         self.load_model = load_model
         self.fabric = fabric
-        self.hot_utilization = hot_utilization
-        self.headroom = headroom
-        # The z-test scores |z| but thresholds on alpha; 3.9 is the
-        # two-sided critical value at the default alpha=1e-4.
-        self.ztest_base = ztest_base
         self._cache: Dict[ProbePair, float] = {}
         self._cache_epoch: Optional[int] = None
 
@@ -86,16 +86,16 @@ class LoadConditionedAdmission:
         if anomaly.symptom is not Symptom.HIGH_LATENCY:
             return True
         utilization = self.pair_utilization(anomaly.pair)
-        if utilization < self.hot_utilization:
+        if utilization < HOT_UTILIZATION:
             return True
         if anomaly.detector == "long_term_ztest":
-            base_threshold = self.ztest_base
+            base_threshold = ZTEST_BASE
         if base_threshold is None:
             return True
-        hotness = (utilization - self.hot_utilization) / max(
-            1e-9, 1.0 - self.hot_utilization
+        hotness = (utilization - HOT_UTILIZATION) / max(
+            1e-9, 1.0 - HOT_UTILIZATION
         )
-        required = base_threshold * (1.0 + self.headroom * hotness)
+        required = base_threshold * (1.0 + HEADROOM * hotness)
         return abs(anomaly.score) >= required
 
 
@@ -161,22 +161,18 @@ class Analyzer:
     def __init__(
         self,
         config: Optional[DetectorConfig] = None,
-        resolve_after_s: float = 90.0,
         recorder=None,
-        load_filter: Optional[LoadConditionedAdmission] = None,
     ) -> None:
         # Constructed per instance: a shared default instance would leak
         # one analyzer's tuning into every other (see repro.verify.lint,
         # rule "shared-instance-default").
         config = config if config is not None else DetectorConfig()
         self.config = config
-        self.resolve_after_s = resolve_after_s
         self.recorder = recorder
-        # Optional load conditioning: anomalies are run through the
-        # filter before entering the incident bookkeeping.  May also be
-        # assigned after construction, before the first probe is
-        # ingested.
-        self.load_filter = load_filter
+        # Optional load conditioning, assigned before the first probe
+        # is ingested: anomalies are run through the filter before
+        # entering the incident bookkeeping.
+        self.load_filter: Optional[LoadConditionedAdmission] = None
         # Detector-config flags are hoisted out of the per-probe path.
         self._fast_enabled = config.fast_unconnectivity_probes > 0
         self._fast_threshold = config.fast_unconnectivity_probes
@@ -383,7 +379,7 @@ class Analyzer:
         event = self._open_events.get(pair)
         if event is None or not event.open:
             return
-        if window_end - event.last_seen_at >= self.resolve_after_s:
+        if window_end - event.last_seen_at >= RESOLVE_AFTER_S:
             self._resolve(event, window_end)
 
     def _resolve(self, event: FailureEvent, at: float, **why) -> None:

@@ -49,15 +49,15 @@ class Controller:
     def __init__(
         self,
         cluster: Cluster,
-        release_manager=None,
         recorder=None,
         chaos=None,
         bus=None,
     ) -> None:
         self.cluster = cluster
-        # Optional AgentReleaseManager: new sidecars launch on the
-        # latest published version (§8, agent evolution).
-        self.release_manager = release_manager
+        # Optional AgentReleaseManager, assigned by the operator: new
+        # sidecars launch on the latest published version (§8, agent
+        # evolution).
+        self.release_manager = None
         # Optional TraceRecorder: ping-list and agent lifecycle events.
         self.recorder = recorder
         # Optional MonitorFaultInjector: when set, every agent launches

@@ -29,6 +29,10 @@ __all__ = [
     "fault_affects_pair",
 ]
 
+#: Simulated seconds past a fault's clear during which an event or a
+#: verdict still counts for it.
+DETECTION_GRACE_S = 90.0
+
 
 def fault_affects_pair(
     fault: Fault,
@@ -112,15 +116,9 @@ class CampaignScore:
 class CampaignScorer:
     """Matches events and diagnoses back to injected faults."""
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        fabric: DataPlaneFabric,
-        detection_grace_s: float = 90.0,
-    ) -> None:
+    def __init__(self, cluster: Cluster, fabric: DataPlaneFabric) -> None:
         self.cluster = cluster
         self.fabric = fabric
-        self.detection_grace_s = detection_grace_s
 
     # ------------------------------------------------------------------
     # Matching
@@ -130,7 +128,7 @@ class CampaignScorer:
         t = event.first_detected_at
         active_window = (
             fault.start <= t
-            and (fault.end is None or t <= fault.end + self.detection_grace_s)
+            and (fault.end is None or t <= fault.end + DETECTION_GRACE_S)
         )
         if not active_window:
             return False
@@ -163,7 +161,7 @@ class CampaignScorer:
                 fault.start <= when
                 and (
                     fault.end is None
-                    or when <= fault.end + self.detection_grace_s
+                    or when <= fault.end + DETECTION_GRACE_S
                 )
             ):
                 continue

@@ -33,6 +33,11 @@ from repro.core.skeleton import InferredSkeleton
 
 __all__ = ["FidelityChecker", "FidelityReport"]
 
+#: Peak throughput (Gb/s) from which an endpoint counts as bursting.
+ACTIVITY_THRESHOLD_GBPS = 1.0
+#: Fidelity score below which a task is demoted to its basic list.
+FIDELITY_THRESHOLD = 0.6
+
 
 @dataclass(frozen=True)
 class FidelityReport:
@@ -60,23 +65,16 @@ class FidelityReport:
             self.stage_consistency,
         )
 
-    def aligned(self, threshold: float = 0.6) -> bool:
+    def aligned(self) -> bool:
         """Whether the skeleton still matches the observed traffic."""
-        return self.score() >= threshold
+        return self.score() >= FIDELITY_THRESHOLD
 
 
 class FidelityChecker:
     """Validates skeletons and demotes misaligned tasks to basic lists."""
 
-    def __init__(
-        self,
-        iteration_period_s: float = 30.0,
-        activity_threshold_gbps: float = 1.0,
-        fidelity_threshold: float = 0.6,
-    ) -> None:
+    def __init__(self, iteration_period_s: float = 30.0) -> None:
         self.iteration_period_s = iteration_period_s
-        self.activity_threshold_gbps = activity_threshold_gbps
-        self.fidelity_threshold = fidelity_threshold
 
     # ------------------------------------------------------------------
     # Measurement
@@ -112,7 +110,7 @@ class FidelityChecker:
                 [e for e in group if e in series_by_endpoint], observed
             ):
                 total += 1
-                if series.max() >= self.activity_threshold_gbps:
+                if series.max() >= ACTIVITY_THRESHOLD_GBPS:
                     active += 1
                 correlation = self._correlation(series, mean_series)
                 coherences.append(correlation)
@@ -227,7 +225,7 @@ class FidelityChecker:
                 incoherent_endpoints=(),
             )
         report = self.check(task, skeleton, series_by_endpoint)
-        if not report.aligned(self.fidelity_threshold):
+        if not report.aligned():
             self._demote_to_basic(controller, task)
         return report
 

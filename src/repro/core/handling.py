@@ -24,6 +24,9 @@ from repro.core.localization import Diagnosis, LocalizationReport
 
 __all__ = ["Alert", "AlertSeverity", "Blacklist", "FailureHandler"]
 
+#: Diagnoses at least this confident are blacklisted.
+MIN_CONFIDENCE = 0.7
+
 
 class AlertSeverity(enum.Enum):
     """How loudly to page the operation team."""
@@ -214,11 +217,9 @@ class FailureHandler:
         self,
         blacklist: Optional[Blacklist] = None,
         notify: Optional[Callable[[Alert], None]] = None,
-        min_confidence: float = 0.7,
     ) -> None:
         self.blacklist = blacklist or Blacklist()
         self._notify = notify
-        self.min_confidence = min_confidence
         self.alerts: List[Alert] = []
 
     def handle(self, at: float, report: LocalizationReport) -> List[Alert]:
@@ -242,7 +243,7 @@ class FailureHandler:
             if self._notify is not None:
                 self._notify(alert)
             if (
-                diagnosis.confidence >= self.min_confidence
+                diagnosis.confidence >= MIN_CONFIDENCE
                 and diagnosis.layer in self._BLACKLISTABLE_LAYERS
             ):
                 self.blacklist.add(

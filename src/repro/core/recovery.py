@@ -7,20 +7,31 @@ localization report blames a host, an RNIC, or a crashed container, the
 recovery manager migrates the affected RUNNING containers of watched
 tasks onto healthy (non-blacklisted) hosts, with a per-container
 cooldown so one flapping diagnosis cannot thrash the placement.
+
+The fleet never runs recovery (``repro.fleet.controller``), so the
+manager has one, global scope.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.cluster.container import Container
-from repro.cluster.identifiers import ContainerId, HostId, TaskId
+from repro.cluster.identifiers import ContainerId, HostId
 from repro.cluster.orchestrator import Orchestrator, PlacementError
 from repro.core.handling import Blacklist
 from repro.core.localization import LocalizationReport
 
 __all__ = ["MigrationAction", "RecoveryManager"]
+
+#: Simulated seconds a migrated container waits before it may move again.
+COOLDOWN_S = 300.0
+#: Thrash guard: the cooldown alone lets a container bounce between two
+#: flapping hosts forever at exactly :data:`COOLDOWN_S` intervals, so at
+#: most this many moves per container fall in one window.
+MAX_MIGRATIONS_PER_WINDOW = 3
+MIGRATION_WINDOW_S = 3600.0
 
 
 @dataclass(frozen=True)
@@ -46,31 +57,9 @@ class RecoveryManager:
         self,
         orchestrator: Orchestrator,
         blacklist: Optional[Blacklist] = None,
-        cooldown_s: float = 300.0,
-        max_migrations_per_window: int = 3,
-        migration_window_s: float = 3600.0,
-        scope: Optional[str] = None,
-        scope_tasks: Optional[Iterable[TaskId]] = None,
     ) -> None:
         self.orchestrator = orchestrator
         self.blacklist = blacklist
-        # Isolation (fleet tenancy): ``scope`` keys every blacklist
-        # query, so this manager honours one tenant's entries without
-        # colliding with another tenant's identical host names;
-        # ``scope_tasks`` restricts migration victims to the tenant's
-        # own tasks, so a diagnosis for tenant A's host never moves
-        # tenant B's containers.  Both default to the legacy global
-        # behaviour.
-        self.scope = scope
-        self.scope_tasks: Optional[Set[TaskId]] = (
-            set(scope_tasks) if scope_tasks is not None else None
-        )
-        self.cooldown_s = cooldown_s
-        # Thrash guard: the cooldown alone lets a container bounce
-        # between two flapping hosts forever at exactly ``cooldown_s``
-        # intervals; the window cap bounds total moves per container.
-        self.max_migrations_per_window = max_migrations_per_window
-        self.migration_window_s = migration_window_s
         self.actions: List[MigrationAction] = []
         self.throttled = 0
         self._migration_times: Dict[ContainerId, List[float]] = {}
@@ -101,11 +90,6 @@ class RecoveryManager:
             return []
         victims = []
         for task_id in sorted(self.orchestrator.tasks):
-            if (
-                self.scope_tasks is not None
-                and task_id not in self.scope_tasks
-            ):
-                continue
             task = self.orchestrator.tasks[task_id]
             for container in task.running_containers():
                 if str(container.host) == host_name:
@@ -127,14 +111,10 @@ class RecoveryManager:
         history = self._migration_times.get(container_id)
         if not history:
             return True
-        if at - history[-1] < self.cooldown_s:
+        if at - history[-1] < COOLDOWN_S:
             return False
-        if self.max_migrations_per_window <= 0:
-            return True
-        recent = [
-            t for t in history if at - t < self.migration_window_s
-        ]
-        if len(recent) >= self.max_migrations_per_window:
+        recent = [t for t in history if at - t < MIGRATION_WINDOW_S]
+        if len(recent) >= MAX_MIGRATIONS_PER_WINDOW:
             self.throttled += 1
             return False
         return True
@@ -154,7 +134,7 @@ class RecoveryManager:
             history = self._migration_times.setdefault(container.id, [])
             history.append(at)
             # Keep only timestamps the window cap can still see.
-            cutoff = at - self.migration_window_s
+            cutoff = at - MIGRATION_WINDOW_S
             while history and history[0] < cutoff:
                 history.pop(0)
         return MigrationAction(
@@ -167,9 +147,7 @@ class RecoveryManager:
             return []
         hosts: Set[HostId] = set()
         for host_id in self.orchestrator.cluster.hosts:
-            if not self.blacklist.host_allowed(
-                host_id, scope=self.scope
-            ):
+            if not self.blacklist.host_allowed(host_id):
                 hosts.add(host_id)
         return sorted(hosts)
 

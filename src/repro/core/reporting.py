@@ -126,20 +126,14 @@ def _probes_in_range(
 
     Summed from the per-round metrics series the hunter records, so a
     windowed report counts only its own range; falls back to lifetime
-    fabric totals when the series does not (or no longer, after bounded
-    retention evicted it) cover the range.
+    fabric totals before the first round has recorded the series.
     """
     registry = hunter.metrics
-    if registry.has_series("probes.sent_in_round"):
-        sent_series = registry.series("probes.sent_in_round")
-        lost_series = registry.series("probes.lost_in_round")
-        if sent_series.complete_since(start):
-            return (
-                int(sum(sent_series.window(start, end))),
-                int(sum(lost_series.window(start, end))),
-                True,
-            )
-    return hunter.fabric.probes_sent, hunter.fabric.probes_lost, False
+    if not registry.has_series("probes.sent_in_round"):
+        return hunter.fabric.probes_sent, hunter.fabric.probes_lost, False
+    sent = registry.series("probes.sent_in_round").window(start, end)
+    lost = registry.series("probes.lost_in_round").window(start, end)
+    return int(sum(sent)), int(sum(lost)), True
 
 
 def render_report(report: IncidentReport) -> str:

@@ -24,7 +24,7 @@ The :class:`CircuitBreaker` follows the classic three-state machine:
 ``CLOSED``
     normal operation; consecutive failures are counted.
 ``OPEN``
-    tripped after ``failure_threshold`` consecutive failures; the agent
+    tripped after :data:`BREAKER_FAILURES` consecutive failures; the agent
     falls back to coarse ping-list coverage until
     :data:`BREAKER_OPEN_S` of simulated time has passed.
 ``HALF_OPEN``
@@ -44,6 +44,7 @@ __all__ = [
     "BACKOFF_FACTOR",
     "BACKOFF_JITTER",
     "BACKOFF_MAX_S",
+    "BREAKER_FAILURES",
     "BREAKER_OPEN_S",
     "BreakerState",
     "CircuitBreaker",
@@ -63,6 +64,8 @@ BACKOFF_FACTOR = 2.0
 BACKOFF_MAX_S = 0.4
 #: Fraction of the deterministic delay replaced by keyed jitter.
 BACKOFF_JITTER = 0.5
+#: Consecutive failures that trip a closed breaker.
+BREAKER_FAILURES = 3
 #: Simulated seconds a tripped breaker stays open.
 BREAKER_OPEN_S = 10.0
 
@@ -95,15 +98,7 @@ class CircuitBreaker:
     a shard monitor is rebuilt after failover.
     """
 
-    def __init__(
-        self,
-        failure_threshold: int = 3,
-        recorder=None,
-        listener=None,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        self.failure_threshold = int(failure_threshold)
+    def __init__(self, recorder=None, listener=None) -> None:
         self._recorder = recorder
         # Called as ``listener(now, old_state, new_state, breaker)`` on
         # every transition (state values, not enum members).  The
@@ -162,7 +157,7 @@ class CircuitBreaker:
             self._trip(now)
         elif (
             state is BreakerState.CLOSED
-            and self._consecutive_failures >= self.failure_threshold
+            and self._consecutive_failures >= BREAKER_FAILURES
         ):
             self._trip(now)
 

@@ -22,7 +22,7 @@ list by an order of magnitude.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Set
+from typing import Callable, Dict, FrozenSet, Hashable, List, Set
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from repro.analysis.clustering import (
     GroupingResult,
     constrained_position_groups,
 )
-from repro.analysis.stft import StftConfig, feature_matrix
+from repro.analysis.stft import feature_matrix
 from repro.cluster.identifiers import EndpointId
 from repro.obs.span import open_span
 
@@ -39,6 +39,14 @@ __all__ = [
     "SkeletonInference",
     "SkeletonInferenceError",
 ]
+
+#: A burst onset rises this fraction of ``0.2 * peak`` above the fold's
+#: quiet floor (or five noise sigmas, if larger).
+ONSET_THRESHOLD = 0.25
+#: Minimum fraction of finite samples an endpoint's series must carry to
+#: take part in inference; below it the endpoint is quarantined (kept at
+#: basic probing coverage) instead.
+MIN_COVERAGE = 0.6
 
 
 class SkeletonInferenceError(ValueError):
@@ -66,11 +74,6 @@ class InferredSkeleton:
     #: the controller keeps probing them at basic coverage instead of
     #: silently dropping them from the optimized list.
     quarantined: List[EndpointId] = field(default_factory=list)
-    # Lazy endpoint -> group-index map backing group_of(); not part of
-    # the skeleton's identity.
-    _group_index: Optional[Dict[EndpointId, int]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def num_stages(self) -> int:
@@ -87,40 +90,14 @@ class InferredSkeleton:
         """Inferred edges that carry no real traffic (wasted probes)."""
         return len(self.edges - true_edges)
 
-    def group_of(self, endpoint: EndpointId) -> int:
-        """Index of the group containing ``endpoint`` (O(1), indexed).
-
-        The index is built on first use; call
-        :meth:`invalidate_group_index` after mutating :attr:`groups`.
-        """
-        if self._group_index is None:
-            self._group_index = {
-                member: index
-                for index, group in enumerate(self.groups)
-                for member in group
-            }
-        try:
-            return self._group_index[endpoint]
-        except KeyError:
-            raise KeyError(
-                f"{endpoint} is not part of the skeleton"
-            ) from None
-
-    def invalidate_group_index(self) -> None:
-        """Drop the cached endpoint index (groups were edited)."""
-        self._group_index = None
-
 
 class SkeletonInference:
     """Infers traffic skeletons from RNIC throughput series."""
 
     def __init__(
         self,
-        stft_config: Optional[StftConfig] = None,
         iteration_period_s: float = 30.0,
         group_topology: str = "auto",
-        onset_threshold: float = 0.25,
-        min_coverage: float = 0.6,
         recorder=None,
     ) -> None:
         if group_topology not in ("ring", "mesh", "auto"):
@@ -128,14 +105,8 @@ class SkeletonInference:
                 f"group_topology must be 'ring', 'mesh', or 'auto', "
                 f"got {group_topology!r}"
             )
-        self.stft_config = stft_config or StftConfig()
         self.iteration_period_s = iteration_period_s
         self.group_topology = group_topology
-        self.onset_threshold = onset_threshold
-        #: Minimum fraction of finite samples an endpoint's series must
-        #: carry to take part in inference; below it the endpoint is
-        #: quarantined (kept at basic probing coverage) instead.
-        self.min_coverage = min_coverage
         self.recorder = recorder
 
     # ------------------------------------------------------------------
@@ -174,7 +145,7 @@ class SkeletonInference:
             )
         series = [usable[e] for e in endpoints]
         with open_span(self.recorder, "skeleton.features"):
-            features = feature_matrix(series, self.stft_config)
+            features = feature_matrix(series)
         hosts = [host_of(e) for e in endpoints]
 
         with open_span(self.recorder, "skeleton.cluster") as span:
@@ -219,7 +190,7 @@ class SkeletonInference:
         """Split input into usable (possibly repaired) and quarantined.
 
         An endpoint is quarantined when its series is shorter than one
-        iteration period or carries less than ``min_coverage`` finite
+        iteration period or carries less than :data:`MIN_COVERAGE` finite
         samples.  Remaining NaN gaps are repaired *phase-aware*: the
         series is periodic in the iteration, so a missing sample takes
         the median of its phase bin across the other iterations.  That
@@ -243,7 +214,7 @@ class SkeletonInference:
             if finite.all():
                 usable[endpoint] = data
                 continue
-            if float(finite.mean()) < self.min_coverage or finite.sum() < 2:
+            if float(finite.mean()) < MIN_COVERAGE or finite.sum() < 2:
                 quarantined.append(endpoint)
                 continue
             usable[endpoint] = self._repair_series(data, finite, period)
@@ -308,7 +279,7 @@ class SkeletonInference:
         floor = float(np.percentile(folded, 10))
         quiet = np.sort(folded)[: max(3, int(0.3 * len(folded)))]
         sigma = float(quiet.std())
-        threshold = floor + max(5.0 * sigma, self.onset_threshold * 0.2 * peak)
+        threshold = floor + max(5.0 * sigma, ONSET_THRESHOLD * 0.2 * peak)
         above = np.flatnonzero(folded >= threshold)
         return int(above[0]) if len(above) else 0
 

@@ -59,7 +59,6 @@ class SkeletonHunter:
         detector_config: Optional[DetectorConfig] = None,
         probe_interval_s: float = 2.0,
         observability: Optional[TraceRecorder] = None,
-        verify_on_start: bool = False,
         chaos=None,
         bus=None,
     ) -> None:
@@ -69,12 +68,10 @@ class SkeletonHunter:
         self.orchestrator = orchestrator
         self.probe_interval_s = probe_interval_s
         # Observability (§6 log-service dashboards): one shared recorder
-        # + metric registry threaded through every pipeline stage.  When
-        # absent, components skip all emission; the fabric's own registry
-        # still backs the probe counters and per-round series.
+        # threaded through every pipeline stage.  When absent, components
+        # skip all emission; the fabric's registry backs the probe
+        # counters and per-round series either way.
         self.obs = observability
-        if observability is not None:
-            fabric.attach_metrics(observability.metrics)
         # Optional monitor-plane chaos (repro.chaos): when set, agents
         # run hardened (retry/backoff + breakers), telemetry is
         # corrupted per the schedule, and flow-table reads can fail.
@@ -106,17 +103,14 @@ class SkeletonHunter:
         self._localized_events: Set[Tuple[ProbePair, float]] = set()
         self._published_pairs: Optional[List[ProbePair]] = None
         self._probe_task: Optional[PeriodicTask] = None
-        self.verify_on_start = verify_on_start
-        self.last_verification = None  # most recent VerifierReport
 
         orchestrator.on_container_running(self._on_container_running)
         orchestrator.on_container_finished(self._on_container_finished)
 
     @property
     def metrics(self) -> MetricRegistry:
-        """The run's metric registry (shared with the fabric)."""
-        if self.obs is not None:
-            return self.obs.metrics
+        """The run's metric registry: the fabric's, which an observed
+        scenario's recorder shares."""
         return self.fabric.metrics
 
     # ------------------------------------------------------------------
@@ -132,43 +126,10 @@ class SkeletonHunter:
         for container in task.running_containers():
             self.controller.on_container_running(container, self.engine.now)
 
-    def verify_fabric(self, workload=None, strict: bool = True):
-        """Statically verify the fabric before (or instead of) probing.
-
-        Runs the default :mod:`repro.verify` pass pipeline against this
-        system's cluster, ping lists, and (optionally) ``workload``.
-        With ``strict`` (the default), ERROR findings raise
-        :class:`~repro.verify.framework.FabricVerificationError` so a
-        misconfigured fabric is rejected before the first probe round.
-        Returns the :class:`~repro.verify.framework.VerifierReport`.
-        """
-        # Imported lazily: repro.verify deliberately never imports
-        # repro.core, and core only needs it on this path.
-        from repro.verify.framework import (
-            FabricVerificationError,
-            FabricVerifier,
-            VerificationContext,
-        )
-
-        verifier = FabricVerifier(recorder=self.obs)
-        report = verifier.verify(VerificationContext(
-            cluster=self.cluster, hunter=self, workload=workload,
-        ))
-        self.last_verification = report
-        if strict and report.errors():
-            raise FabricVerificationError(report)
-        return report
-
     def start(self, first_round_at: Optional[float] = None) -> None:
-        """Arm the periodic probing loop on the simulation clock.
-
-        With ``verify_on_start``, the fabric is statically verified
-        first and a fabric with ERROR findings refuses to start.
-        """
+        """Arm the periodic probing loop on the simulation clock."""
         if self._probe_task is not None and not self._probe_task.stopped:
             return
-        if self.verify_on_start:
-            self.verify_fabric()
         self._probe_task = self.engine.schedule_periodic(
             self.probe_interval_s,
             self._probe_round,
@@ -205,7 +166,7 @@ class SkeletonHunter:
 
     def _probe_round(self) -> None:
         now = self.engine.now
-        if self.obs is not None and self.obs.enabled:
+        if self.obs is not None:
             with self.obs.span("probe_round", sim_time=now) as span:
                 sent, lost, anomalies, opened = self._run_round(now)
                 span.set(

@@ -560,18 +560,6 @@ class DataPlaneFabric:
             raise ValueError(f"unknown ECMP mode {mode!r}")
         self.resolution_cache.set_mode(mode)
 
-    def attach_metrics(self, metrics: MetricRegistry) -> None:
-        """Adopt a shared registry, folding in any counts so far.
-
-        Called when the fabric joins an observed SkeletonHunter after
-        construction; past ``probes.*`` counts are preserved.
-        """
-        if metrics is self.metrics:
-            return
-        metrics.merge_from(self.metrics)
-        self.metrics = metrics
-        self.resolution_cache.metrics = metrics
-
     @property
     def probes_sent(self) -> int:
         """Lifetime count of probes sent (backed by the registry)."""

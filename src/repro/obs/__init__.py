@@ -24,13 +24,7 @@ Enable it by building a recorder and handing it to the system::
 """
 
 from repro.obs.explain import explain_diagnosis, explain_report
-from repro.obs.export import (
-    load_jsonl,
-    parse_prometheus,
-    to_jsonl,
-    to_prometheus,
-    write_jsonl,
-)
+from repro.obs.export import to_jsonl, to_prometheus, write_jsonl
 from repro.obs.span import NULL_SPAN, NullSpan, Span
 from repro.obs.trace import TraceEvent, TraceRecorder
 
@@ -42,8 +36,6 @@ __all__ = [
     "TraceRecorder",
     "explain_diagnosis",
     "explain_report",
-    "load_jsonl",
-    "parse_prometheus",
     "to_jsonl",
     "to_prometheus",
     "write_jsonl",

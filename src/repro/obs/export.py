@@ -13,22 +13,12 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Union
 
 from repro.obs.trace import TraceRecorder
 from repro.sim.metrics import MetricRegistry
 
-__all__ = [
-    "escape_label_value",
-    "format_labels",
-    "load_jsonl",
-    "parse_prometheus",
-    "parse_prometheus_samples",
-    "to_jsonl",
-    "to_prometheus",
-    "unescape_label_value",
-    "write_jsonl",
-]
+__all__ = ["to_jsonl", "to_prometheus", "write_jsonl"]
 
 _PREFIX = "skeletonhunter"
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
@@ -61,13 +51,6 @@ def write_jsonl(recorder: TraceRecorder, path: str) -> int:
     return len(rows)
 
 
-def load_jsonl(text: str) -> List[Dict[str, Any]]:
-    """Parse JSONL text back into row dicts (the round-trip inverse)."""
-    return [
-        json.loads(line) for line in text.splitlines() if line.strip()
-    ]
-
-
 def metric_name(name: str, counter: bool = False) -> str:
     """Map a registry name to a Prometheus metric name.
 
@@ -80,69 +63,14 @@ def metric_name(name: str, counter: bool = False) -> str:
     return f"{_PREFIX}_{flat}{suffix}"
 
 
-def escape_label_value(value: str) -> str:
-    """Escape a label value per the exposition format.
-
-    Backslash, double quote, and newline are the three characters the
-    text format requires escaping (in that order — escaping the escape
-    character first keeps the mapping bijective).
-    """
-    return (
-        value.replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-    )
-
-
-def unescape_label_value(text: str) -> str:
-    """Invert :func:`escape_label_value` (a left-to-right scan: the
-    naive chained ``replace`` would corrupt ``\\\\n`` sequences)."""
-    out: List[str] = []
-    index = 0
-    while index < len(text):
-        char = text[index]
-        if char == "\\" and index + 1 < len(text):
-            escaped = text[index + 1]
-            if escaped == "n":
-                out.append("\n")
-            else:  # \\ and \" map to themselves; others pass through
-                out.append(escaped)
-            index += 2
-            continue
-        out.append(char)
-        index += 1
-    return "".join(out)
-
-
-def format_labels(labels: Dict[str, str]) -> str:
-    """Render ``{key="value",...}`` (sorted, escaped); ``""`` if empty."""
-    if not labels:
-        return ""
-    body = ",".join(
-        f'{key}="{escape_label_value(str(value))}"'
-        for key, value in sorted(labels.items())
-    )
-    return "{" + body + "}"
-
-
-def to_prometheus(
-    source: Union[TraceRecorder, MetricRegistry],
-    labels: Optional[Dict[str, str]] = None,
-) -> str:
-    """Render a registry (or a recorder's registry) as Prometheus text.
-
-    ``labels`` attaches a constant label set to every sample (run id,
-    seed, shard — whatever distinguishes this export on a shared
-    scrape), escaped per the exposition format.  Without labels the
-    output is byte-identical to what earlier versions emitted.
-    """
+def to_prometheus(source: Union[TraceRecorder, MetricRegistry]) -> str:
+    """Render a registry (or a recorder's registry) as Prometheus text."""
     registry = source.metrics if isinstance(source, TraceRecorder) else source
-    block = format_labels(labels or {})
     lines: List[str] = []
     for name, value in sorted(registry.counters().items()):
         flat = metric_name(name, counter=True)
         lines.append(f"# TYPE {flat} counter")
-        lines.append(f"{flat}{block} {_format(value)}")
+        lines.append(f"{flat} {_format(value)}")
     for name in registry.series_names():
         series = registry.series(name)
         last = series.last()
@@ -150,91 +78,10 @@ def to_prometheus(
             continue
         flat = metric_name(name)
         lines.append(f"# TYPE {flat} gauge")
-        lines.append(f"{flat}{block} {_format(last[1])}")
+        lines.append(f"{flat} {_format(last[1])}")
         lines.append(f"# TYPE {flat}_samples counter")
-        lines.append(
-            f"{flat}_samples{block} {len(series) + series.dropped}"
-        )
+        lines.append(f"{flat}_samples {len(series)}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _split_sample(line: str) -> Tuple[str, Dict[str, str], str]:
-    """Split one sample line into (name, labels, value text).
-
-    The label block needs a real scanner: a quoted value may contain
-    ``{``, ``}``, ``,``, spaces, or escaped quotes, so naive splitting
-    on any of those corrupts the sample.
-    """
-    brace = line.find("{")
-    space = line.find(" ")
-    if brace == -1 or (space != -1 and space < brace):
-        name, _, value = line.partition(" ")
-        return name, {}, value
-    name = line[:brace]
-    labels: Dict[str, str] = {}
-    index = brace + 1
-    while index < len(line) and line[index] != "}":
-        if line[index] == ",":
-            index += 1
-            continue
-        eq = line.index("=", index)
-        key = line[index:eq]
-        if line[eq + 1] != '"':
-            raise ValueError(f"unquoted label value in {line!r}")
-        index = eq + 2
-        chars: List[str] = []
-        while line[index] != '"':
-            if line[index] == "\\":
-                chars.append(line[index:index + 2])
-                index += 2
-            else:
-                chars.append(line[index])
-                index += 1
-        labels[key] = unescape_label_value("".join(chars))
-        index += 1
-    if index >= len(line):
-        raise ValueError(f"unterminated label block in {line!r}")
-    return name, labels, line[index + 1:].strip()
-
-
-def parse_prometheus_samples(
-    text: str,
-) -> List[Tuple[str, Dict[str, str], str, float]]:
-    """Parse Prometheus text to ``(name, labels, type, value)`` rows.
-
-    The label-aware inverse of :func:`to_prometheus`: values containing
-    ``\\``, ``"``, or newlines round-trip exactly.
-    """
-    types: Dict[str, str] = {}
-    out: List[Tuple[str, Dict[str, str], str, float]] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("# TYPE "):
-            _, _, rest = line.partition("# TYPE ")
-            name, _, kind = rest.partition(" ")
-            types[name] = kind
-            continue
-        if line.startswith("#"):
-            continue
-        name, labels, value = _split_sample(line)
-        out.append((name, labels, types.get(name, "untyped"),
-                    float(value)))
-    return out
-
-
-def parse_prometheus(text: str) -> Dict[str, Tuple[str, float]]:
-    """Parse Prometheus text back to ``{name: (type, value)}``.
-
-    Labels are parsed (so labelled samples no longer corrupt the
-    value field) but dropped from the key — the historical bare-name
-    view; use :func:`parse_prometheus_samples` to keep them.
-    """
-    return {
-        name: (kind, value)
-        for name, _labels, kind, value in parse_prometheus_samples(text)
-    }
 
 
 def _format(value: float) -> str:

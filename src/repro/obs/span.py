@@ -78,7 +78,7 @@ class Span:
 
 
 class NullSpan:
-    """The do-nothing span handed out when recording is disabled."""
+    """The do-nothing span handed out to a component with no recorder."""
 
     __slots__ = ()
 

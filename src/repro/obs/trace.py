@@ -6,10 +6,9 @@ emits structured events and timed spans into one shared
 :class:`TraceRecorder`, whose :class:`~repro.sim.metrics.MetricRegistry`
 simultaneously accumulates the per-round counters the dashboards plot.
 
-The recorder is designed to be threaded through hot paths, so every
-entry point is guarded: a disabled recorder (``enabled=False``) costs
-one attribute check and records nothing, and components treat the
-recorder as optional (``None`` means "not observed").
+Components treat the recorder as optional: ``None`` means "not
+observed", and :func:`~repro.obs.span.open_span` hands out a no-op span
+for it.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
-from repro.obs.span import NULL_SPAN, Span
+from repro.obs.span import Span
 from repro.sim.metrics import MetricRegistry
 
 __all__ = ["TraceEvent", "TraceRecorder"]
@@ -51,24 +50,8 @@ class TraceEvent:
 class TraceRecorder:
     """Collects events, spans, and metrics for one monitored run."""
 
-    def __init__(
-        self,
-        metrics: Optional[MetricRegistry] = None,
-        enabled: bool = True,
-        max_events: Optional[int] = None,
-        max_spans: Optional[int] = None,
-    ) -> None:
-        self.metrics = metrics if metrics is not None else MetricRegistry()
-        self.enabled = enabled
-        self.max_events = max_events
-        # Bounded span retention, mirroring TimeSeries/max_events: a
-        # long soak would otherwise grow span storage without limit.
-        # Evicted (oldest, closed-first) spans are counted on both the
-        # attribute and the shared registry ("trace.dropped_spans") so
-        # a dashboard can see that its trace view is truncated.
-        self.max_spans = max_spans
-        self.dropped_events = 0
-        self.dropped_spans = 0
+    def __init__(self) -> None:
+        self.metrics = MetricRegistry()
         self._events: List[TraceEvent] = []
         self._spans: List[Span] = []
         self._seq = 0
@@ -80,10 +63,8 @@ class TraceRecorder:
 
     def event(
         self, kind: str, sim_time: float = 0.0, **fields: Any
-    ) -> Optional[TraceEvent]:
-        """Record one structured event (no-op when disabled)."""
-        if not self.enabled:
-            return None
+    ) -> TraceEvent:
+        """Record one structured event."""
         self._seq += 1
         record = TraceEvent(
             seq=self._seq, kind=kind, sim_time=sim_time,
@@ -92,10 +73,6 @@ class TraceRecorder:
             fields=fields,
         )
         self._events.append(record)
-        if self.max_events is not None and len(self._events) > self.max_events:
-            excess = len(self._events) - self.max_events
-            del self._events[:excess]
-            self.dropped_events += excess
         return record
 
     @contextmanager
@@ -108,9 +85,6 @@ class TraceRecorder:
         block to record simulated elapsed time; otherwise the span closes
         with ``sim_end == sim_start`` (instantaneous in sim time).
         """
-        if not self.enabled:
-            yield NULL_SPAN
-            return
         self._seq += 1
         span = Span(
             name=name, span_id=self._seq,
@@ -120,11 +94,6 @@ class TraceRecorder:
         )
         self._spans.append(span)
         self._stack.append(span.span_id)
-        if (
-            self.max_spans is not None
-            and len(self._spans) > self.max_spans
-        ):
-            self._evict_spans()
         try:
             yield span
         finally:
@@ -132,35 +101,13 @@ class TraceRecorder:
             if not span.closed:
                 span.close()
 
-    def _evict_spans(self) -> None:
-        """Drop the oldest closed spans down to ``max_spans``.
-
-        Open spans are never evicted — their ``close()`` still runs and
-        queries during the block must find them — so the list can
-        transiently exceed the cap by the nesting depth.
-        """
-        excess = len(self._spans) - self.max_spans
-        kept: List[Span] = []
-        dropped = 0
-        for span in self._spans:
-            if dropped < excess and span.closed:
-                dropped += 1
-                continue
-            kept.append(span)
-        if dropped:
-            self._spans = kept
-            self.dropped_spans += dropped
-            self.metrics.increment("trace.dropped_spans", dropped)
-
     def count(self, name: str, amount: float = 1.0) -> None:
-        """Increment a counter on the shared registry (when enabled)."""
-        if self.enabled:
-            self.metrics.increment(name, amount)
+        """Increment a counter on the shared registry."""
+        self.metrics.increment(name, amount)
 
     def sample(self, name: str, sim_time: float, value: float) -> None:
-        """Append to a time series on the shared registry (when enabled)."""
-        if self.enabled:
-            self.metrics.series(name).record(sim_time, value)
+        """Append to a time series on the shared registry."""
+        self.metrics.series(name).record(sim_time, value)
 
     # ------------------------------------------------------------------
     # Queries

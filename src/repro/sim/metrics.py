@@ -56,23 +56,10 @@ def _percentile(sorted_values: List[float], q: float) -> float:
 
 
 class TimeSeries:
-    """An append-only series of (time, value) samples.
+    """An append-only series of (time, value) samples."""
 
-    ``max_samples`` opts into bounded retention: once the series exceeds
-    the cap, the oldest samples are evicted.  Long soak runs
-    (``benchmarks/bench_soak_chaos.py``) use this so per-round series do
-    not grow without bound; :meth:`window` stays correct over whatever
-    range is still retained, and :meth:`complete_since` tells callers
-    whether a window sum would be missing evicted samples.
-    """
-
-    def __init__(self, name: str = "", max_samples: Optional[int] = None):
-        if max_samples is not None and max_samples < 1:
-            raise ValueError("max_samples must be at least 1")
+    def __init__(self, name: str = ""):
         self.name = name
-        self.max_samples = max_samples
-        self.dropped = 0
-        self._last_evicted_time: Optional[float] = None
         self._times: List[float] = []
         self._values: List[float] = []
 
@@ -88,18 +75,6 @@ class TimeSeries:
             )
         self._times.append(time)
         self._values.append(value)
-        if self.max_samples is not None and len(self._times) > self.max_samples:
-            excess = len(self._times) - self.max_samples
-            self._last_evicted_time = self._times[excess - 1]
-            del self._times[:excess]
-            del self._values[:excess]
-            self.dropped += excess
-
-    def complete_since(self, start: float) -> bool:
-        """Whether every sample recorded at time >= ``start`` is retained."""
-        if self._last_evicted_time is None:
-            return True
-        return self._last_evicted_time < start
 
     def window(self, start: float, end: float) -> List[float]:
         """Values with ``start <= time < end`` (binary-search bounded)."""
@@ -156,15 +131,9 @@ class TimeSeries:
 
 
 class MetricRegistry:
-    """A flat namespace of counters and time series.
+    """A flat namespace of counters and time series."""
 
-    ``default_retention`` caps every series created through
-    :meth:`series` at that many samples (bounded-retention mode for long
-    soak runs); ``None`` keeps the historical unbounded behaviour.
-    """
-
-    def __init__(self, default_retention: Optional[int] = None) -> None:
-        self.default_retention = default_retention
+    def __init__(self) -> None:
         self._counters: Dict[str, float] = defaultdict(float)
         self._series: Dict[str, TimeSeries] = {}
 
@@ -176,31 +145,11 @@ class MetricRegistry:
         """Current value of counter ``name`` (0 when never incremented)."""
         return self._counters.get(name, 0.0)
 
-    def series(
-        self, name: str, max_samples: Optional[int] = None
-    ) -> TimeSeries:
+    def series(self, name: str) -> TimeSeries:
         """The time series called ``name``, created on first access."""
         if name not in self._series:
-            self._series[name] = TimeSeries(
-                name,
-                max_samples=(
-                    max_samples if max_samples is not None
-                    else self.default_retention
-                ),
-            )
+            self._series[name] = TimeSeries(name)
         return self._series[name]
-
-    def merge_from(self, other: "MetricRegistry") -> None:
-        """Fold ``other``'s counters and series into this registry.
-
-        Used when a component that accumulated metrics into a private
-        registry is attached to a shared one mid-flight.
-        """
-        for name, value in other.counters().items():
-            self._counters[name] += value
-        for name in other.series_names():
-            if name not in self._series:
-                self._series[name] = other.series(name)
 
     def has_series(self, name: str) -> bool:
         """Whether a series called ``name`` has been created."""

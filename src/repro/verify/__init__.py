@@ -11,13 +11,11 @@ evidence-chain style as ``Diagnosis.explain``.  The determinism lint
 (:mod:`repro.verify.lint`) keeps the simulator itself honest: no wall
 clock, no unseeded randomness, no broad excepts in ``core/``.
 
-Nothing here imports ``repro.core`` at module scope, so the core can
-lazily call into verification (``SkeletonHunter.verify_fabric``)
-without a cycle.
+Nothing here imports ``repro.core`` at module scope: verification
+reads a built scenario, and the core never calls into it.
 """
 
 from repro.verify.framework import (
-    FabricVerificationError,
     FabricVerifier,
     Finding,
     PassResult,
@@ -28,26 +26,22 @@ from repro.verify.framework import (
     default_passes,
 )
 from repro.verify.callgraph import CallGraph, CallGraphBuilder
-from repro.verify.contract import ContractChecker, ContractConfig
-from repro.verify.flow import FlowAnalysis, FlowAnalyzer, analyze_package
+from repro.verify.contract import ContractChecker
+from repro.verify.flow import FlowAnalysis, analyze_package
 from repro.verify.lint import DeterminismLinter, LintViolation, lint_paths
 from repro.verify.resolver import ImportTable
-from repro.verify.taint import Taint, TaintAnalyzer, TaintConfig
+from repro.verify.taint import Taint, TaintAnalyzer
 
 __all__ = [
     "CallGraph",
     "CallGraphBuilder",
     "ContractChecker",
-    "ContractConfig",
     "DeterminismLinter",
     "FlowAnalysis",
-    "FlowAnalyzer",
     "ImportTable",
     "Taint",
     "TaintAnalyzer",
-    "TaintConfig",
     "analyze_package",
-    "FabricVerificationError",
     "FabricVerifier",
     "Finding",
     "LintViolation",

@@ -6,7 +6,8 @@ fabric-verification pass on the default monitored scenario — with
 exits 1 iff any ERROR finding.  ``--lint [paths...]`` runs the
 determinism lint and ``--flow [root]`` the interprocedural determinism
 analyzer instead, each over the ``repro`` package by default and
-exiting 1 iff any finding.
+exiting 1 iff any finding.  ``--reach`` prints the functions only tests
+reach (:mod:`repro.verify.reach`) and exits 0.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from repro.verify.framework import (
 )
 from repro.verify.flow import run_flow
 from repro.verify.lint import lint_paths
+from repro.verify.reach import run_reach
 
 __all__ = [
     "add_verify_arguments",
@@ -43,6 +45,11 @@ def add_verify_arguments(parser: argparse.ArgumentParser) -> None:
         "--flow", action="store_true",
         help="run the interprocedural determinism analyzer (call-graph "
         "taint + keyed-draw contract) instead of the fabric passes",
+    )
+    parser.add_argument(
+        "--reach", action="store_true",
+        help="run every non-test entry point under a call tracer and "
+        "print the functions only tests reach",
     )
     parser.add_argument(
         "paths", nargs="*",
@@ -140,14 +147,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     add_verify_arguments(parser)
     args = parser.parse_args(list(argv) if argv is not None else None)
-    if args.lint and args.flow:
-        parser.error("--lint and --flow are mutually exclusive")
+    if args.lint + args.flow + args.reach > 1:
+        parser.error("--lint, --flow and --reach are mutually exclusive")
     return run(args)
 
 
 def run(args: argparse.Namespace) -> int:
     """Run the mode parsed ``verify`` arguments select; returns the
     process exit code."""
+    if args.reach:
+        return run_reach()
     if args.flow:
         return run_flow(args)
     return run_lint(args) if args.lint else run_verify(args)

@@ -25,7 +25,6 @@ nondeterminism enters is blamed, not every caller above it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.verify.callgraph import CallGraph
@@ -38,7 +37,7 @@ from repro.verify.taint import (
     TaintValue,
 )
 
-__all__ = ["ContractChecker", "ContractConfig", "FLOW_SINKS"]
+__all__ = ["ContractChecker", "FLOW_SINKS"]
 
 #: Module suffix -> what kind of state lives there.  A tainted value
 #: reaching any of these is a ``flow.taint-to-sink`` finding.
@@ -64,38 +63,26 @@ FLOW_SINKS: Dict[str, str] = {
 _CONTRACT_FRAGMENTS = (".network.", ".chaos.", ".workloads.")
 
 
-@dataclass
-class ContractConfig:
-    """Which modules are sinks and which fall under the contract."""
+def sink_label(module: str) -> Optional[str]:
+    """What kind of sink state ``module`` holds, if it is a sink."""
+    for suffix, label in FLOW_SINKS.items():
+        if names(module, (suffix,)):
+            return label
+    return None
 
-    sinks: Dict[str, str] = field(
-        default_factory=lambda: dict(FLOW_SINKS)
-    )
-    contract_fragments: Tuple[str, ...] = _CONTRACT_FRAGMENTS
 
-    def sink_label(self, module: str) -> Optional[str]:
-        for suffix, label in self.sinks.items():
-            if names(module, (suffix,)):
-                return label
-        return None
-
-    def in_contract_scope(self, module: str) -> bool:
-        padded = f".{module}."
-        return any(f in padded for f in self.contract_fragments)
+def in_contract_scope(module: str) -> bool:
+    """Whether ``module`` falls under the keyed-draw contract."""
+    padded = f".{module}."
+    return any(fragment in padded for fragment in _CONTRACT_FRAGMENTS)
 
 
 class ContractChecker:
     """Folds taint summaries into findings."""
 
-    def __init__(
-        self,
-        graph: CallGraph,
-        analyzer: TaintAnalyzer,
-        config: Optional[ContractConfig] = None,
-    ) -> None:
+    def __init__(self, graph: CallGraph, analyzer: TaintAnalyzer) -> None:
         self.graph = graph
         self.analyzer = analyzer
-        self.config = config or ContractConfig()
 
     # -- entry ----------------------------------------------------------
 
@@ -108,13 +95,13 @@ class ContractChecker:
         for fid in sorted(self.graph.functions):
             info = self.graph.functions[fid]
             summary = self.analyzer.summary_of(fid)
-            sink_label = self.config.sink_label(info.module)
-            if sink_label is not None:
+            label = sink_label(info.module)
+            if label is not None:
                 sink_result.checked += 1
                 sink_candidates.extend(
-                    self._sink_findings(info, summary, sink_label)
+                    self._sink_findings(info, summary, label)
                 )
-            if self.config.in_contract_scope(info.module):
+            if in_contract_scope(info.module):
                 contract_result.checked += 1
                 contract_candidates.extend(
                     self._contract_findings(info, summary)

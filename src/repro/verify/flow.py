@@ -19,17 +19,17 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.verify.callgraph import CallGraph, CallGraphBuilder
-from repro.verify.contract import ContractChecker, ContractConfig
+from repro.verify.contract import ContractChecker
 from repro.verify.framework import PassResult, VerifierReport
 from repro.verify.resolver import package_root
-from repro.verify.taint import TaintAnalyzer, TaintConfig
+from repro.verify.taint import TaintAnalyzer
 
 __all__ = [
     "FlowAnalysis",
-    "FlowAnalyzer",
+    "analyze_graph",
     "analyze_package",
     "run_flow",
 ]
@@ -44,62 +44,28 @@ class FlowAnalysis:
     report: VerifierReport
 
 
-class FlowAnalyzer:
-    """Configurable façade over graph building, taint, and contract."""
-
-    def __init__(
-        self,
-        taint_config: Optional[TaintConfig] = None,
-        contract_config: Optional[ContractConfig] = None,
-    ) -> None:
-        self.taint_config = taint_config or TaintConfig()
-        self.contract_config = contract_config or ContractConfig()
-
-    def analyze_graph(self, graph: CallGraph) -> FlowAnalysis:
-        """Run taint + contract over an already-built graph."""
-        taint = TaintAnalyzer(graph, self.taint_config)
-        taint.analyze()
-        checker = ContractChecker(graph, taint, self.contract_config)
-        sink_result, contract_result = checker.run()
-        stats = PassResult(
-            name="flow.callgraph",
-            checked=len(graph.functions),
-        )
-        report = VerifierReport(
-            results=[stats, sink_result, contract_result]
-        )
-        return FlowAnalysis(graph=graph, taint=taint, report=report)
-
-    def analyze_package(
-        self, root: str, package: Optional[str] = None
-    ) -> FlowAnalysis:
-        """Parse every module under ``root`` and analyze the package."""
-        builder = CallGraphBuilder()
-        count = builder.add_package(root, package=package)
-        if count == 0:
-            raise FileNotFoundError(
-                f"no python modules under {root!r} to analyze"
-            )
-        return self.analyze_graph(builder.build())
-
-    def analyze_sources(
-        self, sources: Dict[str, str]
-    ) -> FlowAnalysis:
-        """Analyze in-memory modules (``dotted name -> source``)."""
-        builder = CallGraphBuilder()
-        for name in sorted(sources):
-            builder.add_source(name, sources[name])
-        return self.analyze_graph(builder.build())
+def analyze_graph(graph: CallGraph) -> FlowAnalysis:
+    """Run taint + contract over an already-built graph."""
+    taint = TaintAnalyzer(graph)
+    taint.analyze()
+    sink_result, contract_result = ContractChecker(graph, taint).run()
+    stats = PassResult(name="flow.callgraph", checked=len(graph.functions))
+    report = VerifierReport(results=[stats, sink_result, contract_result])
+    return FlowAnalysis(graph=graph, taint=taint, report=report)
 
 
 def analyze_package(
     root: Optional[str] = None, package: Optional[str] = None
 ) -> FlowAnalysis:
-    """Module-level convenience with the default configuration."""
-    return FlowAnalyzer().analyze_package(
-        root if root is not None else package_root(),
-        package=package,
-    )
+    """Parse every module under ``root`` (the ``repro`` package by
+    default) and analyze the package."""
+    root = root if root is not None else package_root()
+    builder = CallGraphBuilder()
+    if builder.add_package(root, package=package) == 0:
+        raise FileNotFoundError(
+            f"no python modules under {root!r} to analyze"
+        )
+    return analyze_graph(builder.build())
 
 
 def run_flow(args: argparse.Namespace) -> int:

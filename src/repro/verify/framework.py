@@ -31,7 +31,6 @@ from repro.cluster.orchestrator import Cluster
 from repro.cluster.topology import RailOptimizedTopology
 
 __all__ = [
-    "FabricVerificationError",
     "FabricVerifier",
     "Finding",
     "PassResult",
@@ -165,21 +164,6 @@ class VerifierReport:
         return "\n".join(lines)
 
 
-class FabricVerificationError(RuntimeError):
-    """Raised when ``verify_on_start`` finds ERROR-severity findings."""
-
-    def __init__(self, report: VerifierReport) -> None:
-        self.report = report
-        errors = report.errors()
-        components = ", ".join(
-            sorted({f.component for f in errors})
-        )
-        super().__init__(
-            f"fabric verification failed: {len(errors)} error finding(s) "
-            f"on {components}"
-        )
-
-
 @dataclass
 class VerificationContext:
     """Everything a pass may inspect.
@@ -188,8 +172,7 @@ class VerificationContext:
     (``hunter``) or the tenant workload (``workload``) skip themselves —
     with a recorded reason — when those are absent.  ``hunter`` is typed
     loosely to keep :mod:`repro.verify` import-free of
-    :mod:`repro.core` (which imports this package for
-    ``verify_on_start``).
+    :mod:`repro.core`.
     """
 
     cluster: Cluster

@@ -54,7 +54,6 @@ __all__ = [
     "FunctionSummary",
     "Taint",
     "TaintAnalyzer",
-    "TaintConfig",
     "TaintValue",
     "TraceStep",
 ]
@@ -123,63 +122,55 @@ def join_all(values: Sequence[TaintValue]) -> TaintValue:
     return result
 
 
-@dataclass
-class TaintConfig:
-    """Source, sanitizer, and keyed-draw catalogs.
+#: The taint catalogue.  Names are *canonical* (post
+#: :class:`~repro.verify.resolver.ImportTable` resolution) and match by
+#: :func:`~repro.verify.resolver.names`, so one entry covers
+#: ``repro.sim.rng`` and a test fixture's ``pkg.sim.rng``.  The source
+#: families the lint also polices are the catalogue in
+#: :mod:`repro.verify.resolver`.
+ENV_READS = ("os.getenv", "os.environ.get")
+ENV_OBJECTS = ("os.environ",)
+#: Dotted suffixes whose call results are keyed-deterministic.
+KEYED_SUFFIXES = (
+    "network.draws.keyed_uniform",
+    "network.draws.keyed_uniforms",
+    "network.draws.PairwiseDrawSource.uniforms",
+    "sim.rng.derive_seed",
+    "sim.rng.RngRegistry.stream",
+    "sim.rng.RngRegistry.fork",
+)
+#: Module suffixes that *mint* keyed randomness: their functions return
+#: KEYED, and global-RNG machinery inside them is the sanctioned
+#: implementation, not a source.
+KEYED_MODULE_SUFFIXES = ("sim.rng", "network.draws")
+#: Calls that erase unordered-iteration taint (and only that kind):
+#: explicit ordering plus order-insensitive aggregators.
+ORDER_SANITIZERS = (
+    "sorted", "sum", "len", "min", "max", "any", "all", "frozenset",
+)
+#: Module-level factories whose values advance with process history:
+#: ``next()`` on one is out-of-band nondeterminism.
+GLOBAL_COUNTER_FACTORIES = ("itertools.count",)
+#: Fixpoint rounds before the analysis stops iterating.
+MAX_ROUNDS = 12
 
-    Names are *canonical* (post :class:`~repro.verify.resolver.
-    ImportTable` resolution) and match by :func:`~repro.verify.
-    resolver.names`, so one config covers ``repro.sim.rng`` and a test
-    fixture's ``pkg.sim.rng``.  The source families the lint also
-    polices default to the catalogue in :mod:`repro.verify.resolver`.
-    """
 
-    wall_clock: Tuple[str, ...] = WALL_CLOCK
-    rng_prefixes: Tuple[str, ...] = GLOBAL_RNG_PREFIXES
-    process_identity: Tuple[str, ...] = PROCESS_IDENTITY
-    env_reads: Tuple[str, ...] = ("os.getenv", "os.environ.get")
-    env_objects: Tuple[str, ...] = ("os.environ",)
-    #: Dotted suffixes whose call results are keyed-deterministic.
-    keyed_suffixes: Tuple[str, ...] = (
-        "network.draws.keyed_uniform",
-        "network.draws.keyed_uniforms",
-        "network.draws.PairwiseDrawSource.uniforms",
-        "sim.rng.derive_seed",
-        "sim.rng.RngRegistry.stream",
-        "sim.rng.RngRegistry.fork",
-    )
-    #: Module suffixes that *mint* keyed randomness: their functions
-    #: return KEYED, and global-RNG machinery inside them is the
-    #: sanctioned implementation, not a source.
-    keyed_module_suffixes: Tuple[str, ...] = ("sim.rng", "network.draws")
-    #: Calls that erase unordered-iteration taint (and only that
-    #: kind): explicit ordering plus order-insensitive aggregators.
-    order_sanitizers: Tuple[str, ...] = (
-        "sorted", "sum", "len", "min", "max", "any", "all", "frozenset",
-    )
-    #: Module-level factories whose values advance with process
-    #: history: ``next()`` on one is out-of-band nondeterminism.
-    global_counter_factories: Tuple[str, ...] = ("itertools.count",)
+def source_kind(target: str) -> Optional[str]:
+    """The source family of a canonical call target, if any."""
+    if names(target, WALL_CLOCK):
+        return "wall-clock"
+    if any(target.startswith(p) for p in GLOBAL_RNG_PREFIXES):
+        return "unseeded-random"
+    if names(target, PROCESS_IDENTITY):
+        return "process-identity"
+    if target in ENV_READS:
+        return "env-read"
+    return None
 
-    # -- classification -------------------------------------------------
 
-    def source_kind(self, target: str) -> Optional[str]:
-        """The source family of a canonical call target, if any."""
-        if names(target, self.wall_clock):
-            return "wall-clock"
-        if any(target.startswith(p) for p in self.rng_prefixes):
-            return "unseeded-random"
-        if names(target, self.process_identity):
-            return "process-identity"
-        if target in self.env_reads:
-            return "env-read"
-        return None
-
-    def is_keyed(self, target: str) -> bool:
-        return names(target, self.keyed_suffixes)
-
-    def module_is_keyed(self, module: str) -> bool:
-        return names(module, self.keyed_module_suffixes)
+def module_is_keyed(module: str) -> bool:
+    """Whether ``module`` is a keyed-randomness mint."""
+    return names(module, KEYED_MODULE_SUFFIXES)
 
 
 @dataclass
@@ -203,13 +194,8 @@ class FunctionSummary:
 class TaintAnalyzer:
     """Runs the interprocedural fixpoint over a built call graph."""
 
-    def __init__(
-        self, graph: CallGraph, config: Optional[TaintConfig] = None,
-        max_rounds: int = 12,
-    ) -> None:
+    def __init__(self, graph: CallGraph) -> None:
         self.graph = graph
-        self.config = config or TaintConfig()
-        self.max_rounds = max_rounds
         self.summaries: Dict[str, FunctionSummary] = {}
         #: Class-attribute taint: ``(canonical class, attr) -> value``.
         self.attr_taint: Dict[Tuple[str, str], TaintValue] = {}
@@ -226,7 +212,7 @@ class TaintAnalyzer:
         order = sorted(self.graph.functions)
         for fid in order:
             self.summaries[fid] = FunctionSummary(fid=fid)
-        for _ in range(self.max_rounds):
+        for _ in range(MAX_ROUNDS):
             changed = False
             for fid in order:
                 info = self.graph.functions[fid]
@@ -259,7 +245,7 @@ class TaintAnalyzer:
                 if spelled is None:
                     continue
                 canonical = module.imports.resolve(spelled)
-                if canonical not in self.config.global_counter_factories:
+                if canonical not in GLOBAL_COUNTER_FACTORIES:
                     continue
                 for target in stmt.targets:
                     if isinstance(target, ast.Name):
@@ -276,7 +262,7 @@ class TaintAnalyzer:
         later read of the attribute carries it.
         """
         for module in self.graph.modules.values():
-            if self.config.module_is_keyed(module.name):
+            if module_is_keyed(module.name):
                 continue
             for stmt in getattr(module.tree, "body", []):
                 if not isinstance(stmt, ast.ClassDef):
@@ -320,7 +306,7 @@ class TaintAnalyzer:
                     Taint.TAINTED, "process-global-counter", (step,)
                 )
             if canonical is not None:
-                kind = self.config.source_kind(canonical)
+                kind = source_kind(canonical)
                 if kind is not None:
                     step = TraceStep(
                         f"{module.name}.<class default>", module.path,
@@ -338,7 +324,7 @@ class TaintAnalyzer:
         spelled = dotted_name(node)
         if spelled is not None:
             canonical = module.imports.resolve(spelled)
-            kind = self.config.source_kind(canonical)
+            kind = source_kind(canonical)
             if kind is not None:
                 step = TraceStep(
                     f"{module.name}.<class default>", module.path,
@@ -372,7 +358,7 @@ class TaintAnalyzer:
     # -- per-function walk ----------------------------------------------
 
     def _analyze_function(self, info: FunctionInfo) -> FunctionSummary:
-        if self.config.module_is_keyed(info.module):
+        if module_is_keyed(info.module):
             # The sanctioned randomness mint: everything it returns is
             # keyed-deterministic by definition.
             return FunctionSummary(
@@ -393,7 +379,6 @@ class _FunctionWalker:
     def __init__(self, analyzer: TaintAnalyzer, info: FunctionInfo):
         self.analyzer = analyzer
         self.graph = analyzer.graph
-        self.config = analyzer.config
         self.info = info
         self.summary = FunctionSummary(fid=info.fid)
         #: Local environment: variable -> TaintValue.
@@ -649,7 +634,7 @@ class _FunctionWalker:
         canonical = self.graph.modules[
             self.info.module
         ].imports.resolve(spelled)
-        if canonical in self.config.env_objects:
+        if canonical in ENV_OBJECTS:
             step = TraceStep(
                 self.info.label(), self.info.path, node.lineno,
                 f"reads {canonical}[...] [env-read]",
@@ -676,7 +661,7 @@ class _FunctionWalker:
             target = spelled
 
         simple = target.rsplit(".", 1)[-1]
-        if simple in self.config.order_sanitizers and target == simple:
+        if simple in ORDER_SANITIZERS and target == simple:
             return self._eval_sanitizer(node, args)
         counter = self.analyzer._counter_read(self.info.module, node) \
             if target == "next" else None
@@ -695,14 +680,14 @@ class _FunctionWalker:
             # when the set is iterated into ordered output.
             return args
 
-        kind = self.config.source_kind(target)
+        kind = source_kind(target)
         if kind is not None:
             step = TraceStep(
                 self.info.label(), self.info.path, node.lineno,
                 f"calls {target}() [{kind}]",
             )
             return TaintValue(Taint.TAINTED, kind, (step,))
-        if self.config.is_keyed(target):
+        if names(target, KEYED_SUFFIXES):
             step = TraceStep(
                 self.info.label(), self.info.path, node.lineno,
                 f"draws {target}() [keyed]",

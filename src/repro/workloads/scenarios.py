@@ -189,7 +189,6 @@ def build_scenario(
     watch: bool = True,
     iteration_period_s: float = 30.0,
     observe: bool = False,
-    verify_on_start: bool = False,
     chaos=None,
     bus=None,
 ) -> MonitoredScenario:
@@ -237,7 +236,6 @@ def build_scenario(
         detector_config=detector_config,
         probe_interval_s=probe_interval_s,
         observability=observability,
-        verify_on_start=verify_on_start,
         chaos=chaos,
         bus=bus,
     )

@@ -1,8 +1,12 @@
 """Tests for the Flock-style probabilistic localization baseline."""
 
-import pytest
-
-from repro.baselines.flock import FlockLocalizer
+from repro.baselines.flock import (
+    FALSE_RATE,
+    HIT_RATE,
+    MAX_SUSPECTS,
+    PRIOR,
+    FlockLocalizer,
+)
 from repro.cluster.identifiers import LinkId
 from repro.cluster.topology import UnderlayPath
 from repro.core.analyzer import FailureEvent
@@ -24,10 +28,8 @@ class _StubFabric:
         return self._distributions.get((src, dst), [])
 
 
-def _flock(distributions, **kwargs):
-    return FlockLocalizer(
-        cluster=None, fabric=_StubFabric(distributions), **kwargs
-    )
+def _flock(distributions):
+    return FlockLocalizer(cluster=None, fabric=_StubFabric(distributions))
 
 
 def _pair(a, b):
@@ -103,29 +105,33 @@ class TestLocalize:
         assert not report.unexplained
 
     def test_unexplained_when_nothing_clears_floor(self):
-        flock = _flock(_SHARED, posterior_floor=1.0)
+        # One failing observation cannot lift a 2% prior past the floor.
+        flock = _flock(_SHARED)
         events = [_event(_pair("a", "b"))]
         report = flock.localize(events, now=20.0)
         assert report.unexplained == events
         assert not report.diagnoses
 
     def test_suspect_count_is_bounded(self):
-        flock = _flock(_SHARED, max_suspects=1)
+        # Two failing pairs share a five-link path: every link clears
+        # the floor, one more than may be reported.
+        corridor = [path("h0/rnic-0", "tor-0", "agg-0", "spine-0",
+                         "tor-1", "h4/rnic-0")]
+        flock = _flock({("a", "b"): corridor, ("c", "d"): corridor})
         events = [_event(_pair("a", "b")), _event(_pair("c", "d"))]
+        assert len(flock.link_posteriors(
+            [_pair("a", "b"), _pair("c", "d")]
+        )) == MAX_SUSPECTS + 1
         report = flock.localize(events, now=20.0)
         link_diagnoses = [
             d for d in report.diagnoses if "<->" in d.component
         ]
-        assert len(link_diagnoses) == 1
+        assert len(link_diagnoses) == MAX_SUSPECTS
 
 
 class TestValidation:
     def test_prior_must_be_a_probability(self):
-        with pytest.raises(ValueError):
-            _flock({}, prior=0.0)
-        with pytest.raises(ValueError):
-            _flock({}, prior=1.0)
+        assert 0.0 < PRIOR < 1.0
 
     def test_hit_rate_must_exceed_false_rate(self):
-        with pytest.raises(ValueError):
-            _flock({}, hit_rate=0.01, false_rate=0.02)
+        assert 0.0 < FALSE_RATE < HIT_RATE <= 1.0

@@ -1,8 +1,8 @@
-"""Tests for overlay/underlay agents and the resource model."""
+"""Tests for the agents and the overlay agent's resource model."""
 
 import pytest
 
-from repro.core.agent import AgentResourceModel, OverlayAgent, UnderlayAgent
+from repro.core.agent import AgentResourceModel, OverlayAgent
 from repro.core.pinglist import PingList
 from repro.core.rnic_validation import RnicValidator
 from repro.network.fabric import DataPlaneFabric
@@ -89,19 +89,25 @@ class TestResourceModel:
 
 
 class TestUnderlayAgent:
+    """The paper's per-host underlay agent is two capabilities the
+    localizer calls directly: the fabric's traceroute and the
+    validator's flow-table dumps."""
+
     def test_traceroute_via_host_agent(
         self, cluster, running_task, fabric
     ):
         host = running_task.container(0).host
-        agent = UnderlayAgent(host, fabric, RnicValidator(cluster))
         src = running_task.container(0).endpoint(0)
         dst = running_task.container(1).endpoint(0)
-        path = agent.traceroute(src, dst)
+        path = fabric.traceroute(src, dst)
         assert path is not None
         assert path.devices[0].startswith(str(host))
 
     def test_dump_covers_every_rnic(self, cluster, running_task, fabric):
         host = running_task.container(0).host
-        agent = UnderlayAgent(host, fabric, RnicValidator(cluster))
-        findings = agent.dump_flow_tables()
+        validator = RnicValidator(cluster)
+        findings = [
+            validator.validate(rnic.id) for rnic in cluster.host(host).rnics
+        ]
         assert len(findings) == len(cluster.host(host).rnics)
+        assert not any(finding.suspicious for finding in findings)

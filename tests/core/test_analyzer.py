@@ -78,7 +78,7 @@ class TestIncidentLifecycle:
         assert len(analyzer.events[0].anomalies) >= 2
 
     def test_event_resolves_after_recovery(self):
-        analyzer = Analyzer(resolve_after_s=60.0)
+        analyzer = Analyzer()
         pair = make_pair()
         feed_lost(analyzer, pair, 0.0, 30.0)
         feed_healthy(analyzer, pair, 30.0, 200.0)
@@ -180,7 +180,7 @@ class TestPathChangeReset:
 
     def test_recovery_resolution_carries_no_reason(self):
         recorder = TraceRecorder()
-        analyzer = Analyzer(resolve_after_s=60.0, recorder=recorder)
+        analyzer = Analyzer(recorder=recorder)
         pair = make_pair()
         feed_lost(analyzer, pair, 0.0, 30.0)
         feed_healthy(analyzer, pair, 30.0, 200.0)

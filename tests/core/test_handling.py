@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster.identifiers import HostId
 from repro.core.handling import (
+    MIN_CONFIDENCE,
     Alert,
     AlertSeverity,
     Blacklist,
@@ -110,9 +111,11 @@ class TestFailureHandler:
         assert handler.blacklist.contains("host-1/rnic-0")
 
     def test_low_confidence_not_blacklisted(self):
-        handler = FailureHandler(min_confidence=0.7)
+        handler = FailureHandler()
         handler.handle(0.0, report(
-            diagnosis("host:host-3", confidence=0.6, layer="host")
+            diagnosis(
+                "host:host-3", confidence=MIN_CONFIDENCE - 0.1, layer="host"
+            )
         ))
         assert not handler.blacklist.contains("host:host-3")
         assert handler.alerts  # but the team is still told
@@ -194,10 +197,8 @@ class TestSchedulingIntegration:
 
         blacklist = Blacklist()
         blacklist.add("host:host-0", at=0.0, reason="bad board")
-        orchestrator = Orchestrator(
-            cluster, engine, rng,
-            placement_filter=blacklist.host_allowed,
-        )
+        orchestrator = Orchestrator(cluster, engine, rng)
+        orchestrator.placement_filter = blacklist.host_allowed
         task = orchestrator.submit_task(3, 4, instant_startup=True)
         engine.run_until(0)
         hosts = {c.host for c in task.all_containers()}
@@ -213,10 +214,8 @@ class TestSchedulingIntegration:
         blacklist = Blacklist()
         for host_id in cluster.hosts:
             blacklist.add(f"host:{host_id}", at=0.0, reason="outage")
-        orchestrator = Orchestrator(
-            cluster, engine, rng,
-            placement_filter=blacklist.host_allowed,
-        )
+        orchestrator = Orchestrator(cluster, engine, rng)
+        orchestrator.placement_filter = blacklist.host_allowed
         with pytest.raises(PlacementError):
             orchestrator.submit_task(1, 4)
 

@@ -9,7 +9,12 @@ import pytest
 
 from repro.cluster.identifiers import LinkId
 from repro.cluster.topology import UnderlayPath
-from repro.core.analyzer import LoadConditionedAdmission
+from repro.core.analyzer import (
+    HEADROOM,
+    HOT_UTILIZATION,
+    ZTEST_BASE,
+    LoadConditionedAdmission,
+)
 from repro.core.detection import DetectedAnomaly
 from repro.core.pinglist import ProbePair
 from repro.network.issues import Symptom
@@ -43,13 +48,13 @@ class _StubFabric:
         return self.distributions.get((src, dst), [])
 
 
-def _filter(**kwargs):
+def _filter():
     model = LinkLoadModel({_HOT: 4.0, _COOL: 1.0})
     fabric = _StubFabric({
         ("a", "b"): [_HOT_PATH],
         ("c", "d"): [_COOL_PATH],
     })
-    return LoadConditionedAdmission(model, fabric, **kwargs), fabric
+    return LoadConditionedAdmission(model, fabric), fabric
 
 
 def _anomaly(pair, symptom, score, detector="short_term_lof"):
@@ -74,7 +79,8 @@ class TestAdmission:
         assert admission.admit(anomaly, base_threshold=4.5)
 
     def test_hot_path_latency_needs_headroom(self):
-        admission, _ = _filter(hot_utilization=0.7, headroom=1.5)
+        admission, _ = _filter()
+        assert (HOT_UTILIZATION, HEADROOM) == (0.7, 1.5)
         # The hot pair's bottleneck utilization is 1.0, so the required
         # score is base * (1 + headroom) = 4.5 * 2.5.
         weak = _anomaly(_HOT_PAIR, Symptom.HIGH_LATENCY, score=5.0)
@@ -85,7 +91,8 @@ class TestAdmission:
         assert admission.admit(strong, base_threshold=4.5)
 
     def test_ztest_detector_uses_its_own_base(self):
-        admission, _ = _filter(ztest_base=3.9, headroom=1.5)
+        admission, _ = _filter()
+        assert ZTEST_BASE == 3.9
         anomaly = _anomaly(
             _HOT_PAIR, Symptom.HIGH_LATENCY, score=5.0,
             detector="long_term_ztest",

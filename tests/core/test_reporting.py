@@ -101,15 +101,3 @@ class TestWindowedProbeCounts:
         during = build_report(run_with_fault.hunter, start=150.0, end=220.0)
         assert before.probes_lost == 0
         assert during.probes_lost > 0
-
-    def test_evicted_series_falls_back_to_lifetime(self, run_with_fault):
-        hunter = run_with_fault.hunter
-        series = hunter.metrics.series("probes.sent_in_round")
-        # Simulate bounded retention having evicted early rounds.
-        series.max_samples = 5
-        series.record(hunter.engine.now, 0.0)
-        assert not series.complete_since(0.0)
-        report = build_report(hunter)
-        assert not report.probes_windowed
-        assert report.probes_sent == hunter.fabric.probes_sent
-        assert "lifetime" in render_report(report)

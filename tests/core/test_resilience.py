@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.resilience import (
     BACKOFF_JITTER,
+    BREAKER_FAILURES,
     MAX_RETRIES,
     RETRY_TIMEOUT_S,
     BreakerState,
@@ -77,42 +78,46 @@ class TestRetryPolicy:
         assert worst < 2.0
 
 
+def tripped_at(at: float) -> CircuitBreaker:
+    """A breaker tripped by a failure streak at ``at``."""
+    breaker = CircuitBreaker()
+    for _ in range(BREAKER_FAILURES):
+        breaker.record_failure(at)
+    return breaker
+
+
 class TestCircuitBreaker:
     def test_trips_after_consecutive_failures(self):
-        breaker = CircuitBreaker(failure_threshold=3)
-        breaker.record_failure(0.0)
-        breaker.record_failure(1.0)
+        breaker = CircuitBreaker()
+        for t in range(BREAKER_FAILURES - 1):
+            breaker.record_failure(float(t))
         assert breaker.state_at(1.5) is BreakerState.CLOSED
         breaker.record_failure(2.0)
         assert breaker.state_at(2.5) is BreakerState.OPEN
         assert breaker.trips == 1
 
     def test_success_resets_the_failure_streak(self):
-        breaker = CircuitBreaker(failure_threshold=3)
-        breaker.record_failure(0.0)
-        breaker.record_failure(1.0)
+        breaker = CircuitBreaker()
+        for t in range(BREAKER_FAILURES - 1):
+            breaker.record_failure(float(t))
         breaker.record_success(2.0)
-        breaker.record_failure(3.0)
-        breaker.record_failure(4.0)
+        for t in range(BREAKER_FAILURES - 1):
+            breaker.record_failure(3.0 + t)
         assert breaker.state_at(5.0) is BreakerState.CLOSED
 
     def test_half_open_after_the_open_window(self):
-        breaker = CircuitBreaker(failure_threshold=1)
-        breaker.record_failure(0.0)
+        breaker = tripped_at(0.0)
         assert breaker.state_at(9.9) is BreakerState.OPEN
         assert breaker.state_at(10.0) is BreakerState.HALF_OPEN
 
     def test_half_open_success_recovers(self):
-        breaker = CircuitBreaker(failure_threshold=1)
-        breaker.record_failure(0.0)
+        breaker = tripped_at(0.0)
         breaker.record_success(12.0)
         assert breaker.state_at(12.0) is BreakerState.CLOSED
         assert breaker.recoveries == 1
 
     def test_half_open_failure_retrips(self):
-        breaker = CircuitBreaker(failure_threshold=3)
-        for t in (0.0, 1.0, 2.0):
-            breaker.record_failure(t)
+        breaker = tripped_at(2.0)
         breaker.record_failure(15.0)  # the trial round fails
         assert breaker.state_at(15.0) is BreakerState.OPEN
         assert breaker.trips == 2
@@ -121,14 +126,12 @@ class TestCircuitBreaker:
         assert breaker.state_at(25.0) is BreakerState.HALF_OPEN
 
     def test_threshold_must_be_positive(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(failure_threshold=0)
+        assert BREAKER_FAILURES >= 1
+        assert CircuitBreaker().state_at(0.0) is BreakerState.CLOSED
 
     def test_snapshot_restore_round_trip(self):
-        breaker = CircuitBreaker(failure_threshold=2)
-        breaker.record_failure(0.0)
-        breaker.record_failure(1.0)
-        copy = CircuitBreaker(failure_threshold=2)
+        breaker = tripped_at(1.0)
+        copy = CircuitBreaker()
         copy.restore(breaker.snapshot())
         assert copy.snapshot() == breaker.snapshot()
         assert copy.state_at(2.0) is BreakerState.OPEN

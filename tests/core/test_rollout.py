@@ -48,7 +48,8 @@ class TestFleetRollout:
         self, cluster, orchestrator, engine
     ):
         manager = AgentReleaseManager("v1.0.0")
-        controller = Controller(cluster, release_manager=manager)
+        controller = Controller(cluster)
+        controller.release_manager = manager
         early = orchestrator.submit_task(2, 4, instant_startup=True)
         engine.run_until(0)
         controller.preload_task(early)
@@ -71,7 +72,8 @@ class TestFleetRollout:
         self, cluster, orchestrator, engine
     ):
         manager = AgentReleaseManager("v1.0.0")
-        controller = Controller(cluster, release_manager=manager)
+        controller = Controller(cluster)
+        controller.release_manager = manager
         early = orchestrator.submit_task(2, 4, instant_startup=True)
         engine.run_until(0)
         controller.preload_task(early)
@@ -93,5 +95,6 @@ class TestFleetRollout:
 
     def test_empty_fleet_is_vacuously_converged(self, cluster):
         manager = AgentReleaseManager()
-        controller = Controller(cluster, release_manager=manager)
+        controller = Controller(cluster)
+        controller.release_manager = manager
         assert manager.rollout_fraction(controller) == 1.0

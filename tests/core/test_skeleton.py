@@ -130,24 +130,6 @@ class TestInference:
                 lambda e: running_task.containers[e.container].host,
             )
 
-    def test_group_of_lookup(self, running_task):
-        _, _, skeleton = infer_for(running_task, ParallelismConfig(4, 2, 2))
-        endpoint = skeleton.groups[0][0]
-        assert skeleton.group_of(endpoint) == 0
-        from repro.cluster.identifiers import (
-            ContainerId, EndpointId, TaskId,
-        )
-
-        with pytest.raises(KeyError):
-            skeleton.group_of(EndpointId(ContainerId(TaskId(9), 0), 0))
-
-    def test_group_of_index_rebuilds_after_invalidate(self, running_task):
-        _, _, skeleton = infer_for(running_task, ParallelismConfig(4, 2, 2))
-        moved = skeleton.groups[0].pop()
-        skeleton.groups[1].append(moved)
-        skeleton.invalidate_group_index()
-        assert skeleton.group_of(moved) == 1
-
     def test_edges_never_intra_container(self, running_task):
         _, _, skeleton = infer_for(running_task, ParallelismConfig(4, 2, 2))
         for edge in skeleton.edges:

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.chaos.faults import MonitorFaultInjector, MonitorIssue
-from repro.core.skeleton import SkeletonInference, SkeletonInferenceError
+from repro.core.skeleton import (
+    MIN_COVERAGE,
+    SkeletonInference,
+    SkeletonInferenceError,
+)
 from repro.sim.rng import RngRegistry
 from repro.training.collectives import traffic_edges
 from repro.training.parallelism import ParallelismConfig
@@ -75,9 +79,10 @@ class TestSanitize:
         assert list(usable) == ["ok"]
 
     def test_low_coverage_is_quarantined(self):
-        inference = SkeletonInference(min_coverage=0.6)
+        inference = SkeletonInference()
         gappy = np.ones(60)
-        gappy[: 30] = np.nan  # 50% coverage < 0.6
+        gappy[: 30] = np.nan  # 50% coverage < MIN_COVERAGE
+        assert MIN_COVERAGE > 0.5
         usable, quarantined = inference._sanitize_series(
             {"gappy": gappy}
         )

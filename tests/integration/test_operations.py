@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.handling import FailureHandler
-from repro.core.recovery import RecoveryManager
+from repro.core.recovery import COOLDOWN_S, RecoveryManager
 from repro.core.rollout import AgentReleaseManager, ReleaseChannel
 from repro.network.issues import IssueType
 from repro.workloads.scenarios import build_scenario
@@ -18,7 +18,6 @@ def ops_scenario():
     handler = FailureHandler()
     recovery = RecoveryManager(
         scenario.orchestrator, blacklist=handler.blacklist,
-        cooldown_s=60.0,
     )
     scenario.hunter.handler = handler
     scenario.hunter.recovery = recovery
@@ -109,7 +108,7 @@ class TestRecoveryLoop:
         handler.mark_repaired(
             f"host:{victim.host}", scenario.engine.now
         )
-        scenario.run_for(200)
+        scenario.run_for(COOLDOWN_S)  # the first move's cooldown ends
         second_host = victim.host
         assert second_host != first_host
         # Migration reset the stale baselines: no incident lingers.

@@ -1,19 +1,14 @@
-"""Tests for the JSONL and Prometheus exporters (round-trips)."""
+"""Tests for the JSONL and Prometheus exporters: the text they write."""
 
-from repro.obs.export import (
-    escape_label_value,
-    format_labels,
-    load_jsonl,
-    metric_name,
-    parse_prometheus,
-    parse_prometheus_samples,
-    to_jsonl,
-    to_prometheus,
-    unescape_label_value,
-    write_jsonl,
-)
+import json
+
+from repro.obs.export import metric_name, to_jsonl, to_prometheus, write_jsonl
 from repro.obs.trace import TraceRecorder
 from repro.sim.metrics import MetricRegistry
+
+
+def load_jsonl(text):
+    return [json.loads(line) for line in text.splitlines()]
 
 
 def _populated_recorder() -> TraceRecorder:
@@ -68,7 +63,6 @@ class TestJsonl:
 
     def test_empty_recorder_exports_empty_trace(self):
         assert to_jsonl(TraceRecorder()) == ""
-        assert load_jsonl("") == []
 
 
 class TestMetricNames:
@@ -87,105 +81,42 @@ class TestMetricNames:
 class TestPrometheus:
     def test_counters_round_trip(self):
         recorder = _populated_recorder()
-        parsed = parse_prometheus(to_prometheus(recorder))
-        assert parsed["skeletonhunter_probes_sent_total"] == \
-            ("counter", 8.0)
-        assert parsed["skeletonhunter_probes_lost_total"] == \
-            ("counter", 1.0)
+        assert to_prometheus(recorder).splitlines()[:4] == [
+            "# TYPE skeletonhunter_probes_lost_total counter",
+            "skeletonhunter_probes_lost_total 1",
+            "# TYPE skeletonhunter_probes_sent_total counter",
+            "skeletonhunter_probes_sent_total 8",
+        ]
 
     def test_series_exports_last_value_and_sample_count(self):
         recorder = _populated_recorder()
         recorder.sample("probes.sent_in_round", 4.0, 6.0)
-        parsed = parse_prometheus(to_prometheus(recorder))
-        name = "skeletonhunter_probes_sent_in_round"
-        assert parsed[name] == ("gauge", 6.0)
-        assert parsed[name + "_samples"] == ("counter", 2.0)
+        assert to_prometheus(recorder).splitlines()[4:] == [
+            "# TYPE skeletonhunter_probes_sent_in_round gauge",
+            "skeletonhunter_probes_sent_in_round 6",
+            "# TYPE skeletonhunter_probes_sent_in_round_samples counter",
+            "skeletonhunter_probes_sent_in_round_samples 2",
+        ]
 
     def test_accepts_bare_registry(self):
         registry = MetricRegistry()
         registry.increment("probes.sent", 5)
-        parsed = parse_prometheus(to_prometheus(registry))
-        assert parsed["skeletonhunter_probes_sent_total"] == \
-            ("counter", 5.0)
+        assert to_prometheus(registry) == (
+            "# TYPE skeletonhunter_probes_sent_total counter\n"
+            "skeletonhunter_probes_sent_total 5\n"
+        )
 
     def test_float_values_survive(self):
         registry = MetricRegistry()
         registry.increment("ratio", 0.25)
-        parsed = parse_prometheus(to_prometheus(registry))
-        assert parsed["skeletonhunter_ratio_total"] == ("counter", 0.25)
+        assert to_prometheus(registry).splitlines()[1] == \
+            "skeletonhunter_ratio_total 0.25"
 
     def test_empty_registry_exports_empty_text(self):
         assert to_prometheus(MetricRegistry()) == ""
 
     def test_no_labels_output_is_unchanged(self):
-        registry = MetricRegistry()
-        registry.increment("probes.sent", 5)
-        assert to_prometheus(registry) == to_prometheus(
-            registry, labels={}
-        )
-        assert "{" not in to_prometheus(registry)
-
-
-class TestPrometheusLabels:
-    def test_labels_attach_to_every_sample(self):
-        registry = MetricRegistry()
-        registry.increment("probes.sent", 5)
-        registry.series("loss").record(1.0, 0.5)
-        text = to_prometheus(registry, labels={"run": "r1", "seed": "0"})
-        samples = parse_prometheus_samples(text)
-        assert len(samples) == 3  # counter + gauge + _samples
-        for _name, labels, _kind, _value in samples:
-            assert labels == {"run": "r1", "seed": "0"}
-
-    def test_backslash_and_quote_values_round_trip(self):
-        registry = MetricRegistry()
-        registry.increment("c", 1)
-        nasty = {"path": 'C:\\logs\\"run"', "note": "line1\nline2"}
-        text = to_prometheus(registry, labels=nasty)
-        ((_, labels, kind, value),) = parse_prometheus_samples(text)
-        assert labels == nasty
-        assert (kind, value) == ("counter", 1.0)
-        # The escaped form keeps the sample on one physical line.
-        assert len(text.splitlines()) == 2  # TYPE line + sample line
-
-    def test_label_values_with_metachars_round_trip(self):
-        registry = MetricRegistry()
-        registry.increment("c", 1)
-        tricky = {"a": 'x{y},z= "', "b": "}{"}
-        text = to_prometheus(registry, labels=tricky)
-        ((_, labels, _kind, _value),) = parse_prometheus_samples(text)
-        assert labels == tricky
-
-    def test_bare_name_parse_drops_labels_but_not_values(self):
-        registry = MetricRegistry()
-        registry.increment("probes.sent", 7)
-        text = to_prometheus(registry, labels={"run": "a b c"})
-        parsed = parse_prometheus(text)
-        assert parsed["skeletonhunter_probes_sent_total"] == \
-            ("counter", 7.0)
-
-    def test_format_labels_sorts_keys(self):
-        assert format_labels({"b": "2", "a": "1"}) == \
-            '{a="1",b="2"}'
-        assert format_labels({}) == ""
-
-
-class TestLabelEscaping:
-    def test_the_three_escapes(self):
-        assert escape_label_value("\\") == "\\\\"
-        assert escape_label_value('"') == '\\"'
-        assert escape_label_value("\n") == "\\n"
-
-    def test_unescape_inverts_escape(self):
-        for value in ("", "plain", "\\", '"', "\n", "\\n", "a\\nb",
-                      "\\\\n", 'mix\\"of\nall'):
-            assert unescape_label_value(
-                escape_label_value(value)
-            ) == value
-
-    def test_literal_backslash_n_is_not_a_newline(self):
-        # The raw two characters backslash + n must survive, distinct
-        # from an actual newline.
-        escaped = escape_label_value("\\n")
-        assert escaped == "\\\\n"
-        assert unescape_label_value(escaped) == "\\n"
+        # Samples carry no label block: a name, a space, a number.
+        text = to_prometheus(_populated_recorder())
+        assert "{" not in text
+        assert text.endswith("skeletonhunter_probes_sent_in_round_samples 1\n")

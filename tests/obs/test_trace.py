@@ -3,8 +3,8 @@
 import pytest
 
 from repro.network.issues import IssueType
+from repro.obs.span import NULL_SPAN, open_span
 from repro.obs.trace import TraceRecorder
-from repro.sim.metrics import MetricRegistry
 from repro.workloads.scenarios import build_scenario
 
 
@@ -37,46 +37,12 @@ class TestEvents:
         assert recorder.last_event("tick").fields["n"] == 2
         assert recorder.last_event("nope") is None
 
-    def test_max_events_evicts_oldest(self):
-        recorder = TraceRecorder(max_events=3)
-        for n in range(5):
-            recorder.event("tick", n=n)
-        kept = [e.fields["n"] for e in recorder.events()]
-        assert kept == [2, 3, 4]
-        assert recorder.dropped_events == 2
-
-    def test_max_spans_evicts_oldest_closed(self):
-        recorder = TraceRecorder(max_spans=3)
-        for n in range(5):
-            with recorder.span("work", sim_time=float(n)):
-                pass
-        kept = [s.sim_start for s in recorder.spans()]
-        assert kept == [2.0, 3.0, 4.0]
-        assert recorder.dropped_spans == 2
-        assert recorder.metrics.counter("trace.dropped_spans") == 2.0
-
-    def test_max_spans_never_evicts_open_spans(self):
-        recorder = TraceRecorder(max_spans=1)
-        with recorder.span("outer"):
-            with recorder.span("inner"):
-                # Both are open: neither can be evicted, even though
-                # the list transiently exceeds the cap.
-                assert len(recorder.spans()) == 2
-                assert recorder.dropped_spans == 0
-        with recorder.span("after"):
-            pass
-        # Once closed, older spans become evictable.
-        assert [s.name for s in recorder.spans()] == ["after"]
-        assert recorder.dropped_spans == 2
-
     def test_unbounded_spans_by_default(self):
         recorder = TraceRecorder()
         for _ in range(100):
             with recorder.span("work"):
                 pass
         assert len(recorder.spans()) == 100
-        assert recorder.dropped_spans == 0
-        assert recorder.metrics.counter("trace.dropped_spans") == 0.0
 
     def test_clear_drops_trace_but_keeps_counters(self):
         recorder = TraceRecorder()
@@ -92,10 +58,16 @@ class TestEvents:
 
 class TestMetricsBridge:
     def test_count_goes_to_shared_registry(self):
-        registry = MetricRegistry()
-        recorder = TraceRecorder(metrics=registry)
+        # One registry per run: the recorder's is the fabric's.
+        scenario = build_scenario(
+            num_containers=2, gpus_per_container=2, observe=True,
+            start_monitoring=False,
+        )
+        recorder = scenario.observability
+        assert recorder.metrics is scenario.fabric.metrics
+        assert scenario.hunter.metrics is scenario.fabric.metrics
         recorder.count("probes.sent", 3)
-        assert registry.counter("probes.sent") == 3.0
+        assert scenario.fabric.probes_sent == 3
 
     def test_sample_appends_to_series(self):
         recorder = TraceRecorder()
@@ -106,13 +78,11 @@ class TestMetricsBridge:
 
 class TestDisabled:
     def test_disabled_recorder_is_a_noop(self):
-        recorder = TraceRecorder(enabled=False)
-        assert recorder.event("tick") is None
-        recorder.count("things")
-        recorder.sample("rtt", 0.0, 1.0)
-        assert recorder.events() == []
-        assert recorder.metrics.counters() == {}
-        assert not recorder.metrics.has_series("rtt")
+        # A component is unobserved by holding no recorder at all.
+        with open_span(None, "work", sim_time=1.0) as span:
+            span.set(probes=8)
+            span.close(sim_time=2.0)
+        assert span is NULL_SPAN
 
 
 @pytest.fixture(scope="module")

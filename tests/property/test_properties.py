@@ -387,7 +387,7 @@ def test_active_segment_count_matches_construction(num_bursts, gap_extra):
        st.floats(0.0, 1.0, allow_nan=False))
 def test_fidelity_score_bounds(coherence, activity, periodicity, stages):
     from repro.cluster.identifiers import TaskId
-    from repro.core.fidelity import FidelityReport
+    from repro.core.fidelity import FIDELITY_THRESHOLD, FidelityReport
 
     report = FidelityReport(
         task=TaskId(0), group_coherence=coherence,
@@ -398,4 +398,4 @@ def test_fidelity_score_bounds(coherence, activity, periodicity, stages):
     assert 0.0 <= score <= 1.0
     assert score <= activity
     assert score <= stages
-    assert report.aligned(threshold=0.0) or score < 0.0 is False
+    assert report.aligned() == (score >= FIDELITY_THRESHOLD)

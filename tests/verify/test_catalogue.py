@@ -72,7 +72,7 @@ def test_lint_and_taint_sources_agree_with_the_catalogue(
 ):
     for import_line, spelled in spellings(name):
         resolved = ImportTable.from_source(import_line).resolve(spelled)
-        assert taint.TaintConfig().source_kind(resolved) == kind, spelled
+        assert taint.source_kind(resolved) == kind, spelled
 
         expected = {rule} - {None}
         assert call_rules(
@@ -127,10 +127,9 @@ def test_the_catalogue_has_one_owner():
     and no reader keeps a private list naming a catalogue entry."""
     assert lint.DISPATCH_METHODS is DISPATCH_METHODS
     assert callgraph.DISPATCH_METHODS is DISPATCH_METHODS
-    defaults = taint.TaintConfig()
-    assert defaults.wall_clock is WALL_CLOCK
-    assert defaults.rng_prefixes is GLOBAL_RNG_PREFIXES
-    assert defaults.process_identity is PROCESS_IDENTITY
+    assert taint.WALL_CLOCK is WALL_CLOCK
+    assert taint.GLOBAL_RNG_PREFIXES is GLOBAL_RNG_PREFIXES
+    assert taint.PROCESS_IDENTITY is PROCESS_IDENTITY
 
     owned = (WALL_CLOCK, GLOBAL_RNG_PREFIXES, PROCESS_IDENTITY,
              MONOTONIC_TIMERS, DISPATCH_METHODS)

@@ -1,10 +1,9 @@
-"""Tests for the verify CLI and the SkeletonHunter wiring."""
+"""Tests for the verify CLI."""
 
 import pytest
 
 from repro.cli import main as repro_main
 from repro.verify.cli import build_default_report, main as verify_main
-from repro.verify.framework import FabricVerificationError
 
 
 @pytest.fixture
@@ -108,53 +107,3 @@ class TestFlowCli:
     def test_top_level_flow_subcommand(self, dirty_package, capsys):
         assert repro_main(["verify", "--flow", str(dirty_package)]) == 1
         assert "keyed-draw-contract" in capsys.readouterr().out
-
-
-class TestVerifyOnStart:
-    def test_clean_fabric_starts_and_records_report(self):
-        from repro.workloads.scenarios import build_scenario
-
-        scenario = build_scenario(
-            num_containers=2, gpus_per_container=2,
-            verify_on_start=True,
-        )
-        assert scenario.hunter.last_verification is not None
-        assert scenario.hunter.last_verification.ok
-
-    def test_corrupt_fabric_refuses_to_start(self):
-        from repro.workloads.scenarios import build_scenario
-
-        scenario = build_scenario(
-            num_containers=2, gpus_per_container=2,
-            start_monitoring=False, verify_on_start=True,
-        )
-        overlay = scenario.cluster.overlay
-        for host in overlay.hosts_with_tables():
-            for rule in overlay.ovs_table(host).rules():
-                if rule.offloaded and rule.offloaded_to:
-                    rnic = next(
-                        r for r in overlay.offload_rnics()
-                        if str(r) == rule.offloaded_to
-                    )
-                    overlay.offload_table(rnic).invalidate(rule.key)
-                    break
-            else:
-                continue
-            break
-        with pytest.raises(FabricVerificationError) as excinfo:
-            scenario.hunter.start()
-        assert "fabric verification failed" in str(excinfo.value)
-        assert excinfo.value.report.errors()
-
-    def test_verify_fabric_nonstrict_returns_report(self):
-        from repro.workloads.scenarios import build_scenario
-
-        scenario = build_scenario(
-            num_containers=2, gpus_per_container=2,
-        )
-        report = scenario.hunter.verify_fabric(
-            workload=scenario.workload, strict=False,
-        )
-        assert report.ok
-        skipped = [r.name for r in report.results if r.skipped]
-        assert skipped == []  # workload given: coverage pass ran

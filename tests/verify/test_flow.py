@@ -8,19 +8,21 @@ keyed-draw contract scope.
 
 import textwrap
 
-from repro.verify.flow import (
-    FlowAnalyzer,
-    analyze_package,
-)
+from repro.verify.callgraph import CallGraphBuilder
+from repro.verify.flow import analyze_graph, analyze_package
 from repro.verify.taint import Taint
 
 
 def analyze(**sources):
     """Analyze in-memory modules; double underscores become dots."""
-    return FlowAnalyzer().analyze_sources({
+    modules = {
         name.replace("__", "."): textwrap.dedent(source)
         for name, source in sources.items()
-    })
+    }
+    builder = CallGraphBuilder()
+    for name in sorted(modules):
+        builder.add_source(name, modules[name])
+    return analyze_graph(builder.build())
 
 
 def findings(analysis, check=None):

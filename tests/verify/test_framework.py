@@ -2,7 +2,6 @@
 
 from repro.obs.trace import TraceRecorder
 from repro.verify.framework import (
-    FabricVerificationError,
     FabricVerifier,
     Finding,
     PassResult,
@@ -119,14 +118,6 @@ class TestFabricVerifier:
         assert kinds.count("verify.finding") == 2
         assert "verify.report" in kinds
         assert recorder.metrics.counters()["verify.findings"] == 2
-
-    def test_error_carries_report_and_components(self):
-        verifier = FabricVerifier(passes=[NoisyPass()])
-        report = verifier.verify(VerificationContext(cluster=None))
-        error = FabricVerificationError(report)
-        assert error.report is report
-        assert "host-1" in str(error)
-        assert "1 error finding" in str(error)
 
     def test_default_passes_cover_all_layers(self):
         names = {p.name for p in FabricVerifier().passes}
