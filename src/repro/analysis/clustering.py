@@ -20,7 +20,6 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
-from scipy.spatial.distance import pdist
 
 from repro.obs.span import open_span
 
@@ -39,7 +38,6 @@ class GroupingResult:
     num_groups: int              # k (should equal TP x PP)
     group_size: int              # |c| (should equal DP)
     size_variance: float         # Eq. 1 objective at the chosen cut
-    cohesion: float              # mean within-group feature distance
 
     def groups(self) -> List[List[int]]:
         """Members (row indices) of each group."""
@@ -58,23 +56,6 @@ def _size_variance(labels: np.ndarray, k: int) -> float:
     """Eq. 1: variance of per-group member counts."""
     sizes = np.bincount(labels, minlength=k).astype(np.float64)
     return float(np.var(sizes))
-
-
-def _mean_within_distance(
-    features: np.ndarray, labels: np.ndarray, k: int
-) -> float:
-    """Average pairwise feature distance inside groups (cohesion)."""
-    total, count = 0.0, 0
-    for g in range(k):
-        members = np.flatnonzero(labels == g)
-        if len(members) < 2:
-            continue
-        sub = features[members]
-        total += float(pdist(sub).sum())
-        count += len(members) * (len(members) - 1) // 2
-    if count == 0:
-        return 0.0
-    return total / count
 
 
 def _violates_host_constraint(
@@ -135,10 +116,13 @@ def constrained_position_groups(
     features: np.ndarray,
     hosts: Sequence[Hashable],
     candidate_group_counts: Optional[Sequence[int]] = None,
-    cohesion_weight: float = 1.0,
     recorder=None,
 ) -> GroupingResult:
     """Group RNICs by pipeline position under Equations 1-3.
+
+    A cut scores its dendrogram gap minus its Eq. 1 size variance; the
+    best-scoring cut that satisfies Eq. 3 wins, ties going to the cut
+    listed first.
 
     Parameters
     ----------
@@ -147,11 +131,9 @@ def constrained_position_groups(
     hosts:
         Host key of each RNIC (for the Eq. 3 constraint).
     candidate_group_counts:
-        Group counts k to try; defaults to all divisors of n except n
-        itself.  The chosen k equals TP x PP and n / k equals DP.
-    cohesion_weight:
-        Weight of within-group dispersion in the selection score
-        (balances Eq. 1 against clustering quality).
+        Group counts k to try; defaults to every divisor of n, k = n
+        (DP = 1) included.  The chosen k equals TP x PP and n / k
+        equals DP.
     recorder:
         Optional trace recorder; each Eq. 3 repair is timed as a
         ``skeleton.repair`` span.
@@ -188,12 +170,21 @@ def constrained_position_groups(
             return 0.0
         return float(heights[n - k + 1] - heights[n - k])
 
+    gaps = [height_gap(k) for k in candidates]
     # Pigeonhole: fewer groups than the widest host has RNICs cannot
     # satisfy Eq. 3, whatever the repair does.
     widest = max(Counter(hosts).values())
+    # A cut ranks by (score, -position in the list).  Its score is at
+    # most its gap, so visiting cuts by falling gap (ties in list order)
+    # the sweep stops at the first cut whose (gap, -position) already
+    # ranks below the best: neither it nor any cut after it can win,
+    # and none of them is repaired.
     best: Optional[Tuple[int, np.ndarray, float]] = None
-    best_score = -np.inf
-    for k in candidates:
+    best_rank = (-np.inf, 0)
+    for position in sorted(range(len(candidates)), key=lambda i: -gaps[i]):
+        if (gaps[position], -position) < best_rank:
+            break
+        k = candidates[position]
         if k < widest:
             continue
         labels = fcluster(tree, t=k, criterion="maxclust") - 1
@@ -208,9 +199,9 @@ def constrained_position_groups(
             if _violates_host_constraint(occupancy):
                 continue
         variance = _size_variance(labels, k)
-        score = height_gap(k) - cohesion_weight * variance
-        if score > best_score:
-            best_score = score
+        rank = (gaps[position] - variance, -position)
+        if rank > best_rank:
+            best_rank = rank
             best = (k, labels, variance)
     if best is None:
         raise ClusteringError(
@@ -222,5 +213,4 @@ def constrained_position_groups(
         num_groups=k,
         group_size=n // k,
         size_variance=variance,
-        cohesion=_mean_within_distance(pts, labels, k),
     )

@@ -314,6 +314,58 @@ def _verifier(scratch: str) -> Dict[str, Any]:
             issue: _named(build_default_report(issue=issue).errors())}
 
 
+def _skeleton(scratch: str) -> Dict[str, Any]:
+    """Digest of the 2,048-endpoint skeleton (256 containers x 8 RNICs,
+    pp=2, seed 3: the ``steady-2048`` task) and of its k = 8 cut, the
+    one cut only an Eq. 3 repair makes feasible."""
+    from repro.analysis.clustering import constrained_position_groups
+    from repro.analysis.stft import feature_matrix
+
+    scenario = build_scenario(
+        num_containers=256, gpus_per_container=8, pp=2, seed=3,
+        start_monitoring=False,
+    )
+    # The skeleton infers from the stream's next draw; the two cuts
+    # below cluster this one.
+    series = scenario.generator.all_series(600.0)
+    skeleton = scenario.apply_skeleton()
+    endpoints = sorted(series)
+    features = feature_matrix([series[e] for e in endpoints])
+    hosts = [scenario.task.containers[e.container].host for e in endpoints]
+    grouping = constrained_position_groups(features, hosts)
+    repaired = constrained_position_groups(
+        features, hosts, candidate_group_counts=[8]
+    )
+    skeleton_view = [
+        [[str(e) for e in group] for group in skeleton.groups],
+        skeleton.dp,
+        skeleton.stage_of_group,
+        sorted(sorted(str(e) for e in edge) for edge in skeleton.edges),
+        skeleton.group_topology,
+    ]
+    applied = scenario.hunter.controller.ping_list_of(scenario.task.id)
+
+    def sha256(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    return {
+        "endpoints": len(endpoints),
+        "group_count": skeleton.group_count,
+        "dp": skeleton.dp,
+        "edges": len(skeleton.edges),
+        "quarantined": len(skeleton.quarantined),
+        "skeleton_sha256": sha256(json.dumps(skeleton_view).encode()),
+        "applied_pairs_sha256": sha256(json.dumps(
+            sorted([str(p.src), str(p.dst)] for p in applied.pairs)
+        ).encode()),
+        "labels_sha256": sha256(grouping.labels.astype("int64").tobytes()),
+        "size_variance_hex": float(grouping.size_variance).hex(),
+        "repaired_k8_labels_sha256": sha256(
+            repaired.labels.astype("int64").tobytes()
+        ),
+    }
+
+
 #: The contract, in the order ``repro equivalence`` prints it.
 CHECKS: Tuple[Check, ...] = (
     Check("batch == sequential", lambda scratch: verify_equivalence(),
@@ -330,17 +382,25 @@ CHECKS: Tuple[Check, ...] = (
     Check("lint", _lint, keys=("lint",)),
     Check("flow", _flow, keys=("flow",)),
     Check("fabric verifier", _verifier, keys=("fabric verifier",)),
+    Check("skeleton 2048", _skeleton, keys=("skeleton 2048",)),
 )
+
+
+#: Widest table cell; a longer one is cut, ending in "...".
+_CELL_WIDTH = 64
 
 
 def _cell(value: Optional[Dict[str, Any]]) -> str:
     """A value as a table cell: counts, list and dict sizes, hashes cut
     to 12 digits; ``-`` for one that could not be read or measured."""
-    return "-" if value is None else ", ".join(
+    cell = "-" if value is None else ", ".join(
         f"{name} {entry[:12]}" if isinstance(entry, str) else
         f"{len(entry) if isinstance(entry, (list, dict)) else entry} {name}"
         for name, entry in value.items()
     )
+    if len(cell) > _CELL_WIDTH:
+        return cell[:_CELL_WIDTH - 3] + "..."
+    return cell
 
 
 def _differences(want: Any, got: Any, where: str = "") -> List[str]:

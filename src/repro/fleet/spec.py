@@ -233,7 +233,8 @@ class FleetSpec:
 def tenant_endpoints(
     tenant: TenantSpec, task_id: TaskId
 ) -> List[EndpointId]:
-    """The tenant's endpoints, sorted — knowable before placement.
+    """The tenant's endpoints, sorted (rank, then slot, is endpoint
+    order) — knowable before placement.
 
     Endpoint identity is ``(container id, RNIC slot)``; container ids
     are ``(task id, rank)``.  Neither mentions a host, which is what
@@ -241,11 +242,11 @@ def tenant_endpoints(
     floors) without building a cluster, and keeps probe-pair identity
     stable across container migrations.
     """
-    return sorted(
+    return [
         EndpointId(ContainerId(task_id, rank), slot)
         for rank in range(tenant.num_containers)
         for slot in range(tenant.gpus_per_container)
-    )
+    ]
 
 
 def tenant_pairs(

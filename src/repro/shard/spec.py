@@ -202,17 +202,24 @@ def pair_universe(
 
 
 def ring_chord_pairs(endpoints) -> List[ProbePair]:
-    """A ring plus long chords over the sorted endpoints — the O(n)
-    skeleton-like pair list, with same-container neighbours dropped as
-    ping lists always do."""
+    """A ring plus long chords over ``endpoints`` (sorted, distinct) —
+    the O(n) skeleton-like pair list, with same-container neighbours
+    dropped as ping lists always do, sorted.
+
+    In a sorted, distinct list, position order is endpoint order, so a
+    pair is canonical as ``(min, max)`` of its two positions and the
+    pairs sort as those integer tuples.
+    """
     n = len(endpoints)
     stride = n // 3 + 1
-    pairs = set()
+    positions = set()
     for i, src in enumerate(endpoints):
-        for dst in (endpoints[(i + 1) % n], endpoints[(i + stride) % n]):
-            if src != dst and src.container != dst.container:
-                pairs.add(ProbePair.canonical(src, dst))
-    return sorted(pairs)
+        for j in ((i + 1) % n, (i + stride) % n):
+            if i != j and src.container != endpoints[j].container:
+                positions.add((i, j) if i < j else (j, i))
+    return [
+        ProbePair(endpoints[i], endpoints[j]) for i, j in sorted(positions)
+    ]
 
 
 @dataclass

@@ -104,17 +104,51 @@ class TrafficGenerator:
         model = self.model
         num = int(round(duration_s * model.sample_rate_hz))
         t = start_s + np.arange(num) / model.sample_rate_hz
+        signal = self._shape(self.position_index(endpoint), t)
+        if with_noise and model.noise_gbps > 0:
+            noise = self._rng.normal(0.0, model.noise_gbps, size=num)
+            signal = np.maximum(signal + noise, 0.0)
+        return signal.astype(np.float64)
 
-        rank = self.workload.rank_of(endpoint)
-        pos = self.workload.config.position(rank)
-        index = self.position_index(endpoint)
+    def all_series(
+        self, duration_s: float, with_noise: bool = True
+    ) -> Dict[EndpointId, np.ndarray]:
+        """Series for every endpoint of the workload, in rank order.
+
+        Bit for bit what :meth:`series` returns endpoint by endpoint,
+        and the stream ends in the same state: one noise-free shape per
+        pipeline position, and the task's noise drawn as one
+        ``(endpoints, samples)`` block — the same draws in the same
+        order — that the shapes are added to in place.
+        """
+        model = self.model
+        num = int(round(duration_s * model.sample_rate_hz))
+        t = np.arange(num) / model.sample_rate_hz
+        endpoints = self.workload.endpoints()
+        indices = [self.position_index(endpoint) for endpoint in endpoints]
+        shapes = {index: self._shape(index, t) for index in set(indices)}
+        if with_noise and model.noise_gbps > 0:
+            block = self._rng.normal(
+                0.0, model.noise_gbps, size=(len(endpoints), num)
+            )
+            for row, index in zip(block, indices):
+                row += shapes[index]
+            np.maximum(block, 0.0, out=block)
+        else:
+            block = np.stack([shapes[index] for index in indices])
+        return dict(zip(endpoints, block))
+
+    def _shape(self, index: int, t: np.ndarray) -> np.ndarray:
+        """Noise-free throughput of position ``index`` at times ``t``."""
+        model = self.model
+        config = self.workload.config
         freq = model.position_frequency(index)
         duty = model.position_duty(index)
 
         phase_in_iter = np.mod(t, model.iteration_period_s)
 
         # Pipeline micro-bursts inside the stage's activity window.
-        window_start = pos.pp_rank * model.stage_delay_s
+        window_start = (index // config.tp) * model.stage_delay_s
         in_window = (
             (phase_in_iter >= window_start)
             & (phase_in_iter < window_start + model.activity_window_s)
@@ -131,34 +165,21 @@ class TrafficGenerator:
         # Gradient all-reduce burst at the end of each iteration,
         # present only when the workload actually data-parallelizes.
         signal = micro
-        if self.workload.config.dp > 1:
+        if config.dp > 1:
             ar_start = model.iteration_period_s - model.allreduce_duration_s
             in_allreduce = phase_in_iter >= ar_start
             signal = signal + model.allreduce_gbps * in_allreduce
 
         # MoE token all-to-all: a second burst phase shortly after the
         # stage's activity window (dispatch + combine of routed tokens).
-        if self.workload.config.ep > 1:
+        if config.ep > 1:
             a2a_start = window_start + model.activity_window_s + 2.0
             in_alltoall = (
                 (phase_in_iter >= a2a_start)
                 & (phase_in_iter < a2a_start + model.ep_alltoall_duration_s)
             )
             signal = signal + model.ep_alltoall_gbps * in_alltoall
-
-        if with_noise and model.noise_gbps > 0:
-            noise = self._rng.normal(0.0, model.noise_gbps, size=num)
-            signal = np.maximum(signal + noise, 0.0)
-        return signal.astype(np.float64)
-
-    def all_series(
-        self, duration_s: float, with_noise: bool = True
-    ) -> Dict[EndpointId, np.ndarray]:
-        """Series for every endpoint of the workload."""
-        return {
-            endpoint: self.series(endpoint, duration_s, with_noise=with_noise)
-            for endpoint in self.workload.endpoints()
-        }
+        return signal
 
     def expected_groups(self) -> Dict[int, list]:
         """Ground truth: position index -> endpoints at that position.

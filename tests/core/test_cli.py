@@ -194,7 +194,7 @@ class TestEquivalence:
     #: what their goldens hold.
     HEAVY = (
         "record PFC_STORM", "record CRC_ERROR", "chaos", "gray",
-        "campaign", "lint", "flow", "fabric verifier",
+        "campaign", "lint", "flow", "fabric verifier", "skeleton 2048",
     )
 
     def test_every_gate_passes_with_nonzero_counts(

@@ -6,6 +6,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from repro.analysis.clustering import constrained_position_groups
+from repro.analysis.stft import feature_matrix
 from repro.core.controller import Controller, ControllerError
 from repro.core.pinglist import PingList, PingListPhase, ProbePair
 from repro.core.skeleton import SkeletonInference
@@ -169,10 +171,24 @@ class TestSetUpBuildsNoPreloadPairs:
         names = [span.name for span in obs.spans()]
         for name in (
             "controller.preload", "skeleton.sanitize", "skeleton.features",
-            "skeleton.cluster", "skeleton.repair", "skeleton.stages",
-            "skeleton.edges", "controller.apply_skeleton",
+            "skeleton.cluster", "skeleton.stages", "skeleton.edges",
+            "controller.apply_skeleton",
         ):
             assert name in names, name
+        # k = 16 wins on a gap the k = 8 cut cannot reach, so the sweep
+        # stops before the one cut that needs an Eq. 3 repair.
+        assert "skeleton.repair" not in names
+        # Asked for alone, that cut is still repaired.
+        series = scenario.generator.all_series(600.0)
+        endpoints = sorted(series)
+        constrained_position_groups(
+            feature_matrix([series[e] for e in endpoints]),
+            [scenario.task.containers[e.container].host for e in endpoints],
+            candidate_group_counts=[8], recorder=obs,
+        )
+        assert [span.attrs for span in obs.spans("skeleton.repair")] == [
+            {"groups": 8}
+        ]
 
     def test_quarantined_endpoints_keep_their_preload_pairs(
         self, controller, running_task

@@ -79,7 +79,7 @@ class TestPairUniverse:
         spec = FleetSpec(tenants=(tenant(name="a"),))
         task = spec.task_id_of("a")
         endpoints = tenant_endpoints(spec.tenant("a"), task)
-        assert endpoints == sorted(endpoints)
+        assert type(endpoints) is list and endpoints == sorted(endpoints)
         pairs = tenant_pairs(spec.tenant("a"), task)
         assert pairs == sorted(pairs)
         for pair in pairs:

@@ -1,15 +1,20 @@
-"""Property: the Eq. 3 repair rewrite is the parent's repair, bit for bit.
+"""Property: the Eq. 3 repair rewrite and the gap-ordered cut sweep are
+the parent's grouping, bit for bit.
 
 The oracle below is the grouping code as it stood before the occupancy
 table, the centroid cache and the pigeonhole skip (commit 87213bb),
 copied verbatim: ``_violates_host_constraint`` rescanning labels,
 ``_repair_host_constraint`` calling ``_best_group_without_host`` (which
 rescans every group's members and recomputes every centroid per
-candidate), and the candidate loop that computes cohesion for every cut.
-Features come from the real traffic generator over TP/PP/DP/EP
-configurations with per-RNIC sampling jitter; the host layout is drawn
-freely, so hosts of unequal width, a host wider than a candidate k, one
-host per RNIC and k = n all occur.
+candidate), and the candidate loop that tries and repairs every cut in
+list order.  Only its cohesion computation is gone, with the field it
+filled; it never took part in the choice.  Features come from the real
+traffic generator over TP/PP/DP/EP configurations with per-RNIC
+sampling jitter; the host layout is drawn freely, so hosts of unequal
+width, a host wider than a candidate k, one host per RNIC and k = n all
+occur.  A second input duplicates rows of a small integer lattice and shuffles
+the candidate list, so cuts tie on gap and on score and the
+first-listed tie-break is pinned.
 """
 
 from collections import Counter
@@ -18,7 +23,7 @@ from typing import Dict, Hashable, List, Optional, Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.cluster.hierarchy import fcluster, linkage
 
@@ -26,7 +31,6 @@ from repro.analysis.clustering import (
     ClusteringError,
     GroupingResult,
     _divisor_candidates,
-    _mean_within_distance,
     _repair_host_constraint,
     _size_variance,
     _violates_host_constraint,
@@ -136,7 +140,6 @@ def oracle_constrained_position_groups(
             if oracle_violates_host_constraint(labels, hosts, k):
                 continue
         variance = _size_variance(labels, k)
-        cohesion = _mean_within_distance(pts, labels, k)
         score = height_gap(k) - cohesion_weight * variance
         if score > best_score:
             best_score = score
@@ -145,7 +148,6 @@ def oracle_constrained_position_groups(
                 num_groups=k,
                 group_size=n // k,
                 size_variance=variance,
-                cohesion=cohesion,
             )
     if best is None:
         raise ClusteringError(
@@ -188,6 +190,24 @@ def observed(config):
     )
 
 
+def draw_hosts(draw, real_hosts):
+    n = len(real_hosts)
+    layout = draw(st.sampled_from(("real", "drawn", "one_wide")))
+    if layout == "real":
+        return list(real_hosts)
+    if layout == "drawn":
+        # Anything from one host holding every RNIC to one host each.
+        num_hosts = draw(st.integers(1, n))
+        return draw(st.lists(
+            st.integers(0, num_hosts - 1), min_size=n, max_size=n
+        ))
+    # One host as wide as the draw says, the rest one RNIC each.
+    wide = set(draw(st.lists(
+        st.integers(0, n - 1), min_size=2, max_size=n, unique=True
+    )))
+    return [-1 if i in wide else i for i in range(n)]
+
+
 @st.composite
 def grouping_inputs(draw):
     series, real_hosts = observed(draw(st.sampled_from(CONFIGS)))
@@ -199,29 +219,60 @@ def grouping_inputs(draw):
     features = feature_matrix(
         [np.roll(s, shift) for s, shift in zip(series, shifts)]
     )
-    layout = draw(st.sampled_from(("real", "drawn", "one_wide")))
-    if layout == "real":
-        hosts = list(real_hosts)
-    elif layout == "drawn":
-        # Anything from one host holding every RNIC to one host each.
-        num_hosts = draw(st.integers(1, n))
-        hosts = draw(st.lists(
-            st.integers(0, num_hosts - 1), min_size=n, max_size=n
-        ))
-    else:
-        # One host as wide as the draw says, the rest one RNIC each.
-        wide = set(draw(st.lists(
-            st.integers(0, n - 1), min_size=2, max_size=n, unique=True
-        )))
-        hosts = [-1 if i in wide else i for i in range(n)]
-    return features, hosts
+    return features, draw_hosts(draw, real_hosts)
 
 
-def grouped(function, features, hosts):
+@st.composite
+def tied_inputs(draw):
+    """A few distinct rows on a small integer lattice, each duplicated,
+    so merge heights repeat exactly and cuts tie on gap and on score
+    (STFT rows never do); the divisors in a drawn order, a drawn prefix
+    of them."""
+    n = draw(st.sampled_from((4, 6, 8, 12, 16)))
+    dims = draw(st.integers(1, 3))
+    distinct = draw(st.lists(
+        st.lists(st.integers(0, 2), min_size=dims, max_size=dims),
+        min_size=2, max_size=n,
+    ))
+    rows = draw(st.lists(
+        st.integers(0, len(distinct) - 1), min_size=n, max_size=n
+    ))
+    features = np.asarray(distinct, dtype=np.float64)[rows]
+    order = draw(st.permutations(_divisor_candidates(n)))
+    counts = order[:draw(st.integers(1, len(order)))]
+    return features, draw_hosts(draw, list(range(n))), counts
+
+
+#: Found by that strategy: k = 6 scores 1 - 1 = 0 (gap 1, one RNIC of
+#: variance), exactly k = 1's gap, so whichever is listed first wins —
+#: the one tie a sweep that stops at an equal gap gets wrong.
+GAP_EQUALS_BEST = (
+    np.asarray([
+        [2, 2, 0], [2, 0, 0], [1, 1, 2], [1, 1, 1],
+        [0, 1, 1], [1, 1, 0], [0, 2, 0],
+    ], dtype=np.float64)[[6, 3, 1, 6, 2, 2, 4, 4, 4, 5, 4, 1]],
+    list(range(12)),
+)
+
+
+def grouped(function, features, hosts, counts=None):
     try:
-        return function(features, hosts)
+        return function(features, hosts, candidate_group_counts=counts)
     except ClusteringError as error:
         return str(error)
+
+
+def assert_same_grouping(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert isinstance(got, GroupingResult), got
+    assert np.array_equal(got.labels, want.labels)
+    assert (got.num_groups, got.group_size) == (
+        want.num_groups, want.group_size
+    )
+    # Bit-equal, not approximately: same floats from the same sums.
+    assert got.size_variance == want.size_variance
 
 
 # ----------------------------------------------------------------------
@@ -233,19 +284,22 @@ def grouped(function, features, hosts):
 @given(grouping_inputs())
 def test_grouping_is_the_oracles(inputs):
     features, hosts = inputs
-    want = grouped(oracle_constrained_position_groups, features, hosts)
-    got = grouped(constrained_position_groups, features, hosts)
-    if isinstance(want, str):
-        assert got == want
-        return
-    assert isinstance(got, GroupingResult), got
-    assert np.array_equal(got.labels, want.labels)
-    assert (got.num_groups, got.group_size) == (
-        want.num_groups, want.group_size
+    assert_same_grouping(
+        grouped(constrained_position_groups, features, hosts),
+        grouped(oracle_constrained_position_groups, features, hosts),
     )
-    # Bit-equal, not approximately: same floats from the same sums.
-    assert got.size_variance == want.size_variance
-    assert got.cohesion == want.cohesion
+
+
+@settings(max_examples=120, deadline=None)
+@given(tied_inputs())
+@example((*GAP_EQUALS_BEST, [1, 6]))
+@example((*GAP_EQUALS_BEST, [6, 1]))
+def test_tied_cuts_go_to_the_first_listed_as_in_the_oracle(inputs):
+    features, hosts, counts = inputs
+    assert_same_grouping(
+        grouped(constrained_position_groups, features, hosts, counts),
+        grouped(oracle_constrained_position_groups, features, hosts, counts),
+    )
 
 
 @settings(max_examples=120, deadline=None)

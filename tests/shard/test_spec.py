@@ -1,5 +1,10 @@
-"""Tests for the replayable fault schedule."""
+"""Tests for the replayable fault schedule and the ring-chord pair
+universe."""
 
+import pytest
+
+from repro.cluster.identifiers import ContainerId, EndpointId, TaskId
+from repro.core.pinglist import ProbePair
 from repro.network.issues import IssueType
 from repro.shard import (
     FaultScheduleRunner,
@@ -7,6 +12,7 @@ from repro.shard import (
     ShardScenarioSpec,
     build_replica,
 )
+from repro.shard.spec import ring_chord_pairs
 
 
 def runner_for(spec):
@@ -80,3 +86,40 @@ class TestFaultScheduleRunner:
         runner = runner_for(spec)
         runner.advance_to(spec.total_rounds)
         assert runner.active_faults() == []
+
+
+def oracle_ring_chord_pairs(endpoints):
+    """The construction as it stood before pairs were canonicalised by
+    position, verbatim: dataclass canonicalisation and sort."""
+    n = len(endpoints)
+    stride = n // 3 + 1
+    pairs = set()
+    for i, src in enumerate(endpoints):
+        for dst in (endpoints[(i + 1) % n], endpoints[(i + stride) % n]):
+            if src != dst and src.container != dst.container:
+                pairs.add(ProbePair.canonical(src, dst))
+    return sorted(pairs)
+
+
+def task_endpoints(containers, rnics):
+    return sorted(
+        EndpointId(ContainerId(TaskId(3), rank), slot)
+        for rank in range(containers)
+        for slot in range(rnics)
+    )
+
+
+class TestRingChordPairs:
+    @pytest.mark.parametrize("containers", range(4))
+    @pytest.mark.parametrize("rnics", range(1, 9))
+    def test_small_universes_are_the_oracles(self, containers, rnics):
+        endpoints = task_endpoints(containers, rnics)
+        assert ring_chord_pairs(endpoints) == oracle_ring_chord_pairs(
+            endpoints
+        )
+
+    def test_the_2048_endpoint_universe_is_the_oracles(self):
+        endpoints = task_endpoints(256, 8)
+        pairs = ring_chord_pairs(endpoints)
+        assert pairs == oracle_ring_chord_pairs(endpoints)
+        assert len(pairs) == 256 + 2048  # cross-container ring + chords

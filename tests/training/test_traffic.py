@@ -95,6 +95,37 @@ class TestPositionStructure:
         assert np.all(tail < 1.0)
 
 
+class TestAllSeries:
+    @pytest.mark.parametrize("config, with_noise", [
+        (ParallelismConfig(4, 2, 2), True),
+        (ParallelismConfig(4, 2, 2, ep=2), True),
+        (ParallelismConfig(4, 4, 1), True),
+        (ParallelismConfig(4, 2, 2), False),
+    ], ids=["dense", "moe", "dp1", "noise-free"])
+    def test_all_series_is_the_per_endpoint_loop(
+        self, running_task, config, with_noise
+    ):
+        """One shape per position and one noise block are the loop's
+        series bit for bit, and leave the stream where the loop does."""
+        workload = TrainingWorkload(running_task, config)
+        batched = TrafficGenerator(workload, rng=RngRegistry(5))
+        looped = TrafficGenerator(workload, rng=RngRegistry(5))
+        got = batched.all_series(300.0, with_noise=with_noise)
+        want = {
+            endpoint: looped.series(endpoint, 300.0, with_noise=with_noise)
+            for endpoint in workload.endpoints()
+        }
+        assert list(got) == list(want)
+        for endpoint, series in want.items():
+            assert got[endpoint].dtype == series.dtype
+            assert got[endpoint].tobytes() == series.tobytes(), endpoint
+        endpoint = workload.endpoint_of(0)
+        assert (
+            batched.series(endpoint, 30.0).tobytes()
+            == looped.series(endpoint, 30.0).tobytes()
+        )
+
+
 class TestModelParameters:
     def test_position_frequencies_stay_sub_nyquist(self):
         model = TrafficModel()
