@@ -18,8 +18,12 @@ The package is organized bottom-up:
   the :class:`~repro.core.system.SkeletonHunter` facade;
 * :mod:`repro.bus` — durable telemetry bus with JSONL record/replay
   (``python -m repro record / replay / tail``);
-* :mod:`repro.verify` — static fabric-verification passes and the
-  determinism lint (``python -m repro.verify [--lint]``);
+* :mod:`repro.verify` — static fabric-verification passes, the
+  determinism lint and what only tests reach
+  (``python -m repro.verify [--lint | --reach]``);
+* :mod:`repro.equivalence` — the contract: every committed golden in one
+  table, each row run twice in one process and once under another hash
+  seed (``python -m repro equivalence``);
 * :mod:`repro.baselines` — Pingmesh, deTector, and R-Pingmesh baselines;
 * :mod:`repro.workloads` — production-statistics models and one-call
   monitored scenarios.

@@ -10,11 +10,13 @@ Usage (``python -m repro COMMAND --help`` lists a command's options;
     python -m repro status          #   incident timeline, counters and timings,
     python -m repro trace           #   JSONL trace (--explain: evidence chains),
     python -m repro export-metrics  #   Prometheus text
-    python -m repro verify          # fabric passes; --lint / --flow: the
-                                    #   determinism lint / flow analyzer;
-                                    #   --reach: what only tests run
+    python -m repro verify          # fabric passes; --lint: the
+                                    #   determinism lint; --reach: what
+                                    #   only tests run
     python -m repro equivalence     # the contract: every committed golden,
-                                    #   one table (repro.equivalence.CHECKS)
+                                    #   one table (repro.equivalence.CHECKS),
+                                    #   each row run twice here and once
+                                    #   under another hash seed
     python -m repro chaos           # monitor-chaos gate -> BENCH_chaos.json
     python -m repro gray            # gray-failure gate -> BENCH_gray.json
     python -m repro run             # the sharded plane (repro.shard),

@@ -16,20 +16,31 @@ The gate with no plane of its own lives here
 :mod:`repro.bus.replay`).  :data:`CHECKS` holds them, and every other
 committed golden, to what the CLI verbs measure: ``python -m repro
 equivalence`` (:func:`contract`) prints the one table.
+
+Determinism is checked by running twice.  Every row is measured three
+times: once, again in this process in a fresh scratch directory (what
+process-global state leaks from one run into the next shows), and once
+in a child interpreter whose str hashing differs from this one's (what
+a set or dict of strings iterates into an output shows).  A row whose
+three values are not equal fails, naming the run that disagreed.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import operator
 import os
+import pickle
+import subprocess
 import sys
 import tempfile
 import time
 import traceback
 from collections import Counter
-from functools import reduce
+from functools import partial, reduce
 from pathlib import Path
 from typing import (
     Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence,
@@ -201,7 +212,9 @@ class Check(NamedTuple):
     """One row: ``measure(scratch directory)`` must equal the value at
     ``keys`` in the JSON ``golden`` — or, with no ``keys``, the
     :func:`_report` of the golden, the report its CLI verb ``name``
-    writes, which ``measure`` writes to ``<scratch>/<name>.json``."""
+    writes, which ``measure`` writes to ``<scratch>/<name>.json``.
+    ``measure`` crosses to the hash-seed child by pickle, so it is a
+    module-level function or a ``partial`` of one."""
 
     name: str
     measure: Callable[[str], Dict[str, Any]]
@@ -215,9 +228,13 @@ class Check(NamedTuple):
         return reduce(operator.getitem, self.keys, json.loads(data))
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def _fingerprint(data: bytes) -> Dict[str, Any]:
     """A committed file's identity: its size and sha256."""
-    return {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+    return {"bytes": len(data), "sha256": _sha256(data)}
 
 
 def _report(data: bytes) -> Dict[str, Any]:
@@ -237,13 +254,14 @@ def _recording(scratch: str, fixture: str = "default") -> str:
     return path
 
 
-def _record(fixture: str) -> Callable[[str], Dict[str, Any]]:
-    def measure(scratch: str) -> Dict[str, Any]:
-        data = Path(_recording(scratch, fixture)).read_bytes()
-        args = [] if fixture == "default" else ["--issue", fixture]
-        return {"args": args, **_fingerprint(data)}
+def _batch(scratch: str) -> Dict[str, int]:
+    return verify_equivalence()
 
-    return measure
+
+def _record(fixture: str, scratch: str) -> Dict[str, Any]:
+    data = Path(_recording(scratch, fixture)).read_bytes()
+    args = [] if fixture == "default" else ["--issue", fixture]
+    return {"args": args, **_fingerprint(data)}
 
 
 def _shard(scratch: str) -> Dict[str, Any]:
@@ -272,16 +290,13 @@ def _replay(scratch: str) -> Dict[str, Any]:
             "probes": run.probes_ingested}
 
 
-def _gate(verb: str) -> Callable[[str], Dict[str, Any]]:
-    def measure(scratch: str) -> Dict[str, Any]:
-        from repro.chaos.gate import ChaosGate
-        from repro.chaos.gray import GrayGate
+def _gate(verb: str, scratch: str) -> Dict[str, Any]:
+    from repro.chaos.gate import ChaosGate
+    from repro.chaos.gray import GrayGate
 
-        out = os.path.join(scratch, f"{verb}.json")
-        (ChaosGate() if verb == "chaos" else GrayGate()).run(out=out)
-        return _report(Path(out).read_bytes())
-
-    return measure
+    out = os.path.join(scratch, f"{verb}.json")
+    (ChaosGate() if verb == "chaos" else GrayGate()).run(out=out)
+    return _report(Path(out).read_bytes())
 
 
 def _campaign(scratch: str) -> Dict[str, Any]:
@@ -298,12 +313,6 @@ def _lint(scratch: str) -> Dict[str, Any]:
 
 def _named(findings) -> List[str]:
     return [f"{finding.check}: {finding.component}" for finding in findings]
-
-
-def _flow(scratch: str) -> Dict[str, Any]:
-    from repro.verify.flow import analyze_package
-
-    return {"findings": _named(analyze_package().report.findings)}
 
 
 def _verifier(scratch: str) -> Dict[str, Any]:
@@ -344,45 +353,72 @@ def _skeleton(scratch: str) -> Dict[str, Any]:
         skeleton.group_topology,
     ]
     applied = scenario.hunter.controller.ping_list_of(scenario.task.id)
-
-    def sha256(data: bytes) -> str:
-        return hashlib.sha256(data).hexdigest()
-
     return {
         "endpoints": len(endpoints),
         "group_count": skeleton.group_count,
         "dp": skeleton.dp,
         "edges": len(skeleton.edges),
         "quarantined": len(skeleton.quarantined),
-        "skeleton_sha256": sha256(json.dumps(skeleton_view).encode()),
-        "applied_pairs_sha256": sha256(json.dumps(
+        "skeleton_sha256": _sha256(json.dumps(skeleton_view).encode()),
+        "applied_pairs_sha256": _sha256(json.dumps(
             sorted([str(p.src), str(p.dst)] for p in applied.pairs)
         ).encode()),
-        "labels_sha256": sha256(grouping.labels.astype("int64").tobytes()),
+        "labels_sha256": _sha256(grouping.labels.astype("int64").tobytes()),
         "size_variance_hex": float(grouping.size_variance).hex(),
-        "repaired_k8_labels_sha256": sha256(
+        "repaired_k8_labels_sha256": _sha256(
             repaired.labels.astype("int64").tobytes()
         ),
     }
 
 
+def _cli(*argv: str) -> str:
+    """What ``repro *argv`` prints, run in this process."""
+    from repro.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    if code:
+        raise EquivalenceError(f"repro {' '.join(argv)} exited {code}")
+    return out.getvalue()
+
+
+def _trace(scratch: str) -> Dict[str, Any]:
+    """The records ``repro trace --out`` writes, each less its
+    ``wall_duration_s``: the one field a clock, not the run, decides."""
+    path = os.path.join(scratch, "trace.jsonl")
+    _cli("trace", "--out", path)
+    with open(path, encoding="utf-8") as handle:
+        records = [json.loads(line) for line in handle]
+    for record in records:
+        record.pop("wall_duration_s", None)
+    return {"records": len(records),
+            "sha256": _sha256(json.dumps(records).encode())}
+
+
+def _stdout(scratch: str) -> Dict[str, str]:
+    """The sha256 of what each operator verb prints."""
+    return {verb: _sha256(_cli(*verb.split()).encode())
+            for verb in ("report", "export-metrics", "trace --explain")}
+
+
 #: The contract, in the order ``repro equivalence`` prints it.
 CHECKS: Tuple[Check, ...] = (
-    Check("batch == sequential", lambda scratch: verify_equivalence(),
-          keys=("batch == sequential",)),
+    Check("batch == sequential", _batch, keys=("batch == sequential",)),
     Check("shard == single", _shard, keys=("shard == single",)),
     Check("fleet == single", _fleet, keys=("fleet == single",)),
-    *(Check(f"record {fixture}", _record(fixture), RECORDS,
+    *(Check(f"record {fixture}", partial(_record, fixture), RECORDS,
             ("fixtures", fixture))
       for fixture in ("default", "PFC_STORM", "CRC_ERROR")),
     Check("replay == live", _replay, keys=("replay == live",)),
-    Check("chaos", _gate("chaos"), "BENCH_chaos.json"),
-    Check("gray", _gate("gray"), "BENCH_gray.json"),
+    Check("chaos", partial(_gate, "chaos"), "BENCH_chaos.json"),
+    Check("gray", partial(_gate, "gray"), "BENCH_gray.json"),
     Check("campaign", _campaign, keys=("campaign",)),
     Check("lint", _lint, keys=("lint",)),
-    Check("flow", _flow, keys=("flow",)),
     Check("fabric verifier", _verifier, keys=("fabric verifier",)),
     Check("skeleton 2048", _skeleton, keys=("skeleton 2048",)),
+    Check("trace", _trace, keys=("trace",)),
+    Check("cli stdout", _stdout, keys=("cli stdout",)),
 )
 
 
@@ -412,25 +448,123 @@ def _differences(want: Any, got: Any, where: str = "") -> List[str]:
                                      f"{where}{key}: ")]
 
 
-def _run(check: Check, scratch: str) -> Tuple[Any, Any, str, str]:
-    """One row's expected and got values (``None``: unreadable, or
-    raised), seconds and problem.  An unreadable golden or a raising
-    measurement fails the row, never the rows after it."""
-    want = got = None
-    problems = []
-    try:
-        want = check.expected(ROOT)
-    except (OSError, LookupError, ValueError) as error:
-        problems.append(f"golden {check.golden} unreadable: {error!r}")
+#: One run of one row: its value (``None`` if it raised), seconds, and
+#: the traceback if it raised.
+Measured = Tuple[Optional[Dict[str, Any]], str, str]
+
+#: The child pass's hash seed: one this process's str hashing does not
+#: share (seed 0 is what hash randomization off means).
+HASH_SEED = "0" if sys.flags.hash_randomization else "1"
+
+#: The three runs of every row, in order.
+RUNS = ("first run", "in-process repeat",
+        f"hash-seed child (PYTHONHASHSEED={HASH_SEED})")
+
+#: The child: this process's import path, then :func:`_child_pass`.
+_CHILD = ("import sys; sys.path[:0] = sys.argv[2:]; "
+          "from repro.equivalence import _child_pass; "
+          "_child_pass(sys.argv[1])")
+
+
+def _measure(check: Check, scratch: str) -> Measured:
+    got: Optional[Dict[str, Any]] = None
+    error = ""
     start = time.perf_counter()
     try:
         got = check.measure(scratch)
     except Exception:  # the row's failure, reported with its traceback
-        problems.append(traceback.format_exc().rstrip())
-    seconds = f"{time.perf_counter() - start:.2f}"
-    if not problems and want != got:
-        problems = _differences(want, got)
-    return want, got, seconds, "\n".join(problems)
+        error = traceback.format_exc().rstrip()
+    return got, f"{time.perf_counter() - start:.2f}", error
+
+
+def _measure_all(checks: Sequence[Check], scratch: str) -> List[Measured]:
+    """Every row in order in a new ``scratch`` directory, so a repeat
+    records afresh what the replay row replays."""
+    os.makedirs(scratch)
+    return [_measure(check, scratch) for check in checks]
+
+
+def _child_pass(scratch: str) -> None:
+    """The child's run: the rows the parent pickled, measured here."""
+    with open(os.path.join(scratch, "checks.pickle"), "rb") as handle:
+        checks = pickle.load(handle)
+    measured = _measure_all(checks, os.path.join(scratch, "child"))
+    with open(os.path.join(scratch, "child.pickle"), "wb") as handle:
+        pickle.dump(measured, handle)
+
+
+def _runs(
+    checks: Sequence[Check], scratch: str
+) -> List[Tuple[Measured, Measured, Measured]]:
+    """Each row's three runs: the first and the in-process repeat in
+    ``<scratch>/first`` and ``<scratch>/again``, while the child, started
+    before them, measures in ``<scratch>/child``."""
+    with open(os.path.join(scratch, "checks.pickle"), "wb") as handle:
+        pickle.dump(tuple(checks), handle)
+    log = os.path.join(scratch, "child.log")
+    with open(log, "wb") as output, subprocess.Popen(
+        [sys.executable, "-c", _CHILD, scratch, *sys.path],
+        env=dict(os.environ, PYTHONHASHSEED=HASH_SEED),
+        stdout=output, stderr=subprocess.STDOUT,
+    ) as child:
+        first = _measure_all(checks, os.path.join(scratch, "first"))
+        again = _measure_all(checks, os.path.join(scratch, "again"))
+    try:
+        with open(os.path.join(scratch, "child.pickle"), "rb") as handle:
+            other = pickle.load(handle)
+    except OSError:
+        tail = Path(log).read_text(errors="replace").strip()[-2000:]
+        other = [(None, "-", f"exited {child.returncode}: {tail}")] * len(
+            checks)
+    return list(zip(first, again, other))
+
+
+def _disagreements(runs: Sequence[Measured]) -> List[str]:
+    """Where a row's later runs differ from its first (which, if it
+    raised, is the row's failure already), each line naming its run."""
+    first = runs[0][0]
+    lines = []
+    for name, (got, _, error) in zip(RUNS[1:], runs[1:]):
+        if error:
+            lines.append(f"{name} raised: {error}")
+        elif first is not None and got != first:
+            lines += [f"{name}: {line}" for line in _differences(first, got)]
+    return lines
+
+
+class Row(NamedTuple):
+    """One row of the table: the golden (``None``: unreadable), the
+    first run's value (``None``: it raised), its seconds, where the
+    value differs from the golden, and what failed in the runs."""
+
+    check: Check
+    want: Any
+    got: Any
+    seconds: str
+    moved: List[str]
+    unstable: List[str]
+
+    @property
+    def problems(self) -> List[str]:
+        return self.moved + self.unstable
+
+
+def _rows(scratch: str) -> List[Row]:
+    """Every row of :data:`CHECKS`, run three times.  An unreadable
+    golden or a raising run fails the row, never the rows after it."""
+    rows = []
+    for check, runs in zip(CHECKS, _runs(CHECKS, scratch)):
+        got, seconds, error = runs[0]
+        want: Optional[Dict[str, Any]] = None
+        try:
+            want = check.expected(ROOT)
+            moved = [] if got is None or want == got else _differences(
+                want, got)
+        except (OSError, LookupError, ValueError) as unreadable:
+            moved = [f"golden {check.golden} unreadable: {unreadable!r}"]
+        rows.append(Row(check, want, got, seconds, moved,
+                        ([error] if error else []) + _disagreements(runs)))
+    return rows
 
 
 def contract() -> int:
@@ -438,19 +572,20 @@ def contract() -> int:
     row's problem and the command that regenerates its golden; returns
     the exit code."""
     with tempfile.TemporaryDirectory() as scratch:
-        rows = [(check, *_run(check, scratch)) for check in CHECKS]
+        rows = _rows(scratch)
     table = [("check", "expected", "got", "seconds", "ok")] + [
-        (check.name, _cell(want), _cell(got), seconds,
-         "FAILED" if problem else "ok")
-        for check, want, got, seconds, problem in rows]
+        (row.check.name, _cell(row.want), _cell(row.got), row.seconds,
+         "FAILED" if row.problems else "ok")
+        for row in rows]
     widths = [max(len(line[i]) for line in table) for i in range(4)]
     for *cells, ok in table:
         cells[3] = cells[3].rjust(widths[3])
         print("  ".join([c.ljust(w) for c, w in zip(cells, widths)] + [ok]))
-    failed = [(check, problem) for check, *_, problem in rows if problem]
-    for check, problem in failed:
-        print(f"\n{check.name} FAILED: {problem}\n  regenerate "
-              f"{check.golden}: {REBASELINE}", file=sys.stderr)
+    failed = [row for row in rows if row.problems]
+    for row in failed:
+        print(f"\n{row.check.name} FAILED: " + "\n".join(row.problems)
+              + f"\n  regenerate {row.check.golden}: {REBASELINE}",
+              file=sys.stderr)
     print(f"\ncontract: {len(rows) - len(failed)} of {len(rows)} rows ok")
     return 1 if failed else 0
 
@@ -463,22 +598,23 @@ def rebaseline() -> int:
     """Rewrite every golden :data:`CHECKS` reads from one fresh run —
     the JSON goldens row by row, each report as its verb wrote it — and
     print every key path that moved; returns how many moved.  A row
-    that raises, or a report that breaks its bounds, leaves every
-    golden untouched."""
+    that raises or whose runs disagree, or a report that breaks its
+    bounds, leaves every golden untouched."""
     documents: Dict[str, Dict[str, Any]] = {}
     reports: Dict[str, bytes] = {}
     moved: List[str] = []
     with tempfile.TemporaryDirectory() as scratch:
-        for check in CHECKS:
-            _, got, _, problem = _run(check, scratch)
-            if got is None or not check.keys and got["violations"]:
+        for row in _rows(scratch):
+            check, got = row.check, row.got
+            if row.unstable or not check.keys and got["violations"]:
                 raise SystemExit(f"{check.name} not rebaselined: " + (
-                    problem if got is None else f"{got['violations']}"))
+                    "\n".join(row.unstable) if row.unstable
+                    else f"{got['violations']}"))
             where = "".join(f"{key}: " for key in (check.golden, *check.keys))
-            moved += [where + line for line in problem.splitlines()]
+            moved += [where + line for line in row.moved]
             if not check.keys:
                 reports[check.golden] = Path(
-                    scratch, f"{check.name}.json").read_bytes()
+                    scratch, "first", f"{check.name}.json").read_bytes()
                 continue
             *path, last = check.keys
             reduce(lambda d, k: d.setdefault(k, {}), path,
@@ -495,4 +631,7 @@ def rebaseline() -> int:
 if __name__ == "__main__":
     if len(sys.argv) != 1:
         sys.exit(f"usage: {REBASELINE}  (rewrites every golden)")
-    rebaseline()
+    # Run as the importable module, whose rows the child can unpickle.
+    from repro import equivalence
+
+    equivalence.rebaseline()

@@ -9,7 +9,11 @@ per-endpoint overlay reachability, VTEP symmetry, and skeleton/ping-list
 coverage — and renders each :class:`Finding` in the same
 evidence-chain style as ``Diagnosis.explain``.  The determinism lint
 (:mod:`repro.verify.lint`) keeps the simulator itself honest: no wall
-clock, no unseeded randomness, no broad excepts in ``core/``.
+clock, no unseeded randomness, no environment reads, no broad excepts
+in ``core/``.  That a run is a function of its seeds is checked by
+running it: every row of the contract (:mod:`repro.equivalence`) is
+measured twice in one process and once under another hash seed.
+``--reach`` (:mod:`repro.verify.reach`) lists what only tests run.
 
 Nothing here imports ``repro.core`` at module scope: verification
 reads a built scenario, and the core never calls into it.
@@ -25,23 +29,12 @@ from repro.verify.framework import (
     VerifierReport,
     default_passes,
 )
-from repro.verify.callgraph import CallGraph, CallGraphBuilder
-from repro.verify.contract import ContractChecker
-from repro.verify.flow import FlowAnalysis, analyze_package
 from repro.verify.lint import DeterminismLinter, LintViolation, lint_paths
 from repro.verify.resolver import ImportTable
-from repro.verify.taint import Taint, TaintAnalyzer
 
 __all__ = [
-    "CallGraph",
-    "CallGraphBuilder",
-    "ContractChecker",
     "DeterminismLinter",
-    "FlowAnalysis",
     "ImportTable",
-    "Taint",
-    "TaintAnalyzer",
-    "analyze_package",
     "FabricVerifier",
     "Finding",
     "LintViolation",

@@ -4,9 +4,8 @@
 fabric-verification pass on the default monitored scenario — with
 ``--issue NAME``, after injecting that issue at rank 0's RNIC — and
 exits 1 iff any ERROR finding.  ``--lint [paths...]`` runs the
-determinism lint and ``--flow [root]`` the interprocedural determinism
-analyzer instead, each over the ``repro`` package by default and
-exiting 1 iff any finding.  ``--reach`` prints the functions only tests
+determinism lint instead, over the ``repro`` package by default, and
+exits 1 iff any finding.  ``--reach`` prints the functions only tests
 reach (:mod:`repro.verify.reach`) and exits 0.
 """
 
@@ -20,7 +19,6 @@ from repro.verify.framework import (
     VerificationContext,
     VerifierReport,
 )
-from repro.verify.flow import run_flow
 from repro.verify.lint import lint_paths
 from repro.verify.reach import run_reach
 
@@ -29,7 +27,6 @@ __all__ = [
     "build_default_report",
     "main",
     "run",
-    "run_flow",
     "run_lint",
     "run_verify",
 ]
@@ -42,11 +39,6 @@ def add_verify_arguments(parser: argparse.ArgumentParser) -> None:
         help="run the determinism lint instead of the fabric passes",
     )
     parser.add_argument(
-        "--flow", action="store_true",
-        help="run the interprocedural determinism analyzer (call-graph "
-        "taint + keyed-draw contract) instead of the fabric passes",
-    )
-    parser.add_argument(
         "--reach", action="store_true",
         help="run every non-test entry point under a call tracer and "
         "print the functions only tests reach",
@@ -54,7 +46,7 @@ def add_verify_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "paths", nargs="*",
         help="files/directories to analyze (default: the repro "
-        "package); ignored without --lint/--flow",
+        "package); ignored without --lint",
     )
     parser.add_argument(
         "--issue", default=None, metavar="NAME",
@@ -147,8 +139,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     add_verify_arguments(parser)
     args = parser.parse_args(list(argv) if argv is not None else None)
-    if args.lint + args.flow + args.reach > 1:
-        parser.error("--lint, --flow and --reach are mutually exclusive")
+    if args.lint and args.reach:
+        parser.error("--lint and --reach are mutually exclusive")
     return run(args)
 
 
@@ -157,6 +149,4 @@ def run(args: argparse.Namespace) -> int:
     process exit code."""
     if args.reach:
         return run_reach()
-    if args.flow:
-        return run_flow(args)
     return run_lint(args) if args.lint else run_verify(args)

@@ -20,6 +20,12 @@ verification exists to surface.  This linter walks the AST of
     minted).  Passing ``np.random.Generator`` objects around is fine —
     the rule targets the *global* generators.
 
+``env-read``
+    No read of the process environment (``os.getenv``,
+    ``os.environ.get``, ``os.environ[...]``): a run must be a function
+    of its arguments and seeds.  ``verify/reach.py``, which hands its
+    children the import path it runs under, is exempt by name.
+
 ``broad-except``
     No bare ``except:`` and no ``except Exception/BaseException`` in
     ``core/`` — handlers there must name the failure they expect and
@@ -74,7 +80,7 @@ so ``from time import time``, ``import numpy.random as npr``, and
 ``from datetime import datetime as dt`` are caught the same as their
 fully-spelled forms — the alias gray zone the PR-2 lint left open.
 What the call rules forbid is the catalogue in
-:mod:`repro.verify.resolver`, which the taint sources also default to.
+:mod:`repro.verify.resolver`.
 
 There is no suppression syntax: the shipped tree has zero violations
 (``tests/verify/test_lint.py`` keeps it that way), and an exception is
@@ -91,6 +97,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.verify.resolver import (
     DISPATCH_METHODS,
+    ENVIRON,
+    ENV_READS,
     GLOBAL_RNG_PREFIXES,
     MONOTONIC_TIMERS,
     PROCESS_IDENTITY,
@@ -110,6 +118,7 @@ __all__ = [
 
 _WALL_CLOCK = "wall-clock"
 _UNSEEDED = "unseeded-random"
+_ENV_READ = "env-read"
 _BROAD_EXCEPT = "broad-except"
 _MUTABLE_DEFAULT = "mutable-default"
 _SHARED_DEFAULT = "shared-instance-default"
@@ -120,6 +129,10 @@ _TELEMETRY_WRITE = "telemetry-write"
 #: Files (relative, ``/``-separated suffixes) allowed to touch the
 #: global numpy RNG machinery: the seeded-stream registry itself.
 _RNG_EXEMPT_SUFFIXES = ("sim/rng.py",)
+
+#: Files (relative, ``/``-separated suffixes) allowed to read the
+#: process environment: ``--reach``, which passes it to its children.
+_ENV_EXEMPT_SUFFIXES = ("verify/reach.py",)
 
 #: Directories (path fragments) where broad excepts are forbidden.
 _BROAD_EXCEPT_SCOPE = ("core",)
@@ -226,9 +239,11 @@ class _Visitor(ast.NodeVisitor):
         telemetry_scoped: bool = False,
         telemetry_exempt: bool = False,
         imports: Optional[ImportTable] = None,
+        env_exempt: bool = False,
     ) -> None:
         self.path = path
         self.rng_exempt = rng_exempt
+        self.env_exempt = env_exempt
         self.broad_except_scoped = broad_except_scoped
         self.telemetry_scoped = telemetry_scoped
         self.telemetry_exempt = telemetry_exempt
@@ -312,6 +327,9 @@ class _Visitor(ast.NodeVisitor):
         self, node: ast.Call, dotted: str, spelled: str
     ) -> None:
         label = self._spell(spelled, dotted)
+        if names(dotted, ENV_READS):
+            self._env_read(node, f"call to {label}()")
+            return
         if names(dotted, WALL_CLOCK):
             self._emit(
                 node, _WALL_CLOCK,
@@ -333,6 +351,25 @@ class _Visitor(ast.NodeVisitor):
                 f"call to {label}() touches numpy's global "
                 "RNG machinery outside sim/rng.py; draw from "
                 "a named RngRegistry stream instead",
+            )
+
+    # -- environment reads ----------------------------------------------
+
+    def visit_Subscript(self, node: ast.Subscript) -> None:
+        spelled = _dotted_name(node.value)
+        if spelled is not None and isinstance(node.ctx, ast.Load):
+            dotted = self.imports.resolve(spelled)
+            if names(dotted, ENVIRON):
+                self._env_read(
+                    node, f"subscript of {self._spell(spelled, dotted)}")
+        self.generic_visit(node)
+
+    def _env_read(self, node: ast.AST, what: str) -> None:
+        if not self.env_exempt:
+            self._emit(
+                node, _ENV_READ,
+                f"{what} reads the process environment; take the "
+                "value as an argument or a module constant",
             )
 
     # -- stdlib random imports -----------------------------------------
@@ -533,6 +570,7 @@ class DeterminismLinter:
                 _TELEMETRY_EXEMPT_SUFFIXES
             ),
             imports=ImportTable.from_tree(tree),
+            env_exempt=normalized.endswith(_ENV_EXEMPT_SUFFIXES),
         )
         visitor.visit(tree)
         visitor.check_workers()

@@ -1,8 +1,8 @@
 """``--reach``: the functions in ``src`` that only tests reach.
 
 Runs every non-test entry point of a checkout in a traced child
-interpreter and diffs the functions entered against the call graph's
-function table (:mod:`repro.verify.callgraph`).  Reach depends on
+interpreter and diffs the functions entered against the package's
+function table (:func:`functions`, read from source).  Reach depends on
 inputs (``obs.export.to_jsonl`` runs under ``repro trace`` but not
 ``repro trace --out``), so :data:`VERBS` lists every verb in each output
 mode.  A forked worker inherits the tracer and its descriptor, so what
@@ -17,12 +17,15 @@ import os
 import subprocess
 import sys
 import tempfile
-from typing import List, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.verify.callgraph import CallGraphBuilder, FunctionInfo
 from repro.verify.resolver import package_root, python_files
 
-__all__ = ["VERBS", "entries", "reached", "run_reach", "unreached"]
+__all__ = [
+    "VERBS", "FunctionInfo", "entries", "functions", "reached",
+    "run_reach", "unreached",
+]
 
 #: Every ``repro`` verb in each output mode.  Children run in the
 #: checkout (``equivalence`` reads the committed reports there); what a
@@ -31,7 +34,7 @@ VERBS = (
     "demo", "campaign", "stats", "report", "status", "trace",
     "trace --out {scratch}/trace.jsonl", "trace --explain",
     "export-metrics", "verify", "verify --issue REPETITIVE_FLOW_OFFLOADING",
-    "verify --lint", "verify --flow", "equivalence",
+    "verify --lint", "equivalence",
     "chaos --out {scratch}/chaos.json", "gray --out {scratch}/gray.json",
     "run", "run --backend mp", "shard-status", "shard-status --backend mp",
     "fleet run", "fleet status", "record --out {scratch}/recording.jsonl",
@@ -63,6 +66,64 @@ else:
 
 #: A code object: (real path, first line, ``co_name``).
 Key = Tuple[str, int, str]
+
+
+@dataclass(frozen=True)
+class FunctionInfo:
+    """One function (method, nested def or named lambda) in a package."""
+
+    fid: str                      # "pkg.module:Qual.name"
+    module: str
+    qualname: str
+    name: str
+    path: str
+    lineno: int
+    node: ast.AST
+
+
+def functions(root: str) -> Dict[str, FunctionInfo]:
+    """Every function under the package directory ``root`` by fid, the
+    modules named as the package imports itself (``src/repro`` holds
+    ``repro.network.fabric``) and walked in :func:`python_files` order."""
+    root = os.path.abspath(root)
+    package = os.path.basename(root.rstrip(os.sep))
+    table: Dict[str, FunctionInfo] = {}
+    for path in python_files(root):
+        parts = os.path.relpath(path, root)[:-3].split(os.sep)
+        if parts[-1] == "__init__":
+            parts.pop()
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), filename=path)
+        _define(table, ".".join([package, *parts]), path, tree, ())
+    return table
+
+
+def _define(
+    table: Dict[str, FunctionInfo], module: str, path: str,
+    scope: ast.AST, qual: Tuple[str, ...],
+) -> None:
+    """The functions a scope's direct children define, nested ones
+    under their parent's qualified name."""
+    for node in ast.iter_child_nodes(scope):
+        if isinstance(node, ast.ClassDef):
+            _define(table, module, path, node, qual + (node.name,))
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name, code = node.name, node
+        elif isinstance(node, ast.Assign) and isinstance(
+            node.value, ast.Lambda
+        ) and len(node.targets) == 1 and isinstance(
+            node.targets[0], ast.Name
+        ):
+            name, code = node.targets[0].id, node.value
+        else:
+            continue
+        qualname = ".".join(qual + (name,))
+        fid = f"{module}:{qualname}"
+        table[fid] = FunctionInfo(
+            fid, module, qualname, name, path, node.lineno, code)
+        if code is node:
+            _define(table, module, path, node, qual + (name,))
 
 
 def entries(repo: str, scratch: str) -> List[Tuple[str, ...]]:
@@ -129,10 +190,7 @@ def _is_stub(node: ast.AST) -> bool:
 def unreached(package: str, hit: Set[Key]) -> List[FunctionInfo]:
     """The package's functions no entry reached, interface stubs exempt,
     sorted by module and qualified name."""
-    builder = CallGraphBuilder()
-    builder.add_package(package)
-    functions = builder.build().functions
-    return [info for _, info in sorted(functions.items())
+    return [info for _, info in sorted(functions(package).items())
             if _key(info) not in hit and not _is_stub(info.node)]
 
 

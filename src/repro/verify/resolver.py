@@ -1,26 +1,26 @@
-"""What the lint and the flow analyzer share: names, policy, files.
+"""What the lint and ``--reach`` share: names, policy, files.
 
-Both static passes need the same primitive: given the dotted name a
-call site *spells* (``dt.now``, ``npr.rand``, ``time``), recover the
-name it *means* (``datetime.datetime.now``, ``numpy.random.rand``,
-``time.time``).  The PR-2 lint matched spelled names only, so
-``from time import time`` and ``import numpy.random as npr`` walked
+The lint needs one primitive: given the dotted name a call site
+*spells* (``dt.now``, ``npr.rand``, ``time``), recover the name it
+*means* (``datetime.datetime.now``, ``numpy.random.rand``,
+``time.time``).  A lint that matched spelled names only would let
+``from time import time`` and ``import numpy.random as npr`` walk
 straight past the ``wall-clock``/``unseeded-random`` rules — exactly
 the indirection gray failures hide behind.  One :class:`ImportTable`
-per module now feeds both passes, so an alias that evades one evades
-neither.
+per module resolves them.
 
 The table is deliberately syntactic: it resolves what the import
-statements of one module declare, without executing anything.  Names
-bound by assignment (``t = time.time``) are the flow analyzer's job
-(it tracks values); names bound by imports are this module's.
+statements of one module declare, without executing anything.  A name
+bound by assignment (``_now = time.time``) is not resolved; the
+contract's repeat axis (:mod:`repro.equivalence`) catches what such a
+read changes in an output.
 
 *Which* resolved names are out-of-band inputs is one policy too, so it
-is written once, here: the lint's rules and the taint sources
-(:class:`~repro.verify.taint.TaintConfig` defaults) read the catalogue
-below, match against it through :func:`names`, and find their sources
-through :func:`python_files` (under :func:`package_root` by default).
-An exception to the policy is an edit to this file, reviewed as code.
+is written once, here: the lint's rules read the catalogue below and
+match against it through :func:`names`; the lint and ``--reach`` find
+their sources through :func:`python_files` (under :func:`package_root`
+by default).  An exception to the policy is an edit to this file,
+reviewed as code.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 __all__ = [
     "DISPATCH_METHODS",
+    "ENVIRON",
+    "ENV_READS",
     "GLOBAL_RNG_PREFIXES",
     "ImportTable",
     "MONOTONIC_TIMERS",
@@ -57,6 +59,11 @@ PROCESS_IDENTITY = (
     "os.getpid", "os.getppid", "os.urandom",
     "uuid.uuid1", "uuid.uuid4", "socket.gethostname",
 )
+
+#: Reads of the process environment: these calls, and a subscript of
+#: the ``ENVIRON`` mapping.
+ENV_READS = ("os.getenv", "os.environ.get")
+ENVIRON = ("os.environ",)
 
 #: Monotonic timers: harmless in single-process code (``repro.obs``
 #: measures wall *durations* with them, which never feed back into
@@ -96,8 +103,8 @@ def python_files(root: str) -> List[str]:
 
 
 def package_root() -> str:
-    """The installed ``repro`` package directory: what the lint and the
-    flow analyzer read when given no path, and what CI runs them on."""
+    """The installed ``repro`` package directory: what the lint and
+    ``--reach`` read when given no path, and what CI runs them on."""
     import repro
 
     return os.path.dirname(os.path.abspath(repro.__file__))
@@ -174,8 +181,7 @@ class ImportTable:
 
     def _add_import_from(self, node: ast.ImportFrom) -> None:
         if node.module is None or node.level:
-            # Relative imports stay package-internal; the call graph
-            # resolves those against the package itself.
+            # Relative imports stay package-internal.
             return
         for alias in node.names:
             if alias.name == "*":

@@ -2,6 +2,7 @@
 
 import json
 import re
+from functools import partial
 
 import pytest
 
@@ -189,27 +190,35 @@ class TestFleet:
             main(["fleet"])
 
 
+def committed(value, scratch):
+    """A row's measurement stubbed to its golden; module-level, so the
+    contract's hash-seed child can unpickle it."""
+    return value
+
+
 class TestEquivalence:
-    #: Rows CI's ``contract`` job runs in full (~15 s); stubbed here to
-    #: what their goldens hold.
+    #: Rows CI's ``contract`` job runs in full (~15 s a run); stubbed
+    #: here to what their goldens hold.
     HEAVY = (
         "record PFC_STORM", "record CRC_ERROR", "chaos", "gray",
-        "campaign", "lint", "flow", "fabric verifier", "skeleton 2048",
+        "campaign", "lint", "fabric verifier", "skeleton 2048", "trace",
+        "cli stdout",
     )
 
     def test_every_gate_passes_with_nonzero_counts(
         self, capsys, monkeypatch
     ):
         """The contract table through the CLI.  The four equivalence
-        gates run for real, and the replay gate replays the default
-        fixture its record row recorded — once."""
+        gates run for real, three times each, and the replay gate
+        replays the default fixture its record row recorded — once per
+        run: the in-process repeat records afresh."""
         from repro import equivalence
         from repro.bus import replay
 
         checks = equivalence.CHECKS
         monkeypatch.setattr(equivalence, "CHECKS", tuple(
-            check._replace(measure=lambda scratch,
-                           value=check.expected(equivalence.ROOT): value)
+            check._replace(measure=partial(
+                committed, check.expected(equivalence.ROOT)))
             if check.name in self.HEAVY else check
             for check in checks
         ))
@@ -237,7 +246,7 @@ class TestEquivalence:
             assert counts and all(int(n) > 0 for n in counts), name
         # 2 and 4 shards and the mid-run kill, on inproc and on mp.
         assert "6 configurations" in rows["shard == single"]
-        assert recorded == [{}]
+        assert recorded == [{}, {}]  # the child's run is not counted
         assert lines[-1] == f"contract: {len(checks)} of {len(checks)} rows ok"
 
     def test_equivalence_takes_no_flags(self):

@@ -1,12 +1,20 @@
 """The contract table (``repro equivalence``) with every measurement
 stubbed to what its golden holds, so what is tested is the machinery:
 a tampered golden fails exactly its row and names the command that
-regenerates it, a missing golden fails (never skips) its rows, and every
-row runs whatever the rows before it did.  CI's ``contract`` job runs
-the real measurements."""
+regenerates it, a missing golden fails (never skips) its rows, every
+row runs whatever the rows before it did, and a row whose in-process
+repeat or hash-seed child reads another value fails, naming that run.
+CI's ``contract`` job runs the real measurements.
 
+The stubs are module-level functions (or partials of them) because the
+contract pickles its rows to the hash-seed child."""
+
+import itertools
 import json
+import os
 import shutil
+import string
+from functools import partial
 
 import pytest
 
@@ -25,18 +33,56 @@ from repro.equivalence import (
 HINT = "PYTHONPATH=src python -m repro.equivalence"
 
 
+def committed(value, report, scratch):
+    """Measures ``value``; a report row also writes the committed
+    ``report`` where its verb would."""
+    if report:
+        shutil.copy(ROOT / report.golden, f"{scratch}/{report.name}.json")
+    return value
+
+
 def as_committed(check):
     """A stand-in for the row's measurement that measures what its
-    committed golden holds (a report row also writes the committed
-    report where its verb would)."""
-    value = check.expected(ROOT)
+    committed golden holds."""
+    return partial(committed, check.expected(ROOT),
+                   None if check.keys else check)
 
-    def measure(scratch):
-        if not check.keys:
-            shutil.copy(ROOT / check.golden, f"{scratch}/{check.name}.json")
-        return value
 
-    return measure
+#: Process-global state: advanced by every call in this process.
+CALLS = itertools.count()
+
+
+def counted(scratch):
+    return {"calls": next(CALLS)}
+
+
+def letters(scratch):
+    """A list in the iteration order of a set of strings, which the
+    hash seed decides."""
+    return {"letters": list(set(string.ascii_letters))}
+
+
+def raises_in_a_child(parent, value, scratch):
+    if os.getpid() != parent:
+        raise RuntimeError("only the child raises")
+    return value
+
+
+def diverged(scratch):
+    raise EquivalenceError("shards=2 backend=mp diverged")
+
+
+def crashed(scratch):
+    raise RuntimeError("worker pipe closed")
+
+
+def patch(monkeypatch, measures):
+    """Replace the measurements of the rows ``measures`` names."""
+    monkeypatch.setattr(equivalence, "CHECKS", tuple(
+        check._replace(measure=measures[check.name])
+        if check.name in measures else check
+        for check in equivalence.CHECKS
+    ))
 
 
 @pytest.fixture
@@ -47,9 +93,7 @@ def root(tmp_path, monkeypatch):
         (tmp_path / golden).parent.mkdir(parents=True, exist_ok=True)
         shutil.copy(ROOT / golden, tmp_path / golden)
     monkeypatch.setattr(equivalence, "ROOT", tmp_path)
-    monkeypatch.setattr(equivalence, "CHECKS", tuple(
-        check._replace(measure=as_committed(check)) for check in CHECKS
-    ))
+    patch(monkeypatch, {check.name: as_committed(check) for check in CHECKS})
     return tmp_path
 
 
@@ -130,18 +174,8 @@ def test_a_missing_golden_fails_its_rows(root, capsys):
 
 
 def test_every_row_runs_after_a_row_raises(root, capsys, monkeypatch):
-    def diverged(scratch):
-        raise EquivalenceError("shards=2 backend=mp diverged")
-
-    def crashed(scratch):
-        raise RuntimeError("worker pipe closed")
-
     patched = {"shard == single": diverged, "lint": crashed}
-    monkeypatch.setattr(equivalence, "CHECKS", tuple(
-        check._replace(measure=patched[check.name])
-        if check.name in patched else check
-        for check in equivalence.CHECKS
-    ))
+    patch(monkeypatch, patched)
     code, statuses, err = run(capsys)
     assert code == 1
     assert len(statuses) == len(CHECKS)
@@ -185,15 +219,72 @@ def test_a_report_that_breaks_its_bounds_is_not_written(
     root, monkeypatch
 ):
     broken = {"bytes": 1, "sha256": "0", "violations": ["recall < 0.9"]}
-    monkeypatch.setattr(equivalence, "CHECKS", tuple(
-        check._replace(measure=lambda scratch: broken)
-        if check.name == "gray" else check
-        for check in equivalence.CHECKS
-    ))
+    patch(monkeypatch, {"gray": partial(committed, broken, None)})
     (root / RECORDS).unlink()
     with pytest.raises(SystemExit, match=r"gray not rebaselined: \['recall"):
         rebaseline()
     assert not (root / RECORDS).exists()
+
+
+def failures(err):
+    """Each failed row's printed problem, by row name."""
+    return {
+        block.split(" FAILED: ")[0]: block.split(" FAILED: ", 1)[1]
+        for block in err.strip().split("\n\n")
+    }
+
+
+def test_a_row_reading_process_global_state_fails_on_its_repeat(
+    root, capsys, monkeypatch
+):
+    patch(monkeypatch, {"campaign": counted})
+    code, statuses, err = run(capsys)
+    assert code == 1
+    assert {n for n, s in statuses.items() if s != "ok"} == {"campaign"}
+    assert "\nin-process repeat: calls: expected " in failures(err)[
+        "campaign"]
+
+
+def test_a_row_iterating_a_set_of_strings_fails_in_the_child(
+    root, capsys, monkeypatch
+):
+    patch(monkeypatch, {"campaign": letters})
+    code, statuses, err = run(capsys)
+    assert code == 1
+    assert {n for n, s in statuses.items() if s != "ok"} == {"campaign"}
+    problem = failures(err)["campaign"]
+    assert f"\n{equivalence.RUNS[2]}: letters: expected [" in problem
+    assert equivalence.RUNS[1] not in problem
+
+
+def test_a_row_raising_only_in_the_child_fails_only_that_row(
+    root, capsys, monkeypatch
+):
+    lint = next(check for check in CHECKS if check.name == "lint")
+    patch(monkeypatch, {"lint": partial(
+        raises_in_a_child, os.getpid(), lint.expected(ROOT))})
+    code, statuses, err = run(capsys)
+    assert code == 1
+    assert statuses == {
+        check.name: "FAILED" if check.name == "lint" else "ok"
+        for check in CHECKS
+    }
+    problem = failures(err)["lint"]
+    assert problem.startswith(f"{equivalence.RUNS[2]} raised: Traceback")
+    assert "RuntimeError: only the child raises" in problem
+
+
+def test_a_row_whose_repeat_disagrees_is_not_rebaselined(
+    root, monkeypatch
+):
+    patch(monkeypatch, {"campaign": counted})
+    (root / RECORDS).unlink()
+    contract_golden = (root / CONTRACT).read_bytes()
+    with pytest.raises(SystemExit,
+                       match="campaign not rebaselined: in-process repeat"):
+        rebaseline()
+    assert not (root / RECORDS).exists()
+    assert (root / CONTRACT).read_bytes() == contract_golden
 
 
 @pytest.mark.filterwarnings("ignore:'repro.equivalence' found in sys.modules")

@@ -1,252 +1,34 @@
-"""Golden tests for the call-graph builder: the constructs PR-2's
-per-line lint could not see must resolve to real edges."""
+"""The function table ``--reach`` diffs against: every def in a
+package, named as the package imports itself, in a stable order."""
 
-import textwrap
-
-from repro.verify.callgraph import CallGraphBuilder
-
-
-def build(**sources):
-    """Build a graph from ``module_name=source`` pairs; double
-    underscores in keyword names become dots (``pkg__a`` -> ``pkg.a``)."""
-    builder = CallGraphBuilder()
-    for name in sorted(sources):
-        module = name.replace("__", ".")
-        builder.add_source(module, textwrap.dedent(sources[name]))
-    return builder.build()
-
-
-def edges_between(graph, caller_fid, callee_fid):
-    return [
-        e for e in graph.edges_from(caller_fid)
-        if e.callee == callee_fid
-    ]
-
-
-class TestPlainCalls:
-    def test_same_module_function_call(self):
-        graph = build(pkg__a="""
-            def helper():
-                return 1
-            def top():
-                return helper()
-        """)
-        edges = edges_between(graph, "pkg.a:top", "pkg.a:helper")
-        assert len(edges) == 1
-        assert edges[0].kind == "call"
-        assert edges[0].target == "pkg.a.helper"
-
-    def test_cross_module_call_through_alias(self):
-        graph = build(
-            pkg__a="""
-                def helper():
-                    return 1
-            """,
-            pkg__b="""
-                from pkg.a import helper as h
-                def top():
-                    return h()
-            """,
-        )
-        edges = edges_between(graph, "pkg.b:top", "pkg.a:helper")
-        assert len(edges) == 1
-        assert edges[0].target == "pkg.a.helper"
-
-    def test_unresolved_external_call_is_recorded(self):
-        graph = build(pkg__a="""
-            import time
-            def top():
-                return time.time()
-        """)
-        edges = graph.edges_from("pkg.a:top")
-        assert [(e.callee, e.target) for e in edges] == [
-            (None, "time.time")
-        ]
-
-
-class TestMethods:
-    def test_self_method_call(self):
-        graph = build(pkg__a="""
-            class Runner:
-                def step(self):
-                    return 1
-                def run(self):
-                    return self.step()
-        """)
-        edges = edges_between(
-            graph, "pkg.a:Runner.run", "pkg.a:Runner.step"
-        )
-        assert len(edges) == 1
-
-    def test_inherited_method_across_modules(self):
-        graph = build(
-            pkg__base="""
-                class Base:
-                    def setup(self):
-                        return 0
-            """,
-            pkg__derived="""
-                from pkg.base import Base
-                class Child(Base):
-                    def run(self):
-                        return self.setup()
-            """,
-        )
-        edges = edges_between(
-            graph, "pkg.derived:Child.run", "pkg.base:Base.setup"
-        )
-        assert len(edges) == 1
-
-    def test_super_call_resolves_to_base(self):
-        graph = build(pkg__a="""
-            class Base:
-                def setup(self):
-                    return 0
-            class Child(Base):
-                def setup(self):
-                    return super().setup() + 1
-        """)
-        edges = edges_between(
-            graph, "pkg.a:Child.setup", "pkg.a:Base.setup"
-        )
-        assert len(edges) == 1
-        assert edges[0].kind == "super"
-
-    def test_constructor_call_edges_to_init(self):
-        graph = build(pkg__a="""
-            class Widget:
-                def __init__(self):
-                    self.x = 1
-            def make():
-                return Widget()
-        """)
-        edges = edges_between(
-            graph, "pkg.a:make", "pkg.a:Widget.__init__"
-        )
-        assert len(edges) == 1
-
-    def test_method_on_constructed_local(self):
-        graph = build(pkg__a="""
-            class Widget:
-                def spin(self):
-                    return 1
-            def use():
-                w = Widget()
-                return w.spin()
-        """)
-        edges = edges_between(graph, "pkg.a:use", "pkg.a:Widget.spin")
-        assert len(edges) == 1
-
-    def test_method_on_annotated_parameter(self):
-        graph = build(pkg__a="""
-            class Widget:
-                def spin(self):
-                    return 1
-            def use(w: Widget):
-                return w.spin()
-        """)
-        edges = edges_between(graph, "pkg.a:use", "pkg.a:Widget.spin")
-        assert len(edges) == 1
-
-
-class TestFunctionsAsValues:
-    def test_decorator_application(self):
-        graph = build(pkg__a="""
-            def wrap(fn):
-                return fn
-            @wrap
-            def job():
-                return 1
-        """)
-        edges = edges_between(graph, "pkg.a:job", "pkg.a:wrap")
-        assert len(edges) == 1
-        assert edges[0].kind == "decorator"
-
-    def test_decorator_factory_application(self):
-        graph = build(pkg__a="""
-            def wrap(label):
-                def inner(fn):
-                    return fn
-                return inner
-            @wrap("x")
-            def job():
-                return 1
-        """)
-        edges = edges_between(graph, "pkg.a:job", "pkg.a:wrap")
-        assert len(edges) == 1
-        assert edges[0].kind == "decorator"
-
-    def test_named_lambda_is_a_function_with_edges(self):
-        graph = build(pkg__a="""
-            def helper(x):
-                return x
-            double = lambda x: helper(x) * 2
-        """)
-        assert "pkg.a:double" in graph.functions
-        edges = edges_between(graph, "pkg.a:double", "pkg.a:helper")
-        assert len(edges) == 1
-
-    def test_functools_partial_records_a_ref(self):
-        graph = build(pkg__a="""
-            from functools import partial
-            def worker(n, scale):
-                return n * scale
-            def bind():
-                return partial(worker, scale=2)
-        """)
-        edges = edges_between(graph, "pkg.a:bind", "pkg.a:worker")
-        assert [e.kind for e in edges] == ["ref"]
-
-    def test_process_target_records_a_ref(self):
-        graph = build(pkg__a="""
-            from multiprocessing import Process
-            def worker(conn):
-                return conn.recv()
-            def launch():
-                return Process(target=worker)
-        """)
-        edges = edges_between(graph, "pkg.a:launch", "pkg.a:worker")
-        assert [e.kind for e in edges] == ["ref"]
-
-    def test_pool_map_records_a_ref(self):
-        graph = build(pkg__a="""
-            def worker(item):
-                return item
-            def launch(pool, items):
-                return pool.map(worker, items)
-        """)
-        edges = edges_between(graph, "pkg.a:launch", "pkg.a:worker")
-        assert [e.kind for e in edges] == ["ref"]
-
-    def test_bare_function_argument_escapes(self):
-        graph = build(pkg__a="""
-            def callback(x):
-                return x
-            def register(sink):
-                sink.subscribe(callback)
-        """)
-        edges = edges_between(graph, "pkg.a:register", "pkg.a:callback")
-        assert [e.kind for e in edges] == ["ref"]
+from repro.verify.reach import functions
 
 
 class TestPackageWalk:
     def test_add_package_orders_modules_stably(self, tmp_path):
         pkg = tmp_path / "pkg"
         pkg.mkdir()
-        (pkg / "__init__.py").write_text("")
+        (pkg / "__init__.py").write_text("def top():\n    return 0\n")
         (pkg / "b.py").write_text("def g():\n    return 2\n")
-        (pkg / "a.py").write_text("def f():\n    return 1\n")
+        (pkg / "a.py").write_text(
+            "class K:\n"
+            "    def m(self):\n"
+            "        def inner():\n"
+            "            return 1\n"
+            "        return inner()\n"
+            "f = lambda: 1\n"
+        )
         sub = pkg / "sub"
         sub.mkdir()
         (sub / "__init__.py").write_text("")
         (sub / "c.py").write_text("def h():\n    return 3\n")
 
-        builder = CallGraphBuilder()
-        count = builder.add_package(str(pkg))
-        graph = builder.build()
-        assert count == 5
-        assert set(graph.modules) == {
-            "pkg", "pkg.a", "pkg.b", "pkg.sub", "pkg.sub.c",
-        }
-        assert "pkg.a:f" in graph.functions
-        assert "pkg.sub.c:h" in graph.functions
+        table = functions(str(pkg))
+        assert list(table) == [
+            "pkg:top", "pkg.a:K.m", "pkg.a:K.m.inner", "pkg.a:f",
+            "pkg.b:g", "pkg.sub.c:h",
+        ]
+        info = table["pkg.a:K.m.inner"]
+        assert (info.module, info.qualname, info.name, info.lineno) == (
+            "pkg.a", "K.m.inner", "inner", 3)
+        assert info.path == str(pkg / "a.py")

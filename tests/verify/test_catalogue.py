@@ -1,20 +1,21 @@
-"""The nondeterminism catalogue has one owner, and both readers agree.
+"""The nondeterminism catalogue has one owner, and the lint reads it.
 
 ``repro.verify.resolver`` names the out-of-band inputs once; the lint's
-call rules and the flow analyzer's taint sources both read it.  Every
-entry is checked here against both readers, spelled canonically and
-through import aliases, so the two cannot drift apart again (at the
-parent commit a forked worker could call ``os.getppid``, ``uuid.uuid1``
-or ``socket.gethostname`` past the lint but not past the taint sources).
+call rules read it.  Every entry is checked here against the lint,
+spelled canonically and through import aliases.  (The parametrized
+test keeps the name it had while a taint analyzer read the catalogue
+too.)
 """
 
 import os
 
 import pytest
 
-from repro.verify import callgraph, lint, resolver, taint
+from repro.verify import lint, resolver
 from repro.verify.resolver import (
     DISPATCH_METHODS,
+    ENVIRON,
+    ENV_READS,
     GLOBAL_RNG_PREFIXES,
     MONOTONIC_TIMERS,
     PROCESS_IDENTITY,
@@ -28,17 +29,18 @@ from repro.verify.resolver import (
 RNG_MEMBERS = tuple(prefix + "choice" for prefix in GLOBAL_RNG_PREFIXES)
 
 #: (catalogue, lint rule at module level, lint rule added inside a
-#: worker entry point, taint source kind).
+#: worker entry point).
 FAMILIES = (
-    (WALL_CLOCK, "wall-clock", None, "wall-clock"),
-    (RNG_MEMBERS, "unseeded-random", None, "unseeded-random"),
-    (PROCESS_IDENTITY, None, "worker-determinism", "process-identity"),
-    (MONOTONIC_TIMERS, None, "worker-determinism", None),
+    (WALL_CLOCK, "wall-clock", None),
+    (RNG_MEMBERS, "unseeded-random", None),
+    (PROCESS_IDENTITY, None, "worker-determinism"),
+    (MONOTONIC_TIMERS, None, "worker-determinism"),
+    (ENV_READS, "env-read", None),
 )
 
 CASES = [
-    pytest.param(name, rule, worker_rule, kind, id=name)
-    for catalogue, rule, worker_rule, kind in FAMILIES
+    pytest.param(name, rule, worker_rule, id=name)
+    for catalogue, rule, worker_rule in FAMILIES
     for name in catalogue
 ]
 
@@ -47,6 +49,12 @@ def spellings(name):
     """``(import line, spelled callable)`` pairs that all mean ``name``:
     the canonical spelling plus two import aliases."""
     head, attr = name.rsplit(".", 1)
+    if head == "os.environ":            # a mapping the os module holds
+        return [
+            ("import os", name),
+            ("import os as alias", f"alias.environ.{attr}"),
+            ("from os import environ as e", f"e.{attr}"),
+        ]
     if head in ("datetime", "date"):    # classes of the datetime module
         return [
             (f"from datetime import {head}", f"{head}.{attr}"),
@@ -66,13 +74,13 @@ def call_rules(source, line):
     return {v.rule for v in violations if v.line == line}
 
 
-@pytest.mark.parametrize("name, rule, worker_rule, kind", CASES)
+@pytest.mark.parametrize("name, rule, worker_rule", CASES)
 def test_lint_and_taint_sources_agree_with_the_catalogue(
-    name, rule, worker_rule, kind
+    name, rule, worker_rule
 ):
     for import_line, spelled in spellings(name):
         resolved = ImportTable.from_source(import_line).resolve(spelled)
-        assert taint.source_kind(resolved) == kind, spelled
+        assert names(resolved, [name]), spelled
 
         expected = {rule} - {None}
         assert call_rules(
@@ -90,6 +98,19 @@ def test_lint_and_taint_sources_agree_with_the_catalogue(
         assert call_rules(in_worker, line=4) == (
             expected | {worker_rule} - {None}
         ), spelled
+
+
+@pytest.mark.parametrize("import_line, spelled", [
+    ("import os", "os.environ"),
+    ("import os as alias", "alias.environ"),
+    ("from os import environ as e", "e"),
+])
+def test_a_subscript_of_the_environment_is_an_env_read(import_line, spelled):
+    for name in ENVIRON:
+        assert ImportTable.from_source(import_line).resolve(spelled) == name
+    assert call_rules(
+        f"{import_line}\nvalue = {spelled}['HOME']\n", line=2
+    ) == {"env-read"}
 
 
 def test_names_matches_exactly_or_by_dotted_suffix_only():
@@ -123,25 +144,22 @@ def test_python_files_is_sorted_whatever_order_the_tree_was_made_in(
 
 
 def test_the_catalogue_has_one_owner():
-    """The lint and the call graph share the resolver's dispatch tuple,
-    and no reader keeps a private list naming a catalogue entry."""
+    """The lint reads the resolver's tuples, and keeps no private list
+    naming a catalogue entry."""
     assert lint.DISPATCH_METHODS is DISPATCH_METHODS
-    assert callgraph.DISPATCH_METHODS is DISPATCH_METHODS
-    assert taint.WALL_CLOCK is WALL_CLOCK
-    assert taint.GLOBAL_RNG_PREFIXES is GLOBAL_RNG_PREFIXES
-    assert taint.PROCESS_IDENTITY is PROCESS_IDENTITY
+    assert lint.ENV_READS is ENV_READS
+    assert lint.ENVIRON is ENVIRON
 
     owned = (WALL_CLOCK, GLOBAL_RNG_PREFIXES, PROCESS_IDENTITY,
-             MONOTONIC_TIMERS, DISPATCH_METHODS)
+             MONOTONIC_TIMERS, DISPATCH_METHODS, ENV_READS, ENVIRON)
     entries = {entry for catalogue in owned for entry in catalogue}
-    for module in (lint, callgraph, taint):
-        for attr, value in vars(module).items():
-            if not isinstance(value, (tuple, list, set, frozenset)):
-                continue
-            if any(value is catalogue for catalogue in owned):
-                continue
-            strings = {item for item in value if isinstance(item, str)}
-            assert not entries & strings, (
-                f"{module.__name__}.{attr} restates the catalogue in "
-                f"{resolver.__name__}"
-            )
+    for attr, value in vars(lint).items():
+        if not isinstance(value, (tuple, list, set, frozenset)):
+            continue
+        if any(value is catalogue for catalogue in owned):
+            continue
+        strings = {item for item in value if isinstance(item, str)}
+        assert not entries & strings, (
+            f"{lint.__name__}.{attr} restates the catalogue in "
+            f"{resolver.__name__}"
+        )

@@ -6,21 +6,6 @@ from repro.cli import main as repro_main
 from repro.verify.cli import build_default_report, main as verify_main
 
 
-@pytest.fixture
-def dirty_package(tmp_path):
-    """A throwaway package with one keyed-draw-contract violation."""
-    root = tmp_path / "demo"
-    (root / "network").mkdir(parents=True)
-    (root / "__init__.py").write_text("")
-    (root / "network" / "__init__.py").write_text("")
-    (root / "network" / "noise.py").write_text(
-        "import numpy.random as npr\n"
-        "def jitter():\n"
-        "    return npr.normal()\n"
-    )
-    return root
-
-
 class TestVerifyCli:
     def test_healthy_default_reports_zero_findings(self, capsys):
         code = verify_main(["--containers", "2", "--gpus", "2"])
@@ -75,35 +60,3 @@ class TestVerifyCli:
         )
         assert report.ok
 
-
-class TestFlowCli:
-    def test_flow_mode_is_clean_on_the_package(self, capsys):
-        code = verify_main(["--flow"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "flow.keyed-draw-contract" in out
-        assert "0 finding(s)" in out
-
-    def test_flow_mode_fails_on_contract_violation(self, dirty_package,
-                                                   capsys):
-        code = verify_main(["--flow", str(dirty_package)])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "numpy.random.normal" in out
-        assert "keyed-draw-contract" in out
-
-    def test_missing_root_exits_2(self, tmp_path, capsys):
-        empty = tmp_path / "nothing"
-        empty.mkdir()
-        code = verify_main(["--flow", str(empty)])
-        assert code == 2
-        assert "failed" in capsys.readouterr().out
-
-    def test_lint_and_flow_are_mutually_exclusive(self, capsys):
-        with pytest.raises(SystemExit):
-            verify_main(["--lint", "--flow"])
-        assert "mutually exclusive" in capsys.readouterr().err
-
-    def test_top_level_flow_subcommand(self, dirty_package, capsys):
-        assert repro_main(["verify", "--flow", str(dirty_package)]) == 1
-        assert "keyed-draw-contract" in capsys.readouterr().out

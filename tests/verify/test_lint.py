@@ -147,6 +147,35 @@ class TestAliasEvasion:
         """, path="src/repro/sim/rng.py") == []
 
 
+class TestEnvRead:
+    def test_environment_reads_are_flagged(self):
+        violations = lint("""
+            import os
+            a = os.getenv("HOME")
+            b = os.environ.get("HOME", "")
+            c = os.environ["X"]
+        """)
+        assert [(v.rule, v.line) for v in violations] == [
+            ("env-read", 3), ("env-read", 4), ("env-read", 5)]
+        assert "subscript of os.environ" in violations[2].message
+
+    def test_copying_and_writing_the_environment_are_not_reads(self):
+        assert lint("""
+            import os
+            env = dict(os.environ, PYTHONHASHSEED="0")
+            os.environ["X"] = "1"
+        """) == []
+
+    def test_reach_is_exempt_by_name(self):
+        source = """
+            import os
+            search = os.environ.get("PYTHONPATH", "")
+            path = os.environ["PATH"]
+        """
+        assert lint(source, path="src/repro/verify/reach.py") == []
+        assert len(lint(source, path="src/repro/verify/lint.py")) == 2
+
+
 class TestBroadExcept:
     def test_flagged_inside_core(self):
         source = """

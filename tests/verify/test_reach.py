@@ -137,7 +137,7 @@ def test_every_repro_verb_is_in_the_entry_table():
     ]
 
 
-def test_reach_excludes_lint_and_flow(capsys):
+def test_reach_excludes_lint(capsys):
     with pytest.raises(SystemExit):
         verify_main(["--reach", "--lint"])
     assert "mutually exclusive" in capsys.readouterr().err
