@@ -19,10 +19,10 @@ Usage (``python -m repro COMMAND --help`` lists a command's options;
                                     #   under another hash seed
     python -m repro chaos           # monitor-chaos gate -> BENCH_chaos.json
     python -m repro gray            # gray-failure gate -> BENCH_gray.json
-    python -m repro run             # the sharded plane (repro.shard),
-    python -m repro shard-status    #   and its heartbeat/failover view
-    python -m repro fleet run       # the multi-tenant plane (repro.fleet),
-    python -m repro fleet status    #   and its placement/failover/budget view
+    python -m repro run             # the sharded plane (repro.shard): merged
+                                    #   diagnosis, heartbeats, failover
+    python -m repro fleet           # the multi-tenant plane (repro.fleet):
+                                    #   diagnosis, placement, failover, budget
     python -m repro record          # the standard chaos leg to a JSONL bus
     python -m repro replay FILE     #   recording, replayed bit for bit,
     python -m repro tail            #   or watched live (repro.bus)
@@ -157,86 +157,57 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     gray.add_argument("--seed", type=int, default=0)
 
-    def add_shard_args(command) -> None:
-        command.add_argument(
-            "--shards", type=int, default=4,
-            help="number of shard workers (default 4)",
-        )
-        command.add_argument(
-            "--backend", default="inproc", choices=["inproc", "mp"],
-            help="run shards in-process or as forked worker processes",
-        )
-        command.add_argument("--containers", type=int, default=16)
-        command.add_argument("--gpus", type=int, default=4)
-        command.add_argument("--rounds", type=int, default=30)
-        command.add_argument("--seed", type=int, default=0)
-        command.add_argument(
-            "--chunk-rounds", type=int, default=5,
-            help="probe rounds per dispatch/heartbeat chunk",
-        )
-
     run_cmd = commands.add_parser(
         "run", help="run a faulted scenario on the sharded monitoring "
-        "plane and print the merged diagnosis"
+        "plane and print the merged diagnosis and the coordinator's "
+        "heartbeat and failover view"
     )
-    add_shard_args(run_cmd)
+    run_cmd.add_argument(
+        "--shards", type=int, default=4,
+        help="number of shard workers (default 4)",
+    )
+    run_cmd.add_argument(
+        "--backend", default="inproc", choices=["inproc", "mp"],
+        help="run shards in-process or as forked worker processes",
+    )
+    run_cmd.add_argument("--containers", type=int, default=16)
+    run_cmd.add_argument("--gpus", type=int, default=4)
+    run_cmd.add_argument("--rounds", type=int, default=30)
+    run_cmd.add_argument("--seed", type=int, default=0)
+    run_cmd.add_argument(
+        "--chunk-rounds", type=int, default=5,
+        help="probe rounds per dispatch/heartbeat chunk",
+    )
     run_cmd.add_argument(
         "--faults", type=int, default=3,
         help="how many standard schedule faults to inject (0-3)",
     )
-
-    shard_status = commands.add_parser(
-        "shard-status", help="run a short sharded plane (with an "
-        "optional scripted shard kill) and render the coordinator's "
-        "heartbeat and failover view"
-    )
-    add_shard_args(shard_status)
-    shard_status.add_argument(
+    run_cmd.add_argument(
         "--kill", type=int, default=None, metavar="SHARD",
-        help="kill this shard at the start of the second chunk "
-        "(default: shard 1 when running multiple shards; -1 disables)",
+        help="kill this shard at the start of the second chunk",
     )
 
     fleet = commands.add_parser(
-        "fleet", help="drive the multi-tenant fleet plane: many "
+        "fleet", help="run a churning multi-tenant fleet — many "
         "concurrent jobs on one shared fabric under a global probe "
-        "budget"
+        "budget — and print the merged per-tenant diagnosis and the "
+        "coordinator's placement, failover and budget view"
     )
-    fleet_commands = fleet.add_subparsers(
-        dest="fleet_command", required=True
+    fleet.add_argument(
+        "--jobs", type=int, default=4,
+        help="number of concurrent tenant jobs (default 4)",
     )
-
-    def add_fleet_args(command) -> None:
-        command.add_argument(
-            "--jobs", type=int, default=4,
-            help="number of concurrent tenant jobs (default 4)",
-        )
-        command.add_argument(
-            "--workers", type=int, default=2,
-            help="number of fleet workers tenants are sharded over",
-        )
-        command.add_argument("--containers", type=int, default=8)
-        command.add_argument("--gpus", type=int, default=4)
-        command.add_argument("--rounds", type=int, default=8)
-        command.add_argument("--seed", type=int, default=0)
-
-    fleet_run = fleet_commands.add_parser(
-        "run", help="run a churning multi-tenant fleet and print the "
-        "merged per-tenant diagnosis and coverage"
+    fleet.add_argument(
+        "--workers", type=int, default=2,
+        help="number of fleet workers tenants are sharded over",
     )
-    add_fleet_args(fleet_run)
-
-    fleet_status = fleet_commands.add_parser(
-        "status", help="run a short fleet (with an optional scripted "
-        "worker kill) and render the coordinator's placement, "
-        "failover, and budget view"
-    )
-    add_fleet_args(fleet_status)
-    fleet_status.add_argument(
+    fleet.add_argument("--containers", type=int, default=8)
+    fleet.add_argument("--gpus", type=int, default=4)
+    fleet.add_argument("--rounds", type=int, default=8)
+    fleet.add_argument("--seed", type=int, default=0)
+    fleet.add_argument(
         "--kill", type=int, default=None, metavar="WORKER",
-        help="kill this worker at the start of the second chunk "
-        "(default: worker 0 when running multiple workers; "
-        "-1 disables)",
+        help="kill this worker at the start of the second chunk",
     )
 
     def add_record_args(command) -> None:
@@ -502,9 +473,25 @@ def _shard_spec(args: argparse.Namespace, num_faults: int):
     )
 
 
+def _kill_schedule(args: argparse.Namespace, num_workers: int, spec,
+                   chunk_rounds: int):
+    """``--kill`` as a kill schedule at the second chunk, or ``None``
+    with the refusal printed when the plane cannot honour it."""
+    from repro.shard.plane import PlaneDriver
+
+    kill_schedule = {args.kill: 2} if args.kill is not None else {}
+    try:
+        PlaneDriver.check_kill_schedule(spec, num_workers, chunk_rounds,
+                                        kill_schedule)
+    except ValueError as error:
+        print(f"repro {args.command}: error: {error}", file=sys.stderr)
+        return None
+    return kill_schedule
+
+
 def _print_reassignments(moves, worker: str, describe) -> None:
-    """The failover list both status commands print; ``describe``
-    words a move's units."""
+    """The failover list both planes print; ``describe`` words a move's
+    units."""
     print(f"reassignments: {len(moves)}")
     for move in moves:
         print(
@@ -514,39 +501,22 @@ def _print_reassignments(moves, worker: str, describe) -> None:
         )
 
 
-def _render_shard_table(result) -> List[str]:
-    """The per-shard status rows shared by ``run`` and
-    ``shard-status``."""
-    lines = [
-        f"  {'shard':>5} {'token':>8} {'pairs':>6} {'agents':>6} "
-        f"{'chunks':>6} {'round':>5} {'heartbeat':>10} "
-        f"{'adopted':>7} state"
-    ]
-    for shard_id in sorted(result.statuses):
-        status = result.statuses[shard_id]
-        lines.append(
-            f"  {status.worker_id:>5} {status.token:>8} "
-            f"{len(status.units):>6} {status.agent_count:>6} "
-            f"{status.chunks_completed:>6} {status.last_round:>5} "
-            f"{status.last_sim_time:>9.1f}s {status.adopted:>7} "
-            f"{'alive' if status.alive else 'dead'}"
-        )
-    return lines
-
-
 def _run_sharded(args: argparse.Namespace) -> int:
-    from repro.shard import run_plane
+    from repro.shard import ShardCoordinator, backend_named
 
     spec = _shard_spec(args, args.faults)
-    result = run_plane(
-        spec, args.shards, backend=args.backend,
-        chunk_rounds=args.chunk_rounds,
-    )
+    kill_schedule = _kill_schedule(args, args.shards, spec, args.chunk_rounds)
+    if kill_schedule is None:
+        return 2
+    result = ShardCoordinator(
+        spec, args.shards, backend=backend_named(args.backend),
+        chunk_rounds=args.chunk_rounds, kill_schedule=kill_schedule,
+    ).run()
     counters = result.metrics.counters()
     print(
         f"sharded plane: {args.shards} shard(s) on '{args.backend}', "
         f"{len(spec.faults)} fault(s), {args.rounds} rounds over "
-        f"{sum(result.plan.pair_counts())} pairs"
+        f"{sum(result.plan.pair_counts())} pairs, seed {args.seed}"
     )
     print(f"events opened: {len(result.events)}")
     for record in result.events:
@@ -567,53 +537,27 @@ def _run_sharded(args: argparse.Namespace) -> int:
             print(f"  @ {when:.0f}s unexplained events: "
                   f"{len(report.unexplained)}")
     print("shards:")
-    for line in _render_shard_table(result):
-        print(line)
-    print(f"probes: {counters.get('probes.sent', 0):.0f} sent, "
-          f"{counters.get('probes.lost', 0):.0f} lost")
-    return 0
-
-
-def _run_shard_status(args: argparse.Namespace) -> int:
-    from repro.shard import run_plane
-
-    kill = args.kill
-    if kill is None:
-        kill = 1 if args.shards > 1 else -1
-    kill_schedule = {kill: 2} if 0 <= kill < args.shards else None
-    spec = _shard_spec(args, 2)
-    result = run_plane(
-        spec, args.shards, backend=args.backend,
-        chunk_rounds=args.chunk_rounds,
-        kill_schedule=kill_schedule,
-    )
-    print(
-        f"shard plane after {args.rounds} rounds "
-        f"({args.shards} shard(s), backend '{args.backend}', "
-        f"seed {args.seed})"
-    )
-    for line in _render_shard_table(result):
-        print(line)
+    print(f"  {'shard':>5} {'pairs':>6} {'agents':>6} {'chunks':>6} "
+          f"{'round':>5} {'heartbeat':>10} {'adopted':>7} state")
+    for shard_id in sorted(result.statuses):
+        status = result.statuses[shard_id]
+        print(
+            f"  {status.worker_id:>5} {len(status.units):>6} "
+            f"{status.agent_count:>6} {status.chunks_completed:>6} "
+            f"{status.last_round:>5} {status.last_sim_time:>9.1f}s "
+            f"{status.adopted:>7} {'alive' if status.alive else 'dead'}"
+        )
     _print_reassignments(
         result.reassignments, "shard",
         lambda pairs: f"{len(pairs)} pairs",
     )
     print("plane counters:")
-    counters = result.metrics.counters()
     for name in ("shard.heartbeats", "shard.deaths",
                  "shard.reassignments", "events.opened",
                  "diagnoses.made"):
         print(f"  {name:<20} {counters.get(name, 0):.0f}")
-    votes = result.vote_table.as_dict()
-    for group in ("hard", "soft"):
-        top = sorted(
-            votes[group].items(), key=lambda kv: (-kv[1], kv[0])
-        )[:5]
-        if top:
-            rendered = ", ".join(
-                f"{link}={count}" for link, count in top
-            )
-            print(f"top {group} link votes: {rendered}")
+    print(f"probes: {counters.get('probes.sent', 0):.0f} sent, "
+          f"{counters.get('probes.lost', 0):.0f} lost")
     return 0
 
 
@@ -631,33 +575,25 @@ def _fleet_spec(args: argparse.Namespace, jobs: int):
     )
 
 
-def _render_fleet_coverage(spec, result) -> List[str]:
-    lines = [
-        f"  {'tenant':<10} {'floor':>6} {'min round':>10} "
-        f"{'cumulative':>11}"
-    ]
-    for name, min_cov, cumulative in result.coverage_summary:
-        floor = spec.tenant(name).coverage_floor
-        flag = "" if min_cov + 1e-9 >= floor else "  BELOW FLOOR"
-        lines.append(
-            f"  {name:<10} {floor:>6.2f} {min_cov:>10.3f} "
-            f"{cumulative:>11.3f}{flag}"
-        )
-    return lines
-
-
-def _run_fleet_run(args: argparse.Namespace) -> int:
-    from repro.fleet.equivalence import run_fleet
+def _run_fleet(args: argparse.Namespace) -> int:
+    from repro.fleet.coordinator import FleetCoordinator
 
     spec = _fleet_spec(args, args.jobs)
-    result = run_fleet(spec, num_workers=args.workers)
+    kill_schedule = _kill_schedule(args, args.workers, spec, spec.chunk_rounds)
+    if kill_schedule is None:
+        return 2
+    coordinator = FleetCoordinator(
+        spec, num_workers=args.workers, kill_schedule=kill_schedule,
+    )
+    result = coordinator.run()
     peak = max((len(r.admitted) for r in result.rollups), default=0)
     print(
         f"fleet: {len(spec.tenants)} job(s) over {args.workers} "
         f"worker(s) on {spec.num_hosts} hosts "
         f"({spec.endpoint_capacity} endpoint capacity), "
         f"{spec.total_rounds} rounds, "
-        f"budget {spec.probe_budget_per_round} probes/round"
+        f"budget {spec.probe_budget_per_round} probes/round, "
+        f"seed {args.seed}"
     )
     print(f"peak concurrent tenants: {peak}; "
           f"probes: {result.probes_sent} sent, "
@@ -682,31 +618,7 @@ def _run_fleet_run(args: argparse.Namespace) -> int:
         print("blacklisted components:")
         for tenant, component in result.blacklist_summary:
             print(f"  [{tenant}] {component}")
-    print("per-tenant skeleton coverage:")
-    for line in _render_fleet_coverage(spec, result):
-        print(line)
-    return 0
-
-
-def _run_fleet_status(args: argparse.Namespace) -> int:
-    from repro.fleet.coordinator import FleetCoordinator
-
-    kill = args.kill
-    if kill is None:
-        kill = 0 if args.workers > 1 else -1
-    kill_schedule = (
-        {kill: 2} if 0 <= kill < args.workers else None
-    )
-    spec = _fleet_spec(args, args.jobs)
-    coordinator = FleetCoordinator(
-        spec, num_workers=args.workers, kill_schedule=kill_schedule,
-    )
-    result = coordinator.run()
-    print(
-        f"fleet plane after {spec.total_rounds} rounds "
-        f"({len(spec.tenants)} job(s), {args.workers} worker(s), "
-        f"seed {args.seed})"
-    )
+    print("workers:")
     print(f"  {'worker':>6} {'tenants':>7} {'chunks':>6} "
           f"{'round':>5} {'adopted':>7} {'cache hit':>9} state")
     for worker_id in sorted(coordinator.statuses):
@@ -732,8 +644,13 @@ def _run_fleet_status(args: argparse.Namespace) -> int:
             f"{len(last.admitted)} tenant(s) admitted"
         )
     print("per-tenant skeleton coverage:")
-    for line in _render_fleet_coverage(spec, result):
-        print(line)
+    print(f"  {'tenant':<10} {'floor':>6} {'min round':>10} "
+          f"{'cumulative':>11}")
+    for name, min_cov, cumulative in result.coverage_summary:
+        floor = spec.tenant(name).coverage_floor
+        flag = "" if min_cov + 1e-9 >= floor else "  BELOW FLOOR"
+        print(f"  {name:<10} {floor:>6.2f} {min_cov:>10.3f} "
+              f"{cumulative:>11.3f}{flag}")
     return 0
 
 
@@ -813,14 +730,17 @@ def _run_tail(args: argparse.Namespace) -> int:
     ansi = False if args.plain else None
     with TailDashboard(bus, ansi=ansi) as dashboard:
         if args.fleet > 0:
-            from repro.fleet.equivalence import run_fleet
+            from repro.fleet.coordinator import FleetCoordinator
 
-            run_fleet(_fleet_spec(args, args.fleet), args.workers, bus=bus)
+            FleetCoordinator(
+                _fleet_spec(args, args.fleet), args.workers, bus=bus
+            ).run()
         elif args.shards > 0:
-            from repro.shard import run_plane
+            from repro.shard import ShardCoordinator
 
-            spec = _shard_spec(args, 2)
-            run_plane(spec, args.shards, bus=bus)
+            ShardCoordinator(
+                _shard_spec(args, 2), args.shards, bus=bus
+            ).run()
         else:
             from repro.bus.replay import (
                 drive_standard_run,
@@ -840,10 +760,7 @@ _COMMANDS = {
     "report": _run_report, "status": _run_status, "trace": _run_trace,
     "export-metrics": _run_export_metrics, "verify": run_verify,
     "equivalence": lambda args: contract(), "chaos": _run_gate,
-    "gray": _run_gate, "run": _run_sharded, "shard-status": _run_shard_status,
-    "fleet": lambda args: (
-        _run_fleet_run if args.fleet_command == "run" else _run_fleet_status
-    )(args),
+    "gray": _run_gate, "run": _run_sharded, "fleet": _run_fleet,
     "record": _run_record, "replay": _run_replay, "tail": _run_tail,
 }
 

@@ -5,7 +5,7 @@ but the clock — batch≡sequential probing, shard≡single, fleet≡single,
 replay≡live.  Each claim is a *gate*: run the reference and the
 candidate on the same seed and require their outputs to match row for
 row.  :func:`compare` is the one routine all four gates call, over
-named row streams (events, verdicts, votes, blacklists, rollups, ...);
+named row streams (events, verdicts, blacklists, rollups, ...);
 :class:`EquivalenceError` is the one error they raise.  The tier-1
 detector golden (``tests/golden/detector_reference.json``) is checked
 through :func:`compare` too.

@@ -137,10 +137,7 @@ class FleetChunkResult:
     """One fleet worker's report for a chunk of rounds."""
 
     worker_id: int
-    start_round: int
     end_round: int
-    sim_time: float
-    tenant_names: Tuple[str, ...]
     #: Fresh failure events this chunk: ``(tenant, record)`` rows.
     events: Tuple[Tuple[str, EventRecord], ...]
     #: Fresh verdict batches this chunk.
@@ -247,10 +244,7 @@ class FleetController:
             self._run_round(round_index)
         result = FleetChunkResult(
             worker_id=self.worker_id,
-            start_round=start_round,
             end_round=end_round,
-            sim_time=self.spec.round_time(end_round),
-            tenant_names=tuple(self.monitor_tenants),
             events=tuple(self._chunk_events),
             verdicts=tuple(self._chunk_verdicts),
             rollups=tuple(self._chunk_rollups),

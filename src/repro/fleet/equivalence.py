@@ -13,34 +13,13 @@ exactly (:func:`repro.equivalence.compare`).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.equivalence import EquivalenceError, compare
 from repro.fleet.coordinator import FleetCoordinator, FleetRunResult
 from repro.fleet.spec import FleetSpec, fleet_bench_spec
 
-__all__ = [
-    "run_fleet",
-    "verify_fleet_equivalence",
-]
-
-
-def run_fleet(
-    spec: FleetSpec,
-    num_workers: int = 1,
-    kill_schedule: Optional[Dict[int, int]] = None,
-    recorder=None,
-    bus=None,
-) -> FleetRunResult:
-    """Run the fleet once with the given execution shape."""
-    coordinator = FleetCoordinator(
-        spec,
-        num_workers=num_workers,
-        kill_schedule=kill_schedule,
-        recorder=recorder,
-        bus=bus,
-    )
-    return coordinator.run()
+__all__ = ["verify_fleet_equivalence"]
 
 
 def verify_fleet_equivalence(
@@ -59,18 +38,24 @@ def verify_fleet_equivalence(
     baseline result for further assertions.
     """
     spec = spec or fleet_bench_spec(4, total_rounds=12)
-    baseline = run_fleet(spec, num_workers=1)
+    baseline = FleetCoordinator(spec).run()
     for count in worker_counts:
-        candidate = run_fleet(spec, num_workers=count)
+        candidate = FleetCoordinator(spec, num_workers=count).run()
         compare(
             f"{count} workers",
             baseline.comparable(), candidate.comparable(),
         )
     if failover:
         count = max(worker_counts) if worker_counts else 2
-        candidate = run_fleet(
-            spec, num_workers=count, kill_schedule={0: 2}
-        )
+        try:
+            coordinator = FleetCoordinator(
+                spec, num_workers=count, kill_schedule={0: 2}
+            )
+        except ValueError as error:
+            raise EquivalenceError(
+                f"failover run can make no tenant reassignments: {error}"
+            ) from error
+        candidate = coordinator.run()
         if not candidate.reassignments:
             raise EquivalenceError(
                 "failover run produced no tenant reassignments — the "

@@ -3,7 +3,7 @@
 Splits the probe-pair universe into topology-aware shards, runs each
 shard's probe rounds and detection independently (in-process or in
 forked worker processes), and recombines per-shard evidence — merged
-tomography votes, global localization, failover of dead shards — in a
+events, one global localization, failover of dead shards — in a
 coordinator.  For a fixed run seed, the plane's opened events and
 localization verdicts are bit-identical across shard counts and
 backends; :mod:`repro.shard.equivalence` enforces exactly that.
@@ -16,14 +16,12 @@ from repro.shard.backend import (
     backend_named,
 )
 from repro.shard.coordinator import (
-    MergedVoteTable,
     ShardCoordinator,
     ShardRunResult,
     ShardStatus,
 )
 from repro.shard.equivalence import (
     default_equivalence_spec,
-    run_plane,
     verify_shard_equivalence,
 )
 from repro.shard.monitor import ChunkResult, EventRecord, ShardMonitor
@@ -53,7 +51,6 @@ __all__ = [
     "FaultScheduleRunner",
     "FaultSpec",
     "InProcessBackend",
-    "MergedVoteTable",
     "MultiprocessingBackend",
     "PartitionPlan",
     "PlaneDriver",
@@ -73,6 +70,5 @@ __all__ = [
     "default_equivalence_spec",
     "pair_universe",
     "place_tenants",
-    "run_plane",
     "verify_shard_equivalence",
 ]

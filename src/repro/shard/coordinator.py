@@ -14,12 +14,11 @@ coordinator adds what is particular to splitting *one job's pairs*:
 * **Merged localization.** Underlay tomography needs votes from *all*
   failing paths, which sharding scatters.  The coordinator collects
   each chunk's newly opened events, dedups them by key, groups them by
-  detection time, and runs Algorithm 1 on its own reference replica —
-  which traces every failing pair's route itself (the same route the
-  reporting worker's replica would: placement and flow hash are
-  seed-determined) — against the global healthy-pair set.  The merged
-  vote table (:class:`MergedVoteTable`) accumulates per-link votes
-  across shards.
+  detection time, and runs Algorithm 1 once over them on its own
+  reference replica — whose localizer traces every failing pair's
+  route itself (the same route the reporting worker's replica would:
+  placement and flow hash are seed-determined) and votes against the
+  global healthy-pair set.  That one vote is the plane's only tally.
 
 The equivalence gate (:mod:`repro.shard.equivalence`) holds the whole
 construction to its invariant: same seed, same events, same verdicts —
@@ -28,16 +27,13 @@ independent of shard count, backend, and failovers.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.bus.codec import encode_event, encode_verdict
 from repro.bus.core import Topic
-from repro.cluster.topology import UnderlayPath
 from repro.core.localization import LocalizationReport, Localizer
 from repro.core.pinglist import ProbePair
-from repro.network.issues import Symptom
 from repro.shard.backend import InProcessBackend
 from repro.shard.monitor import (
     ChunkResult,
@@ -55,7 +51,6 @@ from repro.shard.spec import (
 from repro.sim.metrics import MetricRegistry
 
 __all__ = [
-    "MergedVoteTable",
     "ShardCoordinator",
     "ShardRunResult",
     "ShardStatus",
@@ -67,7 +62,6 @@ class ShardStatus(WorkerStatus):
     """The coordinator's live view of one shard (``units`` are its
     probe pairs)."""
 
-    token: str = ""
     agent_count: int = 0
     last_sim_time: float = 0.0
     #: Latest per-agent circuit-breaker snapshots reported by the shard
@@ -78,60 +72,13 @@ class ShardStatus(WorkerStatus):
     breakers: Dict[str, tuple] = field(default_factory=dict)
 
 
-class MergedVoteTable:
-    """The plane-wide tomography vote table.
-
-    Each unique failure event contributes one vote per physical link on
-    its pair's route, into the symptom group the localizer's
-    tomography stage uses ("hard" for unconnectivity — where healthy
-    paths also exonerate — "soft" for everything else).  Votes are
-    deduplicated by event key, so replayed events after a failover
-    never double-count.
-    """
-
-    GROUPS = ("hard", "soft")
-
-    def __init__(self) -> None:
-        self._votes: Dict[str, Counter] = {
-            group: Counter() for group in self.GROUPS
-        }
-        self._counted: Set[Tuple[ProbePair, float]] = set()
-
-    def add_event(
-        self, record: EventRecord, path: Optional[UnderlayPath]
-    ) -> bool:
-        """Count the links of ``path`` — the event pair's traced route,
-        ``None`` when it has none; ``False`` if already counted."""
-        if record.key in self._counted:
-            return False
-        self._counted.add(record.key)
-        if path is None:
-            return True
-        group = (
-            "hard"
-            if record.symptom_type == Symptom.UNCONNECTIVITY
-            else "soft"
-        )
-        for link in path.links:
-            self._votes[group][link] += 1
-        return True
-
-    def votes(self, group: str) -> Dict[str, int]:
-        """The group's link votes, keyed by link name (sorted)."""
-        return {
-            str(link): count
-            for link, count in sorted(
-                self._votes[group].items(), key=lambda kv: str(kv[0])
-            )
-        }
-
-    def event_count(self) -> int:
-        """Unique events counted so far."""
-        return len(self._counted)
-
-    def as_dict(self) -> Dict[str, Dict[str, int]]:
-        """Both groups' vote tables, JSON-ready."""
-        return {group: self.votes(group) for group in self.GROUPS}
+def _breaker_rows(statuses: Dict[int, ShardStatus]) -> List[tuple]:
+    """Every live shard's breaker snapshots as sorted rows."""
+    return [
+        (shard_id, agent_key) + status.breakers[agent_key]
+        for shard_id, status in sorted(statuses.items()) if status.alive
+        for agent_key in sorted(status.breakers)
+    ]
 
 
 @dataclass
@@ -143,7 +90,6 @@ class ShardRunResult:
     backend: str
     events: List[EventRecord]
     verdicts: List[Tuple[float, LocalizationReport]]
-    vote_table: MergedVoteTable
     statuses: Dict[int, ShardStatus]
     reassignments: List[Reassignment]
     metrics: MetricRegistry
@@ -159,16 +105,7 @@ class ShardRunResult:
         opened_at, trips, recoveries)``.  Dead shards are excluded —
         their last snapshots are stale by definition; the adopters'
         replayed snapshots carry the authoritative state."""
-        rows = []
-        for shard_id in sorted(self.statuses):
-            status = self.statuses[shard_id]
-            if not status.alive:
-                continue
-            for agent_key in sorted(status.breakers):
-                rows.append(
-                    (shard_id, agent_key) + status.breakers[agent_key]
-                )
-        return rows
+        return _breaker_rows(self.statuses)
 
     def event_summary(self) -> List[Tuple[str, str, float, str]]:
         """Sorted (src, dst, detected-at, symptom) rows."""
@@ -196,11 +133,6 @@ class ShardRunResult:
         return {
             "events": self.event_summary(),
             "verdicts": self.verdict_summary(),
-            "votes": [
-                (group, link, count)
-                for group in MergedVoteTable.GROUPS
-                for link, count in self.vote_table.votes(group).items()
-            ],
         }
 
 
@@ -259,7 +191,6 @@ class ShardCoordinator(PlaneDriver[ShardStatus]):
                 ShardStatus(worker_id=shard_id, units=pairs),
             )
 
-        self.vote_table = MergedVoteTable()
         self.events: List[EventRecord] = []
         self.verdicts: List[Tuple[float, LocalizationReport]] = []
         self._seen_events: Set[Tuple[ProbePair, float]] = set()
@@ -273,7 +204,6 @@ class ShardCoordinator(PlaneDriver[ShardStatus]):
             backend=getattr(self.backend, "name", "inproc"),
             events=list(self.events),
             verdicts=list(self.verdicts),
-            vote_table=self.vote_table,
             statuses=self.statuses,
             reassignments=list(self.reassignments),
             metrics=self.metrics,
@@ -310,7 +240,6 @@ class ShardCoordinator(PlaneDriver[ShardStatus]):
         fresh: List[EventRecord] = []
         for result in sorted(results, key=lambda r: r.shard_id):
             status = self.statuses[result.shard_id]
-            status.token = result.token
             status.agent_count = result.agent_count
             status.last_sim_time = max(
                 status.last_sim_time, result.sim_time
@@ -332,14 +261,10 @@ class ShardCoordinator(PlaneDriver[ShardStatus]):
             self.metrics.increment("probes.sent", result.probes_sent)
             self.metrics.increment("probes.lost", result.probes_lost)
             for record in result.events:
-                route = self.reference.fabric.traceroute(
-                    record.src, record.dst
-                )
-                if self.vote_table.add_event(record, route):
-                    self.metrics.increment("events.opened")
                 if record.key in self._seen_events:
                     continue
                 self._seen_events.add(record.key)
+                self.metrics.increment("events.opened")
                 fresh.append(record)
                 self.events.append(record)
         return fresh
@@ -367,16 +292,7 @@ class ShardCoordinator(PlaneDriver[ShardStatus]):
                 for shard_id, status in sorted(self.statuses.items())
             ],
         )
-        rows = []
-        for shard_id in sorted(self.statuses):
-            status = self.statuses[shard_id]
-            if not status.alive:
-                continue
-            for agent_key in sorted(status.breakers):
-                rows.append(
-                    [shard_id, agent_key]
-                    + list(status.breakers[agent_key])
-                )
+        rows = [list(row) for row in _breaker_rows(self.statuses)]
         if rows:
             self.bus.publish(
                 Topic.BREAKERS,

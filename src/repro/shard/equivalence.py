@@ -19,36 +19,13 @@ from repro.cluster.identifiers import LinkId
 from repro.equivalence import EquivalenceError, compare
 from repro.network.issues import IssueType
 from repro.shard.backend import backend_named
-from repro.shard.coordinator import ShardCoordinator, ShardRunResult
+from repro.shard.coordinator import ShardCoordinator
 from repro.shard.spec import FaultSpec, ShardScenarioSpec, build_replica
 
 __all__ = [
     "default_equivalence_spec",
-    "run_plane",
     "verify_shard_equivalence",
 ]
-
-
-def run_plane(
-    spec: ShardScenarioSpec,
-    num_shards: int,
-    backend: str = "inproc",
-    chunk_rounds: int = 5,
-    kill_schedule: Optional[Dict[int, int]] = None,
-    recorder=None,
-    bus=None,
-) -> ShardRunResult:
-    """Run the spec'd scenario on the sharded plane, start to finish."""
-    coordinator = ShardCoordinator(
-        spec,
-        num_shards,
-        backend=backend_named(backend),
-        chunk_rounds=chunk_rounds,
-        recorder=recorder,
-        kill_schedule=kill_schedule,
-        bus=bus,
-    )
-    return coordinator.run()
 
 
 def default_equivalence_spec(
@@ -63,9 +40,9 @@ def default_equivalence_spec(
     failure and a container crash — enough symptom diversity to
     exercise overlay, tomography, and fast-loss paths without slowing
     CI down.  The gate runs the defaults (64 endpoints; faults over
-    rounds 4-18, 8 on, and 11-22 of 30); ``repro run``,
-    ``shard-status`` and ``tail --shards`` run it at the CLI's sizes,
-    the schedule scaled to the round count."""
+    rounds 4-18, 8 on, and 11-22 of 30); ``repro run`` and ``tail
+    --shards`` run it at the CLI's sizes, the schedule scaled to the
+    round count."""
     base = ShardScenarioSpec(
         num_containers=num_containers,
         gpus_per_container=gpus_per_container,
@@ -117,26 +94,32 @@ def verify_shard_equivalence(
     fail over.  Returns a summary of what was compared.
     """
     spec = spec if spec is not None else default_equivalence_spec()
-    baseline = run_plane(
-        spec, 1, "inproc", chunk_rounds=chunk_rounds
-    ).comparable()
+    baseline = ShardCoordinator(
+        spec, 1, chunk_rounds=chunk_rounds
+    ).run().comparable()
     compared: List[str] = []
     for backend in backends:
         for num_shards in shard_counts:
             label = f"shards={num_shards} backend={backend}"
-            candidate = run_plane(
-                spec, num_shards, backend, chunk_rounds=chunk_rounds
-            )
+            candidate = ShardCoordinator(
+                spec, num_shards, backend=backend_named(backend),
+                chunk_rounds=chunk_rounds,
+            ).run()
             compare(label, baseline, candidate.comparable())
             compared.append(label)
     if with_failover:
         for backend in backends:
             label = f"shards=4 backend={backend} kill=1@chunk2"
-            candidate = run_plane(
-                spec, 4, backend,
-                chunk_rounds=chunk_rounds,
-                kill_schedule={1: 2},
-            )
+            try:
+                coordinator = ShardCoordinator(
+                    spec, 4, backend=backend_named(backend),
+                    chunk_rounds=chunk_rounds, kill_schedule={1: 2},
+                )
+            except ValueError as error:
+                raise EquivalenceError(
+                    f"{label}: no reassignments: {error}"
+                ) from error
+            candidate = coordinator.run()
             if not candidate.reassignments:
                 raise EquivalenceError(
                     f"{label}: the scripted kill produced no "

@@ -13,11 +13,6 @@ schedule replays by round number, two monitors covering the same pair
 observe byte-identical probe results; the analyzer's per-pair windows
 then open identical failure events.  That is the whole equivalence
 story: sharding changes who watches a pair, never what the pair does.
-
-The per-shard seed (``derive_seed(run_seed, "shard:<id>")``) seeds the
-shard's private RNG registry.  It deliberately does *not* feed probe
-draws — those must be shard-independent — and today only mints the
-shard's identity token reported in heartbeats.
 """
 
 from __future__ import annotations
@@ -52,7 +47,6 @@ from repro.shard.spec import (
     build_monitor_chaos,
     build_replica,
 )
-from repro.sim.rng import RngRegistry, derive_seed
 
 __all__ = [
     "ChunkResult",
@@ -160,8 +154,6 @@ class ChunkResult:
     """One shard's report for a chunk of rounds (its heartbeat)."""
 
     shard_id: int
-    token: str
-    start_round: int
     end_round: int
     sim_time: float
     agent_count: int
@@ -191,13 +183,6 @@ class ShardMonitor:
         self.shard_id = shard_id
         self.spec = spec
         self.pairs: Tuple[ProbePair, ...] = tuple(sorted(set(pairs)))
-        self.seed = derive_seed(spec.seed, f"shard:{shard_id}")
-        self.rng = RngRegistry(self.seed)
-        # A deterministic identity token for heartbeats/status — minted
-        # from the shard seed, which (by design) never touches probing.
-        self.token = format(
-            int(self.rng.stream("token").integers(0, 2 ** 32)), "08x"
-        )
         self.rounds_completed = 0
         self._build()
 
@@ -281,8 +266,6 @@ class ShardMonitor:
             self.rounds_completed = round_index
         return ChunkResult(
             shard_id=self.shard_id,
-            token=self.token,
-            start_round=start_round,
             end_round=end_round,
             sim_time=now,
             agent_count=len(self.agents),

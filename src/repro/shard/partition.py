@@ -16,8 +16,8 @@ keys ordered segment-major.  Two properties follow:
   whole segments tend to stay on one shard.  A host's access links and
   its segment's ToR uplinks are then mostly shard-local, minimizing
   the physical links whose tomography evidence is split across shards
-  (the coordinator's merged vote table makes a split harmless for
-  correctness, but a clean cut keeps per-shard evidence dense).
+  (harmless for correctness: the coordinator localizes every shard's
+  events in one vote; a clean cut is a locality property only).
 
 The cut itself is deterministic: groups sorted by key, then a single
 pass that advances to the next shard once its balanced share

@@ -14,6 +14,8 @@ which does not depend on what a unit is:
 
 * **The kill schedule.**  ``{worker_id: chunk}``, chunks 1-based: the
   worker is killed at the start of that chunk (chaos / failover tests).
+  A kill the run cannot honour — an unknown worker, or a chunk past
+  the run's last — is refused at construction, never dropped.
 
 * **Failover, with one timing rule.**  A scripted kill lands on the
   chunk boundary, so the adopters replay rounds ``1..start-1`` *before*
@@ -99,18 +101,12 @@ class PlaneDriver(Generic[S]):
             raise ValueError(
                 f"need at least one worker, got {num_workers}"
             )
-        if chunk_rounds < 1:
-            raise ValueError("chunks must contain at least one round")
         self.spec = spec
         self.num_workers = num_workers
         self.chunk_rounds = chunk_rounds
         self.kill_schedule = dict(kill_schedule or {})
-        for worker_id in sorted(self.kill_schedule):
-            if not 0 <= worker_id < num_workers:
-                raise ValueError(
-                    f"kill_schedule worker {worker_id} out of range "
-                    f"for {num_workers} workers"
-                )
+        self.check_kill_schedule(spec, num_workers, chunk_rounds,
+                                 self.kill_schedule)
         self.recorder = recorder
         self.metrics = (
             recorder.metrics if recorder is not None else MetricRegistry()
@@ -121,6 +117,29 @@ class PlaneDriver(Generic[S]):
         #: dead worker's entry, so no unit ever has two owners.
         self.owned: Dict[int, tuple] = {}
         self.reassignments: List[Reassignment] = []
+
+    @staticmethod
+    def check_kill_schedule(spec, num_workers: int, chunk_rounds: int,
+                            kill_schedule: Dict[int, int]) -> None:
+        """Raise :class:`ValueError` for a chunk of no rounds or a kill
+        the run cannot honour: an unknown worker, or a chunk outside
+        ``1..ceil(spec.total_rounds / chunk_rounds)``."""
+        if chunk_rounds < 1:
+            raise ValueError("chunks must contain at least one round")
+        chunks = -(-spec.total_rounds // chunk_rounds)
+        for worker_id, at_chunk in sorted(kill_schedule.items()):
+            if not 0 <= worker_id < num_workers:
+                raise ValueError(
+                    f"kill_schedule worker {worker_id} out of range "
+                    f"for {num_workers} workers"
+                )
+            if not 1 <= at_chunk <= chunks:
+                raise ValueError(
+                    f"kill_schedule chunk {at_chunk} for worker "
+                    f"{worker_id} is outside 1..{chunks}: "
+                    f"{spec.total_rounds} rounds run as {chunks} "
+                    f"chunk(s) of {chunk_rounds}"
+                )
 
     def _add_worker(self, handle: ShardHandle, status: S) -> None:
         self.handles[status.worker_id] = handle

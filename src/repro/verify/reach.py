@@ -36,8 +36,8 @@ VERBS = (
     "export-metrics", "verify", "verify --issue REPETITIVE_FLOW_OFFLOADING",
     "verify --lint", "equivalence",
     "chaos --out {scratch}/chaos.json", "gray --out {scratch}/gray.json",
-    "run", "run --backend mp", "shard-status", "shard-status --backend mp",
-    "fleet run", "fleet status", "record --out {scratch}/recording.jsonl",
+    "run", "run --backend mp --kill 1", "fleet", "fleet --kill 0",
+    "record --out {scratch}/recording.jsonl",
     "replay {scratch}/recording.jsonl", "tail --plain",
     "tail --plain --shards 2", "tail --plain --fleet 2",
 )

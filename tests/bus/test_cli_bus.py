@@ -90,16 +90,16 @@ class TestTail:
     def test_fleet_tail_builds_the_fleet_at_the_given_sizes(
         self, capsys, monkeypatch
     ):
-        from repro.fleet import equivalence
+        from repro.fleet import coordinator
 
         specs = []
-        run_fleet = equivalence.run_fleet
 
-        def spied(spec, *args, **kwargs):
-            specs.append(spec)
-            return run_fleet(spec, *args, **kwargs)
+        class Spied(coordinator.FleetCoordinator):
+            def __init__(self, spec, *args, **kwargs):
+                specs.append(spec)
+                super().__init__(spec, *args, **kwargs)
 
-        monkeypatch.setattr(equivalence, "run_fleet", spied)
+        monkeypatch.setattr(coordinator, "FleetCoordinator", Spied)
         code = main([
             "tail", "--plain", "--fleet", "2", "--containers", "4",
             "--gpus", "2", "--rounds", "6", "--seed", "3",

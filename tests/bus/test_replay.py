@@ -16,7 +16,7 @@ from repro.bus.replay import (
 )
 from repro.equivalence import EquivalenceError
 from repro.network.issues import Symptom
-from repro.shard import default_equivalence_spec, run_plane
+from repro.shard import ShardCoordinator, default_equivalence_spec
 
 
 @pytest.fixture(scope="module")
@@ -126,13 +126,13 @@ class TestOneEventEncoding:
             for record in load_recording(path).by_topic(Topic.EVENTS)
         ]
         bus = TelemetryBus()
-        run_plane(
+        ShardCoordinator(
             default_equivalence_spec(
                 num_containers=8, gpus_per_container=2,
                 total_rounds=12, num_faults=1,
             ),
             2, bus=bus,
-        )
+        ).run()
         sharded = [
             record["data"]["symptom"]
             for record in bus.history(Topic.EVENTS)

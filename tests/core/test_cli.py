@@ -170,7 +170,7 @@ class TestFleet:
     ]
 
     def test_fleet_run_reports_tenants_and_coverage(self, capsys):
-        code = main(["fleet", "run"] + self._SMALL)
+        code = main(["fleet"] + self._SMALL)
         output = capsys.readouterr().out
         assert code == 0
         assert "tenants" in output
@@ -178,16 +178,50 @@ class TestFleet:
         assert "coverage" in output
 
     def test_fleet_status_shows_workers_and_failover(self, capsys):
-        code = main(["fleet", "status", "--kill", "0"] + self._SMALL)
+        code = main(["fleet", "--kill", "0"] + self._SMALL)
         output = capsys.readouterr().out
         assert code == 0
         assert "worker" in output
         assert "cache hit" in output
         assert "reassign" in output
 
-    def test_fleet_requires_a_subcommand(self):
-        with pytest.raises(SystemExit):
-            main(["fleet"])
+    def test_failover_is_invisible_in_the_tenant_sections(self, capsys):
+        """Events, verdicts, blacklist and coverage read the same with
+        and without a worker killed mid-run."""
+
+        def tenant_sections(output):
+            head, tail = output.split("workers:")
+            return (
+                head.split("events opened:")[1],
+                tail.split("per-tenant skeleton coverage:")[1],
+            )
+
+        assert main(["fleet"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["fleet", "--kill", "0"]) == 0
+        killed = capsys.readouterr().out
+        assert "reassignments: 0" in plain
+        assert "reassignments: 0" not in killed
+        assert "blacklisted components:" in plain
+        assert tenant_sections(killed) == tenant_sections(plain)
+
+    def test_a_kill_the_fleet_cannot_honour_exits_2(self, capsys):
+        # One chunk of four rounds: there is no second chunk to kill at.
+        code = main([
+            "fleet", "--rounds", "4", "--kill", "0", "--jobs", "2",
+            "--containers", "4",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "outside 1..1" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_retired_plane_verbs_are_gone(self):
+        for argv in (["shard-status"], ["fleet", "run"],
+                     ["fleet", "status"]):
+            with pytest.raises(SystemExit):
+                main(argv)
 
 
 def committed(value, scratch):

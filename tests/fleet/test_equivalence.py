@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.equivalence import EquivalenceError, compare
 from repro.fleet.coordinator import FleetCoordinator
-from repro.fleet.equivalence import run_fleet, verify_fleet_equivalence
+from repro.fleet.equivalence import verify_fleet_equivalence
 from repro.fleet.spec import FleetSpec, TenantSpec
 
 from tests.fleet.conftest import small_fleet_spec
@@ -32,8 +32,8 @@ class TestGate:
 
     def test_gate_detects_divergence(self):
         spec = small_fleet_spec()
-        baseline = run_fleet(spec, num_workers=1)
-        other = run_fleet(
+        baseline = FleetCoordinator(spec, num_workers=1).run()
+        other = FleetCoordinator(
             dataclasses.replace(
                 spec,
                 probe_budget_per_round=(
@@ -41,7 +41,7 @@ class TestGate:
                 ),
             ),
             num_workers=1,
-        )
+        ).run()
         with pytest.raises(EquivalenceError, match="rollups diverged"):
             compare(
                 "mutated budget",
@@ -58,13 +58,13 @@ class TestGate:
         """A kill schedule naming a worker that owns nothing must not
         pass as a failover exercise."""
         spec = small_fleet_spec()
-        result = run_fleet(
+        result = FleetCoordinator(
             spec, num_workers=6, kill_schedule={5: 2}  # > tenant count
-        )
+        ).run()
         assert not result.reassignments
 
     def test_gate_rejects_a_failover_leg_that_never_reassigned(self):
-        # One chunk only: the kill scheduled for chunk 2 never fires.
+        # One chunk only: the plane refuses a kill at chunk 2.
         spec = small_fleet_spec(total_rounds=4)
         with pytest.raises(EquivalenceError, match="reassignments"):
             verify_fleet_equivalence(spec, worker_counts=())
@@ -80,24 +80,25 @@ class TestWorkerCountInvariance:
     @pytest.mark.parametrize("num_workers", [2, 3])
     def test_sharded_matches_single_worker(self, num_workers):
         spec = small_fleet_spec(churn_rate=0.3)
-        baseline = run_fleet(spec, num_workers=1)
-        candidate = run_fleet(spec, num_workers=num_workers)
+        baseline = FleetCoordinator(spec, num_workers=1).run()
+        candidate = FleetCoordinator(spec, num_workers=num_workers).run()
         assert baseline.event_summary
         assert candidate.comparable() == baseline.comparable()
 
     def test_failover_matches_single_worker(self):
         spec = small_fleet_spec(churn_rate=0.3)
-        baseline = run_fleet(spec, num_workers=1)
-        candidate = run_fleet(
+        baseline = FleetCoordinator(spec, num_workers=1).run()
+        candidate = FleetCoordinator(
             spec, num_workers=2, kill_schedule={0: 2}
-        )
+        ).run()
         assert candidate.reassignments
         assert candidate.comparable() == baseline.comparable()
 
     def test_excess_workers_idle_harmlessly(self):
         spec = small_fleet_spec()
-        baseline = run_fleet(spec, num_workers=1)
-        candidate = run_fleet(spec, num_workers=6)  # > tenant count
+        baseline = FleetCoordinator(spec, num_workers=1).run()
+        # More workers than tenants.
+        candidate = FleetCoordinator(spec, num_workers=6).run()
         assert candidate.comparable() == baseline.comparable()
 
 
@@ -147,12 +148,12 @@ class TestChurnProperty:
         self, spec: FleetSpec, num_workers: int, victim: int,
         at_chunk: int,
     ):
-        baseline = run_fleet(spec, num_workers=1)
-        sharded = run_fleet(spec, num_workers=num_workers)
+        baseline = FleetCoordinator(spec, num_workers=1).run()
+        sharded = FleetCoordinator(spec, num_workers=num_workers).run()
         assert sharded.comparable() == baseline.comparable()
-        failed_over = run_fleet(
+        failed_over = FleetCoordinator(
             spec, num_workers=num_workers,
             kill_schedule={victim % num_workers: at_chunk},
-        )
+        ).run()
         assert failed_over.reassignments
         assert failed_over.comparable() == baseline.comparable()

@@ -4,7 +4,7 @@ deterministic replay, and breaker state surviving failover."""
 import pytest
 
 from repro.chaos.faults import MonitorIssue
-from repro.shard import ShardScenarioSpec, run_plane
+from repro.shard import ShardCoordinator, ShardScenarioSpec
 from repro.shard.monitor import ShardMonitor
 from repro.shard.spec import (
     MonitorFaultSpec,
@@ -81,15 +81,15 @@ class TestMonitorFaultSpec:
 
 class TestChaoticPlane:
     def test_same_config_runs_are_identical(self):
-        first = run_plane(chaotic_spec(), 2, chunk_rounds=3)
-        second = run_plane(chaotic_spec(), 2, chunk_rounds=3)
+        first = ShardCoordinator(chaotic_spec(), 2, chunk_rounds=3).run()
+        second = ShardCoordinator(chaotic_spec(), 2, chunk_rounds=3).run()
         assert first.event_summary() == second.event_summary()
         assert first.verdict_summary() == second.verdict_summary()
         assert first.breaker_summary() == second.breaker_summary()
 
     def test_breaker_summary_covers_every_agent(self):
         spec = chaotic_spec()
-        result = run_plane(spec, 2, chunk_rounds=3)
+        result = ShardCoordinator(spec, 2, chunk_rounds=3).run()
         rows = result.breaker_summary()
         containers = {row[1] for row in rows}
         # One agent per container that sources a canonical pair.
@@ -103,16 +103,16 @@ class TestChaoticPlane:
         assert crashed and crashed[0][5] >= 1  # trips column
 
     def test_chaos_free_spec_has_no_breaker_state(self):
-        result = run_plane(small_spec(), 2, chunk_rounds=3)
+        result = ShardCoordinator(small_spec(), 2, chunk_rounds=3).run()
         assert result.breaker_summary() == []
 
     def test_failover_under_chaos_is_deterministic(self):
-        first = run_plane(
+        first = ShardCoordinator(
             chaotic_spec(), 3, chunk_rounds=3, kill_schedule={1: 2}
-        )
-        second = run_plane(
+        ).run()
+        second = ShardCoordinator(
             chaotic_spec(), 3, chunk_rounds=3, kill_schedule={1: 2}
-        )
+        ).run()
         assert first.reassignments
         assert first.event_summary() == second.event_summary()
         assert first.breaker_summary() == second.breaker_summary()

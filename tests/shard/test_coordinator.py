@@ -5,12 +5,9 @@ import pytest
 from repro.obs.trace import TraceRecorder
 from repro.shard import (
     InProcessBackend,
-    MergedVoteTable,
-    ShardCoordinator,
     PlaneError,
+    ShardCoordinator,
     ShardDeadError,
-    build_replica,
-    run_plane,
 )
 from repro.shard.backend import (
     InProcessHandle,
@@ -46,7 +43,7 @@ class DyingAdopterBackend:
 
 class TestHeartbeats:
     def test_statuses_track_progress(self, spec):
-        result = run_plane(spec, 3, chunk_rounds=4)
+        result = ShardCoordinator(spec, 3, chunk_rounds=4).run()
         assert sorted(result.statuses) == [0, 1, 2]
         for status in result.statuses.values():
             assert status.alive
@@ -55,20 +52,13 @@ class TestHeartbeats:
             assert status.last_sim_time == spec.round_time(
                 spec.total_rounds
             )
-            assert len(status.token) == 8
-            int(status.token, 16)  # a hex identity token
         assert (
             sum(len(s.units) for s in result.statuses.values())
             == sum(result.plan.pair_counts())
         )
 
-    def test_tokens_differ_between_shards(self, spec):
-        result = run_plane(spec, 3, chunk_rounds=6)
-        tokens = {s.token for s in result.statuses.values()}
-        assert len(tokens) == 3
-
     def test_heartbeat_metrics_accumulate(self, spec):
-        result = run_plane(spec, 2, chunk_rounds=3)
+        result = ShardCoordinator(spec, 2, chunk_rounds=3).run()
         counters = result.metrics.counters()
         assert counters["shard.heartbeats"] == 2 * 4  # shards x chunks
         assert counters["probes.sent"] > 0
@@ -82,7 +72,9 @@ class TestHeartbeats:
 
     def test_recorder_collects_per_shard_series(self, spec):
         recorder = TraceRecorder()
-        result = run_plane(spec, 2, chunk_rounds=6, recorder=recorder)
+        result = ShardCoordinator(
+            spec, 2, chunk_rounds=6, recorder=recorder
+        ).run()
         assert recorder.metrics is result.metrics
         series = recorder.metrics.series("shard.0.heartbeat")
         assert len(series) == 2  # one sample per chunk
@@ -90,7 +82,9 @@ class TestHeartbeats:
 
 class TestFailover:
     def test_scripted_kill_reassigns_pairs(self, spec):
-        result = run_plane(spec, 3, chunk_rounds=3, kill_schedule={1: 2})
+        result = ShardCoordinator(
+            spec, 3, chunk_rounds=3, kill_schedule={1: 2}
+        ).run()
         assert not result.statuses[1].alive
         assert result.statuses[1].last_round < spec.total_rounds
         moves = result.reassignments
@@ -106,7 +100,9 @@ class TestFailover:
         assert counters["shard.reassignments"] == len(moves)
 
     def test_survivors_cover_the_whole_universe(self, spec):
-        result = run_plane(spec, 3, chunk_rounds=3, kill_schedule={0: 2})
+        result = ShardCoordinator(
+            spec, 3, chunk_rounds=3, kill_schedule={0: 2}
+        ).run()
         live_pairs = sum(
             len(s.units)
             for s in result.statuses.values()
@@ -116,8 +112,9 @@ class TestFailover:
 
     def test_killing_every_shard_raises(self, spec):
         with pytest.raises(PlaneError):
-            run_plane(spec, 2, chunk_rounds=3,
-                      kill_schedule={0: 2, 1: 2})
+            ShardCoordinator(
+                spec, 2, chunk_rounds=3, kill_schedule={0: 2, 1: 2}
+            ).run()
 
     def test_dead_adopter_reorphans_its_pairs(self, spec):
         # Shard 1 is killed at chunk 2; shard 0 (an adopter) crashes
@@ -139,7 +136,7 @@ class TestFailover:
     def test_dead_adopter_keeps_baseline_equivalence(self, spec):
         # The coverage guarantee: even with a mid-failover adopter
         # crash, events and verdicts match the single-shard baseline.
-        baseline = run_plane(spec, 1, chunk_rounds=3)
+        baseline = ShardCoordinator(spec, 1, chunk_rounds=3).run()
         coordinator = ShardCoordinator(
             spec, 3, backend=DyingAdopterBackend(0),
             chunk_rounds=3, kill_schedule={1: 2},
@@ -159,24 +156,27 @@ class TestFailover:
 
     def test_failover_events_recorded(self, spec):
         recorder = TraceRecorder()
-        run_plane(spec, 3, chunk_rounds=3, kill_schedule={2: 2},
-                  recorder=recorder)
+        ShardCoordinator(
+            spec, 3, chunk_rounds=3, kill_schedule={2: 2},
+            recorder=recorder,
+        ).run()
         assert recorder.events("shard.dead")
         assert recorder.events("shard.reassign")
 
 
 class TestMerging:
     def test_events_are_unique_by_key(self, spec):
-        result = run_plane(spec, 4, chunk_rounds=3, kill_schedule={1: 3})
+        result = ShardCoordinator(
+            spec, 4, chunk_rounds=3, kill_schedule={1: 3}
+        ).run()
         keys = [record.key for record in result.events]
         assert len(keys) == len(set(keys))
-        assert result.vote_table.event_count() == len(keys)
         assert (
             result.metrics.counters()["events.opened"] == len(keys)
         )
 
     def test_faulted_run_localizes(self, spec):
-        result = run_plane(spec, 2, chunk_rounds=3)
+        result = ShardCoordinator(spec, 2, chunk_rounds=3).run()
         assert result.events
         assert result.verdicts
         diagnoses = [
@@ -189,32 +189,10 @@ class TestMerging:
         )
 
     def test_healthy_run_stays_quiet(self, plain_spec):
-        result = run_plane(plain_spec, 2, chunk_rounds=4)
+        result = ShardCoordinator(plain_spec, 2, chunk_rounds=4).run()
         assert result.events == []
         assert result.verdicts == []
-        assert result.vote_table.as_dict() == {"hard": {}, "soft": {}}
-
-
-class TestVoteTable:
-    def test_duplicate_events_count_once(self, spec):
-        result = run_plane(spec, 1, chunk_rounds=6)
-        trace = build_replica(spec).fabric.traceroute
-        table = MergedVoteTable()
-        for record in result.events:
-            assert table.add_event(record, trace(record.src, record.dst))
-        for record in result.events:
-            assert not table.add_event(
-                record, trace(record.src, record.dst)
-            )
-        assert table.as_dict() == result.vote_table.as_dict()
-        assert any(table.as_dict().values())
-
-    def test_an_event_without_a_route_counts_but_casts_no_vote(self, spec):
-        result = run_plane(spec, 1, chunk_rounds=6)
-        table = MergedVoteTable()
-        assert table.add_event(result.events[0], None)
-        assert table.event_count() == 1
-        assert table.as_dict() == {"hard": {}, "soft": {}}
+        assert result.metrics.counters().get("events.opened", 0) == 0
 
 
 class TracingBackend(InProcessBackend):
@@ -256,15 +234,12 @@ class TestRoutesAreAskedNotCarried:
         coordinator = ShardCoordinator(
             default_equivalence_spec(), num_shards, backend=backend
         )
-        asked = {}
-        add_event = coordinator.vote_table.add_event
-
-        def spy(record, path):
-            asked.setdefault(record.key, path)
-            return add_event(record, path)
-
-        coordinator.vote_table.add_event = spy
         result = coordinator.run()
+        reference = coordinator.reference.fabric
+        asked = {
+            record.key: reference.traceroute(record.src, record.dst)
+            for record in result.events
+        }
         assert len(result.events) == 16
         assert set(asked) == result.event_keys() == set(backend.traced)
         assert None not in asked.values()

@@ -325,6 +325,15 @@ class TestDeathsOnBothPlanes:
         ):
             plane(2, kill_schedule={7: 1})
 
+    def test_a_kill_outside_the_runs_chunks_is_refused(self, plane):
+        # Twelve rounds: four shard chunks of 3, three fleet chunks of 4.
+        chunks = {shard_plane: 4, fleet_plane: 3}[plane]
+        for at_chunk in (0, chunks + 1):
+            with pytest.raises(
+                ValueError, match=f"chunk {at_chunk} .* outside 1..{chunks}"
+            ):
+                plane(2, kill_schedule={1: at_chunk})
+
 
 # ----------------------------------------------------------------------
 # The shared worker-side batch localizer
