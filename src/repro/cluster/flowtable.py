@@ -98,18 +98,15 @@ class FlowTable:
 
     The table is an exact-match dict, so installing key K2 cannot change
     what a lookup of K1 returned — and that is the grain of cache
-    validity (see :class:`~repro.network.fabric.FlowResolutionCache`):
-    :meth:`version_of` a key moves when *that key's* rule appears, is
-    replaced or disappears (a monotone per-key version, never reset by a
-    removal), or when :attr:`generation` does — :meth:`touch` and
-    :meth:`clear`, for state a walk reads that no single key holds.  A
-    probe resolution that looked ``key`` up here is valid while
-    ``version_of(key)`` is what it was, whatever else the table's other
-    tenants install.  Every such mutation also fires the optional
-    :attr:`on_mutate` callback, through which the overlay folds table
-    churn into its whole-overlay epoch.  Hit-counter updates
-    (:meth:`FlowRule.hit`) deliberately do *not* count: they never
-    change where a packet goes.
+    validity (see :class:`~repro.network.fabric.FlowResolutionCache`).
+    Every change says what it changed through the optional
+    :attr:`on_mutate` callback, as ``on_mutate(table, key)``: ``key``
+    when *that key's* rule appears, is replaced or disappears, ``None``
+    when the whole table changes (:meth:`touch`, :meth:`clear`) — state
+    a walk reads that no single key holds.  The overlay folds each into
+    its whole-overlay epoch and passes it on to the resolutions that
+    read it.  Hit-counter updates (:meth:`FlowRule.hit`) deliberately
+    do *not* count: they never change where a packet goes.
     """
 
     def __init__(self, name: str = "ovs", component: Optional[str] = None):
@@ -118,33 +115,26 @@ class FlowTable:
         #: name its health flags are kept under (``ovs:host-3``,
         #: ``vtep:host-3/rnic-0``); the table's own name unless given.
         self.component = name if component is None else component
-        self.generation = 0
-        self.on_mutate: Optional[Callable[[], None]] = None
+        self.on_mutate: Optional[
+            Callable[["FlowTable", Optional[FlowKey]], None]
+        ] = None
         self._rules: Dict[FlowKey, FlowRule] = {}
-        self._key_versions: Dict[FlowKey, int] = {}
 
     def __len__(self) -> int:
         return len(self._rules)
 
-    def version_of(self, key: FlowKey) -> int:
-        """What a lookup of ``key`` is valid under (only ever grows)."""
-        return self.generation + self._key_versions.get(key, 0)
-
     def touch(self) -> None:
-        """Advance :attr:`generation` without changing a rule.
+        """Change the whole table without changing a rule.
 
         For state a walk through this table reads but the table does
         not hold — an endpoint attaching to or leaving this host — so
         every resolution that walked it, whatever its key, is re-walked.
         """
-        self.generation += 1
-        if self.on_mutate is not None:
-            self.on_mutate()
+        self._changed(None)
 
-    def _key_changed(self, key: FlowKey) -> None:
-        self._key_versions[key] = self._key_versions.get(key, 0) + 1
+    def _changed(self, key: Optional[FlowKey]) -> None:
         if self.on_mutate is not None:
-            self.on_mutate()
+            self.on_mutate(self, key)
 
     def install(self, key: FlowKey, action: FlowAction) -> FlowRule:
         """Install the rule for ``key``; last write wins.
@@ -167,14 +157,14 @@ class FlowTable:
             return existing
         rule = FlowRule(key=key, action=action)
         self._rules[key] = rule
-        self._key_changed(key)
+        self._changed(key)
         return rule
 
     def remove(self, key: FlowKey) -> bool:
         """Delete the rule for ``key``; returns whether it existed."""
         existed = self._rules.pop(key, None) is not None
         if existed:
-            self._key_changed(key)
+            self._changed(key)
         return existed
 
     def lookup(self, key: FlowKey) -> Optional[FlowRule]:
@@ -190,7 +180,7 @@ class FlowTable:
         return sorted(self._rules)
 
     def clear(self) -> None:
-        """Drop every rule (one :attr:`generation` step covers them)."""
+        """Drop every rule (one whole-table change covers them)."""
         if self._rules:
             self._rules.clear()
             self.touch()

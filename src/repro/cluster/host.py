@@ -100,6 +100,12 @@ class Host:
     id: HostId
     gpus: List[Gpu] = field(default_factory=list)
     rnics: List[Rnic] = field(default_factory=list)
+    #: ``len(free_gpus())``, kept by :meth:`allocate` and
+    #: :meth:`release`: what placement reads of every host.
+    num_free_gpus: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.num_free_gpus = len(self.free_gpus())
 
     @staticmethod
     def build(
@@ -150,6 +156,7 @@ class Host:
         vfs = []
         for gpu in chosen:
             gpu.bound_to = owner
+            self.num_free_gpus -= 1
             vfs.append(self.rnics[gpu.index].allocate_vf(owner))
         return HostAllocation(host=self.id, owner=owner,
                               gpu_indices=[g.index for g in chosen], vfs=vfs)
@@ -163,6 +170,7 @@ class Host:
         for index in allocation.gpu_indices:
             if self.gpus[index].bound_to == allocation.owner:
                 self.gpus[index].bound_to = None
+                self.num_free_gpus += 1
         for vf in allocation.vfs:
             rnic = self.rnics[vf.rnic.rail]
             if rnic.owner_of(vf) == allocation.owner:

@@ -66,7 +66,7 @@ class Cluster:
 
     def total_free_gpus(self) -> int:
         """Unallocated GPUs across the whole cluster."""
-        return sum(len(h.free_gpus()) for h in self.hosts.values())
+        return sum(h.num_free_gpus for h in self.hosts.values())
 
 
 @dataclass
@@ -191,19 +191,22 @@ class Orchestrator:
     def _pick_hosts(
         self, num_containers: int, gpus_per_container: int
     ) -> List[HostId]:
-        """First-fit placement: one container per host, distinct hosts."""
-        candidates = [
-            h.id
-            for h in self.cluster.hosts.values()
-            if len(h.free_gpus()) >= gpus_per_container
-            and self._schedulable(h.id)
-        ]
+        """First-fit placement: one container per host, distinct hosts —
+        the lowest-id eligible hosts, so the scan stops at the n-th."""
+        candidates: List[HostId] = []
+        for h in self.cluster.hosts.values():
+            if len(candidates) == num_containers:
+                break
+            if h.num_free_gpus >= gpus_per_container and self._schedulable(
+                h.id
+            ):
+                candidates.append(h.id)
         if len(candidates) < num_containers:
             raise PlacementError(
                 f"need {num_containers} hosts with {gpus_per_container} "
                 f"free GPUs, only {len(candidates)} available"
             )
-        return sorted(candidates)[:num_containers]
+        return candidates
 
     def _mark_running(self, container: Container) -> None:
         if container.state != ContainerState.CREATING:
@@ -272,7 +275,7 @@ class Orchestrator:
             (
                 h.id for h in self.cluster.hosts.values()
                 if h.id not in excluded
-                and len(h.free_gpus()) >= needed
+                and h.num_free_gpus >= needed
                 and self._schedulable(h.id)
             ),
             None,

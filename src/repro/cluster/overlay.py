@@ -49,36 +49,32 @@ class OverlayError(RuntimeError):
     """Raised on invalid overlay operations."""
 
 
-@dataclass
+@dataclass(eq=False)
 class ComponentHealth:
     """Mutable health flags a fault can set on an overlay component.
 
-    Every flag assignment advances this component's own :attr:`version`
-    — a cached probe resolution that read the component is valid while
-    the version is what it read, so a flip re-walks the pairs through
-    this component and no others — and notifies the owning overlay
-    (when attached via ``_on_change``), faults *and* direct test
-    mutations alike.  :meth:`OverlayNetwork.clear_health` advances the
-    version of the object it discards, for the resolutions holding it.
+    Every flag assignment tells the owning overlay (when attached via
+    ``_on_change``) which object changed — faults *and* direct test
+    mutations alike — so a cached probe resolution that read this
+    component is re-walked and no other.
+    :meth:`OverlayNetwork.clear_health` reports the object it discards,
+    for the resolutions holding it.  Compared and hashed by identity:
+    it is the name of what a resolution read.
     """
 
     down: bool = False
     extra_latency_us: float = 0.0
     loss_rate: float = 0.0
     force_software_path: bool = False
-    version: int = field(default=0, repr=False, compare=False)
-    _on_change: Optional[Callable[[], None]] = field(
-        default=None, repr=False, compare=False
+    _on_change: Optional[Callable[["ComponentHealth"], None]] = field(
+        default=None, repr=False
     )
 
     def __setattr__(self, name: str, value: object) -> None:
         object.__setattr__(self, name, value)
-        if name in ("version", "_on_change"):
-            return
-        object.__setattr__(self, "version", self.version + 1)
         notify = getattr(self, "_on_change", None)
-        if notify is not None:
-            notify()
+        if notify is not None and name != "_on_change":
+            notify(self)
 
     @property
     def healthy(self) -> bool:
@@ -187,6 +183,9 @@ class OverlayNetwork:
         self._health: Dict[str, ComponentHealth] = {}
         self._underlay_ip_of_rnic: Dict[RnicId, str] = {}
         self._epoch = 0
+        self._watchers: List[
+            Callable[[object, Optional[FlowKey]], None]
+        ] = []
 
     # ------------------------------------------------------------------
     # Change tracking (drives FlowResolutionCache invalidation)
@@ -201,16 +200,28 @@ class OverlayNetwork:
         *unreached* resolutions (table miss, loop, unknown encap target,
         unattached endpoint) are keyed on it: what would make them
         reachable is in no table their walk consulted.  A reached
-        resolution is scoped to what it read: :meth:`FlowTable.version_of`
-        its :attr:`OverlayTrace.key` in its :attr:`OverlayTrace.tables`,
-        and the :attr:`ComponentHealth.version` of the components along
-        its chain.  The epoch is still the O(1) "nothing anywhere
-        changed" test that comes before either.
+        resolution is told of the changes to what it read (see
+        :meth:`add_watcher`).
         """
         return self._epoch
 
-    def _bump_epoch(self) -> None:
+    def add_watcher(
+        self, watcher: Callable[[object, Optional[FlowKey]], None]
+    ) -> None:
+        """Tell ``watcher(source, key)`` what each change changed: a
+        flow table and the key whose rule appeared, was replaced or
+        disappeared; a flow table and ``None`` when the whole table
+        changed (:meth:`FlowTable.touch`, :meth:`FlowTable.clear`); or
+        a :class:`ComponentHealth` and ``None`` when its flags changed
+        or :meth:`clear_health` discarded it."""
+        self._watchers.append(watcher)
+
+    def _changed(
+        self, source: object, key: Optional[FlowKey] = None
+    ) -> None:
         self._epoch += 1
+        for watcher in self._watchers:
+            watcher(source, key)
 
     # ------------------------------------------------------------------
     # Task / endpoint registration
@@ -318,7 +329,7 @@ class OverlayNetwork:
         table = self._ovs.get(host)
         if table is None:
             table = self._ovs[host] = FlowTable(name=ovs_name(host))
-            table.on_mutate = self._bump_epoch
+            table.on_mutate = self._changed
         return table
 
     def _offload_table(self, rnic: RnicId) -> RnicOffloadTable:
@@ -329,7 +340,7 @@ class OverlayNetwork:
                 name=f"offload:{device}", component=vtep_name(rnic),
                 device=device,
             )
-            table.on_mutate = self._bump_epoch
+            table.on_mutate = self._changed
         return table
 
     def ovs_table(self, host: HostId) -> FlowTable:
@@ -373,7 +384,7 @@ class OverlayNetwork:
         health = self._health.get(component)
         if health is None:
             health = self._health[component] = ComponentHealth(
-                _on_change=self._bump_epoch
+                _on_change=self._changed
             )
         return health
 
@@ -381,8 +392,7 @@ class OverlayNetwork:
         """Reset a component to healthy."""
         dropped = self._health.pop(component, None)
         if dropped is not None:
-            dropped.version += 1  # for the resolutions still holding it
-            self._bump_epoch()
+            self._changed(dropped)  # for the resolutions holding it
 
     # ------------------------------------------------------------------
     # Forwarding

@@ -45,6 +45,7 @@ distributed latencies).
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -134,6 +135,9 @@ class ColumnarDetectionEngine:
         #: canonical pairs, rows, distinct)``, is good for one layout.
         self._layout = 0
         self._located: Optional[tuple] = None
+        #: Each pair as given -> its canonical pair: a pure function of
+        #: the pair, so it is computed once however the batches rotate.
+        self._canonical: Dict[object, ProbePair] = {}
 
         # Open-window columns: window start (NaN before the first
         # probe), counters, and the window's delivered latencies.
@@ -262,17 +266,21 @@ class ColumnarDetectionEngine:
         each pair's row (-1 while unmonitored) and whether no pair
         repeats.  Kept for the next batch over the same sequence, which
         then costs one list comparison instead of a canonical sort and a
-        hash per probe."""
+        hash per probe.  A pair is canonicalized the first time any
+        batch holds it."""
         located = self._located
         if (
             located is not None and located[0] == self._layout
             and located[1] == pairs
         ):
             return located[2:]
-        canonical = [
-            ProbePair.canonical(*endpoints_of(pair)) for pair in pairs
-        ]
-        rows = [self._rows.get(pair, -1) for pair in canonical]
+        memo = self._canonical
+        canonical = list(map(memo.get, pairs))
+        for i in [i for i, pair in enumerate(canonical) if pair is None]:
+            canonical[i] = memo[pairs[i]] = ProbePair.canonical(
+                *endpoints_of(pairs[i])
+            )
+        rows = list(map(self._rows.get, canonical, repeat(-1)))
         distinct = len({
             pair if row < 0 else row
             for pair, row in zip(canonical, rows)

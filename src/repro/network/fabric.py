@@ -22,10 +22,11 @@ simulator's per-probe cost has to follow suit):
 * a :class:`FlowResolutionCache` memoizes the *deterministic* half of a
   probe — the overlay trace, the ECMP path pick, the faults that could
   touch the resolution, and the overlay component-health effects —
-  valid while what it read is unchanged: its own match key in the flow
+  valid while what it read is unchanged — its own match key in the flow
   tables its walk consulted (a neighbour's first-use install on the
   same host stales nothing), the health of the components along its
-  chain, the ECMP mode, and no fault that meets it came or went;
+  chain, the ECMP mode, and no fault that meets it came or went — and
+  told when it changes, so a warm lookup re-reads none of it;
 * :meth:`DataPlaneFabric.send_probe_batch` answers a whole probing
   round as one :class:`~repro.network.packet.ProbeBatch` — columns, not
   one :class:`~repro.network.packet.ProbeResult` per probe.  Every
@@ -34,9 +35,9 @@ simulator's per-probe cost has to follow suit):
   seed), so a probe's row is the same in any batch, in any order, and
   :meth:`DataPlaneFabric.send_probe` is a batch of one.  The batch
   first resolves (:meth:`FlowResolutionCache.resolve_all`), then
-  decides every fate from the uniforms: a round whose pair sequence and
-  whole-overlay stamp are the ones the last round resolved under is all
-  hits by construction and costs no per-probe lookup; anything else
+  decides every fate from the uniforms: a round whose pair sequence is
+  the one the last round resolved, with no row marked stale since, is
+  all hits by construction and costs no per-probe lookup; anything else
   resolves probe by probe, in order, as ever.
 """
 
@@ -121,14 +122,16 @@ class _Resolution:
     #: components along the chain.
     reads: Tuple[Tuple[FlowTable, FlowKey], ...] = ()
     healths: Tuple[ComponentHealth, ...] = ()
-    #: Validity, set by :meth:`FlowResolutionCache.resolve`: the
-    #: whole-overlay stamp this entry was last found valid under; and
-    #: the :meth:`~FlowResolutionCache._read_stamp` of a reached entry.
-    #: ``None``: valid under ``seen`` alone — an unreached entry, or a
-    #: reached one marked stale by a fault that meets it (the fault
-    #: moved the whole-overlay stamp, so ``seen`` is already behind).
+    #: Validity, kept by :class:`FlowResolutionCache`: the pair it is
+    #: cached under; the miss cause a change to what a reached entry
+    #: read marked it with (``None``: valid); the whole-overlay stamp an
+    #: unreached entry is valid under; and the number of the last batch
+    #: vector it answered a row of (a number, so no entry keeps an old
+    #: vector alive).
+    pair: Optional[Tuple[EndpointId, EndpointId]] = None
+    stale: Optional[str] = None
     seen: int = 0
-    stamp: Optional[Tuple[int, int]] = None
+    batch: int = 0
 
 
 @dataclass
@@ -136,19 +139,15 @@ class _RoundVector:
     """One batch's pair sequence with what it resolved to, row by row.
 
     Every batch is answered from one of these; the cache keeps the last,
-    so the same sequence probed again while nothing anywhere changed
-    (``seen`` is still the whole-overlay stamp) needs no per-probe
-    lookup.  Routes are ragged: row *i*'s candidates are
+    so the same sequence probed again while no row has been marked stale
+    (and, if a row is unreached, nothing anywhere changed) needs no
+    per-probe lookup.  Routes are ragged: row *i*'s candidates are
     ``flat_hops[offsets[i]:offsets[i] + nroutes[i]]``.
     """
 
     pairs: List[object]
     endpoints: List[Tuple[EndpointId, EndpointId]]
     resolutions: List[_Resolution]
-    #: The whole-overlay stamp every row was found valid under; ``None``
-    #: when the stamp moved while the rows were being resolved (a walk
-    #: installed a rule) or nothing is cached.
-    seen: Optional[int]
     nroutes: np.ndarray
     offsets: np.ndarray
     flat_hops: np.ndarray
@@ -158,6 +157,11 @@ class _RoundVector:
     #: with a fault on a candidate route, or with unhealthy overlay
     #: components.  Only these evaluate :class:`Effects`.
     special: List[int]
+    #: Whether a row has been marked stale since it was resolved; and
+    #: the whole-overlay stamp the unreached rows are valid under
+    #: (``None``: every row is reached).
+    marked: bool = False
+    seen: Optional[int] = None
     #: Built by the first bulk answer: each flow rule the rows' walks
     #: traversed with its crossing count, and the keyed-draw key column.
     rule_hits: Optional[List[Tuple[object, int]]] = None
@@ -168,7 +172,6 @@ def _round_vector(
     pairs: List[object],
     endpoints: List[Tuple[EndpointId, EndpointId]],
     resolutions: List[_Resolution],
-    seen: Optional[int],
 ) -> _RoundVector:
     nroutes = np.fromiter(
         (len(res.routes) for res in resolutions), np.int64, len(pairs)
@@ -176,7 +179,7 @@ def _round_vector(
     routes = [route for res in resolutions for route in res.routes]
     return _RoundVector(
         pairs=pairs, endpoints=endpoints,
-        resolutions=resolutions, seen=seen, nroutes=nroutes,
+        resolutions=resolutions, nroutes=nroutes,
         offsets=np.cumsum(nroutes) - nroutes,
         flat_hops=np.fromiter(
             (route.hops for route in routes), np.int64, len(routes)
@@ -197,37 +200,40 @@ def _round_vector(
 class FlowResolutionCache:
     """Memoizes per-(src, dst) probe resolutions.
 
-    A resolution is valid while what it read is unchanged.  For a
-    *reached* resolution that is: (1) :meth:`FlowTable.version_of` its
-    own match keys — the forward :attr:`OverlayTrace.key` in every
+    A resolution is valid while what it read is unchanged, and it is
+    *told* when that changes.  What a *reached* resolution read: (1)
+    its own match keys — the forward :attr:`OverlayTrace.key` in every
     table of :attr:`OverlayTrace.tables` (the OVS table of each visited
-    host, the offload table of each traversed RNIC) and the reverse
-    key its echo reply installs in the destination host's OVS and
-    offload tables; a flow table is an exact-match dict, so another
-    flow's first-use install on the same host changes none of them,
-    while container attach and detach, which touch the whole table,
-    change all; (2) the :attr:`ComponentHealth.version` of every
-    component along its chain; (3) the ECMP mode (one coarse routing
-    epoch: a switch changes what every resolution *is*); and (4) no
-    fault that :meth:`Fault.meets` it was injected or cleared — the
-    cache observes the injector and marks exactly those entries stale.
-    So a fault landing costs the pairs it touches, and Figure-18-style
-    faults (a table mutating under a warm cache) still surface on the
-    next probe.  An *unreached* resolution (table miss, loop, unknown
-    encap target, unattached endpoint) is valid under the whole-overlay
-    stamp alone: what would make it reachable is in no table its walk
-    consulted.
+    host, the offload table of each traversed RNIC) and the reverse key
+    its echo reply installs in the destination host's OVS and offload
+    tables — and each of those tables as a whole; a flow table is an
+    exact-match dict, so another flow's first-use install on the same
+    host changes none of them, while container attach and detach, which
+    touch the whole table, change all; (2) the :class:`ComponentHealth`
+    of every component along its chain.  The overlay reports each change
+    by what it changed (:meth:`OverlayNetwork.add_watcher`).  After its
+    walk an entry registers on each table and ``(table, key)`` it read,
+    and a table change marks exactly the entries registered on it
+    stale, consuming those registrations; a health flip marks the
+    entries holding that health object.  (3) An ECMP-mode switch marks
+    every entry (it changes what every resolution *is*), and (4) a
+    fault injected or cleared marks the entries it :meth:`Fault.meets`
+    — the cache observes the injector.  So a fault landing costs the
+    pairs it
+    touches, Figure-18-style faults (a table mutating under a warm
+    cache) still surface on the next probe, and a warm lookup is a dict
+    lookup and a flag test however much churns elsewhere.  An
+    *unreached* resolution (table miss, loop, unknown encap target,
+    unattached endpoint) registers nothing: what would make it
+    reachable is in no table its walk consulted, so it is valid under
+    the whole-overlay stamp alone (:attr:`OverlayNetwork.epoch`,
+    :attr:`FaultInjector.epoch` and the routing epoch).
 
-    A lookup first compares the whole-overlay stamp the entry was last
-    found valid under (:attr:`OverlayNetwork.epoch`,
-    :attr:`FaultInjector.epoch` and the routing epoch) — while nothing
-    anywhere has changed it is the only check, one int compare — and
-    only after a change re-validates a reached entry against what it
-    read.  Every recompute is counted by cause on :attr:`metrics`:
+    Every recompute is counted by cause on :attr:`metrics`:
     ``cache.miss.cold`` (no entry yet), ``.table_changed`` (a key or
     table the walk read) or ``.epoch_changed`` (component health, ECMP
     mode, a fault that meets the entry, or anything at all for an
-    unreached one).
+    unreached one) — ``epoch_changed`` when both kinds of mark landed.
     """
 
     def __init__(
@@ -251,9 +257,24 @@ class FlowResolutionCache:
         self._entries: Dict[
             Tuple[EndpointId, EndpointId], _Resolution
         ] = {}
-        #: What the last batch resolved to (:meth:`resolve_all`).
+        #: What the last batch resolved to (:meth:`resolve_all`), and
+        #: how many batch vectors have been built.
         self._vector: Optional[_RoundVector] = None
+        self._batches = 0
+        #: What each reached entry read -> the entries registered on
+        #: it (one entry bare, several as a list: most keys are read by
+        #: one pair, and a list per key is an object the collector
+        #: walks): a ``(table, key)`` or a whole table.  A replaced
+        #: entry's registrations linger until a mark consumes them or a
+        #: sweep drops them.
+        self._watch: Dict[object, object] = {}
+        #: Registrations in the index, and how many of them replaced
+        #: entries held when they were replaced (an upper bound on the
+        #: leftovers: marks consume some).
+        self._indexed = 0
+        self._replaced = 0
         injector.add_observer(self._on_fault)
+        cluster.overlay.add_watcher(self._on_change)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -263,14 +284,16 @@ class FlowResolutionCache:
 
         Toggling spraying changes what a resolution *is* (pinned pick
         vs. path distribution), so the routing epoch bumps and all
-        entries cached under the previous mode go stale — a per-flow
-        pick cached under static ECMP is never replayed as a sprayed
-        probe, and vice versa.
+        entries cached under the previous mode are marked stale — a
+        per-flow pick cached under static ECMP is never replayed as a
+        sprayed probe, and vice versa.
         """
         if mode == self.ecmp_mode:
             return
         self.ecmp_mode = mode
         self._routing_epoch += 1
+        for entry in self._entries.values():
+            self._mark(entry, "epoch_changed")
 
     @property
     def routing_epoch(self) -> int:
@@ -291,34 +314,101 @@ class FlowResolutionCache:
             + self._routing_epoch
         )
 
-    def _read_stamp(self, resolution: _Resolution) -> Tuple[int, int]:
-        """What a reached resolution is valid under: the versions of
-        the keys and tables it read, and of the component healths plus
-        the routing epoch — two sums of terms that only ever grow, so
-        each is unchanged exactly when every term is."""
-        tables = 0
-        for table, key in resolution.reads:
-            tables += table.version_of(key)
-        epochs = self._routing_epoch
-        for health in resolution.healths:
-            epochs += health.version
-        return tables, epochs
+    def _live(self, entry: _Resolution) -> bool:
+        """Whether ``entry`` is still its pair's cached entry."""
+        return self._entries.get(entry.pair) is entry
+
+    def _mark(self, entry: _Resolution, cause: str) -> None:
+        """Mark ``entry`` stale with ``cause`` if it is still live — a
+        replaced entry's leftover registration marks nothing.
+        ``epoch_changed`` outranks ``table_changed``."""
+        if not self._live(entry):
+            return
+        if entry.stale is None or cause == "epoch_changed":
+            entry.stale = cause
+        if entry.batch == self._batches and self._vector is not None:
+            self._vector.marked = True
+
+    def _on_change(self, source: object, key: Optional[FlowKey]) -> None:
+        """The overlay changed ``source`` (a table, at ``key`` or as a
+        whole, or a health object): mark the entries that read it.
+        Health flags change only when a fault lands or clears, so a
+        flip scans the entries, as a fault does; tables churn with every
+        placement, so the entries that read one are indexed."""
+        if isinstance(source, ComponentHealth):
+            for entry in self._entries.values():
+                if source in entry.healths:
+                    self._mark(entry, "epoch_changed")
+            return
+        registered = self._watch.pop(
+            source if key is None else (source, key), None
+        )
+        if registered is None:
+            return
+        if type(registered) is not list:
+            registered = [registered]
+        self._indexed -= len(registered)
+        for entry in registered:
+            self._mark(entry, "table_changed")
 
     def _on_fault(self, action: str, fault: Fault, at: float) -> None:
         """A fault came or went: mark stale the reached entries it
-        meets (their relevant-fault tuples change); every other entry
-        keeps its stamp."""
+        meets (their relevant-fault tuples change)."""
         for entry in self._entries.values():
-            if entry.stamp is not None and fault.meets(
-                (route.path for route in entry.routes),
-                entry.trace.src_rnic, entry.trace.dst_rnic,
+            if entry.reached and entry.stale != "epoch_changed" and (
+                fault.meets(
+                    (route.path for route in entry.routes),
+                    entry.trace.src_rnic, entry.trace.dst_rnic,
+                )
             ):
-                entry.stamp = None
+                self._mark(entry, "epoch_changed")
+
+    @staticmethod
+    def _sources(entry: _Resolution) -> List[object]:
+        """What a reached entry registers on: each ``(table, key)`` it
+        read, and each of those tables."""
+        return [
+            *entry.reads, *dict.fromkeys(table for table, _ in entry.reads)
+        ]
+
+    def _register(self, entry: _Resolution) -> None:
+        """Index a fresh reached entry under everything it read."""
+        watch = self._watch
+        sources = self._sources(entry)
+        for source in sources:
+            held = watch.get(source)
+            if held is None:
+                watch[source] = entry
+            elif type(held) is list:
+                held.append(entry)
+            else:
+                watch[source] = [held, entry]
+        self._indexed += len(sources)
+        if self._replaced > self._indexed // 2:
+            self._sweep()
+
+    def _sweep(self) -> None:
+        """Drop the registrations of replaced entries once they may be
+        half the index, so it stays within twice what the live entries
+        read (each sweep is paid for by the replacements before it)."""
+        self._indexed = 0
+        for source, registered in list(self._watch.items()):
+            if type(registered) is not list:
+                registered = [registered]
+            live = [entry for entry in registered if self._live(entry)]
+            if live:
+                self._watch[source] = live if len(live) > 1 else live[0]
+                self._indexed += len(live)
+            else:
+                del self._watch[source]
+        self._replaced = 0
 
     def invalidate(self) -> None:
-        """Drop every cached resolution (stamps make this optional)."""
+        """Drop every cached resolution (marks make this optional)."""
         self._entries.clear()
         self._vector = None
+        self._watch.clear()
+        self._indexed = self._replaced = 0
 
     def resolve(self, src: EndpointId, dst: EndpointId) -> _Resolution:
         """The resolution for one probe, cached when possible.
@@ -332,52 +422,52 @@ class FlowResolutionCache:
         if cached is None:
             cause = "cold"
         else:
-            whole = self._whole_stamp()
-            cause = "epoch_changed"
-            if cached.seen != whole and cached.stamp is not None:
-                now = self._read_stamp(cached)
-                if now == cached.stamp:
-                    cached.seen = whole  # changes elsewhere: still valid
-                elif now[1] == cached.stamp[1]:
-                    cause = "table_changed"
-            if cached.seen == whole:
-                self.hits += 1
-                for rule in cached.trace.rules:
-                    rule.hit()
-                return cached
+            cause = cached.stale
+            if cause is None:
+                if cached.reached or cached.seen == self._whole_stamp():
+                    self.hits += 1
+                    for rule in cached.trace.rules:
+                        rule.hit()
+                    return cached
+                cause = "epoch_changed"
         self.misses += 1
         self.metrics.increment(f"cache.miss.{cause}")
         resolution = self._compute(src, dst)
         if self.enabled:
-            # Stamped *after* the walk's side effects: it may have
+            if cached is not None and cached.reached:
+                self._replaced += len(self._sources(cached))
+            # Registered *after* the walk's side effects: it may have
             # installed flow rules (mutating tables it consulted), and
             # the entry must be valid from this state onward.
-            resolution.seen = self._whole_stamp()
-            if resolution.reached:
-                resolution.stamp = self._read_stamp(resolution)
+            resolution.pair = key
             self._entries[key] = resolution
+            if resolution.reached:
+                self._register(resolution)
+            else:
+                resolution.seen = self._whole_stamp()
         return resolution
 
     def resolve_all(self, pairs: List[object]) -> _RoundVector:
         """The resolutions of a whole batch, as :meth:`resolve` would
         give them one pair after another in input order.
 
-        When ``pairs`` is the sequence the last batch resolved and the
-        whole-overlay stamp is the one every row of that batch was found
-        valid under, every lookup would be a hit and a hit has no side
-        effect but ``rule.hit()`` — so the stamp cannot move inside the
-        batch either, and the rows are answered together: ``hits``
-        advances by the batch, each traversed rule's packet counter by
-        its crossings.  Otherwise (cold, something changed, another
-        sequence) the rows resolve one by one, in order, so a walk's
-        flow installs and a table mutation land where they would
-        sequentially.
+        When ``pairs`` is the sequence the last batch resolved and no
+        row of that batch has been marked stale since (nor, for an
+        unreached row, has anything anywhere changed), every lookup
+        would be a hit and a hit has no side effect but ``rule.hit()``
+        — so no row can go stale inside the batch either, and the rows
+        are answered together: ``hits`` advances by the batch, each
+        traversed rule's packet counter by its crossings.  Otherwise
+        (cold, a row marked, another sequence) the rows resolve one by
+        one, in order, so a walk's flow installs and a table mutation
+        land where they would sequentially; a row marked while its own
+        batch still resolves keeps the next one off the bulk path.
         """
         last = self._vector
         repeat = last is not None and last.pairs == pairs
         if (
-            repeat and self.enabled
-            and last.seen == self._whole_stamp()
+            repeat and self.enabled and not last.marked
+            and last.seen in (None, self._whole_stamp())
         ):
             self.hits += len(pairs)
             if last.rule_hits is None:
@@ -394,12 +484,17 @@ class FlowResolutionCache:
         ]
         before = self._whole_stamp()
         resolutions = [self.resolve(src, dst) for src, dst in endpoints]
-        settled = self.enabled and before == self._whole_stamp()
-        self._vector = _round_vector(
-            list(pairs), endpoints, resolutions,
-            before if settled else None,
+        vector = _round_vector(list(pairs), endpoints, resolutions)
+        self._batches += 1
+        for res in resolutions:
+            res.batch = self._batches
+        if not all(res.reached for res in resolutions):
+            vector.seen = before  # moved during the batch: never again
+        vector.marked = not self.enabled or any(
+            res.stale is not None for res in resolutions
         )
-        return self._vector
+        self._vector = vector
+        return vector
 
     def _compute(self, src: EndpointId, dst: EndpointId) -> _Resolution:
         overlay = self._cluster.overlay

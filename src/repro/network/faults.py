@@ -257,14 +257,12 @@ class FaultInjector:
     def epoch(self) -> int:
         """Monotone counter of fault registrations and clears.
 
-        A term of the fabric's whole-overlay stamp — unchanged means no
-        fault came or went anywhere, the O(1) test a lookup makes first
-        — and of an *unreached* resolution's validity.  A reached
-        resolution does not read it: an inject or clear marks stale
-        exactly the cached resolutions the fault :meth:`Fault.meets`
-        (observers are told), and the overlay/table side effects it
-        applies or reverts carry their own per-key and per-component
-        versions.
+        A term of the fabric's whole-overlay stamp, which an
+        *unreached* resolution is valid under.  A reached resolution
+        does not read it: an inject or clear marks stale exactly the
+        cached resolutions the fault :meth:`Fault.meets` (observers are
+        told), and the overlay/table side effects it applies or reverts
+        are reported by the overlay like any other change.
         """
         return self._epoch
 

@@ -10,7 +10,7 @@ oracle: re-walking too much is slow, not wrong).
 
 import pytest
 
-from repro.cluster.overlay import vtep_name
+from repro.cluster.overlay import ovs_name, veth_name, vtep_name
 from repro.cluster.topology import UnderlayPath
 from repro.network.fabric import DataPlaneFabric
 from repro.network.faults import FaultInjector
@@ -236,3 +236,188 @@ def test_a_cold_resolution_builds_only_the_routes_it_holds(
     assert len(built) == (
         1 if ecmp_mode == "static" else topology.num_spines
     ) > 0
+
+
+class TwoTenants:
+    """A warm 3 x 4-GPU tenant and a 2 x 4-GPU neighbour on hosts of
+    its own, sharing one fabric."""
+
+    def __init__(self, cluster, orchestrator, engine, rng):
+        self.warm, self.other = (
+            orchestrator.submit_task(n, 4, instant_startup=True)
+            for n in (3, 2)
+        )
+        engine.run_until(engine.now)
+        self.orchestrator = orchestrator
+        self.fabric = DataPlaneFabric(cluster, FaultInjector(cluster), rng)
+        self.cache = self.fabric.resolution_cache
+        self.pairs, self.other_pairs = (
+            [
+                (a, b)
+                for src in task.all_containers()
+                for dst in task.all_containers() if src is not dst
+                for a in src.endpoints() for b in dst.endpoints()
+            ]
+            for task in (self.warm, self.other)
+        )
+        hosts = {c.host for c in self.warm.all_containers()}
+        assert not hosts & {c.host for c in self.other.all_containers()}
+        self.now = 0.0
+
+    def send(self, pairs):
+        self.now += 1.0
+        return self.fabric.send_probe_batch(pairs, self.now)
+
+    def counting(self, monkeypatch, name):
+        calls = []
+        method = getattr(self.cache, name)
+
+        def counted(*args):
+            calls.append(args)
+            return method(*args)
+
+        monkeypatch.setattr(self.cache, name, counted)
+        return calls
+
+
+@pytest.fixture
+def two_tenants(cluster, orchestrator, engine, rng):
+    return TwoTenants(cluster, orchestrator, engine, rng)
+
+
+def test_another_tenants_migration_keeps_a_warm_batch_in_bulk(
+    two_tenants, monkeypatch
+):
+    # The migration touches the neighbour's old and new hosts' tables,
+    # which no warm row read: it marks the neighbour's entries and none
+    # the batch holds, so the repeated batch is answered without a
+    # per-pair lookup.
+    world = two_tenants
+    world.send(world.other_pairs)
+    world.send(world.pairs)
+    resolved = world.counting(monkeypatch, "resolve")
+    world.send(world.pairs)
+    assert resolved == []
+
+    moved = world.other.container(0)
+    was = moved.host
+    assert world.orchestrator.migrate_container(moved) != was
+    hits, misses = world.cache.hits, world.cache.misses
+    assert all(result.ok for result in world.send(world.pairs))
+    assert resolved == []
+    assert (world.cache.hits, world.cache.misses) == (
+        hits + len(world.pairs), misses
+    )
+    world.send(world.other_pairs)
+    assert world.cache.misses > misses  # the neighbour's were marked
+
+
+def test_a_rotating_selection_after_an_unrelated_change_is_all_hits(
+    two_tenants, monkeypatch
+):
+    # Another sequence than the last batch's resolves pair by pair;
+    # after the neighbour churned, each lookup is still a hit — a dict
+    # lookup and a flag test, no walk.
+    world = two_tenants
+    world.send(world.pairs)
+    world.orchestrator.migrate_container(world.other.container(1))
+    world.orchestrator.terminate_task(world.other.id)
+    computed = world.counting(monkeypatch, "_compute")
+    hits = world.cache.hits
+    for start in (5, 17, 40):
+        window = world.pairs[start:] + world.pairs[:start // 2]
+        world.send(window)
+        assert computed == []
+        assert world.cache.hits == hits + len(window)
+        hits = world.cache.hits
+
+
+def test_the_registration_index_does_not_outgrow_the_cache(
+    cluster, orchestrator, engine, rng
+):
+    # Each migration marks the entries through the mover's hosts; their
+    # replacements register afresh, and what the replaced ones left on
+    # keys no mark consumed must be dropped, not kept for ever.
+    tenants = [
+        orchestrator.submit_task(3, 2, instant_startup=True)
+        for _ in range(2)
+    ]
+    engine.run_until(engine.now)
+    fabric = DataPlaneFabric(cluster, FaultInjector(cluster), rng)
+    cache = fabric.resolution_cache
+    pairs = [
+        (a, b)
+        for task in tenants
+        for src in task.all_containers()
+        for dst in task.all_containers() if src is not dst
+        for a in src.endpoints() for b in dst.endpoints()
+    ]
+    mover = tenants[1].container(0)
+    home = mover.host
+    hosts = sorted(cluster.hosts)
+    growth = []
+    for cycle in range(200):
+        away = orchestrator.migrate_container(mover)
+        fabric.send_probe_batch(pairs, 2.0 * cycle)
+        assert orchestrator.migrate_container(
+            mover, exclude_hosts=[h for h in hosts if h != home]
+        ) == home != away
+        fabric.send_probe_batch(pairs, 2.0 * cycle + 1.0)
+        growth.append(sum(
+            len(held) if isinstance(held, list) else 1
+            for held in cache._watch.values()
+        ))
+    assert len(cache) == len(pairs)
+    assert cache.misses > 200 * len(pairs) // 8  # the cycles re-walk
+    assert max(growth) <= 40 * len(cache)
+
+
+def test_a_health_flip_on_a_table_marked_entry_counts_as_epoch_changed(
+    rounds
+):
+    # The table mark leaves the entry its pair's live entry until its
+    # next lookup; a health flip in between makes that miss
+    # `epoch_changed`.
+    pair = rounds.pairs[0]
+    overlay, cache = rounds.overlay, rounds.fabric.resolution_cache
+    reverse_table = overlay.ovs_table(overlay.record_of(pair.dst).host)
+    assert reverse_table.remove(overlay.record_of(pair.src).key)
+    overlay.health(veth_name(pair.src)).extra_latency_us = 0.0
+    epoch, table = rounds.cause("epoch_changed"), rounds.cause("table_changed")
+    cache.resolve(pair.src, pair.dst)
+    assert rounds.cause("epoch_changed") == epoch + 1
+    assert rounds.cause("table_changed") == table
+
+
+def test_a_fault_on_a_table_marked_entry_counts_as_epoch_changed(rounds):
+    # Both kinds of mark before the next lookup: the miss is counted
+    # once, as `epoch_changed`, whichever landed first.
+    pair = rounds.pairs[0]
+    overlay, cache = rounds.overlay, rounds.fabric.resolution_cache
+    reverse_table = overlay.ovs_table(overlay.record_of(pair.dst).host)
+    assert reverse_table.remove(overlay.record_of(pair.src).key)
+    rounds.scenario.inject(IssueType.RNIC_PORT_DOWN, rounds.rnics(pair)[0])
+    epoch, table = rounds.cause("epoch_changed"), rounds.cause("table_changed")
+    cache.resolve(pair.src, pair.dst)
+    assert rounds.cause("epoch_changed") == epoch + 1
+    assert rounds.cause("table_changed") == table
+
+
+def test_what_a_replaced_entry_read_marks_nothing(two_tenants):
+    # A pair whose destination migrated is re-walked through the new
+    # host; its old entry's registrations on the old host linger until
+    # a sweep, and a change there must not mark the new entry: here,
+    # the reply rule the moved container left behind goes.
+    world = two_tenants
+    moved = world.warm.container(1)
+    old_host = moved.host
+    world.send(world.pairs)
+    world.orchestrator.migrate_container(moved)
+    world.send(world.pairs)
+    overlay = world.fabric.cluster.overlay
+    left_behind = overlay.record_of(world.warm.container(0).endpoint(0))
+    assert overlay.ovs_table(old_host).remove(left_behind.key)
+    overlay.health(ovs_name(old_host)).extra_latency_us = 0.0
+    misses = world.cache.misses
+    world.send(world.pairs)
+    assert world.cache.misses == misses

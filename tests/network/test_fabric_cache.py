@@ -9,7 +9,7 @@ failure mode — and only those: another host's churn must not.
 
 import pytest
 
-from repro.cluster.flowtable import FlowKey
+from repro.cluster.flowtable import FlowKey, FlowTable
 from repro.cluster.overlay import ovs_name, veth_name
 from repro.network.fabric import DataPlaneFabric
 from repro.network.faults import FaultInjector
@@ -188,7 +188,7 @@ class TestEpochInvalidation:
     def test_clearing_a_walked_table_invalidates(
         self, fabric, endpoints, cluster
     ):
-        # clear() drops every rule in one generation step, whatever
+        # clear() drops every rule in one whole-table change, whatever
         # their keys: the warm pair's offloaded rule is gone with them.
         self._warm(fabric, endpoints)
         src, _ = endpoints
@@ -237,26 +237,25 @@ class TestEpochInvalidation:
 
     def test_detach_always_bumps_epoch(self, cluster, running_task, fabric):
         # Unconditionally — also for a container no probe ever touched:
-        # the whole-overlay epoch (unreached resolutions) and the
-        # generations of the host's and RNICs' tables (reached ones).
+        # the whole-overlay epoch (unreached resolutions) and a
+        # whole-table change of the host's and RNICs' tables (reached
+        # ones).
         container = running_task.container(2)
         overlay = cluster.overlay
         tables = [overlay.ovs_table(container.host)] + [
             overlay.offload_table(container.vf_of(endpoint).rnic)
             for endpoint in container.endpoints()
         ]
-        before = overlay.epoch, [table.generation for table in tables]
+        touched = _whole_table_changes(overlay)
+        before = overlay.epoch
         overlay.detach_container(container)
-        assert overlay.epoch > before[0]
-        assert all(
-            table.generation > was for table, was in zip(tables, before[1])
-        )
-        again = overlay.epoch, [table.generation for table in tables]
+        assert overlay.epoch > before
+        assert all(table in touched for table in tables)
+        touched.clear()
+        again = overlay.epoch
         overlay.detach_container(container)  # nothing left to remove
-        assert overlay.epoch > again[0]
-        assert all(
-            table.generation > was for table, was in zip(tables, again[1])
-        )
+        assert overlay.epoch > again
+        assert all(table in touched for table in tables)
 
     def test_attach_bumps_epoch(
         self, cluster, orchestrator, engine, fabric
@@ -267,13 +266,23 @@ class TestEpochInvalidation:
         assert cluster.overlay.epoch > before
         container = task.container(0)
         table = cluster.overlay.ovs_table(container.host)
-        generation = table.generation
+        touched = _whole_table_changes(cluster.overlay)
         # Re-attaching installs nothing new (idempotent rules) and must
         # still invalidate what walked this host.
         cluster.overlay.attach_container(
             container, cluster.underlay_ips_of(container.host)
         )
-        assert table.generation > generation
+        assert table in touched
+
+
+def _whole_table_changes(overlay):
+    """The tables the overlay reports changed as a whole from now on."""
+    touched = []
+    overlay.add_watcher(
+        lambda source, key: touched.append(source)
+        if key is None and isinstance(source, FlowTable) else None
+    )
+    return touched
 
 
 def _pairs_between(task):
@@ -375,11 +384,11 @@ class TestScopedValidity:
         hits = fabric.resolution_cache.hits
         assert fabric.send_probe(src, dst, at=2.0).lost
         assert fabric.resolution_cache.hits == hits + 1
-        generations = [table.generation for table in walked]
+        touched = _whole_table_changes(overlay)
 
         overlay.attach_container(late, cluster.underlay_ips_of(late.host))
 
-        assert [table.generation for table in walked] == generations
+        assert not any(table in touched for table in walked)
         before = self._misses(fabric)
         assert fabric.send_probe(src, dst, at=3.0).ok
         after = self._misses(fabric)

@@ -14,8 +14,14 @@ its destination host, which a resolution installs but never looks up —
 flips and ``clear_health``, inject/clear of faults on RNICs, hosts,
 containers, links (with PFC victim links) and switches, and ECMP-mode
 switches — two tenants share hosts, so one tenant's churn runs under
-the other's warm entries.
+the other's warm entries.  So does a third, never-probed tenant's
+first-use install on those hosts, and a container re-attaching (which
+touches its host's and RNICs' tables) *between two rows of one batch*,
+under spraying ECMP with a gray fault active — the mark lands on rows
+the batch already resolved.
 """
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -54,11 +60,12 @@ _FLAGS = (
 
 
 class World:
-    """Two 3-container x 2-GPU tenants packed onto shared 4-GPU hosts."""
+    """Two 3-container x 2-GPU tenants and a never-probed 2-container
+    neighbour, packed onto shared 6-GPU hosts."""
 
     def __init__(self, cache_enabled: bool) -> None:
         topology = RailOptimizedTopology(
-            num_segments=2, hosts_per_segment=3, rails_per_host=4,
+            num_segments=2, hosts_per_segment=3, rails_per_host=6,
             num_spines=2,
         )
         self.cluster = Cluster(topology)
@@ -72,7 +79,13 @@ class World:
                 3, 2, instant_startup=True
             )
             self.containers.extend(task.all_containers())
+        neighbour = self.orchestrator.submit_task(2, 2, instant_startup=True)
         self.engine.run_until(self.engine.now)
+        first, second = neighbour.all_containers()
+        self.neighbour_pairs = [
+            pair for a in first.endpoints() for b in second.endpoints()
+            for pair in ((a, b), (b, a))
+        ]
         self.injector = FaultInjector(self.cluster)
         self.fabric = DataPlaneFabric(
             self.cluster, self.injector, RngRegistry(11),
@@ -101,13 +114,61 @@ class World:
         )
         self.faults = []
         self.now = 0.0
+        self.last_batch = None
 
     # -- operations (selected by index, so both worlds do the same) ----
 
     def probe(self, picks):
+        return self.probe_batch(
+            [self.pairs[i % len(self.pairs)] for i in picks]
+        )
+
+    def again(self):
+        """The last batch once more: the bulk path, unless a row of it
+        was marked stale since."""
+        if self.last_batch is not None:
+            return self.probe_batch(self.last_batch)
+
+    def probe_batch(self, batch):
         self.now += 1.0
-        batch = [self.pairs[i % len(self.pairs)] for i in picks]
+        self.last_batch = batch
         return self.fabric.send_probe_batch(batch, self.now)
+
+    def touch_mid_batch(self, picks, row, container_index, link_index):
+        """Spray, a gray fault on a link, then a batch during which a
+        container re-attaches before row ``row`` resolves."""
+        self.fabric.set_ecmp_mode("spray")
+        self.faults.append(self.injector.inject_issue(
+            GrayIssueType.PFC_STORM,
+            self.links[link_index % len(self.links)], start=self.now,
+        ))
+        batch = [self.pairs[i % len(self.pairs)] for i in picks]
+        if batch == self.last_batch:
+            batch.append(batch[0])  # so no world answers it in bulk
+        container = self.containers[container_index % len(self.containers)]
+        cache = self.fabric.resolution_cache
+        resolve = cache.resolve
+        rows = []
+
+        def resolve_under_churn(src, dst):
+            if len(rows) == row % len(batch) and container.is_running:
+                self.cluster.overlay.detach_container(container)
+                self.cluster.overlay.attach_container(
+                    container, self.cluster.underlay_ips_of(container.host)
+                )
+            rows.append((src, dst))
+            return resolve(src, dst)
+
+        cache.resolve = resolve_under_churn
+        try:
+            return self.probe_batch(batch)
+        finally:
+            cache.resolve = resolve
+
+    def neighbour_install(self, index):
+        """The unprobed tenant's first-use install on shared hosts."""
+        src, dst = self.neighbour_pairs[index % len(self.neighbour_pairs)]
+        self.cluster.overlay.ensure_flow(src, dst)
 
     def migrate(self, index):
         container = self.containers[index % len(self.containers)]
@@ -275,13 +336,115 @@ _operation = st.one_of(
     st.tuples(st.just("inject"), _index, _index),
     st.tuples(st.just("clear"), _index),
     st.tuples(st.just("ecmp"), _index),
+    st.tuples(
+        st.just("touch_mid_batch"), st.lists(_index, min_size=1, max_size=8),
+        _index, _index, _index,
+    ),
+    st.tuples(st.just("neighbour_install"), _index),
+    st.tuples(st.just("again")),
 )
 
 
+class PullValidity:
+    """How the cache decided validity before it was told of changes —
+    the oracle for *when* it misses and why.
+
+    Every reached entry kept a stamp of what it read: the sum of the
+    versions of its ``(table, key)`` reads (a table's whole-table
+    changes plus that key's changes) and the sum of its health objects'
+    versions plus the routing epoch; every entry kept the whole-overlay
+    stamp it was last found valid under, and a fault that met a reached
+    entry dropped its stamp.  A lookup re-read the stamp only when the
+    whole-overlay stamp had moved.  This class keeps those versions from
+    the overlay's change reports and predicts each lookup; the cache's
+    hit, miss and ``cache.miss.<cause>`` counts must follow it exactly,
+    bulk answers included (where every row must be a predicted hit).
+    """
+
+    def __init__(self, world: World) -> None:
+        self.cache = cache = world.fabric.resolution_cache
+        self.versions = Counter()
+        #: pair -> [entry, seen, stamp] as the cache would have kept it.
+        self.state = {}
+        world.cluster.overlay.add_watcher(self._changed)
+        world.injector.add_observer(self._fault)
+        self._resolve, self._resolve_all = cache.resolve, cache.resolve_all
+        cache.resolve, cache.resolve_all = self.resolve, self.resolve_all
+        self.calls = 0
+
+    def _changed(self, source, key):
+        self.versions[source if key is None else (source, key)] += 1
+
+    def _fault(self, action, fault, at):
+        for held in self.state.values():
+            entry = held[0]
+            if held[2] is not None and fault.meets(
+                (route.path for route in entry.routes),
+                entry.trace.src_rnic, entry.trace.dst_rnic,
+            ):
+                held[2] = None
+
+    def _stamp(self, entry):
+        tables = sum(
+            self.versions[table] + self.versions[(table, key)]
+            for table, key in entry.reads
+        )
+        epochs = self.cache.routing_epoch + sum(
+            self.versions[health] for health in entry.healths
+        )
+        return tables, epochs
+
+    def predict(self, pair):
+        entry = self.cache._entries.get(pair)
+        if entry is None:
+            return "cold"
+        held = self.state[pair]
+        assert held[0] is entry
+        whole = self.cache._whole_stamp()
+        cause = "epoch_changed"
+        if held[1] != whole and held[2] is not None:
+            now = self._stamp(entry)
+            if now == held[2]:
+                held[1] = whole
+            elif now[1] == held[2][1]:
+                cause = "table_changed"
+        return "hit" if held[1] == whole else cause
+
+    def counts(self):
+        return self.cache.hits, self.cache.metrics.counters("cache.miss.")
+
+    def resolve(self, src, dst):
+        self.calls += 1
+        want = self.predict((src, dst))
+        hits, causes = self.counts()
+        resolution = self._resolve(src, dst)
+        if want == "hit":
+            assert self.counts() == (hits + 1, causes), (src, dst)
+            return resolution
+        key = f"cache.miss.{want}"
+        assert self.counts() == (hits, {**causes, key: causes.get(key, 0) + 1})
+        self.state[(src, dst)] = [
+            resolution, self.cache._whole_stamp(),
+            self._stamp(resolution) if resolution.reached else None,
+        ]
+        return resolution
+
+    def resolve_all(self, pairs):
+        calls, hits = self.calls, self.cache.hits
+        vector = self._resolve_all(pairs)
+        if self.calls == calls:  # answered in bulk
+            assert self.cache.hits == hits + len(pairs)
+            for src, dst in vector.endpoints:
+                assert self.predict((src, dst)) == "hit", (src, dst)
+        return vector
+
+
 def run_twins(operations):
-    """Apply ``operations`` to both worlds, comparing as it goes;
-    returns the cached world."""
+    """Apply ``operations`` to both worlds, comparing as it goes (the
+    cached world's counts against :class:`PullValidity`); returns the
+    cached world."""
     cached, oracle = World(cache_enabled=True), World(cache_enabled=False)
+    PullValidity(cached)
     for step, (kind, *args) in enumerate(operations):
         got = getattr(cached, kind)(*args)
         want = getattr(oracle, kind)(*args)
@@ -334,6 +497,8 @@ def test_property_is_not_vacuous():
         ("health_flip", 3, 0), ("clear_health", 3),
         ("inject", 0, 4), ("clear", 0), ("inject", 9, 20), ("clear", 0),
         ("detach", 4), ("attach", 4), ("crash", 2), ("ecmp", 1),
+        ("neighbour_install", 3), ("touch_mid_batch", [0, 5, 9], 1, 5, 7),
+        ("again",),
     ]
     # Two rounds after each: the first re-walks what the mutation
     # touched, the second is served.
@@ -349,3 +514,14 @@ def test_property_is_not_vacuous():
         causes.get(f"cache.miss.{cause}", 0) > 0
         for cause in ("cold", "table_changed", "epoch_changed")
     ), causes
+
+
+def test_a_row_marked_mid_batch_keeps_the_repeat_off_the_bulk_path():
+    """Rows resolved before the re-attach are marked while their own
+    batch is still resolving: the same batch again must look each row
+    up (and re-walk the marked ones), not answer from the vector."""
+    everything = ("probe", list(range(48)))
+    run_twins([
+        everything, ("touch_mid_batch", list(range(48)), 30, 0, 3),
+        ("again",), ("again",),
+    ])
