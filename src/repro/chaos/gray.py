@@ -15,8 +15,9 @@ four arms —
 * ``spray_naive`` — spraying again with distribution-aware tomography
   disabled (naive single-sample voting); the gate requires the
   distribution-aware localizer to do at least as well;
-* ``flock`` — the ``spray`` arm's events re-localized by
-  :class:`repro.baselines.FlockLocalizer` and scored by the same
+* ``flock`` — :class:`repro.baselines.FlockLocalizer` localizing,
+  during the ``spray`` arm's leg, exactly the batches the pipeline's
+  localizer received, when it received them, scored by the same
   :class:`~repro.core.evaluation.CampaignScorer`, so the probabilistic
   baseline appears side by side in every report.
 
@@ -38,7 +39,7 @@ from repro.chaos.gate import WARM_S, Gate, build_case, outcome_leg
 from repro.cluster.identifiers import LinkId
 from repro.core.analyzer import LoadConditionedAdmission
 from repro.core.evaluation import CampaignScorer
-from repro.core.localization import healthy_pairs_for
+from repro.core.localization import LocalizationReport
 from repro.network.faults import gray_injection_overrides
 from repro.network.issues import GrayIssueType
 from repro.network.load import LinkLoadModel
@@ -97,14 +98,9 @@ def gray_fault_target(scenario, load_model: LinkLoadModel):
     )
 
 
-def _run_leg(
-    issue: GrayIssueType,
-    seed: int,
-    ecmp_mode: str,
-    distribution_aware: bool = True,
-):
-    """One campaign leg with the full gray pipeline installed; returns
-    the live scenario and the fault's outcome.
+def _case(issue: GrayIssueType, seed: int, ecmp_mode: str):
+    """A gray leg's scenario with the full gray pipeline installed,
+    and its load model.
 
     Two hosts per segment (unlike the chaos gate's four) so monitored
     traffic crosses the spine layer — spraying is only observable on
@@ -120,7 +116,12 @@ def _run_leg(
     scenario.hunter.analyzer.load_filter = LoadConditionedAdmission(
         load_model, scenario.fabric
     )
-    scenario.hunter.localizer.distribution_aware = distribution_aware
+    return scenario, load_model
+
+
+def _run_leg(issue: GrayIssueType, seed: int, scenario, load_model):
+    """Warm up, apply the skeleton and run the fault on the gray
+    target; returns the scenario and the fault's outcome."""
     scenario.run_for(WARM_S)
     scenario.apply_skeleton()
     target = gray_fault_target(scenario, load_model)
@@ -130,34 +131,32 @@ def _run_leg(
     )
 
 
-def _score_flock(scenario, fault):
-    """Re-localize a finished leg's events with the Flock baseline.
+def _tap_flock(scenario) -> List[Tuple[float, LocalizationReport]]:
+    """Have Flock localize every batch the hunter's localizer gets,
+    with the same healthy pairs and time, the moment it gets it.
 
-    Rebuilds the hunter's per-round localization batches (every event
-    open at each report time, with the complementary healthy set) so
-    Flock consumes exactly the evidence the pipeline did, then scores
-    its reports with the same campaign scorer.
-    """
+    Returns the list Flock's ``(now, report)`` pairs land in."""
     flock = FlockLocalizer(scenario.cluster, scenario.fabric)
-    monitored = scenario.hunter.monitored_pairs()
-    reports = []
-    seen = set()
-    for when, _ in scenario.hunter.reports:
-        batch = [
-            event for event in scenario.hunter.events
-            if event.first_detected_at <= when
-        ]
-        fresh = [event for event in batch if event.key not in seen]
-        if not fresh:
-            continue
-        seen.update(event.key for event in fresh)
-        healthy = healthy_pairs_for(batch, monitored)
-        reports.append(
-            (when, flock.localize(batch, healthy, now=when))
-        )
+    localizer = scenario.hunter.localizer
+    localize = localizer.localize
+    reports: List[Tuple[float, LocalizationReport]] = []
+
+    def both(events, healthy_pairs=(), now=0.0):
+        reports.append((now, flock.localize(events, healthy_pairs, now)))
+        return localize(events, healthy_pairs, now)
+
+    localizer.localize = both
+    return reports
+
+
+def _score_flock(
+    scenario, fault, reports: List[Tuple[float, LocalizationReport]]
+):
+    """Score Flock's reports with the scorer the pipeline's face."""
     scorer = CampaignScorer(scenario.cluster, scenario.fabric)
     return scorer.outcome_of(
-        fault, scenario.hunter.events, reports, monitored
+        fault, scenario.hunter.events, reports,
+        scenario.hunter.monitored_pairs(),
     )
 
 
@@ -232,21 +231,26 @@ class GrayGate(Gate):
         )
 
     def _static(self, issue, seed: int, live) -> Dict[str, object]:
-        return self._leg(*_run_leg(issue, seed, "static"))
+        return self._leg(*_run_leg(
+            issue, seed, *_case(issue, seed, "static")
+        ))
 
     def _spray(self, issue, seed: int, live) -> Dict[str, object]:
-        live["spray"] = _run_leg(issue, seed, "spray")
+        scenario, load_model = _case(issue, seed, "spray")
+        live["flock"] = _tap_flock(scenario)
+        live["spray"] = _run_leg(issue, seed, scenario, load_model)
         return self._leg(*live["spray"])
 
     def _spray_naive(self, issue, seed: int, live) -> Dict[str, object]:
-        return self._leg(
-            *_run_leg(issue, seed, "spray", distribution_aware=False)
-        )
+        scenario, load_model = _case(issue, seed, "spray")
+        scenario.hunter.localizer.distribution_aware = False
+        return self._leg(*_run_leg(issue, seed, scenario, load_model))
 
     def _flock(self, issue, seed: int, live) -> Dict[str, object]:
         scenario, outcome = live["spray"]
         return outcome_leg(
-            _score_flock(scenario, outcome.fault), "localized_component"
+            _score_flock(scenario, outcome.fault, live["flock"]),
+            "localized_component",
         )
 
     def cases(self, seed: int) -> List[Tuple[object, int]]:

@@ -43,25 +43,12 @@ __all__ = [
     "Diagnosis",
     "LocalizationReport",
     "Localizer",
-    "healthy_pairs_for",
     "localize_open_events",
 ]
 
 
 def _pair_label(pair: ProbePair) -> str:
     return f"{pair.src}<->{pair.dst}"
-
-
-def healthy_pairs_for(
-    events: Sequence[FailureEvent],
-    all_pairs: Sequence[ProbePair],
-) -> List[ProbePair]:
-    """The exoneration set for a localization batch: every monitored
-    pair not implicated by ``events``.  Shared by the single-process
-    hunter and the shard coordinator so both feed tomography the same
-    healthy evidence for the same failure set."""
-    failing = {event.pair for event in events}
-    return [pair for pair in all_pairs if pair not in failing]
 
 
 def localize_open_events(
@@ -71,19 +58,22 @@ def localize_open_events(
     universe: Callable[[List[FailureEvent]], Sequence[ProbePair]],
     now: float,
 ) -> Tuple[List[FailureEvent], Optional["LocalizationReport"]]:
-    """One round's localization step, run by the live hunter and the
-    bus replayer alike.  Fresh events (keys not in ``localized``) only
-    gate whether to run; the batch is *every* open event: gray faults
-    trickle events in across rounds, a single-pair batch gives
+    """One round's localization step, the only one: the live hunter,
+    the bus replayer, each fleet tenant and the shard coordinator run
+    it after every round.  Fresh events (keys not in ``localized``)
+    only gate whether to run; the batch is *every* open event: gray
+    faults trickle events in across rounds, a single-pair batch gives
     tomography nothing to intersect, and still-open incidents are live
-    evidence that must not count as healthy exoneration mass.
-    ``universe(fresh)``, every monitored pair, is asked for only when
-    something is fresh, before the vote.  Returns ``(fresh, report)``
-    with ``fresh`` marked localized, or ``([], None)``."""
+    evidence, never healthy exoneration mass: the healthy pairs are
+    those of ``universe(fresh)``, every monitored pair, that no open
+    event implicates, asked for only when something is fresh.  Returns
+    ``(fresh, report)`` with ``fresh`` marked localized, or
+    ``([], None)``."""
     fresh = [e for e in open_events if e.key not in localized]
     if not fresh:
         return [], None
-    healthy = healthy_pairs_for(open_events, universe(fresh))
+    failing = {event.pair for event in open_events}
+    healthy = [pair for pair in universe(fresh) if pair not in failing]
     report = localizer.localize(open_events, healthy_pairs=healthy, now=now)
     localized.update(event.key for event in fresh)
     return fresh, report
@@ -100,18 +90,6 @@ class Diagnosis:
     pairs: Tuple[ProbePair, ...]
     confidence: float = 1.0
 
-    def explain(self, recorder=None) -> str:
-        """Render the evidence chain behind this verdict.
-
-        With the :class:`~repro.obs.trace.TraceRecorder` the localizer
-        emitted into, the chain includes the captured walk steps,
-        tomography votes, or flow-table findings; without one it falls
-        back to the one-line ``evidence`` summary.
-        """
-        from repro.obs.explain import explain_diagnosis
-
-        return explain_diagnosis(self, recorder)
-
 
 @dataclass
 class LocalizationReport:
@@ -119,22 +97,6 @@ class LocalizationReport:
 
     diagnoses: List[Diagnosis] = field(default_factory=list)
     unexplained: List[FailureEvent] = field(default_factory=list)
-
-    def components(self) -> List[str]:
-        """Component names in rank order."""
-        return [d.component for d in self.diagnoses]
-
-    def best(self) -> Optional[Diagnosis]:
-        """The highest-confidence diagnosis, if any."""
-        if not self.diagnoses:
-            return None
-        return max(self.diagnoses, key=lambda d: d.confidence)
-
-    def explain(self, recorder=None) -> str:
-        """Render every diagnosis with its evidence chain."""
-        from repro.obs.explain import explain_report
-
-        return explain_report(self, recorder)
 
     def verdict_row(
         self,

@@ -28,6 +28,7 @@ three values are not equal fails, naming the run that disagreed.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -61,6 +62,7 @@ __all__ = [
     "contract",
     "divergences",
     "rebaseline",
+    "streams_sha256",
     "verify_equivalence",
 ]
 
@@ -71,6 +73,9 @@ Streams = Mapping[str, Sequence[Any]]
 _NON_VACUOUS = ("events", "verdicts")
 #: Diverging rows quoted per side in an error message.
 _SHOWN = 3
+#: The least a plane gate's baseline may hold: on fewer rows a moved
+#: verdict has nowhere to show.
+_PLANE_FLOOR = (("events", 10), ("verdicts", 3))
 
 
 class EquivalenceError(AssertionError):
@@ -146,6 +151,15 @@ def compare(
             + "\n".join(problems)
         )
     return {name: len(rows) for name, rows in baseline.items()}
+
+
+def streams_sha256(streams: Streams) -> str:
+    """The sha256 of named row streams, as a golden pins them: a moved
+    row anywhere moves it."""
+    return _sha256(json.dumps(
+        {name: list(rows) for name, rows in streams.items()},
+        default=dataclasses.astuple,
+    ).encode())
 
 
 def verify_equivalence() -> Dict[str, int]:
@@ -264,21 +278,40 @@ def _record(fixture: str, scratch: str) -> Dict[str, Any]:
     return {"args": args, **_fingerprint(data)}
 
 
+def _floored(label: str, row: Dict[str, Any]) -> Dict[str, Any]:
+    """A plane gate's row, if its baseline holds the floor's rows."""
+    thin = [f"{row[name]} {name} (floor {least})"
+            for name, least in _PLANE_FLOOR if row[name] < least]
+    if thin:
+        raise EquivalenceError(
+            f"{label}: the baseline compares only {', '.join(thin)}; "
+            f"add faults to the gate's spec, not rounds"
+        )
+    return row
+
+
 def _shard(scratch: str) -> Dict[str, Any]:
     from repro.shard.equivalence import verify_shard_equivalence
 
     run = verify_shard_equivalence(backends=("inproc", "mp"))
-    return {"events": run["baseline_events"],
-            "verdicts": run["baseline_verdicts"],
-            "configurations": len(run["compared"])}
+    return _floored("shard == single", {
+        "events": run["baseline_events"],
+        "verdicts": run["baseline_verdicts"],
+        "configurations": len(run["compared"]),
+        "sha256": run["baseline_sha256"],
+    })
 
 
 def _fleet(scratch: str) -> Dict[str, Any]:
     from repro.fleet.equivalence import verify_fleet_equivalence
 
     run = verify_fleet_equivalence()
-    return {"events": len(run.event_summary),
-            "verdicts": len(run.verdict_summary), "rollups": len(run.rollups)}
+    return _floored("fleet == single", {
+        "events": len(run.event_summary),
+        "verdicts": len(run.verdict_summary),
+        "rollups": len(run.rollups),
+        "sha256": streams_sha256(run.comparable()),
+    })
 
 
 def _replay(scratch: str) -> Dict[str, Any]:

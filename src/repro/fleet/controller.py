@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.core.analyzer import Analyzer
 from repro.core.handling import Blacklist, FailureHandler
-from repro.core.localization import Localizer
+from repro.core.localization import Localizer, localize_open_events
 from repro.core.pinglist import ProbePair
 from repro.core.probing import ResilientProber, send_round
 from repro.core.resilience import CircuitBreaker
@@ -57,11 +57,7 @@ from repro.fleet.lifecycle import (
 )
 from repro.fleet.runtime import FleetReplica, build_fleet_replica
 from repro.fleet.spec import FleetSpec, tenant_pairs
-from repro.shard.monitor import (
-    EventRecord,
-    collect_fresh_records,
-    localize_records,
-)
+from repro.shard.monitor import EventKey, EventRecord
 from repro.shard.spec import FaultScheduleRunner, build_monitor_chaos
 
 __all__ = [
@@ -97,7 +93,7 @@ class TenantRuntime:
     min_coverage: float = 1.0
     #: Distinct pairs probed at least once (cumulative coverage).
     probed_pairs: Set[ProbePair] = field(default_factory=set)
-    _reported: Set[Tuple[ProbePair, float]] = field(default_factory=set)
+    _reported: Set[EventKey] = field(default_factory=set)
     events: List[Tuple[str, EventRecord]] = field(default_factory=list)
     verdicts: List[VerdictRow] = field(default_factory=list)
 
@@ -286,7 +282,7 @@ class FleetController:
                     runtime.min_coverage, quota / demand
                 )
             lost = self._probe_tenant(runtime, quota, round_index, at)
-            self._diagnose(runtime)
+            self._diagnose(runtime, at)
             tenant_rows.append((
                 name, demand, floor, quota, lost,
                 len(runtime.analyzer.open_events()),
@@ -331,25 +327,29 @@ class FleetController:
         runtime.probes_lost += lost
         return lost
 
-    def _diagnose(self, runtime: TenantRuntime) -> None:
-        """Report the tenant's fresh events and localize them.
+    def _diagnose(self, runtime: TenantRuntime, at: float) -> None:
+        """Run the localization step on the tenant's own analyzer and
+        report what it found fresh.
 
         Only tenant-local inputs feed the localizer — its own events,
-        its own healthy pairs — so the verdict stream is identical no
+        its own pair universe — so the verdict stream is identical no
         matter which worker computes it, and one tenant's incidents
         can never enter another tenant's vote tables.
         """
-        fresh = collect_fresh_records(runtime.analyzer, runtime._reported)
-        for record in fresh:
-            runtime.events.append((runtime.name, record))
-            self._chunk_events.append((runtime.name, record))
-        for at, _, report in localize_records(
-            runtime.localizer, fresh, runtime.pairs
-        ):
-            runtime.handler.handle(at, report)
-            row: VerdictRow = (runtime.name, at, *report.verdict_row())
-            runtime.verdicts.append(row)
-            self._chunk_verdicts.append(row)
+        fresh, report = localize_open_events(
+            runtime.localizer, runtime.analyzer.open_events(),
+            runtime._reported, lambda fresh: runtime.pairs, at,
+        )
+        if report is None:
+            return
+        for event in fresh:
+            row = (runtime.name, EventRecord.of(event))
+            runtime.events.append(row)
+            self._chunk_events.append(row)
+        runtime.handler.handle(at, report)
+        verdict: VerdictRow = (runtime.name, at, *report.verdict_row())
+        runtime.verdicts.append(verdict)
+        self._chunk_verdicts.append(verdict)
 
     # ------------------------------------------------------------------
     # Failover adoption

@@ -12,13 +12,19 @@ coordinator adds what is particular to splitting *one job's pairs*:
   pair order, to the survivors.
 
 * **Merged localization.** Underlay tomography needs votes from *all*
-  failing paths, which sharding scatters.  The coordinator collects
-  each chunk's newly opened events, dedups them by key, groups them by
-  detection time, and runs Algorithm 1 once over them on its own
-  reference replica — whose localizer traces every failing pair's
-  route itself (the same route the reporting worker's replica would:
-  placement and flow hash are seed-determined) and votes against the
-  global healthy-pair set.  That one vote is the plane's only tally.
+  failing paths, which sharding scatters.  Each worker reports, per
+  round, the events it opened and those it resolved; the coordinator
+  merges them (taking what a failover replay re-reports once, by key)
+  into the plane's open events and, after every round, runs the one
+  localization step
+  (:func:`~repro.core.localization.localize_open_events`) on its own
+  reference replica stepped to that round: when an event is fresh,
+  every open event votes, against every pair no open event implicates.
+  The localizer traces each failing pair's route itself (the same
+  route the reporting worker's replica would: placement and flow hash
+  are seed-determined).  A verdict is therefore what one monitor
+  owning every pair would say at that round, whatever the chunking,
+  shard count or failover history.
 
 The equivalence gate (:mod:`repro.shard.equivalence`) holds the whole
 construction to its invariant: same seed, same events, same verdicts —
@@ -32,13 +38,18 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.bus.codec import encode_event, encode_verdict
 from repro.bus.core import Topic
-from repro.core.localization import LocalizationReport, Localizer
-from repro.core.pinglist import ProbePair
+from repro.core.analyzer import FailureEvent
+from repro.core.localization import (
+    LocalizationReport,
+    Localizer,
+    localize_open_events,
+)
 from repro.shard.backend import InProcessBackend
 from repro.shard.monitor import (
     ChunkResult,
+    EventKey,
     EventRecord,
-    localize_records,
+    RoundEvents,
 )
 from repro.shard.partition import PartitionPlan, TopologyPartitioner
 from repro.shard.plane import PlaneDriver, Reassignment, WorkerStatus
@@ -95,7 +106,7 @@ class ShardRunResult:
     metrics: MetricRegistry
     plan: PartitionPlan
 
-    def event_keys(self) -> Set[Tuple[ProbePair, float]]:
+    def event_keys(self) -> Set[EventKey]:
         """The identity set of every opened failure event."""
         return {record.key for record in self.events}
 
@@ -165,8 +176,8 @@ class ShardCoordinator(PlaneDriver[ShardStatus]):
 
         # The reference replica backs merged localization: Algorithm 1
         # reads overlay tables, RNIC flow tables, and underlay routes,
-        # so the coordinator keeps one replica stepped to the current
-        # chunk via the same replayable fault schedule the shards use.
+        # so the coordinator keeps one replica stepped round by round
+        # via the same replayable fault schedule the shards use.
         self.reference = build_replica(spec)
         self._reference_schedule = FaultScheduleRunner(
             self.reference.injector, spec,
@@ -193,7 +204,9 @@ class ShardCoordinator(PlaneDriver[ShardStatus]):
 
         self.events: List[EventRecord] = []
         self.verdicts: List[Tuple[float, LocalizationReport]] = []
-        self._seen_events: Set[Tuple[ProbePair, float]] = set()
+        #: The plane's open events, in the order they opened.
+        self._open: Dict[EventKey, FailureEvent] = {}
+        self._localized: Set[EventKey] = set()
 
     def run(self) -> ShardRunResult:
         """Execute all rounds chunk by chunk; returns the merged run."""
@@ -228,16 +241,19 @@ class ShardCoordinator(PlaneDriver[ShardStatus]):
     def _merge_chunk(
         self, chunk: int, start: int, end: int, results: list
     ) -> None:
-        # Step the reference to where the workers stand, then merge.
-        self._reference_schedule.advance_to(end)
-        fresh = self._merge_results(results)
+        by_round = self._merge_results(results)
         self._publish_chunk(chunk, end)
-        self._localize(fresh)
+        # Rounds before ``start`` are a failover replay's: merged
+        # already, from the worker that died.
+        for round_index in range(start, end + 1):
+            self._merge_round(by_round.get(round_index, []))
+            self._reference_schedule.advance_to(round_index)
+            self._localize(self.spec.round_time(round_index))
 
     def _merge_results(
         self, results: List[ChunkResult]
-    ) -> List[EventRecord]:
-        fresh: List[EventRecord] = []
+    ) -> Dict[int, List[RoundEvents]]:
+        by_round: Dict[int, List[RoundEvents]] = {}
         for result in sorted(results, key=lambda r: r.shard_id):
             status = self.statuses[result.shard_id]
             status.agent_count = result.agent_count
@@ -260,14 +276,27 @@ class ShardCoordinator(PlaneDriver[ShardStatus]):
             # Merged (plane-wide) counters keep their unprefixed names.
             self.metrics.increment("probes.sent", result.probes_sent)
             self.metrics.increment("probes.lost", result.probes_lost)
-            for record in result.events:
-                if record.key in self._seen_events:
-                    continue
-                self._seen_events.add(record.key)
-                self.metrics.increment("events.opened")
-                fresh.append(record)
-                self.events.append(record)
-        return fresh
+            for entry in result.rounds:
+                by_round.setdefault(entry.round_index, []).append(entry)
+        return by_round
+
+    def _merge_round(self, entries: List[RoundEvents]) -> None:
+        """Fold one round's reports into the plane's open events.  After
+        a death found mid-chunk an adopter reports its own pairs twice,
+        in its chunk and in its replay, so each event counts once."""
+        opened = {
+            record.key: record
+            for entry in entries for record in entry.opened
+        }
+        for record in sorted(
+            opened.values(), key=lambda r: (r.first_detected_at, r.pair)
+        ):
+            self.metrics.increment("events.opened")
+            self.events.append(record)
+            self._open[record.key] = record.to_failure_event()
+        for entry in entries:
+            for key in entry.resolved:
+                self._open.pop(key, None)
 
     def _publish_chunk(self, chunk: int, end_round: int) -> None:
         """Publish the post-merge shard-health and breaker views."""
@@ -306,24 +335,24 @@ class ShardCoordinator(PlaneDriver[ShardStatus]):
     # Merged localization
     # ------------------------------------------------------------------
 
-    def _localize(self, fresh: List[EventRecord]) -> None:
-        for at, records, report in localize_records(
-            self.localizer, fresh, self.all_pairs
-        ):
-            self.verdicts.append((at, report))
-            if self.bus is not None:
-                for record in records:
-                    self.bus.publish(
-                        Topic.EVENTS, sim_time=at,
-                        **encode_event(
-                            record.pair, record.first_detected_at,
-                            record.symptom_type,
-                        ),
-                    )
+    def _localize(self, now: float) -> None:
+        fresh, report = localize_open_events(
+            self.localizer, list(self._open.values()), self._localized,
+            lambda fresh: self.all_pairs, now,
+        )
+        if report is None:
+            return
+        self.verdicts.append((now, report))
+        if self.bus is not None:
+            for event in fresh:
                 self.bus.publish(
-                    Topic.VERDICTS, sim_time=at,
-                    **encode_verdict(at, report),
+                    Topic.EVENTS, sim_time=now,
+                    **encode_event(
+                        event.pair, event.first_detected_at, event.symptom
+                    ),
                 )
-            self.metrics.increment(
-                "diagnoses.made", len(report.diagnoses)
+            self.bus.publish(
+                Topic.VERDICTS, sim_time=now,
+                **encode_verdict(now, report),
             )
+        self.metrics.increment("diagnoses.made", len(report.diagnoses))

@@ -16,7 +16,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.identifiers import LinkId
-from repro.equivalence import EquivalenceError, compare
+from repro.equivalence import EquivalenceError, compare, streams_sha256
 from repro.network.issues import IssueType
 from repro.shard.backend import backend_named
 from repro.shard.coordinator import ShardCoordinator
@@ -91,7 +91,8 @@ def verify_shard_equivalence(
     Compares a ``--shards 1`` in-process baseline against every
     (shard count, backend) combination, plus — with ``with_failover``
     — a 4-shard run where one shard is killed mid-run and its pairs
-    fail over.  Returns a summary of what was compared.
+    fail over.  Returns a summary of what was compared, with the
+    sha256 of the baseline's streams.
     """
     spec = spec if spec is not None else default_equivalence_spec()
     baseline = ShardCoordinator(
@@ -130,5 +131,6 @@ def verify_shard_equivalence(
     return {
         "baseline_events": len(baseline["events"]),
         "baseline_verdicts": len(baseline["verdicts"]),
+        "baseline_sha256": streams_sha256(baseline),
         "compared": compared,
     }

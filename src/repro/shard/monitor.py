@@ -18,25 +18,11 @@ story: sharding changes who watches a pair, never what the pair does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.cluster.identifiers import EndpointId
 from repro.core.agent import OverlayAgent
 from repro.core.analyzer import Analyzer, FailureEvent
-from repro.core.localization import (
-    LocalizationReport,
-    Localizer,
-    healthy_pairs_for,
-)
 from repro.core.pinglist import PingList, ProbePair
 from repro.core.probing import ResilientProber, run_probe_round
 from repro.core.resilience import CircuitBreaker
@@ -51,15 +37,21 @@ from repro.shard.spec import (
 __all__ = [
     "ChunkResult",
     "EventRecord",
+    "RoundEvents",
     "ShardMonitor",
-    "collect_fresh_records",
-    "localize_records",
 ]
+
+#: The analyzer's incident identity: (pair, first detection).
+EventKey = Tuple[ProbePair, float]
 
 
 @dataclass(frozen=True)
 class EventRecord:
-    """A failure event in picklable, cross-process form."""
+    """A failure event in picklable, cross-process form.
+
+    A record carries no route: placement and the flow hash are
+    seed-determined, so whoever localizes it traces the same one on its
+    own replica."""
 
     src: EndpointId
     dst: EndpointId
@@ -71,82 +63,38 @@ class EventRecord:
         """The failing pair."""
         return ProbePair.canonical(self.src, self.dst)
 
-    @property
-    def key(self) -> Tuple[ProbePair, float]:
-        """The analyzer's incident identity: (pair, first detection)."""
-        return (self.pair, self.first_detected_at)
+    @classmethod
+    def of(cls, event: FailureEvent) -> "EventRecord":
+        """The record of an analyzer event."""
+        return cls(
+            src=event.pair.src,
+            dst=event.pair.dst,
+            first_detected_at=event.first_detected_at,
+            symptom=event.symptom.name,
+        )
 
     @property
-    def symptom_type(self) -> Symptom:
-        """The symptom as the catalogue enum."""
-        return Symptom[self.symptom]
+    def key(self) -> EventKey:
+        """The analyzer's incident identity: (pair, first detection)."""
+        return (self.pair, self.first_detected_at)
 
     def to_failure_event(self) -> FailureEvent:
         """Rehydrate a :class:`FailureEvent` for the localizer."""
         return FailureEvent(
             pair=self.pair,
             first_detected_at=self.first_detected_at,
-            symptom=self.symptom_type,
+            symptom=Symptom[self.symptom],
         )
 
 
-def collect_fresh_records(
-    analyzer: Analyzer, reported: Set[Tuple[ProbePair, float]]
-) -> List[EventRecord]:
-    """The analyzer's events not yet in ``reported``, as records in
-    (detection time, pair) order.  Marks them reported.
+@dataclass(frozen=True)
+class RoundEvents:
+    """What one round changed in a shard's open events: the events it
+    opened and the keys of those it resolved."""
 
-    A record carries no route: placement and the flow hash are
-    seed-determined, so whoever localizes it traces the same one on its
-    own replica."""
-    fresh = sorted(
-        (
-            event for event in analyzer.events
-            if event.key not in reported
-        ),
-        key=lambda event: (event.first_detected_at, event.pair),
-    )
-    reported.update(event.key for event in fresh)
-    return [
-        EventRecord(
-            src=event.pair.src,
-            dst=event.pair.dst,
-            first_detected_at=event.first_detected_at,
-            symptom=event.symptom.name,
-        )
-        for event in fresh
-    ]
-
-
-def localize_records(
-    localizer: Localizer,
-    records: Iterable[EventRecord],
-    universe: Sequence[ProbePair],
-) -> Iterator[Tuple[float, List[EventRecord], LocalizationReport]]:
-    """Algorithm 1 over fresh records, one batch per detection time.
-
-    Yields ``(at, batch, report)`` in time order, each batch in pair
-    order, localized with every pair of ``universe`` the batch does not
-    implicate as healthy evidence.  Both planes batch this way — the
-    *fresh* events of one detection time — whereas the single-process
-    hunter and the replayer batch *every open* event each time
-    something is fresh
-    (:func:`repro.core.localization.localize_open_events`).  Lazy: the
-    caller acts on one report before the next batch is localized.
-    """
-    groups: Dict[float, List[EventRecord]] = {}
-    for record in sorted(
-        records, key=lambda r: (r.first_detected_at, r.pair)
-    ):
-        groups.setdefault(record.first_detected_at, []).append(record)
-    for at, batch in groups.items():
-        events = [record.to_failure_event() for record in batch]
-        report = localizer.localize(
-            events,
-            healthy_pairs=healthy_pairs_for(events, universe),
-            now=at,
-        )
-        yield at, batch, report
+    round_index: int
+    opened: Tuple[EventRecord, ...]
+    resolved: Tuple[EventKey, ...]
 
 
 @dataclass(frozen=True)
@@ -159,7 +107,8 @@ class ChunkResult:
     agent_count: int
     probes_sent: int
     probes_lost: int
-    events: Tuple[EventRecord, ...]
+    #: One entry per round of the chunk, in round order.
+    rounds: Tuple[RoundEvents, ...]
     replayed: bool = False
     #: Per-agent circuit-breaker snapshots at the chunk's end — rows of
     #: ``(container_id, state, consecutive_failures, opened_at, trips,
@@ -222,7 +171,6 @@ class ShardMonitor:
             )
             for container_id in containers
         ]
-        self._reported: Set[Tuple[ProbePair, float]] = set()
         self.rounds_completed = 0
 
     def breaker_snapshots(self) -> Tuple[tuple, ...]:
@@ -253,29 +201,42 @@ class ShardMonitor:
         fabric = self.scenario.fabric
         sent0 = fabric.probes_sent
         lost0 = fabric.probes_lost
-        now = self.spec.round_time(max(end_round, 1))
-        for round_index in range(start_round, end_round + 1):
-            self.schedule.advance_to(round_index)
-            now = self.spec.round_time(round_index)
-            run_probe_round(
-                self.agents, fabric, now,
-                self.spec.round_time(round_index + 1),
-                self.analyzer.ingest_batch,
-            )
-            self.analyzer.flush(now)
-            self.rounds_completed = round_index
+        rounds = tuple(
+            self._run_round(round_index)
+            for round_index in range(start_round, end_round + 1)
+        )
         return ChunkResult(
             shard_id=self.shard_id,
             end_round=end_round,
-            sim_time=now,
+            sim_time=self.spec.round_time(max(end_round, 1)),
             agent_count=len(self.agents),
             probes_sent=fabric.probes_sent - sent0,
             probes_lost=fabric.probes_lost - lost0,
-            events=tuple(collect_fresh_records(
-                self.analyzer, self._reported
-            )),
+            rounds=rounds,
             replayed=replayed,
             breaker_states=self.breaker_snapshots(),
+        )
+
+    def _run_round(self, round_index: int) -> RoundEvents:
+        self.schedule.advance_to(round_index)
+        now = self.spec.round_time(round_index)
+        analyzer = self.analyzer
+        before = len(analyzer.events)
+        was_open = {event.key for event in analyzer.open_events()}
+        run_probe_round(
+            self.agents, self.scenario.fabric, now,
+            self.spec.round_time(round_index + 1), analyzer.ingest_batch,
+        )
+        analyzer.flush(now)
+        self.rounds_completed = round_index
+        new = analyzer.events[before:]
+        still_open = {event.key for event in analyzer.open_events()}
+        return RoundEvents(
+            round_index=round_index,
+            opened=tuple(EventRecord.of(event) for event in new),
+            resolved=tuple(sorted(
+                (was_open | {event.key for event in new}) - still_open
+            )),
         )
 
     # ------------------------------------------------------------------
@@ -291,9 +252,9 @@ class ShardMonitor:
         rounds ``1..upto_round`` against it — probe outcomes are pure
         functions of (seed, pair, time), so after the replay this
         monitor's state is identical to having owned the union from
-        round one.  The replay's events (including re-detections of
+        round one.  The replay's rounds (including re-detections of
         incidents the dead shard already reported) come back in the
-        result; the coordinator dedups them by event key.
+        result; the coordinator drops what it already merged.
         """
         self.pairs = tuple(sorted(set(self.pairs) | set(pairs)))
         self._build()

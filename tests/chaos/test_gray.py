@@ -7,6 +7,7 @@ from repro.chaos.gate import Bounds
 from repro.chaos.gray import (
     GRAY_FAMILIES,
     GrayGate,
+    _case,
     _run_leg,
     gray_fault_target,
     gray_shard_spec,
@@ -85,43 +86,58 @@ class TestArms:
         self, monkeypatch
     ):
         """No simulation: the legs are stubs, so this pins only which
-        world each arm asks for and whose run the Flock arm re-scores
-        (on the committed artifact Flock's flags equal the spray arm's
-        in all six rows, so the full gate cannot see a Flock arm that
-        merely copies them)."""
+        world each arm asks for, that Flock is tapped into the spray
+        world before it runs, and whose run and reports the Flock arm
+        scores (on the committed artifact Flock's flags equal the spray
+        arm's in most rows, so the full gate cannot see a Flock arm
+        that merely copies them)."""
         from types import SimpleNamespace
 
         from repro.chaos import gray
         from repro.chaos.gate import sweep
 
-        asked, rescored = [], []
+        log, rescored = [], []
 
-        def run_leg(issue, seed, ecmp_mode, distribution_aware=True):
-            asked.append((ecmp_mode, distribution_aware))
-            world = f"{ecmp_mode}-{distribution_aware}"
-            return (
-                SimpleNamespace(hunter=SimpleNamespace(events=[world])),
-                SimpleNamespace(
-                    fault=f"fault-{world}", detected=True, localized=False,
-                    localized_component=None, detection_delay_s=8.0,
-                ),
+        def case(issue, seed, ecmp_mode):
+            hunter = SimpleNamespace(
+                localizer=SimpleNamespace(distribution_aware=True)
+            )
+            return SimpleNamespace(mode=ecmp_mode, hunter=hunter), "load"
+
+        def tap_flock(scenario):
+            log.append(f"tap {scenario.mode}")
+            return [f"flock-{scenario.mode}"]
+
+        def run_leg(issue, seed, scenario, load_model):
+            aware = scenario.hunter.localizer.distribution_aware
+            world = f"{scenario.mode}-{aware}"
+            log.append(f"run {world}")
+            scenario.hunter.events = [world]
+            return scenario, SimpleNamespace(
+                fault=f"fault-{world}", detected=True, localized=False,
+                localized_component=None, detection_delay_s=8.0,
             )
 
-        def score_flock(scenario, fault):
-            rescored.append((scenario.hunter.events, fault))
+        def score_flock(scenario, fault, reports):
+            rescored.append((scenario.hunter.events, fault, reports))
             return SimpleNamespace(
                 detected=False, localized=True,
                 localized_component="by-flock",
             )
 
+        monkeypatch.setattr(gray, "_case", case)
+        monkeypatch.setattr(gray, "_tap_flock", tap_flock)
         monkeypatch.setattr(gray, "_run_leg", run_leg)
         monkeypatch.setattr(gray, "_score_flock", score_flock)
         issue = GrayIssueType.PFC_STORM
         (row,) = sweep(GrayGate().arms, [(issue, 0)])
-        assert asked == [
-            ("static", True), ("spray", True), ("spray", False),
+        assert log == [
+            "run static-True", "tap spray", "run spray-True",
+            "run spray-False",
         ]
-        assert rescored == [(["spray-True"], "fault-spray-True")]
+        assert rescored == [
+            (["spray-True"], "fault-spray-True", ["flock-spray"])
+        ]
         assert row["flock"] == {
             "detected": False, "localized": True,
             "localized_component": "by-flock",
@@ -134,6 +150,42 @@ class TestArms:
         assert list(row) == [
             "issue", "seed", "static", "spray", "spray_naive", "flock",
         ]
+
+
+class TestFlockEvidence:
+    @pytest.mark.parametrize("issue", GRAY_FAMILIES)
+    def test_flock_localizes_each_batch_the_pipeline_localized(
+        self, issue, monkeypatch
+    ):
+        """Flock is called once per hunter report, at its time, and
+        votes against a subset of the task's active pairs at that
+        moment — never the analyzer's whole probe history."""
+        from repro.baselines import FlockLocalizer
+        from repro.chaos import gray
+
+        calls = []
+        scenario, load_model = _case(issue, 0, "spray")
+        controller = scenario.hunter.controller
+
+        class Recording(FlockLocalizer):
+            def localize(self, events, healthy_pairs=(), now=0.0):
+                active = controller.ping_list_of(scenario.task.id)
+                calls.append((
+                    now, set(healthy_pairs), set(active.active_pairs())
+                ))
+                return super().localize(events, healthy_pairs, now)
+
+        monkeypatch.setattr(gray, "FlockLocalizer", Recording)
+        reports = gray._tap_flock(scenario)
+        _run_leg(issue, 0, scenario, load_model)
+        hunter = scenario.hunter
+        assert len(calls) == len(reports) == len(hunter.reports) > 0
+        assert [now for now, _, _ in calls] == [
+            when for when, _ in hunter.reports
+        ]
+        for _, healthy, active in calls:
+            assert healthy <= active
+        assert len(hunter.monitored_pairs()) > len(active)
 
 
 class TestFaultTarget:
@@ -209,17 +261,15 @@ class TestShardSpec:
 @pytest.mark.slow
 class TestEndToEnd:
     def test_static_leg_detects_and_flags_partial_degradation(self):
+        issue = GrayIssueType.PARTIAL_LINK_DEGRADATION
         scenario, outcome = _run_leg(
-            GrayIssueType.PARTIAL_LINK_DEGRADATION, seed=0,
-            ecmp_mode="static",
+            issue, 0, *_case(issue, 0, "static")
         )
         assert outcome.detected
         assert len(scenario.hunter.events) >= 1
 
     def test_spray_leg_detects_and_localizes_collapse(self):
-        _, outcome = _run_leg(
-            GrayIssueType.CONGESTION_COLLAPSE, seed=0,
-            ecmp_mode="spray",
-        )
+        issue = GrayIssueType.CONGESTION_COLLAPSE
+        _, outcome = _run_leg(issue, 0, *_case(issue, 0, "spray"))
         assert outcome.detected
         assert outcome.localized

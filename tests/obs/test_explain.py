@@ -48,7 +48,7 @@ class TestOverlayExplanation:
         report = localizer.localize([event(pair)])
         diagnosis = report.diagnoses[0]
         assert diagnosis.layer == "overlay"
-        text = diagnosis.explain(recorder)
+        text = explain_diagnosis(diagnosis, recorder)
         assert "evidence chain:" in text
         assert "overlay walk for" in text
         assert diagnosis.component in text
@@ -74,7 +74,7 @@ class TestTomographyExplanation:
         culprit = next(
             d for d in report.diagnoses if d.component == str(rnic)
         )
-        text = culprit.explain(recorder)
+        text = explain_diagnosis(culprit, recorder)
         assert "tomography over 3 failing paths" in text
         assert "vote(s):" in text
         assert "<- suspect" in text
@@ -96,7 +96,7 @@ class TestFlowTableExplanation:
         diagnosis = next(
             d for d in report.diagnoses if d.layer == "rnic"
         )
-        text = diagnosis.explain(recorder)
+        text = explain_diagnosis(diagnosis, recorder)
         assert "flow-table validation of" in text
         assert str(rnic) in text
         assert "inconsistencies" in text
@@ -140,7 +140,7 @@ class TestEndToEndExplanation:
         obs = scenario.observability
         assert scenario.hunter.reports
         for _, report in scenario.hunter.reports:
-            text = report.explain(obs)
+            text = explain_report(report, obs)
             for diagnosis in report.diagnoses:
                 assert diagnosis.component in text
             if report.diagnoses:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.localization import Localizer, localize_open_events
 from repro.obs.trace import TraceRecorder
 from repro.shard import (
     InProcessBackend,
@@ -16,6 +17,7 @@ from repro.shard.backend import (
 )
 from repro.shard.equivalence import default_equivalence_spec
 from repro.shard.monitor import ShardMonitor
+from repro.shard.spec import FaultScheduleRunner, build_replica, pair_universe
 
 
 class DyingAdopterBackend:
@@ -195,8 +197,57 @@ class TestMerging:
         assert result.metrics.counters().get("events.opened", 0) == 0
 
 
+def one_monitors_verdicts(spec):
+    """What one monitor owning every pair says: the localization step
+    on its own analyzer after every round, against a reference replica
+    stepped to that round."""
+    reference = build_replica(spec)
+    schedule = FaultScheduleRunner(
+        reference.injector, spec, reference.task.containers.get
+    )
+    all_pairs = pair_universe(spec, reference)
+    reference.fabric.send_probe_batch(all_pairs, 0.0)
+    localizer = Localizer(reference.cluster, reference.fabric)
+    monitor = ShardMonitor(0, spec, all_pairs)
+    localized, verdicts = set(), []
+    for round_index in range(1, spec.total_rounds + 1):
+        monitor.run_rounds(round_index, round_index)
+        schedule.advance_to(round_index)
+        now = spec.round_time(round_index)
+        _, report = localize_open_events(
+            localizer, monitor.analyzer.open_events(), localized,
+            lambda fresh: all_pairs, now,
+        )
+        if report is not None:
+            verdicts.append((now, *report.verdict_row()))
+    return verdicts
+
+
+class TestOneMonitorsVerdicts:
+    """The coordinator localizes as one monitor owning every pair would,
+    round by round, whatever the shard count or failover history."""
+
+    @pytest.fixture(scope="class")
+    def expected(self):
+        return one_monitors_verdicts(default_equivalence_spec())
+
+    @pytest.mark.parametrize("num_shards, kill_schedule", [
+        (1, {}), (2, {}), (4, {}), (4, {1: 2}),
+    ])
+    def test_verdicts_are_one_monitors(
+        self, expected, num_shards, kill_schedule
+    ):
+        result = ShardCoordinator(
+            default_equivalence_spec(), num_shards,
+            kill_schedule=kill_schedule,
+        ).run()
+        assert bool(result.reassignments) == bool(kill_schedule)
+        assert len(expected) == 3
+        assert result.verdict_summary() == expected
+
+
 class TracingBackend(InProcessBackend):
-    """In-process workers that also note, per fresh event, the route
+    """In-process workers that also note, per opened event, the route
     their own replica traces at the chunk's end — what a heartbeat used
     to carry as ``EventRecord.path_devices``."""
 
@@ -209,7 +260,10 @@ class TracingBackend(InProcessBackend):
 
         def run_and_trace(start_round, end_round, replayed=False):
             result = run_rounds(start_round, end_round, replayed)
-            for record in result.events:
+            for record in (
+                record for entry in result.rounds
+                for record in entry.opened
+            ):
                 self.traced.setdefault(
                     record.key,
                     monitor.scenario.fabric.traceroute(

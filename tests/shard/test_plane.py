@@ -21,15 +21,8 @@ from repro.shard import (
     ShardCoordinator,
     ShardDeadError,
     WorkerStatus,
-    build_replica,
-    pair_universe,
 )
 from repro.shard.backend import InProcessHandle
-from repro.shard.monitor import (
-    EventRecord,
-    collect_fresh_records,
-    localize_records,
-)
 
 from tests.fleet.conftest import small_fleet_spec
 from tests.shard.conftest import small_spec
@@ -334,79 +327,3 @@ class TestDeathsOnBothPlanes:
             ):
                 plane(2, kill_schedule={1: at_chunk})
 
-
-# ----------------------------------------------------------------------
-# The shared worker-side batch localizer
-# ----------------------------------------------------------------------
-
-
-class RecordingLocalizer:
-    def __init__(self):
-        self.calls = []
-
-    def localize(self, events, healthy_pairs, now):
-        self.calls.append((
-            now,
-            [event.pair for event in events],
-            list(healthy_pairs),
-        ))
-        return f"report@{now}"
-
-
-class TestLocalizeRecords:
-    def test_batches_by_time_and_each_batch_in_pair_order(self):
-        universe = sorted(small_spec_pairs())[:6]
-        first, second, third, *rest = universe
-        records = [
-            _record(third, 20.0),
-            _record(second, 10.0),
-            _record(first, 20.0),
-        ]
-        localizer = RecordingLocalizer()
-        batches = list(localize_records(localizer, records, universe))
-        assert [(at, report) for at, _, report in batches] == [
-            (10.0, "report@10.0"), (20.0, "report@20.0"),
-        ]
-        assert [[r.pair for r in batch] for _, batch, _ in batches] == [
-            [second], [first, third],
-        ]
-        assert localizer.calls == [
-            (10.0, [second], [first, third, *rest]),
-            (20.0, [first, third], [second, *rest]),
-        ]
-
-    def test_no_records_no_batches(self):
-        assert list(localize_records(RecordingLocalizer(), [], [])) == []
-
-
-class TestCollectFreshRecords:
-    class Events:
-        def __init__(self, events):
-            self.events = events
-
-    def test_fresh_events_are_reported_once_in_time_then_pair_order(self):
-        first, second, third = sorted(small_spec_pairs())[:3]
-        events = [
-            _record(third, 20.0), _record(second, 10.0), _record(first, 20.0),
-        ]
-        analyzer = self.Events([r.to_failure_event() for r in events])
-        reported = set()
-        records = collect_fresh_records(analyzer, reported)
-        assert records == [events[1], events[2], events[0]]
-        assert reported == {record.key for record in events}
-        assert collect_fresh_records(analyzer, reported) == []
-        late = _record(second, 30.0)
-        analyzer.events.append(late.to_failure_event())
-        assert collect_fresh_records(analyzer, reported) == [late]
-
-
-def small_spec_pairs():
-    spec = small_spec(with_faults=False)
-    return pair_universe(spec, build_replica(spec))
-
-
-def _record(pair, at):
-    return EventRecord(
-        src=pair.src, dst=pair.dst, first_detected_at=at,
-        symptom="UNCONNECTIVITY",
-    )

@@ -12,6 +12,7 @@ contract pickles its rows to the hash-seed child."""
 import itertools
 import json
 import os
+import re
 import shutil
 import string
 from functools import partial
@@ -294,3 +295,26 @@ def test_the_module_takes_no_argument(monkeypatch):
     monkeypatch.setattr("sys.argv", ["equivalence", CONTRACT])
     with pytest.raises(SystemExit, match="usage"):
         runpy.run_module("repro.equivalence", run_name="__main__")
+
+
+@pytest.mark.parametrize("events, verdicts, thin", [
+    (9, 3, "9 events (floor 10)"), (10, 2, "2 verdicts (floor 3)"),
+])
+def test_a_plane_row_below_the_floor_fails(events, verdicts, thin):
+    row = {"events": events, "verdicts": verdicts}
+    with pytest.raises(EquivalenceError, match=re.escape(f"only {thin};")):
+        equivalence._floored("shard == single", row)
+    held = {"events": 10, "verdicts": 3, "sha256": "x"}
+    assert equivalence._floored("shard == single", held) is held
+
+
+def test_a_moved_verdict_moves_the_plane_rows_digest():
+    """The plane rows pin their baseline's streams, not only counts: a
+    verdict that changes its rank order moves the digest."""
+    link, rnic = ("link", "inter_host_network"), ("rnic", "rnic")
+    streams = {"events": [("a", "b", 14.0, "UNCONNECTIVITY")],
+               "verdicts": [(22.0, (link, rnic), 0)]}
+    moved = {**streams, "verdicts": [(22.0, (rnic, link), 0)]}
+    digest = equivalence.streams_sha256(streams)
+    assert digest == equivalence.streams_sha256(dict(streams))
+    assert digest != equivalence.streams_sha256(moved)
