@@ -78,7 +78,7 @@ class FlowAction:
             raise ValueError("DELIVER action needs local_vf")
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowRule:
     """An installed rule with hit counters and offload bookkeeping."""
 
@@ -155,9 +155,9 @@ class FlowTable:
         existing = self._rules.get(key)
         if existing is not None and existing.action == action:
             return existing
-        rule = FlowRule(key=key, action=action)
-        self._rules[key] = rule
-        self._changed(key)
+        rule = self._rules[key] = FlowRule(key, action)
+        if self.on_mutate is not None:
+            self.on_mutate(self, key)
         return rule
 
     def remove(self, key: FlowKey) -> bool:

@@ -17,7 +17,7 @@ to find the broken overlay hop or a forwarding loop).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.cluster.container import Container
 from repro.cluster.flowtable import (
@@ -98,35 +98,41 @@ class OverlayHop:
     note: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class OverlayTrace:
     """Result of walking the overlay forwarding chain.
 
-    ``rules`` collects the flow rules whose lookup the walk hit, in hop
-    order; the fabric's resolution cache replays ``rule.hit()`` on them
-    for cache-served probes so packet counters advance exactly as if
-    every probe had re-walked the chain.  ``tables`` collects the flow
-    tables the walk consulted — the OVS table of every visited host and
-    the offload table of every traversed RNIC — and ``key`` is the one
-    match key it looked up in each of them: a cached resolution's
-    validity is scoped to that key in those tables.  All three are
-    bookkeeping, not observations, so they are excluded from equality
-    and repr.
+    ``hops`` is the chain in order; a healthy hop is one object shared
+    by every walk that crosses its component.  ``rules`` collects the
+    flow rules whose lookup the walk hit, in hop order; the fabric's
+    resolution cache replays ``rule.hit()`` on them for cache-served
+    probes so packet counters advance exactly as if every probe had
+    re-walked the chain.  ``tables`` collects the flow tables the walk
+    consulted — the OVS table of every visited host and the offload
+    table of every traversed RNIC — and ``key`` is the one match key it
+    looked up in each of them: a cached resolution's validity is scoped
+    to that key in those tables.  ``healths`` holds the
+    :class:`ComponentHealth` of each component a reached walk crossed,
+    in hop order.  The four are bookkeeping, not observations, so they
+    are excluded from equality and repr.  Every sequence is a tuple.
     """
 
-    hops: List[OverlayHop] = field(default_factory=list)
+    hops: Tuple[OverlayHop, ...] = ()
     reached: bool = False
     loop: bool = False
     software_path: bool = False
     src_rnic: Optional[RnicId] = None
     dst_rnic: Optional[RnicId] = None
-    rules: List[FlowRule] = field(
-        default_factory=list, repr=False, compare=False
+    rules: Tuple[FlowRule, ...] = field(
+        default=(), repr=False, compare=False
     )
-    tables: List[FlowTable] = field(
-        default_factory=list, repr=False, compare=False
+    tables: Tuple[FlowTable, ...] = field(
+        default=(), repr=False, compare=False
     )
     key: Optional[FlowKey] = field(default=None, repr=False, compare=False)
+    healths: Tuple[ComponentHealth, ...] = field(
+        default=(), repr=False, compare=False
+    )
 
     @property
     def failure_component(self) -> Optional[str]:
@@ -135,10 +141,6 @@ class OverlayTrace:
             if not hop.ok:
                 return hop.component
         return None
-
-    def components(self) -> List[str]:
-        """Names of every component touched, in order."""
-        return [hop.component for hop in self.hops]
 
 
 def veth_name(endpoint: EndpointId) -> str:
@@ -163,10 +165,13 @@ class _EndpointRecord:
     vf: VfId
     host: HostId
     underlay_ip: str
-    #: The endpoint's veth component name and its DELIVER match key,
-    #: built once at attach: every walk to or from it reads them.
+    #: What every walk to or from the endpoint reads, found once at
+    #: attach: its veth component name, its DELIVER match key, its
+    #: host's OVS table and its RNIC's offload table.
     veth: str
     key: FlowKey
+    ovs: FlowTable
+    offload: RnicOffloadTable
 
 
 class OverlayNetwork:
@@ -181,8 +186,16 @@ class OverlayNetwork:
         self._by_underlay_ip: Dict[str, RnicId] = {}
         self._registered: Set[EndpointId] = set()
         self._health: Dict[str, ComponentHealth] = {}
+        #: The healthy hop of each component, on the hardware and on
+        #: the software path (a veth's goes when its endpoint detaches),
+        #: and the ENCAP action towards each underlay IP.
+        self._ok_hops: Dict[str, OverlayHop] = {}
+        self._software_hops: Dict[str, OverlayHop] = {}
+        self._encaps: Dict[str, FlowAction] = {}
         self._underlay_ip_of_rnic: Dict[RnicId, str] = {}
         self._epoch = 0
+        #: One bound :meth:`_changed` for every health object to call.
+        self._notify = self._changed
         self._watchers: List[
             Callable[[object, Optional[FlowKey]], None]
         ] = []
@@ -267,6 +280,7 @@ class OverlayNetwork:
             self._by_underlay_ip[underlay_ip] = rnic
             self._underlay_ip_of_rnic[rnic] = underlay_ip
             overlay_ip = self.overlay_ip(endpoint)
+            offload = self._offload_table(rnic)
             record = _EndpointRecord(
                 endpoint=endpoint,
                 overlay_ip=overlay_ip,
@@ -275,10 +289,11 @@ class OverlayNetwork:
                 underlay_ip=underlay_ip,
                 veth=veth_name(endpoint),
                 key=FlowKey(vni, overlay_ip),
+                ovs=table,
+                offload=offload,
             )
             self._endpoints[endpoint] = record
             action = FlowAction(ActionKind.DELIVER, local_vf=vf)
-            offload = self._offload_table(rnic)
             self._install_with_offload(table, record.key, action, offload)
             self._registered.add(endpoint)
             offload.touch()
@@ -303,6 +318,7 @@ class OverlayNetwork:
             self._registered.discard(endpoint)
             if record is None:
                 continue
+            self._ok_hops.pop(record.veth, None)
             table.remove(record.key)
             self._offload_table(record.vf.rnic).remove(record.key)
         table.touch()
@@ -384,7 +400,7 @@ class OverlayNetwork:
         health = self._health.get(component)
         if health is None:
             health = self._health[component] = ComponentHealth(
-                _on_change=self._changed
+                _on_change=self._notify
             )
         return health
 
@@ -398,6 +414,26 @@ class OverlayNetwork:
     # Forwarding
     # ------------------------------------------------------------------
 
+    def _ok_hop(
+        self, component: str, kind: str, software_path: bool = False
+    ) -> OverlayHop:
+        """The one healthy hop of a component."""
+        hops = self._software_hops if software_path else self._ok_hops
+        hop = hops.get(component)
+        if hop is None:
+            hop = hops[component] = OverlayHop(
+                component, kind, ok=True, software_path=software_path
+            )
+        return hop
+
+    @staticmethod
+    def _same_task(src: EndpointId, dst: EndpointId) -> None:
+        if src.container.task != dst.container.task:
+            raise OverlayError(
+                f"{src} and {dst} belong to different tasks; "
+                "cross-tenant flows are never installed"
+            )
+
     def ensure_flow(
         self, src: EndpointId, dst: EndpointId
     ) -> Optional[FlowKey]:
@@ -408,28 +444,44 @@ class OverlayNetwork:
         Returns the installed key, or ``None`` when the destination is
         not (yet) registered.
         """
-        if src.container.task != dst.container.task:
-            raise OverlayError(
-                f"{src} and {dst} belong to different tasks; "
-                "cross-tenant flows are never installed"
-            )
-        dst_rec = self._endpoints.get(dst)
+        self._same_task(src, dst)
+        return self._ensure(self._endpoints.get(src), self._endpoints.get(dst))
+
+    def echo_flow(
+        self, src: EndpointId, dst: EndpointId
+    ) -> Optional[Tuple[FlowKey, _EndpointRecord]]:
+        """The flow an echo from ``src`` replies on, installed as the
+        destination's first reply packet would: its key (the source's
+        DELIVER key) and the destination's record, whose OVS and
+        offload tables hold it; ``None`` unless both are attached."""
         src_rec = self._endpoints.get(src)
+        dst_rec = self._endpoints.get(dst)
+        if src_rec is None or dst_rec is None:
+            return None
+        self._same_task(dst, src)
+        return self._ensure(dst_rec, src_rec), dst_rec
+
+    def _ensure(
+        self,
+        src_rec: Optional[_EndpointRecord],
+        dst_rec: Optional[_EndpointRecord],
+    ) -> Optional[FlowKey]:
         if dst_rec is None or src_rec is None:
             return None
         key = dst_rec.key  # same task, so the source's VNI
-        table = self._ovs_table(src_rec.host)
+        table = src_rec.ovs
         existing = table.lookup(key)
         if existing is None or (
             existing.action.kind == ActionKind.ENCAP
             and existing.action.remote_underlay_ip != dst_rec.underlay_ip
         ):
-            action = FlowAction(
-                ActionKind.ENCAP, remote_underlay_ip=dst_rec.underlay_ip
-            )
-            self._install_with_offload(
-                table, key, action, self._offload_table(src_rec.vf.rnic)
-            )
+            remote = dst_rec.underlay_ip
+            action = self._encaps.get(remote)
+            if action is None:
+                action = self._encaps[remote] = FlowAction(
+                    ActionKind.ENCAP, remote_underlay_ip=remote
+                )
+            self._install_with_offload(table, key, action, src_rec.offload)
         return key
 
     def _install_with_offload(
@@ -465,134 +517,133 @@ class OverlayNetwork:
 
         With ``install_missing=True`` this behaves like the data plane
         (slow-path resolution on first use); with ``False`` it is the
-        read-only reachability analysis of Algorithm 1.
+        read-only reachability analysis of Algorithm 1.  The endpoint
+        records carry their tables, and a component's health object is
+        looked up only where the walk reads it (so a walk creates the
+        ones it always did).
         """
-        trace = OverlayTrace()
         src_rec = self._endpoints.get(src)
         if src_rec is None:
-            trace.hops.append(OverlayHop(
+            return OverlayTrace(hops=(OverlayHop(
                 veth_name(src), "veth", ok=False, note="source not attached"
-            ))
-            return trace
-        vni = src_rec.key.vni
-
-        src_veth = src_rec.veth
-        if self.health(src_veth).down:
-            trace.hops.append(OverlayHop(
-                src_veth, "veth", ok=False, note="source veth down"
-            ))
-            return trace
-        trace.hops.append(OverlayHop(src_veth, "veth", ok=True))
-
+            ),))
+        health = self.health(src_rec.veth)
+        if health.down:
+            return OverlayTrace(hops=(OverlayHop(
+                src_rec.veth, "veth", ok=False, note="source veth down"
+            ),))
         if install_missing:
             self.ensure_flow(src, dst)
-
         dst_rec = self._endpoints.get(dst)
+
+        vni = src_rec.key.vni
         if dst_rec is not None and dst_rec.key.vni == vni:
             key = dst_rec.key
         else:
             key = FlowKey(vni, self.overlay_ip(dst))
-        trace.key = key
         dst_veth = veth_name(dst) if dst_rec is None else dst_rec.veth
+        hops: List[OverlayHop] = [self._ok_hop(src_rec.veth, "veth")]
+        healths = [health]
+        rules: List[FlowRule] = []
+        tables: List[FlowTable] = []
+        src_rnic = current_rnic = src_rec.vf.rnic
         current_host = src_rec.host
-        current_rnic = src_rec.vf.rnic
-        trace.src_rnic = current_rnic
-        visited_hosts: Set[HostId] = set()
+        table, offload = src_rec.ovs, src_rec.offload
+        dst_rnic: Optional[RnicId] = None
+        reached = loop = software = False
+        visited: Set[FlowTable] = set()  # a host's one OVS table
 
         for _ in range(max_hops):
-            if current_host in visited_hosts:
-                trace.loop = True
-                trace.hops.append(OverlayHop(
-                    ovs_name(current_host), "ovs", ok=False,
-                    note="forwarding loop",
-                ))
-                return trace
-            visited_hosts.add(current_host)
-
-            table = self._ovs_table(current_host)
             ovs = table.component
-            if self.health(ovs).down:
-                trace.hops.append(OverlayHop(
+            if table in visited:
+                loop = True
+                hops.append(OverlayHop(
+                    ovs, "ovs", ok=False, note="forwarding loop",
+                ))
+                break
+            visited.add(table)
+
+            health = self.health(ovs)
+            if health.down:
+                hops.append(OverlayHop(
                     ovs, "ovs", ok=False, note="virtual switch down"
                 ))
-                return trace
-            # Either branch below asks current_rnic's hardware cache
-            # whether the packet rides the software path.
-            offload = self._offload_table(current_rnic)
-            trace.tables += (table, offload)
+                break
+            tables += (table, offload)
             rule = table.lookup(key)
             if rule is None:
-                trace.hops.append(OverlayHop(
+                hops.append(OverlayHop(
                     ovs, "ovs", ok=False, note="flow table miss"
                 ))
-                return trace
+                break
             rule.hit()
-            trace.rules.append(rule)
-            trace.hops.append(OverlayHop(ovs, "ovs", ok=True))
+            rules.append(rule)
+            hops.append(self._ok_hop(ovs, "ovs"))
+            healths.append(health)
             vtep = offload.component
-
-            if rule.action.kind == ActionKind.DELIVER:
-                ok = dst_rec is not None and rule.action.local_vf == dst_rec.vf
-                trace.hops.append(OverlayHop(
-                    vtep, "vtep", ok=True,
-                    software_path=self._takes_software_path(offload, key),
+            health = self.health(vtep)
+            deliver = rule.action.kind == ActionKind.DELIVER
+            if not deliver and health.down:
+                # ENCAP leaves through the local VTEP.
+                hops.append(OverlayHop(
+                    vtep, "vtep", ok=False, note="VTEP down"
                 ))
-                if self.health(dst_veth).down:
-                    trace.hops.append(OverlayHop(
+                break
+            # The RNIC's hardware cache decides whether the packet
+            # rides the software path.
+            slow = health.force_software_path or offload.lookup(key) is None
+            hops.append(self._ok_hop(vtep, "vtep", slow))
+            healths.append(health)
+            software |= slow
+
+            if deliver:
+                ok = dst_rec is not None and rule.action.local_vf == dst_rec.vf
+                health = self.health(dst_veth)
+                if health.down:
+                    hops.append(OverlayHop(
                         dst_veth, "veth", ok=False,
                         note="destination veth down",
                     ))
-                    return trace
+                    break
                 if not ok:
-                    trace.hops.append(OverlayHop(
+                    hops.append(OverlayHop(
                         dst_veth, "veth", ok=False,
                         note="delivered to wrong VF",
                     ))
-                    return trace
-                trace.hops.append(OverlayHop(dst_veth, "veth", ok=True))
-                trace.reached = True
-                trace.dst_rnic = current_rnic
-                trace.software_path = any(
-                    h.software_path for h in trace.hops
-                )
-                return trace
+                    break
+                hops.append(self._ok_hop(dst_veth, "veth"))
+                healths.append(health)
+                reached = True
+                dst_rnic = current_rnic
+                break
 
-            # ENCAP: leave through the local VTEP towards a remote RNIC.
-            if self.health(vtep).down:
-                trace.hops.append(OverlayHop(
-                    vtep, "vtep", ok=False, note="VTEP down"
-                ))
-                return trace
-            software = self._takes_software_path(offload, key)
-            trace.hops.append(OverlayHop(
-                vtep, "vtep", ok=True, software_path=software
-            ))
-
+            # ENCAP: on towards a remote RNIC.
             remote_ip = rule.action.remote_underlay_ip
             remote_rnic = self._by_underlay_ip.get(remote_ip)
             if remote_rnic is None:
-                trace.hops.append(OverlayHop(
+                hops.append(OverlayHop(
                     f"underlay:{remote_ip}", "vtep", ok=False,
                     note="encap target unknown in underlay",
                 ))
-                return trace
-            current_rnic = remote_rnic
+                break
+            current_rnic = dst_rnic = remote_rnic
             current_host = remote_rnic.host
-            trace.dst_rnic = remote_rnic
+            table = self._ovs_table(current_host)
+            offload = self._offload_table(current_rnic)
+        else:
+            loop = True
+            hops.append(OverlayHop(
+                ovs_name(current_host), "ovs", ok=False,
+                note="hop limit exceeded",
+            ))
 
-        trace.loop = True
-        trace.hops.append(OverlayHop(
-            ovs_name(current_host), "ovs", ok=False, note="hop limit exceeded"
-        ))
-        return trace
-
-    def _takes_software_path(
-        self, offload: RnicOffloadTable, key: FlowKey
-    ) -> bool:
-        """Whether a packet for ``key`` misses the RNIC hardware table."""
-        if self.health(offload.component).force_software_path:
-            return True
-        return offload.lookup(key) is None
+        return OverlayTrace(
+            hops=tuple(hops), reached=reached, loop=loop,
+            software_path=reached and software,
+            src_rnic=src_rnic, dst_rnic=dst_rnic, rules=tuple(rules),
+            tables=tuple(tables), key=key,
+            healths=tuple(healths) if reached else (),
+        )
 
     def underlay_ip_of(self, rnic: RnicId) -> str:
         """Underlay IP of a physical RNIC (after any endpoint attached)."""

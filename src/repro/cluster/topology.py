@@ -143,13 +143,22 @@ class _ClosTopology:
         for tor in self._tor_records:
             self._links += tor.uplinks
         self._link_set = frozenset(self._links)
+        #: Every path composed so far, by (source port, destination
+        #: port, spine): a path is one shared, immutable object however
+        #: many pairs and callers ride it, and the map holds at most
+        #: the fabric's port pairs times its spines.
+        self._paths: Dict[int, UnderlayPath] = {}
 
-    def _port(self, rnic: RnicId) -> _Port:
+    def _index(self, rnic: RnicId) -> int:
+        """The index of ``rnic``'s port in :attr:`_ports`."""
         if not 0 <= rnic.rail < self.rails_per_host:
             raise TopologyError(f"rail {rnic.rail} out of range for {rnic}")
         if not 0 <= rnic.host.index < len(self.hosts):
             raise TopologyError(f"unknown host {rnic.host}")
-        return self._ports[rnic.host.index * self.rails_per_host + rnic.rail]
+        return rnic.host.index * self.rails_per_host + rnic.rail
+
+    def _port(self, rnic: RnicId) -> _Port:
+        return self._ports[self._index(rnic)]
 
     def tor_of(self, rnic: RnicId) -> SwitchId:
         """The ToR switch an RNIC attaches to."""
@@ -215,7 +224,7 @@ class _ClosTopology:
         * Different ToRs: one path per spine switch (ECMP fan-out), in
           spine order.
         """
-        a, b = self._port(src), self._port(dst)
+        a, b = self._index(src), self._index(dst)
         return [self._path(a, b, i) for i in range(self._width(a, b))]
 
     def pick_path(
@@ -223,15 +232,25 @@ class _ClosTopology:
     ) -> UnderlayPath:
         """Deterministic ECMP path selection by flow hash: the candidate
         ``ecmp_paths(src, dst)[flow_hash % len(...)]``, built alone."""
-        a, b = self._port(src), self._port(dst)
+        a, b = self._index(src), self._index(dst)
         return self._path(a, b, flow_hash % self._width(a, b))
 
-    def _width(self, a: _Port, b: _Port) -> int:
-        return 1 if a.tor is b.tor else self.num_spines
+    def _width(self, a: int, b: int) -> int:
+        ports = self._ports
+        return 1 if ports[a].tor is ports[b].tor else self.num_spines
 
-    def _path(self, a: _Port, b: _Port, spine: int) -> UnderlayPath:
-        """The ``spine``-th candidate from ``a`` to ``b``, composed
-        from the names and links :meth:`_wire` built."""
+    def _path(self, a: int, b: int, spine: int) -> UnderlayPath:
+        """The ``spine``-th candidate from port ``a`` to port ``b``:
+        composed once, from the names and links :meth:`_wire` built."""
+        key = (a * len(self._ports) + b) * self.num_spines + spine
+        path = self._paths.get(key)
+        if path is None:
+            path = self._paths[key] = self._compose(
+                self._ports[a], self._ports[b], spine
+            )
+        return path
+
+    def _compose(self, a: _Port, b: _Port, spine: int) -> UnderlayPath:
         if a is b:
             return UnderlayPath((a.name,), ())
         if a.tor is b.tor:

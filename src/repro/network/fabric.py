@@ -43,8 +43,8 @@ simulator's per-probe cost has to follow suit):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -75,11 +75,11 @@ __all__ = ["DataPlaneFabric", "FlowResolutionCache"]
 _LOSS, _RTT, _SOFTWARE, _SPIKE_GATE, _SPIKE_SIZE, _PICK = range(6)
 
 
-@dataclass(frozen=True)
-class _Route:
+class _Route(NamedTuple):
     """One underlay path a probe may take, with what it meets there:
     the path's relevant-fault tuple, pre-resolved so a per-packet pick
-    costs one uniform and one tuple index."""
+    costs one uniform and one tuple index.  Immutable: a fault-free
+    route is one object shared by every resolution riding its path."""
 
     path: UnderlayPath
     faults: Tuple[object, ...]
@@ -99,9 +99,18 @@ def _candidate_paths(
     return [topology.pick_path(src_rnic, dst_rnic, fhash)]
 
 
-@dataclass
+#: What a healthy overlay chain adds to a probe: nothing.  One object,
+#: shared by every resolution through a healthy chain.
+_BENIGN = Effects()
+
+
+@dataclass(slots=True)
 class _Resolution:
-    """The deterministic (RNG-free, time-free) half of one probe."""
+    """The deterministic (RNG-free, time-free) half of one probe.
+
+    Holds only what is its pair's own; its hops, routes, paths and a
+    benign :attr:`overlay_fx` are objects shared with every other
+    resolution that has them."""
 
     trace: OverlayTrace
     fhash: int
@@ -112,16 +121,15 @@ class _Resolution:
     #: spraying.
     routes: Tuple[_Route, ...] = ()
     # Merged component-health effects along the overlay chain.
-    overlay_fx: Effects = field(default_factory=Effects)
+    overlay_fx: Effects = _BENIGN
     #: Reached, healthy overlay components, no fault on any candidate
     #: route: the probe is delivered with nothing added, so its fate
     #: needs no :class:`Effects` evaluated.
     plain: bool = False
-    #: What a reached walk read and installed: each flow table with the
-    #: match key looked up in it, and the health objects of the
-    #: components along the chain.
-    reads: Tuple[Tuple[FlowTable, FlowKey], ...] = ()
-    healths: Tuple[ComponentHealth, ...] = ()
+    #: The reverse flow's key its echo reply installed, and the
+    #: destination's record, whose OVS and offload tables hold it.
+    reverse: Optional[FlowKey] = None
+    replier: object = None
     #: Validity, kept by :class:`FlowResolutionCache`: the pair it is
     #: cached under; the miss cause a change to what a reached entry
     #: read marked it with (``None``: valid); the whole-overlay stamp an
@@ -132,6 +140,32 @@ class _Resolution:
     stale: Optional[str] = None
     seen: int = 0
     batch: int = 0
+
+    @property
+    def reads(self) -> Tuple[Tuple[FlowTable, FlowKey], ...]:
+        """What a reached walk read and installed: each flow table it
+        consulted with its forward key, then the destination's OVS and
+        offload tables with the reverse key."""
+        if not self.reached:
+            return ()
+        key, reverse, replier = self.trace.key, self.reverse, self.replier
+        return (
+            *[(table, key) for table in self.trace.tables],
+            (replier.ovs, reverse), (replier.offload, reverse),
+        )
+
+    @property
+    def healths(self) -> Tuple[ComponentHealth, ...]:
+        """The health objects of a reached chain: the six components
+        whose flags merge into its effects (source veth, OVS and VTEP,
+        destination VTEP, OVS and veth), then any a longer chain
+        crossed between them."""
+        walked = self.trace.healths
+        if not walked:
+            return ()
+        return walked[:3] + (walked[-2], walked[-3], walked[-1]) + (
+            walked[3:-3]
+        )
 
 
 @dataclass
@@ -261,13 +295,19 @@ class FlowResolutionCache:
         #: how many batch vectors have been built.
         self._vector: Optional[_RoundVector] = None
         self._batches = 0
-        #: What each reached entry read -> the entries registered on
-        #: it (one entry bare, several as a list: most keys are read by
+        #: Each flow table a reached entry read -> each key read in it
+        #: (``None``: the whole table) -> the entries registered on it
+        #: (one entry bare, several as a list: most keys are read by
         #: one pair, and a list per key is an object the collector
-        #: walks): a ``(table, key)`` or a whole table.  A replaced
-        #: entry's registrations linger until a mark consumes them or a
-        #: sweep drops them.
-        self._watch: Dict[object, object] = {}
+        #: walks).  A replaced entry's registrations linger until a mark
+        #: consumes them or a sweep drops them.
+        self._watch: Dict[
+            FlowTable, Dict[Optional[FlowKey], object]
+        ] = {}
+        #: The routes of fault-free candidate sets, by the identities of
+        #: their (interned, so kept alive here) paths: one tuple per
+        #: candidate set, shared by every resolution riding it.
+        self._plain_routes: Dict[Tuple[int, ...], Tuple[_Route, ...]] = {}
         #: Registrations in the index, and how many of them replaced
         #: entries held when they were replaced (an upper bound on the
         #: leftovers: marks consume some).
@@ -337,12 +377,11 @@ class FlowResolutionCache:
         placement, so the entries that read one are indexed."""
         if isinstance(source, ComponentHealth):
             for entry in self._entries.values():
-                if source in entry.healths:
+                if source in entry.trace.healths:
                     self._mark(entry, "epoch_changed")
             return
-        registered = self._watch.pop(
-            source if key is None else (source, key), None
-        )
+        held = self._watch.get(source)
+        registered = None if held is None else held.pop(key, None)
         if registered is None:
             return
         if type(registered) is not list:
@@ -364,25 +403,32 @@ class FlowResolutionCache:
                 self._mark(entry, "epoch_changed")
 
     @staticmethod
-    def _sources(entry: _Resolution) -> List[object]:
+    def _sources(
+        entry: _Resolution,
+    ) -> List[Tuple[FlowTable, Optional[FlowKey]]]:
         """What a reached entry registers on: each ``(table, key)`` it
-        read, and each of those tables."""
-        return [
-            *entry.reads, *dict.fromkeys(table for table, _ in entry.reads)
-        ]
+        read, and each of those tables as a whole (key ``None``)."""
+        reads = entry.reads
+        return [*reads, *(
+            (table, None)
+            for table in dict.fromkeys(table for table, _ in reads)
+        )]
 
     def _register(self, entry: _Resolution) -> None:
         """Index a fresh reached entry under everything it read."""
         watch = self._watch
         sources = self._sources(entry)
-        for source in sources:
-            held = watch.get(source)
+        for table, key in sources:
+            slot = watch.get(table)
+            if slot is None:
+                slot = watch[table] = {}
+            held = slot.get(key)
             if held is None:
-                watch[source] = entry
+                slot[key] = entry
             elif type(held) is list:
                 held.append(entry)
             else:
-                watch[source] = [held, entry]
+                slot[key] = [held, entry]
         self._indexed += len(sources)
         if self._replaced > self._indexed // 2:
             self._sweep()
@@ -392,15 +438,16 @@ class FlowResolutionCache:
         half the index, so it stays within twice what the live entries
         read (each sweep is paid for by the replacements before it)."""
         self._indexed = 0
-        for source, registered in list(self._watch.items()):
-            if type(registered) is not list:
-                registered = [registered]
-            live = [entry for entry in registered if self._live(entry)]
-            if live:
-                self._watch[source] = live if len(live) > 1 else live[0]
-                self._indexed += len(live)
-            else:
-                del self._watch[source]
+        for slot in self._watch.values():
+            for key, registered in list(slot.items()):
+                if type(registered) is not list:
+                    registered = [registered]
+                live = [entry for entry in registered if self._live(entry)]
+                if live:
+                    slot[key] = live if len(live) > 1 else live[0]
+                    self._indexed += len(live)
+                else:
+                    del slot[key]
         self._replaced = 0
 
     def invalidate(self) -> None:
@@ -499,11 +546,9 @@ class FlowResolutionCache:
     def _compute(self, src: EndpointId, dst: EndpointId) -> _Resolution:
         overlay = self._cluster.overlay
         trace = overlay.trace(src, dst, install_missing=True)
-        reverse = None
-        if overlay.is_registered(src) and overlay.is_registered(dst):
-            # The echo response travels the reverse flow, whose rule the
-            # destination's first reply packet installs.
-            reverse = overlay.ensure_flow(dst, src)
+        # The echo response travels the reverse flow, whose rule the
+        # destination's first reply packet installs.
+        reverse, replier = overlay.echo_flow(src, dst) or (None, None)
         fhash = flow_hash(src, dst)
 
         if not trace.reached:
@@ -515,72 +560,59 @@ class FlowResolutionCache:
                 overlay_reason=reason,
             )
 
-        src_rnic = trace.src_rnic
-        dst_rnic = trace.dst_rnic
-        routes = tuple(
-            _Route(
-                path=path,
-                faults=self._injector.relevant_faults(
-                    path, src_rnic, dst_rnic
-                ),
-                hops=path.hops,
-                switches=len(path.switches()),
-            )
-            for path in _candidate_paths(
-                self._cluster.topology, src_rnic, dst_rnic, fhash,
-                self.ecmp_mode == "spray",
-            )
-        )
-        # What the walk read: the six components whose flags merge
-        # into its effects (plus any a longer chain crossed), the
-        # forward key in each table it consulted, and the reverse key
-        # its echo reply installed at the destination.  A reached walk
-        # starts at the source veth, OVS and RNIC and ends at the
-        # destination's, so the chain is read off it, not formatted.
-        tables = trace.tables
-        chain = (
-            trace.hops[0].component, tables[0].component,
-            tables[1].component, tables[-1].component,
-            tables[-2].component, trace.hops[-1].component,
-        )
-        healths = [overlay.health(name) for name in chain + tuple(
-            name for name in trace.components() if name not in chain
-        )]
-        reads = [(table, trace.key) for table in tables]
-        if reverse is not None:
-            replier = overlay.record_of(dst)
-            reads += [
-                (overlay.ovs_table(replier.host), reverse),
-                (overlay.offload_table(replier.vf.rnic), reverse),
-            ]
-        overlay_fx = self._component_effects(healths[:len(chain)])
-        return _Resolution(
+        routes = self._routes(trace.src_rnic, trace.dst_rnic, fhash)
+        resolution = _Resolution(
             trace=trace, fhash=fhash, reached=True, routes=routes,
-            overlay_fx=overlay_fx,
-            plain=overlay_fx == Effects() and not any(
-                route.faults for route in routes
-            ),
-            reads=tuple(reads), healths=tuple(healths),
+            reverse=reverse, replier=replier,
         )
+        resolution.overlay_fx = self._component_effects(resolution)
+        resolution.plain = resolution.overlay_fx is _BENIGN and not any(
+            route.faults for route in routes
+        )
+        return resolution
+
+    def _routes(
+        self, src_rnic: RnicId, dst_rnic: RnicId, fhash: int
+    ) -> Tuple[_Route, ...]:
+        """A reached pair's candidate routes with the faults each
+        meets; a fault-free set is the one tuple every pair riding the
+        same paths holds."""
+        paths = _candidate_paths(
+            self._cluster.topology, src_rnic, dst_rnic, fhash,
+            self.ecmp_mode == "spray",
+        )
+        faults = [
+            self._injector.relevant_faults(path, src_rnic, dst_rnic)
+            for path in paths
+        ]
+        routes = tuple(
+            _Route(path, met, path.hops, len(path.switches()))
+            for path, met in zip(paths, faults)
+        )
+        if any(faults):
+            return routes
+        return self._plain_routes.setdefault(tuple(map(id, paths)), routes)
 
     @staticmethod
-    def _component_effects(healths: List[ComponentHealth]) -> Effects:
-        """Latency/loss contributed by overlay component health flags."""
-        combined = Effects()
+    def _component_effects(resolution: _Resolution) -> Effects:
+        """Latency/loss contributed by the health flags of the six
+        components on a reached chain; the one benign object when they
+        add nothing."""
         if not any(
             health.down or health.loss_rate or health.extra_latency_us
             or health.force_software_path
-            for health in healths
+            for health in resolution.trace.healths
         ):
-            return combined  # what merging six benign components gives
-        for health in healths:
+            return _BENIGN
+        combined = _BENIGN
+        for health in resolution.healths[:6]:
             combined = combined.merge(Effects(
                 down=health.down,
                 loss_rate=health.loss_rate,
                 extra_latency_us=health.extra_latency_us,
                 force_software_path=health.force_software_path,
             ))
-        return combined
+        return _BENIGN if combined == _BENIGN else combined
 
 
 def _merge_fault_effects(
@@ -590,7 +622,7 @@ def _merge_fault_effects(
     fhash: int,
 ) -> Effects:
     """Total effects of ``faults`` (plus overlay health) on one probe."""
-    combined = Effects()
+    combined = _BENIGN
     for fault in faults:
         contribution = fault.effects(at, fhash)
         if (

@@ -71,9 +71,13 @@ def container_component(container_id: ContainerId) -> str:
     return f"container:{container_id}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Effects:
-    """Aggregate data-plane effect of active faults on one probe."""
+    """Aggregate data-plane effect of active faults on one probe.
+
+    Immutable, so one benign instance is shared by every resolution
+    whose overlay chain adds nothing; :meth:`merge` returns a new one.
+    """
 
     down: bool = False
     loss_rate: float = 0.0
@@ -369,6 +373,8 @@ class FaultInjector:
         out: the injector's clock only moves forward, so it contributes
         nothing at any time a probe is still to be sent.
         """
+        if not self._live:
+            return ()
         faults = [
             fault for fault in self._live.values()
             if fault.meets((path,), src_rnic, dst_rnic)

@@ -138,6 +138,11 @@ class TestForwarding:
         trace = overlay.trace(src, dst, install_missing=False)
         assert trace.loop
         assert not trace.reached
+        # Caught on the host's second visit, not at the hop limit.
+        assert [hop.note for hop in trace.hops] == [
+            "", "", "", "forwarding loop"
+        ]
+        assert trace.hops[-1].component == ovs_name(task.container(0).host)
 
     def test_software_path_flag_via_health(self, attached):
         overlay, task = attached
@@ -161,6 +166,27 @@ class TestForwarding:
         assert trace.reached
         assert trace.software_path
 
+    def test_a_healthy_hop_is_shared_and_says_its_own_path(self, attached):
+        # One hop object per (component, path taken): the VTEP crossed
+        # in hardware and then in software gives two, never one reused.
+        overlay, task = attached
+        src = task.container(0).endpoint(0)
+        dst = task.container(1).endpoint(0)
+        first = overlay.trace(src, dst)
+        again = overlay.trace(src, dst)
+        assert all(a is b for a, b in zip(first.hops, again.hops))
+        overlay.health(vtep_name(overlay.rnic_of(src))).force_software_path \
+            = True
+        soft = overlay.trace(src, dst)
+        assert [hop.software_path for hop in first.hops] == [
+            False, False, False, False, False, False
+        ]
+        assert [hop.software_path for hop in soft.hops] == [
+            False, False, True, False, False, False
+        ]
+        assert soft.hops[2] is not first.hops[2]
+        assert soft.hops[2].component == first.hops[2].component
+
 
 class TestEnsureFlow:
     def test_cross_task_flow_rejected(self, attached, orchestrator, engine):
@@ -172,6 +198,22 @@ class TestEnsureFlow:
                 task.container(0).endpoint(0),
                 other.container(0).endpoint(0),
             )
+
+    def test_cross_task_echo_rejected_even_from_a_downed_veth(
+        self, attached, orchestrator, engine
+    ):
+        # A downed source veth stops the forward walk before it checks
+        # tenancy; the echo reply's install must still refuse.
+        overlay, task = attached
+        other = orchestrator.submit_task(1, 4, instant_startup=True)
+        engine.run_until(engine.now)
+        src, dst = task.container(0).endpoint(0), other.container(0).endpoint(0)
+        overlay.health(veth_name(src)).down = True
+        assert not overlay.trace(src, dst).reached
+        sizes = overlay.flow_table_sizes()
+        with pytest.raises(OverlayError):
+            overlay.echo_flow(src, dst)
+        assert overlay.flow_table_sizes() == sizes
 
     def test_unregistered_destination_returns_none(
         self, attached, orchestrator

@@ -125,16 +125,20 @@ class TestPaths:
 
 
 class TestEcmpMemoization:
-    """What a memo used to promise, now that every path is composed
-    from the wiring on demand: repeat answers are equal, lists are the
-    caller's own, and a pick builds only the pinned path."""
+    """Every path is composed from the wiring once, on first demand:
+    repeat answers are the same objects, lists are the caller's own,
+    and a pick builds only the pinned path."""
 
     def test_repeat_query_returns_equal_paths(self, topo):
         src = RnicId(HostId(0), 0)
         dst = RnicId(HostId(5), 0)
         first = topo.ecmp_paths(src, dst)
         assert topo.ecmp_paths(src, dst) == first
-        assert topo.pick_path(src, dst, 7) == topo.pick_path(src, dst, 7)
+        assert all(
+            again is path
+            for again, path in zip(topo.ecmp_paths(src, dst), first)
+        )
+        assert topo.pick_path(src, dst, 7) is topo.pick_path(src, dst, 7)
 
     def test_returned_list_is_a_fresh_copy(self, topo):
         src = RnicId(HostId(0), 0)
@@ -158,8 +162,10 @@ class TestEcmpMemoization:
         dst = RnicId(HostId(6), 1)
         pinned = topo.pick_path(src, dst, 3)
         assert built == [pinned]
-        assert len(topo.ecmp_paths(src, dst)) == topo.num_spines
-        assert len(built) == 1 + topo.num_spines
+        paths = topo.ecmp_paths(src, dst)
+        assert len(paths) == topo.num_spines
+        assert paths[3 % topo.num_spines] is pinned
+        assert len(built) == topo.num_spines  # each candidate once
 
     def test_single_candidate_picks_ignore_the_hash(self, topo):
         same_tor = (RnicId(HostId(0), 1), RnicId(HostId(1), 1))

@@ -365,7 +365,7 @@ def test_the_registration_index_does_not_outgrow_the_cache(
         fabric.send_probe_batch(pairs, 2.0 * cycle + 1.0)
         growth.append(sum(
             len(held) if isinstance(held, list) else 1
-            for held in cache._watch.values()
+            for slot in cache._watch.values() for held in slot.values()
         ))
     assert len(cache) == len(pairs)
     assert cache.misses > 200 * len(pairs) // 8  # the cycles re-walk

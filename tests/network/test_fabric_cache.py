@@ -378,9 +378,9 @@ class TestScopedValidity:
         lost = fabric.send_probe(src, dst, at=1.0)
         assert lost.lost and lost.reason.startswith("overlay unreachable")
         walked = lost.overlay_trace.tables
-        assert walked == [
+        assert walked == (
             src_table, overlay.offload_table(overlay.rnic_of(src))
-        ]
+        )
         hits = fabric.resolution_cache.hits
         assert fabric.send_probe(src, dst, at=2.0).lost
         assert fabric.resolution_cache.hits == hits + 1

@@ -1,0 +1,308 @@
+"""Property: a cold batch resolves exactly as its pairs would one by one.
+
+Twin replicas of one scenario are driven through the same history; one
+resolves each batch with :meth:`FlowResolutionCache.resolve_all`, the
+other with one :meth:`FlowResolutionCache.resolve` per pair, in order
+(the oracle).  After every batch both must agree on every row's
+observables (hops, reach, routes, flow hash, overlay effects, whether
+the row is plain), on every flow table's dump (key, action, offload
+state, packet counter), on the hit / miss / ``cache.miss.<cause>``
+counts the batch added, and on exactly which cached entries the next
+fault, migration or whole-table ``touch()`` marks stale.  The cases
+cover what a cold walk may meet: a ring-chord list at 2,048 endpoints,
+the basic list over four segments, spraying ECMP, live faults, an RNIC
+forced onto the software path, an unattached endpoint, same-host pairs,
+and a migration between two batches.
+"""
+
+import pytest
+
+from repro.cluster.identifiers import ContainerId, EndpointId
+from repro.cluster.overlay import vtep_name
+from repro.network.fabric import DataPlaneFabric
+from repro.network.faults import FaultInjector
+from repro.network.issues import GrayIssueType, IssueType
+from repro.shard.spec import (
+    ShardScenarioSpec,
+    build_replica,
+    ring_chord_pairs,
+)
+from repro.workloads.scenarios import build_scenario
+
+
+def _ring_chord_2048():
+    spec = ShardScenarioSpec(
+        num_containers=256, gpus_per_container=8, pp=2, seed=0,
+        total_rounds=8, hosts_per_segment=9,  # hosts to migrate onto
+    )
+    scenario = build_replica(spec)
+    return scenario, ring_chord_pairs(sorted(scenario.task.endpoints()))
+
+
+def _basic(num_containers, **kwargs):
+    def build():
+        scenario = build_scenario(
+            num_containers=num_containers, gpus_per_container=8, pp=2,
+            start_monitoring=False, **kwargs,
+        )
+        pairs = scenario.hunter.controller.ping_list_of(
+            scenario.task.id
+        ).active_pairs()
+        return scenario, pairs
+    return build
+
+
+def _first_link(scenario, pairs):
+    fabric = scenario.fabric
+    return next(
+        link for pair in pairs
+        for link in fabric.traceroute(pair.src, pair.dst).links
+        if "spine" in str(link)
+    )
+
+
+def _live_faults(scenario, pairs):
+    """An RNIC fault and a PFC storm, live before the cold batch."""
+    overlay = scenario.cluster.overlay
+    scenario.inject(IssueType.RNIC_PORT_DOWN, overlay.rnic_of(pairs[3].src))
+    scenario.inject(GrayIssueType.PFC_STORM, _first_link(scenario, pairs))
+    return pairs
+
+
+def _software_rnic(scenario, pairs):
+    overlay = scenario.cluster.overlay
+    rnic = overlay.rnic_of(pairs[0].src)
+    overlay.health(vtep_name(rnic)).force_software_path = True
+    return pairs
+
+
+def _odd_pairs(scenario, pairs):
+    """The list plus an unattached destination, a same-endpoint pair and
+    same-host (same-container) pairs, each placed mid-batch."""
+    task = scenario.task
+    stranger = EndpointId(ContainerId(task.id, 999), 0)
+    container = task.container(1)
+    local = [
+        (a, b) for a in container.endpoints()[:2]
+        for b in container.endpoints()[:3] if a != b
+    ]
+    middle = len(pairs) // 2
+    extra = [
+        (pairs[0].src, stranger), (stranger, pairs[0].src),
+        (pairs[1].src, pairs[1].src), *local,
+    ]
+    return list(pairs[:middle]) + extra + list(pairs[middle:])
+
+
+CASES = {
+    "ring-chord-2048": (_ring_chord_2048, None),
+    "basic-256": (_basic(32, hosts_per_segment=10), None),
+    "spray-live-faults": (
+        _basic(8, hosts_per_segment=5, ecmp_mode="spray"), _live_faults
+    ),
+    "static-live-faults": (_basic(8, hosts_per_segment=5), _live_faults),
+    "software-path": (_basic(8, hosts_per_segment=5), _software_rnic),
+    "odd-pairs": (_basic(8, hosts_per_segment=5), _odd_pairs),
+}
+
+
+def _face(fault):
+    inner = getattr(fault, "fault", None)
+    return (type(fault).__name__, (inner or fault).fault_id)
+
+
+def _row(resolution):
+    trace = resolution.trace
+    return (
+        trace.hops, trace.reached, trace.loop, trace.software_path,
+        trace.src_rnic, trace.dst_rnic, resolution.overlay_reason,
+        [
+            (route.path, tuple(map(_face, route.faults)), route.hops,
+             route.switches)
+            for route in resolution.routes
+        ],
+        resolution.fhash, resolution.overlay_fx, resolution.plain,
+    )
+
+
+def _dump(table):
+    return [
+        (rule.key, rule.action, rule.offloaded, rule.offloaded_to,
+         rule.packets)
+        for rule in table.rules()
+    ]
+
+
+def _tables(scenario):
+    overlay = scenario.cluster.overlay
+    return (
+        [(host, _dump(overlay.ovs_table(host)))
+         for host in overlay.hosts_with_tables()],
+        [(rnic, _dump(overlay.offload_table(rnic)))
+         for rnic in overlay.offload_rnics()],
+    )
+
+
+def _counts(scenario):
+    cache = scenario.fabric.resolution_cache
+    return (
+        cache.hits, cache.misses,
+        scenario.fabric.metrics.counters("cache.miss."),
+    )
+
+
+def _marked(scenario):
+    return {
+        pair for pair, entry in
+        scenario.fabric.resolution_cache._entries.items()
+        if entry.stale is not None
+    }
+
+
+class Twins:
+    """The batch world and its pair-by-pair oracle, built alike."""
+
+    def __init__(self, build, prepare):
+        self.worlds = []
+        for _ in range(2):
+            scenario, pairs = build()
+            if prepare is not None:
+                pairs = prepare(scenario, pairs)
+            self.worlds.append(scenario)
+        self.pairs = pairs
+
+    def resolve(self):
+        batch, oracle = self.worlds
+        vector = batch.fabric.resolution_cache.resolve_all(self.pairs)
+        cache = oracle.fabric.resolution_cache
+        singles = [
+            cache.resolve(pair[0], pair[1]) if isinstance(pair, tuple)
+            else cache.resolve(pair.src, pair.dst)
+            for pair in self.pairs
+        ]
+        assert [_row(res) for res in vector.resolutions] == [
+            _row(res) for res in singles
+        ]
+        assert _tables(batch) == _tables(oracle)
+        assert _counts(batch) == _counts(oracle)
+        return vector
+
+    def both(self, act):
+        for scenario in self.worlds:
+            act(scenario)
+        batch, oracle = self.worlds
+        assert _marked(batch) == _marked(oracle)
+        return _marked(batch)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_a_cold_batch_is_its_pairs_one_by_one(case):
+    twins = Twins(*CASES[case])
+    vector = twins.resolve()
+    assert any(res.reached for res in vector.resolutions)
+    pair = twins.pairs[len(twins.pairs) // 3]
+    src = pair[0] if isinstance(pair, tuple) else pair.src
+
+    def rnic_fault(scenario):
+        overlay = scenario.cluster.overlay
+        scenario.inject(IssueType.RNIC_PORT_DOWN, overlay.rnic_of(src))
+
+    def touch(scenario):
+        overlay = scenario.cluster.overlay
+        overlay.ovs_table(overlay.rnic_of(src).host).touch()
+
+    def migrate(scenario):
+        scenario.orchestrator.migrate_container(
+            scenario.task.container(src.container.rank)
+        )
+
+    assert twins.both(rnic_fault)
+    twins.resolve()
+    assert twins.both(touch)
+    twins.resolve()
+    assert twins.both(migrate)
+    twins.resolve()
+    twins.resolve()  # all hits where nothing moved since
+
+
+@pytest.mark.parametrize("ecmp_mode", ["static", "spray"])
+def test_cold_entries_over_one_rnic_pair_share_what_they_ride(
+    cluster, orchestrator, engine, rng, ecmp_mode
+):
+    # A GPU's endpoint rides that GPU's RNIC, so two endpoint pairs
+    # meet one RNIC pair when a tenant follows another onto its GPUs.
+    fabric = DataPlaneFabric(cluster, FaultInjector(cluster), rng)
+    fabric.set_ecmp_mode(ecmp_mode)
+    cache, overlay = fabric.resolution_cache, cluster.overlay
+
+    def tenant():
+        task = orchestrator.submit_task(2, 4, instant_startup=True)
+        engine.run_until(engine.now)
+        pairs = [
+            (a, b) for src in task.all_containers()
+            for dst in task.all_containers() if src is not dst
+            for a in src.endpoints() for b in dst.endpoints()
+        ]
+        rnics = [(overlay.rnic_of(a), overlay.rnic_of(b)) for a, b in pairs]
+        return task, pairs, rnics, cache.resolve_all(pairs).resolutions
+
+    first, first_pairs, first_rnics, before = tenant()
+    orchestrator.terminate_task(first.id)
+    _, pairs, rnics, after = tenant()
+    assert rnics == first_rnics and not set(pairs) & set(first_pairs)
+    assert all(res.reached and res.plain for res in before + after)
+    for old, new in zip(before, after):
+        assert new is not old and new.routes is old.routes
+        assert [r.path for r in new.routes] == [r.path for r in old.routes]
+        assert new.overlay_fx is old.overlay_fx
+        assert new.trace.hops[1:-1] == old.trace.hops[1:-1]
+        assert all(
+            mine is theirs
+            for mine, theirs in zip(new.trace.hops[1:-1], old.trace.hops[1:-1])
+        )
+    assert any(len(res.routes) > 1 for res in after) == (ecmp_mode == "spray")
+    route, res = after[0].routes[0], after[0]
+    for obj, name in (
+        (route, "faults"), (route.path, "links"),
+        (res.overlay_fx, "down"), (res.trace.hops[1], "ok"),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, getattr(obj, name))
+    with pytest.raises(TypeError):
+        res.trace.hops[0] = res.trace.hops[1]  # a tuple, not a list
+
+
+def test_a_traceroute_is_the_one_interned_path(small_scenario):
+    fabric = small_scenario.fabric
+    endpoints = small_scenario.task.endpoints()
+    a, b = endpoints[0], endpoints[-1]
+    assert fabric.traceroute(a, b) is fabric.traceroute(a, b)
+    assert fabric.path_distribution(a, b)[0] is fabric.traceroute(a, b)
+
+
+def test_a_mode_switch_resolves_each_mode_its_own_candidates(
+    cluster, orchestrator, engine, rng
+):
+    # A pinned pick and a sprayed candidate set over one RNIC pair may
+    # start with the same path; each mode must still get its own set.
+    task = orchestrator.submit_task(4, 4, instant_startup=True)
+    engine.run_until(engine.now)
+    fabric = DataPlaneFabric(cluster, FaultInjector(cluster), rng)
+    topology = cluster.topology
+    pairs = [
+        (a, b) for src in task.all_containers()
+        for dst in task.all_containers() if src is not dst
+        for a in src.endpoints() for b in dst.endpoints()
+    ]
+    for mode in ("static", "spray", "static", "spray"):
+        fabric.set_ecmp_mode(mode)
+        vector = fabric.resolution_cache.resolve_all(pairs)
+        for (a, b), res in zip(pairs, vector.resolutions):
+            paths = [route.path for route in res.routes]
+            if mode == "static":
+                assert paths == [fabric.traceroute(a, b)]
+            else:
+                assert paths == topology.ecmp_paths(
+                    res.trace.src_rnic, res.trace.dst_rnic
+                )
+    assert any(len(res.routes) > 1 for res in vector.resolutions)
