@@ -232,24 +232,19 @@ class Replayer:
 
     def replay(self) -> ReplayResult:
         """Apply every record; returns the comparison-ready result."""
-        from repro.core.analyzer import Analyzer
-        from repro.core.localization import Localizer, localize_open_events
         from repro.core.pinglist import ProbePair
         from repro.network.issues import lookup_issue
 
         config = self.recording.config
-        scenario = _build_replica(config, watch=False)
-        chaos = _build_chaos(config)
-        analyzer = Analyzer(None)
-        localizer = Localizer(
-            scenario.cluster, scenario.fabric, chaos=chaos
+        scenario = _build_replica(
+            config, chaos=_build_chaos(config), watch=False
         )
+        analyzer = scenario.hunter.analyzer
         self._warm_fabric(scenario, ProbePair)
 
         result = ReplayResult()
         active_pairs: List[Any] = []
         fault_map: Dict[int, Any] = {}
-        localized: set = set()
 
         for record in self.recording.records:
             topic = record["topic"]
@@ -289,9 +284,8 @@ class Replayer:
             elif topic == Topic.ROUND:
                 result.rounds += 1
                 analyzer.flush(at)
-                fresh, report = localize_open_events(
-                    localizer, analyzer.open_events(), localized,
-                    lambda fresh: active_pairs, at,
+                fresh, report = scenario.hunter.localizer.localize_open(
+                    analyzer.open_events(), lambda fresh: active_pairs, at,
                 )
                 if report is None:
                     continue

@@ -23,11 +23,7 @@ from repro.core.localization import (
     Localizer,
 )
 from repro.core.pinglist import PingList, PingListPhase, ProbePair
-from repro.core.probing import (
-    ProbeCostModel,
-    estimate_round_duration,
-    probes_per_round,
-)
+from repro.core.probing import ProbeCostModel, estimate_round_duration
 from repro.core.recovery import MigrationAction, RecoveryManager
 from repro.core.rnic_validation import RnicFinding, RnicValidator
 from repro.core.rollout import (
@@ -78,5 +74,4 @@ __all__ = [
     "SkeletonInference",
     "estimate_round_duration",
     "fault_affects_pair",
-    "probes_per_round",
 ]

@@ -127,9 +127,7 @@ class OverlayAgent:
         """Probe this agent's share alone: a one-agent
         :func:`~repro.core.probing.run_probe_round`, whose batch it
         returns."""
-        batches: List[ProbeBatch] = []
-        run_probe_round([self], fabric, now, next_round, batches.append)
-        return batches[0]
+        return run_probe_round([self], fabric, now, next_round)
 
     def record_round(
         self,

@@ -43,40 +43,11 @@ __all__ = [
     "Diagnosis",
     "LocalizationReport",
     "Localizer",
-    "localize_open_events",
 ]
 
 
 def _pair_label(pair: ProbePair) -> str:
     return f"{pair.src}<->{pair.dst}"
-
-
-def localize_open_events(
-    localizer: "Localizer",
-    open_events: Sequence[FailureEvent],
-    localized: Set[Tuple[ProbePair, float]],
-    universe: Callable[[List[FailureEvent]], Sequence[ProbePair]],
-    now: float,
-) -> Tuple[List[FailureEvent], Optional["LocalizationReport"]]:
-    """One round's localization step, the only one: the live hunter,
-    the bus replayer, each fleet tenant and the shard coordinator run
-    it after every round.  Fresh events (keys not in ``localized``)
-    only gate whether to run; the batch is *every* open event: gray
-    faults trickle events in across rounds, a single-pair batch gives
-    tomography nothing to intersect, and still-open incidents are live
-    evidence, never healthy exoneration mass: the healthy pairs are
-    those of ``universe(fresh)``, every monitored pair, that no open
-    event implicates, asked for only when something is fresh.  Returns
-    ``(fresh, report)`` with ``fresh`` marked localized, or
-    ``([], None)``."""
-    fresh = [e for e in open_events if e.key not in localized]
-    if not fresh:
-        return [], None
-    failing = {event.pair for event in open_events}
-    healthy = [pair for pair in universe(fresh) if pair not in failing]
-    report = localizer.localize(open_events, healthy_pairs=healthy, now=now)
-    localized.update(event.key for event in fresh)
-    return fresh, report
 
 
 @dataclass(frozen=True)
@@ -139,10 +110,40 @@ class Localizer:
         #: spraying (the bench's "naive" comparator).
         self.distribution_aware = True
         self._now = 0.0     # sim time of the localize() call in flight
+        #: The keys ``(pair, first detection)`` of every event a
+        #: :meth:`localize_open` batch has held.
+        self.localized: Set[Tuple[ProbePair, float]] = set()
 
     # ------------------------------------------------------------------
     # Entry point
     # ------------------------------------------------------------------
+
+    def localize_open(
+        self,
+        open_events: Sequence[FailureEvent],
+        universe: Callable[[List[FailureEvent]], Sequence[ProbePair]],
+        now: float,
+    ) -> Tuple[List[FailureEvent], Optional[LocalizationReport]]:
+        """One round's localization step, the only one: the live hunter,
+        the bus replayer, each fleet tenant and the shard coordinator run
+        it after every round.  Fresh events (keys this localizer has not
+        localized) only gate whether to run; the batch is *every* open
+        event: gray faults trickle events in across rounds, a
+        single-pair batch gives tomography nothing to intersect, and
+        still-open incidents are live evidence, never healthy
+        exoneration mass: the healthy pairs are those of
+        ``universe(fresh)``, every monitored pair, that no open event
+        implicates, asked for only when something is fresh.  Returns
+        ``(fresh, report)`` with ``fresh`` marked localized, or
+        ``([], None)``."""
+        fresh = [e for e in open_events if e.key not in self.localized]
+        if not fresh:
+            return [], None
+        failing = {event.pair for event in open_events}
+        healthy = [pair for pair in universe(fresh) if pair not in failing]
+        report = self.localize(open_events, healthy_pairs=healthy, now=now)
+        self.localized.update(event.key for event in fresh)
+        return fresh, report
 
     def localize(
         self,

@@ -2,12 +2,12 @@
 
 Agents probe their active targets once per round.  Two views exist:
 
-* :func:`run_probe_round` actually sends every agent's probes through
-  the simulated fabric and feeds the analyzer (the one round loop, used
-  by the live system and the shard monitors) — as one
-  :class:`~repro.network.packet.ProbeBatch` from the fabric to the
-  analyzer, hardened agents included, cut per agent only for a bus to
-  record;
+* :func:`run_probe_round` actually sends a round's probes through the
+  simulated fabric (the one way a round is sent: by the live system's
+  agents, each shard monitor's agents and each fleet worker's tenants)
+  — as one :class:`~repro.network.packet.ProbeBatch` from the fabric to
+  the analyzer, hardened owners included, cut per owner only for a bus
+  to record or a tenant's own analyzer to ingest;
 * :func:`estimate_round_duration` computes how long a probing round would
   take on real hardware, where each sidecar agent paces its probes
   serially while agents run in parallel — the quantity Figure 16 of the
@@ -18,9 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple,
-)
+from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
@@ -34,17 +32,12 @@ from repro.network.draws import BACKOFF_COLUMN
 from repro.network.fabric import DataPlaneFabric
 from repro.network.packet import ProbeBatch
 
-if TYPE_CHECKING:  # agent.py imports this module
-    from repro.core.agent import OverlayAgent
-
 __all__ = [
     "ProbeCostModel",
     "ResilientProber",
     "coarse_pairs",
     "estimate_round_duration",
-    "probes_per_round",
     "run_probe_round",
-    "send_round",
 ]
 
 
@@ -60,11 +53,6 @@ class ProbeCostModel:
 
     per_probe_s: float = 1.0
     round_overhead_s: float = 4.0
-
-
-def probes_per_round(ping_list: PingList) -> int:
-    """Total probes one round issues (one per pair)."""
-    return len(ping_list)
 
 
 def _max_targets_per_source(ping_list: PingList) -> int:
@@ -116,7 +104,7 @@ class ResilientProber:
     """Monitor-plane hardening around a probe round.
 
     One agent's side of the defenses of ``docs/ROBUSTNESS.md``, which
-    :func:`send_round` applies to a round's rows as columns: a *report*
+    :func:`run_probe_round` applies to a round's rows as columns: a *report*
     lost or late by the monitor (never a probe the network dropped) is
     retried with keyed backoff while the retry lands before the pair's
     next round; a round that still loses reports is a failure, and
@@ -177,18 +165,24 @@ _TALLIES = ("reports_lost", "reports_late", "retries", "retry_successes",
 _LOST, _LATE, _RETRIES, _SUCCESSES, _FAILURES = range(len(_TALLIES))
 
 
-def send_round(
+def run_probe_round(
+    owners: Sequence[Any],
     fabric: DataPlaneFabric,
-    shares: Sequence[Optional[Sequence[ProbePair]]],
-    probers: Sequence[Optional[ResilientProber]],
     now: float,
     next_round: float,
-) -> Tuple[ProbeBatch, List[Tuple[int, int]]]:
-    """Send every share's pairs (``None``: none) as one fabric batch and
-    deliver their reports: the delivered rows in share order, and each
-    share's ``(failed, retried)`` report counts.
+) -> ProbeBatch:
+    """One probing round of ``owners`` at ``now``, the next at
+    ``next_round``: one fabric batch whatever its owners, plus one per
+    retry attempt when a hardened owner's reports go missing — the only
+    way a round is sent.  Returns the delivered rows, in owner order.
 
-    The rows of the shares with a prober (all with one monitor-fault
+    An owner — an :class:`~repro.core.agent.OverlayAgent`, or a fleet
+    tenant — has ``plan_round(now)``, its share (``None``: none; a
+    hardened agent may skip the round or probe coarsely), a ``prober``
+    (``None``: unhardened) and ``record_round(batch, now, start,
+    stop)``, which takes its delivered rows ``batch[start:stop]``.
+
+    The rows of the owners with a prober (all with one monitor-fault
     injector) draw their report fates as one keyed column per attempt
     (:meth:`MonitorFaultInjector.report_fates`); the missing ones are
     retried as one batch per attempt, each at its send time + timeout +
@@ -196,90 +190,72 @@ def send_round(
     failure).  The delivered rows are selected from the first batch and
     the retry waves, each the send its report arrived with.  Draws are
     keyed by the probe, so no row depends on what else a batch held.
+    Then, in owner order — the order a bus recording sees — each owner
+    settles its prober and records its delivered rows.
     """
+    shares = [owner.plan_round(now) for owner in owners]
     pairs = [pair for share in shares if share for pair in share]
     batch = fabric.send_probe_batch(pairs, now)
-    hardened = [i for i, prober in enumerate(probers) if prober is not None]
-    if not hardened:
-        return batch, [(0, 0)] * len(shares)
-    chaos = probers[hardened[0]].chaos
-    owner = np.repeat(
-        np.arange(len(shares)), [len(share or ()) for share in shares]
-    )
-    tally = np.zeros((len(_TALLIES), len(shares)), dtype=np.int64)
-
-    def count(kind: int, rows: np.ndarray) -> None:
-        tally[kind] += np.bincount(owner[rows], minlength=len(shares))
-
-    rows = np.flatnonzero(np.isin(owner, hardened))
-    wave = ProbeBatch.take([batch], rows)
-    waves = [batch]
-    # Each row's answer, as a row of the waves laid end to end.
-    answer = np.arange(len(pairs))
-    arrived = np.ones(len(pairs), dtype=bool)
-    for attempt in range(MAX_RETRIES + 1):
-        fates = chaos.report_fates(wave, attempt)
-        count(_LOST, rows[fates == REPORT_LOST])
-        count(_LATE, rows[fates == REPORT_LATE])
-        missed = np.flatnonzero(fates != REPORT_OK)
-        if attempt == MAX_RETRIES or not missed.size:
-            arrived[rows[missed]] = False
-            break
-        sent_at = wave.sent_at[missed]
-        u = chaos.draws.column(
-            wave.keys[missed], sent_at, BACKOFF_COLUMN, attempt + 1
+    tally = np.zeros((len(_TALLIES), len(owners)), dtype=np.int64)
+    hardened = [
+        i for i, owner in enumerate(owners) if owner.prober is not None
+    ]
+    if hardened:
+        chaos = owners[hardened[0]].prober.chaos
+        owner_of = np.repeat(
+            np.arange(len(owners)), [len(share or ()) for share in shares]
         )
-        at = sent_at + RETRY_TIMEOUT_S + backoff_s(attempt + 1, u)
-        in_time = at < next_round
-        arrived[rows[missed[~in_time]]] = False
-        rows, at = rows[missed[in_time]], at[in_time]
-        if not rows.size:
-            break
-        wave = fabric.send_probe_batch(
-            list(map(pairs.__getitem__, rows.tolist())), at
-        )
-        count(_RETRIES, rows)
-        answer[rows] = sum(map(len, waves)) + np.arange(rows.size)
-        waves.append(wave)
-    count(_SUCCESSES, np.flatnonzero(arrived & (answer >= len(pairs))))
-    count(_FAILURES, np.flatnonzero(~arrived))
-    for i in hardened:
-        probers[i].tally(tally[:, i])
-    counts = list(zip(tally[_FAILURES].tolist(), tally[_RETRIES].tolist()))
-    if len(waves) > 1 or not arrived.all():
-        batch = ProbeBatch.take(waves, answer[arrived])
-    return batch, counts
 
+        def count(kind: int, rows: np.ndarray) -> None:
+            tally[kind] += np.bincount(
+                owner_of[rows], minlength=len(owners)
+            )
 
-def run_probe_round(
-    agents: Sequence["OverlayAgent"],
-    fabric: DataPlaneFabric,
-    now: float,
-    next_round: float,
-    on_batch: Callable[[ProbeBatch], None],
-) -> None:
-    """One probing round of ``agents`` at ``now``, the next at
-    ``next_round``: one fabric batch whatever its agents
-    (:func:`send_round`), plus one per retry attempt when a hardened
-    agent's reports go missing.
-
-    Each agent plans its share (a hardened agent may skip the round or
-    probe coarsely), then — in agent order, the order a bus recording
-    sees — settles its prober and accounts and publishes its delivered
-    rows; the analyzer takes the round's batch whole.
-    """
-    shares = [agent.plan_round(now) for agent in agents]
-    batch, counts = send_round(
-        fabric, shares, [agent.prober for agent in agents], now,
-        next_round,
-    )
+        rows = np.flatnonzero(np.isin(owner_of, hardened))
+        wave = ProbeBatch.take([batch], rows)
+        waves = [batch]
+        # Each row's answer, as a row of the waves laid end to end.
+        answer = np.arange(len(pairs))
+        arrived = np.ones(len(pairs), dtype=bool)
+        for attempt in range(MAX_RETRIES + 1):
+            fates = chaos.report_fates(wave, attempt)
+            count(_LOST, rows[fates == REPORT_LOST])
+            count(_LATE, rows[fates == REPORT_LATE])
+            missed = np.flatnonzero(fates != REPORT_OK)
+            if attempt == MAX_RETRIES or not missed.size:
+                arrived[rows[missed]] = False
+                break
+            sent_at = wave.sent_at[missed]
+            u = chaos.draws.column(
+                wave.keys[missed], sent_at, BACKOFF_COLUMN, attempt + 1
+            )
+            at = sent_at + RETRY_TIMEOUT_S + backoff_s(attempt + 1, u)
+            in_time = at < next_round
+            arrived[rows[missed[~in_time]]] = False
+            rows, at = rows[missed[in_time]], at[in_time]
+            if not rows.size:
+                break
+            wave = fabric.send_probe_batch(
+                list(map(pairs.__getitem__, rows.tolist())), at
+            )
+            count(_RETRIES, rows)
+            answer[rows] = sum(map(len, waves)) + np.arange(rows.size)
+            waves.append(wave)
+        count(_SUCCESSES, np.flatnonzero(arrived & (answer >= len(pairs))))
+        count(_FAILURES, np.flatnonzero(~arrived))
+        for i in hardened:
+            owners[i].prober.tally(tally[:, i])
+        if len(waves) > 1 or not arrived.all():
+            batch = ProbeBatch.take(waves, answer[arrived])
     start = 0
-    for agent, share, (failed, retried) in zip(agents, shares, counts):
+    for owner, share, failed, retried in zip(
+        owners, shares, tally[_FAILURES].tolist(), tally[_RETRIES].tolist()
+    ):
         delivered = len(share or ()) - failed
-        if agent.prober is not None:
-            agent.prober.settle(
+        if owner.prober is not None:
+            owner.prober.settle(
                 now, delivered, failed, retried, probed=share is not None
             )
-        agent.record_round(batch, now, start, start + delivered)
+        owner.record_round(batch, now, start, start + delivered)
         start += delivered
-    on_batch(batch)
+    return batch

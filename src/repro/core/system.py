@@ -5,12 +5,15 @@ Wires every component onto one simulation clock:
 * task submission triggers ping-list **preload**;
 * container RUNNING transitions launch sidecar agents that **register**
   themselves, incrementally activating probe targets;
-* a periodic probing loop has every agent probe its active targets and
-  feed the analyzer;
+* a periodic probing loop sends every agent's active targets as one
+  round (:func:`~repro.core.probing.run_probe_round`) and feeds the
+  analyzer the delivered batch;
 * throughput observations can be fed in to run **skeleton inference** and
   shrink the ping list;
-* newly opened failure events are **localized** within the same round,
-  and each (time, report) is retained for evaluation.
+* newly opened failure events are **localized** within the same round
+  (:meth:`~repro.core.localization.Localizer.localize_open`, whose
+  localizer remembers what it localized), and each (time, report) is
+  retained for evaluation.
 """
 
 from __future__ import annotations
@@ -27,11 +30,7 @@ from repro.cluster.orchestrator import Cluster, Orchestrator
 from repro.core.analyzer import Analyzer, FailureEvent
 from repro.core.controller import Controller
 from repro.core.detection import DetectorConfig
-from repro.core.localization import (
-    LocalizationReport,
-    Localizer,
-    localize_open_events,
-)
+from repro.core.localization import LocalizationReport, Localizer
 from repro.core.pinglist import ProbePair
 from repro.core.probing import run_probe_round
 from repro.core.skeleton import (
@@ -100,7 +99,6 @@ class SkeletonHunter:
         self.recovery = None
         self.reports: List[Tuple[float, LocalizationReport]] = []
         self._watched: Set[TaskId] = set()
-        self._localized_events: Set[Tuple[ProbePair, float]] = set()
         self._published_pairs: Optional[List[ProbePair]] = None
         self._probe_task: Optional[PeriodicTask] = None
 
@@ -189,15 +187,14 @@ class SkeletonHunter:
         lost0 = self.fabric.probes_lost
         anomalies0 = len(self.analyzer.anomalies)
         opened0 = len(self.analyzer.events)
-        run_probe_round(
+        self.analyzer.ingest_batch(run_probe_round(
             [
                 agent
                 for task_id in self.controller.monitored_tasks()
                 for agent in self.controller.agents_of(task_id)
             ],
             self.fabric, now, now + self.probe_interval_s,
-            self.analyzer.ingest_batch,
-        )
+        ))
         self.analyzer.flush(now)
         self._localize_new_events(now)
         sent = self.fabric.probes_sent - sent0
@@ -227,9 +224,8 @@ class SkeletonHunter:
         return (sent, lost, anomalies, opened)
 
     def _localize_new_events(self, now: float) -> None:
-        _, report = localize_open_events(
-            self.localizer, self.analyzer.open_events(),
-            self._localized_events,
+        _, report = self.localizer.localize_open(
+            self.analyzer.open_events(),
             lambda fresh: self._localization_inputs(now, fresh), now,
         )
         if report is None:

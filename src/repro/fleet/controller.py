@@ -7,14 +7,18 @@ through the run's rounds.  Every round it
    reschedules) and the network-fault schedule against the replica;
 2. asks the :class:`~repro.fleet.budget.ProbeBudgetScheduler` to split
    the global probe budget over the admitted tenants; and
-3. for each *monitored* tenant, probes that tenant's budgeted pair
-   window and feeds the results through the tenant's **own** analyzer,
-   localizer, and failure handler.
+3. sends one probing round over every *monitored* tenant's budgeted
+   pair window — :func:`~repro.core.probing.run_probe_round`, one
+   fabric batch plus its retry waves whatever the tenant count, each
+   tenant a probe owner as an agent is — and feeds each tenant's rows
+   of it through the tenant's **own** analyzer, localizer, and failure
+   handler.
 
 Per-tenant isolation is structural, not cooperative: each tenant gets
 a private :class:`~repro.core.analyzer.Analyzer` (so one tenant's
 anomaly windows never mix with another's), a private
-:class:`~repro.core.localization.Localizer` batch stream, and a
+:class:`~repro.core.localization.Localizer` (batch stream and ledger
+of what it localized), and a
 :class:`~repro.core.handling.Blacklist` scoped by tenant name (so two
 tenants blaming the same host hold two distinct entries — see
 satellite work in :mod:`repro.core.handling`).  Verdicts are recorded,
@@ -41,9 +45,9 @@ import numpy as np
 
 from repro.core.analyzer import Analyzer
 from repro.core.handling import Blacklist, FailureHandler
-from repro.core.localization import Localizer, localize_open_events
+from repro.core.localization import Localizer
 from repro.core.pinglist import ProbePair
-from repro.core.probing import ResilientProber, send_round
+from repro.core.probing import ResilientProber, run_probe_round
 from repro.core.resilience import CircuitBreaker
 from repro.fleet.budget import (
     BudgetAllocation,
@@ -57,7 +61,8 @@ from repro.fleet.lifecycle import (
 )
 from repro.fleet.runtime import FleetReplica, build_fleet_replica
 from repro.fleet.spec import FleetSpec, tenant_pairs
-from repro.shard.monitor import EventKey, EventRecord
+from repro.network.packet import ProbeBatch
+from repro.shard.monitor import EventRecord
 from repro.shard.spec import FaultScheduleRunner, build_monitor_chaos
 
 __all__ = [
@@ -76,7 +81,9 @@ VerdictRow = Tuple[str, float, Tuple[Tuple[str, str, str, float], ...],
 
 @dataclass
 class TenantRuntime:
-    """One monitored tenant's private diagnosis pipeline."""
+    """One monitored tenant's private diagnosis pipeline, and the owner
+    of its budget window in a worker's
+    :func:`~repro.core.probing.run_probe_round`."""
 
     name: str
     #: The pair universe: canonical pairs in sorted order, as
@@ -87,13 +94,15 @@ class TenantRuntime:
     localizer: Localizer
     handler: FailureHandler
     prober: Optional[ResilientProber] = None
+    #: This round's budget window, and how many of its probes were lost.
+    window: List[ProbePair] = field(default_factory=list)
+    lost: int = 0
     probes_sent: int = 0
     probes_lost: int = 0
     #: Lowest granted per-round coverage while admitted.
     min_coverage: float = 1.0
     #: Distinct pairs probed at least once (cumulative coverage).
     probed_pairs: Set[ProbePair] = field(default_factory=set)
-    _reported: Set[EventKey] = field(default_factory=set)
     events: List[Tuple[str, EventRecord]] = field(default_factory=list)
     verdicts: List[VerdictRow] = field(default_factory=list)
 
@@ -101,6 +110,24 @@ class TenantRuntime:
     def blacklist(self) -> Blacklist:
         """The tenant-scoped blacklist behind the failure handler."""
         return self.handler.blacklist
+
+    def plan_round(self, now: float) -> List[ProbePair]:
+        """The tenant's share of the round: its budget window."""
+        return self.window
+
+    def record_round(
+        self, batch: ProbeBatch, now: float, start: int, stop: int
+    ) -> None:
+        """Feed the window's delivered reports — rows ``start:stop`` of
+        the round's batch — to the tenant's own analyzer, and count
+        what the window lost."""
+        rows = batch[start:stop]
+        self.analyzer.ingest_batch(rows)
+        self.analyzer.flush(now)
+        self.probes_sent += len(self.window)
+        self.probed_pairs.update(self.window)
+        self.lost = len(self.window) - int(np.count_nonzero(~rows.lost))
+        self.probes_lost += self.lost
 
     def cumulative_coverage(self) -> float:
         """Fraction of the pair universe probed at least once."""
@@ -268,24 +295,35 @@ class FleetController:
             round_index, [self.demands[name] for name in admitted]
         )
         self.allocations.append(allocation)
-        # 3. Per-tenant probing + diagnosis for monitored tenants.
+        # 3. One probing round over the monitored tenants' budget
+        #    windows (a tenant with an empty one sits it out), then
+        #    each tenant's own diagnosis.
+        runtimes = [
+            self._tenant_runtime(name) for name in admitted
+            if name in self.monitor_tenants
+        ]
+        for runtime in runtimes:
+            runtime.window = self.scheduler.select_pairs(
+                runtime.pairs, allocation.quota_of(runtime.name),
+                round_index,
+            )
+            runtime.lost = 0
+        run_probe_round(
+            [runtime for runtime in runtimes if runtime.window],
+            self.replica.fabric, at, spec.round_time(round_index + 1),
+        )
         tenant_rows = []
-        for name in admitted:
-            if name not in self.monitor_tenants:
-                continue
-            runtime = self._tenant_runtime(name)
-            quota = allocation.quota_of(name)
-            floor = self.demands[name].floor
-            demand = self.demands[name].demand
-            if demand > 0:
+        for runtime in runtimes:
+            quota = allocation.quota_of(runtime.name)
+            demand = self.demands[runtime.name]
+            if demand.demand > 0:
                 runtime.min_coverage = min(
-                    runtime.min_coverage, quota / demand
+                    runtime.min_coverage, quota / demand.demand
                 )
-            lost = self._probe_tenant(runtime, quota, round_index, at)
             self._diagnose(runtime, at)
             tenant_rows.append((
-                name, demand, floor, quota, lost,
-                len(runtime.analyzer.open_events()),
+                runtime.name, demand.demand, demand.floor, quota,
+                runtime.lost, len(runtime.analyzer.open_events()),
                 len(runtime.blacklist.active()),
             ))
         rollup = RoundRollup(
@@ -300,33 +338,6 @@ class FleetController:
         self._chunk_rollups.append(rollup)
         self.rounds_completed = round_index
 
-    def _probe_tenant(
-        self,
-        runtime: TenantRuntime,
-        quota: int,
-        round_index: int,
-        at: float,
-    ) -> int:
-        """Probe the tenant's budget window; returns lost-probe count."""
-        selected = self.scheduler.select_pairs(
-            runtime.pairs, quota, round_index
-        )
-        if not selected:
-            return 0
-        results, [(failed, retried)] = send_round(
-            self.replica.fabric, [selected], [runtime.prober], at,
-            self.spec.round_time(round_index + 1),
-        )
-        if runtime.prober is not None:
-            runtime.prober.settle(at, len(results), failed, retried)
-        runtime.analyzer.ingest_batch(results)
-        runtime.analyzer.flush(at)
-        runtime.probes_sent += len(selected)
-        runtime.probed_pairs.update(selected)
-        lost = len(selected) - int(np.count_nonzero(~results.lost))
-        runtime.probes_lost += lost
-        return lost
-
     def _diagnose(self, runtime: TenantRuntime, at: float) -> None:
         """Run the localization step on the tenant's own analyzer and
         report what it found fresh.
@@ -336,9 +347,8 @@ class FleetController:
         matter which worker computes it, and one tenant's incidents
         can never enter another tenant's vote tables.
         """
-        fresh, report = localize_open_events(
-            runtime.localizer, runtime.analyzer.open_events(),
-            runtime._reported, lambda fresh: runtime.pairs, at,
+        fresh, report = runtime.localizer.localize_open(
+            runtime.analyzer.open_events(), lambda fresh: runtime.pairs, at,
         )
         if report is None:
             return

@@ -17,9 +17,11 @@ coordinator adds what is particular to splitting *one job's pairs*:
   merges them (taking what a failover replay re-reports once, by key)
   into the plane's open events and, after every round, runs the one
   localization step
-  (:func:`~repro.core.localization.localize_open_events`) on its own
-  reference replica stepped to that round: when an event is fresh,
-  every open event votes, against every pair no open event implicates.
+  (:meth:`~repro.core.localization.Localizer.localize_open`, on the
+  one localizer it builds per run, which remembers what it localized)
+  on its own reference replica stepped to that round: when an event
+  is fresh, every open event votes, against every pair no open event
+  implicates.
   The localizer traces each failing pair's route itself (the same
   route the reporting worker's replica would: placement and flow hash
   are seed-determined).  A verdict is therefore what one monitor
@@ -39,11 +41,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.bus.codec import encode_event, encode_verdict
 from repro.bus.core import Topic
 from repro.core.analyzer import FailureEvent
-from repro.core.localization import (
-    LocalizationReport,
-    Localizer,
-    localize_open_events,
-)
+from repro.core.localization import LocalizationReport, Localizer
 from repro.shard.backend import InProcessBackend
 from repro.shard.monitor import (
     ChunkResult,
@@ -206,7 +204,6 @@ class ShardCoordinator(PlaneDriver[ShardStatus]):
         self.verdicts: List[Tuple[float, LocalizationReport]] = []
         #: The plane's open events, in the order they opened.
         self._open: Dict[EventKey, FailureEvent] = {}
-        self._localized: Set[EventKey] = set()
 
     def run(self) -> ShardRunResult:
         """Execute all rounds chunk by chunk; returns the merged run."""
@@ -336,9 +333,8 @@ class ShardCoordinator(PlaneDriver[ShardStatus]):
     # ------------------------------------------------------------------
 
     def _localize(self, now: float) -> None:
-        fresh, report = localize_open_events(
-            self.localizer, list(self._open.values()), self._localized,
-            lambda fresh: self.all_pairs, now,
+        fresh, report = self.localizer.localize_open(
+            list(self._open.values()), lambda fresh: self.all_pairs, now,
         )
         if report is None:
             return

@@ -1,9 +1,10 @@
 """The per-shard monitoring worker.
 
 A :class:`ShardMonitor` owns one replica of the cluster (built from the
-picklable spec), the shard's slice of the probe-pair universe, and its
-own analyzer.  It executes probe rounds through the round driver of the
-single-process system (:func:`~repro.core.probing.run_probe_round`), so
+picklable spec), the shard's slice of the probe-pair universe, and the
+replica hunter's analyzer.  It executes probe rounds through the round
+driver of the single-process system
+(:func:`~repro.core.probing.run_probe_round`), so
 a shard is literally the existing monitoring loop over fewer pairs — at
 O(pairs) a round either way: in-process shards on one core buy ~1x, and
 only the ``mp`` backend is a scaling claim.
@@ -22,7 +23,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.cluster.identifiers import EndpointId
 from repro.core.agent import OverlayAgent
-from repro.core.analyzer import Analyzer, FailureEvent
+from repro.core.analyzer import FailureEvent
 from repro.core.pinglist import PingList, ProbePair
 from repro.core.probing import ResilientProber, run_probe_round
 from repro.core.resilience import CircuitBreaker
@@ -148,7 +149,7 @@ class ShardMonitor:
         self.ping_list = PingList(pairs=frozenset(self.pairs), phase="shard")
         for container_id in self.scenario.task.containers:
             self.ping_list.register(container_id)
-        self.analyzer = Analyzer(config=self.spec.detector)
+        self.analyzer = self.scenario.hunter.analyzer
         # Monitor-plane chaos: the injector is pure and its fault ids
         # are pinned by the spec, so rebuilding it here (fresh breakers
         # included) before a failover replay reproduces the exact
@@ -223,10 +224,10 @@ class ShardMonitor:
         analyzer = self.analyzer
         before = len(analyzer.events)
         was_open = {event.key for event in analyzer.open_events()}
-        run_probe_round(
+        analyzer.ingest_batch(run_probe_round(
             self.agents, self.scenario.fabric, now,
-            self.spec.round_time(round_index + 1), analyzer.ingest_batch,
-        )
+            self.spec.round_time(round_index + 1),
+        ))
         analyzer.flush(now)
         self.rounds_completed = round_index
         new = analyzer.events[before:]

@@ -7,9 +7,10 @@ import json
 import pytest
 
 from repro.bus.core import TelemetryBus, Topic
-from repro.bus.recorder import RecordingError, load_recording
+from repro.bus.recorder import JsonlRecorder, RecordingError, load_recording
 from repro.bus.replay import (
     Replayer,
+    drive_standard_run,
     record_standard_run,
     standard_run_config,
     verify_replay_equivalence,
@@ -111,6 +112,40 @@ class TestReplayEquivalence:
         assert isinstance(component, str)
         assert layer in ("overlay", "underlay", "rnic", "host")
         assert 0.0 < confidence <= 1.0
+
+
+class TestRingEviction:
+    def test_an_evicting_ring_loses_no_recorded_record(self, tmp_path):
+        """A one-record ring evicts inside every localization batch (its
+        events, ping-list snapshot and verdict each push out the last
+        of their topic), yet the recorder, a subscriber, writes every
+        published record in sequence, and the recording replays equal
+        to live."""
+        config = standard_run_config(seed=0)
+        bus = TelemetryBus(history=1)
+        path = str(tmp_path / "evicting.jsonl")
+        with JsonlRecorder(
+            bus, path, config=config, seed=config["seed"]
+        ) as recorder:
+            drive_standard_run(bus, config)
+        recording = load_recording(path)
+        assert bus.dropped > 0
+        assert recorder.records_written == bus.published == len(
+            recording.records
+        )
+        assert [record["seq"] for record in recording.records] == list(
+            range(1, bus.published + 1)
+        )
+        events = recording.by_topic(Topic.EVENTS)
+        assert len(events) >= 2
+        assert [record["seq"] for record in bus.history(Topic.EVENTS)] == [
+            events[-1]["seq"]
+        ]
+        result = verify_replay_equivalence(path)
+        assert result.recorded_events == result.replayed_events
+        assert len(result.replayed_events) == len(events)
+        assert result.recorded_verdicts == result.replayed_verdicts
+        assert result.replayed_verdicts
 
 
 class TestOneEventEncoding:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster.topology import UnderlayPath
 from repro.core.analyzer import FailureEvent
-from repro.core.localization import Localizer, localize_open_events
+from repro.core.localization import Localizer
 from repro.core.pinglist import ProbePair
 from repro.network.fabric import DataPlaneFabric
 from repro.network.faults import FaultInjector
@@ -334,40 +334,85 @@ class TestRouteSelection:
 
 
 class TestRoundStep:
-    """``localize_open_events``: the step the hunter and replayer share."""
+    """``Localizer.localize_open``: the step every round loop shares,
+    and the localizer's own ledger of what it localized."""
 
-    class Recording:
-        def __init__(self):
-            self.calls = []
+    @staticmethod
+    def recording(localizer):
+        """``localizer.localize`` replaced by a recorder of its calls."""
+        calls = []
 
-        def localize(self, events, healthy_pairs=(), now=0.0):
-            self.calls.append((list(events), list(healthy_pairs), now))
+        def localize(events, healthy_pairs=(), now=0.0):
+            calls.append((list(events), list(healthy_pairs), now))
             return "report"
 
-    def test_fresh_gates_the_run_but_every_open_event_votes(
-        self, running_task
-    ):
+        localizer.localize = localize
+        return calls
+
+    def test_fresh_gates_the_run_but_every_open_event_votes(self, stack):
+        _, running_task, _, _, localizer = stack
         old, new, idle = (pair_of(running_task, 0, r) for r in (1, 2, 3))
         open_events = [event(old, at=90.0), event(new, at=100.0)]
-        localized = {open_events[0].key}
+        localizer.localized.add(open_events[0].key)
         asked = []
 
         def universe(fresh):
             asked.append(list(fresh))
             return [old, new, idle]
 
-        localizer = self.Recording()
-        fresh, report = localize_open_events(
-            localizer, open_events, localized, universe, 100.0
+        calls = self.recording(localizer)
+        fresh, report = localizer.localize_open(
+            open_events, universe, 100.0
         )
         assert (fresh, report) == ([open_events[1]], "report")
         assert asked == [[open_events[1]]]
         # The still-open old incident votes, and is not healthy mass.
-        assert localizer.calls == [(open_events, [idle], 100.0)]
-        assert localized == {e.key for e in open_events}
+        assert calls == [(open_events, [idle], 100.0)]
+        assert localizer.localized == {e.key for e in open_events}
 
         # Nothing fresh: no universe built, no vote.
-        assert localize_open_events(
-            localizer, open_events, localized, universe, 102.0
+        assert localizer.localize_open(
+            open_events, universe, 102.0
         ) == ([], None)
-        assert len(asked) == len(localizer.calls) == 1
+        assert len(asked) == len(calls) == 1
+
+    def test_each_localizer_localizes_an_event_once(self, stack):
+        """The same open events a round later return ``([], None)``; a
+        fresh event brings every open event back into the batch; a
+        second localizer keeps its own ledger and localizes them all."""
+        cluster, running_task, _, fabric, localizer = stack
+        first, second, idle = (
+            pair_of(running_task, 0, r) for r in (1, 2, 3)
+        )
+
+        def universe(fresh):
+            return [first, second, idle]
+
+        calls = self.recording(localizer)
+        opened = [event(first, at=90.0)]
+        assert localizer.localize_open(opened, universe, 90.0) == (
+            opened, "report"
+        )
+        assert localizer.localize_open(opened, universe, 92.0) == (
+            [], None
+        )
+        opened.append(event(second, at=94.0))
+        assert localizer.localize_open(opened, universe, 94.0) == (
+            [opened[1]], "report"
+        )
+        assert localizer.localize_open(opened, universe, 96.0) == (
+            [], None
+        )
+        assert calls == [
+            ([opened[0]], [second, idle], 90.0),
+            (opened, [idle], 94.0),
+        ]
+        other = Localizer(cluster, fabric)
+        other_calls = self.recording(other)
+        assert other.localize_open(opened, universe, 96.0) == (
+            opened, "report"
+        )
+        assert other_calls == [(opened, [idle], 96.0)]
+        assert other.localized == localizer.localized == {
+            e.key for e in opened
+        }

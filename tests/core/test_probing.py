@@ -6,7 +6,6 @@ from repro.core.pinglist import PingList, ProbePair
 from repro.core.probing import (
     ProbeCostModel,
     estimate_round_duration,
-    probes_per_round,
     run_probe_round,
 )
 from repro.network.fabric import DataPlaneFabric
@@ -45,12 +44,6 @@ class TestRoundEstimation:
             mesh
         )
 
-    def test_probes_per_round(self):
-        eps = endpoints(4, 2)
-        assert probes_per_round(PingList.full_mesh(eps)) == len(
-            PingList.full_mesh(eps)
-        )
-
 
 def basic_list_and_agents(task):
     ping_list = PingList.basic(
@@ -70,25 +63,25 @@ class TestRoundExecutor:
     ):
         fabric = DataPlaneFabric(cluster, FaultInjector(cluster), rng)
         ping_list, agents = basic_list_and_agents(running_task)
-        seen = []
-        run_probe_round(agents, fabric, 0.0, 2.0, seen.extend)
+        seen = list(run_probe_round(agents, fabric, 0.0, 2.0))
         assert seen == []
         assert fabric.probes_sent == 0
         for agent in agents:
             agent.register()
-        run_probe_round(agents, fabric, 1.0, 3.0, seen.extend)
+        seen.extend(run_probe_round(agents, fabric, 1.0, 3.0))
         assert len(seen) == len(ping_list)
         assert fabric.probes_sent == len(ping_list)
         assert sum(a.probes_sent for a in agents) == len(ping_list)
 
-    def test_on_result_callback_invoked(self, cluster, running_task, rng):
+    def test_delivered_rows_come_agent_by_agent(
+        self, cluster, running_task, rng
+    ):
         """Every result, agent by agent, each agent's in pair order."""
         fabric = DataPlaneFabric(cluster, FaultInjector(cluster), rng)
         ping_list, agents = basic_list_and_agents(running_task)
         for agent in agents:
             agent.register()
-        seen = []
-        run_probe_round(agents, fabric, 0.0, 2.0, seen.extend)
+        seen = run_probe_round(agents, fabric, 0.0, 2.0)
         probed = [ProbePair(r.src, r.dst) for r in seen]
         assert probed == [
             pair for agent in agents for pair in agent.my_pairs()

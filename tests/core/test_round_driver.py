@@ -17,7 +17,7 @@ from repro.chaos.faults import (
     REPORT_LATE, REPORT_LOST, REPORT_OK, MonitorFaultInjector, MonitorIssue,
 )
 from repro.core.pinglist import PingList, ProbePair
-from repro.core.probing import ResilientProber, run_probe_round, send_round
+from repro.core.probing import ResilientProber, run_probe_round
 from repro.core.resilience import MAX_RETRIES, RETRY_TIMEOUT_S, backoff_s
 from repro.network.draws import BACKOFF_COLUMN, PairwiseDrawSource
 from repro.network.fabric import DataPlaneFabric, FlowResolutionCache
@@ -28,10 +28,15 @@ from repro.workloads.scenarios import build_scenario
 SEED = 11
 
 
-def per_agent_loop(agents, fabric, now, next_round, on_batch):
-    """The loop the driver replaced: one ``execute_round`` per agent."""
-    for agent in agents:
-        on_batch(agent.execute_round(fabric, now, next_round))
+def per_agent_loop(agents, fabric, now, next_round):
+    """The loop the driver replaced: one ``execute_round`` per agent,
+    their batches laid end to end (an empty one, which carries no
+    route columns, left out)."""
+    batches = [
+        agent.execute_round(fabric, now, next_round) for agent in agents
+    ]
+    sent = [batch for batch in batches if len(batch)] or batches[:1]
+    return ProbeBatch.take(sent, np.arange(sum(map(len, sent))))
 
 
 def lossy_monitor(rate=0.2):
@@ -56,12 +61,10 @@ def run_with(driver, chaos, path, monkeypatch):
     round driven by ``driver``; returns what the round produced."""
     seen = []
 
-    def tapped(agents, fabric, now, next_round, on_batch):
-        def tap(batch):
-            seen.extend(batch)
-            on_batch(batch)
-
-        driver(agents, fabric, now, next_round, tap)
+    def tapped(agents, fabric, now, next_round):
+        batch = driver(agents, fabric, now, next_round)
+        seen.extend(batch)
+        return batch
 
     monkeypatch.setattr(system, "run_probe_round", tapped)
     bus = TelemetryBus()
@@ -133,13 +136,12 @@ def test_a_hardened_round_is_one_batch_per_attempt():
     scenario.run_for(10)
     agents = agents_of(scenario)
     before = [agent.prober.retries for agent in agents]
-    delivered = []
     now = scenario.engine.now + 1.0
     with counting(DataPlaneFabric, "send_probe_batch") as batches, \
             counting(DataPlaneFabric, "send_probe") as singles, \
             counting(ProbeResult, "__init__") as results:
-        run_probe_round(
-            agents, scenario.fabric, now, now + 2.0, delivered.append,
+        delivered = run_probe_round(
+            agents, scenario.fabric, now, now + 2.0,
         )
     retried = [
         agent.prober.retries - count
@@ -149,7 +151,7 @@ def test_a_hardened_round_is_one_batch_per_attempt():
     assert batches.call_count == 1 + MAX_RETRIES
     assert singles.call_count == 0
     assert results.call_count == 0  # assembled from columns
-    assert len(delivered) == 1 and delivered[0]
+    assert isinstance(delivered, ProbeBatch) and delivered
 
 
 def walk_alone(chaos, fabric, pair, now, next_round):
@@ -192,21 +194,45 @@ def twin_worlds():
     return worlds, pairs
 
 
+class Share:
+    """A probe owner with a fixed share: the rows it was given, and
+    what its prober settled."""
+
+    def __init__(self, pairs, prober=None):
+        self.pairs, self.prober = pairs, prober
+        self.rows = self.settled = None
+        if prober is not None:
+            prober.settle = self.settle
+
+    def plan_round(self, now):
+        return self.pairs
+
+    def settle(self, now, delivered, failed, retried, probed=True):
+        self.settled = (delivered, failed, retried)
+
+    def record_round(self, batch, now, start, stop):
+        self.rows = batch[start:stop]
+
+
 def check_rows_against_walked_alone(interval):
     """Every delivered row of a round with the next one `interval` seconds
     later equals the same probe walked alone, in a twin world, to the send
-    its report arrived with; returns how many retries the round sent."""
+    its report arrived with, and reaches the owner whose share it was;
+    returns how many retries the round sent."""
     worlds, pairs = twin_worlds()
-    probers = [ResilientProber(lossy_monitor(0.5)) for _ in worlds]
+    chaos = [lossy_monitor(0.5) for _ in worlds]
     half = len(pairs) // 2
-    delivered, counts = send_round(
-        worlds[0].fabric, [pairs[:half], None, pairs[half:]],
-        [probers[0], None, probers[0]], 10.0, 10.0 + interval,
+    owners = [
+        Share(pairs[:half], ResilientProber(chaos[0])), Share(None),
+        Share(pairs[half:], ResilientProber(chaos[0])),
+    ]
+    delivered = run_probe_round(
+        owners, worlds[0].fabric, 10.0, 10.0 + interval
     )
     expected, retried = [], 0
     for pair in pairs:
         sent, arrived = walk_alone(
-            probers[1].chaos, worlds[1].fabric, pair, 10.0, 10.0 + interval
+            chaos[1], worlds[1].fabric, pair, 10.0, 10.0 + interval
         )
         retried += len(sent) - 1
         if arrived:
@@ -215,9 +241,20 @@ def check_rows_against_walked_alone(interval):
     assert len(expected) < len(pairs)  # not vacuous
     assert any(row.lost for row in delivered)
     assert max(row.sent_at for row in delivered) < 10.0 + interval
+    counts = [
+        (owner.prober.monitor_failures, owner.prober.retries)
+        if owner.prober else (0, 0) for owner in owners
+    ]
     assert sum(count[1] for count in counts) == retried
-    assert counts[1] == (0, 0)
+    assert owners[1].rows == []  # a None share, with no prober
     assert sum(count[0] for count in counts) == len(pairs) - len(expected)
+    for owner, (failed, retried_by) in zip(owners[::2], counts[::2]):
+        assert owner.settled == (len(owner.rows), failed, retried_by)
+        assert len(owner.rows) == len(owner.pairs) - failed
+        assert {(row.src, row.dst) for row in owner.rows} <= {
+            (pair.src, pair.dst) for pair in owner.pairs
+        }
+    assert owners[0].rows + owners[2].rows == delivered
     return retried, len(pairs)
 
 
@@ -310,16 +347,15 @@ def test_a_round_no_report_fault_covers_draws_no_fate():
     scenario.run_for(10)
     agents = agents_of(scenario)
     assert agents and all(agent.prober for agent in agents)
-    delivered = []
     now = scenario.engine.now + 1.0
     with counting(PairwiseDrawSource, "column") as columns, \
             counting(DataPlaneFabric, "send_probe_batch") as batches:
-        run_probe_round(
-            agents, scenario.fabric, now, now + 2.0, delivered.append,
+        delivered = run_probe_round(
+            agents, scenario.fabric, now, now + 2.0,
         )
     assert columns.call_count == 0
     assert batches.call_count == 1
-    assert len(delivered[0]) == sum(
+    assert len(delivered) == sum(
         len(agent.my_pairs()) for agent in agents
     )
 

@@ -7,10 +7,18 @@ controller monitoring a subset of tenants reproduces exactly the
 subset's streams.
 """
 
+import dataclasses
+from unittest import mock
+
+import numpy as np
 import pytest
 
+from repro.core.probing import ResilientProber
+from repro.core.resilience import MAX_RETRIES, CircuitBreaker
 from repro.fleet.controller import FleetController
-from repro.fleet.spec import fleet_bench_spec
+from repro.fleet.spec import TenantSpec, fleet_bench_spec
+from repro.network.fabric import DataPlaneFabric
+from repro.shard.spec import MonitorFaultSpec
 
 from tests.fleet.conftest import small_fleet_spec
 
@@ -154,3 +162,91 @@ class TestFlowCacheUnderChurn:
         assert sum(
             fabric.metrics.counters("cache.miss.").values()
         ) == fabric.resolution_cache.misses
+
+
+def counting(owner, name):
+    """``owner.name`` patched with a call-counting pass-through."""
+    return mock.patch.object(
+        owner, name, autospec=True, side_effect=getattr(owner, name)
+    )
+
+
+def lossy(spec, rate=0.5):
+    """``spec`` with monitor reports lost at ``rate`` all run."""
+    return dataclasses.replace(spec, monitor_faults=(
+        MonitorFaultSpec(
+            issue="PROBE_REPORT_LOSS", start_round=1, rate=rate
+        ),
+    ))
+
+
+def four_tenant_spec():
+    return small_fleet_spec(budget=60, extra_tenants=tuple(
+        TenantSpec(name=name, num_containers=4, gpus_per_container=4)
+        for name in ("c", "d")
+    ))
+
+
+class TestOneBatchPerRound:
+    """A fleet worker's round is one fabric batch over every window its
+    monitored tenants were granted, plus one per retry wave."""
+
+    @pytest.mark.parametrize("monitor", [("b",), None],
+                             ids=["one-tenant", "four-tenants"])
+    @pytest.mark.parametrize("hardened", [False, True],
+                             ids=["plain", "chaos"])
+    def test_a_round_is_one_batch_plus_retry_waves(
+        self, monitor, hardened
+    ):
+        spec = four_tenant_spec()
+        if hardened:
+            spec = lossy(spec)
+        controller = FleetController(spec, monitor_tenants=monitor)
+        with counting(DataPlaneFabric, "send_probe_batch") as batches:
+            controller.run_rounds(1, spec.total_rounds)
+        calls = [call.args[1:] for call in batches.call_args_list]
+        firsts = [i for i, (_, at) in enumerate(calls) if np.ndim(at) == 0]
+        assert [calls[i][1] for i in firsts] == [
+            spec.round_time(r) for r in range(1, spec.total_rounds + 1)
+        ]
+        for rollup, first in zip(controller.rollups, firsts):
+            assert len(rollup.tenant_rows) == (4 if monitor is None else 1)
+            assert len(calls[first][0]) == sum(
+                min(demand, quota)
+                for _, demand, _, quota, *_ in rollup.tenant_rows
+            )
+        for runtime in controller.tenants.values():  # its own rows only
+            seen = set(runtime.analyzer.monitored_pairs())
+            assert seen <= set(runtime.pairs)
+            assert (seen == runtime.probed_pairs) or hardened
+        waves = np.diff(firsts + [len(calls)]) - 1
+        assert waves.max() <= MAX_RETRIES
+        assert (waves.sum() > 0) == hardened
+        for round_index, (first, count) in enumerate(zip(firsts, waves), 1):
+            for pairs, at in calls[first + 1:first + 1 + count]:
+                assert len(pairs) == len(at) and pairs
+                assert (at > spec.round_time(round_index)).all()
+                assert (at < spec.round_time(round_index + 1)).all()
+
+    def test_an_empty_window_sits_the_round_out(self):
+        """A tenant granted no pairs is not sent and not settled (its
+        breaker untouched) and loses nothing; the others probe on."""
+        spec = lossy(small_fleet_spec(with_fault=False))
+        controller = FleetController(spec)
+        controller.demands["b"] = dataclasses.replace(
+            controller.demands["b"], demand=0
+        )
+        with counting(ResilientProber, "settle") as settles:
+            controller.run_rounds(1, spec.total_rounds)
+        a, b = controller.tenants["a"], controller.tenants["b"]
+        assert [call.args[0] for call in settles.call_args_list] == (
+            [a.prober] * spec.total_rounds
+        )
+        assert b.prober.breaker.snapshot() == CircuitBreaker().snapshot()
+        assert b.probes_sent == b.probes_lost == 0
+        assert not b.probed_pairs and not b.analyzer.monitored_pairs()
+        assert a.probes_sent == spec.total_rounds * len(a.pairs)
+        assert a.probes_lost > 0
+        for rollup in controller.rollups:
+            assert [row[3:5] for row in rollup.tenant_rows
+                    if row[0] == "b"] == [(0, 0)]

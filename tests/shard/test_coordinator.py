@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.localization import Localizer, localize_open_events
+from repro.core.localization import Localizer
 from repro.obs.trace import TraceRecorder
 from repro.shard import (
     InProcessBackend,
@@ -209,14 +209,13 @@ def one_monitors_verdicts(spec):
     reference.fabric.send_probe_batch(all_pairs, 0.0)
     localizer = Localizer(reference.cluster, reference.fabric)
     monitor = ShardMonitor(0, spec, all_pairs)
-    localized, verdicts = set(), []
+    verdicts = []
     for round_index in range(1, spec.total_rounds + 1):
         monitor.run_rounds(round_index, round_index)
         schedule.advance_to(round_index)
         now = spec.round_time(round_index)
-        _, report = localize_open_events(
-            localizer, monitor.analyzer.open_events(), localized,
-            lambda fresh: all_pairs, now,
+        _, report = localizer.localize_open(
+            monitor.analyzer.open_events(), lambda fresh: all_pairs, now,
         )
         if report is not None:
             verdicts.append((now, *report.verdict_row()))
