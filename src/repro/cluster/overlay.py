@@ -506,6 +506,15 @@ class OverlayNetwork:
         rule.offloaded_to = offload.device
         offload.install(key, action)
 
+    def first_contact(
+        self, src: EndpointId, dst: EndpointId
+    ) -> Tuple[OverlayTrace, Optional[Tuple[FlowKey, _EndpointRecord]]]:
+        """What a probe's first packet does, as a resolution cache sees
+        it: the data-plane walk (:meth:`trace`, installing the forward
+        rule), then the echo reply's reverse install (:meth:`echo_flow`).
+        """
+        return self.trace(src, dst), self.echo_flow(src, dst)
+
     def trace(
         self,
         src: EndpointId,

@@ -18,7 +18,8 @@ property SkeletonHunter's preload pruning relies on (§5.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from itertools import islice
+from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 import networkx as nx
 
@@ -148,6 +149,12 @@ class _ClosTopology:
         #: many pairs and callers ride it, and the map holds at most
         #: the fabric's port pairs times its spines.
         self._paths: Dict[int, UnderlayPath] = {}
+        #: The composed paths by each link they cross and each switch
+        #: they pass, and how many of :attr:`_paths` are in them (built
+        #: on the first question, then caught up with what was composed
+        #: since: composing a path costs nothing extra).
+        self._crossing: Dict[object, List[UnderlayPath]] = {}
+        self._met = 0
 
     def _index(self, rnic: RnicId) -> int:
         """The index of ``rnic``'s port in :attr:`_ports`."""
@@ -262,6 +269,25 @@ class _ClosTopology:
              b.name),
             (a.access, a.tor.uplinks[spine], b.tor.uplinks[spine],
              b.access),
+        )
+
+    def paths_meeting(
+        self, part: Union[LinkId, SwitchId]
+    ) -> List[UnderlayPath]:
+        """Every composed path that crosses the link or passes the
+        switch ``part``."""
+        crossing = self._crossing
+        if self._met < len(self._paths):
+            for path in islice(self._paths.values(), self._met, None):
+                for met in (*path.links, *path.devices[1:-1]):
+                    held = crossing.get(met)
+                    if held is None:
+                        crossing[met] = [path]
+                    else:
+                        held.append(path)
+            self._met = len(self._paths)
+        return crossing.get(
+            part if isinstance(part, LinkId) else str(part), []
         )
 
     def graph(self) -> nx.Graph:

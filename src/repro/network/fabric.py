@@ -38,18 +38,26 @@ simulator's per-probe cost has to follow suit):
   decides every fate from the uniforms: a round whose pair sequence is
   the one the last round resolved, with no row marked stale since, is
   all hits by construction and costs no per-probe lookup; anything else
-  resolves probe by probe, in order, as ever.
+  resolves in one pass over the rows, in order, as one probe after
+  another would.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.cluster.flowtable import FlowKey, FlowTable
-from repro.cluster.identifiers import EndpointId, RnicId
+from repro.cluster.identifiers import (
+    EndpointId,
+    HostId,
+    LinkId,
+    RnicId,
+    SwitchId,
+)
 from repro.cluster.orchestrator import Cluster
 from repro.cluster.overlay import ComponentHealth, OverlayTrace
 from repro.cluster.topology import UnderlayPath
@@ -140,19 +148,8 @@ class _Resolution:
     stale: Optional[str] = None
     seen: int = 0
     batch: int = 0
-
-    @property
-    def reads(self) -> Tuple[Tuple[FlowTable, FlowKey], ...]:
-        """What a reached walk read and installed: each flow table it
-        consulted with its forward key, then the destination's OVS and
-        offload tables with the reverse key."""
-        if not self.reached:
-            return ()
-        key, reverse, replier = self.trace.key, self.reverse, self.replier
-        return (
-            *[(table, key) for table in self.trace.tables],
-            (replier.ovs, reverse), (replier.offload, reverse),
-        )
+    #: How many registrations the cache's index holds for it.
+    indexed: int = 0
 
     @property
     def healths(self) -> Tuple[ComponentHealth, ...]:
@@ -245,23 +242,40 @@ class FlowResolutionCache:
     host changes none of them, while container attach and detach, which
     touch the whole table, change all; (2) the :class:`ComponentHealth`
     of every component along its chain.  The overlay reports each change
-    by what it changed (:meth:`OverlayNetwork.add_watcher`).  After its
-    walk an entry registers on each table and ``(table, key)`` it read,
-    and a table change marks exactly the entries registered on it
-    stale, consuming those registrations; a health flip marks the
-    entries holding that health object.  (3) An ECMP-mode switch marks
-    every entry (it changes what every resolution *is*), and (4) a
-    fault injected or cleared marks the entries it :meth:`Fault.meets`
-    — the cache observes the injector.  So a fault landing costs the
-    pairs it
-    touches, Figure-18-style faults (a table mutating under a warm
-    cache) still surface on the next probe, and a warm lookup is a dict
-    lookup and a flag test however much churns elsewhere.  An
-    *unreached* resolution (table miss, loop, unknown encap target,
-    unattached endpoint) registers nothing: what would make it
-    reachable is in no table its walk consulted, so it is valid under
-    the whole-overlay stamp alone (:attr:`OverlayNetwork.epoch`,
+    by what it changed (:meth:`OverlayNetwork.add_watcher`).  A reached
+    entry registers on each ``(table, key)`` it read, on its endpoint
+    RNICs and on the interned paths of its routes; a change to a key
+    marks exactly the entries registered on it stale, a change to a
+    whole table every entry registered in that table, consuming those
+    registrations; a health flip marks the entries holding that health
+    object.  (3) An ECMP-mode switch marks every entry (it changes what
+    every resolution *is*), and (4) a fault injected or cleared marks
+    the entries it :meth:`Fault.meets` — the cache observes the
+    injector and finds them by lookup: a link or switch target (and a
+    link's victim links) names the interned paths through it
+    (:meth:`~repro.cluster.topology.RailOptimizedTopology.paths_meeting`),
+    an RNIC or host target its RNICs, and those the entries registered
+    on them.  So a fault landing costs the entries it touches (and the
+    paths through its target), Figure-18-style faults (a table mutating
+    under a warm cache) still surface on the next probe, and a warm
+    lookup is a dict lookup and a flag test however much churns
+    elsewhere.  An *unreached* resolution (table miss, loop, unknown
+    encap target, unattached endpoint) registers nothing: what would
+    make it reachable is in no table its walk consulted, so it is valid
+    under the whole-overlay stamp alone (:attr:`OverlayNetwork.epoch`,
     :attr:`FaultInjector.epoch` and the routing epoch).
+
+    A batch resolves in one pass (:meth:`_resolve_rows`; a single pair
+    is a batch of one): each row is looked up and each miss walked in
+    order, so a walk's installs and the marks they make land where they
+    would one pair at a time; the reached misses register together at
+    the end.  That is exact because no install of the batch changes
+    what a reached miss read: a reached chain is its own first-hop rule
+    (which its own install just made canonical) and its destination's
+    DELIVER rule (which a first-use install never replaces), a reverse
+    rule is canonical once its echo installed it, and an offload copy
+    changes only with its OVS rule.  Anything outside the pass that
+    changes mid-batch registers what is pending first.
 
     Every recompute is counted by cause on :attr:`metrics`:
     ``cache.miss.cold`` (no entry yet), ``.table_changed`` (a key or
@@ -296,14 +310,20 @@ class FlowResolutionCache:
         self._vector: Optional[_RoundVector] = None
         self._batches = 0
         #: Each flow table a reached entry read -> each key read in it
-        #: (``None``: the whole table) -> the entries registered on it
-        #: (one entry bare, several as a list: most keys are read by
-        #: one pair, and a list per key is an object the collector
-        #: walks).  A replaced entry's registrations linger until a mark
-        #: consumes them or a sweep drops them.
-        self._watch: Dict[
-            FlowTable, Dict[Optional[FlowKey], object]
-        ] = {}
+        #: -> the entries registered on it (one entry bare, several as a
+        #: list: most keys are read by one pair, and a list per key is
+        #: an object the collector walks); the entries that read a table
+        #: at all are those registered in it.  A replaced entry's
+        #: registrations linger until a mark consumes them or a sweep
+        #: drops them.
+        self._watch: Dict[FlowTable, Dict[FlowKey, object]] = (
+            defaultdict(dict)
+        )
+        #: The entries registered on each endpoint RNIC, and on each
+        #: interned path (by identity) of their routes: where a fault
+        #: finds the entries it meets.
+        self._by_rnic: Dict[RnicId, object] = {}
+        self._by_path: Dict[int, object] = {}
         #: The routes of fault-free candidate sets, by the identities of
         #: their (interned, so kept alive here) paths: one tuple per
         #: candidate set, shared by every resolution riding it.
@@ -313,6 +333,10 @@ class FlowResolutionCache:
         #: leftovers: marks consume some).
         self._indexed = 0
         self._replaced = 0
+        #: While a pass is open: its reached misses not yet registered,
+        #: and whether a change comes from the pass's own walk.
+        self._pending: Optional[List[_Resolution]] = None
+        self._walking = False
         injector.add_observer(self._on_fault)
         cluster.overlay.add_watcher(self._on_change)
 
@@ -375,61 +399,97 @@ class FlowResolutionCache:
         Health flags change only when a fault lands or clears, so a
         flip scans the entries, as a fault does; tables churn with every
         placement, so the entries that read one are indexed."""
+        if self._pending is not None and not self._walking:
+            # Something outside the open pass changed mid-batch: what
+            # the pass resolved so far registers first.
+            self._settle()
         if isinstance(source, ComponentHealth):
             for entry in self._entries.values():
                 if source in entry.trace.healths:
                     self._mark(entry, "epoch_changed")
             return
         held = self._watch.get(source)
-        registered = None if held is None else held.pop(key, None)
-        if registered is None:
+        if held is None:
             return
-        if type(registered) is not list:
-            registered = [registered]
+        if key is None:  # the whole table: every entry that read it
+            registered = [
+                entry for each in held.values()
+                for entry in (each if type(each) is list else (each,))
+            ]
+            held.clear()
+        else:
+            registered = held.pop(key, None)
+            if registered is None:
+                return
+            if type(registered) is not list:
+                registered = [registered]
         self._indexed -= len(registered)
         for entry in registered:
             self._mark(entry, "table_changed")
 
     def _on_fault(self, action: str, fault: Fault, at: float) -> None:
         """A fault came or went: mark stale the reached entries it
-        meets (their relevant-fault tuples change)."""
-        for entry in self._entries.values():
-            if entry.reached and entry.stale != "epoch_changed" and (
-                fault.meets(
-                    (route.path for route in entry.routes),
-                    entry.trace.src_rnic, entry.trace.dst_rnic,
-                )
-            ):
-                self._mark(entry, "epoch_changed")
-
-    @staticmethod
-    def _sources(
-        entry: _Resolution,
-    ) -> List[Tuple[FlowTable, Optional[FlowKey]]]:
-        """What a reached entry registers on: each ``(table, key)`` it
-        read, and each of those tables as a whole (key ``None``)."""
-        reads = entry.reads
-        return [*reads, *(
-            (table, None)
-            for table in dict.fromkeys(table for table, _ in reads)
-        )]
-
-    def _register(self, entry: _Resolution) -> None:
-        """Index a fresh reached entry under everything it read."""
-        watch = self._watch
-        sources = self._sources(entry)
-        for table, key in sources:
-            slot = watch.get(table)
-            if slot is None:
-                slot = watch[table] = {}
-            held = slot.get(key)
+        meets (their relevant-fault tuples change), found by lookup —
+        the registrations on the paths through a link or switch target
+        and its victim links, or on an RNIC target or a host target's
+        RNICs (:meth:`Fault.meets`, indexed)."""
+        if self._pending:
+            self._settle()
+        target = fault.target
+        topology = self._cluster.topology
+        if isinstance(target, (LinkId, SwitchId)):
+            # Only a link target shows a (victim) face on its victims.
+            victims = fault.victim_links if isinstance(target, LinkId) else ()
+            index: Dict = self._by_path
+            keys: List = [
+                id(path) for part in (target, *victims)
+                for path in topology.paths_meeting(part)
+            ]
+        elif isinstance(target, RnicId):
+            index, keys = self._by_rnic, [target]
+        elif isinstance(target, HostId):
+            index, keys = self._by_rnic, topology.rnics_of(target)
+        else:
+            return  # a container meets no probe's route or endpoints
+        for key in keys:
+            held = index.get(key)
             if held is None:
-                slot[key] = entry
-            elif type(held) is list:
-                held.append(entry)
-            else:
-                slot[key] = [held, entry]
-        self._indexed += len(sources)
+                continue
+            for entry in held if type(held) is list else (held,):
+                if entry.stale != "epoch_changed":
+                    self._mark(entry, "epoch_changed")
+
+    def _register(self, entries: List[_Resolution]) -> None:
+        """Index fresh reached entries, in one pass: under each
+        ``(table, key)`` they read — each flow table the walk consulted
+        at its forward key, the destination's OVS and offload tables at
+        the reverse key its echo installed — their endpoint RNICs and
+        the interned paths of their routes."""
+        watch, by_rnic, by_path = self._watch, self._by_rnic, self._by_path
+        indexed = 0
+        for entry in entries:
+            trace, reverse, replier = entry.trace, entry.reverse, entry.replier
+            key, src_rnic, dst_rnic = trace.key, trace.src_rnic, trace.dst_rnic
+            places = [(watch[table], key) for table in trace.tables]
+            places += (
+                (watch[replier.ovs], reverse),
+                (watch[replier.offload], reverse),
+                (by_rnic, src_rnic),
+            )
+            if dst_rnic != src_rnic:
+                places.append((by_rnic, dst_rnic))
+            places += [(by_path, id(route.path)) for route in entry.routes]
+            for index, place in places:
+                held = index.get(place)
+                if held is None:
+                    index[place] = entry
+                elif type(held) is list:
+                    held.append(entry)
+                else:
+                    index[place] = [held, entry]
+            entry.indexed = len(places)
+            indexed += len(places)
+        self._indexed += indexed
         if self._replaced > self._indexed // 2:
             self._sweep()
 
@@ -438,16 +498,16 @@ class FlowResolutionCache:
         half the index, so it stays within twice what the live entries
         read (each sweep is paid for by the replacements before it)."""
         self._indexed = 0
-        for slot in self._watch.values():
-            for key, registered in list(slot.items()):
+        for index in (*self._watch.values(), self._by_rnic, self._by_path):
+            for key, registered in list(index.items()):
                 if type(registered) is not list:
                     registered = [registered]
                 live = [entry for entry in registered if self._live(entry)]
                 if live:
-                    slot[key] = live if len(live) > 1 else live[0]
+                    index[key] = live if len(live) > 1 else live[0]
                     self._indexed += len(live)
                 else:
-                    del slot[key]
+                    del index[key]
         self._replaced = 0
 
     def invalidate(self) -> None:
@@ -455,48 +515,16 @@ class FlowResolutionCache:
         self._entries.clear()
         self._vector = None
         self._watch.clear()
+        self._by_rnic.clear()
+        self._by_path.clear()
         self._indexed = self._replaced = 0
 
-    def resolve(self, src: EndpointId, dst: EndpointId) -> _Resolution:
-        """The resolution for one probe, cached when possible.
-
-        Cache-served resolutions replay ``rule.hit()`` on the flow rules
-        the original walk traversed, so per-rule packet counters advance
-        exactly as if the chain had been re-walked.
-        """
-        key = (src, dst)
-        cached = self._entries.get(key) if self.enabled else None
-        if cached is None:
-            cause = "cold"
-        else:
-            cause = cached.stale
-            if cause is None:
-                if cached.reached or cached.seen == self._whole_stamp():
-                    self.hits += 1
-                    for rule in cached.trace.rules:
-                        rule.hit()
-                    return cached
-                cause = "epoch_changed"
-        self.misses += 1
-        self.metrics.increment(f"cache.miss.{cause}")
-        resolution = self._compute(src, dst)
-        if self.enabled:
-            if cached is not None and cached.reached:
-                self._replaced += len(self._sources(cached))
-            # Registered *after* the walk's side effects: it may have
-            # installed flow rules (mutating tables it consulted), and
-            # the entry must be valid from this state onward.
-            resolution.pair = key
-            self._entries[key] = resolution
-            if resolution.reached:
-                self._register(resolution)
-            else:
-                resolution.seen = self._whole_stamp()
-        return resolution
-
     def resolve_all(self, pairs: List[object]) -> _RoundVector:
-        """The resolutions of a whole batch, as :meth:`resolve` would
-        give them one pair after another in input order.
+        """The resolutions of a whole batch, as batches of one would
+        give them one pair after another in input order.  A hit replays
+        ``rule.hit()`` on the flow rules the original walk traversed,
+        so per-rule packet counters advance exactly as if the chain had
+        been re-walked.
 
         When ``pairs`` is the sequence the last batch resolved and no
         row of that batch has been marked stale since (nor, for an
@@ -505,10 +533,11 @@ class FlowResolutionCache:
         — so no row can go stale inside the batch either, and the rows
         are answered together: ``hits`` advances by the batch, each
         traversed rule's packet counter by its crossings.  Otherwise
-        (cold, a row marked, another sequence) the rows resolve one by
-        one, in order, so a walk's flow installs and a table mutation
-        land where they would sequentially; a row marked while its own
-        batch still resolves keeps the next one off the bulk path.
+        (cold, a row marked, another sequence) the batch resolves in one
+        pass (:meth:`_resolve_rows`), row by row in order, so a walk's
+        flow installs and a table mutation land where they would
+        sequentially; a row marked while its own batch still resolves
+        keeps the next one off the bulk path.
         """
         last = self._vector
         repeat = last is not None and last.pairs == pairs
@@ -530,7 +559,7 @@ class FlowResolutionCache:
             endpoints_of(pair) for pair in pairs
         ]
         before = self._whole_stamp()
-        resolutions = [self.resolve(src, dst) for src, dst in endpoints]
+        resolutions = self._resolve_rows(endpoints)
         vector = _round_vector(list(pairs), endpoints, resolutions)
         self._batches += 1
         for res in resolutions:
@@ -543,40 +572,89 @@ class FlowResolutionCache:
         self._vector = vector
         return vector
 
-    def _compute(self, src: EndpointId, dst: EndpointId) -> _Resolution:
-        overlay = self._cluster.overlay
-        trace = overlay.trace(src, dst, install_missing=True)
-        # The echo response travels the reverse flow, whose rule the
-        # destination's first reply packet installs.
-        reverse, replier = overlay.echo_flow(src, dst) or (None, None)
-        fhash = flow_hash(src, dst)
+    def _resolve_rows(
+        self, endpoints: List[Tuple[EndpointId, EndpointId]]
+    ) -> List[_Resolution]:
+        """One pass over a batch: each row looked up, and each miss
+        walked and resolved, in order (:meth:`_resolve_row`); then the
+        reached misses register together (:meth:`_settle`)."""
+        self._pending = []
+        try:
+            return [self._resolve_row(key) for key in endpoints]
+        finally:
+            self._walking = False
+            self._settle()
+            self._pending = None
 
-        if not trace.reached:
-            reason = "overlay forwarding loop" if trace.loop else (
+    def _resolve_row(
+        self, key: Tuple[EndpointId, EndpointId]
+    ) -> _Resolution:
+        """One row of a pass: a hit replays its rule hits; a miss walks
+        (installing what the first packet and its echo install), is
+        routed and weighed, and joins the pass's pending registrations
+        if it reached."""
+        cached = self._entries.get(key) if self.enabled else None
+        if cached is None:
+            cause = "cold"
+        else:
+            cause = cached.stale
+            if cause is None:
+                if cached.reached or cached.seen == self._whole_stamp():
+                    self.hits += 1
+                    for rule in cached.trace.rules:
+                        rule.hit()
+                    return cached
+                cause = "epoch_changed"
+        self.misses += 1
+        self.metrics.increment(f"cache.miss.{cause}")
+        src, dst = key
+        self._walking = True
+        trace, echo = self._cluster.overlay.first_contact(src, dst)
+        self._walking = False
+        resolution = _Resolution(
+            trace=trace, fhash=flow_hash(src, dst), reached=trace.reached,
+            pair=key,
+        )
+        if trace.reached:
+            # The echo response travels the reverse flow, whose rule
+            # the destination's first reply packet installed.
+            resolution.reverse, resolution.replier = echo
+            routes = resolution.routes = self._routes(
+                trace.src_rnic, trace.dst_rnic, resolution.fhash
+            )
+            resolution.overlay_fx = self._component_effects(resolution)
+            resolution.plain = resolution.overlay_fx is _BENIGN and not any(
+                route.faults for route in routes
+            )
+        else:
+            resolution.overlay_reason = (
+                "overlay forwarding loop" if trace.loop else
                 f"overlay unreachable at {trace.failure_component}"
             )
-            return _Resolution(
-                trace=trace, fhash=fhash, reached=False,
-                overlay_reason=reason,
-            )
-
-        routes = self._routes(trace.src_rnic, trace.dst_rnic, fhash)
-        resolution = _Resolution(
-            trace=trace, fhash=fhash, reached=True, routes=routes,
-            reverse=reverse, replier=replier,
-        )
-        resolution.overlay_fx = self._component_effects(resolution)
-        resolution.plain = resolution.overlay_fx is _BENIGN and not any(
-            route.faults for route in routes
-        )
+        if self.enabled:
+            if cached is not None:
+                self._replaced += cached.indexed
+            self._entries[key] = resolution
+            if trace.reached:
+                self._pending.append(resolution)
+            else:
+                resolution.seen = self._whole_stamp()
         return resolution
+
+    def _settle(self) -> None:
+        """Register the pass's pending reached misses that are still
+        their pair's entry."""
+        pending = self._pending
+        if pending:
+            self._pending = []
+            self._register([res for res in pending if self._live(res)])
 
     def _routes(
         self, src_rnic: RnicId, dst_rnic: RnicId, fhash: int
     ) -> Tuple[_Route, ...]:
         """A reached pair's candidate routes with the faults each
         meets; a fault-free set is the one tuple every pair riding the
-        same paths holds."""
+        same paths holds, built the first time it is met."""
         paths = _candidate_paths(
             self._cluster.topology, src_rnic, dst_rnic, fhash,
             self.ecmp_mode == "spray",
@@ -585,13 +663,19 @@ class FlowResolutionCache:
             self._injector.relevant_faults(path, src_rnic, dst_rnic)
             for path in paths
         ]
-        routes = tuple(
-            _Route(path, met, path.hops, len(path.switches()))
-            for path, met in zip(paths, faults)
-        )
         if any(faults):
-            return routes
-        return self._plain_routes.setdefault(tuple(map(id, paths)), routes)
+            return tuple(
+                _Route(path, met, path.hops, len(path.switches()))
+                for path, met in zip(paths, faults)
+            )
+        key = tuple(map(id, paths))
+        routes = self._plain_routes.get(key)
+        if routes is None:
+            routes = self._plain_routes[key] = tuple(
+                _Route(path, (), path.hops, len(path.switches()))
+                for path in paths
+            )
+        return routes
 
     @staticmethod
     def _component_effects(resolution: _Resolution) -> Effects:
@@ -727,11 +811,12 @@ class DataPlaneFabric:
         probe's fate and RTT come out of them as columns.
 
         Resolution happens first, for the whole batch
-        (:meth:`FlowResolutionCache.resolve_all`: per probe *in order*
-        unless every probe is known to be a hit, so first-use flow
-        installs and a fault's table mutation land exactly as they
-        would sequentially); it reads no uniform and evaluating a fault
-        has no side effect, so the fates can follow together.  Only
+        (:meth:`FlowResolutionCache.resolve_all`: one pass over the
+        probes *in order* unless every probe is known to be a hit, so
+        first-use flow installs and a fault's table mutation land
+        exactly as they would sequentially); it reads no uniform and
+        evaluating a fault has no side effect, so the fates can follow
+        together.  Only
         rows a fault or an unhealthy component can touch evaluate
         their :class:`Effects` one by one.
         """

@@ -394,7 +394,7 @@ def test_fault_free_round_is_one_batch_and_no_list_scan():
         DataPlaneFabric, "send_probe_batch"
     ) as batches, counting(ProbeResult, "__init__") as results, counting(
         ProbePair, "canonical"
-    ) as sorts, counting(FlowResolutionCache, "resolve") as lookups:
+    ) as sorts, counting(FlowResolutionCache, "_resolve_row") as lookups:
         scenario.run_for(rounds * scenario.hunter.probe_interval_s)
     assert scenario.hunter.events == []
     assert scenario.fabric.probes_sent - sent0 == rounds * pairs

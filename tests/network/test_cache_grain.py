@@ -230,7 +230,7 @@ def test_a_cold_resolution_builds_only_the_routes_it_holds(
 
     monkeypatch.setattr(UnderlayPath, "__post_init__", counting)
     misses = cache.misses
-    resolution = cache.resolve(src, dst)
+    resolution = cache.resolve_all([(src, dst)]).resolutions[0]
     assert cache.misses == misses + 1
     assert [route.path for route in resolution.routes] == built
     assert len(built) == (
@@ -268,15 +268,16 @@ class TwoTenants:
         self.now += 1.0
         return self.fabric.send_probe_batch(pairs, self.now)
 
-    def counting(self, monkeypatch, name):
+    def counting(self, monkeypatch, name, owner=None):
+        owner = self.cache if owner is None else owner
         calls = []
-        method = getattr(self.cache, name)
+        method = getattr(owner, name)
 
         def counted(*args):
             calls.append(args)
             return method(*args)
 
-        monkeypatch.setattr(self.cache, name, counted)
+        monkeypatch.setattr(owner, name, counted)
         return calls
 
 
@@ -295,7 +296,7 @@ def test_another_tenants_migration_keeps_a_warm_batch_in_bulk(
     world = two_tenants
     world.send(world.other_pairs)
     world.send(world.pairs)
-    resolved = world.counting(monkeypatch, "resolve")
+    resolved = world.counting(monkeypatch, "_resolve_row")
     world.send(world.pairs)
     assert resolved == []
 
@@ -322,7 +323,9 @@ def test_a_rotating_selection_after_an_unrelated_change_is_all_hits(
     world.send(world.pairs)
     world.orchestrator.migrate_container(world.other.container(1))
     world.orchestrator.terminate_task(world.other.id)
-    computed = world.counting(monkeypatch, "_compute")
+    computed = world.counting(
+        monkeypatch, "first_contact", world.fabric.cluster.overlay
+    )
     hits = world.cache.hits
     for start in (5, 17, 40):
         window = world.pairs[start:] + world.pairs[:start // 2]
@@ -337,7 +340,8 @@ def test_the_registration_index_does_not_outgrow_the_cache(
 ):
     # Each migration marks the entries through the mover's hosts; their
     # replacements register afresh, and what the replaced ones left on
-    # keys no mark consumed must be dropped, not kept for ever.
+    # keys no mark consumed — tables, RNICs and paths alike — must be
+    # dropped, not kept for ever.
     tenants = [
         orchestrator.submit_task(3, 2, instant_startup=True)
         for _ in range(2)
@@ -365,7 +369,10 @@ def test_the_registration_index_does_not_outgrow_the_cache(
         fabric.send_probe_batch(pairs, 2.0 * cycle + 1.0)
         growth.append(sum(
             len(held) if isinstance(held, list) else 1
-            for slot in cache._watch.values() for held in slot.values()
+            for index in (
+                *cache._watch.values(), cache._by_rnic, cache._by_path
+            )
+            for held in index.values()
         ))
     assert len(cache) == len(pairs)
     assert cache.misses > 200 * len(pairs) // 8  # the cycles re-walk
@@ -384,7 +391,7 @@ def test_a_health_flip_on_a_table_marked_entry_counts_as_epoch_changed(
     assert reverse_table.remove(overlay.record_of(pair.src).key)
     overlay.health(veth_name(pair.src)).extra_latency_us = 0.0
     epoch, table = rounds.cause("epoch_changed"), rounds.cause("table_changed")
-    cache.resolve(pair.src, pair.dst)
+    cache.resolve_all([pair])
     assert rounds.cause("epoch_changed") == epoch + 1
     assert rounds.cause("table_changed") == table
 
@@ -398,7 +405,7 @@ def test_a_fault_on_a_table_marked_entry_counts_as_epoch_changed(rounds):
     assert reverse_table.remove(overlay.record_of(pair.src).key)
     rounds.scenario.inject(IssueType.RNIC_PORT_DOWN, rounds.rnics(pair)[0])
     epoch, table = rounds.cause("epoch_changed"), rounds.cause("table_changed")
-    cache.resolve(pair.src, pair.dst)
+    cache.resolve_all([pair])
     assert rounds.cause("epoch_changed") == epoch + 1
     assert rounds.cause("table_changed") == table
 

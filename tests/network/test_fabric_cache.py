@@ -415,14 +415,14 @@ class TestScopedValidity:
         overlay = cluster.overlay
         table = overlay.ovs_table(overlay.rnic_of(warm[0]).host)
         cache = fabric.resolution_cache
-        compute = cache._compute
+        walk = overlay.first_contact
 
-        def compute_under_churn(src, dst):
+        def walk_under_churn(src, dst):
             if (src, dst) == cold:
                 assert table.remove(key)
-            return compute(src, dst)
+            return walk(src, dst)
 
-        monkeypatch.setattr(cache, "_compute", compute_under_churn)
+        monkeypatch.setattr(overlay, "first_contact", walk_under_churn)
         hits, before = cache.hits, self._misses(fabric)
 
         results = fabric.send_probe_batch([warm, cold, warm], 2.0)

@@ -45,7 +45,7 @@ def parent_loop(fabric, pairs, at):
     delivered, delivered_res, delivered_path = [], [], []
     hops, switches, extra_us, software = [], [], [], []
     for i, (src, dst) in enumerate(endpoints):
-        res = cache.resolve(src, dst)
+        res = cache.resolve_all([(src, dst)]).resolutions[0]
         trace = res.trace
         if not res.reached:
             lost += 1

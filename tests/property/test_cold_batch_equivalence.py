@@ -2,23 +2,28 @@
 
 Twin replicas of one scenario are driven through the same history; one
 resolves each batch with :meth:`FlowResolutionCache.resolve_all`, the
-other with one :meth:`FlowResolutionCache.resolve` per pair, in order
-(the oracle).  After every batch both must agree on every row's
+other with a batch of one per pair, in order (the oracle).  After every batch both must agree on every row's
 observables (hops, reach, routes, flow hash, overlay effects, whether
 the row is plain), on every flow table's dump (key, action, offload
 state, packet counter), on the hit / miss / ``cache.miss.<cause>``
-counts the batch added, and on exactly which cached entries the next
-fault, migration or whole-table ``touch()`` marks stale.  The cases
-cover what a cold walk may meet: a ring-chord list at 2,048 endpoints,
-the basic list over four segments, spraying ECMP, live faults, an RNIC
-forced onto the software path, an unattached endpoint, same-host pairs,
-and a migration between two batches.
+counts the batch added, on the overlay epoch, and on exactly which
+cached entries the next fault, migration or whole-table ``touch()``
+marks stale.  The cases cover what a cold walk may meet: a ring-chord
+list at 2,048 endpoints, the basic list over four segments, spraying
+ECMP, live faults, an RNIC forced onto the software path, an unattached
+endpoint, same-host pairs, and a migration between two batches; and
+batches that mix every kind of row — hits, cold rows, ``table_changed``
+and ``epoch_changed`` misses, a row repeated, several sources on one
+host towards one destination, a stale ENCAP a migration left behind
+that a row's first packet replaces, and an ENCAP corrupted back at the
+source host (a loop).
 """
 
 import pytest
 
+from repro.cluster.flowtable import ActionKind, FlowAction
 from repro.cluster.identifiers import ContainerId, EndpointId
-from repro.cluster.overlay import vtep_name
+from repro.cluster.overlay import veth_name, vtep_name
 from repro.network.fabric import DataPlaneFabric
 from repro.network.faults import FaultInjector
 from repro.network.issues import GrayIssueType, IssueType
@@ -171,20 +176,20 @@ class Twins:
             self.worlds.append(scenario)
         self.pairs = pairs
 
-    def resolve(self):
+    def resolve(self, pairs=None):
+        pairs = self.pairs if pairs is None else pairs
         batch, oracle = self.worlds
-        vector = batch.fabric.resolution_cache.resolve_all(self.pairs)
+        vector = batch.fabric.resolution_cache.resolve_all(pairs)
         cache = oracle.fabric.resolution_cache
         singles = [
-            cache.resolve(pair[0], pair[1]) if isinstance(pair, tuple)
-            else cache.resolve(pair.src, pair.dst)
-            for pair in self.pairs
+            cache.resolve_all([pair]).resolutions[0] for pair in pairs
         ]
         assert [_row(res) for res in vector.resolutions] == [
             _row(res) for res in singles
         ]
         assert _tables(batch) == _tables(oracle)
         assert _counts(batch) == _counts(oracle)
+        assert batch.cluster.overlay.epoch == oracle.cluster.overlay.epoch
         return vector
 
     def both(self, act):
@@ -306,3 +311,144 @@ def test_a_mode_switch_resolves_each_mode_its_own_candidates(
                     res.trace.src_rnic, res.trace.dst_rnic
                 )
     assert any(len(res.routes) > 1 for res in vector.resolutions)
+
+
+def _fan_in(scenario):
+    """Every endpoint of one container towards one destination: one
+    source host, one destination half."""
+    task = scenario.task
+    dst = task.container(5).endpoint(0)
+    return [(src, dst) for src in task.container(2).endpoints()]
+
+
+def _causes(twins):
+    return twins.worlds[0].fabric.metrics.counters("cache.miss.")
+
+
+@pytest.mark.parametrize("ecmp_mode", ["static", "spray"])
+def test_a_mixed_batch_is_its_pairs_one_by_one(ecmp_mode):
+    twins = Twins(
+        _basic(8, hosts_per_segment=5, ecmp_mode=ecmp_mode), _odd_pairs
+    )
+    pairs = twins.pairs
+    task = twins.worlds[0].task
+    warm = pairs[::2]
+    twins.resolve(warm)
+    fan_in = _fan_in(twins.worlds[0])
+    cold = pairs[1::2]
+    # Hits and cold rows interleaved, a fan-in towards one destination
+    # in the middle, and a row repeated after the fan-in installed.
+    mixed = [row for both in zip(warm, cold) for row in both]
+    mixed = mixed[:40] + fan_in + mixed[40:] + [fan_in[3], warm[0]]
+    before = twins.resolve(mixed)
+    assert twins.worlds[0].fabric.resolution_cache.hits > 0
+
+    src, dst = fan_in[0]
+    victim = next(p for p in warm if not isinstance(p, tuple))
+
+    def churn(scenario):
+        overlay = scenario.cluster.overlay
+        # table_changed: the reverse rule one warm pair's echo installed.
+        overlay.ovs_table(overlay.record_of(victim.dst).host).remove(
+            overlay.record_of(victim.src).key
+        )
+        # epoch_changed: a health flag on another pair's source veth.
+        overlay.health(veth_name(warm[5].src)).extra_latency_us = 7.0
+        # A software-path RNIC: its next installs stay unoffloaded.
+        overlay.health(
+            vtep_name(overlay.rnic_of(cold[7].src))
+        ).force_software_path = True
+        # A loop: the destination host's rule for the fan-in destination
+        # sent back at the fan-in's source host.
+        overlay.ovs_table(overlay.record_of(dst).host).install(
+            overlay.record_of(dst).key, FlowAction(
+                ActionKind.ENCAP,
+                remote_underlay_ip=overlay.underlay_ip_of(
+                    overlay.rnic_of(src)
+                ),
+            ),
+        )
+        # An ENCAP corrupted to the source's own VTEP at the source
+        # host: the row's first packet replaces it mid-batch.
+        corrupt = cold[9]
+        overlay.ovs_table(overlay.record_of(corrupt.src).host).install(
+            overlay.record_of(corrupt.dst).key, FlowAction(
+                ActionKind.ENCAP,
+                remote_underlay_ip=overlay.underlay_ip_of(
+                    overlay.rnic_of(corrupt.src)
+                ),
+            ),
+        )
+
+    assert twins.both(churn)
+    causes = dict(_causes(twins))
+    again = twins.resolve(mixed)
+    moved = _causes(twins)
+    for cause in ("table_changed", "epoch_changed"):
+        key = f"cache.miss.{cause}"
+        assert moved.get(key, 0) > causes.get(key, 0), key
+    assert any(res.trace.loop for res in again.resolutions)
+    assert again is not before
+
+    def migrate(scenario):
+        # The fan-in destination moves: every fan-in source's first hop
+        # now holds a stale ENCAP its next first packet replaces.
+        scenario.orchestrator.migrate_container(
+            scenario.task.container(dst.container.rank)
+        )
+
+    assert twins.both(migrate)
+    twins.resolve(list(reversed(mixed)))
+    twins.resolve(list(reversed(mixed)))  # all hits where nothing moved
+
+    def rnic_fault(scenario):
+        scenario.inject(
+            IssueType.RNIC_PORT_DOWN,
+            scenario.cluster.overlay.rnic_of(cold[3].src),
+        )
+
+    def touch(scenario):
+        overlay = scenario.cluster.overlay
+        overlay.ovs_table(overlay.rnic_of(warm[7].src).host).touch()
+
+    for act in (rnic_fault, touch):
+        assert twins.both(act)
+        twins.resolve(mixed)
+    assert len(task.all_containers()) == 8
+
+
+@pytest.mark.slow
+def test_a_cold_basic_round_at_512_endpoints_is_its_pairs_one_by_one():
+    """The bulk path at scale (CI's ``slow`` job): a cold basic round
+    over 512 endpoints on two segments, then an RNIC fault and a PFC
+    storm injected and cleared, each followed by a round — marks,
+    per-batch counts and rows equal to the batch-of-one twin's."""
+    twins = Twins(_basic(64, hosts_per_segment=40), None)
+    assert len(twins.pairs) > 16_000
+    assert len(twins.worlds[0].task.endpoints()) == 512
+    assert twins.worlds[0].topology.num_segments >= 2
+    twins.resolve()
+    faults = {}
+
+    def inject(issue, pick):
+        def act(scenario):
+            target = pick(scenario)
+            faults.setdefault(id(scenario), []).append(
+                scenario.inject(issue, target)
+            )
+        return act
+
+    def clear(scenario):
+        fault = faults[id(scenario)].pop()
+        scenario.injector.clear(fault, scenario.engine.now + 1.0)
+
+    for issue, pick in (
+        (IssueType.RNIC_PORT_DOWN,
+         lambda sc: sc.cluster.overlay.rnic_of(twins.pairs[100].src)),
+        (GrayIssueType.PFC_STORM,
+         lambda sc: _first_link(sc, twins.pairs[200:])),
+    ):
+        assert twins.both(inject(issue, pick))
+        twins.resolve()
+        assert twins.both(clear)
+        twins.resolve()

@@ -137,7 +137,7 @@ def test_a_resolution_reads_the_formatted_chain(task_world):
     kinds = set()
     for src in endpoints:
         for dst in endpoints:
-            res = cache.resolve(src, dst)
+            res = cache.resolve_all([(src, dst)]).resolutions[0]
             assert res.reached
             src_rnic, dst_rnic = res.trace.src_rnic, res.trace.dst_rnic
             chain = (

@@ -24,7 +24,7 @@ the batch already resolved.
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.flowtable import ActionKind, FlowAction, FlowKey
@@ -147,23 +147,23 @@ class World:
             batch.append(batch[0])  # so no world answers it in bulk
         container = self.containers[container_index % len(self.containers)]
         cache = self.fabric.resolution_cache
-        resolve = cache.resolve
+        resolve_row = cache._resolve_row
         rows = []
 
-        def resolve_under_churn(src, dst):
+        def resolve_under_churn(key):
             if len(rows) == row % len(batch) and container.is_running:
                 self.cluster.overlay.detach_container(container)
                 self.cluster.overlay.attach_container(
                     container, self.cluster.underlay_ips_of(container.host)
                 )
-            rows.append((src, dst))
-            return resolve(src, dst)
+            rows.append(key)
+            return resolve_row(key)
 
-        cache.resolve = resolve_under_churn
+        cache._resolve_row = resolve_under_churn
         try:
             return self.probe_batch(batch)
         finally:
-            cache.resolve = resolve
+            cache._resolve_row = resolve_row
 
     def neighbour_install(self, index):
         """The unprobed tenant's first-use install on shared hosts."""
@@ -345,6 +345,16 @@ _operation = st.one_of(
 )
 
 
+def _reads(entry):
+    """What a reached entry's walk read and installed: each flow table
+    it consulted at its forward key, then the destination's OVS and
+    offload tables at the reverse key."""
+    replier, reverse = entry.replier, entry.reverse
+    return [(table, entry.trace.key) for table in entry.trace.tables] + [
+        (replier.ovs, reverse), (replier.offload, reverse),
+    ]
+
+
 class PullValidity:
     """How the cache decided validity before it was told of changes —
     the oracle for *when* it misses and why.
@@ -368,8 +378,8 @@ class PullValidity:
         self.state = {}
         world.cluster.overlay.add_watcher(self._changed)
         world.injector.add_observer(self._fault)
-        self._resolve, self._resolve_all = cache.resolve, cache.resolve_all
-        cache.resolve, cache.resolve_all = self.resolve, self.resolve_all
+        self._resolve, self._resolve_all = cache._resolve_row, cache.resolve_all
+        cache._resolve_row, cache.resolve_all = self.resolve, self.resolve_all
         self.calls = 0
 
     def _changed(self, source, key):
@@ -387,7 +397,7 @@ class PullValidity:
     def _stamp(self, entry):
         tables = sum(
             self.versions[table] + self.versions[(table, key)]
-            for table, key in entry.reads
+            for table, key in _reads(entry)
         )
         epochs = self.cache.routing_epoch + sum(
             self.versions[health] for health in entry.healths
@@ -413,17 +423,18 @@ class PullValidity:
     def counts(self):
         return self.cache.hits, self.cache.metrics.counters("cache.miss.")
 
-    def resolve(self, src, dst):
+    def resolve(self, pair):
+        """One row of a pass (``FlowResolutionCache._resolve_row``)."""
         self.calls += 1
-        want = self.predict((src, dst))
+        want = self.predict(pair)
         hits, causes = self.counts()
-        resolution = self._resolve(src, dst)
+        resolution = self._resolve(pair)
         if want == "hit":
-            assert self.counts() == (hits + 1, causes), (src, dst)
+            assert self.counts() == (hits + 1, causes), pair
             return resolution
         key = f"cache.miss.{want}"
         assert self.counts() == (hits, {**causes, key: causes.get(key, 0) + 1})
-        self.state[(src, dst)] = [
+        self.state[pair] = [
             resolution, self.cache._whole_stamp(),
             self._stamp(resolution) if resolution.reached else None,
         ]
@@ -464,6 +475,9 @@ def _warm_then(operations):
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_operation, min_size=1, max_size=40))
+# A destination's half, walked before a re-attach of that destination
+# lands between two rows of one batch, is not replayed after it.
+@example(operations=[("touch_mid_batch", [0, 0], 1, 1, 0)])
 def test_cached_world_equals_uncached_world(operations):
     _warm_then(operations)
 
