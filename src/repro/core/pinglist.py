@@ -20,11 +20,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
-from typing import AbstractSet, Callable, Dict, FrozenSet, Iterable, List, Set
+from typing import (
+    AbstractSet, Callable, Dict, FrozenSet, Iterable, List, Set, Tuple,
+)
 
 from repro.cluster.identifiers import ContainerId, EndpointId
 
-__all__ = ["PingList", "PingListPhase", "ProbePair"]
+__all__ = ["PingList", "PingListPhase", "ProbePair", "pair_order"]
 
 
 @dataclass(frozen=True, order=True)
@@ -57,6 +59,17 @@ class ProbePair:
         if endpoint == self.dst:
             return self.src
         raise ValueError(f"{endpoint} is not part of {self}")
+
+
+def pair_order(pair: ProbePair) -> Tuple[int, int, int, int, int, int]:
+    """The sort key of a pair: the task index, rank and slot of its
+    source, then of its destination.  It orders pairs exactly as their
+    generated comparisons do, field by field, without calling them."""
+    src, dst = pair.src, pair.dst
+    return (
+        src.container.task.index, src.container.rank, src.slot,
+        dst.container.task.index, dst.container.rank, dst.slot,
+    )
 
 
 class PingListPhase:
@@ -278,7 +291,7 @@ class PingList:
         if self._rails and container not in self._by_source:
             self._by_source[container] = self._row(container)
         elif not self._by_source:
-            for pair in sorted(self.pairs):
+            for pair in sorted(self.pairs, key=pair_order):
                 self._by_source.setdefault(
                     pair.src.container, []
                 ).append(pair)

@@ -12,6 +12,14 @@ Two interchangeable backends run a :class:`ShardMonitor`:
   shard's replica (a crash or kill of one worker never takes down the
   plane — the coordinator sees the dead pipe and fails the shard over).
 
+Every worker starts from the same world, the spec's warm replica
+(:func:`~repro.shard.spec.build_warm_replica`).  The coordinator hands
+its reference replica — that world, built and not yet stepped — to
+``spawn``.  A forked worker takes it over as its own copy; an
+in-process worker, which would share it with the coordinator and with
+its siblings, and a ``spawn``-ed one, which would get it pickled, build
+the world themselves.
+
 Both expose the same two-phase chunk API (``begin_chunk`` dispatches,
 ``finish_chunk`` collects) so the coordinator can overlap all shards'
 rounds before collecting any result.  Death is signalled exclusively
@@ -30,6 +38,7 @@ from typing import Optional, Sequence, Tuple
 from repro.core.pinglist import ProbePair
 from repro.shard.monitor import ChunkResult, ShardMonitor
 from repro.shard.spec import ShardScenarioSpec
+from repro.workloads.scenarios import MonitoredScenario
 
 __all__ = [
     "InProcessBackend",
@@ -123,7 +132,10 @@ class InProcessBackend:
         shard_id: int,
         spec: ShardScenarioSpec,
         pairs: Sequence[ProbePair],
+        reference: MonitoredScenario,
     ) -> ShardHandle:
+        """A worker on a warm replica of its own: ``reference`` is the
+        coordinator's, which it keeps stepping."""
         return InProcessHandle(
             shard_id, ShardMonitor(shard_id, spec, pairs)
         )
@@ -134,21 +146,25 @@ class InProcessBackend:
 # ----------------------------------------------------------------------
 
 
-def _shard_worker_main(conn, shard_id, spec, pairs) -> None:
+def _shard_worker_main(conn, shard_id, spec, pairs, replica) -> None:
     """Worker entry point: serve chunk/rebuild commands over the pipe.
 
-    Runs in a forked child.  Must stay deterministic — no wall clocks,
-    no process ids, no unseeded RNG (enforced by the determinism lint's
-    ``worker-determinism`` rule).  Any exception is shipped back as an
-    ``("err", traceback)`` reply and ends the worker; the coordinator
-    treats it like a death and fails the shard over.
+    Runs in a forked child (``replica`` is the coordinator's warm
+    reference, inherited) or a spawned one (``replica`` is ``None``
+    and the monitor builds it).  Must stay deterministic — no wall
+    clocks, no process ids, no unseeded RNG (enforced by the
+    determinism lint's ``worker-determinism`` rule).  Any exception is
+    shipped back as an ``("err", traceback)`` reply and ends the
+    worker; the coordinator treats it like a death and fails the shard
+    over.
     """
-    # What the fork inherited — the coordinator's reference replica and
-    # plan — is never this worker's garbage: keep the cycle collector
-    # off it, or every full collection walks (and, writing its marks,
-    # copies page by page) the coordinator's whole heap.
+    # What the fork inherited is the replica this worker runs on and
+    # lives as long as the worker, or the coordinator's state, which it
+    # never drops: neither is garbage the cycle collector could free.
+    # Keep the collector off it, or every full collection walks (and,
+    # writing its marks, copies page by page) the whole inherited heap.
     gc.freeze()
-    monitor = ShardMonitor(shard_id, spec, pairs)
+    monitor = ShardMonitor(shard_id, spec, pairs, replica)
     while True:
         try:
             message = conn.recv()
@@ -173,7 +189,9 @@ def _shard_worker_main(conn, shard_id, spec, pairs) -> None:
 
 
 class MultiprocessingHandle(ShardHandle):
-    """A shard monitor in a forked worker process."""
+    """A shard monitor in a worker process.  ``replica`` is what the
+    worker starts from: the inherited warm reference under ``fork``,
+    ``None`` (build it) under ``spawn``, which pickles its arguments."""
 
     def __init__(
         self,
@@ -181,12 +199,13 @@ class MultiprocessingHandle(ShardHandle):
         spec: ShardScenarioSpec,
         pairs: Sequence[ProbePair],
         context,
+        replica: Optional[MonitoredScenario],
     ) -> None:
         super().__init__(shard_id)
         self._parent_conn, child_conn = context.Pipe()
         self._process = context.Process(
             target=_shard_worker_main,
-            args=(child_conn, shard_id, spec, tuple(pairs)),
+            args=(child_conn, shard_id, spec, tuple(pairs), replica),
             daemon=True,
         )
         self._process.start()
@@ -255,10 +274,12 @@ class MultiprocessingBackend:
     """Runs each shard in its own worker process.
 
     Workers default to ``fork`` where the platform offers it (cheapest:
-    the spec is inherited, not pickled) and fall back to ``spawn``
+    a worker inherits the coordinator's warm reference replica instead
+    of building and warming its own) and fall back to ``spawn``
     elsewhere — ``fork`` does not exist on Windows and is fragile with
-    threads on macOS.  Both methods are correct; the protocol ships the
-    spec and pairs explicitly either way.
+    threads on macOS.  Both methods are correct and start a worker from
+    the same world; the protocol ships the spec and pairs explicitly
+    either way, and never a replica.
     """
 
     name = "mp"
@@ -273,9 +294,15 @@ class MultiprocessingBackend:
         shard_id: int,
         spec: ShardScenarioSpec,
         pairs: Sequence[ProbePair],
+        reference: MonitoredScenario,
     ) -> ShardHandle:
+        """A worker process starting from ``reference``, the
+        coordinator's warm replica, not stepped yet: inherited under
+        ``fork``, rebuilt in the child under ``spawn``."""
+        inherited = self._context.get_start_method() == "fork"
         return MultiprocessingHandle(
-            shard_id, spec, pairs, self._context
+            shard_id, spec, pairs, self._context,
+            reference if inherited else None,
         )
 
 

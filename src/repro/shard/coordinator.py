@@ -4,6 +4,11 @@ The chunk loop, the kill schedule and failover are the plane driver's
 (:mod:`repro.shard.plane`, shared with the fleet plane).  The
 coordinator adds what is particular to splitting *one job's pairs*:
 
+* **One world to start from.** Its reference replica is the spec's
+  warm replica (:func:`~repro.shard.spec.build_warm_replica`), handed
+  to the backend's ``spawn`` before anything steps it: a forked worker
+  runs on it, every other worker builds the same world.
+
 * **Heartbeats.** Each :class:`~repro.shard.monitor.ChunkResult`
   doubles as the shard's heartbeat and lands in the metric registry
   under ``shard.<i>.*``.
@@ -42,6 +47,7 @@ from repro.bus.codec import encode_event, encode_verdict
 from repro.bus.core import Topic
 from repro.core.analyzer import FailureEvent
 from repro.core.localization import LocalizationReport, Localizer
+from repro.core.pinglist import pair_order
 from repro.shard.backend import InProcessBackend
 from repro.shard.monitor import (
     ChunkResult,
@@ -54,8 +60,7 @@ from repro.shard.plane import PlaneDriver, Reassignment, WorkerStatus
 from repro.shard.spec import (
     FaultScheduleRunner,
     ShardScenarioSpec,
-    build_replica,
-    pair_universe,
+    build_warm_replica,
 )
 from repro.sim.metrics import MetricRegistry
 
@@ -175,16 +180,15 @@ class ShardCoordinator(PlaneDriver[ShardStatus]):
         # The reference replica backs merged localization: Algorithm 1
         # reads overlay tables, RNIC flow tables, and underlay routes,
         # so the coordinator keeps one replica stepped round by round
-        # via the same replayable fault schedule the shards use.
-        self.reference = build_replica(spec)
+        # via the same replayable fault schedule the shards use.  It is
+        # the world every worker starts from (every pair resolved at
+        # t = 0), and until the workers are spawned nothing steps or
+        # changes it: a forked worker takes it over as its own.
+        self.reference, self.all_pairs = build_warm_replica(spec)
         self._reference_schedule = FaultScheduleRunner(
             self.reference.injector, spec,
             self.reference.task.containers.get,
         )
-        self.all_pairs = pair_universe(spec, self.reference)
-        # Warm the reference overlay exactly as probing would: resolve
-        # every pair's flow once, before any scheduled fault applies.
-        self.reference.fabric.send_probe_batch(self.all_pairs, 0.0)
         self.localizer = Localizer(
             self.reference.cluster,
             self.reference.fabric,
@@ -196,7 +200,7 @@ class ShardCoordinator(PlaneDriver[ShardStatus]):
         for shard_id in range(num_shards):
             pairs = self.plan.pairs_of(shard_id)
             self._add_worker(
-                self.backend.spawn(shard_id, spec, pairs),
+                self.backend.spawn(shard_id, spec, pairs, self.reference),
                 ShardStatus(worker_id=shard_id, units=pairs),
             )
 
@@ -225,7 +229,7 @@ class ShardCoordinator(PlaneDriver[ShardStatus]):
     ) -> Dict[int, list]:
         """Round-robin over the survivors, in pair order."""
         placed: Dict[int, list] = {}
-        for index, pair in enumerate(sorted(orphaned)):
+        for index, pair in enumerate(sorted(orphaned, key=pair_order)):
             placed.setdefault(
                 survivors[index % len(survivors)], []
             ).append(pair)

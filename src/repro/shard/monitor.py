@@ -1,9 +1,11 @@
 """The per-shard monitoring worker.
 
-A :class:`ShardMonitor` owns one replica of the cluster (built from the
-picklable spec), the shard's slice of the probe-pair universe, and the
-replica hunter's analyzer.  It executes probe rounds through the round
-driver of the single-process system
+A :class:`ShardMonitor` owns one replica of the cluster — the spec's
+world with every pair resolved at t = 0
+(:func:`~repro.shard.spec.build_warm_replica`), handed over by a forked
+worker or built here — the shard's slice of the probe-pair universe,
+and the replica hunter's analyzer.  It executes probe rounds through
+the round driver of the single-process system
 (:func:`~repro.core.probing.run_probe_round`), so
 a shard is literally the existing monitoring loop over fewer pairs — at
 O(pairs) a round either way: in-process shards on one core buy ~1x, and
@@ -24,7 +26,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from repro.cluster.identifiers import EndpointId
 from repro.core.agent import OverlayAgent
 from repro.core.analyzer import FailureEvent
-from repro.core.pinglist import PingList, ProbePair
+from repro.core.pinglist import PingList, ProbePair, pair_order
 from repro.core.probing import ResilientProber, run_probe_round
 from repro.core.resilience import CircuitBreaker
 from repro.network.issues import Symptom
@@ -32,8 +34,9 @@ from repro.shard.spec import (
     FaultScheduleRunner,
     ShardScenarioSpec,
     build_monitor_chaos,
-    build_replica,
+    build_warm_replica,
 )
+from repro.workloads.scenarios import MonitoredScenario
 
 __all__ = [
     "ChunkResult",
@@ -122,26 +125,37 @@ class ChunkResult:
 
 
 class ShardMonitor:
-    """One shard: a replica cluster plus the standard monitoring loop."""
+    """One shard: a replica cluster plus the standard monitoring loop.
+
+    ``replica`` is the spec's warm replica, untouched since it was
+    built (a forked worker's inherited reference); ``None`` builds one.
+    The monitor steps it, so nothing else may step or share it.
+    """
 
     def __init__(
         self,
         shard_id: int,
         spec: ShardScenarioSpec,
         pairs: Iterable[ProbePair],
+        replica: Optional[MonitoredScenario] = None,
     ) -> None:
         self.shard_id = shard_id
         self.spec = spec
-        self.pairs: Tuple[ProbePair, ...] = tuple(sorted(set(pairs)))
+        self.pairs: Tuple[ProbePair, ...] = tuple(
+            sorted(set(pairs), key=pair_order)
+        )
         self.rounds_completed = 0
-        self._build()
+        self._build(replica)
 
     # ------------------------------------------------------------------
     # Replica construction
     # ------------------------------------------------------------------
 
-    def _build(self) -> None:
-        self.scenario = build_replica(self.spec)
+    def _build(self, replica: Optional[MonitoredScenario] = None) -> None:
+        self.scenario = (
+            replica if replica is not None
+            else build_warm_replica(self.spec)[0]
+        )
         self.schedule = FaultScheduleRunner(
             self.scenario.injector, self.spec,
             self.scenario.task.containers.get,
@@ -249,15 +263,18 @@ class ShardMonitor:
     ) -> Optional[ChunkResult]:
         """Take over ``pairs`` from a dead shard.
 
-        Rebuilds a fresh replica for the union pair set and replays
-        rounds ``1..upto_round`` against it — probe outcomes are pure
-        functions of (seed, pair, time), so after the replay this
-        monitor's state is identical to having owned the union from
-        round one.  The replay's rounds (including re-detections of
-        incidents the dead shard already reported) come back in the
-        result; the coordinator drops what it already merged.
+        Builds a fresh warm replica for the union pair set (the one it
+        ran on has been stepped) and replays rounds ``1..upto_round``
+        against it — probe outcomes are pure functions of (seed, pair,
+        time), so after the replay this monitor's state is identical
+        to having owned the union from round one.  The replay's rounds
+        (including re-detections of incidents the dead shard already
+        reported) come back in the result; the coordinator drops what
+        it already merged.
         """
-        self.pairs = tuple(sorted(set(self.pairs) | set(pairs)))
+        self.pairs = tuple(
+            sorted(set(self.pairs) | set(pairs), key=pair_order)
+        )
         self._build()
         if upto_round < 1:
             return None

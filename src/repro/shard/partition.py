@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.cluster.orchestrator import Cluster
-from repro.core.pinglist import ProbePair
+from repro.core.pinglist import ProbePair, pair_order
 
 __all__ = [
     "PartitionPlan",
@@ -63,7 +63,7 @@ class PartitionPlan:
         merged: List[ProbePair] = []
         for pairs in self.assignments:
             merged.extend(pairs)
-        return sorted(merged)
+        return sorted(merged, key=pair_order)
 
     def shard_of(self, pair: ProbePair) -> int:
         """Which shard monitors ``pair``."""
@@ -93,7 +93,7 @@ class TopologyPartitioner:
         if num_shards < 1:
             raise ValueError(f"need at least one shard, got {num_shards}")
         groups: Dict[str, List[ProbePair]] = {}
-        for pair in sorted(set(pairs)):
+        for pair in sorted(set(pairs), key=pair_order):
             groups.setdefault(self.group_key(pair), []).append(pair)
         # One contiguous cut through the segment-major host order: each
         # host group goes to the shard whose balanced band
@@ -117,7 +117,8 @@ class TopologyPartitioner:
         return PartitionPlan(
             num_shards=num_shards,
             assignments=tuple(
-                tuple(sorted(pairs)) for pairs in shard_pairs
+                tuple(sorted(pairs, key=pair_order))
+                for pairs in shard_pairs
             ),
             group_keys=tuple(
                 tuple(sorted(keys)) for keys in shard_keys

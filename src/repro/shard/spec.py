@@ -2,9 +2,12 @@
 
 Shard workers may run in other processes, so they cannot share the
 coordinator's live simulation objects.  Instead every worker receives a
-:class:`ShardScenarioSpec` — a frozen, picklable *recipe* — and builds
-its own replica of the cluster from it.  Two properties make replicas
-interchangeable with the original:
+:class:`ShardScenarioSpec` — a frozen, picklable *recipe* — and starts
+from the one world the spec names, :func:`build_warm_replica`: its
+replica with the whole pair universe resolved at t = 0, before any
+scheduled fault applies (a forked worker inherits the coordinator's,
+anyone else builds it).  Two properties make replicas interchangeable
+with the original:
 
 * :func:`repro.workloads.scenarios.build_scenario` is deterministic in
   its seed, so every replica has identical topology, placement, and
@@ -27,7 +30,7 @@ from repro.chaos.faults import MonitorFaultInjector, MonitorIssue
 from repro.cluster.container import Container
 from repro.cluster.identifiers import ContainerId
 from repro.core.detection import DetectorConfig
-from repro.core.pinglist import PingList, ProbePair
+from repro.core.pinglist import PingList, ProbePair, pair_order
 from repro.network.faults import Fault, FaultInjector
 from repro.network.issues import lookup_issue
 from repro.workloads.scenarios import MonitoredScenario, build_scenario
@@ -39,6 +42,7 @@ __all__ = [
     "ShardScenarioSpec",
     "build_monitor_chaos",
     "build_replica",
+    "build_warm_replica",
     "pair_universe",
 ]
 
@@ -152,6 +156,26 @@ def build_replica(spec: ShardScenarioSpec) -> MonitoredScenario:
     )
 
 
+def build_warm_replica(
+    spec: ShardScenarioSpec,
+) -> Tuple[MonitoredScenario, List[ProbePair]]:
+    """The world every shard worker starts from, and its pair universe.
+
+    The spec's replica with every pair of the universe resolved once at
+    t = 0, exactly as probing would, before any scheduled fault
+    applies: the coordinator's reference replica, which a forked worker
+    inherits, and what an in-process worker, a ``spawn``-ed one and a
+    failover adopter build for themselves.  Every pair's rules are
+    installed (and offloaded) in that one state, so a fault already
+    active at round 1 meets the same tables in every replica whoever
+    owns which pairs.
+    """
+    replica = build_replica(spec)
+    pairs = pair_universe(spec, replica)
+    replica.fabric.send_probe_batch(pairs, 0.0)
+    return replica, pairs
+
+
 def build_monitor_chaos(
     spec: ShardScenarioSpec,
 ) -> Optional[MonitorFaultInjector]:
@@ -195,7 +219,7 @@ def pair_universe(
         def rail(endpoint):
             return task.containers[endpoint.container].rail_of(endpoint)
 
-        return sorted(PingList.basic(endpoints, rail).pairs)
+        return sorted(PingList.basic(endpoints, rail).pairs, key=pair_order)
     if spec.pair_mode == "ring_chord":
         return ring_chord_pairs(endpoints)
     raise ValueError(f"unknown pair mode {spec.pair_mode!r}")

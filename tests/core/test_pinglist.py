@@ -3,9 +3,11 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.identifiers import ContainerId, EndpointId, TaskId
-from repro.core.pinglist import PingList, PingListPhase, ProbePair
+from repro.core.pinglist import PingList, PingListPhase, ProbePair, pair_order
 
 
 def ep(rank, slot=0, task=0):
@@ -22,6 +24,19 @@ def make_endpoints(num_containers=4, slots=4):
 
 def rail_of(endpoint):
     return endpoint.slot  # slot == rail on standard hosts
+
+
+#: Small fields, so pairs tie on every prefix of the key: one task, one
+#: container, one endpoint, a whole source.
+_endpoints = st.builds(
+    ep, st.integers(0, 3), st.integers(0, 3), st.integers(0, 2)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(ProbePair, _endpoints, _endpoints), max_size=40))
+def test_the_int_key_orders_pairs_as_their_comparisons_do(pairs):
+    assert sorted(pairs, key=pair_order) == sorted(pairs)
 
 
 class TestProbePair:

@@ -30,8 +30,8 @@ class DyingAdopterBackend:
         self._dies = dies_on_rebuild
         self._inner = InProcessBackend()
 
-    def spawn(self, shard_id, spec, pairs):
-        handle = self._inner.spawn(shard_id, spec, pairs)
+    def spawn(self, shard_id, spec, pairs, reference):
+        handle = self._inner.spawn(shard_id, spec, pairs, reference)
         if shard_id == self._dies:
             def dying_rebuild(pairs, upto_round):
                 handle.alive = False
@@ -253,7 +253,7 @@ class TracingBackend(InProcessBackend):
     def __init__(self):
         self.traced = {}
 
-    def spawn(self, shard_id, spec, pairs):
+    def spawn(self, shard_id, spec, pairs, reference):
         monitor = ShardMonitor(shard_id, spec, pairs)
         run_rounds = monitor.run_rounds
 
