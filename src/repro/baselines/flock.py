@@ -21,8 +21,9 @@ Log-odds accumulate over all failing and healthy observations; links
 whose posterior clears :data:`POSTERIOR_FLOOR` are suspects, ranked by
 posterior (at most :data:`MAX_SUSPECTS`).  Promotion to a shared
 switch/host/RNIC reuses the same rule the tomography voter applies, so
-the two localizers are scored on equal footing in
-``benchmarks/bench_gray.py``.
+the localization corpus (:mod:`repro.chaos.corpus`) and the gray gate
+score Flock and the pipeline on equal footing: Flock is the comparator
+the pipeline's vote must keep holding against.
 """
 
 from __future__ import annotations
@@ -51,21 +52,9 @@ MAX_SUSPECTS = 4
 class FlockLocalizer:
     """Bayesian per-link failure inference over probe observations."""
 
-    name = "flock"
-
     def __init__(self, cluster: Cluster, fabric: DataPlaneFabric) -> None:
         self.cluster = cluster
         self.fabric = fabric
-
-    # ------------------------------------------------------------------
-    # Inference
-    # ------------------------------------------------------------------
-
-    def _crossing_mass(self, pair: ProbePair) -> Dict[LinkId, float]:
-        """P(the pair's probe crosses each link), from its distribution."""
-        return crossing_mass(
-            self.fabric.path_distribution(pair.src, pair.dst)
-        )
 
     def link_posteriors(
         self,
@@ -74,30 +63,29 @@ class FlockLocalizer:
     ) -> Dict[LinkId, float]:
         """Posterior failure probability per candidate link.
 
-        Candidates are the links failing pairs can cross; healthy pairs
-        only ever push a candidate's posterior down.
+        Candidates are the links failing pairs can cross (with the
+        probability their path distribution gives); healthy pairs only
+        ever push a candidate's posterior down.
         """
         q, f0 = HIT_RATE, FALSE_RATE
         log_odds: Dict[LinkId, float] = {}
         prior_odds = math.log(PRIOR / (1.0 - PRIOR))
-        for pair in failing_pairs:
-            for link, w in self._crossing_mass(pair).items():
-                fail_given_bad = w * q + (1.0 - w) * f0
-                ratio = math.log(fail_given_bad / f0)
-                log_odds[link] = log_odds.get(link, prior_odds) + ratio
-        if not log_odds:
-            return {}
-        for pair in healthy_pairs:
-            for link, w in self._crossing_mass(pair).items():
-                if link not in log_odds:
-                    continue
-                fail_given_bad = w * q + (1.0 - w) * f0
-                ratio = math.log(
-                    (1.0 - fail_given_bad) / (1.0 - f0)
-                )
-                log_odds[link] += ratio
+        for pairs, failed in ((failing_pairs, True), (healthy_pairs, False)):
+            for pair in pairs:
+                for link, w in crossing_mass(self.fabric.path_distribution(
+                    pair.src, pair.dst
+                )).items():
+                    if not failed and link not in log_odds:
+                        continue
+                    bad = w * q + (1.0 - w) * f0
+                    log_odds[link] = log_odds.get(link, prior_odds) + (
+                        math.log(bad / f0) if failed
+                        else math.log((1.0 - bad) / (1.0 - f0))
+                    )
+        # Healthy evidence can push odds below exp()'s range; such a
+        # posterior bottoms out near 1e-304 instead of overflowing.
         return {
-            link: 1.0 / (1.0 + math.exp(-odds))
+            link: 1.0 / (1.0 + math.exp(min(-odds, 700.0)))
             for link, odds in log_odds.items()
         }
 

@@ -26,11 +26,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple,
+)
 
 from repro.chaos.faults import MonitorFaultInjector, MonitorIssue
+from repro.cluster.identifiers import LinkId
 from repro.core.evaluation import FaultOutcome
+from repro.core.localization import LocalizationReport
 from repro.network.issues import all_issue_types
+from repro.network.load import LinkLoadModel
 from repro.workloads.scenarios import MonitoredScenario, build_scenario
 
 __all__ = [
@@ -44,7 +49,10 @@ __all__ = [
     "leg_mark",
     "outcome_leg",
     "standard_chaos",
+    "sparse_target",
     "sweep",
+    "tap",
+    "uplink_target",
 ]
 
 #: The gate sweeps every catalogued issue — Table 1 plus the gray
@@ -69,6 +77,8 @@ CRASH_END_S = 270.0
 #: scratch dict: an arm may leave live objects there (its scenario, its
 #: outcome) for a later arm of the same case to re-score.
 Arm = Callable[[object, int, Dict[str, object]], Dict[str, object]]
+#: A localizer's ``(now, report)`` pairs, as ``SkeletonHunter.reports``.
+Reports = List[Tuple[float, LocalizationReport]]
 
 
 # ----------------------------------------------------------------------
@@ -86,6 +96,81 @@ def build_case(issue, seed: int, **world) -> MonitoredScenario:
         num_containers=4, gpus_per_container=4, pp=2,
         seed=seed * 100 + issue.value, **world,
     )
+
+
+def _crossings(scenario) -> Dict[LinkId, int]:
+    """How many pairs of the agents' live ping lists (not the
+    analyzer's history) have their static pick cross each link.
+    ``traceroute`` reports the static hash pick regardless of the
+    fabric's live mode, so every ECMP mode counts the same."""
+    probed = set()
+    controller = scenario.hunter.controller
+    for task_id in controller.monitored_tasks():
+        for agent in controller.agents_of(task_id):
+            probed.update(agent.ping_list.pairs)
+    crossings: Dict[LinkId, int] = {}
+    for pair in sorted(probed):
+        path = scenario.fabric.traceroute(pair.src, pair.dst)
+        for link in path.links if path is not None else ():
+            crossings[link] = crossings.get(link, 0) + 1
+    return crossings
+
+
+def uplink_target(scenario, load_model: Optional[LinkLoadModel] = None):
+    """The most-probed switch-to-switch link, ties broken by load
+    (when a ``load_model`` is given), then by name.
+
+    Gray families live on the fabric's multiplexed segment: access
+    links carry exactly one path, so faulting one would never separate
+    spraying from static ECMP (every probe of the pair crosses it
+    either way).  Among the ToR–spine uplinks, the one carrying the
+    most currently probed pairs gives the static-ECMP baseline its best
+    tomography evidence — a spraying leg then has to match it with
+    every pair's probes smeared across the whole candidate set.
+    """
+    crossings = {
+        link: count for link, count in _crossings(scenario).items()
+        if "/rnic-" not in link.a and "/rnic-" not in link.b
+    }
+    if not crossings:
+        raise ValueError(
+            "no monitored pair crosses a switch-to-switch link; the "
+            "uplink target needs a multi-segment scenario"
+        )
+    return min(
+        crossings,
+        key=lambda link: (
+            -crossings[link],
+            -load_model.utilization(link) if load_model is not None else 0.0,
+            str(link),
+        ),
+    )
+
+
+def sparse_target(scenario):
+    """The least-probed link, ties broken by name: where the live list
+    allows, a link only one monitored pair crosses — the single witness
+    Algorithm 1's more-than-one-vote rule cannot intersect."""
+    crossings = _crossings(scenario)
+    return min(crossings, key=lambda link: (crossings[link], str(link)))
+
+
+def tap(localizer, others: Dict[str, object]) -> Dict[str, Reports]:
+    """Have each of ``others`` localize every batch ``localizer`` gets,
+    with the same healthy pairs and time, the moment it gets it.
+    Returns the lists their ``(now, report)`` pairs land in."""
+    localize = localizer.localize
+    reports: Dict[str, Reports] = {name: [] for name in others}
+
+    def every(events, healthy_pairs=(), now=0.0):
+        for name, other in others.items():
+            reports[name].append(
+                (now, other.localize(events, healthy_pairs, now))
+            )
+        return localize(events, healthy_pairs, now)
+
+    localizer.localize = every
+    return reports
 
 
 def campaign_leg(
@@ -176,12 +261,17 @@ _COMPARED = (
 
 
 def sweep(
-    arms: Dict[str, Arm], cases: Iterable[Tuple[object, int]]
+    arms: Dict[str, Arm], cases: Iterable[Tuple[Any, ...]]
 ) -> Iterator[Dict[str, object]]:
-    """cases x arms -> rows, one row per case as it finishes."""
-    for issue, seed in cases:
-        live: Dict[str, object] = {}
-        row: Dict[str, object] = {"issue": issue.name, "seed": seed}
+    """cases x arms -> rows, one row per case as it finishes.
+
+    A case is ``(issue, seed)`` or ``(issue, seed, axes)``: ``axes``
+    names the case's further coordinates, which its row carries and its
+    arms find in ``live``."""
+    for issue, seed, *rest in cases:
+        axes: Dict[str, object] = rest[0] if rest else {}
+        live: Dict[str, object] = dict(axes)
+        row: Dict[str, object] = {"issue": issue.name, "seed": seed, **axes}
         for name, arm in arms.items():
             row[name] = arm(issue, seed, live)
         yield row
@@ -202,8 +292,8 @@ class Gate:
     baseline: str
     treatment: str
 
-    def cases(self, seed: int) -> List[Tuple[object, int]]:
-        """The (issue, seed) cases of a run."""
+    def cases(self, seed: int) -> List[Tuple[Any, ...]]:
+        """The cases of a run (see :func:`sweep`)."""
         raise NotImplementedError
 
     def config(self, seed: int) -> Dict[str, object]:
@@ -237,8 +327,23 @@ class Gate:
         bound held.  An empty case list is refused: it would pass
         vacuously.
         """
+        report = self.report(
+            list(sweep(self.arms, self.cases(seed))), seed, bounds
+        )
+        if out is not None:
+            with open(out, "w", encoding="utf-8") as handle:
+                json.dump(report, handle, indent=2, sort_keys=True)
+                handle.write("\n")
+        return report
+
+    def report(
+        self,
+        rows: List[Dict[str, object]],
+        seed: int = 0,
+        bounds: Optional[Bounds] = None,
+    ) -> Dict[str, object]:
+        """The report of rows :func:`sweep` made of this gate's cases."""
         bounds = bounds if bounds is not None else Bounds()
-        rows = list(sweep(self.arms, self.cases(seed)))
         if not rows:
             raise ValueError(f"{self.title}: no cases to compare")
         summary: Dict[str, object] = {"cases": len(rows)}
@@ -256,18 +361,13 @@ class Gate:
         violations = bounds.check(summary) + self.check(summary)
         summary["passed"] = not violations
         summary["violations"] = violations
-        report = {
+        return {
             "config": {
                 "seed": seed, **self.config(seed), "bounds": asdict(bounds),
             },
             "rows": rows,
             "summary": summary,
         }
-        if out is not None:
-            with open(out, "w", encoding="utf-8") as handle:
-                json.dump(report, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-        return report
 
     def format_report(self, report: Dict[str, object]) -> str:
         """Render a :meth:`run` report for terminals."""

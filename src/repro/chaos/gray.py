@@ -12,9 +12,6 @@ four arms —
 * ``spray`` — per-packet spraying, the treatment, whose detection
   recall and localization rate must stay within
   :class:`~repro.chaos.gate.Bounds` of the baseline's;
-* ``spray_naive`` — spraying again with distribution-aware tomography
-  disabled (naive single-sample voting); the gate requires the
-  distribution-aware localizer to do at least as well;
 * ``flock`` — :class:`repro.baselines.FlockLocalizer` localizing,
   during the ``spray`` arm's leg, exactly the batches the pipeline's
   localizer received, when it received them, scored by the same
@@ -32,16 +29,19 @@ published report could not depend on how the plane was partitioned.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List, Tuple
 
 from repro.baselines import FlockLocalizer
-from repro.chaos.gate import WARM_S, Gate, build_case, outcome_leg
+from repro.chaos.gate import (
+    WARM_S, Gate, Reports, build_case, outcome_leg, tap, uplink_target,
+)
 from repro.cluster.identifiers import LinkId
 from repro.core.analyzer import LoadConditionedAdmission
 from repro.core.evaluation import CampaignScorer
-from repro.core.localization import LocalizationReport
+from repro.equivalence import floored
 from repro.network.faults import gray_injection_overrides
-from repro.network.issues import GrayIssueType
+from repro.network.issues import GrayIssueType, IssueType
 from repro.network.load import LinkLoadModel
 from repro.shard.equivalence import verify_shard_equivalence
 from repro.shard.spec import FaultSpec, ShardScenarioSpec, build_replica
@@ -49,53 +49,11 @@ from repro.shard.spec import FaultSpec, ShardScenarioSpec, build_replica
 __all__ = [
     "GRAY_FAMILIES",
     "GrayGate",
-    "gray_fault_target",
     "gray_shard_spec",
 ]
 
 #: Every load-dependent family the gate sweeps, in catalogue order.
 GRAY_FAMILIES: Tuple[GrayIssueType, ...] = tuple(GrayIssueType)
-
-
-def gray_fault_target(scenario, load_model: LinkLoadModel):
-    """The most-probed switch-to-switch link, ties broken by load.
-
-    Gray families live on the fabric's multiplexed segment: access
-    links carry exactly one path, so faulting one would never separate
-    spraying from static ECMP (every probe of the pair crosses it
-    either way).  Among the ToR–spine uplinks, the one carrying the
-    most *currently probed* pairs' static picks (the agents' live
-    ping lists, not the analyzer's history) gives the static-ECMP
-    baseline its best tomography evidence — the spraying leg then has
-    to match that baseline with every pair's probes smeared across the
-    whole candidate set, which is exactly the degradation this gate
-    measures.  ``traceroute`` reports the static hash pick regardless
-    of the fabric's live mode, so both legs derive the same target.
-    """
-    probed = set()
-    controller = scenario.hunter.controller
-    for task_id in controller.monitored_tasks():
-        for agent in controller.agents_of(task_id):
-            probed.update(agent.ping_list.pairs)
-    crossings: Dict[LinkId, int] = {}
-    for pair in sorted(probed):
-        path = scenario.fabric.traceroute(pair.src, pair.dst)
-        if path is None:
-            continue
-        for link in path.links:
-            if "/rnic-" not in link.a and "/rnic-" not in link.b:
-                crossings[link] = crossings.get(link, 0) + 1
-    if not crossings:
-        raise ValueError(
-            "no monitored pair crosses a switch-to-switch link; the "
-            "gray gate needs a multi-segment scenario"
-        )
-    return min(
-        crossings,
-        key=lambda link: (
-            -crossings[link], -load_model.utilization(link), str(link)
-        ),
-    )
 
 
 def _case(issue: GrayIssueType, seed: int, ecmp_mode: str):
@@ -124,34 +82,21 @@ def _run_leg(issue: GrayIssueType, seed: int, scenario, load_model):
     target; returns the scenario and the fault's outcome."""
     scenario.run_for(WARM_S)
     scenario.apply_skeleton()
-    target = gray_fault_target(scenario, load_model)
+    target = uplink_target(scenario, load_model)
     return scenario, scenario.run_fault(
         issue, target,
         **gray_injection_overrides(issue, target, seed, load_model),
     )
 
 
-def _tap_flock(scenario) -> List[Tuple[float, LocalizationReport]]:
-    """Have Flock localize every batch the hunter's localizer gets,
-    with the same healthy pairs and time, the moment it gets it.
-
-    Returns the list Flock's ``(now, report)`` pairs land in."""
+def _tap_flock(scenario) -> Reports:
+    """Have Flock localize every batch the hunter's localizer gets
+    (:func:`~repro.chaos.gate.tap`); returns where its reports land."""
     flock = FlockLocalizer(scenario.cluster, scenario.fabric)
-    localizer = scenario.hunter.localizer
-    localize = localizer.localize
-    reports: List[Tuple[float, LocalizationReport]] = []
-
-    def both(events, healthy_pairs=(), now=0.0):
-        reports.append((now, flock.localize(events, healthy_pairs, now)))
-        return localize(events, healthy_pairs, now)
-
-    localizer.localize = both
-    return reports
+    return tap(scenario.hunter.localizer, {"flock": flock})["flock"]
 
 
-def _score_flock(
-    scenario, fault, reports: List[Tuple[float, LocalizationReport]]
-):
+def _score_flock(scenario, fault, reports: Reports):
     """Score Flock's reports with the scorer the pipeline's face."""
     scorer = CampaignScorer(scenario.cluster, scenario.fabric)
     return scorer.outcome_of(
@@ -165,11 +110,14 @@ def gray_shard_spec(
     num_containers: int = 8,
     total_rounds: int = 24,
 ) -> ShardScenarioSpec:
-    """A spraying shard-plane scenario carrying one gray fault.
+    """A spraying shard-plane scenario carrying every gray family.
 
-    The fault rides a ToR uplink of a monitored endpoint, with its
-    severity drawn through :func:`gray_injection_overrides` — the whole
-    spec is pure data, so every replica derives the identical fault.
+    Each family rides its own uplink of one ToR, with its severity
+    drawn through :func:`gray_injection_overrides`; two RNIC port
+    failures, one early and one late, make the plane localize at three
+    rounds, not one (a gray fault opens its events only when its
+    detection window closes).  The whole spec is pure data, so every
+    replica derives the identical faults.
     """
     base = ShardScenarioSpec(
         num_containers=num_containers,
@@ -179,27 +127,31 @@ def gray_shard_spec(
         ecmp_mode="spray",
     )
     probe = build_replica(base)
-    rnic = probe.rnic_of_rank(5)
-    tor = probe.topology.tor_of(rnic)
-    link = LinkId.between(tor, probe.topology.spines[1])
-    overrides = gray_injection_overrides(
-        GrayIssueType.PARTIAL_LINK_DEGRADATION, link, seed
-    )
-    fault = FaultSpec(
-        issue=GrayIssueType.PARTIAL_LINK_DEGRADATION.name,
-        target=link,
-        start_round=max(1, total_rounds // 5),
-        end_round=max(2, (total_rounds * 4) // 5),
-        overrides=tuple(sorted(overrides.items())),
-    )
-    return ShardScenarioSpec(
-        num_containers=base.num_containers,
-        gpus_per_container=base.gpus_per_container,
-        seed=seed,
-        total_rounds=total_rounds,
-        ecmp_mode="spray",
-        faults=(fault,),
-    )
+
+    def at(fraction: float) -> int:
+        return max(1, round(total_rounds * fraction))
+
+    tor = probe.topology.tor_of(probe.rnic_of_rank(5))
+    faults = [
+        FaultSpec(
+            issue=issue.name, target=link,
+            start_round=at(1 / 6), end_round=at(0.8),
+            overrides=tuple(sorted(
+                gray_injection_overrides(issue, link, seed).items()
+            )),
+        )
+        for issue, spine in zip(GRAY_FAMILIES, probe.topology.spines[1:])
+        for link in (LinkId.between(tor, spine),)
+    ]
+    faults += [
+        FaultSpec(
+            issue=IssueType.RNIC_PORT_DOWN.name,
+            target=probe.rnic_of_rank(rank),
+            start_round=at(start), end_round=at(end),
+        )
+        for rank, start, end in ((10, 0.25, 0.5), (22, 0.8, 1.0))
+    ]
+    return dataclasses.replace(base, faults=tuple(faults))
 
 
 class GrayGate(Gate):
@@ -219,7 +171,6 @@ class GrayGate(Gate):
         self.arms = {
             "static": self._static,
             "spray": self._spray,
-            "spray_naive": self._spray_naive,
             "flock": self._flock,
         }
 
@@ -240,11 +191,6 @@ class GrayGate(Gate):
         live["flock"] = _tap_flock(scenario)
         live["spray"] = _run_leg(issue, seed, scenario, load_model)
         return self._leg(*live["spray"])
-
-    def _spray_naive(self, issue, seed: int, live) -> Dict[str, object]:
-        scenario, load_model = _case(issue, seed, "spray")
-        scenario.hunter.localizer.distribution_aware = False
-        return self._leg(*_run_leg(issue, seed, scenario, load_model))
 
     def _flock(self, issue, seed: int, live) -> Dict[str, object]:
         scenario, outcome = live["spray"]
@@ -267,44 +213,25 @@ class GrayGate(Gate):
     def extras(
         self, rows: List[Dict[str, object]], seed: int
     ) -> Dict[str, object]:
-        def localized(arm: str) -> int:
-            return sum(1 for row in rows if row[arm]["localized"])
-
-        return {
-            "distribution_aware_localized": localized("spray"),
-            "naive_localized": localized("spray_naive"),
-            "shard_equivalence": verify_shard_equivalence(
-                spec=gray_shard_spec(seed=seed),
-                shard_counts=(2, 4),
-                backends=("inproc",),
-                with_failover=False,
-            ),
-        }
-
-    def check(self, summary: Dict[str, object]) -> List[str]:
-        """Distribution-aware voting is the point of the spraying
-        pipeline: it must never do worse than naive voting."""
-        if (
-            summary["distribution_aware_localized"]
-            >= summary["naive_localized"]
-        ):
-            return []
-        return [
-            "distribution-aware voting localized "
-            f"{summary['distribution_aware_localized']} spraying "
-            "cases, fewer than naive voting's "
-            f"{summary['naive_localized']}"
-        ]
+        shard = verify_shard_equivalence(
+            spec=gray_shard_spec(seed=seed),
+            shard_counts=(2, 4),
+            backends=("inproc",),
+            with_failover=False,
+        )
+        floored("gray shard plane", {
+            "events": shard["baseline_events"],
+            "verdicts": shard["baseline_verdicts"],
+        })
+        return {"shard_equivalence": shard}
 
     def footer(self, summary: Dict[str, object]) -> List[str]:
         shard = summary["shard_equivalence"]
         return [
-            f"voting under spray: distribution-aware "
-            f"{summary['distribution_aware_localized']} vs naive "
-            f"{summary['naive_localized']} localized",
             f"flock baseline: {summary['flock_detected']} detected, "
             f"{summary['flock_localized']} localized",
             f"shard plane: {len(shard['compared'])} configuration(s) "
             f"bit-identical to the single-shard spraying baseline "
-            f"({shard['baseline_events']} events)",
+            f"({shard['baseline_events']} events, "
+            f"{shard['baseline_verdicts']} verdicts)",
         ]

@@ -11,7 +11,7 @@ are computed mechanically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.container import Container
 from repro.cluster.orchestrator import Cluster
@@ -27,6 +27,7 @@ __all__ = [
     "CampaignScorer",
     "FaultOutcome",
     "fault_affects_pair",
+    "verdicts_of",
 ]
 
 #: Simulated seconds past a fault's clear during which an event or a
@@ -113,6 +114,34 @@ class CampaignScore:
         return self.localized_faults / self.detected_faults
 
 
+def _in_window(fault: Fault, t: float) -> bool:
+    """Whether time ``t`` falls while ``fault`` is active or within
+    :data:`DETECTION_GRACE_S` of its clear."""
+    return fault.start <= t and (
+        fault.end is None or t <= fault.end + DETECTION_GRACE_S
+    )
+
+
+def verdicts_of(
+    fault: Fault, reports: Sequence[Tuple[float, LocalizationReport]]
+) -> Dict[str, Any]:
+    """How the reports made in the fault's window name its culprits,
+    whichever localizer made them: the culprit named first (a
+    :class:`FaultOutcome`'s verdict), whether the window's first
+    diagnosis is one, and how many of its diagnoses are."""
+    window = [report for when, report in reports if _in_window(fault, when)]
+    named = [d.component for report in window for d in report.diagnoses]
+    component = next((c for c in named if c in fault.culprits), None)
+    first = window[0].diagnoses[:1] if window else []
+    return {
+        "localized": component is not None,
+        "localized_component": component,
+        "top1": bool(first) and first[0].component in fault.culprits,
+        "culprit_diagnoses": sum(c in fault.culprits for c in named),
+        "diagnoses": len(named),
+    }
+
+
 class CampaignScorer:
     """Matches events and diagnoses back to injected faults."""
 
@@ -125,14 +154,9 @@ class CampaignScorer:
     # ------------------------------------------------------------------
 
     def _fault_matches_event(self, fault: Fault, event: FailureEvent) -> bool:
-        t = event.first_detected_at
-        active_window = (
-            fault.start <= t
-            and (fault.end is None or t <= fault.end + DETECTION_GRACE_S)
+        return _in_window(fault, event.first_detected_at) and (
+            fault_affects_pair(fault, event.pair, self.cluster, self.fabric)
         )
-        if not active_window:
-            return False
-        return fault_affects_pair(fault, event.pair, self.cluster, self.fabric)
 
     def outcome_of(
         self,
@@ -146,32 +170,21 @@ class CampaignScorer:
             fault_affects_pair(fault, pair, self.cluster, self.fabric)
             for pair in monitored_pairs
         )
-        outcome = FaultOutcome(fault=fault, observable=observable)
-        for event in events:
-            if self._fault_matches_event(fault, event):
-                outcome.matched_events.append(event)
+        verdicts = verdicts_of(fault, reports)
+        outcome = FaultOutcome(
+            fault=fault, observable=observable,
+            localized=verdicts["localized"],
+            localized_component=verdicts["localized_component"],
+            matched_events=[
+                e for e in events if self._fault_matches_event(fault, e)
+            ],
+        )
         if outcome.matched_events:
             outcome.detected = True
             first = min(
                 e.first_detected_at for e in outcome.matched_events
             )
             outcome.detection_delay_s = max(first - fault.start, 0.0)
-        for when, report in reports:
-            if not (
-                fault.start <= when
-                and (
-                    fault.end is None
-                    or when <= fault.end + DETECTION_GRACE_S
-                )
-            ):
-                continue
-            for diagnosis in report.diagnoses:
-                if diagnosis.component in fault.culprits:
-                    outcome.localized = True
-                    outcome.localized_component = diagnosis.component
-                    break
-            if outcome.localized:
-                break
         return outcome
 
     def score(

@@ -9,7 +9,9 @@ can be examined independently:
    failing pair over the live flow tables (read-only).  A null forward
    pinpoints the broken overlay component; a revisited component reveals
    a forwarding loop.
-2. **Underlay physical intersection** — traceroute the failing pairs and
+2. **Underlay physical intersection** — ask the fabric for each pair's
+   path distribution (the pinned ECMP pick the paper's traceroute
+   reveals; every equal-cost candidate under per-packet spraying) and
    let tomography vote on shared physical links (hard failures also
    exonerate links that healthy probes crossed).
 3. **RNIC validation** — if neither layer explains an event, dump and
@@ -30,7 +32,6 @@ from typing import Callable, List, Optional, Sequence, Set, Tuple
 from repro.cluster.identifiers import EndpointId, HostId, RnicId
 from repro.cluster.orchestrator import Cluster
 from repro.cluster.overlay import OverlayError, OverlayTrace
-from repro.cluster.topology import UnderlayPath
 from repro.core.analyzer import FailureEvent
 from repro.core.pinglist import ProbePair
 from repro.core.rnic_validation import RnicValidator
@@ -104,11 +105,6 @@ class Localizer:
             cluster, chaos=chaos, recorder=recorder
         )
         self.recorder = recorder
-        #: When the fabric sprays packets, vote over path distributions
-        #: (mass-weighted) instead of pinned traceroutes.  Disable to
-        #: measure how naive single-path tomography degrades under
-        #: spraying (the bench's "naive" comparator).
-        self.distribution_aware = True
         self._now = 0.0     # sim time of the localize() call in flight
         #: The keys ``(pair, first detection)`` of every event a
         #: :meth:`localize_open` batch has held.
@@ -341,27 +337,22 @@ class Localizer:
     ) -> List[FailureEvent]:
         if not events:
             return []
-        # Routes are asked of the fabric, never carried in.  A pinned
-        # traceroute is meaningless under per-packet spraying (one
-        # sample, not the flow's route): vote by mass over the full
-        # path distribution of every pair instead.
-        sprayed = self.distribution_aware and self.fabric.spraying
-
-        def routes(pair: ProbePair) -> List[UnderlayPath]:
-            if sprayed:
-                return self.fabric.path_distribution(pair.src, pair.dst)
-            path = self.fabric.traceroute(pair.src, pair.dst)
-            return [path] if path is not None else []
-
+        # Routes are asked of the fabric, never carried in.  Sprayed
+        # routes are read by the mass rule, pinned ones by the count
+        # rule: the pair the localization corpus chose.
+        sprayed = self.fabric.spraying
+        routes = self.fabric.path_distribution
         hard = [e for e in events if e.symptom == Symptom.UNCONNECTIVITY]
         soft = [e for e in events if e.symptom != Symptom.UNCONNECTIVITY]
         explained: Set[ProbePair] = set()
-        healthy = [d for d in map(routes, healthy_pairs) if d]
+        healthy = [
+            d for d in (routes(p.src, p.dst) for p in healthy_pairs) if d
+        ]
 
         for group, exonerate in ((hard, True), (soft, False)):
             dists = {
                 pair: dist for pair, dist in (
-                    (event.pair, routes(event.pair)) for event in group
+                    (e.pair, routes(e.pair.src, e.pair.dst)) for e in group
                 ) if dist
             }
             if len(dists) < 2:

@@ -12,9 +12,10 @@ One tally serves every fabric: a pair's evidence is its path
 *distribution* — each ECMP candidate at equal probability, a pinned
 traceroute being the one-path case — and the pair adds ``P(component is
 on the taken path)`` of mass to every component its distribution
-crosses.  Under static ECMP those masses are Algorithm 1's whole votes;
-under per-packet spraying they are fractions, and a mass rule
-(SprayCheck's per-path observation model) replaces the count rule.
+crosses.  Under static ECMP those masses are Algorithm 1's whole votes,
+read by the count rule; under per-packet spraying they are fractions,
+read by the mass rule (SprayCheck's per-path observation model) — the
+pair the localization corpus (``BENCH_localization.json``) chose.
 
 A promotion step interprets the raw link votes: several top links meeting
 at one switch implicate the switch (e.g. switch offline); several leaf

@@ -61,6 +61,7 @@ __all__ = [
     "compare",
     "contract",
     "divergences",
+    "floored",
     "rebaseline",
     "streams_sha256",
     "verify_equivalence",
@@ -278,7 +279,7 @@ def _record(fixture: str, scratch: str) -> Dict[str, Any]:
     return {"args": args, **_fingerprint(data)}
 
 
-def _floored(label: str, row: Dict[str, Any]) -> Dict[str, Any]:
+def floored(label: str, row: Dict[str, Any]) -> Dict[str, Any]:
     """A plane gate's row, if its baseline holds the floor's rows."""
     thin = [f"{row[name]} {name} (floor {least})"
             for name, least in _PLANE_FLOOR if row[name] < least]
@@ -294,7 +295,7 @@ def _shard(scratch: str) -> Dict[str, Any]:
     from repro.shard.equivalence import verify_shard_equivalence
 
     run = verify_shard_equivalence(backends=("inproc", "mp"))
-    return _floored("shard == single", {
+    return floored("shard == single", {
         "events": run["baseline_events"],
         "verdicts": run["baseline_verdicts"],
         "configurations": len(run["compared"]),
@@ -306,7 +307,7 @@ def _fleet(scratch: str) -> Dict[str, Any]:
     from repro.fleet.equivalence import verify_fleet_equivalence
 
     run = verify_fleet_equivalence()
-    return _floored("fleet == single", {
+    return floored("fleet == single", {
         "events": len(run.event_summary),
         "verdicts": len(run.verdict_summary),
         "rollups": len(run.rollups),
@@ -336,6 +337,12 @@ def _campaign(scratch: str) -> Dict[str, Any]:
     from repro.chaos.gate import campaign
 
     return campaign()
+
+
+def _localization(scratch: str) -> Dict[str, Any]:
+    from repro.chaos.corpus import digest, slice_rows
+
+    return digest(slice_rows())
 
 
 def _lint(scratch: str) -> Dict[str, Any]:
@@ -447,6 +454,7 @@ CHECKS: Tuple[Check, ...] = (
     Check("chaos", partial(_gate, "chaos"), "BENCH_chaos.json"),
     Check("gray", partial(_gate, "gray"), "BENCH_gray.json"),
     Check("campaign", _campaign, keys=("campaign",)),
+    Check("localization", _localization, keys=("localization",)),
     Check("lint", _lint, keys=("lint",)),
     Check("fabric verifier", _verifier, keys=("fabric verifier",)),
     Check("skeleton 2048", _skeleton, keys=("skeleton 2048",)),

@@ -61,6 +61,17 @@ class TestInference:
         shared = LinkId.between("tor-0", "spine-0")
         assert posteriors[shared] == max(posteriors.values())
 
+    def test_overwhelming_healthy_evidence_does_not_overflow(self):
+        """Thousands of healthy crossings drive a link's log-odds far
+        below exp()'s range (a 256-endpoint basic list does): the
+        posterior bottoms out instead of raising OverflowError."""
+        flock = _flock(_SHARED)
+        posteriors = flock.link_posteriors(
+            [_pair("a", "b")], [_pair("c", "d")] * 2000
+        )
+        shared = LinkId.between("tor-0", "spine-0")
+        assert 0.0 < posteriors[shared] < 1e-300
+
     def test_healthy_observations_push_posteriors_down(self):
         dists = dict(_SHARED)
         dists[("e", "f")] = [

@@ -277,9 +277,11 @@ class TestCampaignLeg:
         it from each other: at seed 0 all 22 issues localize on the
         basic ping list (``repro campaign``: 22/22), and these two are
         detected but no longer localized once the skeleton list is live
-        (``repro chaos`` clean arm: 20/22).  That is the gap the
-        localization corpus has to move — when it does, update this
-        test with the new number rather than deleting it."""
+        (``repro chaos`` clean arm: 20/22).  The localization corpus
+        kept the count rule for pinned routes, so the number stands at
+        20/22 under the kept rule; when a later rule or list moves it,
+        update this test with the new number rather than deleting
+        it."""
         _, basic = campaign_leg(issue, 0, skeleton=False)
         assert basic.detected and basic.localized
         _, pruned = campaign_leg(issue, 0)

@@ -2,14 +2,12 @@
 
 import pytest
 
-from repro.chaos.gate import FULL_ISSUES
-from repro.chaos.gate import Bounds
+from repro.chaos.gate import FULL_ISSUES, Bounds, uplink_target
 from repro.chaos.gray import (
     GRAY_FAMILIES,
     GrayGate,
     _case,
     _run_leg,
-    gray_fault_target,
     gray_shard_spec,
 )
 from repro.network.issues import (
@@ -39,8 +37,8 @@ class TestCatalog:
 
 
 class TestBounds:
-    """The gray gate's violations: the engine's two bounds plus its own
-    naive-must-not-win check, in the order a report lists them."""
+    """The gray gate's violations: the engine's two bounds, and none of
+    its own."""
 
     @staticmethod
     def _violations(summary):
@@ -50,8 +48,6 @@ class TestBounds:
         summary = {
             "recall_ratio": 1.0,
             "localization_ratio": 1.0,
-            "distribution_aware_localized": 3,
-            "naive_localized": 1,
         }
         summary.update(overrides)
         return summary
@@ -70,15 +66,6 @@ class TestBounds:
         )
         assert len(failures) == 1
         assert "localization" in failures[0]
-
-    def test_naive_voting_must_not_win(self):
-        failures = self._violations(
-            self._summary(
-                distribution_aware_localized=0, naive_localized=2
-            )
-        )
-        assert len(failures) == 1
-        assert "distribution-aware" in failures[0]
 
 
 class TestArms:
@@ -99,9 +86,7 @@ class TestArms:
         log, rescored = [], []
 
         def case(issue, seed, ecmp_mode):
-            hunter = SimpleNamespace(
-                localizer=SimpleNamespace(distribution_aware=True)
-            )
+            hunter = SimpleNamespace()
             return SimpleNamespace(mode=ecmp_mode, hunter=hunter), "load"
 
         def tap_flock(scenario):
@@ -109,8 +94,7 @@ class TestArms:
             return [f"flock-{scenario.mode}"]
 
         def run_leg(issue, seed, scenario, load_model):
-            aware = scenario.hunter.localizer.distribution_aware
-            world = f"{scenario.mode}-{aware}"
+            world = scenario.mode
             log.append(f"run {world}")
             scenario.hunter.events = [world]
             return scenario, SimpleNamespace(
@@ -131,25 +115,18 @@ class TestArms:
         monkeypatch.setattr(gray, "_score_flock", score_flock)
         issue = GrayIssueType.PFC_STORM
         (row,) = sweep(GrayGate().arms, [(issue, 0)])
-        assert log == [
-            "run static-True", "tap spray", "run spray-True",
-            "run spray-False",
-        ]
-        assert rescored == [
-            (["spray-True"], "fault-spray-True", ["flock-spray"])
-        ]
+        assert log == ["run static", "tap spray", "run spray"]
+        assert rescored == [(["spray"], "fault-spray", ["flock-spray"])]
         assert row["flock"] == {
             "detected": False, "localized": True,
             "localized_component": "by-flock",
         }
-        assert row["spray_naive"] == {
+        assert row["spray"] == {
             "detected": True, "localized": False,
             "localized_component": None, "detection_delay_s": 8.0,
             "events": 1,
         }
-        assert list(row) == [
-            "issue", "seed", "static", "spray", "spray_naive", "flock",
-        ]
+        assert list(row) == ["issue", "seed", "static", "spray", "flock"]
 
 
 class TestFlockEvidence:
@@ -197,7 +174,7 @@ class TestFaultTarget:
         load_model = LinkLoadModel.from_workload(
             scenario.workload, scenario.cluster
         )
-        target = gray_fault_target(scenario, load_model)
+        target = uplink_target(scenario, load_model)
         assert scenario.topology.has_link(target)
         assert "/rnic-" not in target.a
         assert "/rnic-" not in target.b
@@ -214,7 +191,7 @@ class TestFaultTarget:
             load_model = LinkLoadModel.from_workload(
                 scenario.workload, scenario.cluster
             )
-            targets.append(gray_fault_target(scenario, load_model))
+            targets.append(uplink_target(scenario, load_model))
         assert targets[0] == targets[1]
 
     def test_unprobed_scenario_rejected(self):
@@ -236,7 +213,7 @@ class TestFaultTarget:
             hunter = _Hunter()
 
         with pytest.raises(ValueError):
-            gray_fault_target(_Scenario(), LinkLoadModel({}))
+            uplink_target(_Scenario(), LinkLoadModel({}))
 
 
 class TestShardSpec:
@@ -244,18 +221,25 @@ class TestShardSpec:
         assert gray_shard_spec(seed=0) == gray_shard_spec(seed=0)
 
     def test_spec_carries_a_sprayed_gray_fault(self):
+        """Every gray family on its own uplink, plus the two RNIC
+        failures that make the plane localize at three rounds."""
         spec = gray_shard_spec(seed=0)
         assert spec.ecmp_mode == "spray"
-        assert len(spec.faults) == 1
-        fault = spec.faults[0]
-        assert fault.issue == (
-            GrayIssueType.PARTIAL_LINK_DEGRADATION.name
-        )
+        gray = spec.faults[:len(GRAY_FAMILIES)]
+        assert [f.issue for f in gray] == [i.name for i in GRAY_FAMILIES]
+        assert len({f.target for f in gray}) == len(GRAY_FAMILIES)
+        assert [f.issue for f in spec.faults[len(GRAY_FAMILIES):]] == [
+            "RNIC_PORT_DOWN", "RNIC_PORT_DOWN",
+        ]
+        degradation = gray[GRAY_FAMILIES.index(
+            GrayIssueType.PARTIAL_LINK_DEGRADATION
+        )]
         # Keyed-draw severity rides in the spec itself, sorted so the
         # spec hashes identically on every replica.
-        keys = [key for key, _ in fault.overrides]
-        assert keys == sorted(keys)
-        assert "loss_rate" in keys
+        for fault in gray:
+            keys = [key for key, _ in fault.overrides]
+            assert keys == sorted(keys)
+        assert "loss_rate" in [key for key, _ in degradation.overrides]
 
 
 @pytest.mark.slow

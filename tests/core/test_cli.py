@@ -235,8 +235,8 @@ class TestEquivalence:
     #: here to what their goldens hold.
     HEAVY = (
         "record PFC_STORM", "record CRC_ERROR", "chaos", "gray",
-        "campaign", "lint", "fabric verifier", "skeleton 2048", "trace",
-        "cli stdout",
+        "campaign", "localization", "lint", "fabric verifier",
+        "skeleton 2048", "trace", "cli stdout",
     )
 
     def test_every_gate_passes_with_nonzero_counts(

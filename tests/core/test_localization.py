@@ -128,7 +128,8 @@ class TestUnderlayLayer:
             for i, pair in enumerate(pairs)
         }
         monkeypatch.setattr(
-            fabric, "traceroute", lambda src, dst: routes[src, dst]
+            fabric, "path_distribution",
+            lambda src, dst: [routes[src, dst]],
         )
         report = localizer.localize(
             [event(p, Symptom.HIGH_LATENCY) for p in pairs]
@@ -312,13 +313,13 @@ class TestRouteSelection:
         ]
         assert [len(d) for d in dists + healthy_dists] == [2, 2, 2]
 
-    def test_naive_comparator_votes_on_traceroute_picks(
+    def test_static_fabric_votes_by_count_on_the_pinned_pick(
         self, stack, voted
     ):
+        """Under static ECMP the path distribution is the one pinned
+        pick ``traceroute`` reveals, and the count rule reads it."""
         cluster, task, injector, fabric, localizer = stack
         failing, healthy = self.cross_rail(fabric, task)
-        fabric.set_ecmp_mode("spray")
-        localizer.distribution_aware = False
         localizer.localize(
             [event(p, Symptom.PACKET_LOSS) for p in failing],
             healthy_pairs=[healthy],

@@ -303,9 +303,9 @@ def test_the_module_takes_no_argument(monkeypatch):
 def test_a_plane_row_below_the_floor_fails(events, verdicts, thin):
     row = {"events": events, "verdicts": verdicts}
     with pytest.raises(EquivalenceError, match=re.escape(f"only {thin};")):
-        equivalence._floored("shard == single", row)
+        equivalence.floored("shard == single", row)
     held = {"events": 10, "verdicts": 3, "sha256": "x"}
-    assert equivalence._floored("shard == single", held) is held
+    assert equivalence.floored("shard == single", held) is held
 
 
 def test_a_moved_verdict_moves_the_plane_rows_digest():
