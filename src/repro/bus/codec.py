@@ -34,6 +34,7 @@ from repro.network.issues import Symptom
 from repro.network.packet import ProbeBatch, endpoints_of
 
 __all__ = [
+    "ReportRows",
     "decode_probe_rows",
     "encode_event",
     "encode_fault",
@@ -70,7 +71,10 @@ def encode_probe_rows(batch: ProbeBatch) -> List[List[Any]]:
 
     Each row is ``[src, dst, sent_at, latency_us]`` with ``latency_us``
     null for lost probes — exactly the fields the analyzer reads, so a
-    replayed detection pipeline sees bit-identical input.
+    replayed detection pipeline sees bit-identical input.  A live round
+    is encoded once, whole (:class:`ReportRows`), and each agent
+    publishes its slice; the endpoints' names are the ones they carry
+    (:func:`~repro.cluster.identifiers.carries_hash`).
     """
     return [
         [str(src), str(dst), sent_at, None if lost else latency_us]
@@ -79,6 +83,28 @@ def encode_probe_rows(batch: ProbeBatch) -> List[List[Any]]:
             batch.lost.tolist(), batch.latency_us.tolist(),
         )
     ]
+
+
+class ReportRows:
+    """A round's delivered rows, encoded on first use and only then.
+
+    The round driver hands one to every owner with the round's batch;
+    an owner on a bus publishes ``rows[start:stop]``, its own slice of
+    the one list :func:`encode_probe_rows` made of the whole batch —
+    so a round is encoded once however many agents publish, and not at
+    all when none does.
+    """
+
+    __slots__ = ("batch", "_rows")
+
+    def __init__(self, batch: ProbeBatch) -> None:
+        self.batch = batch
+        self._rows: Optional[List[List[Any]]] = None
+
+    def __getitem__(self, rows: slice) -> List[List[Any]]:
+        if self._rows is None:
+            self._rows = encode_probe_rows(self.batch)
+        return self._rows[rows]
 
 
 def decode_probe_rows(rows: Iterable[List[Any]]) -> ProbeBatch:

@@ -215,7 +215,8 @@ class Replayer:
     whose fingerprint does not match), its flow rules are warmed with
     every pair the recording probed, and the records are then applied
     in sequence order — so faults, snapshots, and probe batches land
-    exactly as they did live.
+    exactly as they did live; a run of consecutive probe-report records
+    (one per agent of a round) is ingested as one batch.
     """
 
     def __init__(self, recording: Union[Recording, str]):
@@ -245,16 +246,27 @@ class Replayer:
         result = ReplayResult()
         active_pairs: List[Any] = []
         fault_map: Dict[int, Any] = {}
+        # The rows of consecutive report records (a live round's
+        # agents), ingested as one batch before any other record
+        # applies: exact by the analyzer's batch == sequential
+        # contract, which takes a batch whose pair repeats row by row.
+        reports: List[List[Any]] = []
+
+        def ingest() -> None:
+            if reports:
+                analyzer.ingest_batch(decode_probe_rows(reports))
+                result.probes_ingested += len(reports)
+                reports.clear()
 
         for record in self.recording.records:
             topic = record["topic"]
             data = record["data"]
             at = record["sim_time"]
             if topic == Topic.PROBE_REPORTS:
-                batch = decode_probe_rows(data["results"])
-                analyzer.ingest_batch(batch)
-                result.probes_ingested += len(batch)
-            elif topic == Topic.PINGLIST:
+                reports.extend(data["results"])
+                continue
+            ingest()
+            if topic == Topic.PINGLIST:
                 active_pairs = [
                     ProbePair(parse_endpoint(src), parse_endpoint(dst))
                     for src, dst in data["pairs"]
@@ -313,6 +325,7 @@ class Replayer:
                 if data.get("kind") == "transition":
                     result.breaker_transitions.append(record)
             # Unknown topics: skipped (schema minor-revision contract).
+        ingest()
         return result
 
     def _warm_fabric(self, scenario, pair_type) -> None:

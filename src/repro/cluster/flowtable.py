@@ -43,7 +43,7 @@ class FlowKey:
     hashes its key.
     """
 
-    __slots__ = ("vni", "dst_ip", "_hash")
+    __slots__ = ("vni", "dst_ip", "_hash", "_name")
     vni: int
     dst_ip: str
 

@@ -9,13 +9,17 @@ keys, set members, and sort keys in the localization pipeline.
 The int-only identifiers key every dict and set on the probing path, and
 the dataclass-generated ``__hash__`` re-hashes the whole nested field
 tuple on every lookup (an :class:`EndpointId` is three Python calls
-deep).  They carry their hash instead (:func:`carries_hash`).
+deep).  They carry their hash instead (:func:`carries_hash`).  Their
+names are carried the same way: every probe report names its pair and
+every keyed draw hashes a name, and composing an endpoint's name is
+three nested f-strings, so the first ``str()`` stores the name and
+every later one reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Tuple, TypeVar
+from typing import Any, Callable, Tuple, TypeVar
 
 __all__ = [
     "ContainerId",
@@ -41,21 +45,36 @@ def _rebuild(self) -> Tuple[type, tuple]:
     return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
-def carries_hash(cls: type[_T]) -> type[_T]:
-    """Make ``cls`` a frozen, ordered dataclass that carries its hash.
+def _carried_name(compose: Callable[[Any], str]) -> Callable[[Any], str]:
+    def __str__(self) -> str:
+        try:
+            return self._name
+        except AttributeError:
+            _set(self, "_name", compose(self))
+            return self._name
 
-    ``cls`` declares ``__slots__`` (its fields plus ``_hash``) and an
-    ``__init__`` that stores the fields and ``_hash = hash(<field
-    tuple>)`` — the value the generated ``__hash__`` would compute on
-    every call, so set iteration order, and every digest built on it,
-    is unchanged.  Equality, ordering, ``repr``, ``fields`` and
-    ``asdict`` are the generated ones.  An instance pickles as its
-    fields, so the hash is always computed by the interpreter that
-    uses it: a ``str`` field's hash differs between processes.
+    return __str__
+
+
+def carries_hash(cls: type[_T]) -> type[_T]:
+    """Make ``cls`` a frozen, ordered dataclass that carries its hash
+    and its name.
+
+    ``cls`` declares ``__slots__`` (its fields plus ``_hash`` and
+    ``_name``), an ``__init__`` that stores the fields and ``_hash =
+    hash(<field tuple>)`` — the value the generated ``__hash__`` would
+    compute on every call, so set iteration order, and every digest
+    built on it, is unchanged — and a ``__str__`` composing its name,
+    which the first ``str()`` stores in ``_name`` for every later one.
+    Equality, ordering, ``repr``, ``fields`` and ``asdict`` are the
+    generated ones.  An instance pickles as its fields, so the hash is
+    always computed by the interpreter that uses it (a ``str`` field's
+    hash differs between processes) and the name by the first reader.
     """
     cls = dataclass(frozen=True, order=True, init=False)(cls)
     cls.__hash__ = _carried_hash  # type: ignore[assignment]
     cls.__reduce__ = _rebuild  # type: ignore[assignment]
+    cls.__str__ = _carried_name(cls.__str__)  # type: ignore[assignment]
     return cls
 
 
@@ -63,7 +82,7 @@ def carries_hash(cls: type[_T]) -> type[_T]:
 class HostId:
     """A physical host, e.g. ``HostId(12)``."""
 
-    __slots__ = ("index", "_hash")
+    __slots__ = ("index", "_hash", "_name")
     index: int
 
     def __init__(self, index: int) -> None:
@@ -82,7 +101,7 @@ class RnicId:
     top-of-rack switch it attaches to (§3.2 of the paper, Figure 10).
     """
 
-    __slots__ = ("host", "rail", "_hash")
+    __slots__ = ("host", "rail", "_hash", "_name")
     host: HostId
     rail: int
 
@@ -99,7 +118,7 @@ class RnicId:
 class VfId:
     """An SR-IOV virtual function carved out of a physical RNIC."""
 
-    __slots__ = ("rnic", "index", "_hash")
+    __slots__ = ("rnic", "index", "_hash", "_name")
     rnic: RnicId
     index: int
 
@@ -116,7 +135,7 @@ class VfId:
 class TaskId:
     """A training task (one tenant job consisting of many containers)."""
 
-    __slots__ = ("index", "_hash")
+    __slots__ = ("index", "_hash", "_name")
     index: int
 
     def __init__(self, index: int) -> None:
@@ -131,7 +150,7 @@ class TaskId:
 class ContainerId:
     """A training container: the ``rank``-th node of a task."""
 
-    __slots__ = ("task", "rank", "_hash")
+    __slots__ = ("task", "rank", "_hash", "_name")
     task: TaskId
     rank: int
 
@@ -154,7 +173,7 @@ class EndpointId:
     RNIC per rail.
     """
 
-    __slots__ = ("container", "slot", "_hash")
+    __slots__ = ("container", "slot", "_hash", "_name")
     container: ContainerId
     slot: int
 

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.bus.codec import encode_probe_rows
+from repro.bus.codec import ReportRows
 from repro.bus.core import Topic
 from repro.cluster.container import Container
 from repro.core.pinglist import PingList, ProbePair
@@ -133,13 +133,13 @@ class OverlayAgent:
         self,
         results: ProbeBatch,
         now: float,
-        start: int = 0,
-        stop: Optional[int] = None,
+        start: int,
+        stop: int,
+        rows: ReportRows,
     ) -> None:
         """Account for one round's delivered reports — rows
-        ``start:stop`` of ``results``, by default all — and publish
-        them (the rows are cut out only for a bus to encode)."""
-        stop = len(results) if stop is None else stop
+        ``start:stop`` of ``results`` — and publish them: the same
+        slice of the round's encoded ``rows``."""
         self.probes_sent += stop - start
         if self.bus is None or stop == start:
             return
@@ -147,7 +147,7 @@ class OverlayAgent:
             Topic.PROBE_REPORTS,
             sim_time=now,
             container=str(self.container.id),
-            results=encode_probe_rows(results[start:stop]),
+            results=rows[start:stop],
         )
 
     def cpu_percent(self, now: float) -> float:

@@ -22,6 +22,7 @@ from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
+from repro.bus.codec import ReportRows
 from repro.bus.core import Topic
 from repro.chaos.faults import REPORT_LATE, REPORT_LOST, REPORT_OK
 from repro.core.pinglist import PingList, ProbePair
@@ -179,8 +180,11 @@ def run_probe_round(
     An owner — an :class:`~repro.core.agent.OverlayAgent`, or a fleet
     tenant — has ``plan_round(now)``, its share (``None``: none; a
     hardened agent may skip the round or probe coarsely), a ``prober``
-    (``None``: unhardened) and ``record_round(batch, now, start,
-    stop)``, which takes its delivered rows ``batch[start:stop]``.
+    (``None``: unhardened) and ``record_round(batch, now, start, stop,
+    rows)``, which takes its delivered rows ``batch[start:stop]`` —
+    and, to publish them, ``rows[start:stop]``: every owner slices the
+    one :class:`~repro.bus.codec.ReportRows` of the round, encoded the
+    first time one asks.
 
     The rows of the owners with a prober (all with one monitor-fault
     injector) draw their report fates as one keyed column per attempt
@@ -247,6 +251,7 @@ def run_probe_round(
             owners[i].prober.tally(tally[:, i])
         if len(waves) > 1 or not arrived.all():
             batch = ProbeBatch.take(waves, answer[arrived])
+    rows = ReportRows(batch)
     start = 0
     for owner, share, failed, retried in zip(
         owners, shares, tally[_FAILURES].tolist(), tally[_RETRIES].tolist()
@@ -256,6 +261,6 @@ def run_probe_round(
             owner.prober.settle(
                 now, delivered, failed, retried, probed=share is not None
             )
-        owner.record_round(batch, now, start, start + delivered)
+        owner.record_round(batch, now, start, start + delivered, rows)
         start += delivered
     return batch

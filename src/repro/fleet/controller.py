@@ -43,6 +43,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.bus.codec import ReportRows
 from repro.core.analyzer import Analyzer
 from repro.core.handling import Blacklist, FailureHandler
 from repro.core.localization import Localizer
@@ -116,17 +117,20 @@ class TenantRuntime:
         return self.window
 
     def record_round(
-        self, batch: ProbeBatch, now: float, start: int, stop: int
+        self, batch: ProbeBatch, now: float, start: int, stop: int,
+        rows: ReportRows,
     ) -> None:
         """Feed the window's delivered reports — rows ``start:stop`` of
         the round's batch — to the tenant's own analyzer, and count
-        what the window lost."""
-        rows = batch[start:stop]
-        self.analyzer.ingest_batch(rows)
+        what the window lost (a tenant publishes no ``rows``)."""
+        delivered = batch[start:stop]
+        self.analyzer.ingest_batch(delivered)
         self.analyzer.flush(now)
         self.probes_sent += len(self.window)
         self.probed_pairs.update(self.window)
-        self.lost = len(self.window) - int(np.count_nonzero(~rows.lost))
+        self.lost = len(self.window) - int(
+            np.count_nonzero(~delivered.lost)
+        )
         self.probes_lost += self.lost
 
     def cumulative_coverage(self) -> float:

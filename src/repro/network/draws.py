@@ -31,7 +31,7 @@ __all__ = [
     "BACKOFF_COLUMN",
     "FATE_COLUMN",
     "PairwiseDrawSource",
-    "endpoint_text",
+    "endpoint_state",
     "keyed_uniform",
     "keyed_uniforms",
 ]
@@ -50,16 +50,16 @@ FATE_COLUMN, BACKOFF_COLUMN = 6, 7
 
 
 @lru_cache(maxsize=1 << 16)
-def endpoint_text(endpoint: EndpointId) -> Tuple[str, int]:
-    """An endpoint's name, and the FNV-1a state after hashing it.
+def endpoint_state(endpoint: EndpointId) -> int:
+    """The FNV-1a state after hashing an endpoint's name.
 
     Every keyed string over a probe pair (the ECMP flow hash, the
     pairwise draw key) starts with the source's name, so hashing a pair
     continues from the source's state over the rest of the string
-    alone.  Pure, so memoised per endpoint.
+    alone (the destination's name is the one the endpoint carries).
+    Pure, so memoised per endpoint.
     """
-    name = str(endpoint)
-    return name, _stable_hash(name)
+    return _stable_hash(str(endpoint))
 
 
 def _scalar_mix64(value: int) -> int:
@@ -133,9 +133,7 @@ class PairwiseDrawSource:
     def _pair_key(self, src: EndpointId, dst: EndpointId) -> _U64:
         key = self._pair_keys.get((src, dst))
         if key is None:
-            key = _U64(_stable_hash(
-                f"->{endpoint_text(dst)[0]}", endpoint_text(src)[1]
-            ))
+            key = _U64(_stable_hash(f"->{dst}", endpoint_state(src)))
             self._pair_keys[(src, dst)] = key
         return key
 

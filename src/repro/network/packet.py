@@ -26,7 +26,7 @@ import numpy as np
 from repro.cluster.identifiers import EndpointId, LinkId, RnicId
 from repro.cluster.overlay import OverlayTrace
 from repro.cluster.topology import UnderlayPath
-from repro.network.draws import endpoint_text
+from repro.network.draws import endpoint_state
 from repro.sim.rng import _stable_hash
 
 __all__ = ["ProbeBatch", "ProbeResult", "endpoints_of", "flow_hash"]
@@ -39,10 +39,10 @@ def flow_hash(src: EndpointId, dst: EndpointId) -> int:
     RDMA connections pin to one ECMP path for their lifetime, so the hash
     depends only on the endpoint pair: FNV-1a over ``f"{src}|{dst}|0"``,
     continued from the source's precomputed state
-    (:func:`~repro.network.draws.endpoint_text`).  Pure, so memoised:
+    (:func:`~repro.network.draws.endpoint_state`).  Pure, so memoised:
     every traceroute of a pair asks for the same hash again.
     """
-    return _stable_hash(f"|{endpoint_text(dst)[0]}|0", endpoint_text(src)[1])
+    return _stable_hash(f"|{dst}|0", endpoint_state(src))
 
 
 @dataclass(frozen=True)

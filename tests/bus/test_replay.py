@@ -103,6 +103,41 @@ class TestReplayEquivalence:
         assert result.probes_ingested > 1000
         assert result.breaker_transitions  # passthrough stream
 
+    def test_a_run_of_report_records_is_ingested_once(
+        self, recording_path, monkeypatch
+    ):
+        """Consecutive report records (a round's agents) are one
+        analyzer batch, ingested before the next other record."""
+        from repro.core.analyzer import Analyzer
+
+        path, _ = recording_path
+        records = load_recording(path).records
+        runs, previous = [], None
+        for record in records:
+            if record["topic"] == Topic.PROBE_REPORTS:
+                rows = len(record["data"]["results"])
+                if previous == Topic.PROBE_REPORTS:
+                    runs[-1] += rows
+                else:
+                    runs.append(rows)
+            previous = record["topic"]
+        batches = []
+        ingest_batch = Analyzer.ingest_batch
+
+        def counted(analyzer, batch):
+            batches.append(len(batch))
+            return ingest_batch(analyzer, batch)
+
+        monkeypatch.setattr(Analyzer, "ingest_batch", counted)
+        result = Replayer(path).replay()
+        assert batches == runs
+        reports = sum(
+            r["topic"] == Topic.PROBE_REPORTS for r in records
+        )
+        assert len(runs) < reports  # runs of several records exist
+        assert result.probes_ingested == sum(runs)
+        assert result.equivalent
+
     def test_verdicts_carry_diagnoses(self, recording_path):
         path, _ = recording_path
         result = Replayer(path).replay()

@@ -1,15 +1,19 @@
 """Tests for typed cluster identifiers."""
 
+import copy
 import dataclasses
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import repro
+from repro.bus.codec import parse_endpoint
 from repro.cluster.flowtable import FlowKey
 from repro.cluster.identifiers import (
     ContainerId,
@@ -21,6 +25,7 @@ from repro.cluster.identifiers import (
     TaskId,
     VfId,
 )
+from repro.workloads.scenarios import build_scenario
 
 
 class TestNaming:
@@ -207,6 +212,137 @@ class TestHashContract:
         assert report["str_hash"] != hash("tor-7")  # the seeds do differ
         assert report["mismatches"] == []
         assert report["checked"] == sum(len(v) for v in samples().values())
+
+
+#: Each carried-name class's name, from its fields alone.
+NAME_FORMULA = {
+    HostId: lambda v: f"host-{v.index}",
+    RnicId: lambda v: f"host-{v.host.index}/rnic-{v.rail}",
+    VfId: lambda v: (
+        f"host-{v.rnic.host.index}/rnic-{v.rnic.rail}/vf-{v.index}"
+    ),
+    TaskId: lambda v: f"task-{v.index}",
+    ContainerId: lambda v: f"task-{v.task.index}/node-{v.rank}",
+    EndpointId: lambda v: (
+        f"task-{v.container.task.index}/node-{v.container.rank}"
+        f"/ep-{v.slot}"
+    ),
+    FlowKey: lambda v: f"vni={v.vni},dst={v.dst_ip}",
+}
+
+
+def carried_classes():
+    """The name of every class ``src`` decorates with ``carries_hash``."""
+    root = Path(repro.__file__).parent
+    return sorted(
+        name for path in root.rglob("*.py")
+        for name in re.findall(
+            r"^@carries_hash\nclass (\w+)", path.read_text(), re.M
+        )
+    )
+
+
+def formula_of(value):
+    return NAME_FORMULA[type(value)](value)
+
+
+@pytest.fixture(scope="module")
+def ids():
+    """Identifiers as a run builds them: a scenario's, per class, then
+    the endpoints (and their containers and tasks) a recording's text
+    parses back into."""
+    scenario = build_scenario(
+        num_containers=4, gpus_per_container=4, pp=2, seed=5,
+        hosts_per_segment=2,
+    )
+    overlay = scenario.cluster.overlay
+    ids = {cls: [] for cls in NAME_FORMULA}
+    for endpoint in scenario.task.endpoints():
+        record = overlay.record_of(endpoint)
+        for value in (
+            endpoint, endpoint.container, endpoint.container.task,
+            record.vf, record.vf.rnic, record.host, record.key,
+        ):
+            ids[type(value)].append(value)
+    for endpoint in scenario.task.endpoints()[::3]:
+        parsed = parse_endpoint(formula_of(endpoint))
+        ids[EndpointId].append(parsed)
+        ids[ContainerId].append(parsed.container)
+        ids[TaskId].append(parsed.container.task)
+    return ids
+
+
+class TestCarriedName:
+    """An identifier carries its name as it carries its hash: the
+    first ``str()`` stores it and every later one reads it, while
+    everything the dataclass generates still sees only the fields."""
+
+    def test_every_carried_class_is_covered(self):
+        assert carried_classes() == sorted(
+            cls.__name__ for cls in NAME_FORMULA
+        )
+
+    @pytest.mark.parametrize(
+        "cls", list(NAME_FORMULA), ids=lambda cls: cls.__name__
+    )
+    def test_a_carried_name_is_the_field_formula(self, ids, cls):
+        values = ids[cls]
+        assert len(values) >= 2
+        for value in values:
+            name = str(value)
+            assert name == formula_of(value)
+            assert str(value) is name  # read, not composed again
+            assert f"{value}" == name
+
+    @pytest.mark.parametrize(
+        "cls", list(NAME_FORMULA), ids=lambda cls: cls.__name__
+    )
+    def test_copies_rebuild_from_fields(self, ids, cls):
+        for value in ids[cls]:
+            name = str(value)
+            data = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
+            assert b"_name" not in data
+            for twin in (
+                pickle.loads(data), copy.copy(value), copy.deepcopy(value)
+            ):
+                assert str(twin) == name
+                assert hash(twin) == hash(value)
+
+    @pytest.mark.parametrize(
+        "cls", list(NAME_FORMULA), ids=lambda cls: cls.__name__
+    )
+    def test_the_name_is_no_field(self, ids, cls):
+        for value in ids[cls]:
+            str(value)
+            names = [f.name for f in dataclasses.fields(value)]
+            assert "_name" not in names
+            assert "_name" not in json.dumps(
+                dataclasses.asdict(value), default=str
+            )
+            assert "_name" not in repr(value)
+            assert repr(value) == repr(copy.deepcopy(value))
+
+    @pytest.mark.parametrize(
+        "cls", list(NAME_FORMULA), ids=lambda cls: cls.__name__
+    )
+    def test_named_and_never_named_compare_alike(self, ids, cls):
+        values = ids[cls]
+        for value in values:
+            str(value)
+        # Rebuilt from fields, nested identifiers included: no name yet.
+        twins = [copy.deepcopy(value) for value in values]
+        assert not any(hasattr(twin, "_name") for twin in twins)
+        for value, twin in zip(values, twins):
+            assert value == twin and twin == value
+            assert not value < twin and value <= twin
+            assert hash(value) == hash(twin)
+            for other, other_twin in zip(values, twins):
+                assert (value < other) == (twin < other_twin)
+                assert (value < other_twin) == (twin < other)
+                assert (value == other_twin) == (value == other)
+        assert sorted(values) == sorted(twins)
+        assert set(values) == set(twins)
+        assert not any(hasattr(twin, "_name") for twin in twins)
 
 
 #: Unpickles :func:`samples` from stdin and compares every value's hash

@@ -10,8 +10,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import repro.bus.codec as codec
+import repro.cluster.identifiers as identifiers
 import repro.core.system as system
-from repro.bus.core import TelemetryBus
+from repro.bus.core import TelemetryBus, Topic
 from repro.bus.recorder import JsonlRecorder
 from repro.chaos.faults import (
     REPORT_LATE, REPORT_LOST, REPORT_OK, MonitorFaultInjector, MonitorIssue,
@@ -210,7 +212,7 @@ class Share:
     def settle(self, now, delivered, failed, retried, probed=True):
         self.settled = (delivered, failed, retried)
 
-    def record_round(self, batch, now, start, stop):
+    def record_round(self, batch, now, start, stop, rows):
         self.rows = batch[start:stop]
 
 
@@ -407,3 +409,41 @@ def test_fault_free_round_is_one_batch_and_no_list_scan():
     assert max(crossings.values()) > 1  # rules shared between pairs
     for key, rule in rules.items():
         assert rule.packets - before[key] == rounds * crossings[key]
+
+
+def test_a_warm_round_names_nothing_and_encodes_once(tmp_path):
+    """On a bus, a warm round's reports cost their bytes: every
+    identifier it names already carries its name, and the round's
+    delivered rows are encoded once for all its agents."""
+    bus = TelemetryBus()
+    with JsonlRecorder(bus, str(tmp_path / "run.jsonl"), seed=SEED):
+        scenario = build_scenario(
+            num_containers=8, gpus_per_container=4, pp=2, seed=SEED,
+            hosts_per_segment=4, bus=bus,
+        )
+        scenario.apply_skeleton()
+        scenario.run_for(10)  # warm: the first rounds named everything
+        published = bus.published
+        with mock.patch.object(
+            identifiers, "_set", side_effect=object.__setattr__
+        ) as stores, mock.patch.object(
+            codec, "encode_probe_rows", side_effect=codec.encode_probe_rows
+        ) as encodes:
+            scenario.run_for(scenario.hunter.probe_interval_s)
+        reports = [
+            record for record in bus.history(Topic.PROBE_REPORTS)
+            if record["seq"] > published
+        ]
+    assert len(reports) == sum(
+        1 for agent in agents_of(scenario) if agent.my_pairs()
+    ) > 1
+    assert encodes.call_count == 1
+    assert [
+        call.args[1] for call in stores.call_args_list
+    ].count("_name") == 0
+    # ... because they were stored before, not because none is stored.
+    endpoints = [
+        endpoint for agent in agents_of(scenario)
+        for pair in agent.my_pairs() for endpoint in (pair.src, pair.dst)
+    ]
+    assert all(hasattr(endpoint, "_name") for endpoint in endpoints)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.identifiers import ContainerId, EndpointId, TaskId
-from repro.network.draws import PairwiseDrawSource, endpoint_text
+from repro.network.draws import PairwiseDrawSource, endpoint_state
 from repro.network.packet import ProbeResult, flow_hash
 from repro.sim.rng import _stable_hash
 
@@ -90,8 +90,8 @@ class TestKeyedStringGoldens:
 
     def test_a_hash_continues_from_a_prefix_state(self):
         src = endpoint(2, 17, 1)
-        name, state = endpoint_text(src)
-        assert name == str(src) == "task-2/node-17/ep-1"
+        name, state = str(src), endpoint_state(src)
+        assert name == "task-2/node-17/ep-1"
         assert state == _stable_hash(name)
         assert _stable_hash("|x|0", state) == _stable_hash(f"{name}|x|0")
 
