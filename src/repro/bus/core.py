@@ -85,7 +85,10 @@ class TelemetryBus:
         self.dropped = 0
         self._seq = 0
         self._buffers: Dict[str, Deque[Dict[str, Any]]] = {}
-        self._subscribers: List[Tuple[Optional[str], Subscriber]] = []
+        # Rebuilt, never mutated: a dispatch walks the tuple it began
+        # with, so a subscriber that (un)subscribes mid-dispatch changes
+        # only the next publish.
+        self._subscribers: Tuple[Tuple[Optional[str], Subscriber], ...] = ()
 
     # ------------------------------------------------------------------
     # Publishing
@@ -116,7 +119,7 @@ class TelemetryBus:
             self.dropped += 1
         buffer.append(record)
         self.published += 1
-        for wanted, subscriber in list(self._subscribers):
+        for wanted, subscriber in self._subscribers:
             if wanted is None or wanted == topic:
                 subscriber(record)
         return record
@@ -134,7 +137,7 @@ class TelemetryBus:
         uses).  Returns ``subscriber`` so it can be handed straight to
         :meth:`unsubscribe`.
         """
-        self._subscribers.append((topic, subscriber))
+        self._subscribers += ((topic, subscriber),)
         return subscriber
 
     def unsubscribe(self, subscriber: Subscriber) -> None:
@@ -144,10 +147,10 @@ class TelemetryBus:
         ``obj.method`` builds a fresh bound-method object, so identity
         would never match the registration.
         """
-        self._subscribers = [
+        self._subscribers = tuple(
             (topic, existing) for topic, existing in self._subscribers
             if existing != subscriber
-        ]
+        )
 
     # ------------------------------------------------------------------
     # Queries

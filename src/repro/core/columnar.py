@@ -1,18 +1,19 @@
 """The detection engine: columnar storage + batched scoring.
 
-Closing a 30-second window costs a seven-number summary, an LOF score,
-a median check, and a baseline append.  Done per pair in Python, each
-is a handful of small numpy calls whose interpreter overhead dominates
-at thousands of pairs (docs/PERFORMANCE.md has the measurements).  Here
-every pair's state lives in one *columnar* store indexed by a pair→row
-table:
+Closing a 30-second window costs a seven-number summary, a median
+check, a baseline append and — when a verdict reads it — an LOF score.
+Done per pair in Python, each is a handful of small numpy calls whose
+interpreter overhead dominates at thousands of pairs
+(docs/PERFORMANCE.md has the measurements).  Here every pair's state
+lives in one *columnar* store indexed by a pair→row table:
 
 * **Open-window columns** — one ``(pairs × samples)`` latency matrix
   plus window-start/sent/lost/consecutive-loss arrays; a round's
   probes are scattered into their rows in a few numpy calls
   (:meth:`ColumnarDetectionEngine.ingest_batch`; one probe is a batch of
-  one row), elapsed windows — found by a mask — closing into a per-row
-  pending queue.
+  one row), elapsed windows — found by a mask — closing into a queue
+  of column blocks (one block per close, at most one window per row,
+  latencies copied as one matrix) beside the set of rows it holds.
 * **Ring-buffered LOF history** — a ``(pairs × lookback × 7)`` feature
   matrix with per-row fill counts and eviction heads; the short-term
   baseline for *every* pair lives in one array.
@@ -21,14 +22,15 @@ table:
   windows, with the log-normal fits stored as ``mu``/``sigma`` columns.
 
 Scoring is deferred to :meth:`ColumnarDetectionEngine.collect`, which
-drains the pending queues in *waves* (the i-th pending window of every
-row), so the summary statistics, LOF (:func:`lof_scores_fixed_batch`),
-median-shift checks, baseline appends, and long-term Z-tests
-(:func:`z_test_rows`) each run as a few numpy calls over all pairs at
-once instead of per-pair Python loops.  Per-row window ordering — the
-thing detector state depends on — is preserved because wave w+1 never
-runs before every row's wave-w window has been scored and (if healthy)
-admitted to the baseline.
+drains the queue in *waves* (the i-th queued window of every row), so
+the loss rules, summary statistics, median-shift checks, LOF
+(:func:`lof_scores_fixed_batch`), baseline appends, and long-term
+Z-tests (:func:`z_test_rows`) each run as a few numpy calls over all
+pairs at once instead of per-pair Python loops; Python objects are
+built only for the windows a collect emits.  Per-row window ordering —
+the thing detector state depends on — is preserved because wave w+1
+never runs before every row's wave-w window has been scored and (if
+healthy) admitted to the baseline.
 
 What pins the semantics: the batched kernels are tested against the
 scalar definitions (:func:`~repro.analysis.lof.lof_score_of_new_point`,
@@ -61,9 +63,35 @@ __all__ = ["ColumnarDetectionEngine", "ScoredWindow"]
 
 #: Feature dimensionality: (p25, p50, p75, min, mean, std, max).
 _FEATURES = 7
-#: Pending-entry kind tags (index 0 of the entry tuple).
-_SHORT = 0
-_LONG = 1
+
+
+class _Block(NamedTuple):
+    """Windows queued together, at most one per row, as columns.
+
+    A short block holds each window's bounds and counts and its
+    delivered latencies: a ``(windows × width)`` matrix with ``inf``
+    past each row's ``lens``, the padding the summaries sort last.  A
+    long block holds each 30-minute aggregate's end and its latencies
+    in ``values``; its short-only columns are ``None``.
+    """
+
+    rows: np.ndarray
+    ends: np.ndarray
+    starts: Optional[np.ndarray] = None
+    sent: Optional[np.ndarray] = None
+    lost: Optional[np.ndarray] = None
+    lens: Optional[np.ndarray] = None
+    lats: Optional[np.ndarray] = None
+    values: Optional[List[np.ndarray]] = None
+
+    def take(self, index: np.ndarray) -> "_Block":
+        """The windows at positions ``index``."""
+        return _Block(*(
+            None if part is None
+            else [part[i] for i in index.tolist()] if isinstance(part, list)
+            else part[index]
+            for part in self
+        ))
 
 
 class ScoredWindow(NamedTuple):
@@ -101,6 +129,13 @@ class ColumnarDetectionEngine:
     at the next ``Analyzer.flush`` (or immediately, via
     :meth:`collect_rows`, when the fast-unconnectivity path needs
     in-order draining).
+
+    A collect costs what its verdicts read: with nothing queued it
+    returns at once (the set of queued rows is kept as windows are
+    queued and drained); a wave is numpy over its columns, LOF runs
+    behind the median-shift gate on the windows that shifted or are
+    emitted, and a :class:`ScoredWindow` is built only for a window
+    that is emitted.
     """
 
     #: Initial open-window latency capacity (columns); grows by
@@ -170,9 +205,10 @@ class ColumnarDetectionEngine:
         self._hist_n = np.empty(0, dtype=np.int64)
         self._hist_head = np.empty(0, dtype=np.int64)
 
-        # Per-row pending windows awaiting a scoring pass, in the order
-        # they closed.
-        self._pending: List[List[tuple]] = []
+        # Windows awaiting a scoring pass, in the order they closed (a
+        # row's windows in its blocks' order), and the rows they hold.
+        self._queue: List[_Block] = []
+        self._queued: set = set()
 
     # ------------------------------------------------------------------
     # Pair / row management
@@ -240,7 +276,6 @@ class ColumnarDetectionEngine:
             self._row_pair.append(pair)
             self._fit_mu.append(None)
             self._fit_sigma.append(None)
-            self._pending.append([])
             if row >= self._lat.shape[0]:
                 self._grow_rows(row + 1)
         self._rows[pair] = row
@@ -257,9 +292,29 @@ class ColumnarDetectionEngine:
             getattr(self, name)[row] = unused
         self._fit_mu[row] = None
         self._fit_sigma[row] = None
-        self._pending[row] = []
+        if row in self._queued:
+            self._queued.discard(row)
+            self._queue = self._split([row])[1]
         self._free.append(row)
         self._layout += 1
+
+    def _split(self, rows) -> Tuple[List[_Block], List[_Block]]:
+        """The queue split into the windows of ``rows`` and the rest,
+        each in queue order."""
+        picked = np.zeros(len(self._row_pair), dtype=bool)
+        picked[rows] = True
+        mine: List[_Block] = []
+        rest: List[_Block] = []
+        for block in self._queue:
+            hit = picked[block.rows]
+            if hit.all():
+                mine.append(block)
+            elif hit.any():
+                mine.append(block.take(np.flatnonzero(hit)))
+                rest.append(block.take(np.flatnonzero(~hit)))
+            else:
+                rest.append(block)
+        return mine, rest
 
     def _locate(self, pairs: List[object]) -> tuple:
         """``(canonical pairs, rows, distinct)`` of a pair sequence:
@@ -393,24 +448,32 @@ class ColumnarDetectionEngine:
         return rows
 
     def _close_shorts(self, rows: np.ndarray, until: np.ndarray) -> None:
-        """Close, into the pending queues, every window of ``rows`` that
-        ended by the row's ``until`` (the first with what the row
-        collected, any further ones empty)."""
+        """Queue every window of ``rows`` (distinct) that ended by the
+        row's ``until``: one block of the windows holding what each row
+        collected, then one block of empty windows per further window
+        elapsed."""
         short_s = self._short_s
-        starts = []
-        for row, ws, sent, lost, n, t in zip(
-            rows.tolist(), self._ws[rows].tolist(),
-            self._sent[rows].tolist(), self._lost[rows].tolist(),
-            self._lat_n[rows].tolist(), until.tolist(),
-        ):
-            lats = self._lat[row, :n].copy() if n else None
-            pending = self._pending[row]
-            while t >= ws + short_s:
-                pending.append(
-                    (_SHORT, ws, ws + short_s, sent, lost, lats)
-                )
-                ws, sent, lost, lats = ws + short_s, 0, 0, None
-            starts.append(ws)
+        starts = self._ws[rows]
+        lens = self._lat_n[rows]
+        lats = self._lat[rows, :int(lens.max())]
+        lats[np.arange(lats.shape[1]) >= lens[:, None]] = np.inf
+        ends = starts + short_s
+        self._queue.append(_Block(
+            rows, ends, starts, self._sent[rows], self._lost[rows], lens,
+            lats,
+        ))
+        self._queued.update(rows.tolist())
+        starts = ends.copy()
+        gap = np.flatnonzero(until >= starts + short_s)
+        while gap.size:
+            nothing = np.zeros(gap.size, dtype=np.int64)
+            ends = starts[gap] + short_s
+            self._queue.append(_Block(
+                rows[gap], ends, starts[gap], nothing, nothing, nothing,
+                np.empty((gap.size, 0)),
+            ))
+            starts[gap] = ends
+            gap = gap[until[gap] >= ends + short_s]
         self._ws[rows] = starts
         self._sent[rows] = 0
         self._lost[rows] = 0
@@ -434,15 +497,22 @@ class ColumnarDetectionEngine:
         row = self._rows.get(pair)
         if row is None:
             row = self._add_pair(pair)
-        self._pending[row].append(
-            (_SHORT, window_start, window_end, sent, lost, latencies)
-        )
+        lats = np.asarray(
+            () if latencies is None else latencies, dtype=np.float64
+        ).reshape(1, -1)
+        self._queue.append(_Block(
+            np.array([row]), np.array([window_end], dtype=np.float64),
+            np.array([window_start], dtype=np.float64),
+            np.array([sent]), np.array([lost]),
+            np.array([lats.shape[1]]), lats,
+        ))
+        self._queued.add(row)
         return row
 
     def queue_elapsed_longs(self, rows, now) -> None:
-        """Move the 30-minute aggregates of ``rows`` (one row or an
-        array) that elapsed by ``now`` (one time, or one per row) into
-        the pending queues."""
+        """Queue the 30-minute aggregates of ``rows`` (one row or an
+        array, distinct) that elapsed by ``now`` (one time, or one per
+        row): the i-th of each row in the i-th block."""
         rows = np.atleast_1d(rows)
         now = np.broadcast_to(now, rows.shape)
         long_s = self._long_s
@@ -450,6 +520,8 @@ class ColumnarDetectionEngine:
         if not due.any():
             return
         size = self._LONG_BLOCK
+        # Per depth: (rows, ends, values).
+        levels: List[Tuple[list, list, list]] = []
         for row, t in zip(rows[due].tolist(), now[due].tolist()):
             start = float(self._long_start[row])
             n = int(self._long_n[row])
@@ -457,14 +529,19 @@ class ColumnarDetectionEngine:
                 block[:, :, row]
                 for block in self._long_blocks[:-(-n // size)]
             ] or [np.empty((2, 0))], axis=1)[:, :n]
-            lo = 0
+            lo = depth = 0
             while t >= start + long_s:
                 end = start + long_s
                 hi = lo + int(
                     np.searchsorted(held[0, lo:], end, side="left")
                 )
-                self._pending[row].append((_LONG, end, held[1, lo:hi]))
-                lo, start = hi, end
+                if depth == len(levels):
+                    levels.append(([], [], []))
+                for column, value in zip(
+                    levels[depth], (row, end, held[1, lo:hi])
+                ):
+                    column.append(value)
+                lo, start, depth = hi, end, depth + 1
             # What is left moves down to the row's first samples.
             for b in range(-(-(n - lo) // size)):
                 part = held[:, lo + b * size:lo + (b + 1) * size]
@@ -474,6 +551,11 @@ class ColumnarDetectionEngine:
                 self._long_last[row] = np.nan
             self._long_start[row] = start
         del self._long_blocks[-(-int(self._long_n.max()) // size):]
+        for held_rows, ends, values in levels:
+            self._queue.append(_Block(
+                np.array(held_rows), np.array(ends), values=values
+            ))
+        self._queued.update(levels[0][0])
 
     def close_elapsed(self, now: float) -> None:
         """Close every elapsed short and long window across all rows
@@ -487,7 +569,7 @@ class ColumnarDetectionEngine:
 
     def has_pending(self) -> bool:
         """Whether any row holds unscored windows."""
-        return any(self._pending[r] for r in self._rows.values())
+        return bool(self._queued)
 
     # ------------------------------------------------------------------
     # Batched scoring
@@ -503,9 +585,17 @@ class ColumnarDetectionEngine:
         otherwise healthy windows are emitted only for pairs in
         ``watch`` (open incidents that may resolve) or pairs that
         alarmed earlier in this collection — the cases where the
-        analyzer's bookkeeping actually inspects them.
+        analyzer's bookkeeping actually inspects them.  Verdicts come
+        row by row in first-probe order; with nothing queued this
+        returns at once.
         """
-        active = [r for r in self._rows.values() if self._pending[r]]
+        queued = self._queued
+        if not queued:
+            return []
+        if len(queued) == len(self._rows):
+            active = list(self._rows.values())
+        else:
+            active = [r for r in self._rows.values() if r in queued]
         return self._collect_rows(active, full, watch)
 
     def collect_rows(
@@ -515,7 +605,7 @@ class ColumnarDetectionEngine:
         watch: Optional[Dict] = None,
     ) -> List[ScoredWindow]:
         """Score the pending windows of specific rows (fast-path drain)."""
-        chosen = [r for r in rows if self._pending[r]]
+        chosen = [r for r in rows if r in self._queued]
         return self._collect_rows(chosen, full, watch)
 
     def _collect_rows(
@@ -523,126 +613,177 @@ class ColumnarDetectionEngine:
     ) -> List[ScoredWindow]:
         if not active:
             return []
-        watch = watch if watch is not None else {}
-        out: Dict[int, List[ScoredWindow]] = {r: [] for r in active}
-        flagged: set = set()  # rows that alarmed during this collect
-        ptr = dict.fromkeys(active, 0)
-        live = active
-        while live:
-            shorts: List[Tuple[int, tuple]] = []
-            longs: List[Tuple[int, tuple]] = []
-            for row in live:
-                entry = self._pending[row][ptr[row]]
-                ptr[row] += 1
-                if entry[0] == _SHORT:
-                    shorts.append((row, entry))
-                else:
-                    longs.append((row, entry))
+        if len(active) == len(self._queued):
+            blocks, self._queue = self._queue, []
+            self._queued.clear()
+        else:
+            blocks, self._queue = self._split(active)
+            self._queued.difference_update(active)
+        size = len(self._row_pair)
+        flagged = np.zeros(size, dtype=bool)  # alarmed in this collect
+        watched = None
+        if watch:
+            watched = np.zeros(size, dtype=bool)
+            for pair in watch:
+                row = self._rows.get(pair)
+                if row is not None:
+                    watched[row] = True
+        out: Dict[int, List[ScoredWindow]] = {}
+        for shorts, longs in self._waves(blocks):
             if shorts:
-                self._score_short_wave(shorts, out, flagged, full, watch)
+                self._score_short_wave(
+                    self._joined(shorts), out, flagged, full, watched
+                )
             if longs:
                 self._score_long_wave(longs, out, flagged, full)
-            live = [r for r in live if ptr[r] < len(self._pending[r])]
-        for row in active:
-            self._pending[row].clear()
         verdicts: List[ScoredWindow] = []
-        for row in active:
-            verdicts.extend(out[row])
+        if out:
+            place = np.zeros(size, dtype=np.int64)
+            place[active] = np.arange(len(active))
+            emitted = np.fromiter(out, dtype=np.int64, count=len(out))
+            for row in emitted[np.argsort(place[emitted])].tolist():
+                verdicts.extend(out[row])
         return verdicts
 
-    def _emit_healthy(
-        self, row: int, full: bool, watch: Dict, flagged: set
-    ) -> bool:
-        """Whether a healthy window's verdict is worth materializing."""
-        return (
-            full
-            or row in flagged
-            or self._row_pair[row] in watch
+    def _waves(
+        self, blocks: List[_Block]
+    ) -> List[Tuple[List[_Block], List[_Block]]]:
+        """``(short blocks, long blocks)`` of each wave: wave w holds
+        the w-th queued window of every row, so a row's windows are
+        scored in the order they closed."""
+        seen = np.zeros(len(self._row_pair), dtype=np.int64)
+        waves: List[Tuple[List[_Block], List[_Block]]] = []
+        for block in blocks:
+            depth = seen[block.rows]
+            seen[block.rows] += 1
+            low, high = int(depth.min()), int(depth.max())
+            while len(waves) <= high:
+                waves.append(([], []))
+            kind = block.values is not None
+            if low == high:
+                waves[low][kind].append(block)
+                continue
+            for wave in range(low, high + 1):
+                index = np.flatnonzero(depth == wave)
+                if index.size:
+                    waves[wave][kind].append(block.take(index))
+        return waves
+
+    @staticmethod
+    def _joined(blocks: List[_Block]) -> _Block:
+        """One short block of several, latencies padded to the widest."""
+        if len(blocks) == 1:
+            return blocks[0]
+        lats = np.full(
+            (sum(b.rows.size for b in blocks),
+             max(b.lats.shape[1] for b in blocks)),
+            np.inf,
         )
+        at = 0
+        for block in blocks:
+            count, width = block.lats.shape
+            lats[at:at + count, :width] = block.lats
+            at += count
+        return _Block(*(
+            np.concatenate([getattr(b, name) for b in blocks])
+            for name in _Block._fields[:6]
+        ), lats)
+
+    def _emit(
+        self,
+        out: Dict[int, List[ScoredWindow]],
+        wave: _Block,
+        index: np.ndarray,
+        scores: Optional[np.ndarray] = None,
+        shifted: Optional[np.ndarray] = None,
+        alarm: Optional[Tuple[Symptom, str, np.ndarray]] = None,
+    ) -> None:
+        """Materialize the verdicts of the ``index`` windows of a short
+        wave: each scored by ``scores`` / ``shifted`` when given, and an
+        ``alarm`` of ``(symptom, detector, anomaly scores)`` when
+        given (all three aligned with ``index``)."""
+        pairs = self._row_pair
+        none = repeat(None)
+        for row, ws, we, sent, lost, score, shift, alarm_score in zip(
+            wave.rows[index].tolist(), wave.starts[index].tolist(),
+            wave.ends[index].tolist(), wave.sent[index].tolist(),
+            wave.lost[index].tolist(),
+            none if scores is None else scores.tolist(),
+            none if shifted is None else shifted.tolist(),
+            none if alarm is None else alarm[2].tolist(),
+        ):
+            pair = pairs[row]
+            anomaly = None if alarm is None else DetectedAnomaly(
+                pair=pair, detected_at=we, symptom=alarm[0],
+                detector=alarm[1], score=alarm_score, window_start=ws,
+            )
+            out.setdefault(row, []).append(ScoredWindow(
+                pair, "short", ws, we, sent, lost, anomaly, score, shift, 0,
+            ))
 
     def _score_short_wave(
         self,
-        entries: List[Tuple[int, tuple]],
+        wave: _Block,
         out: Dict[int, List[ScoredWindow]],
-        flagged: set,
+        flagged: np.ndarray,
         full: bool,
-        watch: Dict,
+        watched: Optional[np.ndarray],
     ) -> None:
+        """The loss rules over a wave's columns, then its windows with
+        latencies to :meth:`_score_feature_windows`; a healthy window's
+        verdict is built only if it is emitted (``full``, a watched
+        pair, or a row that alarmed earlier in this collect)."""
         cfg = self.config
-        min_unconn = cfg.min_probes_for_unconnectivity
-        loss_thr = cfg.loss_rate_threshold
-        stat_entries: List[Tuple[int, tuple]] = []
-        for row, entry in entries:
-            _, ws, we, sent, lost, lats = entry
-            pair = self._row_pair[row]
-            if sent == 0:
-                if full:
-                    out[row].append(ScoredWindow(
-                        pair, "short", ws, we, 0, 0, None, None, None, 0
-                    ))
-                continue
-            if sent >= min_unconn and lost == sent:
-                anomaly = DetectedAnomaly(
-                    pair=pair, detected_at=we,
-                    symptom=Symptom.UNCONNECTIVITY, detector="loss_rule",
-                    score=1.0, window_start=ws,
-                )
-                flagged.add(row)
-                out[row].append(ScoredWindow(
-                    pair, "short", ws, we, sent, lost, anomaly,
-                    None, None, 0,
+        rows, sent, lost = wave.rows, wave.sent, wave.lost
+        if full:
+            emit = np.ones(rows.size, dtype=bool)
+        else:
+            emit = flagged[rows]
+            if watched is not None:
+                emit |= watched[rows]
+        empty = sent == 0
+        rate = lost / np.where(empty, 1, sent)
+        unconn = ~empty & (sent >= cfg.min_probes_for_unconnectivity) & (
+            lost == sent
+        )
+        lossy = ~empty & ~unconn & (rate > cfg.loss_rate_threshold)
+        judged = ~(empty | unconn | lossy)
+        if full and empty.any():
+            self._emit(out, wave, np.flatnonzero(empty))
+        for mask, symptom, score in (
+            (unconn, Symptom.UNCONNECTIVITY, np.ones(rows.size)),
+            (lossy, Symptom.PACKET_LOSS, rate),
+        ):
+            if mask.any():
+                index = np.flatnonzero(mask)
+                flagged[rows[index]] = True
+                self._emit(out, wave, index, alarm=(
+                    symptom, "loss_rule", score[index]
                 ))
-                continue
-            rate = lost / sent
-            if rate > loss_thr:
-                anomaly = DetectedAnomaly(
-                    pair=pair, detected_at=we,
-                    symptom=Symptom.PACKET_LOSS, detector="loss_rule",
-                    score=rate, window_start=ws,
-                )
-                flagged.add(row)
-                out[row].append(ScoredWindow(
-                    pair, "short", ws, we, sent, lost, anomaly,
-                    None, None, 0,
-                ))
-                continue
-            if lats is None:
-                # All probes lost but below the loss thresholds: no
-                # feature to score, still a window the analyzer may
-                # resolve an incident against.
-                if self._emit_healthy(row, full, watch, flagged):
-                    out[row].append(ScoredWindow(
-                        pair, "short", ws, we, sent, lost, None,
-                        None, None, 0,
-                    ))
-                continue
-            stat_entries.append((row, entry))
-        if stat_entries:
-            self._score_feature_windows(
-                stat_entries, out, flagged, full, watch
-            )
+        # All probes lost but below the loss thresholds: no feature to
+        # score, still a window the analyzer may resolve an incident
+        # against.
+        bare = np.flatnonzero(judged & (wave.lens == 0) & emit)
+        if bare.size:
+            self._emit(out, wave, bare)
+        stat = np.flatnonzero(judged & (wave.lens > 0))
+        if stat.size:
+            self._score_feature_windows(wave, stat, emit[stat], out, flagged)
 
     def _summaries_of(
-        self, stat_entries: List[Tuple[int, tuple]]
+        self, lats: np.ndarray, lens: np.ndarray
     ) -> np.ndarray:
         """Vectorized seven-number summaries of a wave's windows.
 
         Matches :meth:`TimeSeries.describe` per row: sorted values,
         range-clamped mean, population std, linear-interpolated
-        percentiles.
+        percentiles.  ``lats`` is ``inf`` past each row's ``lens``;
+        the padded width is the longest window's.
         """
-        count = len(stat_entries)
-        lens = np.fromiter(
-            (entry[5].shape[0] for _, entry in stat_entries),
-            dtype=np.int64, count=count,
-        )
+        count = lens.size
         width = int(lens.max())
         mask = np.arange(width)[None, :] < lens[:, None]
-        padded = np.full((count, width), np.inf)
-        padded[mask] = np.concatenate(
-            [entry[5] for _, entry in stat_entries]
-        )
-        srt = np.sort(padded, axis=1)
+        srt = np.sort(lats[:, :width], axis=1)
         rows_ix = np.arange(count)
         mn = srt[:, 0]
         mx = srt[rows_ix, lens - 1]
@@ -667,36 +808,42 @@ class ColumnarDetectionEngine:
 
     def _score_feature_windows(
         self,
-        stat_entries: List[Tuple[int, tuple]],
+        wave: _Block,
+        stat: np.ndarray,
+        emit: np.ndarray,
         out: Dict[int, List[ScoredWindow]],
-        flagged: set,
-        full: bool,
-        watch: Dict,
+        flagged: np.ndarray,
     ) -> None:
+        """Score the ``stat`` windows of a wave (those with latencies)
+        and admit the healthy ones to their rows' baselines.
+
+        The median-shift gate comes first: a window alarms only if its
+        median moved past ``median_shift_threshold`` *and* its LOF
+        score is high, so LOF runs only on the windows a verdict reads
+        — shifted ones, and those ``emit`` says are materialized.  An
+        unshifted window is healthy whatever its score, so skipping
+        LOF changes no admission; a row's score does not depend on
+        which rows share its batch.
+        """
         cfg = self.config
-        count = len(stat_entries)
-        features = self._summaries_of(stat_entries)
-        row_arr = np.fromiter(
-            (row for row, _ in stat_entries), dtype=np.int64, count=count
-        )
-        counts = self._hist_n[row_arr]
+        rows = wave.rows[stat]
+        count = rows.size
+        features = self._summaries_of(wave.lats[stat], wave.lens[stat])
+        counts = self._hist_n[rows]
 
         scores = np.full(count, np.nan)
         shifted = np.zeros(count, dtype=bool)
         scorable = np.nonzero(counts >= cfg.min_history_windows)[0]
         for n_hist in np.unique(counts[scorable]):
             group = scorable[counts[scorable] == n_hist]
-            rows_g = row_arr[group]
             n = int(n_hist)
-            if n < 2:
-                scores[group] = 1.0
-            else:
-                scores[group] = lof_scores_fixed_batch(
-                    self._hist[rows_g][:, :n, :],
-                    features[group], k=cfg.lof_k,
-                )
             if n >= 1:
-                base = np.median(self._hist[rows_g][:, :n, 1], axis=1)
+                # np.median's value, by a sort instead of a partition
+                # (a fraction of its cost on short rows).
+                p50 = np.sort(self._hist[rows[group], :n, 1], axis=1)
+                base = p50[:, n // 2] if n % 2 else (
+                    p50[:, n // 2 - 1] + p50[:, n // 2]
+                ) / 2
                 positive = base > 0
                 shift = (
                     features[group, 1] - base
@@ -706,17 +853,26 @@ class ColumnarDetectionEngine:
                 )
             else:
                 shifted[group] = True
+            if n < 2:
+                scores[group] = 1.0
+                continue
+            read = group[shifted[group] | emit[group]]
+            if read.size:
+                scores[read] = lof_scores_fixed_batch(
+                    self._hist[rows[read]][:, :n, :],
+                    features[read], k=cfg.lof_k,
+                )
 
+        # Every shifted window was scored above.
         anomalous = np.zeros(count, dtype=bool)
-        anomalous[scorable] = (
-            (scores[scorable] > cfg.lof_threshold) & shifted[scorable]
-        )
+        hit = np.flatnonzero(shifted)
+        anomalous[hit] = scores[hit] > cfg.lof_threshold
 
         # Healthy windows join the baseline — one fancy-indexed ring
         # append for the whole wave (rows are unique within a wave).
         admit = np.nonzero(~anomalous)[0]
         if admit.size:
-            rows_a = row_arr[admit]
+            rows_a = rows[admit]
             n_a = self._hist_n[rows_a]
             at_cap = n_a >= self._lookback
             slots = np.where(at_cap, self._hist_head[rows_a], n_a)
@@ -728,47 +884,43 @@ class ColumnarDetectionEngine:
                 self._hist_head[rows_a],
             )
 
-        scored_mask = np.zeros(count, dtype=bool)
-        scored_mask[scorable] = True
-        for i, (row, entry) in enumerate(stat_entries):
-            _, ws, we, sent, lost, lats = entry
-            pair = self._row_pair[row]
-            if anomalous[i]:
-                anomaly = DetectedAnomaly(
-                    pair=pair, detected_at=we,
-                    symptom=Symptom.HIGH_LATENCY,
-                    detector="short_term_lof",
-                    score=float(scores[i]), window_start=ws,
-                )
-                flagged.add(row)
-                out[row].append(ScoredWindow(
-                    pair, "short", ws, we, sent, lost, anomaly,
-                    float(scores[i]), bool(shifted[i]), 0,
-                ))
-            elif scored_mask[i]:
-                if self._emit_healthy(row, full, watch, flagged):
-                    out[row].append(ScoredWindow(
-                        pair, "short", ws, we, sent, lost, None,
-                        float(scores[i]), bool(shifted[i]), 0,
-                    ))
-            elif self._emit_healthy(row, full, watch, flagged):
-                out[row].append(ScoredWindow(
-                    pair, "short", ws, we, sent, lost, None,
-                    None, None, 0,
-                ))
+        if anomalous.any():
+            alarmed = np.flatnonzero(anomalous)
+            flagged[rows[alarmed]] = True
+            self._emit(
+                out, wave, stat[alarmed], scores[alarmed],
+                shifted[alarmed], (
+                    Symptom.HIGH_LATENCY, "short_term_lof",
+                    scores[alarmed],
+                ),
+            )
+        scored = np.zeros(count, dtype=bool)
+        scored[scorable] = True
+        healthy = emit & ~anomalous
+        index = np.flatnonzero(healthy & scored)
+        if index.size:
+            self._emit(
+                out, wave, stat[index], scores[index], shifted[index]
+            )
+        index = np.flatnonzero(healthy & ~scored)
+        if index.size:
+            self._emit(out, wave, stat[index])
 
     def _score_long_wave(
         self,
-        entries: List[Tuple[int, tuple]],
+        blocks: List[_Block],
         out: Dict[int, List[ScoredWindow]],
-        flagged: set,
+        flagged: np.ndarray,
         full: bool,
     ) -> None:
         cfg = self.config
         to_fit: List[Tuple[int, list]] = []
         to_test: List[Tuple[int, float, list]] = []
-        for row, entry in entries:
-            _, end, vals = entry
+        for row, end, vals in (
+            entry for block in blocks for entry in zip(
+                block.rows.tolist(), block.ends.tolist(), block.values
+            )
+        ):
             enough = len(vals) >= max(cfg.min_long_samples, 2)
             if enough and self._fit_mu[row] is not None:
                 to_test.append((row, end, vals))
@@ -777,7 +929,7 @@ class ColumnarDetectionEngine:
                 to_fit.append((row, vals))
             if full:
                 # Not Z-tested: too few samples, or it became the fit.
-                out[row].append(ScoredWindow(
+                out.setdefault(row, []).append(ScoredWindow(
                     self._row_pair[row], "long",
                     end - cfg.long_window_s, end, 0, 0,
                     None, None, None, len(vals),
@@ -812,12 +964,12 @@ class ColumnarDetectionEngine:
                         score=abs(float(z[i])),
                         window_start=end - cfg.long_window_s,
                     )
-                    flagged.add(row)
+                    flagged[row] = True
                 elif not full:
                     continue
                 else:
                     anomaly = None
-                out[row].append(ScoredWindow(
+                out.setdefault(row, []).append(ScoredWindow(
                     pair, "long", end - cfg.long_window_s, end, 0, 0,
                     anomaly, float(z[i]), None, len(vals),
                 ))

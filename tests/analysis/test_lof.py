@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.lof import (
     local_outlier_factor,
@@ -109,3 +111,33 @@ class TestFixedBatch:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             lof_scores_fixed_batch(np.ones((2, 3)), np.ones((2, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    batch=st.integers(min_value=1, max_value=40),
+    n=st.integers(min_value=2, max_value=12),
+    k=st.integers(min_value=1, max_value=6),
+    data=st.data(),
+)
+def test_a_rows_score_does_not_depend_on_its_batch(seed, batch, n, k, data):
+    """The detection engine scores only the rows a verdict reads, so a
+    row must get the same bits in any sub-batch, in any order."""
+    rng = np.random.default_rng(seed)
+    # As the engine passes them: the first n slots of wider rings.
+    rings = 18.0 + rng.random((batch, n + 3, 7))
+    histories = rings[:, :n, :]
+    candidates = 18.0 + rng.random((batch, 7))
+    candidates[rng.random(batch) < 0.2] += 40.0
+    ties = rng.random(batch) < 0.2
+    candidates[ties] = histories[ties, 0]
+    whole = lof_scores_fixed_batch(histories, candidates, k=k)
+    index = np.array(data.draw(st.lists(
+        st.integers(min_value=0, max_value=batch - 1),
+        min_size=1, max_size=batch, unique=True,
+    )), dtype=np.int64)
+    part = lof_scores_fixed_batch(
+        rings[index][:, :n, :], candidates[index], k=k
+    )
+    assert part.tobytes() == whole[index].tobytes()

@@ -76,6 +76,42 @@ class TestSubscriptions:
         bus.publish(Topic.ROUND)
         assert len(seen) == 2
 
+    def test_subscribing_mid_dispatch_takes_effect_next_publish(self):
+        bus = TelemetryBus()
+        seen = []
+
+        def late(record):
+            seen.append(("late", record["seq"]))
+
+        def first(record):
+            seen.append(("first", record["seq"]))
+            if record["seq"] == 1:
+                bus.subscribe(late)
+
+        bus.subscribe(first)
+        bus.publish(Topic.ROUND)
+        bus.publish(Topic.ROUND)
+        assert seen == [("first", 1), ("first", 2), ("late", 2)]
+
+    def test_unsubscribing_mid_dispatch_takes_effect_next_publish(self):
+        bus = TelemetryBus()
+        seen = []
+
+        def second(record):
+            seen.append(("second", record["seq"]))
+
+        def first(record):
+            seen.append(("first", record["seq"]))
+            bus.unsubscribe(second)
+            bus.unsubscribe(first)
+
+        bus.subscribe(first)
+        bus.subscribe(second)
+        bus.publish(Topic.ROUND)
+        bus.publish(Topic.ROUND)
+        assert seen == [("first", 1), ("second", 1)]
+        assert bus.published == 2
+
     def test_publication_without_subscribers_still_buffers(self):
         bus = TelemetryBus()
         bus.publish(Topic.SHARD_HEALTH, shards=[])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.analyzer import Analyzer
 from repro.core.columnar import ColumnarDetectionEngine
@@ -236,6 +238,83 @@ class TestRowLifecycle:
         engine.ingest(pair, probe(pair, 1000.0))
         assert len(engine.history(pair)) == 0
         assert engine.consecutive_losses(engine.row_of(pair)) == 0
+
+
+def queued_rows(engine):
+    """The rows holding a queued window, read off the queue itself."""
+    return {int(row) for block in engine._queue for row in block.rows}
+
+
+OPS = st.lists(st.one_of(
+    st.tuples(
+        st.just("ingest"), st.sampled_from([1.0, 10.0, 31.0, 95.0]),
+        st.permutations(range(6)), st.integers(min_value=1, max_value=6),
+        st.floats(min_value=0.0, max_value=1.0),
+    ),
+    st.tuples(st.just("close"), st.sampled_from([0.0, 29.0, 65.0])),
+    st.tuples(st.just("longs")),
+    st.tuples(st.just("enqueue"), st.integers(min_value=0, max_value=5)),
+    st.tuples(st.just("collect"), st.booleans()),
+    st.tuples(st.just("collect_rows"), st.lists(
+        st.integers(min_value=0, max_value=5), max_size=6, unique=True,
+    )),
+    st.tuples(st.just("drop"), st.integers(min_value=0, max_value=5)),
+), max_size=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=OPS, seed=st.integers(min_value=0, max_value=2 ** 16))
+def test_the_queued_set_is_the_rows_with_queued_windows(ops, seed):
+    """Through ingests, short and long closes, direct enqueues,
+    collects, drops and recycled rows, the engine's set of queued rows
+    is exactly the rows the queue holds windows of, ``has_pending``
+    agrees with it, and a collect yields rows in first-probe order."""
+    engine = ColumnarDetectionEngine(DetectorConfig(
+        long_window_s=120.0, min_long_samples=2, min_history_windows=2,
+    ))
+    rng = np.random.default_rng(seed)
+    pool = [pair_of(i) for i in range(6)]
+    now = 0.0
+    for op in ops:
+        kind = op[0]
+        if kind == "ingest":
+            _, step, order, count, loss = op
+            now += step
+            chosen = [pool[i] for i in order[:count]]
+            lost = rng.random(count) < loss
+            engine.ingest_batch(
+                chosen, np.full(count, now), lost,
+                np.where(lost, np.nan, 20.0 + rng.random(count)),
+            )
+        elif kind == "close":
+            engine.close_elapsed(now + op[1])
+        elif kind == "longs":
+            rows = np.array(sorted(engine._rows.values()), dtype=np.int64)
+            if rows.size:
+                engine.queue_elapsed_longs(rows, now)
+        elif kind == "enqueue":
+            engine.enqueue_window(
+                pool[op[1]], now, now + 30.0, 4, 0, 20.0 + rng.random(4)
+            )
+        elif kind == "collect":
+            first = {pair: i for i, pair in enumerate(engine.pairs())}
+            verdicts = engine.collect(full=op[1])
+            places = [first[v.pair] for v in verdicts]
+            assert places == sorted(places)
+        elif kind == "collect_rows":
+            rows = [
+                engine.row_of(pool[i]) for i in op[1]
+                if engine.row_of(pool[i]) is not None
+            ]
+            verdicts = engine.collect_rows(rows, full=True)
+            places = [rows.index(engine.row_of(v.pair)) for v in verdicts]
+            assert places == sorted(places)
+        else:
+            engine.drop(pool[op[1]])
+        held = queued_rows(engine)
+        assert engine._queued == held
+        assert held <= set(engine._rows.values())
+        assert engine.has_pending() == bool(held)
 
 
 class TestAnalyzerColumnarWiring:

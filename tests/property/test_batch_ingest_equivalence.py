@@ -61,17 +61,29 @@ def engine_state(analyzer):
             "fit": (engine._fit_mu[row], engine._fit_sigma[row]),
             "hist": engine._hist[row, :engine._hist_n[row]].tolist(),
             "hist_head": int(engine._hist_head[row]),
-            "pending": [
-                tuple(
-                    None if part is None
-                    else part.tolist() if isinstance(part, np.ndarray)
-                    else part
-                    for part in entry
-                )
-                for entry in engine._pending[row]
-            ],
+            "pending": queued_windows(engine, row),
         }
     return state
+
+
+def queued_windows(engine, row):
+    """The row's queued windows in queue order: ``(start, end, sent,
+    lost, latencies)`` for a short one, ``(end, latencies)`` for a
+    long one."""
+    windows = []
+    for block in engine._queue:
+        for i in np.flatnonzero(block.rows == row).tolist():
+            if block.values is not None:
+                windows.append(
+                    (block.ends[i].tolist(), block.values[i].tolist())
+                )
+                continue
+            windows.append((
+                block.starts[i].tolist(), block.ends[i].tolist(),
+                int(block.sent[i]), int(block.lost[i]),
+                block.lats[i, :block.lens[i]].tolist(),
+            ))
+    return windows
 
 
 def observable(analyzer):

@@ -9,8 +9,16 @@ history ring held when the window was scored, and every long window
 the Z statistic :func:`z_test` gives against :func:`fit_lognormal` of
 the pair's first long window.  The test owns no windowing: window
 bounds come from the verdicts, baselines from the engine's ring.
+
+The same stream also goes through two lean engines, ``collect()`` with
+an empty ``watch`` and with a watched subset of pairs.  They skip LOF
+for every window no verdict reads, so what they emit — every anomaly,
+every healthy window of a watched pair or of a pair that alarmed
+earlier in the collect, each with its score — and their baselines
+must equal the full engine's.
 """
 
+import contextlib
 import random
 from collections import Counter
 
@@ -20,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.lof import lof_score_of_new_point
+from repro.core import columnar
 from repro.analysis.stats import fit_lognormal, z_test
 from repro.core.columnar import ColumnarDetectionEngine
 from repro.core.detection import DetectorConfig
@@ -120,13 +129,15 @@ def _check_long(cfg, verdict, latencies, fits):
 
 def _check_collect(engine, delivered, fits, checked):
     """Score what is pending and hold every verdict to the scalars;
-    ``checked`` counts the scored windows and alarms by kind."""
+    ``checked`` counts the scored windows and alarms by kind.  Returns
+    the verdicts."""
     cfg = engine.config
     baselines = {
         pair: engine.history(pair).copy() for pair in engine.pairs()
     }
     featured = set()
-    for verdict in engine.collect(full=True):
+    verdicts = engine.collect(full=True)
+    for verdict in verdicts:
         latencies = [
             latency for at, latency in delivered.get(verdict.pair, ())
             if verdict.window_start <= at < verdict.window_end
@@ -147,13 +158,45 @@ def _check_collect(engine, delivered, fits, checked):
             checked[verdict.kind + " alarms"] += (
                 verdict.anomaly is not None
             )
+    return verdicts
 
 
-def _run_and_check(scenario):
-    """Drive one scenario round by round; returns what was checked."""
+def _lean_view(verdicts, watch):
+    """What ``collect(watch=watch)`` must emit of a full collect's
+    verdicts: every anomaly, and each probed short window of a watched
+    pair or of a pair that alarmed earlier in the collect."""
+    alarmed = set()
+    lean = []
+    for verdict in verdicts:
+        if verdict.anomaly is not None:
+            alarmed.add(verdict.pair)
+            lean.append(verdict)
+        elif verdict.kind == "short" and verdict.sent and (
+            verdict.pair in watch or verdict.pair in alarmed
+        ):
+            lean.append(verdict)
+    return lean
+
+
+def _check_lean(full, lean, watch, verdicts):
+    """A lean engine's collect equals the full one's emitted subset,
+    scores included, and leaves the same baselines."""
+    assert lean.collect(watch=watch) == _lean_view(verdicts, watch)
+    assert lean.pairs() == full.pairs()
+    for pair in full.pairs():
+        assert lean.history(pair).tobytes() == full.history(pair).tobytes()
+
+
+def _run_and_check(scenario, lof_rows=None):
+    """Drive one scenario round by round; returns what was checked.
+    ``lof_rows``, when given, counts the rows each engine ran LOF on
+    (``full``, ``lean``, ``watching``)."""
     rng = random.Random(scenario["seed"])
     cfg = scenario["config"]
     engine = ColumnarDetectionEngine(cfg)
+    lean = ColumnarDetectionEngine(cfg)
+    watching = ColumnarDetectionEngine(cfg)
+    engines = {"full": engine, "lean": lean, "watching": watching}
     num_pairs = scenario["num_pairs"]
     rounds = scenario["rounds"]
     interval = scenario["interval"]
@@ -161,6 +204,15 @@ def _run_and_check(scenario):
         ProbePair.canonical(f"p{2 * i}", f"p{2 * i + 1}")
         for i in range(num_pairs)
     ]
+    watch = {pairs[1]: None}
+
+    def collect_all():
+        with counting_lof(lof_rows, "full"):
+            verdicts = _check_collect(engine, delivered, fits, checked)
+        with counting_lof(lof_rows, "lean"):
+            _check_lean(engine, lean, {}, verdicts)
+        with counting_lof(lof_rows, "watching"):
+            _check_lean(engine, watching, watch, verdicts)
     join_round = rounds // 3 if scenario["late_join"] else 0
     burst_lo, burst_hi = rounds // 4, rounds // 2
     delivered = {}  # pair -> [(sent_at, latency)] since its last drop
@@ -184,22 +236,46 @@ def _run_and_check(scenario):
                 else (20.0 + 4.0 * rng.random())
                 * (2.5 if shifting else 1.0)
             )
-            engine.ingest(pair, ProbeResult(
+            result = ProbeResult(
                 src=pair.src, dst=pair.dst, sent_at=at,
                 lost=lost, latency_us=latency,
-            ))
+            )
+            for each in engines.values():
+                each.ingest(pair, result)
             if not lost:
                 delivered.setdefault(pair, []).append((at, latency))
         if scenario["reset_round"] == r:
-            _check_collect(engine, delivered, fits, checked)
-            engine.drop(pairs[0])
+            collect_all()
+            for each in engines.values():
+                each.drop(pairs[0])
             delivered.pop(pairs[0], None)
             fits.pop(pairs[0], None)
-        engine.close_elapsed(at)
-        _check_collect(engine, delivered, fits, checked)
-    engine.close_elapsed(rounds * interval + cfg.long_window_s)
-    _check_collect(engine, delivered, fits, checked)
+        for each in engines.values():
+            each.close_elapsed(at)
+        collect_all()
+    for each in engines.values():
+        each.close_elapsed(rounds * interval + cfg.long_window_s)
+    collect_all()
     return checked
+
+
+@contextlib.contextmanager
+def counting_lof(lof_rows, name):
+    """Count under ``name`` the rows handed to the LOF kernel."""
+    if lof_rows is None:
+        yield
+        return
+    kernel = columnar.lof_scores_fixed_batch
+
+    def counted(histories, candidates, k):
+        lof_rows[name] += len(candidates)
+        return kernel(histories, candidates, k=k)
+
+    columnar.lof_scores_fixed_batch = counted
+    try:
+        yield
+    finally:
+        columnar.lof_scores_fixed_batch = kernel
 
 
 @settings(max_examples=20, deadline=None)
@@ -222,3 +298,18 @@ def test_property_is_not_vacuous():
     assert checked == {
         "short": 28, "short alarms": 9, "long": 10, "long alarms": 3,
     }
+
+
+def test_lean_collect_skips_lof_it_does_not_read():
+    """The gate is not vacuous: a lean collect leaves scorable,
+    unshifted windows unscored, and a watched pair costs it LOF."""
+    lof_rows = Counter()
+    _run_and_check({
+        "seed": 1, "num_pairs": 3, "rounds": 120, "interval": 5.0,
+        "config": DetectorConfig(
+            long_window_s=120.0, min_long_samples=8
+        ),
+        "burst": True, "shift": True, "reset_round": 10,
+        "late_join": True,
+    }, lof_rows)
+    assert lof_rows == {"full": 28, "watching": 14, "lean": 9}
