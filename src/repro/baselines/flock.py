@@ -64,17 +64,17 @@ class FlockLocalizer:
         """Posterior failure probability per candidate link.
 
         Candidates are the links failing pairs can cross (with the
-        probability their path distribution gives); healthy pairs only
-        ever push a candidate's posterior down.
+        probability their path distribution gives: the routes their
+        probes resolved to, as the pipeline's vote reads them); healthy
+        pairs only ever push a candidate's posterior down.
         """
         q, f0 = HIT_RATE, FALSE_RATE
         log_odds: Dict[LinkId, float] = {}
         prior_odds = math.log(PRIOR / (1.0 - PRIOR))
+        paths_of = self.fabric.resolution_cache.paths_of
         for pairs, failed in ((failing_pairs, True), (healthy_pairs, False)):
-            for pair in pairs:
-                for link, w in crossing_mass(self.fabric.path_distribution(
-                    pair.src, pair.dst
-                )).items():
+            for paths in paths_of(pairs):
+                for link, w in crossing_mass(paths).items():
                     if not failed and link not in log_odds:
                         continue
                     bad = w * q + (1.0 - w) * f0

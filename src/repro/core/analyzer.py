@@ -45,35 +45,29 @@ class LoadConditionedAdmission:
     thresholds misclassifies congestion collapse as a link failure.
     This filter conditions admission on a
     :class:`~repro.network.load.LinkLoadModel`: a ``HIGH_LATENCY``
-    anomaly whose pair's path distribution averages at least
+    anomaly whose pair's path distribution (the routes its probes
+    resolved to) averages at least
     :data:`HOT_UTILIZATION` bottleneck utilization must beat its
     detector's base threshold by a load-scaled :data:`HEADROOM` factor.
     Loss and unconnectivity anomalies are never suppressed — packets
     dropping is a failure signal regardless of load.
 
     The decision is pure arithmetic over the anomaly and the (static)
-    load model, so it is identical across shard counts.  Pair
-    utilizations are cached per fabric routing epoch: toggling the ECMP
-    mode changes path distributions, so cached utilizations from the
-    previous mode are discarded.
+    load model, so it is identical across shard counts.  A pair's
+    utilization is computed when first asked for and kept.
     """
 
     def __init__(self, load_model, fabric) -> None:
         self.load_model = load_model
         self.fabric = fabric
         self._cache: Dict[ProbePair, float] = {}
-        self._cache_epoch: Optional[int] = None
 
     def pair_utilization(self, pair: ProbePair) -> float:
         """Mean bottleneck utilization over the pair's path distribution."""
-        epoch = self.fabric.resolution_cache.routing_epoch
-        if epoch != self._cache_epoch:
-            self._cache.clear()
-            self._cache_epoch = epoch
         cached = self._cache.get(pair)
         if cached is not None:
             return cached
-        paths = self.fabric.path_distribution(pair.src, pair.dst)
+        (paths,) = self.fabric.resolution_cache.paths_of([pair])
         utilization = (
             self.load_model.distribution_utilization(paths)
             if paths else 0.0

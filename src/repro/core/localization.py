@@ -9,11 +9,14 @@ can be examined independently:
    failing pair over the live flow tables (read-only).  A null forward
    pinpoints the broken overlay component; a revisited component reveals
    a forwarding loop.
-2. **Underlay physical intersection** — ask the fabric for each pair's
-   path distribution (the pinned ECMP pick the paper's traceroute
-   reveals; every equal-cost candidate under per-packet spraying) and
-   let tomography vote on shared physical links (hard failures also
-   exonerate links that healthy probes crossed).
+2. **Underlay physical intersection** — read the routes each failing
+   and healthy pair's probes resolved to, in one lookup
+   (:meth:`~repro.network.fabric.FlowResolutionCache.paths_of`: the
+   pinned ECMP pick the paper's traceroute reveals, every equal-cost
+   candidate under per-packet spraying; a same-host pair's is its
+   source RNIC alone, with no link to vote on) and let tomography vote
+   on shared physical links (hard failures also exonerate links that
+   healthy probes crossed).
 3. **RNIC validation** — if neither layer explains an event, dump and
    diff the OVS and RNIC flow tables of both endpoints (intrusive,
    therefore last), catching silent hardware invalidation and
@@ -337,24 +340,23 @@ class Localizer:
     ) -> List[FailureEvent]:
         if not events:
             return []
-        # Routes are asked of the fabric, never carried in.  Sprayed
-        # routes are read by the mass rule, pinned ones by the count
-        # rule: the pair the localization corpus chose.
+        # The routes the probes resolved to, read from the cache in one
+        # lookup, never carried in.  Sprayed routes are read by the mass
+        # rule, pinned ones by the count rule: the pair the localization
+        # corpus chose.
         sprayed = self.fabric.spraying
-        routes = self.fabric.path_distribution
+        failing = [e.pair for e in events]
+        paths = self.fabric.resolution_cache.paths_of(
+            failing + list(healthy_pairs)
+        )
+        routes = dict(zip(failing, paths))
         hard = [e for e in events if e.symptom == Symptom.UNCONNECTIVITY]
         soft = [e for e in events if e.symptom != Symptom.UNCONNECTIVITY]
         explained: Set[ProbePair] = set()
-        healthy = [
-            d for d in (routes(p.src, p.dst) for p in healthy_pairs) if d
-        ]
+        healthy = [d for d in paths[len(failing):] if d]
 
         for group, exonerate in ((hard, True), (soft, False)):
-            dists = {
-                pair: dist for pair, dist in (
-                    (e.pair, routes(e.pair.src, e.pair.dst)) for e in group
-                ) if dist
-            }
+            dists = {e.pair: routes[e.pair] for e in group if routes[e.pair]}
             if len(dists) < 2:
                 continue
             result = self.intersection.vote(

@@ -25,8 +25,11 @@ simulator's per-probe cost has to follow suit):
   valid while what it read is unchanged — its own match key in the flow
   tables its walk consulted (a neighbour's first-use install on the
   same host stales nothing), the health of the components along its
-  chain, the ECMP mode, and no fault that meets it came or went — and
-  told when it changes, so a warm lookup re-reads none of it;
+  chain, and no fault that meets it came or went — and told when it
+  changes, so a warm lookup re-reads none of it.  The ECMP mode is
+  fixed when the fabric is built, so a path moves only when its pair
+  is re-walked, and the localizer reads the routes the probes resolved
+  to (:meth:`FlowResolutionCache.paths_of`);
 * :meth:`DataPlaneFabric.send_probe_batch` answers a whole probing
   round as one :class:`~repro.network.packet.ProbeBatch` — columns, not
   one :class:`~repro.network.packet.ProbeResult` per probe.  Every
@@ -105,6 +108,22 @@ def _candidate_paths(
     if spraying:
         return topology.ecmp_paths(src_rnic, dst_rnic)
     return [topology.pick_path(src_rnic, dst_rnic, fhash)]
+
+
+def _placement_paths(
+    cluster: Cluster, src: EndpointId, dst: EndpointId, spraying: bool
+) -> List[UnderlayPath]:
+    """Every path a (src, dst) probe may take as the pair is placed:
+    between the RNICs ``overlay.rnic_of`` names, which a walk may not
+    use (a same-host pair is delivered without leaving its source
+    RNIC); none unless both endpoints are attached to the overlay."""
+    overlay = cluster.overlay
+    if not overlay.is_registered(src) or not overlay.is_registered(dst):
+        return []
+    return _candidate_paths(
+        cluster.topology, overlay.rnic_of(src), overlay.rnic_of(dst),
+        flow_hash(src, dst), spraying,
+    )
 
 
 #: What a healthy overlay chain adds to a probe: nothing.  One object,
@@ -248,11 +267,10 @@ class FlowResolutionCache:
     marks exactly the entries registered on it stale, a change to a
     whole table every entry registered in that table, consuming those
     registrations; a health flip marks the entries holding that health
-    object.  (3) An ECMP-mode switch marks every entry (it changes what
-    every resolution *is*), and (4) a fault injected or cleared marks
-    the entries it :meth:`Fault.meets` — the cache observes the
-    injector and finds them by lookup: a link or switch target (and a
-    link's victim links) names the interned paths through it
+    object.  (3) A fault injected or cleared marks the entries it
+    :meth:`Fault.meets` — the cache observes the injector and finds
+    them by lookup: a link or switch target (and a link's victim links)
+    names the interned paths through it
     (:meth:`~repro.cluster.topology.RailOptimizedTopology.paths_meeting`),
     an RNIC or host target its RNICs, and those the entries registered
     on them.  So a fault landing costs the entries it touches (and the
@@ -262,8 +280,9 @@ class FlowResolutionCache:
     elsewhere.  An *unreached* resolution (table miss, loop, unknown
     encap target, unattached endpoint) registers nothing: what would
     make it reachable is in no table its walk consulted, so it is valid
-    under the whole-overlay stamp alone (:attr:`OverlayNetwork.epoch`,
-    :attr:`FaultInjector.epoch` and the routing epoch).
+    under the whole-overlay stamp alone (:attr:`OverlayNetwork.epoch`
+    and :attr:`FaultInjector.epoch`).  The ECMP mode every entry is
+    routed under is fixed at construction.
 
     A batch resolves in one pass (:meth:`_resolve_rows`; a single pair
     is a batch of one): each row is looked up and each miss walked in
@@ -279,9 +298,9 @@ class FlowResolutionCache:
 
     Every recompute is counted by cause on :attr:`metrics`:
     ``cache.miss.cold`` (no entry yet), ``.table_changed`` (a key or
-    table the walk read) or ``.epoch_changed`` (component health, ECMP
-    mode, a fault that meets the entry, or anything at all for an
-    unreached one) — ``epoch_changed`` when both kinds of mark landed.
+    table the walk read) or ``.epoch_changed`` (component health, a
+    fault that meets the entry, or anything at all for an unreached
+    one) — ``epoch_changed`` when both kinds of mark landed.
     """
 
     def __init__(
@@ -289,7 +308,10 @@ class FlowResolutionCache:
         cluster: Cluster,
         injector: FaultInjector,
         enabled: bool = True,
+        ecmp_mode: str = "static",
     ) -> None:
+        if ecmp_mode not in ("static", "spray"):
+            raise ValueError(f"unknown ECMP mode {ecmp_mode!r}")
         self._cluster = cluster
         self._injector = injector
         self.enabled = enabled
@@ -298,10 +320,9 @@ class FlowResolutionCache:
         #: Where miss causes are counted; the fabric points this at its
         #: own registry.
         self.metrics = MetricRegistry()
-        #: ECMP mode resolutions are computed under ("static"/"spray");
-        #: owned by the fabric via :meth:`set_mode`.
-        self.ecmp_mode = "static"
-        self._routing_epoch = 0
+        #: The ECMP mode every resolution is routed under ("static" or
+        #: "spray"), fixed for the cache's life.
+        self.ecmp_mode = ecmp_mode
         self._entries: Dict[
             Tuple[EndpointId, EndpointId], _Resolution
         ] = {}
@@ -343,27 +364,6 @@ class FlowResolutionCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def set_mode(self, mode: str) -> None:
-        """Adopt an ECMP mode, invalidating every cached resolution.
-
-        Toggling spraying changes what a resolution *is* (pinned pick
-        vs. path distribution), so the routing epoch bumps and all
-        entries cached under the previous mode are marked stale — a
-        per-flow pick cached under static ECMP is never replayed as a
-        sprayed probe, and vice versa.
-        """
-        if mode == self.ecmp_mode:
-            return
-        self.ecmp_mode = mode
-        self._routing_epoch += 1
-        for entry in self._entries.values():
-            self._mark(entry, "epoch_changed")
-
-    @property
-    def routing_epoch(self) -> int:
-        """Monotone counter of ECMP-mode switches."""
-        return self._routing_epoch
-
     @property
     def hit_ratio(self) -> float:
         """Fraction of lookups served from the cache (0 before any)."""
@@ -371,12 +371,9 @@ class FlowResolutionCache:
 
     def _whole_stamp(self) -> int:
         """Unchanged means nothing anywhere changed: every overlay
-        mutation, fault inject/clear and ECMP-mode switch moves a term,
-        and every term only ever grows."""
-        return (
-            self._cluster.overlay.epoch + self._injector.epoch
-            + self._routing_epoch
-        )
+        mutation and fault inject/clear moves a term, and every term
+        only ever grows."""
+        return self._cluster.overlay.epoch + self._injector.epoch
 
     def _live(self, entry: _Resolution) -> bool:
         """Whether ``entry`` is still its pair's cached entry."""
@@ -518,6 +515,28 @@ class FlowResolutionCache:
         self._by_rnic.clear()
         self._by_path.clear()
         self._indexed = self._replaced = 0
+
+    def paths_of(self, pairs: Iterable[object]) -> List[List[UnderlayPath]]:
+        """The underlay paths each pair's probes resolved to (§5.3: the
+        per-host traceroute reveals each probe flow's ECMP choice, and
+        a resolution *is* that choice): the routes of the pair's held
+        reached entry, valid or marked — a fault or a health flip
+        changes what a route meets, not where it goes, and only a
+        re-walk, which replaces the entry, moves a path.  A pair with
+        no reached entry gets its placement answer
+        (:func:`_placement_paths`).  A read: it walks, installs,
+        registers and counts nothing, and replays no rule hit."""
+        entries, spraying = self._entries, self.ecmp_mode == "spray"
+        answers = []
+        for pair in pairs:
+            src, dst = endpoints_of(pair)
+            entry = entries.get((src, dst))
+            answers.append(
+                [route.path for route in entry.routes]
+                if entry is not None and entry.reached else
+                _placement_paths(self._cluster, src, dst, spraying)
+            )
+        return answers
 
     def resolve_all(self, pairs: List[object]) -> _RoundVector:
         """The resolutions of a whole batch, as batches of one would
@@ -731,6 +750,7 @@ class DataPlaneFabric:
         congestion: Optional[TransientCongestion] = None,
         metrics: Optional[MetricRegistry] = None,
         cache_enabled: bool = True,
+        ecmp_mode: str = "static",
     ) -> None:
         self.cluster = cluster
         self.injector = injector
@@ -742,7 +762,7 @@ class DataPlaneFabric:
         self._draws = PairwiseDrawSource(rng.seed)
         self.metrics = metrics if metrics is not None else MetricRegistry()
         self.resolution_cache = FlowResolutionCache(
-            cluster, injector, enabled=cache_enabled
+            cluster, injector, enabled=cache_enabled, ecmp_mode=ecmp_mode
         )
         self.resolution_cache.metrics = self.metrics
 
@@ -752,24 +772,15 @@ class DataPlaneFabric:
 
     @property
     def ecmp_mode(self) -> str:
-        """The active ECMP mode: ``"static"`` (pinned per-flow pick) or
-        ``"spray"`` (per-packet path sampling)."""
+        """The ECMP mode, fixed when the fabric is built: ``"static"``
+        (pinned per-flow pick) or ``"spray"`` (per-packet path
+        sampling)."""
         return self.resolution_cache.ecmp_mode
 
     @property
     def spraying(self) -> bool:
         """Whether per-packet path spraying is active."""
         return self.ecmp_mode == "spray"
-
-    def set_ecmp_mode(self, mode: str) -> None:
-        """Switch between static per-flow ECMP and per-packet spraying.
-
-        Bumps the resolution cache's routing epoch, so stale pinned
-        picks are never replayed under the wrong mode.
-        """
-        if mode not in ("static", "spray"):
-            raise ValueError(f"unknown ECMP mode {mode!r}")
-        self.resolution_cache.set_mode(mode)
 
     @property
     def probes_sent(self) -> int:
@@ -909,45 +920,33 @@ class DataPlaneFabric:
         )
 
     # ------------------------------------------------------------------
-    # Host-agent capabilities (used by the localizer)
+    # Placement answers (target pickers, ground truth)
     # ------------------------------------------------------------------
-
-    def _paths(
-        self, src: EndpointId, dst: EndpointId, spraying: bool
-    ) -> List[UnderlayPath]:
-        """Every path a (src, dst) probe may take under the given ECMP
-        mode; none unless both endpoints are attached to the overlay."""
-        overlay = self.cluster.overlay
-        if not overlay.is_registered(src) or not overlay.is_registered(dst):
-            return []
-        return _candidate_paths(
-            self.cluster.topology, overlay.rnic_of(src), overlay.rnic_of(dst),
-            flow_hash(src, dst), spraying,
-        )
 
     def traceroute(
         self, src: EndpointId, dst: EndpointId
     ) -> Optional[UnderlayPath]:
-        """The underlay path the (src, dst) flow is pinned to, if known.
-
-        Mirrors the paper's per-host traceroute agents: reveals the actual
-        ECMP choice so tomography can intersect failing paths.  Returns
-        ``None`` when either endpoint is not attached to the overlay.
+        """The path the (src, dst) flow's hash pins it to as the pair
+        is placed, whatever the ECMP mode: a placement answer for
+        fault-target pickers.  ``None`` when either endpoint is not
+        attached to the overlay.
         """
-        return next(iter(self._paths(src, dst, spraying=False)), None)
+        return next(
+            iter(_placement_paths(self.cluster, src, dst, False)), None
+        )
 
     def path_distribution(
         self, src: EndpointId, dst: EndpointId
     ) -> List[UnderlayPath]:
-        """Every underlay path a probe between ``src``/``dst`` may take.
-
-        Under spraying, the full equal-probability ECMP candidate set
-        (each path carries mass ``1/len``); under static ECMP, the
-        single pinned pick.  Distribution-aware tomography weights its
-        votes by this mass instead of assuming one deterministic path.
-        Empty when either endpoint is not attached to the overlay.
+        """Every path a probe between ``src``/``dst`` may take as the
+        pair is placed (every equal-cost candidate under spraying, the
+        pinned pick under static ECMP): the placement answer ground
+        truth reads (:func:`repro.core.evaluation.fault_affects_pair`),
+        so a fault that breaks a pair's overlay still counts as
+        observable to it.  Empty when either endpoint is not attached
+        to the overlay.
         """
-        return self._paths(src, dst, self.spraying)
+        return _placement_paths(self.cluster, src, dst, self.spraying)
 
     @property
     def loss_fraction(self) -> float:

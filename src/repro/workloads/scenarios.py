@@ -228,9 +228,8 @@ def build_scenario(
         cluster, injector, rng,
         latency_model=latency_model, congestion=congestion,
         metrics=observability.metrics if observability else None,
+        ecmp_mode=ecmp_mode,
     )
-    if ecmp_mode != "static":
-        fabric.set_ecmp_mode(ecmp_mode)
     hunter = SkeletonHunter(
         cluster, engine, fabric, orchestrator,
         detector_config=detector_config,

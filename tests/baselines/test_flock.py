@@ -19,13 +19,15 @@ def path(*devices):
 
 
 class _StubFabric:
-    """Serves hand-built path distributions keyed by (src, dst)."""
+    """Serves hand-built path distributions keyed by (src, dst), as
+    its resolution cache's ``paths_of`` would."""
 
     def __init__(self, distributions):
         self._distributions = distributions
+        self.resolution_cache = self
 
-    def path_distribution(self, src, dst):
-        return self._distributions.get((src, dst), [])
+    def paths_of(self, pairs):
+        return [self._distributions.get((p.src, p.dst), []) for p in pairs]
 
 
 def _flock(distributions):

@@ -5,8 +5,6 @@ analyzer's load filter must demand extra headroom there — and only
 there.  Loss is a failure signal at any load.
 """
 
-import pytest
-
 from repro.cluster.identifiers import LinkId
 from repro.cluster.topology import UnderlayPath
 from repro.core.analyzer import (
@@ -34,18 +32,16 @@ _HOT_PAIR = ProbePair("a", "b")
 _COOL_PAIR = ProbePair("c", "d")
 
 
-class _StubCache:
-    def __init__(self):
-        self.routing_epoch = 0
-
-
 class _StubFabric:
+    """Serves hand-built path distributions keyed by (src, dst), as
+    its resolution cache's ``paths_of`` would."""
+
     def __init__(self, distributions):
         self.distributions = distributions
-        self.resolution_cache = _StubCache()
+        self.resolution_cache = self
 
-    def path_distribution(self, src, dst):
-        return self.distributions.get((src, dst), [])
+    def paths_of(self, pairs):
+        return [self.distributions.get((p.src, p.dst), []) for p in pairs]
 
 
 def _filter():
@@ -117,16 +113,7 @@ class TestUtilizationCache:
     def test_pair_utilization_is_cached(self):
         admission, fabric = _filter()
         before = admission.pair_utilization(_HOT_PAIR)
-        # Mutating the distribution without an epoch bump is invisible:
-        # the cached value is reused.
+        # A pair's utilization is read once: a later change to its
+        # distribution is not asked for.
         fabric.distributions[("a", "b")] = [_COOL_PATH]
         assert admission.pair_utilization(_HOT_PAIR) == before
-
-    def test_routing_epoch_bump_invalidates(self):
-        admission, fabric = _filter()
-        hot = admission.pair_utilization(_HOT_PAIR)
-        fabric.distributions[("a", "b")] = [_COOL_PATH]
-        fabric.resolution_cache.routing_epoch += 1
-        cool = admission.pair_utilization(_HOT_PAIR)
-        assert cool == pytest.approx(0.25)
-        assert cool < hot

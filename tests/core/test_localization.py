@@ -11,12 +11,16 @@ from repro.network.faults import FaultInjector
 from repro.network.issues import ComponentClass, IssueType, Symptom
 
 
+def build_stack(cluster, task, rng, ecmp_mode="static"):
+    injector = FaultInjector(cluster)
+    fabric = DataPlaneFabric(cluster, injector, rng, ecmp_mode=ecmp_mode)
+    localizer = Localizer(cluster, fabric)
+    return cluster, task, injector, fabric, localizer
+
+
 @pytest.fixture
 def stack(cluster, running_task, rng):
-    injector = FaultInjector(cluster)
-    fabric = DataPlaneFabric(cluster, injector, rng)
-    localizer = Localizer(cluster, fabric)
-    return cluster, running_task, injector, fabric, localizer
+    return build_stack(cluster, running_task, rng)
 
 
 def pair_of(task, src_rank, dst_rank, slot=0):
@@ -128,8 +132,8 @@ class TestUnderlayLayer:
             for i, pair in enumerate(pairs)
         }
         monkeypatch.setattr(
-            fabric, "path_distribution",
-            lambda src, dst: [routes[src, dst]],
+            fabric.resolution_cache, "paths_of",
+            lambda asked: [[routes[p.src, p.dst]] for p in asked],
         )
         report = localizer.localize(
             [event(p, Symptom.HIGH_LATENCY) for p in pairs]
@@ -262,22 +266,21 @@ class TestCongestionSwitchPromotion:
         )
 
 
+def spy_votes(localizer, monkeypatch):
+    """Every ``vote`` call's (failing, healthy, keywords), from now on."""
+    calls = []
+    real = localizer.intersection.vote
+
+    def spy(failing, healthy=(), **keywords):
+        calls.append((failing, list(healthy), keywords))
+        return real(failing, healthy, **keywords)
+
+    monkeypatch.setattr(localizer.intersection, "vote", spy)
+    return calls
+
+
 class TestRouteSelection:
     """Which routes the one underlay arm hands to the vote."""
-
-    @pytest.fixture
-    def voted(self, stack, monkeypatch):
-        """Every ``vote`` call's (failing, healthy, keywords)."""
-        localizer = stack[-1]
-        calls = []
-        real = localizer.intersection.vote
-
-        def spy(failing, healthy=(), **keywords):
-            calls.append((failing, list(healthy), keywords))
-            return real(failing, healthy, **keywords)
-
-        monkeypatch.setattr(localizer.intersection, "vote", spy)
-        return calls
 
     @staticmethod
     def cross_rail(fabric, task):
@@ -297,11 +300,13 @@ class TestRouteSelection:
         return failing, healthy
 
     def test_spraying_fabric_votes_by_mass_over_distributions(
-        self, stack, voted
+        self, cluster, running_task, rng, monkeypatch
     ):
-        cluster, task, injector, fabric, localizer = stack
+        cluster, task, injector, fabric, localizer = build_stack(
+            cluster, running_task, rng, ecmp_mode="spray"
+        )
+        voted = spy_votes(localizer, monkeypatch)
         failing, healthy = self.cross_rail(fabric, task)
-        fabric.set_ecmp_mode("spray")
         localizer.localize(
             [event(p, Symptom.PACKET_LOSS) for p in failing],
             healthy_pairs=[healthy],
@@ -314,11 +319,12 @@ class TestRouteSelection:
         assert [len(d) for d in dists + healthy_dists] == [2, 2, 2]
 
     def test_static_fabric_votes_by_count_on_the_pinned_pick(
-        self, stack, voted
+        self, stack, monkeypatch
     ):
         """Under static ECMP the path distribution is the one pinned
         pick ``traceroute`` reveals, and the count rule reads it."""
         cluster, task, injector, fabric, localizer = stack
+        voted = spy_votes(localizer, monkeypatch)
         failing, healthy = self.cross_rail(fabric, task)
         localizer.localize(
             [event(p, Symptom.PACKET_LOSS) for p in failing],
@@ -332,6 +338,39 @@ class TestRouteSelection:
         assert healthy_dists == [
             [fabric.traceroute(healthy.src, healthy.dst)]
         ]
+
+
+class TestSameHostPair:
+    """Two containers of one task on one host: the pair's probe is
+    delivered by the host's OVS without leaving the source RNIC, so its
+    resolved route is that RNIC alone, with no link — not the cross-rail
+    path placement (``overlay.rnic_of``) names for it."""
+
+    def test_a_failing_same_host_pair_votes_on_no_link(
+        self, stack, orchestrator, engine, monkeypatch
+    ):
+        cluster, _, injector, fabric, localizer = stack
+        task = orchestrator.submit_task(3, 2, instant_startup=True)
+        engine.run_until(engine.now)
+        # The first host with two free GPUs is the one container 0
+        # already holds: the migration packs container 1 beside it.
+        host = orchestrator.migrate_container(task.container(1))
+        assert host == task.container(0).host
+        same, other = (
+            ProbePair.canonical(
+                task.container(0).endpoint(0), task.container(r).endpoint(0)
+            )
+            for r in (1, 2)
+        )
+        warm_flows(fabric, task, [same, other])
+        src_rnic = cluster.overlay.rnic_of(same.src)
+        # Placement routes the pair across rails, through a ToR.
+        assert fabric.path_distribution(same.src, same.dst)[0].links
+        voted = spy_votes(localizer, monkeypatch)
+        report = localizer.localize([event(same), event(other)])
+        (dists, _, _), = voted
+        assert dists[0] == [UnderlayPath((str(src_rnic),), ())]
+        assert not any(d.layer == "underlay" for d in report.diagnoses)
 
 
 class TestRoundStep:

@@ -444,49 +444,9 @@ class TestScopedValidity:
 
 
 class TestEcmpModeSwitch:
-    """Regression: ECMP-mode flips must never replay stale resolutions.
+    """There is no switch: the ECMP mode is a constructor argument,
+    fixed for the fabric's life, and checked there."""
 
-    A resolution computed under static ECMP pins one path and carries
-    no spray candidates; replaying it after ``set_ecmp_mode("spray")``
-    would silently keep every "sprayed" probe on its old pinned path.
-    The mode therefore lives on the cache as a routing epoch.
-    """
-
-    def test_mode_switch_bumps_routing_epoch(self, fabric):
-        before = fabric.resolution_cache.routing_epoch
-        fabric.set_ecmp_mode("spray")
-        assert fabric.resolution_cache.routing_epoch == before + 1
-        fabric.set_ecmp_mode("static")
-        assert fabric.resolution_cache.routing_epoch == before + 2
-
-    def test_same_mode_is_a_noop(self, fabric):
-        before = fabric.resolution_cache.routing_epoch
-        fabric.set_ecmp_mode("static")
-        assert fabric.resolution_cache.routing_epoch == before
-
-    def test_unknown_mode_rejected(self, fabric):
+    def test_unknown_mode_rejected(self, cluster, injector, rng):
         with pytest.raises(ValueError):
-            fabric.set_ecmp_mode("adaptive")
-
-    def test_static_resolution_not_replayed_under_spray(
-        self, fabric, endpoints
-    ):
-        fabric.send_probe(*endpoints, at=0.0)
-        fabric.send_probe(*endpoints, at=0.5)
-        assert fabric.resolution_cache.hits == 1
-        misses_before = fabric.resolution_cache.misses
-        fabric.set_ecmp_mode("spray")
-        fabric.send_probe(*endpoints, at=1.0)
-        # The warm entry was keyed to static mode: the sprayed probe
-        # must re-resolve, not hit.
-        assert fabric.resolution_cache.misses == misses_before + 1
-
-    def test_round_trip_restores_static_path(self, fabric, endpoints):
-        cold = fabric.send_probe(*endpoints, at=0.0)
-        fabric.set_ecmp_mode("spray")
-        fabric.send_probe(*endpoints, at=1.0)
-        fabric.set_ecmp_mode("static")
-        back = fabric.send_probe(*endpoints, at=2.0)
-        # Static pinning is a pure hash: leaving and re-entering static
-        # mode lands the pair on the exact same path.
-        assert back.underlay_path == cold.underlay_path
+            DataPlaneFabric(cluster, injector, rng, ecmp_mode="adaptive")

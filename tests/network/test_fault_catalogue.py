@@ -42,10 +42,10 @@ SPECIES = {
 }
 
 
-def campaign_scenario(hosts_per_segment=4):
+def campaign_scenario(hosts_per_segment=4, ecmp_mode="static"):
     scenario = build_scenario(
         num_containers=4, gpus_per_container=4, pp=2, seed=0,
-        hosts_per_segment=hosts_per_segment,
+        hosts_per_segment=hosts_per_segment, ecmp_mode=ecmp_mode,
     )
     scenario.run_for(200)   # as `repro campaign` does before injecting
     return scenario

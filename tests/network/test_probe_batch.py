@@ -197,10 +197,6 @@ def schedule(scenario, round_index, state):
         table.remove(table.keys()[0])
     if round_index == 17:  # unreached rows
         overlay.detach_container(scenario.task.container(3))
-    if round_index == 20:
-        scenario.fabric.set_ecmp_mode(
-            "static" if scenario.fabric.spraying else "spray"
-        )
     if round_index == 23:  # latency added, software path forced
         state["slow"] = scenario.injector.inject_issue(
             GrayIssueType.CONGESTION_COLLAPSE, uplink(scenario, 2),

@@ -8,7 +8,7 @@ equality.  As with the static-ECMP property test, two identically
 seeded scenarios run the same schedule — one probe at a time versus
 one batch per round — and every ``ProbeResult`` stream must match,
 through healthy rounds, gray-faulted rounds, and rounds where caches
-are invalidated (or the ECMP mode itself flips) mid-stream.
+are invalidated mid-stream.
 """
 
 from hypothesis import given, settings
@@ -22,13 +22,13 @@ from repro.network.packet import flow_hash
 from repro.workloads.scenarios import build_scenario
 
 
-def _build(seed):
+def _build(seed, ecmp_mode="spray"):
     # Two hosts per segment so monitored pairs cross the spine layer:
     # spraying only differs from static ECMP on multi-path segments.
     return build_scenario(
         num_containers=4, gpus_per_container=4, seed=seed,
         hosts_per_segment=2, start_monitoring=False,
-        ecmp_mode="spray",
+        ecmp_mode=ecmp_mode,
     )
 
 
@@ -107,32 +107,24 @@ def test_spray_batch_equals_sequential_under_gray_faults(
 def test_spray_batch_equals_sequential_with_midstream_invalidation(
     seed,
 ):
-    seq, bat = _build(seed), _build(seed)
-    pairs_seq, pairs_bat = _pairs(seq), _pairs(bat)
-    assert bat.fabric.send_probe_batch(pairs_bat, 0.0) == (
-        _sequential_round(seq, pairs_seq, 0.0)
-    )
-    # Yank a flow rule out from under the warm caches.
-    for scenario in (seq, bat):
-        overlay = scenario.cluster.overlay
-        host = overlay.hosts_with_tables()[0]
-        table = overlay.ovs_table(host)
-        table.remove(table.keys()[0])
-    assert bat.fabric.send_probe_batch(pairs_bat, 1.0) == (
-        _sequential_round(seq, pairs_seq, 1.0)
-    )
-    # Flip the ECMP mode itself: every sprayed resolution is now stale
-    # (the routing epoch bumps) and both sides must re-pin identically.
-    for scenario in (seq, bat):
-        scenario.fabric.set_ecmp_mode("static")
-    assert bat.fabric.send_probe_batch(pairs_bat, 2.0) == (
-        _sequential_round(seq, pairs_seq, 2.0)
-    )
-    for scenario in (seq, bat):
-        scenario.fabric.set_ecmp_mode("spray")
-    assert bat.fabric.send_probe_batch(pairs_bat, 3.0) == (
-        _sequential_round(seq, pairs_seq, 3.0)
-    )
+    # One pair of twin worlds per ECMP mode: the mode is fixed when a
+    # fabric is built.
+    for mode in ("spray", "static"):
+        seq, bat = _build(seed, mode), _build(seed, mode)
+        pairs_seq, pairs_bat = _pairs(seq), _pairs(bat)
+        assert bat.fabric.send_probe_batch(pairs_bat, 0.0) == (
+            _sequential_round(seq, pairs_seq, 0.0)
+        )
+        # Yank a flow rule out from under the warm caches.
+        for scenario in (seq, bat):
+            overlay = scenario.cluster.overlay
+            host = overlay.hosts_with_tables()[0]
+            table = overlay.ovs_table(host)
+            table.remove(table.keys()[0])
+        for at in (1.0, 2.0):
+            assert bat.fabric.send_probe_batch(pairs_bat, at) == (
+                _sequential_round(seq, pairs_seq, at)
+            )
 
 
 def _candidates(scenario, src, dst):
@@ -182,7 +174,7 @@ def test_traceroute_stays_the_hash_pick_under_spraying():
         )
         off_first += pinned != fabric.path_distribution(src, dst)[0]
     assert off_first > 0    # the pick is not just "the first candidate"
-    fabric.set_ecmp_mode("static")
+    fabric = _build(11, "static").fabric
     for src, dst in _pairs(scenario):
         assert fabric.path_distribution(src, dst) == [
             fabric.traceroute(src, dst)

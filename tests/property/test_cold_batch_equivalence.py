@@ -236,8 +236,9 @@ def test_cold_entries_over_one_rnic_pair_share_what_they_ride(
 ):
     # A GPU's endpoint rides that GPU's RNIC, so two endpoint pairs
     # meet one RNIC pair when a tenant follows another onto its GPUs.
-    fabric = DataPlaneFabric(cluster, FaultInjector(cluster), rng)
-    fabric.set_ecmp_mode(ecmp_mode)
+    fabric = DataPlaneFabric(
+        cluster, FaultInjector(cluster), rng, ecmp_mode=ecmp_mode
+    )
     cache, overlay = fabric.resolution_cache, cluster.overlay
 
     def tenant():
@@ -290,9 +291,10 @@ def test_a_mode_switch_resolves_each_mode_its_own_candidates(
 ):
     # A pinned pick and a sprayed candidate set over one RNIC pair may
     # start with the same path; each mode must still get its own set.
+    # The mode is fixed when a fabric is built, so the switch is to a
+    # new fabric over the same cluster (and the same interned paths).
     task = orchestrator.submit_task(4, 4, instant_startup=True)
     engine.run_until(engine.now)
-    fabric = DataPlaneFabric(cluster, FaultInjector(cluster), rng)
     topology = cluster.topology
     pairs = [
         (a, b) for src in task.all_containers()
@@ -300,7 +302,9 @@ def test_a_mode_switch_resolves_each_mode_its_own_candidates(
         for a in src.endpoints() for b in dst.endpoints()
     ]
     for mode in ("static", "spray", "static", "spray"):
-        fabric.set_ecmp_mode(mode)
+        fabric = DataPlaneFabric(
+            cluster, FaultInjector(cluster), rng, ecmp_mode=mode
+        )
         vector = fabric.resolution_cache.resolve_all(pairs)
         for (a, b), res in zip(pairs, vector.resolutions):
             paths = [route.path for route in res.routes]

@@ -114,20 +114,19 @@ def parent_fault_affects_pair(fault, pair, cluster, fabric):
 # ----------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module", params=[4, 2], ids=["one-tor", "two-tors"])
-def campaign(request):
+def build_campaign(hosts_per_segment, ecmp_mode="static"):
     """The campaign scenario with all 25 catalogue faults live in its
     injector, so every tuple also pins the order *between* faults —
     as `repro campaign` lays it out (four hosts under one ToR per rail:
     every route is RNIC-ToR-RNIC) and over two segments, where routes
     cross a spine and spraying has four candidates to choose from."""
-    scenario = campaign_scenario(hosts_per_segment=request.param)
+    scenario = campaign_scenario(hosts_per_segment, ecmp_mode)
     pairs = scenario.hunter.monitored_pairs()
     faults = [
         scenario.inject(issue, target)
         for issue, target in catalogue_targets(scenario)
     ]
-    if request.param == 2:
+    if hosts_per_segment == 2:
         # The standard link target is an access link; add a storm on an
         # uplink a monitored pair is pinned to, and that spine offline.
         pinned = next(
@@ -144,6 +143,12 @@ def campaign(request):
         )
         faults.append(scenario.inject(IssueType.SWITCH_OFFLINE, spine))
     return scenario, pairs, faults
+
+
+@pytest.fixture(scope="module", params=[4, 2], ids=["one-tor", "two-tors"])
+def campaign(request):
+    """The campaign on a static-ECMP fabric."""
+    return build_campaign(request.param)
 
 
 def same(left, right):
@@ -193,34 +198,34 @@ def test_a_same_host_pair_meets_a_host_fault_twice(campaign):
     )
 
 
-def affected_pairs(campaign, mode):
-    """``{(fault index, pair): affected}`` under ``mode``, each verdict
-    checked against the oracle's."""
+def affected_pairs(campaign):
+    """``{(fault index, pair): affected}`` on the campaign's fabric,
+    each verdict checked against the oracle's."""
     scenario, pairs, faults = campaign
     cluster, fabric = scenario.cluster, scenario.fabric
     stranger = ProbePair.canonical(
         pairs[0].src, EndpointId(ContainerId(scenario.task.id, 99), 0)
     )
     verdicts = {}
-    fabric.set_ecmp_mode(mode)
-    try:
-        for index, fault in enumerate(faults):
-            for pair in pairs + [stranger]:
-                got = fault_affects_pair(fault, pair, cluster, fabric)
-                assert got is parent_fault_affects_pair(
-                    fault, pair, cluster, fabric
-                ), (mode, fault.issue, pair)
-                verdicts[index, pair] = got
-            assert not verdicts.pop((index, stranger))
-    finally:
-        fabric.set_ecmp_mode("static")
+    for index, fault in enumerate(faults):
+        for pair in pairs + [stranger]:
+            got = fault_affects_pair(fault, pair, cluster, fabric)
+            assert got is parent_fault_affects_pair(
+                fault, pair, cluster, fabric
+            ), (fabric.ecmp_mode, fault.issue, pair)
+            verdicts[index, pair] = got
+        assert not verdicts.pop((index, stranger))
     return verdicts
 
 
 def test_fault_affects_pair_equals_the_parents_booleans(campaign):
     scenario, pairs, faults = campaign
-    static = affected_pairs(campaign, "static")
-    spray = affected_pairs(campaign, "spray")
+    # The mode is fixed when a fabric is built: the sprayed campaign is
+    # its own world, laid out exactly as the static one.
+    sprayed = build_campaign(scenario.topology.hosts_per_segment, "spray")
+    assert sprayed[1] == pairs and len(sprayed[2]) == len(faults)
+    static = affected_pairs(campaign)
+    spray = affected_pairs(sprayed)
     one_tor = scenario.topology.hosts_per_segment == 4
     # Anti-vacuous: where routes cross the spines, every fault touches
     # some pair and spares another.  (Under one ToR per rail a ToR

@@ -11,14 +11,14 @@ migration, crash, direct detach and late attach, OVS rule removal and
 replacement — by table position and of a pair's *reverse* ENCAP rule at
 its destination host, which a resolution installs but never looks up —
 ``RnicOffloadTable.invalidate`` (Figure 18) and ``clear``, health-flag
-flips and ``clear_health``, inject/clear of faults on RNICs, hosts,
-containers, links (with PFC victim links) and switches, and ECMP-mode
-switches — two tenants share hosts, so one tenant's churn runs under
-the other's warm entries.  So does a third, never-probed tenant's
-first-use install on those hosts, and a container re-attaching (which
-touches its host's and RNICs' tables) *between two rows of one batch*,
-under spraying ECMP with a gray fault active — the mark lands on rows
-the batch already resolved.
+flips and ``clear_health``, and inject/clear of faults on RNICs, hosts,
+containers, links (with PFC victim links) and switches — two tenants
+share hosts, so one tenant's churn runs under the other's warm entries.
+So does a third, never-probed tenant's first-use install on those
+hosts, and a container re-attaching (which touches its host's and
+RNICs' tables) *between two rows of one batch* with a gray fault active
+— the mark lands on rows the batch already resolved.  The twins are
+built under one ECMP mode, static or spraying, fixed for their life.
 """
 
 from collections import Counter
@@ -63,7 +63,7 @@ class World:
     """Two 3-container x 2-GPU tenants and a never-probed 2-container
     neighbour, packed onto shared 6-GPU hosts."""
 
-    def __init__(self, cache_enabled: bool) -> None:
+    def __init__(self, cache_enabled: bool, ecmp_mode: str) -> None:
         topology = RailOptimizedTopology(
             num_segments=2, hosts_per_segment=3, rails_per_host=6,
             num_spines=2,
@@ -89,7 +89,7 @@ class World:
         self.injector = FaultInjector(self.cluster)
         self.fabric = DataPlaneFabric(
             self.cluster, self.injector, RngRegistry(11),
-            cache_enabled=cache_enabled,
+            cache_enabled=cache_enabled, ecmp_mode=ecmp_mode,
         )
         self.pairs = [
             (a, b)
@@ -135,9 +135,8 @@ class World:
         return self.fabric.send_probe_batch(batch, self.now)
 
     def touch_mid_batch(self, picks, row, container_index, link_index):
-        """Spray, a gray fault on a link, then a batch during which a
+        """A gray fault on a link, then a batch during which a
         container re-attaches before row ``row`` resolves."""
-        self.fabric.set_ecmp_mode("spray")
         self.faults.append(self.injector.inject_issue(
             GrayIssueType.PFC_STORM,
             self.links[link_index % len(self.links)], start=self.now,
@@ -293,9 +292,6 @@ class World:
             fault = self.faults.pop(index % len(self.faults))
             self.injector.clear(fault, at=self.now)
 
-    def ecmp(self, index):
-        self.fabric.set_ecmp_mode(("static", "spray")[index % 2])
-
     # -- what must be equal across the twins ----------------------------
 
     def table_state(self):
@@ -335,7 +331,6 @@ _operation = st.one_of(
     st.tuples(st.just("clear_health"), _index),
     st.tuples(st.just("inject"), _index, _index),
     st.tuples(st.just("clear"), _index),
-    st.tuples(st.just("ecmp"), _index),
     st.tuples(
         st.just("touch_mid_batch"), st.lists(_index, min_size=1, max_size=8),
         _index, _index, _index,
@@ -362,7 +357,7 @@ class PullValidity:
     Every reached entry kept a stamp of what it read: the sum of the
     versions of its ``(table, key)`` reads (a table's whole-table
     changes plus that key's changes) and the sum of its health objects'
-    versions plus the routing epoch; every entry kept the whole-overlay
+    versions; every entry kept the whole-overlay
     stamp it was last found valid under, and a fault that met a reached
     entry dropped its stamp.  A lookup re-read the stamp only when the
     whole-overlay stamp had moved.  This class keeps those versions from
@@ -399,9 +394,7 @@ class PullValidity:
             self.versions[table] + self.versions[(table, key)]
             for table, key in _reads(entry)
         )
-        epochs = self.cache.routing_epoch + sum(
-            self.versions[health] for health in entry.healths
-        )
+        epochs = sum(self.versions[health] for health in entry.healths)
         return tables, epochs
 
     def predict(self, pair):
@@ -450,11 +443,11 @@ class PullValidity:
         return vector
 
 
-def run_twins(operations):
-    """Apply ``operations`` to both worlds, comparing as it goes (the
-    cached world's counts against :class:`PullValidity`); returns the
-    cached world."""
-    cached, oracle = World(cache_enabled=True), World(cache_enabled=False)
+def run_twins(operations, ecmp_mode="static"):
+    """Apply ``operations`` to both worlds, built under ``ecmp_mode``,
+    comparing as it goes (the cached world's counts against
+    :class:`PullValidity`); returns the cached world."""
+    cached, oracle = World(True, ecmp_mode), World(False, ecmp_mode)
     PullValidity(cached)
     for step, (kind, *args) in enumerate(operations):
         got = getattr(cached, kind)(*args)
@@ -467,28 +460,33 @@ def run_twins(operations):
     return cached
 
 
-def _warm_then(operations):
+def _warm_then(operations, ecmp_mode):
     # Warm every pair first, so mutations land under a warm cache.
     everything = [("probe", list(range(48)))]
-    run_twins(everything + operations + everything)
+    run_twins(everything + operations + everything, ecmp_mode)
+
+
+_mode = st.sampled_from(["static", "spray"])
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(_operation, min_size=1, max_size=40))
+@given(st.lists(_operation, min_size=1, max_size=40), _mode)
 # A destination's half, walked before a re-attach of that destination
 # lands between two rows of one batch, is not replayed after it.
-@example(operations=[("touch_mid_batch", [0, 0], 1, 1, 0)])
-def test_cached_world_equals_uncached_world(operations):
-    _warm_then(operations)
+@example(
+    operations=[("touch_mid_batch", [0, 0], 1, 1, 0)], ecmp_mode="spray"
+)
+def test_cached_world_equals_uncached_world(operations, ecmp_mode):
+    _warm_then(operations, ecmp_mode)
 
 
 @pytest.mark.slow
 @settings(max_examples=1000, deadline=None)
-@given(st.lists(_operation, min_size=1, max_size=120))
-def test_cached_world_equals_uncached_world_deep(operations):
+@given(st.lists(_operation, min_size=1, max_size=120), _mode)
+def test_cached_world_equals_uncached_world_deep(operations, ecmp_mode):
     """The same oracle, further out: more and longer interleavings than
     tier-1 affords (CI's ``slow`` job)."""
-    _warm_then(operations)
+    _warm_then(operations, ecmp_mode)
 
 
 def test_a_partial_round_after_a_reverse_rule_removal():
@@ -510,24 +508,25 @@ def test_property_is_not_vacuous():
         ("ovs_replace", 1, 0, 5), ("reverse_remove", 9),
         ("health_flip", 3, 0), ("clear_health", 3),
         ("inject", 0, 4), ("clear", 0), ("inject", 9, 20), ("clear", 0),
-        ("detach", 4), ("attach", 4), ("crash", 2), ("ecmp", 1),
+        ("detach", 4), ("attach", 4), ("crash", 2),
         ("neighbour_install", 3), ("touch_mid_batch", [0, 5, 9], 1, 5, 7),
         ("again",),
     ]
     # Two rounds after each: the first re-walks what the mutation
     # touched, the second is served.
-    cached = run_twins([everything] * 2 + [
-        step for mutation in mutations
-        for step in (mutation, everything, everything)
-    ])
-    cache = cached.fabric.resolution_cache
-    causes = cached.fabric.metrics.counters("cache.miss.")
-    assert cache.hits > cache.misses
-    assert sum(causes.values()) == cache.misses
-    assert all(
-        causes.get(f"cache.miss.{cause}", 0) > 0
-        for cause in ("cold", "table_changed", "epoch_changed")
-    ), causes
+    for ecmp_mode in ("static", "spray"):
+        cached = run_twins([everything] * 2 + [
+            step for mutation in mutations
+            for step in (mutation, everything, everything)
+        ], ecmp_mode)
+        cache = cached.fabric.resolution_cache
+        causes = cached.fabric.metrics.counters("cache.miss.")
+        assert cache.hits > cache.misses
+        assert sum(causes.values()) == cache.misses
+        assert all(
+            causes.get(f"cache.miss.{cause}", 0) > 0
+            for cause in ("cold", "table_changed", "epoch_changed")
+        ), (ecmp_mode, causes)
 
 
 def test_a_row_marked_mid_batch_keeps_the_repeat_off_the_bulk_path():
@@ -538,4 +537,4 @@ def test_a_row_marked_mid_batch_keeps_the_repeat_off_the_bulk_path():
     run_twins([
         everything, ("touch_mid_batch", list(range(48)), 30, 0, 3),
         ("again",), ("again",),
-    ])
+    ], "spray")

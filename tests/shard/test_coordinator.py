@@ -245,10 +245,16 @@ class TestOneMonitorsVerdicts:
         assert result.verdict_summary() == expected
 
 
+def resolved(fabric, src, dst):
+    """The routes a pair's probes resolved to, as a localizer reads them."""
+    (paths,) = fabric.resolution_cache.paths_of([(src, dst)])
+    return paths
+
+
 class TracingBackend(InProcessBackend):
-    """In-process workers that also note, per opened event, the route
-    their own replica traces at the chunk's end — what a heartbeat used
-    to carry as ``EventRecord.path_devices``."""
+    """In-process workers that also note, per opened event, the routes
+    their own replica's probes resolved to at the chunk's end — what a
+    heartbeat used to carry as ``EventRecord.path_devices``."""
 
     def __init__(self):
         self.traced = {}
@@ -265,9 +271,7 @@ class TracingBackend(InProcessBackend):
             ):
                 self.traced.setdefault(
                     record.key,
-                    monitor.scenario.fabric.traceroute(
-                        record.src, record.dst
-                    ),
+                    resolved(monitor.scenario.fabric, record.src, record.dst),
                 )
             return result
 
@@ -277,7 +281,8 @@ class TracingBackend(InProcessBackend):
 
 class TestRoutesAreAskedNotCarried:
     """Why a heartbeat carries no route: for every event, the reference
-    replica traces exactly what the reporting worker's replica does."""
+    replica's cache holds exactly the routes the reporting worker's
+    replica resolved."""
 
     @pytest.mark.parametrize("num_shards", [1, 2, 4])
     def test_reference_traces_what_the_worker_would_have_shipped(
@@ -290,12 +295,12 @@ class TestRoutesAreAskedNotCarried:
         result = coordinator.run()
         reference = coordinator.reference.fabric
         asked = {
-            record.key: reference.traceroute(record.src, record.dst)
+            record.key: resolved(reference, record.src, record.dst)
             for record in result.events
         }
         assert len(result.events) == 16
         assert set(asked) == result.event_keys() == set(backend.traced)
-        assert None not in asked.values()
+        assert all(asked.values())
         assert asked == backend.traced
 
     def test_a_failover_replay_traces_them_again_identically(self):
@@ -308,7 +313,7 @@ class TestRoutesAreAskedNotCarried:
         reference = coordinator.reference.fabric
         assert result.reassignments
         assert backend.traced == {
-            record.key: reference.traceroute(record.src, record.dst)
+            record.key: resolved(reference, record.src, record.dst)
             for record in result.events
         }
 
