@@ -10,7 +10,8 @@ The split between the OVS table (source of truth) and the RNIC offload
 table (cache) is exactly what the paper's Figure-18 case study exercises:
 the RNIC silently invalidated an offloaded flow, packets fell back to
 software, latency jumped from 16 µs to 120 µs, and SkeletonHunter found
-the inconsistency by dumping and diffing the two tables (§5.3).
+the inconsistency by dumping and diffing the two tables (§5.3).  That
+diff is :func:`diff_tables`; Step 3 and the fabric verifier both read it.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "FlowKey",
     "FlowRule",
     "FlowTable",
+    "Mismatch",
     "RnicOffloadTable",
     "diff_tables",
 ]
@@ -139,8 +141,7 @@ class FlowTable:
     def install(self, key: FlowKey, action: FlowAction) -> FlowRule:
         """Install the rule for ``key``; last write wins.
 
-        Duplicate-key semantics, which the cluster-wide
-        ``flowtable.offload_consistency`` verification pass relies on:
+        Duplicate-key semantics, which :func:`diff_tables` relies on:
 
         * same ``action`` again → idempotent; the existing rule (with
           its hit counters and offload bookkeeping) is returned
@@ -148,9 +149,10 @@ class FlowTable:
           a hardware copy;
         * a **different** ``action`` → the rule is replaced wholesale
           and its offload state reset — the caller must re-offload,
-          exactly as a real OVS revalidation would.  Any hardware copy
-          left behind under the old action is a genuine inconsistency,
-          and the verifier reports it against the stale RNIC cache.
+          exactly as a real OVS revalidation would.  A hardware copy
+          left behind under the old action is a genuine inconsistency:
+          the diff reports it as :attr:`Mismatch.ACTION` against that
+          RNIC's cache.
         """
         existing = self._rules.get(key)
         if existing is not None and existing.action == action:
@@ -209,51 +211,69 @@ class RnicOffloadTable(FlowTable):
         return existed
 
 
+class Mismatch(enum.Enum):
+    """How an RNIC's offload cache disagrees with its host's OVS table;
+    each value is the reason a dump reports."""
+
+    #: OVS offloaded the rule to this RNIC, which no longer holds it
+    #: (the Figure-18 failure mode).
+    INVALIDATED = "marked offloaded in OVS but absent from RNIC"
+    #: The hardware copy forwards differently from the OVS rule.
+    ACTION = "RNIC action differs from OVS action"
+    #: The rule was never offloaded: its packets take the software path.
+    SOFTWARE = "rule not offloaded (software path)"
+    #: The cache holds a key OVS no longer has.
+    STALE = "stale RNIC rule with no OVS counterpart"
+    #: The cache holds a rule OVS did not offload to it.
+    UNCLAIMED = "RNIC holds a rule OVS did not offload to it"
+
+
 @dataclass(frozen=True)
 class FlowInconsistency:
     """A disagreement between the OVS table and the RNIC offload cache."""
 
     key: FlowKey
-    reason: str
+    kind: Mismatch
+
+    @property
+    def reason(self) -> str:
+        """The kind in words (what a dump's trace event carries)."""
+        return self.kind.value
 
 
 def diff_tables(
-    ovs: FlowTable,
-    offload: RnicOffloadTable,
-    rnic_name: Optional[str] = None,
+    ovs: FlowTable, cache: RnicOffloadTable
 ) -> List[FlowInconsistency]:
-    """Diff the OVS software table against one RNIC's hardware cache.
+    """Diff a host's OVS table against one of its RNIC caches.
 
-    Flags rules that OVS believes are offloaded (to this RNIC, when
-    ``rnic_name`` is given) but are missing from the hardware table (the
-    Figure-18 failure mode), hardware rules with no software counterpart
-    (stale entries), action mismatches, and rules stuck on the software
-    path (never offloaded at all).
+    The one OVS ↔ RNIC comparison: a rule belongs to the cache whose
+    :attr:`~RnicOffloadTable.device` its ``offloaded_to`` names, and a
+    rule naming no RNIC belongs to every cache of the host.  One
+    :class:`FlowInconsistency` per mismatch, OVS rules by key first,
+    then the cache's stale keys.
     """
+    device = cache.device
     problems: List[FlowInconsistency] = []
     for rule in ovs.rules():
-        if rnic_name is not None and rule.offloaded_to not in (
-            None, rnic_name
-        ):
-            continue  # this rule lives in a different RNIC's cache
-        hw = offload.lookup(rule.key)
-        if rule.offloaded and hw is None:
-            if rnic_name is None or rule.offloaded_to == rnic_name:
-                problems.append(FlowInconsistency(
-                    rule.key, "marked offloaded in OVS but absent from RNIC"
-                ))
-        elif hw is not None and hw.action != rule.action:
-            problems.append(FlowInconsistency(
-                rule.key, "RNIC action differs from OVS action"
-            ))
-        elif not rule.offloaded and hw is None:
-            problems.append(FlowInconsistency(
-                rule.key, "rule not offloaded (software path)"
-            ))
-    ovs_keys = set(ovs.keys())
-    for key in offload.keys():
-        if key not in ovs_keys:
-            problems.append(FlowInconsistency(
-                key, "stale RNIC rule with no OVS counterpart"
-            ))
+        hw = cache.lookup(rule.key)
+        ours = rule.offloaded_to in (None, device)
+        mine = rule.offloaded and rule.offloaded_to == device
+        if hw is None:
+            if mine:
+                kind = Mismatch.INVALIDATED
+            elif ours and not rule.offloaded:
+                kind = Mismatch.SOFTWARE
+            else:
+                continue
+        elif ours and hw.action != rule.action:
+            kind = Mismatch.ACTION
+        elif not mine:
+            kind = Mismatch.UNCLAIMED
+        else:
+            continue
+        problems.append(FlowInconsistency(rule.key, kind))
+    problems += [
+        FlowInconsistency(key, Mismatch.STALE)
+        for key in cache.keys() if ovs.lookup(key) is None
+    ]
     return problems

@@ -518,15 +518,6 @@ class Localizer:
                 pairs=(event.pair,),
             )
         if finding.software_path_rules > 0:
-            if self._whole_host_on_software_path(rnic):
-                return Diagnosis(
-                    component=f"host:{rnic.host}",
-                    component_class=ComponentClass.VIRTUAL_SWITCH,
-                    layer="rnic",
-                    evidence="every RNIC of the host is on the "
-                    "software path (virtual switch not using RDMA)",
-                    pairs=(event.pair,),
-                )
             return Diagnosis(
                 component=str(rnic),
                 component_class=ComponentClass.RNIC,
@@ -542,23 +533,6 @@ class Localizer:
             evidence="RNIC hardware rules diverge from OVS",
             pairs=(event.pair,),
         )
-
-    def _whole_host_on_software_path(self, rnic: RnicId) -> bool:
-        host = self.cluster.host(rnic.host)
-        findings = self.validator.validate_many(
-            (r.id for r in host.rnics), at=self._now
-        )
-        active = [
-            f for f in findings.values()
-            if not f.read_error and (
-                f.inconsistencies or len(
-                    self.cluster.overlay.offload_table(f.rnic)
-                ) > 0
-            )
-        ]
-        if len(active) < 2:
-            return False
-        return all(f.software_path_rules > 0 for f in active)
 
     # ------------------------------------------------------------------
     # Step 4: host concentration fallback

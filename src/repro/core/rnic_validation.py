@@ -1,27 +1,30 @@
 """RNIC flow-table validation (§5.3, "Validating RNICs").
 
 When neither the overlay walk nor underlay tomography explains a failure,
-SkeletonHunter dumps the flow tables offloaded from OVS to the RNICs on
-both sides of the failing pair and diffs them against the OVS software
-tables.  Disagreements pinpoint the RNIC or the virtual switch:
+SkeletonHunter dumps the hardware flow cache of the RNIC on each side of
+the failing pair and diffs it against its host's OVS software table
+(:func:`~repro.cluster.flowtable.diff_tables`, the diff the fabric
+verifier reads too).  Of its mismatches, a dump keeps those about the
+flows its own RNIC carries:
 
 * OVS says *offloaded* but the hardware cache lacks the rule — the RNIC
   silently invalidated it (the Figure-18 case; repetitive offloading).
-* rules stuck on the software path (never offloaded) — either one RNIC
-  cannot offload (offloading failure) or the host's virtual switch has
-  stopped using RDMA entirely.
+* rules stuck on the software path (never offloaded) — the RNIC cannot
+  offload (offloading failure).
 * stale or divergent hardware rules — RNIC-side corruption.
 
-The dump is flagged as *intrusive*: the paper notes it can temporarily
-degrade the data plane, so the localizer only reaches for it last.
+A rule the cache holds that OVS offloaded elsewhere, or nowhere, is no
+evidence against this RNIC, so the dump drops it.  The dump is flagged
+as *intrusive*: the paper notes it can temporarily degrade the data
+plane, so the localizer only reaches for it last.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import Dict, List
 
-from repro.cluster.flowtable import FlowInconsistency, diff_tables
+from repro.cluster.flowtable import FlowInconsistency, Mismatch, diff_tables
 from repro.cluster.identifiers import RnicId
 from repro.cluster.orchestrator import Cluster
 from repro.core.resilience import MAX_RETRIES, backoff_s
@@ -51,16 +54,14 @@ class RnicFinding:
     def silently_invalidated(self) -> int:
         """Rules OVS believes are in hardware but are not (Figure 18)."""
         return sum(
-            1 for item in self.inconsistencies
-            if "absent from RNIC" in item.reason
+            item.kind is Mismatch.INVALIDATED for item in self.inconsistencies
         )
 
     @property
     def software_path_rules(self) -> int:
         """Rules that never made it into hardware."""
         return sum(
-            1 for item in self.inconsistencies
-            if "not offloaded" in item.reason
+            item.kind is Mismatch.SOFTWARE for item in self.inconsistencies
         )
 
     def as_fields(self, examples: int = 3) -> Dict[str, object]:
@@ -111,10 +112,12 @@ class RnicValidator:
             )
         ovs = overlay.ovs_table(rnic.host)
         hw = overlay.offload_table(rnic)
-        inconsistencies = diff_tables(ovs, hw, rnic_name=str(rnic))
         return RnicFinding(
             rnic=rnic,
-            inconsistencies=inconsistencies,
+            inconsistencies=[
+                item for item in diff_tables(ovs, hw)
+                if item.kind is not Mismatch.UNCLAIMED
+            ],
             invalidation_count=hw.invalidations,
         )
 
@@ -134,12 +137,3 @@ class RnicValidator:
                 attempt, keyed_uniform(self.chaos.seed, key, salt=attempt)
             )
         return True
-
-    def validate_many(
-        self, rnics: Iterable[RnicId], at: float = 0.0
-    ) -> Dict[RnicId, RnicFinding]:
-        """Validate several RNICs, deduplicated, in sorted order."""
-        findings: Dict[RnicId, RnicFinding] = {}
-        for rnic in sorted(set(rnics)):
-            findings[rnic] = self.validate(rnic, at=at)
-        return findings

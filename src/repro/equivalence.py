@@ -358,9 +358,12 @@ def _named(findings) -> List[str]:
 def _verifier(scratch: str) -> Dict[str, Any]:
     from repro.verify.cli import build_default_report
 
-    issue = "REPETITIVE_FLOW_OFFLOADING"  # one injected flow-table fault
-    return {"healthy": _named(build_default_report().errors()),
-            issue: _named(build_default_report(issue=issue).errors())}
+    row = {"healthy": _named(build_default_report().errors())}
+    for issue in (  # the RNIC-targeted faults that touch offload state
+        "REPETITIVE_FLOW_OFFLOADING", "OFFLOADING_FAILURE", "RNIC_GID_CHANGE",
+    ):
+        row[issue] = _named(build_default_report(issue=issue).errors())
+    return row
 
 
 def _skeleton(scratch: str) -> Dict[str, Any]:

@@ -3,23 +3,35 @@
 The paper's Figure-18 case study hinges on the OVS software table and
 the RNIC hardware cache agreeing: the RNIC silently invalidated an
 offloaded flow, packets fell back to the software path, and latency
-jumped 16 µs → 120 µs.  :func:`repro.cluster.flowtable.diff_tables`
-diffs one (OVS, RNIC) pair at runtime; this pass generalizes the same
-contract to the *whole cluster* statically:
+jumped 16 µs → 120 µs.  This pass reads the same diff Step 3 dumps
+(:func:`repro.cluster.flowtable.diff_tables`), for every RNIC cache of
+every host, and reports each mismatch as a finding:
 
-* every OVS rule marked ``offloaded`` resolves in **exactly one** RNIC
-  cache on its host — the one named by ``offloaded_to``;
-* the hardware copy carries the **same action** as the software rule;
-* no RNIC cache holds a rule with no OVS counterpart (stale hardware
-  entry) or one its host's OVS table does not claim to have offloaded
-  (unaccounted hardware rule).
+* a rule OVS offloaded to an RNIC is missing from its cache, or the
+  copy there carries another action, or the cache holds a key OVS no
+  longer has — ERRORs;
+* a cache holds a rule OVS did not offload to it — an ERROR when
+  another cache on the host is the one OVS named (the rule resolves in
+  more than one cache), a WARNING otherwise;
+* a rule on the software path is no finding: a VTEP forced to software
+  is a state, not an inconsistency.
+
+Two checks read the host's OVS table alone, since no per-cache diff
+sees them: a rule marked offloaded that names no RNIC, and one naming
+an RNIC with no cache on its host.
 """
 
 from __future__ import annotations
 
 from typing import Dict
 
-from repro.cluster.flowtable import FlowKey, FlowRule
+from repro.cluster.flowtable import (
+    FlowInconsistency,
+    FlowTable,
+    Mismatch,
+    RnicOffloadTable,
+    diff_tables,
+)
 from repro.cluster.identifiers import HostId, RnicId
 from repro.verify.framework import (
     PassResult,
@@ -39,158 +51,107 @@ class OffloadConsistencyPass(VerificationPass):
     def run(self, context: VerificationContext) -> PassResult:
         result = self.result()
         overlay = context.cluster.overlay
-        # Hardware state, grouped by the host the RNIC lives on.
-        hw_by_host: Dict[HostId, Dict[RnicId, Dict[FlowKey, FlowRule]]] = {}
-        for rnic in overlay.offload_rnics():
-            table = overlay.offload_table(rnic)
-            hw_by_host.setdefault(rnic.host, {})[rnic] = {
-                rule.key: rule for rule in table.rules()
-            }
-
-        claimed: Dict[RnicId, set] = {}  # keys OVS says each RNIC holds
+        rnics = overlay.offload_rnics()
         for host in overlay.hosts_with_tables():
             ovs = overlay.ovs_table(host)
-            host_hw = hw_by_host.get(host, {})
+            caches = {str(r): r for r in rnics if r.host == host}
             for rule in ovs.rules():
                 result.checked += 1
-                if rule.offloaded:
-                    self._check_offloaded(
-                        result, host, rule, host_hw, claimed
+                if not rule.offloaded or rule.offloaded_to in caches:
+                    continue
+                if rule.offloaded_to is None:
+                    self.finding(
+                        result, f"ovs:{host}",
+                        f"rule [{rule.key}] marked offloaded but names no "
+                        "RNIC (offloaded_to unset)",
                     )
                 else:
-                    self._check_software(result, host, rule, host_hw)
-
-        # Reverse direction: every hardware rule must be claimed by the
-        # host's OVS table.
-        for host, tables in sorted(hw_by_host.items()):
-            ovs = overlay.ovs_table(host)
-            for rnic, rules in sorted(tables.items()):
-                for key, hw_rule in sorted(rules.items()):
-                    result.checked += 1
-                    sw = ovs.lookup(key)
-                    if sw is None:
-                        self.finding(
-                            result, rnic,
-                            f"stale hardware rule [{key}] has no OVS "
-                            "counterpart on its host",
-                            details=[
-                                f"host {host} OVS table has no rule "
-                                f"for {key}",
-                                "hardware serves a flow the control "
-                                "plane no longer knows",
-                            ],
-                        )
-                    elif key not in claimed.get(rnic, set()):
-                        self.finding(
-                            result, rnic,
-                            f"unaccounted hardware rule [{key}]: the "
-                            "host's OVS table does not claim this "
-                            "RNIC holds it",
-                            details=[
-                                f"OVS rule offloaded="
-                                f"{sw.offloaded}, offloaded_to="
-                                f"{sw.offloaded_to}",
-                            ],
-                            severity=Severity.WARNING,
-                        )
+                    self.finding(
+                        result, rule.offloaded_to,
+                        f"rule [{rule.key}] marked offloaded to "
+                        f"{rule.offloaded_to}, but that RNIC has no "
+                        "hardware cache on this host",
+                        details=[
+                            f"host {host} caches: "
+                            + (", ".join(caches) or "(none)"),
+                        ],
+                    )
+            for rnic in caches.values():
+                cache = overlay.offload_table(rnic)
+                result.checked += len(cache)
+                for item in diff_tables(ovs, cache):
+                    self._report(result, host, rnic, item, ovs, cache, caches)
         return result
 
-    def _check_offloaded(
+    def _report(
         self,
         result: PassResult,
         host: HostId,
-        rule: FlowRule,
-        host_hw: Dict[RnicId, Dict[FlowKey, FlowRule]],
-        claimed: Dict[RnicId, set],
+        rnic: RnicId,
+        item: FlowInconsistency,
+        ovs: FlowTable,
+        cache: RnicOffloadTable,
+        caches: Dict[str, RnicId],
     ) -> None:
-        if rule.offloaded_to is None:
+        key, kind = item.key, item.kind
+        if kind is Mismatch.INVALIDATED:
             self.finding(
-                result, f"ovs:{host}",
-                f"rule [{rule.key}] marked offloaded but names no "
-                "RNIC (offloaded_to unset)",
-            )
-            return
-        holders = [
-            rnic for rnic, rules in host_hw.items()
-            if rule.key in rules
-        ]
-        target = next(
-            (r for r in host_hw if str(r) == rule.offloaded_to), None
-        )
-        if target is None:
-            self.finding(
-                result, rule.offloaded_to,
-                f"rule [{rule.key}] marked offloaded to "
-                f"{rule.offloaded_to}, but that RNIC has no hardware "
-                "cache on this host",
+                result, rnic,
+                f"rule [{key}] marked offloaded in OVS but absent from "
+                "the RNIC cache (silent invalidation)",
                 details=[
-                    f"host {host} caches: "
-                    + (", ".join(str(r) for r in sorted(host_hw))
-                       or "(none)"),
-                ],
-            )
-            return
-        if target not in holders:
-            self.finding(
-                result, rule.offloaded_to,
-                f"rule [{rule.key}] marked offloaded in OVS but "
-                "absent from the RNIC cache (silent invalidation)",
-                details=[
-                    f"OVS on {host} believes {rule.offloaded_to} "
-                    "holds the rule",
+                    f"OVS on {host} believes {rnic} holds the rule",
                     "packets for this flow fall back to the software "
                     "path (Figure-18 failure mode)",
                 ],
             )
-        else:
-            hw_rule = host_hw[target][rule.key]
-            if hw_rule.action != rule.action:
-                self.finding(
-                    result, rule.offloaded_to,
-                    f"hardware action for [{rule.key}] differs from "
-                    "the OVS action",
-                    details=[
-                        f"OVS:  {rule.action}",
-                        f"RNIC: {hw_rule.action}",
-                        "hardware forwards this flow differently "
-                        "from the control plane's intent",
-                    ],
-                )
-            # Claimed even on an action mismatch: that divergence has
-            # its own finding above and is not *also* unaccounted.
-            claimed.setdefault(target, set()).add(rule.key)
-        extra = [r for r in holders if r != target]
-        for rnic in sorted(extra):
+            return
+        if kind is Mismatch.STALE:
             self.finding(
                 result, rnic,
-                f"rule [{rule.key}] resolves in more than one RNIC "
-                f"cache on {host} (offloaded_to names "
-                f"{rule.offloaded_to})",
+                f"stale hardware rule [{key}] has no OVS counterpart on "
+                "its host",
                 details=[
-                    "an offloaded rule must live in exactly one "
-                    "hardware cache per host",
+                    f"host {host} OVS table has no rule for {key}",
+                    "hardware serves a flow the control plane no longer "
+                    "knows",
                 ],
             )
-
-    def _check_software(
-        self,
-        result: PassResult,
-        host: HostId,
-        rule: FlowRule,
-        host_hw: Dict[RnicId, Dict[FlowKey, FlowRule]],
-    ) -> None:
-        holders = [
-            rnic for rnic, rules in host_hw.items()
-            if rule.key in rules
-        ]
-        for rnic in sorted(holders):
+            return
+        if kind is Mismatch.SOFTWARE:
+            return
+        # ACTION or UNCLAIMED: the cache holds a copy of an OVS rule.
+        rule = ovs.lookup(key)
+        owner = caches.get(rule.offloaded_to) if rule.offloaded else None
+        if owner == rnic:  # an ACTION on the rule OVS offloaded here
             self.finding(
                 result, rnic,
-                f"rule [{rule.key}] is not marked offloaded, yet "
-                "this RNIC's cache holds it",
+                f"hardware action for [{key}] differs from the OVS action",
                 details=[
-                    "OVS would re-punt first packets while hardware "
-                    "short-circuits them: state divergence",
+                    f"OVS:  {rule.action}",
+                    f"RNIC: {cache.lookup(key).action}",
+                    "hardware forwards this flow differently from the "
+                    "control plane's intent",
+                ],
+            )
+        elif owner is not None:
+            self.finding(
+                result, rnic,
+                f"rule [{key}] resolves in more than one RNIC cache on "
+                f"{host} (offloaded_to names {owner})",
+                details=[
+                    "an offloaded rule must live in exactly one hardware "
+                    "cache per host",
+                ],
+            )
+        else:
+            self.finding(
+                result, rnic,
+                f"unaccounted hardware rule [{key}]: the host's OVS table "
+                "does not claim this RNIC holds it",
+                details=[
+                    f"OVS rule offloaded={rule.offloaded}, "
+                    f"offloaded_to={rule.offloaded_to}",
                 ],
                 severity=Severity.WARNING,
             )

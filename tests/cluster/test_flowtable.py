@@ -7,6 +7,7 @@ from repro.cluster.flowtable import (
     FlowAction,
     FlowKey,
     FlowTable,
+    Mismatch,
     RnicOffloadTable,
     diff_tables,
 )
@@ -84,56 +85,83 @@ class TestOffloadTable:
         assert hw.invalidations == 1
 
 
+RNIC = "host-0/rnic-0"
+
+
+def tables():
+    """An OVS table and the cache of the RNIC named :data:`RNIC`."""
+    return FlowTable(), RnicOffloadTable(device=RNIC)
+
+
+def offloaded(ovs, key, action, to=RNIC):
+    rule = ovs.install(key, action)
+    rule.offloaded = True
+    rule.offloaded_to = to
+    return rule
+
+
+def kinds(problems):
+    return [p.kind for p in problems]
+
+
 class TestDiff:
     def test_consistent_tables_are_clean(self):
-        ovs, hw = FlowTable(), RnicOffloadTable()
+        ovs, hw = tables()
         key = FlowKey(1, "a")
-        rule = ovs.install(key, encap())
-        rule.offloaded = True
-        rule.offloaded_to = "host-0/rnic-0"
+        offloaded(ovs, key, encap())
         hw.install(key, encap())
-        assert diff_tables(ovs, hw, "host-0/rnic-0") == []
+        assert diff_tables(ovs, hw) == []
 
     def test_silent_invalidation_flagged(self):
-        ovs, hw = FlowTable(), RnicOffloadTable()
-        key = FlowKey(1, "a")
-        rule = ovs.install(key, encap())
-        rule.offloaded = True
-        rule.offloaded_to = "host-0/rnic-0"
-        problems = diff_tables(ovs, hw, "host-0/rnic-0")
-        assert len(problems) == 1
-        assert "absent from RNIC" in problems[0].reason
+        ovs, hw = tables()
+        offloaded(ovs, FlowKey(1, "a"), encap())
+        problems = diff_tables(ovs, hw)
+        assert kinds(problems) == [Mismatch.INVALIDATED]
+        assert problems[0].reason == (
+            "marked offloaded in OVS but absent from RNIC"
+        )
 
     def test_rule_for_other_rnic_ignored(self):
-        ovs, hw = FlowTable(), RnicOffloadTable()
-        rule = ovs.install(FlowKey(1, "a"), encap())
-        rule.offloaded = True
-        rule.offloaded_to = "host-0/rnic-7"
-        assert diff_tables(ovs, hw, "host-0/rnic-0") == []
+        ovs, hw = tables()
+        offloaded(ovs, FlowKey(1, "a"), encap(), to="host-0/rnic-7")
+        assert diff_tables(ovs, hw) == []
 
     def test_action_mismatch_flagged(self):
-        ovs, hw = RnicOffloadTable(), RnicOffloadTable()
+        ovs, hw = tables()
         key = FlowKey(1, "a")
-        rule = ovs.install(key, encap("10.0.0.1"))
-        rule.offloaded = True
-        rule.offloaded_to = "host-0/rnic-0"
+        offloaded(ovs, key, encap("10.0.0.1"))
         hw.install(key, encap("10.0.0.9"))
-        problems = diff_tables(ovs, hw, "host-0/rnic-0")
-        assert any("differs" in p.reason for p in problems)
+        problems = diff_tables(ovs, hw)
+        assert kinds(problems) == [Mismatch.ACTION]
+        assert problems[0].reason == "RNIC action differs from OVS action"
 
     def test_stale_hardware_rule_flagged(self):
-        ovs, hw = FlowTable(), RnicOffloadTable()
+        ovs, hw = tables()
         hw.install(FlowKey(1, "ghost"), encap())
-        problems = diff_tables(ovs, hw, "host-0/rnic-0")
-        assert any("stale" in p.reason for p in problems)
+        problems = diff_tables(ovs, hw)
+        assert kinds(problems) == [Mismatch.STALE]
+        assert problems[0].reason == (
+            "stale RNIC rule with no OVS counterpart"
+        )
 
     def test_software_path_rule_flagged(self):
-        ovs, hw = FlowTable(), RnicOffloadTable()
+        ovs, hw = tables()
         rule = ovs.install(FlowKey(1, "a"), encap())
         rule.offloaded = False
-        rule.offloaded_to = "host-0/rnic-0"
-        problems = diff_tables(ovs, hw, "host-0/rnic-0")
-        assert any("not offloaded" in p.reason for p in problems)
+        rule.offloaded_to = RNIC
+        problems = diff_tables(ovs, hw)
+        assert kinds(problems) == [Mismatch.SOFTWARE]
+        assert problems[0].reason == "rule not offloaded (software path)"
+
+    def test_rule_not_offloaded_here_but_held_is_unclaimed(self):
+        ovs, hw = tables()
+        key = FlowKey(1, "a")
+        ovs.install(key, encap())  # on the software path, held anyway
+        hw.install(key, encap())
+        other = FlowKey(2, "b")
+        offloaded(ovs, other, encap(), to="host-0/rnic-3")
+        hw.install(other, encap("10.0.0.9"))  # unclaimed, whatever action
+        assert kinds(diff_tables(ovs, hw)) == [Mismatch.UNCLAIMED] * 2
 
 
 class TestInstallSemantics:
@@ -167,51 +195,27 @@ class TestInstallSemantics:
 
 class TestDiffEdgeCases:
     def test_both_tables_empty(self):
-        assert diff_tables(FlowTable(), RnicOffloadTable()) == []
-        assert diff_tables(
-            FlowTable(), RnicOffloadTable(), "host-0/rnic-0"
-        ) == []
+        assert diff_tables(*tables()) == []
 
     def test_empty_ovs_nonempty_hardware_all_stale(self):
-        ovs, hw = FlowTable(), RnicOffloadTable()
+        ovs, hw = tables()
         hw.install(FlowKey(1, "a"), encap())
         hw.install(FlowKey(2, "b"), encap())
-        problems = diff_tables(ovs, hw)
-        assert len(problems) == 2
-        assert all("stale" in p.reason for p in problems)
+        assert kinds(diff_tables(ovs, hw)) == [Mismatch.STALE] * 2
 
     def test_offloaded_to_other_rnic_with_name_not_misflagged(self):
         # The rule's hardware copy lives in a *different* RNIC's cache;
         # diffing against this cache must not flag it as invalidated.
-        ovs, hw = FlowTable(), RnicOffloadTable()
-        rule = ovs.install(FlowKey(1, "a"), encap())
-        rule.offloaded = True
-        rule.offloaded_to = "host-0/rnic-3"
-        assert diff_tables(ovs, hw, rnic_name="host-0/rnic-0") == []
-
-    def test_offloaded_to_other_rnic_without_name_still_flagged(self):
-        # Without a named RNIC the diff is table-vs-table: the absent
-        # hardware copy is reported regardless of which cache owns it.
-        ovs, hw = FlowTable(), RnicOffloadTable()
-        rule = ovs.install(FlowKey(1, "a"), encap())
-        rule.offloaded = True
-        rule.offloaded_to = "host-0/rnic-3"
-        problems = diff_tables(ovs, hw)
-        assert len(problems) == 1
-        assert "absent from RNIC" in problems[0].reason
+        ovs, hw = tables()
+        offloaded(ovs, FlowKey(1, "a"), encap(), to="host-0/rnic-3")
+        assert diff_tables(ovs, hw) == []
 
     def test_mismatch_and_stale_combined_in_one_diff(self):
-        ovs, hw = FlowTable(), RnicOffloadTable()
+        ovs, hw = tables()
         shared = FlowKey(1, "a")
-        rule = ovs.install(shared, encap("10.0.0.1"))
-        rule.offloaded = True
-        rule.offloaded_to = "host-0/rnic-0"
+        offloaded(ovs, shared, encap("10.0.0.1"))
         hw.install(shared, encap("10.0.0.9"))       # action mismatch
         hw.install(FlowKey(2, "ghost"), encap())    # stale entry
-        problems = diff_tables(ovs, hw, "host-0/rnic-0")
-        reasons = sorted(p.reason for p in problems)
-        assert len(problems) == 2
-        assert any("differs" in r for r in reasons)
-        assert any("stale" in r for r in reasons)
-        keys = {p.key for p in problems}
-        assert keys == {shared, FlowKey(2, "ghost")}
+        problems = diff_tables(ovs, hw)
+        assert kinds(problems) == [Mismatch.ACTION, Mismatch.STALE]
+        assert [p.key for p in problems] == [shared, FlowKey(2, "ghost")]

@@ -160,23 +160,6 @@ class TestRnicValidationLayer:
             for d in report.diagnoses
         )
 
-    def test_whole_host_software_path_blames_vswitch(self, stack):
-        cluster, task, injector, fabric, localizer = stack
-        pairs = [pair_of(task, 0, 1, slot=s) for s in (0, 1)]
-        warm_flows(fabric, task, pairs)
-        host = task.container(0).host
-        fault = injector.inject_issue(
-            IssueType.NOT_USING_RDMA, host, start=50.0
-        )
-        report = localizer.localize(
-            [event(pairs[0], Symptom.HIGH_LATENCY)]
-        )
-        assert any(
-            d.component in fault.culprits
-            and d.component_class == ComponentClass.VIRTUAL_SWITCH
-            for d in report.diagnoses
-        )
-
 
 class TestHostFallback:
     def test_host_fault_promoted_from_tomography(self, stack):

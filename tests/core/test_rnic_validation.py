@@ -55,11 +55,6 @@ class TestValidation:
         validator.validate(rnic)
         assert validator.dumps_performed == 2
 
-    def test_validate_many_dedups(self, setup):
-        validator, _, rnic, _ = setup
-        findings = validator.validate_many([rnic, rnic])
-        assert list(findings) == [rnic]
-
     def test_other_rnics_unaffected_by_fault(self, setup, cluster):
         validator, injector, rnic, task = setup
         injector.inject_issue(

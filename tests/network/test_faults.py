@@ -199,7 +199,7 @@ class TestSideEffects:
     def test_repetitive_offloading_creates_inconsistency(
         self, injector, cluster, rnic
     ):
-        from repro.cluster.flowtable import diff_tables
+        from repro.cluster.flowtable import Mismatch, diff_tables
 
         fault = injector.inject_issue(
             IssueType.REPETITIVE_FLOW_OFFLOADING, rnic, start=0.0
@@ -207,17 +207,15 @@ class TestSideEffects:
         problems = diff_tables(
             cluster.overlay.ovs_table(rnic.host),
             cluster.overlay.offload_table(rnic),
-            str(rnic),
         )
-        assert any("absent from RNIC" in p.reason for p in problems)
+        assert any(p.kind is Mismatch.INVALIDATED for p in problems)
         injector.clear(fault, at=1.0)
         problems_after = diff_tables(
             cluster.overlay.ovs_table(rnic.host),
             cluster.overlay.offload_table(rnic),
-            str(rnic),
         )
         assert not any(
-            "absent from RNIC" in p.reason for p in problems_after
+            p.kind is Mismatch.INVALIDATED for p in problems_after
         )
 
     def test_container_crash_downs_all_veths(

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cluster.flowtable import FlowAction, FlowKey
+from repro.core.rnic_validation import RnicValidator
+from repro.network.issues import IssueType
 from repro.verify.framework import Severity, VerificationContext
 from repro.verify.flowtable_passes import OffloadConsistencyPass
 
@@ -36,6 +38,17 @@ class TestOffloadConsistencyPass:
         result = run_pass(scenario)
         assert result.findings == []
         assert result.checked > 0
+
+    def test_software_path_is_a_state_not_a_finding(self, scenario):
+        # A forced VTEP demotes its rules and empties its cache: Step 3
+        # reads the software path as evidence, the pass finds nothing.
+        rnic = scenario.rnic_of_rank(0)
+        scenario.injector.inject_issue(
+            IssueType.OFFLOADING_FAILURE, rnic, start=scenario.engine.now
+        )
+        finding = RnicValidator(scenario.cluster).validate(rnic)
+        assert finding.software_path_rules > 0
+        assert run_pass(scenario).findings == []
 
     def test_silent_invalidation_names_the_rnic(self, scenario):
         overlay = scenario.cluster.overlay
