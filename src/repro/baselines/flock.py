@@ -20,10 +20,11 @@ Per link ``L`` with prior failure probability ``p`` (:data:`PRIOR`):
 Log-odds accumulate over all failing and healthy observations; links
 whose posterior clears :data:`POSTERIOR_FLOOR` are suspects, ranked by
 posterior (at most :data:`MAX_SUSPECTS`).  Promotion to a shared
-switch/host/RNIC reuses the same rule the tomography voter applies, so
-the localization corpus (:mod:`repro.chaos.corpus`) and the gray gate
-score Flock and the pipeline on equal footing: Flock is the comparator
-the pipeline's vote must keep holding against.
+switch or host is the tomography voter's own rule
+(:func:`~repro.core.tomography.promote`), so the localization corpus
+(:mod:`repro.chaos.corpus`) and the gray gate score Flock and the
+pipeline on equal footing: Flock is the comparator the pipeline's vote
+must keep holding against.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from repro.cluster.orchestrator import Cluster
 from repro.core.analyzer import FailureEvent
 from repro.core.localization import Diagnosis, LocalizationReport
 from repro.core.pinglist import ProbePair
-from repro.core.tomography import PhysicalIntersection, crossing_mass
+from repro.core.tomography import crossing_mass, promote
 from repro.network.fabric import DataPlaneFabric
 from repro.network.issues import ComponentClass
 
@@ -119,15 +120,14 @@ class FlockLocalizer:
             report.unexplained = list(events)
             return report
         suspects = tuple(sorted(link for link, _ in ranked))
-        component, kind = PhysicalIntersection._promote(suspects)
+        component, kind = promote(suspects)
         pairs = tuple(failing)
         if component is not None:
             top_posterior = max(p for _, p in ranked)
             report.diagnoses.append(Diagnosis(
                 component=component,
                 component_class=(
-                    ComponentClass.RNIC if kind == "rnic"
-                    else ComponentClass.HOST_BOARD if kind == "host"
+                    ComponentClass.HOST_BOARD if kind == "host"
                     else ComponentClass.INTER_HOST_NETWORK
                 ),
                 layer="underlay",

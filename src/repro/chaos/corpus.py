@@ -25,7 +25,9 @@ scored as the pipeline is (:func:`~repro.core.evaluation.verdicts_of`):
 recall (a culprit named in any report of the fault window), top-1 (the
 first diagnosis of the window's first report) and precision (culprit
 diagnoses over all diagnoses in the window), each with a Wilson 95%
-interval, per regime and per issue.
+interval, per regime and per issue.  Detection delay is scored beside
+them, for the pipeline's detector: the median over detected legs, with
+a distribution-free 95% interval (:func:`median_ci`).
 
 The committed artifact is ``BENCH_localization.json``; a fixed slice of
 it (:data:`SLICE`) is a ``repro equivalence`` row.
@@ -36,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import statistics
 from collections import defaultdict
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -57,6 +60,7 @@ __all__ = [
     "corpus_leg",
     "digest",
     "holds",
+    "median_ci",
     "slice_rows",
     "wilson",
     "write",
@@ -79,11 +83,14 @@ Z95 = 1.959963984540054
 
 #: The legs ``repro equivalence`` reruns, as ``(issue, seed, target,
 #: ecmp, ping list, world)``: the single-witness CRC link of §7.1 (which
-#: no rule localizes), and in each ECMP mode the one leg in which RNIC
+#: no rule localizes), a CRC link and a dead RNIC both named first as
+#: their access link, and in each ECMP mode the one leg in which RNIC
 #: validation (Step 3) diagnoses, where the pipeline and Flock disagree
 #: on top-1.  Their rows must equal ``BENCH_localization.json``'s.
 SLICE: Tuple[Tuple[str, int, str, str, str, int], ...] = (
     ("CRC_ERROR", 0, "sparse", "static", "skeleton", 0),
+    ("CRC_ERROR", 0, "standard", "static", "basic", 0),
+    ("RNIC_PORT_DOWN", 0, "standard", "static", "basic", 0),
     ("REPETITIVE_FLOW_OFFLOADING", 7, "standard", "static", "basic", 0),
     ("REPETITIVE_FLOW_OFFLOADING", 7, "standard", "spray", "basic", 0),
 )
@@ -267,10 +274,36 @@ def _grouped(
     return dict(sorted(groups.items()))
 
 
-def _delay(legs: Sequence[Dict[str, Any]]) -> Optional[float]:
+def median_ci(values: Sequence[float]) -> Optional[List[float]]:
+    """A distribution-free 95% interval of the median of ``values``.
+
+    The order statistics ``x_(j)`` and ``x_(n+1-j)`` (1-based, sorted)
+    cover the median with probability ``1 - 2 P(Binomial(n, 1/2) < j)``;
+    ``j`` is the largest rank that keeps this at least 95%.  ``None``
+    below six values, where even the extremes cover less."""
+    n = len(values)
+    below, j = 0, 0     # 2**n * P(Binomial(n, 1/2) < j), exactly
+    while j < n and 40 * (below + math.comb(n, j)) <= 2 ** n:
+        below += math.comb(n, j)
+        j += 1
+    if j == 0:
+        return None
+    ordered = sorted(values)
+    return [ordered[j - 1], ordered[n - j]]
+
+
+def _delay(legs: Sequence[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
+    """The detected legs' median detection delay and its interval."""
     delays = [leg["detection_delay_s"] for leg in legs
               if leg["detection_delay_s"] is not None]
-    return round(sum(delays) / len(delays), 3) if delays else None
+    if not delays:
+        return None
+    ci = median_ci(delays)
+    return {
+        "legs": len(delays),
+        "median": round(statistics.median(delays), 3),
+        "median_ci": ci and [round(bound, 3) for bound in ci],
+    }
 
 
 class LocalizationCorpus(Gate):

@@ -19,7 +19,7 @@ every later one reads it.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Callable, Tuple, TypeVar
+from typing import Any, Callable, Optional, Tuple, TypeVar
 
 __all__ = [
     "ContainerId",
@@ -31,6 +31,7 @@ __all__ = [
     "TaskId",
     "VfId",
     "carries_hash",
+    "implicated_host",
 ]
 
 _T = TypeVar("_T")
@@ -230,3 +231,23 @@ class LinkId:
 
     def __str__(self) -> str:
         return f"{self.a}<->{self.b}"
+
+
+def implicated_host(component: object) -> Optional[str]:
+    """The host a blamed component name pulls from rotation, or ``None``:
+    host ``N`` for ``host:N``, ``ovs:N``, an RNIC ``N/rnic-R``, its
+    ``vtep:N/rnic-R`` and its access link (a :class:`LinkId` or its
+    name); none for a fabric link, a switch or a container."""
+    name = str(component)
+    kind, colon, rest = name.partition(":")
+    if colon:
+        if kind in ("host", "ovs"):
+            return rest
+        if kind != "vtep":
+            return None
+        name = rest
+    for device in name.split("<->"):
+        host, rnic, _ = device.partition("/rnic-")
+        if rnic:
+            return host
+    return None

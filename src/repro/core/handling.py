@@ -19,7 +19,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.cluster.identifiers import HostId
+from repro.cluster.identifiers import HostId, implicated_host
 from repro.core.localization import Diagnosis, LocalizationReport
 
 __all__ = ["Alert", "AlertSeverity", "Blacklist", "FailureHandler"]
@@ -190,21 +190,18 @@ class Blacklist:
     ) -> bool:
         """Placement filter: is this host schedulable?
 
-        A host is unschedulable when the host itself, its OVS, or any
-        of its RNICs is blacklisted (one dead rail starves the GPU it
-        serves, so the whole node is pulled from rotation).  Unscoped
-        queries are conservative — any tenant's entry pulls the host;
-        scoped queries apply one tenant's view only.
+        A host is unschedulable when any blacklisted name implicates it
+        (:func:`~repro.cluster.identifiers.implicated_host`; one dead
+        rail starves the GPU it serves, so the whole node is pulled
+        from rotation).  Unscoped queries are conservative — any
+        tenant's entry pulls the host; scoped queries apply one
+        tenant's view only.
         """
         name = str(host)
-        for listed in self.active(scope=scope):
-            if listed == f"host:{name}" or listed == f"ovs:{name}":
-                return False
-            if listed.startswith(f"{name}/rnic-"):
-                return False
-            if listed.startswith(f"vtep:{name}/"):
-                return False
-        return True
+        return all(
+            implicated_host(listed) != name
+            for listed in self.active(scope=scope)
+        )
 
 
 class FailureHandler:

@@ -420,7 +420,6 @@ class Localizer:
         pairs: Tuple[ProbePair, ...],
         group: Sequence[FailureEvent],
     ) -> Diagnosis:
-        symptoms = {e.symptom for e in group if e.pair in set(pairs)}
         at = (
             ", ".join(str(s) for s in result.suspects)
             or result.promoted_component or "nothing"
@@ -428,32 +427,17 @@ class Localizer:
         evidence = (
             f"tomography: {len(pairs)} failing paths intersect at {at}"
         )
-        if result.promoted_kind == "switch":
-            return Diagnosis(
-                component=result.promoted_component,
-                component_class=ComponentClass.INTER_HOST_NETWORK,
-                layer="underlay", evidence=evidence, pairs=pairs,
-            )
-        if result.promoted_kind == "rnic":
-            return Diagnosis(
-                component=result.promoted_component,
-                component_class=ComponentClass.RNIC,
-                layer="underlay", evidence=evidence, pairs=pairs,
-            )
-        if result.promoted_kind == "host":
-            component_class = (
-                ComponentClass.HOST_BOARD
-                if Symptom.HIGH_LATENCY in symptoms
-                else ComponentClass.INTER_HOST_NETWORK
-            )
-            return Diagnosis(
-                component=result.promoted_component,
-                component_class=component_class,
-                layer="underlay", evidence=evidence, pairs=pairs,
-            )
+        blamed = set(pairs)
+        slow_host = result.promoted_kind == "host" and any(
+            e.symptom == Symptom.HIGH_LATENCY
+            for e in group if e.pair in blamed
+        )
         return Diagnosis(
-            component=str(result.suspects[0]),
-            component_class=ComponentClass.INTER_HOST_NETWORK,
+            component=result.promoted_component or str(result.suspects[0]),
+            component_class=(
+                ComponentClass.HOST_BOARD if slow_host
+                else ComponentClass.INTER_HOST_NETWORK
+            ),
             layer="underlay", evidence=evidence, pairs=pairs,
         )
 

@@ -3,10 +3,12 @@
 The paper's team was developing a live-migration mechanism "for the
 quick recovery of training containers ... to minimize the impact of
 network failures".  This module implements that extension: when a
-localization report blames a host, an RNIC, or a crashed container, the
-recovery manager migrates the affected RUNNING containers of watched
-tasks onto healthy (non-blacklisted) hosts, with a per-container
-cooldown so one flapping diagnosis cannot thrash the placement.
+localization report blames a name that implicates a host, by the rule
+that refuses the host to placement
+(:func:`~repro.cluster.identifiers.implicated_host`), the recovery
+manager migrates the affected RUNNING containers of watched tasks onto
+healthy (non-blacklisted) hosts, with a per-container cooldown so one
+flapping diagnosis cannot thrash the placement.
 
 The fleet never runs recovery (``repro.fleet.controller``), so the
 manager has one, global scope.
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from repro.cluster.container import Container
-from repro.cluster.identifiers import ContainerId, HostId
+from repro.cluster.identifiers import ContainerId, HostId, implicated_host
 from repro.cluster.orchestrator import Orchestrator, PlacementError
 from repro.core.handling import Blacklist
 from repro.core.localization import LocalizationReport
@@ -85,9 +87,7 @@ class RecoveryManager:
 
     def _victims_of(self, component: str) -> List[Container]:
         """RUNNING containers sitting on the blamed component."""
-        host_name = self._host_of_component(component)
-        if host_name is None:
-            return []
+        host_name = implicated_host(component)
         victims = []
         for task_id in sorted(self.orchestrator.tasks):
             task = self.orchestrator.tasks[task_id]
@@ -95,17 +95,6 @@ class RecoveryManager:
                 if str(container.host) == host_name:
                     victims.append(container)
         return victims
-
-    @staticmethod
-    def _host_of_component(component: str) -> Optional[str]:
-        """Extract the host a component name implicates, if any."""
-        if component.startswith("host:"):
-            return component.split(":", 1)[1]
-        if component.startswith(("ovs:", "vtep:")):
-            component = component.split(":", 1)[1]
-        if "/rnic-" in component and "<->" not in component:
-            return component.split("/")[0]
-        return None
 
     def _cooled_down(self, container_id: ContainerId, at: float) -> bool:
         history = self._migration_times.get(container_id)

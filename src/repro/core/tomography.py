@@ -17,10 +17,12 @@ read by the count rule; under per-packet spraying they are fractions,
 read by the mass rule (SprayCheck's per-path observation model) — the
 pair the localization corpus (``BENCH_localization.json``) chose.
 
-A promotion step interprets the raw link votes: several top links meeting
-at one switch implicate the switch (e.g. switch offline); several leaf
-links of one host implicate the host (board/config trouble); a single
-leaf link implicates its RNIC.
+A promotion step (:func:`promote`) interprets the raw link votes:
+several top links meeting at one switch implicate the switch (e.g.
+switch offline); several leaf links of one host implicate the host
+(board/config trouble).  A single top link is its own verdict: path
+evidence cannot tell a dead RNIC from its cable, and a fault on either
+counts the access link among its culprits.
 """
 
 from __future__ import annotations
@@ -37,24 +39,15 @@ from typing import (
     Tuple,
 )
 
-from repro.cluster.identifiers import LinkId
+from repro.cluster.identifiers import LinkId, implicated_host
 from repro.cluster.topology import UnderlayPath
 
-__all__ = ["IntersectionResult", "PhysicalIntersection", "crossing_mass"]
+__all__ = ["IntersectionResult", "PhysicalIntersection", "crossing_mass",
+           "promote"]
 
 #: Per component a failing pair can cross: its failing mass, its total
 #: (failing + healthy) mass, and the number of failing pairs behind it.
 _Tally = Dict[Any, List[float]]
-
-
-def _is_rnic_device(name: str) -> bool:
-    return "/rnic-" in name
-
-
-def _host_of_device(name: str) -> Optional[str]:
-    if _is_rnic_device(name):
-        return name.split("/")[0]
-    return None
 
 
 @dataclass(frozen=True)
@@ -63,8 +56,8 @@ class IntersectionResult:
 
     votes: Dict[LinkId, float]            # int counts or sprayed mass
     suspects: Tuple[LinkId, ...]          # max-count links (count > 1)
-    promoted_component: Optional[str]     # switch/host/RNIC, if inferable
-    promoted_kind: Optional[str]          # 'switch' | 'host' | 'rnic' | None
+    promoted_component: Optional[str]     # switch or host, if inferable
+    promoted_kind: Optional[str]          # 'switch' | 'host' | None
 
     @property
     def found(self) -> bool:
@@ -92,6 +85,27 @@ class IntersectionResult:
             "promoted_component": self.promoted_component,
             "promoted_kind": self.promoted_kind,
         }
+
+
+def promote(
+    suspects: Sequence[LinkId],
+) -> Tuple[Optional[str], Optional[str]]:
+    """Interpret the top-voted links as a device when they agree:
+    ``(switch, 'switch')`` when all meet at one (an RNIC has one access
+    link, so two links meet only at a switch), ``('host:N', 'host')``
+    when their access links are all host N's, else ``(None, None)`` —
+    a lone suspect link is its own verdict."""
+    if len(suspects) < 2:
+        return None, None
+    shared = {suspects[0].a, suspects[0].b}
+    for link in suspects[1:]:
+        shared &= {link.a, link.b}
+    if len(shared) == 1:
+        return shared.pop(), "switch"
+    hosts = {implicated_host(link) for link in suspects} - {None}
+    if len(hosts) == 1:
+        return f"host:{hosts.pop()}", "host"
+    return None, None
 
 
 def _links(path: UnderlayPath) -> Iterable[Any]:
@@ -180,7 +194,7 @@ class PhysicalIntersection:
         pairs = sum(1 for paths in failing if paths)
         links = self._tally(failing, healthy, _links)
         suspects = tuple(rule(links, pairs))
-        component, kind = self._promote(suspects)
+        component, kind = promote(suspects)
         if not suspects:
             devices = rule(self._tally(failing, healthy, _switches), pairs)
             if len(devices) == 1:
@@ -250,39 +264,3 @@ class PhysicalIntersection:
             ):
                 scores[key] = mass * ratio
         return self._leaders(scores, self.TIE_FRACTION)
-
-    @staticmethod
-    def _promote(
-        suspects: Tuple[LinkId, ...]
-    ) -> Tuple[Optional[str], Optional[str]]:
-        """Interpret the top-voted links as a device when they agree."""
-        if not suspects:
-            return None, None
-
-        if len(suspects) >= 2:
-            shared = {suspects[0].a, suspects[0].b}
-            for link in suspects[1:]:
-                shared &= {link.a, link.b}
-            if len(shared) == 1:
-                device = shared.pop()
-                if _is_rnic_device(device):
-                    return device, "rnic"
-                return device, "switch"
-            hosts = {
-                host
-                for link in suspects
-                for host in (
-                    _host_of_device(link.a), _host_of_device(link.b)
-                )
-                if host is not None
-            }
-            if len(hosts) == 1:
-                return f"host:{hosts.pop()}", "host"
-            return None, None
-
-        # A single top link: a leaf link implicates its RNIC port.
-        link = suspects[0]
-        for device in (link.a, link.b):
-            if _is_rnic_device(device):
-                return device, "rnic"
-        return None, None

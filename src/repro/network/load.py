@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional
 
-from repro.cluster.identifiers import LinkId
+from repro.cluster.identifiers import LinkId, implicated_host
 from repro.cluster.topology import UnderlayPath
 
 __all__ = [
@@ -69,11 +69,11 @@ class LinkLoadModel:
         # would make every fabric link look cool by comparison.
         access = [
             load for link, load in self._loads.items()
-            if self._is_access(link)
+            if implicated_host(link) is not None
         ]
         fabric = [
             load for link, load in self._loads.items()
-            if not self._is_access(link)
+            if implicated_host(link) is None
         ]
         self._class_max = {
             True: max(access) if access else 0.0,
@@ -129,14 +129,10 @@ class LinkLoadModel:
         peak* even while some access link carries more absolute flow.
         Congestion-collapse severity couples to this measure.
         """
-        peak = self._class_max[self._is_access(link)]
+        peak = self._class_max[implicated_host(link) is not None]
         if peak <= 0.0:
             return 0.0
         return self._loads.get(link, 0.0) / peak
-
-    @staticmethod
-    def _is_access(link: LinkId) -> bool:
-        return "/rnic-" in link.a or "/rnic-" in link.b
 
     def path_utilization(self, path: UnderlayPath) -> float:
         """The bottleneck (max) utilization along one path."""

@@ -15,6 +15,7 @@ from repro.chaos.corpus import (
     case_key,
     digest,
     holds,
+    median_ci,
     wilson,
     write,
 )
@@ -55,6 +56,22 @@ class TestWilson:
 
     def test_no_trials_bound_nothing(self):
         assert wilson(0, 0) == [0.0, 1.0]
+
+
+class TestMedianCi:
+    def test_known_ranks(self):
+        # The order-statistic ranks of a 95% interval of the median.
+        assert median_ci(list(range(1, 7))) == [1, 6]
+        assert median_ci(list(range(1, 21))) == [6, 15]
+        assert median_ci(list(range(1, 101))) == [40, 61]
+
+    def test_reads_sorted_values(self):
+        values = [float(v) for v in range(20, 0, -1)]
+        assert median_ci(values) == [6.0, 15.0]
+
+    def test_fewer_than_six_values_bound_nothing(self):
+        assert median_ci([8.0] * 5) is None
+        assert median_ci([]) is None
 
 
 class TestHolds:
@@ -167,10 +184,11 @@ class TestArtifact:
 
     def test_the_slice_is_not_vacuous(self, committed):
         """The slice holds the single-witness CRC link of §7.1, a leg
-        where RNIC validation diagnoses, and, in each ECMP mode, a leg
-        where the pipeline and Flock disagree on top-1.  (No leg has a
-        same-host pair: ``build_scenario`` places one container per
-        host, so no corpus world has one.)"""
+        where RNIC validation diagnoses, an access-link fault and an
+        RNIC fault each named first by their access link, and, in each
+        ECMP mode, a leg where the pipeline and Flock disagree on
+        top-1.  (No leg has a same-host pair: ``build_scenario`` places
+        one container per host, so no corpus world has one.)"""
         legs = _slice(committed)
         assert len(legs) == len(SLICE)
         assert any(
@@ -178,6 +196,19 @@ class TestArtifact:
             for row in legs
         )
         assert any(row["pipeline"]["rnic_diagnoses"] for row in legs)
+        # An access link is named as a link: a link-kind fault at its
+        # standard (access-link) target, and an RNIC-kind fault, whose
+        # culprits hold that link, are both named first (the offload
+        # legs above are named first by Step 3 instead).
+        issues = {issue.name: issue for issue in FULL_ISSUES}
+        standard = [row for row in legs if row["target"] == "standard"]
+        for kind in ("link", "rnic"):
+            assert any(
+                spec_of(issues[row["issue"]]).target_kind == kind
+                and row["pipeline"]["top1"]
+                and row["issue"] != "REPETITIVE_FLOW_OFFLOADING"
+                for row in standard
+            ), kind
         for ecmp in ("static", "spray"):
             assert any(
                 row["ecmp"] == ecmp

@@ -24,6 +24,7 @@ from repro.cluster.identifiers import (
     SwitchId,
     TaskId,
     VfId,
+    implicated_host,
 )
 from repro.workloads.scenarios import build_scenario
 
@@ -92,6 +93,37 @@ class TestLinkId:
 
     def test_str_format(self):
         assert str(LinkId.between("b", "a")) == "a<->b"
+
+
+class TestImplicatedHost:
+    """The one rule for which host a blamed name pulls from rotation."""
+
+    RNIC = RnicId(HostId(3), 1)
+    TOR = SwitchId("tor", 1)
+
+    @pytest.mark.parametrize("name", [
+        "host:host-3", "ovs:host-3", "host-3/rnic-1", "vtep:host-3/rnic-1",
+        "host-3/rnic-1<->tor-1",
+    ])
+    def test_host_and_its_parts_implicate_it(self, name):
+        assert implicated_host(name) == "host-3"
+
+    @pytest.mark.parametrize("name", [
+        "tor-1<->spine-0", "tor-1", "spine-0",
+        "container:task-0/node-3", "veth:task-0/node-3/ep-1",
+    ])
+    def test_fabric_and_containers_implicate_none(self, name):
+        assert implicated_host(name) is None
+
+    def test_access_link_whichever_end_sorts_first(self):
+        link = LinkId.between(self.TOR, self.RNIC)
+        assert implicated_host(link) == str(self.RNIC.host)
+        assert implicated_host(LinkId(str(self.TOR), str(self.RNIC))) \
+            == str(self.RNIC.host)
+
+    def test_host_names_do_not_prefix_match(self):
+        assert implicated_host("host-13/rnic-0") == "host-13"
+        assert implicated_host("host:host-13") != "host-1"
 
 
 def samples():

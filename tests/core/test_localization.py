@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster.identifiers import LinkId
 from repro.cluster.topology import UnderlayPath
 from repro.core.analyzer import FailureEvent
 from repro.core.localization import Localizer
@@ -84,10 +85,14 @@ class TestUnderlayLayer:
             IssueType.RNIC_PORT_DOWN, rnic, start=50.0
         )
         report = localizer.localize([event(p) for p in pairs])
-        assert report.diagnoses
-        assert any(
-            d.component in fault.culprits for d in report.diagnoses
-        )
+        # The vote names the dead RNIC's access link itself, first: a
+        # link, which the fault counts among its culprits.
+        access = LinkId.between(rnic, cluster.topology.tor_of(rnic))
+        first = report.diagnoses[0]
+        assert first.component == str(access)
+        assert first.component in fault.culprits
+        assert first.component_class is ComponentClass.INTER_HOST_NETWORK
+        assert all(d.component != str(rnic) for d in report.diagnoses)
 
     def test_single_event_skips_tomography(self, stack):
         cluster, task, injector, fabric, localizer = stack

@@ -233,6 +233,40 @@ class TestRecoveryManager:
         assert manager.react(10.0, report) == []
 
 
+class TestOneHostRule:
+    """Recovery migrates off a host exactly when the blacklist would
+    refuse that host to placement."""
+
+    @pytest.mark.parametrize("blamed, implicates", [
+        ("host:{host}", True), ("ovs:{host}", True), ("{rnic}", True),
+        ("vtep:{rnic}", True), ("{rnic}<->{tor}", True),
+        ("{tor}<->spine-0", False), ("{tor}", False),
+        ("container:{container}", False),
+    ])
+    def test_migrates_exactly_when_placement_refuses(
+        self, orchestrator, engine, blamed, implicates
+    ):
+        task = orchestrator.submit_task(2, 4, instant_startup=True)
+        engine.run_until(0)
+        container = task.container(0)
+        host = container.host
+        rnic = orchestrator.cluster.overlay.rnic_of(container.endpoint(0))
+        name = blamed.format(
+            host=host, rnic=rnic, container=container.id,
+            tor=orchestrator.cluster.topology.tor_of(rnic),
+        )
+        blacklist = Blacklist()
+        blacklist.add(name, at=0.0, reason="blamed")
+        report = LocalizationReport(diagnoses=[Diagnosis(
+            component=name, component_class=ComponentClass.RNIC,
+            layer="underlay", evidence="blamed", pairs=(),
+        )])
+        moved = RecoveryManager(orchestrator).react(10.0, report)
+        assert blacklist.host_allowed(host) is not implicates
+        assert bool(moved) is implicates
+        assert all(a.source == host for a in moved)
+
+
 class TestScopedRecovery:
     """The manager has one, global scope (the fleet never runs
     recovery): it migrates any task's containers and honours blacklist

@@ -1,7 +1,21 @@
 """Tests for underlay physical-intersection (tomography) voting."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cluster.identifiers import LinkId
 from repro.cluster.topology import UnderlayPath
-from repro.core.tomography import PhysicalIntersection
+from repro.core.tomography import PhysicalIntersection, promote
+
+#: A two-ToR, two-spine rail Clos: every access link of three hosts'
+#: two RNICs and every uplink.
+_LINKS = [
+    LinkId.between(f"host-{h}/rnic-{r}", f"tor-{r}")
+    for h in range(3) for r in range(2)
+] + [
+    LinkId.between(f"tor-{t}", f"spine-{s}")
+    for t in range(2) for s in range(2)
+]
 
 
 def path(*devices):
@@ -106,15 +120,20 @@ class TestPromotion:
         assert result.promoted_kind == "switch"
         assert result.promoted_component == "tor-0"
 
-    def test_rnic_promotion_for_leaf_link(self):
+    def test_lone_access_link_is_its_own_verdict(self):
+        # Path evidence cannot tell a dead RNIC from its cable, so a
+        # lone top-voted access link is reported as the link.
         tomography = PhysicalIntersection()
         failing = [
             pinned("host-1/rnic-0", "tor-0", "host-0/rnic-0"),
             pinned("host-1/rnic-0", "tor-0", "host-2/rnic-0"),
         ]
         result = tomography.vote(failing)
-        assert result.promoted_kind == "rnic"
-        assert result.promoted_component == "host-1/rnic-0"
+        assert result.found
+        assert [str(s) for s in result.suspects] == ["host-1/rnic-0<->tor-0"]
+        assert result.promoted_kind is None
+        assert result.promoted_component is None
+        assert result.blamed_components() == ["host-1/rnic-0<->tor-0"]
 
     def test_host_promotion_when_leaf_links_share_host(self):
         tomography = PhysicalIntersection()
@@ -133,11 +152,29 @@ class TestPromotion:
         failing = [
             pinned("host-1/rnic-0", "tor-0", "host-0/rnic-0"),
             pinned("host-1/rnic-0", "tor-0", "host-2/rnic-0"),
+            pinned("host-1/rnic-1", "tor-1", "host-0/rnic-1"),
+            pinned("host-1/rnic-1", "tor-1", "host-2/rnic-1"),
         ]
         result = tomography.vote(failing)
         names = result.blamed_components()
-        assert names[0] == "host-1/rnic-0"
-        assert "host-1/rnic-0<->tor-0" in names
+        assert names[0] == "host:host-1"
+        assert names[1:] == [
+            "host-1/rnic-0<->tor-0", "host-1/rnic-1<->tor-1",
+        ]
+
+    @given(st.lists(
+        st.sampled_from(_LINKS), min_size=0, max_size=5, unique=True,
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_promotion_names_only_a_switch_or_a_host(self, links):
+        suspects = tuple(sorted(links))
+        component, kind = promote(suspects)
+        assert kind in ("switch", "host", None)
+        assert (component is None) == (kind is None)
+        if len(suspects) < 2:
+            assert kind is None
+        if kind == "host":
+            assert component.startswith("host:")
 
 
 class TestDeviceVote:

@@ -81,6 +81,27 @@ class TestRecoveryLoop:
         assert victim.host != bad_host
         assert all(a.source == bad_host for a in migrations)
 
+    def test_rnic_fault_migrates_the_victim_off_its_host(
+        self, ops_scenario
+    ):
+        # Tomography names a dead RNIC's access link, not the RNIC:
+        # the link implicates the RNIC's host exactly as placement's
+        # blacklist reads it, so recovery moves the victim off it.
+        scenario, handler, recovery = ops_scenario
+        scenario.run_for(150)
+        rnic = scenario.rnic_of_rank(4)
+        victims = [
+            c for c in scenario.task.running_containers()
+            if c.host == rnic.host
+        ]
+        scenario.inject(IssueType.RNIC_PORT_DOWN, rnic)
+        scenario.run_for(40)
+        migrations = recovery.successful_migrations()
+        assert victims and migrations
+        assert {a.source for a in migrations} == {rnic.host}
+        assert all(c.host != rnic.host for c in victims)
+        assert not handler.blacklist.host_allowed(rnic.host)
+
     def test_monitoring_continues_after_migration(self, ops_scenario):
         scenario, handler, recovery = ops_scenario
         scenario.run_for(200)

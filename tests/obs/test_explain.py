@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster.identifiers import LinkId
 from repro.core.analyzer import FailureEvent
 from repro.core.localization import Localizer
 from repro.core.pinglist import ProbePair
@@ -58,7 +59,9 @@ class TestOverlayExplanation:
 
 
 class TestTomographyExplanation:
-    def test_rnic_fault_explains_votes_and_promotion(self, stack):
+    def test_rnic_fault_explains_votes_for_its_access_link(self, stack):
+        # A dead RNIC is named by its access link (path evidence cannot
+        # tell the two apart), which the vote itself singles out.
         cluster, task, injector, fabric, localizer, recorder = stack
         failing = [pair_of(task, src, 1) for src in (0, 2, 3)]
         healthy = [pair_of(task, 0, 2), pair_of(task, 0, 3),
@@ -71,14 +74,14 @@ class TestTomographyExplanation:
         report = localizer.localize(
             [event(p) for p in failing], healthy_pairs=healthy
         )
-        culprit = next(
-            d for d in report.diagnoses if d.component == str(rnic)
-        )
+        access = str(LinkId.between(rnic, cluster.topology.tor_of(rnic)))
+        culprit = report.diagnoses[0]
+        assert culprit.component == access
         text = explain_diagnosis(culprit, recorder)
         assert "tomography over 3 failing paths" in text
         assert "vote(s):" in text
-        assert "<- suspect" in text
-        assert f"promoted to rnic: {rnic}" in text
+        assert f"{access} <- suspect" in text
+        assert "promoted to" not in text
 
 
 class TestFlowTableExplanation:

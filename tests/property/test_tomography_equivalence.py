@@ -4,9 +4,9 @@ functions it replaced.
 ``_ParentIntersection`` below is the parent commit's (663e953) ``vote``,
 ``vote_distributions``, ``_device_vote`` and
 ``_device_vote_distributions``, copied verbatim from
-``core/tomography.py`` as the oracle (only ``_promote``, which did not
-change, is borrowed from the live class).  Hypothesis draws
-rail-Clos-shaped failing / healthy sets — k equal-cost spine candidates
+``core/tomography.py`` as the oracle (only the promotion step is
+borrowed, the live module's ``promote``, so both sides promote alike).
+Hypothesis draws rail-Clos-shaped failing / healthy sets — k equal-cost spine candidates
 per cross-segment pair, empty distributions, and PFC-storm shapes where
 every failing pair crosses a different uplink of one spine, so the
 device fallback of both rules fires — and the vote tables (item order
@@ -21,13 +21,15 @@ from hypothesis import strategies as st
 
 from repro.cluster.identifiers import LinkId
 from repro.cluster.topology import UnderlayPath
-from repro.core.tomography import IntersectionResult, PhysicalIntersection
+from repro.core.tomography import (
+    IntersectionResult, PhysicalIntersection, promote,
+)
 
 
 class _ParentIntersection:
     """The parent commit's voting functions, verbatim."""
 
-    _promote = staticmethod(PhysicalIntersection._promote)
+    _promote = staticmethod(promote)
 
     def __init__(
         self,
