@@ -170,9 +170,6 @@ class ColumnarDetectionEngine:
         #: canonical pairs, rows, distinct)``, is good for one layout.
         self._layout = 0
         self._located: Optional[tuple] = None
-        #: Each pair as given -> its canonical pair: a pure function of
-        #: the pair, so it is computed once however the batches rotate.
-        self._canonical: Dict[object, ProbePair] = {}
 
         # Open-window columns: window start (NaN before the first
         # probe), counters, and the window's delivered latencies.
@@ -320,28 +317,33 @@ class ColumnarDetectionEngine:
         """``(canonical pairs, rows, distinct)`` of a pair sequence:
         each pair's row (-1 while unmonitored) and whether no pair
         repeats.  Kept for the next batch over the same sequence, which
-        then costs one list comparison instead of a canonical sort and a
-        hash per probe.  A pair is canonicalized the first time any
-        batch holds it."""
+        then costs one list comparison.  A canonical pair canonicalizes
+        to itself — the caller's own object, which a new row keeps as
+        its key — so a pair probed again is one lookup that matches by
+        identity; only a pair without a row (new, reversed or a tuple)
+        is sorted."""
         located = self._located
         if (
             located is not None and located[0] == self._layout
             and located[1] == pairs
         ):
             return located[2:]
-        memo = self._canonical
-        canonical = list(map(memo.get, pairs))
-        for i in [i for i, pair in enumerate(canonical) if pair is None]:
-            canonical[i] = memo[pairs[i]] = ProbePair.canonical(
-                *endpoints_of(pairs[i])
-            )
-        rows = list(map(self._rows.get, canonical, repeat(-1)))
+        held = self._rows.get
+        given = list(pairs)
+        rows = list(map(held, given, repeat(-1)))
+        canonical = given
+        for i in [i for i, row in enumerate(rows) if row < 0]:
+            ordered = ProbePair.canonical(*endpoints_of(given[i]))
+            if ordered != given[i]:
+                if canonical is given:
+                    canonical = list(given)
+                canonical[i] = ordered
+                rows[i] = held(ordered, -1)
         distinct = len({
-            pair if row < 0 else row
-            for pair, row in zip(canonical, rows)
+            pair if row < 0 else row for pair, row in zip(canonical, rows)
         }) == len(rows)
         self._located = (
-            self._layout, list(pairs), canonical,
+            self._layout, given, canonical,
             np.array(rows, dtype=np.int64), distinct,
         )
         return self._located[2:]

@@ -24,21 +24,35 @@ from typing import (
     AbstractSet, Callable, Dict, FrozenSet, Iterable, List, Set, Tuple,
 )
 
-from repro.cluster.identifiers import ContainerId, EndpointId
+from repro.cluster.identifiers import ContainerId, EndpointId, carries_hash
 
 __all__ = ["PingList", "PingListPhase", "ProbePair", "pair_order"]
 
+_set = object.__setattr__
 
-@dataclass(frozen=True, order=True)
+
+@carries_hash
 class ProbePair:
     """One probing assignment: ``src`` pings ``dst``.
 
     Pairs are stored in canonical (sorted) order so that each unordered
     endpoint pair contributes exactly one probing task per round.
+
+    Carries its hash, ``hash((src, dst))``
+    (:func:`~repro.cluster.identifiers.carries_hash`): every round keys
+    each probe's pair into the detector's rows and the tenants' probed
+    sets, and the generated ``__hash__`` would re-hash both endpoints
+    each time.
     """
 
+    __slots__ = ("src", "dst", "_hash", "_name")
     src: EndpointId
     dst: EndpointId
+
+    def __init__(self, src: EndpointId, dst: EndpointId) -> None:
+        _set(self, "src", src)
+        _set(self, "dst", dst)
+        _set(self, "_hash", hash((src, dst)))
 
     @staticmethod
     def canonical(a: EndpointId, b: EndpointId) -> "ProbePair":

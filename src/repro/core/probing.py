@@ -7,7 +7,7 @@ Agents probe their active targets once per round.  Two views exist:
   agents, each shard monitor's agents and each fleet worker's tenants)
   — as one :class:`~repro.network.packet.ProbeBatch` from the fabric to
   the analyzer, hardened owners included, cut per owner only for a bus
-  to record or a tenant's own analyzer to ingest;
+  to record or a tenant to count;
 * :func:`estimate_round_duration` computes how long a probing round would
   take on real hardware, where each sidecar agent paces its probes
   serially while agents run in parallel — the quantity Figure 16 of the

@@ -10,18 +10,23 @@ through the run's rounds.  Every round it
 3. sends one probing round over every *monitored* tenant's budgeted
    pair window — :func:`~repro.core.probing.run_probe_round`, one
    fabric batch plus its retry waves whatever the tenant count, each
-   tenant a probe owner as an agent is — and feeds each tenant's rows
-   of it through the tenant's **own** analyzer, localizer, and failure
-   handler.
+   tenant a probe owner as an agent is — feeds the round's delivered
+   rows to the worker's one :class:`~repro.core.analyzer.Analyzer` as
+   one batch and flushes it once, and hands each tenant its own open
+   incidents for its own localizer and failure handler.
 
-Per-tenant isolation is structural, not cooperative: each tenant gets
-a private :class:`~repro.core.analyzer.Analyzer` (so one tenant's
-anomaly windows never mix with another's), a private
-:class:`~repro.core.localization.Localizer` (batch stream and ledger
-of what it localized), and a
-:class:`~repro.core.handling.Blacklist` scoped by tenant name (so two
-tenants blaming the same host hold two distinct entries — see
-satellite work in :mod:`repro.core.handling`).  Verdicts are recorded,
+Isolation is per pair: every window, score, fast alarm and incident
+the analyzer keeps is one row's, a row is one pair, and a pair's
+``src.container.task`` names its tenant — so a tenant's incidents come
+out in its own first-probe order whichever other tenants' rows share
+the analyzer, exactly as a private analyzer fed only its rows would
+give them (``tests/fleet/test_worker_analyzer.py`` holds it to that).
+A departing tenant's rows leave the analyzer with it.  Each tenant
+keeps a private :class:`~repro.core.localization.Localizer` (batch
+stream and ledger of what it localized) fed only its own incidents and
+pair universe, and a :class:`~repro.core.handling.Blacklist` scoped by
+tenant name (so two tenants blaming the same host hold two distinct
+entries — see :mod:`repro.core.handling`).  Verdicts are recorded,
 never acted on mid-run: recovery migrations would mutate the shared
 fabric based on one tenant's private diagnosis, which a worker that
 doesn't monitor that tenant could not replay.  Churn comes only from
@@ -44,7 +49,8 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.bus.codec import ReportRows
-from repro.core.analyzer import Analyzer
+from repro.cluster.identifiers import TaskId
+from repro.core.analyzer import Analyzer, FailureEvent
 from repro.core.handling import Blacklist, FailureHandler
 from repro.core.localization import Localizer
 from repro.core.pinglist import ProbePair
@@ -56,6 +62,7 @@ from repro.fleet.budget import (
     TenantDemand,
 )
 from repro.fleet.lifecycle import (
+    DEPART,
     FleetLifecyclePlan,
     demand_table,
     plan_lifecycle,
@@ -82,16 +89,17 @@ VerdictRow = Tuple[str, float, Tuple[Tuple[str, str, str, float], ...],
 
 @dataclass
 class TenantRuntime:
-    """One monitored tenant's private diagnosis pipeline, and the owner
-    of its budget window in a worker's
+    """One monitored tenant's private localization and handling, and
+    the owner of its budget window in a worker's
     :func:`~repro.core.probing.run_probe_round`."""
 
     name: str
+    #: The tenant's task, which names its pairs (``src.container.task``).
+    task: TaskId
     #: The pair universe: canonical pairs in sorted order, as
     #: ``tenant_pairs`` returns them — ``select_pairs`` and
     #: ``probed_pairs`` take both as given.
     pairs: Tuple[ProbePair, ...]
-    analyzer: Analyzer
     localizer: Localizer
     handler: FailureHandler
     prober: Optional[ResilientProber] = None
@@ -120,16 +128,14 @@ class TenantRuntime:
         self, batch: ProbeBatch, now: float, start: int, stop: int,
         rows: ReportRows,
     ) -> None:
-        """Feed the window's delivered reports — rows ``start:stop`` of
-        the round's batch — to the tenant's own analyzer, and count
-        what the window lost (a tenant publishes no ``rows``)."""
-        delivered = batch[start:stop]
-        self.analyzer.ingest_batch(delivered)
-        self.analyzer.flush(now)
+        """Count the window's probes and what it lost — its delivered
+        reports are rows ``start:stop`` of the round's batch, which the
+        worker's analyzer ingests whole (a tenant publishes no
+        ``rows``)."""
         self.probes_sent += len(self.window)
         self.probed_pairs.update(self.window)
         self.lost = len(self.window) - int(
-            np.count_nonzero(~delivered.lost)
+            np.count_nonzero(~batch.lost[start:stop])
         )
         self.probes_lost += self.lost
 
@@ -219,6 +225,8 @@ class FleetController:
         # each fault id to its spec index keeps chaos draws
         # byte-identical across rebuilt replicas.
         self.chaos = build_monitor_chaos(self.spec)
+        #: Every monitored tenant's rows, in one analyzer.
+        self.analyzer = Analyzer(config=self.spec.detector)
         self.tenants: Dict[str, TenantRuntime] = {}
         self.allocations: List[BudgetAllocation] = []
         self.rollups: List[RoundRollup] = []
@@ -232,15 +240,12 @@ class FleetController:
         runtime = self.tenants.get(name)
         if runtime is not None:
             return runtime
-        tenant = self.spec.tenant(name)
-        pairs = tuple(
-            tenant_pairs(tenant, self.spec.task_id_of(name))
-        )
+        task = self.spec.task_id_of(name)
         blacklist = Blacklist(scope=name)
         runtime = TenantRuntime(
             name=name,
-            pairs=pairs,
-            analyzer=Analyzer(config=self.spec.detector),
+            task=task,
+            pairs=tuple(tenant_pairs(self.spec.tenant(name), task)),
             localizer=Localizer(
                 self.replica.cluster, self.replica.fabric,
             ),
@@ -285,10 +290,18 @@ class FleetController:
     def _run_round(self, round_index: int) -> None:
         spec = self.spec
         at = spec.round_time(round_index)
-        # 1. World transitions, identically replayed by every worker.
-        self.replica.apply_lifecycle(
-            self.plan.events_at(round_index)
-        )
+        # 1. World transitions, identically replayed by every worker;
+        #    a departed tenant's rows leave the analyzer (it never
+        #    returns, and nothing reads its incidents again).
+        transitions = self.plan.events_at(round_index)
+        self.replica.apply_lifecycle(transitions)
+        for event in transitions:
+            if event.kind == DEPART and event.tenant in self.tenants:
+                pairs = self.tenants[event.tenant].pairs
+                self.analyzer.reset_pairs_involving(
+                    {end for pair in pairs for end in (pair.src, pair.dst)},
+                    at,
+                )
         self.faults.advance_to(round_index)
         self.replica.engine.run_until(at)
         # 2. Budget split across everyone admitted (monitored or not:
@@ -300,8 +313,9 @@ class FleetController:
         )
         self.allocations.append(allocation)
         # 3. One probing round over the monitored tenants' budget
-        #    windows (a tenant with an empty one sits it out), then
-        #    each tenant's own diagnosis.
+        #    windows (a tenant with an empty one sits it out), one
+        #    analyzer pass over its delivered rows, then each tenant's
+        #    own diagnosis.
         runtimes = [
             self._tenant_runtime(name) for name in admitted
             if name in self.monitor_tenants
@@ -312,10 +326,11 @@ class FleetController:
                 round_index,
             )
             runtime.lost = 0
-        run_probe_round(
+        self.analyzer.ingest_batch(run_probe_round(
             [runtime for runtime in runtimes if runtime.window],
             self.replica.fabric, at, spec.round_time(round_index + 1),
-        )
+        ))
+        self.analyzer.flush(at)
         tenant_rows = []
         for runtime in runtimes:
             quota = allocation.quota_of(runtime.name)
@@ -324,10 +339,11 @@ class FleetController:
                 runtime.min_coverage = min(
                     runtime.min_coverage, quota / demand.demand
                 )
-            self._diagnose(runtime, at)
+            open_events = self.open_events(runtime.name)
+            self._diagnose(runtime, open_events, at)
             tenant_rows.append((
                 runtime.name, demand.demand, demand.floor, quota,
-                runtime.lost, len(runtime.analyzer.open_events()),
+                runtime.lost, len(open_events),
                 len(runtime.blacklist.active()),
             ))
         rollup = RoundRollup(
@@ -342,9 +358,21 @@ class FleetController:
         self._chunk_rollups.append(rollup)
         self.rounds_completed = round_index
 
-    def _diagnose(self, runtime: TenantRuntime, at: float) -> None:
-        """Run the localization step on the tenant's own analyzer and
-        report what it found fresh.
+    def open_events(self, name: str) -> List[FailureEvent]:
+        """The monitored tenant ``name``'s open incidents: those on the
+        pairs its task names, in the order the analyzer opened them."""
+        task = self.tenants[name].task
+        return [
+            event for event in self.analyzer.open_events()
+            if event.pair.src.container.task == task
+        ]
+
+    def _diagnose(
+        self, runtime: TenantRuntime, open_events: List[FailureEvent],
+        at: float,
+    ) -> None:
+        """Run the localization step over the tenant's own open
+        incidents and report what it found fresh.
 
         Only tenant-local inputs feed the localizer — its own events,
         its own pair universe — so the verdict stream is identical no
@@ -352,7 +380,7 @@ class FleetController:
         can never enter another tenant's vote tables.
         """
         fresh, report = runtime.localizer.localize_open(
-            runtime.analyzer.open_events(), lambda fresh: runtime.pairs, at,
+            open_events, lambda fresh: runtime.pairs, at,
         )
         if report is None:
             return

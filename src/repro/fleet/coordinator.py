@@ -2,8 +2,9 @@
 
 Scales the :class:`~repro.fleet.controller.FleetController` loop the
 same way the shard plane scales a single job's pair list — except the
-unit of placement is a whole *tenant*: a tenant's pairs, analyzer, and
-localizer stay on one worker, so its diagnosis stream is self-contained
+unit of placement is a whole *tenant*: a tenant's pairs, their rows in
+the worker's analyzer, and its localizer stay on one worker, so its
+diagnosis stream is self-contained
 and the coordinator's merge is a disjoint union (no cross-worker vote
 table needed).  Tenants are placed by probe-pair demand with the LPT
 balancer (:func:`repro.shard.partition.place_tenants`); the fleet

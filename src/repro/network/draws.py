@@ -20,7 +20,7 @@ flow-table read errors, fleet churn).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Sequence, Tuple, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -34,6 +34,7 @@ __all__ = [
     "endpoint_state",
     "keyed_uniform",
     "keyed_uniforms",
+    "pair_key",
 ]
 
 _U64 = np.uint64
@@ -111,6 +112,15 @@ def keyed_uniform(seed: int, key: str, salt: int = 0) -> float:
     return (_scalar_mix64(state) >> 11) * _TO_UNIT
 
 
+def pair_key(src: EndpointId, dst: EndpointId) -> int:
+    """The per-pair key of a probe's draws: FNV-1a over
+    ``f"{src}->{dst}"``, continued from the source's state.  A pure
+    function of the pair (not of the seed, the time or the block
+    width), so whoever holds the pair may keep it — the fabric's cached
+    resolution of the pair does."""
+    return _stable_hash(f"->{dst}", endpoint_state(src))
+
+
 class PairwiseDrawSource:
     """Keyed uniform draws: one block of uniforms per (pair, time).
 
@@ -118,8 +128,8 @@ class PairwiseDrawSource:
     bit-identical blocks for the same probes regardless of call order,
     batch grouping, or which process they live in.  Column *c* of a
     block does not depend on which other columns are drawn, so a caller
-    draws only the columns it reads.  The per-pair key hash is memoized
-    (pure cache, no behavioral state).
+    draws only the columns it reads.  A row is keyed by its pair's
+    :func:`pair_key`.
     """
 
     def __init__(self, seed: int) -> None:
@@ -128,25 +138,6 @@ class PairwiseDrawSource:
         self._seed_key = _U64(
             _stable_hash(f"pairwise-draws:{self.seed}") ^ _scalar_mix64(0)
         )
-        self._pair_keys: Dict[Tuple[EndpointId, EndpointId], _U64] = {}
-
-    def _pair_key(self, src: EndpointId, dst: EndpointId) -> _U64:
-        key = self._pair_keys.get((src, dst))
-        if key is None:
-            key = _U64(_stable_hash(f"->{dst}", endpoint_state(src)))
-            self._pair_keys[(src, dst)] = key
-        return key
-
-    def keys_of(
-        self, endpoints: Sequence[Tuple[EndpointId, EndpointId]]
-    ) -> np.ndarray:
-        """The per-pair key column of ``endpoints`` — a pure function of
-        the pairs (not of the seed, the time or the block width), so a
-        caller that probes the same pairs again may keep it."""
-        keys = np.empty(len(endpoints), dtype=_U64)
-        for i, (src, dst) in enumerate(endpoints):
-            keys[i] = self._pair_key(src, dst)
-        return keys
 
     def uniforms(
         self,
@@ -155,8 +146,8 @@ class PairwiseDrawSource:
         columns: Sequence[int] = range(5),
     ) -> np.ndarray:
         """The ``(len(keys), len(columns))`` uniforms of the pairs whose
-        :meth:`keys_of` are ``keys``, sent at ``at`` (one time, or one
-        per row).
+        :func:`pair_key` column (``uint64``) is ``keys``, sent at ``at``
+        (one time, or one per row).
 
         Row *i* is probe *i*'s block — the same row the probe would get
         in any other batch — and column *j* is block column

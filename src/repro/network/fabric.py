@@ -64,7 +64,7 @@ from repro.cluster.identifiers import (
 from repro.cluster.orchestrator import Cluster
 from repro.cluster.overlay import ComponentHealth, OverlayTrace
 from repro.cluster.topology import UnderlayPath
-from repro.network.draws import PairwiseDrawSource
+from repro.network.draws import PairwiseDrawSource, pair_key
 from repro.network.faults import Effects, Fault, FaultInjector
 from repro.network.latency import LatencyModel, TransientCongestion
 from repro.network.packet import (
@@ -157,6 +157,9 @@ class _Resolution:
     #: destination's record, whose OVS and offload tables hold it.
     reverse: Optional[FlowKey] = None
     replier: object = None
+    #: The pair's draw key (:func:`~repro.network.draws.pair_key`),
+    #: computed by the pair's first walk and kept by every re-walk.
+    draw_key: int = 0
     #: Validity, kept by :class:`FlowResolutionCache`: the pair it is
     #: cached under; the miss cause a change to what a reached entry
     #: read marked it with (``None``: valid); the whole-overlay stamp an
@@ -207,15 +210,16 @@ class _RoundVector:
     #: with a fault on a candidate route, or with unhealthy overlay
     #: components.  Only these evaluate :class:`Effects`.
     special: List[int]
+    #: The rows' draw keys, read from their resolutions.
+    keys: np.ndarray
     #: Whether a row has been marked stale since it was resolved; and
     #: the whole-overlay stamp the unreached rows are valid under
     #: (``None``: every row is reached).
     marked: bool = False
     seen: Optional[int] = None
     #: Built by the first bulk answer: each flow rule the rows' walks
-    #: traversed with its crossing count, and the keyed-draw key column.
+    #: traversed with its crossing count.
     rule_hits: Optional[List[Tuple[object, int]]] = None
-    keys: Optional[np.ndarray] = None
 
 
 def _round_vector(
@@ -244,6 +248,9 @@ def _round_vector(
         special=[
             i for i, res in enumerate(resolutions) if not res.plain
         ],
+        keys=np.array(
+            [res.draw_key for res in resolutions], dtype=np.uint64
+        ),
     )
 
 
@@ -621,7 +628,7 @@ class FlowResolutionCache:
                 if cached.reached or cached.seen == self._whole_stamp():
                     self.hits += 1
                     for rule in cached.trace.rules:
-                        rule.hit()
+                        rule.packets += 1  # rule.hit(), inlined
                     return cached
                 cause = "epoch_changed"
         self.misses += 1
@@ -633,6 +640,7 @@ class FlowResolutionCache:
         resolution = _Resolution(
             trace=trace, fhash=flow_hash(src, dst), reached=trace.reached,
             pair=key,
+            draw_key=pair_key(src, dst) if cached is None else cached.draw_key,
         )
         if trace.reached:
             # The echo response travels the reverse flow, whose rule
@@ -839,8 +847,6 @@ class DataPlaneFabric:
         sent_at = np.empty(n, dtype=np.float64)
         sent_at[:] = at
         vec = self.resolution_cache.resolve_all(pairs)
-        if vec.keys is None:
-            vec.keys = self._draws.keys_of(vec.endpoints)
         # The columns this batch reads: RTT noise always, the loss gate
         # when a row meets a fault or an unhealthy component, the
         # congestion pair when congestion is on, the pick under spraying.

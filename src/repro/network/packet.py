@@ -100,8 +100,8 @@ class ProbeBatch(SequenceABC):
     answered from, the index of the route it took among the
     resolution's ``routes`` (-1 when it never reached the underlay),
     the reason it was lost and the pair's draw key
-    (:meth:`~repro.network.draws.PairwiseDrawSource.keys_of`, which
-    keys the monitor plane's draws over the batch); a batch decoded
+    (:func:`~repro.network.draws.pair_key`, which keys the monitor
+    plane's draws over the batch); a batch decoded
     from a recording carries only what the analyzer reads.
 
     It is a ``Sequence[ProbeResult]``: ``len``, iteration, indexing and

@@ -22,6 +22,8 @@ from repro.chaos.corpus import (
 from repro.chaos.gate import FULL_ISSUES, sweep, tap
 from repro.network.issues import IssueType, spec_of
 
+from tests.conftest import draw_keys
+
 ROOT = Path(__file__).resolve().parents[2]
 
 
@@ -131,10 +133,9 @@ class TestWorld:
         ]
         assert placement[0] == placement[1]
         endpoints = sorted(worlds[0].task.endpoints())[:2]
-        keys = [w.fabric._draws.keys_of([tuple(endpoints)]) for w in worlds]
-        assert keys[0].tolist() == keys[1].tolist()
+        keys = draw_keys([tuple(endpoints)])  # a pure function of the pair
         blocks = [
-            w.fabric._draws.uniforms(keys[0], 2.0, (0,)) for w in worlds
+            w.fabric._draws.uniforms(keys, 2.0, (0,)) for w in worlds
         ]
         assert blocks[0].tolist() != blocks[1].tolist()
 

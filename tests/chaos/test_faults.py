@@ -11,8 +11,9 @@ from repro.chaos.faults import (
     MonitorIssue,
 )
 from repro.cluster.identifiers import ContainerId, EndpointId, TaskId
-from repro.network.draws import PairwiseDrawSource
 from repro.network.packet import ProbeBatch
+
+from tests.conftest import draw_keys
 
 FATE_NAMES = {REPORT_OK: "ok", REPORT_LOST: "lost", REPORT_LATE: "late"}
 
@@ -28,7 +29,7 @@ def fates_of(injector, src, dst, times, attempt=0):
     pairs = [(src, dst)] * times.size
     batch = ProbeBatch(
         pairs, times, np.zeros(times.size, dtype=bool),
-        np.zeros(times.size), keys=PairwiseDrawSource(0).keys_of(pairs),
+        np.zeros(times.size), keys=draw_keys(pairs),
     )
     return [
         FATE_NAMES[fate]

@@ -26,6 +26,7 @@ from repro.cluster.identifiers import (
     VfId,
     implicated_host,
 )
+from repro.core.pinglist import ProbePair
 from repro.workloads.scenarios import build_scenario
 
 
@@ -133,15 +134,21 @@ def samples():
     host = [HostId(0), HostId(7)]
     rnic = [RnicId(host[0], 1), RnicId(host[1], 0), RnicId(host[0], 0)]
     container = [ContainerId(task[0], 2), ContainerId(task[1], 0)]
+    endpoint = [
+        EndpointId(container[0], 1), EndpointId(container[1], 3),
+        EndpointId(container[0], 0),
+    ]
     return {
         HostId: host,
         TaskId: task,
         RnicId: rnic,
         VfId: [VfId(rnic[0], 5), VfId(rnic[1], 0)],
         ContainerId: container,
-        EndpointId: [
-            EndpointId(container[0], 1), EndpointId(container[1], 3),
-            EndpointId(container[0], 0),
+        EndpointId: endpoint,
+        ProbePair: [
+            ProbePair.canonical(endpoint[0], endpoint[1]),
+            ProbePair(endpoint[1], endpoint[0]),
+            ProbePair.canonical(endpoint[2], endpoint[0]),
         ],
         SwitchId: [SwitchId("tor", 7), SwitchId("spine", 0)],
         LinkId: [LinkId.between("tor-1", "spine-0"), LinkId.between("b", "a")],
@@ -260,6 +267,8 @@ NAME_FORMULA = {
         f"/ep-{v.slot}"
     ),
     FlowKey: lambda v: f"vni={v.vni},dst={v.dst_ip}",
+    # No name of its own: its carried name is its repr.
+    ProbePair: lambda v: f"ProbePair(src={v.src!r}, dst={v.dst!r})",
 }
 
 
@@ -289,6 +298,9 @@ def ids():
     )
     overlay = scenario.cluster.overlay
     ids = {cls: [] for cls in NAME_FORMULA}
+    ids[ProbePair] = scenario.hunter.controller.ping_list_of(
+        scenario.task.id
+    ).active_pairs()[::7]
     for endpoint in scenario.task.endpoints():
         record = overlay.record_of(endpoint)
         for value in (

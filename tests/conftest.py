@@ -1,12 +1,23 @@
 """Shared fixtures: small clusters and monitored scenarios."""
 
+import numpy as np
 import pytest
 
 from repro.cluster.orchestrator import Cluster, Orchestrator
 from repro.cluster.topology import RailOptimizedTopology
+from repro.network.draws import pair_key
+from repro.network.packet import endpoints_of
 from repro.sim.engine import SimulationEngine
 from repro.sim.rng import RngRegistry
 from repro.workloads.scenarios import build_scenario
+
+
+def draw_keys(pairs):
+    """The draw-key column (``uint64``) of ``pairs`` — ``(src, dst)``
+    tuples or probe pairs — as a fabric batch carries it."""
+    return np.array(
+        [pair_key(*endpoints_of(pair)) for pair in pairs], dtype=np.uint64
+    )
 
 
 @pytest.fixture

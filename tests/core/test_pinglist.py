@@ -1,5 +1,9 @@
 """Tests for phased ping-list generation and activation."""
 
+import copy
+import dataclasses
+import multiprocessing
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -55,6 +59,96 @@ class TestProbePair:
         assert pair.other(pair.dst) == pair.src
         with pytest.raises(ValueError):
             pair.other(ep(9))
+
+
+def never_hashed_twin():
+    """A plain frozen, ordered dataclass with ``ProbePair``'s name and
+    fields: the pair before it carried its hash."""
+    return dataclasses.make_dataclass(
+        "ProbePair", [("src", EndpointId), ("dst", EndpointId)],
+        frozen=True, order=True,
+    )
+
+
+def pair_hashes(pairs):
+    """Each pair's hash and its endpoint tuple's, where this runs."""
+    return [(hash(pair), hash((pair.src, pair.dst))) for pair in pairs]
+
+
+#: Pairs in no sorted order, a reversed one among them.
+_PAIRS = [
+    ProbePair.canonical(ep(2, 1), ep(0, 3)),
+    ProbePair(ep(3, 0, task=1), ep(1, 2)),
+    ProbePair.canonical(ep(1), ep(0, 2)),
+    ProbePair.canonical(ep(0, 1, task=2), ep(0, 0, task=2)),
+]
+
+
+class TestCarriedPairHash:
+    """A pair carries its hash, ``hash((src, dst))`` — the value the
+    generated ``__hash__`` computes — and is otherwise the generated
+    frozen, ordered dataclass."""
+
+    def test_the_hash_is_the_endpoint_tuples(self):
+        assert pair_hashes(_PAIRS) == [
+            (hash((p.src, p.dst)),) * 2 for p in _PAIRS
+        ]
+
+    def test_copies_rebuild_from_the_fields(self):
+        for pair in _PAIRS:
+            data = pickle.dumps(pair, pickle.HIGHEST_PROTOCOL)
+            assert b"_hash" not in data
+            for twin in (
+                pickle.loads(data), copy.copy(pair), copy.deepcopy(pair)
+            ):
+                assert twin == pair and hash(twin) == hash(pair)
+                assert twin.src is not None and twin.dst is not None
+
+    def test_a_spawned_worker_hashes_what_it_unpickles_as_built_there(self):
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            hashes = pool.apply_async(pair_hashes, (_PAIRS,)).get(60)
+        assert all(carried == built for carried, built in hashes)
+        assert hashes == pair_hashes(_PAIRS)  # int fields: one value
+
+    def test_the_hash_is_no_field(self):
+        for pair in _PAIRS:
+            str(pair)
+            assert [f.name for f in dataclasses.fields(pair)] == [
+                "src", "dst",
+            ]
+            assert set(dataclasses.asdict(pair)) == {"src", "dst"}
+            assert "_hash" not in repr(pair) and "_name" not in repr(pair)
+
+    def test_replace_equality_and_order_are_the_generated_ones(self):
+        twin_cls = never_hashed_twin()
+        twins = [twin_cls(pair.src, pair.dst) for pair in _PAIRS]
+        for pair, twin in zip(_PAIRS, twins):
+            assert repr(pair) == repr(twin)
+            assert hash(pair) == hash(twin)
+            moved = dataclasses.replace(pair, dst=pair.src)
+            assert type(moved) is ProbePair
+            assert hash(moved) == hash((pair.src, pair.src))
+            assert (moved.src, moved.dst) == (pair.src, pair.src)
+            for other, other_twin in zip(_PAIRS, twins):
+                assert (pair == other) == (twin == other_twin)
+                assert (pair < other) == (twin < other_twin)
+                assert (pair <= other) == (twin <= other_twin)
+        assert [twin_cls(p.src, p.dst) for p in sorted(_PAIRS)] == sorted(
+            twins
+        )
+        assert _PAIRS[0] != (_PAIRS[0].src, _PAIRS[0].dst)
+
+    def test_sets_and_dicts_iterate_as_endpoint_tuples_do(self):
+        pairs = [
+            ProbePair.canonical(a, b)
+            for a in make_endpoints(3, 2) for b in make_endpoints(3, 2)
+            if a < b
+        ][::-1]
+        tuples = [(pair.src, pair.dst) for pair in pairs]
+        assert [(p.src, p.dst) for p in set(pairs)] == list(set(tuples))
+        assert [
+            (p.src, p.dst) for p in dict.fromkeys(pairs)
+        ] == tuples
 
 
 class TestFullMesh:

@@ -1,10 +1,11 @@
 """Tests for the fleet controller's per-tenant isolation.
 
-Isolation is structural: each tenant gets a private analyzer,
-localizer batch stream, and name-scoped blacklist, so one tenant's
-fault can never surface in another tenant's diagnosis — and a
-controller monitoring a subset of tenants reproduces exactly the
-subset's streams.
+Isolation is per pair: a worker's one analyzer keeps every window and
+incident per pair, and each tenant reads only the incidents on its own
+pairs into a private localizer batch stream and a name-scoped
+blacklist, so one tenant's fault can never surface in another
+tenant's diagnosis — and a controller monitoring a subset of tenants
+reproduces exactly the subset's streams.
 """
 
 import dataclasses
@@ -13,6 +14,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import repro.network.fabric as fabric_module
+from repro.core.analyzer import Analyzer
 from repro.core.probing import ResilientProber
 from repro.core.resilience import MAX_RETRIES, CircuitBreaker
 from repro.fleet.controller import FleetController
@@ -53,7 +56,8 @@ class TestFaultIsolation:
     def test_healthy_tenant_pipeline_is_untouched(self, faulted_run):
         _, controller = faulted_run
         healthy = controller.tenants["b"]
-        assert not healthy.analyzer.open_events()
+        assert not controller.open_events("b")
+        assert controller.open_events("a")
         assert not healthy.events
         assert not healthy.verdicts
         assert healthy.blacklist.active() == []
@@ -189,7 +193,8 @@ def four_tenant_spec():
 
 class TestOneBatchPerRound:
     """A fleet worker's round is one fabric batch over every window its
-    monitored tenants were granted, plus one per retry wave."""
+    monitored tenants were granted, plus one per retry wave, and one
+    analyzer pass — one ingest, one flush — over its delivered rows."""
 
     @pytest.mark.parametrize("monitor", [("b",), None],
                              ids=["one-tenant", "four-tenants"])
@@ -202,8 +207,18 @@ class TestOneBatchPerRound:
         if hardened:
             spec = lossy(spec)
         controller = FleetController(spec, monitor_tenants=monitor)
-        with counting(DataPlaneFabric, "send_probe_batch") as batches:
+        with counting(DataPlaneFabric, "send_probe_batch") as batches, \
+                counting(Analyzer, "ingest_batch") as ingests, \
+                counting(Analyzer, "flush") as flushes:
             controller.run_rounds(1, spec.total_rounds)
+        for calls in (ingests, flushes):
+            assert calls.call_count == spec.total_rounds
+            assert {call.args[0] for call in calls.call_args_list} == {
+                controller.analyzer
+            }
+        assert [call.args[1] for call in flushes.call_args_list] == [
+            spec.round_time(r) for r in range(1, spec.total_rounds + 1)
+        ]
         calls = [call.args[1:] for call in batches.call_args_list]
         firsts = [i for i, (_, at) in enumerate(calls) if np.ndim(at) == 0]
         assert [calls[i][1] for i in firsts] == [
@@ -215,8 +230,12 @@ class TestOneBatchPerRound:
                 min(demand, quota)
                 for _, demand, _, quota, *_ in rollup.tenant_rows
             )
+        rows = set(controller.analyzer.monitored_pairs())
         for runtime in controller.tenants.values():  # its own rows only
-            seen = set(runtime.analyzer.monitored_pairs())
+            seen = {
+                pair for pair in rows
+                if pair.src.container.task == runtime.task
+            }
             assert seen <= set(runtime.pairs)
             assert (seen == runtime.probed_pairs) or hardened
         waves = np.diff(firsts + [len(calls)]) - 1
@@ -227,6 +246,18 @@ class TestOneBatchPerRound:
                 assert len(pairs) == len(at) and pairs
                 assert (at > spec.round_time(round_index)).all()
                 assert (at < spec.round_time(round_index + 1)).all()
+
+    def test_a_held_entrys_draw_key_is_computed_once(self):
+        """A pair's draw key is computed by its first walk and kept by
+        every re-walk: churn re-walks pairs, and none is keyed twice."""
+        spec = fleet_bench_spec(8, total_rounds=24)
+        controller = FleetController(spec)
+        with counting(fabric_module, "pair_key") as keyed:
+            controller.run_rounds(1, spec.total_rounds)
+        cache = controller.replica.fabric.resolution_cache
+        keyed_pairs = [call.args for call in keyed.call_args_list]
+        assert len(keyed_pairs) == len(set(keyed_pairs)) == len(cache)
+        assert cache.misses > len(cache)  # pairs were walked again
 
     def test_an_empty_window_sits_the_round_out(self):
         """A tenant granted no pairs is not sent and not settled (its
@@ -244,7 +275,8 @@ class TestOneBatchPerRound:
         )
         assert b.prober.breaker.snapshot() == CircuitBreaker().snapshot()
         assert b.probes_sent == b.probes_lost == 0
-        assert not b.probed_pairs and not b.analyzer.monitored_pairs()
+        assert not b.probed_pairs
+        assert set(controller.analyzer.monitored_pairs()) == a.probed_pairs
         assert a.probes_sent == spec.total_rounds * len(a.pairs)
         assert a.probes_lost > 0
         for rollup in controller.rollups:

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from repro.cluster.identifiers import ContainerId, EndpointId, TaskId
-from repro.network.draws import PairwiseDrawSource, endpoint_state
+from repro.network.draws import PairwiseDrawSource, endpoint_state, pair_key
 from repro.network.packet import ProbeResult, flow_hash
 from repro.sim.rng import _stable_hash
+
+from tests.conftest import draw_keys
 
 
 def ep(rank=0, slot=0):
@@ -85,8 +87,7 @@ class TestKeyedStringGoldens:
     @pytest.mark.parametrize("src, dst, fhash, draw_key", GOLDEN)
     def test_pairwise_draw_key(self, src, dst, fhash, draw_key):
         src, dst = endpoint(*src), endpoint(*dst)
-        assert int(PairwiseDrawSource(seed=0)._pair_key(src, dst)) == draw_key
-        assert int(PairwiseDrawSource(seed=9)._pair_key(src, dst)) == draw_key
+        assert pair_key(src, dst) == draw_key
 
     def test_a_hash_continues_from_a_prefix_state(self):
         src = endpoint(2, 17, 1)
@@ -111,7 +112,7 @@ class TestKeyedBlockGoldens:
     @pytest.fixture(scope="class")
     def source_and_keys(self):
         source = PairwiseDrawSource(BLOCKS["seed"])
-        return source, source.keys_of([
+        return source, draw_keys([
             (endpoint(*src), endpoint(*dst))
             for src, dst in BLOCKS["pairs"]
         ])

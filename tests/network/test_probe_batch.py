@@ -23,6 +23,8 @@ from repro.network.issues import GrayIssueType, IssueType
 from repro.network.packet import ProbeBatch, ProbeResult
 from repro.workloads.scenarios import build_scenario
 
+from tests.conftest import draw_keys
+
 
 def parent_loop(fabric, pairs, at):
     """``DataPlaneFabric.send_probe_batch`` as of 34a2c6b, drawing from
@@ -36,7 +38,7 @@ def parent_loop(fabric, pairs, at):
     if n == 0:
         return []
     draws = fabric._draws.uniforms(
-        fabric._draws.keys_of(endpoints), at,
+        draw_keys(endpoints), at,
         range(6 if fabric.spraying else 5),
     )
     cache = fabric.resolution_cache

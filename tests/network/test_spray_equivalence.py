@@ -21,6 +21,8 @@ from repro.network.issues import GrayIssueType
 from repro.network.packet import flow_hash
 from repro.workloads.scenarios import build_scenario
 
+from tests.conftest import draw_keys
+
 
 def _build(seed, ecmp_mode="spray"):
     # Two hosts per segment so monitored pairs cross the spine layer:
@@ -141,7 +143,7 @@ def test_the_sixth_uniform_picks_the_route():
     scenario = _build(11)
     pairs = _pairs(scenario)
     source = PairwiseDrawSource(11)
-    draws = source.uniforms(source.keys_of(pairs), 0.0, range(6))
+    draws = source.uniforms(draw_keys(pairs), 0.0, range(6))
     results = scenario.fabric.send_probe_batch(pairs, 0.0)
     for row, result in zip(draws, results):
         # The RNICs the overlay walk used: a same-host pair is

@@ -16,7 +16,10 @@ batches that mix every kind of row — hits, cold rows, ``table_changed``
 and ``epoch_changed`` misses, a row repeated, several sources on one
 host towards one destination, a stale ENCAP a migration left behind
 that a row's first packet replaces, and an ENCAP corrupted back at the
-source host (a loop).
+source host (a loop); and a budget window rotating over a held
+universe, which never repeats the last batch's sequence, with a
+migration and an RNIC fault landing mid-run.  Every batch's draw-key
+column must be the oracle's too.
 """
 
 import pytest
@@ -24,6 +27,7 @@ import pytest
 from repro.cluster.flowtable import ActionKind, FlowAction
 from repro.cluster.identifiers import ContainerId, EndpointId
 from repro.cluster.overlay import veth_name, vtep_name
+from repro.fleet.budget import ProbeBudgetScheduler
 from repro.network.fabric import DataPlaneFabric
 from repro.network.faults import FaultInjector
 from repro.network.issues import GrayIssueType, IssueType
@@ -33,6 +37,8 @@ from repro.shard.spec import (
     ring_chord_pairs,
 )
 from repro.workloads.scenarios import build_scenario
+
+from tests.conftest import draw_keys
 
 
 def _ring_chord_2048():
@@ -181,12 +187,13 @@ class Twins:
         batch, oracle = self.worlds
         vector = batch.fabric.resolution_cache.resolve_all(pairs)
         cache = oracle.fabric.resolution_cache
-        singles = [
-            cache.resolve_all([pair]).resolutions[0] for pair in pairs
-        ]
+        singles = [cache.resolve_all([pair]) for pair in pairs]
         assert [_row(res) for res in vector.resolutions] == [
-            _row(res) for res in singles
+            _row(single.resolutions[0]) for single in singles
         ]
+        assert vector.keys.tolist() == [
+            int(single.keys[0]) for single in singles
+        ] == draw_keys(pairs).tolist()
         assert _tables(batch) == _tables(oracle)
         assert _counts(batch) == _counts(oracle)
         assert batch.cluster.overlay.epoch == oracle.cluster.overlay.epoch
@@ -419,6 +426,51 @@ def test_a_mixed_batch_is_its_pairs_one_by_one(ecmp_mode):
         assert twins.both(act)
         twins.resolve(mixed)
     assert len(task.all_containers()) == 8
+
+
+@pytest.mark.parametrize("ecmp_mode", ["static", "spray"])
+def test_a_rotating_window_is_its_pairs_one_by_one(ecmp_mode):
+    """A fleet tenant's budget window (``select_pairs``) rotating over a
+    held universe: no batch repeats the last one's sequence, so each
+    takes the one pass, and after the warm-up its rows are hits; a
+    migration and an RNIC fault land between two windows mid-run."""
+    twins = Twins(_basic(8, hosts_per_segment=5, ecmp_mode=ecmp_mode), None)
+    universe = sorted(twins.pairs)
+    quota = len(universe) // 3 + 5  # windows wrap round the universe
+    twins.resolve(universe)
+    src = universe[len(universe) // 2].src
+
+    def migrate(scenario):
+        scenario.orchestrator.migrate_container(
+            scenario.task.container(src.container.rank)
+        )
+
+    def rnic_fault(scenario):
+        scenario.inject(
+            IssueType.RNIC_PORT_DOWN,
+            scenario.cluster.overlay.rnic_of(universe[7].dst),
+        )
+
+    cache = twins.worlds[0].fabric.resolution_cache
+    batches, windows = cache._batches, []
+    for round_index in range(1, 13):
+        window = ProbeBudgetScheduler.select_pairs(
+            universe, quota, round_index
+        )
+        assert window != (windows[-1] if windows else universe)
+        windows.append(window)
+        hits = cache.hits
+        twins.resolve(window)
+        if round_index in (2, 3):  # a warm window is all hits
+            assert cache.hits - hits == len(window)
+        if round_index == 4:
+            assert twins.both(migrate)
+        if round_index == 8:
+            assert twins.both(rnic_fault)
+    assert cache._batches - batches == len(windows)  # one pass each
+    causes = twins.worlds[0].fabric.metrics.counters("cache.miss.")
+    assert causes.get("cache.miss.table_changed")
+    assert causes.get("cache.miss.epoch_changed")
 
 
 @pytest.mark.slow

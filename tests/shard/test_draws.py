@@ -12,6 +12,7 @@ import numpy as np
 from repro.network.draws import PairwiseDrawSource
 from repro.shard import build_replica, pair_universe
 
+from tests.conftest import draw_keys
 from tests.shard.conftest import small_spec
 
 
@@ -27,9 +28,9 @@ class TestDrawSource:
     def test_one_batch_equals_many_batches(self):
         endpoints = _endpoints(small_spec(with_faults=False))
         source = PairwiseDrawSource(seed=0)
-        whole = source.uniforms(source.keys_of(endpoints), at=4.0)
+        whole = source.uniforms(draw_keys(endpoints), at=4.0)
         rebuilt = np.vstack([
-            source.uniforms(source.keys_of([pair]), at=4.0)
+            source.uniforms(draw_keys([pair]), at=4.0)
             for pair in endpoints
         ])
         np.testing.assert_array_equal(whole, rebuilt)
@@ -37,14 +38,14 @@ class TestDrawSource:
     def test_order_does_not_matter(self):
         endpoints = _endpoints(small_spec(with_faults=False))
         source = PairwiseDrawSource(seed=3)
-        keys = source.keys_of(endpoints)
+        keys = draw_keys(endpoints)
         forward = source.uniforms(keys, at=2.0)
         backward = source.uniforms(keys[::-1], at=2.0)
         np.testing.assert_array_equal(forward, backward[::-1])
 
     def test_time_and_seed_both_matter(self):
         endpoints = _endpoints(small_spec(with_faults=False))[:4]
-        keys = PairwiseDrawSource(seed=0).keys_of(endpoints)
+        keys = draw_keys(endpoints)
         base = PairwiseDrawSource(seed=0).uniforms(keys, 2.0)
         for other in (
             PairwiseDrawSource(seed=1).uniforms(keys, 2.0),
@@ -55,7 +56,7 @@ class TestDrawSource:
     def test_draws_are_unit_interval(self):
         endpoints = _endpoints(small_spec(with_faults=False))
         source = PairwiseDrawSource(seed=0)
-        block = source.uniforms(source.keys_of(endpoints), 6.0)
+        block = source.uniforms(draw_keys(endpoints), 6.0)
         assert block.shape == (len(endpoints), 5)
         assert np.all(block >= 0.0) and np.all(block < 1.0)
 
