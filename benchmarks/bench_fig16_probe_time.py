@@ -8,6 +8,10 @@ Paper numbers (512 / 1024 / 2048 RNICs):
 With agents pacing one probe per second in parallel, the round time is
 overhead + the busiest agent's target count; the reproduced shape is the
 ordering and the relative reductions at each scale.
+
+Every time printed here is modeled (``ProbeCostModel``), not measured:
+no round is timed.  ``bench/run.py`` measures what a simulated round
+costs in wall-clock seconds.
 """
 
 from collections import defaultdict

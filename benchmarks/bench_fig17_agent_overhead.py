@@ -2,6 +2,10 @@
 
 Paper shape: CPU and memory consumption converge to ~1% of a core and
 ~35 MB over the container's lifetime.
+
+Every number printed here is modeled (``AgentResourceModel``, whose
+steady state is set to the paper's), not measured: the agent is a
+simulated sidecar with no process of its own to measure.
 """
 
 from conftest import print_table, run_once

@@ -14,6 +14,7 @@ Run:  python examples/case_study_flow_inconsistency.py
 """
 
 from repro import IssueType, build_scenario
+from repro.cluster import FlowKey
 
 
 def main() -> None:
@@ -51,6 +52,17 @@ def main() -> None:
           f"{finding.silently_invalidated} flows marked offloaded in "
           f"OVS but missing from the RNIC "
           f"({finding.invalidation_count} hardware invalidations)")
+    # The pair's OVS rule as `ovs-ofctl dump-flows` shows it: still
+    # marked offloaded, still matching every probe.
+    overlay = scenario.cluster.overlay
+    key = FlowKey(
+        overlay.vni_of(pair.dst.container.task), overlay.overlay_ip(pair.dst)
+    )
+    rule = overlay.ovs_table(rnic.host).lookup(key)
+    print(f"[t={scenario.engine.now:6.0f}s]   OVS rule {key}: "
+          f"offloaded={rule.offloaded}, n_packets={rule.packets}, "
+          f"in the RNIC table: "
+          f"{overlay.offload_table(rnic).lookup(key) is not None}")
 
     for when, report in scenario.hunter.reports:
         for diagnosis in report.diagnoses[:2]:

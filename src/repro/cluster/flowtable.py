@@ -17,13 +17,16 @@ diff is :func:`diff_tables`; Step 3 and the fabric verifier both read it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence
+
+import numpy as np
 
 from repro.cluster.identifiers import VfId, carries_hash
 
 __all__ = [
     "ActionKind",
+    "BulkCounts",
     "FlowAction",
     "FlowInconsistency",
     "FlowKey",
@@ -88,11 +91,62 @@ class FlowRule:
     action: FlowAction
     offloaded: bool = False
     offloaded_to: Optional[str] = None  # RNIC device name holding the copy
-    packets: int = 0
+    #: Packets counted one at a time: walks (:meth:`hit`) and per-row
+    #: cache hits.  What bulk answers count is in :attr:`cell`.
+    hits: int = 0
+    #: The :class:`BulkCounts` holding this rule's cell and the cell,
+    #: once a bulk answer has counted the rule.
+    counts: Optional["BulkCounts"] = field(
+        default=None, repr=False, compare=False
+    )
+    cell: int = field(default=0, repr=False, compare=False)
 
     def hit(self) -> None:
         """Record one packet matching this rule."""
-        self.packets += 1
+        self.hits += 1
+
+    @property
+    def packets(self) -> int:
+        """Every packet that matched this rule, exact at any time: the
+        ones counted one at a time plus its bulk cell."""
+        if self.counts is None:
+            return self.hits
+        return self.hits + int(self.counts.values[self.cell])
+
+
+class BulkCounts:
+    """The packets bulk answers counted, one ``int64`` cell per rule.
+
+    A warm round answered in bulk
+    (:meth:`~repro.network.fabric.FlowResolutionCache.resolve_all`)
+    crosses thousands of rules; it adds its crossings with one array
+    add over their cells instead of one Python increment per rule.  A
+    rule gets its cell the first time a bulk answer counts it and keeps
+    it for life, so a replaced rule keeps its count; a rule no bulk
+    answer counts has none.  Each overlay owns one, so replicas in one
+    process count apart.
+    """
+
+    def __init__(self) -> None:
+        self.values = np.zeros(0, dtype=np.int64)
+        self.size = 0
+
+    def cells_of(self, rules: Sequence[FlowRule]) -> np.ndarray:
+        """Each rule's cell, in order; a rule without one gets the next
+        free cell (a full array grows to at least twice its length)."""
+        size = self.size
+        for rule in rules:
+            if rule.counts is None:
+                rule.counts, rule.cell = self, size
+                size += 1
+        if size > len(self.values):
+            grown = np.zeros(max(size, 2 * len(self.values)), np.int64)
+            grown[:self.size] = self.values[:self.size]
+            self.values = grown
+        self.size = size
+        return np.fromiter(
+            (rule.cell for rule in rules), np.int64, len(rules)
+        )
 
 
 class FlowTable:
@@ -107,8 +161,9 @@ class FlowTable:
     when the whole table changes (:meth:`touch`, :meth:`clear`) — state
     a walk reads that no single key holds.  The overlay folds each into
     its whole-overlay epoch and passes it on to the resolutions that
-    read it.  Hit-counter updates (:meth:`FlowRule.hit`) deliberately
-    do *not* count: they never change where a packet goes.
+    read it.  Hit-counter updates (:meth:`FlowRule.hit`, a bulk
+    answer's :class:`BulkCounts` add) deliberately do *not* count: they
+    never change where a packet goes.
     """
 
     def __init__(self, name: str = "ovs", component: Optional[str] = None):

@@ -22,6 +22,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.cluster.container import Container
 from repro.cluster.flowtable import (
     ActionKind,
+    BulkCounts,
     FlowAction,
     FlowKey,
     FlowRule,
@@ -105,13 +106,17 @@ class OverlayTrace:
     ``hops`` is the chain in order; a healthy hop is one object shared
     by every walk that crosses its component.  ``rules`` collects the
     flow rules whose lookup the walk hit, in hop order; the fabric's
-    resolution cache replays ``rule.hit()`` on them for cache-served
-    probes so packet counters advance exactly as if every probe had
-    re-walked the chain.  ``tables`` collects the flow tables the walk
-    consulted — the OVS table of every visited host and the offload
-    table of every traversed RNIC — and ``key`` is the one match key it
-    looked up in each of them: a cached resolution's validity is scoped
-    to that key in those tables.  ``healths`` holds the
+    resolution cache counts a packet on each of them for every
+    cache-served probe (one at a time on a per-row hit, in the
+    overlay's :class:`~repro.cluster.flowtable.BulkCounts` on a bulk
+    answer), so :attr:`FlowRule.packets` reads exactly what re-walking
+    every probe would have counted (no verdict reads the counters:
+    tests and the Figure-18 example's dump do).  ``tables`` collects
+    the flow tables the walk consulted — the OVS table of every
+    visited host and the offload table of every traversed RNIC — and
+    ``key`` is the one match key it looked up in each of them: a cached
+    resolution's validity is scoped to that key in those tables.
+    ``healths`` holds the
     :class:`ComponentHealth` of each component a reached walk crossed,
     in hop order.  The four are bookkeeping, not observations, so they
     are excluded from equality and repr.  Every sequence is a tuple.
@@ -193,6 +198,8 @@ class OverlayNetwork:
         self._software_hops: Dict[str, OverlayHop] = {}
         self._encaps: Dict[str, FlowAction] = {}
         self._underlay_ip_of_rnic: Dict[RnicId, str] = {}
+        #: What bulk-answered probes counted on this overlay's rules.
+        self.bulk_counts = BulkCounts()
         self._epoch = 0
         #: One bound :meth:`_changed` for every health object to call.
         self._notify = self._changed

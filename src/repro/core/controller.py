@@ -39,6 +39,7 @@ class ControllerError(RuntimeError):
 class _TaskState:
     task: TrainingTask
     ping_list: PingList
+    #: Live agents, kept in container order.
     agents: Dict[ContainerId, OverlayAgent] = field(default_factory=dict)
     skeleton: Optional[InferredSkeleton] = None
 
@@ -132,7 +133,14 @@ class Controller:
             prober=prober,
             bus=self.bus,
         )
-        state.agents[container.id] = agent
+        agents = state.agents
+        last = next(reversed(agents), None)
+        agents[container.id] = agent
+        if last is not None and container.id < last:
+            # Out of container order: sort again, in place.
+            ordered = sorted(agents.items())
+            agents.clear()
+            agents.update(ordered)
         agent.register()
         if self.recorder is not None:
             self.recorder.count("agents.started")
@@ -231,9 +239,9 @@ class Controller:
         return self._state(task_id).skeleton
 
     def agents_of(self, task_id: TaskId) -> List[OverlayAgent]:
-        """Live agents of ``task_id``, sorted by container."""
-        state = self._state(task_id)
-        return [state.agents[c] for c in sorted(state.agents)]
+        """Live agents of ``task_id``, sorted by container (the order
+        :meth:`on_container_running` keeps them in)."""
+        return list(self._state(task_id).agents.values())
 
     def phase_of(self, task_id: TaskId) -> str:
         """Which ping-list phase ``task_id`` currently runs."""

@@ -217,9 +217,10 @@ class _RoundVector:
     #: (``None``: every row is reached).
     marked: bool = False
     seen: Optional[int] = None
-    #: Built by the first bulk answer: each flow rule the rows' walks
-    #: traversed with its crossing count.
-    rule_hits: Optional[List[Tuple[object, int]]] = None
+    #: Built by the first bulk answer: the cells
+    #: (:class:`~repro.cluster.flowtable.BulkCounts`) of the flow rules
+    #: the rows' walks traversed, and each one's crossing count.
+    rule_hits: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
 
 def _round_vector(
@@ -532,7 +533,7 @@ class FlowResolutionCache:
         re-walk, which replaces the entry, moves a path.  A pair with
         no reached entry gets its placement answer
         (:func:`_placement_paths`).  A read: it walks, installs,
-        registers and counts nothing, and replays no rule hit."""
+        registers and counts nothing, not even a rule hit."""
         entries, spraying = self._entries, self.ecmp_mode == "spray"
         answers = []
         for pair in pairs:
@@ -547,23 +548,25 @@ class FlowResolutionCache:
 
     def resolve_all(self, pairs: List[object]) -> _RoundVector:
         """The resolutions of a whole batch, as batches of one would
-        give them one pair after another in input order.  A hit replays
-        ``rule.hit()`` on the flow rules the original walk traversed,
-        so per-rule packet counters advance exactly as if the chain had
-        been re-walked.
+        give them one pair after another in input order.  A hit counts
+        a packet on each flow rule the original walk traversed, so
+        :attr:`FlowRule.packets` reads exactly what re-walking the
+        chain would have counted (no verdict reads it).
 
         When ``pairs`` is the sequence the last batch resolved and no
         row of that batch has been marked stale since (nor, for an
         unreached row, has anything anywhere changed), every lookup
-        would be a hit and a hit has no side effect but ``rule.hit()``
-        — so no row can go stale inside the batch either, and the rows
-        are answered together: ``hits`` advances by the batch, each
-        traversed rule's packet counter by its crossings.  Otherwise
-        (cold, a row marked, another sequence) the batch resolves in one
-        pass (:meth:`_resolve_rows`), row by row in order, so a walk's
-        flow installs and a table mutation land where they would
-        sequentially; a row marked while its own batch still resolves
-        keeps the next one off the bulk path.
+        would be a hit and a hit has no side effect but its count —
+        so no row can go stale inside the batch either, and the rows
+        are answered together: ``hits`` advances by the batch, and the
+        traversed rules' crossings land in the overlay's
+        :class:`~repro.cluster.flowtable.BulkCounts` as one array add
+        over their cells (built with the vector's first bulk answer).
+        Otherwise (cold, a row marked, another sequence) the batch
+        resolves in one pass (:meth:`_resolve_rows`), row by row in
+        order, so a walk's flow installs and a table mutation land
+        where they would sequentially; a row marked while its own batch
+        still resolves keeps the next one off the bulk path.
         """
         last = self._vector
         repeat = last is not None and last.pairs == pairs
@@ -572,14 +575,14 @@ class FlowResolutionCache:
             and last.seen in (None, self._whole_stamp())
         ):
             self.hits += len(pairs)
+            counts = self._cluster.overlay.bulk_counts
             if last.rule_hits is None:
-                crossings: Dict[int, List] = {}
-                for res in last.resolutions:
-                    for rule in res.trace.rules:
-                        crossings.setdefault(id(rule), [rule, 0])[1] += 1
-                last.rule_hits = [tuple(c) for c in crossings.values()]
-            for rule, count in last.rule_hits:
-                rule.packets += count
+                last.rule_hits = np.unique(counts.cells_of([
+                    rule for res in last.resolutions
+                    for rule in res.trace.rules
+                ]), return_counts=True)
+            cells, crossings = last.rule_hits
+            counts.values[cells] += crossings
             return last
         endpoints = last.endpoints if repeat else [
             endpoints_of(pair) for pair in pairs
@@ -615,10 +618,10 @@ class FlowResolutionCache:
     def _resolve_row(
         self, key: Tuple[EndpointId, EndpointId]
     ) -> _Resolution:
-        """One row of a pass: a hit replays its rule hits; a miss walks
-        (installing what the first packet and its echo install), is
-        routed and weighed, and joins the pass's pending registrations
-        if it reached."""
+        """One row of a pass: a hit counts a packet on each of its
+        rules; a miss walks (installing what the first packet and its
+        echo install), is routed and weighed, and joins the pass's
+        pending registrations if it reached."""
         cached = self._entries.get(key) if self.enabled else None
         if cached is None:
             cause = "cold"
@@ -628,7 +631,7 @@ class FlowResolutionCache:
                 if cached.reached or cached.seen == self._whole_stamp():
                     self.hits += 1
                     for rule in cached.trace.rules:
-                        rule.packets += 1  # rule.hit(), inlined
+                        rule.hits += 1  # rule.hit(), inlined
                     return cached
                 cause = "epoch_changed"
         self.misses += 1

@@ -77,6 +77,30 @@ class TestAgentLifecycle:
         ping_list = controller.ping_list_of(running_task.id)
         assert ping_list.activation_ratio() < 1.0
 
+    def test_agents_come_back_in_container_order(
+        self, controller, running_task
+    ):
+        """Containers that come up out of rank order, or come back
+        after finishing, still list their agents by container."""
+        controller.preload_task(running_task)
+        for rank in (2, 0, 3, 1):
+            controller.on_container_running(
+                running_task.container(rank), now=float(rank)
+            )
+
+        def listed():
+            return [
+                agent.container.id
+                for agent in controller.agents_of(running_task.id)
+            ]
+
+        ids = [running_task.container(rank).id for rank in range(4)]
+        assert listed() == ids
+        controller.on_container_finished(running_task.container(1))
+        assert listed() == [ids[0], ids[2], ids[3]]
+        controller.on_container_running(running_task.container(1), now=9.0)
+        assert listed() == ids
+
     def test_running_without_preload_rejected(
         self, controller, running_task
     ):

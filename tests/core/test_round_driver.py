@@ -367,7 +367,9 @@ def test_fault_free_round_is_one_batch_and_no_list_scan():
     many agents a round has, a warm fault-free round scans the whole
     ping list zero times, batches the fabric once, and builds no
     ``ProbeResult``, sorts no pair and looks up no resolution — while
-    every flow rule still counts each packet that crossed it."""
+    every flow rule still counts each packet that crossed it, read
+    after every round, and so does a rotating window answered row by
+    row."""
     scenario = build_scenario(
         num_containers=8, gpus_per_container=4, pp=2, seed=SEED,
         hosts_per_segment=4,
@@ -391,13 +393,17 @@ def test_fault_free_round_is_one_batch_and_no_list_scan():
     before = {key: rule.packets for key, rule in rules.items()}
     sent0 = scenario.fabric.probes_sent
     hits0 = scenario.fabric.resolution_cache.hits
+    misses0 = scenario.fabric.resolution_cache.misses
     rounds = 5
     with counting(PingList, "active_pairs") as scans, counting(
         DataPlaneFabric, "send_probe_batch"
     ) as batches, counting(ProbeResult, "__init__") as results, counting(
         ProbePair, "canonical"
     ) as sorts, counting(FlowResolutionCache, "_resolve_row") as lookups:
-        scenario.run_for(rounds * scenario.hunter.probe_interval_s)
+        for done in range(1, rounds + 1):
+            scenario.run_for(scenario.hunter.probe_interval_s)
+            for key, rule in rules.items():
+                assert rule.packets - before[key] == done * crossings[key]
     assert scenario.hunter.events == []
     assert scenario.fabric.probes_sent - sent0 == rounds * pairs
     assert scans.call_count == 0
@@ -407,8 +413,28 @@ def test_fault_free_round_is_one_batch_and_no_list_scan():
     assert lookups.call_count == 0
     assert scenario.fabric.resolution_cache.hits - hits0 == rounds * pairs
     assert max(crossings.values()) > 1  # rules shared between pairs
-    for key, rule in rules.items():
-        assert rule.packets - before[key] == rounds * crossings[key]
+
+    # A window rotating over the pairs is another sequence every batch,
+    # so each is answered row by row; the counts stay exact.
+    active = list(ping_list.active_pairs())
+    width = len(active) // 3
+    before = {key: rule.packets for key, rule in rules.items()}
+    counted = Counter()
+    windows = 4
+    with counting(FlowResolutionCache, "_resolve_row") as lookups:
+        for turn in range(windows):
+            window = (active[turn * width:] + active[:turn * width])[:width]
+            scenario.fabric.send_probe_batch(window, scenario.engine.now)
+            for pair in window:
+                resolution = scenario.fabric.resolution_cache._entries[
+                    (pair.src, pair.dst)
+                ]
+                for rule in resolution.trace.rules:
+                    counted[id(rule)] += 1
+            for key, rule in rules.items():
+                assert rule.packets - before[key] == counted[key]
+    assert lookups.call_count == windows * width
+    assert scenario.fabric.resolution_cache.misses == misses0
 
 
 def test_a_warm_round_names_nothing_and_encodes_once(tmp_path):

@@ -31,6 +31,8 @@ class TestExamples:
         run_example("case_study_flow_inconsistency.py")
         output = capsys.readouterr().out
         assert "ALARM" in output
+        assert "offloaded=True, n_packets=" in output
+        assert "in the RNIC table: False" in output
         assert "recovered RTT" in output
 
     def test_operations(self, capsys):
